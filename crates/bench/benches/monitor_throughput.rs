@@ -105,6 +105,7 @@ fn bench_live(c: &mut Criterion) {
                     },
                     monitor_config(),
                     8192,
+                    None,
                 );
                 assert!(out.report.verdict.is_ok());
                 out
@@ -136,6 +137,7 @@ fn bench_pipelined(c: &mut Criterion) {
                         },
                         monitor_config(),
                         PipelineOptions::default(),
+                        None,
                     );
                     assert!(out.report.verdict.is_ok());
                     assert_eq!(out.report.stats.checked_ops, total);

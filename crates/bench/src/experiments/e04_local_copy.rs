@@ -13,9 +13,7 @@ use evlin_algorithms::{CasFetchInc, LocalCopy, Prop16Consensus};
 use evlin_checker::{linearizability, parallel, weak_consistency};
 use evlin_history::ObjectUniverse;
 use evlin_sim::engine::{self, EngineOptions, Reduction, Visit};
-use evlin_sim::explorer::{
-    terminal_histories, terminal_histories_par, ExploreOptions, ParExploreOptions,
-};
+use evlin_sim::explorer::{terminal_histories, ExploreOptions};
 use evlin_sim::program::LocalSpecImplementation;
 use evlin_sim::workload::Workload;
 use evlin_spec::trivial::{BlindRegister, StickyGate};
@@ -110,12 +108,12 @@ pub fn run(quick: bool) -> Vec<Table> {
         let implementation = LocalSpecImplementation::new(case.ty.clone(), 2);
         // Explore all interleavings on every core, then batch-check the
         // terminal histories in parallel too.
-        let histories = terminal_histories_par(
+        let histories = engine::terminal_histories(
             &implementation,
             &case.workload,
-            ParExploreOptions {
-                base: options,
-                ..ParExploreOptions::default()
+            &EngineOptions {
+                limits: options,
+                ..EngineOptions::default()
             },
         );
         let all_lin = parallel::check_histories_par(&histories, &universe)

@@ -75,6 +75,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             },
             config,
             8192,
+            None,
         );
         let stats = &out.report.stats;
         table.push_row([
@@ -107,6 +108,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             },
             config,
             PipelineOptions::default(),
+            None,
         );
         let stats = &out.report.stats;
         table.push_row([

@@ -74,6 +74,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         },
         monitor_config(),
         8192,
+        None,
     );
     let base_rate = baseline.checked_ops_per_sec();
     table.push_row([
@@ -107,6 +108,7 @@ pub fn run(quick: bool) -> Vec<Table> {
                     frame_capacity,
                     ring_frames: 8,
                 },
+                None,
             );
             table.push_row([
                 "pipelined".to_string(),

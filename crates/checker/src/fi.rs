@@ -1,6 +1,6 @@
 //! Specialized checkers for fetch&increment histories.
 //!
-//! The generic constrained-linearization search of [`crate::search`] is
+//! The generic constrained-linearization search of [`crate::kernel`] is
 //! exponential in the worst case, which is fine for the small histories used
 //! in unit tests and bounded exploration but not for the hundreds of
 //! thousands of operations produced by the runtime experiments (E7/E8).  For

@@ -1538,4 +1538,118 @@ mod tests {
             "interchangeable reads must collapse into one chain: {stats:?}"
         );
     }
+
+    #[test]
+    fn pending_write_can_justify_a_read() {
+        let mut u = ObjectUniverse::new();
+        let r = u.add_object(Register::new(Value::from(0i64)));
+        // p0's write(5) never completes, but p1 reads 5: linearizable by
+        // including the pending write.
+        let h = HistoryBuilder::new()
+            .invoke(ProcessId(0), r, Register::write(Value::from(5i64)))
+            .complete(ProcessId(1), r, Register::read(), Value::from(5i64))
+            .build();
+        let p = Linearizability.problem(&h);
+        let w = solve(&p, &u, SearchLimits::default())
+            .0
+            .witness()
+            .expect("linearizable with pending write");
+        assert_eq!(w.order.len(), 2); // the pending write was included
+    }
+
+    #[test]
+    fn unfixed_responses_relax_the_problem() {
+        let mut u = ObjectUniverse::new();
+        let r = u.add_object(Register::new(Value::from(0i64)));
+        let h = HistoryBuilder::new()
+            .complete(
+                ProcessId(0),
+                r,
+                Register::write(Value::from(1i64)),
+                Value::Unit,
+            )
+            .complete(ProcessId(1), r, Register::read(), Value::from(99i64))
+            .build();
+        // With fixed responses the read of 99 is illegal...
+        let fixed = Linearizability.problem(&h);
+        assert_eq!(
+            solve(&fixed, &u, SearchLimits::default()).0,
+            SearchResult::No
+        );
+        // ...but if responses are left free the operations can be arranged.
+        let mut free = fixed;
+        for op in &mut free.ops {
+            op.fixed_response = None;
+        }
+        assert!(solve(&free, &u, SearchLimits::default()).0.is_yes());
+    }
+
+    #[test]
+    fn node_budget_reports_unknown() {
+        let mut u = ObjectUniverse::new();
+        let r = u.add_object(Register::new(Value::from(0i64)));
+        let mut b = HistoryBuilder::new();
+        for i in 0..6 {
+            b = b
+                .invoke(ProcessId(i), r, Register::write(Value::from(i as i64)))
+                .invoke(ProcessId(i + 6), r, Register::read());
+        }
+        for i in 0..6 {
+            b = b.respond(ProcessId(i), r, Value::Unit).respond(
+                ProcessId(i + 6),
+                r,
+                Value::from(((i + 1) % 6) as i64),
+            );
+        }
+        let p = Linearizability.problem(&b.build());
+        let (result, _) = solve(&p, &u, SearchLimits { max_nodes: 3 });
+        assert_eq!(result, SearchResult::Unknown);
+    }
+
+    #[test]
+    fn memoization_hits_on_revisited_set_and_states() {
+        // Three concurrent writes on three *distinct* registers, plus an
+        // unsatisfiable fixed response (a read of 7 that nothing wrote): the
+        // search must explore every subset of the writes, and different
+        // interleavings of distinct operations reach the same
+        // (linearized-multiset, object-states) key — every arrival after the
+        // first must be answered by the Wing–Gong cache.  (Identical
+        // operations produce no cache hits: the kernel merges them into one
+        // interchangeability class up front.)
+        let mut u = ObjectUniverse::new();
+        let regs: Vec<_> = (0..3)
+            .map(|_| u.add_object(Register::new(Value::from(0i64))))
+            .collect();
+        let bad = u.add_object(Register::new(Value::from(0i64)));
+        let mut b = HistoryBuilder::new();
+        for (p, &r) in regs.iter().enumerate() {
+            b = b.invoke(ProcessId(p), r, Register::write(Value::from(1i64)));
+        }
+        for (p, &r) in regs.iter().enumerate() {
+            b = b.respond(ProcessId(p), r, Value::Unit);
+        }
+        let h = b
+            .complete(ProcessId(3), bad, Register::read(), Value::from(7i64))
+            .build();
+        let p = Linearizability.problem(&h);
+        let (result, stats) = solve(&p, &u, SearchLimits::default());
+        assert_eq!(result, SearchResult::No);
+        assert!(stats.nodes > 0);
+        // 2^3 subsets of the writes, reachable along 3! orders: the cache
+        // must absorb the difference (3 * 2^2 - (2^3 - 1) = 5 hits).
+        assert!(
+            stats.memo_hits >= 4,
+            "revisited (multiset, states) keys must hit the cache: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn empty_problem_is_trivially_satisfiable() {
+        let p = SearchProblem {
+            ops: Vec::new(),
+            precedence: Vec::new(),
+        };
+        let (result, _) = solve(&p, &ObjectUniverse::new(), SearchLimits::default());
+        assert!(result.is_yes());
+    }
 }

@@ -55,8 +55,6 @@
 //! * [`fi`] — specialized, near-linear-time checkers for fetch&increment
 //!   histories, used by the large-scale experiments (the generic search is
 //!   exponential in the worst case);
-//! * [`search`] — the legacy facade over [`kernel::solve`] for callers
-//!   holding a prebuilt [`search::SearchProblem`];
 //! * [`parallel`] — batched checking of many independent histories across
 //!   all cores ([`parallel::check_histories_par`] and friends); the same
 //!   fan-out primitive powers the kernel's per-object pre-pass.
@@ -93,7 +91,6 @@ pub mod locality;
 pub mod monitor;
 pub mod parallel;
 pub mod safety;
-pub mod search;
 pub mod t_linearizability;
 mod util;
 pub mod weak_consistency;

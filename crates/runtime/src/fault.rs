@@ -21,6 +21,19 @@ use crate::channel::{SendError, Sender};
 /// of 1024 per item.
 pub const FAULT_SCALE: u32 = 1024;
 
+/// One step of the xorshift64 generator (shifts 13, 7, 17): advances
+/// `state` and returns the new value.  Full period over nonzero states —
+/// seed with anything but 0.  Every seeded fault, chaos and jitter schedule
+/// in the runtime and the service draws from this one function.
+pub fn xorshift64(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
+}
+
 /// A seeded, deterministic plan of channel faults.
 ///
 /// Each item sent through a [`FaultySender`] suffers at most one fault,
@@ -137,14 +150,7 @@ impl<T: Clone> FaultySender<T> {
     }
 
     fn roll(&mut self) -> u32 {
-        // xorshift64: full period over nonzero states, plenty for fault
-        // schedules, and dependency-free.
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        (x >> 32) as u32 % FAULT_SCALE
+        (xorshift64(&mut self.rng) >> 32) as u32 % FAULT_SCALE
     }
 
     /// Sends `item` through the faulty link.

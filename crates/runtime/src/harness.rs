@@ -4,11 +4,10 @@ use crate::channel;
 use crate::channel::sharded::MergeStats;
 use crate::counter::ConcurrentCounter;
 use crate::fault::{ChannelFaultStats, FaultPlan};
+use crate::pump::{pump, StageMsg};
 use crate::recorder::{sharded_recorder, Recorder, SinkStats};
-use evlin_checker::monitor::{
-    self, IngestSummary, Monitor, MonitorConfig, MonitorReport, SegmentBatch,
-};
-use evlin_history::{Event, History, ObjectId, ObjectUniverse, ProcessId};
+use evlin_checker::monitor::{self, Monitor, MonitorConfig, MonitorReport};
+use evlin_history::{History, ObjectId, ObjectUniverse, ProcessId};
 use evlin_spec::{FetchIncrement, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -89,8 +88,7 @@ pub struct MonitoredRun {
     /// What the streaming recorder delivered to the channel.
     pub sink: SinkStats,
     /// Faults injected by the channel, when the run streamed through a
-    /// [`crate::fault::FaultySender`]
-    /// ([`run_counter_workload_monitored_faulty`]); `None` on clean runs.
+    /// [`crate::fault::FaultySender`]; `None` on clean runs.
     pub channel_faults: Option<ChannelFaultStats>,
     /// Wall-clock time from workload start until the monitor finished
     /// checking the last event (≥ `run.elapsed`; the basis for checked-ops/s).
@@ -113,6 +111,16 @@ impl MonitoredRun {
 /// the whole pipeline holds a bounded number of events regardless of
 /// `options.ops_per_thread`.
 ///
+/// With a `fault` plan the events stream through a seeded transient-fault
+/// channel ([`crate::fault::FaultySender`]) that loses, duplicates or
+/// reorders them before they reach the monitor.  This is the runtime half of
+/// the fault-injection experiments: the monitor sees a corrupted stream, so
+/// its verdict reflects the *corruption*, not the counter — a lost or
+/// reordered event shows up as a violation (flagged) or as an ill-formed
+/// event the monitor rejects, while conditions with forgiveness
+/// (`t`-linearizability, stabilizes-eventually) absorb a corrupted prefix.
+/// The injected faults are reported in [`MonitoredRun::channel_faults`].
+///
 /// `options.record_history` is ignored (events always stream; none are
 /// retained).
 pub fn run_counter_workload_monitored(
@@ -120,51 +128,14 @@ pub fn run_counter_workload_monitored(
     options: HarnessOptions,
     monitor_config: MonitorConfig,
     channel_capacity: usize,
-) -> MonitoredRun {
-    monitored_run(counter, options, monitor_config, channel_capacity, None)
-}
-
-/// Like [`run_counter_workload_monitored`], but streaming the events through
-/// a seeded transient-fault channel ([`crate::fault::FaultySender`]) that
-/// loses, duplicates or reorders them per `plan` before they reach the
-/// monitor.
-///
-/// This is the runtime half of the fault-injection experiments: the monitor
-/// sees a corrupted stream, so its verdict reflects the *corruption*, not the
-/// counter — a lost or reordered event shows up as a violation (flagged) or
-/// as an ill-formed event the monitor rejects, while conditions with
-/// forgiveness (`t`-linearizability, stabilizes-eventually) absorb a
-/// corrupted prefix.  The injected faults are reported in
-/// [`MonitoredRun::channel_faults`].
-pub fn run_counter_workload_monitored_faulty(
-    counter: &dyn ConcurrentCounter,
-    options: HarnessOptions,
-    monitor_config: MonitorConfig,
-    channel_capacity: usize,
-    plan: FaultPlan,
-) -> MonitoredRun {
-    monitored_run(
-        counter,
-        options,
-        monitor_config,
-        channel_capacity,
-        Some(plan),
-    )
-}
-
-fn monitored_run(
-    counter: &dyn ConcurrentCounter,
-    options: HarnessOptions,
-    monitor_config: MonitorConfig,
-    channel_capacity: usize,
-    plan: Option<FaultPlan>,
+    fault: Option<FaultPlan>,
 ) -> MonitoredRun {
     let mut universe = ObjectUniverse::new();
     let object = universe.add_object(FetchIncrement::new());
     debug_assert_eq!(object, ObjectId(0), "the harness records on ObjectId(0)");
     let mut monitor = Monitor::new(universe, monitor_config);
     let (sender, receiver) = channel::bounded(channel_capacity);
-    let recorder = Arc::new(match plan {
+    let recorder = Arc::new(match fault {
         Some(plan) => Recorder::with_faulty_sink(sender, plan, false),
         None => Recorder::with_sink(sender, false),
     });
@@ -238,8 +209,8 @@ pub struct PipelinedRun {
     /// counters (fingerprint mismatches, misordered frames).
     pub merge: MergeStats,
     /// Frame-granularity faults summed over the shards' injectors, when the
-    /// run streamed through [`run_counter_workload_pipelined_faulty`];
-    /// `None` on clean runs.  Units are *frames*, not events.
+    /// run was given a fault plan; `None` on clean runs.  Units are
+    /// *frames*, not events.
     pub channel_faults: Option<ChannelFaultStats>,
     /// Wall-clock time from workload start until the check stage finished
     /// the last segment (≥ `run.elapsed`; the basis for checked-ops/s).
@@ -260,21 +231,21 @@ impl PipelinedRun {
     }
 }
 
-/// What the merge+ingest stage hands the check stage.
-enum StageMsg {
-    Batch(SegmentBatch),
-    Final(SegmentBatch, IngestSummary),
-}
-
 /// Runs a counter workload under the *pipelined* online monitor: each worker
 /// thread records into its own [`crate::RecorderShard`] (frame-batched,
 /// per-producer ring), a merge stage k-way-merges the shard streams back
 /// into global sequence order and cuts quiescent segments
-/// ([`monitor::MonitorIngest`]), and a check stage runs the kernel over
-/// closed segments ([`monitor::MonitorCheck`]) — three overlapping stages
-/// instead of one consumer doing per-event channel rounds and checking in
-/// line.  The verdict is identical to [`run_counter_workload_monitored`]'s
-/// on the same stream; the synchronization cost per event is what changes.
+/// ([`crate::pump::pump`]), and a check stage runs the kernel over closed
+/// segments ([`monitor::MonitorCheck`]) — three overlapping stages instead
+/// of one consumer doing per-event channel rounds and checking in line.  The
+/// verdict is identical to [`run_counter_workload_monitored`]'s on the same
+/// stream; the synchronization cost per event is what changes.
+///
+/// With a `fault` plan every shard streams its frames through a seed-derived
+/// transient-fault injector ([`FaultPlan::for_shard`]) that loses, duplicates
+/// or adjacently reorders whole *frames* before they reach the merge.  The
+/// monitor's verdict then reflects the corruption, exactly as on the
+/// per-event faulty path.
 ///
 /// `options.record_history` is ignored (events always stream).
 pub fn run_counter_workload_pipelined(
@@ -282,31 +253,7 @@ pub fn run_counter_workload_pipelined(
     options: HarnessOptions,
     monitor_config: MonitorConfig,
     pipeline: PipelineOptions,
-) -> PipelinedRun {
-    pipelined_run(counter, options, monitor_config, pipeline, None)
-}
-
-/// Like [`run_counter_workload_pipelined`], but every shard streams its
-/// frames through a seed-derived transient-fault injector
-/// ([`FaultPlan::for_shard`]) that loses, duplicates or adjacently reorders
-/// whole *frames* before they reach the merge.  The monitor's verdict then
-/// reflects the corruption, exactly as on the per-event faulty path.
-pub fn run_counter_workload_pipelined_faulty(
-    counter: &dyn ConcurrentCounter,
-    options: HarnessOptions,
-    monitor_config: MonitorConfig,
-    pipeline: PipelineOptions,
-    plan: FaultPlan,
-) -> PipelinedRun {
-    pipelined_run(counter, options, monitor_config, pipeline, Some(plan))
-}
-
-fn pipelined_run(
-    counter: &dyn ConcurrentCounter,
-    options: HarnessOptions,
-    monitor_config: MonitorConfig,
-    pipeline: PipelineOptions,
-    plan: Option<FaultPlan>,
+    fault: Option<FaultPlan>,
 ) -> PipelinedRun {
     let mut universe = ObjectUniverse::new();
     let object = universe.add_object(FetchIncrement::new());
@@ -316,7 +263,7 @@ fn pipelined_run(
         options.threads.max(1),
         pipeline.frame_capacity,
         pipeline.ring_frames,
-        plan,
+        fault,
     );
     // Closed segments flow to the check stage through their own small ring;
     // its back-pressure is what keeps the pipeline's memory bounded when
@@ -337,36 +284,7 @@ fn pipelined_run(
                     }
                 }
             });
-            let merge_stage = s.spawn(move || {
-                let mut merge = merge;
-                let mut ingest = ingest;
-                let mut buf: Vec<(u64, Event)> = Vec::with_capacity(4096);
-                loop {
-                    buf.clear();
-                    if merge.recv_sorted(&mut buf, 4096) == 0 {
-                        break;
-                    }
-                    for (_, event) in buf.drain(..) {
-                        // On a clean transport the shards' well-formedness
-                        // filters make errors impossible; under frame faults
-                        // a lost frame can orphan responses, which the
-                        // ingest stage rejects — the fault surfacing, not a
-                        // pipeline bug.
-                        let _ = ingest.ingest(event);
-                    }
-                    while let Some(batch) = ingest.take_ready_batch() {
-                        // An error means the check stage died; the join below
-                        // propagates its panic.
-                        if batch_tx.send(StageMsg::Batch(batch)).is_err() {
-                            break;
-                        }
-                    }
-                }
-                let stats = merge.stats();
-                let (tail, summary) = ingest.finish();
-                let _ = batch_tx.send(StageMsg::Final(tail, summary));
-                stats
-            });
+            let merge_stage = s.spawn(move || pump(merge, ingest, batch_tx, false));
             let workers: Vec<_> = shards
                 .into_iter()
                 .enumerate()
@@ -415,7 +333,7 @@ fn pipelined_run(
                 }
             }
             let elapsed = started.elapsed();
-            let merge_stats = merge_stage.join().expect("merge+ingest stage");
+            let merge_stats = merge_stage.join().expect("merge+ingest stage").merge;
             let report = check_stage.join().expect("check stage");
             let total_elapsed = started.elapsed();
             (
@@ -611,6 +529,7 @@ mod tests {
                 options(4, 300, true),
                 MonitorConfig::default(),
                 1024,
+                None,
             );
             assert!(
                 out.report.verdict.is_ok(),
@@ -634,17 +553,17 @@ mod tests {
     fn faulty_channel_run_completes_and_reports_fault_stats() {
         use evlin_checker::monitor::MonitorConfig;
         let counter = FetchAddCounter::new();
-        let out = run_counter_workload_monitored_faulty(
+        let out = run_counter_workload_monitored(
             &counter,
             options(2, 200, true),
             MonitorConfig::default(),
             256,
-            FaultPlan {
+            Some(FaultPlan {
                 seed: 2014,
                 lose: 64,
                 duplicate: 64,
                 reorder: 64,
-            },
+            }),
         );
         // The pipeline must terminate (no hang, no panic) whatever the
         // verdict — the corrupted stream may be flagged as a violation,
@@ -671,12 +590,12 @@ mod tests {
     fn transparent_fault_plan_matches_the_clean_monitored_path() {
         use evlin_checker::monitor::MonitorConfig;
         let counter = CasCounter::new();
-        let out = run_counter_workload_monitored_faulty(
+        let out = run_counter_workload_monitored(
             &counter,
             options(2, 150, true),
             MonitorConfig::default(),
             256,
-            FaultPlan::transparent(1),
+            Some(FaultPlan::transparent(1)),
         );
         assert!(out.report.verdict.is_ok(), "{:?}", out.report);
         assert_eq!(out.report.stats.checked_ops, 300);
@@ -702,6 +621,7 @@ mod tests {
                     frame_capacity: 32,
                     ring_frames: 4,
                 },
+                None,
             );
             assert!(
                 out.report.verdict.is_ok(),
@@ -733,7 +653,7 @@ mod tests {
     fn pipelined_faulty_run_completes_and_reports_frame_faults() {
         use evlin_checker::monitor::MonitorConfig;
         let counter = FetchAddCounter::new();
-        let out = run_counter_workload_pipelined_faulty(
+        let out = run_counter_workload_pipelined(
             &counter,
             options(2, 400, false),
             MonitorConfig::default(),
@@ -743,12 +663,12 @@ mod tests {
                 frame_capacity: 4,
                 ring_frames: 8,
             },
-            FaultPlan {
+            Some(FaultPlan {
                 seed: 2014,
                 lose: 128,
                 duplicate: 128,
                 reorder: 128,
-            },
+            }),
         );
         // The pipeline must terminate whatever the verdict — a corrupted
         // frame stream may be flagged, rejected event by event, or forgiven.
@@ -770,12 +690,12 @@ mod tests {
     fn transparent_pipelined_faults_match_the_clean_pipelined_path() {
         use evlin_checker::monitor::MonitorConfig;
         let counter = CasCounter::new();
-        let out = run_counter_workload_pipelined_faulty(
+        let out = run_counter_workload_pipelined(
             &counter,
             options(2, 150, false),
             MonitorConfig::default(),
             PipelineOptions::default(),
-            FaultPlan::transparent(1),
+            Some(FaultPlan::transparent(1)),
         );
         assert!(out.report.verdict.is_ok(), "{:?}", out.report);
         assert_eq!(out.report.stats.checked_ops, 300);
@@ -798,6 +718,7 @@ mod tests {
                 frame_capacity: 64,
                 ring_frames: 4,
             },
+            None,
         );
         let duplicates = out.run.duplicate_responses;
         match out.report.verdict {
@@ -820,6 +741,7 @@ mod tests {
             options(4, 500, true),
             MonitorConfig::default(),
             1024,
+            None,
         );
         let duplicates = out.run.duplicate_responses;
         match out.report.verdict {

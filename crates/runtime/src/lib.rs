@@ -31,8 +31,8 @@
 //!
 //! For the fault-injection experiments, [`fault::FaultySender`] turns the
 //! monitor feed into a seeded lossy/duplicating/reordering link
-//! ([`Recorder::with_faulty_sink`],
-//! [`harness::run_counter_workload_monitored_faulty`]), so the online
+//! ([`Recorder::with_faulty_sink`], the `fault` argument of
+//! [`harness::run_counter_workload_monitored`]), so the online
 //! checker's reaction to transient *transport* faults can be measured
 //! alongside the simulator's transient *state* faults.
 //!
@@ -51,11 +51,12 @@
 //!   reorder buffer;
 //! * the monitor is split into overlapping stages
 //!   (`evlin_checker::monitor::stages`): the merge thread cuts quiescent
-//!   segments while a check thread runs the kernel over closed segments.
+//!   segments ([`pump::pump`], the loop the service's replica shards run
+//!   too) while a check thread runs the kernel over closed segments.
 //!
-//! [`harness::run_counter_workload_pipelined`] (and its frame-fault twin
-//! [`harness::run_counter_workload_pipelined_faulty`]) wires the three
-//! stages up; its verdicts are bit-identical to the single-channel path's —
+//! [`harness::run_counter_workload_pipelined`] (clean, or frame-faulted via
+//! its `fault` argument) wires the three stages up; its verdicts are
+//! bit-identical to the single-channel path's —
 //! `tests/pipeline_differential.rs` proves that against the offline kernel
 //! for 1/2/8 producers, with and without frame faults.
 
@@ -67,6 +68,7 @@ pub mod consensus;
 pub mod counter;
 pub mod fault;
 pub mod harness;
+pub mod pump;
 pub mod recorder;
 
 pub use channel::sharded::{Frame, FrameMerge, FrameSender, MergeStats};
@@ -74,8 +76,7 @@ pub use channel::{ChannelStats, TrySendError};
 pub use counter::{CasCounter, ConcurrentCounter, FetchAddCounter, ShardedCounter};
 pub use fault::{ChannelFaultStats, FaultPlan, FaultySender};
 pub use harness::{
-    run_counter_workload, run_counter_workload_monitored, run_counter_workload_monitored_faulty,
-    run_counter_workload_pipelined, run_counter_workload_pipelined_faulty, CounterRun,
-    HarnessOptions, MonitoredRun, PipelineOptions, PipelinedRun,
+    run_counter_workload, run_counter_workload_monitored, run_counter_workload_pipelined,
+    CounterRun, HarnessOptions, MonitoredRun, PipelineOptions, PipelinedRun,
 };
 pub use recorder::{sharded_recorder, EventSink, Recorder, RecorderShard, SinkStats};

@@ -1,8 +1,12 @@
 //! The producer side: recording clients that stream events over the wire.
 //!
+//! What both client types share lives here too: the one frame sealer under
+//! this client's sink and the recoverable client's session sink, and the one
+//! verdict-plane drain behind both closed-client types.
+//!
 //! A [`ServiceClient`] is the service-facing twin of the in-process
 //! [`evlin_runtime::RecorderShard`] — in fact it *is* a `RecorderShard`,
-//! instantiated over a [`WireSink`] that encodes frame batches with the
+//! instantiated over a sink that encodes frame batches with the
 //! [`crate::wire`] codec instead of pushing into an in-process ring.  The
 //! shared well-formedness filter and the shared global sequence counter are
 //! therefore byte-identical to the pipeline's, which is what lets the
@@ -42,44 +46,51 @@ pub struct ClientStats {
     pub send_failures: u64,
 }
 
-/// An [`EventSink`] that batches events into wire frames — the adapter that
-/// plugs the runtime recorder into a transport.
-pub struct WireSink {
-    tx: Box<dyn FrameTx>,
-    client: u32,
+/// The one frame sealer behind both clients: buffers sequence-stamped events
+/// and seals each batch into the wire encoding of an `EVENTS` frame — batch
+/// fingerprint, chained stream fingerprint, dense per-client frame sequence —
+/// keeping the running totals the closing `SHUTDOWN` frame audits.
+pub(crate) struct FrameSealer {
+    pub(crate) client: u32,
     capacity: usize,
     buf: Vec<(u64, Event)>,
     frame_seq: u64,
-    stream_fingerprint: u64,
-    stats: ClientStats,
+    /// Seeded with the client id, so identical streams from different
+    /// clients never chain-collide.
+    chain: u64,
+    events: u64,
 }
 
-impl WireSink {
-    /// Wraps `tx`, batching up to `frame_capacity` events per frame.
-    pub fn new(tx: Box<dyn FrameTx>, client: u32, frame_capacity: usize) -> Self {
-        WireSink {
-            tx,
+impl FrameSealer {
+    pub(crate) fn new(client: u32, frame_capacity: usize) -> Self {
+        let capacity = frame_capacity.max(1);
+        FrameSealer {
             client,
-            capacity: frame_capacity.max(1),
-            buf: Vec::with_capacity(frame_capacity.max(1)),
+            capacity,
+            buf: Vec::with_capacity(capacity),
             frame_seq: 0,
-            stream_fingerprint: client as u64,
-            stats: ClientStats::default(),
+            chain: client as u64,
+            events: 0,
         }
     }
 
-    fn ship(&mut self, partial: bool) {
+    /// Buffers one event; `true` once the batch has reached frame capacity.
+    pub(crate) fn push(&mut self, seq: u64, event: Event) -> bool {
+        self.buf.push((seq, event));
+        self.buf.len() >= self.capacity
+    }
+
+    /// Seals the buffered batch into its frame's wire encoding, also
+    /// returning its event count; `None` when nothing is buffered.
+    pub(crate) fn seal(&mut self) -> Option<(Vec<u8>, u64)> {
         if self.buf.is_empty() {
-            return;
+            return None;
         }
         let events = std::mem::replace(&mut self.buf, Vec::with_capacity(self.capacity));
+        let count = events.len() as u64;
         let fingerprint = event_batch_fingerprint(self.client, &events);
-        self.stats.frames += 1;
-        self.stats.events += events.len() as u64;
-        if partial {
-            self.stats.partial_frames += 1;
-        }
-        self.stream_fingerprint = chain_fingerprint(self.stream_fingerprint, fingerprint);
+        self.chain = chain_fingerprint(self.chain, fingerprint);
+        self.events += count;
         let frame = WireFrame::Events {
             client: self.client,
             frame_seq: self.frame_seq,
@@ -87,7 +98,62 @@ impl WireSink {
             fingerprint,
         };
         self.frame_seq += 1;
-        if self.tx.send(encode_frame(&frame)).is_err() {
+        Some((encode_frame(&frame), count))
+    }
+
+    /// The `SHUTDOWN` frame closing the stream sealed so far.
+    pub(crate) fn shutdown(&self) -> Vec<u8> {
+        encode_frame(&WireFrame::Shutdown {
+            client: self.client,
+            events_sent: self.events,
+            stream_fingerprint: self.chain,
+        })
+    }
+}
+
+/// Drains the verdict plane until the service hangs up, appending every
+/// verdict round to `summaries`.  Returns how many frames were not decodable
+/// or not legal replica→client (acks and pongs still in flight when a
+/// session closed are legal, and ignored).
+pub(crate) fn drain_verdicts(rx: &mut dyn FrameRx, summaries: &mut Vec<VerdictSummary>) -> u64 {
+    let mut protocol_errors = 0u64;
+    while let Ok(Some(bytes)) = rx.recv() {
+        match decode_frame(&bytes) {
+            Ok(WireFrame::Verdict(summary)) => summaries.push(summary),
+            Ok(WireFrame::Ack { .. }) | Ok(WireFrame::Pong { .. }) => {}
+            Ok(_) | Err(_) => protocol_errors += 1,
+        }
+    }
+    protocol_errors
+}
+
+/// The final summaries (one per shard that reported), in shard order.
+pub(crate) fn final_summaries(summaries: &[VerdictSummary]) -> Vec<&VerdictSummary> {
+    let mut finals: Vec<&VerdictSummary> = summaries.iter().filter(|s| s.last).collect();
+    finals.sort_by_key(|s| s.shard);
+    finals
+}
+
+/// The [`EventSink`] behind a [`ServiceClient`]: seals event batches into
+/// wire frames and sends each at once — the adapter that plugs the runtime
+/// recorder into a transport.
+struct WireSink {
+    tx: Box<dyn FrameTx>,
+    sealer: FrameSealer,
+    stats: ClientStats,
+}
+
+impl WireSink {
+    fn ship(&mut self, partial: bool) {
+        let Some((bytes, events)) = self.sealer.seal() else {
+            return;
+        };
+        self.stats.frames += 1;
+        self.stats.events += events;
+        if partial {
+            self.stats.partial_frames += 1;
+        }
+        if self.tx.send(bytes).is_err() {
             self.stats.send_failures += 1;
         }
     }
@@ -95,8 +161,7 @@ impl WireSink {
 
 impl EventSink for WireSink {
     fn accept(&mut self, seq: u64, event: Event) {
-        self.buf.push((seq, event));
-        if self.buf.len() >= self.capacity {
+        if self.sealer.push(seq, event) {
             self.ship(false);
         }
     }
@@ -137,7 +202,11 @@ impl ServiceClient {
             session: 0,
             resume: None,
         }))?;
-        let sink = WireSink::new(tx, client, frame_capacity);
+        let sink = WireSink {
+            tx,
+            sealer: FrameSealer::new(client, frame_capacity),
+            stats: ClientStats::default(),
+        };
         Ok(ServiceClient {
             shard: RecorderShard::over(seq, sink),
             rx,
@@ -182,12 +251,7 @@ impl ServiceClient {
     pub fn finish(self) -> ClosedClient {
         let (mut sink, dropped_malformed) = self.shard.into_sink();
         sink.stats.dropped_malformed = dropped_malformed as u64;
-        let shutdown = WireFrame::Shutdown {
-            client: sink.client,
-            events_sent: sink.stats.events,
-            stream_fingerprint: sink.stream_fingerprint,
-        };
-        if sink.tx.send(encode_frame(&shutdown)).is_err() {
+        if sink.tx.send(sink.sealer.shutdown()).is_err() {
             sink.stats.send_failures += 1;
         }
         // End the sending direction: `close` half-closes a TCP socket, and
@@ -214,13 +278,7 @@ impl ClosedClient {
     /// delivered reliably, after every client's stream has ended.
     pub fn collect_verdicts(mut self) -> ClientReport {
         let mut summaries = Vec::new();
-        let mut protocol_errors = 0u64;
-        while let Ok(Some(bytes)) = self.rx.recv() {
-            match decode_frame(&bytes) {
-                Ok(WireFrame::Verdict(summary)) => summaries.push(summary),
-                Ok(_) | Err(_) => protocol_errors += 1,
-            }
-        }
+        let protocol_errors = drain_verdicts(self.rx.as_mut(), &mut summaries);
         ClientReport {
             summaries,
             stats: self.stats,
@@ -236,15 +294,14 @@ pub struct ClientReport {
     pub summaries: Vec<VerdictSummary>,
     /// The client's wire counters.
     pub stats: ClientStats,
-    /// Frames on the verdict plane that were not decodable verdicts.
+    /// Frames on the verdict plane that were not decodable or not legal in
+    /// the replica→client direction.
     pub protocol_errors: u64,
 }
 
 impl ClientReport {
     /// The final summaries (one per shard that reported), in shard order.
     pub fn final_summaries(&self) -> Vec<&VerdictSummary> {
-        let mut finals: Vec<&VerdictSummary> = self.summaries.iter().filter(|s| s.last).collect();
-        finals.sort_by_key(|s| s.shard);
-        finals
+        final_summaries(&self.summaries)
     }
 }

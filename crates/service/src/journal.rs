@@ -90,16 +90,13 @@ impl From<std::io::Error> for JournalError {
 /// What a journal held when it was recovered.
 #[derive(Debug)]
 pub struct Recovered {
-    /// The client the journal belongs to.
-    pub client: u32,
-    /// The session id from the header.
-    pub session: u64,
     /// The durable cursor after the last intact record.
     pub cursor: ResumeCursor,
+    /// The durable cursor after each intact `EVENTS` frame, in order — what
+    /// makes a resume claim checkable at *any* position, not just the tip.
+    pub cursors: Vec<ResumeCursor>,
     /// The full wire encoding of every intact `EVENTS` frame, in order.
     pub frames: Vec<Vec<u8>>,
-    /// The shutdown totals, if the stream completed before the crash.
-    pub shutdown: Option<(u64, u64)>,
     /// Bytes of torn tail that were truncated away (0 for a clean file).
     pub torn_bytes: u64,
 }
@@ -184,6 +181,7 @@ impl Journal {
             chain: client as u64,
         };
         let mut frames = Vec::new();
+        let mut cursors = Vec::new();
         let mut shutdown = None;
         let mut interner: Vec<Invocation> = Vec::new();
         let mut at = JOURNAL_HEADER_BYTES;
@@ -200,6 +198,7 @@ impl Journal {
                     cursor.frames += 1;
                     cursor.events += events;
                     cursor.chain = chain_after;
+                    cursors.push(cursor);
                     frames.push(payload);
                 }
                 Record::Shutdown { events, chain } => {
@@ -224,11 +223,9 @@ impl Journal {
             scratch: Vec::new(),
         };
         let recovered = Recovered {
-            client,
-            session,
             cursor,
+            cursors,
             frames,
-            shutdown,
             torn_bytes,
         };
         Ok((journal, recovered))
@@ -472,11 +469,11 @@ mod tests {
         drop(journal);
 
         let (journal, recovered) = Journal::recover(&path).unwrap();
-        assert_eq!(recovered.client, 3);
-        assert_eq!(recovered.session, 0xAA);
+        assert_eq!(journal.client(), 3);
+        assert_eq!(journal.session(), 0xAA);
         assert_eq!(recovered.cursor, saved_cursor);
         assert_eq!(recovered.frames, expected_frames);
-        assert_eq!(recovered.shutdown, Some((20, chain)));
+        assert_eq!(journal.shutdown(), Some((20, chain)));
         assert_eq!(recovered.torn_bytes, 0);
         assert_eq!(journal.cursor(), saved_cursor);
         std::fs::remove_file(&path).unwrap();
@@ -502,7 +499,7 @@ mod tests {
             assert_eq!(recovered.cursor.frames, 1, "cut {cut}");
             assert_eq!(recovered.cursor.events, 3);
             assert_eq!(recovered.frames, vec![p0.clone()]);
-            assert!(recovered.shutdown.is_none());
+            assert!(journal.shutdown().is_none());
             drop(journal);
             // Recovery truncated: a second recovery sees a clean file.
             let (_, again) = Journal::recover(&path).unwrap();

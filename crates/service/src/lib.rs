@@ -11,17 +11,33 @@
 //! verdict; the non-local conditions collapse to a single replica rather
 //! than risk an unsound split.
 //!
+//! ## One core, two front doors
+//!
+//! [`MonitorService`] and [`RecoverableService`] are two front doors onto one
+//! replica core, each part of which exists once: the **pool** (`pool`,
+//! crate-private: per-shard rings, merge+ingest and check threads, the frame
+//! router, the verdict fanout, report assembly), the **pump**
+//! ([`evlin_runtime::pump`], the merge → ingest loop the in-process pipeline
+//! runs too) and the **framer** (in [`client`]: one frame sealer under both
+//! client types, one verdict-plane drain behind both closed clients).  The
+//! two connection-handler loops stay separate on purpose — they implement
+//! different **delivery contracts** over the same frames of the one spoken
+//! protocol version: [`replica`]'s is a loss *detector* (sequence gaps
+//! counted, events still delivered, shutdown totals audited), [`supervisor`]'s
+//! an exactly-once *admitter* (journal + fsync, dedup by sequence, ack).
+//!
 //! ## Module map
 //!
 //! | module | role |
 //! |---|---|
-//! | [`wire`] | frame codec: byte layouts, fingerprints, versioning (see `docs/PROTOCOL.md`) |
+//! | [`wire`] | frame codec: byte layouts, fingerprints, the single spoken version (see `docs/PROTOCOL.md`) |
 //! | [`transport`] | how frames move: in-process duplex (optionally faulted), loopback TCP, read deadlines, [`transport::ChaosPlan`] |
-//! | [`client`] | producer side: a recorder shard over a [`client::WireSink`] |
-//! | [`replica`] | service side: connection handlers, shard router, replica pool |
+//! | [`client`] | producer side: the shared frame sealer and verdict drain; [`ServiceClient`], a recorder shard over a wire-frame sink |
+//! | `pool` | the shared replica core: shard pool lifecycle, frame router, verdict fanout |
+//! | [`replica`] | loss-detecting front door: connection handlers, slot claims, [`MonitorService`] |
 //! | [`journal`] | `EVJL` per-session fsynced frame journal with torn-tail recovery |
 //! | [`session`] | exactly-once resumption: server-side dedup/ack state, client-side unacked window, seeded backoff |
-//! | [`supervisor`] | crash-recoverable service: heartbeats, journal-replay restart, overload shedding |
+//! | [`supervisor`] | exactly-once front door: session handler, heartbeats, journal-replay restart, overload shedding, [`RecoverableClient`] |
 //!
 //! ## Example
 //!
@@ -80,6 +96,7 @@
 
 pub mod client;
 pub mod journal;
+mod pool;
 pub mod replica;
 pub mod session;
 pub mod supervisor;
@@ -96,4 +113,4 @@ pub use supervisor::{
     RecoveryReport, SessionStats,
 };
 pub use transport::{ChaosPlan, FrameRx, FrameTx};
-pub use wire::{ResumeCursor, VerdictSummary, WireError, WireFrame, LEGACY_VERSION, VERSION};
+pub use wire::{ResumeCursor, VerdictSummary, WireError, WireFrame, VERSION};

@@ -1,5 +1,5 @@
-//! The replica side: connection handlers, the per-object shard router and
-//! the pool of staged monitor replicas.
+//! The replica side of the plain service: connection handlers that *detect*
+//! loss, in front of the shared replica core (the crate-private `pool` module).
 //!
 //! ## Topology
 //!
@@ -21,34 +21,28 @@
 //! collapses to one shard otherwise, so a non-local condition can never be
 //! silently mis-sharded.
 //!
-//! ## Verdict plane
+//! ## Delivery contract: loss *detection*
 //!
-//! Every checked batch produces a [`VerdictSummary`] round, broadcast to
-//! all connected clients *best-effort* (a saturated link drops the round —
-//! round numbers expose the gap).  Each shard's final summary is delivered
-//! *reliably*: mid-run sends leave `shards` slots of every bounded link
-//! unused ([`crate::transport::FrameTx::has_room`]), so the final blocking
-//! sends always find room and the wind-down cannot deadlock on a slow
-//! client.  The same final summaries come back in the [`ServiceReport`].
+//! This handler never refuses an event frame it could decode: gaps and
+//! regressions in the per-client frame sequence are *counted*
+//! ([`ConnStats`]), the events still delivered, and the shutdown frame's
+//! totals and chained fingerprint audit the whole stream.  Exactly-once
+//! admission (journal, dedup, ack) is the other front door,
+//! [`crate::supervisor`].  Verdict rounds go back best-effort mid-run and
+//! reliably at the end (the `pool` module's fanout); the same final
+//! summaries come back in the [`ServiceReport`].
 
 use crate::client::ServiceClient;
+use crate::pool::{route_frame, Fanout, ReplicaPool};
 use crate::transport::{duplex, tcp_pair, FrameRx, FrameTx};
-use crate::wire::{
-    chain_fingerprint, decode_frame_with, encode_frame, VerdictSummary, WireFrame, LEGACY_VERSION,
-    VERSION,
-};
-use evlin_checker::monitor::{
-    recompose_verdicts, stages, IngestSummary, MonitorCheck, MonitorConfig, MonitorIngest,
-    MonitorReport, MonitorVerdict, SegmentBatch, ShardRouter,
-};
+use crate::wire::{chain_fingerprint, decode_frame_with, VerdictSummary, WireError, WireFrame};
+use evlin_checker::monitor::{MonitorConfig, MonitorReport, MonitorVerdict, ShardRouter};
 use evlin_history::{Event, ObjectUniverse};
-use evlin_runtime::channel::sharded::{self, FrameSender, MergeStats};
-use evlin_runtime::channel::{self, Receiver, Sender};
+use evlin_runtime::channel::sharded::{FrameSender, MergeStats};
 use evlin_runtime::FaultPlan;
-use evlin_sim::zobrist::fold_words;
 use evlin_spec::Invocation;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -142,7 +136,7 @@ pub struct ShardReport {
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
     /// The recomposed verdict over all shards
-    /// ([`recompose_verdicts`]).
+    /// ([`evlin_checker::monitor::recompose_verdicts`]).
     pub verdict: MonitorVerdict,
     /// Per-shard reports, indexed by shard.
     pub shards: Vec<ShardReport>,
@@ -170,78 +164,6 @@ impl ServiceReport {
             .iter()
             .map(|s| s.report.stats.checked_ops as u64)
             .sum()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Verdict fanout
-// ---------------------------------------------------------------------------
-
-pub(crate) struct Fanout {
-    writers: Mutex<Vec<Option<Box<dyn FrameTx>>>>,
-    /// Slots every bounded link keeps free for final summaries.
-    reserve: usize,
-    dropped: AtomicU64,
-}
-
-impl Fanout {
-    pub(crate) fn new(conns: usize, reserve: usize) -> Self {
-        let mut writers = Vec::with_capacity(conns);
-        writers.resize_with(conns, || None);
-        Fanout {
-            writers: Mutex::new(writers),
-            reserve,
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn register(&self, conn: usize, tx: Box<dyn FrameTx>) {
-        self.writers.lock().expect("fanout lock")[conn] = Some(tx);
-    }
-
-    pub(crate) fn broadcast(&self, summary: &VerdictSummary, reliable: bool) {
-        let bytes = encode_frame(&WireFrame::Verdict(summary.clone()));
-        let mut writers = self.writers.lock().expect("fanout lock");
-        for writer in writers.iter_mut().flatten() {
-            if reliable {
-                // Non-blocking by construction: best-effort sends always
-                // left `reserve` (= shards) slots free, and this lock is the
-                // only producer of the link.
-                let _ = writer.send(bytes.clone());
-            } else if writer.has_room(self.reserve) {
-                if !writer.try_send(bytes.clone()).unwrap_or(true) {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            } else {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Sends one frame to one connection's writer (pong replies).  Uses the
-    /// reserve-aware best-effort path: a liveness reply must never block a
-    /// verdict round, and a lost pong just looks like a slow peer.
-    pub(crate) fn unicast(&self, conn: usize, bytes: Vec<u8>) {
-        let mut writers = self.writers.lock().expect("fanout lock");
-        if let Some(writer) = writers.get_mut(conn).and_then(|w| w.as_mut()) {
-            if writer.has_room(self.reserve) {
-                let _ = writer.try_send(bytes);
-            }
-        }
-    }
-
-    /// Verdict rounds dropped on saturated links so far.
-    pub(crate) fn dropped_so_far(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn close_all(&self) {
-        let mut writers = self.writers.lock().expect("fanout lock");
-        for slot in writers.iter_mut() {
-            if let Some(mut tx) = slot.take() {
-                tx.close();
-            }
-        }
     }
 }
 
@@ -284,15 +206,36 @@ impl ClaimTable {
 // Connection handler
 // ---------------------------------------------------------------------------
 
+/// What every connection handler of one service shares.
+#[derive(Clone)]
+struct HandlerCtx {
+    claims: Arc<ClaimTable>,
+    fanout: Arc<Fanout>,
+    router: ShardRouter,
+}
+
+impl HandlerCtx {
+    fn spawn(
+        &self,
+        conn: usize,
+        rx: Box<dyn FrameRx>,
+        tx: Box<dyn FrameTx>,
+    ) -> JoinHandle<ConnStats> {
+        let ctx = self.clone();
+        std::thread::Builder::new()
+            .name(format!("evlin-svc-conn-{conn}"))
+            .spawn(move || run_handler(conn, rx, tx, &ctx))
+            .expect("spawn handler thread")
+    }
+}
+
 fn run_handler(
     conn: usize,
     mut rx: Box<dyn FrameRx>,
     writer: Box<dyn FrameTx>,
-    claims: Arc<ClaimTable>,
-    fanout: Arc<Fanout>,
-    router: ShardRouter,
+    ctx: &HandlerCtx,
 ) -> ConnStats {
-    fanout.register(conn, writer);
+    ctx.fanout.register(conn, writer);
     let mut stats = ConnStats::default();
     let mut interner: Vec<Invocation> = Vec::new();
     let mut senders: Option<Vec<FrameSender<Event>>> = None;
@@ -313,6 +256,15 @@ fn run_handler(
         };
         let frame = match decode_frame_with(&bytes, &mut interner) {
             Ok(frame) => frame,
+            Err(WireError::UnsupportedVersion(_)) => {
+                // Only a hello carries a version.  The peer speaks a
+                // protocol this replica does not, so nothing it sends after
+                // can be trusted to mean what this decoder reads into it.
+                stats.hellos += 1;
+                stats.bad_hellos += 1;
+                version_rejected = true;
+                continue;
+            }
             Err(_) => {
                 // Fault-tolerance contract: a frame the codec rejects —
                 // truncation, bad tags, fingerprint mismatch — is dropped
@@ -322,19 +274,14 @@ fn run_handler(
             }
         };
         match frame {
-            WireFrame::Hello {
-                client, version, ..
-            } => {
+            WireFrame::Hello { client, .. } => {
                 stats.hellos += 1;
-                // Both spoken versions are welcome here; resume cursors are
-                // the recoverable service's concern (`service::supervisor`),
-                // and a plain pool treats a v2 hello as a fresh stream.
-                if version != VERSION && version != LEGACY_VERSION {
-                    stats.bad_hellos += 1;
-                    version_rejected = true;
-                } else if senders.is_none() {
+                // Resume cursors are the recoverable service's concern
+                // (`service::supervisor`); a plain pool treats every hello
+                // as a fresh stream.
+                if senders.is_none() && !version_rejected {
                     chain = client as u64;
-                    senders = claims.claim(client);
+                    senders = ctx.claims.claim(client);
                 }
             }
             WireFrame::Events {
@@ -351,7 +298,7 @@ fn run_handler(
                     // The hello was lost (or never sent); event frames are
                     // self-describing, so adopt the id they carry.
                     chain = client as u64;
-                    senders = claims.claim(client);
+                    senders = ctx.claims.claim(client);
                 }
                 // Sequence audit: gaps are loss, regressions are
                 // duplication/reordering.  Either way the events are still
@@ -370,19 +317,7 @@ fn run_handler(
                 stats.events += events.len() as u64;
                 delivered += events.len() as u64;
                 if let Some(senders) = &mut senders {
-                    for (seq, event) in events {
-                        let shard = router.route(event.object);
-                        senders[shard].push(seq, event);
-                    }
-                    // Ship per wire frame: the sender's own batching would
-                    // otherwise sit on a trickling client's events until its
-                    // stream ends, starving the sequence-ordered merge (which
-                    // cannot emit past a claimed ring it has heard nothing
-                    // from).  One wire frame in, at most one ring frame out
-                    // per shard.
-                    for sender in senders.iter_mut() {
-                        sender.flush();
-                    }
+                    route_frame(ctx.router, senders, events);
                 }
             }
             WireFrame::Shutdown {
@@ -398,7 +333,7 @@ fn run_handler(
             WireFrame::Ping { token } => {
                 // Liveness: echo the token so a client-side watchdog sees a
                 // breathing replica even between verdict rounds.
-                fanout.unicast(conn, encode_frame(&WireFrame::Pong { token }));
+                ctx.fanout.unicast(conn, &WireFrame::Pong { token });
             }
             WireFrame::Pong { .. } => {}
             WireFrame::Verdict(_) | WireFrame::Ack { .. } | WireFrame::Overloaded { .. } => {
@@ -407,152 +342,12 @@ fn run_handler(
             }
         }
     }
-    if let Some(senders) = &mut senders {
-        for sender in senders.iter_mut() {
-            sender.flush();
-        }
-    }
     stats
-}
-
-// ---------------------------------------------------------------------------
-// Replica shard stages
-// ---------------------------------------------------------------------------
-
-pub(crate) enum StageMsg {
-    Batch(SegmentBatch),
-    Final(SegmentBatch, IngestSummary),
-}
-
-pub(crate) struct IngestOut {
-    pub(crate) merge: MergeStats,
-    pub(crate) rejected: u64,
-    pub(crate) accepted: Option<Vec<Event>>,
-}
-
-pub(crate) fn run_merge_ingest(
-    mut merge: sharded::FrameMerge<Event>,
-    mut ingest: MonitorIngest,
-    tx: Sender<StageMsg>,
-    capture: bool,
-) -> IngestOut {
-    let mut buf: Vec<(u64, Event)> = Vec::new();
-    let mut rejected = 0u64;
-    let mut accepted = capture.then(Vec::new);
-    loop {
-        buf.clear();
-        if merge.recv_sorted(&mut buf, 1024) == 0 {
-            break;
-        }
-        for (_seq, event) in buf.drain(..) {
-            let kept = if let Some(acc) = &mut accepted {
-                let clone = event.clone();
-                let ok = ingest.ingest(event).is_ok();
-                if ok {
-                    acc.push(clone);
-                }
-                ok
-            } else {
-                ingest.ingest(event).is_ok()
-            };
-            if !kept {
-                rejected += 1;
-            }
-        }
-        while let Some(batch) = ingest.take_ready_batch() {
-            if tx.send(StageMsg::Batch(batch)).is_err() {
-                break;
-            }
-        }
-    }
-    let (tail, summary) = ingest.finish();
-    let _ = tx.send(StageMsg::Final(tail, summary));
-    IngestOut {
-        merge: merge.stats(),
-        rejected,
-        accepted,
-    }
-}
-
-pub(crate) struct CheckOut {
-    pub(crate) report: MonitorReport,
-    pub(crate) rounds: u64,
-    pub(crate) summary: VerdictSummary,
-}
-
-/// Runs a shard's check stage.  With `alive`, every broadcast — mid-run
-/// *and* final — is suppressed once the flag drops: a supervisor simulating
-/// a replica crash flips it so the dying pool cannot leak verdicts while its
-/// successor is being rebuilt.
-pub(crate) fn run_check(
-    shard: u32,
-    mut check: MonitorCheck,
-    rx: Receiver<StageMsg>,
-    fanout: Arc<Fanout>,
-    alive: Option<Arc<std::sync::atomic::AtomicBool>>,
-) -> CheckOut {
-    let mut round = 0u64;
-    let mut events_cum = 0u64;
-    let mut keys: Vec<u64> = Vec::new();
-    while let Some(msg) = rx.recv() {
-        match msg {
-            StageMsg::Batch(batch) => {
-                round += 1;
-                events_cum += batch.events() as u64;
-                keys.clear();
-                keys.extend(batch.segment_keys());
-                check.check_batch(batch);
-                if alive.as_ref().is_none_or(|a| a.load(Ordering::Relaxed)) {
-                    fanout.broadcast(
-                        &VerdictSummary {
-                            shard,
-                            round,
-                            events: events_cum,
-                            checked_ops: 0,
-                            fingerprint: fold_words(shard as u64, &keys),
-                            last: false,
-                            verdict: check.verdict_so_far(),
-                        },
-                        false,
-                    );
-                }
-            }
-            StageMsg::Final(tail, summary) => {
-                round += 1;
-                let report = check.finish(tail, summary);
-                let final_summary = VerdictSummary {
-                    shard,
-                    round,
-                    events: report.stats.events as u64,
-                    checked_ops: report.stats.checked_ops as u64,
-                    fingerprint: report.stats.stream_fingerprint,
-                    last: true,
-                    verdict: report.verdict.clone(),
-                };
-                if alive.as_ref().is_none_or(|a| a.load(Ordering::Relaxed)) {
-                    fanout.broadcast(&final_summary, true);
-                }
-                return CheckOut {
-                    report,
-                    rounds: round,
-                    summary: final_summary,
-                };
-            }
-        }
-    }
-    unreachable!("the ingest stage always sends a final batch before closing")
 }
 
 // ---------------------------------------------------------------------------
 // The service
 // ---------------------------------------------------------------------------
-
-enum HandlerJoins {
-    /// Handlers spawned directly (in-process transport).
-    Direct(Vec<JoinHandle<ConnStats>>),
-    /// An acceptor thread that spawns one handler per accepted socket.
-    Accepted(JoinHandle<Vec<JoinHandle<ConnStats>>>),
-}
 
 /// A running pool of monitor replicas behind a shard router.
 ///
@@ -573,63 +368,30 @@ enum HandlerJoins {
 /// back-pressure cycle.  Give each client its own thread (the intended
 /// shape), or size the buffers above the in-flight event count.
 pub struct MonitorService {
-    handlers: HandlerJoins,
-    ingest_joins: Vec<JoinHandle<IngestOut>>,
-    check_joins: Vec<JoinHandle<CheckOut>>,
-    claims: Arc<ClaimTable>,
-    fanout: Arc<Fanout>,
+    /// Handlers spawned directly (in-process transport)…
+    handlers: Vec<JoinHandle<ConnStats>>,
+    /// …and the thread accepting sockets and spawning theirs (TCP).
+    acceptor: Option<JoinHandle<Vec<JoinHandle<ConnStats>>>>,
+    pool: ReplicaPool,
+    ctx: HandlerCtx,
 }
 
-struct Core {
-    claims: Arc<ClaimTable>,
-    fanout: Arc<Fanout>,
-    router: ShardRouter,
-    ingest_joins: Vec<JoinHandle<IngestOut>>,
-    check_joins: Vec<JoinHandle<CheckOut>>,
-}
-
-fn spawn_core(universe: &ObjectUniverse, conns: usize, config: &ServiceConfig) -> Core {
+/// Spawns the replica pool for `conns` connections and the context their
+/// handlers share.
+fn start(
+    universe: &ObjectUniverse,
+    conns: usize,
+    config: &ServiceConfig,
+) -> (HandlerCtx, ReplicaPool) {
     let router = ShardRouter::new(config.monitor.condition, config.shards);
-    let shards = router.effective_shards();
-    let fanout = Arc::new(Fanout::new(conns, shards));
-    let mut per_conn: Vec<Vec<FrameSender<Event>>> =
-        (0..conns).map(|_| Vec::with_capacity(shards)).collect();
-    let mut ingest_joins = Vec::with_capacity(shards);
-    let mut check_joins = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        let (senders, merge) = sharded::sharded::<Event>(
-            conns.max(1),
-            config.ring_frames,
-            config.frame_capacity,
-            None,
-        );
-        for (conn, sender) in senders.into_iter().enumerate().take(conns) {
-            per_conn[conn].push(sender);
-        }
-        let (ingest, check) = stages(universe.clone(), config.monitor);
-        let (stage_tx, stage_rx) = channel::bounded(config.stage_queue.max(1));
-        let capture = config.capture_streams;
-        ingest_joins.push(
-            std::thread::Builder::new()
-                .name(format!("evlin-svc-ingest-{shard}"))
-                .spawn(move || run_merge_ingest(merge, ingest, stage_tx, capture))
-                .expect("spawn ingest thread"),
-        );
-        let fanout = Arc::clone(&fanout);
-        check_joins.push(
-            std::thread::Builder::new()
-                .name(format!("evlin-svc-check-{shard}"))
-                .spawn(move || run_check(shard as u32, check, stage_rx, fanout, None))
-                .expect("spawn check thread"),
-        );
-    }
-    Core {
+    let fanout = Arc::new(Fanout::new(conns, router.effective_shards()));
+    let (per_conn, pool) = ReplicaPool::spawn(universe, router, conns, config, &fanout);
+    let ctx = HandlerCtx {
         claims: Arc::new(ClaimTable::new(per_conn)),
         fanout,
         router,
-        ingest_joins,
-        check_joins,
-    }
+    };
+    (ctx, pool)
 }
 
 impl MonitorService {
@@ -644,11 +406,11 @@ impl MonitorService {
         clients: usize,
         config: ServiceConfig,
     ) -> (Vec<ServiceClient>, MonitorService) {
-        let core = spawn_core(universe, clients, &config);
+        let (ctx, pool) = start(universe, clients, &config);
         let conn_frames = config.conn_frames.max(1);
         // The verdict plane reserves one slot per shard for final
         // summaries; size the replica→client direction so a reserve exists.
-        let verdict_frames = conn_frames.max(core.router.effective_shards() + 1);
+        let verdict_frames = conn_frames.max(ctx.router.effective_shards() + 1);
         let seq = Arc::new(AtomicU64::new(0));
         let mut service_clients = Vec::with_capacity(clients);
         let mut handler_joins = Vec::with_capacity(clients);
@@ -665,33 +427,15 @@ impl MonitorService {
             )
             .expect("duplex hello cannot fail: the ring is empty and open");
             service_clients.push(client);
-            let claims = Arc::clone(&core.claims);
-            let fanout = Arc::clone(&core.fanout);
-            let router = core.router;
-            handler_joins.push(
-                std::thread::Builder::new()
-                    .name(format!("evlin-svc-conn-{conn}"))
-                    .spawn(move || {
-                        run_handler(
-                            conn,
-                            Box::new(server_rx),
-                            Box::new(server_tx),
-                            claims,
-                            fanout,
-                            router,
-                        )
-                    })
-                    .expect("spawn handler thread"),
-            );
+            handler_joins.push(ctx.spawn(conn, Box::new(server_rx), Box::new(server_tx)));
         }
         (
             service_clients,
             MonitorService {
-                handlers: HandlerJoins::Direct(handler_joins),
-                ingest_joins: core.ingest_joins,
-                check_joins: core.check_joins,
-                claims: core.claims,
-                fanout: core.fanout,
+                handlers: handler_joins,
+                acceptor: None,
+                pool,
+                ctx,
             },
         )
     }
@@ -710,10 +454,8 @@ impl MonitorService {
     ) -> std::io::Result<(SocketAddr, MonitorService)> {
         let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let core = spawn_core(universe, clients, &config);
-        let claims = Arc::clone(&core.claims);
-        let fanout = Arc::clone(&core.fanout);
-        let router = core.router;
+        let (ctx, pool) = start(universe, clients, &config);
+        let acceptor_ctx = ctx.clone();
         let acceptor = std::thread::Builder::new()
             .name("evlin-svc-accept".into())
             .spawn(move || {
@@ -726,23 +468,7 @@ impl MonitorService {
                     let Ok((tx, rx)) = tcp_pair(stream) else {
                         continue;
                     };
-                    let claims = Arc::clone(&claims);
-                    let fanout = Arc::clone(&fanout);
-                    joins.push(
-                        std::thread::Builder::new()
-                            .name(format!("evlin-svc-conn-{conn}"))
-                            .spawn(move || {
-                                run_handler(
-                                    conn,
-                                    Box::new(rx),
-                                    Box::new(tx),
-                                    claims,
-                                    fanout,
-                                    router,
-                                )
-                            })
-                            .expect("spawn handler thread"),
-                    );
+                    joins.push(acceptor_ctx.spawn(conn, Box::new(rx), Box::new(tx)));
                 }
                 joins
             })
@@ -750,11 +476,10 @@ impl MonitorService {
         Ok((
             addr,
             MonitorService {
-                handlers: HandlerJoins::Accepted(acceptor),
-                ingest_joins: core.ingest_joins,
-                check_joins: core.check_joins,
-                claims: core.claims,
-                fanout: core.fanout,
+                handlers: Vec::new(),
+                acceptor: Some(acceptor),
+                pool,
+                ctx,
             },
         ))
     }
@@ -767,55 +492,25 @@ impl MonitorService {
     /// verdict plane is closed so [`crate::client::ClosedClient`] readers
     /// see end-of-stream.
     pub fn finish(self) -> ServiceReport {
-        let connections: Vec<ConnStats> = match self.handlers {
-            HandlerJoins::Direct(joins) => joins
-                .into_iter()
-                .map(|j| j.join().expect("handler thread"))
-                .collect(),
-            HandlerJoins::Accepted(acceptor) => acceptor
-                .join()
-                .expect("acceptor thread")
-                .into_iter()
-                .map(|j| j.join().expect("handler thread"))
-                .collect(),
-        };
+        let mut handlers = self.handlers;
+        if let Some(acceptor) = self.acceptor {
+            handlers.extend(acceptor.join().expect("acceptor thread"));
+        }
+        let connections: Vec<ConnStats> = handlers
+            .into_iter()
+            .map(|j| j.join().expect("handler thread"))
+            .collect();
         // Connections that never identified themselves still hold ring
         // slots; release them so the merges can reach end-of-stream.
-        self.claims.drain();
-        let ingests: Vec<IngestOut> = self
-            .ingest_joins
-            .into_iter()
-            .map(|j| j.join().expect("ingest thread"))
-            .collect();
-        let checks: Vec<CheckOut> = self
-            .check_joins
-            .into_iter()
-            .map(|j| j.join().expect("check thread"))
-            .collect();
-        self.fanout.close_all();
-        let accepted_streams = ingests.iter().all(|i| i.accepted.is_some()).then(|| {
-            ingests
-                .iter()
-                .map(|i| i.accepted.clone().unwrap())
-                .collect()
-        });
-        let shards: Vec<ShardReport> = ingests
-            .into_iter()
-            .zip(checks)
-            .map(|(ingest, check)| ShardReport {
-                report: check.report,
-                merge: ingest.merge,
-                rejected_events: ingest.rejected,
-                rounds: check.rounds,
-                summary: check.summary,
-            })
-            .collect();
+        self.ctx.claims.drain();
+        let out = self.pool.finish();
+        self.ctx.fanout.close_all();
         ServiceReport {
-            verdict: recompose_verdicts(shards.iter().map(|s| s.report.verdict.clone())),
-            shards,
+            verdict: out.verdict,
+            shards: out.shards,
             connections,
-            verdicts_dropped: self.fanout.dropped.load(Ordering::Relaxed),
-            accepted_streams,
+            verdicts_dropped: self.ctx.fanout.dropped(),
+            accepted_streams: out.accepted_streams,
         }
     }
 }

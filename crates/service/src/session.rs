@@ -30,7 +30,8 @@
 //! [`RetriesExhausted`], never a hang.
 
 use crate::journal::{Journal, JournalError, Recovered};
-use crate::wire::{ResumeCursor, WireFrame};
+use crate::wire::ResumeCursor;
+use evlin_runtime::fault::xorshift64;
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::Path;
@@ -50,15 +51,6 @@ pub enum Admit {
     /// Sequence gap — frames before this one never arrived.  Drop it and
     /// ack this (unchanged) cursor; the client rewinds its window here.
     Gap(ResumeCursor),
-}
-
-impl Admit {
-    /// The cursor to put in the ack frame, whatever was decided.
-    pub fn cursor(&self) -> ResumeCursor {
-        match self {
-            Admit::Accept(c) | Admit::Duplicate(c) | Admit::Gap(c) => *c,
-        }
-    }
 }
 
 /// Resumption failures, distinct from journal I/O failures because they mean
@@ -113,15 +105,13 @@ impl From<JournalError> for SessionError {
     }
 }
 
-/// The replica side of one session: the journal plus the chain value after
-/// every accepted frame (what makes resume cursors checkable at *any*
+/// The replica side of one session: the journal plus the durable cursor
+/// after every accepted frame (what makes resume cursors checkable at *any*
 /// position, not just the tip).
 pub struct SessionRx {
     journal: Journal,
-    /// `chains[i]` = chained fingerprint after `i + 1` accepted frames.
-    chains: Vec<u64>,
-    /// `events_at[i]` = cumulative events after `i + 1` accepted frames.
-    events_at: Vec<u64>,
+    /// `cursors[i]` = the durable cursor after `i + 1` accepted frames.
+    cursors: Vec<ResumeCursor>,
 }
 
 impl SessionRx {
@@ -130,8 +120,7 @@ impl SessionRx {
         let journal = Journal::create(path, client, session)?;
         Ok(SessionRx {
             journal,
-            chains: Vec::new(),
-            events_at: Vec::new(),
+            cursors: Vec::new(),
         })
     }
 
@@ -141,49 +130,8 @@ impl SessionRx {
     /// fed).
     pub fn reopen(path: &Path) -> Result<(SessionRx, Recovered), SessionError> {
         let (journal, recovered) = Journal::recover(path)?;
-        // Rebuild the per-frame chain from the recovered payloads.
-        let mut chains = Vec::with_capacity(recovered.frames.len());
-        let mut events_at = Vec::with_capacity(recovered.frames.len());
-        let mut chain = journal.client() as u64;
-        let mut events = 0u64;
-        let mut interner = Vec::new();
-        for payload in &recovered.frames {
-            // Recovery already validated these; decode cannot fail here.
-            let frame = crate::wire::decode_frame_with(payload, &mut interner)
-                .expect("recovered frame re-decodes");
-            let WireFrame::Events {
-                events: batch,
-                fingerprint,
-                ..
-            } = frame
-            else {
-                unreachable!("journal only records events frames");
-            };
-            chain = crate::wire::chain_fingerprint(chain, fingerprint);
-            events += batch.len() as u64;
-            chains.push(chain);
-            events_at.push(events);
-        }
-        Ok((
-            SessionRx {
-                journal,
-                chains,
-                events_at,
-            },
-            recovered,
-        ))
-    }
-
-    /// Resumes a session from its journal, cross-checking the client's
-    /// claimed cursor (from its resume hello) against what is durable.
-    pub fn resume(
-        path: &Path,
-        hello_client: u32,
-        claimed: Option<ResumeCursor>,
-    ) -> Result<(SessionRx, Recovered), SessionError> {
-        let (rx, recovered) = SessionRx::reopen(path)?;
-        rx.check_resume(hello_client, claimed)?;
-        Ok((rx, recovered))
+        let cursors = recovered.cursors.clone();
+        Ok((SessionRx { journal, cursors }, recovered))
     }
 
     /// Validates a resume hello against this (already open) session.
@@ -207,31 +155,20 @@ impl SessionRx {
             return Ok(());
         };
         let durable = self.journal.cursor();
-        let chain_at = |frames: u64| -> u64 {
-            if frames == 0 {
-                self.journal.client() as u64
-            } else {
-                self.chains[(frames - 1) as usize]
-            }
+        let cursor_at = |frames: u64| match frames {
+            0 => ResumeCursor {
+                frames: 0,
+                events: 0,
+                chain: self.journal.client() as u64,
+            },
+            n => self.cursors[(n - 1) as usize],
         };
-        let events_at = |frames: u64| -> u64 {
-            if frames == 0 {
-                0
-            } else {
-                self.events_at[(frames - 1) as usize]
-            }
-        };
-        let ok = claimed.frames <= durable.frames
-            && claimed.chain == chain_at(claimed.frames)
-            && claimed.events == events_at(claimed.frames);
-        if !ok {
-            let at = claimed.frames.min(durable.frames);
+        if claimed.frames > durable.frames || claimed != cursor_at(claimed.frames) {
             return Err(SessionError::CursorMismatch {
                 claimed,
                 durable: ResumeCursor {
                     frames: durable.frames,
-                    events: events_at(at),
-                    chain: chain_at(at),
+                    ..cursor_at(claimed.frames.min(durable.frames))
                 },
             });
         }
@@ -258,9 +195,14 @@ impl SessionRx {
         let cursor = self
             .journal
             .append_events(bytes, events, batch_fingerprint)?;
-        self.chains.push(cursor.chain);
-        self.events_at.push(cursor.events);
+        self.cursors.push(cursor);
         Ok(Admit::Accept(cursor))
+    }
+
+    /// Whether the shutdown audit is journaled: the stream is complete and
+    /// no further frame of it can be admitted.
+    pub(crate) fn finished(&self) -> bool {
+        self.journal.shutdown().is_some()
     }
 
     /// Records the client's shutdown totals.
@@ -294,7 +236,7 @@ impl SessionRx {
 /// The client side of one session: the encoded `EVENTS` frames sent but not
 /// yet covered by a durability ack, retained for replay.
 ///
-/// The window is also what makes [`WireFrame::Overloaded`] free to honor: a
+/// The window is also what makes [`crate::WireFrame::Overloaded`] free to honor: a
 /// shed frame was never acked, so it is still in the window, and the next
 /// replay retransmits it — rejection and loss are the same recovery path.
 pub struct SessionTx {
@@ -333,14 +275,9 @@ impl SessionTx {
         self.acked
     }
 
-    /// The `frame_seq` the next staged frame will get (encode it into the
-    /// frame before calling [`SessionTx::stage`]).
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Assigns the next `frame_seq` and retains `bytes` (the frame's full
-    /// wire encoding) in the window.  Call before sending.
+    /// Retains `bytes` (a frame's full wire encoding) in the window under
+    /// the next `frame_seq` — frames must be staged in the order they were
+    /// sealed, which numbers them identically.  Call before sending.
     pub fn stage(&mut self, bytes: Vec<u8>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -446,20 +383,6 @@ impl Backoff {
         Backoff::new(seed, Duration::from_millis(10), Duration::from_secs(1), 8)
     }
 
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x
-    }
-
-    /// Attempts made so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
     /// Draws the next delay, or reports exhaustion carrying the attempt
     /// count.
     pub fn next_delay(&mut self) -> Result<Duration, RetriesExhausted> {
@@ -475,7 +398,7 @@ impl Backoff {
             .saturating_mul(1u32.checked_shl(exp).unwrap_or(u32::MAX))
             .min(self.cap);
         // Jitter factor in [1/2, 3/2): nominal/2 + nominal·r where r ∈ [0,1).
-        let r = (self.next_rand() >> 11) as f64 / (1u64 << 53) as f64;
+        let r = (xorshift64(&mut self.state) >> 11) as f64 / (1u64 << 53) as f64;
         let jittered = nominal.mul_f64(0.5 + r);
         Ok(jittered.min(self.cap))
     }
@@ -490,7 +413,7 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{encode_frame, event_batch_fingerprint};
+    use crate::wire::{encode_frame, event_batch_fingerprint, WireFrame};
     use evlin_history::{Event, ObjectId, ProcessId};
     use evlin_spec::FetchIncrement;
     use std::path::PathBuf;
@@ -556,15 +479,20 @@ mod tests {
         let mut rx = SessionRx::create(&path, 2, 5).unwrap();
         let (p0, n0, f0) = events_frame(2, 0, 2);
         let (p1, n1, f1) = events_frame(2, 1, 2);
-        let c0 = rx.admit(&p0, 0, n0, f0).unwrap().cursor();
-        let c1 = rx.admit(&p1, 1, n1, f1).unwrap().cursor();
+        let Admit::Accept(c0) = rx.admit(&p0, 0, n0, f0).unwrap() else {
+            panic!("frame 0 is fresh")
+        };
+        let Admit::Accept(c1) = rx.admit(&p1, 1, n1, f1).unwrap() else {
+            panic!("frame 1 is fresh")
+        };
         drop(rx);
 
         // Claiming the tip, an earlier ack, or nothing at all: all valid.
+        let (rx, recovered) = SessionRx::reopen(&path).unwrap();
+        assert_eq!(rx.cursor(), c1);
+        assert_eq!(recovered.frames.len(), 2);
         for claim in [Some(c1), Some(c0), None] {
-            let (rx, recovered) = SessionRx::resume(&path, 2, claim).unwrap();
-            assert_eq!(rx.cursor(), c1);
-            assert_eq!(recovered.frames.len(), 2);
+            rx.check_resume(2, claim).unwrap();
         }
         // Claiming more frames than durable: refused.
         let ahead = ResumeCursor {
@@ -573,7 +501,7 @@ mod tests {
             chain: 0,
         };
         assert!(matches!(
-            SessionRx::resume(&path, 2, Some(ahead)),
+            rx.check_resume(2, Some(ahead)),
             Err(SessionError::CursorMismatch { .. })
         ));
         // Claiming the right count with the wrong chain: refused.
@@ -582,12 +510,12 @@ mod tests {
             ..c1
         };
         assert!(matches!(
-            SessionRx::resume(&path, 2, Some(forged)),
+            rx.check_resume(2, Some(forged)),
             Err(SessionError::CursorMismatch { .. })
         ));
         // A different client id: refused.
         assert!(matches!(
-            SessionRx::resume(&path, 9, Some(c1)),
+            rx.check_resume(9, Some(c1)),
             Err(SessionError::ClientMismatch { .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -649,7 +577,6 @@ mod tests {
             b.next_delay().unwrap();
         }
         assert_eq!(b.next_delay(), Err(RetriesExhausted { attempts: 3 }));
-        assert_eq!(b.attempts(), 3);
         // Reset re-arms the budget.
         b.reset();
         assert!(b.next_delay().is_ok());

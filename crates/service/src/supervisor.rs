@@ -40,20 +40,21 @@
 //! (`push_buffered` + `try_flush`), so a stalled merge can delay verdicts
 //! but can never deadlock ingestion, restarts or shutdown.
 
-use crate::journal::{journal_file_name, JournalError, Recovered};
-use crate::replica::{
-    run_check, run_merge_ingest, CheckOut, Fanout, IngestOut, ServiceConfig, ShardReport,
-};
+use crate::client::{drain_verdicts, final_summaries, FrameSealer};
+use crate::journal::{journal_file_name, JournalError};
+use crate::pool::{route_buffered, route_frame, Fanout, ReplicaPool};
+use crate::replica::{ServiceConfig, ShardReport};
 use crate::session::{Admit, Backoff, RetriesExhausted, SessionError, SessionRx, SessionTx};
 use crate::transport::{tcp_connect, tcp_pair, ChaosPlan, FrameRx, FrameTx, TcpRx, TcpTx};
 use crate::wire::{
-    chain_fingerprint, decode_frame, decode_frame_with, encode_frame, event_batch_fingerprint,
-    ResumeCursor, VerdictSummary, WireError, WireFrame, VERSION,
+    chain_fingerprint, decode_frame, decode_frame_with, encode_frame, ResumeCursor, VerdictSummary,
+    WireError, WireFrame, VERSION,
 };
-use evlin_checker::monitor::{recompose_verdicts, stages, MonitorVerdict, ShardRouter};
+use evlin_checker::monitor::{MonitorVerdict, ShardRouter};
 use evlin_history::{Event, ObjectId, ObjectUniverse, ProcessId};
-use evlin_runtime::channel::sharded::{self, FrameSender};
-use evlin_runtime::{channel, EventSink, RecorderShard};
+use evlin_runtime::channel::sharded::FrameSender;
+use evlin_runtime::fault::xorshift64;
+use evlin_runtime::{EventSink, RecorderShard};
 use evlin_spec::{Invocation, Value};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -200,7 +201,10 @@ struct SlotState {
     /// The slot's session, once a client created (or bind recovered) it.
     session: Option<SessionRx>,
     /// The slot's per-shard senders into the *current* pool.  `None` while a
-    /// restart replay owns them — handlers shed with `OVERLOADED` meanwhile.
+    /// restart replay owns them — handlers shed with `OVERLOADED` meanwhile
+    /// — and for good once the session has finished: dropping a sender
+    /// closes its ring, which is what lets that shard's merge advance past
+    /// a slot that will never produce again.
     senders: Option<Vec<FrameSender<Event>>>,
     /// Bumped by every restart; a finishing replay installs its senders only
     /// if its epoch still matches.
@@ -208,29 +212,51 @@ struct SlotState {
     stats: SessionStats,
 }
 
-struct Pool {
-    /// Cleared when the pool is declared dead: [`run_check`] suppresses
-    /// every broadcast, so a crashed epoch cannot leak verdicts while its
-    /// successor is rebuilt.
-    alive: Arc<AtomicBool>,
-    ingest_joins: Vec<JoinHandle<IngestOut>>,
-    check_joins: Vec<JoinHandle<CheckOut>>,
+impl SlotState {
+    /// Whether the slot's session has finished ([`SessionRx::finished`]).
+    fn finished(&self) -> bool {
+        self.session.as_ref().is_some_and(SessionRx::finished)
+    }
+
+    /// Hands the slot its senders into the current pool — unless the session
+    /// has finished, in which case they drop here and their rings close.
+    fn install(&mut self, senders: Vec<FrameSender<Event>>) {
+        if !self.finished() {
+            self.senders = Some(senders);
+        }
+    }
+
+    /// Ships what the rings will take of a finished slot's buffered tail,
+    /// without blocking, and drops every sender that emptied.  Returns
+    /// whether the slot still holds senders.
+    fn release(&mut self) -> bool {
+        if let Some(senders) = &mut self.senders {
+            senders.retain_mut(|sender| !sender.try_flush());
+            if senders.is_empty() {
+                self.senders = None;
+            }
+        }
+        self.senders.is_some()
+    }
 }
 
-struct ReplayOut {
-    frames: u64,
-    events: u64,
-    chain_ok: bool,
+/// Ships whatever the rings will take right now, never blocking; returns the
+/// events still buffered behind full rings.
+fn try_flush_all(senders: &mut [FrameSender<Event>]) -> usize {
+    senders
+        .iter_mut()
+        .map(|sender| {
+            sender.try_flush();
+            sender.buffered_len()
+        })
+        .sum()
 }
 
 struct Ctl {
-    pool: Option<Pool>,
-    replays: Vec<JoinHandle<ReplayOut>>,
+    pool: Option<ReplicaPool>,
+    replays: Vec<JoinHandle<()>>,
     restarts: u64,
     recovered_at_startup: usize,
-    replayed_frames: u64,
-    replayed_events: u64,
-    chain_mismatches: u64,
 }
 
 struct Shared {
@@ -242,88 +268,40 @@ struct Shared {
     shutting_down: AtomicBool,
     ctl: Mutex<Ctl>,
     orphan_errors: AtomicU64,
+    /// Journal frames (and the events inside them) replayed through fresh
+    /// pools, and replays that did not re-fold to their journal's chain.
+    replayed_frames: AtomicU64,
+    replayed_events: AtomicU64,
+    chain_mismatches: AtomicU64,
 }
 
-fn absorb_replay(ctl: &mut Ctl, out: ReplayOut) {
-    ctl.replayed_frames += out.frames;
-    ctl.replayed_events += out.events;
-    if !out.chain_ok {
-        ctl.chain_mismatches += 1;
-    }
-}
-
-/// Builds a fresh replica pool (per-shard rings + staged pipeline threads)
-/// and returns each slot's sender set.
-fn build_pool(shared: &Arc<Shared>) -> (Vec<Vec<FrameSender<Event>>>, Pool) {
-    let service = &shared.config.service;
-    let shards = shared.router.effective_shards();
-    let slots = shared.slots.len();
-    let alive = Arc::new(AtomicBool::new(true));
-    let mut per_slot: Vec<Vec<FrameSender<Event>>> =
-        (0..slots).map(|_| Vec::with_capacity(shards)).collect();
-    let mut ingest_joins = Vec::with_capacity(shards);
-    let mut check_joins = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        let (senders, merge) = sharded::sharded::<Event>(
-            slots.max(1),
-            service.ring_frames,
-            service.frame_capacity,
-            None,
-        );
-        for (slot, sender) in senders.into_iter().enumerate().take(slots) {
-            per_slot[slot].push(sender);
-        }
-        let (ingest, check) = stages(shared.universe.clone(), service.monitor);
-        let (stage_tx, stage_rx) = channel::bounded(service.stage_queue.max(1));
-        let capture = service.capture_streams;
-        ingest_joins.push(
-            std::thread::Builder::new()
-                .name(format!("evlin-rsvc-ingest-{shard}"))
-                .spawn(move || run_merge_ingest(merge, ingest, stage_tx, capture))
-                .expect("spawn ingest thread"),
-        );
-        let fanout = Arc::clone(&shared.fanout);
-        let alive = Arc::clone(&alive);
-        check_joins.push(
-            std::thread::Builder::new()
-                .name(format!("evlin-rsvc-check-{shard}"))
-                .spawn(move || run_check(shard as u32, check, stage_rx, fanout, Some(alive)))
-                .expect("spawn check thread"),
-        );
-    }
-    (
-        per_slot,
-        Pool {
-            alive,
-            ingest_joins,
-            check_joins,
-        },
-    )
+/// What a replay rebuilds one slot's monitor state from: the slot's epoch
+/// when the snapshot was taken and its journaled `EVENTS` frames, in order
+/// (none for a slot without a session).
+#[derive(Default)]
+struct ReplaySnapshot {
+    epoch: u64,
+    frames: Vec<Vec<u8>>,
 }
 
 /// Feeds one journal's frames through a fresh pool, re-folding the chained
 /// fingerprint as the bit-identity audit, then hands the senders to the slot
-/// — unless another restart (or shutdown) got there first.
+/// — unless another restart (or shutdown) got there first, or the session
+/// has finished, in which case they drop and close the slot's rings.
 fn spawn_replay(
     shared: Arc<Shared>,
     index: usize,
-    epoch: u64,
-    client: u32,
-    expected_chain: u64,
-    frames: Vec<Vec<u8>>,
+    snapshot: ReplaySnapshot,
     mut senders: Vec<FrameSender<Event>>,
-) -> JoinHandle<ReplayOut> {
+) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("evlin-rsvc-replay-{index}"))
         .spawn(move || {
             let mut interner: Vec<Invocation> = Vec::new();
-            let mut chain = client as u64;
-            let mut out = ReplayOut {
-                frames: 0,
-                events: 0,
-                chain_ok: true,
-            };
-            for payload in &frames {
+            // Slot index = client id, which seeds the chain.
+            let mut chain = index as u64;
+            let mut chain_ok = true;
+            for payload in &snapshot.frames {
                 let Ok(WireFrame::Events {
                     events,
                     fingerprint,
@@ -332,47 +310,67 @@ fn spawn_replay(
                 else {
                     // A journaled frame always re-decodes; anything else is
                     // an audit failure, not a crash.
-                    out.chain_ok = false;
+                    chain_ok = false;
                     continue;
                 };
                 chain = chain_fingerprint(chain, fingerprint);
-                out.frames += 1;
-                out.events += events.len() as u64;
-                for (seq, event) in events {
-                    let shard = shared.router.route(event.object);
-                    senders[shard].push(seq, event);
-                }
-                for sender in senders.iter_mut() {
-                    sender.flush();
-                }
+                shared.replayed_frames.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .replayed_events
+                    .fetch_add(events.len() as u64, Ordering::Relaxed);
+                route_frame(shared.router, &mut senders, events);
             }
-            out.chain_ok &= chain == expected_chain;
+            // Nothing is admitted while a replay owns the senders, so the
+            // journal's durable chain is still the one the frames fold to.
             let mut slot = shared.slots[index].lock().expect("slot lock");
-            if !shared.shutting_down.load(Ordering::SeqCst) && slot.epoch == epoch {
-                slot.senders = Some(senders);
+            let durable = slot.session.as_ref().map(|state| state.cursor().chain);
+            if !chain_ok || durable != Some(chain) {
+                shared.chain_mismatches.fetch_add(1, Ordering::Relaxed);
             }
-            out
+            if !shared.shutting_down.load(Ordering::SeqCst) && slot.epoch == snapshot.epoch {
+                slot.install(senders);
+            }
         })
         .expect("spawn replay thread")
+}
+
+/// Spawns a fresh pool and refills it from the journals: a slot whose
+/// journal holds frames gets its senders only after its replay has rebuilt
+/// the monitor state; every other slot gets them at once.  Caller holds the
+/// `ctl` lock.
+fn spawn_pool(shared: &Arc<Shared>, ctl: &mut Ctl, snapshots: Vec<ReplaySnapshot>) {
+    let (per_slot, pool) = ReplicaPool::spawn(
+        &shared.universe,
+        shared.router,
+        shared.slots.len(),
+        &shared.config.service,
+        &shared.fanout,
+    );
+    ctl.pool = Some(pool);
+    for (index, (senders, snapshot)) in per_slot.into_iter().zip(snapshots).enumerate() {
+        if snapshot.frames.is_empty() {
+            let mut slot = shared.slots[index].lock().expect("slot lock");
+            slot.install(senders);
+        } else {
+            let replay = spawn_replay(Arc::clone(shared), index, snapshot, senders);
+            ctl.replays.push(replay);
+        }
+    }
 }
 
 /// Tears the current pool down as if it crashed and rebuilds it from the
 /// journals.  Caller holds the `ctl` lock, which serializes restarts against
 /// each other and against shutdown.
-/// Per-slot restart snapshot: `(epoch, client, expected chain, journaled
-/// frames)` — everything a replay needs to rebuild the slot's monitor state.
-type ReplaySnapshot = (u64, u32, u64, Vec<Vec<u8>>);
-
 fn restart_pool(shared: &Arc<Shared>, ctl: &mut Ctl) -> Result<(), SessionError> {
     // 1. The dying pool must not leak verdicts from partial state.
     if let Some(pool) = &ctl.pool {
-        pool.alive.store(false, Ordering::SeqCst);
+        pool.silence();
     }
     // 2. Invalidate every slot: bump the epoch, discard buffered (journaled,
     //    so safe) items and drop the senders — which closes the dying pool's
     //    rings without ever touching a possibly-stalled ring — and snapshot
     //    the journal for replay.
-    let mut snapshots: Vec<Option<ReplaySnapshot>> = Vec::with_capacity(shared.slots.len());
+    let mut snapshots: Vec<ReplaySnapshot> = Vec::with_capacity(shared.slots.len());
     for slot in &shared.slots {
         let mut slot = slot.lock().expect("slot lock");
         slot.epoch += 1;
@@ -381,62 +379,29 @@ fn restart_pool(shared: &Arc<Shared>, ctl: &mut Ctl) -> Result<(), SessionError>
                 sender.discard_buffered();
             }
         }
-        let epoch = slot.epoch;
-        snapshots.push(match &mut slot.session {
-            Some(session) => {
-                let frames = session.journal_mut().read_back()?;
-                Some((
-                    epoch,
-                    session.journal().client(),
-                    session.cursor().chain,
-                    frames,
-                ))
-            }
-            None => None,
+        let frames = match &mut slot.session {
+            Some(session) => session.journal_mut().read_back()?,
+            None => Vec::new(),
+        };
+        snapshots.push(ReplaySnapshot {
+            epoch: slot.epoch,
+            frames,
         });
     }
     // 3. Outstanding replays of the previous epoch drain (the old pool still
     //    consumes their rings; every other ring is now closed), see their
     //    epoch mismatch, and drop their senders.
     for join in std::mem::take(&mut ctl.replays) {
-        if let Ok(out) = join.join() {
-            absorb_replay(ctl, out);
-        }
+        let _ = join.join();
     }
     // 4. Every ring of the old pool is closed: it drains to end-of-stream
     //    and its threads return (broadcasts suppressed).  Its outputs die
     //    here — that is the crash being simulated.
     if let Some(pool) = ctl.pool.take() {
-        for join in pool.ingest_joins {
-            let _ = join.join();
-        }
-        for join in pool.check_joins {
-            let _ = join.join();
-        }
+        pool.abandon();
     }
-    // 5. Fresh pool; journaled slots get their senders back only after
-    //    their replay has rebuilt the monitor state.
-    let (per_slot, pool) = build_pool(shared);
-    ctl.pool = Some(pool);
-    for (index, (senders, snapshot)) in per_slot.into_iter().zip(snapshots).enumerate() {
-        match snapshot {
-            Some((epoch, client, expected_chain, frames)) if !frames.is_empty() => {
-                ctl.replays.push(spawn_replay(
-                    Arc::clone(shared),
-                    index,
-                    epoch,
-                    client,
-                    expected_chain,
-                    frames,
-                    senders,
-                ));
-            }
-            _ => {
-                let mut slot = shared.slots[index].lock().expect("slot lock");
-                slot.senders = Some(senders);
-            }
-        }
-    }
+    // 5. Fresh pool, refilled from the snapshots.
+    spawn_pool(shared, ctl, snapshots);
     ctl.restarts += 1;
     Ok(())
 }
@@ -454,8 +419,9 @@ enum AdmitOutcome {
 fn run_session_handler(shared: Arc<Shared>, mut rx: TcpRx, tx: TcpTx) {
     let heartbeat = shared.config.heartbeat;
     let mut interner: Vec<Invocation> = Vec::new();
-    // First frame must be a version-2 hello naming a valid slot and a
-    // nonzero session; anything else orphans the connection.
+    // First frame must be a hello in the spoken version (the decoder refuses
+    // every other with a typed `UnsupportedVersion`) naming a valid slot and
+    // a nonzero session; anything else orphans the connection.
     let orphan = || {
         shared.orphan_errors.fetch_add(1, Ordering::Relaxed);
     };
@@ -465,23 +431,24 @@ fn run_session_handler(shared: Arc<Shared>, mut rx: TcpRx, tx: TcpTx) {
     };
     let Ok(WireFrame::Hello {
         client,
-        version,
         session,
         resume,
+        ..
     }) = decode_frame_with(&bytes, &mut interner)
     else {
         orphan();
         return;
     };
-    if version != VERSION || session == 0 || client as usize >= shared.slots.len() {
+    if session == 0 || client as usize >= shared.slots.len() {
         orphan();
         return;
     }
     let index = client as usize;
+    let lock_slot = || shared.slots[index].lock().expect("slot lock");
     // Attach to (or create) the slot's session and validate the resume
     // claim against the journal.
     let attach = {
-        let mut guard = shared.slots[index].lock().expect("slot lock");
+        let mut guard = lock_slot();
         let slot = &mut *guard;
         slot.stats.connections += 1;
         if let Some(state) = &slot.session {
@@ -531,36 +498,31 @@ fn run_session_handler(shared: Arc<Shared>, mut rx: TcpRx, tx: TcpTx) {
     };
     // From here the connection is the slot's verdict link; the ack tells the
     // client where durable history ends (its window replay starts there).
+    let ack = |cursor| WireFrame::Ack {
+        client,
+        session,
+        cursor,
+    };
     shared.fanout.register(index, Box::new(tx));
-    shared.fanout.unicast(
-        index,
-        encode_frame(&WireFrame::Ack {
-            client,
-            session,
-            cursor,
-        }),
-    );
+    shared.fanout.unicast(index, &ack(cursor));
     loop {
         let bytes = match rx.recv_timeout(heartbeat) {
             Ok(Some(bytes)) => bytes,
             Ok(None) => return, // clean end-of-stream
             Err(WireError::PeerTimeout) => {
                 // Silent peer: close the connection, keep the session.
-                let mut slot = shared.slots[index].lock().expect("slot lock");
-                slot.stats.idle_timeouts += 1;
+                lock_slot().stats.idle_timeouts += 1;
                 return;
             }
             Err(_) => {
-                let mut slot = shared.slots[index].lock().expect("slot lock");
-                slot.stats.corrupt_frames += 1;
+                lock_slot().stats.corrupt_frames += 1;
                 return;
             }
         };
         let frame = match decode_frame_with(&bytes, &mut interner) {
             Ok(frame) => frame,
             Err(_) => {
-                let mut slot = shared.slots[index].lock().expect("slot lock");
-                slot.stats.corrupt_frames += 1;
+                lock_slot().stats.corrupt_frames += 1;
                 continue;
             }
         };
@@ -572,8 +534,7 @@ fn run_session_handler(shared: Arc<Shared>, mut rx: TcpRx, tx: TcpTx) {
                 fingerprint,
             } => {
                 if c != client {
-                    let mut slot = shared.slots[index].lock().expect("slot lock");
-                    slot.stats.protocol_errors += 1;
+                    lock_slot().stats.protocol_errors += 1;
                     continue;
                 }
                 let n = events.len() as u64;
@@ -583,31 +544,25 @@ fn run_session_handler(shared: Arc<Shared>, mut rx: TcpRx, tx: TcpTx) {
                 // probed with try_flush *before* admitting, and a fresh
                 // frame adds at most one batch to the probed backlog.
                 let outcome = {
-                    let mut guard = shared.slots[index].lock().expect("slot lock");
+                    let mut guard = lock_slot();
                     let slot = &mut *guard;
                     match (&mut slot.session, &mut slot.senders) {
+                        (Some(state), _) if state.finished() => {
+                            // The stream already ended: nothing more of it
+                            // can be admitted.  Re-ack where it ended.
+                            slot.stats.protocol_errors += 1;
+                            AdmitOutcome::Ack(state.cursor())
+                        }
                         (Some(state), Some(senders)) => {
                             let fresh = frame_seq == state.cursor().frames;
-                            let shed = fresh && {
-                                for sender in senders.iter_mut() {
-                                    sender.try_flush();
-                                }
-                                let backlog: usize = senders.iter().map(|s| s.buffered_len()).sum();
-                                backlog > shared.config.overload_backlog
-                            };
-                            if shed {
+                            if fresh && try_flush_all(senders) > shared.config.overload_backlog {
                                 slot.stats.overloaded_rejections += 1;
                                 AdmitOutcome::Shed
                             } else {
                                 match state.admit(&bytes, frame_seq, n, fingerprint) {
                                     Ok(Admit::Accept(cursor)) => {
-                                        for (seq, event) in events {
-                                            let shard = shared.router.route(event.object);
-                                            senders[shard].push_buffered(seq, event);
-                                        }
-                                        for sender in senders.iter_mut() {
-                                            sender.try_flush();
-                                        }
+                                        route_buffered(shared.router, senders, events);
+                                        try_flush_all(senders);
                                         slot.stats.accepted_frames += 1;
                                         slot.stats.accepted_events += n;
                                         AdmitOutcome::Ack(cursor)
@@ -636,20 +591,13 @@ fn run_session_handler(shared: Arc<Shared>, mut rx: TcpRx, tx: TcpTx) {
                     }
                 };
                 match outcome {
-                    AdmitOutcome::Ack(cursor) => shared.fanout.unicast(
-                        index,
-                        encode_frame(&WireFrame::Ack {
-                            client,
-                            session,
-                            cursor,
-                        }),
-                    ),
+                    AdmitOutcome::Ack(cursor) => shared.fanout.unicast(index, &ack(cursor)),
                     AdmitOutcome::Shed => shared.fanout.unicast(
                         index,
-                        encode_frame(&WireFrame::Overloaded {
+                        &WireFrame::Overloaded {
                             client,
                             retry_after_ms: shared.config.retry_after_ms,
-                        }),
+                        },
                     ),
                     AdmitOutcome::Fatal => return,
                 }
@@ -659,35 +607,51 @@ fn run_session_handler(shared: Arc<Shared>, mut rx: TcpRx, tx: TcpTx) {
                 stream_fingerprint,
                 ..
             } => {
-                let mut guard = shared.slots[index].lock().expect("slot lock");
-                let slot = &mut *guard;
-                if let Some(state) = &mut slot.session {
-                    let cursor = state.cursor();
-                    if cursor.events == events_sent && cursor.chain == stream_fingerprint {
-                        slot.stats.shutdowns += 1;
-                        if state
-                            .record_shutdown(events_sent, stream_fingerprint)
-                            .is_err()
-                        {
-                            slot.stats.journal_failures += 1;
+                {
+                    let mut guard = lock_slot();
+                    let slot = &mut *guard;
+                    if let Some(state) = &mut slot.session {
+                        let cursor = state.cursor();
+                        if cursor.events == events_sent && cursor.chain == stream_fingerprint {
+                            slot.stats.shutdowns += 1;
+                            if !state.finished()
+                                && state
+                                    .record_shutdown(events_sent, stream_fingerprint)
+                                    .is_err()
+                            {
+                                slot.stats.journal_failures += 1;
+                            }
+                        } else {
+                            slot.stats.shutdown_mismatches += 1;
                         }
-                    } else {
-                        slot.stats.shutdown_mismatches += 1;
                     }
+                }
+                // A finished session's rings must close now, not at service
+                // shutdown: a merge waits on every open ring, so a slot that
+                // will never produce again would stall its still-streaming
+                // peers behind full rings for ever.  A tail stuck behind a
+                // full ring is retried until it ships, a restart takes the
+                // senders, or `finish` takes over the draining.
+                loop {
+                    let stuck = {
+                        let mut slot = lock_slot();
+                        slot.finished() && slot.release()
+                    };
+                    if !stuck || shared.shutting_down.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
                 }
             }
             WireFrame::Ping { token } => {
-                shared
-                    .fanout
-                    .unicast(index, encode_frame(&WireFrame::Pong { token }));
+                shared.fanout.unicast(index, &WireFrame::Pong { token });
             }
             WireFrame::Pong { .. } => {}
             WireFrame::Hello { .. }
             | WireFrame::Verdict(_)
             | WireFrame::Ack { .. }
             | WireFrame::Overloaded { .. } => {
-                let mut slot = shared.slots[index].lock().expect("slot lock");
-                slot.stats.protocol_errors += 1;
+                lock_slot().stats.protocol_errors += 1;
             }
         }
     }
@@ -728,7 +692,16 @@ impl RecoverableService {
         let slots = config.slots.max(1);
         // Scan the journal directory: every intact journal becomes a live
         // session whose frames feed the initial pool.
-        let mut recovered: Vec<Option<(SessionRx, Recovered)>> = (0..slots).map(|_| None).collect();
+        let mut slot_states: Vec<SlotState> = (0..slots)
+            .map(|_| SlotState {
+                session: None,
+                senders: None,
+                epoch: 0,
+                stats: SessionStats::default(),
+            })
+            .collect();
+        let mut snapshots: Vec<ReplaySnapshot> =
+            (0..slots).map(|_| ReplaySnapshot::default()).collect();
         let mut recovered_count = 0usize;
         for entry in std::fs::read_dir(&config.journal_dir).map_err(JournalError::Io)? {
             let path = entry.map_err(JournalError::Io)?.path();
@@ -736,74 +709,44 @@ impl RecoverableService {
                 continue;
             }
             let (state, contents) = SessionRx::reopen(&path)?;
-            let index = contents.client as usize;
-            if index >= slots || recovered[index].is_some() {
+            let client = state.journal().client();
+            let index = client as usize;
+            if index >= slots || slot_states[index].session.is_some() {
                 return Err(SessionError::Journal(JournalError::BadHeader(format!(
                     "journal {} names client {} (have {} slots, duplicate or out of range)",
                     path.display(),
-                    contents.client,
+                    client,
                     slots
                 ))));
             }
             recovered_count += 1;
-            recovered[index] = Some((state, contents));
+            snapshots[index].frames = contents.frames;
+            slot_states[index].session = Some(state);
         }
         let shared = Arc::new(Shared {
             universe: universe.clone(),
             router,
             fanout: Arc::new(Fanout::new(slots, shards)),
-            slots: (0..slots)
-                .map(|_| {
-                    Mutex::new(SlotState {
-                        session: None,
-                        senders: None,
-                        epoch: 0,
-                        stats: SessionStats::default(),
-                    })
-                })
-                .collect(),
+            slots: slot_states.into_iter().map(Mutex::new).collect(),
             shutting_down: AtomicBool::new(false),
             ctl: Mutex::new(Ctl {
                 pool: None,
                 replays: Vec::new(),
                 restarts: 0,
                 recovered_at_startup: recovered_count,
-                replayed_frames: 0,
-                replayed_events: 0,
-                chain_mismatches: 0,
             }),
             orphan_errors: AtomicU64::new(0),
+            replayed_frames: AtomicU64::new(0),
+            replayed_events: AtomicU64::new(0),
+            chain_mismatches: AtomicU64::new(0),
             config,
         });
-        // Initial pool + startup replay of recovered journals.
-        {
-            let mut ctl = shared.ctl.lock().expect("ctl lock");
-            let (per_slot, pool) = build_pool(&shared);
-            ctl.pool = Some(pool);
-            for (index, (senders, entry)) in per_slot.into_iter().zip(recovered).enumerate() {
-                match entry {
-                    Some((state, contents)) if !contents.frames.is_empty() => {
-                        let client = state.journal().client();
-                        let expected_chain = state.cursor().chain;
-                        shared.slots[index].lock().expect("slot lock").session = Some(state);
-                        ctl.replays.push(spawn_replay(
-                            Arc::clone(&shared),
-                            index,
-                            0,
-                            client,
-                            expected_chain,
-                            contents.frames,
-                            senders,
-                        ));
-                    }
-                    entry => {
-                        let mut slot = shared.slots[index].lock().expect("slot lock");
-                        slot.session = entry.map(|(state, _)| state);
-                        slot.senders = Some(senders);
-                    }
-                }
-            }
-        }
+        // Initial pool + startup replay of the recovered journals.
+        spawn_pool(
+            &shared,
+            &mut shared.ctl.lock().expect("ctl lock"),
+            snapshots,
+        );
         let acceptor_shared = Arc::clone(&shared);
         let acceptor = std::thread::Builder::new()
             .name("evlin-rsvc-accept".into())
@@ -850,11 +793,7 @@ impl RecoverableService {
                     let Ok(mut ctl) = watchdog_shared.ctl.try_lock() else {
                         continue; // a restart is already in progress
                     };
-                    let crashed = ctl.pool.as_ref().is_some_and(|pool| {
-                        pool.ingest_joins.iter().any(|j| j.is_finished())
-                            || pool.check_joins.iter().any(|j| j.is_finished())
-                    });
-                    if crashed {
+                    if ctl.pool.as_ref().is_some_and(ReplicaPool::is_crashed) {
                         let _ = restart_pool(&watchdog_shared, &mut ctl);
                     }
                 }
@@ -871,11 +810,6 @@ impl RecoverableService {
         ))
     }
 
-    /// The endpoint clients connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// Kills the replica pool as if it crashed — its in-flight state is
     /// discarded and its verdict broadcasts suppressed — then rebuilds it by
     /// replaying every session journal through a fresh staged pipeline.
@@ -885,11 +819,6 @@ impl RecoverableService {
     pub fn kill_and_restart(&self) -> Result<(), SessionError> {
         let mut ctl = self.shared.ctl.lock().expect("ctl lock");
         restart_pool(&self.shared, &mut ctl)
-    }
-
-    /// Pool restarts performed so far.
-    pub fn restarts(&self) -> u64 {
-        self.shared.ctl.lock().expect("ctl lock").restarts
     }
 
     /// Winds the service down and reports.  Call after every client
@@ -907,67 +836,27 @@ impl RecoverableService {
         let _ = self.watchdog.join();
         let mut ctl = self.shared.ctl.lock().expect("ctl lock");
         // Drain the slots' buffered tails without ever blocking on a
-        // stalled ring: flush what fits, drop each sender the moment it
-        // empties (closing its ring lets the merge advance past it), retry
-        // the rest.  Terminates because every open ring either has data or
-        // belongs to a sender in this loop.
-        let mut pending: Vec<FrameSender<Event>> = Vec::new();
-        for slot in &self.shared.slots {
-            if let Some(senders) = slot.lock().expect("slot lock").senders.take() {
-                pending.extend(senders);
-            }
-        }
-        loop {
-            pending.retain_mut(|sender| {
-                sender.try_flush();
-                sender.buffered_len() > 0
-            });
-            if pending.is_empty() {
-                break;
-            }
+        // stalled ring: every round flushes what fits in *every* slot and
+        // drops each sender the moment it empties (closing its ring lets the
+        // merge advance past it).  Terminates because every open ring either
+        // has data or belongs to a sender in this loop.
+        while self.shared.slots.iter().fold(false, |stuck, slot| {
+            slot.lock().expect("slot lock").release() | stuck
+        }) {
             std::thread::yield_now();
         }
         // Outstanding replays feed live rings; they finish, see the
         // shutdown flag, and drop their senders.
         for join in std::mem::take(&mut ctl.replays) {
-            if let Ok(out) = join.join() {
-                absorb_replay(&mut ctl, out);
-            }
+            let _ = join.join();
         }
-        // The final pool drains to end-of-stream; `alive` stayed set, so
+        // The final pool drains to end-of-stream; it was never silenced, so
         // the per-shard finals broadcast reliably before the plane closes.
-        let pool = ctl.pool.take().expect("pool present at shutdown");
-        let ingests: Vec<IngestOut> = pool
-            .ingest_joins
-            .into_iter()
-            .map(|j| j.join().expect("ingest thread"))
-            .collect();
-        let checks: Vec<CheckOut> = pool
-            .check_joins
-            .into_iter()
-            .map(|j| j.join().expect("check thread"))
-            .collect();
+        let out = ctl.pool.take().expect("pool present at shutdown").finish();
         self.shared.fanout.close_all();
-        let accepted_streams = ingests.iter().all(|i| i.accepted.is_some()).then(|| {
-            ingests
-                .iter()
-                .map(|i| i.accepted.clone().unwrap())
-                .collect()
-        });
-        let shards: Vec<ShardReport> = ingests
-            .into_iter()
-            .zip(checks)
-            .map(|(ingest, check)| ShardReport {
-                report: check.report,
-                merge: ingest.merge,
-                rejected_events: ingest.rejected,
-                rounds: check.rounds,
-                summary: check.summary,
-            })
-            .collect();
         RecoveryReport {
-            verdict: recompose_verdicts(shards.iter().map(|s| s.report.verdict.clone())),
-            shards,
+            verdict: out.verdict,
+            shards: out.shards,
             sessions: self
                 .shared
                 .slots
@@ -976,12 +865,12 @@ impl RecoverableService {
                 .collect(),
             restarts: ctl.restarts,
             recovered_at_startup: ctl.recovered_at_startup,
-            replayed_frames: ctl.replayed_frames,
-            replayed_events: ctl.replayed_events,
-            replay_chain_mismatches: ctl.chain_mismatches,
-            verdicts_dropped: self.shared.fanout.dropped_so_far(),
+            replayed_frames: self.shared.replayed_frames.load(Ordering::Relaxed),
+            replayed_events: self.shared.replayed_events.load(Ordering::Relaxed),
+            replay_chain_mismatches: self.shared.chain_mismatches.load(Ordering::Relaxed),
+            verdicts_dropped: self.shared.fanout.dropped(),
             orphan_connections: self.shared.orphan_errors.load(Ordering::Relaxed),
-            accepted_streams,
+            accepted_streams: out.accepted_streams,
         }
     }
 }
@@ -1010,10 +899,8 @@ pub struct ReconnectChaos {
 impl ReconnectChaos {
     /// The plan armed on connection attempt `attempt`.
     pub fn plan_for(&self, attempt: u64) -> ChaosPlan {
-        let mut x = (self.seed ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
+        let mut state = (self.seed ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
+        let x = xorshift64(&mut state);
         let span = self.kill_after_span.max(1);
         ChaosPlan::new(x)
             .split_writes(self.split_per_mille)
@@ -1084,8 +971,7 @@ pub struct RecoverableClientStats {
 /// connection — reconnecting, replaying and honoring rejections as needed.
 struct SessionSink {
     addr: SocketAddr,
-    client: u32,
-    capacity: usize,
+    sealer: FrameSealer,
     ack_timeout: Duration,
     window_limit: usize,
     chaos: Option<ReconnectChaos>,
@@ -1103,9 +989,6 @@ struct SessionSink {
     /// a reconnect (the universal recovery: the resume replay resends
     /// whatever the server is missing).
     stalls: u32,
-    buf: Vec<(u64, Event)>,
-    chain: u64,
-    events_total: u64,
     summaries: Vec<VerdictSummary>,
     stats: RecoverableClientStats,
     dead: Option<RetriesExhausted>,
@@ -1132,7 +1015,7 @@ impl SessionSink {
                     tx.set_chaos(chaos.plan_for(attempt));
                 }
                 let hello = WireFrame::Hello {
-                    client: self.client,
+                    client: self.sealer.client,
                     version: VERSION,
                     session: self.window.session(),
                     resume: Some(self.window.resume_cursor()),
@@ -1310,27 +1193,12 @@ impl SessionSink {
     /// Seals the current batch into a frame, stages it in the window, and
     /// pumps until the window is back under its limit.
     fn ship(&mut self) {
-        if self.buf.is_empty() {
+        let Some((bytes, events)) = self.sealer.seal() else {
             return;
-        }
-        if self.dead.is_some() {
-            self.stats.dropped_after_death += self.buf.len() as u64;
-            self.buf.clear();
-            return;
-        }
-        let events = std::mem::take(&mut self.buf);
-        let fingerprint = event_batch_fingerprint(self.client, &events);
-        self.chain = chain_fingerprint(self.chain, fingerprint);
-        self.events_total += events.len() as u64;
-        self.stats.frames += 1;
-        self.stats.events += events.len() as u64;
-        let frame = WireFrame::Events {
-            client: self.client,
-            frame_seq: self.window.next_seq(),
-            events,
-            fingerprint,
         };
-        self.window.stage(encode_frame(&frame));
+        self.stats.frames += 1;
+        self.stats.events += events;
+        self.window.stage(bytes);
         let target = self.window_limit;
         self.pump(target);
     }
@@ -1338,8 +1206,12 @@ impl SessionSink {
 
 impl EventSink for SessionSink {
     fn accept(&mut self, seq: u64, event: Event) {
-        self.buf.push((seq, event));
-        if self.buf.len() >= self.capacity {
+        // Death strikes inside `ship` (the pump spends the retry budget),
+        // right after a seal emptied the batch: nothing is ever stranded in
+        // the sealer, and everything recorded later is dropped here.
+        if self.dead.is_some() {
+            self.stats.dropped_after_death += 1;
+        } else if self.sealer.push(seq, event) {
             self.ship();
         }
     }
@@ -1376,8 +1248,7 @@ impl RecoverableClient {
     ) -> Result<RecoverableClient, RetriesExhausted> {
         let mut sink = SessionSink {
             addr,
-            client,
-            capacity: config.frame_capacity.max(1),
+            sealer: FrameSealer::new(client, config.frame_capacity),
             ack_timeout: config.ack_timeout,
             window_limit: config.window_limit.max(1),
             chaos: config.chaos,
@@ -1389,9 +1260,6 @@ impl RecoverableClient {
             sent_up_to: 0,
             high_water: 0,
             stalls: 0,
-            buf: Vec::new(),
-            chain: client as u64,
-            events_total: 0,
             summaries: Vec::new(),
             stats: RecoverableClientStats::default(),
             dead: None,
@@ -1439,11 +1307,7 @@ impl RecoverableClient {
         if let Some(e) = sink.dead {
             return Err(e);
         }
-        let shutdown = encode_frame(&WireFrame::Shutdown {
-            client: sink.client,
-            events_sent: sink.events_total,
-            stream_fingerprint: sink.chain,
-        });
+        let shutdown = sink.sealer.shutdown();
         loop {
             if !sink.ensure_connected() {
                 return Err(sink.dead.expect("death reason recorded"));
@@ -1484,13 +1348,7 @@ impl ClosedRecoverableClient {
     pub fn collect_verdicts(mut self) -> RecoverableClientReport {
         let mut summaries = self.summaries;
         let mut stats = self.stats;
-        while let Ok(Some(bytes)) = self.rx.recv() {
-            match decode_frame(&bytes) {
-                Ok(WireFrame::Verdict(summary)) => summaries.push(summary),
-                Ok(WireFrame::Ack { .. }) | Ok(WireFrame::Pong { .. }) => {}
-                Ok(_) | Err(_) => stats.protocol_errors += 1,
-            }
-        }
+        stats.protocol_errors += drain_verdicts(&mut self.rx, &mut summaries);
         RecoverableClientReport { summaries, stats }
     }
 }
@@ -1507,9 +1365,7 @@ pub struct RecoverableClientReport {
 impl RecoverableClientReport {
     /// The final summaries (one per shard that reported), in shard order.
     pub fn final_summaries(&self) -> Vec<&VerdictSummary> {
-        let mut finals: Vec<&VerdictSummary> = self.summaries.iter().filter(|s| s.last).collect();
-        finals.sort_by_key(|s| s.shard);
-        finals
+        final_summaries(&self.summaries)
     }
 }
 

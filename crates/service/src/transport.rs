@@ -28,6 +28,7 @@
 
 use crate::wire::{split_frame, WireError};
 use evlin_runtime::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
+use evlin_runtime::fault::xorshift64;
 use evlin_runtime::{FaultPlan, FaultySender};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -138,15 +139,6 @@ impl ChaosPlan {
         self
     }
 
-    fn next(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x
-    }
-
     /// Decides this send's fate: `Kill(cut)` writes only `frame[..cut]` and
     /// tears the link down; `Split(cut)` writes in two halves; `Pass` sends
     /// normally.  `cut` is always a strict, nonzero prefix length.
@@ -155,13 +147,13 @@ impl ChaosPlan {
         self.sent += 1;
         let cut = |r: u64| 1 + (r as usize % frame_len.saturating_sub(1).max(1));
         if self.kill_at_frame == Some(idx) {
-            let r = self.next();
+            let r = xorshift64(&mut self.state);
             return ChaosVerdict::Kill(cut(r));
         }
         if self.split_per_mille > 0 && frame_len > 1 {
-            let roll = self.next() % 1000;
+            let roll = xorshift64(&mut self.state) % 1000;
             if roll < self.split_per_mille as u64 {
-                let r = self.next();
+                let r = xorshift64(&mut self.state);
                 return ChaosVerdict::Split(cut(r));
             }
         }

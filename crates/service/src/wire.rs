@@ -39,17 +39,11 @@ use std::fmt;
 /// Protocol magic, the ASCII bytes `EVLN` read as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"EVLN");
 
-/// Current protocol version carried in every [`WireFrame::Hello`].  A
-/// replica rejects a connection whose hello announces a version it does not
-/// speak; frames themselves are not version-stamped (the handshake pins the
-/// connection).  Version 2 added session resumption (the extended hello plus
-/// the `ACK`/`PING`/`PONG`/`OVERLOADED` frames); version-1 hellos are still
-/// decoded for compatibility.
+/// The one protocol version this codec speaks, carried in every
+/// [`WireFrame::Hello`].  A hello announcing any other version is refused at
+/// decode with a typed [`WireError::UnsupportedVersion`]; frames themselves
+/// are not version-stamped (the handshake pins the connection).
 pub const VERSION: u16 = 2;
-
-/// The pre-session protocol version: an 11-byte hello and the
-/// `EVENTS`/`VERDICT`/`SHUTDOWN` frames only.
-pub const LEGACY_VERSION: u16 = 1;
 
 /// Upper bound on a frame body, guarding length-prefix corruption: a flipped
 /// length bit must produce a decode error, not a multi-gigabyte allocation.
@@ -65,13 +59,13 @@ pub mod tag {
     pub const VERDICT: u8 = 3;
     /// [`super::WireFrame::Shutdown`].
     pub const SHUTDOWN: u8 = 4;
-    /// [`super::WireFrame::Ack`] (version 2).
+    /// [`super::WireFrame::Ack`].
     pub const ACK: u8 = 5;
-    /// [`super::WireFrame::Ping`] (version 2).
+    /// [`super::WireFrame::Ping`].
     pub const PING: u8 = 6;
-    /// [`super::WireFrame::Pong`] (version 2).
+    /// [`super::WireFrame::Pong`].
     pub const PONG: u8 = 7;
-    /// [`super::WireFrame::Overloaded`] (version 2).
+    /// [`super::WireFrame::Overloaded`].
     pub const OVERLOADED: u8 = 8;
 }
 
@@ -98,21 +92,19 @@ pub struct ResumeCursor {
 pub enum WireFrame {
     /// Connection handshake, sent once by the client before anything else.
     ///
-    /// A [`LEGACY_VERSION`] hello carries only `client` and `version`
-    /// (`session` is 0 and `resume` is `None` by construction).  A
-    /// [`VERSION`]-2 hello additionally names the client's session and,
-    /// when reconnecting, the durable cursor it believes the replica has
-    /// journaled — the replica cross-checks that cursor against its journal
-    /// before resuming the session.
+    /// Besides the client id and the spoken version, a hello names the
+    /// client's session and, when reconnecting, the durable cursor it
+    /// believes the replica has journaled — the replica cross-checks that
+    /// cursor against its journal before resuming the session.
     Hello {
         /// The producer's client id (its slot in the replica pool).
         client: u32,
-        /// The protocol version the client speaks ([`VERSION`] or
-        /// [`LEGACY_VERSION`]).
+        /// The protocol version the client speaks; always [`VERSION`] in a
+        /// decoded hello (the decoder refuses every other).
         version: u16,
-        /// The client's session id (0 for legacy hellos): stable across
-        /// reconnects, it is what lets a replica re-attach a dropped
-        /// connection to its journal.
+        /// The client's session id (0 when the client does not ask for a
+        /// resumable session): stable across reconnects, it is what lets a
+        /// replica re-attach a dropped connection to its journal.
         session: u64,
         /// Present on reconnect: the durable cursor the client last saw
         /// acknowledged.  `None` opens a fresh session.
@@ -143,7 +135,7 @@ pub enum WireFrame {
         /// [`chain_fingerprint`]) over every event frame it sent.
         stream_fingerprint: u64,
     },
-    /// Durability acknowledgement, replica→client (version 2): everything
+    /// Durability acknowledgement, replica→client: everything
     /// up to `cursor` has been journaled and fsynced.  The client prunes its
     /// unacked replay window up to the cursor; on a gap rejection the cursor
     /// tells the client exactly where to rewind.
@@ -155,18 +147,18 @@ pub enum WireFrame {
         /// The replica's durable cursor for the session.
         cursor: ResumeCursor,
     },
-    /// Liveness probe (version 2), either direction.  The receiver echoes
+    /// Liveness probe, either direction.  The receiver echoes
     /// the token back in a [`WireFrame::Pong`].
     Ping {
         /// Opaque token echoed by the pong.
         token: u64,
     },
-    /// Liveness probe response (version 2).
+    /// Liveness probe response.
     Pong {
         /// The token of the ping being answered.
         token: u64,
     },
-    /// Typed load-shedding rejection, replica→client (version 2): the
+    /// Typed load-shedding rejection, replica→client: the
     /// frame that provoked it was **not** accepted (not journaled, not
     /// routed) and remains the client's to retransmit after `retry_after_ms`
     /// — the bounded-ingest alternative to buffering without bound.
@@ -242,10 +234,10 @@ pub enum WireError {
         /// Fingerprint recomputed from the decoded events.
         computed: u64,
     },
-    /// A hello announcing a protocol version this decoder does not speak,
-    /// or a version-2 frame arriving at a decoder capped below version 2
-    /// ([`decode_frame_limited`]).  Deliberately a *clean, typed* rejection:
-    /// an old replica meeting a resume hello must refuse it, not panic.
+    /// A hello announcing a protocol version other than [`VERSION`], carrying
+    /// the announced number.  Deliberately a *clean, typed* rejection, raised
+    /// before anything past the version field is read: a peer from another
+    /// protocol generation is told so, not mis-decoded.
     UnsupportedVersion(u16),
     /// A blocking read exceeded its deadline while the peer stayed silent.
     ///
@@ -439,18 +431,15 @@ pub fn encode_frame(frame: &WireFrame) -> Vec<u8> {
             put_u32(&mut out, MAGIC);
             put_u16(&mut out, *version);
             put_u32(&mut out, *client);
-            // A legacy hello ends here — its 11-byte layout is frozen.
-            if *version != LEGACY_VERSION {
-                put_u64(&mut out, *session);
-                match resume {
-                    Some(cursor) => {
-                        out.push(1);
-                        put_u64(&mut out, cursor.frames);
-                        put_u64(&mut out, cursor.events);
-                        put_u64(&mut out, cursor.chain);
-                    }
-                    None => out.push(0),
+            put_u64(&mut out, *session);
+            match resume {
+                Some(cursor) => {
+                    out.push(1);
+                    put_u64(&mut out, cursor.frames);
+                    put_u64(&mut out, cursor.events);
+                    put_u64(&mut out, cursor.chain);
                 }
+                None => out.push(0),
             }
         }
         WireFrame::Events {
@@ -666,20 +655,6 @@ pub fn decode_frame_with(
     bytes: &[u8],
     interner: &mut Vec<Invocation>,
 ) -> Result<WireFrame, WireError> {
-    decode_frame_limited(bytes, interner, VERSION)
-}
-
-/// [`decode_frame_with`] as spoken by a replica capped at `max_version` —
-/// the version gate.  A legacy ([`LEGACY_VERSION`]-only) replica meeting a
-/// resume hello or any version-2 frame gets a typed
-/// [`WireError::UnsupportedVersion`], never a structural mis-decode: the
-/// hello carries its version explicitly, and the version-2 frame tags
-/// ([`tag::ACK`]..[`tag::OVERLOADED`]) did not exist in version 1.
-pub fn decode_frame_limited(
-    bytes: &[u8],
-    interner: &mut Vec<Invocation>,
-    max_version: u16,
-) -> Result<WireFrame, WireError> {
     if bytes.len() < 5 {
         return Err(WireError::Truncated {
             needed: 5,
@@ -704,33 +679,24 @@ pub fn decode_frame_limited(
                 return Err(WireError::BadMagic(magic));
             }
             let version = c.u16()?;
-            if version == 0 || version > max_version {
+            if version != VERSION {
                 return Err(WireError::UnsupportedVersion(version));
             }
             let client = c.u32()?;
-            if version == LEGACY_VERSION {
-                WireFrame::Hello {
-                    client,
-                    version,
-                    session: 0,
-                    resume: None,
-                }
-            } else {
-                let session = c.u64()?;
-                let resume = match c.u8()? {
-                    0 => None,
-                    _ => Some(ResumeCursor {
-                        frames: c.u64()?,
-                        events: c.u64()?,
-                        chain: c.u64()?,
-                    }),
-                };
-                WireFrame::Hello {
-                    client,
-                    version,
-                    session,
-                    resume,
-                }
+            let session = c.u64()?;
+            let resume = match c.u8()? {
+                0 => None,
+                _ => Some(ResumeCursor {
+                    frames: c.u64()?,
+                    events: c.u64()?,
+                    chain: c.u64()?,
+                }),
+            };
+            WireFrame::Hello {
+                client,
+                version,
+                session,
+                resume,
             }
         }
         tag::EVENTS => {
@@ -810,13 +776,6 @@ pub fn decode_frame_limited(
                 stream_fingerprint,
             }
         }
-        t @ (tag::ACK | tag::PING | tag::PONG | tag::OVERLOADED) if max_version < 2 => {
-            // A version-1 decoder has never heard of these tags; refusing
-            // them as a version problem (not `BadTag`) is what lets a mixed
-            // fleet report "upgrade me" instead of "corrupt stream".
-            let _ = t;
-            return Err(WireError::UnsupportedVersion(LEGACY_VERSION));
-        }
         tag::ACK => {
             let client = c.u32()?;
             let session = c.u64()?;
@@ -886,12 +845,6 @@ mod tests {
                     events: 384,
                     chain: 0xabcd,
                 }),
-            },
-            WireFrame::Hello {
-                client: 9,
-                version: LEGACY_VERSION,
-                session: 0,
-                resume: None,
             },
             WireFrame::Events {
                 client: 9,
@@ -999,58 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_decoder_rejects_version_2_cleanly() {
-        // An old replica (capped at LEGACY_VERSION) must refuse every
-        // version-2 construct with UnsupportedVersion — not BadTag, not a
-        // panic, not a mis-decode.
-        let mut interner = Vec::new();
-        let resume_hello = encode_frame(&WireFrame::Hello {
-            client: 3,
-            version: VERSION,
-            session: 77,
-            resume: Some(ResumeCursor {
-                frames: 1,
-                events: 2,
-                chain: 3,
-            }),
-        });
-        assert_eq!(
-            decode_frame_limited(&resume_hello, &mut interner, LEGACY_VERSION),
-            Err(WireError::UnsupportedVersion(VERSION)),
-        );
-        for frame in [
-            WireFrame::Ack {
-                client: 3,
-                session: 77,
-                cursor: ResumeCursor::default(),
-            },
-            WireFrame::Ping { token: 1 },
-            WireFrame::Pong { token: 1 },
-            WireFrame::Overloaded {
-                client: 3,
-                retry_after_ms: 10,
-            },
-        ] {
-            let bytes = encode_frame(&frame);
-            assert!(
-                matches!(
-                    decode_frame_limited(&bytes, &mut interner, LEGACY_VERSION),
-                    Err(WireError::UnsupportedVersion(_)),
-                ),
-                "{frame:?}"
-            );
-        }
-        // A legacy hello still decodes under the cap.
-        let legacy = encode_frame(&WireFrame::Hello {
-            client: 3,
-            version: LEGACY_VERSION,
-            session: 0,
-            resume: None,
-        });
-        assert!(decode_frame_limited(&legacy, &mut interner, LEGACY_VERSION).is_ok());
-    }
-
-    #[test]
     fn hello_from_the_future_is_rejected() {
         let mut bytes = encode_frame(&WireFrame::Hello {
             client: 0,
@@ -1061,5 +962,12 @@ mod tests {
         // Patch the version field (body offset 5 = tag + magic, +4 prefix).
         bytes[9..11].copy_from_slice(&99u16.to_le_bytes());
         assert_eq!(decode_frame(&bytes), Err(WireError::UnsupportedVersion(99)),);
+        // The retired 11-byte version-1 hello is refused by its number too,
+        // before the decoder looks for fields it never had.
+        let mut legacy = vec![11, 0, 0, 0, tag::HELLO];
+        legacy.extend_from_slice(&MAGIC.to_le_bytes());
+        legacy.extend_from_slice(&1u16.to_le_bytes());
+        legacy.extend_from_slice(&3u32.to_le_bytes());
+        assert_eq!(decode_frame(&legacy), Err(WireError::UnsupportedVersion(1)));
     }
 }

@@ -414,3 +414,78 @@ fn resumed_session_survives_a_server_side_idle_timeout() {
     let _ = closed.collect_verdicts();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A session that has finished must not hold its peers back: its rings close
+/// with its shutdown, so the merges advance past it while another client is
+/// still streaming.  (Left open until service shutdown, slot 0's empty rings
+/// stall every shard's merge, client 1's rings fill after `ring_frames`
+/// frames and everything after is shed `OVERLOADED` for ever.)
+#[test]
+fn finished_session_does_not_wedge_a_streaming_peer() {
+    let dir = temp_dir("wedge");
+    let u = universe();
+    let mut config = test_config(dir.clone(), 2, 2);
+    config.service.ring_frames = 2;
+    config.overload_backlog = 8;
+    let (addr, service) = RecoverableService::bind(&u, config).unwrap();
+    let seq = Arc::new(AtomicU64::new(0));
+    let object = u.object_ids()[1];
+    let connect = |c: u32, seq: Arc<AtomicU64>| {
+        RecoverableClient::connect_tcp(
+            addr,
+            c,
+            0xD0E0 + c as u64,
+            seq,
+            ClientRecoveryConfig {
+                frame_capacity: 2,
+                ..ClientRecoveryConfig::standard(c as u64)
+            },
+        )
+        .expect("initial connect")
+    };
+    // Client 0 records one operation and finishes at once.
+    let mut first = connect(0, Arc::clone(&seq));
+    first.invoke(ProcessId(0), object, FetchIncrement::fetch_inc());
+    first.respond(ProcessId(0), object, Value::from(0i64));
+    let first = first.finish().expect("client 0 finishes");
+    // Client 1 then streams 60 one-operation frames, on its own thread so a
+    // wedge fails the test instead of hanging it.
+    let frames = 60i64;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let mut second = connect(1, Arc::clone(&seq));
+    std::thread::spawn(move || {
+        for i in 0..frames {
+            second.invoke(ProcessId(1), object, FetchIncrement::fetch_inc());
+            second.respond(ProcessId(1), object, Value::from(i + 1));
+        }
+        let _ = done_tx.send(second.finish());
+    });
+    let second = done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("a finished session wedged its streaming peer")
+        .expect("client 1 finishes inside its retry budget");
+    // Every session has finished, so the pool has drained by itself; give
+    // the watchdog a few ticks to (wrongly) call that a crash.
+    std::thread::sleep(Duration::from_millis(200));
+    let report = service.finish();
+    assert!(report.verdict.is_ok(), "{:?}", report.verdict);
+    assert_eq!(report.events(), 2 * (frames as u64 + 1));
+    assert_eq!(report.restarts, 0, "a drained pool is not a crashed pool");
+    assert_eq!(report.replayed_frames, 0);
+    assert_eq!(report.replay_chain_mismatches, 0);
+    for s in &report.sessions {
+        assert_eq!(s.shutdowns, 1);
+        assert_eq!(s.protocol_errors, 0);
+    }
+    assert_eq!(report.sessions[1].accepted_frames, frames as u64);
+    for closed in [first, second] {
+        let client = closed.collect_verdicts();
+        assert_eq!(client.stats.protocol_errors, 0);
+        assert_eq!(
+            client.final_summaries().len(),
+            report.shards.len(),
+            "each shard's final exactly once"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -353,3 +353,53 @@ fn loopback_tcp_service_matches_offline() {
         assert_eq!(finals_seen, report.shards.len());
     }
 }
+
+/// A hello announcing a protocol version the replica does not speak is
+/// counted as a bad hello and ends the connection's usefulness: the event
+/// frames that follow are refused, not routed.
+#[test]
+fn unsupported_hello_version_stops_routing() {
+    use evlin_service::transport::tcp_connect;
+    use evlin_service::wire::{encode_frame, event_batch_fingerprint, WireFrame, VERSION};
+    use evlin_service::FrameTx;
+
+    let u = universe();
+    let (addr, service) =
+        MonitorService::loopback_tcp(&u, 1, ServiceConfig::default()).expect("bind loopback");
+    let (mut tx, _rx) = tcp_connect(addr).expect("connect");
+    let mut hello = encode_frame(&WireFrame::Hello {
+        client: 0,
+        version: VERSION,
+        session: 0,
+        resume: None,
+    });
+    // The version field sits after the length prefix, tag and magic.
+    hello[9..11].copy_from_slice(&99u16.to_le_bytes());
+    tx.send(hello).expect("send the hello");
+    let object = u.object_ids()[1];
+    let events = vec![
+        (
+            0u64,
+            evlin_history::Event::invoke(ProcessId(0), object, FetchIncrement::fetch_inc()),
+        ),
+        (
+            1u64,
+            evlin_history::Event::respond(ProcessId(0), object, Value::from(0i64)),
+        ),
+    ];
+    tx.send(encode_frame(&WireFrame::Events {
+        client: 0,
+        frame_seq: 0,
+        fingerprint: event_batch_fingerprint(0, &events),
+        events,
+    }))
+    .expect("send the events frame");
+    tx.close();
+    let report = service.finish();
+    let conn = report.connections[0];
+    assert_eq!(conn.bad_hellos, 1, "{conn:?}");
+    assert_eq!(conn.events, 0, "{conn:?}");
+    assert!(conn.protocol_errors > 0, "{conn:?}");
+    assert_eq!(conn.corrupt_frames, 0, "{conn:?}");
+    assert_eq!(report.events(), 0, "nothing may reach a monitor");
+}

@@ -10,8 +10,8 @@
 use evlin_checker::monitor::{MonitorVerdict, MonitorViolation};
 use evlin_history::{Event, EventKind, ObjectId, OpId, ProcessId};
 use evlin_service::wire::{
-    decode_frame, decode_frame_limited, decode_frame_with, encode_frame, event_batch_fingerprint,
-    split_frame, ResumeCursor, VerdictSummary, WireError, WireFrame, LEGACY_VERSION, VERSION,
+    decode_frame, decode_frame_with, encode_frame, event_batch_fingerprint, split_frame,
+    ResumeCursor, VerdictSummary, WireError, WireFrame, VERSION,
 };
 use evlin_spec::{Invocation, Value};
 use proptest::prelude::*;
@@ -97,25 +97,14 @@ fn random_cursor(rng: &mut StdRng) -> ResumeCursor {
 
 fn random_frame(rng: &mut StdRng) -> WireFrame {
     match rng.gen_range(0..10u32) {
-        0 => {
-            // Only spoken versions round-trip; unknown ones are rejected at
-            // decode (covered by `version_gate_rejects_cleanly`).
-            let version = if rng.gen_bool(0.5) {
-                VERSION
-            } else {
-                LEGACY_VERSION
-            };
-            WireFrame::Hello {
-                client: rng.gen(),
-                version,
-                session: if version == LEGACY_VERSION {
-                    0
-                } else {
-                    rng.gen()
-                },
-                resume: (version == VERSION && rng.gen_bool(0.5)).then(|| random_cursor(rng)),
-            }
-        }
+        // Only the spoken version round-trips; every other is rejected at
+        // decode (covered by `unspoken_hello_versions_are_rejected_by_number`).
+        0 => WireFrame::Hello {
+            client: rng.gen(),
+            version: VERSION,
+            session: rng.gen(),
+            resume: rng.gen_bool(0.5).then(|| random_cursor(rng)),
+        },
         1 => WireFrame::Ack {
             client: rng.gen(),
             session: rng.gen(),
@@ -266,78 +255,30 @@ proptest! {
         prop_assert!(partial.len() < stream.len());
     }
 
-    /// The version gate: an old (version-1) replica meeting any version-2
-    /// construct — a resume hello, an ack, a liveness probe, an overload
-    /// rejection — returns exactly `UnsupportedVersion`, never a panic or a
-    /// structural mis-decode; legacy frames keep decoding under the cap.
+    /// A single spoken version: a hello announcing any other number — the
+    /// retired version 1 and 0 included — is rejected by exactly that
+    /// number, whatever follows the version field.
     #[test]
-    fn version_gate_rejects_cleanly(seed in 0u64..u64::MAX / 2) {
+    fn unspoken_hello_versions_are_rejected_by_number(seed in 0u64..u64::MAX / 2) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut interner = Vec::new();
-        let v2_frames = [
-            WireFrame::Hello {
-                client: rng.gen(),
-                version: VERSION,
-                session: rng.gen(),
-                resume: rng.gen_bool(0.5).then(|| random_cursor(&mut rng)),
-            },
-            WireFrame::Ack {
-                client: rng.gen(),
-                session: rng.gen(),
-                cursor: random_cursor(&mut rng),
-            },
-            WireFrame::Ping { token: rng.gen() },
-            WireFrame::Pong { token: rng.gen() },
-            WireFrame::Overloaded { client: rng.gen(), retry_after_ms: rng.gen() },
-        ];
-        for frame in &v2_frames {
-            let bytes = encode_frame(frame);
-            prop_assert!(
-                matches!(
-                    decode_frame_limited(&bytes, &mut interner, LEGACY_VERSION),
-                    Err(WireError::UnsupportedVersion(_)),
-                ),
-                "{frame:?}"
-            );
-            // The modern decoder accepts the same bytes.
-            prop_assert_eq!(decode_frame(&bytes).as_ref(), Ok(frame));
-        }
-        // Version-1 frames pass both decoders unchanged.
-        let legacy = [
-            WireFrame::Hello {
-                client: rng.gen(),
-                version: LEGACY_VERSION,
-                session: 0,
-                resume: None,
-            },
-            random_events_frame(&mut rng),
-            WireFrame::Shutdown {
-                client: rng.gen(),
-                events_sent: rng.gen(),
-                stream_fingerprint: rng.gen(),
-            },
-        ];
-        for frame in legacy {
-            let bytes = encode_frame(&frame);
-            prop_assert_eq!(
-                decode_frame_limited(&bytes, &mut interner, LEGACY_VERSION).as_ref(),
-                Ok(&frame)
-            );
-            prop_assert_eq!(decode_frame(&bytes), Ok(frame));
-        }
-        // A hello announcing a version nobody speaks is rejected by its
-        // exact number, even by the modern decoder.
-        let future: u16 = rng.gen_range(3..u16::MAX);
-        let mut bytes = encode_frame(&WireFrame::Hello {
-            client: 1,
+        let hello = WireFrame::Hello {
+            client: rng.gen(),
             version: VERSION,
-            session: 0,
-            resume: None,
-        });
-        bytes[9..11].copy_from_slice(&future.to_le_bytes());
+            session: rng.gen(),
+            resume: rng.gen_bool(0.5).then(|| random_cursor(&mut rng)),
+        };
+        let mut bytes = encode_frame(&hello);
+        prop_assert_eq!(decode_frame(&bytes).as_ref(), Ok(&hello));
+        let other: u16 = match rng.gen_range(0..4u32) {
+            0 => 0,
+            1 => 1,
+            _ => rng.gen_range(3..=u16::MAX),
+        };
+        // The version field sits after the length prefix, tag and magic.
+        bytes[9..11].copy_from_slice(&other.to_le_bytes());
         prop_assert_eq!(
             decode_frame(&bytes),
-            Err(WireError::UnsupportedVersion(future))
+            Err(WireError::UnsupportedVersion(other))
         );
     }
 }

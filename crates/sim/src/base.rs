@@ -37,7 +37,7 @@ pub enum PidDependence {
 /// a captured configuration.
 ///
 /// Base objects are also `Send`: configurations holding them migrate between
-/// worker threads during parallel exploration ([`crate::explorer::explore_par`]).
+/// worker threads during parallel exploration ([`crate::engine::explore_shared`]).
 pub trait BaseObject: fmt::Debug + Send + Sync {
     /// Atomically applies `invocation` on behalf of process `process` and
     /// returns the response.

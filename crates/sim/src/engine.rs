@@ -997,11 +997,10 @@ where
 }
 
 /// Collects the history of every terminal configuration (quiescent or at the
-/// depth bound): the one engine path behind both
-/// [`crate::explorer::terminal_histories`] and
-/// [`crate::explorer::terminal_histories_par`], selected by
-/// [`EngineOptions::workers`].  The result is sorted deterministically (by
-/// debug encoding) for every worker count.
+/// depth bound), sequentially or on the parallel path as selected by
+/// [`EngineOptions::workers`] ([`crate::explorer::terminal_histories`] is the
+/// one-worker, unreduced shorthand).  The result is sorted deterministically
+/// (by debug encoding) for every worker count.
 pub fn terminal_histories(
     implementation: &dyn Implementation,
     workload: &Workload,
@@ -1034,10 +1033,11 @@ pub fn terminal_histories(
 }
 
 /// Checks `predicate` against the history of every reachable configuration
-/// and returns a violating history if one exists: the one engine path behind
-/// [`crate::explorer::find_history_violation`] and its `_par` twin.  With one
-/// worker the *first* violation in DFS order is returned; with several, *a*
-/// violation (there is no meaningful "first" under concurrency).
+/// and returns a violating history if one exists
+/// ([`crate::explorer::find_history_violation`] is the one-worker, unreduced
+/// shorthand).  With one worker the *first* violation in DFS order is
+/// returned; with several, *a* violation (there is no meaningful "first"
+/// under concurrency).
 pub fn find_history_violation<F>(
     implementation: &dyn Implementation,
     workload: &Workload,
@@ -1080,7 +1080,7 @@ mod tests {
     use super::*;
     use crate::base::{objects, BaseObject};
     use crate::program::{LocalSpecImplementation, ProcessLogic, TaskStep};
-    use evlin_spec::{FetchIncrement, Invocation, Register, Value};
+    use evlin_spec::{FetchIncrement, Invocation, Register, TestAndSet, Value};
     use std::sync::Arc;
 
     /// A two-phase fetch&increment over one shared register per process:
@@ -1461,5 +1461,51 @@ mod tests {
         );
         assert_eq!(seq, par);
         assert!(!seq.is_empty());
+    }
+
+    #[test]
+    fn parallel_find_violation_finds_a_counterexample() {
+        let imp = LocalSpecImplementation::new(Arc::new(TestAndSet::new()), 2);
+        let w = Workload::uniform(2, TestAndSet::test_and_set(), 1);
+        let parallel = EngineOptions {
+            workers: Some(4),
+            subtrees_per_worker: 4,
+            ..EngineOptions::default()
+        };
+        // "No two operations both return 0" — violated by the local-copy
+        // implementation of test&set once both processes have completed.
+        let violation = find_history_violation(&imp, &w, &parallel, |h| {
+            h.complete_operations()
+                .iter()
+                .filter(|o| o.response == Some(evlin_spec::Value::from(0i64)))
+                .count()
+                < 2
+        });
+        assert!(violation.is_some());
+        // And no violation is reported for a property that always holds.
+        let none = find_history_violation(&imp, &w, &parallel, |h| h.len() < usize::MAX);
+        assert!(none.is_none());
+    }
+
+    #[test]
+    fn parallel_max_configs_truncates() {
+        let imp = fi_local(3);
+        let w = Workload::uniform(3, FetchIncrement::fetch_inc(), 3);
+        let stats = explore_shared(
+            &imp,
+            &w,
+            &EngineOptions {
+                limits: ExploreOptions {
+                    max_depth: 64,
+                    max_configs: 10,
+                },
+                workers: Some(4),
+                subtrees_per_worker: 4,
+                ..EngineOptions::default()
+            },
+            |_, _| Visit::Continue,
+        );
+        assert!(stats.truncated);
+        assert!(stats.visited <= 10);
     }
 }
