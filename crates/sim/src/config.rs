@@ -7,12 +7,14 @@
 //! the valency analysis and the stable-configuration search rely on.
 
 use crate::base::{BaseObject, PidDependence};
+use crate::engine::SymmetryReduction;
 use crate::fault::{FaultStep, FaultTarget};
 use crate::program::{Implementation, ProcessLogic, TaskStep};
 use crate::workload::Workload;
 use crate::zobrist::{self, TAG_EVENT, TAG_OBJECT, TAG_PROCESS};
 use evlin_history::{Event, History, ObjectId, ProcessId};
 use evlin_spec::Value;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -135,6 +137,14 @@ impl Fingerprint {
         }
     }
 
+    /// What renaming process `i` to `target` contributes to the fingerprint:
+    /// its state component in the new slot plus its events' components under
+    /// the new name.  Needs the rename rows.
+    #[inline]
+    fn rename_cost(&self, n: usize, i: usize, target: usize) -> u64 {
+        zobrist::component(TAG_PROCESS, target as u64, self.proc_raw[i]) ^ self.hist[i * n + target]
+    }
+
     /// Replaces the content hash of base object `i`.
     fn set_obj(&mut self, i: usize, raw: u64) {
         self.obj_fold ^= zobrist::component(TAG_OBJECT, i as u64, self.obj_raw[i])
@@ -170,6 +180,18 @@ fn event_body(event: &Event) -> u64 {
     event.object.hash(&mut hasher);
     event.kind.hash(&mut hasher);
     hasher.finish()
+}
+
+/// The index of the first least key (0 when there are none).  A plain loop:
+/// `enumerate().min_by_key(..)` ran the 720-candidate scan a quarter slower.
+fn first_min(keys: impl Iterator<Item = u64>) -> usize {
+    let mut best = (u64::MAX, 0);
+    for (i, key) in keys.enumerate() {
+        if key < best.0 {
+            best = (key, i);
+        }
+    }
+    best.1
 }
 
 /// One slot of the step-shape memo: `None` = not computed for the current
@@ -471,9 +493,11 @@ impl Config {
     /// This is what the symmetry reduction minimizes over all permutations to
     /// pick a canonical representative; it agrees with
     /// [`Config::fingerprint`] after [`Config::apply_permutation`] with the
-    /// same permutation.  Sound only when process programmes do not embed
-    /// their own identity and every base object declares its process-id
-    /// dependence (see [`crate::engine::SymmetryReduction`]).
+    /// same permutation.  The key is `obj(perm) ^ XOR_i cost(i, perm[i])`:
+    /// `n` key mixes whatever the history length, plus a rehash of each
+    /// pid-dependent base object.  Sound only when process programmes do not
+    /// embed their own identity and every base object declares its
+    /// process-id dependence (see [`crate::engine::SymmetryReduction`]).
     pub fn fingerprint_permuted(&self, perm: &[usize]) -> u64 {
         let n = self.processes.len();
         if n > MAX_TRACKED_PROCESSES {
@@ -483,13 +507,21 @@ impl Config {
             renamed.apply_permutation(perm);
             return renamed.fingerprint();
         }
-        if self.fp_live && self.fp.tracks_renames(n) {
-            self.permuted_key(&self.fp, perm, self.permutable_components(&self.fp, perm))
+        let fp = self.rename_rows();
+        perm.iter()
+            .enumerate()
+            .fold(self.permutable_components(&fp, perm), |key, (i, &t)| {
+                key ^ fp.rename_cost(n, i, t)
+            })
+    }
+
+    /// The maintained components if they carry the rename rows, else (tracking
+    /// off, or a non-canonicalizing walk) a one-off rebuild that does.
+    fn rename_rows(&self) -> Cow<'_, Fingerprint> {
+        if self.fp_live && self.fp.tracks_renames(self.processes.len()) {
+            Cow::Borrowed(&self.fp)
         } else {
-            // Rows not maintained (tracking off, or a non-canonicalizing
-            // walk): derive them once for this call.
-            let fp = self.rebuild_fingerprint_with(true);
-            self.permuted_key(&fp, perm, self.permutable_components(&fp, perm))
+            Cow::Owned(self.rebuild_fingerprint_with(true))
         }
     }
 
@@ -509,20 +541,6 @@ impl Config {
         fold
     }
 
-    /// The renamed fingerprint from precomputed components: `n` process-state
-    /// folds plus `n` history-row folds — O(n) per candidate permutation,
-    /// independent of the history length.
-    fn permuted_key(&self, fp: &Fingerprint, perm: &[usize], obj_fold: u64) -> u64 {
-        let n = self.processes.len();
-        let mut proc_fold = 0u64;
-        let mut hist_fold = 0u64;
-        for (i, &target) in perm.iter().enumerate() {
-            proc_fold ^= zobrist::component(TAG_PROCESS, target as u64, fp.proc_raw[i]);
-            hist_fold ^= fp.hist[i * n + target];
-        }
-        obj_fold ^ proc_fold ^ hist_fold
-    }
-
     /// Picks the permutation (an index into `perms`) whose renaming of this
     /// configuration has the least canonical key — the argmin the symmetry
     /// reduction rewrites configurations with.  Renamings of one another
@@ -530,33 +548,47 @@ impl Config {
     /// key is a function of the renamed configuration alone (it equals
     /// [`Config::fingerprint_permuted`] of that renaming).
     ///
-    /// The per-process and per-event components are maintained incrementally
-    /// by [`Config::step`], so the `n!` candidates cost `O(n)` word folds
-    /// each — the history is never rehashed, even though this runs once per
-    /// configuration visited under symmetry reduction.
+    /// Only `n²` distinct (process, rename target) pairs exist, so their
+    /// costs are mixed once per call into an `n × n` table on the stack and
+    /// each of the `n!` candidates is `n` table lookups XORed together: no
+    /// key is mixed twice and the history is never rehashed.  Pid-dependent
+    /// base objects are looked for once per call and, only if one exists,
+    /// rehashed per candidate.
+    ///
+    /// Ties go to the **first** index attaining the minimum, and ties are
+    /// routine (processes that have recorded no event yet have equal rows).
+    /// That order is load-bearing: the identity wins whenever it is minimal
+    /// (canonicalization is idempotent), and the chosen renaming's history
+    /// is what visitors, checkpointed frontiers and spilled runs see.
     pub fn canonical_permutation(&self, perms: &[Vec<usize>]) -> usize {
-        let rebuilt;
-        let fp = if self.fp_live && self.fp.tracks_renames(self.processes.len()) {
-            &self.fp
-        } else {
-            rebuilt = self.rebuild_fingerprint_with(true);
-            &rebuilt
-        };
-        debug_assert!(
-            fp.tracks_renames(self.processes.len()),
-            "canonicalization requires tracked rename components"
-        );
-        let mut best = 0usize;
-        let mut best_key = u64::MAX;
-        for (i, perm) in perms.iter().enumerate() {
-            let obj_fold = self.permutable_components(fp, perm);
-            let key = self.permuted_key(fp, perm, obj_fold);
-            if key < best_key {
-                best_key = key;
-                best = i;
+        const MAX: usize = SymmetryReduction::MAX_PROCESSES;
+        let n = self.processes.len();
+        if n > MAX {
+            // Wider than any group the reduction builds: no table (and past
+            // the tracked bound, a physical rename per candidate).
+            return first_min(perms.iter().map(|perm| self.fingerprint_permuted(perm)));
+        }
+        let fp = self.rename_rows();
+        let mut cost = [[0u64; MAX]; MAX];
+        for (i, row) in cost.iter_mut().enumerate().take(n) {
+            for (t, word) in row.iter_mut().enumerate().take(n) {
+                *word = fp.rename_cost(n, i, t);
             }
         }
-        best
+        let permutable = self
+            .base
+            .iter()
+            .any(|b| b.pid_dependence() == PidDependence::Permutable);
+        first_min(perms.iter().map(|perm| {
+            let obj = if permutable {
+                self.permutable_components(&fp, perm)
+            } else {
+                fp.obj_fold
+            };
+            cost.iter()
+                .zip(perm)
+                .fold(obj, |key, (row, &t)| key ^ row[t])
+        }))
     }
 
     /// Physically renames the processes: process `i` becomes `perm[i]`,
@@ -566,19 +598,44 @@ impl Config {
     /// Used by the symmetry reduction to rewrite a configuration into its
     /// canonical representative.  Sound only under the conditions checked by
     /// [`crate::engine::SymmetryReduction::detect`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `perm` is not a permutation of the process indices.
     pub fn apply_permutation(&mut self, perm: &[usize]) {
-        assert_eq!(perm.len(), self.processes.len(), "permutation arity");
-        self.shape_memo.clear();
         let n = self.processes.len();
-        let old = std::mem::take(&mut self.processes);
-        let mut slots: Vec<Option<ProcessState>> = (0..old.len()).map(|_| None).collect();
-        for (i, state) in old.into_iter().enumerate() {
-            slots[perm[i]] = Some(state);
+        assert_eq!(perm.len(), n, "permutation arity");
+        assert!(
+            (0..n).all(|t| perm.contains(&t)),
+            "perm must be a bijection"
+        );
+        self.shape_memo.clear();
+        // Process `p`'s state, content hash and history row (`hist[p][·]`:
+        // its events under every rename target) move to slot `perm[p]`, in
+        // place: each cycle is walked once, from its least slot `s`, and
+        // swapping `s` with the cycle's other slots in turn puts every
+        // element where `perm` sends it.
+        let renames = self.fp_live && self.fp.tracks_renames(n);
+        for s in 0..n {
+            let mut j = perm[s];
+            while j > s {
+                j = perm[j];
+            }
+            if j < s {
+                continue; // already walked from a lesser slot
+            }
+            j = perm[s];
+            while j != s {
+                self.processes.swap(s, j);
+                if renames {
+                    self.fp.proc_raw.swap(s, j);
+                    for q in 0..n {
+                        self.fp.hist.swap(s * n + q, j * n + q);
+                    }
+                }
+                j = perm[j];
+            }
         }
-        self.processes = slots
-            .into_iter()
-            .map(|s| s.expect("perm must be a bijection"))
-            .collect();
         let fp_live = self.fp_live;
         for (i, b) in self.base.iter_mut().enumerate() {
             if b.pid_dependence() == PidDependence::Permutable {
@@ -591,34 +648,17 @@ impl Config {
         }
         let map: Vec<ProcessId> = perm.iter().map(|&i| ProcessId(i)).collect();
         self.history.rename_processes(&map);
-        if !self.fp_live {
-            return;
-        }
-        // Rename the fingerprint components along: process contents move to
-        // their new positions, and each history row `hist[p][·]` (events of
-        // old process `p` under every rename target) becomes the row of
-        // `perm[p]`; the identity fold of the renamed configuration is the
-        // old `perm`-fold.
-        let old_proc_raw = std::mem::take(&mut self.fp.proc_raw);
-        let mut proc_raw = vec![0u64; n];
-        let mut proc_fold = 0u64;
-        for (i, &target) in perm.iter().enumerate() {
-            proc_raw[target] = old_proc_raw[i];
-            proc_fold ^= zobrist::component(TAG_PROCESS, target as u64, old_proc_raw[i]);
-        }
-        self.fp.proc_raw = proc_raw;
-        self.fp.proc_fold = proc_fold;
-        if self.fp.tracks_renames(n) {
-            let old_hist = std::mem::take(&mut self.fp.hist);
-            let mut hist = vec![0u64; n * n];
-            let mut hist_id = 0u64;
-            for (p, &target) in perm.iter().enumerate() {
-                hist[target * n..(target + 1) * n].copy_from_slice(&old_hist[p * n..(p + 1) * n]);
-                hist_id ^= old_hist[p * n + target];
+        if renames {
+            // Every process component sits in a new slot, and the identity
+            // fold of the renamed history is the diagonal of the moved rows.
+            let fp = &mut self.fp;
+            fp.proc_fold = 0;
+            fp.hist_id = 0;
+            for t in 0..n {
+                fp.proc_fold ^= zobrist::component(TAG_PROCESS, t as u64, fp.proc_raw[t]);
+                fp.hist_id ^= fp.hist[t * n + t];
             }
-            self.fp.hist = hist;
-            self.fp.hist_id = hist_id;
-        } else {
+        } else if fp_live {
             self.fp = self.rebuild_fingerprint();
         }
         debug_assert!(
@@ -1020,6 +1060,59 @@ mod tests {
         assert_eq!(renamed.fingerprint(), expected);
         // The identity permutation is a no-op.
         assert_eq!(c.fingerprint_permuted(&[0, 1]), c.fingerprint());
+    }
+
+    #[test]
+    fn canonicalization_is_idempotent_at_six_processes() {
+        let imp = fi_local(6);
+        let w = Workload::uniform(6, FetchIncrement::fetch_inc(), 2);
+        let perms = crate::engine::permutations(6);
+        let mut c = Config::initial(&imp, &w);
+        c.set_fingerprint_tracking(true, true);
+        // All six start identical: every renaming ties and the identity wins.
+        assert_eq!(c.canonical_permutation(&perms), 0);
+        let mut moved = 0;
+        for p in [5, 3, 5, 1, 4, 3, 0, 2] {
+            c.step(ProcessId(p));
+            let best = c.canonical_permutation(&perms);
+            moved += usize::from(best != 0);
+            c.apply_permutation(&perms[best]);
+            assert_eq!(c.canonical_permutation(&perms), 0, "after stepping {p}");
+            assert_eq!(c.fingerprint(), c.fingerprint_permuted(&perms[0]));
+        }
+        assert!(moved > 0, "no step left the canonical representative");
+    }
+
+    #[test]
+    #[should_panic(expected = "perm must be a bijection")]
+    fn apply_permutation_rejects_a_non_bijection() {
+        let imp = fi_local(2);
+        let w = Workload::uniform(2, FetchIncrement::fetch_inc(), 1);
+        Config::initial(&imp, &w).apply_permutation(&[1, 1]);
+    }
+
+    #[test]
+    fn canonical_permutation_wider_than_the_table_falls_back() {
+        // 7 processes overflow the cost table; 17 have no rename rows at all,
+        // so every candidate is a physical rename.
+        for n in [
+            SymmetryReduction::MAX_PROCESSES + 1,
+            MAX_TRACKED_PROCESSES + 1,
+        ] {
+            let imp = fi_local(n);
+            let w = Workload::uniform(n, FetchIncrement::fetch_inc(), 1);
+            let mut c = Config::initial(&imp, &w);
+            c.set_fingerprint_tracking(true, true);
+            c.step(ProcessId(n - 1));
+            let identity: Vec<usize> = (0..n).collect();
+            let mut swap = identity.clone();
+            swap.swap(0, n - 1);
+            let perms = [identity, swap];
+            let keys: Vec<u64> = perms.iter().map(|p| c.fingerprint_permuted(p)).collect();
+            assert_ne!(keys[0], keys[1]);
+            let expected = usize::from(keys[1] < keys[0]);
+            assert_eq!(c.canonical_permutation(&perms), expected, "{n} processes");
+        }
     }
 
     #[test]

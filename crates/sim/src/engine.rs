@@ -361,9 +361,12 @@ pub struct SymmetryReduction {
 }
 
 impl SymmetryReduction {
-    /// Largest process count for which canonicalization is attempted: each
-    /// visited configuration is hashed once per permutation, so the cost
-    /// grows as `n!`.
+    /// Largest process count for which canonicalization is attempted.  Each
+    /// visited configuration mixes `n²` rename costs into a table once and
+    /// then XORs `n` table words for each of the `n!` renamings
+    /// ([`Config::canonical_permutation`]): the factorial term is lookups,
+    /// not hashing, but it still grows as `n!` — 720 candidates at 6, 5040
+    /// at 7.  The bound also sizes that table.
     pub const MAX_PROCESSES: usize = 6;
 
     /// Decides applicability against `root` (see the type docs) and builds

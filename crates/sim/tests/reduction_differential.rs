@@ -11,17 +11,26 @@
 //!   process-symmetric predicate reports a violation under a reduction iff
 //!   the unreduced engine does.
 //!
-//! The quick test runs a fixed seed range on every `cargo test`; the
-//! `#[ignore]`d extended test honours the `EVLIN_DIFF_CASES` environment
-//! variable and is exercised by the nightly CI fuzz job.
+//! Two cross-check modes pin the fingerprint machinery the canonicalizing
+//! strategies stand on: the maintained fingerprint against a full rehash and
+//! a physical renaming ([`check_fingerprint_seed`]), and the table-driven
+//! `canonical_permutation` against the first-minimum argmin of
+//! `fingerprint_permuted` over every renaming ([`check_argmin_seed`]).
+//!
+//! The quick tests run fixed seed ranges on every `cargo test`; the
+//! `#[ignore]`d extended tests honour the `EVLIN_DIFF_CASES` environment
+//! variable and are exercised by the nightly CI fuzz job.
 
 use evlin_algorithms::{CasFetchInc, GossipFetchInc, NoisyPrefixFetchInc};
 use evlin_checker::{linearizability, weak_consistency};
 use evlin_history::{History, ObjectUniverse, ProcessId};
+use evlin_sim::base::BaseObject;
+use evlin_sim::config::Config;
 use evlin_sim::engine::{self, EngineOptions, ExploreOptions, Reduction, Visit};
-use evlin_sim::program::{Implementation, LocalSpecImplementation};
+use evlin_sim::eventually::{EventuallyLinearizable, StabilizationPolicy};
+use evlin_sim::program::{Implementation, LocalSpecImplementation, ProcessLogic, TaskStep};
 use evlin_sim::workload::Workload;
-use evlin_spec::{FetchIncrement, ObjectType, Register, TestAndSet, Value};
+use evlin_spec::{FetchIncrement, Invocation, ObjectType, Register, TestAndSet, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -334,6 +343,167 @@ fn check_fingerprint_seed(seed: u64) {
     }
 }
 
+/// Fetch&increment read straight off one *eventually linearizable* base
+/// object: every operation is a single access whose response it returns.
+/// The programme embeds no process id, while the object's local copies and
+/// replay log are keyed by one (`PidDependence::Permutable`) — the one shape
+/// whose object components differ from renaming to renaming.
+#[derive(Debug)]
+struct EvFetchInc {
+    processes: usize,
+    policy: StabilizationPolicy,
+}
+
+#[derive(Debug, Clone)]
+struct EvFetchIncLogic {
+    invocation: Option<Invocation>,
+}
+
+impl Implementation for EvFetchInc {
+    fn name(&self) -> String {
+        "fetch&inc off an eventually linearizable object".into()
+    }
+
+    fn processes(&self) -> usize {
+        self.processes
+    }
+
+    fn initial_base_objects(&self) -> Vec<Box<dyn BaseObject>> {
+        vec![Box::new(EventuallyLinearizable::new(
+            Arc::new(FetchIncrement::new()),
+            self.policy,
+        ))]
+    }
+
+    fn new_process(&self, _process: ProcessId) -> Box<dyn ProcessLogic> {
+        Box::new(EvFetchIncLogic { invocation: None })
+    }
+}
+
+impl ProcessLogic for EvFetchIncLogic {
+    fn begin(&mut self, invocation: Invocation) {
+        self.invocation = Some(invocation);
+    }
+
+    fn step(&mut self, previous_response: Option<Value>) -> TaskStep {
+        match previous_response {
+            Some(response) => TaskStep::Complete(response),
+            None => TaskStep::Access {
+                object: 0,
+                invocation: self.invocation.clone().expect("operation begun"),
+            },
+        }
+    }
+
+    fn clone_box(&self) -> Box<dyn ProcessLogic> {
+        Box::new(self.clone())
+    }
+}
+
+/// What the argmin cases exercised, so the quick test can insist that the
+/// seed range met every situation the check exists for.
+#[derive(Debug, Default)]
+struct ArgminSeen {
+    /// Group sizes checked.
+    processes: BTreeSet<usize>,
+    /// States whose least key is shared by several renamings *and* first
+    /// attained off the identity — where the index, not just the key, is
+    /// what is being compared.
+    tied_off_identity: usize,
+    /// States checked with a pid-dependent base object.
+    permutable: usize,
+    /// States checked with a positive fault budget.
+    faulty: usize,
+}
+
+/// `canonical_permutation` against its definition: the first index of
+/// `perms` minimizing `fingerprint_permuted`.
+fn check_argmin(config: &Config, perms: &[Vec<usize>], context: &str) -> bool {
+    let keys: Vec<u64> = perms
+        .iter()
+        .map(|perm| config.fingerprint_permuted(perm))
+        .collect();
+    let least = *keys.iter().min().expect("at least the identity");
+    let first = keys.iter().position(|&key| key == least).expect("present");
+    assert_eq!(
+        config.canonical_permutation(perms),
+        first,
+        "{context}: not the first least renaming"
+    );
+    first != 0 && keys.iter().filter(|&&key| key == least).count() > 1
+}
+
+/// Argmin cross-check mode: the configurations the engine hands to
+/// `canonical_permutation` are the *children* of canonical representatives,
+/// before normalization, with rename rows maintained step by step — so those
+/// are what gets sampled, under the strategy that canonicalizes.  One child
+/// per sampled state is also checked with tracking off (the rebuild path).
+fn check_argmin_seed(seed: u64, seen: &mut ArgminSeen) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Fifteen consecutive seeds cover every (group size, family) pair.
+    let processes = 2 + (seed % 5) as usize;
+    let family = (seed / 5) % 3;
+    let ops = rng.gen_range(1..3usize);
+    let fault_budget = rng.gen_range(0..2usize);
+    let implementation: Box<dyn Implementation> = match family {
+        // Untouched local copies are identical, so renamings tie all the way.
+        0 => Box::new(LocalSpecImplementation::new(
+            Arc::new(FetchIncrement::new()),
+            processes,
+        )),
+        1 => Box::new(CasFetchInc::new(processes)),
+        _ => Box::new(EvFetchInc {
+            processes,
+            policy: StabilizationPolicy::AfterAccesses(rng.gen_range(1..6usize)),
+        }),
+    };
+    let name = format!(
+        "seed {seed} ({}, {processes}p×{ops}, k={fault_budget})",
+        implementation.name()
+    );
+    let workload = Workload::uniform(processes, FetchIncrement::fetch_inc(), ops);
+    let perms = engine::permutations(processes);
+    let options = EngineOptions {
+        limits: ExploreOptions {
+            max_depth: 14,
+            max_configs: 5_000,
+        },
+        workers: Some(1),
+        reduction: Reduction::SleepSetSymmetry,
+        fault_budget,
+        ..EngineOptions::default()
+    };
+    let mut visited = 0usize;
+    let mut checked = 0usize;
+    engine::explore(implementation.as_ref(), &workload, &options, |config, _| {
+        visited += 1;
+        if visited % 11 != 1 {
+            return Visit::Continue;
+        }
+        for (k, p) in config.enabled_processes().into_iter().enumerate() {
+            let mut child = config.clone();
+            child.step(p);
+            let tied = check_argmin(&child, &perms, &name);
+            if k == 0 {
+                child.set_fingerprint_tracking(false, false);
+                check_argmin(&child, &perms, &name);
+            }
+            checked += 1;
+            seen.tied_off_identity += usize::from(tied);
+            seen.permutable += usize::from(family == 2);
+            seen.faulty += usize::from(fault_budget > 0);
+        }
+        // The reference side costs `n!` renamed fingerprints per state.
+        if checked * perms.len() > 6_000 {
+            Visit::Stop
+        } else {
+            Visit::Continue
+        }
+    });
+    assert!(checked > 0, "{name}: nothing checked");
+    seen.processes.insert(processes);
+}
+
 #[test]
 fn reductions_agree_with_unreduced_engine_on_random_configs() {
     for seed in 0..12 {
@@ -345,6 +515,33 @@ fn reductions_agree_with_unreduced_engine_on_random_configs() {
 fn fingerprints_match_full_rehash_on_visited_states() {
     for seed in 0..8 {
         check_fingerprint_seed(seed);
+    }
+}
+
+#[test]
+fn canonical_permutation_is_the_first_least_renaming() {
+    let mut seen = ArgminSeen::default();
+    for seed in 0..15 {
+        check_argmin_seed(seed, &mut seen);
+    }
+    assert_eq!(seen.processes, (2..=6).collect(), "{seen:?}");
+    assert!(
+        seen.tied_off_identity > 0 && seen.permutable > 0 && seen.faulty > 0,
+        "the seed range missed a situation: {seen:?}"
+    );
+}
+
+/// Extended nightly argmin cross-check: `EVLIN_DIFF_CASES` seeds.
+#[test]
+#[ignore = "long-running; exercised by the nightly fuzz job"]
+fn canonical_permutation_is_the_first_least_renaming_extended() {
+    let cases: u64 = std::env::var("EVLIN_DIFF_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(300);
+    let mut seen = ArgminSeen::default();
+    for seed in 3_000..3_000 + cases {
+        check_argmin_seed(seed, &mut seen);
     }
 }
 
