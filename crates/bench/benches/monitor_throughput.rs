@@ -1,10 +1,16 @@
 //! E11/E16 bench: sustained throughput of the online consistency monitor.
 //!
-//! Four complementary measurements:
+//! Five complementary measurements:
 //!
 //! * `ingest` — the monitor alone, fed a pre-generated well-formed
 //!   fetch&increment stream (no worker threads, no channel): the pure cost
 //!   of quiescent-cut segmentation + per-segment checking, in events/s;
+//! * `wide/{16,1024}` — the same, with the operations spread over that many
+//!   counters and 4096-event segments (one service shard's view of E14's
+//!   workload): a monitor whose per-segment work is linear in events costs
+//!   about the same at both widths, one that re-reads the segment per object
+//!   does not — the 1024-object baseline is held within 1.5× of the
+//!   16-object one;
 //! * `live` — the single-channel pipeline of experiment E11 (real threads →
 //!   streaming recorder → bounded SPSC channel → monitor thread), in
 //!   checked-ops/s;
@@ -14,12 +20,12 @@
 //! * `pipelined/merge` — the transport + merge alone (shards → `recv_sorted`
 //!   drain, no monitor), in events/s: the ceiling the transport imposes.
 //!
-//! The CI `bench-gate` job compares the `ingest`, `live` and `pipelined`
-//! means against the baselines committed in BENCH_checker.json.
+//! The CI `bench-gate` job compares the `ingest`, `wide`, `live` and
+//! `pipelined` means against the baselines committed in BENCH_checker.json.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use evlin_checker::monitor::{Monitor, MonitorConfig};
-use evlin_history::{Event, HistoryBuilder, ObjectUniverse, ProcessId};
+use evlin_history::{Event, ObjectId, ObjectUniverse, ProcessId};
 use evlin_runtime::counter::FetchAddCounter;
 use evlin_runtime::harness::{
     run_counter_workload_monitored, run_counter_workload_pipelined, HarnessOptions, PipelineOptions,
@@ -34,25 +40,33 @@ fn fi_universe() -> ObjectUniverse {
 }
 
 /// A well-formed fetch&increment stream of `ops` operations by `processes`
-/// overlapping processes: rounds of concurrent invocations followed by their
-/// responses, so quiescent cuts occur once per round.
-fn overlapping_stream(ops: usize, processes: usize) -> Vec<Event> {
-    let x = evlin_history::ObjectId(0);
-    let mut b = HistoryBuilder::new();
-    let mut value = 0i64;
+/// overlapping processes over `objects` counters: rounds of concurrent
+/// invocations followed by their responses, so quiescent cuts occur once per
+/// round.  Each operation of a round hits the next counter in turn, so with
+/// many counters a 4096-event segment names every one of them (up to 1024) a
+/// few times.
+fn overlapping_stream(ops: usize, processes: usize, objects: usize) -> Vec<Event> {
+    let mut values = vec![0i64; objects];
+    let mut events = Vec::with_capacity(2 * ops);
     let mut done = 0usize;
     while done < ops {
         let round = processes.min(ops - done);
+        let object = |p: usize| ObjectId((done + p) % objects);
         for p in 0..round {
-            b = b.invoke(ProcessId(p), x, FetchIncrement::fetch_inc());
+            events.push(Event::invoke(
+                ProcessId(p),
+                object(p),
+                FetchIncrement::fetch_inc(),
+            ));
         }
         for p in 0..round {
-            b = b.respond(ProcessId(p), x, Value::from(value));
-            value += 1;
+            let x = object(p);
+            events.push(Event::respond(ProcessId(p), x, Value::from(values[x.0])));
+            values[x.0] += 1;
         }
         done += round;
     }
-    b.build().into_iter().collect()
+    events
 }
 
 fn monitor_config() -> MonitorConfig {
@@ -66,7 +80,7 @@ fn monitor_config() -> MonitorConfig {
 fn bench_ingest(c: &mut Criterion) {
     let mut group = c.benchmark_group("monitor/ingest");
     for &ops in &[100_000usize, 1_000_000] {
-        let events = overlapping_stream(ops, 4);
+        let events = overlapping_stream(ops, 4, 1);
         group.throughput(Throughput::Elements(events.len() as u64));
         group.bench_with_input(BenchmarkId::from_parameter(ops), &events, |b, events| {
             b.iter(|| {
@@ -80,6 +94,41 @@ fn bench_ingest(c: &mut Criterion) {
                 report
             });
         });
+    }
+    group.finish();
+}
+
+fn bench_wide(c: &mut Criterion) {
+    let mut group = c.benchmark_group("monitor/wide");
+    let ops = 100_000usize;
+    for &objects in &[16usize, 1024] {
+        let events = overlapping_stream(ops, 4, objects);
+        let mut universe = ObjectUniverse::new();
+        for _ in 0..objects {
+            universe.add_object(FetchIncrement::new());
+        }
+        let config = MonitorConfig {
+            min_segment_events: 4096,
+            segment_batch: 8,
+            ..MonitorConfig::default()
+        };
+        group.throughput(Throughput::Elements(events.len() as u64));
+        group.bench_with_input(
+            BenchmarkId::new(objects.to_string(), ops),
+            &events,
+            |b, events| {
+                b.iter(|| {
+                    let mut monitor = Monitor::new(universe.clone(), config);
+                    monitor
+                        .ingest_all(events.iter().cloned())
+                        .expect("well-formed stream");
+                    let report = monitor.finish();
+                    assert!(report.verdict.is_ok());
+                    assert_eq!(report.stats.checked_ops, ops);
+                    report
+                });
+            },
+        );
     }
     group.finish();
 }
@@ -155,7 +204,7 @@ fn bench_pipelined(c: &mut Criterion) {
         BenchmarkId::new("merge", events),
         &producers,
         |b, &producers| {
-            let x = evlin_history::ObjectId(0);
+            let x = ObjectId(0);
             b.iter(|| {
                 let (shards, mut merge) = sharded_recorder(producers, 512, 8, None);
                 std::thread::scope(|s| {
@@ -189,6 +238,7 @@ fn bench_pipelined(c: &mut Criterion) {
 criterion_group!(
     monitor_throughput,
     bench_ingest,
+    bench_wide,
     bench_live,
     bench_pipelined
 );

@@ -6,9 +6,11 @@
 //! * `service/recovery/journal` — the write path: append + fsync 32
 //!   accepted `EVENTS` frames to a fresh `EVJL` journal, exactly what a
 //!   replica connection pays before each durability ack.  The CI gate pins
-//!   this at ≤10% of the `service/saturation/s4` pipeline mean (52 ms for
-//!   40 k ops), so journaling stays a tax rather than quietly becoming
-//!   the bottleneck.
+//!   this at about a ninth of the `service/saturation/s4` pipeline mean
+//!   (3.1 ms against 28 ms for 40 k ops; it was sized at a tenth of the
+//!   52 ms that pipeline took before the monitor's check stage became
+//!   linear in events), so journaling stays a tax rather than quietly
+//!   becoming the bottleneck.
 //! * `service/recovery/resume` — the read path: [`Journal::recover`] over
 //!   a 128-frame journal, re-validating every record (structure,
 //!   wire codec, chained fingerprint) the way both session resumption and
@@ -24,8 +26,8 @@ use evlin_spec::{FetchIncrement, Value};
 use std::path::PathBuf;
 
 /// Frames per journal-append iteration: sized so the fsync-dominated write
-/// path stays ≤10% of the `service/saturation/s4` pipeline mean — the gate
-/// that keeps durability a tax, not the bottleneck.
+/// path stays near a tenth of the `service/saturation/s4` pipeline mean —
+/// the gate that keeps durability a tax, not the bottleneck.
 const JOURNAL_FRAMES: u64 = 32;
 /// Frames per recovery iteration (validation scales linearly; a longer
 /// journal makes the per-record cost visible above the file-open noise).

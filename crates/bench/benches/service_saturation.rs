@@ -4,10 +4,12 @@
 //! four producer clients stream a 1024-object fetch&add workload over the
 //! in-process transport into a replica pool of 1 or 4 shards.  Elements =
 //! completed operations, so the printed rate is checked-ops/s — directly
-//! comparable with `monitor/live` and `monitor/pipelined`.  The 1→4 gap is
-//! the per-shard projection reduction (each replica projects only its own
-//! objects out of every multi-object segment); see the module docs of
-//! `e14_service_saturation` for why this holds even on one core.
+//! comparable with `monitor/live` and `monitor/pipelined`.  A monitor's
+//! check work per event does not depend on how many objects it is
+//! responsible for, so 1 and 4 shards do the same total work and differ only
+//! by how much of it runs in parallel (see the module docs of
+//! `e14_service_saturation`); `monitor/wide/*` in `monitor_throughput` gates
+//! the single-monitor half of that statement.
 //!
 //! The CI `bench-gate` job compares both means against the baselines in
 //! BENCH_checker.json (threaded-bench tolerance).

@@ -18,7 +18,7 @@
 //!   within the first `t` events or by pending operations, subject to the
 //!   same precedence thresholds — a greedy matching decides feasibility.
 
-use evlin_history::History;
+use evlin_history::{Event, EventKind, History, ObjectId, ProcessId};
 use std::fmt;
 
 /// Errors returned when a history is not a pure single-object
@@ -61,20 +61,21 @@ struct FiOp {
     response: Option<i64>,
 }
 
-fn extract(history: &History) -> Result<Vec<FiOp>, FiError> {
+fn extract<'a>(events: impl IntoIterator<Item = &'a Event>) -> Result<Vec<FiOp>, FiError> {
     // One fused sweep over the events checks well-formedness, the
     // single-object and fetch_inc-only constraints, and collects the
     // operations — the histories this fast path exists for have hundreds of
     // thousands of events, so the separate `is_well_formed` / `objects()` /
     // `operations()` passes (and their per-operation record clones) matter.
-    use evlin_history::EventKind;
+    // Indices are positions in `events`, whatever larger history the caller
+    // picked them from.
     let mut ops: Vec<FiOp> = Vec::new();
     // Pending operation per process: `(process, index into ops)`.  A linear
     // scan is faster than a map for the handful of processes real histories
     // have.
-    let mut pending: Vec<(evlin_history::ProcessId, usize)> = Vec::new();
-    let mut object: Option<evlin_history::ObjectId> = None;
-    for (i, e) in history.events().iter().enumerate() {
+    let mut pending: Vec<(ProcessId, usize)> = Vec::new();
+    let mut object: Option<ObjectId> = None;
+    for (i, e) in events.into_iter().enumerate() {
         match object {
             Some(o) if o != e.object => return Err(FiError::MultipleObjects),
             Some(_) => {}
@@ -118,8 +119,24 @@ fn extract(history: &History) -> Result<Vec<FiOp>, FiError> {
 /// Returns an [`FiError`] if the history is not a well-formed single-object
 /// fetch&increment history.
 pub fn is_t_linearizable(history: &History, initial: i64, t: usize) -> Result<bool, FiError> {
-    let ops = extract(history)?;
-    Ok(check(&ops, initial, t, history.len()))
+    is_t_linearizable_events(history.events(), initial, t)
+}
+
+/// [`is_t_linearizable`] over a borrowed event sequence, with `t` counted in
+/// positions of that sequence.  A caller that holds a projection `H|o` as
+/// positions into a larger history (the online monitor does) checks it in
+/// place, without materializing a [`History`].
+///
+/// # Errors
+///
+/// Returns an [`FiError`] if the events are not a well-formed single-object
+/// fetch&increment history.
+pub fn is_t_linearizable_events<'a>(
+    events: impl IntoIterator<Item = &'a Event>,
+    initial: i64,
+    t: usize,
+) -> Result<bool, FiError> {
+    Ok(check(&extract(events)?, initial, t))
 }
 
 /// Decides linearizability (`t = 0`) of a pure fetch&increment history.
@@ -140,14 +157,14 @@ pub fn is_linearizable(history: &History, initial: i64) -> Result<bool, FiError>
 /// Returns an [`FiError`] if the history is not a well-formed single-object
 /// fetch&increment history.
 pub fn min_stabilization(history: &History, initial: i64) -> Result<usize, FiError> {
-    let ops = extract(history)?;
+    let ops = extract(history.events())?;
     let len = history.len();
     let mut lo = 0usize;
     let mut hi = len;
-    debug_assert!(check(&ops, initial, len, len), "t = |H| must always work");
+    debug_assert!(check(&ops, initial, len), "t = |H| must always work");
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if check(&ops, initial, mid, len) {
+        if check(&ops, initial, mid) {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -157,7 +174,7 @@ pub fn min_stabilization(history: &History, initial: i64) -> Result<usize, FiErr
 }
 
 /// Core feasibility check for a given `t`.
-fn check(ops: &[FiOp], initial: i64, t: usize, _history_len: usize) -> bool {
+fn check(ops: &[FiOp], initial: i64, t: usize) -> bool {
     // Partition the operations (by index into `ops`).
     let mut late: Vec<usize> = Vec::new(); // completed, response at index >= t (fixed slot)
     let mut fillers: Vec<usize> = Vec::new(); // early-completed or pending (free slot)
@@ -445,6 +462,35 @@ mod tests {
             .respond(ProcessId(0), x, Value::from(0i64))
             .build();
         assert_eq!(is_linearizable(&ill_formed, 0), Err(FiError::IllFormed));
+    }
+
+    #[test]
+    fn events_entry_point_reads_a_projection_in_place() {
+        // Two interleaved counters: picking one's events out of the shared
+        // history, by position, decides exactly what its projection does.
+        let mut u = ObjectUniverse::new();
+        let x = u.add_object(FetchIncrement::new());
+        let y = u.add_object(FetchIncrement::new());
+        let h = HistoryBuilder::new()
+            .invoke(ProcessId(0), x, FetchIncrement::fetch_inc())
+            .invoke(ProcessId(1), y, FetchIncrement::fetch_inc())
+            .respond(ProcessId(1), y, Value::from(5i64))
+            .respond(ProcessId(0), x, Value::from(0i64))
+            .complete(
+                ProcessId(1),
+                x,
+                FetchIncrement::fetch_inc(),
+                Value::from(1i64),
+            )
+            .build();
+        assert_eq!(is_linearizable(&h, 0), Err(FiError::MultipleObjects));
+        for (object, initial) in [(x, 0), (y, 0), (y, 5)] {
+            let in_place = h.events().iter().filter(|e| e.object == object);
+            assert_eq!(
+                is_t_linearizable_events(in_place, initial, 0),
+                is_linearizable(&h.project_object(object), initial),
+            );
+        }
     }
 
     /// Differential test against the generic checker on random small

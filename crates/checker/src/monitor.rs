@@ -39,10 +39,10 @@
 //!
 //! * [`MonitorIngest`] — the per-event half: well-formedness filtering,
 //!   window maintenance and quiescent-cut detection.  It is deliberately
-//!   allocation-light (flat per-process pending slots, per-segment metadata
-//!   tracked as events arrive) so the hot path costs a few dozen
-//!   nanoseconds per event.  Closed segments accumulate into opaque
-//!   [`SegmentBatch`]es.
+//!   allocation-light (flat per-process pending slots, one counter and one
+//!   fingerprint word per event) so the hot path costs a few dozen
+//!   nanoseconds per event, however many objects the stream names.  Closed
+//!   segments accumulate into opaque [`SegmentBatch`]es.
 //! * [`MonitorCheck`] — the per-segment half: frontier threading, kernel
 //!   searches and the fetch&increment fast path.  Batches are `Send`, so a
 //!   pipelined caller ships them to a dedicated checker thread and keeps
@@ -69,12 +69,18 @@
 //! composition never couples the states of distinct objects), so the monitor
 //! keeps one frontier set per object and checks the per-object projections of
 //! each segment independently — fanned out across objects via
-//! [`crate::parallel`].  Segments of pure fetch&increment traffic take the
-//! near-linear [`crate::fi`] fast path instead of the kernel, which is what
-//! lets the monitor keep up with millions of real-thread counter operations
-//! (experiment E11, the `monitor_throughput` bench).  Segments that touch a
-//! single object (tracked at ingest) are checked by borrowing the segment
-//! history directly instead of materializing a projection.
+//! [`crate::parallel`].  Locality says each `H|o` may be decided on its own,
+//! not that the segment should be re-read once per object to find it: the
+//! check stage groups every segment's event positions by object in one
+//! counting pass (`group_by_object`) and hands each object a chain of
+//! `(segment, positions)` links, so a batch costs `O(events)` whatever the
+//! number of objects, and an object never visits a segment it is absent from.
+//! Projections of pure fetch&increment traffic take the near-linear
+//! [`crate::fi`] fast path instead of the kernel, read in place through the
+//! positions — which is what lets the monitor keep up with millions of
+//! real-thread counter operations (experiment E11, the `monitor_throughput`
+//! bench); only the kernel path materializes a projection.  A segment whose
+//! events all name one object is its own projection and is borrowed whole.
 //!
 //! ## The four conditions
 //!
@@ -395,9 +401,6 @@ struct Segment {
     start: usize,
     /// The events.
     history: History,
-    /// Distinct objects the segment touches, tracked at ingest so the check
-    /// stage never rescans events to discover them.
-    objects: Vec<ObjectId>,
     /// Number of completed operations (= response events), tracked at
     /// ingest; replaces per-check `complete_operations()` materialization.
     completed: usize,
@@ -529,10 +532,11 @@ fn synth_record(object: ObjectId, invocation: Invocation, id: usize) -> Operatio
 /// maintenance, quiescent-cut detection and stream fingerprinting.  Produces
 /// [`SegmentBatch`]es for a [`MonitorCheck`] (see [`stages`]).
 ///
-/// The hot path is allocation-free in the steady state: pending operations
-/// live in flat per-process slots (no ordered map), per-segment object lists
-/// and completed-operation counts are tracked as events arrive, and the
-/// window vector is recycled segment to segment.
+/// The hot path is allocation-free in the steady state and does the same
+/// work per event whatever the number of objects: pending operations live in
+/// flat per-process slots (no ordered map) and the per-segment
+/// completed-operation count is tallied as events arrive.  Which objects a
+/// segment names is the check stage's business (only linearizability asks).
 pub struct MonitorIngest {
     min_segment_events: usize,
     segment_batch: usize,
@@ -549,8 +553,6 @@ pub struct MonitorIngest {
     window_start: usize,
     /// One packed fingerprint word per window event.
     word_buf: Vec<u64>,
-    /// Distinct objects in the open window (tiny; linear scan beats a set).
-    window_objects: Vec<ObjectId>,
     /// Response events in the open window.
     window_completed: usize,
     /// Pending operation's object per process, indexed by `ProcessId.0`.
@@ -593,7 +595,6 @@ impl MonitorIngest {
             window: Vec::new(),
             window_start: 0,
             word_buf: Vec::new(),
-            window_objects: Vec::new(),
             window_completed: 0,
             pending_objects: Vec::new(),
             pending_invocations: Vec::new(),
@@ -680,9 +681,6 @@ impl MonitorIngest {
                 }
             },
         }
-        if !self.window_objects.contains(&event.object) {
-            self.window_objects.push(event.object);
-        }
         self.word_buf.push(event_word(&event));
         self.window.push(event);
         self.events += 1;
@@ -740,7 +738,6 @@ impl MonitorIngest {
         let tail = Segment {
             start: self.window_start,
             history: History::from_events(std::mem::take(&mut self.window)),
-            objects: std::mem::take(&mut self.window_objects),
             completed: self.window_completed,
             key,
         };
@@ -781,7 +778,6 @@ impl MonitorIngest {
         self.closed.push(Segment {
             start,
             history: History::from_events(events),
-            objects: std::mem::take(&mut self.window_objects),
             completed: std::mem::replace(&mut self.window_completed, 0),
             key,
         });
@@ -807,12 +803,17 @@ pub struct MonitorCheck {
     /// ingest stage and are merged in at [`MonitorCheck::finish`] (or by
     /// [`Monitor::stats`]); everything else is authored here.
     stats: MonitorStats,
-    /// One pooled kernel scratch per object for the linearizability mode's
-    /// per-object chains, threaded through the parallel fan-out and back so
-    /// the visited caches and arenas are reused across segment *batches* —
-    /// the per-segment memory high-water mark stays flat as the stream grows
-    /// (asserted by the `arena_reuse_keeps_peak_bytes_flat` test).
-    lin_scratch: BTreeMap<ObjectId, KernelScratch>,
+    /// One pooled kernel scratch per object whose chain has reached the
+    /// kernel path (the fast path needs none), threaded through the parallel
+    /// fan-out and back so the visited caches and arenas are reused across
+    /// segment *batches* — the per-segment memory high-water mark stays flat
+    /// as the stream grows (asserted by the
+    /// `arena_reuse_keeps_peak_bytes_flat` test).  Boxed: a scratch is a
+    /// kilobyte of table headers, and it changes hands per object per batch.
+    lin_scratch: BTreeMap<ObjectId, Box<KernelScratch>>,
+    /// The [`group_by_object`] table: one slot per object of the universe,
+    /// all [`NO_SLOT`] between calls.
+    group_slots: Vec<u32>,
     /// Pooled scratch for the sequential (t-linearizability) chains.
     scratch: KernelScratch,
 }
@@ -849,6 +850,7 @@ impl MonitorCheck {
             },
         };
         MonitorCheck {
+            group_slots: vec![NO_SLOT; universe.len()],
             universe,
             limits: config.limits,
             max_frontiers: config.max_frontiers.max(1),
@@ -945,67 +947,68 @@ impl MonitorCheck {
         let ModeState::Lin { frontiers } = &self.mode else {
             unreachable!("drain_lin requires Lin mode");
         };
-        // The union of per-segment object lists (tracked at ingest), sorted
-        // for a deterministic fan-out order.
-        let mut objects: Vec<ObjectId> = Vec::new();
-        for segment in segments {
-            for &object in &segment.objects {
-                if !objects.contains(&object) {
-                    objects.push(object);
-                }
-            }
-        }
-        objects.sort_unstable();
+        // One grouping pass per segment, then the links sorted by object:
+        // each run of the sorted list is one object's chain (the sort is
+        // stable, so in segment order), and the runs' order is the
+        // deterministic fan-out order.
+        let grouped: Vec<Grouping> = segments
+            .iter()
+            .map(|segment| group_by_object(segment.history.events(), &mut self.group_slots))
+            .collect();
+        let mut links: Vec<Link> = grouped
+            .iter()
+            .enumerate()
+            .flat_map(|(segment, grouping)| grouping.links(segment))
+            .collect();
+        links.sort_by_key(|link| link.object);
         let universe = &self.universe;
         let limits = self.limits;
         let max_frontiers = self.max_frontiers;
         // Move each object's pooled scratch into its parallel chain and take
         // it back with the outcome: segment batches reuse one arena per
         // object instead of churning the allocator per batch.
-        let work: Vec<(ObjectId, KernelScratch)> = objects
-            .iter()
-            .map(|&object| (object, self.lin_scratch.remove(&object).unwrap_or_default()))
+        let work: Vec<(&[Link], Option<Box<KernelScratch>>)> = links
+            .chunk_by(|a, b| a.object == b.object)
+            .map(|chain| (chain, self.lin_scratch.remove(&chain[0].object)))
             .collect();
-        let outcomes = parallel::map_par_into(work, |(object, scratch)| {
+        let outcomes = parallel::map_par_into(work, |(links, scratch)| {
+            let object = links[0].object;
             let incoming = frontiers
                 .get(&object)
                 .cloned()
                 .unwrap_or_else(|| vec![universe.initial_state(object).clone()]);
-            chase_object_chain(
+            let (outcome, scratch) = chase_object_chain(
                 universe,
                 limits,
                 max_frontiers,
                 object,
                 incoming,
                 segments,
+                links,
                 is_final,
                 scratch,
-            )
+            );
+            (object, outcome, scratch)
         });
-        let mut outcomes_only = Vec::with_capacity(outcomes.len());
-        for (object, (outcome, scratch)) in objects.iter().zip(outcomes) {
-            self.lin_scratch.insert(*object, scratch);
-            outcomes_only.push(outcome);
-        }
-        // Merge: earliest violating segment wins (deterministically).
+        // Merge: earliest violating segment wins, then the least object
+        // (outcomes arrive in ascending object order).
         let mut best: Option<(usize, ObjectId, String)> = None;
         let mut new_frontiers: Vec<(ObjectId, Vec<Value>)> = Vec::new();
-        for (object, outcome) in objects.iter().zip(outcomes_only) {
+        for (object, outcome, scratch) in outcomes {
+            if let Some(scratch) = scratch {
+                self.lin_scratch.insert(object, scratch);
+            }
             self.stats.search.absorb(outcome.stats);
             self.stats.fast_path_segments += outcome.fast_segments;
             if outcome.incomplete {
                 self.incomplete = true;
             }
             if let Some((segment_index, detail)) = outcome.violation {
-                let replace = match &best {
-                    Some((s, _, _)) => segment_index < *s,
-                    None => true,
-                };
-                if replace {
-                    best = Some((segment_index, *object, detail));
+                if best.as_ref().is_none_or(|(s, _, _)| segment_index < *s) {
+                    best = Some((segment_index, object, detail));
                 }
             }
-            new_frontiers.push((*object, outcome.frontier));
+            new_frontiers.push((object, outcome.frontier));
         }
         if let Some((segment_index, object, detail)) = best {
             if self.incomplete {
@@ -1547,8 +1550,97 @@ struct ObjectOutcome {
     fast_segments: usize,
 }
 
-/// Threads one object's frontier set through its projections of a segment
-/// batch, reusing (and returning) the caller's pooled scratch.
+/// One object's share of one segment of a batch.
+struct Link<'a> {
+    object: ObjectId,
+    /// Index of the segment in the batch.
+    segment: usize,
+    /// Ascending positions of the object's events in the segment; `None`
+    /// when every event of the segment names the object, so the segment
+    /// history is the projection.
+    positions: Option<&'a [u32]>,
+}
+
+/// One segment's event positions grouped by object.
+#[derive(Default)]
+struct Grouping {
+    /// The positions, reordered so that each object's are contiguous and
+    /// ascending; empty when the segment names a single object (there is
+    /// nothing to pick).
+    positions: Vec<u32>,
+    /// `(object, end of its run in positions)` per distinct object, in order
+    /// of first appearance.
+    runs: Vec<(ObjectId, u32)>,
+}
+
+impl Grouping {
+    /// One link per object of the segment, which is number `segment` of its
+    /// batch.
+    fn links(&self, segment: usize) -> impl Iterator<Item = Link<'_>> {
+        let mut start = 0;
+        self.runs.iter().map(move |&(object, end)| {
+            let end = end as usize;
+            let positions = (self.runs.len() > 1).then(|| &self.positions[start..end]);
+            start = end;
+            Link {
+                object,
+                segment,
+                positions,
+            }
+        })
+    }
+}
+
+/// [`MonitorCheck::group_slots`] entry of an object not seen in the segment
+/// being grouped.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Groups the positions of `events` by object with one counting sort.
+///
+/// `slots` maps every object of the universe to [`NO_SLOT`] on entry and
+/// again on return.
+fn group_by_object(events: &[Event], slots: &mut [u32]) -> Grouping {
+    let len = u32::try_from(events.len()).expect("a segment holds fewer than 2^32 events");
+    let Some(first) = events.first() else {
+        return Grouping::default();
+    };
+    if events.iter().all(|e| e.object == first.object) {
+        return Grouping {
+            positions: Vec::new(),
+            runs: vec![(first.object, len)],
+        };
+    }
+    // Count per object...
+    let mut runs: Vec<(ObjectId, u32)> = Vec::new();
+    for event in events {
+        let slot = &mut slots[event.object.0];
+        if *slot == NO_SLOT {
+            *slot = runs.len() as u32;
+            runs.push((event.object, 0));
+        }
+        runs[*slot as usize].1 += 1;
+    }
+    // ...turn the counts into each run's start...
+    let mut next = 0;
+    for (_, count) in &mut runs {
+        next += std::mem::replace(count, next);
+    }
+    // ...and place: every placement advances its run's cursor, so the
+    // starts end up as the ends.
+    let mut positions = vec![0u32; events.len()];
+    for (position, event) in events.iter().enumerate() {
+        let cursor = &mut runs[slots[event.object.0] as usize].1;
+        positions[*cursor as usize] = position as u32;
+        *cursor += 1;
+    }
+    for (object, _) in &runs {
+        slots[object.0] = NO_SLOT;
+    }
+    Grouping { positions, runs }
+}
+
+/// Threads one object's frontier set through its links of a segment batch,
+/// reusing (and returning) the caller's pooled scratch.
 #[allow(clippy::too_many_arguments)] // private helper of drain_lin
 fn chase_object_chain(
     universe: &ObjectUniverse,
@@ -1557,9 +1649,10 @@ fn chase_object_chain(
     object: ObjectId,
     mut frontier: Vec<Value>,
     segments: &[Segment],
+    links: &[Link],
     is_final: bool,
-    mut scratch: KernelScratch,
-) -> (ObjectOutcome, KernelScratch) {
+    mut scratch: Option<Box<KernelScratch>>,
+) -> (ObjectOutcome, Option<Box<KernelScratch>>) {
     let mut outcome = ObjectOutcome {
         frontier: Vec::new(),
         violation: None,
@@ -1568,71 +1661,66 @@ fn chase_object_chain(
         fast_segments: 0,
     };
     let fast_eligible = universe.object_type(object).name() == "fetch&increment";
-    for (segment_index, segment) in segments.iter().enumerate() {
-        let final_segment = is_final && segment_index + 1 == segments.len();
-        if !segment.objects.contains(&object) {
-            continue;
-        }
-        // Single-object segments (the common case on the counter workloads,
-        // tracked at ingest) are checked by borrowing the segment history —
-        // no projection clone, and the completed-operation count comes
-        // straight from the ingest-side tally.
-        let owned_projection;
-        let projection: &History;
-        let completed: usize;
-        if segment.objects.len() == 1 {
-            projection = &segment.history;
-            completed = segment.completed;
-        } else {
-            owned_projection = segment.history.project_object(object);
-            completed = owned_projection
-                .events()
-                .iter()
-                .filter(|e| matches!(e.kind, EventKind::Respond(_)))
-                .count();
-            projection = &owned_projection;
-        }
-        if projection.is_empty() {
-            continue;
-        }
-        let pending = projection.len() - 2 * completed;
+    // The kernel searches run against a copy of the universe re-rooted at
+    // each frontier state in turn: one copy per chain, made on first use.
+    let mut rooted: Option<ObjectUniverse> = None;
+    for link in links {
+        let history = &segments[link.segment].history;
+        let final_segment = is_final && link.segment + 1 == segments.len();
         // Fast path: a pure fetch&increment projection from an integer state
         // has a unique outgoing state (initial + operation count), so the
-        // near-linear specialized checker replaces the kernel search.
-        if fast_eligible && frontier.iter().all(|s| s.as_int().is_some()) {
-            match fi_step(projection, completed, pending, &frontier, final_segment) {
-                Ok(Some(next)) => {
-                    outcome.fast_segments += 1;
-                    if next.is_empty() {
-                        outcome.violation = Some((
-                            segment_index,
-                            format!(
-                                "{object}: fetch&increment projection is not linearizable \
-                                 from any frontier state"
-                            ),
-                        ));
-                        outcome.frontier = frontier;
-                        return (outcome, scratch);
-                    }
-                    frontier = next;
-                    continue;
+        // near-linear specialized checker replaces the kernel search — and
+        // reads the projection in place.
+        if fast_eligible {
+            let next = match link.positions {
+                None => fi_step(|| history.iter(), &frontier, final_segment),
+                Some(positions) => fi_step(
+                    || positions.iter().map(|&p| &history.events()[p as usize]),
+                    &frontier,
+                    final_segment,
+                ),
+            };
+            if let Some(next) = next {
+                outcome.fast_segments += 1;
+                if next.is_empty() {
+                    outcome.violation = Some((
+                        link.segment,
+                        format!(
+                            "{object}: fetch&increment projection is not linearizable \
+                             from any frontier state"
+                        ),
+                    ));
+                    outcome.frontier = frontier;
+                    return (outcome, scratch);
                 }
-                Ok(None) => {} // not a pure fetch&inc segment: fall through
-                Err(()) => {}  // ditto
+                frontier = next;
+                continue;
             }
         }
+        // Kernel path: the one place a projection is materialized.
+        let owned_projection;
+        let projection = match link.positions {
+            None => history,
+            Some(positions) => {
+                owned_projection = positions
+                    .iter()
+                    .map(|&p| history.events()[p as usize].clone())
+                    .collect();
+                &owned_projection
+            }
+        };
         let condition = TLinearizability::new(0);
         let problem = condition.problem(projection);
+        let uni = rooted.get_or_insert_with(|| universe.clone());
+        let pooled = scratch.get_or_insert_with(Box::default);
         let mut outgoing: BTreeSet<Value> = BTreeSet::new();
         let mut any_yes = false;
         for state in &frontier {
-            let mut uni = universe.clone();
             uni.set_initial_state(object, state.clone());
             if final_segment {
                 // Nothing consumes the outgoing frontier: a plain witness
                 // search decides the tail (pending operations included).
-                let (result, stats) =
-                    kernel::solve_with_scratch(&problem, &uni, limits, &mut scratch);
+                let (result, stats) = kernel::solve_with_scratch(&problem, uni, limits, pooled);
                 outcome.stats.absorb(stats);
                 match result {
                     SearchResult::Yes(_) => {
@@ -1643,8 +1731,7 @@ fn chase_object_chain(
                     SearchResult::No => {}
                 }
             } else {
-                let (set, stats) =
-                    kernel::solve_frontiers(&problem, &uni, limits, &[], &mut scratch);
+                let (set, stats) = kernel::solve_frontiers(&problem, uni, limits, &[], pooled);
                 outcome.stats.absorb(stats);
                 if !set.complete {
                     outcome.incomplete = true;
@@ -1661,7 +1748,7 @@ fn chase_object_chain(
         }
         if !any_yes {
             outcome.violation = Some((
-                segment_index,
+                link.segment,
                 format!("{object}: segment has no linearization from any frontier state"),
             ));
             outcome.frontier = frontier;
@@ -1681,43 +1768,37 @@ fn chase_object_chain(
     (outcome, scratch)
 }
 
-/// Fast-path step: decides a pure fetch&increment projection from every
-/// frontier state with [`crate::fi`] and returns the outgoing frontier.
-/// `completed`/`pending` are the projection's operation counts, supplied by
-/// the caller (tracked at ingest for single-object segments).
+/// Fast-path step: decides a pure fetch&increment projection (`events()`
+/// yields it, once per frontier state) from every frontier state with [`crate::fi`] and returns the outgoing frontier — a singleton
+/// dummy for the final segment, whose outgoing frontier nobody reads.
 ///
-/// `Ok(None)`/`Err(())` mean "not eligible — use the kernel".  For the final
-/// segment the outgoing frontier is unused; a singleton dummy is returned on
-/// success.
-fn fi_step(
-    projection: &History,
-    completed: usize,
-    pending: usize,
+/// `None` means "not eligible — use the kernel": a non-integer frontier
+/// state, or events [`crate::fi`] rejects (another method, a non-integer
+/// response).
+fn fi_step<'a, I: ExactSizeIterator<Item = &'a Event>>(
+    events: impl Fn() -> I,
     frontier: &[Value],
     is_final: bool,
-) -> Result<Option<Vec<Value>>, ()> {
-    if !is_final && pending > 0 {
-        // Mid-stream segments are quiescent by construction; be safe.
-        return Ok(None);
-    }
+) -> Option<Vec<Value>> {
+    let len = events().len();
+    debug_assert!(
+        is_final || len.is_multiple_of(2),
+        "mid-stream cuts are quiescent"
+    );
     let mut outgoing = Vec::new();
     for state in frontier {
-        let initial = state.as_int().ok_or(())?;
-        match fi::is_linearizable(projection, initial) {
-            Ok(true) => {
-                if is_final {
-                    return Ok(Some(vec![Value::from(initial)]));
-                }
-                // All operations are complete, so every witness linearizes
-                // exactly `completed` operations: the outgoing state is
-                // unique per incoming state.
-                outgoing.push(Value::from(initial + completed as i64));
+        let initial = state.as_int()?;
+        if fi::is_t_linearizable_events(events(), initial, 0).ok()? {
+            if is_final {
+                return Some(vec![Value::from(initial)]);
             }
-            Ok(false) => {}
-            Err(_) => return Ok(None), // not a pure fetch&inc projection
+            // Mid-stream segments are quiescent, so the projection is `len / 2`
+            // complete operations and every witness linearizes them all: the
+            // outgoing state is unique per incoming state.
+            outgoing.push(Value::from(initial + (len / 2) as i64));
         }
     }
-    Ok(Some(outgoing))
+    Some(outgoing)
 }
 
 /// Builds the Definition-1 problem for one completed operation from the
@@ -2285,5 +2366,123 @@ mod tests {
         let report = m.finish();
         assert!(report.verdict.is_ok());
         assert!(report.stats.segments < 40, "{report:?}");
+    }
+
+    /// Three counters and a monitor whose cuts fall every `min_segment_events`.
+    fn three_counters(min_segment_events: usize) -> Monitor {
+        let mut u = ObjectUniverse::new();
+        for _ in 0..3 {
+            u.add_object(FetchIncrement::new());
+        }
+        Monitor::new(
+            u,
+            MonitorConfig {
+                min_segment_events,
+                ..MonitorConfig::default()
+            },
+        )
+    }
+
+    fn bad_fetch_inc(m: &mut Monitor, object: usize) {
+        let p = ProcessId(object);
+        m.invoke(p, ObjectId(object), FetchIncrement::fetch_inc())
+            .unwrap();
+        m.respond(p, ObjectId(object), Value::from(9i64)).unwrap();
+    }
+
+    #[test]
+    fn same_segment_violations_report_the_lesser_object() {
+        // Objects 2 and 1 both violate inside the one four-event segment,
+        // the greater id first in the stream.
+        let mut m = three_counters(4);
+        bad_fetch_inc(&mut m, 2);
+        bad_fetch_inc(&mut m, 1);
+        let MonitorVerdict::Violation(v) = m.finish().verdict else {
+            panic!("expected a violation");
+        };
+        assert_eq!((v.segment_start, v.segment_len), (0, 4));
+        assert_eq!(v.object, Some(ObjectId(1)));
+    }
+
+    #[test]
+    fn an_earlier_segment_beats_a_lesser_object() {
+        // Object 2 violates in segment 0, object 0 in segment 1; both
+        // segments are checked in one batch.
+        let mut m = three_counters(2);
+        bad_fetch_inc(&mut m, 2);
+        bad_fetch_inc(&mut m, 0);
+        let MonitorVerdict::Violation(v) = m.finish().verdict else {
+            panic!("expected a violation");
+        };
+        assert_eq!((v.segment_start, v.segment_len), (0, 2));
+        assert_eq!(v.object, Some(ObjectId(2)));
+    }
+
+    #[test]
+    fn wide_stream_counters_are_pinned() {
+        // 64 objects (even ids registers, odd ids counters), 300 rounds of
+        // four mutually concurrent operations on objects strided through the
+        // universe, every effect taking place at its response: objects skip
+        // segments, batches hold several segments, and both the fast and the
+        // kernel path run.  The expected values are what the monitor
+        // produced on this stream while it still rescanned each segment once
+        // per object (PR 14): grouping must not move a count.
+        let mut u = ObjectUniverse::new();
+        for i in 0..64 {
+            if i % 2 == 0 {
+                u.add_object(Register::new(Value::from(0i64)));
+            } else {
+                u.add_object(FetchIncrement::new());
+            }
+        }
+        let mut m = Monitor::new(
+            u,
+            MonitorConfig {
+                min_segment_events: 48,
+                segment_batch: 4,
+                ..MonitorConfig::default()
+            },
+        );
+        let mut state = [0i64; 64];
+        for round in 0..300usize {
+            let object = |p: usize| match (p, round % 2) {
+                (3, 0) => (round * 7) % 64, // shares process 0's object
+                _ => (round * 7 + p * 13) % 64,
+            };
+            let is_write = |p: usize| object(p) % 2 == 0 && (round + p).is_multiple_of(3);
+            for p in 0..4 {
+                let invocation = if object(p) % 2 == 1 {
+                    FetchIncrement::fetch_inc()
+                } else if is_write(p) {
+                    Register::write(Value::from(round as i64))
+                } else {
+                    Register::read()
+                };
+                m.invoke(ProcessId(p), ObjectId(object(p)), invocation)
+                    .unwrap();
+            }
+            for p in 0..4 {
+                let o = object(p);
+                let response = if o % 2 == 1 {
+                    state[o] += 1;
+                    Value::from(state[o] - 1)
+                } else if is_write(p) {
+                    state[o] = round as i64;
+                    Value::Unit
+                } else {
+                    Value::from(state[o])
+                };
+                m.respond(ProcessId(p), ObjectId(o), response).unwrap();
+            }
+        }
+        let report = m.finish();
+        assert!(report.verdict.is_ok(), "{report:?}");
+        let stats = report.stats;
+        assert_eq!(stats.events, 2400);
+        assert_eq!(stats.checked_ops, 1200);
+        assert_eq!(stats.segments, 50);
+        assert_eq!(stats.fast_path_segments, 450);
+        assert_eq!(stats.stream_fingerprint, 0x91e5_216e_98e6_d6fb);
+        assert_eq!((stats.search.nodes, stats.search.memo_hits), (1350, 0));
     }
 }

@@ -10,14 +10,26 @@
 //! `min_segment_events` and `segment_batch` all vary with the seed — and
 //! asserts the final report equals the offline answer.
 //!
+//! A second family ([`check_wide`]) covers what two objects cannot: up to 48
+//! objects of mixed type, so that objects skip segments, batches hold
+//! several wide segments, and the check stage's per-segment grouping, the
+//! in-place fetch&increment fast path and the kernel path all run — against
+//! [`kernel::check_local`] on the same history, clean and with one response
+//! perturbed.
+//!
 //! The PR-sized runs use the default case count; the nightly fuzz job runs
 //! the `#[ignore]`d extended tests with `EVLIN_DIFF_CASES` (default 2000)
 //! seeds for deep coverage.
 
 use evlin_checker::kernel::{self, SearchLimits};
-use evlin_checker::monitor::{stages, Monitor, MonitorCondition, MonitorConfig, MonitorVerdict};
+use evlin_checker::linearizability::Linearizability;
+use evlin_checker::monitor::{
+    stages, Monitor, MonitorCondition, MonitorConfig, MonitorReport, MonitorVerdict,
+};
 use evlin_checker::{eventual, linearizability, t_linearizability, weak_consistency};
-use evlin_history::{History, HistoryBuilder, ObjectUniverse, ProcessId};
+use evlin_history::{
+    Event, EventKind, History, HistoryBuilder, ObjectId, ObjectUniverse, ProcessId,
+};
 use evlin_spec::{FetchIncrement, Register, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -256,6 +268,174 @@ fn check_stabilizes_eventually(seed: u64, max_ops: usize) {
     );
 }
 
+/// A universe of 1..=48 objects, each a register or a counter by the seed,
+/// and a linearizable history over it: up to four processes overlap freely,
+/// every operation takes effect at its response, and some operations may be
+/// left pending at the end.
+fn wide_case(seed: u64) -> (ObjectUniverse, Vec<Event>) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x71de_0b1e);
+    let objects = rng.gen_range(1..=48usize);
+    let mut universe = ObjectUniverse::new();
+    let mut is_counter = Vec::with_capacity(objects);
+    for _ in 0..objects {
+        is_counter.push(rng.gen_bool(0.5));
+        if is_counter[is_counter.len() - 1] {
+            universe.add_object(FetchIncrement::new());
+        } else {
+            universe.add_object(Register::new(Value::from(0i64)));
+        }
+    }
+    let processes = rng.gen_range(2..=4usize);
+    let ops = rng.gen_range(20..=200usize);
+    let mut state = vec![0i64; objects];
+    let mut pending: Vec<Option<(usize, evlin_spec::Invocation)>> = vec![None; processes];
+    let mut events = Vec::new();
+    let mut invoked = 0;
+    for _ in 0..ops * 6 {
+        let p = rng.gen_range(0..processes);
+        match pending[p].take() {
+            Some((o, invocation)) if rng.gen_bool(0.6) => {
+                let response = match invocation.method() {
+                    "fetch_inc" => {
+                        state[o] += 1;
+                        Value::from(state[o] - 1)
+                    }
+                    "write" => {
+                        state[o] = invocation.args()[0].as_int().expect("integer writes");
+                        Value::Unit
+                    }
+                    _ => Value::from(state[o]),
+                };
+                events.push(Event::respond(ProcessId(p), ObjectId(o), response));
+            }
+            still_pending @ Some(_) => pending[p] = still_pending,
+            None if invoked < ops => {
+                invoked += 1;
+                let o = rng.gen_range(0..objects);
+                let invocation = if is_counter[o] {
+                    FetchIncrement::fetch_inc()
+                } else if rng.gen_bool(0.4) {
+                    Register::write(Value::from(rng.gen_range(1..6i64)))
+                } else {
+                    Register::read()
+                };
+                events.push(Event::invoke(ProcessId(p), ObjectId(o), invocation.clone()));
+                pending[p] = Some((o, invocation));
+            }
+            None => {}
+        }
+    }
+    (universe, events)
+}
+
+/// The inline monitor fed in ragged chunks with forced pumps.
+fn wide_inline(
+    universe: &ObjectUniverse,
+    events: &[Event],
+    config: MonitorConfig,
+) -> MonitorReport {
+    let mut monitor = Monitor::new(universe.clone(), config);
+    for (i, chunk) in events.chunks(7).enumerate() {
+        monitor
+            .ingest_all(chunk.iter().cloned())
+            .expect("generated streams are well-formed");
+        if i % 5 == 0 {
+            monitor.pump();
+        }
+    }
+    monitor.finish()
+}
+
+/// The split stages, batches pulled at the configured cadence.
+fn wide_staged(
+    universe: &ObjectUniverse,
+    events: &[Event],
+    config: MonitorConfig,
+) -> MonitorReport {
+    let (mut ingest, mut check) = stages(universe.clone(), config);
+    for event in events.iter().cloned() {
+        ingest
+            .ingest(event)
+            .expect("generated streams are well-formed");
+        if let Some(batch) = ingest.take_ready_batch() {
+            check.check_batch(batch);
+        }
+    }
+    let (tail, summary) = ingest.finish();
+    check.finish(tail, summary)
+}
+
+/// Many objects: the inline monitor and the split stages against
+/// [`kernel::check_local`], over a grid of segment and batch sizes (one
+/// operation per segment up to the whole stream in one), on a clean history
+/// and on the same history with one response perturbed.
+fn check_wide(seed: u64) {
+    let (universe, clean) = wide_case(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xbad_5eed);
+    let responses: Vec<usize> = (0..clean.len())
+        .filter(|&i| matches!(&clean[i].kind, EventKind::Respond(v) if v.as_int().is_some()))
+        .collect();
+    let mut perturbed = clean.clone();
+    let victim = responses
+        .get(rng.gen_range(0..responses.len().max(1)))
+        .copied();
+    if let Some(at) = victim {
+        let EventKind::Respond(value) = &mut perturbed[at].kind else {
+            unreachable!("filtered to responses");
+        };
+        *value = Value::from(value.as_int().expect("filtered to integers") + 100);
+    }
+    for events in [clean, perturbed] {
+        let history = History::from_events(events.clone());
+        let offline = kernel::check_local(
+            &Linearizability,
+            &history,
+            &universe,
+            SearchLimits::default(),
+        );
+        assert!(
+            !matches!(offline, kernel::SearchResult::Unknown),
+            "budgets must not be exhausted at test sizes (seed {seed})"
+        );
+        for min_segment_events in [1, 64, 4096] {
+            for segment_batch in [1, 4, 64] {
+                let config = MonitorConfig {
+                    min_segment_events,
+                    segment_batch,
+                    ..MonitorConfig::default()
+                };
+                let context = format!(
+                    "seed {seed}, min_segment_events {min_segment_events}, \
+                     segment_batch {segment_batch}"
+                );
+                let inline = wide_inline(&universe, &events, config);
+                assert_eq!(
+                    inline.verdict.is_ok(),
+                    offline.is_yes(),
+                    "inline monitor vs check_local ({context})\n{history}"
+                );
+                if let MonitorVerdict::Violation(v) = &inline.verdict {
+                    let at = victim.expect("only a perturbed history violates");
+                    assert_eq!(v.object, Some(events[at].object), "{context}");
+                    assert!(
+                        (v.segment_start..v.segment_start + v.segment_len).contains(&at),
+                        "violation localized away from event {at}: {v} ({context})"
+                    );
+                }
+                // Same cuts, so the same verdict down to the attribution;
+                // and on a clean stream the same counters, except residency,
+                // which depends on when batches are pulled.
+                let mut staged = wide_staged(&universe, &events, config);
+                assert_eq!(staged.verdict, inline.verdict, "{context}");
+                if inline.verdict.is_ok() {
+                    staged.stats.peak_window_events = inline.stats.peak_window_events;
+                    assert_eq!(staged.stats, inline.stats, "{context}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -282,6 +462,16 @@ proptest! {
     #[test]
     fn staged_pipeline_matches_offline_all_conditions(seed in 0u64..u64::MAX / 2) {
         check_staged_all_conditions(seed, 6);
+    }
+}
+
+proptest! {
+    // Nine configurations × two histories × two drivers per case.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn wide_monitor_matches_offline_linearizability(seed in 0u64..u64::MAX / 2) {
+        check_wide(seed);
     }
 }
 
@@ -330,5 +520,13 @@ fn extended_monitor_vs_offline_stabilizes_eventually() {
 fn extended_staged_pipeline_vs_offline_all_conditions() {
     for seed in 0..extended_cases() / 4 {
         check_staged_all_conditions(seed.wrapping_mul(0x9e37_79b9), 7);
+    }
+}
+
+#[test]
+#[ignore = "extended fuzz: run via the nightly CI job or with --ignored"]
+fn extended_wide_monitor_vs_offline_linearizability() {
+    for seed in 0..extended_cases() / 8 {
+        check_wide(seed.wrapping_mul(0x9e37_79b9));
     }
 }
