@@ -61,7 +61,38 @@ struct FiOp {
     response: Option<i64>,
 }
 
-fn extract<'a>(events: impl IntoIterator<Item = &'a Event>) -> Result<Vec<FiOp>, FiError> {
+/// A point of the precedence sweep in [`check`].
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    LateResponse(i64),
+    Invoke(usize), // index into `ops`
+}
+
+/// The working buffers of one check, reusable across checks: a caller that
+/// decides many small projections (the online monitor, sixteen events at a
+/// time) keeps one of these and allocates nothing per projection.
+#[derive(Debug, Default)]
+pub(crate) struct FiScratch {
+    /// The operations of the events last extracted.
+    ops: Vec<FiOp>,
+    /// Pending operation per process: `(process, index into ops)`.  A linear
+    /// scan is faster than a map for the handful of processes real histories
+    /// have.
+    pending: Vec<(ProcessId, usize)>,
+    late: Vec<usize>,
+    fillers: Vec<usize>,
+    responses: Vec<i64>,
+    timeline: Vec<(usize, Ev)>,
+    thresholds: Vec<i64>,
+    gaps: Vec<i64>,
+    filler_thresholds: Vec<i64>,
+}
+
+/// Collects the operations of `events` into `scratch.ops`.
+fn extract<'a>(
+    events: impl IntoIterator<Item = &'a Event>,
+    scratch: &mut FiScratch,
+) -> Result<(), FiError> {
     // One fused sweep over the events checks well-formedness, the
     // single-object and fetch_inc-only constraints, and collects the
     // operations — the histories this fast path exists for have hundreds of
@@ -69,11 +100,9 @@ fn extract<'a>(events: impl IntoIterator<Item = &'a Event>) -> Result<Vec<FiOp>,
     // `operations()` passes (and their per-operation record clones) matter.
     // Indices are positions in `events`, whatever larger history the caller
     // picked them from.
-    let mut ops: Vec<FiOp> = Vec::new();
-    // Pending operation per process: `(process, index into ops)`.  A linear
-    // scan is faster than a map for the handful of processes real histories
-    // have.
-    let mut pending: Vec<(ProcessId, usize)> = Vec::new();
+    let FiScratch { ops, pending, .. } = scratch;
+    ops.clear();
+    pending.clear();
     let mut object: Option<ObjectId> = None;
     for (i, e) in events.into_iter().enumerate() {
         match object {
@@ -108,7 +137,7 @@ fn extract<'a>(events: impl IntoIterator<Item = &'a Event>) -> Result<Vec<FiOp>,
             }
         }
     }
-    Ok(ops)
+    Ok(())
 }
 
 /// Decides `t`-linearizability of a pure fetch&increment history in
@@ -136,7 +165,18 @@ pub fn is_t_linearizable_events<'a>(
     initial: i64,
     t: usize,
 ) -> Result<bool, FiError> {
-    Ok(check(&extract(events)?, initial, t))
+    is_t_linearizable_events_in(events, initial, t, &mut FiScratch::default())
+}
+
+/// [`is_t_linearizable_events`] working in the caller's `scratch`.
+pub(crate) fn is_t_linearizable_events_in<'a>(
+    events: impl IntoIterator<Item = &'a Event>,
+    initial: i64,
+    t: usize,
+    scratch: &mut FiScratch,
+) -> Result<bool, FiError> {
+    extract(events, scratch)?;
+    Ok(check(scratch, initial, t))
 }
 
 /// Decides linearizability (`t = 0`) of a pure fetch&increment history.
@@ -157,14 +197,18 @@ pub fn is_linearizable(history: &History, initial: i64) -> Result<bool, FiError>
 /// Returns an [`FiError`] if the history is not a well-formed single-object
 /// fetch&increment history.
 pub fn min_stabilization(history: &History, initial: i64) -> Result<usize, FiError> {
-    let ops = extract(history.events())?;
+    let mut scratch = FiScratch::default();
+    extract(history.events(), &mut scratch)?;
     let len = history.len();
     let mut lo = 0usize;
     let mut hi = len;
-    debug_assert!(check(&ops, initial, len), "t = |H| must always work");
+    debug_assert!(
+        check(&mut scratch, initial, len),
+        "t = |H| must always work"
+    );
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if check(&ops, initial, mid) {
+        if check(&mut scratch, initial, mid) {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -173,11 +217,24 @@ pub fn min_stabilization(history: &History, initial: i64) -> Result<usize, FiErr
     Ok(lo)
 }
 
-/// Core feasibility check for a given `t`.
-fn check(ops: &[FiOp], initial: i64, t: usize) -> bool {
-    // Partition the operations (by index into `ops`).
-    let mut late: Vec<usize> = Vec::new(); // completed, response at index >= t (fixed slot)
-    let mut fillers: Vec<usize> = Vec::new(); // early-completed or pending (free slot)
+/// Core feasibility check of `scratch.ops` for a given `t`.
+fn check(scratch: &mut FiScratch, initial: i64, t: usize) -> bool {
+    let FiScratch {
+        ops,
+        late,
+        fillers,
+        responses,
+        timeline,
+        thresholds,
+        gaps,
+        filler_thresholds,
+        ..
+    } = scratch;
+    // Partition the operations (by index into `ops`): completed with the
+    // response at index >= t (fixed slot), or early-completed or pending
+    // (free slot).
+    late.clear();
+    fillers.clear();
     for (i, op) in ops.iter().enumerate() {
         match op.respond_index {
             Some(r) if r >= t => late.push(i),
@@ -186,10 +243,11 @@ fn check(ops: &[FiOp], initial: i64, t: usize) -> bool {
     }
 
     // Condition 1: late responses are distinct and >= initial.
-    let mut responses: Vec<i64> = late
-        .iter()
-        .map(|&i| ops[i].response.expect("late is completed"))
-        .collect();
+    responses.clear();
+    responses.extend(
+        late.iter()
+            .map(|&i| ops[i].response.expect("late is completed")),
+    );
     responses.sort_unstable();
     if responses.iter().any(|&v| v < initial) {
         return false;
@@ -206,13 +264,8 @@ fn check(ops: &[FiOp], initial: i64, t: usize) -> bool {
     //
     // Sweep over "timestamps": process response events of late ops and
     // invocation events in global order.
-    #[derive(Clone, Copy)]
-    enum Ev {
-        LateResponse(i64),
-        Invoke(usize), // index into `ops`
-    }
-    let mut timeline: Vec<(usize, Ev)> = Vec::new();
-    for &i in &late {
+    timeline.clear();
+    for &i in late.iter() {
         let r = ops[i].respond_index.expect("late");
         timeline.push((r, Ev::LateResponse(ops[i].response.expect("late"))));
     }
@@ -222,9 +275,10 @@ fn check(ops: &[FiOp], initial: i64, t: usize) -> bool {
         }
     }
     timeline.sort_by_key(|(idx, _)| *idx);
-    let mut thresholds: Vec<i64> = vec![i64::MIN; ops.len()];
+    thresholds.clear();
+    thresholds.resize(ops.len(), i64::MIN);
     let mut max_late_resp_so_far = i64::MIN;
-    for (_, ev) in timeline {
+    for &(_, ev) in timeline.iter() {
         match ev {
             Ev::LateResponse(v) => max_late_resp_so_far = max_late_resp_so_far.max(v),
             Ev::Invoke(i) => thresholds[i] = max_late_resp_so_far,
@@ -232,39 +286,35 @@ fn check(ops: &[FiOp], initial: i64, t: usize) -> bool {
     }
 
     // Condition 2: every late operation's response exceeds its threshold.
-    for &i in &late {
+    for &i in late.iter() {
         if ops[i].response.expect("late") <= thresholds[i] && thresholds[i] != i64::MIN {
             return false;
         }
     }
 
     // Condition 3: every gap slot below the maximum late response can be
-    // filled by a distinct filler whose threshold is below the slot.
-    let Some(&max_resp) = responses.last() else {
-        return true; // no late operations: nothing is constrained
-    };
-    let mut gaps: Vec<i64> = Vec::new();
-    {
-        let mut next = initial;
-        for &r in &responses {
-            while next < r {
-                gaps.push(next);
-                next += 1;
-            }
-            next = r + 1;
+    // filled by a distinct filler whose threshold is below the slot.  (No
+    // late operations: nothing is constrained.)
+    gaps.clear();
+    let mut next = initial;
+    for &r in responses.iter() {
+        while next < r {
+            gaps.push(next);
+            next += 1;
         }
-        let _ = max_resp;
+        next = r + 1;
     }
     if gaps.is_empty() {
         return true;
     }
-    let mut filler_thresholds: Vec<i64> = fillers.iter().map(|&i| thresholds[i]).collect();
+    filler_thresholds.clear();
+    filler_thresholds.extend(fillers.iter().map(|&i| thresholds[i]));
     filler_thresholds.sort_unstable();
     // Greedy: gaps ascending, fillers by threshold ascending; a filler with
     // threshold < slot is usable for that slot and for every later slot.
     let mut available = 0usize;
     let mut fi = 0usize;
-    for &slot in &gaps {
+    for &slot in gaps.iter() {
         while fi < filler_thresholds.len() && filler_thresholds[fi] < slot {
             available += 1;
             fi += 1;

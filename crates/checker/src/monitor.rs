@@ -153,13 +153,14 @@
 //! assert!(report.verdict.is_ok());
 //! ```
 
+use crate::fi::{self, FiScratch};
 use crate::kernel::{
     self, ConsistencyCondition, ConstrainedOp, KernelScratch, SearchLimits, SearchProblem,
     SearchResult, SearchStats,
 };
+use crate::parallel;
 use crate::t_linearizability::TLinearizability;
 use crate::util::{fold_words, hash_of, mix};
-use crate::{fi, parallel};
 use evlin_history::{
     Event, EventKind, History, ObjectId, ObjectUniverse, OpId, OperationRecord, ProcessId,
 };
@@ -811,6 +812,10 @@ pub struct MonitorCheck {
     /// `arena_reuse_keeps_peak_bytes_flat` test).  Boxed: a scratch is a
     /// kilobyte of table headers, and it changes hands per object per batch.
     lin_scratch: BTreeMap<ObjectId, Box<KernelScratch>>,
+    /// Spent fast-path scratches: every chain of a batch draws one and hands
+    /// it back, so the `fi` check of a projection allocates nothing once the
+    /// widest batch has been seen.
+    fi_scratch: Vec<FiScratch>,
     /// The [`group_by_object`] table: one slot per object of the universe,
     /// all [`NO_SLOT`] between calls.
     group_slots: Vec<u32>,
@@ -859,6 +864,7 @@ impl MonitorCheck {
             incomplete: false,
             stats: MonitorStats::default(),
             lin_scratch: BTreeMap::new(),
+            fi_scratch: Vec::new(),
             scratch: KernelScratch::new(),
         }
     }
@@ -967,9 +973,15 @@ impl MonitorCheck {
         // Move each object's pooled scratch into its parallel chain and take
         // it back with the outcome: segment batches reuse one arena per
         // object instead of churning the allocator per batch.
-        let work: Vec<(&[Link], Option<Box<KernelScratch>>)> = links
+        let work: Vec<(&[Link], ChainScratch)> = links
             .chunk_by(|a, b| a.object == b.object)
-            .map(|chain| (chain, self.lin_scratch.remove(&chain[0].object)))
+            .map(|chain| {
+                let scratch = ChainScratch {
+                    kernel: self.lin_scratch.remove(&chain[0].object),
+                    fi: self.fi_scratch.pop().unwrap_or_default(),
+                };
+                (chain, scratch)
+            })
             .collect();
         let outcomes = parallel::map_par_into(work, |(links, scratch)| {
             let object = links[0].object;
@@ -995,9 +1007,10 @@ impl MonitorCheck {
         let mut best: Option<(usize, ObjectId, String)> = None;
         let mut new_frontiers: Vec<(ObjectId, Vec<Value>)> = Vec::new();
         for (object, outcome, scratch) in outcomes {
-            if let Some(scratch) = scratch {
-                self.lin_scratch.insert(object, scratch);
+            if let Some(kernel) = scratch.kernel {
+                self.lin_scratch.insert(object, kernel);
             }
+            self.fi_scratch.push(scratch.fi);
             self.stats.search.absorb(outcome.stats);
             self.stats.fast_path_segments += outcome.fast_segments;
             if outcome.incomplete {
@@ -1639,6 +1652,14 @@ fn group_by_object(events: &[Event], slots: &mut [u32]) -> Grouping {
     Grouping { positions, runs }
 }
 
+/// The pooled buffers one object's chain works in, lent by
+/// [`MonitorCheck`] for a batch and handed back with the outcome.
+struct ChainScratch {
+    /// Made on the chain's first kernel search, then kept per object.
+    kernel: Option<Box<KernelScratch>>,
+    fi: FiScratch,
+}
+
 /// Threads one object's frontier set through its links of a segment batch,
 /// reusing (and returning) the caller's pooled scratch.
 #[allow(clippy::too_many_arguments)] // private helper of drain_lin
@@ -1651,8 +1672,8 @@ fn chase_object_chain(
     segments: &[Segment],
     links: &[Link],
     is_final: bool,
-    mut scratch: Option<Box<KernelScratch>>,
-) -> (ObjectOutcome, Option<Box<KernelScratch>>) {
+    mut scratch: ChainScratch,
+) -> (ObjectOutcome, ChainScratch) {
     let mut outcome = ObjectOutcome {
         frontier: Vec::new(),
         violation: None,
@@ -1673,11 +1694,12 @@ fn chase_object_chain(
         // reads the projection in place.
         if fast_eligible {
             let next = match link.positions {
-                None => fi_step(|| history.iter(), &frontier, final_segment),
+                None => fi_step(|| history.iter(), &frontier, final_segment, &mut scratch.fi),
                 Some(positions) => fi_step(
                     || positions.iter().map(|&p| &history.events()[p as usize]),
                     &frontier,
                     final_segment,
+                    &mut scratch.fi,
                 ),
             };
             if let Some(next) = next {
@@ -1712,7 +1734,7 @@ fn chase_object_chain(
         let condition = TLinearizability::new(0);
         let problem = condition.problem(projection);
         let uni = rooted.get_or_insert_with(|| universe.clone());
-        let pooled = scratch.get_or_insert_with(Box::default);
+        let pooled = scratch.kernel.get_or_insert_with(Box::default);
         let mut outgoing: BTreeSet<Value> = BTreeSet::new();
         let mut any_yes = false;
         for state in &frontier {
@@ -1779,6 +1801,7 @@ fn fi_step<'a, I: ExactSizeIterator<Item = &'a Event>>(
     events: impl Fn() -> I,
     frontier: &[Value],
     is_final: bool,
+    scratch: &mut FiScratch,
 ) -> Option<Vec<Value>> {
     let len = events().len();
     debug_assert!(
@@ -1788,7 +1811,7 @@ fn fi_step<'a, I: ExactSizeIterator<Item = &'a Event>>(
     let mut outgoing = Vec::new();
     for state in frontier {
         let initial = state.as_int()?;
-        if fi::is_t_linearizable_events(events(), initial, 0).ok()? {
+        if fi::is_t_linearizable_events_in(events(), initial, 0, scratch).ok()? {
             if is_final {
                 return Some(vec![Value::from(initial)]);
             }

@@ -38,6 +38,11 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+// The frame rings and the monitor's windows move events by value, one
+// `(sequence, event)` pair per cache line: a payload that grows past this
+// is a per-event cost on the whole event path.
+const _: () = assert!(std::mem::size_of::<Event>() <= 56);
+
 impl Event {
     /// Creates an invocation event.
     pub fn invoke(process: ProcessId, object: ObjectId, invocation: Invocation) -> Self {

@@ -11,14 +11,21 @@
 //!   consumer draining their ring;
 //! * events are shipped in fixed-capacity [`Frame`]s whose buffers are
 //!   recycled through a shared [`FramePool`], so the steady state allocates
-//!   nothing and pays one channel round trip per *frame*;
+//!   nothing and pays one channel round trip per *frame*.  Per *event*
+//!   the rings cost a push, a move and a comparison; the rest of what a
+//!   transported item costs is building it on the producer's thread and
+//!   dropping it on the consumer's, so `T` should be plain data — as an
+//!   `evlin_history::Event` recording a nullary spec-vocabulary call is
+//!   (56 bytes, no allocation, no reference count);
 //! * each item carries the producer-assigned global sequence number, and a
 //!   [`FrameMerge`] on the consumer side k-way-merges the per-shard streams
 //!   back into global sequence order — replacing the recorder's per-event
 //!   reorder buffer (a `BTreeMap` insert/remove per event) with an O(k)
-//!   head comparison per *run* of consecutive items;
+//!   head comparison per *run* of consecutive items, read through a cursor
+//!   over the arrived buffer (nothing is reversed or shifted);
 //! * every frame carries a fingerprint of its sequence run
-//!   (`evlin_sim::zobrist::fold_words`), verified on arrival, so transport
+//!   (`evlin_sim::zobrist::fold_words`, folded straight from the items on
+//!   both sides), verified on arrival, so transport
 //!   bugs surface as counted mismatches instead of silent misorderings —
 //!   the same discipline as the stabilizing data-link constructions for
 //!   non-FIFO channels, where sequence tags are what let the receiver
@@ -39,10 +46,11 @@
 //! well-formedness filter downstream decides what survives, exactly as on
 //! the per-event faulty path.
 
-use crate::channel::{self, Receiver, SendError, Sender};
+use crate::channel::{self, Receiver, SendError, Sender, TrySendError};
 use crate::fault::{ChannelFaultStats, FaultPlan, FaultySender};
 use evlin_sim::zobrist;
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Upper bound on buffers parked in a [`FramePool`]; beyond it, spent
@@ -72,13 +80,10 @@ impl<T: Clone> Clone for Frame<T> {
     }
 }
 
-impl<T> Frame<T> {
-    /// Computes the fingerprint the frame *should* carry given its contents.
-    fn expected_fingerprint(&self, scratch: &mut Vec<u64>) -> u64 {
-        scratch.clear();
-        scratch.extend(self.items.iter().map(|(seq, _)| *seq));
-        zobrist::fold_words(self.producer as u64, scratch)
-    }
+/// The fingerprint a frame should carry: `fold_words(producer, sequence
+/// numbers of items)`, folded straight from the items.
+fn sequence_fingerprint<T>(producer: usize, items: &[(u64, T)]) -> u64 {
+    zobrist::fold_word_iter(producer as u64, items.iter().map(|(seq, _)| *seq))
 }
 
 /// A shared pool of spent frame buffers, so the steady-state path reuses
@@ -148,6 +153,19 @@ enum FrameSink<T: Clone> {
     Faulty(FaultySender<Frame<T>>),
 }
 
+impl<T: Clone> FrameSink<T> {
+    /// Hands one frame to the link, waiting for ring space if `wait`.  The
+    /// fault-injected link always waits (it has no non-blocking mode).
+    fn send(&mut self, frame: Frame<T>, wait: bool) -> Result<(), TrySendError<Frame<T>>> {
+        let disconnected = |SendError::Disconnected(frame)| TrySendError::Disconnected(frame);
+        match self {
+            FrameSink::Clean(sender) if wait => sender.send(frame).map_err(disconnected),
+            FrameSink::Clean(sender) => sender.try_send(frame),
+            FrameSink::Faulty(faulty) => faulty.send(frame).map_err(disconnected),
+        }
+    }
+}
+
 /// The producer half of one shard: accumulates sequence-stamped items into a
 /// pooled frame and ships the frame when full (or on [`FrameSender::flush`]
 /// / drop).  Not `Sync` by design — one producer thread per shard is the
@@ -158,7 +176,6 @@ pub struct FrameSender<T: Clone> {
     producer: usize,
     frame_capacity: usize,
     buf: Vec<(u64, T)>,
-    seq_scratch: Vec<u64>,
     stats: FrameSenderStats,
 }
 
@@ -178,33 +195,44 @@ impl<T: Clone> FrameSender<T> {
     /// from `Drop` is always safe — and the flush happens *before* the
     /// disconnect-swallowing path, so a live receiver always gets the tail.
     pub fn flush(&mut self) {
+        self.ship(true);
+    }
+
+    /// Seals the buffered items into a frame, hands it to the link (waiting
+    /// for ring space or not) and accounts for the outcome: a frame counts
+    /// as sent, and as partial, only once the link took it; a full ring
+    /// gives the items back as the buffer.  Returns whether the buffer is
+    /// empty afterwards.
+    fn ship(&mut self, wait: bool) -> bool {
         if self.buf.is_empty() {
-            return;
-        }
-        if self.buf.len() < self.frame_capacity {
-            self.stats.partial_frames += 1;
+            return true;
         }
         let items = std::mem::replace(&mut self.buf, self.pool.get(self.frame_capacity));
         let events = items.len();
-        let mut frame = Frame {
+        let frame = Frame {
             producer: self.producer,
+            fingerprint: sequence_fingerprint(self.producer, &items),
             items,
-            fingerprint: 0,
         };
-        frame.fingerprint = frame.expected_fingerprint(&mut self.seq_scratch);
-        let result = match &mut self.sink {
-            FrameSink::Clean(sender) => sender.send(frame),
-            FrameSink::Faulty(faulty) => faulty.send(frame),
-        };
-        match result {
+        match self.sink.send(frame, wait) {
             Ok(()) => {
                 self.stats.frames_sent += 1;
                 self.stats.events_sent += events;
+                if events < self.frame_capacity {
+                    self.stats.partial_frames += 1;
+                }
+                true
             }
-            Err(SendError::Disconnected(frame)) => {
+            Err(TrySendError::Full(frame)) => {
+                let spent = std::mem::replace(&mut self.buf, frame.items);
+                self.pool.put(spent);
+                false
+            }
+            Err(TrySendError::Disconnected(frame)) => {
                 self.stats.disconnected = true;
                 self.stats.dropped_disconnected += frame.items.len();
                 self.pool.put(frame.items);
+                true
             }
         }
     }
@@ -224,43 +252,9 @@ impl<T: Clone> FrameSender<T> {
     /// sink supports this; a fault-injected link reports `false` rather
     /// than bypass its schedule.
     pub fn try_flush(&mut self) -> bool {
-        if self.buf.is_empty() {
-            return true;
-        }
-        let FrameSink::Clean(sender) = &self.sink else {
-            return false;
-        };
-        if self.buf.len() < self.frame_capacity {
-            self.stats.partial_frames += 1;
-        }
-        let items = std::mem::replace(&mut self.buf, self.pool.get(self.frame_capacity));
-        let events = items.len();
-        let mut frame = Frame {
-            producer: self.producer,
-            items,
-            fingerprint: 0,
-        };
-        frame.fingerprint = frame.expected_fingerprint(&mut self.seq_scratch);
-        match sender.try_send(frame) {
-            Ok(()) => {
-                self.stats.frames_sent += 1;
-                self.stats.events_sent += events;
-                true
-            }
-            Err(channel::TrySendError::Full(frame)) => {
-                // Undo: the items go back to being the local buffer.  The
-                // partial-frame count stays — the *attempt* was partial —
-                // which at worst double-counts a retried flush.
-                let spent = std::mem::replace(&mut self.buf, frame.items);
-                self.pool.put(spent);
-                false
-            }
-            Err(channel::TrySendError::Disconnected(frame)) => {
-                self.stats.disconnected = true;
-                self.stats.dropped_disconnected += frame.items.len();
-                self.pool.put(frame.items);
-                true
-            }
+        match self.sink {
+            FrameSink::Clean(_) => self.ship(false),
+            FrameSink::Faulty(_) => self.buf.is_empty(),
         }
     }
 
@@ -323,10 +317,10 @@ pub struct MergeStats {
 
 struct ShardSource<T> {
     rx: Receiver<Frame<T>>,
-    /// Buffered frame contents, **reversed** so the head of the stream is
-    /// `buf.last()` and emission is an O(1) `pop` — no front-drains, and the
-    /// buffer goes back to the pool intact.
-    buf: Vec<(u64, T)>,
+    /// The arrived frame's items in send order, consumed from the front:
+    /// the deque's head is the read cursor, so emission moves nothing but
+    /// the emitted item and the buffer goes back to the pool intact.
+    buf: VecDeque<(u64, T)>,
     open: bool,
     last_seq: Option<u64>,
 }
@@ -337,7 +331,6 @@ struct ShardSource<T> {
 pub struct FrameMerge<T> {
     shards: Vec<ShardSource<T>>,
     pool: FramePool<T>,
-    seq_scratch: Vec<u64>,
     stats: MergeStats,
 }
 
@@ -357,16 +350,10 @@ impl<T> FrameMerge<T> {
         let start = out.len();
         while out.len() - start < max {
             // Make every open shard's head known (blocking on its ring).
-            let FrameMerge {
-                shards,
-                pool,
-                seq_scratch,
-                stats,
-            } = self;
-            for shard in shards.iter_mut() {
+            for shard in self.shards.iter_mut() {
                 while shard.open && shard.buf.is_empty() {
                     match shard.rx.recv() {
-                        Some(frame) => install(shard, frame, pool, seq_scratch, stats),
+                        Some(frame) => install(shard, frame, &mut self.stats),
                         None => shard.open = false,
                     }
                 }
@@ -376,7 +363,7 @@ impl<T> FrameMerge<T> {
             let mut min_seq = u64::MAX;
             let mut second_seq = u64::MAX;
             for (i, shard) in self.shards.iter().enumerate() {
-                if let Some((seq, _)) = shard.buf.last() {
+                if let Some((seq, _)) = shard.buf.front() {
                     if *seq < min_seq {
                         second_seq = min_seq;
                         min_seq = *seq;
@@ -392,17 +379,13 @@ impl<T> FrameMerge<T> {
             // Emit the whole run that stays below every other head — one
             // comparison per item, no re-scans of the shard set.
             let shard = &mut self.shards[i];
-            while out.len() - start < max {
-                match shard.buf.last() {
-                    Some((seq, _)) if *seq <= second_seq => {
-                        out.push(shard.buf.pop().expect("head exists"));
-                    }
-                    _ => break,
-                }
+            while out.len() - start < max
+                && shard.buf.front().is_some_and(|(seq, _)| *seq <= second_seq)
+            {
+                out.extend(shard.buf.pop_front());
             }
             if shard.buf.is_empty() {
-                let spent = std::mem::take(&mut shard.buf);
-                self.pool.put(spent);
+                self.pool.put(std::mem::take(&mut shard.buf).into());
             }
         }
         out.len() - start
@@ -414,18 +397,12 @@ impl<T> FrameMerge<T> {
     }
 }
 
-/// Buffers one arrived frame into its shard (verifying the fingerprint and
-/// the shard-local ordering) and recycles the shard's spent buffer.
-fn install<T>(
-    shard: &mut ShardSource<T>,
-    frame: Frame<T>,
-    pool: &FramePool<T>,
-    seq_scratch: &mut Vec<u64>,
-    stats: &mut MergeStats,
-) {
+/// Buffers one arrived frame into its (drained) shard, verifying the
+/// fingerprint and the shard-local ordering.
+fn install<T>(shard: &mut ShardSource<T>, frame: Frame<T>, stats: &mut MergeStats) {
     stats.frames += 1;
     stats.events += frame.items.len();
-    if frame.expected_fingerprint(seq_scratch) != frame.fingerprint {
+    if sequence_fingerprint(frame.producer, &frame.items) != frame.fingerprint {
         stats.fingerprint_mismatches += 1;
     }
     if let (Some(last), Some((first, _))) = (shard.last_seq, frame.items.first()) {
@@ -436,10 +413,9 @@ fn install<T>(
     if let Some((seq, _)) = frame.items.last() {
         shard.last_seq = Some(*seq);
     }
-    let mut items = frame.items;
-    items.reverse();
-    let spent = std::mem::replace(&mut shard.buf, items);
-    pool.put(spent);
+    // `recv_sorted` handed the drained buffer back to the pool already, so
+    // what this replaces holds no allocation.
+    shard.buf = frame.items.into();
 }
 
 /// Builds a sharded frame transport: one [`FrameSender`] per producer, each
@@ -469,12 +445,11 @@ pub fn sharded<T: Clone>(
             producer,
             frame_capacity: frame_capacity.max(1),
             buf: pool.get(frame_capacity.max(1)),
-            seq_scratch: Vec::new(),
             stats: FrameSenderStats::default(),
         });
         shards.push(ShardSource {
             rx,
-            buf: Vec::new(),
+            buf: VecDeque::new(),
             open: true,
             last_seq: None,
         });
@@ -484,7 +459,6 @@ pub fn sharded<T: Clone>(
         FrameMerge {
             shards,
             pool,
-            seq_scratch: Vec::new(),
             stats: MergeStats::default(),
         },
     )
@@ -520,6 +494,20 @@ mod tests {
         assert_eq!(m.events, 100);
         assert_eq!(m.fingerprint_mismatches, 0);
         assert_eq!(m.misordered_frames, 0);
+    }
+
+    #[test]
+    fn frame_fingerprint_is_fold_words_over_the_sequence_run() {
+        let items: Vec<(u64, &str)> = vec![(3, "a"), (4, "b"), (9, "c"), (u64::MAX, "d")];
+        let seqs: Vec<u64> = items.iter().map(|(seq, _)| *seq).collect();
+        for producer in [0usize, 1, 7] {
+            for cut in 0..=items.len() {
+                assert_eq!(
+                    sequence_fingerprint(producer, &items[..cut]),
+                    zobrist::fold_words(producer as u64, &seqs[..cut])
+                );
+            }
+        }
     }
 
     #[test]
@@ -664,12 +652,19 @@ mod tests {
         // ...then a non-blocking flush of the next batch must fail softly.
         tx.push(2, 2);
         assert!(!tx.try_flush(), "ring is full");
+        assert!(!tx.try_flush(), "still full");
         assert_eq!(tx.buffered_len(), 1, "items retained, not dropped");
+        assert_eq!(
+            tx.stats().partial_frames,
+            0,
+            "refused attempts ship nothing"
+        );
         // Drain the ring and the retry succeeds.
         let mut out = Vec::new();
         assert_eq!(merge.recv_sorted(&mut out, 2), 2);
         assert!(tx.try_flush());
         assert_eq!(tx.buffered_len(), 0);
+        assert_eq!(tx.stats().partial_frames, 1, "counted once, when shipped");
         drop(tx);
         assert_eq!(merge.recv_sorted(&mut out, 16), 1);
         assert_eq!(out.iter().map(|(s, _)| *s).collect::<Vec<_>>(), [0, 1, 2]);

@@ -815,7 +815,7 @@ mod tests {
         drop(merge);
         let stats = shard.finish();
         assert_eq!(stats.emitted, 0);
-        assert_eq!(stats.flushed_partial_frames, 1);
+        assert_eq!(stats.flushed_partial_frames, 0, "swallowed, not shipped");
         assert!(stats.disconnected);
         assert_eq!(stats.dropped_disconnected, 1);
     }

@@ -33,7 +33,7 @@
 use evlin_checker::monitor::{event_word, MonitorVerdict, MonitorViolation};
 use evlin_history::{Event, ObjectId, ProcessId};
 use evlin_sim::zobrist::fold_words;
-use evlin_spec::{Invocation, Value};
+use evlin_spec::{Invocation, Value, VOCABULARY};
 use std::fmt;
 
 /// Protocol magic, the ASCII bytes `EVLN` read as a little-endian `u32`.
@@ -48,6 +48,10 @@ pub const VERSION: u16 = 2;
 /// Upper bound on a frame body, guarding length-prefix corruption: a flipped
 /// length bit must produce a decode error, not a multi-gigabyte allocation.
 pub const MAX_FRAME_BYTES: usize = 1 << 26;
+
+/// Most distinct out-of-vocabulary method names a decoder's interner keeps
+/// (see [`decode_frame_with`]); later ones decode un-interned.
+const INTERNER_CAP: usize = 32;
 
 /// Frame tag bytes (the byte after the length prefix).
 pub mod tag {
@@ -594,13 +598,21 @@ impl<'a> Cursor<'a> {
                 let argc = self.u8()? as usize;
                 if argc == 0 {
                     // Zero-argument invocations dominate real streams
-                    // (`fetch_inc`, `read`); interning them makes decode a
-                    // pair of refcount bumps instead of two allocations.
+                    // (`fetch_inc`, `read`).  A vocabulary name costs
+                    // nothing to build; any other one is interned, so decode
+                    // is a refcount bump instead of an allocation — for the
+                    // first `INTERNER_CAP` distinct names a peer sends, so
+                    // that it cannot grow the table (or the scan) at will.
+                    if VOCABULARY.contains(&method) {
+                        return Ok(Event::invoke(process, object, Invocation::nullary(method)));
+                    }
                     if let Some(known) = interner.iter().find(|i| i.method() == method) {
                         return Ok(Event::invoke(process, object, known.clone()));
                     }
-                    let inv = Invocation::new(method, Vec::new());
-                    interner.push(inv.clone());
+                    let inv = Invocation::nullary(method);
+                    if interner.len() < INTERNER_CAP {
+                        interner.push(inv.clone());
+                    }
                     return Ok(Event::invoke(process, object, inv));
                 }
                 let mut args = Vec::with_capacity(argc);
@@ -650,7 +662,10 @@ pub fn decode_frame(bytes: &[u8]) -> Result<WireFrame, WireError> {
 
 /// [`decode_frame`] with a caller-held invocation interner, so a long-lived
 /// decoder (a replica connection handler) reuses one `Invocation` allocation
-/// per distinct zero-argument method instead of allocating per event.
+/// per distinct zero-argument method outside the spec [`VOCABULARY`] instead
+/// of allocating per event.  The interner is bounded (a peer cannot grow it
+/// past a few dozen entries) and purely local: nothing about it shows on the
+/// wire or in the decoded events.
 pub fn decode_frame_with(
     bytes: &[u8],
     interner: &mut Vec<Invocation>,

@@ -8,7 +8,7 @@
 //! reproduces from the printed seed alone.
 
 use evlin_checker::monitor::{MonitorVerdict, MonitorViolation};
-use evlin_history::{Event, EventKind, ObjectId, OpId, ProcessId};
+use evlin_history::{Event, ObjectId, OpId, ProcessId};
 use evlin_service::wire::{
     decode_frame, decode_frame_with, encode_frame, event_batch_fingerprint, split_frame,
     ResumeCursor, VerdictSummary, WireError, WireFrame, VERSION,
@@ -283,36 +283,83 @@ proptest! {
     }
 }
 
-/// The interner only ever canonicalizes zero-argument invocations — two
-/// frames with the same nullary method decode to `Invocation`s sharing one
+fn nullary_invoke(seq: u64, method: &str) -> (u64, Event) {
+    (
+        seq,
+        Event::invoke(ProcessId(0), ObjectId(0), Invocation::nullary(method)),
+    )
+}
+
+fn events_frame_bytes(events: Vec<(u64, Event)>) -> Vec<u8> {
+    let fingerprint = event_batch_fingerprint(1, &events);
+    encode_frame(&WireFrame::Events {
+        client: 1,
+        frame_seq: 0,
+        events,
+        fingerprint,
+    })
+}
+
+fn decoded_events(frame: WireFrame) -> Vec<(u64, Event)> {
+    match frame {
+        WireFrame::Events { events, .. } => events,
+        other => panic!("not an event frame: {other:?}"),
+    }
+}
+
+/// The interner only ever canonicalizes zero-argument invocations of
+/// methods outside the spec vocabulary (those cost nothing to build) — two
+/// frames with the same such method decode to `Invocation`s sharing one
 /// allocation, and the sharing is invisible to equality.
 #[test]
 fn interner_reuses_nullary_invocations_across_frames() {
-    let event = |seq: u64| {
-        (
-            seq,
-            Event::invoke(ProcessId(0), ObjectId(0), Invocation::nullary("fetch_inc")),
-        )
-    };
-    let frame = |events: Vec<(u64, Event)>| {
-        let fingerprint = event_batch_fingerprint(1, &events);
-        encode_frame(&WireFrame::Events {
-            client: 1,
-            frame_seq: 0,
-            events,
-            fingerprint,
-        })
-    };
     let mut interner = Vec::new();
-    let a = decode_frame_with(&frame(vec![event(0)]), &mut interner).unwrap();
-    let b = decode_frame_with(&frame(vec![event(1)]), &mut interner).unwrap();
+    for method in evlin_spec::VOCABULARY {
+        let bytes = events_frame_bytes(vec![nullary_invoke(0, method)]);
+        let events = decoded_events(decode_frame_with(&bytes, &mut interner).unwrap());
+        assert_eq!(events, [nullary_invoke(0, method)]);
+    }
+    assert!(interner.is_empty(), "vocabulary names need no interning");
+    let a = decode_frame_with(
+        &events_frame_bytes(vec![nullary_invoke(0, "knock")]),
+        &mut interner,
+    );
+    let b = decode_frame_with(
+        &events_frame_bytes(vec![nullary_invoke(1, "knock")]),
+        &mut interner,
+    );
     assert_eq!(interner.len(), 1);
-    let inv = |f: &WireFrame| match f {
-        WireFrame::Events { events, .. } => match &events[0].1.kind {
-            EventKind::Invoke(inv) => inv.clone(),
-            _ => unreachable!(),
-        },
-        _ => unreachable!(),
-    };
-    assert_eq!(inv(&a), inv(&b));
+    assert_eq!(
+        decoded_events(a.unwrap())[0].1,
+        decoded_events(b.unwrap())[0].1
+    );
+}
+
+/// A peer choosing its method names cannot grow a decoder's interner (and
+/// with it the per-event scan): past a few dozen distinct names the rest
+/// decode un-interned, so 10 000 of them cost 10 000 bounded steps — and
+/// every one still round-trips bit-exactly, interned or not.
+#[test]
+fn interner_is_bounded_under_many_distinct_method_names() {
+    let mut interner = Vec::new();
+    let mut seq = 0u64;
+    for frame in 0..10 {
+        let events: Vec<(u64, Event)> = (0..1000)
+            .map(|k| {
+                seq += 1;
+                nullary_invoke(seq, &format!("hostile_{frame}_{k}"))
+            })
+            .collect();
+        let bytes = events_frame_bytes(events.clone());
+        let decoded = decode_frame_with(&bytes, &mut interner).unwrap();
+        assert!(interner.len() <= 32, "interner grew to {}", interner.len());
+        assert_eq!(encode_frame(&decoded), bytes);
+        assert_eq!(decoded_events(decoded), events);
+    }
+    // A full interner still serves the names it holds.
+    let held = interner[0].method().to_owned();
+    let bytes = events_frame_bytes(vec![nullary_invoke(0, &held)]);
+    let decoded = decode_frame_with(&bytes, &mut interner).unwrap();
+    assert_eq!(decoded_events(decoded), [nullary_invoke(0, &held)]);
+    assert!(interner.len() <= 32);
 }

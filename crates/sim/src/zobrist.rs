@@ -63,11 +63,21 @@ pub fn component(tag: u64, slot: u64, content: u64) -> u64 {
 /// pure function of the word sequence.
 #[inline]
 pub fn fold_words(seed: u64, words: &[u64]) -> u64 {
+    fold_word_iter(seed, words.iter().copied())
+}
+
+/// [`fold_words`] over words produced on the fly, for a caller whose words
+/// sit inside larger records (the sequence numbers of a frame's items) and
+/// would otherwise be copied out just to be folded.
+#[inline]
+pub fn fold_word_iter(seed: u64, words: impl IntoIterator<Item = u64>) -> u64 {
     let mut acc = mix(seed ^ TAG_FOLD);
-    for &w in words {
+    let mut len = 0u64;
+    for w in words {
         acc = mix(acc ^ w);
+        len += 1;
     }
-    mix(acc ^ (words.len() as u64))
+    mix(acc ^ len)
 }
 
 /// Domain-separation tag for [`fold_words`] batch fingerprints.

@@ -1,5 +1,6 @@
 //! Compare&swap registers — the hardware primitive the introduction talks about.
 
+use crate::invocation::name;
 use crate::{Invocation, ObjectType, Transition, Value};
 
 /// A compare&swap register.
@@ -52,17 +53,17 @@ impl CompareAndSwap {
 
     /// The `read()` invocation.
     pub fn read() -> Invocation {
-        Invocation::nullary("read")
+        Invocation::nullary(name::READ)
     }
 
     /// The `write(v)` invocation.
     pub fn write(v: Value) -> Invocation {
-        Invocation::unary("write", v)
+        Invocation::unary(name::WRITE, v)
     }
 
     /// The `cas(expected, new)` invocation.
     pub fn cas(expected: Value, new: Value) -> Invocation {
-        Invocation::binary("cas", expected, new)
+        Invocation::binary(name::CAS, expected, new)
     }
 }
 
@@ -83,14 +84,14 @@ impl ObjectType for CompareAndSwap {
 
     fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
         match invocation.method() {
-            "read" if invocation.args().is_empty() => {
+            name::READ if invocation.args().is_empty() => {
                 vec![Transition::new(state.clone(), state.clone())]
             }
-            "write" => match invocation.arg(0) {
+            name::WRITE => match invocation.arg(0) {
                 Some(v) => vec![Transition::new(Value::Unit, v.clone())],
                 None => Vec::new(),
             },
-            "cas" => match (invocation.arg(0), invocation.arg(1)) {
+            name::CAS => match (invocation.arg(0), invocation.arg(1)) {
                 (Some(expected), Some(new)) => {
                     if state == expected {
                         vec![Transition::new(Value::Bool(true), new.clone())]

@@ -1,5 +1,6 @@
 //! Consensus objects.
 
+use crate::invocation::name;
 use crate::{Invocation, ObjectType, Transition, Value};
 
 /// A (long-lived) consensus object.
@@ -50,7 +51,7 @@ impl Consensus {
 
     /// The `propose(v)` invocation.
     pub fn propose(v: Value) -> Invocation {
-        Invocation::unary("propose", v)
+        Invocation::unary(name::PROPOSE, v)
     }
 }
 
@@ -64,7 +65,7 @@ impl ObjectType for Consensus {
     }
 
     fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
-        if invocation.method() != "propose" {
+        if invocation.method() != name::PROPOSE {
             return Vec::new();
         }
         let proposal = match invocation.arg(0) {

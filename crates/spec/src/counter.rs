@@ -1,5 +1,6 @@
 //! Plain counters (increment + read), weaker than fetch&increment.
 
+use crate::invocation::name;
 use crate::{Invocation, ObjectType, Transition, Value};
 
 /// A counter with separate `inc()` and `read()` operations.
@@ -43,17 +44,17 @@ impl Counter {
 
     /// The `inc()` invocation.
     pub fn inc() -> Invocation {
-        Invocation::nullary("inc")
+        Invocation::nullary(name::INC)
     }
 
     /// The `add(k)` invocation.
     pub fn add(k: i64) -> Invocation {
-        Invocation::unary("add", Value::from(k))
+        Invocation::unary(name::ADD, Value::from(k))
     }
 
     /// The `read()` invocation.
     pub fn read() -> Invocation {
-        Invocation::nullary("read")
+        Invocation::nullary(name::READ)
     }
 }
 
@@ -72,14 +73,14 @@ impl ObjectType for Counter {
             None => return Vec::new(),
         };
         match invocation.method() {
-            "inc" if invocation.args().is_empty() => {
+            name::INC if invocation.args().is_empty() => {
                 vec![Transition::new(Value::Unit, Value::from(v + 1))]
             }
-            "add" => match invocation.arg(0).and_then(Value::as_int) {
+            name::ADD => match invocation.arg(0).and_then(Value::as_int) {
                 Some(k) => vec![Transition::new(Value::Unit, Value::from(v + k))],
                 None => Vec::new(),
             },
-            "read" if invocation.args().is_empty() => {
+            name::READ if invocation.args().is_empty() => {
                 vec![Transition::new(Value::from(v), Value::from(v))]
             }
             _ => Vec::new(),

@@ -1,5 +1,6 @@
 //! The fetch&increment counter — the central object of the paper's Section 5.
 
+use crate::invocation::name;
 use crate::{Invocation, ObjectType, Transition, Value};
 
 /// A fetch&increment object.
@@ -43,7 +44,7 @@ impl FetchIncrement {
 
     /// The `fetch_inc()` invocation.
     pub fn fetch_inc() -> Invocation {
-        Invocation::nullary("fetch_inc")
+        Invocation::nullary(name::FETCH_INC)
     }
 
     /// The initial counter value.
@@ -67,7 +68,7 @@ impl ObjectType for FetchIncrement {
             None => return Vec::new(),
         };
         match invocation.method() {
-            "fetch_inc" if invocation.args().is_empty() => {
+            name::FETCH_INC if invocation.args().is_empty() => {
                 vec![Transition::new(Value::from(v), Value::from(v + 1))]
             }
             _ => Vec::new(),

@@ -54,7 +54,7 @@ pub use compare_and_swap::CompareAndSwap;
 pub use consensus::Consensus;
 pub use counter::Counter;
 pub use fetch_increment::FetchIncrement;
-pub use invocation::Invocation;
+pub use invocation::{Invocation, VOCABULARY};
 pub use max_register::MaxRegister;
 pub use object_type::{ObjectType, SpecError, Transition};
 pub use queue::Queue;

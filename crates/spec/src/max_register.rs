@@ -1,5 +1,6 @@
 //! Max-registers: a simple monotone type used in triviality experiments.
 
+use crate::invocation::name;
 use crate::{Invocation, ObjectType, Transition, Value};
 
 /// A max-register.
@@ -41,12 +42,12 @@ impl MaxRegister {
 
     /// The `write_max(v)` invocation.
     pub fn write_max(v: i64) -> Invocation {
-        Invocation::unary("write_max", Value::from(v))
+        Invocation::unary(name::WRITE_MAX, Value::from(v))
     }
 
     /// The `read_max()` invocation.
     pub fn read_max() -> Invocation {
-        Invocation::nullary("read_max")
+        Invocation::nullary(name::READ_MAX)
     }
 }
 
@@ -65,11 +66,11 @@ impl ObjectType for MaxRegister {
             None => return Vec::new(),
         };
         match invocation.method() {
-            "write_max" => match invocation.arg(0).and_then(Value::as_int) {
+            name::WRITE_MAX => match invocation.arg(0).and_then(Value::as_int) {
                 Some(v) => vec![Transition::new(Value::Unit, Value::from(cur.max(v)))],
                 None => Vec::new(),
             },
-            "read_max" if invocation.args().is_empty() => {
+            name::READ_MAX if invocation.args().is_empty() => {
                 vec![Transition::new(Value::from(cur), Value::from(cur))]
             }
             _ => Vec::new(),

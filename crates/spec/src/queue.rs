@@ -1,5 +1,6 @@
 //! FIFO queues — a classic non-trivial type used in tests of the checkers.
 
+use crate::invocation::name;
 use crate::{Invocation, ObjectType, Transition, Value};
 
 /// A FIFO queue.
@@ -47,12 +48,12 @@ impl Queue {
 
     /// The `enqueue(v)` invocation.
     pub fn enqueue(v: Value) -> Invocation {
-        Invocation::unary("enqueue", v)
+        Invocation::unary(name::ENQUEUE, v)
     }
 
     /// The `dequeue()` invocation.
     pub fn dequeue() -> Invocation {
-        Invocation::nullary("dequeue")
+        Invocation::nullary(name::DEQUEUE)
     }
 }
 
@@ -71,7 +72,7 @@ impl ObjectType for Queue {
             None => return Vec::new(),
         };
         match invocation.method() {
-            "enqueue" => match invocation.arg(0) {
+            name::ENQUEUE => match invocation.arg(0) {
                 Some(v) => {
                     let mut next = items;
                     next.push(v.clone());
@@ -79,7 +80,7 @@ impl ObjectType for Queue {
                 }
                 None => Vec::new(),
             },
-            "dequeue" if invocation.args().is_empty() => {
+            name::DEQUEUE if invocation.args().is_empty() => {
                 if items.is_empty() {
                     vec![Transition::new(Value::Bottom, Value::list([]))]
                 } else {

@@ -1,5 +1,6 @@
 //! Read/write registers.
 
+use crate::invocation::name;
 use crate::{Invocation, ObjectType, Transition, Value};
 
 /// A multi-reader multi-writer read/write register.
@@ -77,10 +78,10 @@ impl ObjectType for Register {
 
     fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
         match invocation.method() {
-            "read" if invocation.args().is_empty() => {
+            name::READ if invocation.args().is_empty() => {
                 vec![Transition::new(state.clone(), state.clone())]
             }
-            "write" => match invocation.arg(0) {
+            name::WRITE => match invocation.arg(0) {
                 Some(v) => vec![Transition::new(Value::Unit, v.clone())],
                 None => Vec::new(),
             },
@@ -89,9 +90,9 @@ impl ObjectType for Register {
     }
 
     fn sample_invocations(&self) -> Vec<Invocation> {
-        let mut invs = vec![Invocation::nullary("read")];
+        let mut invs = vec![Invocation::nullary(name::READ)];
         for v in &self.sample_domain {
-            invs.push(Invocation::unary("write", v.clone()));
+            invs.push(Invocation::unary(name::WRITE, v.clone()));
         }
         invs
     }
@@ -101,12 +102,12 @@ impl ObjectType for Register {
 impl Register {
     /// The `read()` invocation.
     pub fn read() -> Invocation {
-        Invocation::nullary("read")
+        Invocation::nullary(name::READ)
     }
 
     /// The `write(v)` invocation.
     pub fn write(v: Value) -> Invocation {
-        Invocation::unary("write", v)
+        Invocation::unary(name::WRITE, v)
     }
 }
 

@@ -1,5 +1,6 @@
 //! Test&set objects.
 
+use crate::invocation::name;
 use crate::{Invocation, ObjectType, Transition, Value};
 
 /// A test&set object.
@@ -35,7 +36,7 @@ impl TestAndSet {
 
     /// The `test_and_set()` invocation.
     pub fn test_and_set() -> Invocation {
-        Invocation::nullary("test_and_set")
+        Invocation::nullary(name::TEST_AND_SET)
     }
 }
 
@@ -49,7 +50,7 @@ impl ObjectType for TestAndSet {
     }
 
     fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
-        if invocation.method() != "test_and_set" || !invocation.args().is_empty() {
+        if invocation.method() != name::TEST_AND_SET || !invocation.args().is_empty() {
             return Vec::new();
         }
         match state.as_bool() {

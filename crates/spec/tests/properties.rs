@@ -3,12 +3,19 @@
 //! generated invocation is enabled) and *deterministic* (exactly one
 //! transition, and re-applying it gives the identical outcome) for Register,
 //! FetchIncrement, CompareAndSwap, TestAndSet, Queue and MaxRegister.
+//!
+//! And for [`Invocation`]: however its method name is carried, `Eq`, `Ord`
+//! and `Hash` see exactly what deriving them on `(Arc<str>, Arc<[Value]>)`
+//! sees — kernel interning, Zobrist folds and checkpoint bytes are keyed on
+//! them.
 
 use evlin_spec::{
     CompareAndSwap, FetchIncrement, Invocation, MaxRegister, ObjectType, Queue, Register,
-    TestAndSet, Value,
+    TestAndSet, Value, VOCABULARY,
 };
 use proptest::prelude::*;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Walks `ty` from its initial state, deriving each step's invocation from
 /// one code of `codes` via `invocation_for`, and checks at every step that
@@ -58,8 +65,105 @@ fn small_int(code: usize) -> i64 {
     (code % 9) as i64 - 4
 }
 
+/// An invocation with both fields reference-counted and everything derived:
+/// the definition whose `Eq`/`Ord`/`Hash` the real one must reproduce, and
+/// the `Arc`-named counterpart of a vocabulary invocation.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct DerivedInvocation {
+    method: Arc<str>,
+    args: Arc<[Value]>,
+}
+
+/// Records the bytes a `Hash` impl feeds its hasher.
+#[derive(Default)]
+struct RecordingHasher(Vec<u8>);
+
+impl Hasher for RecordingHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        0
+    }
+}
+
+fn hashed_bytes(value: &impl Hash) -> Vec<u8> {
+    let mut hasher = RecordingHasher::default();
+    value.hash(&mut hasher);
+    hasher.0
+}
+
+/// A method name and an argument list drawn from `codes`: vocabulary names,
+/// near misses of them (prefixes, extensions, the empty name) and arbitrary
+/// other names, with zero to three small arguments.
+fn invocation_parts(codes: &[usize]) -> (String, Vec<Value>) {
+    let code = codes[0];
+    let known = VOCABULARY[code % VOCABULARY.len()];
+    let method = match code % 5 {
+        0 | 1 => known.to_owned(),
+        2 => known[..known.len() - code % 2].to_owned() + ["", "s", "_"][code % 3],
+        3 => String::new(),
+        _ => format!("m{}", code / 5),
+    };
+    let value = |code: usize| match code % 6 {
+        0 => Value::Unit,
+        1 => Value::Bottom,
+        2 => Value::Bool(code % 4 < 2),
+        3 => Value::from(small_int(code)),
+        4 => Value::sym(format!("s{}", code % 7)),
+        _ => Value::pair(Value::from(small_int(code)), Value::list([Value::Unit])),
+    };
+    let args = codes[1..]
+        .iter()
+        .take(code % 4)
+        .map(|&c| value(c))
+        .collect();
+    (method, args)
+}
+
+fn both_forms(method: &str, args: &[Value]) -> (Invocation, DerivedInvocation) {
+    (
+        Invocation::new(method, args.to_vec()),
+        DerivedInvocation {
+            method: Arc::from(method),
+            args: Arc::from(args),
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn invocation_eq_ord_and_hash_are_the_derived_ones(
+        left in prop::collection::vec(0usize..1000, 4..5),
+        right in prop::collection::vec(0usize..1000, 4..5),
+    ) {
+        let (left_method, left_args) = invocation_parts(&left);
+        let (right_method, right_args) = invocation_parts(&right);
+        let (a, derived_a) = both_forms(&left_method, &left_args);
+        let (b, derived_b) = both_forms(&right_method, &right_args);
+        prop_assert_eq!(a == b, derived_a == derived_b);
+        prop_assert_eq!(a.cmp(&b), derived_a.cmp(&derived_b));
+        prop_assert_eq!(a.partial_cmp(&b), derived_a.partial_cmp(&derived_b));
+        prop_assert_eq!(hashed_bytes(&a), hashed_bytes(&derived_a));
+        prop_assert_eq!(
+            hashed_bytes(&a),
+            hashed_bytes(&(left_method.as_str(), left_args.as_slice()))
+        );
+        // Same content from another spelling and another constructor.
+        let again = match left_args.as_slice() {
+            [] => Invocation::nullary(left_method.clone()),
+            [x] => Invocation::unary(left_method.clone(), x.clone()),
+            [x, y] => Invocation::binary(left_method.clone(), x.clone(), y.clone()),
+            _ => Invocation::new(left_method.clone(), left_args.clone()),
+        };
+        prop_assert_eq!(&again, &a);
+        prop_assert_eq!(again.cmp(&a), std::cmp::Ordering::Equal);
+        prop_assert_eq!(hashed_bytes(&again), hashed_bytes(&a));
+        prop_assert_eq!(format!("{a:?}"), format!("{derived_a:?}").replacen("Derived", "", 1));
+    }
 
     #[test]
     fn register_is_total_and_deterministic(codes in prop::collection::vec(0usize..1000, 1..60)) {
@@ -137,6 +241,51 @@ proptest! {
         prop_assert!(Queue::new().is_deterministic());
         prop_assert!(MaxRegister::new().is_deterministic());
     }
+}
+
+/// Every vocabulary name, with and without arguments: the statically named
+/// invocation is indistinguishable from its `Arc`-named counterpart, and the
+/// vocabulary is exactly what the eight types' own constructors spell.
+#[test]
+fn vocabulary_invocations_match_their_arc_named_counterparts() {
+    let arg_lists: [&[Value]; 3] = [&[], &[Value::Int(7)], &[Value::Bottom, Value::Bool(true)]];
+    for known in VOCABULARY {
+        for args in arg_lists {
+            let (fixed, shared) = both_forms(known, args);
+            assert_eq!(fixed.method(), &*shared.method);
+            assert_eq!(fixed.args(), &*shared.args);
+            assert_eq!(hashed_bytes(&fixed), hashed_bytes(&shared));
+            assert_eq!(hashed_bytes(&fixed), hashed_bytes(&(known, args)));
+            for other in VOCABULARY {
+                let (other_fixed, other_shared) = both_forms(other, args);
+                assert_eq!(fixed == other_fixed, shared == other_shared);
+                assert_eq!(fixed.cmp(&other_fixed), shared.cmp(&other_shared));
+            }
+        }
+    }
+    let spelled: std::collections::BTreeSet<String> = [
+        Register::read(),
+        Register::write(Value::Unit),
+        CompareAndSwap::read(),
+        CompareAndSwap::write(Value::Unit),
+        CompareAndSwap::cas(Value::Unit, Value::Unit),
+        evlin_spec::Consensus::propose(Value::Unit),
+        evlin_spec::Counter::inc(),
+        evlin_spec::Counter::add(1),
+        evlin_spec::Counter::read(),
+        FetchIncrement::fetch_inc(),
+        MaxRegister::write_max(1),
+        MaxRegister::read_max(),
+        Queue::enqueue(Value::Unit),
+        Queue::dequeue(),
+        TestAndSet::test_and_set(),
+    ]
+    .iter()
+    .map(|invocation| invocation.method().to_owned())
+    .collect();
+    let vocabulary: std::collections::BTreeSet<String> =
+        VOCABULARY.iter().map(|name| name.to_string()).collect();
+    assert_eq!(spelled, vocabulary);
 }
 
 /// Semantic spot-checks that the walks above cannot see (they only check
