@@ -10,7 +10,13 @@
 //!   is the 6-process shape, where canonicalization weighs `6!` renamings
 //!   per visited state;
 //! * the compare&swap fetch&increment (multi-step, one shared object,
-//!   commuting read/failed-cas steps);
+//!   commuting read/failed-cas steps); `explore/cas/sleepsym/2x4` is the
+//!   deep shape — 2 processes × 4 operations to depth 24, 359 924 states —
+//!   that BENCHMARK.json's `explore_deep` workload measures;
+//! * the two per-transition stages of that deep walk in isolation
+//!   (`explore/stage/{step,shape}/{plain,memo}`): expanding a child and
+//!   classifying a pending step through `Config`'s plain entry points and
+//!   through the memoized ones the engine calls, along one schedule;
 //! * the fault-bounded tree (`explore/faults/k{0,1,2}`): the local-copy
 //!   family under `SleepSetSymmetry` with a transient-fault budget.  The
 //!   `k0` entry is gated at ±5% (per-entry tolerance in BENCH_checker.json):
@@ -20,9 +26,11 @@
 //! enforced by CI's bench-gate job: a regression here means the engine (or a
 //! strategy) got slower.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use evlin_algorithms::CasFetchInc;
+use evlin_history::ProcessId;
 use evlin_sim::checkpoint;
+use evlin_sim::config::{Config, StepMemo};
 use evlin_sim::engine::{self, EngineOptions, ExploreOptions, Reduction, Visit};
 use evlin_sim::program::{Implementation, LocalSpecImplementation};
 use evlin_sim::store::StoreConfig;
@@ -110,6 +118,96 @@ fn bench_cas(c: &mut Criterion) {
             });
         }
     }
+    let (implementation, workload, limits) = deep_cas();
+    group.bench_function(BenchmarkId::new("sleepsym", "2x4"), |b| {
+        b.iter(|| {
+            explore_once(
+                &implementation,
+                &workload,
+                limits,
+                Reduction::SleepSetSymmetry,
+            )
+        });
+    });
+    group.finish();
+}
+
+/// The deep compare&swap tree: 2 processes × 4 operations cut at depth 24.
+fn deep_cas() -> (CasFetchInc, Workload, ExploreOptions) {
+    (
+        CasFetchInc::new(2),
+        Workload::uniform(2, FetchIncrement::fetch_inc(), 4),
+        ExploreOptions {
+            max_depth: 24,
+            max_configs: 4_000_000,
+        },
+    )
+}
+
+/// The two per-transition stages of the deep compare&swap walk, along the
+/// round-robin schedule from its root to quiescence, with the fingerprint
+/// tracking a `SleepSetSymmetry` walk switches on.  `step/*` is clone + step
+/// — what expanding one child costs the engine — and `shape/*` classifies
+/// the pending step of every process at every configuration of the
+/// schedule.  `plain` is `Config::step` / `Config::peek_step_shape`; `memo`
+/// is the pair the engine calls, over a memo in which every pending step of
+/// the schedule has been taken once.
+fn bench_stages(c: &mut Criterion) {
+    let (implementation, workload, _) = deep_cas();
+    let mut config = Config::initial(&implementation, &workload);
+    config.set_fingerprint_tracking(true, true);
+    let mut schedule: Vec<(Config, ProcessId)> = Vec::new();
+    while !config.is_quiescent() {
+        let enabled = config.enabled_processes();
+        let p = enabled[schedule.len() % enabled.len()];
+        schedule.push((config.clone(), p));
+        config.step(p);
+    }
+    let processes: Vec<ProcessId> = (0..workload.processes()).map(ProcessId).collect();
+    let mut memo = StepMemo::default();
+    for (config, _) in &schedule {
+        for &q in &processes {
+            config.clone().step_memoized(q, &mut memo);
+        }
+    }
+
+    let mut group = c.benchmark_group("explore/stage");
+    group.throughput(Throughput::Elements(schedule.len() as u64));
+    group.bench_function("step/plain", |b| {
+        b.iter(|| {
+            for (config, p) in &schedule {
+                black_box(config.clone().step(*p));
+            }
+        });
+    });
+    group.bench_function("step/memo", |b| {
+        b.iter(|| {
+            for (config, p) in &schedule {
+                black_box(config.clone().step_memoized(*p, &mut memo));
+            }
+        });
+    });
+    group.throughput(Throughput::Elements(
+        (schedule.len() * processes.len()) as u64,
+    ));
+    group.bench_function("shape/plain", |b| {
+        b.iter(|| {
+            for (config, _) in &schedule {
+                for &q in &processes {
+                    black_box(config.peek_step_shape(q));
+                }
+            }
+        });
+    });
+    group.bench_function("shape/memo", |b| {
+        b.iter(|| {
+            for (config, _) in &schedule {
+                for &q in &processes {
+                    black_box(config.peek_step_shape_memoized(q, &memo));
+                }
+            }
+        });
+    });
     group.finish();
 }
 
@@ -211,6 +309,7 @@ criterion_group!(
     exploration_scaling,
     bench_local_copy,
     bench_cas,
+    bench_stages,
     bench_faults,
     bench_store
 );

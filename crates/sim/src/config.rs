@@ -15,7 +15,7 @@ use crate::zobrist::{self, TAG_EVENT, TAG_OBJECT, TAG_PROCESS};
 use evlin_history::{Event, History, ObjectId, ProcessId};
 use evlin_spec::Value;
 use std::borrow::Cow;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -194,12 +194,103 @@ fn first_min(keys: impl Iterator<Item = u64>) -> usize {
     best.1
 }
 
-/// One slot of the step-shape memo: `None` = not computed for the current
-/// state; `Some(shape)` = the memoized [`Config::peek_step_shape`] result
-/// (itself an `Option`, since disabled processes have no shape).
-type ShapeSlot = Option<Option<StepShape>>;
+/// What one transition does to the content hashes a [`Config`] maintains —
+/// everything [`Config::step`] would otherwise re-derive from `Debug` text —
+/// and how [`Config::peek_step_shape`] classifies it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StepEffect {
+    /// The stepping process's content hash afterwards.
+    proc_raw: u64,
+    /// The accessed base object's content hash afterwards (0 for a step that
+    /// accesses none).
+    obj_raw: u64,
+    /// Content hash of the invocation event the step records (0 unless it
+    /// starts an operation).
+    invoke_body: u64,
+    /// Content hash of the response event the step records (0 unless it
+    /// completes the operation).
+    respond_body: u64,
+    shape: StepShape,
+}
+
+/// A walker's memo of the transitions it has taken.
+///
+/// An exploration takes the same few hundred transitions hundreds of
+/// thousands of times.  What a step does to the fingerprint is a function of
+/// the stepping process's content (programme state, flags, in-flight
+/// response, remaining workload), the content of the one base object it
+/// accesses, and the process id the object sees — exactly the content hashes
+/// a tracking [`Config`] already maintains.  The memo maps that key to the
+/// transition's effect on those hashes, so [`Config::step_memoized`] and
+/// [`Config::peek_step_shape_memoized`] read hashes and shapes from a table
+/// instead of rendering programmes and objects through `Debug`.
+///
+/// A memo belongs to one walk over one implementation (the engine keeps one
+/// per walker, see `engine::WalkScratch`) and is dropped with it: content
+/// hashes identify a state only among the states of one implementation, so a
+/// memo must never be shared between explorations.
+pub struct StepMemo {
+    /// `(proc_raw[p], p)` → the base object the pending mid-operation step of
+    /// `p` accesses (`None`: the step completes the operation), which is what
+    /// a classification needs to find the effect without running the
+    /// programme.
+    targets: HashMap<(u64, usize), Option<usize>, zobrist::FxBuildHasher>,
+    /// `(proc_raw[p], obj_raw[target], p)` → the transition's effect (the
+    /// object word is 0 for a step that accesses none).
+    effects: HashMap<(u64, u64, usize), StepEffect, zobrist::FxBuildHasher>,
+    /// Recorded transitions past which nothing more is recorded.
+    cap: usize,
+}
+
+impl StepMemo {
+    /// The number of transitions a memo records before it stops recording
+    /// (further ones are derived the plain way every time): ≈7 MB of table
+    /// at worst, two orders of magnitude above the 278 transitions of the
+    /// deepest tree this workspace benchmarks.
+    pub const MAX_ENTRIES: usize = 1 << 15;
+
+    /// A memo that records at most `cap` transitions.
+    pub(crate) fn with_cap(cap: usize) -> Self {
+        StepMemo {
+            targets: HashMap::default(),
+            effects: HashMap::default(),
+            cap,
+        }
+    }
+
+    fn record(&mut self, key: (u64, u64, usize), target: Option<usize>, effect: StepEffect) {
+        if self.effects.len() >= self.cap {
+            return;
+        }
+        // Operation starts are classified without a lookup.
+        if effect.shape != StepShape::Start {
+            self.targets.insert((key.0, key.2), target);
+        }
+        self.effects.insert(key, effect);
+    }
+
+    /// The recorded shape of the pending step of running process `idx`, whose
+    /// content hash is `proc_raw`, against base objects with content hashes
+    /// `obj_raw`.
+    fn shape(&self, proc_raw: u64, obj_raw: &[u64], idx: usize) -> Option<StepShape> {
+        match *self.targets.get(&(proc_raw, idx))? {
+            None => Some(StepShape::Complete),
+            Some(object) => self
+                .effects
+                .get(&(proc_raw, obj_raw[object], idx))
+                .map(|effect| effect.shape),
+        }
+    }
+}
+
+impl Default for StepMemo {
+    fn default() -> Self {
+        StepMemo::with_cap(Self::MAX_ENTRIES)
+    }
+}
 
 /// A configuration of the simulated system.
+#[derive(Clone)]
 pub struct Config {
     base: Vec<Box<dyn BaseObject>>,
     processes: Vec<ProcessState>,
@@ -220,31 +311,6 @@ pub struct Config {
     /// configuration's futures may inject (see [`crate::fault`]).  0 — the
     /// default — disables fault enumeration entirely.
     fault_budget: usize,
-    /// Memoized per-process step shapes ([`Config::step_shape_memoized`]),
-    /// cleared by every mutation that can change a pending step's shape —
-    /// including fault corruption, whose staleness would otherwise let a
-    /// write-detecting probe report the pre-corruption classification.
-    /// Empty = cold.
-    shape_memo: Vec<ShapeSlot>,
-}
-
-impl Clone for Config {
-    fn clone(&self) -> Self {
-        Config {
-            base: self.base.clone(),
-            processes: self.processes.clone(),
-            history: self.history.clone(),
-            steps: self.steps,
-            object_id: self.object_id,
-            fp: self.fp.clone(),
-            fp_live: self.fp_live,
-            fault_budget: self.fault_budget,
-            // The memo would still be valid for the clone (same state), but
-            // carrying it would cost an allocation per clone on the engine's
-            // hot path; clones start cold instead.
-            shape_memo: Vec::new(),
-        }
-    }
 }
 
 impl Config {
@@ -281,7 +347,6 @@ impl Config {
             fp: Fingerprint::default(),
             fp_live: false,
             fault_budget: 0,
-            shape_memo: Vec::new(),
         }
     }
 
@@ -428,7 +493,6 @@ impl Config {
     /// Appends an extra high-level operation to process `p`'s workload.
     pub fn push_operation(&mut self, p: ProcessId, invocation: evlin_spec::Invocation) {
         self.processes[p.index()].remaining.push_back(invocation);
-        self.shape_memo.clear();
         self.refresh_proc_fingerprint(p.index());
     }
 
@@ -609,7 +673,6 @@ impl Config {
             (0..n).all(|t| perm.contains(&t)),
             "perm must be a bijection"
         );
-        self.shape_memo.clear();
         // Process `p`'s state, content hash and history row (`hist[p][·]`:
         // its events under every rename target) move to slot `perm[p]`, in
         // place: each cycle is walked once, from its least slot `s`, and
@@ -735,30 +798,32 @@ impl Config {
         }
     }
 
-    /// [`Config::peek_step_shape`] with a per-process memo, for callers that
-    /// may classify the same pending step several times against one
-    /// configuration (quiescence probes, external tooling; the engine's
-    /// sleep-set expansion instead keeps one classification per process on
-    /// its stack, which is cheaper for its classify-once pattern).  The memo
-    /// is invalidated by every mutation that can
-    /// change a pending step's shape — a process step, a permutation, a
-    /// workload append and, crucially, a fault corruption: a corrupted base
-    /// object can flip whether a pending access *writes* (e.g. a `cas` whose
-    /// expected value no longer matches), and a corrupted programme state can
-    /// change the step entirely, so serving the stale classification would
-    /// unsoundly sleep dependent steps.
-    pub fn step_shape_memoized(&mut self, p: ProcessId) -> Option<StepShape> {
-        let n = self.processes.len();
-        if self.shape_memo.len() != n {
-            self.shape_memo.clear();
-            self.shape_memo.resize(n, None);
+    /// [`Config::peek_step_shape`] answered from `memo` when the pending
+    /// transition is on record: no programme clone, no object probe.  The
+    /// cheap classifications (idle, operation start) and walks without
+    /// fingerprint tracking — which have no content hashes to key on — go
+    /// straight to the plain oracle, and so does a transition not on record
+    /// yet: only taking it ([`Config::step_memoized`]) records it, which the
+    /// engine does right after classifying, for every process not asleep.
+    ///
+    /// The key is the *content* of the stepping process and of the object
+    /// it is about to access, so nothing ever needs invalidating: a fault
+    /// that corrupts either one changes the key, and the classification
+    /// recorded for the uncorrupted state cannot be served for the
+    /// corrupted one.
+    pub fn peek_step_shape_memoized(&self, p: ProcessId, memo: &StepMemo) -> Option<StepShape> {
+        let idx = p.index();
+        if self.fp_live && self.processes[idx].running {
+            if let Some(shape) = memo.shape(self.fp.proc_raw[idx], &self.fp.obj_raw, idx) {
+                debug_assert_eq!(
+                    Some(shape),
+                    self.peek_step_shape(p),
+                    "memoized step shape drifted from the plain oracle"
+                );
+                return Some(shape);
+            }
         }
-        if let Some(known) = self.shape_memo[p.index()] {
-            return known;
-        }
-        let shape = self.peek_step_shape(p);
-        self.shape_memo[p.index()] = Some(shape);
-        shape
+        self.peek_step_shape(p)
     }
 
     /// Gives one atomic step to process `p`.
@@ -770,53 +835,138 @@ impl Config {
     /// access or the completion of the operation (whose response event is
     /// recorded).
     pub fn step(&mut self, p: ProcessId) -> StepOutcome {
+        self.step_via(p, None)
+    }
+
+    /// [`Config::step`] with the content hashes of the transition taken from
+    /// `memo` when it is on record there, and recorded there when it is not.
+    /// The programme and the base object still execute for real — states,
+    /// responses and the outcome are never cached — so the two differ only
+    /// in where the fingerprint's words come from, and every fingerprint is
+    /// the one [`Config::step`] would have maintained.  Without fingerprint
+    /// tracking there is nothing to look up and this *is* `step`.
+    pub fn step_memoized(&mut self, p: ProcessId, memo: &mut StepMemo) -> StepOutcome {
+        self.step_via(p, Some(memo))
+    }
+
+    fn step_via(&mut self, p: ProcessId, memo: Option<&mut StepMemo>) -> StepOutcome {
         let idx = p.index();
         if !self.is_enabled(p) {
             return StepOutcome::Idle;
         }
         self.steps += 1;
-        self.shape_memo.clear();
-        let n = self.processes.len();
-        if !self.processes[idx].running {
-            let inv = self.processes[idx]
+        let state = &mut self.processes[idx];
+        let invoked_at = if state.running {
+            None
+        } else {
+            let inv = state
                 .remaining
                 .pop_front()
                 .expect("enabled non-running process must have workload");
             let position = self.history.len();
             self.history.push_invoke(p, self.object_id, inv.clone());
-            if self.fp_live {
-                let body = event_body(self.history.events().last().expect("just pushed"));
-                self.fp.push_event(n, position, idx, body);
-            }
-            self.processes[idx].logic.begin(inv);
-            self.processes[idx].running = true;
-            self.processes[idx].last_response = None;
-        }
-        let prev = self.processes[idx].last_response.take();
-        let outcome = match self.processes[idx].logic.step(prev) {
+            state.logic.begin(inv);
+            state.running = true;
+            state.last_response = None;
+            Some(position)
+        };
+        let prev = state.last_response.take();
+        let (outcome, target) = match state.logic.step(prev) {
             TaskStep::Access { object, invocation } => {
-                let response = self.base[object].invoke(p, &invocation);
-                if self.fp_live {
-                    let raw = zobrist::hash_debug(&self.base[object]);
-                    self.fp.set_obj(object, raw);
-                }
-                self.processes[idx].last_response = Some(response);
-                StepOutcome::Progressed
+                state.last_response = Some(self.base[object].invoke(p, &invocation));
+                (StepOutcome::Progressed, Some(object))
             }
             TaskStep::Complete(value) => {
-                let position = self.history.len();
                 self.history.push_respond(p, self.object_id, value.clone());
-                if self.fp_live {
-                    let body = event_body(self.history.events().last().expect("just pushed"));
-                    self.fp.push_event(n, position, idx, body);
-                }
-                self.processes[idx].running = false;
-                self.processes[idx].completed += 1;
-                StepOutcome::Completed(value)
+                state.running = false;
+                state.completed += 1;
+                (StepOutcome::Completed(value), None)
             }
         };
-        self.refresh_proc_fingerprint(idx);
+        if self.fp_live {
+            self.fold_step(idx, invoked_at, target, memo);
+        }
         outcome
+    }
+
+    /// Folds the step process `idx` has just taken into the maintained
+    /// fingerprint.  The state is already the successor's; the components
+    /// are still the predecessor's, and it is their content hashes that key
+    /// the transition in `memo`.  The step recorded an invocation event at
+    /// `invoked_at` if it started an operation, then either accessed base
+    /// object `target` or (`None`) completed the operation and recorded the
+    /// response as the last event.
+    fn fold_step(
+        &mut self,
+        idx: usize,
+        invoked_at: Option<usize>,
+        target: Option<usize>,
+        memo: Option<&mut StepMemo>,
+    ) {
+        let key = (
+            self.fp.proc_raw[idx],
+            target.map_or(0, |t| self.fp.obj_raw[t]),
+            idx,
+        );
+        let effect = match memo.as_deref().and_then(|m| m.effects.get(&key)) {
+            Some(&known) => {
+                debug_assert_eq!(
+                    known,
+                    self.derive_effect(idx, invoked_at, target),
+                    "memoized transition drifted from the plain derivation"
+                );
+                known
+            }
+            None => {
+                let derived = self.derive_effect(idx, invoked_at, target);
+                if let Some(memo) = memo {
+                    memo.record(key, target, derived);
+                }
+                derived
+            }
+        };
+        let n = self.processes.len();
+        if let Some(position) = invoked_at {
+            self.fp.push_event(n, position, idx, effect.invoke_body);
+        }
+        match target {
+            Some(object) => self.fp.set_obj(object, effect.obj_raw),
+            None => {
+                let position = self.history.len() - 1;
+                self.fp.push_event(n, position, idx, effect.respond_body);
+            }
+        }
+        self.fp.set_proc(idx, effect.proc_raw);
+    }
+
+    /// The content hashes of the step described to [`Config::fold_step`],
+    /// derived the plain way: from the `Debug` rendering of the stepped
+    /// programme and the accessed object and from the recorded events.
+    fn derive_effect(
+        &self,
+        idx: usize,
+        invoked_at: Option<usize>,
+        target: Option<usize>,
+    ) -> StepEffect {
+        let events = self.history.events();
+        let obj_raw = target.map_or(0, |t| zobrist::hash_debug(&self.base[t]));
+        StepEffect {
+            proc_raw: proc_content(&self.processes[idx]),
+            obj_raw,
+            invoke_body: invoked_at.map_or(0, |k| event_body(&events[k])),
+            respond_body: match target {
+                Some(_) => 0,
+                None => event_body(events.last().expect("a completion records its response")),
+            },
+            shape: match (invoked_at, target) {
+                (Some(_), _) => StepShape::Start,
+                (None, Some(object)) => StepShape::Access {
+                    object,
+                    writes: obj_raw != self.fp.obj_raw[object],
+                },
+                (None, None) => StepShape::Complete,
+            },
+        }
     }
 
     /// Runs process `p` alone until it completes its current operation (or
@@ -903,10 +1053,10 @@ impl Config {
     }
 
     /// Applies one transient fault: spends one budget unit and corrupts the
-    /// target component, maintaining the incremental fingerprint exactly and
-    /// invalidating the step-shape memo.  No history event is recorded —
-    /// faults are environmental, not operations.  Returns `false` (and does
-    /// nothing) when the budget is exhausted.
+    /// target component, maintaining the incremental fingerprint exactly.  No
+    /// history event is recorded — faults are environmental, not
+    /// operations.  Returns `false` (and does nothing) when the budget is
+    /// exhausted.
     pub fn apply_fault(&mut self, fault: &FaultStep) -> bool {
         if self.fault_budget == 0 {
             return false;
@@ -925,7 +1075,6 @@ impl Config {
                 self.refresh_proc_fingerprint(i);
             }
         }
-        self.shape_memo.clear();
         debug_assert!(
             self.fingerprint_consistent(),
             "fault mutation drifted the incremental fingerprint"
@@ -1237,32 +1386,30 @@ mod tests {
     }
 
     #[test]
-    fn fault_invalidates_stale_step_shape_memo() {
+    fn a_fault_changes_the_key_so_the_stale_shape_cannot_be_served() {
         let imp = CasOnce;
         let w = Workload::uniform(1, Invocation::nullary("op"), 1);
         let mut c = Config::initial(&imp, &w);
+        c.set_fingerprint_tracking(true, false);
+        let mut memo = StepMemo::default();
         let p = ProcessId(0);
+        let on_record =
+            |c: &Config, memo: &StepMemo| memo.shape(c.fp.proc_raw[0], &c.fp.obj_raw, 0);
+        let writes = |writes| Some(StepShape::Access { object: 0, writes });
         // Start the operation and take the dummy read: the pending step is
         // now `cas(0 → 1)` against a cas object holding 0.
-        assert_eq!(c.step(p), StepOutcome::Progressed);
-        assert_eq!(
-            c.step_shape_memoized(p),
-            Some(StepShape::Access {
-                object: 0,
-                writes: true
-            })
-        );
-        // Memo hit: same answer without recomputation.
-        assert_eq!(
-            c.step_shape_memoized(p),
-            Some(StepShape::Access {
-                object: 0,
-                writes: true
-            })
-        );
+        assert_eq!(c.step_memoized(p, &mut memo), StepOutcome::Progressed);
+        // Classifying records nothing; taking the step (here on a copy, as
+        // the engine steps a child) does, and then the memo answers.
+        assert_eq!(c.peek_step_shape_memoized(p, &memo), writes(true));
+        assert_eq!(on_record(&c, &memo), None);
+        c.clone().step_memoized(p, &mut memo);
+        assert_eq!(on_record(&c, &memo), writes(true));
+        assert_eq!(c.peek_step_shape_memoized(p, &memo), writes(true));
         // Corrupt the cas object (its only corruption state is 1): the
-        // pending cas now fails, so the step no longer writes.  A stale memo
-        // would keep reporting `writes: true`.
+        // pending cas now fails, so the step no longer writes.  The
+        // corruption changed the object's content hash and with it the key,
+        // so the recorded `writes: true` is not what the lookup finds.
         c.set_fault_budget(1);
         let mut faults = Vec::new();
         c.for_each_fault(|f| faults.push(f));
@@ -1272,20 +1419,50 @@ mod tests {
             .collect();
         assert_eq!(on_cas.len(), 1, "cas(0) has exactly one corruption");
         assert!(c.apply_fault(on_cas[0]));
-        assert_eq!(
-            c.step_shape_memoized(p),
-            Some(StepShape::Access {
-                object: 0,
-                writes: false
-            })
-        );
-        // And `peek_step_shape` (the pure variant) agrees.
-        assert_eq!(
-            c.peek_step_shape(p),
-            Some(StepShape::Access {
-                object: 0,
-                writes: false
-            })
-        );
+        assert_eq!(on_record(&c, &memo), None);
+        assert_eq!(c.peek_step_shape_memoized(p, &memo), writes(false));
+        assert_eq!(c.peek_step_shape(p), writes(false));
+        // The failing cas goes on record under its own key, next to the
+        // succeeding one.
+        let recorded = memo.effects.len();
+        let before = c.clone();
+        assert_eq!(c.step_memoized(p, &mut memo), StepOutcome::Progressed);
+        assert_eq!(memo.effects.len(), recorded + 1);
+        assert_eq!(on_record(&before, &memo), writes(false));
+        assert!(c.fingerprint_consistent());
+    }
+
+    #[test]
+    fn a_full_memo_stops_recording_and_untracked_walks_never_record() {
+        let imp = CasOnce;
+        let w = Workload::uniform(1, Invocation::nullary("op"), 1);
+        let p = ProcessId(0);
+        let run = |tracking: bool, memo: &mut StepMemo| {
+            let mut c = Config::initial(&imp, &w);
+            c.set_fingerprint_tracking(tracking, false);
+            let mut shapes = Vec::new();
+            while let Some(shape) = c.peek_step_shape_memoized(p, &*memo) {
+                assert_eq!(Some(shape), c.peek_step_shape(p));
+                shapes.push(shape);
+                c.step_memoized(p, memo);
+                assert!(c.fingerprint_consistent());
+            }
+            (shapes, c.fingerprint())
+        };
+        let mut roomy = StepMemo::default();
+        let reference = run(true, &mut roomy);
+        assert_eq!(reference.0.len(), 3);
+        assert_eq!(roomy.effects.len(), 3);
+        // Warm, capped at one transition, capped at none, and without content
+        // hashes to key on: the same walk every time.
+        assert_eq!(run(true, &mut roomy), reference);
+        for cap in [1, 0] {
+            let mut capped = StepMemo::with_cap(cap);
+            assert_eq!(run(true, &mut capped), reference);
+            assert_eq!(capped.effects.len(), cap);
+        }
+        let mut untracked = StepMemo::default();
+        assert_eq!(run(false, &mut untracked), reference);
+        assert!(untracked.effects.is_empty() && untracked.targets.is_empty());
     }
 }

@@ -35,8 +35,29 @@
 //! this against the unreduced engine on seeded random configurations, and the
 //! determinism suite checks that [`ExploreStats`] are identical across worker
 //! counts and runs.
+//!
+//! ## The transition memo
+//!
+//! A walk takes the same few hundred transitions hundreds of thousands of
+//! times, and what a transition does to the fingerprint a deduplicating walk
+//! maintains depends only on the content of the stepping process and of the
+//! one base object it accesses.  Every walker therefore owns a
+//! [`StepMemo`] (inside its `WalkScratch`: one per sequential exploration,
+//! per parallel subtree, per checkpointed wave task, per partitioned run)
+//! keyed on those content hashes.  Children are stepped through
+//! [`Config::step_memoized`], which executes the programme and the object
+//! for real and reads the successor's content hashes from the memo, and
+//! sleep sets classify through [`Config::peek_step_shape_memoized`], which on
+//! a hit clones and probes nothing.  A miss is the plain [`Config::step`] /
+//! [`Config::peek_step_shape`] — the reference the memo is checked against
+//! (on every hit in debug builds, and by
+//! `crates/sim/tests/memo_differential.rs`) — so fingerprints, canonical
+//! representatives, [`ExploreStats`] and checkpoint bytes are those of the
+//! unmemoized walk.  A memo is created and dropped with its walk; nothing is
+//! shared between walkers or explorations, and walks without deduplication
+//! keep no content hashes and so never consult it.
 
-use crate::config::{Config, StepOutcome, StepShape};
+use crate::config::{Config, StepMemo, StepOutcome, StepShape};
 use crate::fault::{self, FaultStep};
 use crate::program::Implementation;
 use crate::store::{StoreBytes, StoreConfig, VisitedStore};
@@ -174,11 +195,9 @@ impl Reduction {
     pub fn strategy(self, root: &Config, hint: Option<bool>) -> Box<dyn ReductionStrategy> {
         match self {
             Reduction::None => Box::new(NoReduction),
-            Reduction::SleepSet => Box::new(SleepSets),
+            Reduction::SleepSet => Box::new(SleepSets::new(root)),
             Reduction::Symmetry => Box::new(SymmetryReduction::detect(root, hint)),
-            Reduction::SleepSetSymmetry => Box::new(SleepSetSymmetry {
-                symmetry: SymmetryReduction::detect(root, hint),
-            }),
+            Reduction::SleepSetSymmetry => Box::new(SleepSetSymmetry::new(root, hint)),
         }
     }
 }
@@ -223,13 +242,15 @@ pub trait ReductionStrategy: fmt::Debug + Send + Sync {
     /// out are counted as pruned by the engine; every strategy must emit the
     /// *same* fault children (via the engine's shared helper), since faults
     /// never commute with anything.  The buffer is reused across nodes, which
-    /// keeps expansion allocation-free; `config` is mutable only so shape
-    /// classification can go through the step-shape memo.
+    /// keeps expansion allocation-free; `memo` is the walker's transition
+    /// memo, for strategies that classify pending steps
+    /// ([`Config::peek_step_shape_memoized`]).
     fn expand(
         &self,
-        config: &mut Config,
+        config: &Config,
         enabled: &[ProcessId],
         sleep: SleepMask,
+        memo: &StepMemo,
         out: &mut Vec<(ChildStep, SleepMask)>,
     );
 }
@@ -245,9 +266,10 @@ impl ReductionStrategy for NoReduction {
 
     fn expand(
         &self,
-        config: &mut Config,
+        config: &Config,
         enabled: &[ProcessId],
         _sleep: SleepMask,
+        _memo: &StepMemo,
         out: &mut Vec<(ChildStep, SleepMask)>,
     ) {
         out.extend(enabled.iter().map(|&p| (ChildStep::Exec(p), 0)));
@@ -281,8 +303,30 @@ fn independent(a: StepShape, b: StepShape) -> bool {
 /// Every pruned schedule is a commutation of a retained one, so the set of
 /// reachable terminal configurations — and with it every terminal history —
 /// is preserved exactly.
+///
+/// Sleep sets are [`SleepMask`] bits, one per process, so the strategy can
+/// only be built ([`SleepSets::new`]) for a root the mask is wide enough for.
 #[derive(Debug, Clone, Copy)]
-pub struct SleepSets;
+pub struct SleepSets(());
+
+impl SleepSets {
+    /// Sleep sets for an exploration from `root`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` has more processes than a [`SleepMask`] has bits:
+    /// the shift that sets a process's bit would wrap in a release build and
+    /// alias process 64 onto process 0, sleeping steps that do not commute.
+    pub fn new(root: &Config) -> Self {
+        assert!(
+            root.processes() <= SleepMask::BITS as usize,
+            "sleep-set reduction holds at most {} processes in its mask; the configuration has {}",
+            SleepMask::BITS,
+            root.processes()
+        );
+        SleepSets(())
+    }
+}
 
 impl ReductionStrategy for SleepSets {
     fn name(&self) -> &'static str {
@@ -291,16 +335,12 @@ impl ReductionStrategy for SleepSets {
 
     fn expand(
         &self,
-        config: &mut Config,
+        config: &Config,
         enabled: &[ProcessId],
         sleep: SleepMask,
+        memo: &StepMemo,
         out: &mut Vec<(ChildStep, SleepMask)>,
     ) {
-        debug_assert!(
-            config.processes() <= SleepMask::BITS as usize,
-            "sleep masks hold at most {} processes",
-            SleepMask::BITS
-        );
         if enabled.len() <= 1 {
             out.extend(enabled.iter().map(|&p| (ChildStep::Exec(p), 0)));
             push_fault_children(config, out);
@@ -308,11 +348,10 @@ impl ReductionStrategy for SleepSets {
         }
         // Shapes live on the stack (one slot per possible mask bit), so
         // expansion allocates nothing beyond the reused output buffer; each
-        // enabled process is classified exactly once per expansion, so the
-        // per-configuration memo would only add its bookkeeping here.
+        // enabled process is classified exactly once per expansion.
         let mut shapes = [None::<StepShape>; SleepMask::BITS as usize];
         for &p in enabled {
-            shapes[p.index()] = config.peek_step_shape(p);
+            shapes[p.index()] = config.peek_step_shape_memoized(p, memo);
         }
         let mut slept = sleep;
         for &p in enabled {
@@ -429,12 +468,13 @@ impl ReductionStrategy for SymmetryReduction {
 
     fn expand(
         &self,
-        config: &mut Config,
+        config: &Config,
         enabled: &[ProcessId],
         sleep: SleepMask,
+        memo: &StepMemo,
         out: &mut Vec<(ChildStep, SleepMask)>,
     ) {
-        NoReduction.expand(config, enabled, sleep, out)
+        NoReduction.expand(config, enabled, sleep, memo, out)
     }
 }
 
@@ -443,8 +483,20 @@ impl ReductionStrategy for SymmetryReduction {
 /// orbit and the merged state graph stays deterministic.
 #[derive(Debug)]
 pub struct SleepSetSymmetry {
+    sleep: SleepSets,
     /// The canonicalization half (detected against the root).
     pub symmetry: SymmetryReduction,
+}
+
+impl SleepSetSymmetry {
+    /// Both halves for an exploration from `root` (see [`SleepSets::new`],
+    /// which can panic, and [`SymmetryReduction::detect`]).
+    pub fn new(root: &Config, hint: Option<bool>) -> Self {
+        SleepSetSymmetry {
+            sleep: SleepSets::new(root),
+            symmetry: SymmetryReduction::detect(root, hint),
+        }
+    }
 }
 
 impl ReductionStrategy for SleepSetSymmetry {
@@ -466,12 +518,13 @@ impl ReductionStrategy for SleepSetSymmetry {
 
     fn expand(
         &self,
-        config: &mut Config,
+        config: &Config,
         enabled: &[ProcessId],
         sleep: SleepMask,
+        memo: &StepMemo,
         out: &mut Vec<(ChildStep, SleepMask)>,
     ) {
-        SleepSets.expand(config, enabled, sleep, out)
+        self.sleep.expand(config, enabled, sleep, memo, out)
     }
 }
 
@@ -642,11 +695,15 @@ impl Shared<'_> {
     }
 }
 
-/// Reusable per-walker buffers: the enabled-process list, the expansion
-/// output and the batched child-probe staging, cleared and refilled once per
-/// visited node so the hot loop allocates nothing after warm-up.
+/// Reusable per-walker state: the enabled-process list, the expansion output
+/// and the batched child-probe staging, cleared and refilled once per visited
+/// node so the hot loop allocates nothing after warm-up, and the walker's
+/// transition memo, which lives exactly as long as the walk.
 #[derive(Default)]
 pub(crate) struct WalkScratch {
+    /// The transitions this walker has taken (see [`StepMemo`]): created
+    /// with the walk, never shared with another one.
+    memo: StepMemo,
     enabled: Vec<ProcessId>,
     children: Vec<(ChildStep, SleepMask)>,
     /// Stepped-and-normalized children awaiting their store verdict.
@@ -675,7 +732,7 @@ pub(crate) struct WalkScratch {
 /// per-child probing — the bit-identical-stats tests pin this.
 #[allow(clippy::too_many_arguments)] // one call frame of the hot loop
 pub(crate) fn visit_one<V, E>(
-    mut config: Config,
+    config: Config,
     depth: usize,
     mask: SleepMask,
     visitor: &mut V,
@@ -708,7 +765,13 @@ where
         return true;
     }
     scratch.children.clear();
-    strategy.expand(&mut config, &scratch.enabled, mask, &mut scratch.children);
+    strategy.expand(
+        &config,
+        &scratch.enabled,
+        mask,
+        &scratch.memo,
+        &mut scratch.children,
+    );
     // Only *process* children count against the enabled set: fault children
     // are extras on top of it, never replacements for a pruned process.
     let exec_children = scratch
@@ -732,7 +795,7 @@ where
         };
         match child_step {
             ChildStep::Exec(p) => {
-                if matches!(child.step(p), StepOutcome::Idle) {
+                if matches!(child.step_memoized(p, &mut scratch.memo), StepOutcome::Idle) {
                     continue;
                 }
             }
@@ -805,10 +868,25 @@ where
 
 /// The sequential engine path with an explicit (possibly custom) strategy.
 pub fn explore_with<F>(
+    root: Config,
+    strategy: &dyn ReductionStrategy,
+    options: &EngineOptions,
+    visitor: F,
+) -> ExploreStats
+where
+    F: FnMut(&Config, usize) -> Visit,
+{
+    explore_with_scratch(root, strategy, options, visitor, WalkScratch::default())
+}
+
+/// [`explore_with`] over caller-built walker state (the tests walk with a
+/// memo that records nothing).
+fn explore_with_scratch<F>(
     mut root: Config,
     strategy: &dyn ReductionStrategy,
     options: &EngineOptions,
     mut visitor: F,
+    mut scratch: WalkScratch,
 ) -> ExploreStats
 where
     F: FnMut(&Config, usize) -> Visit,
@@ -843,7 +921,6 @@ where
     if shared.first_visit(&root, 0, mask) {
         stack.push((root, 0, mask));
     }
-    let mut scratch = WalkScratch::default();
     while let Some((config, depth, mask)) = stack.pop() {
         if !visit_one(
             config,
@@ -1436,6 +1513,175 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Read the shared register, write back what was read plus `bump`,
+    /// return the sum.  `bump` is deliberately left out of the programme's
+    /// `Debug` rendering: two twins with different bumps pass through states
+    /// that *print* identically — equal content hashes, equal memo keys —
+    /// and behave differently.
+    #[derive(Debug, Clone)]
+    struct Twin {
+        bump: i64,
+    }
+
+    #[derive(Clone)]
+    struct TwinLogic {
+        bump: i64,
+        at: usize,
+        seen: i64,
+    }
+
+    impl fmt::Debug for TwinLogic {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "TwinLogic {{ at: {}, seen: {} }}", self.at, self.seen)
+        }
+    }
+
+    impl Implementation for Twin {
+        fn name(&self) -> String {
+            "twin".into()
+        }
+        fn processes(&self) -> usize {
+            2
+        }
+        fn initial_base_objects(&self) -> Vec<Box<dyn BaseObject>> {
+            vec![objects::register(Value::from(0i64))]
+        }
+        fn new_process(&self, _p: ProcessId) -> Box<dyn ProcessLogic> {
+            Box::new(TwinLogic {
+                bump: self.bump,
+                at: 0,
+                seen: 0,
+            })
+        }
+    }
+
+    impl ProcessLogic for TwinLogic {
+        fn begin(&mut self, _invocation: Invocation) {
+            self.at = 0;
+        }
+        fn step(&mut self, previous: Option<Value>) -> TaskStep {
+            self.at += 1;
+            match self.at {
+                1 => TaskStep::Access {
+                    object: 0,
+                    invocation: Register::read(),
+                },
+                2 => {
+                    self.seen = previous.and_then(|v| v.as_int()).unwrap_or(0);
+                    TaskStep::Access {
+                        object: 0,
+                        invocation: Register::write(Value::from(self.seen + self.bump)),
+                    }
+                }
+                _ => TaskStep::Complete(Value::from(self.seen + self.bump)),
+            }
+        }
+        fn clone_box(&self) -> Box<dyn ProcessLogic> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// One sequential deduplicating walk: its stats, everything the visitor
+    /// saw in order, and the distinct terminal histories.
+    fn walk(
+        imp: &dyn Implementation,
+        workload: &Workload,
+        reduction: Reduction,
+        scratch: WalkScratch,
+    ) -> (ExploreStats, Vec<String>, Vec<String>) {
+        let root = Config::initial(imp, workload);
+        let strategy = reduction.strategy(&root, imp.process_symmetric_hint());
+        let options = EngineOptions {
+            dedup: true,
+            ..options(reduction)
+        };
+        let (mut seen, mut terminals) = (Vec::new(), Vec::new());
+        let stats = explore_with_scratch(
+            root,
+            strategy.as_ref(),
+            &options,
+            |c, d| {
+                assert!(c.fingerprint_consistent());
+                seen.push(format!("{d} {:016x} {:?}", c.fingerprint(), c.history()));
+                if c.is_quiescent() {
+                    terminals.push(format!("{:?}", c.history()));
+                }
+                Visit::Continue
+            },
+            scratch,
+        );
+        assert!(!stats.truncated);
+        terminals.sort();
+        terminals.dedup();
+        (stats, seen, terminals)
+    }
+
+    fn unmemoized() -> WalkScratch {
+        WalkScratch {
+            memo: StepMemo::with_cap(0),
+            ..WalkScratch::default()
+        }
+    }
+
+    #[test]
+    fn a_memo_that_records_nothing_walks_the_same_walk() {
+        let scan = ScanCounter { processes: 3 };
+        let scan_w = Workload::uniform(3, Invocation::nullary("fetch_inc"), 1);
+        let local = fi_local(3);
+        let local_w = Workload::uniform(3, FetchIncrement::fetch_inc(), 2);
+        let subjects: [(&dyn Implementation, &Workload); 2] =
+            [(&scan, &scan_w), (&local, &local_w)];
+        for (imp, workload) in subjects {
+            for reduction in [
+                Reduction::None,
+                Reduction::SleepSet,
+                Reduction::Symmetry,
+                Reduction::SleepSetSymmetry,
+            ] {
+                let memoized = walk(imp, workload, reduction, WalkScratch::default());
+                let plain = walk(imp, workload, reduction, unmemoized());
+                assert!(memoized.0.visited > 10);
+                assert_eq!(memoized, plain, "{} under {reduction:?}", imp.name());
+            }
+        }
+    }
+
+    #[test]
+    fn back_to_back_explorations_do_not_share_a_memo() {
+        let workload = Workload::uniform(2, Invocation::nullary("op"), 2);
+        let mut terminal_sets = Vec::new();
+        for bump in [1, 2] {
+            let twin = Twin { bump };
+            let memoized = walk(
+                &twin,
+                &workload,
+                Reduction::SleepSet,
+                WalkScratch::default(),
+            );
+            let plain = walk(&twin, &workload, Reduction::SleepSet, unmemoized());
+            assert_eq!(memoized, plain, "twin with bump {bump}");
+            terminal_sets.push(memoized.2);
+        }
+        // The twins really are different programmes behind one rendering, so
+        // an effect recorded for the first would have been wrong for the
+        // second.
+        assert_ne!(terminal_sets[0], terminal_sets[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 processes")]
+    fn sleep_sets_refuse_more_processes_than_the_mask_has_bits() {
+        let root = |n: usize| {
+            Config::initial(
+                &fi_local(n),
+                &Workload::uniform(n, FetchIncrement::fetch_inc(), 1),
+            )
+        };
+        let _ = Reduction::SleepSet.strategy(&root(64), None);
+        // Process 64's bit would wrap onto process 0's in a release build.
+        let _ = Reduction::SleepSetSymmetry.strategy(&root(65), None);
     }
 
     #[test]

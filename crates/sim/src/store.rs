@@ -201,11 +201,16 @@ impl StoreConfig {
 // In-memory backend (the historical dedup set, verbatim)
 // ---------------------------------------------------------------------------
 
+/// A hash set of dedup keys or records.  Both come out of
+/// [`zobrist::mix2`] already avalanched, so the table hashes them with the
+/// crate's word mixer instead of SipHash.
+type KeySet<T> = HashSet<T, zobrist::FxBuildHasher>;
+
 /// The historical in-memory sharded dedup set: `(key, depth)` pairs hashed
 /// into `shards` lock-sharded hash sets by `key % shards`.  Every count and
 /// byte reported is identical to the engine's pre-seam accounting.
 pub struct MemStore {
-    shards: Vec<Mutex<HashSet<(u64, usize)>>>,
+    shards: Vec<Mutex<KeySet<(u64, usize)>>>,
 }
 
 impl MemStore {
@@ -213,7 +218,7 @@ impl MemStore {
     pub fn new(shards: usize) -> Self {
         MemStore {
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashSet::new()))
+                .map(|_| Mutex::new(KeySet::default()))
                 .collect(),
         }
     }
@@ -330,7 +335,7 @@ pub struct ShardedStore {
 }
 
 struct Shard {
-    active: HashSet<u64>,
+    active: KeySet<u64>,
     runs: Vec<Run>,
     /// Reused encode/flush buffer.
     scratch: Vec<u8>,
@@ -438,7 +443,7 @@ impl ShardedStore {
             shards: (0..1usize << shards_log2)
                 .map(|_| {
                     Mutex::new(Shard {
-                        active: HashSet::with_capacity(capacity),
+                        active: KeySet::with_capacity_and_hasher(capacity, Default::default()),
                         runs: Vec::new(),
                         scratch: Vec::new(),
                         block: Vec::new(),

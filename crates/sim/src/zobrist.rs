@@ -16,7 +16,7 @@
 //! serialization.  The checker kernel uses the same construction for its
 //! incremental visited-cache keys.
 
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// The splitmix64 finalizer: a cheap bijective avalanche function.  Every
 /// output bit depends on every input bit, which is what makes the derived
@@ -173,6 +173,11 @@ impl Hasher for FxHasher {
         self.hash
     }
 }
+
+/// [`FxHasher`] as a table's hasher, for keys this crate produced itself
+/// (content hashes, avalanched dedup keys): they need no SipHash round and
+/// no protection against crafted collisions.
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// Streams a value's `Debug` rendering straight into a hasher, so content
 /// hashing allocates no intermediate strings.
