@@ -82,7 +82,7 @@ fn bench_queue(c: &mut Criterion) {
 /// Sequential vs parallel batched checking of many independent histories:
 /// the speedup of `batch_par` over `batch_seq` at equal batch size is the
 /// multi-core scaling headroom (≈ the core count on a quiet machine; the
-/// worker count honours `RAYON_NUM_THREADS`).
+/// worker count is `parallel::available_workers()`).
 fn bench_batch(c: &mut Criterion) {
     let mut universe = ObjectUniverse::new();
     universe.add_object(Register::new(Value::from(0i64)));
@@ -120,7 +120,7 @@ fn bench_batch(c: &mut Criterion) {
 
 /// Whole-history kernel search vs the locality pre-pass on the same
 /// multi-object histories: `local` splits each history into per-object
-/// subproblems (checked in parallel and recomposed), `global` feeds the
+/// subproblems (checked in turn and recomposed), `global` feeds the
 /// kernel the undecomposed problem.  The `easy` family (random linearizable)
 /// bounds the pre-pass overhead; the `hard` family (every projection
 /// refuted) shows the product-vs-sum blowup the decomposition removes.

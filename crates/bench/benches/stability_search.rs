@@ -2,10 +2,9 @@
 //! freeze, as a function of the warm-up length of the eventually linearizable
 //! fetch&increment implementation.
 //!
-//! The stability check batches terminal extension histories and verdicts
-//! them through `evlin_checker::parallel::fi_all_t_linearizable_par`, so this
-//! bench also tracks the batched-checking path end to end (numbers are
-//! recorded in `BENCH_checker.json`).
+//! The stability check verdicts each terminal extension history in place with
+//! `evlin_checker::fi::is_t_linearizable` (numbers are recorded in
+//! `BENCH_checker.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use evlin_algorithms::NoisyPrefixFetchInc;

@@ -155,4 +155,23 @@ mod tests {
         let last = rows.last().unwrap();
         assert_eq!(last[1], "false");
     }
+
+    #[test]
+    fn the_stability_search_bench_inputs_freeze_where_they_always_did() {
+        // The `stability_search` bench's implementations and bounds.
+        let options = StabilityOptions {
+            extension_ops_per_process: 2,
+            extension_depth: 24,
+            max_configs: 100_000,
+            solo_step_budget: 10_000,
+            ..StabilityOptions::default()
+        };
+        for (warmup, index, offset) in [(0, 4, 3), (2, 8, 5), (4, 16, 9)] {
+            let imp = NoisyPrefixFetchInc::new(2, warmup);
+            let ops = warmup.max(1) as usize;
+            let freeze = stable_to_linearizable(&imp, 2, ops, 0, &options)
+                .expect("a stable configuration exists");
+            assert_eq!((freeze.stabilization_index, freeze.offset), (index, offset));
+        }
+    }
 }

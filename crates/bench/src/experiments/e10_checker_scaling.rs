@@ -221,7 +221,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         batched.push_row([
             batch_size.to_string(),
             ops.to_string(),
-            rayon::current_num_threads().to_string(),
+            parallel::available_workers().to_string(),
             format!("{:.2}", seq_elapsed.as_secs_f64() * 1e3),
             format!("{:.2}", par_elapsed.as_secs_f64() * 1e3),
             format!(
@@ -237,8 +237,8 @@ pub fn run(quick: bool) -> Vec<Table> {
     // histories (a greedy witness exists, so the pre-pass can only add
     // overhead) and "hard" histories whose every projection is refuted (the
     // whole-history search must exhaust the *product* of the per-object
-    // subset spaces, the decomposed one only the sum — the algorithmic
-    // payoff of the Herlihy–Wing locality theorem).
+    // subset spaces, the decomposed one only the first object's, where it
+    // stops — the algorithmic payoff of the Herlihy–Wing locality theorem).
     let mut locality = Table::new(
         "E10e — kernel locality pre-pass vs whole-history search on multi-object histories",
         &[

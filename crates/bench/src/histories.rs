@@ -60,9 +60,9 @@ pub fn random_queue_linearizable(universe: &ObjectUniverse, ops: usize, seed: u6
 /// writes of distinct values plus one overlapping read of a value nobody
 /// wrote.  Each projection is unsatisfiable, but a whole-history search can
 /// only conclude that after exhausting the *product* of the per-object
-/// subset spaces, while the locality pre-pass exhausts the per-object
-/// subspaces independently — the sum.  This is the worst case the
-/// Herlihy–Wing locality decomposition is for: refutation-heavy,
+/// subset spaces, while the locality pre-pass exhausts one object's subspace
+/// — the first refuted projection refutes the history.  This is the worst
+/// case the Herlihy–Wing locality decomposition is for: refutation-heavy,
 /// multi-object checking (exactly what exhaustive exploration of buggy
 /// implementations produces).
 pub fn broken_per_object(objects: usize, writes: usize) -> (ObjectUniverse, History) {

@@ -30,8 +30,8 @@
 //! * [`check_local`] — the locality pre-pass: for conditions whose
 //!   decomposition is [`Locality::Exact`] (the Herlihy–Wing locality theorem
 //!   for linearizability, Lemma 8 for weak consistency), a multi-object
-//!   history is split into independent per-object subproblems, checked in
-//!   parallel via [`crate::parallel`], and the per-object witnesses are
+//!   history is split into independent per-object subproblems, checked one
+//!   after the other on the calling thread, and the per-object witnesses are
 //!   composed back into a global one;
 //! * [`KernelScratch`] — reusable search state (visited cache, taken-set,
 //!   and the pooled searcher tables and arenas) so that e.g. the binary
@@ -43,7 +43,6 @@
 //! [`precedence`]: ConsistencyCondition::precedence
 //! [`accepted`]: ConsistencyCondition::accepted
 
-use crate::parallel;
 use crate::util::{self, BitSet, FxHashMap, FxHashSet};
 use evlin_history::{History, ObjectId, ObjectUniverse, OperationRecord};
 use evlin_spec::{Invocation, Value};
@@ -282,8 +281,8 @@ impl KernelScratch {
 /// Retention cap for the thread-local scratch: a pool grown past this many
 /// live bytes by one unusually large search is dropped after the call
 /// instead of pinning peak-sized buffers to the thread for the process
-/// lifetime (long-lived rayon workers and monitor threads would otherwise
-/// never release them).
+/// lifetime (the service's long-lived shard threads and a pipeline's check
+/// thread would otherwise never release them).
 const THREAD_SCRATCH_RETAIN_BYTES: usize = 1 << 20;
 
 /// Runs `f` with a thread-local [`KernelScratch`], so entry points without a
@@ -1228,10 +1227,10 @@ pub fn check_with_scratch(
 }
 
 /// Checks `condition` with the locality pre-pass: a multi-object history is
-/// split into per-object projections, each checked independently (in
-/// parallel across objects via [`crate::parallel`]), and — when every
-/// subproblem has a witness — the per-object witnesses are composed into a
-/// global one.
+/// split into per-object projections, each checked independently (one after
+/// the other on the calling thread, stopping at the first refuted one), and —
+/// when every subproblem has a witness — the per-object witnesses are
+/// composed into a global one.
 ///
 /// For conditions whose [`ConsistencyCondition::locality`] is
 /// [`Locality::Global`], and for histories touching at most one object, this
@@ -1272,20 +1271,20 @@ pub fn check_local_with_stats(
     if !matches!(probe_result, SearchResult::Unknown) {
         return (probe_result, stats);
     }
-    // Per-object subproblems, checked independently across all cores.
-    let sub: Vec<(ObjectId, SearchResult, SearchStats)> = parallel::map_par(&objects, |&object| {
-        let projection = history.project_object(object);
-        let (result, stats) = check_with_stats(condition, &projection, universe, limits);
-        (object, result, stats)
-    });
+    // Per-object subproblems, in object order.  The first refuted projection
+    // refutes the history, so the objects after it are never searched.
+    let mut sub: Vec<(ObjectId, SearchResult)> = Vec::with_capacity(objects.len());
     let mut unknown = false;
-    for (_, result, s) in &sub {
-        stats.absorb(*s);
+    for &object in &objects {
+        let projection = history.project_object(object);
+        let (result, s) = check_with_stats(condition, &projection, universe, limits);
+        stats.absorb(s);
         match result {
             SearchResult::No => return (SearchResult::No, stats),
             SearchResult::Unknown => unknown = true,
             SearchResult::Yes(_) => {}
         }
+        sub.push((object, result));
     }
     if unknown {
         return (SearchResult::Unknown, stats);
@@ -1311,7 +1310,7 @@ pub fn check_local_with_stats(
 fn compose_witnesses(
     condition: &dyn ConsistencyCondition,
     history: &History,
-    sub: &[(ObjectId, SearchResult, SearchStats)],
+    sub: &[(ObjectId, SearchResult)],
 ) -> Option<Witness> {
     let candidates = condition.candidates(history);
     // Global candidate indices of each object's operations, in order — the
@@ -1319,7 +1318,7 @@ fn compose_witnesses(
     // (Locality::Exact guarantees the 1:1, order-preserving alignment).
     let mut included: Vec<(usize, Value)> = Vec::new();
     let mut chains: Vec<Vec<usize>> = Vec::new();
-    for (object, result, _) in sub {
+    for (object, result) in sub {
         let SearchResult::Yes(w) = result else {
             return None;
         };

@@ -24,7 +24,7 @@
 //!            ▼                 ▼                     ▼
 //!    kernel::check_local ──► locality pre-pass ──► kernel::solve
 //!    (per-object split,      (Herlihy–Wing /       (iterative Wing–Gong,
-//!     parallel, witness       Lemma 8, exact        interned states,
+//!     in turn, witness        Lemma 8, exact        interned states,
 //!     composition)            conditions only)      compact visited cache)
 //! ```
 //!
@@ -55,9 +55,11 @@
 //! * [`fi`] — specialized, near-linear-time checkers for fetch&increment
 //!   histories, used by the large-scale experiments (the generic search is
 //!   exponential in the worst case);
-//! * [`parallel`] — batched checking of many independent histories across
-//!   all cores ([`parallel::check_histories_par`] and friends); the same
-//!   fan-out primitive powers the kernel's per-object pre-pass.
+//! * [`parallel`] — the one place threads are created: a batch of whole
+//!   problems ([`parallel::check_histories_par`] and friends, the explorer's
+//!   subtrees) is spread over cores by [`parallel::map_ordered`]; the pieces
+//!   of one problem — the kernel's per-object pre-pass, the monitor's
+//!   per-object chains — run as loops on the calling thread.
 //!
 //! ## Example
 //!

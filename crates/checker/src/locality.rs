@@ -17,10 +17,9 @@
 //! composed (upper-bound) index.  The *decision* faces live in the kernel:
 //! [`crate::kernel::check_local`] decomposes linearizability checks per
 //! object, and [`crate::weak_consistency::is_weakly_consistent`] splits
-//! multi-object histories by Lemma 8.  The per-object analyses here run in
-//! parallel across objects via [`crate::parallel`].
+//! multi-object histories by Lemma 8.
 
-use crate::{parallel, t_linearizability, weak_consistency};
+use crate::{t_linearizability, weak_consistency};
 use evlin_history::{History, ObjectId, ObjectUniverse};
 
 /// Per-object analysis of a history.
@@ -41,22 +40,26 @@ pub struct ObjectReport {
     pub global_prefix_needed: Option<usize>,
 }
 
-/// Analyses every object of the universe separately (Lemmas 7 and 8), in
-/// parallel across objects.  The report order follows the universe's object
-/// order regardless of thread count.
+/// Analyses every object of the universe separately (Lemmas 7 and 8).  The
+/// report order follows the universe's object order.
 pub fn per_object_reports(history: &History, universe: &ObjectUniverse) -> Vec<ObjectReport> {
-    parallel::map_par(&universe.object_ids(), |&object| {
-        let (projection, indices) = history.project_object_indexed(object);
-        let min_stab = t_linearizability::min_stabilization(&projection, universe, None);
-        let global_prefix_needed = min_stab.map(|t| if t == 0 { 0 } else { indices[t - 1] + 1 });
-        ObjectReport {
-            object,
-            events: projection.len(),
-            weakly_consistent: weak_consistency::is_weakly_consistent(&projection, universe),
-            min_stabilization: min_stab,
-            global_prefix_needed,
-        }
-    })
+    universe
+        .object_ids()
+        .into_iter()
+        .map(|object| {
+            let (projection, indices) = history.project_object_indexed(object);
+            let min_stab = t_linearizability::min_stabilization(&projection, universe, None);
+            let global_prefix_needed =
+                min_stab.map(|t| if t == 0 { 0 } else { indices[t - 1] + 1 });
+            ObjectReport {
+                object,
+                events: projection.len(),
+                weakly_consistent: weak_consistency::is_weakly_consistent(&projection, universe),
+                min_stabilization: min_stab,
+                global_prefix_needed,
+            }
+        })
+        .collect()
 }
 
 /// Composes per-object stabilization indices into a global stabilization

@@ -68,13 +68,15 @@
 //! linearizability the per-object *frontiers* are independent (witness
 //! composition never couples the states of distinct objects), so the monitor
 //! keeps one frontier set per object and checks the per-object projections of
-//! each segment independently — fanned out across objects via
-//! [`crate::parallel`].  Locality says each `H|o` may be decided on its own,
-//! not that the segment should be re-read once per object to find it: the
-//! check stage groups every segment's event positions by object in one
-//! counting pass (`group_by_object`) and hands each object a chain of
-//! `(segment, positions)` links, so a batch costs `O(events)` whatever the
-//! number of objects, and an object never visits a segment it is absent from.
+//! each segment independently — one object after the other, on the thread
+//! that runs the check stage (a caller with cores to spare splits the stream
+//! by object with a [`ShardRouter`] and runs one monitor per shard).
+//! Locality says each `H|o` may be decided on its own, not that the segment
+//! should be re-read once per object to find it: the check stage groups
+//! every segment's event positions by object in one counting pass
+//! (`group_by_object`) and hands each object a chain of `(segment,
+//! positions)` links, so a batch costs `O(events)` whatever the number of
+//! objects, and an object never visits a segment it is absent from.
 //! Projections of pure fetch&increment traffic take the near-linear
 //! [`crate::fi`] fast path instead of the kernel, read in place through the
 //! positions — which is what lets the monitor keep up with millions of
@@ -101,8 +103,6 @@
 //!   monitor summarizes the past as bounded per-object and per-process
 //!   invocation counters and rebuilds each operation's search problem from
 //!   the counters — exact, with O(distinct invocations) resident memory.
-//!   The per-operation checks of a segment are independent and are fanned
-//!   out via [`crate::parallel`].
 //! * [`MonitorCondition::StabilizesEventually`] — the liveness half of
 //!   eventual linearizability (`t`-linearizable for *some* `t`, i.e. all
 //!   responses and real-time order forgiven) likewise only depends on the
@@ -158,7 +158,6 @@ use crate::kernel::{
     self, ConsistencyCondition, ConstrainedOp, KernelScratch, SearchLimits, SearchProblem,
     SearchResult, SearchStats,
 };
-use crate::parallel;
 use crate::t_linearizability::TLinearizability;
 use crate::util::{fold_words, hash_of, mix};
 use evlin_history::{
@@ -804,22 +803,18 @@ pub struct MonitorCheck {
     /// ingest stage and are merged in at [`MonitorCheck::finish`] (or by
     /// [`Monitor::stats`]); everything else is authored here.
     stats: MonitorStats,
-    /// One pooled kernel scratch per object whose chain has reached the
-    /// kernel path (the fast path needs none), threaded through the parallel
-    /// fan-out and back so the visited caches and arenas are reused across
-    /// segment *batches* — the per-segment memory high-water mark stays flat
-    /// as the stream grows (asserted by the
-    /// `arena_reuse_keeps_peak_bytes_flat` test).  Boxed: a scratch is a
-    /// kilobyte of table headers, and it changes hands per object per batch.
-    lin_scratch: BTreeMap<ObjectId, Box<KernelScratch>>,
-    /// Spent fast-path scratches: every chain of a batch draws one and hands
-    /// it back, so the `fi` check of a projection allocates nothing once the
-    /// widest batch has been seen.
-    fi_scratch: Vec<FiScratch>,
+    /// The pooled fast-path buffers: the `fi` check of a projection allocates
+    /// nothing once the widest one has been seen.
+    fi_scratch: FiScratch,
     /// The [`group_by_object`] table: one slot per object of the universe,
     /// all [`NO_SLOT`] between calls.
     group_slots: Vec<u32>,
-    /// Pooled scratch for the sequential (t-linearizability) chains.
+    /// The pooled kernel scratch every search of this stage runs in.  A
+    /// scratch is reset per search and [`SearchStats`] are a function of the
+    /// search alone, so one serves every object and every condition; its
+    /// visited cache and arenas are reused across segments and batches — the
+    /// per-segment memory high-water mark stays flat as the stream grows
+    /// (asserted by the `arena_reuse_keeps_peak_bytes_flat` test).
     scratch: KernelScratch,
 }
 
@@ -863,8 +858,7 @@ impl MonitorCheck {
             violation: None,
             incomplete: false,
             stats: MonitorStats::default(),
-            lin_scratch: BTreeMap::new(),
-            fi_scratch: Vec::new(),
+            fi_scratch: FiScratch::default(),
             scratch: KernelScratch::new(),
         }
     }
@@ -947,16 +941,13 @@ impl MonitorCheck {
     // -- linearizability ---------------------------------------------------
 
     /// Checks a batch of segments under linearizability: per-object frontier
-    /// threading, fanned out across objects, with the fetch&increment fast
-    /// path per projection.
+    /// threading, one object's chain after the other, with the
+    /// fetch&increment fast path per projection.
     fn drain_lin(&mut self, segments: &[Segment], is_final: bool) {
-        let ModeState::Lin { frontiers } = &self.mode else {
-            unreachable!("drain_lin requires Lin mode");
-        };
         // One grouping pass per segment, then the links sorted by object:
         // each run of the sorted list is one object's chain (the sort is
-        // stable, so in segment order), and the runs' order is the
-        // deterministic fan-out order.
+        // stable, so in segment order), and the runs come in ascending
+        // object order.
         let grouped: Vec<Grouping> = segments
             .iter()
             .map(|segment| group_by_object(segment.history.events(), &mut self.group_slots))
@@ -967,61 +958,28 @@ impl MonitorCheck {
             .flat_map(|(segment, grouping)| grouping.links(segment))
             .collect();
         links.sort_by_key(|link| link.object);
-        let universe = &self.universe;
-        let limits = self.limits;
-        let max_frontiers = self.max_frontiers;
-        // Move each object's pooled scratch into its parallel chain and take
-        // it back with the outcome: segment batches reuse one arena per
-        // object instead of churning the allocator per batch.
-        let work: Vec<(&[Link], ChainScratch)> = links
-            .chunk_by(|a, b| a.object == b.object)
-            .map(|chain| {
-                let scratch = ChainScratch {
-                    kernel: self.lin_scratch.remove(&chain[0].object),
-                    fi: self.fi_scratch.pop().unwrap_or_default(),
-                };
-                (chain, scratch)
-            })
-            .collect();
-        let outcomes = parallel::map_par_into(work, |(links, scratch)| {
-            let object = links[0].object;
+        // Every chain runs to its end, whatever the others found (the
+        // counters absorb them all); the earliest violating segment wins,
+        // then the least object.
+        let mut best: Option<(usize, ObjectId, String)> = None;
+        let mut new_frontiers: Vec<(ObjectId, Vec<Value>)> = Vec::new();
+        for chain in links.chunk_by(|a, b| a.object == b.object) {
+            let object = chain[0].object;
+            let ModeState::Lin { frontiers } = &self.mode else {
+                unreachable!("drain_lin requires Lin mode");
+            };
             let incoming = frontiers
                 .get(&object)
                 .cloned()
-                .unwrap_or_else(|| vec![universe.initial_state(object).clone()]);
-            let (outcome, scratch) = chase_object_chain(
-                universe,
-                limits,
-                max_frontiers,
-                object,
-                incoming,
-                segments,
-                links,
-                is_final,
-                scratch,
-            );
-            (object, outcome, scratch)
-        });
-        // Merge: earliest violating segment wins, then the least object
-        // (outcomes arrive in ascending object order).
-        let mut best: Option<(usize, ObjectId, String)> = None;
-        let mut new_frontiers: Vec<(ObjectId, Vec<Value>)> = Vec::new();
-        for (object, outcome, scratch) in outcomes {
-            if let Some(kernel) = scratch.kernel {
-                self.lin_scratch.insert(object, kernel);
-            }
-            self.fi_scratch.push(scratch.fi);
-            self.stats.search.absorb(outcome.stats);
-            self.stats.fast_path_segments += outcome.fast_segments;
-            if outcome.incomplete {
-                self.incomplete = true;
-            }
-            if let Some((segment_index, detail)) = outcome.violation {
+                .unwrap_or_else(|| vec![self.universe.initial_state(object).clone()]);
+            let (frontier, violation) =
+                self.chase_object_chain(object, incoming, segments, chain, is_final);
+            if let Some((segment_index, detail)) = violation {
                 if best.as_ref().is_none_or(|(s, _, _)| segment_index < *s) {
                     best = Some((segment_index, object, detail));
                 }
             }
-            new_frontiers.push((object, outcome.frontier));
+            new_frontiers.push((object, frontier));
         }
         if let Some((segment_index, object, detail)) = best {
             if self.incomplete {
@@ -1051,6 +1009,120 @@ impl MonitorCheck {
         for segment in segments {
             self.stats.checked_ops += segment.completed;
         }
+    }
+
+    /// Threads one object's frontier set through its links of a segment
+    /// batch, folding the searches' counters into the stage's.  Returns the
+    /// frontier the chain ended with and, if a link has no linearization
+    /// from any frontier state, `(index into the segment batch, detail)`.
+    fn chase_object_chain(
+        &mut self,
+        object: ObjectId,
+        mut frontier: Vec<Value>,
+        segments: &[Segment],
+        links: &[Link],
+        is_final: bool,
+    ) -> (Vec<Value>, Option<(usize, String)>) {
+        let fast_eligible = self.universe.object_type(object).name() == "fetch&increment";
+        // The kernel searches run against a copy of the universe re-rooted at
+        // each frontier state in turn: one copy per chain, made on first use.
+        let mut rooted: Option<ObjectUniverse> = None;
+        for link in links {
+            let history = &segments[link.segment].history;
+            let final_segment = is_final && link.segment + 1 == segments.len();
+            // Fast path: a pure fetch&increment projection from an integer
+            // state has a unique outgoing state (initial + operation count),
+            // so the near-linear specialized checker replaces the kernel
+            // search — and reads the projection in place.
+            if fast_eligible {
+                let scratch = &mut self.fi_scratch;
+                let next = match link.positions {
+                    None => fi_step(|| history.iter(), &frontier, final_segment, scratch),
+                    Some(positions) => fi_step(
+                        || positions.iter().map(|&p| &history.events()[p as usize]),
+                        &frontier,
+                        final_segment,
+                        scratch,
+                    ),
+                };
+                if let Some(next) = next {
+                    self.stats.fast_path_segments += 1;
+                    if next.is_empty() {
+                        let detail = format!(
+                            "{object}: fetch&increment projection is not linearizable \
+                             from any frontier state"
+                        );
+                        return (frontier, Some((link.segment, detail)));
+                    }
+                    frontier = next;
+                    continue;
+                }
+            }
+            // Kernel path: the one place a projection is materialized.
+            let owned_projection;
+            let projection = match link.positions {
+                None => history,
+                Some(positions) => {
+                    owned_projection = positions
+                        .iter()
+                        .map(|&p| history.events()[p as usize].clone())
+                        .collect();
+                    &owned_projection
+                }
+            };
+            let condition = TLinearizability::new(0);
+            let problem = condition.problem(projection);
+            let uni = rooted.get_or_insert_with(|| self.universe.clone());
+            let mut outgoing: BTreeSet<Value> = BTreeSet::new();
+            let mut any_yes = false;
+            for state in &frontier {
+                uni.set_initial_state(object, state.clone());
+                if final_segment {
+                    // Nothing consumes the outgoing frontier: a plain witness
+                    // search decides the tail (pending operations included).
+                    let (result, stats) =
+                        kernel::solve_with_scratch(&problem, uni, self.limits, &mut self.scratch);
+                    self.stats.search.absorb(stats);
+                    match result {
+                        SearchResult::Yes(_) => {
+                            any_yes = true;
+                            break;
+                        }
+                        SearchResult::Unknown => self.incomplete = true,
+                        SearchResult::No => {}
+                    }
+                } else {
+                    let (set, stats) =
+                        kernel::solve_frontiers(&problem, uni, self.limits, &[], &mut self.scratch);
+                    self.stats.search.absorb(stats);
+                    if !set.complete {
+                        self.incomplete = true;
+                    }
+                    for entry in set.entries {
+                        any_yes = true;
+                        for (o, v) in entry.states {
+                            if o == object {
+                                outgoing.insert(v);
+                            }
+                        }
+                    }
+                }
+            }
+            if !any_yes {
+                let detail =
+                    format!("{object}: segment has no linearization from any frontier state");
+                return (frontier, Some((link.segment, detail)));
+            }
+            if final_segment {
+                break;
+            }
+            if outgoing.len() > self.max_frontiers {
+                self.incomplete = true;
+                return (frontier, None);
+            }
+            frontier = outgoing.into_iter().collect();
+        }
+        (frontier, None)
     }
 
     // -- t-linearizability -------------------------------------------------
@@ -1222,8 +1294,8 @@ impl MonitorCheck {
     // -- weak consistency --------------------------------------------------
 
     /// Checks a batch of segments under weak consistency: replay the events
-    /// against the invocation counters, emit one search problem per
-    /// completed operation, and solve them all in parallel.
+    /// against the invocation counters and solve one search problem per
+    /// completed operation, as its response is replayed.
     fn drain_weak(&mut self, segments: &[Segment]) {
         let ModeState::Weak {
             invoked,
@@ -1233,8 +1305,8 @@ impl MonitorCheck {
         else {
             unreachable!("drain_weak requires Weak mode");
         };
-        // (op id, segment index, problem) per completed operation.
-        let mut checks: Vec<(OpId, usize, SearchProblem)> = Vec::new();
+        // The least violating operation and the index of its segment.
+        let mut first: Option<(OpId, usize)> = None;
         for (segment_index, segment) in segments.iter().enumerate() {
             let mut live: BTreeMap<ProcessId, (ObjectId, Invocation, usize)> = BTreeMap::new();
             for event in segment.history.events() {
@@ -1260,38 +1332,28 @@ impl MonitorCheck {
                             &invocation,
                             value,
                         );
-                        checks.push((OpId(id), segment_index, problem));
+                        let (result, stats) = kernel::solve_with_scratch(
+                            &problem,
+                            &self.universe,
+                            self.limits,
+                            &mut self.scratch,
+                        );
+                        self.stats.checked_ops += 1;
+                        self.stats.search.absorb(stats);
+                        match result {
+                            SearchResult::Yes(_) => {}
+                            SearchResult::Unknown => self.incomplete = true,
+                            SearchResult::No => {
+                                if first.is_none_or(|(op, _)| OpId(id) < op) {
+                                    first = Some((OpId(id), segment_index));
+                                }
+                            }
+                        }
                         *preds
                             .entry((event.process, object))
                             .or_default()
                             .entry(invocation)
                             .or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-        let universe = &self.universe;
-        let limits = self.limits;
-        // Chunked fan-out with one pooled scratch per chunk, so the
-        // per-operation searches stop churning fresh kernel tables.
-        let results = parallel::map_par_chunked(
-            &checks,
-            32,
-            KernelScratch::new,
-            |scratch, (_, _, problem)| {
-                kernel::solve_with_scratch(problem, universe, limits, scratch)
-            },
-        );
-        self.stats.checked_ops += checks.len();
-        let mut first: Option<(OpId, usize)> = None;
-        for ((op, segment_index, _), (result, stats)) in checks.iter().zip(results) {
-            self.stats.search.absorb(stats);
-            match result {
-                SearchResult::Yes(_) => {}
-                SearchResult::Unknown => self.incomplete = true,
-                SearchResult::No => {
-                    if first.map(|(o, _)| *op < o).unwrap_or(true) {
-                        first = Some((*op, *segment_index));
                     }
                 }
             }
@@ -1342,7 +1404,7 @@ impl MonitorCheck {
     /// real-time order forgiven, is there a legal arrangement of all
     /// completed operations (plus any subset of the pending ones)?  There
     /// are no cross-object constraints, so the objects are decided
-    /// independently, in parallel.
+    /// independently, in ascending order.
     fn finish_stab(&mut self, pending: &[(ObjectId, Invocation)]) {
         let ModeState::Stab { completed } = &self.mode else {
             unreachable!("finish_stab requires Stab mode");
@@ -1358,11 +1420,8 @@ impl MonitorCheck {
         }
         let mut objects: BTreeSet<ObjectId> = completed.keys().copied().collect();
         objects.extend(pending_by_object.keys().copied());
-        let objects: Vec<ObjectId> = objects.into_iter().collect();
         let empty = BTreeMap::new();
-        let universe = &self.universe;
-        let limits = self.limits;
-        let verdicts = parallel::map_par(&objects, |&object| {
+        for object in objects {
             let mut ops: Vec<ConstrainedOp> = Vec::new();
             let groups = [
                 (completed.get(&object).unwrap_or(&empty), true),
@@ -1383,9 +1442,12 @@ impl MonitorCheck {
                 ops,
                 precedence: Vec::new(),
             };
-            kernel::solve(&problem, universe, limits)
-        });
-        for (object, (result, stats)) in objects.iter().zip(verdicts) {
+            let (result, stats) = kernel::solve_with_scratch(
+                &problem,
+                &self.universe,
+                self.limits,
+                &mut self.scratch,
+            );
             self.stats.search.absorb(stats);
             match result {
                 SearchResult::Yes(_) => {}
@@ -1395,7 +1457,7 @@ impl MonitorCheck {
                         self.violation = Some(MonitorViolation {
                             segment_start: 0,
                             segment_len: self.stats.events,
-                            object: Some(*object),
+                            object: Some(object),
                             op: None,
                             detail: format!(
                                 "no legal arrangement of the completed operations on {object} \
@@ -1551,17 +1613,8 @@ impl Monitor {
 }
 
 // ---------------------------------------------------------------------------
-// Per-object linearizability chain (free function so map_par can use it)
+// Per-object linearizability chains
 // ---------------------------------------------------------------------------
-
-struct ObjectOutcome {
-    frontier: Vec<Value>,
-    /// `(index into the segment batch, detail)`.
-    violation: Option<(usize, String)>,
-    incomplete: bool,
-    stats: SearchStats,
-    fast_segments: usize,
-}
 
 /// One object's share of one segment of a batch.
 struct Link<'a> {
@@ -1650,144 +1703,6 @@ fn group_by_object(events: &[Event], slots: &mut [u32]) -> Grouping {
         slots[object.0] = NO_SLOT;
     }
     Grouping { positions, runs }
-}
-
-/// The pooled buffers one object's chain works in, lent by
-/// [`MonitorCheck`] for a batch and handed back with the outcome.
-struct ChainScratch {
-    /// Made on the chain's first kernel search, then kept per object.
-    kernel: Option<Box<KernelScratch>>,
-    fi: FiScratch,
-}
-
-/// Threads one object's frontier set through its links of a segment batch,
-/// reusing (and returning) the caller's pooled scratch.
-#[allow(clippy::too_many_arguments)] // private helper of drain_lin
-fn chase_object_chain(
-    universe: &ObjectUniverse,
-    limits: SearchLimits,
-    max_frontiers: usize,
-    object: ObjectId,
-    mut frontier: Vec<Value>,
-    segments: &[Segment],
-    links: &[Link],
-    is_final: bool,
-    mut scratch: ChainScratch,
-) -> (ObjectOutcome, ChainScratch) {
-    let mut outcome = ObjectOutcome {
-        frontier: Vec::new(),
-        violation: None,
-        incomplete: false,
-        stats: SearchStats::default(),
-        fast_segments: 0,
-    };
-    let fast_eligible = universe.object_type(object).name() == "fetch&increment";
-    // The kernel searches run against a copy of the universe re-rooted at
-    // each frontier state in turn: one copy per chain, made on first use.
-    let mut rooted: Option<ObjectUniverse> = None;
-    for link in links {
-        let history = &segments[link.segment].history;
-        let final_segment = is_final && link.segment + 1 == segments.len();
-        // Fast path: a pure fetch&increment projection from an integer state
-        // has a unique outgoing state (initial + operation count), so the
-        // near-linear specialized checker replaces the kernel search — and
-        // reads the projection in place.
-        if fast_eligible {
-            let next = match link.positions {
-                None => fi_step(|| history.iter(), &frontier, final_segment, &mut scratch.fi),
-                Some(positions) => fi_step(
-                    || positions.iter().map(|&p| &history.events()[p as usize]),
-                    &frontier,
-                    final_segment,
-                    &mut scratch.fi,
-                ),
-            };
-            if let Some(next) = next {
-                outcome.fast_segments += 1;
-                if next.is_empty() {
-                    outcome.violation = Some((
-                        link.segment,
-                        format!(
-                            "{object}: fetch&increment projection is not linearizable \
-                             from any frontier state"
-                        ),
-                    ));
-                    outcome.frontier = frontier;
-                    return (outcome, scratch);
-                }
-                frontier = next;
-                continue;
-            }
-        }
-        // Kernel path: the one place a projection is materialized.
-        let owned_projection;
-        let projection = match link.positions {
-            None => history,
-            Some(positions) => {
-                owned_projection = positions
-                    .iter()
-                    .map(|&p| history.events()[p as usize].clone())
-                    .collect();
-                &owned_projection
-            }
-        };
-        let condition = TLinearizability::new(0);
-        let problem = condition.problem(projection);
-        let uni = rooted.get_or_insert_with(|| universe.clone());
-        let pooled = scratch.kernel.get_or_insert_with(Box::default);
-        let mut outgoing: BTreeSet<Value> = BTreeSet::new();
-        let mut any_yes = false;
-        for state in &frontier {
-            uni.set_initial_state(object, state.clone());
-            if final_segment {
-                // Nothing consumes the outgoing frontier: a plain witness
-                // search decides the tail (pending operations included).
-                let (result, stats) = kernel::solve_with_scratch(&problem, uni, limits, pooled);
-                outcome.stats.absorb(stats);
-                match result {
-                    SearchResult::Yes(_) => {
-                        any_yes = true;
-                        break;
-                    }
-                    SearchResult::Unknown => outcome.incomplete = true,
-                    SearchResult::No => {}
-                }
-            } else {
-                let (set, stats) = kernel::solve_frontiers(&problem, uni, limits, &[], pooled);
-                outcome.stats.absorb(stats);
-                if !set.complete {
-                    outcome.incomplete = true;
-                }
-                for entry in set.entries {
-                    any_yes = true;
-                    for (o, v) in entry.states {
-                        if o == object {
-                            outgoing.insert(v);
-                        }
-                    }
-                }
-            }
-        }
-        if !any_yes {
-            outcome.violation = Some((
-                link.segment,
-                format!("{object}: segment has no linearization from any frontier state"),
-            ));
-            outcome.frontier = frontier;
-            return (outcome, scratch);
-        }
-        if final_segment {
-            break;
-        }
-        if outgoing.len() > max_frontiers {
-            outcome.incomplete = true;
-            outcome.frontier = frontier;
-            return (outcome, scratch);
-        }
-        frontier = outgoing.into_iter().collect();
-    }
-    outcome.frontier = frontier;
-    (outcome, scratch)
 }
 
 /// Fast-path step: decides a pure fetch&increment projection (`events()`
@@ -2331,7 +2246,7 @@ mod tests {
     fn arena_reuse_keeps_peak_bytes_flat_across_segments() {
         // Identical register segments, checked through the kernel (registers
         // have no fast path): after the first batch has sized the pooled
-        // per-object scratch, further batches must reuse it — the memory
+        // kernel scratch, further batches must reuse it — the memory
         // high-water mark reported in `stats.search.arena_bytes` stays
         // exactly flat no matter how many more segments stream through.
         let mut u = ObjectUniverse::new();

@@ -21,13 +21,12 @@
 //!
 //! Whole-history checks additionally exploit Lemma 8 (weak consistency is
 //! local): [`is_weakly_consistent`] splits a multi-object history into
-//! per-object projections and checks them independently, in parallel via
-//! [`crate::parallel`].
+//! per-object projections and checks them independently, stopping at the
+//! first projection that is not weakly consistent.
 
 use crate::kernel::{
     self, ConsistencyCondition, ConstrainedOp, KernelScratch, SearchLimits, SearchResult,
 };
-use crate::parallel;
 use evlin_history::{History, ObjectUniverse, OpId};
 
 /// The default node budget of one per-operation search: Definition 1
@@ -117,18 +116,16 @@ impl ConsistencyCondition for WeakOperation {
 
 /// Decides whether the whole history is weakly consistent.
 ///
-/// Multi-object histories are decomposed per object first (Lemma 8) and the
-/// projections are checked in parallel.
+/// Multi-object histories are decomposed per object first (Lemma 8); the
+/// projections are checked in object order, up to the first violating one.
 pub fn is_weakly_consistent(history: &History, universe: &ObjectUniverse) -> bool {
     let objects = history.objects();
     if objects.len() > 1 {
         // Locality pre-pass: H is weakly consistent iff every H|o is.
-        parallel::map_par(&objects, |&o| {
+        objects.iter().all(|&o| {
             let projection = history.project_object(o);
             violations_with_limits(&projection, universe, default_limits()).is_empty()
         })
-        .into_iter()
-        .all(|ok| ok)
     } else {
         violations_with_limits(history, universe, default_limits()).is_empty()
     }

@@ -43,8 +43,8 @@ use crate::store::{
 };
 use crate::workload::Workload;
 use crate::zobrist;
+use evlin_checker::parallel;
 use evlin_history::ProcessId;
-use rayon::prelude::*;
 use std::collections::{HashSet, VecDeque};
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -235,12 +235,14 @@ where
 }
 
 /// Parallel [`explore_checkpointed`]: waves of subtree-stealing workers
-/// (the visitor is shared, hence `Fn + Sync`) with checkpoints written at
-/// wave boundaries.  Visited/terminal/pruned counts are worker-count
-/// independent exactly as in [`crate::engine::explore_shared`]; for the
-/// spill backend, run *boundaries* (and hence the spilled/filter byte
-/// split) depend on insert order and may differ across worker counts, while
-/// entry counts and verdicts never do.
+/// (the visitor is shared, hence `Fn + Sync`; each wave is one
+/// [`parallel::map_ordered`] over [`EngineOptions::workers`] threads) with
+/// checkpoints written at wave boundaries.  Visited/terminal/pruned counts
+/// are worker-count independent exactly as in
+/// [`crate::engine::explore_shared`]; for the spill backend, run
+/// *boundaries* (and hence the spilled/filter byte split) depend on insert
+/// order and may differ across worker counts, while entry counts and
+/// verdicts never do.
 pub fn explore_checkpointed_par<F>(
     implementation: &dyn Implementation,
     workload: &Workload,
@@ -279,49 +281,46 @@ where
     let mut checkpoints_written = 0u64;
     while !frontier.is_empty() && !shared.stopped.load(Ordering::Relaxed) {
         let wave: Vec<Frame> = (0..wave_size).map_while(|_| frontier.pop_front()).collect();
-        let results: Vec<(ExploreStats, Vec<Frame>)> = wave
-            .into_par_iter()
-            .map(|frame| {
-                let mut local = ExploreStats::default();
-                let mut scratch = engine::WalkScratch::default();
-                let mut stack: Vec<Frame> = vec![frame];
-                let mut leftovers: Vec<Frame> = Vec::new();
-                let mut visits = 0usize;
-                while let Some(frame) = stack.pop() {
-                    if visits >= per_worker_cap || shared.stopped.load(Ordering::Relaxed) {
-                        leftovers.push(frame);
-                        continue;
-                    }
-                    visits += 1;
-                    let parent_path = frame.path;
-                    let mut shim = |c: &Config, d: usize| visitor(c, d);
-                    if !engine::visit_one(
-                        frame.config,
-                        frame.depth,
-                        frame.mask,
-                        &mut shim,
-                        strategy.as_ref(),
-                        &shared,
-                        &mut local,
-                        options.limits.max_depth,
-                        &mut scratch,
-                        |child, depth, mask, step| {
-                            let mut path = parent_path.clone();
-                            path.push(step);
-                            stack.push(Frame {
-                                config: child,
-                                depth,
-                                mask,
-                                path,
-                            });
-                        },
-                    ) {
-                        break;
-                    }
+        let results = parallel::map_ordered(workers, wave, |frame| {
+            let mut local = ExploreStats::default();
+            let mut scratch = engine::WalkScratch::default();
+            let mut stack: Vec<Frame> = vec![frame];
+            let mut leftovers: Vec<Frame> = Vec::new();
+            let mut visits = 0usize;
+            while let Some(frame) = stack.pop() {
+                if visits >= per_worker_cap || shared.stopped.load(Ordering::Relaxed) {
+                    leftovers.push(frame);
+                    continue;
                 }
-                (local, leftovers)
-            })
-            .collect();
+                visits += 1;
+                let parent_path = frame.path;
+                let mut shim = |c: &Config, d: usize| visitor(c, d);
+                if !engine::visit_one(
+                    frame.config,
+                    frame.depth,
+                    frame.mask,
+                    &mut shim,
+                    strategy.as_ref(),
+                    &shared,
+                    &mut local,
+                    options.limits.max_depth,
+                    &mut scratch,
+                    |child, depth, mask, step| {
+                        let mut path = parent_path.clone();
+                        path.push(step);
+                        stack.push(Frame {
+                            config: child,
+                            depth,
+                            mask,
+                            path,
+                        });
+                    },
+                ) {
+                    break;
+                }
+            }
+            (local, leftovers)
+        });
         for (local, leftovers) in results {
             stats.visited += local.visited;
             stats.terminals += local.terminals;

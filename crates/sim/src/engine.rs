@@ -63,8 +63,8 @@ use crate::program::Implementation;
 use crate::store::{StoreBytes, StoreConfig, VisitedStore};
 use crate::workload::Workload;
 use crate::zobrist;
+use evlin_checker::parallel;
 use evlin_history::{History, ProcessId};
-use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -571,10 +571,10 @@ fn permute_mask(mask: SleepMask, perm: &[usize]) -> SleepMask {
 pub struct EngineOptions {
     /// Depth and size bounds.
     pub limits: ExploreOptions,
-    /// Worker count: `1` runs strictly sequentially; larger values (or
-    /// `None` = rayon's thread count) size the stealable subtree frontier of
-    /// the parallel path.  Actual parallelism always comes from the global
-    /// rayon pool (`RAYON_NUM_THREADS`).
+    /// How many threads run the exploration, the caller's included: `1` runs
+    /// strictly sequentially, `None` is one per core
+    /// ([`parallel::available_workers`]).  The parallel path also sizes its
+    /// stealable subtree frontier and its store's shard count from it.
     pub workers: Option<usize>,
     /// How many independent subtrees to carve out per worker (parallel path).
     pub subtrees_per_worker: usize,
@@ -612,10 +612,10 @@ impl Default for EngineOptions {
 }
 
 impl EngineOptions {
-    /// The assumed worker count (resolving `None` against the rayon pool).
-    pub fn effective_workers(&self) -> usize {
+    /// The worker count (resolving `None` against the machine's cores).
+    pub(crate) fn effective_workers(&self) -> usize {
         self.workers
-            .unwrap_or_else(rayon::current_num_threads)
+            .unwrap_or_else(parallel::available_workers)
             .max(1)
     }
 }
@@ -943,7 +943,9 @@ where
 
 /// Explores all executions of `implementation` on `workload` with
 /// subtree-stealing workers (semantics of [`explore`]; the visitor is shared,
-/// hence `Fn + Sync`).
+/// hence `Fn + Sync`).  [`EngineOptions::workers`] threads run, the calling
+/// one among them ([`parallel::map_ordered`] over the subtree roots); they
+/// exist for the duration of the call.
 ///
 /// Determinism: visited/terminal/pruned counts equal the sequential path's
 /// exactly, for any worker count — without dedup because the reduced tree's
@@ -1032,40 +1034,35 @@ where
         }
     }
 
-    // Phase 2: workers steal subtree roots from the frontier and explore
-    // each subtree depth-first, all sharing the visitor, the visit budget
-    // and (when enabled) the merged dedup set.
-    let subtree_stats: Vec<ExploreStats> = frontier
-        .into_iter()
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|(config, depth, mask)| {
-            let mut local = ExploreStats::default();
-            let mut scratch = WalkScratch::default();
-            let mut stack: Vec<(Config, usize, SleepMask)> = vec![(config, depth, mask)];
-            while let Some((config, depth, mask)) = stack.pop() {
-                if shared.stopped.load(Ordering::Relaxed) {
-                    break;
-                }
-                let mut shim = |c: &Config, d: usize| visitor(c, d);
-                if !visit_one(
-                    config,
-                    depth,
-                    mask,
-                    &mut shim,
-                    strategy,
-                    &shared,
-                    &mut local,
-                    options.limits.max_depth,
-                    &mut scratch,
-                    |child, d, m, _| stack.push((child, d, m)),
-                ) {
-                    break;
-                }
+    // Phase 2: `workers` threads (this one among them) pull subtree roots
+    // from the frontier and explore each subtree depth-first, all sharing
+    // the visitor, the visit budget and (when enabled) the merged dedup set.
+    let subtree_stats = parallel::map_ordered(workers, frontier, |(config, depth, mask)| {
+        let mut local = ExploreStats::default();
+        let mut scratch = WalkScratch::default();
+        let mut stack: Vec<(Config, usize, SleepMask)> = vec![(config, depth, mask)];
+        while let Some((config, depth, mask)) = stack.pop() {
+            if shared.stopped.load(Ordering::Relaxed) {
+                break;
             }
-            local
-        })
-        .collect();
+            let mut shim = |c: &Config, d: usize| visitor(c, d);
+            if !visit_one(
+                config,
+                depth,
+                mask,
+                &mut shim,
+                strategy,
+                &shared,
+                &mut local,
+                options.limits.max_depth,
+                &mut scratch,
+                |child, d, m, _| stack.push((child, d, m)),
+            ) {
+                break;
+            }
+        }
+        local
+    });
 
     for s in subtree_stats {
         stats.visited += s.visited;

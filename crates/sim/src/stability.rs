@@ -28,14 +28,9 @@ use crate::explorer::ExploreOptions;
 use crate::program::{Implementation, ProcessLogic, TaskStep};
 use crate::store::StoreConfig;
 use crate::workload::Workload;
-use evlin_checker::{fi, parallel};
-use evlin_history::{History, ProcessId};
+use evlin_checker::fi;
+use evlin_history::ProcessId;
 use evlin_spec::{FetchIncrement, Invocation, Value};
-
-/// Number of terminal histories accumulated before they are handed to the
-/// batched checker: large enough to amortize the fan-out, small enough to
-/// keep the early exit on a violating extension responsive.
-const CHECK_BATCH: usize = 64;
 
 /// Options for the bounded stability check and stable-configuration search.
 #[derive(Debug, Clone, Copy)]
@@ -90,17 +85,11 @@ impl Default for StabilityOptions {
 /// The check enumerates all interleavings in which each process performs up
 /// to `extension_ops_per_process` further fetch&inc operations and verifies
 /// `t`-linearizability of every terminal history with the specialized
-/// fetch&increment checker.  With more than one rayon worker available,
-/// terminal histories are accumulated into batches of 64 and handed to
-/// [`evlin_checker::parallel::fi_all_t_linearizable_par`], so the
-/// checking half of the search uses every core; on a single worker the
-/// histories are checked inline (batching would only pay a cloning tax).
-/// The exploration half runs through [`crate::engine`] and honours
+/// fetch&increment checker, in place as the walk reaches it.  The
+/// exploration runs through [`crate::engine`] and honours
 /// [`StabilityOptions::reduction`], which shrinks the extension tree without
-/// changing the verdict.  The verdict is identical either way.  A `true`
-/// answer is therefore
-/// "stable up to the bound"; a `false` answer is definitive (a violating
-/// extension was found).
+/// changing the verdict.  A `true` answer is therefore "stable up to the
+/// bound"; a `false` answer is definitive (a violating extension was found).
 pub fn is_stable(config: &Config, initial_value: i64, options: &StabilityOptions) -> bool {
     let t = config.history().len();
     // Give every process extra fetch&inc operations to perform.
@@ -113,7 +102,6 @@ pub fn is_stable(config: &Config, initial_value: i64, options: &StabilityOptions
     // Engine exploration over interleavings (with the configured reduction);
     // check t-linearizability at terminal nodes (prefix closure, Lemma 6,
     // makes checking interior nodes redundant).
-    let batched = rayon::current_num_threads() > 1;
     let engine_options = EngineOptions {
         limits: ExploreOptions {
             max_depth: options.extension_depth,
@@ -126,22 +114,12 @@ pub fn is_stable(config: &Config, initial_value: i64, options: &StabilityOptions
         ..EngineOptions::default()
     };
     let mut ok = true;
-    let mut terminal: Vec<History> = Vec::new();
     let stats = engine::explore_config(extended, &engine_options, |c, depth| {
-        if c.is_quiescent() || depth >= options.extension_depth {
-            if batched {
-                terminal.push(c.history().clone());
-                if terminal.len() == CHECK_BATCH {
-                    if !parallel::fi_all_t_linearizable_par(&terminal, initial_value, t) {
-                        ok = false;
-                        return Visit::Stop;
-                    }
-                    terminal.clear();
-                }
-            } else if !fi::is_t_linearizable(c.history(), initial_value, t).unwrap_or(false) {
-                ok = false;
-                return Visit::Stop;
-            }
+        if (c.is_quiescent() || depth >= options.extension_depth)
+            && !fi::is_t_linearizable(c.history(), initial_value, t).unwrap_or(false)
+        {
+            ok = false;
+            return Visit::Stop;
         }
         Visit::Continue
     });
@@ -150,7 +128,7 @@ pub fn is_stable(config: &Config, initial_value: i64, options: &StabilityOptions
         // rather than freeze a configuration we could not verify.
         return false;
     }
-    ok && parallel::fi_all_t_linearizable_par(&terminal, initial_value, t)
+    ok
 }
 
 /// The result of a successful stable-configuration search and freeze.

@@ -2,9 +2,9 @@
 //!
 //! Same configuration + same reduction strategy ⇒ identical [`ExploreStats`]
 //! (visited, terminals, pruned, truncated) across worker counts and across
-//! runs.  CI runs this suite under `RAYON_NUM_THREADS ∈ {1, 4}` (the
-//! determinism matrix), so equality against the in-process sequential
-//! reference here is equality across the thread-count matrix too.
+//! runs.  [`EngineOptions::workers`] is the number of threads that run, so
+//! the `workers: Some(4)` cases below really explore on four threads,
+//! whatever the machine.
 
 use evlin_algorithms::{CasFetchInc, GossipFetchInc};
 use evlin_sim::engine::{self, EngineOptions, ExploreOptions, Reduction, Visit};
@@ -12,7 +12,8 @@ use evlin_sim::program::{Implementation, LocalSpecImplementation};
 use evlin_sim::workload::Workload;
 use evlin_spec::{FetchIncrement, TestAndSet};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 fn subject(family: usize, processes: usize) -> (Box<dyn Implementation>, Workload) {
     match family {
@@ -87,10 +88,11 @@ proptest! {
             |_, _| Visit::Continue,
         );
         prop_assert_eq!(again, sequential);
-        // Across worker counts (the actual pool is rayon's, pinned by
-        // RAYON_NUM_THREADS in CI's determinism matrix): identical stats.
+        // Across worker counts: identical stats.
+        let caller = std::thread::current().id();
         for workers in [1usize, 4] {
             for _run in 0..2 {
+                let visitors = Mutex::new(HashSet::new());
                 let parallel = engine::explore_shared(
                     implementation.as_ref(),
                     &workload,
@@ -99,7 +101,20 @@ proptest! {
                         subtrees_per_worker: 4,
                         ..base
                     },
-                    |_, _| Visit::Continue,
+                    |_, _| {
+                        visitors.lock().unwrap().insert(std::thread::current().id());
+                        Visit::Continue
+                    },
+                );
+                // The worker count is threads, the caller's included: one
+                // worker visits everything on the calling thread.
+                let visitors = visitors.into_inner().unwrap();
+                prop_assert!(visitors.contains(&caller));
+                prop_assert!(
+                    visitors.len() <= workers,
+                    "{} threads visited with {} workers",
+                    visitors.len(),
+                    workers
                 );
                 prop_assert_eq!(
                     parallel,
