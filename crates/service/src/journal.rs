@@ -2,8 +2,13 @@
 //!
 //! A replica connection appends every *accepted* `EVENTS` frame to its
 //! session's journal and fsyncs before acknowledging ([`crate::wire::WireFrame::Ack`]),
-//! so an acked frame survives a replica crash by construction.  The file is
-//! what makes two recoveries exact:
+//! so an acked frame survives a replica crash by construction.  Appending and
+//! syncing are two steps ([`Journal::append_unsynced`], [`Journal::sync`]) so
+//! that one `sync_data` can cover every frame a connection delivered while the
+//! previous one ran; [`Journal::cursor`] only ever names the synced position,
+//! and a failed write or sync cuts the file back to it, so an unacked record
+//! never sits in front of its own retransmission.  The file is what makes two
+//! recoveries exact:
 //!
 //! * **Session resumption** — after a reconnect, [`Journal::recover`] yields
 //!   the durable [`ResumeCursor`] the replica cross-checks against the
@@ -101,13 +106,28 @@ pub struct Recovered {
     pub torn_bytes: u64,
 }
 
+/// A place between two records: the cursor the records before it fold to
+/// and the file length that holds exactly those records.
+#[derive(Clone, Copy)]
+struct Position {
+    cursor: ResumeCursor,
+    len: u64,
+}
+
 /// An open, append-positioned session journal.
 pub struct Journal {
     file: File,
     path: PathBuf,
     client: u32,
     session: u64,
-    cursor: ResumeCursor,
+    /// The durable position: every record at or below it is fsynced.
+    durable: Position,
+    /// The append position: `durable` plus the records written since the
+    /// last sync.  The two differ only inside a commit batch.
+    written: Position,
+    /// A failed append could not be cut back out of the file: nothing more
+    /// may be written behind it.
+    poisoned: bool,
     shutdown: Option<(u64, u64)>,
     /// Reused append buffer: one `write_all` per record.
     scratch: Vec<u8>,
@@ -135,21 +155,41 @@ impl Journal {
         header[10..18].copy_from_slice(&session.to_le_bytes());
         file.write_all(&header)?;
         file.sync_data()?;
-        Ok(Journal {
+        // The chain is seeded with the client id (as on the wire), so
+        // journals for different clients never chain-collide.
+        let cursor = ResumeCursor {
+            frames: 0,
+            events: 0,
+            chain: client as u64,
+        };
+        let at = Position {
+            cursor,
+            len: JOURNAL_HEADER_BYTES as u64,
+        };
+        Ok(Journal::positioned(file, path, client, session, at, None))
+    }
+
+    /// A journal whose handle sits at `at`, the end of its last intact (and
+    /// synced) record.
+    fn positioned(
+        file: File,
+        path: &Path,
+        client: u32,
+        session: u64,
+        at: Position,
+        shutdown: Option<(u64, u64)>,
+    ) -> Journal {
+        Journal {
             file,
             path: path.to_path_buf(),
             client,
             session,
-            // The chain is seeded with the client id (as on the wire), so
-            // journals for different clients never chain-collide.
-            cursor: ResumeCursor {
-                frames: 0,
-                events: 0,
-                chain: client as u64,
-            },
-            shutdown: None,
+            durable: at,
+            written: at,
+            poisoned: false,
+            shutdown,
             scratch: Vec::new(),
-        })
+        }
     }
 
     /// Opens an existing journal, validates every record, truncates any torn
@@ -213,15 +253,11 @@ impl Journal {
             file.sync_data()?;
         }
         file.seek(SeekFrom::End(0))?;
-        let journal = Journal {
-            file,
-            path: path.to_path_buf(),
-            client,
-            session,
+        let at = Position {
             cursor,
-            shutdown,
-            scratch: Vec::new(),
+            len: good as u64,
         };
+        let journal = Journal::positioned(file, path, client, session, at, shutdown);
         let recovered = Recovered {
             cursor,
             cursors,
@@ -234,28 +270,57 @@ impl Journal {
     /// Appends one accepted `EVENTS` frame (its full wire encoding) and
     /// fsyncs, returning the new durable cursor — the value the replica may
     /// now ack.  `events` and `batch_fingerprint` come from the frame the
-    /// caller already decoded.
+    /// caller already decoded.  This is a commit batch of one:
+    /// [`Journal::append_unsynced`], then [`Journal::sync`].
     pub fn append_events(
         &mut self,
         payload: &[u8],
         events: u64,
         batch_fingerprint: u64,
     ) -> Result<ResumeCursor, JournalError> {
-        let chain_after = chain_fingerprint(self.cursor.chain, batch_fingerprint);
+        self.append_unsynced(payload, events, batch_fingerprint)?;
+        self.sync()
+    }
+
+    /// Appends one accepted `EVENTS` frame **without** syncing and returns
+    /// the position it was written at — which is not durable, must not be
+    /// acked and does not move [`Journal::cursor`] until [`Journal::sync`]
+    /// returns.  If the write fails, every record appended since the last
+    /// sync is cut back out of the file.
+    pub fn append_unsynced(
+        &mut self,
+        payload: &[u8],
+        events: u64,
+        batch_fingerprint: u64,
+    ) -> Result<ResumeCursor, JournalError> {
+        let chain_after = chain_fingerprint(self.written.cursor.chain, batch_fingerprint);
         self.scratch.clear();
         self.scratch.push(RECORD_EVENTS);
         self.scratch
-            .extend_from_slice(&self.cursor.frames.to_le_bytes());
+            .extend_from_slice(&self.written.cursor.frames.to_le_bytes());
         self.scratch
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.scratch.extend_from_slice(payload);
         self.scratch.extend_from_slice(&chain_after.to_le_bytes());
-        self.file.write_all(&self.scratch)?;
-        self.file.sync_data()?;
-        self.cursor.frames += 1;
-        self.cursor.events += events;
-        self.cursor.chain = chain_after;
-        Ok(self.cursor)
+        self.write_scratch()?;
+        let written = &mut self.written.cursor;
+        written.frames += 1;
+        written.events += events;
+        written.chain = chain_after;
+        Ok(*written)
+    }
+
+    /// One `sync_data` over everything appended since the last one; returns
+    /// the new durable cursor.  If the sync fails, the unsynced records are
+    /// cut back out of the file: the caller drops the connection, the peer
+    /// retransmits, and the retransmission lands where the failed attempt
+    /// was, not behind it.
+    pub fn sync(&mut self) -> Result<ResumeCursor, JournalError> {
+        if let Err(e) = self.file.sync_data() {
+            return Err(self.undo(e));
+        }
+        self.durable = self.written;
+        Ok(self.durable.cursor)
     }
 
     /// Records the client's shutdown totals and fsyncs.
@@ -264,10 +329,41 @@ impl Journal {
         self.scratch.push(RECORD_SHUTDOWN);
         self.scratch.extend_from_slice(&events.to_le_bytes());
         self.scratch.extend_from_slice(&chain.to_le_bytes());
-        self.file.write_all(&self.scratch)?;
-        self.file.sync_data()?;
+        self.write_scratch()?;
+        self.sync()?;
         self.shutdown = Some((events, chain));
         Ok(())
+    }
+
+    /// Writes the record in `scratch` at the append position.
+    fn write_scratch(&mut self) -> Result<(), JournalError> {
+        if self.poisoned {
+            return Err(JournalError::Io(std::io::Error::other(
+                "a failed append could not be rolled back",
+            )));
+        }
+        if let Err(e) = self.file.write_all(&self.scratch) {
+            return Err(self.undo(e));
+        }
+        self.written.len += self.scratch.len() as u64;
+        Ok(())
+    }
+
+    /// Forgets every record appended since the last sync: the file is cut
+    /// back to its durable length and the handle repositioned there.
+    pub(crate) fn rollback(&mut self) -> Result<(), JournalError> {
+        self.written = self.durable;
+        self.file.set_len(self.durable.len)?;
+        self.file.seek(SeekFrom::Start(self.durable.len))?;
+        Ok(())
+    }
+
+    /// The failure path of a write or sync: roll back, and if even that
+    /// fails refuse every later append — a record of unknown fate must not
+    /// end up in front of new ones.
+    fn undo(&mut self, cause: std::io::Error) -> JournalError {
+        self.poisoned = self.rollback().is_err();
+        JournalError::Io(cause)
     }
 
     /// Re-reads every journaled `EVENTS` payload through this journal's own
@@ -283,9 +379,9 @@ impl Journal {
         let mut bytes = Vec::new();
         self.file.read_to_end(&mut bytes)?;
         self.file.seek(SeekFrom::End(0))?;
-        let mut frames = Vec::with_capacity(self.cursor.frames as usize);
+        let mut frames = Vec::with_capacity(self.durable.cursor.frames as usize);
         let mut at = JOURNAL_HEADER_BYTES;
-        while (frames.len() as u64) < self.cursor.frames {
+        while (frames.len() as u64) < self.durable.cursor.frames {
             match *bytes
                 .get(at)
                 .ok_or_else(|| JournalError::BadHeader("journal shrank below its cursor".into()))?
@@ -313,7 +409,7 @@ impl Journal {
 
     /// The durable cursor: everything at or below it is fsynced.
     pub fn cursor(&self) -> ResumeCursor {
-        self.cursor
+        self.durable.cursor
     }
 
     /// The client this journal belongs to.
@@ -529,6 +625,65 @@ mod tests {
         let (_, recovered) = Journal::recover(&path).unwrap();
         assert_eq!(recovered.cursor, cursor);
         assert_eq!(recovered.frames.len(), 2);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn unsynced_appends_move_the_cursor_only_at_the_sync() {
+        let path = temp_path("batch.evjl");
+        let _ = std::fs::remove_file(&path);
+        let mut journal = Journal::create(&path, 3, 1).unwrap();
+        let start = journal.cursor();
+        let mut written = Vec::new();
+        for seq in 0..3u64 {
+            let (payload, n, fp) = events_frame(3, seq, 2);
+            written.push(journal.append_unsynced(&payload, n, fp).unwrap());
+            assert_eq!(journal.cursor(), start, "durable before its sync");
+        }
+        assert_eq!(journal.sync().unwrap(), written[2]);
+        assert_eq!(journal.cursor(), written[2]);
+        assert_eq!(journal.read_back().unwrap().len(), 3);
+        drop(journal);
+        // The records are the ones three synced appends would have written.
+        let (_, recovered) = Journal::recover(&path).unwrap();
+        assert_eq!(recovered.cursors, written);
+        assert_eq!(recovered.torn_bytes, 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_rolled_back_batch_leaves_only_the_durable_prefix() {
+        let path = temp_path("rollback.evjl");
+        let _ = std::fs::remove_file(&path);
+        let mut journal = Journal::create(&path, 3, 1).unwrap();
+        let (p0, n0, f0) = events_frame(3, 0, 2);
+        let (p1, n1, f1) = events_frame(3, 1, 4);
+        let (p2, n2, f2) = events_frame(3, 2, 1);
+        let durable = journal.append_events(&p0, n0, f0).unwrap();
+        // What a failed sync does: two records written, none kept.
+        journal.append_unsynced(&p1, n1, f1).unwrap();
+        journal.append_unsynced(&p2, n2, f2).unwrap();
+        journal.rollback().unwrap();
+        assert_eq!(journal.cursor(), durable);
+        let on_disk = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(
+            on_disk as usize,
+            JOURNAL_HEADER_BYTES + 13 + p0.len() + 8,
+            "the unsynced records are cut out of the file"
+        );
+        // The retransmission of frame 1 lands where the failed one was.
+        let again = journal.append_events(&p1, n1, f1).unwrap();
+        assert_eq!(again.frames, 2);
+        // Rolled back and then dropped: recovery finds the durable prefix
+        // and no torn tail, and frame 2 appends cleanly behind it.
+        journal.append_unsynced(&p2, n2, f2).unwrap();
+        journal.rollback().unwrap();
+        drop(journal);
+        let (mut journal, recovered) = Journal::recover(&path).unwrap();
+        assert_eq!(recovered.cursors, vec![durable, again]);
+        assert_eq!(recovered.frames, vec![p0, p1]);
+        assert_eq!(recovered.torn_bytes, 0);
+        assert_eq!(journal.append_events(&p2, n2, f2).unwrap().frames, 3);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -24,20 +24,21 @@
 //! different **delivery contracts** over the same frames of the one spoken
 //! protocol version: [`replica`]'s is a loss *detector* (sequence gaps
 //! counted, events still delivered, shutdown totals audited), [`supervisor`]'s
-//! an exactly-once *admitter* (journal + fsync, dedup by sequence, ack).
+//! an exactly-once *admitter* (journal, one fsync per batch of frames, dedup by
+//! sequence, ack).
 //!
 //! ## Module map
 //!
 //! | module | role |
 //! |---|---|
 //! | [`wire`] | frame codec: byte layouts, fingerprints, the single spoken version (see `docs/PROTOCOL.md`) |
-//! | [`transport`] | how frames move: in-process duplex (optionally faulted), loopback TCP, read deadlines, [`transport::ChaosPlan`] |
+//! | [`transport`] | how frames move: in-process duplex (optionally faulted), loopback TCP, bounded and non-waiting receives, [`transport::ChaosPlan`] |
 //! | [`client`] | producer side: the shared frame sealer and verdict drain; [`ServiceClient`], a recorder shard over a wire-frame sink |
 //! | `pool` | the shared replica core: shard pool lifecycle, frame router, verdict fanout |
 //! | [`replica`] | loss-detecting front door: connection handlers, slot claims, [`MonitorService`] |
-//! | [`journal`] | `EVJL` per-session fsynced frame journal with torn-tail recovery |
-//! | [`session`] | exactly-once resumption: server-side dedup/ack state, client-side unacked window, seeded backoff |
-//! | [`supervisor`] | exactly-once front door: session handler, heartbeats, journal-replay restart, overload shedding, [`RecoverableClient`] |
+//! | [`journal`] | `EVJL` per-session fsynced frame journal: append, sync per batch, roll back a failed one, torn-tail recovery |
+//! | [`session`] | exactly-once resumption: server-side admit/commit dedup state, client-side unacked window, seeded backoff |
+//! | [`supervisor`] | exactly-once front door: group-committing session handler, heartbeats, journal-replay restart, overload shedding, [`RecoverableClient`] with its attach handshake |
 //!
 //! ## Example
 //!

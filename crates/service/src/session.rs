@@ -7,13 +7,19 @@
 //! **journal-backed acceptance state** ([`SessionRx`]), admitting frames in
 //! exact sequence order:
 //!
-//! * `frame_seq == next` — fresh: journal + fsync, deliver, ack the new
-//!   cursor.
+//! * `frame_seq == next` — fresh: journal it; once the batch it arrived in
+//!   is fsynced, deliver and ack the new cursor.
 //! * `frame_seq < next` — duplicate (a replay of something already
-//!   durable): drop, re-ack the cursor so the client prunes its window.
+//!   journaled): drop, re-ack the cursor so the client prunes its window.
 //! * `frame_seq > next` — gap (frames died with a connection): reject and
 //!   ack the *current* cursor, which tells the client exactly where to
 //!   rewind its window.
+//!
+//! Admission is two steps, [`SessionRx::admit`] per frame and one
+//! [`SessionRx::commit`] per batch of frames: the commit is the fsync, and
+//! the cursor it returns is the only one a caller may ack.  A connection
+//! that delivered sixteen frames while the previous fsync ran pays for one
+//! more, not sixteen; a batch of one frame is the same two calls.
 //!
 //! Together the two sides absorb duplication and reordering and turn loss
 //! into retransmission — the journal admits each frame exactly once, in
@@ -42,15 +48,19 @@ use std::time::Duration;
 // ---------------------------------------------------------------------------
 
 /// What [`SessionRx::admit`] decided about one incoming `EVENTS` frame.
+/// Whatever it decided, the cursor to ack is the one the batch's
+/// [`SessionRx::commit`] returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admit {
-    /// Fresh and now durable: deliver the events and ack this cursor.
-    Accept(ResumeCursor),
-    /// Already durable (a window replay): drop it, re-ack this cursor.
-    Duplicate(ResumeCursor),
-    /// Sequence gap — frames before this one never arrived.  Drop it and
-    /// ack this (unchanged) cursor; the client rewinds its window here.
-    Gap(ResumeCursor),
+    /// Fresh and now journaled, not yet durable: deliver the events once
+    /// the commit has returned, not before.
+    Accept,
+    /// Already journaled (a window replay): drop it; the re-ack lets the
+    /// client prune its window.
+    Duplicate,
+    /// Sequence gap — frames before this one never arrived.  Drop it; the
+    /// acked cursor tells the client where to rewind its window.
+    Gap,
 }
 
 /// Resumption failures, distinct from journal I/O failures because they mean
@@ -175,9 +185,17 @@ impl SessionRx {
         Ok(())
     }
 
+    /// The `frame_seq` a fresh frame must carry now: the durable frame count
+    /// plus the frames admitted since the last [`SessionRx::commit`].
+    pub fn next_frame_seq(&self) -> u64 {
+        self.cursors.len() as u64
+    }
+
     /// Admits one decoded `EVENTS` frame (`bytes` is its full wire
-    /// encoding).  Only [`Admit::Accept`] journals and implies delivery;
-    /// every outcome carries the cursor to ack.
+    /// encoding).  Only [`Admit::Accept`] journals — without syncing: the
+    /// frame is neither durable nor deliverable until [`SessionRx::commit`]
+    /// has returned.  An error means the journal write failed and every
+    /// frame admitted since the last commit is forgotten, on disk and here.
     pub fn admit(
         &mut self,
         bytes: &[u8],
@@ -185,18 +203,44 @@ impl SessionRx {
         events: u64,
         batch_fingerprint: u64,
     ) -> Result<Admit, SessionError> {
-        let cursor = self.journal.cursor();
-        if frame_seq < cursor.frames {
-            return Ok(Admit::Duplicate(cursor));
+        let next = self.next_frame_seq();
+        if frame_seq < next {
+            return Ok(Admit::Duplicate);
         }
-        if frame_seq > cursor.frames {
-            return Ok(Admit::Gap(cursor));
+        if frame_seq > next {
+            return Ok(Admit::Gap);
         }
-        let cursor = self
+        match self
             .journal
-            .append_events(bytes, events, batch_fingerprint)?;
-        self.cursors.push(cursor);
-        Ok(Admit::Accept(cursor))
+            .append_unsynced(bytes, events, batch_fingerprint)
+        {
+            Ok(written) => {
+                self.cursors.push(written);
+                Ok(Admit::Accept)
+            }
+            Err(e) => Err(self.forget_unsynced(e)),
+        }
+    }
+
+    /// Makes every frame admitted since the last commit durable with one
+    /// fsync (none when nothing was accepted) and returns the durable
+    /// cursor: what to ack for the whole batch, whatever its frames were.
+    /// An error means the sync failed and the batch is forgotten, on disk
+    /// and here: ack nothing, deliver nothing, drop the connection.
+    pub fn commit(&mut self) -> Result<ResumeCursor, SessionError> {
+        if self.next_frame_seq() > self.journal.cursor().frames {
+            if let Err(e) = self.journal.sync() {
+                return Err(self.forget_unsynced(e));
+            }
+        }
+        Ok(self.journal.cursor())
+    }
+
+    /// A failed append or sync has rolled the journal back to its durable
+    /// cursor; the positions of the forgotten frames go with it.
+    fn forget_unsynced(&mut self, e: JournalError) -> SessionError {
+        self.cursors.truncate(self.journal.cursor().frames as usize);
+        e.into()
     }
 
     /// Whether the shutdown audit is journaled: the stream is complete and
@@ -456,19 +500,66 @@ mod tests {
         let (p1, n1, f1) = events_frame(4, 1, 3);
         let (p3, n3, f3) = events_frame(4, 3, 1);
 
-        let a0 = rx.admit(&p0, 0, n0, f0).unwrap();
-        assert!(matches!(a0, Admit::Accept(c) if c.frames == 1 && c.events == 2));
+        assert_eq!(rx.admit(&p0, 0, n0, f0).unwrap(), Admit::Accept);
+        let c0 = rx.commit().unwrap();
+        assert_eq!((c0.frames, c0.events), (1, 2));
         // Replay of frame 0: duplicate, cursor unchanged.
-        let a0b = rx.admit(&p0, 0, n0, f0).unwrap();
-        assert!(matches!(a0b, Admit::Duplicate(c) if c.frames == 1));
+        assert_eq!(rx.admit(&p0, 0, n0, f0).unwrap(), Admit::Duplicate);
+        assert_eq!(rx.commit().unwrap(), c0);
         // Frame 3 before frames 1–2: a gap; cursor says where to rewind.
-        let a3 = rx.admit(&p3, 3, n3, f3).unwrap();
-        assert!(matches!(a3, Admit::Gap(c) if c.frames == 1));
+        assert_eq!(rx.admit(&p3, 3, n3, f3).unwrap(), Admit::Gap);
+        assert_eq!(rx.commit().unwrap(), c0);
         // In-order frame 1 is accepted and the chain advances.
-        let a1 = rx.admit(&p1, 1, n1, f1).unwrap();
-        let Admit::Accept(c1) = a1 else { panic!() };
+        assert_eq!(rx.admit(&p1, 1, n1, f1).unwrap(), Admit::Accept);
+        let c1 = rx.commit().unwrap();
         assert_eq!(c1.frames, 2);
         assert_eq!(c1.events, 5);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_batch_is_durable_and_ackable_only_once_committed() {
+        let path = temp_path("batch.evjl");
+        let _ = std::fs::remove_file(&path);
+        let mut rx = SessionRx::create(&path, 4, 1).unwrap();
+        let start = rx.cursor();
+        let frames: Vec<_> = (0..4u64).map(|seq| events_frame(4, seq, 2)).collect();
+        // [fresh, fresh, duplicate, gap, fresh]: three records, one sync.
+        let batch = [0usize, 1, 0, 3, 2];
+        let outcomes: Vec<Admit> = batch
+            .iter()
+            .map(|&seq| {
+                let (bytes, n, fp) = &frames[seq];
+                rx.admit(bytes, seq as u64, *n, *fp).unwrap()
+            })
+            .collect();
+        assert_eq!(
+            outcomes,
+            [
+                Admit::Accept,
+                Admit::Accept,
+                Admit::Duplicate,
+                Admit::Gap,
+                Admit::Accept
+            ]
+        );
+        // Nothing of it is durable, and so nothing ackable, before the sync.
+        assert_eq!(rx.cursor(), start);
+        assert_eq!(rx.next_frame_seq(), 3);
+        let committed = rx.commit().unwrap();
+        assert_eq!((committed.frames, committed.events), (3, 6));
+        assert_eq!(rx.cursor(), committed);
+        // A resume claim checks at every position inside the batch, and the
+        // file recovers to the same three cursors.
+        let live = rx.cursors.clone();
+        for claim in &live {
+            rx.check_resume(4, Some(*claim)).unwrap();
+        }
+        drop(rx);
+        let (rx, recovered) = SessionRx::reopen(&path).unwrap();
+        assert_eq!(recovered.cursors, live);
+        assert_eq!(recovered.frames.len(), 3);
+        assert_eq!(rx.cursor(), committed);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -479,12 +570,10 @@ mod tests {
         let mut rx = SessionRx::create(&path, 2, 5).unwrap();
         let (p0, n0, f0) = events_frame(2, 0, 2);
         let (p1, n1, f1) = events_frame(2, 1, 2);
-        let Admit::Accept(c0) = rx.admit(&p0, 0, n0, f0).unwrap() else {
-            panic!("frame 0 is fresh")
-        };
-        let Admit::Accept(c1) = rx.admit(&p1, 1, n1, f1).unwrap() else {
-            panic!("frame 1 is fresh")
-        };
+        assert_eq!(rx.admit(&p0, 0, n0, f0).unwrap(), Admit::Accept);
+        let c0 = rx.commit().unwrap();
+        assert_eq!(rx.admit(&p1, 1, n1, f1).unwrap(), Admit::Accept);
+        let c1 = rx.commit().unwrap();
         drop(rx);
 
         // Claiming the tip, an earlier ack, or nothing at all: all valid.

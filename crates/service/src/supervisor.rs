@@ -8,9 +8,21 @@
 //! * **Sessions, not connections.**  A client names a session in its hello
 //!   and the replica journals every accepted `EVENTS` frame (fsync before
 //!   ack) under [`crate::session::SessionRx`].  A dropped connection loses
-//!   nothing: the client reconnects with its resume cursor, replays its
-//!   unacked window, and the replica dedups by frame sequence while
+//!   nothing: the client reconnects with its resume cursor, **waits for the
+//!   attach ack**, replays its unacked window from the durable cursor that
+//!   ack carries, and the replica dedups by frame sequence while
 //!   cross-checking the chained stream fingerprint.
+//! * **The frame path waits for the disk only.**  The client streams into
+//!   its window and polls the ack plane with a receive that cannot wait
+//!   ([`FrameRx::try_recv`]); it blocks (for `ack_timeout` at most) only
+//!   once the window is full.  The replica handler commits in groups: the
+//!   frame its receive returned plus every whole `EVENTS` frame already in
+//!   the reassembly buffer are admitted under one slot lock — one overload
+//!   probe, one append each, **one fsync**, the ring hand-off, one `ACK` —
+//!   so the batch is whatever arrived while the previous fsync ran, and a
+//!   lone frame is a batch of one through the same code.  No timeout below
+//!   `heartbeat` sits on the replica's frame path and none below
+//!   `ack_timeout` on the client's.
 //! * **Replica restarts.**  A supervisor watchdog detects dead shard
 //!   threads (and [`RecoverableService::kill_and_restart`] simulates the
 //!   crash deliberately): the dying pool's verdict broadcasts are
@@ -37,8 +49,13 @@
 //! slowest *configured* slot — the same contract as the plain service, now
 //! including slots whose client is between connections.  Everything the
 //! handler does under a slot lock is non-blocking by construction
-//! (`push_buffered` + `try_flush`), so a stalled merge can delay verdicts
-//! but can never deadlock ingestion, restarts or shutdown.
+//! (`push_buffered` + `try_flush`; the journal's append and fsync wait for
+//! the disk, not for a peer), so a stalled merge can delay verdicts but can
+//! never deadlock ingestion, restarts or shutdown.  Client-side, a
+//! connection that carries its hello and one whole frame advances the
+//! journal by at least one frame whatever the link's timing, because the
+//! replay starts at the cursor the replica just reported, not at an ack the
+//! previous connection may or may not have delivered.
 
 use crate::client::{drain_verdicts, final_summaries, FrameSealer};
 use crate::journal::{journal_file_name, JournalError};
@@ -61,7 +78,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -88,8 +105,9 @@ pub struct RecoveryConfig {
     /// `retry_after_ms` carried by `OVERLOADED` rejections.
     pub retry_after_ms: u32,
     /// Events a slot may hold in not-yet-shipped ring buffers before its
-    /// handler sheds incoming frames.  Bounds per-connection memory: ingest
-    /// can never grow past `overload_backlog` + one frame per slot.
+    /// handler sheds incoming frames, and the most events one commit batch
+    /// gathers (a lone frame may be larger).  Bounds per-connection memory:
+    /// ingest can never grow past `overload_backlog` + one batch per slot.
     pub overload_backlog: usize,
 }
 
@@ -125,6 +143,9 @@ pub struct SessionStats {
     pub resume_rejections: u64,
     /// Frames accepted (journaled, fsynced, delivered, acked).
     pub accepted_frames: u64,
+    /// Commit batches that accepted at least one frame — one journal fsync
+    /// each, so `accepted_frames ÷ commits` is the mean frames per fsync.
+    pub commits: u64,
     /// Events inside accepted frames.
     pub accepted_events: u64,
     /// Window replays of already-durable frames (dropped, re-acked).
@@ -410,10 +431,113 @@ fn restart_pool(shared: &Arc<Shared>, ctl: &mut Ctl) -> Result<(), SessionError>
 // Connection handler
 // ---------------------------------------------------------------------------
 
-enum AdmitOutcome {
-    Ack(ResumeCursor),
-    Shed,
-    Fatal,
+/// One `EVENTS` frame of a commit batch, decoded and waiting for the slot
+/// lock.
+struct BatchFrame {
+    /// The frame's full wire encoding: what the journal stores.
+    bytes: Vec<u8>,
+    frame_seq: u64,
+    events: Vec<(u64, Event)>,
+    fingerprint: u64,
+    /// Set by the admit pass: journaled, to be routed once the batch's
+    /// fsync has returned.
+    accepted: bool,
+}
+
+impl BatchFrame {
+    fn new(
+        bytes: Vec<u8>,
+        frame_seq: u64,
+        events: Vec<(u64, Event)>,
+        fingerprint: u64,
+    ) -> BatchFrame {
+        BatchFrame {
+            bytes,
+            frame_seq,
+            events,
+            fingerprint,
+            accepted: false,
+        }
+    }
+}
+
+/// What a commit batch is answered with.
+struct BatchReply {
+    /// The durable cursor, unless every frame of the batch was shed.
+    ack: Option<ResumeCursor>,
+    /// Whether the overload probe (or a restart replay owning the senders)
+    /// shed a frame.
+    shed: bool,
+}
+
+/// Admits one batch of a connection's `EVENTS` frames under the slot lock:
+/// one overload probe, one journal append per fresh frame, **one fsync**,
+/// then the ring hand-off — so a restart snapshot sees all of a batch or
+/// none of it, and nothing reaches a ring (or is acked) before the sync that
+/// makes it durable has returned.  Non-blocking by construction: overload is
+/// probed with `try_flush` *before* admitting, against the rings' real
+/// backlog, and the batch adds at most its own events to what was probed.
+/// An error is a journal failure: the batch is forgotten, on disk too.
+fn commit_batch(
+    shared: &Shared,
+    slot: &mut SlotState,
+    batch: &mut Vec<BatchFrame>,
+) -> Result<BatchReply, SessionError> {
+    match (&mut slot.session, &mut slot.senders) {
+        (Some(state), _) if state.finished() => {
+            // The stream already ended: nothing more of it can be admitted.
+            // Re-ack where it ended.
+            slot.stats.protocol_errors += batch.len() as u64;
+            batch.clear();
+            Ok(BatchReply {
+                ack: Some(state.cursor()),
+                shed: false,
+            })
+        }
+        (Some(state), Some(senders)) => {
+            let overloaded = try_flush_all(senders) > shared.config.overload_backlog;
+            let (mut admitted, mut shed) = (false, false);
+            for frame in batch.iter_mut() {
+                if overloaded && frame.frame_seq == state.next_frame_seq() {
+                    // Shed: never journaled, never acked, so the client's
+                    // window still holds it (and what it sent behind it,
+                    // which now reads as a gap).
+                    slot.stats.overloaded_rejections += 1;
+                    shed = true;
+                    continue;
+                }
+                admitted = true;
+                let events = frame.events.len() as u64;
+                match state.admit(&frame.bytes, frame.frame_seq, events, frame.fingerprint)? {
+                    Admit::Accept => frame.accepted = true,
+                    Admit::Duplicate => slot.stats.duplicate_frames += 1,
+                    Admit::Gap => slot.stats.gap_frames += 1,
+                }
+            }
+            let durable = state.commit()?;
+            slot.stats.commits += u64::from(batch.iter().any(|frame| frame.accepted));
+            for frame in batch.drain(..).filter(|frame| frame.accepted) {
+                slot.stats.accepted_frames += 1;
+                slot.stats.accepted_events += frame.events.len() as u64;
+                route_buffered(shared.router, senders, frame.events);
+                try_flush_all(senders);
+            }
+            Ok(BatchReply {
+                ack: admitted.then_some(durable),
+                shed,
+            })
+        }
+        // A restart replay owns the senders: shed, the window will
+        // retransmit after retry_after.
+        _ => {
+            slot.stats.overloaded_rejections += batch.len() as u64;
+            batch.clear();
+            Ok(BatchReply {
+                ack: None,
+                shed: true,
+            })
+        }
+    }
 }
 
 fn run_session_handler(shared: Arc<Shared>, mut rx: TcpRx, tx: TcpTx) {
@@ -505,21 +629,32 @@ fn run_session_handler(shared: Arc<Shared>, mut rx: TcpRx, tx: TcpTx) {
     };
     shared.fanout.register(index, Box::new(tx));
     shared.fanout.unicast(index, &ack(cursor));
+    let mut batch: Vec<BatchFrame> = Vec::new();
+    // A frame taken out of the reassembly buffer that did not join the batch
+    // being gathered: it is the next iteration's frame.
+    let mut carried: Option<(Vec<u8>, Result<WireFrame, WireError>)> = None;
     loop {
-        let bytes = match rx.recv_timeout(heartbeat) {
-            Ok(Some(bytes)) => bytes,
-            Ok(None) => return, // clean end-of-stream
-            Err(WireError::PeerTimeout) => {
-                // Silent peer: close the connection, keep the session.
-                lock_slot().stats.idle_timeouts += 1;
-                return;
-            }
-            Err(_) => {
-                lock_slot().stats.corrupt_frames += 1;
-                return;
+        let (bytes, decoded) = match carried.take() {
+            Some(carried) => carried,
+            None => {
+                let bytes = match rx.recv_timeout(heartbeat) {
+                    Ok(Some(bytes)) => bytes,
+                    Ok(None) => return, // clean end-of-stream
+                    Err(WireError::PeerTimeout) => {
+                        // Silent peer: close the connection, keep the session.
+                        lock_slot().stats.idle_timeouts += 1;
+                        return;
+                    }
+                    Err(_) => {
+                        lock_slot().stats.corrupt_frames += 1;
+                        return;
+                    }
+                };
+                let decoded = decode_frame_with(&bytes, &mut interner);
+                (bytes, decoded)
             }
         };
-        let frame = match decode_frame_with(&bytes, &mut interner) {
+        let frame = match decoded {
             Ok(frame) => frame,
             Err(_) => {
                 lock_slot().stats.corrupt_frames += 1;
@@ -537,69 +672,61 @@ fn run_session_handler(shared: Arc<Shared>, mut rx: TcpRx, tx: TcpTx) {
                     lock_slot().stats.protocol_errors += 1;
                     continue;
                 }
-                let n = events.len() as u64;
-                // Journal append and ring hand-off are atomic under the slot
-                // lock (a restart snapshot can never see one without the
-                // other) and non-blocking by construction: overload is
-                // probed with try_flush *before* admitting, and a fresh
-                // frame adds at most one batch to the probed backlog.
-                let outcome = {
-                    let mut guard = lock_slot();
-                    let slot = &mut *guard;
-                    match (&mut slot.session, &mut slot.senders) {
-                        (Some(state), _) if state.finished() => {
-                            // The stream already ended: nothing more of it
-                            // can be admitted.  Re-ack where it ended.
-                            slot.stats.protocol_errors += 1;
-                            AdmitOutcome::Ack(state.cursor())
+                // Group commit.  Every further whole `EVENTS` frame the
+                // receive above already pulled into the reassembly buffer
+                // joins this one, in order — no syscall, no timer: the batch
+                // is whatever arrived while the previous batch's fsync ran,
+                // and a lone frame is a batch of one.  It ends at the first
+                // frame that is not this client's `EVENTS` (handled next, by
+                // the arms it always was) and before `overload_backlog`
+                // events, which bounds what one batch can add to the rings
+                // behind a single probe.
+                let mut batch_events = events.len();
+                batch.push(BatchFrame::new(bytes, frame_seq, events, fingerprint));
+                while let Ok(Some(bytes)) = rx.take_buffered() {
+                    match decode_frame_with(&bytes, &mut interner) {
+                        Ok(WireFrame::Events {
+                            client: c,
+                            frame_seq,
+                            events,
+                            fingerprint,
+                        }) if c == client
+                            && batch_events + events.len() <= shared.config.overload_backlog =>
+                        {
+                            batch_events += events.len();
+                            batch.push(BatchFrame::new(bytes, frame_seq, events, fingerprint));
                         }
-                        (Some(state), Some(senders)) => {
-                            let fresh = frame_seq == state.cursor().frames;
-                            if fresh && try_flush_all(senders) > shared.config.overload_backlog {
-                                slot.stats.overloaded_rejections += 1;
-                                AdmitOutcome::Shed
-                            } else {
-                                match state.admit(&bytes, frame_seq, n, fingerprint) {
-                                    Ok(Admit::Accept(cursor)) => {
-                                        route_buffered(shared.router, senders, events);
-                                        try_flush_all(senders);
-                                        slot.stats.accepted_frames += 1;
-                                        slot.stats.accepted_events += n;
-                                        AdmitOutcome::Ack(cursor)
-                                    }
-                                    Ok(Admit::Duplicate(cursor)) => {
-                                        slot.stats.duplicate_frames += 1;
-                                        AdmitOutcome::Ack(cursor)
-                                    }
-                                    Ok(Admit::Gap(cursor)) => {
-                                        slot.stats.gap_frames += 1;
-                                        AdmitOutcome::Ack(cursor)
-                                    }
-                                    Err(_) => {
-                                        slot.stats.journal_failures += 1;
-                                        AdmitOutcome::Fatal
-                                    }
-                                }
-                            }
-                        }
-                        // Restart replay owns the senders: shed, the
-                        // window will retransmit after retry_after.
-                        _ => {
-                            slot.stats.overloaded_rejections += 1;
-                            AdmitOutcome::Shed
+                        other => {
+                            carried = Some((bytes, other));
+                            break;
                         }
                     }
+                }
+                let reply = {
+                    let mut slot = lock_slot();
+                    let reply = commit_batch(&shared, &mut slot, &mut batch);
+                    if reply.is_err() {
+                        slot.stats.journal_failures += 1;
+                    }
+                    reply
                 };
-                match outcome {
-                    AdmitOutcome::Ack(cursor) => shared.fanout.unicast(index, &ack(cursor)),
-                    AdmitOutcome::Shed => shared.fanout.unicast(
+                // One ack per batch, and only now: the cursor it carries is
+                // fsynced.  Ack first, so that a shed client rewinds to the
+                // freshest cursor.
+                let Ok(reply) = reply else {
+                    return;
+                };
+                if let Some(cursor) = reply.ack {
+                    shared.fanout.unicast(index, &ack(cursor));
+                }
+                if reply.shed {
+                    shared.fanout.unicast(
                         index,
                         &WireFrame::Overloaded {
                             client,
                             retry_after_ms: shared.config.retry_after_ms,
                         },
-                    ),
-                    AdmitOutcome::Fatal => return,
+                    );
                 }
             }
             WireFrame::Shutdown {
@@ -751,13 +878,24 @@ impl RecoverableService {
         let acceptor = std::thread::Builder::new()
             .name("evlin-rsvc-accept".into())
             .spawn(move || {
-                let mut joins = Vec::new();
+                let mut joins: Vec<JoinHandle<()>> = Vec::new();
                 loop {
                     let Ok((stream, _)) = listener.accept() else {
                         break;
                     };
                     if acceptor_shared.shutting_down.load(Ordering::SeqCst) {
                         break;
+                    }
+                    // Reap the handlers that have returned: a finished thread
+                    // keeps its stack mapped until it is joined, and a client
+                    // under connection chaos reconnects without bound.
+                    let mut i = 0;
+                    while i < joins.len() {
+                        if joins[i].is_finished() {
+                            let _ = joins.swap_remove(i).join();
+                        } else {
+                            i += 1;
+                        }
                     }
                     let _ = stream.set_nodelay(true);
                     let Ok((tx, rx)) = tcp_pair(stream) else {
@@ -786,7 +924,8 @@ impl RecoverableService {
                     .min(Duration::from_millis(50))
                     .max(Duration::from_millis(2));
                 while !watchdog_shared.shutting_down.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick);
+                    // `finish` unparks: shutdown does not wait out a tick.
+                    std::thread::park_timeout(tick);
                     if watchdog_shared.shutting_down.load(Ordering::SeqCst) {
                         break;
                     }
@@ -828,7 +967,8 @@ impl RecoverableService {
     /// closes.
     pub fn finish(self) -> RecoveryReport {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Wake the acceptor out of `accept`.
+        // Wake the watchdog out of its tick and the acceptor out of `accept`.
+        self.watchdog.thread().unpark();
         let _ = TcpStream::connect(self.addr);
         for join in self.acceptor.join().expect("acceptor thread") {
             let _ = join.join();
@@ -966,6 +1106,15 @@ pub struct RecoverableClientStats {
     pub protocol_errors: u64,
 }
 
+/// The plane a frame from the replica arrived on, as far as a client waiting
+/// for ack progress cares.
+#[derive(PartialEq)]
+enum Incoming {
+    Ack,
+    Verdict,
+    Other,
+}
+
 /// The [`EventSink`] behind a [`RecoverableClient`]: batches events into
 /// `EVENTS` frames, stages them in the session window, and pumps the
 /// connection — reconnecting, replaying and honoring rejections as needed.
@@ -1000,37 +1149,15 @@ impl SessionSink {
         self.conn = None;
     }
 
-    /// Connects (with backoff) until a hello goes out, or the retry budget
-    /// dies.  The hello always carries the resume cursor: against a fresh
-    /// session it claims zero frames, which trivially validates.
+    /// Connects (with backoff) until a replica has attached the session, or
+    /// the retry budget dies.
     fn ensure_connected(&mut self) -> bool {
         while self.conn.is_none() {
             if self.dead.is_some() {
                 return false;
             }
-            let attempt = self.attempts_total;
-            self.attempts_total += 1;
-            if let Ok((mut tx, rx)) = tcp_connect(self.addr) {
-                if let Some(chaos) = &self.chaos {
-                    tx.set_chaos(chaos.plan_for(attempt));
-                }
-                let hello = WireFrame::Hello {
-                    client: self.sealer.client,
-                    version: VERSION,
-                    session: self.window.session(),
-                    resume: Some(self.window.resume_cursor()),
-                };
-                if tx.send(encode_frame(&hello)).is_ok() {
-                    if self.connected_once {
-                        self.stats.reconnects += 1;
-                    }
-                    self.connected_once = true;
-                    // Replay starts at the last acked frame.
-                    self.sent_up_to = self.window.resume_cursor().frames;
-                    self.stalls = 0;
-                    self.conn = Some((tx, rx));
-                    return true;
-                }
+            if self.attach() {
+                return true;
             }
             match self.backoff.next_delay() {
                 Ok(delay) => std::thread::sleep(delay),
@@ -1040,6 +1167,59 @@ impl SessionSink {
                 }
             }
         }
+        true
+    }
+
+    /// One connection attempt, as a handshake: connect, send the hello,
+    /// **wait for the attach `ACK`** and rewind the window to the cursor it
+    /// carries — the replica's durable position, not whatever ack this side
+    /// happened to have read before the last connection died.  The hello
+    /// always carries the resume cursor: against a fresh session it claims
+    /// zero frames, which trivially validates.  `false` (and no connection)
+    /// if the endpoint is dead, the replica refused the hello (end of
+    /// stream), or no ack came within `ack_timeout`.
+    fn attach(&mut self) -> bool {
+        let attempt = self.attempts_total;
+        self.attempts_total += 1;
+        let Ok((mut tx, rx)) = tcp_connect(self.addr) else {
+            return false;
+        };
+        if let Some(chaos) = &self.chaos {
+            tx.set_chaos(chaos.plan_for(attempt));
+        }
+        let hello = WireFrame::Hello {
+            client: self.sealer.client,
+            version: VERSION,
+            session: self.window.session(),
+            resume: Some(self.window.resume_cursor()),
+        };
+        if tx.send(encode_frame(&hello)).is_err() {
+            return false;
+        }
+        self.conn = Some((tx, rx));
+        // A verdict round may overtake the ack (the connection becomes the
+        // slot's verdict link first), so read until the ack itself.
+        let deadline = Instant::now() + self.ack_timeout;
+        loop {
+            let Some((_, rx)) = &mut self.conn else {
+                return false;
+            };
+            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(Some(bytes)) if self.handle_frame(&bytes) == Incoming::Ack => break,
+                Ok(Some(_)) => {}
+                Ok(None) | Err(_) => {
+                    self.disconnect();
+                    return false;
+                }
+            }
+        }
+        if self.connected_once {
+            self.stats.reconnects += 1;
+        }
+        self.connected_once = true;
+        // Replay starts at the replica's durable cursor.
+        self.sent_up_to = self.window.resume_cursor().frames;
+        self.stalls = 0;
         true
     }
 
@@ -1076,7 +1256,8 @@ impl SessionSink {
         ok
     }
 
-    fn handle_frame(&mut self, bytes: &[u8]) {
+    /// Applies one frame from the replica and says which plane it was on.
+    fn handle_frame(&mut self, bytes: &[u8]) -> Incoming {
         match decode_frame(bytes) {
             Ok(WireFrame::Ack { cursor, .. }) => {
                 self.stats.acks += 1;
@@ -1084,6 +1265,7 @@ impl SessionSink {
                 // retry budget.
                 self.backoff.reset();
                 self.window.on_ack(cursor);
+                return Incoming::Ack;
             }
             Ok(WireFrame::Overloaded { retry_after_ms, .. }) => {
                 self.stats.overloads += 1;
@@ -1093,23 +1275,29 @@ impl SessionSink {
                 self.sent_up_to = self.window.resume_cursor().frames;
                 std::thread::sleep(Duration::from_millis(u64::from(retry_after_ms.min(1000))));
             }
-            Ok(WireFrame::Verdict(summary)) => self.summaries.push(summary),
+            Ok(WireFrame::Verdict(summary)) => {
+                self.summaries.push(summary);
+                return Incoming::Verdict;
+            }
             Ok(WireFrame::Pong { .. }) => {}
             Ok(_) | Err(_) => self.stats.protocol_errors += 1,
         }
+        Incoming::Other
     }
 
-    /// Drains whatever the replica already sent, without meaningful blocking.
+    /// Drains whatever the replica already sent, without waiting for more.
     fn drain_incoming(&mut self) {
         loop {
             let result = {
                 let Some((_, rx)) = &mut self.conn else {
                     return;
                 };
-                rx.recv_timeout(Duration::from_millis(1))
+                rx.try_recv()
             };
             match result {
-                Ok(Some(bytes)) => self.handle_frame(&bytes),
+                Ok(Some(bytes)) => {
+                    self.handle_frame(&bytes);
+                }
                 Err(WireError::PeerTimeout) => return,
                 Ok(None) | Err(_) => {
                     self.disconnect();
@@ -1130,7 +1318,14 @@ impl SessionSink {
             rx.recv_timeout(self.ack_timeout)
         };
         match result {
-            Ok(Some(bytes)) => self.handle_frame(&bytes),
+            // A wait that a verdict round ended is not counted below: with
+            // frames pipelined behind a batched ack, verdicts arrive between
+            // acks on a healthy link and say nothing about ack progress.
+            Ok(Some(bytes)) => {
+                if self.handle_frame(&bytes) == Incoming::Verdict {
+                    return;
+                }
+            }
             Err(WireError::PeerTimeout) => {
                 self.ping_token += 1;
                 let ping = encode_frame(&WireFrame::Ping {

@@ -19,15 +19,20 @@
 //! and carving frames at length-prefix boundaries ([`split_frame`]), the
 //! duplex channel by construction — so the codec layer never sees a split
 //! frame and every corruption mode is frame-granular, matching the
-//! fault-tolerance contract in `docs/PROTOCOL.md`.  Receivers additionally
-//! support read deadlines ([`FrameRx::set_read_deadline`] /
-//! [`FrameRx::recv_timeout`] → [`WireError::PeerTimeout`]) so a silently
-//! dead peer can never park a thread forever, and senders can be armed with
-//! a [`ChaosPlan`] injecting partial writes and mid-frame connection kills
-//! for the chaos differential suite.
+//! fault-tolerance contract in `docs/PROTOCOL.md`.  A receiver can wait for
+//! ever ([`FrameRx::recv`]), for a bounded time ([`FrameRx::recv_timeout`] →
+//! [`WireError::PeerTimeout`], so a silently dead peer can never park a
+//! thread forever) or not at all ([`FrameRx::try_recv`], the poll a sender
+//! drains its ack plane with between two frames: a read timeout is rounded
+//! up to the kernel's timer tick, so "wait 1 ms" costs 4–10 ms where it is
+//! paid once per frame), and senders can be armed with a [`ChaosPlan`]
+//! injecting partial writes and mid-frame connection kills for the chaos
+//! differential suite.
 
 use crate::wire::{split_frame, WireError};
-use evlin_runtime::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
+use evlin_runtime::channel::{
+    self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
+};
 use evlin_runtime::fault::xorshift64;
 use evlin_runtime::{FaultPlan, FaultySender};
 use std::io::{ErrorKind, Read, Write};
@@ -81,12 +86,13 @@ pub trait FrameRx: Send {
     /// a corrupt peer — so a later call resumes mid-frame.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, WireError>;
 
-    /// Installs a standing read deadline on plain [`FrameRx::recv`] calls
-    /// (`None` restores blocking reads).  This is the liveness fix for
-    /// handler threads: with a deadline set, a silently dead peer turns
-    /// into a periodic [`WireError::PeerTimeout`] the caller can answer
-    /// with a ping or a hang-up, never a thread parked forever.
-    fn set_read_deadline(&mut self, deadline: Option<Duration>) -> Result<(), WireError>;
+    /// Receives without waiting: a whole frame if one is already here, else
+    /// [`WireError::PeerTimeout`] ("nothing yet") at once — no timer is
+    /// armed, so the call costs the same whether or not the peer has sent
+    /// anything.  A partial frame is kept for the next call, a clean close
+    /// is `Ok(None)` and a close inside a frame a
+    /// [`WireError::Transport`], exactly as for the waiting receives.
+    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, WireError>;
 }
 
 // ---------------------------------------------------------------------------
@@ -186,7 +192,6 @@ pub struct DuplexTx {
 /// Receiving half of an in-process duplex link (see [`duplex`]).
 pub struct DuplexRx {
     rx: Receiver<Vec<u8>>,
-    deadline: Option<Duration>,
 }
 
 /// Builds one direction of an in-process link: a bounded channel of whole
@@ -206,7 +211,7 @@ pub fn duplex(capacity: usize, plan: Option<FaultPlan>) -> (DuplexTx, DuplexRx) 
             chaos: None,
             killed: false,
         },
-        DuplexRx { rx, deadline: None },
+        DuplexRx { rx },
     )
 }
 
@@ -276,10 +281,7 @@ impl FrameTx for DuplexTx {
 
 impl FrameRx for DuplexRx {
     fn recv(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        match self.deadline {
-            Some(deadline) => self.recv_timeout(deadline),
-            None => Ok(self.rx.recv()),
-        }
+        Ok(self.rx.recv())
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, WireError> {
@@ -290,9 +292,12 @@ impl FrameRx for DuplexRx {
         }
     }
 
-    fn set_read_deadline(&mut self, deadline: Option<Duration>) -> Result<(), WireError> {
-        self.deadline = deadline;
-        Ok(())
+    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+        match self.rx.try_recv() {
+            Ok(frame) => Ok(Some(frame)),
+            Err(TryRecvError::Disconnected) => Ok(None),
+            Err(TryRecvError::Empty) => Err(WireError::PeerTimeout),
+        }
     }
 }
 
@@ -310,15 +315,28 @@ pub struct TcpTx {
 
 /// Receiving half of a TCP link.
 ///
-/// Reads are *buffered*: bytes are pulled from the socket in chunks and
-/// frames carved out of the buffer by [`split_frame`], so a read deadline
-/// that fires mid-frame keeps the partial bytes — a slow peer resumes where
-/// it left off; only silence is reported ([`WireError::PeerTimeout`]).
+/// Reads are *buffered*: each `read` lands in the spare room of one
+/// reassembly buffer (at least 256 KiB of it, `READ_RESERVE`, so whatever the
+/// peer pipelined while this side was busy arrives in one syscall) and frames
+/// are carved out of it by [`split_frame`].  A read deadline that fires
+/// mid-frame keeps the partial bytes — a slow peer resumes where it left off;
+/// only silence is reported ([`WireError::PeerTimeout`]).
 pub struct TcpRx {
     stream: TcpStream,
+    /// The reassembly buffer, kept zero-filled to its full length so a read
+    /// needs no initialisation: `buf[head..tail]` is what has arrived and
+    /// not been carved yet, `buf[tail..]` the room the next read fills.
     buf: Vec<u8>,
-    deadline: Option<Duration>,
+    head: usize,
+    tail: usize,
+    /// The read timeout last installed on the socket (`None`: reads block),
+    /// so a receive that wants the same one again is a single `read`.
+    timeout: Option<Duration>,
 }
+
+/// Room every socket read is offered: a full window of pipelined `EVENTS`
+/// frames (32 × 256 events is ≈ 200 KiB) fits one read.
+const READ_RESERVE: usize = 256 * 1024;
 
 fn io_err(e: std::io::Error) -> WireError {
     WireError::Transport(e.to_string())
@@ -335,7 +353,9 @@ pub fn tcp_pair(stream: TcpStream) -> Result<(TcpTx, TcpRx), WireError> {
         TcpRx {
             stream: reader,
             buf: Vec::new(),
-            deadline: None,
+            head: 0,
+            tail: 0,
+            timeout: None,
         },
     ))
 }
@@ -406,48 +426,49 @@ impl FrameTx for TcpTx {
 }
 
 impl TcpRx {
-    /// Carves the first whole frame out of the reassembly buffer.
-    fn take_buffered(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        match split_frame(&self.buf)? {
-            Some((head, _)) => {
-                let len = head.len();
-                let frame = self.buf[..len].to_vec();
-                self.buf.drain(..len);
-                Ok(Some(frame))
-            }
-            None => Ok(None),
-        }
+    /// Carves the next whole frame out of what has already arrived, without
+    /// touching the socket; `None` when the buffer holds no whole frame.
+    /// After a [`FrameRx::recv`] this is how a handler finds the frames the
+    /// peer pipelined behind the one just returned.
+    pub(crate) fn take_buffered(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+        Ok(
+            split_frame(&self.buf[self.head..self.tail])?.map(|(frame, _)| {
+                self.head += frame.len();
+                frame.to_vec()
+            }),
+        )
     }
 
-    fn recv_inner(&mut self, deadline: Option<Instant>) -> Result<Option<Vec<u8>>, WireError> {
+    /// One `read` into the buffer's spare room.  `Ok(true)`: bytes arrived;
+    /// `Ok(false)`: the peer closed on a frame boundary.  A close inside a
+    /// frame (a mid-frame kill) is a transport error, a read that would have
+    /// to wait — past the installed timeout, or at all on a non-blocking
+    /// socket — is [`WireError::PeerTimeout`].
+    fn fill(&mut self) -> Result<bool, WireError> {
+        // Compact once per read: carving only advances `head`, so whatever
+        // frames one read delivered cost one move of the partial tail, not
+        // one move of everything behind them each.
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+        if self.buf.len() < self.tail + READ_RESERVE {
+            self.buf.resize(self.tail + READ_RESERVE, 0);
+        }
         loop {
-            if let Some(frame) = self.take_buffered()? {
-                return Ok(Some(frame));
-            }
-            if let Some(deadline) = deadline {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(WireError::PeerTimeout);
-                }
-                self.stream
-                    .set_read_timeout(Some(remaining))
-                    .map_err(io_err)?;
-            }
-            let mut chunk = [0u8; 16 * 1024];
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.buf[self.tail..]) {
+                Ok(0) if self.tail == 0 => return Ok(false),
                 Ok(0) => {
-                    // EOF on a frame boundary is a clean close; EOF with
-                    // buffered bytes is a torn frame (a mid-frame kill).
-                    return if self.buf.is_empty() {
-                        Ok(None)
-                    } else {
-                        Err(WireError::Transport(format!(
-                            "connection closed mid-frame ({} bytes buffered)",
-                            self.buf.len()
-                        )))
-                    };
+                    return Err(WireError::Transport(format!(
+                        "connection closed mid-frame ({} bytes buffered)",
+                        self.tail
+                    )))
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    self.tail += n;
+                    return Ok(true);
+                }
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     return Err(WireError::PeerTimeout);
                 }
@@ -456,24 +477,62 @@ impl TcpRx {
             }
         }
     }
+
+    /// Receives the next whole frame, waiting at most `timeout` (`None`: for
+    /// ever) for the bytes that complete it.
+    fn recv_within(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, WireError> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut wait = timeout;
+        loop {
+            if let Some(frame) = self.take_buffered()? {
+                return Ok(Some(frame));
+            }
+            if wait.is_some_and(|w| w.is_zero()) {
+                return Err(WireError::PeerTimeout);
+            }
+            if self.timeout != wait {
+                self.stream.set_read_timeout(wait).map_err(io_err)?;
+                self.timeout = wait;
+            }
+            if !self.fill()? {
+                return Ok(None);
+            }
+            // Part of a frame arrived: what is left of the deadline bounds
+            // the wait for the rest.
+            wait = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        }
+    }
 }
 
 impl FrameRx for TcpRx {
     fn recv(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        let deadline = self.deadline.map(|d| Instant::now() + d);
-        self.recv_inner(deadline)
+        self.recv_within(None)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, WireError> {
-        let result = self.recv_inner(Some(Instant::now() + timeout));
-        // Restore the standing deadline (or blocking mode) for later recvs.
-        let _ = self.stream.set_read_timeout(self.deadline);
-        result
+        self.recv_within(Some(timeout))
     }
 
-    fn set_read_deadline(&mut self, deadline: Option<Duration>) -> Result<(), WireError> {
-        self.deadline = deadline;
-        self.stream.set_read_timeout(deadline).map_err(io_err)
+    /// One non-blocking `read` at most.  `O_NONBLOCK` belongs to the open
+    /// file description, which this half shares with its [`TcpTx`]: the flag
+    /// is cleared again before returning, and the call is sound only where
+    /// one thread owns both halves — a client's session sink.  A replica
+    /// handler must not poll this way: its sending half is written from the
+    /// verdict plane's threads, and a write that found the flag set would
+    /// fail with `WouldBlock` instead of waiting.
+    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+        if let Some(frame) = self.take_buffered()? {
+            return Ok(Some(frame));
+        }
+        self.stream.set_nonblocking(true).map_err(io_err)?;
+        let filled = self.fill();
+        self.stream.set_nonblocking(false).map_err(io_err)?;
+        if !filled? {
+            return Ok(None);
+        }
+        self.take_buffered()?
+            .map(Some)
+            .ok_or(WireError::PeerTimeout)
     }
 }
 
@@ -559,16 +618,15 @@ mod tests {
         });
         let (stream, _) = listener.accept().unwrap();
         let (_tx, mut rx) = tcp_pair(stream).unwrap();
-        rx.set_read_deadline(Some(Duration::from_millis(50)))
-            .unwrap();
+        let deadline = Duration::from_millis(50);
         // The whole frame arrives fine.
-        let bytes = rx.recv().unwrap().unwrap();
+        let bytes = rx.recv_timeout(deadline).unwrap().unwrap();
         assert_eq!(decode_frame(&bytes).unwrap(), WireFrame::Ping { token: 7 });
         // The partial frame: every recv reports the silence as a typed
         // timeout — not a hang, not a corruption — and the buffered prefix
         // survives each one.
         for _ in 0..2 {
-            assert_eq!(rx.recv(), Err(WireError::PeerTimeout));
+            assert_eq!(rx.recv_timeout(deadline), Err(WireError::PeerTimeout));
         }
         client.join().unwrap();
     }
@@ -604,6 +662,114 @@ mod tests {
         let bytes = rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
         assert_eq!(bytes, expected);
         client.join().unwrap();
+    }
+
+    /// A connected loopback pair: the peer's sending half and this side's
+    /// receiving half.
+    fn loopback_pair() -> (TcpTx, TcpRx) {
+        let listener = loopback_listener().unwrap();
+        let (peer_tx, _) = tcp_connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let (_, rx) = tcp_pair(stream).unwrap();
+        (peer_tx, rx)
+    }
+
+    /// Polls until the socket has something to say: the test's stand-in for
+    /// "the peer's bytes have crossed the loopback".
+    fn poll(rx: &mut TcpRx) -> Result<Option<Vec<u8>>, WireError> {
+        let patience = Instant::now() + Duration::from_secs(10);
+        loop {
+            match rx.try_recv() {
+                Err(WireError::PeerTimeout) if Instant::now() < patience => {
+                    std::thread::yield_now()
+                }
+                other => return other,
+            }
+        }
+    }
+
+    #[test]
+    fn frames_written_together_are_taken_from_the_buffer_not_the_socket() {
+        let (mut peer, mut rx) = loopback_pair();
+        let pings: Vec<Vec<u8>> = (0..4)
+            .map(|token| encode_frame(&WireFrame::Ping { token }))
+            .collect();
+        // Three frames in one write: one read brings all of them in.
+        peer.send(pings[..3].concat()).unwrap();
+        assert_eq!(rx.recv().unwrap().as_ref(), Some(&pings[0]));
+        assert_eq!(rx.take_buffered().unwrap().as_ref(), Some(&pings[1]));
+        assert_eq!(rx.take_buffered().unwrap().as_ref(), Some(&pings[2]));
+        // A fourth frame is on the wire, but a take reads no socket: it sees
+        // an empty buffer until a receive goes and gets the bytes.
+        peer.send(pings[3].clone()).unwrap();
+        assert_eq!(rx.take_buffered().unwrap(), None);
+        assert_eq!(rx.recv().unwrap().as_ref(), Some(&pings[3]));
+        assert_eq!(rx.take_buffered().unwrap(), None);
+    }
+
+    #[test]
+    fn try_recv_never_waits_and_keeps_a_partial_frame() {
+        let (mut peer, mut rx) = loopback_pair();
+        // A silent peer: "nothing yet", however often it is asked.
+        for _ in 0..3 {
+            assert_eq!(rx.try_recv(), Err(WireError::PeerTimeout));
+        }
+        // A frame split across two writes: the first half alone is still
+        // "nothing yet", and it is kept — the second half completes it.
+        let frame = encode_frame(&WireFrame::Ping { token: 9 });
+        let (head, tail) = frame.split_at(frame.len() / 2);
+        peer.send(head.to_vec()).unwrap();
+        for _ in 0..3 {
+            assert_eq!(rx.try_recv(), Err(WireError::PeerTimeout));
+        }
+        peer.send(tail.to_vec()).unwrap();
+        assert_eq!(poll(&mut rx).unwrap(), Some(frame));
+        // The poll left the socket blocking: a receive on silence waits (for
+        // the peer, who only sends once this side is about to block; had
+        // `O_NONBLOCK` stayed set, the read would fail at once instead).
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(50)),
+            Err(WireError::PeerTimeout)
+        );
+        let (about_to_block, go) = std::sync::mpsc::channel();
+        let sender = std::thread::spawn(move || {
+            go.recv().unwrap();
+            peer.send(encode_frame(&WireFrame::Ping { token: 10 }))
+                .unwrap();
+            peer
+        });
+        about_to_block.send(()).unwrap();
+        let bytes = rx.recv().unwrap().unwrap();
+        assert_eq!(decode_frame(&bytes).unwrap(), WireFrame::Ping { token: 10 });
+        // A close on a frame boundary is a clean end of stream.
+        let peer = sender.join().unwrap();
+        peer.shutdown_write();
+        assert_eq!(poll(&mut rx).unwrap(), None);
+    }
+
+    #[test]
+    fn a_frame_larger_than_one_read_reassembles_behind_a_small_one() {
+        let (mut peer, mut rx) = loopback_pair();
+        // The transport frames by length prefix alone: any body will do.
+        let small = encode_frame(&WireFrame::Ping { token: 3 });
+        let body = 3 * READ_RESERVE + 17;
+        let mut large = (body as u32).to_le_bytes().to_vec();
+        large.extend((0..body).map(|i| i as u8));
+        let sent = [small.clone(), large.clone(), small.clone()];
+        let writer = std::thread::spawn(move || peer.send(sent.concat()).map(|()| peer));
+        assert_eq!(rx.recv().unwrap(), Some(small.clone()));
+        assert_eq!(rx.recv().unwrap(), Some(large));
+        assert_eq!(rx.recv().unwrap(), Some(small));
+        writer.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn try_recv_reports_a_close_inside_a_frame_as_a_transport_error() {
+        let (mut peer, mut rx) = loopback_pair();
+        let frame = encode_frame(&WireFrame::Ping { token: 1 });
+        peer.send(frame[..frame.len() - 2].to_vec()).unwrap();
+        peer.shutdown_write();
+        assert!(matches!(poll(&mut rx), Err(WireError::Transport(_))));
     }
 
     #[test]
@@ -668,15 +834,19 @@ mod tests {
     fn duplex_deadline_reports_silence_as_peer_timeout() {
         use std::time::Duration;
         let (mut tx, mut rx) = duplex(4, None);
-        rx.set_read_deadline(Some(Duration::from_millis(20)))
-            .unwrap();
-        assert_eq!(rx.recv(), Err(WireError::PeerTimeout));
+        let deadline = Duration::from_millis(20);
+        assert_eq!(rx.recv_timeout(deadline), Err(WireError::PeerTimeout));
+        assert_eq!(rx.try_recv(), Err(WireError::PeerTimeout));
         tx.send(encode_frame(&WireFrame::Ping { token: 1 }))
             .unwrap();
-        assert!(rx.recv().unwrap().is_some());
+        assert!(rx.recv_timeout(deadline).unwrap().is_some());
+        tx.send(encode_frame(&WireFrame::Ping { token: 2 }))
+            .unwrap();
+        assert!(rx.try_recv().unwrap().is_some());
         drop(tx);
         // Hang-up still reads as a clean close, not a timeout.
-        assert_eq!(rx.recv().unwrap(), None);
+        assert_eq!(rx.recv_timeout(deadline).unwrap(), None);
+        assert_eq!(rx.try_recv().unwrap(), None);
     }
 
     #[test]

@@ -243,10 +243,12 @@ pub enum WireError {
     /// before anything past the version field is read: a peer from another
     /// protocol generation is told so, not mis-decoded.
     UnsupportedVersion(u16),
-    /// A blocking read exceeded its deadline while the peer stayed silent.
+    /// A read exceeded its deadline while the peer stayed silent — or, from
+    /// a receive that does not wait at all ([`crate::FrameRx::try_recv`]),
+    /// "nothing yet".
     ///
-    /// Surfaced by transports with a read deadline configured; the caller
-    /// decides whether a silent peer is idle (send a ping) or dead (close).
+    /// Surfaced by [`crate::FrameRx::recv_timeout`]; the caller decides
+    /// whether a silent peer is idle (send a ping) or dead (close).
     PeerTimeout,
     /// The underlying transport failed (connection reset, poisoned lock…).
     Transport(String),

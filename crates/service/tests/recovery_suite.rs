@@ -10,9 +10,11 @@
 
 use evlin_checker::monitor::{MonitorCondition, MonitorConfig};
 use evlin_history::{EventKind, History, HistoryBuilder, ObjectUniverse, ProcessId};
+use evlin_service::transport::tcp_connect;
+use evlin_service::wire::{decode_frame, encode_frame, event_batch_fingerprint};
 use evlin_service::{
-    ClientRecoveryConfig, ReconnectChaos, RecoverableClient, RecoverableService, RecoveryConfig,
-    RecoveryReport,
+    ClientRecoveryConfig, FrameRx, FrameTx, ReconnectChaos, RecoverableClient, RecoverableService,
+    RecoveryConfig, RecoveryReport, WireFrame, VERSION,
 };
 use evlin_spec::{FetchIncrement, Register, Value};
 use rand::rngs::StdRng;
@@ -198,10 +200,14 @@ fn clean_run_is_exactly_once_with_durable_acks() {
         assert_exact(&report, &h, seed);
         assert_eq!(report.restarts, 0);
         assert_eq!(report.recovered_at_startup, 0);
-        // Every staged frame was acked durable before the client shut down
-        // (the attach handshake acks too, so acks ≥ frames), first try.
-        for client in &reports {
-            assert!(client.stats.acks >= client.stats.frames);
+        // Every staged frame was covered by a durability ack before the
+        // client shut down, first try.  Acks are positions, one per commit
+        // batch, so their number says nothing; what the replica accepted
+        // does.
+        for (client, session) in reports.iter().zip(&report.sessions) {
+            assert_eq!(session.accepted_frames, client.stats.frames);
+            assert!(session.commits <= session.accepted_frames);
+            assert!(client.stats.acks >= 1, "the attach ack at least");
             assert_eq!(client.stats.reconnects, 0);
             assert_eq!(client.stats.retransmitted_frames, 0);
             assert_eq!(client.stats.protocol_errors, 0);
@@ -487,5 +493,184 @@ fn finished_session_does_not_wedge_a_streaming_peer() {
             "each shard's final exactly once"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The harshest kill plan a connection can carry and still make progress:
+/// hello, one whole frame, and the next send dies mid-frame.  Resuming from
+/// the attach ack means every such connection moves the journal forward,
+/// whatever the timing: no sleep here, and none needed.  (Resuming from the
+/// last ack the client happened to have *read*, it only got anywhere when a
+/// timer gave an ack the time to arrive.)
+#[test]
+fn resume_makes_progress_under_the_harshest_kill_plan() {
+    let dir = temp_dir("harsh");
+    let u = universe();
+    let (addr, service) = RecoverableService::bind(&u, test_config(dir.clone(), 1, 1)).unwrap();
+    let object = u.object_ids()[1];
+    let ops = 24i64;
+    // On its own thread, so that a resume that stopped making progress
+    // fails the test instead of hanging it.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = RecoverableClient::connect_tcp(
+            addr,
+            0,
+            0xBAD_1DEA,
+            Arc::new(AtomicU64::new(0)),
+            ClientRecoveryConfig {
+                frame_capacity: 1,
+                chaos: Some(ReconnectChaos {
+                    seed: 7,
+                    split_per_mille: 0,
+                    kill_after_min: 2,
+                    kill_after_span: 1,
+                }),
+                ..ClientRecoveryConfig::standard(7)
+            },
+        )
+        .expect("initial connect");
+        for i in 0..ops {
+            client.invoke(ProcessId(0), object, FetchIncrement::fetch_inc());
+            client.respond(ProcessId(0), object, Value::from(i));
+        }
+        let _ = done_tx.send(client.finish());
+    });
+    let closed = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the resume stopped making progress")
+        .expect("every connection acks, so the retry budget never runs out");
+    let report = service.finish();
+    let client = closed.collect_verdicts();
+    let frames = 2 * ops as u64;
+    assert_eq!(client.stats.frames, frames);
+    assert!(report.verdict.is_ok(), "{:?}", report.verdict);
+    assert_eq!(report.events(), frames, "exactly once");
+    assert_eq!(report.sessions[0].accepted_frames, frames);
+    assert_eq!(report.sessions[0].resume_rejections, 0);
+    // A connection carries one new frame — or a duplicate of the previous
+    // connection's, when that one was still in flight at the attach.
+    let reconnects = client.stats.reconnects;
+    assert!(reconnects >= frames - 1, "every second send is a kill");
+    assert!(
+        reconnects <= 4 * frames,
+        "{reconnects} reconnects for {frames} frames"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One fetch&increment operation per frame, `frames` of them, as the bytes a
+/// client would send after its hello.
+fn one_op_frames(client: u32, object: evlin_history::ObjectId, frames: u64) -> Vec<Vec<u8>> {
+    (0..frames)
+        .map(|i| {
+            let events = vec![
+                (
+                    2 * i,
+                    evlin_history::Event::invoke(ProcessId(0), object, FetchIncrement::fetch_inc()),
+                ),
+                (
+                    2 * i + 1,
+                    evlin_history::Event::respond(ProcessId(0), object, Value::from(i as i64)),
+                ),
+            ];
+            let fingerprint = event_batch_fingerprint(client, &events);
+            encode_frame(&WireFrame::Events {
+                client,
+                frame_seq: i,
+                events,
+                fingerprint,
+            })
+        })
+        .collect()
+}
+
+fn hello(client: u32, session: u64) -> Vec<u8> {
+    encode_frame(&WireFrame::Hello {
+        client,
+        version: VERSION,
+        session,
+        resume: None,
+    })
+}
+
+/// Frames that reach the handler together are committed together: one
+/// fsync, one ack — and a restart snapshot reads back the whole batch.
+#[test]
+fn frames_pipelined_in_one_segment_are_committed_as_one_batch() {
+    let dir = temp_dir("batch");
+    let u = universe();
+    let (addr, service) = RecoverableService::bind(&u, test_config(dir.clone(), 1, 1)).unwrap();
+    let frames = 8u64;
+    let (mut tx, mut rx) = tcp_connect(addr).unwrap();
+    // Hello and eight small frames in one write: one segment, one read.
+    let mut bytes = hello(0, 0xB47C);
+    bytes.extend(one_op_frames(0, u.object_ids()[1], frames).concat());
+    tx.send(bytes).unwrap();
+    let mut acks = 0u64;
+    loop {
+        let frame = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the replica acks")
+            .expect("the connection stays up");
+        if let WireFrame::Ack { cursor, .. } = decode_frame(&frame).unwrap() {
+            acks += 1;
+            if cursor.frames == frames {
+                assert_eq!(cursor.events, 2 * frames);
+                break;
+            }
+        }
+    }
+    assert!(acks < frames, "{acks} acks for {frames} frames");
+    // A pool restart replays what `read_back` returns under the slot lock:
+    // all of the batch, re-folding to the journal's chain.
+    service.kill_and_restart().expect("restart");
+    drop((tx, rx));
+    let report = service.finish();
+    assert_eq!(report.sessions[0].accepted_frames, frames);
+    assert!(report.sessions[0].commits < frames);
+    assert_eq!(report.replayed_frames, frames);
+    assert_eq!(report.replay_chain_mismatches, 0);
+    assert_eq!(report.events(), 2 * frames);
+    assert!(report.verdict.is_ok(), "{:?}", report.verdict);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reconnects must not pin memory until `finish()`: the acceptor reaps the
+/// handlers that have returned.  A thousand connections come and go on one
+/// slot, then the session streams as if nothing had happened.
+#[test]
+fn a_thousand_hang_ups_leave_the_slot_serviceable() {
+    let dir = temp_dir("reap");
+    let u = universe();
+    let (addr, service) = RecoverableService::bind(&u, test_config(dir.clone(), 1, 1)).unwrap();
+    let session = 0x4EA9;
+    let cycles = 1_000u64;
+    for _ in 0..cycles {
+        let (mut tx, mut rx) = tcp_connect(addr).unwrap();
+        tx.send(hello(0, session)).unwrap();
+        // The attach ack: this hello has been counted.  Then hang up.
+        let ack = rx.recv().unwrap().expect("attach ack");
+        assert!(matches!(decode_frame(&ack), Ok(WireFrame::Ack { .. })));
+    }
+    let mut client = RecoverableClient::connect_tcp(
+        addr,
+        0,
+        session,
+        Arc::new(AtomicU64::new(0)),
+        ClientRecoveryConfig::standard(1),
+    )
+    .expect("the slot still attaches");
+    let object = u.object_ids()[1];
+    for i in 0..100i64 {
+        client.invoke(ProcessId(0), object, FetchIncrement::fetch_inc());
+        client.respond(ProcessId(0), object, Value::from(i));
+    }
+    let closed = client.finish().expect("clean session");
+    let report = service.finish();
+    let _ = closed.collect_verdicts();
+    assert_eq!(report.sessions[0].connections, cycles + 1);
+    assert_eq!(report.events(), 200);
+    assert!(report.verdict.is_ok(), "{:?}", report.verdict);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -168,12 +168,15 @@ fn run(dir: PathBuf, ops: usize, throttle_us: u64) {
         })
         .collect();
 
-    // Crash the replica pool twice while the producers stream: the
-    // supervisor rebuilds it from the journals both times.
-    for _ in 0..2 {
-        std::thread::sleep(Duration::from_millis(
-            20 + throttle_us * ops as u64 / 3 / 1_000,
-        ));
+    // Crash the replica pool twice while the producers stream — once a
+    // third and once two thirds of the events are recorded, by the count,
+    // not by a timer the stream may outrun: the supervisor rebuilds the pool
+    // from the journals both times.
+    for third in 1..=2 {
+        let recorded = (CLIENTS * ops * 2 * third / 3) as u64;
+        while seq.load(Ordering::SeqCst) < recorded {
+            std::thread::sleep(Duration::from_micros(100));
+        }
         service.kill_and_restart().expect("pool restart");
     }
 
