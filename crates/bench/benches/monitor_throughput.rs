@@ -1,6 +1,6 @@
 //! E11/E16 bench: sustained throughput of the online consistency monitor.
 //!
-//! Five complementary measurements:
+//! Six complementary measurements:
 //!
 //! * `ingest` — the monitor alone, fed a pre-generated well-formed
 //!   fetch&increment stream (no worker threads, no channel): the pure cost
@@ -11,6 +11,11 @@
 //!   about the same at both widths, one that re-reads the segment per object
 //!   does not — the 1024-object baseline is held within 1.5× of the
 //!   16-object one;
+//! * `dense/4x4` — the monitor alone on the one shape that reaches the
+//!   kernel: rounds of four mutually concurrent operations over two registers
+//!   and two counters (no fetch&increment, so no fast path), one quiescent
+//!   segment per round — the fixed cost per (object, segment) of taking a
+//!   link from the segment's events to its outgoing frontier;
 //! * `live` — the single-channel pipeline of experiment E11 (real threads →
 //!   streaming recorder → bounded SPSC channel → monitor thread), in
 //!   checked-ops/s;
@@ -20,8 +25,9 @@
 //! * `pipelined/merge` — the transport + merge alone (shards → `recv_sorted`
 //!   drain, no monitor), in events/s: the ceiling the transport imposes.
 //!
-//! The CI `bench-gate` job compares the `ingest`, `wide`, `live` and
-//! `pipelined` means against the baselines committed in BENCH_checker.json.
+//! The CI `bench-gate` job compares the `ingest`, `wide`, `dense`, `live`
+//! and `pipelined` means against the baselines committed in
+//! BENCH_checker.json.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use evlin_checker::monitor::{Monitor, MonitorConfig};
@@ -31,7 +37,9 @@ use evlin_runtime::harness::{
     run_counter_workload_monitored, run_counter_workload_pipelined, HarnessOptions, PipelineOptions,
 };
 use evlin_runtime::sharded_recorder;
-use evlin_spec::{FetchIncrement, Value};
+use evlin_spec::{Counter, FetchIncrement, Register, Value};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn fi_universe() -> ObjectUniverse {
     let mut universe = ObjectUniverse::new();
@@ -130,6 +138,70 @@ fn bench_wide(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+}
+
+/// `ops` operations in rounds of four mutually concurrent ones over two
+/// registers (values `0..4`) and two counters: every process invokes, then
+/// every process responds, and the effects take place in a seeded order, so
+/// the stream is linearizable by construction while each (object, round)
+/// still needs a search.
+fn dense_stream(ops: usize) -> (ObjectUniverse, Vec<Event>) {
+    let mut universe = ObjectUniverse::new();
+    for _ in 0..2 {
+        universe.add_object(Register::new(Value::from(0i64)));
+    }
+    for _ in 0..2 {
+        universe.add_object(Counter::new());
+    }
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut state = [0i64; 4];
+    let mut events = Vec::with_capacity(2 * ops);
+    for _ in 0..ops / 4 {
+        let calls: [(usize, bool, i64); 4] =
+            std::array::from_fn(|_| (rng.gen_range(0..4), rng.gen_bool(0.5), rng.gen_range(0..4)));
+        for (p, &(object, read, value)) in calls.iter().enumerate() {
+            let invocation = match (object < 2, read) {
+                (true, true) => Register::read(),
+                (true, false) => Register::write(Value::from(value)),
+                (false, true) => Counter::read(),
+                (false, false) => Counter::inc(),
+            };
+            events.push(Event::invoke(ProcessId(p), ObjectId(object), invocation));
+        }
+        let first = rng.gen_range(0..4usize);
+        for p in (0..4).map(|i| (first + i) % 4) {
+            let (object, read, value) = calls[p];
+            let response = if read {
+                Value::from(state[object])
+            } else {
+                state[object] = if object < 2 { value } else { state[object] + 1 };
+                Value::Unit
+            };
+            events.push(Event::respond(ProcessId(p), ObjectId(object), response));
+        }
+    }
+    (universe, events)
+}
+
+fn bench_dense(c: &mut Criterion) {
+    let mut group = c.benchmark_group("monitor/dense");
+    let ops = 100_000usize;
+    let (universe, events) = dense_stream(ops);
+    group.throughput(Throughput::Elements(events.len() as u64));
+    group.bench_with_input(BenchmarkId::new("4x4", ops), &events, |b, events| {
+        b.iter(|| {
+            let mut monitor = Monitor::new(universe.clone(), MonitorConfig::default());
+            monitor
+                .ingest_all(events.iter().cloned())
+                .expect("well-formed stream");
+            let report = monitor.finish();
+            assert!(report.verdict.is_ok());
+            assert_eq!(report.stats.checked_ops, ops);
+            assert_eq!(report.stats.fast_path_segments, 0);
+            report
+        });
+    });
     group.finish();
 }
 
@@ -239,6 +311,7 @@ criterion_group!(
     monitor_throughput,
     bench_ingest,
     bench_wide,
+    bench_dense,
     bench_live,
     bench_pipelined
 );

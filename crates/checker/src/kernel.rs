@@ -39,6 +39,21 @@
 //!   and the monitor's per-segment chains run allocation-free after their
 //!   first search.
 //!
+//! A problem reaches the searcher through exactly one interning routine,
+//! which reads it as *views* ([`Problem`]: [`OpView`]s produced on demand,
+//! plus the precedence edges).  A [`SearchProblem`] lends views of its
+//! [`ConstrainedOp`]s; the online monitor lends views of a stream segment's
+//! events and builds no `SearchProblem` at all.  The states the objects
+//! start in are an argument too ([`solve_rooted`], [`visit_frontiers`]; by
+//! default the universe's initial states), so checking a segment from the
+//! state a verified prefix left behind never clones or mutates an
+//! [`ObjectUniverse`].  [`visit_frontiers`] is the exhaustive mode of the
+//! same search loop: the distinct accepting frontiers are flat `u32` rows in
+//! the scratch, handed to the caller in place ([`FrontierRow`]) or rendered
+//! as a [`FrontierSet`] by [`solve_frontiers`].  The scratch's *retention
+//! rule* (see [`KernelScratch`]) keeps one unusually large search from
+//! slowing every later one.
+//!
 //! [`candidates`]: ConsistencyCondition::candidates
 //! [`precedence`]: ConsistencyCondition::precedence
 //! [`accepted`]: ConsistencyCondition::accepted
@@ -78,6 +93,57 @@ pub struct SearchProblem {
     /// *required* operation, which lets the search treat an edge as "source
     /// must already be linearized before the target can be taken".
     pub precedence: Vec<(usize, usize)>,
+}
+
+/// One operation of a problem, lent by the problem's owner for the length of
+/// the interning pass: what [`ConstrainedOp`] says, minus the record.
+#[derive(Debug, Clone, Copy)]
+pub struct OpView<'a> {
+    /// The object the operation is applied to.
+    pub object: ObjectId,
+    /// The invocation (method + arguments).
+    pub invocation: &'a Invocation,
+    /// See [`ConstrainedOp::required`].
+    pub required: bool,
+    /// See [`ConstrainedOp::fixed_response`].
+    pub fixed_response: Option<&'a Value>,
+}
+
+/// A constrained-linearization problem the searcher can read: operation
+/// views produced on demand, plus the precedence edges.
+///
+/// [`SearchProblem`] lends views of its [`ConstrainedOp`]s; a caller that
+/// holds the operations in another shape (the online monitor reads them out
+/// of a stream segment through
+/// [`crate::t_linearizability::EventProblem`]) implements this instead of
+/// building a `SearchProblem`, and both are interned by the same routine.
+pub trait Problem {
+    /// Number of operations.
+    fn op_count(&self) -> usize;
+    /// The `i`-th operation, `i < op_count()`.
+    fn op(&self, i: usize) -> OpView<'_>;
+    /// The precedence edges, as in [`SearchProblem::precedence`].
+    fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_;
+}
+
+impl Problem for SearchProblem {
+    fn op_count(&self) -> usize {
+        self.ops.len()
+    }
+
+    fn op(&self, i: usize) -> OpView<'_> {
+        let cop = &self.ops[i];
+        OpView {
+            object: cop.record.object,
+            invocation: &cop.record.invocation,
+            required: cop.required,
+            fixed_response: cop.fixed_response.as_ref(),
+        }
+    }
+
+    fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.precedence.iter().copied()
+    }
 }
 
 /// A successful search outcome: a witness linearization.
@@ -233,9 +299,9 @@ pub trait ConsistencyCondition: Sync {
 // Reusable scratch state
 // ---------------------------------------------------------------------------
 
-/// Reusable search state: the visited cache, the taken-set, and the pooled
+/// Reusable search state: the visited cache, the taken-set, the pooled
 /// searcher buffers (interners, per-operation tables, the transition arena,
-/// the DFS frame stack).
+/// the DFS frame stack) and the accepting-frontier row store.
 ///
 /// Every allocation of a search survives into the next one, so repeated
 /// probes — the binary search of `min_stabilization`, the per-operation loop
@@ -245,15 +311,43 @@ pub trait ConsistencyCondition: Sync {
 /// `BitSet::count` keep the taken-set sound across reuses: bits left set by
 /// a successful search are cleared one by one, and the emptiness invariant is
 /// asserted before the next run.
+///
+/// **Retention rule.**  The two hash tables every search fills (the visited
+/// cache and the transition index) are emptied when the search ends, and
+/// emptying a hash table costs time proportional to its *capacity*: one
+/// unusually large search would tax every later small one through the same
+/// scratch for as long as the scratch lives (measured: 6.5× on a 3-operation
+/// solve after a 745 k-node refutation).  So a table left with a capacity
+/// beyond a floor of a couple of thousand entries *and* beyond sixteen times
+/// what the search that just finished put in it is dropped, not cleared:
+/// repeated large probes keep their table, and a large-then-small sequence
+/// sheds it at the first small search.  The rule runs at the end of every
+/// search, whoever owns the scratch.
 #[derive(Default)]
 pub struct KernelScratch {
     visited: FxHashSet<u64>,
     taken: BitSet,
     capacity: usize,
     bufs: SearcherBufs,
-    /// Distinct accepting frontiers seen by [`solve_frontiers`].
+    /// Distinct accepting frontiers of the last frontier search, as flat
+    /// rows: per row the interned state of every slot, then one `0`/`1` flag
+    /// per tracked operation.
+    frontier_rows: Vec<u32>,
+    /// Number of rows (kept beside the data: a row may be zero words wide).
+    frontier_count: usize,
+    /// Row lookup, engaged only past [`LINEAR_INTERN_MAX`] rows.
     frontier_seen: FxHashSet<Box<[u32]>>,
 }
+
+/// The retention rule of [`KernelScratch`]: whether a table of `capacity`
+/// that a search left `len` entries in is dropped rather than cleared.
+fn oversized(capacity: usize, len: usize) -> bool {
+    capacity > RETAIN_CAPACITY_FLOOR && capacity > 16 * len
+}
+
+/// Tables up to this capacity are always kept: clearing one costs less than
+/// growing it again.
+const RETAIN_CAPACITY_FLOOR: usize = 2048;
 
 impl KernelScratch {
     /// Creates an empty scratch.
@@ -261,11 +355,10 @@ impl KernelScratch {
         KernelScratch::default()
     }
 
-    /// Prepares the scratch for a problem with `n` operations: clears the
-    /// visited cache (keeping its allocation) and ensures the taken-set has
-    /// capacity for `n` bits and is empty.
+    /// Prepares the scratch for a problem with `n` operations: ensures the
+    /// taken-set has capacity for `n` bits and is empty, and forgets the
+    /// previous search's frontier rows.
     fn prepare(&mut self, n: usize) {
-        self.visited.clear();
         if self.capacity < n || self.capacity == 0 {
             self.taken = BitSet::with_capacity(n.max(1));
             self.capacity = n.max(1);
@@ -275,34 +368,52 @@ impl KernelScratch {
             0,
             "taken-set must be empty between searches"
         );
+        debug_assert!(self.visited.is_empty() && self.bufs.trans_index.is_empty());
+        self.frontier_rows.clear();
+        self.frontier_count = 0;
+        self.frontier_seen.clear();
+    }
+
+    /// Empties the per-search hash tables once a search is over, under the
+    /// retention rule.
+    fn release_tables(&mut self) {
+        if oversized(self.visited.capacity(), self.visited.len()) {
+            self.visited = FxHashSet::default();
+        } else {
+            self.visited.clear();
+        }
+        let trans_index = &mut self.bufs.trans_index;
+        if oversized(trans_index.capacity(), trans_index.len()) {
+            *trans_index = FxHashMap::default();
+        } else {
+            trans_index.clear();
+        }
     }
 }
 
-/// Retention cap for the thread-local scratch: a pool grown past this many
-/// live bytes by one unusually large search is dropped after the call
-/// instead of pinning peak-sized buffers to the thread for the process
-/// lifetime (the service's long-lived shard threads and a pipeline's check
-/// thread would otherwise never release them).
+/// Retention cap for the thread-local scratch: a pool one unusually large
+/// search grew past this many live bytes is dropped after the call instead
+/// of pinning peak-sized buffers to the thread for the process lifetime.
 const THREAD_SCRATCH_RETAIN_BYTES: usize = 1 << 20;
 
 /// Runs `f` with a thread-local [`KernelScratch`], so entry points without a
 /// caller-provided scratch ([`solve`], [`check`], the `is_linearizable`
 /// facades) still reuse one warm buffer pool per thread instead of
 /// reallocating per call.  Falls back to a fresh scratch on re-entrant use.
-fn with_thread_scratch<R>(f: impl FnOnce(&mut KernelScratch) -> R) -> R {
+fn with_thread_scratch<R>(
+    f: impl FnOnce(&mut KernelScratch) -> (R, SearchStats),
+) -> (R, SearchStats) {
     use std::cell::RefCell;
     thread_local! {
         static SCRATCH: RefCell<KernelScratch> = RefCell::new(KernelScratch::new());
     }
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut scratch) => {
-            let result = f(&mut scratch);
-            if scratch.bufs.live_bytes() + scratch.visited.len() * std::mem::size_of::<u64>()
-                > THREAD_SCRATCH_RETAIN_BYTES
-            {
+            let (result, stats) = f(&mut scratch);
+            if stats.arena_bytes > THREAD_SCRATCH_RETAIN_BYTES {
                 *scratch = KernelScratch::new();
             }
-            result
+            (result, stats)
         }
         Err(_) => f(&mut KernelScratch::new()),
     })
@@ -335,6 +446,8 @@ struct SearcherBufs {
     /// Fixed-response value id, or `INVALID` for a free response.
     op_fixed: Vec<u32>,
     incident: Vec<bool>,
+    /// The precedence edges, copied out of the problem once.
+    edges: Vec<(u32, u32)>,
     /// CSR of required predecessors: `pred_data[pred_offsets[j]..pred_offsets[j+1]]`.
     pred_offsets: Vec<u32>,
     pred_data: Vec<u32>,
@@ -364,7 +477,8 @@ struct SearcherBufs {
 }
 
 impl SearcherBufs {
-    /// Clears every table (keeping capacity) for the next search.
+    /// Clears every table (keeping capacity) for the next search;
+    /// `trans_index` was emptied when the previous one ended.
     fn reset(&mut self) {
         self.slots.clear();
         self.values.clear();
@@ -376,6 +490,7 @@ impl SearcherBufs {
         self.op_required.clear();
         self.op_fixed.clear();
         self.incident.clear();
+        self.edges.clear();
         self.pred_offsets.clear();
         self.pred_data.clear();
         self.class_of.clear();
@@ -388,7 +503,6 @@ impl SearcherBufs {
         self.states.clear();
         self.order.clear();
         self.responses.clear();
-        self.trans_index.clear();
         self.trans_spans.clear();
         self.trans_data.clear();
         self.frames.clear();
@@ -431,10 +545,6 @@ const TAG_STATE: u64 = 0x7374_6174_6500_0002;
 // ---------------------------------------------------------------------------
 
 const INVALID: u32 = u32::MAX;
-
-/// Raw frontier as collected by the searcher: interned per-slot final states
-/// plus the taken-flags of the tracked operations.
-type RawFrontier = (Vec<u32>, Vec<bool>);
 
 /// One level of the explicit DFS stack: which candidate operation is being
 /// explored and which of its transitions comes next, plus the undo record of
@@ -514,26 +624,29 @@ fn intern_value(b: &mut SearcherBufs, v: &Value) -> u32 {
 }
 
 impl<'a> Searcher<'a> {
-    /// Builds the interned problem inside `bufs` (taken from a
-    /// [`KernelScratch`]; returned via [`Searcher::into_bufs`]).
-    fn new(
-        problem: &SearchProblem,
+    /// Interns `problem` inside `bufs` (taken from a [`KernelScratch`];
+    /// returned via [`Searcher::into_bufs`]) — the one place a problem is
+    /// read.  `roots` overrides the state an object starts the search in;
+    /// an object it does not list starts in the universe's initial state.
+    fn new<P: Problem + ?Sized>(
+        problem: &P,
+        roots: &[(ObjectId, &Value)],
         universe: &'a ObjectUniverse,
         limits: SearchLimits,
         mut b: SearcherBufs,
     ) -> Self {
         b.reset();
-        let n = problem.ops.len();
+        let n = problem.op_count();
 
         // Active objects -> slots, and per-op interned invocations.  All
         // lookups are linear scans over the (small) tables — see
         // `LINEAR_INTERN_MAX` for the value interner's fallback.
         for i in 0..n {
-            let cop = &problem.ops[i];
-            let slot = match b.slots.iter().position(|&o| o == cop.record.object) {
+            let op = problem.op(i);
+            let slot = match b.slots.iter().position(|&o| o == op.object) {
                 Some(s) => s,
                 None => {
-                    b.slots.push(cop.record.object);
+                    b.slots.push(op.object);
                     b.slots.len() - 1
                 }
             };
@@ -544,38 +657,34 @@ impl<'a> Searcher<'a> {
             let found = if b.inv_map.is_empty() {
                 b.inv_table
                     .iter()
-                    .position(|(s, _, inv)| *s == slot as u32 && *inv == cop.record.invocation)
+                    .position(|(s, _, inv)| *s == slot as u32 && inv == op.invocation)
                     .map(|idx| idx as u32)
             } else {
                 b.inv_map
-                    .get(&(slot as u32, cop.record.invocation.clone()))
+                    .get(&(slot as u32, op.invocation.clone()))
                     .copied()
             };
             let inv = match found {
                 Some(idx) => idx,
                 None => {
                     let id = b.inv_table.len() as u32;
-                    b.inv_table.push((
-                        slot as u32,
-                        cop.record.object,
-                        cop.record.invocation.clone(),
-                    ));
+                    b.inv_table
+                        .push((slot as u32, op.object, op.invocation.clone()));
                     if b.inv_table.len() > LINEAR_INTERN_MAX {
                         if b.inv_map.is_empty() {
                             for (idx, (s, _, inv)) in b.inv_table.iter().enumerate() {
                                 b.inv_map.insert((*s, inv.clone()), idx as u32);
                             }
                         } else {
-                            b.inv_map
-                                .insert((slot as u32, cop.record.invocation.clone()), id);
+                            b.inv_map.insert((slot as u32, op.invocation.clone()), id);
                         }
                     }
                     id
                 }
             };
             b.op_inv.push(inv);
-            b.op_required.push(cop.required);
-            let fixed = match &cop.fixed_response {
+            b.op_required.push(op.required);
+            let fixed = match op.fixed_response {
                 Some(v) => intern_value(&mut b, v),
                 None => INVALID,
             };
@@ -585,13 +694,15 @@ impl<'a> Searcher<'a> {
         // Required predecessors as a CSR (edges with optional sources impose
         // nothing, matching the reductions in this crate, which only create
         // edges with required sources).
+        b.edges
+            .extend(problem.edges().map(|(i, j)| (i as u32, j as u32)));
         b.incident.resize(n, false);
         b.cursor.resize(n, 0);
-        for &(i, j) in &problem.precedence {
-            b.incident[i] = true;
-            b.incident[j] = true;
-            if problem.ops[i].required {
-                b.cursor[j] += 1;
+        for &(i, j) in &b.edges {
+            b.incident[i as usize] = true;
+            b.incident[j as usize] = true;
+            if b.op_required[i as usize] {
+                b.cursor[j as usize] += 1;
             }
         }
         b.pred_offsets.reserve(n + 1);
@@ -603,10 +714,10 @@ impl<'a> Searcher<'a> {
         b.pred_offsets.push(acc);
         b.pred_data.resize(acc as usize, 0);
         b.cursor.copy_from_slice(&b.pred_offsets[..n]);
-        for &(i, j) in &problem.precedence {
-            if problem.ops[i].required {
-                b.pred_data[b.cursor[j] as usize] = i as u32;
-                b.cursor[j] += 1;
+        for &(i, j) in &b.edges {
+            if b.op_required[i as usize] {
+                b.pred_data[b.cursor[j as usize] as usize] = i;
+                b.cursor[j as usize] += 1;
             }
         }
 
@@ -676,10 +787,12 @@ impl<'a> Searcher<'a> {
         }
         b.class_counts.resize(class_count, 0);
 
-        // Initial object states and the initial visited key.
+        // Root object states and the initial visited key.
         for slot in 0..b.slots.len() {
             let object = b.slots[slot];
-            let id = intern_value(&mut b, universe.initial_state(object));
+            let root = roots.iter().find(|(o, _)| *o == object);
+            let state = root.map_or_else(|| universe.initial_state(object), |(_, v)| *v);
+            let id = intern_value(&mut b, state);
             b.states.push(id);
         }
         let mut vkey = 0u64;
@@ -687,7 +800,7 @@ impl<'a> Searcher<'a> {
             vkey ^= util::zkey(TAG_STATE, slot as u64, state as u64);
         }
 
-        let required_count = problem.ops.iter().filter(|o| o.required).count();
+        let required_count = b.op_required.iter().filter(|&&r| r).count();
         Searcher {
             universe,
             limits,
@@ -709,14 +822,15 @@ impl<'a> Searcher<'a> {
 
     fn stats(&self, scratch: &KernelScratch) -> SearchStats {
         use std::mem::size_of;
-        // The frontier-dedup keys of `solve_frontiers` are part of the
-        // search's working set too — without them a frontier-dominated
-        // monitor segment would under-report its peak.
-        let frontier_bytes: usize = scratch
-            .frontier_seen
-            .iter()
-            .map(|k| size_of::<Box<[u32]>>() + k.len() * size_of::<u32>())
-            .sum();
+        // The frontier rows of a frontier search (and their lookup keys,
+        // once engaged) are part of its working set too — without them a
+        // frontier-dominated monitor segment would under-report its peak.
+        let frontier_bytes = scratch.frontier_rows.len() * size_of::<u32>()
+            + scratch
+                .frontier_seen
+                .iter()
+                .map(|k| size_of::<Box<[u32]>>() + k.len() * size_of::<u32>())
+                .sum::<usize>();
         SearchStats {
             nodes: self.nodes,
             memo_hits: self.memo_hits,
@@ -733,11 +847,11 @@ impl<'a> Searcher<'a> {
         if let Some(&idx) = self.b.trans_index.get(&key) {
             return idx;
         }
-        let (_, object, invocation) = self.b.inv_table[inv as usize].clone();
+        let (_, object, invocation) = &self.b.inv_table[inv as usize];
         let raw = self
             .universe
-            .object_type(object)
-            .transitions(&self.b.values[state as usize], &invocation);
+            .object_type(*object)
+            .transitions(&self.b.values[state as usize], invocation);
         let start = self.b.trans_data.len() as u32;
         for t in raw {
             let r = intern_value(&mut self.b, &t.response);
@@ -852,18 +966,28 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// The iterative Wing–Gong search.
+    /// The iterative Wing–Gong search, in one of two modes.
+    ///
+    /// With `tracked: None` it stops at the first accepting node and answers
+    /// `Yes` with the witness.  With `Some(tracked)` it is exhaustive:
+    /// acceptance is not a stopping condition, because deeper nodes (more
+    /// optional operations linearized) reach *different* frontiers; every
+    /// distinct accepting frontier goes to the scratch's row store in
+    /// discovery order (see [`Searcher::record_frontier`]) and the answer is
+    /// `No` once the (memoized) space is covered.  `Unknown` means the node
+    /// budget ran out: rows may be missing, but every row is reachable.
     fn run(
         &mut self,
         scratch: &mut KernelScratch,
         accept: &dyn Fn(&SearchProgress) -> bool,
+        tracked: Option<&[usize]>,
     ) -> SearchResult {
         scratch.prepare(self.n);
-        if accept(&self.progress()) {
+        if tracked.is_none() && accept(&self.progress()) {
             return SearchResult::Yes(self.witness());
         }
         self.nodes += 1;
-        if self.nodes > self.limits.max_nodes {
+        if tracked.is_none() && self.nodes > self.limits.max_nodes {
             return SearchResult::Unknown;
         }
         scratch.visited.insert(self.vkey);
@@ -878,6 +1002,9 @@ impl<'a> Searcher<'a> {
         // Split `taken` out of the scratch so `self` methods can borrow
         // freely; it is put back (empty) before returning.
         let mut taken = std::mem::take(&mut scratch.taken);
+        if let Some(tracked) = tracked.filter(|_| accept(&self.progress())) {
+            self.record_frontier(scratch, &taken, tracked);
+        }
 
         let result = 'outer: loop {
             let Some(mut f) = frames.pop() else {
@@ -917,7 +1044,7 @@ impl<'a> Searcher<'a> {
                         continue;
                     }
                     let undo = self.apply(i, resp, next_state, &mut taken);
-                    if accept(&self.progress()) {
+                    if tracked.is_none() && accept(&self.progress()) {
                         let witness = self.witness();
                         // Leave the taken-set empty for the next reuse of
                         // the scratch.
@@ -936,6 +1063,9 @@ impl<'a> Searcher<'a> {
                         self.memo_hits += 1;
                         self.retract(undo, &mut taken);
                         continue;
+                    }
+                    if let Some(tracked) = tracked.filter(|_| accept(&self.progress())) {
+                        self.record_frontier(scratch, &taken, tracked);
                     }
                     frames.push(f);
                     frames.push(Frame {
@@ -961,128 +1091,69 @@ impl<'a> Searcher<'a> {
         result
     }
 
-    /// Exhaustive variant of [`Searcher::run`]: instead of stopping at the
-    /// first accepting node, explore the whole (memoized) space and collect
-    /// every *distinct accepting frontier* — the interned object-state vector
-    /// together with which of the `tracked` operations were linearized.
-    ///
-    /// Returns `(frontiers, complete)`; `complete` is `false` when the node
-    /// budget was exhausted, in which case the collection may be missing
-    /// entries (but every returned entry is genuinely reachable).
-    fn run_frontiers(
-        &mut self,
-        scratch: &mut KernelScratch,
-        accept: &dyn Fn(&SearchProgress) -> bool,
-        tracked: &[usize],
-    ) -> (Vec<RawFrontier>, bool) {
-        scratch.prepare(self.n);
-        scratch.frontier_seen.clear();
-        let mut out: Vec<RawFrontier> = Vec::new();
-        let mut frames = std::mem::take(&mut self.b.frames);
-        frames.push(Frame {
-            i: 0,
-            k: 0,
-            trans: INVALID,
-            undo: None,
-        });
-        let mut taken = std::mem::take(&mut scratch.taken);
-        // Records the current node's frontier if it is accepting and new.
-        // (A node reached twice is pruned by the visited cache before this
-        // runs again, so `seen` only guards against distinct accepting nodes
-        // that share a frontier.)
-        fn record(
-            searcher: &Searcher<'_>,
-            taken: &BitSet,
-            tracked: &[usize],
-            seen: &mut FxHashSet<Box<[u32]>>,
-            out: &mut Vec<(Vec<u32>, Vec<bool>)>,
-        ) {
-            let placed: Vec<bool> = tracked.iter().map(|&op| taken.contains(op)).collect();
-            let mut key = Vec::with_capacity(searcher.b.states.len() + placed.len());
-            key.extend_from_slice(&searcher.b.states);
-            key.extend(placed.iter().map(|&b| b as u32));
-            if seen.insert(key.into_boxed_slice()) {
-                out.push((searcher.b.states.clone(), placed));
-            }
+    /// Records the current (accepting) node's frontier — the interned object
+    /// states, then which of the `tracked` operations are linearized — as a
+    /// row of the scratch's store, unless an equal row is already there.  (A
+    /// node reached twice is pruned by the visited cache before this runs
+    /// again, so the lookup only guards against distinct accepting nodes
+    /// that share a frontier.)  Mirrors [`intern_value`]: linear scan while
+    /// the rows are few, boxed keys in a hash set past [`LINEAR_INTERN_MAX`].
+    fn record_frontier(&self, scratch: &mut KernelScratch, taken: &BitSet, tracked: &[usize]) {
+        let rows = &mut scratch.frontier_rows;
+        let start = rows.len();
+        rows.extend_from_slice(&self.b.states);
+        rows.extend(tracked.iter().map(|&op| taken.contains(op) as u32));
+        let (old, row) = rows.split_at(start);
+        let width = row.len();
+        let seen = &mut scratch.frontier_seen;
+        let known = if seen.is_empty() {
+            (0..scratch.frontier_count).any(|r| old[r * width..][..width] == *row)
+        } else {
+            seen.contains(row)
+        };
+        if known {
+            rows.truncate(start);
+            return;
         }
-
-        self.nodes += 1;
-        scratch.visited.insert(self.vkey);
-        if accept(&self.progress()) {
-            record(self, &taken, tracked, &mut scratch.frontier_seen, &mut out);
+        scratch.frontier_count += 1;
+        if !seen.is_empty() {
+            seen.insert(row.into());
+        } else if scratch.frontier_count > LINEAR_INTERN_MAX {
+            // Distinct rows this many are at least one word wide.
+            seen.extend(rows.chunks_exact(width).map(Box::from));
         }
-        'outer: while let Some(mut f) = frames.pop() {
-            loop {
-                if f.i >= self.n {
-                    if let Some(undo) = f.undo.take() {
-                        self.retract(undo, &mut taken);
-                    }
-                    continue 'outer;
-                }
-                let i = f.i;
-                if taken.contains(i) || !self.canonical(i, &taken) || !self.preds_taken(i, &taken) {
-                    f.i += 1;
-                    f.k = 0;
-                    f.trans = INVALID;
-                    continue;
-                }
-                if f.trans == INVALID {
-                    f.trans = self
-                        .transitions(self.b.op_inv[i], self.b.states[self.b.op_slot[i] as usize]);
-                    f.k = 0;
-                }
-                let (start, len) = self.b.trans_spans[f.trans as usize];
-                while f.k < len {
-                    let (resp, next_state) = self.b.trans_data[(start + f.k) as usize];
-                    f.k += 1;
-                    let fixed = self.b.op_fixed[i];
-                    if fixed != INVALID && resp != fixed {
-                        continue;
-                    }
-                    let undo = self.apply(i, resp, next_state, &mut taken);
-                    self.nodes += 1;
-                    if self.nodes > self.limits.max_nodes {
-                        self.exhausted = true;
-                        self.retract(undo, &mut taken);
-                        continue;
-                    }
-                    if !scratch.visited.insert(self.vkey) {
-                        self.memo_hits += 1;
-                        self.retract(undo, &mut taken);
-                        continue;
-                    }
-                    // A new node: record its frontier if accepting, then keep
-                    // exploring below it — unlike `run`, acceptance is not a
-                    // stopping condition, because deeper nodes (more optional
-                    // operations linearized) reach *different* frontiers.
-                    if accept(&self.progress()) {
-                        record(self, &taken, tracked, &mut scratch.frontier_seen, &mut out);
-                    }
-                    frames.push(f);
-                    frames.push(Frame {
-                        i: 0,
-                        k: 0,
-                        trans: INVALID,
-                        undo: Some(undo),
-                    });
-                    continue 'outer;
-                }
-                f.i += 1;
-                f.k = 0;
-                f.trans = INVALID;
-            }
-        }
-        debug_assert_eq!(taken.count(), 0, "taken-set must be released empty");
-        scratch.taken = taken;
-        frames.clear();
-        self.b.frames = frames;
-        (out, !self.exhausted)
     }
 }
 
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
+
+/// The default acceptance predicate: every required operation linearized.
+fn all_required(progress: &SearchProgress) -> bool {
+    progress.required_taken == progress.required_total
+}
+
+/// Interns `problem` into the scratch's pooled tables, hands the searcher to
+/// `search` and returns its result beside the search counters; the one way
+/// in for every entry point below, and where the scratch's retention rule
+/// runs.
+fn with_searcher<P: Problem + ?Sized, R>(
+    problem: &P,
+    roots: &[(ObjectId, &Value)],
+    universe: &ObjectUniverse,
+    limits: SearchLimits,
+    scratch: &mut KernelScratch,
+    search: impl FnOnce(&mut Searcher<'_>, &mut KernelScratch) -> R,
+) -> (R, SearchStats) {
+    let bufs = std::mem::take(&mut scratch.bufs);
+    let mut searcher = Searcher::new(problem, roots, universe, limits, bufs);
+    let result = search(&mut searcher, scratch);
+    let stats = searcher.stats(scratch);
+    scratch.bufs = searcher.into_bufs();
+    scratch.release_tables();
+    (result, stats)
+}
 
 /// Solves a prebuilt constrained-linearization problem with the default
 /// acceptance predicate (all required operations linearized).
@@ -1096,18 +1167,34 @@ pub fn solve(
 
 /// Like [`solve`], reusing a caller-provided [`KernelScratch`] so repeated
 /// solves over same-sized problems share their allocations.
-pub fn solve_with_scratch(
-    problem: &SearchProblem,
+pub fn solve_with_scratch<P: Problem + ?Sized>(
+    problem: &P,
     universe: &ObjectUniverse,
     limits: SearchLimits,
     scratch: &mut KernelScratch,
 ) -> (SearchResult, SearchStats) {
-    let bufs = std::mem::take(&mut scratch.bufs);
-    let mut searcher = Searcher::new(problem, universe, limits, bufs);
-    let result = searcher.run(scratch, &|p| p.required_taken == p.required_total);
-    let stats = searcher.stats(scratch);
-    scratch.bufs = searcher.into_bufs();
-    (result, stats)
+    solve_rooted(problem, &[], universe, limits, scratch)
+}
+
+/// Like [`solve_with_scratch`], with the objects listed in `roots` starting
+/// from the given state instead of the universe's initial one: checking a
+/// stream segment from the state an already-verified prefix left behind is
+/// exactly checking the whole stream from the initial state.
+pub fn solve_rooted<P: Problem + ?Sized>(
+    problem: &P,
+    roots: &[(ObjectId, &Value)],
+    universe: &ObjectUniverse,
+    limits: SearchLimits,
+    scratch: &mut KernelScratch,
+) -> (SearchResult, SearchStats) {
+    with_searcher(
+        problem,
+        roots,
+        universe,
+        limits,
+        scratch,
+        |searcher, scratch| searcher.run(scratch, &all_required, None),
+    )
 }
 
 /// One distinct *accepting frontier* of a search problem: the final state of
@@ -1146,43 +1233,91 @@ impl FrontierSet {
     }
 }
 
-/// Exhaustively solves a constrained-linearization problem, returning every
-/// distinct accepting frontier instead of the first witness.
+/// One accepting frontier read in place from the scratch's row store (what
+/// [`Frontier`] holds, without the copies).
+#[derive(Debug, Clone, Copy)]
+pub struct FrontierRow<'s> {
+    slots: &'s [ObjectId],
+    values: &'s [Value],
+    row: &'s [u32],
+}
+
+impl<'s> FrontierRow<'s> {
+    /// Final state of each object that appears in the problem.
+    pub fn states(&self) -> impl Iterator<Item = (ObjectId, &'s Value)> + '_ {
+        let states = self.slots.iter().zip(self.row);
+        states.map(|(&object, &id)| (object, &self.values[id as usize]))
+    }
+
+    /// See [`Frontier::placed`].
+    pub fn placed(&self) -> impl Iterator<Item = bool> + '_ {
+        self.row[self.slots.len()..].iter().map(|&flag| flag != 0)
+    }
+}
+
+/// Exhaustively solves a constrained-linearization problem from the given
+/// `roots` (see [`solve_rooted`]), handing every distinct accepting frontier
+/// to `each` in discovery order instead of stopping at the first witness.
+/// Returns `false` when the node budget was exhausted before the search
+/// space was covered: every frontier handed out is reachable, but some may
+/// be missing.
 ///
 /// `tracked` lists problem operation indices whose inclusion the caller wants
 /// reported per frontier (see [`Frontier::placed`]); pass `&[]` when only the
 /// final states matter.  Unlike [`solve`], acceptance does not stop the
 /// search: nodes below an accepting node are still explored, because
-/// linearizing further optional operations reaches different frontiers.
-pub fn solve_frontiers(
-    problem: &SearchProblem,
+/// linearizing further optional operations reaches different frontiers.  An
+/// empty problem has exactly one (empty) frontier.
+pub fn visit_frontiers<P: Problem + ?Sized>(
+    problem: &P,
+    roots: &[(ObjectId, &Value)],
+    universe: &ObjectUniverse,
+    limits: SearchLimits,
+    tracked: &[usize],
+    scratch: &mut KernelScratch,
+    mut each: impl FnMut(FrontierRow<'_>),
+) -> (bool, SearchStats) {
+    with_searcher(
+        problem,
+        roots,
+        universe,
+        limits,
+        scratch,
+        |searcher, scratch| {
+            let result = searcher.run(scratch, &all_required, Some(tracked));
+            let complete = !matches!(result, SearchResult::Unknown);
+            let width = searcher.b.slots.len() + tracked.len();
+            for r in 0..scratch.frontier_count {
+                each(FrontierRow {
+                    slots: &searcher.b.slots,
+                    values: &searcher.b.values,
+                    row: &scratch.frontier_rows[r * width..][..width],
+                });
+            }
+            complete
+        },
+    )
+}
+
+/// [`visit_frontiers`] rendered as a [`FrontierSet`], for callers that keep
+/// the frontiers.
+pub fn solve_frontiers<P: Problem + ?Sized>(
+    problem: &P,
+    roots: &[(ObjectId, &Value)],
     universe: &ObjectUniverse,
     limits: SearchLimits,
     tracked: &[usize],
     scratch: &mut KernelScratch,
 ) -> (FrontierSet, SearchStats) {
-    let bufs = std::mem::take(&mut scratch.bufs);
-    let mut searcher = Searcher::new(problem, universe, limits, bufs);
-    let (raw, complete) =
-        searcher.run_frontiers(scratch, &|p| p.required_taken == p.required_total, tracked);
-    let entries = raw
-        .into_iter()
-        .map(|(states, placed)| Frontier {
-            states: states
-                .iter()
-                .enumerate()
-                .map(|(slot, &id)| {
-                    (
-                        searcher.b.slots[slot],
-                        searcher.b.values[id as usize].clone(),
-                    )
-                })
-                .collect(),
-            placed,
+    let mut entries = Vec::new();
+    let each = |row: FrontierRow<'_>| {
+        entries.push(Frontier {
+            states: row.states().map(|(o, v)| (o, v.clone())).collect(),
+            placed: row.placed().collect(),
         })
-        .collect();
-    let stats = searcher.stats(scratch);
-    scratch.bufs = searcher.into_bufs();
+    };
+    let (complete, stats) =
+        visit_frontiers(problem, roots, universe, limits, tracked, scratch, each);
     (FrontierSet { entries, complete }, stats)
 }
 
@@ -1218,12 +1353,14 @@ pub fn check_with_scratch(
     scratch: &mut KernelScratch,
 ) -> (SearchResult, SearchStats) {
     let problem = condition.problem(history);
-    let bufs = std::mem::take(&mut scratch.bufs);
-    let mut searcher = Searcher::new(&problem, universe, limits, bufs);
-    let result = searcher.run(scratch, &|p| condition.accepted(p));
-    let stats = searcher.stats(scratch);
-    scratch.bufs = searcher.into_bufs();
-    (result, stats)
+    with_searcher(
+        &problem,
+        &[],
+        universe,
+        limits,
+        scratch,
+        |searcher, scratch| searcher.run(scratch, &|p| condition.accepted(p), None),
+    )
 }
 
 /// Checks `condition` with the locality pre-pass: a multi-object history is
@@ -1650,5 +1787,103 @@ mod tests {
         };
         let (result, _) = solve(&p, &ObjectUniverse::new(), SearchLimits::default());
         assert!(result.is_yes());
+        // ...and has exactly one accepting frontier, the empty one (a row
+        // zero words wide).
+        let (set, stats) = solve_frontiers(
+            &p,
+            &[],
+            &ObjectUniverse::new(),
+            SearchLimits::default(),
+            &[],
+            &mut KernelScratch::new(),
+        );
+        let empty = Frontier {
+            states: Vec::new(),
+            placed: Vec::new(),
+        };
+        assert!(set.is_satisfiable() && set.complete);
+        assert_eq!(set.entries, vec![empty]);
+        assert_eq!(stats.nodes, 1);
+    }
+
+    /// `writes` mutually concurrent completed writes of `1..=writes`, a
+    /// concurrent read answering `read`, and `pending` pending writes of
+    /// further distinct values, all on one register.
+    fn concurrent_writes(writes: usize, read: i64, pending: usize) -> (ObjectUniverse, History) {
+        let mut u = ObjectUniverse::new();
+        let r = u.add_object(Register::new(Value::from(0i64)));
+        let mut b = HistoryBuilder::new();
+        for p in 0..writes + pending {
+            b = b.invoke(ProcessId(p), r, Register::write(Value::from(p as i64 + 1)));
+        }
+        b = b.invoke(ProcessId(writes + pending), r, Register::read());
+        for p in 0..writes {
+            b = b.respond(ProcessId(p), r, Value::Unit);
+        }
+        let h = b.respond(ProcessId(writes + pending), r, Value::from(read));
+        (u, h.build())
+    }
+
+    #[test]
+    fn many_frontiers_come_back_distinct_and_in_discovery_order() {
+        // Six concurrent writes, a read of the initial value and three
+        // tracked pending writes: more distinct accepting frontiers than the
+        // linear row scan serves, so the hashed lookup engages mid-search.
+        // Count, order and content are those of the boxed-key collection
+        // this row store replaced (fingerprint taken at the parent commit).
+        let (u, h) = concurrent_writes(6, 0, 3);
+        let p = Linearizability.problem(&h);
+        let tracked: Vec<usize> = (0..p.ops.len()).filter(|&i| !p.ops[i].required).collect();
+        assert_eq!(tracked, vec![6, 7, 8]);
+        let limits = SearchLimits::default();
+        let mut scratch = KernelScratch::new();
+        let (set, stats) = solve_frontiers(&p, &[], &u, limits, &tracked, &mut scratch);
+        assert!(set.complete);
+        assert!(set.entries.len() > LINEAR_INTERN_MAX);
+        for (i, a) in set.entries.iter().enumerate() {
+            assert!(!set.entries[..i].contains(a), "entry {i} is a duplicate");
+        }
+        let rendered = format!("{:?}", set.entries);
+        assert_eq!(
+            (set.entries.len(), util::hash_of(&rendered)),
+            (60, 9_921_872_250_642_940_469)
+        );
+        assert_eq!((stats.nodes, stats.memo_hits), (18_452, 13_842));
+        // The same search through the warm scratch finds the same rows.
+        let (again, _) = solve_frontiers(&p, &[], &u, limits, &tracked, &mut scratch);
+        assert_eq!(again, set);
+    }
+
+    /// Entries the per-search hash tables of `scratch` could hold without
+    /// growing: what the retention rule bounds.
+    fn retained_table_capacity(scratch: &KernelScratch) -> usize {
+        scratch.visited.capacity() + scratch.bufs.trans_index.capacity()
+    }
+
+    #[test]
+    fn one_large_search_does_not_tax_the_scratch_for_good() {
+        // A refutation over ten concurrent writes visits thousands of
+        // states.  Back to back, such searches keep their tables...
+        let (u, large) = concurrent_writes(10, 99, 0);
+        let large = Linearizability.problem(&large);
+        let (_, small) = concurrent_writes(2, 1, 0);
+        let small = Linearizability.problem(&small);
+        let limits = SearchLimits::default();
+        let mut scratch = KernelScratch::new();
+        let (result, stats) = solve_with_scratch(&large, &u, limits, &mut scratch);
+        assert_eq!(result, SearchResult::No);
+        assert!(stats.nodes > 2 * RETAIN_CAPACITY_FLOOR, "{stats:?}");
+        let grown = retained_table_capacity(&scratch);
+        assert!(grown > RETAIN_CAPACITY_FLOOR);
+        solve_with_scratch(&large, &u, limits, &mut scratch);
+        assert_eq!(retained_table_capacity(&scratch), grown);
+        // ...and the first small search sheds them, so the ones after it do
+        // not pay for clearing a table a thousand times their size.
+        let (result, small_stats) = solve_with_scratch(&small, &u, limits, &mut scratch);
+        assert!(result.is_yes());
+        assert!(retained_table_capacity(&scratch) <= 2 * RETAIN_CAPACITY_FLOOR);
+        // Shedding is invisible to the search: a fresh scratch counts the same.
+        let fresh = solve_with_scratch(&small, &u, limits, &mut KernelScratch::new()).1;
+        assert_eq!(small_stats, fresh);
     }
 }

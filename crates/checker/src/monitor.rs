@@ -78,11 +78,28 @@
 //! positions)` links, so a batch costs `O(events)` whatever the number of
 //! objects, and an object never visits a segment it is absent from.
 //! Projections of pure fetch&increment traffic take the near-linear
-//! [`crate::fi`] fast path instead of the kernel, read in place through the
-//! positions — which is what lets the monitor keep up with millions of
-//! real-thread counter operations (experiment E11, the `monitor_throughput`
-//! bench); only the kernel path materializes a projection.  A segment whose
-//! events all name one object is its own projection and is borrowed whole.
+//! [`crate::fi`] fast path instead of the kernel — which is what lets the
+//! monitor keep up with millions of real-thread counter operations
+//! (experiment E11, the `monitor_throughput` bench).  A segment whose events
+//! all name one object is its own projection and is read whole.
+//!
+//! Neither path materializes a projection.  A link's events are read in
+//! place through its positions; on the kernel path its invocations and
+//! responses are matched into pooled index pairs
+//! ([`evlin_history::OperationMatcher`], the rule behind
+//! [`History::operations`]) and lent to the kernel as operation views
+//! ([`EventProblem`]: Definition 2's constraints and real-time edges from the
+//! same predicates the offline [`TLinearizability`] uses), once per incoming
+//! frontier state with that state as the search's root argument; the
+//! accepting frontiers come back as rows of the pooled [`KernelScratch`], the
+//! object's states are appended to a pooled buffer, sorted and deduplicated,
+//! and swapped with the incoming frontier, which is the object's entry of the
+//! frontier map updated in place.  The stream tail takes the same views
+//! through the witness search.  No `History`, `SearchProblem`, `FrontierSet`
+//! or `ObjectUniverse` is built or cloned per link, per chain or per batch:
+//! what a warmed-up batch still allocates is the spec layer's
+//! `transitions()` result per distinct `(invocation, state)` pair a search
+//! expands (`tests/alloc_smoke.rs` pins it).
 //!
 //! ## The four conditions
 //!
@@ -158,10 +175,11 @@ use crate::kernel::{
     self, ConsistencyCondition, ConstrainedOp, KernelScratch, SearchLimits, SearchProblem,
     SearchResult, SearchStats,
 };
-use crate::t_linearizability::TLinearizability;
+use crate::t_linearizability::{EventProblem, TLinearizability};
 use crate::util::{fold_words, hash_of, mix};
 use evlin_history::{
-    Event, EventKind, History, ObjectId, ObjectUniverse, OpId, OperationRecord, ProcessId,
+    Event, EventKind, History, ObjectId, ObjectUniverse, OpId, OperationMatcher, OperationRecord,
+    ProcessId,
 };
 use evlin_spec::{Invocation, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -481,6 +499,13 @@ struct TlFrontier {
     unplaced: Vec<(ObjectId, Invocation)>,
 }
 
+impl TlFrontier {
+    /// The states as the kernel's root argument.
+    fn roots(&self) -> Vec<(ObjectId, &Value)> {
+        self.states.iter().map(|(o, v)| (*o, v)).collect()
+    }
+}
+
 /// Per-condition incremental state.
 enum ModeState {
     Lin {
@@ -581,6 +606,9 @@ impl fmt::Debug for MonitorIngest {
             .finish()
     }
 }
+
+/// Longest window [`MonitorIngest::close_window`] pre-sizes its successor for.
+const WINDOW_PRESIZE_MAX: usize = 256;
 
 impl MonitorIngest {
     fn new(config: &MonitorConfig) -> Self {
@@ -721,8 +749,10 @@ impl MonitorIngest {
             return None;
         }
         self.queued_events = 0;
+        // As in `close_window`: the next batch gets this one's room up front.
+        let room = Vec::with_capacity(self.closed.len());
         Some(SegmentBatch {
-            segments: std::mem::take(&mut self.closed),
+            segments: std::mem::replace(&mut self.closed, room),
             is_final: false,
         })
     }
@@ -768,7 +798,13 @@ impl MonitorIngest {
     }
 
     fn close_window(&mut self) {
-        let events = std::mem::take(&mut self.window);
+        // The next window starts with room for as many events as this one
+        // held, so a steady stream of short segments allocates once per
+        // segment, not once per doubling.  Past the bound growth by doubling
+        // costs next to nothing per event, and a quarter-megabyte vector
+        // taken in one piece per 4096-event segment measured slower.
+        let room = Vec::with_capacity(self.window.len().min(WINDOW_PRESIZE_MAX));
+        let events = std::mem::replace(&mut self.window, room);
         let start = self.window_start;
         self.window_start = start + events.len();
         self.queued_events += events.len();
@@ -806,9 +842,14 @@ pub struct MonitorCheck {
     /// The pooled fast-path buffers: the `fi` check of a projection allocates
     /// nothing once the widest one has been seen.
     fi_scratch: FiScratch,
-    /// The [`group_by_object`] table: one slot per object of the universe,
-    /// all [`NO_SLOT`] between calls.
-    group_slots: Vec<u32>,
+    /// The pooled per-batch tables of [`MonitorCheck::drain_lin`] (see
+    /// [`Grouping`]) and the kernel path's per-link ones: no batch, chain or
+    /// link allocates once the widest has been seen.
+    grouping: Grouping,
+    /// The operations of the link being checked (positions in the link).
+    matcher: OperationMatcher,
+    /// The states the link being checked leaves behind.
+    outgoing: Vec<Value>,
     /// The pooled kernel scratch every search of this stage runs in.  A
     /// scratch is reset per search and [`SearchStats`] are a function of the
     /// search alone, so one serves every object and every condition; its
@@ -850,7 +891,12 @@ impl MonitorCheck {
             },
         };
         MonitorCheck {
-            group_slots: vec![NO_SLOT; universe.len()],
+            grouping: Grouping {
+                slots: vec![NO_SLOT; universe.len()],
+                ..Grouping::default()
+            },
+            matcher: OperationMatcher::default(),
+            outgoing: Vec::new(),
             universe,
             limits: config.limits,
             max_frontiers: config.max_frontiers.max(1),
@@ -929,58 +975,39 @@ impl MonitorCheck {
         }
     }
 
-    /// A copy of the universe re-rooted at the given state overrides.
-    fn override_universe(&self, overrides: &[(ObjectId, Value)]) -> ObjectUniverse {
-        let mut u = self.universe.clone();
-        for (object, state) in overrides {
-            u.set_initial_state(*object, state.clone());
-        }
-        u
-    }
-
     // -- linearizability ---------------------------------------------------
 
     /// Checks a batch of segments under linearizability: per-object frontier
     /// threading, one object's chain after the other, with the
     /// fetch&increment fast path per projection.
     fn drain_lin(&mut self, segments: &[Segment], is_final: bool) {
-        // One grouping pass per segment, then the links sorted by object:
-        // each run of the sorted list is one object's chain (the sort is
-        // stable, so in segment order), and the runs come in ascending
-        // object order.
-        let grouped: Vec<Grouping> = segments
-            .iter()
-            .map(|segment| group_by_object(segment.history.events(), &mut self.group_slots))
-            .collect();
-        let mut links: Vec<Link> = grouped
-            .iter()
-            .enumerate()
-            .flat_map(|(segment, grouping)| grouping.links(segment))
-            .collect();
-        links.sort_by_key(|link| link.object);
+        // One grouping pass per segment, then the links sorted by object
+        // and segment: each run of the sorted list is one object's chain,
+        // and the runs come in ascending object order.
+        let mut grouping = std::mem::take(&mut self.grouping);
+        grouping.positions.clear();
+        grouping.links.clear();
+        for (index, segment) in segments.iter().enumerate() {
+            grouping.add_segment(index, segment.history.events());
+        }
+        grouping
+            .links
+            .sort_unstable_by_key(|link| (link.object, link.segment));
         // Every chain runs to its end, whatever the others found (the
         // counters absorb them all); the earliest violating segment wins,
         // then the least object.
         let mut best: Option<(usize, ObjectId, String)> = None;
-        let mut new_frontiers: Vec<(ObjectId, Vec<Value>)> = Vec::new();
-        for chain in links.chunk_by(|a, b| a.object == b.object) {
+        for chain in grouping.links.chunk_by(|a, b| a.object == b.object) {
             let object = chain[0].object;
-            let ModeState::Lin { frontiers } = &self.mode else {
-                unreachable!("drain_lin requires Lin mode");
-            };
-            let incoming = frontiers
-                .get(&object)
-                .cloned()
-                .unwrap_or_else(|| vec![self.universe.initial_state(object).clone()]);
-            let (frontier, violation) =
-                self.chase_object_chain(object, incoming, segments, chain, is_final);
+            let violation =
+                self.chase_object_chain(object, segments, chain, &grouping.positions, is_final);
             if let Some((segment_index, detail)) = violation {
                 if best.as_ref().is_none_or(|(s, _, _)| segment_index < *s) {
                     best = Some((segment_index, object, detail));
                 }
             }
-            new_frontiers.push((object, frontier));
         }
+        self.grouping = grouping;
         if let Some((segment_index, object, detail)) = best {
             if self.incomplete {
                 // The refutation may have relied on a truncated frontier.
@@ -1000,88 +1027,81 @@ impl MonitorCheck {
             });
             return;
         }
-        let ModeState::Lin { frontiers } = &mut self.mode else {
-            unreachable!();
-        };
-        for (object, frontier) in new_frontiers {
-            frontiers.insert(object, frontier);
-        }
         for segment in segments {
             self.stats.checked_ops += segment.completed;
         }
     }
 
-    /// Threads one object's frontier set through its links of a segment
-    /// batch, folding the searches' counters into the stage's.  Returns the
-    /// frontier the chain ended with and, if a link has no linearization
-    /// from any frontier state, `(index into the segment batch, detail)`.
+    /// Threads one object's frontier set — its entry of the mode's map,
+    /// updated in place — through its links of a segment batch, folding the
+    /// searches' counters into the stage's.  If a link has no linearization
+    /// from any frontier state, the frontier stays where that link found it
+    /// and `(index into the segment batch, detail)` is returned.
     fn chase_object_chain(
         &mut self,
         object: ObjectId,
-        mut frontier: Vec<Value>,
         segments: &[Segment],
         links: &[Link],
+        positions: &[u32],
         is_final: bool,
-    ) -> (Vec<Value>, Option<(usize, String)>) {
-        let fast_eligible = self.universe.object_type(object).name() == "fetch&increment";
-        // The kernel searches run against a copy of the universe re-rooted at
-        // each frontier state in turn: one copy per chain, made on first use.
-        let mut rooted: Option<ObjectUniverse> = None;
+    ) -> Option<(usize, String)> {
+        let ModeState::Lin { frontiers } = &mut self.mode else {
+            unreachable!("drain_lin requires Lin mode");
+        };
+        let frontier = frontiers
+            .entry(object)
+            .or_insert_with(|| vec![self.universe.initial_state(object).clone()]);
+        let (universe, limits) = (&self.universe, self.limits);
+        let fast_eligible = universe.object_type(object).name() == "fetch&increment";
+        let outgoing = &mut self.outgoing;
         for link in links {
-            let history = &segments[link.segment].history;
+            let events = segments[link.segment].history.events();
+            // The link's events, read in place: the `k`-th is the segment's
+            // `picked[k]`-th, or its `k`-th when the link is the segment.
+            let picked = link.positions.map(|(start, end)| &positions[start..end]);
+            let len = picked.map_or(events.len(), <[u32]>::len);
+            let event = |k: usize| &events[picked.map_or(k, |picked| picked[k] as usize)];
             let final_segment = is_final && link.segment + 1 == segments.len();
             // Fast path: a pure fetch&increment projection from an integer
             // state has a unique outgoing state (initial + operation count),
             // so the near-linear specialized checker replaces the kernel
-            // search — and reads the projection in place.
-            if fast_eligible {
-                let scratch = &mut self.fi_scratch;
-                let next = match link.positions {
-                    None => fi_step(|| history.iter(), &frontier, final_segment, scratch),
-                    Some(positions) => fi_step(
-                        || positions.iter().map(|&p| &history.events()[p as usize]),
-                        &frontier,
-                        final_segment,
-                        scratch,
-                    ),
-                };
-                if let Some(next) = next {
-                    self.stats.fast_path_segments += 1;
-                    if next.is_empty() {
-                        let detail = format!(
-                            "{object}: fetch&increment projection is not linearizable \
-                             from any frontier state"
-                        );
-                        return (frontier, Some((link.segment, detail)));
-                    }
-                    frontier = next;
-                    continue;
+            // search.
+            let fast = fast_eligible
+                && fi_step(
+                    || (0..len).map(event),
+                    frontier,
+                    final_segment,
+                    &mut self.fi_scratch,
+                    outgoing,
+                );
+            if fast {
+                self.stats.fast_path_segments += 1;
+                if outgoing.is_empty() {
+                    let detail = format!(
+                        "{object}: fetch&increment projection is not linearizable \
+                         from any frontier state"
+                    );
+                    return Some((link.segment, detail));
                 }
+                std::mem::swap(frontier, outgoing);
+                continue;
             }
-            // Kernel path: the one place a projection is materialized.
-            let owned_projection;
-            let projection = match link.positions {
-                None => history,
-                Some(positions) => {
-                    owned_projection = positions
-                        .iter()
-                        .map(|&p| history.events()[p as usize].clone())
-                        .collect();
-                    &owned_projection
-                }
+            // Kernel path: Definition 2 (`t = 0`) over the link's operations,
+            // lent to the kernel as views; one search per frontier state.
+            outgoing.clear();
+            let problem = EventProblem {
+                condition: TLinearizability::new(0),
+                event,
+                ops: self.matcher.match_events((0..len).map(event)),
             };
-            let condition = TLinearizability::new(0);
-            let problem = condition.problem(projection);
-            let uni = rooted.get_or_insert_with(|| self.universe.clone());
-            let mut outgoing: BTreeSet<Value> = BTreeSet::new();
             let mut any_yes = false;
-            for state in &frontier {
-                uni.set_initial_state(object, state.clone());
+            for state in frontier.iter() {
+                let roots = [(object, state)];
                 if final_segment {
                     // Nothing consumes the outgoing frontier: a plain witness
                     // search decides the tail (pending operations included).
                     let (result, stats) =
-                        kernel::solve_with_scratch(&problem, uni, self.limits, &mut self.scratch);
+                        kernel::solve_rooted(&problem, &roots, universe, limits, &mut self.scratch);
                     self.stats.search.absorb(stats);
                     match result {
                         SearchResult::Yes(_) => {
@@ -1092,37 +1112,45 @@ impl MonitorCheck {
                         SearchResult::No => {}
                     }
                 } else {
-                    let (set, stats) =
-                        kernel::solve_frontiers(&problem, uni, self.limits, &[], &mut self.scratch);
-                    self.stats.search.absorb(stats);
-                    if !set.complete {
-                        self.incomplete = true;
-                    }
-                    for entry in set.entries {
+                    let each = |row: kernel::FrontierRow<'_>| {
                         any_yes = true;
-                        for (o, v) in entry.states {
-                            if o == object {
-                                outgoing.insert(v);
-                            }
-                        }
+                        let states = row.states().filter(|(o, _)| *o == object);
+                        outgoing.extend(states.map(|(_, v)| v.clone()));
+                    };
+                    let (complete, stats) = kernel::visit_frontiers(
+                        &problem,
+                        &roots,
+                        universe,
+                        limits,
+                        &[],
+                        &mut self.scratch,
+                        each,
+                    );
+                    self.stats.search.absorb(stats);
+                    if !complete {
+                        self.incomplete = true;
                     }
                 }
             }
             if !any_yes {
                 let detail =
                     format!("{object}: segment has no linearization from any frontier state");
-                return (frontier, Some((link.segment, detail)));
+                return Some((link.segment, detail));
             }
             if final_segment {
                 break;
             }
+            // Ascending and distinct: the order the next link's searches
+            // (and so the counters) run in.
+            outgoing.sort_unstable();
+            outgoing.dedup();
             if outgoing.len() > self.max_frontiers {
                 self.incomplete = true;
-                return (frontier, None);
+                return None;
             }
-            frontier = outgoing.into_iter().collect();
+            std::mem::swap(frontier, outgoing);
         }
-        (frontier, None)
+        None
     }
 
     // -- t-linearizability -------------------------------------------------
@@ -1163,9 +1191,13 @@ impl MonitorCheck {
                         ops,
                         precedence: Vec::new(),
                     };
-                    let uni = self.override_universe(&fr.states);
-                    let (result, stats) =
-                        kernel::solve_with_scratch(&problem, &uni, self.limits, &mut scratch);
+                    let (result, stats) = kernel::solve_rooted(
+                        &problem,
+                        &fr.roots(),
+                        &self.universe,
+                        self.limits,
+                        &mut scratch,
+                    );
                     self.stats.search.absorb(stats);
                     if matches!(result, SearchResult::Unknown) {
                         self.incomplete = true;
@@ -1227,9 +1259,14 @@ impl MonitorCheck {
                     ops,
                     precedence: precedence.clone(),
                 };
-                let uni = self.override_universe(&fr.states);
-                let (set, stats) =
-                    kernel::solve_frontiers(&problem, &uni, self.limits, &tracked, &mut scratch);
+                let (set, stats) = kernel::solve_frontiers(
+                    &problem,
+                    &fr.roots(),
+                    &self.universe,
+                    self.limits,
+                    &tracked,
+                    &mut scratch,
+                );
                 self.stats.search.absorb(stats);
                 if !set.complete {
                     self.incomplete = true;
@@ -1617,126 +1654,131 @@ impl Monitor {
 // ---------------------------------------------------------------------------
 
 /// One object's share of one segment of a batch.
-struct Link<'a> {
+struct Link {
     object: ObjectId,
     /// Index of the segment in the batch.
     segment: usize,
-    /// Ascending positions of the object's events in the segment; `None`
-    /// when every event of the segment names the object, so the segment
-    /// history is the projection.
-    positions: Option<&'a [u32]>,
+    /// The range of [`Grouping::positions`] holding the ascending positions
+    /// of the object's events in the segment; `None` when every event of the
+    /// segment names the object, so the segment is the projection.
+    positions: Option<(usize, usize)>,
 }
 
-/// One segment's event positions grouped by object.
+/// A batch's event positions grouped by (segment, object): the tables of
+/// [`MonitorCheck::drain_lin`], pooled across batches.
 #[derive(Default)]
 struct Grouping {
-    /// The positions, reordered so that each object's are contiguous and
-    /// ascending; empty when the segment names a single object (there is
-    /// nothing to pick).
+    /// One slot per object of the universe, all [`NO_SLOT`] between segments.
+    slots: Vec<u32>,
+    /// `(object, end of its run in positions)` per distinct object of the
+    /// segment being added, in order of first appearance.
+    runs: Vec<(ObjectId, usize)>,
+    /// The positions of every multi-object segment's events, reordered so
+    /// that each object's are contiguous and ascending.
     positions: Vec<u32>,
-    /// `(object, end of its run in positions)` per distinct object, in order
-    /// of first appearance.
-    runs: Vec<(ObjectId, u32)>,
+    /// One link per object of every segment.
+    links: Vec<Link>,
 }
 
-impl Grouping {
-    /// One link per object of the segment, which is number `segment` of its
-    /// batch.
-    fn links(&self, segment: usize) -> impl Iterator<Item = Link<'_>> {
-        let mut start = 0;
-        self.runs.iter().map(move |&(object, end)| {
-            let end = end as usize;
-            let positions = (self.runs.len() > 1).then(|| &self.positions[start..end]);
-            start = end;
-            Link {
-                object,
-                segment,
-                positions,
-            }
-        })
-    }
-}
-
-/// [`MonitorCheck::group_slots`] entry of an object not seen in the segment
-/// being grouped.
+/// [`Grouping::slots`] entry of an object not seen in the segment being
+/// grouped.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Groups the positions of `events` by object with one counting sort.
-///
-/// `slots` maps every object of the universe to [`NO_SLOT`] on entry and
-/// again on return.
-fn group_by_object(events: &[Event], slots: &mut [u32]) -> Grouping {
-    let len = u32::try_from(events.len()).expect("a segment holds fewer than 2^32 events");
-    let Some(first) = events.first() else {
-        return Grouping::default();
-    };
-    if events.iter().all(|e| e.object == first.object) {
-        return Grouping {
-            positions: Vec::new(),
-            runs: vec![(first.object, len)],
+impl Grouping {
+    /// Groups the positions of `events`, segment number `segment` of the
+    /// batch, by object with one counting sort, and appends one link per
+    /// object.
+    fn add_segment(&mut self, segment: usize, events: &[Event]) {
+        assert!(
+            u32::try_from(events.len()).is_ok(),
+            "a segment holds fewer than 2^32 events"
+        );
+        let Some(first) = events.first() else {
+            return;
         };
-    }
-    // Count per object...
-    let mut runs: Vec<(ObjectId, u32)> = Vec::new();
-    for event in events {
-        let slot = &mut slots[event.object.0];
-        if *slot == NO_SLOT {
-            *slot = runs.len() as u32;
-            runs.push((event.object, 0));
+        if events.iter().all(|e| e.object == first.object) {
+            self.links.push(Link {
+                object: first.object,
+                segment,
+                positions: None,
+            });
+            return;
         }
-        runs[*slot as usize].1 += 1;
+        // Count per object...
+        self.runs.clear();
+        for event in events {
+            let slot = &mut self.slots[event.object.0];
+            if *slot == NO_SLOT {
+                *slot = self.runs.len() as u32;
+                self.runs.push((event.object, 0));
+            }
+            self.runs[*slot as usize].1 += 1;
+        }
+        // ...turn the counts into each run's start...
+        let mut start = self.positions.len();
+        let mut next = start;
+        for (_, count) in &mut self.runs {
+            next += std::mem::replace(count, next);
+        }
+        // ...and place: every placement advances its run's cursor, so the
+        // starts end up as the ends.
+        self.positions.resize(next, 0);
+        for (position, event) in events.iter().enumerate() {
+            let cursor = &mut self.runs[self.slots[event.object.0] as usize].1;
+            self.positions[*cursor] = position as u32;
+            *cursor += 1;
+        }
+        for &(object, end) in &self.runs {
+            self.slots[object.0] = NO_SLOT;
+            self.links.push(Link {
+                object,
+                segment,
+                positions: Some((start, end)),
+            });
+            start = end;
+        }
     }
-    // ...turn the counts into each run's start...
-    let mut next = 0;
-    for (_, count) in &mut runs {
-        next += std::mem::replace(count, next);
-    }
-    // ...and place: every placement advances its run's cursor, so the
-    // starts end up as the ends.
-    let mut positions = vec![0u32; events.len()];
-    for (position, event) in events.iter().enumerate() {
-        let cursor = &mut runs[slots[event.object.0] as usize].1;
-        positions[*cursor as usize] = position as u32;
-        *cursor += 1;
-    }
-    for (object, _) in &runs {
-        slots[object.0] = NO_SLOT;
-    }
-    Grouping { positions, runs }
 }
 
 /// Fast-path step: decides a pure fetch&increment projection (`events()`
-/// yields it, once per frontier state) from every frontier state with [`crate::fi`] and returns the outgoing frontier — a singleton
+/// yields it, once per frontier state) from every frontier state with
+/// [`crate::fi`] and leaves the outgoing frontier in `outgoing` — a singleton
 /// dummy for the final segment, whose outgoing frontier nobody reads.
 ///
-/// `None` means "not eligible — use the kernel": a non-integer frontier
-/// state, or events [`crate::fi`] rejects (another method, a non-integer
-/// response).
+/// `false` means "not eligible — use the kernel" (and `outgoing` holds
+/// nothing of use): a non-integer frontier state, or events [`crate::fi`]
+/// rejects (another method, a non-integer response).
 fn fi_step<'a, I: ExactSizeIterator<Item = &'a Event>>(
     events: impl Fn() -> I,
     frontier: &[Value],
     is_final: bool,
     scratch: &mut FiScratch,
-) -> Option<Vec<Value>> {
+    outgoing: &mut Vec<Value>,
+) -> bool {
     let len = events().len();
     debug_assert!(
         is_final || len.is_multiple_of(2),
         "mid-stream cuts are quiescent"
     );
-    let mut outgoing = Vec::new();
+    outgoing.clear();
     for state in frontier {
-        let initial = state.as_int()?;
-        if fi::is_t_linearizable_events_in(events(), initial, 0, scratch).ok()? {
-            if is_final {
-                return Some(vec![Value::from(initial)]);
+        let Some(initial) = state.as_int() else {
+            return false;
+        };
+        match fi::is_t_linearizable_events_in(events(), initial, 0, scratch) {
+            Err(_) => return false,
+            Ok(false) => {}
+            Ok(true) if is_final => {
+                outgoing.push(Value::from(initial));
+                break;
             }
-            // Mid-stream segments are quiescent, so the projection is `len / 2`
-            // complete operations and every witness linearizes them all: the
-            // outgoing state is unique per incoming state.
-            outgoing.push(Value::from(initial + (len / 2) as i64));
+            // Mid-stream segments are quiescent, so the projection is
+            // `len / 2` complete operations and every witness linearizes
+            // them all: the outgoing state is unique per incoming state.
+            Ok(true) => outgoing.push(Value::from(initial + (len / 2) as i64)),
         }
     }
-    Some(outgoing)
+    true
 }
 
 /// Builds the Definition-1 problem for one completed operation from the

@@ -23,10 +23,10 @@
 //! whole history (Lemma 7 only decomposes "`t`-linearizable for *some* `t`").
 
 use crate::kernel::{
-    self, ConsistencyCondition, ConstrainedOp, KernelScratch, Locality, SearchLimits,
-    SearchProblem, SearchResult, SearchStats, Witness,
+    self, ConsistencyCondition, ConstrainedOp, KernelScratch, Locality, OpView, Problem,
+    SearchLimits, SearchProblem, SearchResult, SearchStats, Witness,
 };
-use evlin_history::{History, ObjectUniverse};
+use evlin_history::{Event, EventKind, History, ObjectUniverse};
 
 /// The `t`-linearizability condition (Definition 2) as a kernel condition.
 #[derive(Debug, Clone, Copy)]
@@ -40,6 +40,79 @@ impl TLinearizability {
     pub fn new(t: usize) -> Self {
         TLinearizability { t }
     }
+
+    /// Clause 4: whether a response at `respond_index` lies in `H'`, so the
+    /// witness must reproduce it.
+    fn constrains_response(&self, respond_index: usize) -> bool {
+        respond_index >= self.t
+    }
+
+    /// Clause 3 over `n` operations given by their `(invoke, respond)`
+    /// indices: the edge `(i, j)` for every `i` whose response precedes
+    /// `j`'s invocation with both events in `H'`, sources ascending.
+    fn edges<'a>(
+        self,
+        n: usize,
+        indices: impl Fn(usize) -> (usize, Option<usize>) + Copy + 'a,
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let t = self.t;
+        let sources = (0..n).filter_map(move |i| Some((i, indices(i).1.filter(|&r| r >= t)?)));
+        sources.flat_map(move |(i, respond)| {
+            let ordered = move |&j: &usize| {
+                let invoke = indices(j).0;
+                j != i && invoke >= t && respond < invoke
+            };
+            (0..n).filter(ordered).map(move |j| (i, j))
+        })
+    }
+}
+
+/// Definition 2 over a borrowed event sequence: the problem
+/// [`TLinearizability::problem`] builds from a [`History`], read in place.
+///
+/// `ops` are the sequence's operations as matched by
+/// [`evlin_history::OperationMatcher`] and `event` maps a position of the
+/// sequence to its event, so a caller that holds a projection `H|o` as
+/// positions into a larger history (the online monitor does) lends it to the
+/// kernel without materializing a `History` or a [`SearchProblem`].  `t` is
+/// counted in positions of the sequence.
+#[derive(Debug, Clone, Copy)]
+pub struct EventProblem<'a, F> {
+    /// The condition.
+    pub condition: TLinearizability,
+    /// Position in the sequence → event.
+    pub event: F,
+    /// `(invoke, respond)` positions per operation, in invocation order.
+    pub ops: &'a [(usize, Option<usize>)],
+}
+
+impl<'a, F: Fn(usize) -> &'a Event> Problem for EventProblem<'a, F> {
+    fn op_count(&self) -> usize {
+        self.ops.len()
+    }
+
+    fn op(&self, i: usize) -> OpView<'_> {
+        let (invoke, respond) = self.ops[i];
+        let invocation = (self.event)(invoke);
+        let EventKind::Invoke(call) = &invocation.kind else {
+            unreachable!("matched as an invocation");
+        };
+        let constrained = respond.filter(|&r| self.condition.constrains_response(r));
+        OpView {
+            object: invocation.object,
+            invocation: call,
+            required: respond.is_some(),
+            fixed_response: constrained.map(|r| match &(self.event)(r).kind {
+                EventKind::Respond(value) => value,
+                EventKind::Invoke(_) => unreachable!("matched as a response"),
+            }),
+        }
+    }
+
+    fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (condition, ops) = (self.condition, self.ops);
+        condition.edges(ops.len(), move |i| ops[i])
+    }
 }
 
 impl ConsistencyCondition for TLinearizability {
@@ -51,13 +124,11 @@ impl ConsistencyCondition for TLinearizability {
         let ops = history.operations();
         let mut cops = Vec::with_capacity(ops.len());
         for op in ops {
-            let responds_in_suffix = op.respond_index.map(|r| r >= self.t).unwrap_or(false);
             cops.push(ConstrainedOp {
                 required: op.is_complete(),
-                fixed_response: if responds_in_suffix {
-                    op.response.clone()
-                } else {
-                    None
+                fixed_response: match op.respond_index {
+                    Some(r) if self.constrains_response(r) => op.response.clone(),
+                    _ => None,
                 },
                 record: op,
             });
@@ -66,25 +137,11 @@ impl ConsistencyCondition for TLinearizability {
     }
 
     fn precedence(&self, _history: &History, candidates: &[ConstrainedOp]) -> Vec<(usize, usize)> {
-        let t = self.t;
-        let mut precedence = Vec::new();
-        for (i, a) in candidates.iter().enumerate() {
-            let Some(ra) = a.record.respond_index else {
-                continue;
-            };
-            if ra < t {
-                continue; // a's response is not in H'
-            }
-            for (j, b) in candidates.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                if b.record.invoke_index >= t && ra < b.record.invoke_index {
-                    precedence.push((i, j));
-                }
-            }
-        }
-        precedence
+        let indices = |i: usize| {
+            let record = &candidates[i].record;
+            (record.invoke_index, record.respond_index)
+        };
+        self.edges(candidates.len(), indices).collect()
     }
 
     fn locality(&self) -> Locality {

@@ -13,10 +13,11 @@
 //! anything proportional to the number of search nodes.
 
 use evlin_checker::kernel::{self, KernelScratch, SearchLimits};
+use evlin_checker::monitor::{stages, Monitor, MonitorConfig};
 use evlin_checker::Linearizability;
 use evlin_checker::{fi, kernel::ConsistencyCondition};
-use evlin_history::{HistoryBuilder, ObjectUniverse, ProcessId};
-use evlin_spec::{FetchIncrement, Register, Value};
+use evlin_history::{Event, HistoryBuilder, ObjectId, ObjectUniverse, ProcessId};
+use evlin_spec::{Counter, FetchIncrement, Register, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -136,4 +137,120 @@ fn warmed_up_fi_checks_stay_linear_in_allocations() {
         "fi::is_linearizable allocated {allocs} times for 1000 ops — \
          its working set must not grow per operation"
     );
+}
+
+/// Two registers over `0..4` and two counters: the universe of the dense
+/// rounds below.
+fn dense_universe() -> ObjectUniverse {
+    let mut u = ObjectUniverse::new();
+    for _ in 0..2 {
+        u.add_object(Register::new(Value::from(0i64)));
+    }
+    for _ in 0..2 {
+        u.add_object(Counter::new());
+    }
+    u
+}
+
+/// `rounds` rounds of four mutually concurrent operations over
+/// [`dense_universe`] — every process invokes, then every process responds,
+/// so each round is one quiescent segment — with the effects taking place in
+/// a seeded order: linearizable by construction, a real search per (object,
+/// segment), no fast path.  Returns the events and the number of (object,
+/// segment) links.
+fn dense_rounds(state: &mut [i64; 4], seed: &mut u64, rounds: usize) -> (Vec<Event>, usize) {
+    let mut next = |bound: u64| {
+        *seed ^= *seed << 13;
+        *seed ^= *seed >> 7;
+        *seed ^= *seed << 17;
+        (*seed % bound) as usize
+    };
+    let mut events = Vec::with_capacity(rounds * 8);
+    let mut links = 0;
+    for _ in 0..rounds {
+        let calls: [(usize, bool, i64); 4] =
+            std::array::from_fn(|_| (next(4), next(2) == 0, next(4) as i64));
+        links += (0..4).filter(|&o| calls.iter().any(|c| c.0 == o)).count();
+        for (p, &(object, read, value)) in calls.iter().enumerate() {
+            let invocation = match (object < 2, read) {
+                (true, true) => Register::read(),
+                (true, false) => Register::write(Value::from(value)),
+                (false, true) => Counter::read(),
+                (false, false) => Counter::inc(),
+            };
+            events.push(Event::invoke(ProcessId(p), ObjectId(object), invocation));
+        }
+        let first = next(4);
+        for p in (0..4).map(|i| (first + i) % 4) {
+            let (object, read, value) = calls[p];
+            let response = if read {
+                Value::from(state[object])
+            } else {
+                state[object] = if object < 2 { value } else { state[object] + 1 };
+                Value::Unit
+            };
+            events.push(Event::respond(ProcessId(p), ObjectId(object), response));
+        }
+    }
+    (events, links)
+}
+
+#[test]
+fn warmed_up_monitor_check_allocates_only_for_transitions() {
+    let _serial = MEASURE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    // The kernel path of the check stage takes a link from the segment's
+    // events to its outgoing frontier inside pooled buffers: what is left to
+    // allocate is the spec layer's `transitions()` result per distinct
+    // (invocation, state) pair a search expands.  A materialized projection,
+    // problem or frontier set per link would show up as a multiple of the
+    // link count (12.8 per link before the in-place path).
+    let config = MonitorConfig {
+        segment_batch: usize::MAX, // checked by `pump` alone
+        ..MonitorConfig::default()
+    };
+    let mut monitor = Monitor::new(dense_universe(), config);
+    let (mut state, mut seed) = ([0i64; 4], 0x9e37_79b9_7f4a_7c15u64);
+    let (warm_up, _) = dense_rounds(&mut state, &mut seed, 64);
+    monitor.ingest_all(warm_up).expect("well-formed");
+    assert!(monitor.pump().is_ok());
+    let (events, links) = dense_rounds(&mut state, &mut seed, 64);
+    monitor.ingest_all(events).expect("well-formed");
+    let before = monitor.stats();
+    let (allocs, verdict) = allocations(|| monitor.pump());
+    assert!(verdict.is_ok());
+    let after = monitor.stats();
+    assert_eq!(after.segments - before.segments, 64);
+    assert_eq!(after.fast_path_segments, 0);
+    let nodes = after.search.nodes - before.search.nodes;
+    assert!(nodes > 2 * links, "every link searches: {nodes} nodes");
+    assert!(
+        allocs <= nodes && allocs <= 3 * links,
+        "{allocs} allocations for {links} kernel-path links, {nodes} nodes"
+    );
+}
+
+#[test]
+fn warmed_up_ingest_allocates_once_per_segment() {
+    let _serial = MEASURE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (mut ingest, _check) = stages(dense_universe(), MonitorConfig::default());
+    let (mut state, mut seed) = ([0i64; 4], 0x2545_f491_4f6c_dd1du64);
+    for event in dense_rounds(&mut state, &mut seed, 64).0 {
+        ingest.ingest(event).expect("well-formed");
+    }
+    assert_eq!(ingest.take_batch().map(|batch| batch.len()), Some(64));
+    let (events, _) = dense_rounds(&mut state, &mut seed, 64);
+    let (allocs, batch) = allocations(|| {
+        for event in events {
+            ingest.ingest(event).expect("well-formed");
+        }
+        ingest.take_batch().expect("64 closed segments")
+    });
+    assert_eq!(batch.len(), 64);
+    // One event vector per closed segment, sized by the segment before it,
+    // and the next batch's segment vector.
+    assert!(allocs <= 64 + 1, "{allocs} allocations for 64 segments");
 }

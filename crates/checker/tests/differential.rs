@@ -12,10 +12,13 @@
 //! decomposition.  Seeded and deterministic.
 
 use evlin_checker::kernel::{self, ConsistencyCondition, SearchLimits, SearchProblem};
+use evlin_checker::t_linearizability::{EventProblem, TLinearizability};
 use evlin_checker::weak_consistency::{self, WeakOperation};
 use evlin_checker::{eventual, linearizability, t_linearizability};
-use evlin_history::{History, HistoryBuilder, ObjectUniverse, ProcessId};
-use evlin_spec::{FetchIncrement, Register, Value};
+use evlin_history::{
+    History, HistoryBuilder, ObjectId, ObjectUniverse, OperationMatcher, ProcessId,
+};
+use evlin_spec::{Counter, FetchIncrement, Invocation, Queue, Register, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -281,6 +284,194 @@ fn assert_scratch_reuse_agrees(u: &ObjectUniverse, seeds: impl Iterator<Item = u
                 "scratch reuse changed the search counters (seed {seed}, t {t})\n{h}"
             );
         }
+    }
+}
+
+/// The object types of the in-place property.
+#[derive(Clone, Copy)]
+enum Kind {
+    Register,
+    Counter,
+    Queue,
+    FetchIncrement,
+}
+
+impl Kind {
+    fn add_to(self, universe: &mut ObjectUniverse, state: Value) -> ObjectId {
+        match self {
+            Kind::Register => {
+                universe.add_object_with_state(Register::new(Value::from(0i64)), state)
+            }
+            Kind::Counter => universe.add_object_with_state(Counter::new(), state),
+            Kind::Queue => universe.add_object_with_state(Queue::new(), state),
+            Kind::FetchIncrement => universe.add_object_with_state(FetchIncrement::new(), state),
+        }
+    }
+
+    fn initial(self) -> Value {
+        match self {
+            Kind::Queue => Value::list([]),
+            _ => Value::from(0i64),
+        }
+    }
+
+    /// A state a verified prefix could have left the object in.
+    fn some_state(self, rng: &mut StdRng) -> Value {
+        match self {
+            Kind::Queue => Value::list((0..rng.gen_range(0..3i64)).map(Value::from)),
+            _ => Value::from(rng.gen_range(0..3i64)),
+        }
+    }
+
+    fn some_invocation(self, rng: &mut StdRng) -> Invocation {
+        let value = Value::from(rng.gen_range(0..3i64));
+        match (self, rng.gen_bool(0.5)) {
+            (Kind::Register, true) => Register::write(value),
+            (Kind::Register, false) => Register::read(),
+            (Kind::Counter, true) => Counter::inc(),
+            (Kind::Counter, false) => Counter::read(),
+            (Kind::Queue, true) => Queue::enqueue(value),
+            (Kind::Queue, false) => Queue::dequeue(),
+            (Kind::FetchIncrement, _) => FetchIncrement::fetch_inc(),
+        }
+    }
+}
+
+/// A random well-formed history over `kinds` (object `i` has type
+/// `kinds[i]`): every effect takes place at its response, which is usually
+/// the true one; operations still running when the steps run out stay
+/// pending.
+fn random_typed_history(rng: &mut StdRng, kinds: &[Kind]) -> History {
+    let mut universe = ObjectUniverse::new();
+    let mut state: Vec<Value> = kinds.iter().map(|k| k.initial()).collect();
+    for (kind, initial) in kinds.iter().zip(&state) {
+        kind.add_to(&mut universe, initial.clone());
+    }
+    let processes = rng.gen_range(2..5usize);
+    let mut pending: Vec<Option<(ObjectId, Invocation)>> = vec![None; processes];
+    let mut b = HistoryBuilder::new();
+    for _ in 0..rng.gen_range(4..20usize) {
+        let p = rng.gen_range(0..processes);
+        match pending[p].take() {
+            None => {
+                let object = rng.gen_range(0..kinds.len());
+                let invocation = kinds[object].some_invocation(rng);
+                b = b.invoke(ProcessId(p), ObjectId(object), invocation.clone());
+                pending[p] = Some((ObjectId(object), invocation));
+            }
+            Some((object, invocation)) => {
+                let (mut response, next) = universe
+                    .object_type(object)
+                    .apply_deterministic(&state[object.0], &invocation)
+                    .expect("total deterministic types");
+                state[object.0] = next;
+                if rng.gen_bool(0.1) {
+                    response = Value::from(2i64);
+                }
+                b = b.respond(ProcessId(p), object, response);
+            }
+        }
+    }
+    b.build()
+}
+
+/// The in-place kernel entry — `H|o` read through its positions in `H`,
+/// operations matched into index pairs, the root state an argument — must be
+/// indistinguishable from the materialized route it replaced in the monitor:
+/// project, build the `SearchProblem`, search a universe whose object starts
+/// in the root state.  Same frontier states in the same order, same
+/// counters, and the witness search (the stream tail's) agrees on
+/// satisfiability.
+fn assert_in_place_entry_agrees(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let all = [
+        Kind::Register,
+        Kind::Counter,
+        Kind::Queue,
+        Kind::FetchIncrement,
+    ];
+    let kinds: Vec<Kind> = (0..rng.gen_range(1..4usize))
+        .map(|_| all[rng.gen_range(0..all.len())])
+        .collect();
+    let h = random_typed_history(&mut rng, &kinds);
+    let limits = SearchLimits::default();
+    let condition = TLinearizability::new(0);
+    let mut universe = ObjectUniverse::new();
+    for kind in &kinds {
+        kind.add_to(&mut universe, kind.initial());
+    }
+    let mut matcher = OperationMatcher::default();
+    let mut scratch = kernel::KernelScratch::new();
+    for object in h.objects() {
+        let kind = kinds[object.0];
+        let (projection, positions) = h.project_object_indexed(object);
+        let reference_problem = condition.problem(&projection);
+        let event = |k: usize| &h.events()[positions[k]];
+        let problem = EventProblem {
+            condition,
+            event,
+            ops: matcher.match_events((0..positions.len()).map(event)),
+        };
+        let mut frontier = vec![kind.initial()];
+        frontier.extend((0..rng.gen_range(0..3usize)).map(|_| kind.some_state(&mut rng)));
+        for root in &frontier {
+            let mut rerooted = ObjectUniverse::new();
+            for (i, kind) in kinds.iter().enumerate() {
+                let state = if i == object.0 {
+                    root.clone()
+                } else {
+                    kind.initial()
+                };
+                kind.add_to(&mut rerooted, state);
+            }
+            let (reference, reference_stats) = kernel::solve_frontiers(
+                &reference_problem,
+                &[],
+                &rerooted,
+                limits,
+                &[],
+                &mut kernel::KernelScratch::new(),
+            );
+            let mut states: Vec<Vec<(ObjectId, Value)>> = Vec::new();
+            let roots = [(object, root)];
+            let (complete, stats) = kernel::visit_frontiers(
+                &problem,
+                &roots,
+                &universe,
+                limits,
+                &[],
+                &mut scratch,
+                |row| states.push(row.states().map(|(o, v)| (o, v.clone())).collect()),
+            );
+            let context = format!("seed {seed}, {object} from {root}\n{h}");
+            let expected: Vec<_> = reference.entries.iter().map(|e| e.states.clone()).collect();
+            assert_eq!(states, expected, "frontier states ({context})");
+            assert_eq!(complete, reference.complete, "{context}");
+            assert_eq!(
+                (stats.nodes, stats.memo_hits),
+                (reference_stats.nodes, reference_stats.memo_hits),
+                "search counters ({context})"
+            );
+            let (witness, _) =
+                kernel::solve_rooted(&problem, &roots, &universe, limits, &mut scratch);
+            assert_eq!(witness.is_yes(), reference.is_satisfiable(), "{context}");
+        }
+    }
+}
+
+#[test]
+fn in_place_entry_matches_the_materialized_route() {
+    for seed in 0..10 * SEEDS {
+        assert_in_place_entry_agrees(seed);
+    }
+}
+
+/// Nightly-fuzz version of the in-place property.
+#[test]
+#[ignore = "extended fuzz: run via the nightly CI job or with --ignored"]
+fn extended_in_place_entry_cross_check() {
+    for i in 0..10 * extended_cases() {
+        assert_in_place_entry_agrees(11_000 + i.wrapping_mul(0x9e37_79b9));
     }
 }
 

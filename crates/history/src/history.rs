@@ -138,44 +138,28 @@ impl History {
     }
 
     /// Matches invocations with their responses and returns one
-    /// [`OperationRecord`] per invocation, ordered by invocation position.
-    ///
-    /// Matching assumes the history is well-formed (each process's
-    /// subsequence is sequential), which is what the paper assumes of every
-    /// history: the response matching an invocation by process `p` is the
-    /// next response event by `p`.
+    /// [`OperationRecord`] per invocation, ordered by invocation position
+    /// (the matching rule is [`OperationMatcher`]'s).
     pub fn operations(&self) -> Vec<OperationRecord> {
         let mut ops: Vec<OperationRecord> = Vec::new();
-        // For each process, the index (into `ops`) of its pending operation.
-        let mut pending: std::collections::BTreeMap<ProcessId, usize> =
-            std::collections::BTreeMap::new();
-        for (i, e) in self.events.iter().enumerate() {
-            match &e.kind {
-                EventKind::Invoke(inv) => {
-                    let id = OpId(ops.len());
-                    pending.insert(e.process, ops.len());
-                    ops.push(OperationRecord {
-                        id,
-                        process: e.process,
-                        object: e.object,
-                        invocation: inv.clone(),
-                        response: None,
-                        invoke_index: i,
-                        respond_index: None,
-                    });
+        match_operations(&self.events, &mut Vec::new(), |i, e, answers| {
+            match (&e.kind, answers) {
+                (EventKind::Invoke(invocation), _) => ops.push(OperationRecord {
+                    id: OpId(ops.len()),
+                    process: e.process,
+                    object: e.object,
+                    invocation: invocation.clone(),
+                    response: None,
+                    invoke_index: i,
+                    respond_index: None,
+                }),
+                (EventKind::Respond(value), Some(op)) => {
+                    ops[op].response = Some(value.clone());
+                    ops[op].respond_index = Some(i);
                 }
-                EventKind::Respond(v) => {
-                    if let Some(&idx) = pending.get(&e.process) {
-                        ops[idx].response = Some(v.clone());
-                        ops[idx].respond_index = Some(i);
-                        pending.remove(&e.process);
-                    }
-                    // A response with no pending invocation makes the history
-                    // ill-formed; `operations` ignores it, `is_well_formed`
-                    // reports it.
-                }
+                (EventKind::Respond(_), None) => {}
             }
-        }
+        });
         ops
     }
 
@@ -261,6 +245,75 @@ impl History {
         for e in &mut self.events {
             e.process = map[e.process.index()];
         }
+    }
+}
+
+/// The one statement of "which response answers which invocation".
+///
+/// Matching assumes the sequence is well-formed (each process's subsequence
+/// is sequential), which is what the paper assumes of every history: the
+/// response matching an invocation by process `p` is the next response event
+/// by `p`.  A response with no pending invocation makes the sequence
+/// ill-formed; it is ignored here and reported by [`History::is_well_formed`].
+///
+/// `sink(i, event, None)` announces the operation invoked at position `i`
+/// (operations are numbered in the order they are announced) and
+/// `sink(i, event, Some(op))` that the response at position `i` answers
+/// operation number `op`.  `pending` is working storage: `(process, its
+/// pending operation)` — a linear scan beats a map for the handful of
+/// operations pending at once.
+fn match_operations<'a>(
+    events: impl IntoIterator<Item = &'a Event>,
+    pending: &mut Vec<(ProcessId, usize)>,
+    mut sink: impl FnMut(usize, &'a Event, Option<usize>),
+) {
+    pending.clear();
+    let mut announced = 0;
+    for (i, e) in events.into_iter().enumerate() {
+        let at = pending.iter().position(|&(p, _)| p == e.process);
+        match (&e.kind, at) {
+            (EventKind::Invoke(_), at) => {
+                match at {
+                    Some(at) => pending[at].1 = announced,
+                    None => pending.push((e.process, announced)),
+                }
+                announced += 1;
+                sink(i, e, None);
+            }
+            (EventKind::Respond(_), Some(at)) => sink(i, e, Some(pending.swap_remove(at).1)),
+            (EventKind::Respond(_), None) => {}
+        }
+    }
+}
+
+/// Invocation ↔ response matching over a borrowed event sequence, by the
+/// rule [`History::operations`] uses, as positions instead of records: what
+/// the in-place checkers read a projection through.
+///
+/// The matcher owns its buffers, so a caller that matches many short
+/// sequences (the online monitor: one per object per segment) keeps one and
+/// allocates nothing per sequence.
+#[derive(Debug, Default)]
+pub struct OperationMatcher {
+    ops: Vec<(usize, Option<usize>)>,
+    pending: Vec<(ProcessId, usize)>,
+}
+
+impl OperationMatcher {
+    /// The operations of `events` as `(invoke, respond)` positions in that
+    /// sequence, ordered by invocation position; `respond` is `None` for an
+    /// operation still pending at the end.
+    pub fn match_events<'a>(
+        &mut self,
+        events: impl IntoIterator<Item = &'a Event>,
+    ) -> &[(usize, Option<usize>)] {
+        let ops = &mut self.ops;
+        ops.clear();
+        match_operations(events, &mut self.pending, |i, _, answers| match answers {
+            None => ops.push((i, None)),
+            Some(op) => ops[op].1 = Some(i),
+        });
+        ops
     }
 }
 
@@ -366,6 +419,31 @@ mod tests {
         assert_eq!(h.pending_operations().len(), 1);
         assert!(ops[0].precedes(&ops[2]));
         assert!(!ops[0].precedes(&ops[1]));
+    }
+
+    #[test]
+    fn matcher_reads_a_projection_in_place_and_is_reusable() {
+        let h = sample();
+        let mut matcher = OperationMatcher::default();
+        assert_eq!(
+            matcher.match_events(&h),
+            [(0, Some(2)), (1, Some(3)), (4, None)]
+        );
+        // `H|o1` picked out of `H` by position: indices are positions in
+        // the projection, and nothing of the previous sequence is left.
+        let picked = [4usize];
+        let projection = picked.iter().map(|&i| &h.events()[i]);
+        assert_eq!(matcher.match_events(projection), [(0, None)]);
+        // An orphan response is skipped; a second invocation by a process
+        // with one pending takes over the next response.
+        let odd = History::from_events(vec![
+            Event::respond(p(0), o(0), Value::Unit),
+            Event::invoke(p(0), o(0), Invocation::nullary("read")),
+            Event::invoke(p(0), o(0), Invocation::nullary("read")),
+            Event::respond(p(0), o(0), Value::Unit),
+        ]);
+        assert_eq!(matcher.match_events(&odd), [(1, None), (2, Some(3))]);
+        assert_eq!(odd.operations()[1].respond_index, Some(3));
     }
 
     #[test]

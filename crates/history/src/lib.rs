@@ -53,7 +53,7 @@ mod universe;
 
 pub use builder::HistoryBuilder;
 pub use event::{Event, EventKind};
-pub use history::History;
+pub use history::{History, OperationMatcher};
 pub use ids::{ObjectId, ProcessId};
 pub use op::{OpId, OperationRecord};
 pub use universe::ObjectUniverse;

@@ -87,20 +87,6 @@ impl ObjectUniverse {
         &self.objects[id.index()].1
     }
 
-    /// Replaces the initial state of object `id`.
-    ///
-    /// The online monitor in `evlin-checker` uses this to re-root a universe
-    /// at the frontier state reached by an already-verified history prefix:
-    /// checking the next segment of a stream against the re-rooted universe
-    /// is exactly checking the whole history against the original one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not an object of this universe.
-    pub fn set_initial_state(&mut self, id: ObjectId, state: Value) {
-        self.objects[id.index()].1 = state;
-    }
-
     /// Iterates over `(id, type, initial state)` triples.
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &Arc<dyn ObjectType>, &Value)> {
         self.objects
