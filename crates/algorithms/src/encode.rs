@@ -6,7 +6,7 @@ use evlin_spec::{Invocation, Value};
 
 /// Encodes an invocation as a value: a pair of the method name and the
 /// argument list.
-pub fn encode_invocation(invocation: &Invocation) -> Value {
+pub(crate) fn encode_invocation(invocation: &Invocation) -> Value {
     Value::pair(
         Value::sym(invocation.method()),
         Value::List(invocation.args().to_vec()),
@@ -16,7 +16,7 @@ pub fn encode_invocation(invocation: &Invocation) -> Value {
 /// Decodes a value produced by [`encode_invocation`].
 ///
 /// Returns `None` if the value does not have the expected shape.
-pub fn decode_invocation(value: &Value) -> Option<Invocation> {
+pub(crate) fn decode_invocation(value: &Value) -> Option<Invocation> {
     let (method, args) = value.as_pair()?;
     let method = match method {
         Value::Sym(s) => s.clone(),

@@ -11,14 +11,14 @@
 //!   eventual linearizability ("`t`-linearizable for some `t`") into one that
 //!   also satisfies the safety half (weak consistency), using linearizable
 //!   registers;
-//! * [`test_and_set_ev`] — the trivial eventually linearizable test&set of
+//! * [`TestAndSetEv`] — the trivial eventually linearizable test&set of
 //!   Section 4 (no shared objects at all);
 //! * [`fetch_inc`] — fetch&increment implementations: the linearizable
 //!   compare&swap loop from the introduction, a batching / noisy-prefix
 //!   variant whose executions stabilize only after a warm-up (the subject of
 //!   the Proposition 18 experiments), and a register-only gossip attempt that
 //!   can never stabilize (Corollary 19);
-//! * [`local_copy`] — the Theorem 12 transformation `I ↦ I′` that replaces
+//! * [`LocalCopy`] — the Theorem 12 transformation `I ↦ I′` that replaces
 //!   every shared base object with process-local copies.
 //!
 //! Every implementation here is a [`evlin_sim::program::Implementation`], so
@@ -29,13 +29,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cas_consensus;
-pub mod encode;
+mod cas_consensus;
+mod encode;
 pub mod fetch_inc;
 pub mod fig1;
-pub mod local_copy;
+mod local_copy;
 pub mod prop16;
-pub mod test_and_set_ev;
+mod test_and_set_ev;
 pub mod universal;
 
 pub use cas_consensus::CasConsensusSim;

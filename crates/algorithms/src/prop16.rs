@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 /// Which kind of base registers the algorithm is instantiated over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegisterKind {
+enum RegisterKind {
     /// Linearizable (atomic) registers.
     Linearizable,
     /// Eventually linearizable registers with the given stabilization policy.
@@ -60,11 +60,6 @@ impl Prop16Consensus {
             processes,
             registers: RegisterKind::EventuallyLinearizable(policy),
         }
-    }
-
-    /// The kind of base registers used.
-    pub fn register_kind(&self) -> RegisterKind {
-        self.registers
     }
 }
 
@@ -333,10 +328,6 @@ mod tests {
             3,
             StabilizationPolicy::AfterAccesses(6),
         );
-        assert!(matches!(
-            imp.register_kind(),
-            RegisterKind::EventuallyLinearizable(_)
-        ));
         let u = consensus_universe();
         for seed in 0..10u64 {
             let mut s = RandomScheduler::seeded(seed);

@@ -61,11 +61,6 @@ impl UniversalConstruction {
     pub fn object_type(&self) -> &Arc<dyn ObjectType> {
         &self.ty
     }
-
-    /// The number of log slots.
-    pub fn log_capacity(&self) -> usize {
-        self.log_capacity
-    }
 }
 
 impl Implementation for UniversalConstruction {
@@ -284,7 +279,6 @@ mod tests {
         let ty: Arc<dyn ObjectType> = Arc::new(Register::new(Value::from(0i64)));
         let imp = UniversalConstruction::new(ty.clone(), 2, 16);
         assert!(imp.name().contains("universal"));
-        assert_eq!(imp.log_capacity(), 16);
         assert_eq!(imp.object_type().name(), "register");
         let u = universe_for(ty);
         let w = Workload::new(vec![

@@ -4,21 +4,21 @@
 //! *offline*, which caps the experiment at whatever fits in one post-hoc
 //! batch.  This experiment closes the loop the paper's motivation implies:
 //! eventual linearizability is a property you observe *while* the contended
-//! fetch&increment counter runs.  A streaming recorder feeds every event
-//! through a bounded SPSC channel into `evlin_checker::monitor::Monitor`,
-//! which partitions the stream at quiescent cuts, checks each closed segment
+//! fetch&increment counter runs.  Every worker thread records into its own
+//! frame-batched recorder shard, a k-way merge restores the global sequence
+//! order, and the staged monitor (`evlin_checker::monitor::stages`)
+//! partitions the stream at quiescent cuts, checks each closed segment
 //! (fetch&increment segments take the near-linear `fi` fast path) and
 //! garbage-collects verified prefixes — so a million-operation run is
-//! checked with a resident event window orders of magnitude smaller than the
-//! history, at a sustained checked-ops/sec rate reported in the table (and
-//! tracked by the `monitor_throughput` bench + CI `bench-gate`).
+//! checked with a resident event window bounded by the spacing of its
+//! quiescent cuts, at a sustained checked-ops/sec rate reported in the table
+//! (and tracked by the `monitor_throughput` bench + CI `bench-gate`; E16
+//! sweeps the dataflow's producer count and frame size).
 
 use crate::Table;
 use evlin_checker::monitor::{MonitorConfig, MonitorVerdict};
 use evlin_runtime::counter::{CasCounter, ConcurrentCounter, FetchAddCounter, ShardedCounter};
-use evlin_runtime::harness::{
-    run_counter_workload_monitored, run_counter_workload_pipelined, HarnessOptions, PipelineOptions,
-};
+use evlin_runtime::harness::{run_counter_workload_pipelined, HarnessOptions, PipelineOptions};
 
 fn counters(threads: usize) -> Vec<Box<dyn ConcurrentCounter>> {
     vec![
@@ -46,7 +46,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     let ops_per_thread = if quick { 2_000 } else { 250_000 };
     let mut table = Table::new(
         "E11 — online monitoring of real-thread fetch&increment counters \
-         (streaming recorder → bounded channel → quiescent-cut monitor)",
+         (recorder shards → frame rings → k-way merge → staged quiescent-cut monitor)",
         &[
             "counter",
             "ops",
@@ -66,39 +66,6 @@ pub fn run(quick: bool) -> Vec<Table> {
         ..MonitorConfig::default()
     };
     for counter in counters(threads) {
-        let out = run_counter_workload_monitored(
-            counter.as_ref(),
-            HarnessOptions {
-                threads,
-                ops_per_thread,
-                record_history: true, // ignored: events stream to the monitor
-            },
-            config,
-            8192,
-            None,
-        );
-        let stats = &out.report.stats;
-        table.push_row([
-            counter.name().to_string(),
-            out.run.total_ops.to_string(),
-            stats.events.to_string(),
-            verdict_label(&out.report.verdict),
-            format!("{:.0}", out.checked_ops_per_sec()),
-            stats.peak_window_events.to_string(),
-            format!(
-                "{:.4}",
-                stats.peak_window_events as f64 / stats.events.max(1) as f64
-            ),
-            stats.segments.to_string(),
-            stats.fast_path_segments.to_string(),
-        ]);
-    }
-    // The pipelined dataflow of E16 on the same workloads: sharded
-    // frame-batched recording, k-way merge, staged monitor.  Same verdicts
-    // (bit-identical by the differential suite), several times the
-    // checked-ops/s — the ≥5× end-to-end speedup the pipelined-ingest work
-    // gates on lives in these rows (see BENCH_checker.json and E16).
-    for counter in counters(threads) {
         let out = run_counter_workload_pipelined(
             counter.as_ref(),
             HarnessOptions {
@@ -112,7 +79,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         );
         let stats = &out.report.stats;
         table.push_row([
-            format!("{} [pipelined]", counter.name()),
+            counter.name().to_string(),
             out.run.total_ops.to_string(),
             stats.events.to_string(),
             verdict_label(&out.report.verdict),
@@ -137,8 +104,7 @@ mod tests {
     fn linearizable_counters_verify_online_and_nothing_is_unknown() {
         let tables = run(true);
         let rows = &tables[0].rows;
-        // Three counters on the single-channel path, three on the pipelined.
-        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.len(), 3);
         for row in rows {
             assert_ne!(row[3], "unknown", "{row:?}");
             if row[0].starts_with("cas-loop") || row[0].starts_with("fetch-add") {

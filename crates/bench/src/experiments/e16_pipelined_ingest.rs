@@ -1,28 +1,26 @@
 //! E16 — pipelined, sharded, frame-batched runtime→monitor dataflow.
 //!
-//! E11 established online monitoring but paid one lock round and one condvar
-//! notification *per event* on its single SPSC channel, capping end-to-end
-//! checked throughput at a fraction of what the monitor kernel sustains
-//! (~389k checked ops/s vs ~2.6M kernel events/s at the time it was
-//! recorded).  This experiment measures the dataflow that closes the gap:
-//! every worker thread records into its own frame-batched
+//! A channel send costs one lock round and one condvar notification; paid
+//! *per event* (as the first online monitor did, on one SPSC channel behind
+//! a mutex-serialized recorder: ~389k checked ops/s against ~2.6M kernel
+//! events/s when it was recorded, `BENCH_checker.json`; that path was
+//! deleted in PR 21) it caps end-to-end checked throughput at a fraction of
+//! what the monitor kernel sustains.  This experiment measures the dataflow
+//! that replaced it: every worker thread records into its own frame-batched
 //! [`evlin_runtime::RecorderShard`] (per-producer bounded ring, one channel
 //! round per *frame*), a k-way merge restores global sequence order, and the
 //! monitor runs as two overlapping stages — quiescent-cut ingest on the
 //! merge thread, kernel checking on its own thread.
 //!
-//! The table sweeps producer count × frame size against the single-channel
-//! baseline measured in the same run.  Verdicts are bit-identical to the
-//! inline monitor's by construction (`crates/runtime/tests/
+//! The table sweeps producer count × frame size.  Verdicts are bit-identical
+//! to the inline monitor's by construction (`crates/runtime/tests/
 //! pipeline_differential.rs` proves it against the offline kernel); only the
 //! synchronization cost per event changes — which is the whole point.
 
 use crate::Table;
 use evlin_checker::monitor::{MonitorConfig, MonitorVerdict};
 use evlin_runtime::counter::FetchAddCounter;
-use evlin_runtime::harness::{
-    run_counter_workload_monitored, run_counter_workload_pipelined, HarnessOptions, PipelineOptions,
-};
+use evlin_runtime::harness::{run_counter_workload_pipelined, HarnessOptions, PipelineOptions};
 
 fn verdict_label(verdict: &MonitorVerdict) -> &'static str {
     match verdict {
@@ -47,10 +45,8 @@ pub fn run(quick: bool) -> Vec<Table> {
     let producer_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
     let mut table = Table::new(
         "E16 — pipelined sharded ingest: checked ops/s by producer count × \
-         frame size, vs the single-channel monitored path (fetch-add \
-         counter, same total operations per row)",
+         frame size (fetch-add counter, same total operations per row)",
         &[
-            "path",
             "producers",
             "frame",
             "ops",
@@ -59,40 +55,8 @@ pub fn run(quick: bool) -> Vec<Table> {
             "events/s",
             "merge frames",
             "partial frames",
-            "vs single-channel",
         ],
     );
-
-    // The 'before' path, measured back-to-back in the same run: one
-    // mutex-serialized recorder, one per-event SPSC channel, one consumer.
-    let baseline = run_counter_workload_monitored(
-        &FetchAddCounter::new(),
-        HarnessOptions {
-            threads: 4,
-            ops_per_thread: total_ops / 4,
-            record_history: false,
-        },
-        monitor_config(),
-        8192,
-        None,
-    );
-    let base_rate = baseline.checked_ops_per_sec();
-    table.push_row([
-        "single-channel".to_string(),
-        "4".to_string(),
-        "—".to_string(),
-        baseline.run.total_ops.to_string(),
-        verdict_label(&baseline.report.verdict).to_string(),
-        format!("{base_rate:.0}"),
-        format!(
-            "{:.0}",
-            baseline.report.stats.events as f64
-                / baseline.total_elapsed.as_secs_f64().max(f64::EPSILON)
-        ),
-        "—".to_string(),
-        "—".to_string(),
-        "1.00x".to_string(),
-    ]);
 
     for &producers in producer_counts {
         for &frame_capacity in frame_sizes {
@@ -111,7 +75,6 @@ pub fn run(quick: bool) -> Vec<Table> {
                 None,
             );
             table.push_row([
-                "pipelined".to_string(),
                 producers.to_string(),
                 frame_capacity.to_string(),
                 out.run.total_ops.to_string(),
@@ -120,10 +83,6 @@ pub fn run(quick: bool) -> Vec<Table> {
                 format!("{:.0}", out.events_per_sec()),
                 out.merge.frames.to_string(),
                 out.sink.flushed_partial_frames.to_string(),
-                format!(
-                    "{:.2}x",
-                    out.checked_ops_per_sec() / base_rate.max(f64::EPSILON)
-                ),
             ]);
         }
     }
@@ -138,20 +97,17 @@ mod tests {
     fn every_row_verifies_online_and_counts_add_up() {
         let tables = run(true);
         let rows = &tables[0].rows;
-        // 1 baseline row + producers × frame sizes.
-        assert_eq!(rows.len(), 1 + 2 * 2);
+        // producers × frame sizes.
+        assert_eq!(rows.len(), 2 * 2);
+        // Every row shipped at least one frame, and each shard flushed a
+        // partial tail exactly when its stream does not divide into whole
+        // frames.
         for row in rows {
-            assert_eq!(row[4], "linearizable", "{row:?}");
-            assert_eq!(row[3], "4000", "{row:?}");
-        }
-        // Every pipelined row shipped at least one frame, and each shard
-        // flushed a partial tail exactly when its stream does not divide
-        // into whole frames.
-        for row in &rows[1..] {
-            assert_eq!(row[0], "pipelined");
-            assert!(row[7].parse::<usize>().unwrap() > 0, "{row:?}");
-            let producers: usize = row[1].parse().unwrap();
-            let frame: usize = row[2].parse().unwrap();
+            assert_eq!(row[3], "linearizable", "{row:?}");
+            assert_eq!(row[2], "4000", "{row:?}");
+            assert!(row[6].parse::<usize>().unwrap() > 0, "{row:?}");
+            let producers: usize = row[0].parse().unwrap();
+            let frame: usize = row[1].parse().unwrap();
             let events_per_shard = 2 * (4_000 / producers);
             let expected_partials = if events_per_shard.is_multiple_of(frame) {
                 0
@@ -159,7 +115,7 @@ mod tests {
                 producers
             };
             assert_eq!(
-                row[8].parse::<usize>().unwrap(),
+                row[7].parse::<usize>().unwrap(),
                 expected_partials,
                 "{row:?}"
             );

@@ -20,8 +20,7 @@
 use crate::kernel::{ConsistencyCondition, ConstrainedOp};
 use crate::t_linearizability::TLinearizability;
 use crate::{t_linearizability, weak_consistency};
-use evlin_history::{History, ObjectUniverse, OpId};
-use serde::{Deserialize, Serialize};
+use evlin_history::{History, ObjectUniverse};
 
 /// The liveness half of eventual linearizability as a kernel condition:
 /// "`t`-linearizable for *some* `t`", which for a finite history is
@@ -52,7 +51,7 @@ impl ConsistencyCondition for StabilizesEventually {
 
 /// The outcome of the eventual-linearizability analysis of a (finite)
 /// history.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventualReport {
     /// Whether the history is weakly consistent (the safety half).
     pub weakly_consistent: bool,
@@ -94,34 +93,10 @@ pub fn is_eventually_linearizable(history: &History, universe: &ObjectUniverse) 
     analyze(history, universe).is_eventually_linearizable()
 }
 
-/// Details of a weak-consistency violation found by [`diagnose`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Diagnosis {
-    /// The overall report.
-    pub report: EventualReport,
-    /// Operations violating Definition 1, if any.
-    pub weak_violations: Vec<OpId>,
-}
-
-/// Like [`analyze`] but also lists the operations violating weak consistency.
-pub fn diagnose(history: &History, universe: &ObjectUniverse) -> Diagnosis {
-    let weak_violations = weak_consistency::violations(history, universe);
-    let report = EventualReport {
-        weakly_consistent: weak_violations.is_empty(),
-        min_stabilization: t_linearizability::min_stabilization(history, universe, None),
-        history_len: history.len(),
-        completed_operations: history.complete_operations().len(),
-    };
-    Diagnosis {
-        report,
-        weak_violations,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evlin_history::{HistoryBuilder, ProcessId};
+    use evlin_history::{HistoryBuilder, OpId, ProcessId};
     use evlin_spec::{FetchIncrement, Register, Value};
 
     #[test]
@@ -181,12 +156,12 @@ mod tests {
         let h = HistoryBuilder::new()
             .complete(ProcessId(0), reg, Register::read(), Value::from(42i64))
             .build();
-        let d = diagnose(&h, &u);
-        assert!(!d.report.weakly_consistent);
-        assert!(!d.report.is_eventually_linearizable());
-        assert_eq!(d.weak_violations, vec![OpId(0)]);
+        let r = analyze(&h, &u);
+        assert!(!r.weakly_consistent);
+        assert!(!r.is_eventually_linearizable());
+        assert_eq!(weak_consistency::violations(&h, &u), vec![OpId(0)]);
         // The liveness half still holds for the finite history.
-        assert!(d.report.min_stabilization.is_some());
+        assert!(r.min_stabilization.is_some());
     }
 
     #[test]

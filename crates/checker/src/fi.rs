@@ -160,7 +160,7 @@ pub fn is_t_linearizable(history: &History, initial: i64, t: usize) -> Result<bo
 ///
 /// Returns an [`FiError`] if the events are not a well-formed single-object
 /// fetch&increment history.
-pub fn is_t_linearizable_events<'a>(
+pub(crate) fn is_t_linearizable_events<'a>(
     events: impl IntoIterator<Item = &'a Event>,
     initial: i64,
     t: usize,

@@ -1250,7 +1250,7 @@ impl<'s> FrontierRow<'s> {
     }
 
     /// See [`Frontier::placed`].
-    pub fn placed(&self) -> impl Iterator<Item = bool> + '_ {
+    pub(crate) fn placed(&self) -> impl Iterator<Item = bool> + '_ {
         self.row[self.slots.len()..].iter().map(|&flag| flag != 0)
     }
 }
@@ -1345,7 +1345,7 @@ pub fn check_with_stats(
 /// (the per-operation loop of the weak-consistency checker runs one search
 /// per completed operation over the same history and shares one scratch
 /// across them).
-pub fn check_with_scratch(
+pub(crate) fn check_with_scratch(
     condition: &dyn ConsistencyCondition,
     history: &History,
     universe: &ObjectUniverse,

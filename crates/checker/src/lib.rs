@@ -48,7 +48,7 @@
 //!   field" even before stabilization (split per object by Lemma 8);
 //! * [`eventual`] — Definition 3/4: weak consistency plus `t`-linearizability
 //!   for some `t`;
-//! * [`safety`] — prefix- and limit-closure test harnesses used to reproduce
+//! * [`safety`] — the prefix-closure test harness used to reproduce
 //!   the paper's observations about which conditions are safety properties;
 //! * [`locality`] — the per-object diagnostic decompositions of Lemmas 7–9
 //!   and Proposition 9;

@@ -50,9 +50,9 @@ pub fn linearization_witness(history: &History, universe: &ObjectUniverse) -> Op
 }
 
 /// Renders a witness produced by [`linearization_witness`] (or by the
-/// `t`-linearizability search) as a legal sequential [`History`], useful for
-/// debugging and for displaying counterexamples in the experiment binaries.
-pub fn witness_to_history(history: &History, witness: &Witness) -> History {
+/// `t`-linearizability search) as a sequential [`History`].
+#[cfg(test)]
+pub(crate) fn witness_to_history(history: &History, witness: &Witness) -> History {
     let ops = history.operations();
     let mut out = History::new();
     for (k, &idx) in witness.order.iter().enumerate() {

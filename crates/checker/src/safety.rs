@@ -8,9 +8,8 @@
 //!   liveness property (the fetch&increment counterexample of Section 3.2);
 //! * being `t`-linearizable for *some* `t` is a **liveness** property.
 //!
-//! These helpers make those classifications empirically checkable over
-//! concrete (finite) histories: prefix closure is checked exhaustively, limit
-//! closure is approximated over a given chain of histories.
+//! This helper makes those classifications empirically checkable over
+//! concrete (finite) histories: prefix closure is checked exhaustively.
 
 use evlin_history::History;
 
@@ -45,34 +44,6 @@ where
         }
     }
     PrefixClosure::Closed
-}
-
-/// Checks limit closure of `property` along a chain `h_1 ⊑ h_2 ⊑ …` of
-/// histories: if the property holds for every element of the chain, it should
-/// hold for the last (longest) element, which plays the role of the limit in
-/// a finite experiment.
-///
-/// Returns `None` if the input is not a chain (some element is not a prefix
-/// of the next) and `Some(result)` otherwise, where `result` is `true` when
-/// limit closure was not refuted.
-pub fn check_limit_closure_on_chain<F>(chain: &[History], mut property: F) -> Option<bool>
-where
-    F: FnMut(&History) -> bool,
-{
-    for w in chain.windows(2) {
-        if !w[0].is_prefix_of(&w[1]) {
-            return None;
-        }
-    }
-    let Some(last) = chain.last() else {
-        return Some(true);
-    };
-    let all_hold = chain[..chain.len() - 1].iter().all(&mut property);
-    if !all_hold {
-        // The hypothesis of limit closure is not met; nothing is refuted.
-        return Some(true);
-    }
-    Some(property(last))
 }
 
 #[cfg(test)]
@@ -139,22 +110,6 @@ mod tests {
             check_prefix_closure(&h, |p| t_linearizability::is_t_linearizable(p, &u, 2)),
             PrefixClosure::Closed
         );
-    }
-
-    #[test]
-    fn limit_closure_chain_helpers() {
-        let (u, h) = section_3_2_history(4);
-        let chain: Vec<History> = (0..=h.len()).step_by(2).map(|n| h.prefix(n)).collect();
-        // Weak consistency: holds along the chain and at the end.
-        assert_eq!(
-            check_limit_closure_on_chain(&chain, |p| weak_consistency::is_weakly_consistent(p, &u)),
-            Some(true)
-        );
-        // A non-chain input is rejected.
-        let not_chain = vec![h.suffix(2), h.clone()];
-        assert_eq!(check_limit_closure_on_chain(&not_chain, |_| true), None);
-        // Empty chain is vacuously closed.
-        assert_eq!(check_limit_closure_on_chain(&[], |_| true), Some(true));
     }
 
     #[test]

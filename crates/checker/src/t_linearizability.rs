@@ -174,7 +174,11 @@ pub fn is_t_linearizable(history: &History, universe: &ObjectUniverse, t: usize)
 ///
 /// For `t = 0` the kernel's locality pre-pass decomposes multi-object
 /// histories into per-object subproblems.
-pub fn t_linearization(history: &History, universe: &ObjectUniverse, t: usize) -> Option<Witness> {
+pub(crate) fn t_linearization(
+    history: &History,
+    universe: &ObjectUniverse,
+    t: usize,
+) -> Option<Witness> {
     kernel::check_local(
         &TLinearizability::new(t),
         history,
@@ -184,7 +188,7 @@ pub fn t_linearization(history: &History, universe: &ObjectUniverse, t: usize) -
     .witness()
 }
 
-/// Like [`t_linearization`], additionally returning the kernel's search
+/// Like `t_linearization`, additionally returning the kernel's search
 /// counters (used by the experiments to report search effort).
 pub fn t_linearization_with_stats(
     history: &History,

@@ -24,15 +24,13 @@
 //! per-object projections and checks them independently, stopping at the
 //! first projection that is not weakly consistent.
 
-use crate::kernel::{
-    self, ConsistencyCondition, ConstrainedOp, KernelScratch, SearchLimits, SearchResult,
-};
+use crate::kernel::{self, ConsistencyCondition, ConstrainedOp, KernelScratch, SearchLimits};
 use evlin_history::{History, ObjectUniverse, OpId};
 
 /// The default node budget of one per-operation search: Definition 1
 /// problems are much smaller than whole-history linearizations, so the
 /// budget is a tenth of [`SearchLimits::default`].
-pub fn default_limits() -> SearchLimits {
+pub(crate) fn default_limits() -> SearchLimits {
     SearchLimits { max_nodes: 200_000 }
 }
 
@@ -139,7 +137,7 @@ pub fn violations(history: &History, universe: &ObjectUniverse) -> Vec<OpId> {
 
 /// [`violations`] with explicit search limits.  An operation whose search
 /// exhausts the node budget is conservatively reported as a violation.
-pub fn violations_with_limits(
+pub(crate) fn violations_with_limits(
     history: &History,
     universe: &ObjectUniverse,
     limits: SearchLimits,
@@ -164,30 +162,6 @@ pub fn violations_with_limits(
         })
         .map(|op| op.id)
         .collect()
-}
-
-/// Checks Definition 1 for a single operation of the history.
-///
-/// Pending operations satisfy the definition vacuously; an unknown
-/// identifier is reported as a violation.
-pub fn check_operation(
-    history: &History,
-    universe: &ObjectUniverse,
-    op_id: OpId,
-    limits: SearchLimits,
-) -> bool {
-    let ops = history.operations();
-    let Some(op) = ops.iter().find(|o| o.id == op_id) else {
-        return false;
-    };
-    if op.is_pending() {
-        // Definition 1 only constrains operations that have a response.
-        return true;
-    }
-    matches!(
-        kernel::check(&WeakOperation { op: op_id }, history, universe, limits),
-        SearchResult::Yes(_)
-    )
 }
 
 #[cfg(test)]
@@ -369,7 +343,6 @@ mod tests {
             .invoke(ProcessId(0), r, Register::write(Value::from(1i64)))
             .build();
         assert!(is_weakly_consistent(&h, &u));
-        assert!(check_operation(&h, &u, OpId(0), default_limits()));
     }
 
     #[test]

@@ -64,21 +64,9 @@ impl HistoryBuilder {
             .respond(process, object, response)
     }
 
-    /// Appends all events of another history.
-    pub fn extend_from(mut self, other: &History) -> Self {
-        self.history.extend(other.iter().cloned());
-        self
-    }
-
     /// Finishes building and returns the history.
     pub fn build(self) -> History {
         self.history
-    }
-}
-
-impl From<HistoryBuilder> for History {
-    fn from(b: HistoryBuilder) -> History {
-        b.build()
     }
 }
 
@@ -116,24 +104,5 @@ mod tests {
             .build();
         assert_eq!(h.len(), 2);
         assert!(h.is_sequential());
-    }
-
-    #[test]
-    fn extend_from_concatenates() {
-        let a = HistoryBuilder::new()
-            .complete(
-                ProcessId(0),
-                ObjectId(0),
-                Register::read(),
-                Value::from(0i64),
-            )
-            .build();
-        let b = HistoryBuilder::new()
-            .extend_from(&a)
-            .extend_from(&a)
-            .build();
-        assert_eq!(b.len(), 4);
-        let via_into: History = HistoryBuilder::new().extend_from(&a).into();
-        assert_eq!(via_into, a);
     }
 }

@@ -2,11 +2,10 @@
 
 use crate::{ObjectId, ProcessId};
 use evlin_spec::{Invocation, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The payload of an event: either an operation invocation or a response.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// An operation invocation.
     Invoke(Invocation),
@@ -16,19 +15,19 @@ pub enum EventKind {
 
 impl EventKind {
     /// Returns `true` if this is an invocation event.
-    pub fn is_invoke(&self) -> bool {
+    pub(crate) fn is_invoke(&self) -> bool {
         matches!(self, EventKind::Invoke(_))
     }
 
     /// Returns `true` if this is a response event.
-    pub fn is_respond(&self) -> bool {
+    pub(crate) fn is_respond(&self) -> bool {
         matches!(self, EventKind::Respond(_))
     }
 }
 
 /// A single event `⟨p, o, x⟩` of a history: process `p` either invokes an
 /// operation on object `o` or receives a response from it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Event {
     /// The process performing the event.
     pub process: ProcessId,
@@ -63,12 +62,12 @@ impl Event {
     }
 
     /// Returns `true` if this is an invocation event.
-    pub fn is_invoke(&self) -> bool {
+    pub(crate) fn is_invoke(&self) -> bool {
         self.kind.is_invoke()
     }
 
     /// Returns `true` if this is a response event.
-    pub fn is_respond(&self) -> bool {
+    pub(crate) fn is_respond(&self) -> bool {
         self.kind.is_respond()
     }
 }

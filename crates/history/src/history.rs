@@ -2,7 +2,6 @@
 //! structural predicates used throughout the paper.
 
 use crate::{Event, EventKind, ObjectId, OpId, OperationRecord, ProcessId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -13,7 +12,7 @@ use std::fmt;
 /// histories together with statements quantified over all their prefixes; the
 /// structural helpers here ([`History::prefix`], [`History::events`], the
 /// projections) are what the checkers in `evlin-checker` build on.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct History {
     events: Vec<Event>,
 }
@@ -227,11 +226,6 @@ impl History {
         true
     }
 
-    /// Returns true if `self` is a prefix of `other`.
-    pub fn is_prefix_of(&self, other: &History) -> bool {
-        self.len() <= other.len() && self.events[..] == other.events[..self.len()]
-    }
-
     /// Renames every process in place: process `p` becomes `map[p.index()]`.
     ///
     /// Used by the simulator's symmetry reduction, which rewrites whole
@@ -389,8 +383,8 @@ mod tests {
         assert_eq!(h.prefix(2).len(), 2);
         assert_eq!(h.prefix(99).len(), 5);
         assert_eq!(h.suffix(3).len(), 2);
-        assert!(h.prefix(3).is_prefix_of(&h));
-        assert!(!h.suffix(1).is_prefix_of(&h));
+        assert_eq!(h.prefix(3).events(), &h.events()[..3]);
+        assert_eq!(h.suffix(3).events(), &h.events()[3..]);
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! Process and object identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies one of the `n` processes of the system.
 ///
 /// Processes are numbered from `0`; the paper writes `p1, …, pn` but indexing
 /// from zero matches Rust collections.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcessId(pub usize);
 
 impl ProcessId {
@@ -32,9 +29,7 @@ impl From<usize> for ProcessId {
 }
 
 /// Identifies a shared object within an [`crate::ObjectUniverse`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ObjectId(pub usize);
 
 impl ObjectId {

@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 /// One step of a candidate sequential execution: an invocation on an object
 /// together with the response it is supposed to return.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeqStep {
+pub(crate) struct SeqStep {
     /// The object the operation is applied to.
     pub object: ObjectId,
     /// The invocation.
@@ -22,9 +22,9 @@ pub struct SeqStep {
     pub response: Value,
 }
 
+#[cfg(test)]
 impl SeqStep {
-    /// Convenience constructor.
-    pub fn new(object: ObjectId, invocation: Invocation, response: Value) -> Self {
+    fn new(object: ObjectId, invocation: Invocation, response: Value) -> Self {
         SeqStep {
             object,
             invocation,
@@ -58,7 +58,7 @@ impl From<&OperationRecord> for SeqStep {
 /// state set starts at `{q0}` and each step keeps only the successor states
 /// reachable with the step's response.  The sequence is legal iff no object's
 /// possible state set ever becomes empty.
-pub fn is_legal_step_sequence(steps: &[SeqStep], universe: &ObjectUniverse) -> bool {
+pub(crate) fn is_legal_step_sequence(steps: &[SeqStep], universe: &ObjectUniverse) -> bool {
     let mut states: Vec<Option<BTreeSet<Value>>> = vec![None; universe.len()];
     for step in steps {
         let idx = step.object.index();
@@ -100,39 +100,6 @@ pub fn is_legal_sequential(history: &History, universe: &ObjectUniverse) -> bool
         .map(SeqStep::from)
         .collect();
     is_legal_step_sequence(&steps, universe)
-}
-
-/// Replays a sequence of invocations against deterministic objects and
-/// returns the responses the objects would produce, or `None` if some type is
-/// not deterministic or some invocation is not enabled.
-///
-/// This is the workhorse used to *construct* linearizations and to implement
-/// local simulation (Theorem 12).
-pub fn replay_deterministic(
-    invocations: &[(ObjectId, Invocation)],
-    universe: &ObjectUniverse,
-) -> Option<Vec<Value>> {
-    let mut states: Vec<Value> = universe
-        .object_ids()
-        .iter()
-        .map(|id| universe.initial_state(*id).clone())
-        .collect();
-    let mut responses = Vec::with_capacity(invocations.len());
-    for (object, inv) in invocations {
-        let idx = object.index();
-        if idx >= states.len() {
-            return None;
-        }
-        let ty = universe.object_type(*object);
-        match ty.apply_deterministic(&states[idx], inv) {
-            Ok((resp, next)) => {
-                states[idx] = next;
-                responses.push(resp);
-            }
-            Err(_) => return None,
-        }
-    }
-    Some(responses)
 }
 
 #[cfg(test)]
@@ -247,30 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_deterministic_produces_spec_responses() {
-        let (u, r, f) = universe();
-        let invs = vec![
-            (f, FetchIncrement::fetch_inc()),
-            (f, FetchIncrement::fetch_inc()),
-            (r, Register::write(Value::from(2i64))),
-            (r, Register::read()),
-        ];
-        let resp = replay_deterministic(&invs, &u).unwrap();
-        assert_eq!(
-            resp,
-            vec![
-                Value::from(0i64),
-                Value::from(1i64),
-                Value::Unit,
-                Value::from(2i64)
-            ]
-        );
-        // Unknown invocation makes replay fail.
-        let bad = vec![(r, Invocation::nullary("bogus"))];
-        assert!(replay_deterministic(&bad, &u).is_none());
-    }
-
-    #[test]
     fn out_of_range_object_is_illegal() {
         let (u, _, _) = universe();
         let steps = vec![SeqStep::new(
@@ -279,6 +222,5 @@ mod tests {
             Value::from(0i64),
         )];
         assert!(!is_legal_step_sequence(&steps, &u));
-        assert!(replay_deterministic(&[(ObjectId(99), Register::read())], &u).is_none());
     }
 }

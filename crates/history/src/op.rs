@@ -2,16 +2,13 @@
 
 use crate::{ObjectId, ProcessId};
 use evlin_spec::{Invocation, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies an operation within a history.
 ///
 /// Operations are numbered by the position of their invocation event among
 /// all invocation events of the history (0-based).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct OpId(pub usize);
 
 impl OpId {
@@ -32,7 +29,7 @@ impl fmt::Display for OpId {
 ///
 /// "An operation consists of an invocation event and its matching response
 /// event (if it exists)" (paper, Section 3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OperationRecord {
     /// The operation's identifier (position among invocations).
     pub id: OpId,
@@ -58,7 +55,7 @@ impl OperationRecord {
 
     /// Returns `true` if the operation is still pending at the end of the
     /// history.
-    pub fn is_pending(&self) -> bool {
+    pub(crate) fn is_pending(&self) -> bool {
         self.response.is_none()
     }
 

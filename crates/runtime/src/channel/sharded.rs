@@ -1,16 +1,16 @@
 //! Per-producer, frame-batched rings with a k-way sequence merge.
 //!
-//! The single SPSC [`crate::channel`] pays one lock round and one condvar
-//! notification *per event*; at millions of events per second that traffic
-//! (see [`super::ChannelStats`]) dominates the monitored runtime.  This
-//! module replaces it with the sharded transport of the pipelined ingest
-//! path:
+//! A [`crate::channel`] send costs one lock round and one condvar
+//! notification; paid *per event*, at millions of events per second, that
+//! traffic (see [`super::ChannelStats`]) would dominate the monitored
+//! runtime.  This module is the sharded transport of the pipelined ingest
+//! path, which pays it per frame:
 //!
 //! * every producer owns a [`FrameSender`] writing into its **own** bounded
 //!   ring, so producers never contend with each other — only with the
 //!   consumer draining their ring;
 //! * events are shipped in fixed-capacity [`Frame`]s whose buffers are
-//!   recycled through a shared [`FramePool`], so the steady state allocates
+//!   recycled through a shared `FramePool`, so the steady state allocates
 //!   nothing and pays one channel round trip per *frame*.  Per *event*
 //!   the rings cost a push, a move and a comparison; the rest of what a
 //!   transported item costs is building it on the producer's thread and
@@ -19,10 +19,9 @@
 //!   (56 bytes, no allocation, no reference count);
 //! * each item carries the producer-assigned global sequence number, and a
 //!   [`FrameMerge`] on the consumer side k-way-merges the per-shard streams
-//!   back into global sequence order — replacing the recorder's per-event
-//!   reorder buffer (a `BTreeMap` insert/remove per event) with an O(k)
-//!   head comparison per *run* of consecutive items, read through a cursor
-//!   over the arrived buffer (nothing is reversed or shifted);
+//!   back into global sequence order at an O(k) head comparison per *run*
+//!   of consecutive items, read through a cursor over the arrived buffer
+//!   (nothing is reversed or shifted);
 //! * every frame carries a fingerprint of its sequence run
 //!   (`evlin_sim::zobrist::fold_words`, folded straight from the items on
 //!   both sides), verified on arrival, so transport
@@ -43,15 +42,13 @@
 //! stats (`delivered + lost == frames + duplicated`, in frames).  The merge
 //! tolerates the resulting per-shard disorder — misordered frames are
 //! counted and emitted by head sequence anyway — and the monitor's
-//! well-formedness filter downstream decides what survives, exactly as on
-//! the per-event faulty path.
+//! well-formedness filter downstream decides what survives.
 
 use crate::channel::{self, Receiver, SendError, Sender, TrySendError};
 use crate::fault::{ChannelFaultStats, FaultPlan, FaultySender};
 use evlin_sim::zobrist;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Upper bound on buffers parked in a [`FramePool`]; beyond it, spent
 /// buffers are simply dropped (the pool is an allocation damper, not a leak).
@@ -89,7 +86,7 @@ fn sequence_fingerprint<T>(producer: usize, items: &[(u64, T)]) -> u64 {
 /// A shared pool of spent frame buffers, so the steady-state path reuses
 /// allocations: the merge returns drained buffers here and every
 /// [`FrameSender`] draws its next buffer from the same pool.
-pub struct FramePool<T> {
+pub(crate) struct FramePool<T> {
     bufs: Arc<Mutex<Vec<FrameBuf<T>>>>,
 }
 
@@ -113,10 +110,17 @@ impl<T> Default for FramePool<T> {
 }
 
 impl<T> FramePool<T> {
+    /// Locks the pool.  Producers share it with a merge thread the crash
+    /// tests kill on purpose, so a poisoned lock is recovered rather than
+    /// propagated: every update is one `push` or `pop` of a cleared buffer,
+    /// which leaves the vector valid at every step.
+    fn lock(&self) -> MutexGuard<'_, Vec<FrameBuf<T>>> {
+        self.bufs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Takes a cleared buffer from the pool, or allocates one.
     fn get(&self, capacity: usize) -> Vec<(u64, T)> {
-        self.bufs
-            .lock()
+        self.lock()
             .pop()
             .unwrap_or_else(|| Vec::with_capacity(capacity))
     }
@@ -124,7 +128,7 @@ impl<T> FramePool<T> {
     /// Returns a spent buffer (cleared here) for reuse.
     fn put(&self, mut buf: Vec<(u64, T)>) {
         buf.clear();
-        let mut bufs = self.bufs.lock();
+        let mut bufs = self.lock();
         if bufs.len() < POOL_LIMIT {
             bufs.push(buf);
         }
@@ -283,7 +287,7 @@ impl<T: Clone> FrameSender<T> {
     }
 
     /// Frame-granularity fault counters, if this shard runs a faulty link.
-    pub fn fault_stats(&self) -> Option<ChannelFaultStats> {
+    pub(crate) fn fault_stats(&self) -> Option<ChannelFaultStats> {
         match &self.sink {
             FrameSink::Clean(_) => None,
             FrameSink::Faulty(faulty) => Some(faulty.stats()),
@@ -326,8 +330,7 @@ struct ShardSource<T> {
 }
 
 /// The consumer half: k-way-merges the per-shard frame streams back into
-/// global sequence order.  Replaces the per-event reorder buffer of the
-/// single-channel path.
+/// global sequence order.
 pub struct FrameMerge<T> {
     shards: Vec<ShardSource<T>>,
     pool: FramePool<T>,
@@ -472,6 +475,23 @@ mod tests {
         let mut out = Vec::new();
         while merge.recv_sorted(&mut out, 1024) > 0 {}
         out
+    }
+
+    #[test]
+    fn pool_outlives_a_thread_that_panicked_holding_its_lock() {
+        let pool = FramePool::<u8>::default();
+        pool.put(Vec::with_capacity(4));
+        let poisoner = pool.clone();
+        std::thread::spawn(move || {
+            let _guard = poisoner.bufs.lock().expect("first holder");
+            panic!("a merge thread killed mid-run");
+        })
+        .join()
+        .expect_err("the holder panicked");
+        assert!(pool.bufs.is_poisoned());
+        assert_eq!(pool.get(8).capacity(), 4, "hands the parked buffer out");
+        pool.put(vec![(0, 1)]);
+        assert!(pool.get(8).is_empty(), "takes buffers back, cleared");
     }
 
     #[test]

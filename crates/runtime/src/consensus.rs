@@ -123,21 +123,22 @@ impl ConcurrentConsensus for RegisterConsensus {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::sync::Mutex;
 
     fn run_threads(c: &dyn ConcurrentConsensus, proposals: &[i64]) -> Vec<i64> {
-        let results: Vec<parking_lot::Mutex<i64>> = proposals
-            .iter()
-            .map(|_| parking_lot::Mutex::new(UNSET))
-            .collect();
+        let results: Vec<Mutex<i64>> = proposals.iter().map(|_| Mutex::new(UNSET)).collect();
         std::thread::scope(|s| {
             for (t, &p) in proposals.iter().enumerate() {
                 let results = &results;
                 s.spawn(move || {
-                    *results[t].lock() = c.propose(t, p);
+                    *results[t].lock().expect("result slot") = c.propose(t, p);
                 });
             }
         });
-        results.into_iter().map(|m| m.into_inner()).collect()
+        results
+            .into_iter()
+            .map(|m| m.into_inner().expect("result slot"))
+            .collect()
     }
 
     #[test]

@@ -178,12 +178,10 @@ impl ConcurrentCounter for ShardedCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     fn hammer(counter: &dyn ConcurrentCounter, threads: usize, ops: usize) -> Vec<i64> {
-        let results: Vec<parking_lot::Mutex<Vec<i64>>> = (0..threads)
-            .map(|_| parking_lot::Mutex::new(Vec::new()))
-            .collect();
+        let results: Vec<Mutex<Vec<i64>>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
         std::thread::scope(|s| {
             for t in 0..threads {
                 let results = &results;
@@ -192,11 +190,14 @@ mod tests {
                     for _ in 0..ops {
                         local.push(counter.fetch_inc(t));
                     }
-                    *results[t].lock() = local;
+                    *results[t].lock().expect("result slot") = local;
                 });
             }
         });
-        results.into_iter().flat_map(|m| m.into_inner()).collect()
+        results
+            .into_iter()
+            .flat_map(|m| m.into_inner().expect("result slot"))
+            .collect()
     }
 
     #[test]

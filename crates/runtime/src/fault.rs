@@ -5,11 +5,13 @@
 //! [`crate::channel`] sender and, driven by a seeded deterministic generator,
 //! loses, duplicates or adjacently reorders items in flight — the classical
 //! transient channel faults of the self-stabilization literature.  Wired
-//! under a streaming [`crate::Recorder`] (see `Recorder::with_faulty_sink`)
-//! it turns the live-monitor feed into a faulty link, so the experiments can
-//! measure how the online checker reacts to a corrupted event stream: a
-//! violation is *flagged*, and once the stream quiesces past the corrupted
-//! prefix the `t`-linearizability floater machinery *forgives* it.
+//! under every shard's frame ring (the `plan` argument of
+//! [`crate::sharded_recorder`]) it turns the live-monitor feed into a faulty
+//! link that faults whole *frames*, so the experiments can measure how the
+//! online checker reacts to a corrupted event stream: a violation is
+//! *flagged*, and once the stream quiesces past the corrupted prefix the
+//! `t`-linearizability floater machinery *forgives* it.  The service's
+//! duplex transport faults whole wire frames through the same wrapper.
 //!
 //! Determinism matters more than realism here: every decision comes from an
 //! xorshift generator seeded by the caller, so a run with a given
@@ -19,7 +21,7 @@ use crate::channel::{SendError, Sender};
 
 /// Probability scale of the [`FaultPlan`] knobs: each knob is a chance out
 /// of 1024 per item.
-pub const FAULT_SCALE: u32 = 1024;
+pub(crate) const FAULT_SCALE: u32 = 1024;
 
 /// One step of the xorshift64 generator (shifts 13, 7, 17): advances
 /// `state` and returns the new value.  Full period over nonzero states —
@@ -43,11 +45,11 @@ pub fn xorshift64(state: &mut u64) -> u64 {
 pub struct FaultPlan {
     /// Seed of the per-sender xorshift generator (0 is mapped to 1).
     pub seed: u64,
-    /// Chance (out of [`FAULT_SCALE`]) that an item is silently lost.
+    /// Chance (out of 1024) that an item is silently lost.
     pub lose: u32,
-    /// Chance (out of [`FAULT_SCALE`]) that an item is delivered twice.
+    /// Chance (out of 1024) that an item is delivered twice.
     pub duplicate: u32,
-    /// Chance (out of [`FAULT_SCALE`]) that an item is held back and swapped
+    /// Chance (out of 1024) that an item is held back and swapped
     /// with the next item (adjacent reordering; the held item is flushed
     /// when the sender is dropped).
     pub reorder: u32,
@@ -55,7 +57,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan that injects no faults (the wrapper becomes transparent).
-    pub fn transparent(seed: u64) -> Self {
+    pub(crate) fn transparent(seed: u64) -> Self {
         FaultPlan {
             seed,
             lose: 0,
@@ -68,14 +70,6 @@ impl FaultPlan {
     pub fn lossy(seed: u64, lose: u32) -> Self {
         FaultPlan {
             lose,
-            ..FaultPlan::transparent(seed)
-        }
-    }
-
-    /// A link that duplicates but never loses or reorders.
-    pub fn duplicating(seed: u64, duplicate: u32) -> Self {
-        FaultPlan {
-            duplicate,
             ..FaultPlan::transparent(seed)
         }
     }
@@ -269,7 +263,13 @@ mod tests {
     #[test]
     fn duplicating_link_repeats_items_in_place() {
         let (tx, rx) = channel::bounded(256);
-        let mut faulty = FaultySender::new(tx, FaultPlan::duplicating(9, 256));
+        let mut faulty = FaultySender::new(
+            tx,
+            FaultPlan {
+                duplicate: 256,
+                ..FaultPlan::transparent(9)
+            },
+        );
         for i in 0..100usize {
             faulty.send(i).unwrap();
         }

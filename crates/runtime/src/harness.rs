@@ -5,11 +5,11 @@ use crate::channel::sharded::MergeStats;
 use crate::counter::ConcurrentCounter;
 use crate::fault::{ChannelFaultStats, FaultPlan};
 use crate::pump::{pump, StageMsg};
-use crate::recorder::{sharded_recorder, Recorder, SinkStats};
-use evlin_checker::monitor::{self, Monitor, MonitorConfig, MonitorReport};
+use crate::recorder::{history_of, sharded_recorder, EventSink, RecorderShard, SinkStats};
+use evlin_checker::monitor::{self, MonitorConfig, MonitorReport};
 use evlin_history::{History, ObjectId, ObjectUniverse, ProcessId};
 use evlin_spec::{FetchIncrement, Value};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -66,110 +66,33 @@ impl CounterRun {
     }
 }
 
-/// Runs `options.threads` threads each performing
-/// `options.ops_per_thread` fetch&inc operations on `counter`.
+/// The object every harness run records on.
+const OBJECT: ObjectId = ObjectId(0);
+
+/// Runs `options.threads` threads (at least one) each performing
+/// `options.ops_per_thread` fetch&inc operations on `counter`.  With
+/// `options.record_history` every thread records into its own retaining
+/// [`RecorderShard`] — the shards, the sequence counter and the
+/// well-formedness filter of the pipelined path, over a `Vec` — and the run
+/// returns the events as a [`History`] in sequence order.
 pub fn run_counter_workload(
     counter: &dyn ConcurrentCounter,
     options: HarnessOptions,
 ) -> CounterRun {
-    let recorder = options.record_history.then(Recorder::new).map(Arc::new);
-    run_workload_with_recorder(counter, options, recorder)
-}
-
-/// The outcome of one *live-monitored* counter workload run: the raw run
-/// statistics plus the online monitor's report and sink counters.
-#[derive(Debug)]
-pub struct MonitoredRun {
-    /// The workload-side statistics (history is `None`: the events streamed
-    /// to the monitor instead of being retained).
-    pub run: CounterRun,
-    /// The online monitor's verdict and counters.
-    pub report: MonitorReport,
-    /// What the streaming recorder delivered to the channel.
-    pub sink: SinkStats,
-    /// Faults injected by the channel, when the run streamed through a
-    /// [`crate::fault::FaultySender`]; `None` on clean runs.
-    pub channel_faults: Option<ChannelFaultStats>,
-    /// Wall-clock time from workload start until the monitor finished
-    /// checking the last event (≥ `run.elapsed`; the basis for checked-ops/s).
-    pub total_elapsed: Duration,
-}
-
-impl MonitoredRun {
-    /// Completed operations verified per second, end to end (workload +
-    /// online checking overlap).
-    pub fn checked_ops_per_sec(&self) -> f64 {
-        self.report.stats.checked_ops as f64 / self.total_elapsed.as_secs_f64().max(f64::EPSILON)
-    }
-}
-
-/// Runs a counter workload with *live* online checking: a streaming
-/// [`Recorder`] feeds invocation/response events through a bounded SPSC
-/// [`channel`] (capacity `channel_capacity`) into an
-/// [`evlin_checker::monitor::Monitor`] running on its own thread, which
-/// checks quiescent-cut segments and discards them as the run proceeds —
-/// the whole pipeline holds a bounded number of events regardless of
-/// `options.ops_per_thread`.
-///
-/// With a `fault` plan the events stream through a seeded transient-fault
-/// channel ([`crate::fault::FaultySender`]) that loses, duplicates or
-/// reorders them before they reach the monitor.  This is the runtime half of
-/// the fault-injection experiments: the monitor sees a corrupted stream, so
-/// its verdict reflects the *corruption*, not the counter — a lost or
-/// reordered event shows up as a violation (flagged) or as an ill-formed
-/// event the monitor rejects, while conditions with forgiveness
-/// (`t`-linearizability, stabilizes-eventually) absorb a corrupted prefix.
-/// The injected faults are reported in [`MonitoredRun::channel_faults`].
-///
-/// `options.record_history` is ignored (events always stream; none are
-/// retained).
-pub fn run_counter_workload_monitored(
-    counter: &dyn ConcurrentCounter,
-    options: HarnessOptions,
-    monitor_config: MonitorConfig,
-    channel_capacity: usize,
-    fault: Option<FaultPlan>,
-) -> MonitoredRun {
-    let mut universe = ObjectUniverse::new();
-    let object = universe.add_object(FetchIncrement::new());
-    debug_assert_eq!(object, ObjectId(0), "the harness records on ObjectId(0)");
-    let mut monitor = Monitor::new(universe, monitor_config);
-    let (sender, receiver) = channel::bounded(channel_capacity);
-    let recorder = Arc::new(match fault {
-        Some(plan) => Recorder::with_faulty_sink(sender, plan, false),
-        None => Recorder::with_sink(sender, false),
-    });
-
-    let started = Instant::now();
-    let consumer = std::thread::spawn(move || {
-        while let Some(event) = receiver.recv() {
-            // On a clean channel the recorder's well-formedness filter makes
-            // errors impossible here; on a faulty one a lost invocation can
-            // orphan its response, which the monitor rejects — that is the
-            // fault surfacing, not a pipeline bug, so the run continues and
-            // the verdict carries the outcome.
-            let _ = monitor.ingest(event);
-        }
-        monitor.finish()
-    });
-    let run = run_workload_with_recorder(counter, options, Some(Arc::clone(&recorder)));
-    let sink_recorder = Arc::try_unwrap(recorder).expect("all recording threads have joined");
-    let sink = sink_recorder
-        .sink_stats()
-        .expect("streaming recorder has a sink");
-    let channel_faults = sink_recorder.channel_fault_stats();
-    // Dropping the recorder flushes the reorder buffer and hangs up the
-    // channel, letting the monitor thread drain and finish.
-    drop(sink_recorder);
-    let report = consumer.join().expect("monitor thread");
-    let total_elapsed = started.elapsed();
-    MonitoredRun {
-        run,
-        report,
-        sink,
-        channel_faults,
-        total_elapsed,
-    }
+    let seq = Arc::new(AtomicU64::new(0));
+    let shards = (0..options.threads.max(1))
+        .map(|_| {
+            options
+                .record_history
+                .then(|| RecorderShard::over(Arc::clone(&seq), Vec::new()))
+        })
+        .collect();
+    let (responses, sinks, elapsed) =
+        run_workers(counter, options.ops_per_thread, shards, |shard| {
+            shard.into_sink().0
+        });
+    let history = options.record_history.then(|| history_of(sinks));
+    counter_run(counter, history, &responses, elapsed)
 }
 
 /// Tuning knobs of the sharded, frame-batched, pipelined monitoring path
@@ -201,7 +124,7 @@ pub struct PipelinedRun {
     /// The workload-side statistics (history is `None`: events streamed).
     pub run: CounterRun,
     /// The pipelined monitor's verdict and counters — identical to what the
-    /// inline [`Monitor`] reports on the same stream.
+    /// inline [`monitor::Monitor`] reports on the same stream.
     pub report: MonitorReport,
     /// Sink counters summed over every worker shard.
     pub sink: SinkStats,
@@ -236,16 +159,18 @@ impl PipelinedRun {
 /// per-producer ring), a merge stage k-way-merges the shard streams back
 /// into global sequence order and cuts quiescent segments
 /// ([`crate::pump::pump`]), and a check stage runs the kernel over closed
-/// segments ([`monitor::MonitorCheck`]) — three overlapping stages instead
-/// of one consumer doing per-event channel rounds and checking in line.  The
-/// verdict is identical to [`run_counter_workload_monitored`]'s on the same
-/// stream; the synchronization cost per event is what changes.
+/// segments ([`monitor::MonitorCheck`]) — three overlapping stages.  The
+/// verdict is the inline [`monitor::Monitor`]'s on the same stream.
 ///
 /// With a `fault` plan every shard streams its frames through a seed-derived
 /// transient-fault injector ([`FaultPlan::for_shard`]) that loses, duplicates
-/// or adjacently reorders whole *frames* before they reach the merge.  The
-/// monitor's verdict then reflects the corruption, exactly as on the
-/// per-event faulty path.
+/// or adjacently reorders whole *frames* before they reach the merge.  This
+/// is the runtime half of the fault-injection experiments: the monitor sees
+/// a corrupted stream, so its verdict reflects the *corruption*, not the
+/// counter — a lost or reordered frame shows up as a violation (flagged) or
+/// as ill-formed events the monitor rejects, while conditions with
+/// forgiveness (`t`-linearizability, stabilizes-eventually) absorb a
+/// corrupted prefix.
 ///
 /// `options.record_history` is ignored (events always stream).
 pub fn run_counter_workload_pipelined(
@@ -257,7 +182,7 @@ pub fn run_counter_workload_pipelined(
 ) -> PipelinedRun {
     let mut universe = ObjectUniverse::new();
     let object = universe.add_object(FetchIncrement::new());
-    debug_assert_eq!(object, ObjectId(0), "the harness records on ObjectId(0)");
+    debug_assert_eq!(object, OBJECT);
     let (ingest, check) = monitor::stages(universe, monitor_config);
     let (shards, merge) = sharded_recorder(
         options.threads.max(1),
@@ -270,95 +195,52 @@ pub fn run_counter_workload_pipelined(
     // checking falls behind ingestion.
     let (batch_tx, batch_rx) = channel::bounded::<StageMsg>(8);
 
-    let start_flag = AtomicBool::new(false);
     let started = Instant::now();
-    let (all_responses, sink, channel_faults, merge_stats, report, elapsed, total_elapsed) =
-        std::thread::scope(|s| {
-            let check_stage = s.spawn(move || {
-                let mut check = check;
-                loop {
-                    match batch_rx.recv() {
-                        Some(StageMsg::Batch(batch)) => check.check_batch(batch),
-                        Some(StageMsg::Final(tail, summary)) => return check.finish(tail, summary),
-                        None => panic!("the merge stage hung up without a final batch"),
-                    }
-                }
-            });
-            let merge_stage = s.spawn(move || pump(merge, ingest, batch_tx, false));
-            let workers: Vec<_> = shards
-                .into_iter()
-                .enumerate()
-                .map(|(t, mut shard)| {
-                    let start_flag = &start_flag;
-                    s.spawn(move || {
-                        while !start_flag.load(Ordering::Acquire) {
-                            std::hint::spin_loop();
-                        }
-                        let mut local = Vec::with_capacity(options.ops_per_thread);
-                        for _ in 0..options.ops_per_thread {
-                            shard.invoke(ProcessId(t), object, FetchIncrement::fetch_inc());
-                            let v = counter.fetch_inc(t);
-                            shard.respond(ProcessId(t), object, Value::from(v));
-                            local.push(v);
-                        }
-                        // Ship the partial tail while the fault injector is
-                        // still observable, then read its counters and close.
-                        shard.flush();
-                        let faults = shard.fault_stats();
-                        (local, shard.finish(), faults)
-                    })
-                })
-                .collect();
-            start_flag.store(true, Ordering::Release);
-
-            let mut all_responses = Vec::new();
-            let mut sink = SinkStats::default();
-            let mut faults_sum = ChannelFaultStats::default();
-            let mut any_faulty = false;
-            for worker in workers {
-                let (local, stats, faults) = worker.join().expect("worker thread");
-                all_responses.extend(local);
-                sink.emitted += stats.emitted;
-                sink.dropped_malformed += stats.dropped_malformed;
-                sink.flushed_past_gap += stats.flushed_past_gap;
-                sink.dropped_disconnected += stats.dropped_disconnected;
-                sink.flushed_partial_frames += stats.flushed_partial_frames;
-                sink.disconnected |= stats.disconnected;
-                if let Some(f) = faults {
-                    any_faulty = true;
-                    faults_sum.delivered += f.delivered;
-                    faults_sum.lost += f.lost;
-                    faults_sum.duplicated += f.duplicated;
-                    faults_sum.reordered += f.reordered;
+    let (responses, closed, elapsed, merge_stats, report) = std::thread::scope(|s| {
+        let check_stage = s.spawn(move || {
+            let mut check = check;
+            loop {
+                match batch_rx.recv() {
+                    Some(StageMsg::Batch(batch)) => check.check_batch(batch),
+                    Some(StageMsg::Final(tail, summary)) => return check.finish(tail, summary),
+                    None => panic!("the merge stage hung up without a final batch"),
                 }
             }
-            let elapsed = started.elapsed();
-            let merge_stats = merge_stage.join().expect("merge+ingest stage").merge;
-            let report = check_stage.join().expect("check stage");
-            let total_elapsed = started.elapsed();
-            (
-                all_responses,
-                sink,
-                any_faulty.then_some(faults_sum),
-                merge_stats,
-                report,
-                elapsed,
-                total_elapsed,
-            )
         });
+        let merge_stage = s.spawn(move || pump(merge, ingest, batch_tx, false));
+        let shards = shards.into_iter().map(Some).collect();
+        let (responses, closed, elapsed) =
+            run_workers(counter, options.ops_per_thread, shards, |mut shard| {
+                // Ship the partial tail while the fault injector is still
+                // observable, then read its counters and close.
+                shard.flush();
+                let faults = shard.fault_stats();
+                (shard.finish(), faults)
+            });
+        let merge_stats = merge_stage.join().expect("merge+ingest stage").merge;
+        let report = check_stage.join().expect("check stage");
+        (responses, closed, elapsed, merge_stats, report)
+    });
+    let total_elapsed = started.elapsed();
 
-    let total_ops = options.threads.max(1) * options.ops_per_thread;
-    let (duplicate_responses, max_staleness) = summarize_responses(&all_responses);
+    let mut sink = SinkStats::default();
+    let mut channel_faults: Option<ChannelFaultStats> = None;
+    for (stats, faults) in closed {
+        sink.emitted += stats.emitted;
+        sink.dropped_malformed += stats.dropped_malformed;
+        sink.dropped_disconnected += stats.dropped_disconnected;
+        sink.flushed_partial_frames += stats.flushed_partial_frames;
+        sink.disconnected |= stats.disconnected;
+        if let Some(f) = faults {
+            let sum = channel_faults.get_or_insert_with(ChannelFaultStats::default);
+            sum.delivered += f.delivered;
+            sum.lost += f.lost;
+            sum.duplicated += f.duplicated;
+            sum.reordered += f.reordered;
+        }
+    }
     PipelinedRun {
-        run: CounterRun {
-            history: None,
-            elapsed,
-            total_ops,
-            throughput: total_ops as f64 / elapsed.as_secs_f64().max(f64::EPSILON),
-            final_total: counter.exact_total(),
-            duplicate_responses,
-            max_staleness,
-        },
+        run: counter_run(counter, None, &responses, elapsed),
         report,
         sink,
         merge: merge_stats,
@@ -367,10 +249,67 @@ pub fn run_counter_workload_pipelined(
     }
 }
 
-/// Duplicate-response count and staleness bound of a fetch&inc response
-/// multiset (see [`CounterRun::duplicate_responses`] /
-/// [`CounterRun::max_staleness`]).
-fn summarize_responses(responses: &[i64]) -> (usize, i64) {
+/// The worker loop of every harness run: one thread per entry of `shards`,
+/// each performing `ops_per_thread` fetch&inc operations on `counter` and
+/// recording them into its shard, if it has one.  Returns every response,
+/// what `close` made of each shard, and the wall-clock time of the measured
+/// section.
+fn run_workers<S: EventSink + Send, R: Send>(
+    counter: &dyn ConcurrentCounter,
+    ops_per_thread: usize,
+    shards: Vec<Option<RecorderShard<S>>>,
+    close: impl Fn(RecorderShard<S>) -> R + Sync,
+) -> (Vec<i64>, Vec<R>, Duration) {
+    let start_flag = AtomicBool::new(false);
+    let started = Instant::now();
+    // Scoped threads: panics in workers propagate when they are joined.
+    let (responses, closed) = std::thread::scope(|s| {
+        let workers: Vec<_> = shards
+            .into_iter()
+            .enumerate()
+            .map(|(t, mut shard)| {
+                let (start_flag, close) = (&start_flag, &close);
+                s.spawn(move || {
+                    // Spin until every thread is ready so the measured
+                    // section is genuinely concurrent.
+                    while !start_flag.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                    let mut local = Vec::with_capacity(ops_per_thread);
+                    for _ in 0..ops_per_thread {
+                        if let Some(shard) = &mut shard {
+                            shard.invoke(ProcessId(t), OBJECT, FetchIncrement::fetch_inc());
+                        }
+                        let v = counter.fetch_inc(t);
+                        if let Some(shard) = &mut shard {
+                            shard.respond(ProcessId(t), OBJECT, Value::from(v));
+                        }
+                        local.push(v);
+                    }
+                    (local, shard.map(close))
+                })
+            })
+            .collect();
+        start_flag.store(true, Ordering::Release);
+        let mut responses = Vec::new();
+        let mut closed = Vec::new();
+        for worker in workers {
+            let (local, shard) = worker.join().expect("worker thread");
+            responses.extend(local);
+            closed.extend(shard);
+        }
+        (responses, closed)
+    });
+    (responses, closed, started.elapsed())
+}
+
+/// The workload-side statistics of a run that returned `responses`.
+fn counter_run(
+    counter: &dyn ConcurrentCounter,
+    history: Option<History>,
+    responses: &[i64],
+    elapsed: Duration,
+) -> CounterRun {
     let mut sorted = responses.to_vec();
     sorted.sort_unstable();
     let duplicate_responses = sorted.windows(2).filter(|w| w[0] == w[1]).count();
@@ -384,65 +323,11 @@ fn summarize_responses(responses: &[i64]) -> (usize, i64) {
         .max()
         .unwrap_or(0)
         .max(0);
-    (duplicate_responses, max_staleness)
-}
-
-/// Shared worker loop of [`run_counter_workload`] and
-/// [`run_counter_workload_monitored`].
-fn run_workload_with_recorder(
-    counter: &dyn ConcurrentCounter,
-    options: HarnessOptions,
-    recorder: Option<Arc<Recorder>>,
-) -> CounterRun {
-    let object = ObjectId(0);
-    let start_flag = AtomicBool::new(false);
-    // Per-thread response logs (always collected; cheap).
-    let responses: Vec<parking_lot::Mutex<Vec<i64>>> = (0..options.threads)
-        .map(|_| parking_lot::Mutex::new(Vec::with_capacity(options.ops_per_thread)))
-        .collect();
-
-    let started = Instant::now();
-    // Scoped threads: panics in workers propagate when the scope joins them.
-    std::thread::scope(|s| {
-        for t in 0..options.threads {
-            let recorder = recorder.clone();
-            let responses = &responses;
-            let start_flag = &start_flag;
-            s.spawn(move || {
-                // Spin until every thread is ready so the measured section is
-                // genuinely concurrent.
-                while !start_flag.load(Ordering::Acquire) {
-                    std::hint::spin_loop();
-                }
-                let mut local = Vec::with_capacity(options.ops_per_thread);
-                for _ in 0..options.ops_per_thread {
-                    if let Some(r) = &recorder {
-                        r.invoke(ProcessId(t), object, FetchIncrement::fetch_inc());
-                    }
-                    let v = counter.fetch_inc(t);
-                    if let Some(r) = &recorder {
-                        r.respond(ProcessId(t), object, Value::from(v));
-                    }
-                    local.push(v);
-                }
-                *responses[t].lock() = local;
-            });
-        }
-        start_flag.store(true, Ordering::Release);
-    });
-    let elapsed = started.elapsed();
-
-    let total_ops = options.threads * options.ops_per_thread;
-    let all_responses: Vec<i64> = responses.into_iter().flat_map(|m| m.into_inner()).collect();
-    let (duplicate_responses, max_staleness) = summarize_responses(&all_responses);
-
     CounterRun {
-        // The monitored path keeps its own handle on the recorder (to flush
-        // the sink after the run); it retains no events, so `None` is right.
-        history: recorder.and_then(|r| Arc::try_unwrap(r).ok().map(Recorder::into_history)),
+        history,
         elapsed,
-        total_ops,
-        throughput: total_ops as f64 / elapsed.as_secs_f64().max(f64::EPSILON),
+        total_ops: responses.len(),
+        throughput: responses.len() as f64 / elapsed.as_secs_f64().max(f64::EPSILON),
         final_total: counter.exact_total(),
         duplicate_responses,
         max_staleness,
@@ -515,93 +400,23 @@ mod tests {
         assert!(run.history.is_none());
         assert_eq!(run.total_ops, 200);
         assert!(run.throughput > 0.0);
-    }
-
-    #[test]
-    fn live_monitor_verifies_linearizable_counters() {
-        use evlin_checker::monitor::MonitorConfig;
-        for counter in [
-            Box::new(CasCounter::new()) as Box<dyn crate::counter::ConcurrentCounter>,
-            Box::new(FetchAddCounter::new()),
-        ] {
-            let out = run_counter_workload_monitored(
-                counter.as_ref(),
-                options(4, 300, true),
-                MonitorConfig::default(),
-                1024,
-                None,
-            );
-            assert!(
-                out.report.verdict.is_ok(),
-                "{}: {:?}",
-                counter.name(),
-                out.report
-            );
-            assert_eq!(out.report.stats.checked_ops, 1200);
-            assert_eq!(out.sink.emitted, 2400);
-            assert_eq!(out.sink.dropped_malformed, 0);
-            assert!(!out.sink.disconnected);
-            assert!(out.run.history.is_none(), "events stream, not buffer");
-            assert!(out.checked_ops_per_sec() > 0.0);
-            // Online checking is windowed: the peak resident event count
-            // stays far below the full history length.
-            assert!(out.report.stats.peak_window_events < 2400);
-        }
-    }
-
-    #[test]
-    fn faulty_channel_run_completes_and_reports_fault_stats() {
-        use evlin_checker::monitor::MonitorConfig;
+        // A zero-thread run is a one-thread run, on the offline path as on
+        // the pipelined one.
         let counter = FetchAddCounter::new();
-        let out = run_counter_workload_monitored(
+        let run = run_counter_workload(&counter, options(0, 100, true));
+        assert_eq!(run.total_ops, 100);
+        assert_eq!(run.final_total, 100);
+        assert_eq!(run.history.expect("recording was enabled").len(), 200);
+        let counter = FetchAddCounter::new();
+        let out = run_counter_workload_pipelined(
             &counter,
-            options(2, 200, true),
-            MonitorConfig::default(),
-            256,
-            Some(FaultPlan {
-                seed: 2014,
-                lose: 64,
-                duplicate: 64,
-                reorder: 64,
-            }),
+            options(0, 100, false),
+            evlin_checker::monitor::MonitorConfig::default(),
+            PipelineOptions::default(),
+            None,
         );
-        // The pipeline must terminate (no hang, no panic) whatever the
-        // verdict — the corrupted stream may be flagged as a violation,
-        // rejected event by event, or even still pass; all are legitimate
-        // monitor reactions to channel faults.
-        let faults = out.channel_faults.expect("a faulty run reports faults");
-        assert!(
-            faults.lost + faults.duplicated + faults.reordered > 0,
-            "the seeded plan injects something over 800 events: {faults:?}"
-        );
-        // Conservation: every emitted event was either delivered or lost,
-        // and each duplication delivered one extra copy.
-        assert_eq!(
-            faults.delivered + faults.lost,
-            out.sink.emitted + faults.duplicated
-        );
-        // The workload side is untouched by channel faults.
-        assert_eq!(out.run.total_ops, 400);
-        assert_eq!(out.run.final_total, 400);
-        assert!(out.run.responses_distinct());
-    }
-
-    #[test]
-    fn transparent_fault_plan_matches_the_clean_monitored_path() {
-        use evlin_checker::monitor::MonitorConfig;
-        let counter = CasCounter::new();
-        let out = run_counter_workload_monitored(
-            &counter,
-            options(2, 150, true),
-            MonitorConfig::default(),
-            256,
-            Some(FaultPlan::transparent(1)),
-        );
-        assert!(out.report.verdict.is_ok(), "{:?}", out.report);
-        assert_eq!(out.report.stats.checked_ops, 300);
-        let faults = out.channel_faults.expect("still a faulty-sink run");
-        assert_eq!(faults.lost + faults.duplicated + faults.reordered, 0);
-        assert_eq!(faults.delivered, out.sink.emitted);
+        assert_eq!(out.run.total_ops, 100);
+        assert_eq!(out.report.stats.checked_ops, 100);
     }
 
     #[test]
@@ -641,10 +456,10 @@ mod tests {
             assert!(out.run.history.is_none(), "events stream, not buffer");
             assert!(out.checked_ops_per_sec() > 0.0);
             assert!(out.events_per_sec() > out.checked_ops_per_sec());
-            // Unlike the mutex-serialized single-channel recorder, sharded
-            // recording lets the workers interleave densely, so a run may
-            // exhibit no mid-stream quiescent point at all — the window can
-            // legitimately reach the full stream length, never beyond.
+            // Sharded recording lets the workers interleave densely, so a
+            // run may exhibit no mid-stream quiescent point at all — the
+            // window can legitimately reach the full stream length, never
+            // beyond.
             assert!(out.report.stats.peak_window_events <= 2400);
         }
     }
@@ -707,8 +522,10 @@ mod tests {
     #[test]
     fn pipelined_monitor_flags_the_stale_sharded_counter_or_verifies_it() {
         use evlin_checker::monitor::{MonitorConfig, MonitorVerdict};
-        // Mirror of the single-channel staleness test: duplicates must be
-        // flagged, a genuinely serialized run may pass, Unknown never.
+        // Under contention the sharded counter repeats responses, which the
+        // online monitor must flag; a perfectly serialized run (possible on
+        // a quiet machine) is genuinely linearizable, so accept both — what
+        // is *not* acceptable is an Unknown.
         let counter = ShardedCounter::new(4, 16);
         let out = run_counter_workload_pipelined(
             &counter,
@@ -718,29 +535,6 @@ mod tests {
                 frame_capacity: 64,
                 ring_frames: 4,
             },
-            None,
-        );
-        let duplicates = out.run.duplicate_responses;
-        match out.report.verdict {
-            MonitorVerdict::Ok => assert_eq!(duplicates, 0, "stale run must be flagged"),
-            MonitorVerdict::Violation(_) => assert!(duplicates > 0),
-            MonitorVerdict::Unknown => panic!("monitor gave up: {:?}", out.report),
-        }
-    }
-
-    #[test]
-    fn live_monitor_flags_the_stale_sharded_counter_or_verifies_it() {
-        use evlin_checker::monitor::{MonitorConfig, MonitorVerdict};
-        // Under contention the sharded counter repeats responses, which the
-        // online monitor must flag; a perfectly serialized run (possible on
-        // a quiet machine) is genuinely linearizable, so accept both — what
-        // is *not* acceptable is an Unknown.
-        let counter = ShardedCounter::new(4, 16);
-        let out = run_counter_workload_monitored(
-            &counter,
-            options(4, 500, true),
-            MonitorConfig::default(),
-            1024,
             None,
         );
         let duplicates = out.run.duplicate_responses;

@@ -50,16 +50,16 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Journal-file magic: `b"EVJL"`.
-pub const JOURNAL_MAGIC: [u8; 4] = *b"EVJL";
+pub(crate) const JOURNAL_MAGIC: [u8; 4] = *b"EVJL";
 /// Current journal-format version.
-pub const JOURNAL_VERSION: u16 = 1;
+pub(crate) const JOURNAL_VERSION: u16 = 1;
 /// Header size in bytes (magic, version, client, session).
-pub const JOURNAL_HEADER_BYTES: usize = 18;
+pub(crate) const JOURNAL_HEADER_BYTES: usize = 18;
 
 /// Record kind byte: an accepted `EVENTS` frame.
-pub const RECORD_EVENTS: u8 = 1;
+pub(crate) const RECORD_EVENTS: u8 = 1;
 /// Record kind byte: the client's shutdown totals.
-pub const RECORD_SHUTDOWN: u8 = 2;
+pub(crate) const RECORD_SHUTDOWN: u8 = 2;
 
 /// Journal failures; torn tails are *not* errors (recovery truncates them).
 #[derive(Debug)]
@@ -374,7 +374,7 @@ impl Journal {
     /// append (a second handle on the same path could).  The records below
     /// the cursor were validated at recovery/append time; this pass only
     /// re-parses structure and stops at the cursor's frame count.
-    pub fn read_back(&mut self) -> Result<Vec<Vec<u8>>, JournalError> {
+    pub(crate) fn read_back(&mut self) -> Result<Vec<Vec<u8>>, JournalError> {
         self.file.seek(SeekFrom::Start(0))?;
         let mut bytes = Vec::new();
         self.file.read_to_end(&mut bytes)?;

@@ -32,7 +32,7 @@
 //! | module | role |
 //! |---|---|
 //! | [`wire`] | frame codec: byte layouts, fingerprints, the single spoken version (see `docs/PROTOCOL.md`) |
-//! | [`transport`] | how frames move: in-process duplex (optionally faulted), loopback TCP, bounded and non-waiting receives, [`transport::ChaosPlan`] |
+//! | [`transport`] | how frames move: in-process duplex (optionally faulted), loopback TCP, bounded and non-waiting receives, `transport::ChaosPlan` |
 //! | [`client`] | producer side: the shared frame sealer and verdict drain; [`ServiceClient`], a recorder shard over a wire-frame sink |
 //! | `pool` | the shared replica core: shard pool lifecycle, frame router, verdict fanout |
 //! | [`replica`] | loss-detecting front door: connection handlers, slot claims, [`MonitorService`] |
@@ -107,11 +107,11 @@ pub mod wire;
 pub use client::{ClientReport, ClientStats, ClosedClient, ServiceClient};
 pub use journal::{Journal, JournalError};
 pub use replica::{ConnStats, MonitorService, ServiceConfig, ServiceReport, ShardReport};
-pub use session::{Backoff, RetriesExhausted, SessionError, SessionRx, SessionTx};
+pub use session::{Backoff, RetriesExhausted, SessionError};
 pub use supervisor::{
     ClientRecoveryConfig, ClosedRecoverableClient, ReconnectChaos, RecoverableClient,
     RecoverableClientReport, RecoverableClientStats, RecoverableService, RecoveryConfig,
     RecoveryReport, SessionStats,
 };
-pub use transport::{ChaosPlan, FrameRx, FrameTx};
+pub use transport::{FrameRx, FrameTx};
 pub use wire::{ResumeCursor, VerdictSummary, WireError, WireFrame, VERSION};

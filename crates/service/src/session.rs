@@ -2,9 +2,9 @@
 //!
 //! A *session* is a client's logical stream, decoupled from any one
 //! connection.  The client names it in its hello (a nonzero session id) and
-//! keeps an **unacked window** ([`SessionTx`]) of every `EVENTS` frame not
+//! keeps an **unacked window** (`SessionTx`) of every `EVENTS` frame not
 //! yet covered by a durability ack; the replica keeps the session's
-//! **journal-backed acceptance state** ([`SessionRx`]), admitting frames in
+//! **journal-backed acceptance state** (`SessionRx`), admitting frames in
 //! exact sequence order:
 //!
 //! * `frame_seq == next` — fresh: journal it; once the batch it arrived in
@@ -15,8 +15,8 @@
 //!   ack the *current* cursor, which tells the client exactly where to
 //!   rewind its window.
 //!
-//! Admission is two steps, [`SessionRx::admit`] per frame and one
-//! [`SessionRx::commit`] per batch of frames: the commit is the fsync, and
+//! Admission is two steps, `SessionRx::admit` per frame and one
+//! `SessionRx::commit` per batch of frames: the commit is the fsync, and
 //! the cursor it returns is the only one a caller may ack.  A connection
 //! that delivered sixteen frames while the previous fsync ran pays for one
 //! more, not sixteen; a batch of one frame is the same two calls.
@@ -51,7 +51,7 @@ use std::time::Duration;
 /// Whatever it decided, the cursor to ack is the one the batch's
 /// [`SessionRx::commit`] returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admit {
+pub(crate) enum Admit {
     /// Fresh and now journaled, not yet durable: deliver the events once
     /// the commit has returned, not before.
     Accept,
@@ -118,7 +118,7 @@ impl From<JournalError> for SessionError {
 /// The replica side of one session: the journal plus the durable cursor
 /// after every accepted frame (what makes resume cursors checkable at *any*
 /// position, not just the tip).
-pub struct SessionRx {
+pub(crate) struct SessionRx {
     journal: Journal,
     /// `cursors[i]` = the durable cursor after `i + 1` accepted frames.
     cursors: Vec<ResumeCursor>,
@@ -126,7 +126,11 @@ pub struct SessionRx {
 
 impl SessionRx {
     /// Opens a fresh session: a new journal at `path`.
-    pub fn create(path: &Path, client: u32, session: u64) -> Result<SessionRx, SessionError> {
+    pub(crate) fn create(
+        path: &Path,
+        client: u32,
+        session: u64,
+    ) -> Result<SessionRx, SessionError> {
         let journal = Journal::create(path, client, session)?;
         Ok(SessionRx {
             journal,
@@ -138,7 +142,7 @@ impl SessionRx {
     /// path, before any client has claimed anything.  Returns the session
     /// plus the recovered journal contents (the frames a rebuilt monitor is
     /// fed).
-    pub fn reopen(path: &Path) -> Result<(SessionRx, Recovered), SessionError> {
+    pub(crate) fn reopen(path: &Path) -> Result<(SessionRx, Recovered), SessionError> {
         let (journal, recovered) = Journal::recover(path)?;
         let cursors = recovered.cursors.clone();
         Ok((SessionRx { journal, cursors }, recovered))
@@ -150,7 +154,7 @@ impl SessionRx {
     /// have been lost, so the client may lag, never lead) **and** the
     /// journal's chain and event total at `claimed.frames` equal the
     /// claim's — the two sides accepted the same frame prefix.
-    pub fn check_resume(
+    pub(crate) fn check_resume(
         &self,
         hello_client: u32,
         claimed: Option<ResumeCursor>,
@@ -187,7 +191,7 @@ impl SessionRx {
 
     /// The `frame_seq` a fresh frame must carry now: the durable frame count
     /// plus the frames admitted since the last [`SessionRx::commit`].
-    pub fn next_frame_seq(&self) -> u64 {
+    pub(crate) fn next_frame_seq(&self) -> u64 {
         self.cursors.len() as u64
     }
 
@@ -196,7 +200,7 @@ impl SessionRx {
     /// frame is neither durable nor deliverable until [`SessionRx::commit`]
     /// has returned.  An error means the journal write failed and every
     /// frame admitted since the last commit is forgotten, on disk and here.
-    pub fn admit(
+    pub(crate) fn admit(
         &mut self,
         bytes: &[u8],
         frame_seq: u64,
@@ -227,7 +231,7 @@ impl SessionRx {
     /// cursor: what to ack for the whole batch, whatever its frames were.
     /// An error means the sync failed and the batch is forgotten, on disk
     /// and here: ack nothing, deliver nothing, drop the connection.
-    pub fn commit(&mut self) -> Result<ResumeCursor, SessionError> {
+    pub(crate) fn commit(&mut self) -> Result<ResumeCursor, SessionError> {
         if self.next_frame_seq() > self.journal.cursor().frames {
             if let Err(e) = self.journal.sync() {
                 return Err(self.forget_unsynced(e));
@@ -250,25 +254,25 @@ impl SessionRx {
     }
 
     /// Records the client's shutdown totals.
-    pub fn record_shutdown(&mut self, events: u64, chain: u64) -> Result<(), SessionError> {
+    pub(crate) fn record_shutdown(&mut self, events: u64, chain: u64) -> Result<(), SessionError> {
         self.journal.append_shutdown(events, chain)?;
         Ok(())
     }
 
     /// The durable cursor (everything at or below it is fsynced).
-    pub fn cursor(&self) -> ResumeCursor {
+    pub(crate) fn cursor(&self) -> ResumeCursor {
         self.journal.cursor()
     }
 
     /// The underlying journal (for audits).
-    pub fn journal(&self) -> &Journal {
+    pub(crate) fn journal(&self) -> &Journal {
         &self.journal
     }
 
     /// Mutable journal access — the supervisor uses this to snapshot the
     /// frames for restart replay ([`Journal::read_back`]) while holding the
     /// session's slot lock.
-    pub fn journal_mut(&mut self) -> &mut Journal {
+    pub(crate) fn journal_mut(&mut self) -> &mut Journal {
         &mut self.journal
     }
 }
@@ -283,7 +287,7 @@ impl SessionRx {
 /// The window is also what makes [`crate::WireFrame::Overloaded`] free to honor: a
 /// shed frame was never acked, so it is still in the window, and the next
 /// replay retransmits it — rejection and loss are the same recovery path.
-pub struct SessionTx {
+pub(crate) struct SessionTx {
     session: u64,
     /// `(frame_seq, full wire encoding)`, oldest first, seqs dense.
     window: VecDeque<(u64, Vec<u8>)>,
@@ -296,7 +300,7 @@ pub struct SessionTx {
 impl SessionTx {
     /// A fresh session window.  `client` seeds the ack cursor's chain, so a
     /// zero-frame ack cross-checks too.
-    pub fn new(client: u32, session: u64) -> SessionTx {
+    pub(crate) fn new(client: u32, session: u64) -> SessionTx {
         SessionTx {
             session,
             window: VecDeque::new(),
@@ -310,19 +314,19 @@ impl SessionTx {
     }
 
     /// The session id carried in hellos.
-    pub fn session(&self) -> u64 {
+    pub(crate) fn session(&self) -> u64 {
         self.session
     }
 
     /// The cursor to put in a resume hello: the last acked position.
-    pub fn resume_cursor(&self) -> ResumeCursor {
+    pub(crate) fn resume_cursor(&self) -> ResumeCursor {
         self.acked
     }
 
     /// Retains `bytes` (a frame's full wire encoding) in the window under
     /// the next `frame_seq` — frames must be staged in the order they were
     /// sealed, which numbers them identically.  Call before sending.
-    pub fn stage(&mut self, bytes: Vec<u8>) -> u64 {
+    pub(crate) fn stage(&mut self, bytes: Vec<u8>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.window.push_back((seq, bytes));
@@ -332,7 +336,7 @@ impl SessionTx {
     /// Applies a durability ack: prunes the window through `cursor.frames`.
     /// Returns how many frames were pruned.  An ack below a previous ack is
     /// stale (reordered verdict plane) and ignored.
-    pub fn on_ack(&mut self, cursor: ResumeCursor) -> usize {
+    pub(crate) fn on_ack(&mut self, cursor: ResumeCursor) -> usize {
         if cursor.frames < self.acked.frames {
             return 0;
         }
@@ -351,12 +355,12 @@ impl SessionTx {
     /// The unacked frames, oldest first — what a reconnect replays after
     /// its resume hello.  Duplicates are harmless (the replica re-acks
     /// them), so replaying conservatively is always sound.
-    pub fn unacked(&self) -> impl Iterator<Item = &[u8]> {
+    pub(crate) fn unacked(&self) -> impl Iterator<Item = &[u8]> {
         self.window.iter().map(|(_, bytes)| bytes.as_slice())
     }
 
     /// Frames currently in the window.
-    pub fn window_len(&self) -> usize {
+    pub(crate) fn window_len(&self) -> usize {
         self.window.len()
     }
 }
@@ -429,7 +433,7 @@ impl Backoff {
 
     /// Draws the next delay, or reports exhaustion carrying the attempt
     /// count.
-    pub fn next_delay(&mut self) -> Result<Duration, RetriesExhausted> {
+    pub(crate) fn next_delay(&mut self) -> Result<Duration, RetriesExhausted> {
         if self.attempt >= self.max_attempts {
             return Err(RetriesExhausted {
                 attempts: self.attempt,

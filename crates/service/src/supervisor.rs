@@ -7,7 +7,7 @@
 //!
 //! * **Sessions, not connections.**  A client names a session in its hello
 //!   and the replica journals every accepted `EVENTS` frame (fsync before
-//!   ack) under [`crate::session::SessionRx`].  A dropped connection loses
+//!   ack) under `crate::session::SessionRx`.  A dropped connection loses
 //!   nothing: the client reconnects with its resume cursor, **waits for the
 //!   attach ack**, replays its unacked window from the durable cursor that
 //!   ack carries, and the replica dedups by frame sequence while
@@ -1020,7 +1020,7 @@ impl RecoverableService {
 // ---------------------------------------------------------------------------
 
 /// Deterministic connection chaos for [`RecoverableClient`]: every
-/// connection attempt gets its own seed-derived [`ChaosPlan`], so a chaos
+/// connection attempt gets its own seed-derived `ChaosPlan`, so a chaos
 /// schedule of partial writes and mid-frame kills replays exactly from the
 /// top-level seed.
 #[derive(Debug, Clone, Copy)]
@@ -1038,7 +1038,7 @@ pub struct ReconnectChaos {
 
 impl ReconnectChaos {
     /// The plan armed on connection attempt `attempt`.
-    pub fn plan_for(&self, attempt: u64) -> ChaosPlan {
+    pub(crate) fn plan_for(&self, attempt: u64) -> ChaosPlan {
         let mut state = (self.seed ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
         let x = xorshift64(&mut state);
         let span = self.kill_after_span.max(1);

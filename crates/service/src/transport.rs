@@ -25,7 +25,7 @@
 //! thread forever) or not at all ([`FrameRx::try_recv`], the poll a sender
 //! drains its ack plane with between two frames: a read timeout is rounded
 //! up to the kernel's timer tick, so "wait 1 ms" costs 4–10 ms where it is
-//! paid once per frame), and senders can be armed with a [`ChaosPlan`]
+//! paid once per frame), and TCP senders can be armed with a `ChaosPlan`
 //! injecting partial writes and mid-frame connection kills for the chaos
 //! differential suite.
 
@@ -112,7 +112,7 @@ pub trait FrameRx: Send {
 /// rejects frame-granularly; splits are a no-op there.  Determinism: the
 /// same seed and call sequence produce the same cut points.
 #[derive(Debug, Clone)]
-pub struct ChaosPlan {
+pub(crate) struct ChaosPlan {
     state: u64,
     /// Per-mille probability that a send is split into two writes.
     split_per_mille: u16,
@@ -123,7 +123,7 @@ pub struct ChaosPlan {
 
 impl ChaosPlan {
     /// A no-fault plan with the given seed; compose with the builders.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         ChaosPlan {
             // Xorshift needs a nonzero state.
             state: seed | 1,
@@ -134,13 +134,13 @@ impl ChaosPlan {
     }
 
     /// Splits roughly `per_mille`‰ of sends into two partial writes.
-    pub fn split_writes(mut self, per_mille: u16) -> Self {
+    pub(crate) fn split_writes(mut self, per_mille: u16) -> Self {
         self.split_per_mille = per_mille.min(1000);
         self
     }
 
     /// Kills the connection mid-frame on the `frame`-th send (0-based).
-    pub fn kill_at(mut self, frame: u64) -> Self {
+    pub(crate) fn kill_at(mut self, frame: u64) -> Self {
         self.kill_at_frame = Some(frame);
         self
     }
@@ -185,8 +185,6 @@ enum DuplexSink {
 /// Sending half of an in-process duplex link (see [`duplex`]).
 pub struct DuplexTx {
     sink: DuplexSink,
-    chaos: Option<ChaosPlan>,
-    killed: bool,
 }
 
 /// Receiving half of an in-process duplex link (see [`duplex`]).
@@ -205,44 +203,11 @@ pub fn duplex(capacity: usize, plan: Option<FaultPlan>) -> (DuplexTx, DuplexRx) 
         Some(plan) => DuplexSink::Faulty(FaultySender::new(tx, plan)),
         None => DuplexSink::Clean(tx),
     };
-    (
-        DuplexTx {
-            sink,
-            chaos: None,
-            killed: false,
-        },
-        DuplexRx { rx },
-    )
-}
-
-impl DuplexTx {
-    /// Arms a [`ChaosPlan`] on this sender (kills only; the duplex link
-    /// carries whole frames, so split writes do not apply).
-    pub fn set_chaos(&mut self, plan: ChaosPlan) {
-        self.chaos = Some(plan);
-    }
+    (DuplexTx { sink }, DuplexRx { rx })
 }
 
 impl FrameTx for DuplexTx {
-    fn send(&mut self, mut frame: Vec<u8>) -> Result<(), WireError> {
-        if self.killed {
-            return Err(WireError::Transport("chaos: connection killed".into()));
-        }
-        if let Some(plan) = &mut self.chaos {
-            if let ChaosVerdict::Kill(cut) = plan.judge(frame.len()) {
-                // Deliver the torn prefix (the peer's decoder rejects it
-                // frame-granularly), then die.
-                frame.truncate(cut);
-                let _ = match &mut self.sink {
-                    DuplexSink::Clean(tx) => tx.send(frame),
-                    DuplexSink::Faulty(tx) => tx.send(frame),
-                };
-                self.killed = true;
-                return Err(WireError::Transport(
-                    "chaos: connection killed mid-frame".into(),
-                ));
-            }
-        }
+    fn send(&mut self, frame: Vec<u8>) -> Result<(), WireError> {
         let result = match &mut self.sink {
             DuplexSink::Clean(tx) => tx.send(frame),
             DuplexSink::Faulty(tx) => tx.send(frame),
@@ -251,9 +216,6 @@ impl FrameTx for DuplexTx {
     }
 
     fn try_send(&mut self, frame: Vec<u8>) -> Result<bool, WireError> {
-        if self.killed {
-            return Err(WireError::Transport("chaos: connection killed".into()));
-        }
         match &mut self.sink {
             DuplexSink::Clean(tx) => match tx.try_send(frame) {
                 Ok(()) => Ok(true),
@@ -374,7 +336,7 @@ pub fn loopback_listener() -> Result<TcpListener, WireError> {
 
 impl TcpTx {
     /// Half-closes the write side so the peer's reader sees end of stream.
-    pub fn shutdown_write(&self) {
+    pub(crate) fn shutdown_write(&self) {
         if let Ok(stream) = self.stream.lock() {
             let _ = stream.shutdown(std::net::Shutdown::Write);
         }
@@ -382,7 +344,7 @@ impl TcpTx {
 
     /// Arms a [`ChaosPlan`] on this sender: partial writes and mid-frame
     /// kills on the real socket.
-    pub fn set_chaos(&mut self, plan: ChaosPlan) {
+    pub(crate) fn set_chaos(&mut self, plan: ChaosPlan) {
         self.chaos = Some(plan);
     }
 }
@@ -847,27 +809,5 @@ mod tests {
         // Hang-up still reads as a clean close, not a timeout.
         assert_eq!(rx.recv_timeout(deadline).unwrap(), None);
         assert_eq!(rx.try_recv().unwrap(), None);
-    }
-
-    #[test]
-    fn duplex_chaos_kill_delivers_a_torn_frame_then_errors() {
-        let (mut tx, mut rx) = duplex(4, None);
-        tx.set_chaos(ChaosPlan::new(3).kill_at(1));
-        tx.send(encode_frame(&WireFrame::Ping { token: 0 }))
-            .unwrap();
-        let err = tx
-            .send(encode_frame(&WireFrame::Ping { token: 1 }))
-            .unwrap_err();
-        assert!(matches!(err, WireError::Transport(_)));
-        // Subsequent sends fail fast.
-        assert!(tx.send(vec![1, 2, 3]).is_err());
-        drop(tx);
-        // The receiver sees the whole first frame, then the torn prefix
-        // (which the codec rejects), then end of stream.
-        let first = rx.recv().unwrap().unwrap();
-        assert_eq!(decode_frame(&first).unwrap(), WireFrame::Ping { token: 0 });
-        let torn = rx.recv().unwrap().unwrap();
-        assert!(decode_frame(&torn).is_err());
-        assert_eq!(rx.recv().unwrap(), None);
     }
 }

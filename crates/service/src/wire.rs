@@ -37,7 +37,7 @@ use evlin_spec::{Invocation, Value, VOCABULARY};
 use std::fmt;
 
 /// Protocol magic, the ASCII bytes `EVLN` read as a little-endian `u32`.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"EVLN");
+pub(crate) const MAGIC: u32 = u32::from_le_bytes(*b"EVLN");
 
 /// The one protocol version this codec speaks, carried in every
 /// [`WireFrame::Hello`].  A hello announcing any other version is refused at
@@ -47,14 +47,14 @@ pub const VERSION: u16 = 2;
 
 /// Upper bound on a frame body, guarding length-prefix corruption: a flipped
 /// length bit must produce a decode error, not a multi-gigabyte allocation.
-pub const MAX_FRAME_BYTES: usize = 1 << 26;
+pub(crate) const MAX_FRAME_BYTES: usize = 1 << 26;
 
 /// Most distinct out-of-vocabulary method names a decoder's interner keeps
 /// (see [`decode_frame_with`]); later ones decode un-interned.
 const INTERNER_CAP: usize = 32;
 
 /// Frame tag bytes (the byte after the length prefix).
-pub mod tag {
+pub(crate) mod tag {
     /// [`super::WireFrame::Hello`].
     pub const HELLO: u8 = 1;
     /// [`super::WireFrame::Events`].
@@ -78,7 +78,7 @@ pub mod tag {
 ///
 /// `frames` counts whole accepted `EVENTS` frames (equivalently: the next
 /// expected `frame_seq`), `events` the events inside them, and `chain` the
-/// [`chain_fingerprint`] folded over exactly those frames.  Two endpoints
+/// `chain_fingerprint` folded over exactly those frames.  Two endpoints
 /// agree on a cursor iff they accepted the same frame sequence — which is
 /// what makes the cursor both a resume point and a corruption detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -136,7 +136,7 @@ pub enum WireFrame {
         /// Events the client pushed onto the wire over the connection.
         events_sent: u64,
         /// The client's chained stream fingerprint (see
-        /// [`chain_fingerprint`]) over every event frame it sent.
+        /// `chain_fingerprint`) over every event frame it sent.
         stream_fingerprint: u64,
     },
     /// Durability acknowledgement, replica→client: everything
@@ -217,7 +217,7 @@ pub enum WireError {
         /// Body bytes actually present.
         have: usize,
     },
-    /// A frame body larger than [`MAX_FRAME_BYTES`] was announced.
+    /// A frame body larger than `MAX_FRAME_BYTES` was announced.
     FrameTooLarge(usize),
     /// An unknown frame tag.
     BadTag(u8),
@@ -318,7 +318,7 @@ pub fn event_batch_fingerprint(client: u32, events: &[(u64, Event)]) -> u64 {
 /// The final value rides the shutdown frame; a replica that accepted a
 /// different frame sequence (loss, duplication, reordering) computes a
 /// different chain, which is the end-of-stream loss audit.
-pub fn chain_fingerprint(chain: u64, frame_fingerprint: u64) -> u64 {
+pub(crate) fn chain_fingerprint(chain: u64, frame_fingerprint: u64) -> u64 {
     fold_words(chain, &[frame_fingerprint])
 }
 
@@ -635,12 +635,12 @@ impl<'a> Cursor<'a> {
 
 /// A whole frame's bytes and the remainder of the stream, from
 /// [`split_frame`] — `None` while the first frame is still partial.
-pub type SplitFrame<'a> = Option<(&'a [u8], &'a [u8])>;
+pub(crate) type SplitFrame<'a> = Option<(&'a [u8], &'a [u8])>;
 
 /// Splits `bytes` (the read position of a byte stream) into the first whole
 /// frame and the rest, or returns `None` while the frame is still partial.
 ///
-/// Errors only on a length prefix that exceeds [`MAX_FRAME_BYTES`] — the one
+/// Errors only on a length prefix that exceeds `MAX_FRAME_BYTES` — the one
 /// corruption a streaming reader must reject *before* buffering the body.
 pub fn split_frame(bytes: &[u8]) -> Result<SplitFrame<'_>, WireError> {
     if bytes.len() < 4 {

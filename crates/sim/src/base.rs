@@ -118,18 +118,8 @@ impl SpecObject {
     }
 
     /// Creates an object of the given type in an explicit state.
-    pub fn with_state(ty: Arc<dyn ObjectType>, state: Value) -> Self {
+    pub(crate) fn with_state(ty: Arc<dyn ObjectType>, state: Value) -> Self {
         SpecObject { ty, state }
-    }
-
-    /// The object's current state.
-    pub fn state(&self) -> &Value {
-        &self.state
-    }
-
-    /// The object's type.
-    pub fn object_type(&self) -> &Arc<dyn ObjectType> {
-        &self.ty
     }
 
     /// The states a transient fault may corrupt this object to: the first
@@ -213,7 +203,7 @@ impl BaseObject for SpecObject {
 /// Convenience constructors for the base objects used by the algorithms.
 pub mod objects {
     use super::*;
-    use evlin_spec::{CompareAndSwap, Consensus, FetchIncrement, Register, TestAndSet};
+    use evlin_spec::{CompareAndSwap, Consensus, Register, TestAndSet};
 
     /// A linearizable read/write register initialized to `initial`.
     pub fn register(initial: Value) -> Box<dyn BaseObject> {
@@ -233,14 +223,6 @@ pub mod objects {
         Box::new(SpecObject::with_state(
             Arc::new(CompareAndSwap::new(initial.clone())),
             initial,
-        ))
-    }
-
-    /// A linearizable fetch&increment object initialized to `initial`.
-    pub fn fetch_increment(initial: i64) -> Box<dyn BaseObject> {
-        Box::new(SpecObject::with_state(
-            Arc::new(FetchIncrement::starting_at(initial)),
-            Value::from(initial),
         ))
     }
 
@@ -373,7 +355,8 @@ mod tests {
             Value::Bool(false)
         );
 
-        let mut x = objects::fetch_increment(5);
+        let mut x =
+            SpecObject::with_state(Arc::new(FetchIncrement::starting_at(5)), Value::from(5i64));
         assert_eq!(
             x.invoke(ProcessId(0), &FetchIncrement::fetch_inc()),
             Value::from(5i64)

@@ -18,12 +18,12 @@
 //!   orphaned post-checkpoint run files are garbage-collected on resume.
 //!   The byte-level file format is specified in `docs/CHECKPOINT.md`.
 //!
-//! * **Partitioning** ([`explore_partitioned`] / [`partition_ranges`]): the
-//!   dedup-key space is split into `2^parts_log2` contiguous ranges by top
-//!   bits — the *same* routing as the prefix-sharded stores
-//!   ([`crate::zobrist::prefix_shard`]) — and each partition owns the
-//!   visited set for its range.  A partition explores its own frontier and
-//!   *exports* any generated child whose key belongs elsewhere as a
+//! * **Partitioning** ([`explore_partitioned`]): the dedup-key space is
+//!   split into `2^parts_log2` contiguous ranges by top bits — the *same*
+//!   routing as the prefix-sharded stores (`crate::zobrist::prefix_shard`)
+//!   — and each partition owns the visited set for its range.  A
+//!   partition explores its own frontier and *exports* any generated
+//!   child whose key belongs elsewhere as a
 //!   replayable `(path, mask, key)` record; the owner probes the key
 //!   against its store and replays the path only if fresh.  Every generated
 //!   edge is therefore probed exactly once, at its key's owner, so the
@@ -52,13 +52,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Checkpoint-file magic: `b"EVCK"`.
-pub const CHECKPOINT_MAGIC: [u8; 4] = *b"EVCK";
+pub(crate) const CHECKPOINT_MAGIC: [u8; 4] = *b"EVCK";
 /// Current checkpoint-format version.
-pub const CHECKPOINT_VERSION: u16 = 1;
+pub(crate) const CHECKPOINT_VERSION: u16 = 1;
 /// The checkpoint file name inside the checkpoint directory.
-pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
+pub(crate) const CHECKPOINT_FILE: &str = "checkpoint.bin";
 /// The subdirectory holding the visited store's run files.
-pub const STORE_SUBDIR: &str = "store";
+pub(crate) const STORE_SUBDIR: &str = "store";
 
 /// Where and how often to checkpoint an exploration.
 #[derive(Debug, Clone)]
@@ -884,46 +884,6 @@ fn gc_unreferenced(store_dir: &Path, manifest: &StoreManifest) -> io::Result<()>
 // Fingerprint-range partitioning
 // ---------------------------------------------------------------------------
 
-/// A contiguous, inclusive range of the 64-bit dedup-key space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyRange {
-    /// First key in the range.
-    pub start: u64,
-    /// Last key in the range (inclusive — the top range must reach
-    /// `u64::MAX`).
-    pub end: u64,
-}
-
-impl KeyRange {
-    /// Whether `key` falls in this range.
-    pub fn contains(&self, key: u64) -> bool {
-        (self.start..=self.end).contains(&key)
-    }
-}
-
-/// Splits the dedup-key space into `2^parts_log2` equal contiguous ranges
-/// by top bits.  `partition_ranges(p)[i].contains(k)` iff
-/// [`crate::zobrist::prefix_shard`]`(k, p) == i`, so the partitioner and
-/// the prefix-sharded stores agree on ownership exactly.
-pub fn partition_ranges(parts_log2: u32) -> Vec<KeyRange> {
-    if parts_log2 == 0 {
-        return vec![KeyRange {
-            start: 0,
-            end: u64::MAX,
-        }];
-    }
-    let width = 1u64 << (64 - parts_log2);
-    (0..1u64 << parts_log2)
-        .map(|i| {
-            let start = i * width;
-            KeyRange {
-                start,
-                end: start + (width - 1),
-            }
-        })
-        .collect()
-}
-
 /// The recomposed result of a partitioned exploration.
 #[derive(Debug, Clone)]
 pub struct PartitionRun {
@@ -953,7 +913,7 @@ struct Export {
 }
 
 /// Explores with the dedup-key space split across `2^parts_log2`
-/// partitions, each owning the visited store for its [`KeyRange`] (backend
+/// partitions, each owning the visited store for its key range (backend
 /// per `options.store`), scheduled round-robin in this process.  A child
 /// generated in the wrong partition is exported to its key's owner, which
 /// probes its own store and replays the child's edge path from the root

@@ -247,7 +247,7 @@ impl StepMemo {
     /// (further ones are derived the plain way every time): ≈7 MB of table
     /// at worst, two orders of magnitude above the 278 transitions of the
     /// deepest tree this workspace benchmarks.
-    pub const MAX_ENTRIES: usize = 1 << 15;
+    pub(crate) const MAX_ENTRIES: usize = 1 << 15;
 
     /// A memo that records at most `cap` transitions.
     pub(crate) fn with_cap(cap: usize) -> Self {
@@ -447,18 +447,13 @@ impl Config {
     }
 
     /// Number of high-level operations completed by all processes.
-    pub fn total_completed(&self) -> usize {
+    pub(crate) fn total_completed(&self) -> usize {
         self.processes.iter().map(|p| p.completed).sum()
-    }
-
-    /// Whether process `p` currently has an operation in progress.
-    pub fn is_running(&self, p: ProcessId) -> bool {
-        self.processes[p.index()].running
     }
 
     /// Whether process `p` can take a step (it has an operation in progress
     /// or more workload to start).
-    pub fn is_enabled(&self, p: ProcessId) -> bool {
+    pub(crate) fn is_enabled(&self, p: ProcessId) -> bool {
         let st = &self.processes[p.index()];
         st.running || !st.remaining.is_empty()
     }
@@ -481,7 +476,7 @@ impl Config {
     /// Collects the enabled processes into a caller-provided buffer (cleared
     /// first) — the allocation-free variant the exploration engine uses once
     /// per visited configuration.
-    pub fn enabled_into(&self, out: &mut Vec<ProcessId>) {
+    pub(crate) fn enabled_into(&self, out: &mut Vec<ProcessId>) {
         out.clear();
         out.extend(
             (0..self.processes.len())
@@ -491,7 +486,7 @@ impl Config {
     }
 
     /// Appends an extra high-level operation to process `p`'s workload.
-    pub fn push_operation(&mut self, p: ProcessId, invocation: evlin_spec::Invocation) {
+    pub(crate) fn push_operation(&mut self, p: ProcessId, invocation: evlin_spec::Invocation) {
         self.processes[p.index()].remaining.push_back(invocation);
         self.refresh_proc_fingerprint(p.index());
     }
@@ -514,12 +509,12 @@ impl Config {
 
     /// Clones the base objects (used to freeze a configuration into a new
     /// implementation).
-    pub fn clone_base_objects(&self) -> Vec<Box<dyn BaseObject>> {
+    pub(crate) fn clone_base_objects(&self) -> Vec<Box<dyn BaseObject>> {
         self.base.clone()
     }
 
     /// Clones process `p`'s programme state (used to freeze a configuration).
-    pub fn clone_process_logic(&self, p: ProcessId) -> Box<dyn ProcessLogic> {
+    pub(crate) fn clone_process_logic(&self, p: ProcessId) -> Box<dyn ProcessLogic> {
         self.processes[p.index()].logic.clone()
     }
 
@@ -735,7 +730,7 @@ impl Config {
     /// workload.  On the initial configuration of a uniform workload this is
     /// the structural evidence that the implementation is process-symmetric
     /// (programmes that embed their own id print differently).
-    pub fn processes_structurally_symmetric(&self) -> bool {
+    pub(crate) fn processes_structurally_symmetric(&self) -> bool {
         if self.processes.len() < 2 {
             return false;
         }
@@ -757,7 +752,7 @@ impl Config {
     /// Whether every base object declares how its state depends on process
     /// ids (no [`PidDependence::Opaque`] object) — a precondition for
     /// symmetry canonicalization.
-    pub fn base_objects_permutable(&self) -> bool {
+    pub(crate) fn base_objects_permutable(&self) -> bool {
         self.base
             .iter()
             .all(|b| b.pid_dependence() != PidDependence::Opaque)
@@ -975,7 +970,11 @@ impl Config {
     ///
     /// This is the "run solo" primitive used throughout the paper's proofs
     /// (obstruction-freedom, the idle configuration of Proposition 18).
-    pub fn run_solo_until_complete(&mut self, p: ProcessId, max_steps: usize) -> Option<Value> {
+    pub(crate) fn run_solo_until_complete(
+        &mut self,
+        p: ProcessId,
+        max_steps: usize,
+    ) -> Option<Value> {
         for _ in 0..max_steps {
             match self.step(p) {
                 StepOutcome::Completed(v) => return Some(v),
@@ -984,33 +983,6 @@ impl Config {
             }
         }
         None
-    }
-
-    /// Lets every process run solo (in process order) until it finishes its
-    /// in-progress operation, producing an *idle* configuration in the sense
-    /// of Proposition 18.  Returns `false` if some process failed to finish
-    /// within `max_steps_per_process`.
-    pub fn quiesce_pending(&mut self, max_steps_per_process: usize) -> bool {
-        for i in 0..self.processes.len() {
-            let p = ProcessId(i);
-            if self.is_running(p) {
-                let mut finished = false;
-                for _ in 0..max_steps_per_process {
-                    match self.step(p) {
-                        StepOutcome::Completed(_) => {
-                            finished = true;
-                            break;
-                        }
-                        StepOutcome::Progressed => continue,
-                        StepOutcome::Idle => break,
-                    }
-                }
-                if !finished {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// The remaining transient-fault budget (see [`crate::fault`]).
@@ -1159,20 +1131,6 @@ mod tests {
             c.run_solo_until_complete(ProcessId(0), 10),
             Some(Value::from(0i64))
         );
-    }
-
-    #[test]
-    fn quiesce_pending_completes_in_progress_operations() {
-        let imp = fi_local(2);
-        let w = Workload::uniform(2, FetchIncrement::fetch_inc(), 1);
-        let mut c = Config::initial(&imp, &w);
-        // Nothing is mid-flight, so quiescing just reports success without
-        // forcing the workload to run.
-        assert!(c.quiesce_pending(10));
-        assert!(!c.is_quiescent()); // workload not yet started
-        c.step(ProcessId(0));
-        c.step(ProcessId(1));
-        assert!(c.is_quiescent());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`ReductionStrategy`]:
 //!
 //! * **Sleep sets** (Godefroid-style dynamic partial-order reduction,
-//!   [`SleepSets`]): after exploring a step of process `p`, sibling branches
+//!   `SleepSets`): after exploring a step of process `p`, sibling branches
 //!   carry `p` in their *sleep set* for as long as `p`'s pending step
 //!   commutes with theirs, so only one order of each commuting pair is
 //!   expanded.  Commutation is decided by the step-independence oracle
@@ -130,7 +130,7 @@ pub enum Visit {
 
 /// Bitmask of sleeping processes: bit `i` set means process `i` is asleep
 /// (its pending step is covered by an already-explored sibling order).
-pub type SleepMask = u64;
+pub(crate) type SleepMask = u64;
 
 /// One child edge of an exploration node: either a process takes its next
 /// atomic step, or the environment injects one transient fault (see
@@ -160,7 +160,7 @@ fn push_fault_children(config: &Config, out: &mut Vec<(ChildStep, SleepMask)>) {
 ///
 /// Each variant resolves (via [`Reduction::strategy`]) to a concrete
 /// [`ReductionStrategy`]; custom strategies can be plugged in directly
-/// through [`explore_with`] / [`explore_shared_with`].
+/// through `explore_with` / [`explore_shared_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Reduction {
     /// No reduction: today's raw-tree semantics.
@@ -257,7 +257,7 @@ pub trait ReductionStrategy: fmt::Debug + Send + Sync {
 
 /// The identity strategy: expand every enabled process, canonicalize nothing.
 #[derive(Debug, Clone, Copy)]
-pub struct NoReduction;
+pub(crate) struct NoReduction;
 
 impl ReductionStrategy for NoReduction {
     fn name(&self) -> &'static str {
@@ -307,7 +307,7 @@ fn independent(a: StepShape, b: StepShape) -> bool {
 /// Sleep sets are [`SleepMask`] bits, one per process, so the strategy can
 /// only be built ([`SleepSets::new`]) for a root the mask is wide enough for.
 #[derive(Debug, Clone, Copy)]
-pub struct SleepSets(());
+pub(crate) struct SleepSets(());
 
 impl SleepSets {
     /// Sleep sets for an exploration from `root`.
@@ -317,7 +317,7 @@ impl SleepSets {
     /// Panics if `root` has more processes than a [`SleepMask`] has bits:
     /// the shift that sets a process's bit would wrap in a release build and
     /// alias process 64 onto process 0, sleeping steps that do not commute.
-    pub fn new(root: &Config) -> Self {
+    pub(crate) fn new(root: &Config) -> Self {
         assert!(
             root.processes() <= SleepMask::BITS as usize,
             "sleep-set reduction holds at most {} processes in its mask; the configuration has {}",
@@ -406,7 +406,7 @@ impl SymmetryReduction {
     /// ([`Config::canonical_permutation`]): the factorial term is lookups,
     /// not hashing, but it still grows as `n!` — 720 candidates at 6, 5040
     /// at 7.  The bound also sizes that table.
-    pub const MAX_PROCESSES: usize = 6;
+    pub(crate) const MAX_PROCESSES: usize = 6;
 
     /// Decides applicability against `root` (see the type docs) and builds
     /// the permutation table.
@@ -489,7 +489,7 @@ pub struct SleepSetSymmetry {
 }
 
 impl SleepSetSymmetry {
-    /// Both halves for an exploration from `root` (see [`SleepSets::new`],
+    /// Both halves for an exploration from `root` (see `SleepSets::new`,
     /// which can panic, and [`SymmetryReduction::detect`]).
     pub fn new(root: &Config, hint: Option<bool>) -> Self {
         SleepSetSymmetry {
@@ -858,7 +858,7 @@ where
 /// Like [`explore`], but from an explicit root configuration (used by the
 /// valency and stability analyses, which start mid-execution).  Symmetry
 /// applicability is decided structurally against the given root.
-pub fn explore_config<F>(root: Config, options: &EngineOptions, visitor: F) -> ExploreStats
+pub(crate) fn explore_config<F>(root: Config, options: &EngineOptions, visitor: F) -> ExploreStats
 where
     F: FnMut(&Config, usize) -> Visit,
 {
@@ -867,7 +867,7 @@ where
 }
 
 /// The sequential engine path with an explicit (possibly custom) strategy.
-pub fn explore_with<F>(
+pub(crate) fn explore_with<F>(
     root: Config,
     strategy: &dyn ReductionStrategy,
     options: &EngineOptions,

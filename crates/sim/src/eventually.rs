@@ -80,7 +80,8 @@ impl EventuallyLinearizable {
     }
 
     /// Whether the object has stabilized.
-    pub fn is_stabilized(&self) -> bool {
+    #[cfg(test)]
+    fn is_stabilized(&self) -> bool {
         self.global.is_some()
     }
 

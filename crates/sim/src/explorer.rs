@@ -20,7 +20,6 @@ use crate::config::Config;
 use crate::engine::{self, EngineOptions};
 use crate::program::Implementation;
 use crate::workload::Workload;
-use evlin_history::ProcessId;
 
 pub use crate::engine::{ExploreOptions, ExploreStats, Visit};
 
@@ -77,22 +76,11 @@ where
     engine::find_history_violation(implementation, workload, &sequential(options), predicate)
 }
 
-/// Runs every process solo from the given configuration, one at a time, and
-/// returns the resulting configurations (used by valency analysis).
-pub fn solo_extensions(config: &Config, max_steps: usize) -> Vec<(ProcessId, Config)> {
-    let mut out = Vec::new();
-    for p in config.enabled_processes() {
-        let mut child = config.clone();
-        child.run_solo_until_complete(p, max_steps);
-        out.push((p, child));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::LocalSpecImplementation;
+    use evlin_history::ProcessId;
     use evlin_spec::{FetchIncrement, TestAndSet};
     use std::sync::Arc;
 
@@ -180,17 +168,5 @@ mod tests {
         assert_ne!(initial.fingerprint(), stepped.fingerprint());
         // Cloning without stepping preserves the fingerprint.
         assert_eq!(initial.fingerprint(), initial.clone().fingerprint());
-    }
-
-    #[test]
-    fn solo_extensions_complete_each_process() {
-        let imp = LocalSpecImplementation::new(Arc::new(FetchIncrement::new()), 2);
-        let w = Workload::uniform(2, FetchIncrement::fetch_inc(), 1);
-        let c = Config::initial(&imp, &w);
-        let exts = solo_extensions(&c, 100);
-        assert_eq!(exts.len(), 2);
-        for (p, cfg) in exts {
-            assert_eq!(cfg.completed(p), 1);
-        }
     }
 }

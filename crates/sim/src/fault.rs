@@ -25,7 +25,7 @@
 //!   dependent-with-everything for the sleep-set reduction (they are never
 //!   slept and wake every sleeper), and they are applied *before* symmetry
 //!   canonicalization, so renaming permutes fault-corrupted state like any
-//!   other state.  Deduplication keys are salted with [`budget_salt`] so
+//!   other state.  Deduplication keys are salted with `budget_salt` so
 //!   configurations differing only in remaining budget never merge — and the
 //!   salt is `0` when the budget is `0`, which keeps every fault-free
 //!   exploration bit-identical to the pre-fault engine.
@@ -40,7 +40,7 @@ const TAG_FAULT: u64 = 0x6661_756c_7400_0004;
 /// [`crate::program::LocalSpecLogic`]): each corruptible component offers at
 /// most this many (minus the current state) corruption variants, keeping the
 /// fault fan-out per node bounded.
-pub const CORRUPTION_STATE_CAP: usize = 6;
+pub(crate) const CORRUPTION_STATE_CAP: usize = 6;
 
 /// Which component of a configuration a transient fault corrupts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,7 +72,7 @@ pub struct FaultStep {
 /// exploration produces exactly the keys it produced before fault injection
 /// existed, which is what holds the k=0 overhead gate at zero drift.
 #[inline]
-pub fn budget_salt(remaining: usize) -> u64 {
+pub(crate) fn budget_salt(remaining: usize) -> u64 {
     if remaining == 0 {
         0
     } else {

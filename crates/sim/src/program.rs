@@ -135,7 +135,7 @@ impl LocalSpecImplementation {
 
 /// Programme state for [`LocalSpecImplementation`].
 #[derive(Debug, Clone)]
-pub struct LocalSpecLogic {
+pub(crate) struct LocalSpecLogic {
     ty: std::sync::Arc<dyn evlin_spec::ObjectType>,
     state: Value,
     current: Option<Invocation>,

@@ -90,7 +90,7 @@ impl Default for StabilityOptions {
 /// [`StabilityOptions::reduction`], which shrinks the extension tree without
 /// changing the verdict.  A `true` answer is therefore "stable up to the
 /// bound"; a `false` answer is definitive (a violating extension was found).
-pub fn is_stable(config: &Config, initial_value: i64, options: &StabilityOptions) -> bool {
+pub(crate) fn is_stable(config: &Config, initial_value: i64, options: &StabilityOptions) -> bool {
     let t = config.history().len();
     // Give every process extra fetch&inc operations to perform.
     let mut extended = config.clone();
@@ -345,7 +345,7 @@ impl ProcessLogic for OffsetLogic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::base::objects;
+    use crate::base::SpecObject;
     use crate::explorer::{terminal_histories, ExploreOptions};
     use crate::program::LocalSpecImplementation;
     use evlin_checker::fi;
@@ -371,7 +371,7 @@ mod tests {
             self.processes
         }
         fn initial_base_objects(&self) -> Vec<Box<dyn BaseObject>> {
-            vec![objects::fetch_increment(0)]
+            vec![Box::new(SpecObject::new(Arc::new(FetchIncrement::new())))]
         }
         fn new_process(&self, _p: ProcessId) -> Box<dyn ProcessLogic> {
             Box::new(DirectLogic { accessed: false })

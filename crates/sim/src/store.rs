@@ -12,7 +12,7 @@
 //! * [`StoreConfig::Prefix`] — a fingerprint-prefix-sharded in-memory store:
 //!   each `(key, depth)` pair is folded to a single 64-bit *record* and
 //!   routed to one of `2^shards_log2` shards by its top fingerprint bits
-//!   ([`crate::zobrist::prefix_shard`]), the same routing the partitioner
+//!   (`crate::zobrist::prefix_shard`), the same routing the partitioner
 //!   uses, so per-shard occupancy is balanced and observable per prefix
 //!   range.  Nothing spills; the budget only pre-sizes shard capacity.
 //! * [`StoreConfig::Spill`] — the prefix-sharded store with a per-shard
@@ -25,12 +25,12 @@
 //! All three backends expose the same [`StoreReport`] (entry count, runs
 //! written, and a resident / spilled / filter byte breakdown) and can
 //! [`VisitedStore::snapshot`] themselves into a directory as part of a
-//! checkpoint ([`crate::checkpoint`]), from which [`restore_store`] rebuilds
+//! checkpoint ([`crate::checkpoint`]), from which `restore_store` rebuilds
 //! an equivalent store after a process restart — including a hard kill.
 //!
 //! ## Exactness
 //!
-//! [`MemStore`] stores `(key, depth)` pairs verbatim, so it is exactly the
+//! `MemStore` stores `(key, depth)` pairs verbatim, so it is exactly the
 //! pre-seam dedup set.  The sharded backends store
 //! `mix2(key, depth)` — one avalanched 64-bit word per pair — so two
 //! distinct pairs collide with probability `2^-64`, the same collision
@@ -120,7 +120,7 @@ pub trait VisitedStore: Send + Sync {
 
 /// Selects and sizes a visited-store backend.  `Copy` so it can ride inside
 /// [`crate::engine::EngineOptions`]; directory choices are made at build
-/// time ([`StoreConfig::build`] / [`StoreConfig::build_in`]), not carried
+/// time ([`StoreConfig::build`] / `StoreConfig::build_in`), not carried
 /// here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreConfig {
@@ -165,8 +165,8 @@ impl StoreConfig {
     /// multiple of the worker count in parallel; the key *set* is the same
     /// either way).  A [`Spill`](StoreConfig::Spill) store gets a fresh
     /// private directory under the system temp dir, removed when the store
-    /// is dropped; use [`build_in`](StoreConfig::build_in) to keep runs in
-    /// a caller-owned directory (checkpointing does).
+    /// is dropped; `build_in` keeps runs in a caller-owned directory
+    /// (checkpointing does).
     pub fn build(&self, mem_shards: usize) -> io::Result<Box<dyn VisitedStore>> {
         match *self {
             StoreConfig::Mem => Ok(Box::new(MemStore::new(mem_shards))),
@@ -185,7 +185,11 @@ impl StoreConfig {
     /// Like [`build`](StoreConfig::build), but a spill store writes its runs
     /// into `dir` (created if missing) and leaves them on disk when dropped —
     /// the checkpointing mode, where the run files outlive the process.
-    pub fn build_in(&self, mem_shards: usize, dir: &Path) -> io::Result<Box<dyn VisitedStore>> {
+    pub(crate) fn build_in(
+        &self,
+        mem_shards: usize,
+        dir: &Path,
+    ) -> io::Result<Box<dyn VisitedStore>> {
         match *self {
             StoreConfig::Spill { .. } => Ok(Box::new(ShardedStore::new(
                 *self,
@@ -209,13 +213,13 @@ type KeySet<T> = HashSet<T, zobrist::FxBuildHasher>;
 /// The historical in-memory sharded dedup set: `(key, depth)` pairs hashed
 /// into `shards` lock-sharded hash sets by `key % shards`.  Every count and
 /// byte reported is identical to the engine's pre-seam accounting.
-pub struct MemStore {
+pub(crate) struct MemStore {
     shards: Vec<Mutex<KeySet<(u64, usize)>>>,
 }
 
 impl MemStore {
     /// An empty store with `shards.max(1)` lock shards.
-    pub fn new(shards: usize) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         MemStore {
             shards: (0..shards.max(1))
                 .map(|_| Mutex::new(KeySet::default()))
@@ -309,19 +313,19 @@ impl VisitedStore for MemStore {
 /// sharded backends store and route on.  Avalanched, so its top bits are a
 /// uniform shard/partition prefix.
 #[inline]
-pub fn record_of(key: u64, depth: usize) -> u64 {
+pub(crate) fn record_of(key: u64, depth: usize) -> u64 {
     zobrist::mix2(key, depth as u64)
 }
 
 /// Number of records between restart points in a sorted run (each restart
 /// stores its full key and anchors one fence), bounding both the decode
 /// work of a single membership probe and the fence index size.
-pub const RUN_RESTART_INTERVAL: usize = 256;
+pub(crate) const RUN_RESTART_INTERVAL: usize = 256;
 
 /// The fingerprint-prefix-sharded store: records routed by their top
 /// `shards_log2` bits, one active `HashSet<u64>` per shard, optionally
 /// spilling full shards to disk as sorted runs ([`StoreConfig::Spill`]).
-pub struct ShardedStore {
+pub(crate) struct ShardedStore {
     config: StoreConfig,
     shards_log2: u32,
     /// Per-shard resident budget in bytes; spilling flushes at this line.
@@ -600,7 +604,7 @@ impl VisitedStore for ShardedStore {
 pub enum RecordKind {
     /// Pre-folded 64-bit records (sharded backends).
     Keys,
-    /// Verbatim `(key, depth)` dedup pairs ([`MemStore`] sidecars).
+    /// Verbatim `(key, depth)` dedup pairs (`MemStore` sidecars).
     Pairs,
 }
 
@@ -667,7 +671,7 @@ pub struct StoreManifest {
 impl StoreManifest {
     /// Every file name the manifest references (runs + sidecars), used by
     /// the checkpointer to garbage-collect orphaned `.evr` files.
-    pub fn referenced_files(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn referenced_files(&self) -> impl Iterator<Item = &str> {
         self.shards.iter().flat_map(|s| {
             s.runs
                 .iter()
@@ -681,7 +685,7 @@ impl StoreManifest {
 /// `dir`, verifying every checksum.  `mem_shards` re-sizes the
 /// [`Mem`](StoreConfig::Mem) backend's lock sharding (shard assignment is
 /// recomputed per key, so the count may differ from snapshot time).
-pub fn restore_store(
+pub(crate) fn restore_store(
     manifest: &StoreManifest,
     dir: &Path,
     mem_shards: usize,
@@ -737,11 +741,11 @@ pub fn restore_store(
 // ---------------------------------------------------------------------------
 
 /// Run-file magic: `b"EVRN"`.
-pub const RUN_MAGIC: [u8; 4] = *b"EVRN";
+pub(crate) const RUN_MAGIC: [u8; 4] = *b"EVRN";
 /// Current run-format version.
-pub const RUN_VERSION: u16 = 1;
+pub(crate) const RUN_VERSION: u16 = 1;
 /// Run header size in bytes.
-pub const RUN_HEADER_BYTES: usize = 40;
+pub(crate) const RUN_HEADER_BYTES: usize = 40;
 
 fn sidecar_name(shard: usize, seq: u64) -> String {
     format!("active-{shard}-{seq}.evr")

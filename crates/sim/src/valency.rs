@@ -7,7 +7,7 @@
 //! act on registers (or on eventually linearizable objects) yields a
 //! contradiction.  This module makes the pieces of that argument executable:
 //!
-//! * [`valency_of`] classifies a configuration as univalent, bivalent or
+//! * `valency_of` classifies a configuration as univalent, bivalent or
 //!   undetermined by bounded exhaustive exploration of its descendants;
 //! * [`bivalence_walk`] follows a bivalence-preserving schedule for as long
 //!   as possible — for implementations from registers only this walk keeps
@@ -42,7 +42,7 @@ pub enum ValencyClass {
 
 impl ValencyClass {
     /// Whether the configuration is definitely bivalent.
-    pub fn is_bivalent(&self) -> bool {
+    pub(crate) fn is_bivalent(&self) -> bool {
         matches!(self, ValencyClass::Bivalent(_))
     }
 }
@@ -92,7 +92,7 @@ fn reachable_decisions(
 }
 
 /// Classifies the valency of a configuration by bounded exploration.
-pub fn valency_of(config: &Config, depth: usize, max_configs: usize) -> ValencyClass {
+pub(crate) fn valency_of(config: &Config, depth: usize, max_configs: usize) -> ValencyClass {
     valency_of_reduced(config, depth, max_configs, Reduction::None)
 }
 
@@ -101,7 +101,7 @@ pub fn valency_of(config: &Config, depth: usize, max_configs: usize) -> ValencyC
 /// recorded history, terminal configurations are preserved by sleep sets, and
 /// symmetry canonicalization renames processes without touching response
 /// values.
-pub fn valency_of_reduced(
+pub(crate) fn valency_of_reduced(
     config: &Config,
     depth: usize,
     max_configs: usize,
@@ -114,7 +114,7 @@ pub fn valency_of_reduced(
 /// reduction in the given visited-store backend (see [`crate::store`]) — the
 /// spill backend bounds resident memory for lookahead explorations whose
 /// visited sets outgrow RAM.  The classification is backend-independent.
-pub fn valency_of_stored(
+pub(crate) fn valency_of_stored(
     config: &Config,
     depth: usize,
     max_configs: usize,
@@ -264,7 +264,7 @@ pub fn check_consensus(
 /// agreement/validity violations persist in the history once recorded and
 /// both properties are process-symmetric, so every strategy returns the same
 /// verdicts (the `terminals` count shrinks with the reduction).
-pub fn check_consensus_reduced(
+pub(crate) fn check_consensus_reduced(
     implementation: &dyn Implementation,
     proposals: &[Value],
     options: ExploreOptions,
@@ -283,7 +283,7 @@ pub fn check_consensus_reduced(
 /// even implementations that are correct fault-free fail this check at
 /// budget 1.  With `fault_budget == 0` the check is identical to
 /// [`check_consensus_reduced`].
-pub fn check_consensus_faulty(
+pub(crate) fn check_consensus_faulty(
     implementation: &dyn Implementation,
     proposals: &[Value],
     options: ExploreOptions,
@@ -305,7 +305,7 @@ pub fn check_consensus_faulty(
 /// [`crate::store`]).  Verdicts are backend-independent; the spill backend
 /// bounds resident memory when the fault-multiplied interleaving tree's
 /// visited set outgrows RAM.
-pub fn check_consensus_stored(
+pub(crate) fn check_consensus_stored(
     implementation: &dyn Implementation,
     proposals: &[Value],
     options: ExploreOptions,

@@ -9,7 +9,7 @@
 //! chain — a standard table-free variant with the same independence
 //! properties (each key is a pseudo-random function of its coordinates).
 //!
-//! [`crate::config::Config`] folds one [`component`] per base object, per
+//! [`crate::config::Config`] folds one `component` per base object, per
 //! process state and per recorded history event into a maintained
 //! fingerprint, so `Config::fingerprint()` — the deduplication key of the
 //! exploration engine — is a field read instead of a full-state
@@ -31,28 +31,28 @@ pub fn mix(mut x: u64) -> u64 {
 
 /// Mixes two words into one (order-sensitive).
 #[inline]
-pub fn mix2(a: u64, b: u64) -> u64 {
+pub(crate) fn mix2(a: u64, b: u64) -> u64 {
     mix(a ^ mix(b))
 }
 
 /// Domain-separation tag for base-object components.
-pub const TAG_OBJECT: u64 = 0x6f62_6a65_6374_0001;
+pub(crate) const TAG_OBJECT: u64 = 0x6f62_6a65_6374_0001;
 /// Domain-separation tag for process-state components.
-pub const TAG_PROCESS: u64 = 0x7072_6f63_6573_0002;
+pub(crate) const TAG_PROCESS: u64 = 0x7072_6f63_6573_0002;
 /// Domain-separation tag for history-event components.
-pub const TAG_EVENT: u64 = 0x6576_656e_7400_0003;
+pub(crate) const TAG_EVENT: u64 = 0x6576_656e_7400_0003;
 
 /// The derived Zobrist key of one part of a composite state: `tag` selects
 /// the part kind, `slot` its position, `content` a hash of its value.  The
 /// fingerprint of the whole state is the XOR of its parts' components.
 #[inline]
-pub fn component(tag: u64, slot: u64, content: u64) -> u64 {
+pub(crate) fn component(tag: u64, slot: u64, content: u64) -> u64 {
     mix(tag ^ mix2(slot, content))
 }
 
 /// Folds a slice of words into one fingerprint, one `mix` round per word.
 ///
-/// This is the batch counterpart of [`component`]: where the incremental
+/// This is the batch counterpart of `component`: where the incremental
 /// fingerprint XORs independently keyed parts so single-part updates are
 /// O(1), `fold_words` hashes a whole *run* of words whose identity is their
 /// order — an event frame, a segment's packed event stream — in a single
@@ -102,17 +102,17 @@ pub fn prefix(key: u64, bits: u32) -> u64 {
 /// [`prefix`] of `shards_log2` bits, as a `usize`.  This is the single
 /// routing function shared by the prefix-sharded visited stores
 /// ([`crate::store`]) and the fingerprint-range partitioner
-/// ([`crate::checkpoint::partition_ranges`]), which is what makes a
+/// ([`crate::checkpoint::explore_partitioned`]), which is what makes a
 /// partitioned exploration's per-partition stores line up with the key
 /// ranges exactly.
 #[inline]
-pub fn prefix_shard(key: u64, shards_log2: u32) -> usize {
+pub(crate) fn prefix_shard(key: u64, shards_log2: u32) -> usize {
     prefix(key, shards_log2) as usize
 }
 
 /// The Fx hash function (as used by rustc): a fast non-cryptographic word
 /// mixer used to reduce part *contents* (debug renderings, `Hash` impls) to
-/// the `content` word of a [`component`].  Identical to the hasher the
+/// the `content` word of a `component`.  Identical to the hasher the
 /// checker kernel uses for its hot-path tables.
 #[derive(Default)]
 pub struct FxHasher {
@@ -177,7 +177,7 @@ impl Hasher for FxHasher {
 /// [`FxHasher`] as a table's hasher, for keys this crate produced itself
 /// (content hashes, avalanched dedup keys): they need no SipHash round and
 /// no protection against crafted collisions.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// Streams a value's `Debug` rendering straight into a hasher, so content
 /// hashing allocates no intermediate strings.
@@ -194,7 +194,7 @@ impl<H: Hasher> std::fmt::Write for HashWriter<'_, H> {
 /// programme states, base objects — whose only uniform structural view is
 /// their debug output, which for the state machines in this workspace prints
 /// every field).
-pub fn hash_debug(value: &dyn std::fmt::Debug) -> u64 {
+pub(crate) fn hash_debug(value: &dyn std::fmt::Debug) -> u64 {
     use std::fmt::Write as _;
     let mut hasher = FxHasher::default();
     write!(HashWriter(&mut hasher), "{value:?}").expect("hashing cannot fail");

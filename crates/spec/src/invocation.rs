@@ -1,7 +1,6 @@
 //! Operation invocations.
 
 use crate::Value;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -52,7 +51,7 @@ pub static VOCABULARY: [&str; 12] = [
 
 /// A method name: the static spelling of a [`VOCABULARY`] entry, or a shared
 /// copy of any other name.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 enum Method {
     Vocabulary(&'static str),
     Other(Arc<str>),
@@ -99,7 +98,7 @@ impl Method {
 /// assert_eq!(write.method(), "write");
 /// assert_eq!(write.arg(0), Some(&Value::from(7i64)));
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Invocation {
     method: Method,
     /// `None` for the empty argument list; never `Some` of an empty one.

@@ -1,13 +1,12 @@
 //! The [`ObjectType`] trait: sequential specifications as transition relations.
 
 use crate::{Invocation, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 /// One entry of a transition relation: applying `invocation` in the source
 /// state produced `response` and moved the object to `next_state`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transition {
     /// The response returned by the operation.
     pub response: Value,

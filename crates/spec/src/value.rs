@@ -1,6 +1,5 @@
 //! Dynamic values used for states, invocation arguments and responses.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dynamically typed value.
@@ -24,7 +23,7 @@ use std::fmt;
 /// let v = Value::list([Value::from(1i64), Value::Bottom]);
 /// assert_eq!(format!("{v}"), "[1, ⊥]");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Value {
     /// The unit value, used as the response of operations like `write`.
     #[default]
@@ -104,7 +103,7 @@ impl Value {
     }
 
     /// Returns `true` if this value is the unit value.
-    pub fn is_unit(&self) -> bool {
+    pub(crate) fn is_unit(&self) -> bool {
         matches!(self, Value::Unit)
     }
 }
