@@ -52,7 +52,6 @@ pub fn run(quick: bool) -> Vec<Table> {
         // the compare&swap protocol's read steps commute across processes.
         reduction: Reduction::SleepSet,
         fault_budget: 0,
-        ..StabilityOptions::default()
     };
 
     let mut table = Table::new(

@@ -11,8 +11,8 @@
 //! [`map_ordered`] serves the callers that hold a batch of independent whole
 //! problems — a batch of histories (the `_par` functions below, used by
 //! experiments E4, E5, E7, E10 and E15) or a batch of exploration subtrees
-//! (`evlin_sim::engine::explore_shared_with`,
-//! `evlin_sim::checkpoint::explore_checkpointed_par`).
+//! (the engine's one parallel wave, under `evlin_sim::engine::explore_shared`
+//! and `evlin_sim::checkpoint::explore_checkpointed_par`).
 //!
 //! Results never depend on the worker count: [`map_ordered`] returns them in
 //! input order, so each `_par` function returns exactly what the sequential

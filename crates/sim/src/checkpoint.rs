@@ -34,22 +34,21 @@
 
 use crate::config::{Config, StepOutcome};
 use crate::engine::{
-    self, ChildStep, EngineOptions, ExploreStats, ReductionStrategy, SleepMask, Visit,
+    self, ChildStep, EngineOptions, ExploreStats, Reducer, SleepMask, Visit, Walk, WalkScratch,
 };
 use crate::fault::{FaultStep, FaultTarget};
 use crate::program::Implementation;
 use crate::store::{
-    self, annotate, RecordKind, RunMeta, ShardManifest, StoreConfig, StoreManifest,
+    self, annotate, RecordKind, RunMeta, ShardManifest, StoreConfig, StoreManifest, VisitedStore,
 };
 use crate::workload::Workload;
 use crate::zobrist;
-use evlin_checker::parallel;
 use evlin_history::ProcessId;
 use std::collections::{HashSet, VecDeque};
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 
 /// Checkpoint-file magic: `b"EVCK"`.
 pub(crate) const CHECKPOINT_MAGIC: [u8; 4] = *b"EVCK";
@@ -69,7 +68,8 @@ pub struct CheckpointOptions {
     pub dir: PathBuf,
     /// Visits between checkpoints (per process run).  The frontier is only
     /// snapshotted at these boundaries, so work since the last checkpoint —
-    /// at most this many visits — is redone after a crash.
+    /// at most this many visits, under either driver and whatever the
+    /// worker count — is redone after a crash.
     pub interval_visits: usize,
     /// Test hook simulating a hard kill: stop abruptly after this many
     /// visits *in this process run*, without writing a final checkpoint
@@ -107,12 +107,7 @@ pub struct CheckpointRun {
 
 /// One in-memory frontier node: the materialized configuration plus the
 /// replayable edge path that reaches it from the root.
-struct Frame {
-    config: Config,
-    depth: usize,
-    mask: SleepMask,
-    path: Vec<ChildStep>,
-}
+type Frame = engine::Frame<Vec<ChildStep>>;
 
 /// A frontier node as serialized: the path is enough to rebuild the
 /// configuration deterministically (`depth == path.len()`).
@@ -143,102 +138,38 @@ pub fn explore_checkpointed<F>(
 where
     F: FnMut(&Config, usize) -> Visit,
 {
-    let setup = CheckpointSetup::prepare(implementation, workload, options, ck, 1)?;
-    let CheckpointSetup {
-        root: _root,
-        strategy,
-        store,
-        mut stats,
-        mut seq,
-        resumed,
-        frames,
-        hash,
-    } = setup;
-    let mut frames = frames;
-    let shared = engine::Shared {
-        budget: AtomicUsize::new(options.limits.max_configs.saturating_sub(stats.visited)),
-        stopped: AtomicBool::new(false),
-        truncated: AtomicBool::new(stats.truncated),
-        store: Some(store.as_ref()),
-    };
-    let visited_at_start = stats.visited;
-    let store_dir = ck.dir.join(STORE_SUBDIR);
-    let mut scratch = engine::WalkScratch::default();
-    let mut since_checkpoint = 0usize;
-    let mut checkpoints_written = 0u64;
-    let mut completed = true;
-    while let Some(frame) = frames.pop() {
-        let parent_path = frame.path;
-        let cont = engine::visit_one(
-            frame.config,
-            frame.depth,
-            frame.mask,
+    let (mut session, walk, mut stack) = Session::open(implementation, workload, options, ck, 1)?;
+    let mut scratch = WalkScratch::default();
+    // The engine's inner loop, an interval at a time (less when the simulated
+    // kill comes first): the stack it leaves is the frontier it would have
+    // continued from, so a checkpoint between two calls changes nothing of
+    // the walk.
+    loop {
+        let visits = session.visits_before_kill().min(ck.interval_visits).max(1);
+        walk.descend(
+            &mut stack,
+            &AtomicUsize::new(visits),
             &mut visitor,
-            strategy.as_ref(),
-            &shared,
-            &mut stats,
-            options.limits.max_depth,
+            &mut session.stats,
             &mut scratch,
-            |child, depth, mask, step| {
-                let mut path = parent_path.clone();
-                path.push(step);
-                frames.push(Frame {
-                    config: child,
-                    depth,
-                    mask,
-                    path,
-                });
-            },
         );
-        since_checkpoint += 1;
-        if ck
-            .abort_after_visits
-            .is_some_and(|n| stats.visited - visited_at_start >= n)
-        {
-            // Simulated SIGKILL: walk away mid-flight, leaving only the
-            // last durable checkpoint (and whatever run files the store
-            // wrote since) on disk.
-            shared.finish_stats(&mut stats);
-            return Ok(CheckpointRun {
-                stats,
-                completed: false,
-                resumed,
-                checkpoints_written,
-            });
+        if session.visits_before_kill() == 0 {
+            return Ok(session.killed(&walk));
         }
-        if !cont {
-            break;
+        if stack.is_empty() || walk.halted() {
+            return session.finish(&walk);
         }
-        if since_checkpoint >= ck.interval_visits.max(1) && !frames.is_empty() {
-            seq += 1;
-            write_checkpoint(ck, &store_dir, store.as_ref(), hash, seq, &stats, &frames)?;
-            checkpoints_written += 1;
-            since_checkpoint = 0;
-        }
+        session.checkpoint(&walk, &stack)?;
     }
-    shared.finish_stats(&mut stats);
-    if !frames.is_empty() {
-        completed =
-            shared.truncated.load(Ordering::Relaxed) || shared.stopped.load(Ordering::Relaxed);
-    }
-    // Done marker: an empty (or stopped) frontier checkpoint, so a later
-    // invocation returns these stats without re-exploring.
-    seq += 1;
-    write_checkpoint(ck, &store_dir, store.as_ref(), hash, seq, &stats, &[])?;
-    checkpoints_written += 1;
-    Ok(CheckpointRun {
-        stats,
-        completed,
-        resumed,
-        checkpoints_written,
-    })
 }
 
 /// Parallel [`explore_checkpointed`]: waves of subtree-stealing workers
 /// (the visitor is shared, hence `Fn + Sync`; each wave is one
-/// [`parallel::map_ordered`] over [`EngineOptions::workers`] threads) with
-/// checkpoints written at wave boundaries.  Visited/terminal/pruned counts
-/// are worker-count independent exactly as in
+/// [`evlin_checker::parallel::map_ordered`] over [`EngineOptions::workers`]
+/// threads) with checkpoints written at wave boundaries.  A wave's workers
+/// draw their visits from what is left of the interval, so a checkpoint
+/// falls due exactly as often as under the sequential driver.
+/// Visited/terminal/pruned counts are worker-count independent exactly as in
 /// [`crate::engine::explore_shared`]; for the spill backend, run
 /// *boundaries* (and hence the spilled/filter byte split) depend on insert
 /// order and may differ across worker counts, while entry counts and
@@ -254,154 +185,68 @@ where
     F: Fn(&Config, usize) -> Visit + Sync,
 {
     let workers = options.effective_workers();
-    let setup =
-        CheckpointSetup::prepare(implementation, workload, options, ck, (workers * 4).max(16))?;
-    let CheckpointSetup {
-        root: _root,
-        strategy,
-        store,
-        mut stats,
-        mut seq,
-        resumed,
-        frames,
-        hash,
-    } = setup;
-    let mut frontier: VecDeque<Frame> = frames.into();
-    let shared = engine::Shared {
-        budget: AtomicUsize::new(options.limits.max_configs.saturating_sub(stats.visited)),
-        stopped: AtomicBool::new(false),
-        truncated: AtomicBool::new(stats.truncated),
-        store: Some(store.as_ref()),
-    };
-    let visited_at_start = stats.visited;
-    let store_dir = ck.dir.join(STORE_SUBDIR);
-    let wave_size = (workers * options.subtrees_per_worker.max(1)).max(1);
-    let per_worker_cap = (ck.interval_visits / workers).max(1);
+    let (mut session, walk, frames) =
+        Session::open(implementation, workload, options, ck, (workers * 4).max(16))?;
+    let mut frontier = VecDeque::from(frames);
+    let interval = ck.interval_visits.max(1);
     let mut since_checkpoint = 0usize;
-    let mut checkpoints_written = 0u64;
-    while !frontier.is_empty() && !shared.stopped.load(Ordering::Relaxed) {
-        let wave: Vec<Frame> = (0..wave_size).map_while(|_| frontier.pop_front()).collect();
-        let results = parallel::map_ordered(workers, wave, |frame| {
-            let mut local = ExploreStats::default();
-            let mut scratch = engine::WalkScratch::default();
-            let mut stack: Vec<Frame> = vec![frame];
-            let mut leftovers: Vec<Frame> = Vec::new();
-            let mut visits = 0usize;
-            while let Some(frame) = stack.pop() {
-                if visits >= per_worker_cap || shared.stopped.load(Ordering::Relaxed) {
-                    leftovers.push(frame);
-                    continue;
-                }
-                visits += 1;
-                let parent_path = frame.path;
-                let mut shim = |c: &Config, d: usize| visitor(c, d);
-                if !engine::visit_one(
-                    frame.config,
-                    frame.depth,
-                    frame.mask,
-                    &mut shim,
-                    strategy.as_ref(),
-                    &shared,
-                    &mut local,
-                    options.limits.max_depth,
-                    &mut scratch,
-                    |child, depth, mask, step| {
-                        let mut path = parent_path.clone();
-                        path.push(step);
-                        stack.push(Frame {
-                            config: child,
-                            depth,
-                            mask,
-                            path,
-                        });
-                    },
-                ) {
-                    break;
-                }
-            }
-            (local, leftovers)
-        });
-        for (local, leftovers) in results {
-            stats.visited += local.visited;
-            stats.terminals += local.terminals;
-            stats.pruned += local.pruned;
-            frontier.extend(leftovers);
+    loop {
+        since_checkpoint += walk.wave(
+            &mut frontier,
+            workers,
+            Some(interval - since_checkpoint),
+            &visitor,
+            &mut session.stats,
+        );
+        if session.visits_before_kill() == 0 {
+            return Ok(session.killed(&walk));
         }
-        since_checkpoint += ck.interval_visits.min(stats.visited - visited_at_start);
-        if ck
-            .abort_after_visits
-            .is_some_and(|n| stats.visited - visited_at_start >= n)
-        {
-            shared.finish_stats(&mut stats);
-            return Ok(CheckpointRun {
-                stats,
-                completed: false,
-                resumed,
-                checkpoints_written,
-            });
+        if frontier.is_empty() || walk.halted() {
+            return session.finish(&walk);
         }
-        if since_checkpoint >= ck.interval_visits.max(1) && !frontier.is_empty() {
-            seq += 1;
-            let frames: Vec<Frame> = frontier.drain(..).collect();
-            write_checkpoint(ck, &store_dir, store.as_ref(), hash, seq, &stats, &frames)?;
-            frontier = frames.into();
-            checkpoints_written += 1;
+        if since_checkpoint >= interval {
+            session.checkpoint(&walk, frontier.make_contiguous())?;
             since_checkpoint = 0;
         }
     }
-    shared.finish_stats(&mut stats);
-    let completed = frontier.is_empty()
-        || shared.truncated.load(Ordering::Relaxed)
-        || shared.stopped.load(Ordering::Relaxed);
-    seq += 1;
-    write_checkpoint(ck, &store_dir, store.as_ref(), hash, seq, &stats, &[])?;
-    checkpoints_written += 1;
-    Ok(CheckpointRun {
-        stats,
-        completed,
-        resumed,
-        checkpoints_written,
-    })
 }
 
-/// Everything both checkpointed drivers share: root preparation, fresh
-/// start vs resume, store construction/restoration and frontier replay.
-struct CheckpointSetup {
-    #[allow(dead_code)] // kept alive so replayed frames share its template
-    root: Config,
-    strategy: Box<dyn ReductionStrategy>,
-    store: Box<dyn store::VisitedStore>,
-    stats: ExploreStats,
+/// Everything both checkpointed drivers share besides the walk itself: fresh
+/// start vs resume (store construction/restoration and frontier replay, in
+/// [`Session::open`]), the running stats and the checkpoint sequence.
+struct Session<'a> {
+    ck: &'a CheckpointOptions,
+    store_dir: PathBuf,
+    hash: u64,
     seq: u64,
     resumed: bool,
-    frames: Vec<Frame>,
-    hash: u64,
+    checkpoints_written: u64,
+    /// `stats.visited` when this process run began.
+    visited_at_start: usize,
+    stats: ExploreStats,
 }
 
-impl CheckpointSetup {
-    fn prepare(
+impl<'a> Session<'a> {
+    fn open(
         implementation: &dyn Implementation,
         workload: &Workload,
         options: &EngineOptions,
-        ck: &CheckpointOptions,
+        ck: &'a CheckpointOptions,
         mem_shards: usize,
-    ) -> io::Result<CheckpointSetup> {
-        let mut root = Config::initial(implementation, workload);
-        let strategy = options
-            .reduction
-            .strategy(&root, implementation.process_symmetric_hint());
+    ) -> io::Result<(Session<'a>, Walk, Vec<Frame>)> {
         // The visited store *is* the resumable state, so dedup is forced on.
-        root.set_fingerprint_tracking(true, strategy.uses_rename_components());
-        if options.fault_budget > 0 {
-            root.set_fault_budget(options.fault_budget);
-        }
-        let mut mask: SleepMask = 0;
-        strategy.normalize(&mut root, &mut mask);
+        let (reducer, root, _) = engine::set_up_root(
+            Config::initial(implementation, workload),
+            implementation.process_symmetric_hint(),
+            options,
+            true,
+        );
         let hash = config_hash(implementation, workload, options);
         let store_dir = ck.dir.join(STORE_SUBDIR);
         fs::create_dir_all(&store_dir)?;
         let checkpoint_path = ck.dir.join(CHECKPOINT_FILE);
-        if checkpoint_path.exists() {
+        let resumed = checkpoint_path.exists();
+        let (store, stats, seq, frames) = if resumed {
             let saved = read_checkpoint(&checkpoint_path, hash)?;
             let store = store::restore_store(&saved.manifest, &store_dir, mem_shards)?;
             // Run files written after the checkpoint (the kill window) are
@@ -411,51 +256,76 @@ impl CheckpointSetup {
             let frames = saved
                 .frames
                 .iter()
-                .map(|f| replay_frame(&root, strategy.as_ref(), f))
+                .map(|f| replay_frame(&root.config, &reducer, f))
                 .collect::<io::Result<Vec<Frame>>>()?;
-            Ok(CheckpointSetup {
-                root,
-                strategy,
-                store,
-                stats: saved.stats,
-                seq: saved.seq,
-                resumed: true,
-                frames,
-                hash,
-            })
+            (store, saved.stats, saved.seq, frames)
         } else {
             let store = options.store.build_in(mem_shards, &store_dir)?;
-            let mut frames = Vec::new();
-            if store.insert(engine::dedup_key(&root, mask), 0) {
-                frames.push(Frame {
-                    config: root.clone(),
-                    depth: 0,
-                    mask,
-                    path: Vec::new(),
-                });
-            }
-            Ok(CheckpointSetup {
-                root,
-                strategy,
-                store,
-                stats: ExploreStats::default(),
-                seq: 0,
-                resumed: false,
-                frames,
-                hash,
-            })
+            let frames = engine::first_frames(root, Some(store.as_ref()));
+            (store, ExploreStats::default(), 0, frames)
+        };
+        let session = Session {
+            ck,
+            store_dir,
+            hash,
+            seq,
+            resumed,
+            checkpoints_written: 0,
+            visited_at_start: stats.visited,
+            stats,
+        };
+        let walk = Walk::new(reducer, options.limits, &session.stats, Some(store));
+        Ok((session, walk, frames))
+    }
+
+    /// Visits this process run may still make before
+    /// [`CheckpointOptions::abort_after_visits`] kills it.
+    fn visits_before_kill(&self) -> usize {
+        self.ck.abort_after_visits.map_or(usize::MAX, |n| {
+            n.saturating_sub(self.stats.visited - self.visited_at_start)
+        })
+    }
+
+    fn checkpoint(&mut self, walk: &Walk, frames: &[Frame]) -> io::Result<()> {
+        let store = walk.store().expect("a checkpointed walk has a store");
+        self.seq += 1;
+        write_checkpoint(self, store, frames)?;
+        self.checkpoints_written += 1;
+        Ok(())
+    }
+
+    fn run(&self, completed: bool) -> CheckpointRun {
+        CheckpointRun {
+            stats: self.stats,
+            completed,
+            resumed: self.resumed,
+            checkpoints_written: self.checkpoints_written,
         }
+    }
+
+    /// Simulated SIGKILL: walk away mid-flight, leaving only the last
+    /// durable checkpoint (and whatever run files the store wrote since) on
+    /// disk.
+    fn killed(mut self, walk: &Walk) -> CheckpointRun {
+        walk.finish_stats(&mut self.stats);
+        self.run(false)
+    }
+
+    /// The drivers loop until the frontier drains or the walk halts, and
+    /// either way nothing is left to resume.  Done marker: an empty-frontier
+    /// checkpoint, so a later invocation returns these stats without
+    /// re-exploring.
+    fn finish(mut self, walk: &Walk) -> io::Result<CheckpointRun> {
+        walk.finish_stats(&mut self.stats);
+        self.checkpoint(walk, &[])?;
+        Ok(self.run(true))
     }
 }
 
 /// Rebuilds a frontier configuration by replaying its edge path from the
 /// prepared root, normalizing after every step exactly as the engine did
 /// when the frame was first produced.
-fn replay_frame(
-    root: &Config,
-    strategy: &dyn ReductionStrategy,
-    saved: &SavedFrame,
-) -> io::Result<Frame> {
+fn replay_frame(root: &Config, reducer: &Reducer, saved: &SavedFrame) -> io::Result<Frame> {
     let mut config = root.clone();
     for step in &saved.path {
         match *step {
@@ -479,7 +349,7 @@ fn replay_frame(
             }
         }
         let mut scratch_mask: SleepMask = 0;
-        strategy.normalize(&mut config, &mut scratch_mask);
+        reducer.normalize(&mut config, &mut scratch_mask);
     }
     Ok(Frame {
         config,
@@ -726,21 +596,25 @@ fn decode_step(dec: &mut Dec<'_>) -> io::Result<ChildStep> {
 /// (write-to-temp, fsync, rename), then garbage-collects `.evr` files the
 /// new manifest no longer references (previous checkpoints' sidecars).
 fn write_checkpoint(
-    ck: &CheckpointOptions,
-    store_dir: &Path,
-    store: &dyn store::VisitedStore,
-    hash: u64,
-    seq: u64,
-    stats: &ExploreStats,
+    session: &Session<'_>,
+    store: &dyn VisitedStore,
     frames: &[Frame],
 ) -> io::Result<()> {
-    let manifest = store.snapshot(store_dir, seq)?;
+    let Session {
+        ck,
+        store_dir,
+        hash,
+        seq,
+        stats,
+        ..
+    } = session;
+    let manifest = store.snapshot(store_dir, *seq)?;
     let mut enc = Enc { buf: Vec::new() };
     enc.buf.extend_from_slice(&CHECKPOINT_MAGIC);
     enc.u16(CHECKPOINT_VERSION);
     enc.u16(0); // flags
     enc.u64(0); // config hash patched below
-    enc.u64(seq);
+    enc.u64(*seq);
     enc.u64(stats.visited as u64);
     enc.u64(stats.terminals as u64);
     enc.u64(stats.pruned as u64);
@@ -932,98 +806,64 @@ where
     F: FnMut(&Config, usize) -> Visit,
 {
     let parts = 1usize << parts_log2;
-    let mut root = Config::initial(implementation, workload);
-    let strategy = options
-        .reduction
-        .strategy(&root, implementation.process_symmetric_hint());
-    root.set_fingerprint_tracking(true, strategy.uses_rename_components());
-    if options.fault_budget > 0 {
-        root.set_fault_budget(options.fault_budget);
-    }
-    let mut root_mask: SleepMask = 0;
-    strategy.normalize(&mut root, &mut root_mask);
-    let stores: Vec<Box<dyn store::VisitedStore>> = (0..parts)
+    let (reducer, root, _) = engine::set_up_root(
+        Config::initial(implementation, workload),
+        implementation.process_symmetric_hint(),
+        options,
+        true,
+    );
+    let stores: Vec<Box<dyn VisitedStore>> = (0..parts)
         .map(|_| options.store.build(1))
         .collect::<io::Result<_>>()?;
-    let shared = engine::Shared {
-        budget: AtomicUsize::new(options.limits.max_configs),
-        stopped: AtomicBool::new(false),
-        truncated: AtomicBool::new(false),
-        store: None,
-    };
+    // No store of its own: every child comes back through `emit`, which
+    // routes it to its key's owner.
+    let walk = Walk::new(reducer, options.limits, &ExploreStats::default(), None);
     let mut per_partition = vec![ExploreStats::default(); parts];
     let mut stacks: Vec<Vec<Frame>> = (0..parts).map(|_| Vec::new()).collect();
     let mut outboxes: Vec<Vec<Export>> = (0..parts).map(|_| Vec::new()).collect();
-    let root_key = engine::dedup_key(&root, root_mask);
-    let root_owner = zobrist::prefix_shard(root_key, parts_log2);
-    if stores[root_owner].insert(root_key, 0) {
-        stacks[root_owner].push(Frame {
-            config: root.clone(),
-            depth: 0,
-            mask: root_mask,
-            path: Vec::new(),
-        });
-    }
+    let root_config = root.config.clone();
+    let root_owner = zobrist::prefix_shard(engine::dedup_key(&root.config, root.mask), parts_log2);
+    stacks[root_owner] = engine::first_frames(root, Some(stores[root_owner].as_ref()));
     let mut rounds = 0usize;
     let mut exported = 0usize;
-    let mut scratch = engine::WalkScratch::default();
+    let mut scratch = WalkScratch::default();
     loop {
         for part in 0..parts {
             let mut pruned_here = 0usize;
-            let mut halted = false;
-            while let Some(frame) = stacks[part].pop() {
-                let parent_path = frame.path;
+            while !walk.halted() {
+                let Some(frame) = stacks[part].pop() else {
+                    break;
+                };
                 let stack = &mut stacks[part];
                 let outboxes = &mut outboxes;
                 let store = stores[part].as_ref();
-                let cont = engine::visit_one(
-                    frame.config,
-                    frame.depth,
-                    frame.mask,
+                walk.visit_one(
+                    frame,
                     &mut visitor,
-                    strategy.as_ref(),
-                    &shared,
                     &mut per_partition[part],
-                    options.limits.max_depth,
                     &mut scratch,
-                    |child, depth, mask, step| {
-                        let key = engine::dedup_key(&child, mask);
+                    |child| {
+                        let key = engine::dedup_key(&child.config, child.mask);
                         let owner = zobrist::prefix_shard(key, parts_log2);
-                        let mut path = parent_path.clone();
-                        path.push(step);
-                        if owner == part {
-                            if store.insert(key, depth) {
-                                stack.push(Frame {
-                                    config: child,
-                                    depth,
-                                    mask,
-                                    path,
-                                });
-                            } else {
-                                pruned_here += 1;
-                            }
-                        } else {
+                        if owner != part {
                             exported += 1;
                             outboxes[owner].push(Export {
                                 key,
-                                depth,
-                                mask,
-                                path,
+                                depth: child.depth,
+                                mask: child.mask,
+                                path: child.path,
                             });
+                        } else if store.insert(key, child.depth) {
+                            stack.push(child);
+                        } else {
+                            pruned_here += 1;
                         }
                     },
                 );
-                if !cont {
-                    halted = true;
-                    break;
-                }
             }
             per_partition[part].pruned += pruned_here;
-            if halted {
-                break;
-            }
         }
-        if shared.stopped.load(Ordering::Relaxed) {
+        if walk.halted() {
             break;
         }
         // Deliver cross-partition edges: the owner probes each key against
@@ -1034,8 +874,8 @@ where
             for export in exports {
                 if stores[owner].insert(export.key, export.depth) {
                     let frame = replay_frame(
-                        &root,
-                        strategy.as_ref(),
+                        &root_config,
+                        &walk.reducer,
                         &SavedFrame {
                             mask: export.mask,
                             path: export.path,
@@ -1053,14 +893,15 @@ where
         }
         rounds += 1;
     }
-    let truncated = shared.truncated.load(Ordering::Relaxed);
+    // The walk has no store of its own, so this only latches truncation.
     let mut total = ExploreStats::default();
+    walk.finish_stats(&mut total);
     for (stats, store) in per_partition.iter_mut().zip(&stores) {
         let report = store.report();
         stats.store_bytes = report.bytes;
         stats.bytes_allocated = report.bytes.total();
         stats.store_runs = report.runs_written;
-        stats.truncated = truncated;
+        stats.truncated = total.truncated;
         total.visited += stats.visited;
         total.terminals += stats.terminals;
         total.pruned += stats.pruned;
@@ -1070,7 +911,6 @@ where
         total.store_bytes.filter += report.bytes.filter;
     }
     total.bytes_allocated = total.store_bytes.total();
-    total.truncated = truncated;
     Ok(PartitionRun {
         per_partition,
         total,

@@ -1,19 +1,24 @@
-//! The unified exhaustive-exploration engine with pluggable reduction.
+//! The unified exhaustive-exploration engine: one walker, four reductions.
 //!
 //! Every exhaustive quantifier in this workspace ("every history of this
 //! implementation is linearizable", "some reachable configuration is
 //! stable", …) is discharged by walking the tree of interleavings of process
 //! steps.  This module is the single walker behind all of them — the
-//! [`crate::explorer`] functions, the valency analysis and the stability
-//! search are thin facades over it — and it fights the combinatorial
-//! explosion with two classical reductions, selected by a pluggable
-//! [`ReductionStrategy`]:
+//! [`crate::explorer`] functions, the valency analysis, the stability search
+//! and the [`crate::checkpoint`] drivers are thin facades over it.  The
+//! walker is one function that visits a configuration (`Walk::visit_one`),
+//! one depth-first loop around it (`Walk::descend`: pop a frame, visit it,
+//! push its children, for at most an allowance of visits) and one parallel
+//! wave of such loops (`Walk::wave`); every entry point sets its root up the
+//! same way (`set_up_root`) and differs only in how often it calls the loop
+//! and what it does between calls.  It fights the combinatorial explosion
+//! with two classical reductions, selected by a [`Reduction`] value that is
+//! resolved against the root into the walk's one `Reducer`:
 //!
-//! * **Sleep sets** (Godefroid-style dynamic partial-order reduction,
-//!   `SleepSets`): after exploring a step of process `p`, sibling branches
-//!   carry `p` in their *sleep set* for as long as `p`'s pending step
-//!   commutes with theirs, so only one order of each commuting pair is
-//!   expanded.  Commutation is decided by the step-independence oracle
+//! * **Sleep sets** (Godefroid-style dynamic partial-order reduction): after
+//!   exploring a step of process `p`, sibling branches carry `p` in their
+//!   *sleep set* for as long as `p`'s pending step commutes with theirs, so
+//!   only one order of each commuting pair is expanded.  Commutation is decided by the step-independence oracle
 //!   [`crate::config::Config::peek_step_shape`]: two steps commute iff both
 //!   are mid-operation base-object accesses touching disjoint objects (or the
 //!   same object without writing) — steps that record history events never
@@ -66,7 +71,6 @@ use crate::zobrist;
 use evlin_checker::parallel;
 use evlin_history::{History, ProcessId};
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -97,7 +101,7 @@ pub struct ExploreStats {
     /// bound).
     pub terminals: usize,
     /// Number of child configurations *not* expanded because the reduction
-    /// strategy slept them or deduplication had already seen them.
+    /// slept them or deduplication had already seen them.
     pub pruned: usize,
     /// Total bytes held by the engine's visited store at the end of the run
     /// (resident + spilled + filter — see [`ExploreStats::store_bytes`]; 0
@@ -144,23 +148,7 @@ pub enum ChildStep {
     Fault(FaultStep),
 }
 
-/// Appends the fault children of `config` to an expansion, each with an
-/// *empty* sleep mask: a corruption can change any component, so it is
-/// dependent with every pending step — it must never be slept (it is not a
-/// process, so it cannot be), and after it fires every sleeping process
-/// wakes.  Every provided strategy threads its expansion through this helper,
-/// which is what keeps fault-bounded reduced exploration verdict-identical to
-/// the unreduced engine (checked by `crates/sim/tests/fault_differential.rs`).
-/// No-op when the budget is 0.
-fn push_fault_children(config: &Config, out: &mut Vec<(ChildStep, SleepMask)>) {
-    config.for_each_fault(|f| out.push((ChildStep::Fault(f), 0)));
-}
-
 /// The reduction applied by the engine, as a plain selectable value.
-///
-/// Each variant resolves (via [`Reduction::strategy`]) to a concrete
-/// [`ReductionStrategy`]; custom strategies can be plugged in directly
-/// through `explore_with` / [`explore_shared_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Reduction {
     /// No reduction: today's raw-tree semantics.
@@ -175,9 +163,8 @@ pub enum Reduction {
 }
 
 impl Reduction {
-    /// The strategy's display name (matches [`ReductionStrategy::name`] of
-    /// the strategy this variant resolves to) — the single source of truth
-    /// for experiment tables and logs.
+    /// The reduction's display name — the single source of truth for
+    /// experiment tables, logs and the checkpoint parameter hash.
     pub fn label(self) -> &'static str {
         match self {
             Reduction::None => "none",
@@ -187,64 +174,95 @@ impl Reduction {
         }
     }
 
-    /// Builds the strategy for exploring from `root`.  `hint` is the
+    /// Resolves the reduction for exploring from `root`.  `hint` is the
     /// implementation's symmetry marker
     /// ([`Implementation::process_symmetric_hint`]); pass `None` to decide
     /// structurally (the right thing when exploring from a mid-execution
     /// configuration).
-    pub fn strategy(self, root: &Config, hint: Option<bool>) -> Box<dyn ReductionStrategy> {
-        match self {
-            Reduction::None => Box::new(NoReduction),
-            Reduction::SleepSet => Box::new(SleepSets::new(root)),
-            Reduction::Symmetry => Box::new(SymmetryReduction::detect(root, hint)),
-            Reduction::SleepSetSymmetry => Box::new(SleepSetSymmetry::new(root, hint)),
-        }
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sleep-set variant is asked for a `root` with more
+    /// processes than a [`SleepMask`] has bits: the shift that sets a
+    /// process's bit would wrap in a release build and alias process 64 onto
+    /// process 0, sleeping steps that do not commute.
+    pub(crate) fn resolve(self, root: &Config, hint: Option<bool>) -> Reducer {
+        let sleep = matches!(self, Reduction::SleepSet | Reduction::SleepSetSymmetry);
+        assert!(
+            !sleep || root.processes() <= SleepMask::BITS as usize,
+            "sleep-set reduction holds at most {} processes in its mask; the configuration has {}",
+            SleepMask::BITS,
+            root.processes()
+        );
+        let symmetry = matches!(self, Reduction::Symmetry | Reduction::SleepSetSymmetry)
+            .then(|| SymmetryReduction::detect(root, hint));
+        Reducer { sleep, symmetry }
     }
 }
 
-/// A pluggable state-space reduction.
+/// A [`Reduction`] resolved against the root of one walk.
 ///
-/// The engine drives the traversal (budgets, deduplication, parallel
-/// subtree-stealing); a strategy only decides *which* children of a node to
-/// expand ([`ReductionStrategy::expand`]) and how to rewrite a freshly
-/// produced configuration into a canonical representative
-/// ([`ReductionStrategy::normalize`]).  Both must be deterministic functions
-/// of their arguments — that is what makes [`ExploreStats`] identical across
-/// worker counts and runs.
-pub trait ReductionStrategy: fmt::Debug + Send + Sync {
-    /// A short name for tables and diagnostics.
-    fn name(&self) -> &'static str;
+/// The walker drives the traversal (budgets, deduplication, parallel
+/// subtrees); the reducer only decides *which* children of a node to expand
+/// ([`Reducer::expand`]) and how to rewrite a freshly produced configuration
+/// into a canonical representative ([`Reducer::normalize`]).  Both are
+/// deterministic functions of their arguments — that is what makes
+/// [`ExploreStats`] identical across worker counts and runs.
+#[derive(Debug)]
+pub(crate) struct Reducer {
+    /// Expand through sleep sets; otherwise every enabled process.  In the
+    /// combined reduction the sleep sets run in canonical coordinates, so
+    /// sibling orders are well-defined per orbit and the merged state graph
+    /// stays deterministic.
+    sleep: bool,
+    /// The canonicalization half of the two symmetry variants, detected
+    /// against the root; `None` under the other two.
+    symmetry: Option<SymmetryReduction>,
+}
 
-    /// Whether the strategy only prunes through the deduplication set (the
-    /// engine force-enables dedup when this is true).  Canonicalizing
-    /// strategies merge renamed configurations this way.
+impl Reducer {
+    /// Whether the reduction only prunes through the deduplication set (the
+    /// engine force-enables dedup then): canonicalization merges renamed
+    /// configurations this way, and degrades to plain deduplication where
+    /// the root is not symmetric.
     fn requires_dedup(&self) -> bool {
-        false
+        self.symmetry.is_some()
     }
 
-    /// Whether the strategy folds *permuted* fingerprints
+    /// Whether *permuted* fingerprints are folded
     /// ([`Config::canonical_permutation`]): only then does the engine ask
     /// configurations to maintain the per-(process, rename-target) history
     /// rows, which plain deduplication never reads.
     fn uses_rename_components(&self) -> bool {
-        false
+        self.symmetry
+            .as_ref()
+            .is_some_and(SymmetryReduction::is_applicable)
     }
 
     /// Rewrites `config` into its canonical representative, renaming the
-    /// sleep mask along.  The default keeps the configuration as-is.
-    fn normalize(&self, _config: &mut Config, _mask: &mut SleepMask) {}
+    /// sleep mask along; as-is without an applicable symmetry.
+    pub(crate) fn normalize(&self, config: &mut Config, mask: &mut SleepMask) {
+        if let Some(symmetry) = &self.symmetry {
+            symmetry.canonicalize(config, mask);
+        }
+    }
 
     /// Appends the children of `config` to expand — each a [`ChildStep`]
     /// (an enabled process, or an injectable transient fault while the
     /// configuration's budget lasts) together with the child's sleep mask —
-    /// to `out` (cleared by the engine), in deterministic order.  `enabled`
-    /// is the precomputed list of enabled processes.  Process children left
-    /// out are counted as pruned by the engine; every strategy must emit the
-    /// *same* fault children (via the engine's shared helper), since faults
-    /// never commute with anything.  The buffer is reused across nodes, which
-    /// keeps expansion allocation-free; `memo` is the walker's transition
-    /// memo, for strategies that classify pending steps
+    /// to `out` (cleared by the walker, and reused across nodes, which keeps
+    /// expansion allocation-free), in deterministic order.  `enabled` is the
+    /// precomputed list of enabled processes; the ones left out are counted
+    /// as pruned by the walker.  `memo` is the walker's transition memo,
+    /// through which sleep sets classify pending steps
     /// ([`Config::peek_step_shape_memoized`]).
+    ///
+    /// At a node with sleep set `S`, only processes outside `S` are
+    /// expanded; the `i`-th expanded process `p` hands its child the sleep
+    /// set `{ q ∈ S ∪ {earlier siblings} : step(q) commutes with step(p)
+    /// here }`.  Every pruned schedule is a commutation of a retained one,
+    /// so the set of reachable terminal configurations — and with it every
+    /// terminal history — is preserved exactly.
     fn expand(
         &self,
         config: &Config,
@@ -252,28 +270,46 @@ pub trait ReductionStrategy: fmt::Debug + Send + Sync {
         sleep: SleepMask,
         memo: &StepMemo,
         out: &mut Vec<(ChildStep, SleepMask)>,
-    );
-}
-
-/// The identity strategy: expand every enabled process, canonicalize nothing.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NoReduction;
-
-impl ReductionStrategy for NoReduction {
-    fn name(&self) -> &'static str {
-        Reduction::None.label()
-    }
-
-    fn expand(
-        &self,
-        config: &Config,
-        enabled: &[ProcessId],
-        _sleep: SleepMask,
-        _memo: &StepMemo,
-        out: &mut Vec<(ChildStep, SleepMask)>,
     ) {
-        out.extend(enabled.iter().map(|&p| (ChildStep::Exec(p), 0)));
-        push_fault_children(config, out);
+        if !self.sleep || enabled.len() <= 1 {
+            out.extend(enabled.iter().map(|&p| (ChildStep::Exec(p), 0)));
+        } else {
+            // Shapes live on the stack (one slot per possible mask bit), so
+            // expansion allocates nothing beyond the reused output buffer;
+            // each enabled process is classified exactly once per expansion.
+            let mut shapes = [None::<StepShape>; SleepMask::BITS as usize];
+            for &p in enabled {
+                shapes[p.index()] = config.peek_step_shape_memoized(p, memo);
+            }
+            let mut slept = sleep;
+            for &p in enabled {
+                if sleep & (1 << p.index()) != 0 {
+                    continue;
+                }
+                let shape = shapes[p.index()].expect("enabled process has a next step");
+                let mut child_mask: SleepMask = 0;
+                let mut bits = slept;
+                while bits != 0 {
+                    let q = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    // A sleeping process that somehow lost its step (it
+                    // cannot, but stay conservative) is simply woken.
+                    if shapes[q].is_some_and(|sq| independent(shape, sq)) {
+                        child_mask |= 1 << q;
+                    }
+                }
+                out.push((ChildStep::Exec(p), child_mask));
+                slept |= 1 << p.index();
+            }
+        }
+        // The fault children, under every reduction alike and each with an
+        // *empty* sleep mask: a corruption can change any component, so it
+        // is dependent with every pending step — it must never be slept (it
+        // is not a process, so it cannot be), and after it fires every
+        // sleeping process wakes.  That is what keeps fault-bounded reduced
+        // exploration verdict-identical to the unreduced engine (checked by
+        // `crates/sim/tests/fault_differential.rs`).  None at budget 0.
+        config.for_each_fault(|f| out.push((ChildStep::Fault(f), 0)));
     }
 }
 
@@ -295,89 +331,6 @@ fn independent(a: StepShape, b: StepShape) -> bool {
     }
 }
 
-/// Sleep-set dynamic partial-order reduction.
-///
-/// At a node with sleep set `S`, only processes outside `S` are expanded; the
-/// `i`-th expanded process `p` hands its child the sleep set
-/// `{ q ∈ S ∪ {earlier siblings} : step(q) commutes with step(p) here }`.
-/// Every pruned schedule is a commutation of a retained one, so the set of
-/// reachable terminal configurations — and with it every terminal history —
-/// is preserved exactly.
-///
-/// Sleep sets are [`SleepMask`] bits, one per process, so the strategy can
-/// only be built ([`SleepSets::new`]) for a root the mask is wide enough for.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SleepSets(());
-
-impl SleepSets {
-    /// Sleep sets for an exploration from `root`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `root` has more processes than a [`SleepMask`] has bits:
-    /// the shift that sets a process's bit would wrap in a release build and
-    /// alias process 64 onto process 0, sleeping steps that do not commute.
-    pub(crate) fn new(root: &Config) -> Self {
-        assert!(
-            root.processes() <= SleepMask::BITS as usize,
-            "sleep-set reduction holds at most {} processes in its mask; the configuration has {}",
-            SleepMask::BITS,
-            root.processes()
-        );
-        SleepSets(())
-    }
-}
-
-impl ReductionStrategy for SleepSets {
-    fn name(&self) -> &'static str {
-        Reduction::SleepSet.label()
-    }
-
-    fn expand(
-        &self,
-        config: &Config,
-        enabled: &[ProcessId],
-        sleep: SleepMask,
-        memo: &StepMemo,
-        out: &mut Vec<(ChildStep, SleepMask)>,
-    ) {
-        if enabled.len() <= 1 {
-            out.extend(enabled.iter().map(|&p| (ChildStep::Exec(p), 0)));
-            push_fault_children(config, out);
-            return;
-        }
-        // Shapes live on the stack (one slot per possible mask bit), so
-        // expansion allocates nothing beyond the reused output buffer; each
-        // enabled process is classified exactly once per expansion.
-        let mut shapes = [None::<StepShape>; SleepMask::BITS as usize];
-        for &p in enabled {
-            shapes[p.index()] = config.peek_step_shape_memoized(p, memo);
-        }
-        let mut slept = sleep;
-        for &p in enabled {
-            if sleep & (1 << p.index()) != 0 {
-                continue;
-            }
-            let shape = shapes[p.index()].expect("enabled process has a next step");
-            let mut child_mask: SleepMask = 0;
-            let mut bits = slept;
-            while bits != 0 {
-                let q = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                // A sleeping process that somehow lost its step (it cannot,
-                // but stay conservative) is simply woken.
-                if shapes[q].is_some_and(|sq| independent(shape, sq)) {
-                    child_mask |= 1 << q;
-                }
-            }
-            out.push((ChildStep::Exec(p), child_mask));
-            slept |= 1 << p.index();
-        }
-        // Faults are dependent with everything: their children sleep no one.
-        push_fault_children(config, out);
-    }
-}
-
 /// Process-symmetry canonicalization.
 ///
 /// Applicable when the program is process-symmetric: every process starts
@@ -387,11 +340,11 @@ impl ReductionStrategy for SleepSets {
 /// its process-id dependence ([`crate::base::PidDependence`]).  Each
 /// configuration is then rewritten into the least fingerprint of its orbit
 /// under the `n!` process renamings, so deduplication merges all symmetric
-/// copies; when inapplicable the strategy degrades to plain deduplication.
+/// copies; when inapplicable the reduction degrades to plain deduplication.
 ///
 /// The visitor sees canonical renamings of real executions — correct for any
 /// process-symmetric verdict, and exactly why the differential suite compares
-/// *canonicalized* history sets for this strategy.
+/// *canonicalized* history sets for the symmetry reductions.
 #[derive(Debug)]
 pub struct SymmetryReduction {
     /// All permutations of the process ids (identity first); empty when the
@@ -449,85 +402,6 @@ impl SymmetryReduction {
     }
 }
 
-impl ReductionStrategy for SymmetryReduction {
-    fn name(&self) -> &'static str {
-        Reduction::Symmetry.label()
-    }
-
-    fn requires_dedup(&self) -> bool {
-        true
-    }
-
-    fn uses_rename_components(&self) -> bool {
-        self.is_applicable()
-    }
-
-    fn normalize(&self, config: &mut Config, mask: &mut SleepMask) {
-        self.canonicalize(config, mask);
-    }
-
-    fn expand(
-        &self,
-        config: &Config,
-        enabled: &[ProcessId],
-        sleep: SleepMask,
-        memo: &StepMemo,
-        out: &mut Vec<(ChildStep, SleepMask)>,
-    ) {
-        NoReduction.expand(config, enabled, sleep, memo, out)
-    }
-}
-
-/// Sleep sets over canonicalized configurations: the sleep-set expansion
-/// runs in canonical coordinates, so sibling orders are well-defined per
-/// orbit and the merged state graph stays deterministic.
-#[derive(Debug)]
-pub struct SleepSetSymmetry {
-    sleep: SleepSets,
-    /// The canonicalization half (detected against the root).
-    pub symmetry: SymmetryReduction,
-}
-
-impl SleepSetSymmetry {
-    /// Both halves for an exploration from `root` (see `SleepSets::new`,
-    /// which can panic, and [`SymmetryReduction::detect`]).
-    pub fn new(root: &Config, hint: Option<bool>) -> Self {
-        SleepSetSymmetry {
-            sleep: SleepSets::new(root),
-            symmetry: SymmetryReduction::detect(root, hint),
-        }
-    }
-}
-
-impl ReductionStrategy for SleepSetSymmetry {
-    fn name(&self) -> &'static str {
-        Reduction::SleepSetSymmetry.label()
-    }
-
-    fn requires_dedup(&self) -> bool {
-        true
-    }
-
-    fn uses_rename_components(&self) -> bool {
-        self.symmetry.is_applicable()
-    }
-
-    fn normalize(&self, config: &mut Config, mask: &mut SleepMask) {
-        self.symmetry.canonicalize(config, mask);
-    }
-
-    fn expand(
-        &self,
-        config: &Config,
-        enabled: &[ProcessId],
-        sleep: SleepMask,
-        memo: &StepMemo,
-        out: &mut Vec<(ChildStep, SleepMask)>,
-    ) {
-        self.sleep.expand(config, enabled, sleep, memo, out)
-    }
-}
-
 /// All permutations of `0..n` in lexicographic order (identity first) — the
 /// renaming table [`SymmetryReduction`] canonicalizes with, exposed so that
 /// differential tests can canonicalize histories with the *same* orbit
@@ -566,21 +440,32 @@ fn permute_mask(mask: SleepMask, perm: &[usize]) -> SleepMask {
     out
 }
 
+/// How many independent subtrees a parallel wave hands out per worker: the
+/// grain at which workers that finish early find more work.
+const SUBTREES_PER_WORKER: usize = 8;
+
 /// Options of one engine run.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
     /// Depth and size bounds.
     pub limits: ExploreOptions,
     /// How many threads run the exploration, the caller's included: `1` runs
-    /// strictly sequentially, `None` is one per core
-    /// ([`parallel::available_workers`]).  The parallel path also sizes its
-    /// stealable subtree frontier and its store's shard count from it.
+    /// strictly sequentially, in [`explore`]'s visit order; `None` is one per
+    /// core ([`parallel::available_workers`]).  The parallel path also sizes
+    /// its stealable subtree frontier and its store's shard count from it.
+    ///
+    /// Read by the entry points that can run on several threads —
+    /// [`explore_shared`], [`terminal_histories`],
+    /// [`find_history_violation`] and
+    /// [`crate::checkpoint::explore_checkpointed_par`] — and by nothing
+    /// else: [`explore`], [`crate::checkpoint::explore_checkpointed`],
+    /// [`crate::checkpoint::explore_partitioned`] and the valency and
+    /// stability analyses take a `FnMut` visitor, walk on the calling thread
+    /// and never look at it.
     pub workers: Option<usize>,
-    /// How many independent subtrees to carve out per worker (parallel path).
-    pub subtrees_per_worker: usize,
     /// Merge configurations reached at the same depth with identical state,
-    /// recorded history *and sleep mask*.  Forced on by canonicalizing
-    /// strategies.
+    /// recorded history *and sleep mask*.  Forced on by the canonicalizing
+    /// reductions.
     pub dedup: bool,
     /// The reduction to apply.
     pub reduction: Reduction,
@@ -602,7 +487,6 @@ impl Default for EngineOptions {
         EngineOptions {
             limits: ExploreOptions::default(),
             workers: None,
-            subtrees_per_worker: 8,
             dedup: false,
             reduction: Reduction::None,
             fault_budget: 0,
@@ -636,62 +520,361 @@ pub(crate) fn dedup_key(config: &Config, mask: SleepMask) -> u64 {
     )
 }
 
-/// Shared mutable state of one exploration (used by the sequential path too,
-/// with trivial contention).
-pub(crate) struct Shared<'a> {
-    /// Configurations the whole exploration may still visit (`max_configs`
-    /// budget).  Decremented per visit; exhaustion marks truncation.
-    pub(crate) budget: AtomicUsize,
-    /// Set by `Visit::Stop` (and by budget exhaustion) to halt all workers.
-    pub(crate) stopped: AtomicBool,
-    /// Whether the budget ran out anywhere.
-    pub(crate) truncated: AtomicBool,
-    /// The visited store; `None` when deduplication is off.
-    pub(crate) store: Option<&'a dyn VisitedStore>,
+/// What a frame remembers of how it was reached: nothing on the plain walks
+/// (`()`), the replayable edge list from the root on the checkpointed and
+/// partitioned ones (`Vec<ChildStep>`), which serialize frontiers as paths.
+pub(crate) trait Path: Default {
+    /// The path of the child reached from here over `step`.
+    fn extended(&self, step: ChildStep) -> Self;
 }
 
-impl Shared<'_> {
-    pub(crate) fn claim_visit(&self) -> bool {
-        let mut current = self.budget.load(Ordering::Relaxed);
-        loop {
-            if current == 0 {
-                self.truncated.store(true, Ordering::Relaxed);
-                self.stopped.store(true, Ordering::Relaxed);
-                return false;
-            }
-            match self.budget.compare_exchange_weak(
-                current,
-                current - 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => current = observed,
-            }
+impl Path for () {
+    fn extended(&self, _step: ChildStep) {}
+}
+
+impl Path for Vec<ChildStep> {
+    fn extended(&self, step: ChildStep) -> Self {
+        let mut path = self.clone();
+        path.push(step);
+        path
+    }
+}
+
+/// One node awaiting its visit.
+pub(crate) struct Frame<P> {
+    pub(crate) config: Config,
+    pub(crate) depth: usize,
+    pub(crate) mask: SleepMask,
+    pub(crate) path: P,
+}
+
+/// The one root set-up, shared by every entry point here and in
+/// [`crate::checkpoint`]: resolves the reduction against `root`, switches on
+/// what the walk will read (fingerprints only with deduplication — pure tree
+/// walks don't pay for maintaining them — and rename rows only under an
+/// applicable symmetry), installs the fault budget and normalizes.  Returns
+/// the reducer, the root frame and whether the walk deduplicates (`dedup`
+/// forces it: the resumable drivers' visited store *is* their state).
+pub(crate) fn set_up_root<P: Path>(
+    mut root: Config,
+    hint: Option<bool>,
+    options: &EngineOptions,
+    dedup: bool,
+) -> (Reducer, Frame<P>, bool) {
+    let reducer = options.reduction.resolve(&root, hint);
+    let dedup = dedup || options.dedup || reducer.requires_dedup();
+    root.set_fingerprint_tracking(dedup, reducer.uses_rename_components());
+    if options.fault_budget > 0 {
+        root.set_fault_budget(options.fault_budget);
+    }
+    let mut mask: SleepMask = 0;
+    reducer.normalize(&mut root, &mut mask);
+    let frame = Frame {
+        config: root,
+        depth: 0,
+        mask,
+        path: P::default(),
+    };
+    (reducer, frame, dedup)
+}
+
+/// The first probe: `root` is where the walk starts unless `store` has seen
+/// it.  Children are probed in one batched call per node instead (see
+/// [`Walk::visit_one`]).
+pub(crate) fn first_frames<P>(root: Frame<P>, store: Option<&dyn VisitedStore>) -> Vec<Frame<P>> {
+    match store {
+        Some(store) if !store.insert(dedup_key(&root.config, root.mask), 0) => Vec::new(),
+        _ => vec![root],
+    }
+}
+
+/// Takes one from `counter` unless it has run out.
+fn claim(counter: &AtomicUsize) -> bool {
+    counter
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+        .is_ok()
+}
+
+/// The context of one exploration: its reducer, its bounds, and the state
+/// every walker of it shares (used by the sequential path too, with trivial
+/// contention).
+pub(crate) struct Walk {
+    pub(crate) reducer: Reducer,
+    max_depth: usize,
+    /// Configurations the whole exploration may still visit (`max_configs`
+    /// budget).  Decremented per visit; exhaustion marks truncation.
+    budget: AtomicUsize,
+    /// Set by `Visit::Stop` (and by budget exhaustion) to halt all workers.
+    stopped: AtomicBool,
+    /// Whether the budget ran out anywhere.
+    truncated: AtomicBool,
+    /// The visited store; `None` when deduplication is off.
+    store: Option<Box<dyn VisitedStore>>,
+}
+
+impl Walk {
+    /// A walk under `limits` of which `done` has already happened (all zero
+    /// on a fresh start; a resumed run continues its budget and keeps its
+    /// truncation flag).
+    pub(crate) fn new(
+        reducer: Reducer,
+        limits: ExploreOptions,
+        done: &ExploreStats,
+        store: Option<Box<dyn VisitedStore>>,
+    ) -> Self {
+        Walk {
+            reducer,
+            max_depth: limits.max_depth,
+            budget: AtomicUsize::new(limits.max_configs.saturating_sub(done.visited)),
+            stopped: AtomicBool::new(false),
+            truncated: AtomicBool::new(done.truncated),
+            store,
         }
     }
 
-    /// Whether `(config, mask)` at `depth` is seen for the first time (always
-    /// true when deduplication is off): one [`dedup_key`] computation and one
-    /// store probe.  Children of a node are probed in a single batched store
-    /// call instead (see [`visit_one`]); this entry point serves roots.
-    pub(crate) fn first_visit(&self, config: &Config, depth: usize, mask: SleepMask) -> bool {
-        match self.store {
-            None => true,
-            Some(store) => store.insert(dedup_key(config, mask), depth),
-        }
+    /// The engine's own way in: [`set_up_root`], a visited store of
+    /// `mem_shards` shards when the walk deduplicates, and [`first_frames`].
+    fn start(
+        root: Config,
+        hint: Option<bool>,
+        options: &EngineOptions,
+        mem_shards: usize,
+    ) -> (Walk, Vec<Frame<()>>) {
+        let (reducer, root, dedup) = set_up_root(root, hint, options, false);
+        let store = dedup.then(|| {
+            options
+                .store
+                .build(mem_shards)
+                .expect("failed to build the visited store")
+        });
+        let walk = Walk::new(reducer, options.limits, &ExploreStats::default(), store);
+        let frames = first_frames(root, walk.store());
+        (walk, frames)
+    }
+
+    pub(crate) fn store(&self) -> Option<&dyn VisitedStore> {
+        self.store.as_deref()
+    }
+
+    /// Whether the exploration is over for every walker: the visitor said
+    /// `Visit::Stop` or the `max_configs` budget ran out.
+    pub(crate) fn halted(&self) -> bool {
+        self.stopped.load(Ordering::Relaxed)
     }
 
     /// Folds the store's final byte accounting into `stats` (the
     /// deterministic peak-memory figures) and latches the truncation flag.
     pub(crate) fn finish_stats(&self, stats: &mut ExploreStats) {
-        if let Some(store) = self.store {
+        if let Some(store) = &self.store {
             let report = store.report();
             stats.store_bytes = report.bytes;
             stats.bytes_allocated = report.bytes.total();
             stats.store_runs = report.runs_written;
         }
         stats.truncated = self.truncated.load(Ordering::Relaxed);
+    }
+
+    /// Visits one configuration: claims budget, invokes the visitor,
+    /// classifies terminals, expands children through the reducer and hands
+    /// the surviving ones to `emit`, each with its path extended by the
+    /// [`ChildStep`] edge that produced it (what the checkpointer records as
+    /// the frontier).  Halts the walk (see [`Walk::halted`]) when the budget
+    /// is exhausted or the visitor says `Visit::Stop`.
+    ///
+    /// The frame is passed *by value* so the last expanded child can be
+    /// stepped in place instead of cloned — one whole-configuration clone
+    /// saved per interior node, on top of the reused `scratch` buffers.
+    ///
+    /// All of a node's children are probed against the visited store in
+    /// *one* [`VisitedStore::insert_batch`] call, amortizing backend locking
+    /// (and, for the spill backend, run probes) across the branching factor.
+    /// Insert order within the batch equals the sequential per-child order,
+    /// and stepping a child never reads the store, so batching is
+    /// observationally identical to per-child probing — the
+    /// bit-identical-stats tests pin this.
+    pub(crate) fn visit_one<P, V, E>(
+        &self,
+        frame: Frame<P>,
+        visitor: &mut V,
+        stats: &mut ExploreStats,
+        scratch: &mut WalkScratch,
+        mut emit: E,
+    ) where
+        P: Path,
+        V: FnMut(&Config, usize) -> Visit,
+        E: FnMut(Frame<P>),
+    {
+        let Frame {
+            config,
+            depth,
+            mask,
+            path,
+        } = frame;
+        if !claim(&self.budget) {
+            self.truncated.store(true, Ordering::Relaxed);
+            self.stopped.store(true, Ordering::Relaxed);
+            return;
+        }
+        stats.visited += 1;
+        match visitor(&config, depth) {
+            Visit::Stop => {
+                self.stopped.store(true, Ordering::Relaxed);
+                return;
+            }
+            Visit::Prune => return,
+            Visit::Continue => {}
+        }
+        config.enabled_into(&mut scratch.enabled);
+        if scratch.enabled.is_empty() || depth >= self.max_depth {
+            stats.terminals += 1;
+            return;
+        }
+        scratch.children.clear();
+        self.reducer.expand(
+            &config,
+            &scratch.enabled,
+            mask,
+            &scratch.memo,
+            &mut scratch.children,
+        );
+        // Only *process* children count against the enabled set: fault
+        // children are extras on top of it, never replacements for a pruned
+        // process.
+        let exec_children = scratch
+            .children
+            .iter()
+            .filter(|(c, _)| matches!(c, ChildStep::Exec(_)))
+            .count();
+        stats.pruned += scratch.enabled.len() - exec_children;
+        let count = scratch.children.len();
+        let mut parent = Some(config);
+        scratch.pending.clear();
+        for ci in 0..count {
+            let (child_step, child_mask) = scratch.children[ci];
+            let mut child = if ci + 1 == count {
+                parent.take().expect("parent is moved out only once")
+            } else {
+                parent
+                    .as_ref()
+                    .expect("parent alive before last child")
+                    .clone()
+            };
+            match child_step {
+                ChildStep::Exec(p) => {
+                    if matches!(child.step_memoized(p, &mut scratch.memo), StepOutcome::Idle) {
+                        continue;
+                    }
+                }
+                ChildStep::Fault(f) => {
+                    if !child.apply_fault(&f) {
+                        continue;
+                    }
+                }
+            }
+            let mut mask = child_mask;
+            self.reducer.normalize(&mut child, &mut mask);
+            scratch.pending.push((child, mask, child_step));
+        }
+        scratch.fresh.clear();
+        match &self.store {
+            None => scratch.fresh.resize(scratch.pending.len(), true),
+            Some(store) => {
+                scratch.keys.clear();
+                scratch.keys.extend(
+                    scratch
+                        .pending
+                        .iter()
+                        .map(|(child, mask, _)| (dedup_key(child, *mask), depth + 1)),
+                );
+                store.insert_batch(&scratch.keys, &mut scratch.fresh);
+            }
+        }
+        for (i, (config, mask, step)) in scratch.pending.drain(..).enumerate() {
+            if scratch.fresh[i] {
+                emit(Frame {
+                    config,
+                    depth: depth + 1,
+                    mask,
+                    path: path.extended(step),
+                });
+            } else {
+                stats.pruned += 1;
+            }
+        }
+    }
+
+    /// The one inner loop: pops a frame, visits it, pushes its children —
+    /// depth-first from the top of `stack` — for as long as there are
+    /// frames, the walk is not halted and `allowance` has visits left.  The
+    /// sequential walk calls it once with an allowance it cannot exhaust,
+    /// the checkpointed one once per interval, a parallel wave once per
+    /// subtree with one allowance between them; what is left of `stack`
+    /// afterwards is, in order, what the same loop would have visited next.
+    pub(crate) fn descend<P, V>(
+        &self,
+        stack: &mut Vec<Frame<P>>,
+        allowance: &AtomicUsize,
+        visitor: &mut V,
+        stats: &mut ExploreStats,
+        scratch: &mut WalkScratch,
+    ) where
+        P: Path,
+        V: FnMut(&Config, usize) -> Visit,
+    {
+        while !self.halted() && !stack.is_empty() && claim(allowance) {
+            let frame = stack.pop().expect("checked to be non-empty");
+            self.visit_one(frame, visitor, stats, scratch, |child| stack.push(child));
+        }
+    }
+
+    /// One parallel wave: `workers` threads (the caller's among them,
+    /// [`parallel::map_ordered`]) pull subtree roots off the front of
+    /// `frontier` and explore each depth-first, all sharing the visitor, the
+    /// visit budget, the merged dedup set and — under `Some(allowance)` — a
+    /// number of visits the wave as a whole may make, after which the
+    /// workers' unfinished stacks go to the back of `frontier`.  Such a wave
+    /// takes [`SUBTREES_PER_WORKER`] subtrees per worker; a wave that
+    /// nothing cuts short (`None`) takes the whole frontier, since nothing
+    /// would be left to run after it.  Returns the visits it made, which are
+    /// also added to `stats`.
+    pub(crate) fn wave<P, V>(
+        &self,
+        frontier: &mut VecDeque<Frame<P>>,
+        workers: usize,
+        allowance: Option<usize>,
+        visitor: &V,
+        stats: &mut ExploreStats,
+    ) -> usize
+    where
+        P: Path + Send,
+        V: Fn(&Config, usize) -> Visit + Sync,
+    {
+        let subtrees = match allowance {
+            None => frontier.len(),
+            Some(_) => frontier.len().min(workers * SUBTREES_PER_WORKER),
+        };
+        let allowance = AtomicUsize::new(allowance.unwrap_or(usize::MAX));
+        let results = parallel::map_ordered(workers, frontier.drain(..subtrees), |root| {
+            let mut local = ExploreStats::default();
+            let mut stack = vec![root];
+            self.descend(
+                &mut stack,
+                &allowance,
+                &mut |c: &Config, d: usize| visitor(c, d),
+                &mut local,
+                &mut WalkScratch::default(),
+            );
+            (local, stack)
+        });
+        let mut visits = 0;
+        for (local, unfinished) in results {
+            visits += local.visited;
+            stats.terminals += local.terminals;
+            stats.pruned += local.pruned;
+            frontier.extend(unfinished);
+        }
+        stats.visited += visits;
+        visits
     }
 }
 
@@ -714,129 +897,6 @@ pub(crate) struct WalkScratch {
     fresh: Vec<bool>,
 }
 
-/// Visits one configuration: claims budget, invokes the visitor, classifies
-/// terminals, expands children through the strategy and hands the surviving
-/// ones to `emit` (together with the [`ChildStep`] edge that produced each,
-/// which the checkpointer records as the frontier path).  Returns `false`
-/// when exploration should halt (budget exhausted or `Visit::Stop`).
-///
-/// The configuration is passed *by value* so the last expanded child can be
-/// stepped in place instead of cloned — one whole-configuration clone saved
-/// per interior node, on top of the reused `scratch` buffers.
-///
-/// All of a node's children are probed against the visited store in *one*
-/// [`VisitedStore::insert_batch`] call, amortizing backend locking (and, for
-/// the spill backend, run probes) across the branching factor.  Insert order
-/// within the batch equals the sequential per-child order, and stepping a
-/// child never reads the store, so batching is observationally identical to
-/// per-child probing — the bit-identical-stats tests pin this.
-#[allow(clippy::too_many_arguments)] // one call frame of the hot loop
-pub(crate) fn visit_one<V, E>(
-    config: Config,
-    depth: usize,
-    mask: SleepMask,
-    visitor: &mut V,
-    strategy: &dyn ReductionStrategy,
-    shared: &Shared<'_>,
-    stats: &mut ExploreStats,
-    max_depth: usize,
-    scratch: &mut WalkScratch,
-    mut emit: E,
-) -> bool
-where
-    V: FnMut(&Config, usize) -> Visit,
-    E: FnMut(Config, usize, SleepMask, ChildStep),
-{
-    if !shared.claim_visit() {
-        return false;
-    }
-    stats.visited += 1;
-    match visitor(&config, depth) {
-        Visit::Stop => {
-            shared.stopped.store(true, Ordering::Relaxed);
-            return false;
-        }
-        Visit::Prune => return true,
-        Visit::Continue => {}
-    }
-    config.enabled_into(&mut scratch.enabled);
-    if scratch.enabled.is_empty() || depth >= max_depth {
-        stats.terminals += 1;
-        return true;
-    }
-    scratch.children.clear();
-    strategy.expand(
-        &config,
-        &scratch.enabled,
-        mask,
-        &scratch.memo,
-        &mut scratch.children,
-    );
-    // Only *process* children count against the enabled set: fault children
-    // are extras on top of it, never replacements for a pruned process.
-    let exec_children = scratch
-        .children
-        .iter()
-        .filter(|(c, _)| matches!(c, ChildStep::Exec(_)))
-        .count();
-    stats.pruned += scratch.enabled.len() - exec_children;
-    let count = scratch.children.len();
-    let mut parent = Some(config);
-    scratch.pending.clear();
-    for ci in 0..count {
-        let (child_step, child_mask) = scratch.children[ci];
-        let mut child = if ci + 1 == count {
-            parent.take().expect("parent is moved out only once")
-        } else {
-            parent
-                .as_ref()
-                .expect("parent alive before last child")
-                .clone()
-        };
-        match child_step {
-            ChildStep::Exec(p) => {
-                if matches!(child.step_memoized(p, &mut scratch.memo), StepOutcome::Idle) {
-                    continue;
-                }
-            }
-            ChildStep::Fault(f) => {
-                if !child.apply_fault(&f) {
-                    continue;
-                }
-            }
-        }
-        let mut mask = child_mask;
-        strategy.normalize(&mut child, &mut mask);
-        scratch.pending.push((child, mask, child_step));
-    }
-    match shared.store {
-        None => {
-            for (child, mask, step) in scratch.pending.drain(..) {
-                emit(child, depth + 1, mask, step);
-            }
-        }
-        Some(store) => {
-            scratch.keys.clear();
-            scratch.keys.extend(
-                scratch
-                    .pending
-                    .iter()
-                    .map(|(child, mask, _)| (dedup_key(child, *mask), depth + 1)),
-            );
-            scratch.fresh.clear();
-            store.insert_batch(&scratch.keys, &mut scratch.fresh);
-            for (i, (child, mask, step)) in scratch.pending.drain(..).enumerate() {
-                if scratch.fresh[i] {
-                    emit(child, depth + 1, mask, step);
-                } else {
-                    stats.pruned += 1;
-                }
-            }
-        }
-    }
-    true
-}
-
 /// Explores all executions of `implementation` on `workload` sequentially,
 /// calling `visitor` on every visited configuration with its depth.
 pub fn explore<F>(
@@ -848,104 +908,45 @@ pub fn explore<F>(
 where
     F: FnMut(&Config, usize) -> Visit,
 {
-    let root = Config::initial(implementation, workload);
-    let strategy = options
-        .reduction
-        .strategy(&root, implementation.process_symmetric_hint());
-    explore_with(root, strategy.as_ref(), options, visitor)
+    explore_config(
+        Config::initial(implementation, workload),
+        implementation.process_symmetric_hint(),
+        options,
+        visitor,
+    )
 }
 
-/// Like [`explore`], but from an explicit root configuration (used by the
-/// valency and stability analyses, which start mid-execution).  Symmetry
-/// applicability is decided structurally against the given root.
-pub(crate) fn explore_config<F>(root: Config, options: &EngineOptions, visitor: F) -> ExploreStats
-where
-    F: FnMut(&Config, usize) -> Visit,
-{
-    let strategy = options.reduction.strategy(&root, None);
-    explore_with(root, strategy.as_ref(), options, visitor)
-}
-
-/// The sequential engine path with an explicit (possibly custom) strategy.
-pub(crate) fn explore_with<F>(
+/// Like [`explore`], but from an explicit root configuration (the valency
+/// and stability analyses start mid-execution, and pass no `hint`: symmetry
+/// applicability is then decided structurally against the given root).
+pub(crate) fn explore_config<F>(
     root: Config,
-    strategy: &dyn ReductionStrategy,
-    options: &EngineOptions,
-    visitor: F,
-) -> ExploreStats
-where
-    F: FnMut(&Config, usize) -> Visit,
-{
-    explore_with_scratch(root, strategy, options, visitor, WalkScratch::default())
-}
-
-/// [`explore_with`] over caller-built walker state (the tests walk with a
-/// memo that records nothing).
-fn explore_with_scratch<F>(
-    mut root: Config,
-    strategy: &dyn ReductionStrategy,
+    hint: Option<bool>,
     options: &EngineOptions,
     mut visitor: F,
-    mut scratch: WalkScratch,
 ) -> ExploreStats
 where
     F: FnMut(&Config, usize) -> Visit,
 {
-    let dedup_on = options.dedup || strategy.requires_dedup();
-    let store: Option<Box<dyn VisitedStore>> = if dedup_on {
-        Some(
-            options
-                .store
-                .build(1)
-                .expect("failed to build the visited store"),
-        )
-    } else {
-        None
-    };
-    let shared = Shared {
-        budget: AtomicUsize::new(options.limits.max_configs),
-        stopped: AtomicBool::new(false),
-        truncated: AtomicBool::new(false),
-        store: store.as_deref(),
-    };
+    let (walk, mut stack) = Walk::start(root, hint, options, 1);
     let mut stats = ExploreStats::default();
-    let mut mask: SleepMask = 0;
-    // Fingerprints are only read by the dedup set; don't pay for maintaining
-    // them on pure tree walks.
-    root.set_fingerprint_tracking(dedup_on, strategy.uses_rename_components());
-    if options.fault_budget > 0 {
-        root.set_fault_budget(options.fault_budget);
-    }
-    strategy.normalize(&mut root, &mut mask);
-    let mut stack: Vec<(Config, usize, SleepMask)> = Vec::new();
-    if shared.first_visit(&root, 0, mask) {
-        stack.push((root, 0, mask));
-    }
-    while let Some((config, depth, mask)) = stack.pop() {
-        if !visit_one(
-            config,
-            depth,
-            mask,
-            &mut visitor,
-            strategy,
-            &shared,
-            &mut stats,
-            options.limits.max_depth,
-            &mut scratch,
-            |child, d, m, _| stack.push((child, d, m)),
-        ) {
-            break;
-        }
-    }
-    shared.finish_stats(&mut stats);
+    walk.descend(
+        &mut stack,
+        &AtomicUsize::new(usize::MAX),
+        &mut visitor,
+        &mut stats,
+        &mut WalkScratch::default(),
+    );
+    walk.finish_stats(&mut stats);
     stats
 }
 
 /// Explores all executions of `implementation` on `workload` with
 /// subtree-stealing workers (semantics of [`explore`]; the visitor is shared,
 /// hence `Fn + Sync`).  [`EngineOptions::workers`] threads run, the calling
-/// one among them ([`parallel::map_ordered`] over the subtree roots); they
-/// exist for the duration of the call.
+/// one among them; they exist for the duration of the call.  One worker has
+/// nobody to share subtrees with, so its frontier is the root and it visits
+/// exactly what [`explore`] visits, in the same order.
 ///
 /// Determinism: visited/terminal/pruned counts equal the sequential path's
 /// exactly, for any worker count — without dedup because the reduced tree's
@@ -962,149 +963,68 @@ pub fn explore_shared<F>(
 where
     F: Fn(&Config, usize) -> Visit + Sync,
 {
-    let root = Config::initial(implementation, workload);
-    let strategy = options
-        .reduction
-        .strategy(&root, implementation.process_symmetric_hint());
-    explore_shared_with(root, strategy.as_ref(), options, visitor)
-}
-
-/// The parallel engine path with an explicit (possibly custom) strategy.
-pub fn explore_shared_with<F>(
-    mut root: Config,
-    strategy: &dyn ReductionStrategy,
-    options: &EngineOptions,
-    visitor: F,
-) -> ExploreStats
-where
-    F: Fn(&Config, usize) -> Visit + Sync,
-{
     let workers = options.effective_workers();
-    let target_frontier = workers * options.subtrees_per_worker.max(1);
-    let dedup_on = options.dedup || strategy.requires_dedup();
-    let store: Option<Box<dyn VisitedStore>> = if dedup_on {
-        Some(
-            options
-                .store
-                .build((workers * 4).max(16))
-                .expect("failed to build the visited store"),
-        )
-    } else {
-        None
-    };
-    let shared = Shared {
-        budget: AtomicUsize::new(options.limits.max_configs),
-        stopped: AtomicBool::new(false),
-        truncated: AtomicBool::new(false),
-        store: store.as_deref(),
-    };
-
-    // Phase 1: sequential breadth-first expansion of the root region until
-    // enough independent subtree roots exist to keep every worker busy.
+    let (walk, frames) = Walk::start(
+        Config::initial(implementation, workload),
+        implementation.process_symmetric_hint(),
+        options,
+        (workers * 4).max(16),
+    );
+    let mut frontier = VecDeque::from(frames);
     let mut stats = ExploreStats::default();
-    let mut frontier: VecDeque<(Config, usize, SleepMask)> = VecDeque::new();
-    let mut mask: SleepMask = 0;
-    root.set_fingerprint_tracking(dedup_on, strategy.uses_rename_components());
-    if options.fault_budget > 0 {
-        root.set_fault_budget(options.fault_budget);
-    }
-    strategy.normalize(&mut root, &mut mask);
-    if shared.first_visit(&root, 0, mask) {
-        frontier.push_back((root, 0, mask));
-    }
+
+    // Phase 1: breadth-first expansion of the root region on this thread —
+    // the inner loop, one visit at a time, children to the back — until
+    // enough independent subtree roots exist to keep every worker busy.
+    let wanted = if workers == 1 {
+        1
+    } else {
+        workers * SUBTREES_PER_WORKER
+    };
     let mut scratch = WalkScratch::default();
-    while frontier.len() < target_frontier {
-        let Some((config, depth, mask)) = frontier.pop_front() else {
+    let mut stack = Vec::new();
+    while frontier.len() < wanted && !walk.halted() {
+        let Some(oldest) = frontier.pop_front() else {
             break;
         };
-        let mut shim = |c: &Config, d: usize| visitor(c, d);
-        if !visit_one(
-            config,
-            depth,
-            mask,
-            &mut shim,
-            strategy,
-            &shared,
+        stack.push(oldest);
+        walk.descend(
+            &mut stack,
+            &AtomicUsize::new(1),
+            &mut |c: &Config, d: usize| visitor(c, d),
             &mut stats,
-            options.limits.max_depth,
             &mut scratch,
-            |child, d, m, _| frontier.push_back((child, d, m)),
-        ) {
-            break;
-        }
+        );
+        frontier.extend(stack.drain(..));
     }
 
-    // Phase 2: `workers` threads (this one among them) pull subtree roots
-    // from the frontier and explore each subtree depth-first, all sharing
-    // the visitor, the visit budget and (when enabled) the merged dedup set.
-    let subtree_stats = parallel::map_ordered(workers, frontier, |(config, depth, mask)| {
-        let mut local = ExploreStats::default();
-        let mut scratch = WalkScratch::default();
-        let mut stack: Vec<(Config, usize, SleepMask)> = vec![(config, depth, mask)];
-        while let Some((config, depth, mask)) = stack.pop() {
-            if shared.stopped.load(Ordering::Relaxed) {
-                break;
-            }
-            let mut shim = |c: &Config, d: usize| visitor(c, d);
-            if !visit_one(
-                config,
-                depth,
-                mask,
-                &mut shim,
-                strategy,
-                &shared,
-                &mut local,
-                options.limits.max_depth,
-                &mut scratch,
-                |child, d, m, _| stack.push((child, d, m)),
-            ) {
-                break;
-            }
-        }
-        local
-    });
-
-    for s in subtree_stats {
-        stats.visited += s.visited;
-        stats.terminals += s.terminals;
-        stats.pruned += s.pruned;
-    }
-    shared.finish_stats(&mut stats);
+    // Phase 2: one wave over all of them, run to the end.
+    walk.wave(&mut frontier, workers, None, &visitor, &mut stats);
+    walk.finish_stats(&mut stats);
     stats
 }
 
 /// Collects the history of every terminal configuration (quiescent or at the
-/// depth bound), sequentially or on the parallel path as selected by
-/// [`EngineOptions::workers`] ([`crate::explorer::terminal_histories`] is the
-/// one-worker, unreduced shorthand).  The result is sorted deterministically
-/// (by debug encoding) for every worker count.
+/// depth bound) on [`EngineOptions::workers`] threads
+/// ([`crate::explorer::terminal_histories`] is the one-worker, unreduced
+/// shorthand).  The result is sorted deterministically (by debug encoding)
+/// for every worker count.
 pub fn terminal_histories(
     implementation: &dyn Implementation,
     workload: &Workload,
     options: &EngineOptions,
 ) -> Vec<History> {
     let max_depth = options.limits.max_depth;
-    let mut histories = if options.effective_workers() <= 1 {
-        let mut out = Vec::new();
-        explore(implementation, workload, options, |config, depth| {
-            if config.is_quiescent() || depth >= max_depth {
-                out.push(config.history().clone());
-            }
-            Visit::Continue
-        });
-        out
-    } else {
-        let out = Mutex::new(Vec::new());
-        explore_shared(implementation, workload, options, |config, depth| {
-            if config.is_quiescent() || depth >= max_depth {
-                out.lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .push(config.history().clone());
-            }
-            Visit::Continue
-        });
-        out.into_inner().unwrap_or_else(|p| p.into_inner())
-    };
+    let out = Mutex::new(Vec::new());
+    explore_shared(implementation, workload, options, |config, depth| {
+        if config.is_quiescent() || depth >= max_depth {
+            out.lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .push(config.history().clone());
+        }
+        Visit::Continue
+    });
+    let mut histories = out.into_inner().unwrap_or_else(|p| p.into_inner());
     histories.sort_by_cached_key(|h| format!("{h:?}"));
     histories
 }
@@ -1113,8 +1033,9 @@ pub fn terminal_histories(
 /// and returns a violating history if one exists
 /// ([`crate::explorer::find_history_violation`] is the one-worker, unreduced
 /// shorthand).  With one worker the *first* violation in DFS order is
-/// returned; with several, *a* violation (there is no meaningful "first"
-/// under concurrency).
+/// returned ([`explore_shared`] then visits in [`explore`]'s order and stops
+/// at it); with several, *a* violation (there is no meaningful "first" under
+/// concurrency).
 pub fn find_history_violation<F>(
     implementation: &dyn Implementation,
     workload: &Workload,
@@ -1124,32 +1045,17 @@ pub fn find_history_violation<F>(
 where
     F: Fn(&History) -> bool + Sync,
 {
-    if options.effective_workers() <= 1 {
-        let mut violation = None;
-        explore(implementation, workload, options, |config, _| {
-            if !predicate(config.history()) {
-                violation = Some(config.history().clone());
-                Visit::Stop
-            } else {
-                Visit::Continue
-            }
-        });
-        violation
-    } else {
-        let violation = Mutex::new(None);
-        explore_shared(implementation, workload, options, |config, _| {
-            if !predicate(config.history()) {
-                *violation
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner()) =
-                    Some(config.history().clone());
-                Visit::Stop
-            } else {
-                Visit::Continue
-            }
-        });
-        violation.into_inner().unwrap_or_else(|p| p.into_inner())
-    }
+    let violation = Mutex::new(None);
+    explore_shared(implementation, workload, options, |config, _| {
+        if predicate(config.history()) {
+            return Visit::Continue;
+        }
+        *violation
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(config.history().clone());
+        Visit::Stop
+    });
+    violation.into_inner().unwrap_or_else(|p| p.into_inner())
 }
 
 #[cfg(test)]
@@ -1158,6 +1064,7 @@ mod tests {
     use crate::base::{objects, BaseObject};
     use crate::program::{LocalSpecImplementation, ProcessLogic, TaskStep};
     use evlin_spec::{FetchIncrement, Invocation, Register, TestAndSet, Value};
+    use std::fmt;
     use std::sync::Arc;
 
     /// A two-phase fetch&increment over one shared register per process:
@@ -1318,17 +1225,31 @@ mod tests {
             &scan,
             &Workload::uniform(2, Invocation::nullary("fetch_inc"), 1),
         );
-        assert!(!SymmetryReduction::detect(&root, scan.process_symmetric_hint()).is_applicable());
+        let canonicalizes = |root: &Config, hint: Option<bool>| {
+            let reducer = Reduction::Symmetry.resolve(root, hint);
+            // Vetoed or not, the symmetry variants merge through the dedup set.
+            assert!(reducer.requires_dedup());
+            reducer.uses_rename_components()
+        };
+        assert!(!canonicalizes(&root, scan.process_symmetric_hint()));
         // Structural veto: asymmetric workload.
         let imp = fi_local(2);
         let skew = Config::initial(
             &imp,
             &Workload::new(vec![vec![FetchIncrement::fetch_inc()], Vec::new()]),
         );
-        assert!(!SymmetryReduction::detect(&skew, None).is_applicable());
+        assert!(!canonicalizes(&skew, None));
         // Applicable: uniform workload over identical programmes.
         let fair = Config::initial(&imp, &Workload::uniform(2, FetchIncrement::fetch_inc(), 1));
-        assert!(SymmetryReduction::detect(&fair, None).is_applicable());
+        assert!(canonicalizes(&fair, None));
+        assert!(Reduction::SleepSetSymmetry
+            .resolve(&fair, None)
+            .uses_rename_components());
+        // The other two neither canonicalize nor force deduplication.
+        for plain in [Reduction::None, Reduction::SleepSet] {
+            let reducer = plain.resolve(&fair, None);
+            assert!(!reducer.requires_dedup() && !reducer.uses_rename_components());
+        }
     }
 
     #[test]
@@ -1389,7 +1310,6 @@ mod tests {
                     &EngineOptions {
                         reduction,
                         workers: Some(workers),
-                        subtrees_per_worker: 4,
                         ..EngineOptions::default()
                     },
                     |_, _| Visit::Continue,
@@ -1398,6 +1318,54 @@ mod tests {
                     parallel, reference,
                     "{reduction:?} diverged at {workers} workers"
                 );
+            }
+        }
+    }
+
+    /// What lets `terminal_histories` and `find_history_violation` run on
+    /// `explore_shared` alone and still answer "first in DFS order" with one
+    /// worker.
+    #[test]
+    fn one_worker_shared_walk_visits_in_the_sequential_order() {
+        let scan = ScanCounter { processes: 3 };
+        let scan_w = Workload::uniform(3, Invocation::nullary("fetch_inc"), 1);
+        let local = fi_local(3);
+        let local_w = Workload::uniform(3, FetchIncrement::fetch_inc(), 2);
+        let subjects: [(&dyn Implementation, &Workload); 2] =
+            [(&scan, &scan_w), (&local, &local_w)];
+        for (imp, workload) in subjects {
+            for reduction in [
+                Reduction::None,
+                Reduction::SleepSet,
+                Reduction::Symmetry,
+                Reduction::SleepSetSymmetry,
+            ] {
+                for (dedup, fault_budget) in [(false, 0), (true, 0), (true, 1)] {
+                    let options = EngineOptions {
+                        dedup,
+                        fault_budget,
+                        ..options(reduction)
+                    };
+                    let render = |c: &Config, d: usize| format!("{d} {:?}", c.history());
+                    let mut sequential = Vec::new();
+                    let stats = explore(imp, workload, &options, |c, d| {
+                        sequential.push(render(c, d));
+                        Visit::Continue
+                    });
+                    let shared = Mutex::new(Vec::new());
+                    let shared_stats = explore_shared(imp, workload, &options, |c, d| {
+                        shared.lock().unwrap().push(render(c, d));
+                        Visit::Continue
+                    });
+                    assert!(sequential.len() > 10 && !stats.truncated);
+                    assert_eq!(shared_stats, stats);
+                    assert_eq!(
+                        shared.into_inner().unwrap(),
+                        sequential,
+                        "{} under {reduction:?}, dedup {dedup}, {fault_budget} faults",
+                        imp.name()
+                    );
+                }
             }
         }
     }
@@ -1498,7 +1466,6 @@ mod tests {
                     &EngineOptions {
                         reduction,
                         workers: Some(workers),
-                        subtrees_per_worker: 4,
                         fault_budget: 1,
                         ..EngineOptions::default()
                     },
@@ -1580,26 +1547,32 @@ mod tests {
         }
     }
 
-    /// One sequential deduplicating walk: its stats, everything the visitor
+    /// One sequential deduplicating walk — `explore_config`'s body, over the
+    /// caller's walker state: its stats, everything the visitor
     /// saw in order, and the distinct terminal histories.
     fn walk(
         imp: &dyn Implementation,
         workload: &Workload,
         reduction: Reduction,
-        scratch: WalkScratch,
+        mut scratch: WalkScratch,
     ) -> (ExploreStats, Vec<String>, Vec<String>) {
-        let root = Config::initial(imp, workload);
-        let strategy = reduction.strategy(&root, imp.process_symmetric_hint());
         let options = EngineOptions {
             dedup: true,
             ..options(reduction)
         };
-        let (mut seen, mut terminals) = (Vec::new(), Vec::new());
-        let stats = explore_with_scratch(
-            root,
-            strategy.as_ref(),
+        let (walk, mut stack) = Walk::start(
+            Config::initial(imp, workload),
+            imp.process_symmetric_hint(),
             &options,
-            |c, d| {
+            1,
+        );
+        assert!(walk.store().is_some());
+        let mut stats = ExploreStats::default();
+        let (mut seen, mut terminals) = (Vec::new(), Vec::new());
+        walk.descend(
+            &mut stack,
+            &AtomicUsize::new(usize::MAX),
+            &mut |c: &Config, d: usize| {
                 assert!(c.fingerprint_consistent());
                 seen.push(format!("{d} {:016x} {:?}", c.fingerprint(), c.history()));
                 if c.is_quiescent() {
@@ -1607,8 +1580,10 @@ mod tests {
                 }
                 Visit::Continue
             },
-            scratch,
+            &mut stats,
+            &mut scratch,
         );
+        walk.finish_stats(&mut stats);
         assert!(!stats.truncated);
         terminals.sort();
         terminals.dedup();
@@ -1676,9 +1651,9 @@ mod tests {
                 &Workload::uniform(n, FetchIncrement::fetch_inc(), 1),
             )
         };
-        let _ = Reduction::SleepSet.strategy(&root(64), None);
+        let _ = Reduction::SleepSet.resolve(&root(64), None);
         // Process 64's bit would wrap onto process 0's in a release build.
-        let _ = Reduction::SleepSetSymmetry.strategy(&root(65), None);
+        let _ = Reduction::SleepSetSymmetry.resolve(&root(65), None);
     }
 
     #[test]
@@ -1701,7 +1676,6 @@ mod tests {
             &w,
             &EngineOptions {
                 workers: Some(4),
-                subtrees_per_worker: 4,
                 ..EngineOptions::default()
             },
         );
@@ -1715,7 +1689,6 @@ mod tests {
         let w = Workload::uniform(2, TestAndSet::test_and_set(), 1);
         let parallel = EngineOptions {
             workers: Some(4),
-            subtrees_per_worker: 4,
             ..EngineOptions::default()
         };
         // "No two operations both return 0" — violated by the local-copy
@@ -1746,7 +1719,6 @@ mod tests {
                     max_configs: 10,
                 },
                 workers: Some(4),
-                subtrees_per_worker: 4,
                 ..EngineOptions::default()
             },
             |_, _| Visit::Continue,

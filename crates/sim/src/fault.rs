@@ -20,8 +20,8 @@
 //!   injectable faults while budget remains and
 //!   [`crate::config::Config::apply_fault`] spends one budget unit to apply
 //!   one, maintaining the incremental Zobrist fingerprint exactly.
-//! * [`crate::engine`] threads fault children through
-//!   [`crate::engine::ReductionStrategy::expand`]: faults are
+//! * [`crate::engine`] appends the fault children to every node's
+//!   expansion, under every [`crate::engine::Reduction`] alike: faults are
 //!   dependent-with-everything for the sleep-set reduction (they are never
 //!   slept and wake every sleeper), and they are applied *before* symmetry
 //!   canonicalization, so renaming permutes fault-corrupted state like any

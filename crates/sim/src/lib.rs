@@ -25,11 +25,11 @@
 //! * [`runner`] — drives a configuration under a scheduler and returns the
 //!   recorded high-level history;
 //! * [`engine`] — the unified exhaustive-exploration engine: one iterative
-//!   traversal (sequential or subtree-stealing parallel, selected by a
-//!   worker count) with a pluggable [`engine::ReductionStrategy`] — sleep-set
-//!   partial-order reduction driven by a step-independence oracle on
-//!   configurations, and process-symmetry canonicalization for symmetric
-//!   programs;
+//!   depth-first loop (run once, once per checkpoint interval, or once per
+//!   subtree of a parallel wave) under one of four [`engine::Reduction`]
+//!   values — none, sleep-set partial-order reduction driven by a
+//!   step-independence oracle on configurations, process-symmetry
+//!   canonicalization for symmetric programs, or both;
 //! * [`explorer`] — the sequential, unreduced shorthands over the engine:
 //!   bounded exhaustive exploration of *all* interleavings
 //!   ([`explorer::explore`]); every core with work-stealing over independent
@@ -104,7 +104,7 @@ pub mod prelude {
         explore_checkpointed, explore_partitioned, CheckpointOptions, CheckpointRun, PartitionRun,
     };
     pub use crate::config::{Config, StepOutcome, StepShape};
-    pub use crate::engine::{EngineOptions, Reduction, ReductionStrategy};
+    pub use crate::engine::{EngineOptions, Reduction};
     pub use crate::eventually::{EventuallyLinearizable, StabilizationPolicy};
     pub use crate::explorer::{explore, ExploreOptions};
     pub use crate::fault::{FaultStep, FaultTarget};

@@ -26,7 +26,6 @@ use crate::config::Config;
 use crate::engine::{self, EngineOptions, Reduction, Visit};
 use crate::explorer::ExploreOptions;
 use crate::program::{Implementation, ProcessLogic, TaskStep};
-use crate::store::StoreConfig;
 use crate::workload::Workload;
 use evlin_checker::fi;
 use evlin_history::ProcessId;
@@ -56,12 +55,6 @@ pub struct StabilityOptions {
     /// *fault-tolerant* (self-stabilizing) strengthening of Proposition 18's
     /// stability.  0 (the default) keeps the fault-free semantics.
     pub fault_budget: usize,
-    /// Which visited-store backend holds the extension exploration's dedup
-    /// set (see [`crate::store`]); only consulted when the chosen
-    /// `reduction` deduplicates.  The default in-memory backend keeps the
-    /// seed semantics; the spill backend bounds resident memory for very
-    /// deep extension searches.
-    pub store: StoreConfig,
 }
 
 impl Default for StabilityOptions {
@@ -73,7 +66,6 @@ impl Default for StabilityOptions {
             solo_step_budget: 10_000,
             reduction: Reduction::None,
             fault_budget: 0,
-            store: StoreConfig::Mem,
         }
     }
 }
@@ -107,14 +99,12 @@ pub(crate) fn is_stable(config: &Config, initial_value: i64, options: &Stability
             max_depth: options.extension_depth,
             max_configs: options.max_configs,
         },
-        workers: Some(1),
         reduction: options.reduction,
         fault_budget: options.fault_budget,
-        store: options.store,
         ..EngineOptions::default()
     };
     let mut ok = true;
-    let stats = engine::explore_config(extended, &engine_options, |c, depth| {
+    let stats = engine::explore_config(extended, None, &engine_options, |c, depth| {
         if (c.is_quiescent() || depth >= options.extension_depth)
             && !fi::is_t_linearizable(c.history(), initial_value, t).unwrap_or(false)
         {
@@ -406,7 +396,6 @@ mod tests {
             solo_step_budget: 1_000,
             reduction: Reduction::None,
             fault_budget: 0,
-            store: StoreConfig::Mem,
         }
     }
 

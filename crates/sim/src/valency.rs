@@ -18,10 +18,9 @@
 //!   interleavings of a one-shot consensus workload.
 
 use crate::config::Config;
-use crate::engine::{self, EngineOptions, Reduction};
+use crate::engine::{self, EngineOptions};
 use crate::explorer::{ExploreOptions, Visit};
 use crate::program::Implementation;
-use crate::store::StoreConfig;
 use crate::workload::Workload;
 use evlin_history::History;
 use evlin_spec::{Consensus, Value};
@@ -47,29 +46,14 @@ impl ValencyClass {
     }
 }
 
-/// Collects every decision value reachable from `config` within `depth`
-/// steps.  Returns the set of decisions and whether the exploration hit the
-/// depth bound anywhere (in which case the set may be incomplete).
-fn reachable_decisions(
-    config: &Config,
-    depth: usize,
-    max_configs: usize,
-    reduction: Reduction,
-    store: StoreConfig,
-) -> (BTreeSet<Value>, bool) {
+/// Collects every decision value reachable from `config` under `options`.
+/// Returns the set of decisions and whether the exploration hit a bound
+/// anywhere (in which case the set may be incomplete).
+fn reachable_decisions(config: &Config, options: &EngineOptions) -> (BTreeSet<Value>, bool) {
     let mut decisions = BTreeSet::new();
     let mut partial = false;
-    let options = EngineOptions {
-        limits: ExploreOptions {
-            max_depth: depth,
-            max_configs,
-        },
-        workers: Some(1),
-        reduction,
-        store,
-        ..EngineOptions::default()
-    };
-    let stats = engine::explore_config(config.clone(), &options, |c, d| {
+    let depth = options.limits.max_depth;
+    let stats = engine::explore_config(config.clone(), None, options, |c, d| {
         // Record decisions from completed propose operations.
         for op in c.history().complete_operations() {
             if let Some(v) = &op.response {
@@ -91,37 +75,28 @@ fn reachable_decisions(
     (decisions, partial)
 }
 
-/// Classifies the valency of a configuration by bounded exploration.
+/// Classifies the valency of a configuration by bounded, unreduced
+/// exploration of its descendants.
 pub(crate) fn valency_of(config: &Config, depth: usize, max_configs: usize) -> ValencyClass {
-    valency_of_reduced(config, depth, max_configs, Reduction::None)
+    valency_under(
+        config,
+        &EngineOptions {
+            limits: ExploreOptions {
+                max_depth: depth,
+                max_configs,
+            },
+            ..EngineOptions::default()
+        },
+    )
 }
 
-/// Like [`valency_of`], but exploring the descendants under the given
-/// [`Reduction`].  Sound for any strategy: decision values persist in the
-/// recorded history, terminal configurations are preserved by sleep sets, and
-/// symmetry canonicalization renames processes without touching response
-/// values.
-pub(crate) fn valency_of_reduced(
-    config: &Config,
-    depth: usize,
-    max_configs: usize,
-    reduction: Reduction,
-) -> ValencyClass {
-    valency_of_stored(config, depth, max_configs, reduction, StoreConfig::Mem)
-}
-
-/// Like [`valency_of_reduced`], but holding the dedup set of a deduplicating
-/// reduction in the given visited-store backend (see [`crate::store`]) — the
-/// spill backend bounds resident memory for lookahead explorations whose
-/// visited sets outgrow RAM.  The classification is backend-independent.
-pub(crate) fn valency_of_stored(
-    config: &Config,
-    depth: usize,
-    max_configs: usize,
-    reduction: Reduction,
-    store: StoreConfig,
-) -> ValencyClass {
-    let (decisions, partial) = reachable_decisions(config, depth, max_configs, reduction, store);
+/// [`valency_of`] under any engine options.  The classification does not
+/// depend on the [`Reduction`](crate::engine::Reduction) — decision values
+/// persist in the recorded history, terminal configurations are preserved by
+/// sleep sets, and symmetry canonicalization renames processes without
+/// touching response values — nor on the visited-store backend.
+pub(crate) fn valency_under(config: &Config, options: &EngineOptions) -> ValencyClass {
+    let (decisions, partial) = reachable_decisions(config, options);
     if decisions.len() >= 2 {
         ValencyClass::Bivalent(decisions)
     } else if decisions.len() == 1 && !partial {
@@ -257,61 +232,35 @@ pub fn check_consensus(
     proposals: &[Value],
     options: ExploreOptions,
 ) -> ConsensusCheck {
-    check_consensus_reduced(implementation, proposals, options, Reduction::None)
-}
-
-/// Like [`check_consensus`], but exploring under the given [`Reduction`]:
-/// agreement/validity violations persist in the history once recorded and
-/// both properties are process-symmetric, so every strategy returns the same
-/// verdicts (the `terminals` count shrinks with the reduction).
-pub(crate) fn check_consensus_reduced(
-    implementation: &dyn Implementation,
-    proposals: &[Value],
-    options: ExploreOptions,
-    reduction: Reduction,
-) -> ConsensusCheck {
-    check_consensus_faulty(implementation, proposals, options, reduction, 0)
-}
-
-/// Like [`check_consensus_reduced`], but additionally enumerating up to
-/// `fault_budget` transient-fault corruption steps ([`crate::fault`]) along
-/// every schedule.
-///
-/// Agreement under transient faults is a self-stabilization question, and
-/// consensus is the canonical *non*-self-stabilizing task: one corruption of
-/// a decided base object flips the decision other processes later read, so
-/// even implementations that are correct fault-free fail this check at
-/// budget 1.  With `fault_budget == 0` the check is identical to
-/// [`check_consensus_reduced`].
-pub(crate) fn check_consensus_faulty(
-    implementation: &dyn Implementation,
-    proposals: &[Value],
-    options: ExploreOptions,
-    reduction: Reduction,
-    fault_budget: usize,
-) -> ConsensusCheck {
-    check_consensus_stored(
+    check_consensus_under(
         implementation,
         proposals,
-        options,
-        reduction,
-        fault_budget,
-        StoreConfig::Mem,
+        &EngineOptions {
+            limits: options,
+            ..EngineOptions::default()
+        },
     )
 }
 
-/// Like [`check_consensus_faulty`], but holding the dedup set of a
-/// deduplicating reduction in the given visited-store backend (see
-/// [`crate::store`]).  Verdicts are backend-independent; the spill backend
-/// bounds resident memory when the fault-multiplied interleaving tree's
-/// visited set outgrows RAM.
-pub(crate) fn check_consensus_stored(
+/// [`check_consensus`] under any engine options.
+///
+/// Agreement/validity violations persist in the history once recorded and
+/// both properties are process-symmetric, so every
+/// [`Reduction`](crate::engine::Reduction) returns the same verdicts (the
+/// `terminals` count shrinks with the reduction), as does every
+/// visited-store backend.
+///
+/// A positive [`EngineOptions::fault_budget`] additionally enumerates that
+/// many transient-fault corruption steps ([`crate::fault`]) along every
+/// schedule.  Agreement under transient faults is a self-stabilization
+/// question, and consensus is the canonical *non*-self-stabilizing task: one
+/// corruption of a decided base object flips the decision other processes
+/// later read, so even implementations that are correct fault-free fail this
+/// check at budget 1.
+pub(crate) fn check_consensus_under(
     implementation: &dyn Implementation,
     proposals: &[Value],
-    options: ExploreOptions,
-    reduction: Reduction,
-    fault_budget: usize,
-    store: StoreConfig,
+    options: &EngineOptions,
 ) -> ConsensusCheck {
     let workload = Workload::one_shot(
         proposals
@@ -327,40 +276,27 @@ pub(crate) fn check_consensus_stored(
         terminals: 0,
     };
     let total_ops = workload.total_operations();
-    let engine_options = EngineOptions {
-        limits: options,
-        workers: Some(1),
-        reduction,
-        fault_budget,
-        store,
-        ..EngineOptions::default()
-    };
-    engine::explore(
-        implementation,
-        &workload,
-        &engine_options,
-        |config, depth| {
-            let complete = config.history().complete_operations();
-            let decided: BTreeSet<Value> = complete
-                .iter()
-                .filter_map(|op| op.response.clone())
-                .collect();
-            if decided.len() > 1 && check.agreement_violation.is_none() {
-                check.agreement_violation = Some(config.history().clone());
+    engine::explore(implementation, &workload, options, |config, depth| {
+        let complete = config.history().complete_operations();
+        let decided: BTreeSet<Value> = complete
+            .iter()
+            .filter_map(|op| op.response.clone())
+            .collect();
+        if decided.len() > 1 && check.agreement_violation.is_none() {
+            check.agreement_violation = Some(config.history().clone());
+        }
+        if decided.iter().any(|v| !proposed.contains(v)) && check.validity_violation.is_none() {
+            check.validity_violation = Some(config.history().clone());
+        }
+        let terminal = config.is_quiescent() || depth >= options.limits.max_depth;
+        if terminal {
+            check.terminals += 1;
+            if complete.len() < total_ops {
+                check.all_terminated = false;
             }
-            if decided.iter().any(|v| !proposed.contains(v)) && check.validity_violation.is_none() {
-                check.validity_violation = Some(config.history().clone());
-            }
-            let terminal = config.is_quiescent() || depth >= options.max_depth;
-            if terminal {
-                check.terminals += 1;
-                if complete.len() < total_ops {
-                    check.all_terminated = false;
-                }
-            }
-            Visit::Continue
-        },
-    );
+        }
+        Visit::Continue
+    });
     check
 }
 
@@ -368,6 +304,7 @@ pub(crate) fn check_consensus_stored(
 mod tests {
     use super::*;
     use crate::base::{objects, BaseObject};
+    use crate::engine::Reduction;
     use crate::program::{ProcessLogic, TaskStep};
     use evlin_history::ProcessId;
     use evlin_spec::Invocation;
@@ -545,12 +482,14 @@ mod tests {
         let selfish = SelfishConsensus { processes: 2 };
         let direct = DirectConsensus { processes: 2 };
         for r in strategies {
-            let broken =
-                check_consensus_reduced(&selfish, &proposals(), ExploreOptions::default(), r);
+            let reduced = EngineOptions {
+                reduction: r,
+                ..EngineOptions::default()
+            };
+            let broken = check_consensus_under(&selfish, &proposals(), &reduced);
             assert!(broken.agreement_violation.is_some(), "{r:?}");
             assert!(broken.validity_violation.is_none(), "{r:?}");
-            let sound =
-                check_consensus_reduced(&direct, &proposals(), ExploreOptions::default(), r);
+            let sound = check_consensus_under(&direct, &proposals(), &reduced);
             assert!(sound.is_correct(), "{r:?}");
             assert!(sound.all_terminated, "{r:?}");
         }
@@ -561,10 +500,15 @@ mod tests {
         ]);
         let config = Config::initial(&direct, &workload);
         for r in strategies {
-            assert!(
-                valency_of_reduced(&config, 16, 10_000, r).is_bivalent(),
-                "{r:?}"
-            );
+            let reduced = EngineOptions {
+                limits: ExploreOptions {
+                    max_depth: 16,
+                    max_configs: 10_000,
+                },
+                reduction: r,
+                ..EngineOptions::default()
+            };
+            assert!(valency_under(&config, &reduced).is_bivalent(), "{r:?}");
         }
     }
 
@@ -579,8 +523,15 @@ mod tests {
             Reduction::SleepSet,
             Reduction::SleepSetSymmetry,
         ] {
-            let faulty =
-                check_consensus_faulty(&imp, &proposals(), ExploreOptions::default(), r, 1);
+            let faulty = check_consensus_under(
+                &imp,
+                &proposals(),
+                &EngineOptions {
+                    reduction: r,
+                    fault_budget: 1,
+                    ..EngineOptions::default()
+                },
+            );
             assert!(faulty.agreement_violation.is_some(), "{r:?}");
             // Corruptions stay within reachable (hence proposed) values, so
             // validity survives even under faults.

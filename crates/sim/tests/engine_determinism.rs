@@ -98,7 +98,6 @@ proptest! {
                     &workload,
                     &EngineOptions {
                         workers: Some(workers),
-                        subtrees_per_worker: 4,
                         ..base
                     },
                     |_, _| {

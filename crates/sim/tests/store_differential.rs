@@ -28,12 +28,13 @@ use evlin_sim::engine::{self, EngineOptions, ExploreOptions, Reduction, Visit};
 use evlin_sim::program::{Implementation, LocalSpecImplementation};
 use evlin_sim::store::StoreConfig;
 use evlin_sim::workload::Workload;
+use evlin_sim::zobrist;
 use evlin_spec::{FetchIncrement, ObjectType, Register, TestAndSet, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const STRATEGIES: [Reduction; 4] = [
@@ -55,6 +56,11 @@ const ALT_BACKENDS: [StoreConfig; 2] = [
         shard_budget: 256,
     },
 ];
+
+/// Folds of the pinned `checkpoint.bin` (see
+/// `sequential_checkpoint_bytes_are_pinned`).
+const GOLDEN_MEM: u64 = 0x254b_7417_6400_411e;
+const GOLDEN_SPILL: u64 = 0x351e_0fcd_df07_7e51;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -493,6 +499,160 @@ fn check_parallel_checkpoint_seed(seed: u64) {
         case.name
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The fixed subject of the golden-bytes and parallel-kill tests: the CAS
+/// fetch&increment, 2 processes × 3 operations — under
+/// [`Reduction::SleepSetSymmetry`] 3 256 states to depth 14 and 26 060 to
+/// depth 20.
+fn deep_cas_case(max_depth: usize) -> Case {
+    let mut universe = ObjectUniverse::new();
+    universe.add_object(FetchIncrement::new());
+    Case {
+        name: "cas fetch&inc (2p×3)".into(),
+        implementation: Box::new(CasFetchInc::new(2)),
+        workload: Workload::uniform(2, FetchIncrement::fetch_inc(), 3),
+        limits: ExploreOptions {
+            max_depth,
+            max_configs: 2_000_000,
+        },
+        universe,
+    }
+}
+
+/// `checkpoint.bin` as one word: its little-endian words (zero-padded tail)
+/// folded from its byte length.
+fn fold_checkpoint_file(dir: &std::path::Path) -> u64 {
+    let bytes = std::fs::read(dir.join("checkpoint.bin")).expect("read checkpoint.bin");
+    let words = bytes.chunks(8).map(|chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        u64::from_le_bytes(word)
+    });
+    zobrist::fold_word_iter(bytes.len() as u64, words)
+}
+
+/// The sequential driver's checkpoint after 1234 visits (the 24th, written
+/// at visit 1200) is pinned byte for byte: stats, store manifest — under
+/// the spill backend that is every run file's name, count, key range and
+/// checksum — and the frontier in stack order.  The two words were recorded
+/// at the commit before the drivers were rebuilt over the engine's one inner
+/// loop, so "the EVCK bytes did not move" is a test, not a claim.
+#[test]
+fn sequential_checkpoint_bytes_are_pinned() {
+    let case = deep_cas_case(20);
+    for (backend, golden) in [
+        (StoreConfig::Mem, GOLDEN_MEM),
+        (ALT_BACKENDS[1], GOLDEN_SPILL),
+    ] {
+        let dir = temp_dir("golden");
+        let killed = checkpoint::explore_checkpointed(
+            case.implementation.as_ref(),
+            &case.workload,
+            &options(&case, Reduction::SleepSetSymmetry, backend),
+            &CheckpointOptions {
+                dir: dir.clone(),
+                interval_visits: 50,
+                abort_after_visits: Some(1234),
+            },
+            |_, _| Visit::Continue,
+        )
+        .expect("killed sequential run");
+        assert!(!killed.completed);
+        assert_eq!(
+            (killed.stats.visited, killed.checkpoints_written),
+            (1234, 24)
+        );
+        assert_eq!(
+            fold_checkpoint_file(&dir),
+            golden,
+            "{}: checkpoint.bin moved",
+            backend.label()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// [`CheckpointOptions::interval_visits`] bounds the work a crash loses under
+/// the parallel driver too, at every worker count: a run killed mid-flight
+/// and resumed re-visits at most one interval of configurations, and the two
+/// halves checkpoint exactly as often as the sequential driver does.
+#[test]
+fn parallel_checkpoints_keep_the_interval_and_a_kill_loses_at_most_one() {
+    const INTERVAL: usize = 50;
+    // Every checkpoint snapshots the whole visited set, so the shallower
+    // tree: 65 full intervals.
+    let case = deep_cas_case(14);
+    let reduction = Reduction::SleepSetSymmetry;
+    let (plain, _) = run_with_store(&case, reduction, StoreConfig::Mem);
+    let dir = temp_dir("seq-interval");
+    let sequential = checkpoint::explore_checkpointed(
+        case.implementation.as_ref(),
+        &case.workload,
+        &options(&case, reduction, StoreConfig::Mem),
+        &CheckpointOptions {
+            interval_visits: INTERVAL,
+            ..CheckpointOptions::new(&dir)
+        },
+        |_, _| Visit::Continue,
+    )
+    .expect("sequential checkpointed run");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(sequential.stats, plain);
+    // One per full interval, plus the done marker.
+    assert_eq!(
+        sequential.checkpoints_written as usize,
+        plain.visited / INTERVAL + 1
+    );
+    for workers in [1, 2, 4] {
+        let engine_options = EngineOptions {
+            workers: Some(workers),
+            ..options(&case, reduction, StoreConfig::Mem)
+        };
+        let dir = temp_dir("par-kill");
+        let calls = AtomicUsize::new(0);
+        let count = |_: &evlin_sim::config::Config, _: usize| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            Visit::Continue
+        };
+        let killed = checkpoint::explore_checkpointed_par(
+            case.implementation.as_ref(),
+            &case.workload,
+            &engine_options,
+            &CheckpointOptions {
+                dir: dir.clone(),
+                interval_visits: INTERVAL,
+                abort_after_visits: Some(1234),
+            },
+            count,
+        )
+        .expect("killed parallel run");
+        assert!(!killed.completed && killed.stats.visited >= 1234);
+        let resumed = checkpoint::explore_checkpointed_par(
+            case.implementation.as_ref(),
+            &case.workload,
+            &engine_options,
+            &CheckpointOptions {
+                interval_visits: INTERVAL,
+                ..CheckpointOptions::new(&dir)
+            },
+            count,
+        )
+        .expect("resumed parallel run");
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(resumed.completed && resumed.resumed);
+        assert_eq!(resumed.stats, plain, "{workers} workers");
+        assert_eq!(
+            killed.checkpoints_written + resumed.checkpoints_written,
+            sequential.checkpoints_written,
+            "{workers} workers checkpointed at another rate than the sequential driver"
+        );
+        let revisited = calls.load(Ordering::Relaxed) - plain.visited;
+        assert!(
+            revisited <= INTERVAL,
+            "{workers} workers: the kill cost {revisited} re-visits, over the interval of {INTERVAL}"
+        );
+    }
 }
 
 #[test]
