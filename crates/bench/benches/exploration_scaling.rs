@@ -244,14 +244,14 @@ fn bench_faults(c: &mut Criterion) {
     group.finish();
 }
 
-/// Visited-store backends on the 4-process local-copy SleepSetSymmetry
-/// walk (the `explore/local/sleepsym/4` configuration with deduplication
-/// explicit).  `mem` is the ≤5%-overhead gate for routing the hot path
-/// through the `VisitedStore` trait; `spill` prices the out-of-core
-/// backend (every iteration builds a fresh temp-dir store, flushes runs
-/// and probes them, then deletes the directory on drop); `partitioned`
-/// prices the fingerprint-range partitioner (2 partitions, in-memory
-/// stores, cross-partition edges exported and replayed).
+/// The visited store beyond the resident walk, on the 4-process local-copy
+/// SleepSetSymmetry tree (the `explore/local/sleepsym/4` configuration with
+/// deduplication explicit — that row *is* the resident store's).  `spill`
+/// prices the out-of-core path (every iteration builds a fresh temp-dir
+/// store, flushes runs and probes them, then deletes the directory on
+/// drop); `partitioned` prices the fingerprint-range partitioner (2
+/// partitions, resident stores, cross-partition edges exported and
+/// replayed).
 fn bench_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("explore/store");
     let n = 4usize;
@@ -269,26 +269,19 @@ fn bench_store(c: &mut Criterion) {
         store,
         ..EngineOptions::default()
     };
-    for (label, store) in [
-        ("mem", StoreConfig::Mem),
-        (
-            "spill",
-            StoreConfig::Spill {
-                shards_log2: 3,
-                shard_budget: 512,
-            },
-        ),
-    ] {
-        group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-            b.iter(|| {
-                let stats = engine::explore(&implementation, &workload, &options(store), |_, _| {
-                    Visit::Continue
-                });
-                assert!(!stats.truncated);
-                stats.visited
+    let spill = StoreConfig::Spill {
+        shards_log2: 3,
+        shard_budget: 512,
+    };
+    group.bench_with_input(BenchmarkId::new("spill", n), &n, |b, _| {
+        b.iter(|| {
+            let stats = engine::explore(&implementation, &workload, &options(spill), |_, _| {
+                Visit::Continue
             });
+            assert!(!stats.truncated);
+            stats.visited
         });
-    }
+    });
     group.bench_with_input(BenchmarkId::new("partitioned", n), &n, |b, _| {
         b.iter(|| {
             let run = checkpoint::explore_partitioned(

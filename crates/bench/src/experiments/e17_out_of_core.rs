@@ -1,12 +1,12 @@
-//! E17 — out-of-core exploration: the spill-to-disk visited store and the
-//! fingerprint-range partitioner.
+//! E17 — out-of-core exploration: the visited store under a spill budget and
+//! the fingerprint-range partitioner.
 //!
 //! The engine's deduplication set is the memory ceiling of every exhaustive
 //! result in this repository: each visited `(key, depth)` record is 8
 //! resident bytes forever.  This experiment runs the 5-process local-copy
 //! fetch&increment (the largest E12 symmetric family) under
-//! `SleepSetSymmetry` with the spill-to-disk backend's resident budget set
-//! *below* the visited-set size, and reports what bounded residency costs:
+//! `SleepSetSymmetry` with the visited store's resident budget set *below*
+//! the visited-set size, and reports what bounded residency costs:
 //! states and verdict-relevant counts must not move at all (the dedup
 //! verdict is a set property; the `store_differential` suite fuzzes this),
 //! while wall time pays for Bloom-filtered, fence-indexed membership probes
@@ -68,14 +68,14 @@ pub fn run(quick: bool) -> Vec<Table> {
     let (mem_stats, mem_wall) = explore(StoreConfig::Mem);
 
     let title = format!(
-        "E17 — visited-store backends on the local-copy fetch&inc \
-             ({n}p × 2 ops, SleepSetSymmetry, {} states)",
+        "E17 — the visited store, resident and spilling, on the local-copy \
+             fetch&inc ({n}p × 2 ops, SleepSetSymmetry, {} states)",
         mem_stats.visited
     );
-    let mut backends = Table::new(
+    let mut stores = Table::new(
         &title,
         &[
-            "backend",
+            "store",
             "visited",
             "pruned",
             "spill runs",
@@ -100,7 +100,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         ]);
     };
     push(
-        &mut backends,
+        &mut stores,
         "mem (unbounded)".to_string(),
         &mem_stats,
         mem_wall.as_secs_f64() * 1e3,
@@ -117,7 +117,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         assert_eq!(
             counts(&stats),
             counts(&mem_stats),
-            "spill backend changed exploration counts"
+            "a spill budget changed exploration counts"
         );
         assert!(
             stats.store_bytes.resident <= 8 * shard_budget,
@@ -125,7 +125,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             stats.store_bytes.resident
         );
         push(
-            &mut backends,
+            &mut stores,
             format!("spill 8×{shard_budget}B"),
             &stats,
             wall.as_secs_f64() * 1e3,
@@ -198,7 +198,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         "—".to_string(),
     ]);
 
-    vec![backends, partitioned]
+    vec![stores, partitioned]
 }
 
 #[cfg(test)]
@@ -213,7 +213,7 @@ mod tests {
         assert_eq!(tables.len(), 2);
         // Every spill row agreed with mem.
         for row in &tables[0].rows {
-            assert_ne!(row[8], "false", "backend diverged: {row:?}");
+            assert_ne!(row[8], "false", "store diverged: {row:?}");
         }
         // The recomposition row agreed with the single run.
         let total = &tables[1].rows[tables[1].rows.len() - 2];

@@ -107,4 +107,5 @@ pub use monitor::{
 };
 pub use parallel::{check_histories_par, min_stabilizations_par};
 pub use t_linearizability::{is_t_linearizable, min_stabilization, TLinearizability};
+pub use util::{fold_word_iter, fold_words, mix, TAG_FOLD};
 pub use weak_consistency::{is_weakly_consistent, WeakOperation};

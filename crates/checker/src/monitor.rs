@@ -57,7 +57,7 @@
 //!
 //! As segments close, the ingest stage also folds every event into a running
 //! *stream fingerprint* ([`event_word`] packed per event, folded with the
-//! same word-at-a-time batch fold as `evlin_sim::zobrist::fold_words`); the
+//! word-at-a-time batch fold [`crate::fold_words`]); the
 //! fingerprint is reported in [`MonitorStats`] and gives the runtime's
 //! frame-batched transport a cheap end-to-end integrity check.
 //!
@@ -313,7 +313,7 @@ pub struct MonitorStats {
     pub fast_path_segments: usize,
     /// Running fingerprint of the ingested stream: every event is packed
     /// into one word ([`event_word`]) and segments are folded in order with
-    /// the batch fold mirrored from `evlin_sim::zobrist::fold_words`.  Two
+    /// the batch fold [`crate::fold_words`].  Two
     /// monitors with the same configuration agree on this value iff they saw
     /// the same event sequence — the end-to-end integrity check of the
     /// frame-batched transport.

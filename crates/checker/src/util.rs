@@ -60,12 +60,13 @@ pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// A hash set using [`FxHasher`].
 pub(crate) type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
-/// The splitmix64 finalizer: the key-derivation function behind the kernel's
-/// incremental (Zobrist-style) visited-cache keys.  Mirrors
-/// `evlin_sim::zobrist::mix` — the two crates are independent, so the three
-/// lines are duplicated rather than coupling the checker to the simulator.
+/// The splitmix64 finalizer: a cheap bijective avalanche function.  Every
+/// output bit depends on every input bit, which is what makes keys derived
+/// through it — the kernel's incremental (Zobrist-style) visited-cache keys,
+/// the simulator's configuration fingerprints (`evlin_sim::zobrist`
+/// re-exports this one copy) — behave like independent random table entries.
 #[inline]
-pub(crate) fn mix(mut x: u64) -> u64 {
+pub fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -82,30 +83,46 @@ pub(crate) fn zkey(tag: u64, slot: u64, payload: u64) -> u64 {
     mix(tag ^ mix(slot ^ mix(payload)))
 }
 
-/// Domain-separation tag for [`fold_words`] batch fingerprints.  Mirrors
-/// `evlin_sim::zobrist::TAG_FOLD` (same value, same independence rationale
-/// as the `mix` mirror above).
-pub(crate) const TAG_FOLD: u64 = 0x666f_6c64_0000_0004;
+/// Domain-separation tag for [`fold_words`] batch fingerprints.
+pub const TAG_FOLD: u64 = 0x666f_6c64_0000_0004;
 
-/// Folds a slice of words into one fingerprint, one `mix` round per word —
-/// the batch counterpart of [`zkey`], mirroring
-/// `evlin_sim::zobrist::fold_words` bit for bit so a stream fingerprinted on
-/// the runtime side (frame hashing) and re-fingerprinted by the monitor's
-/// segment keys agree without coupling the two crates.  Order-sensitive and
-/// length-separated.
+/// Folds a slice of words into one fingerprint, one `mix` round per word.
+///
+/// This is the batch counterpart of a Zobrist key: where an incremental key
+/// XORs independently keyed parts so single-part updates are O(1),
+/// `fold_words` hashes a whole *run* of words whose identity is their order
+/// — an event frame, a segment's packed event stream, a sorted run of
+/// visited records — in a single word-at-a-time sweep.  The fold is
+/// order-sensitive (each word is mixed with the running state before the
+/// next) and length-separated (`seed` plus a final length fold), so a frame
+/// split at a different boundary produces a different fingerprint while the
+/// concatenated stream hash is a pure function of the word sequence.  Every
+/// layer that fingerprints words — the runtime's frames, the service's wire
+/// and journal, the monitor's segment keys, the explorer's checkpoints —
+/// calls this one copy, which is what lets them agree.
 #[inline]
-pub(crate) fn fold_words(seed: u64, words: &[u64]) -> u64 {
-    let mut acc = mix(seed ^ TAG_FOLD);
-    for &w in words {
-        acc = mix(acc ^ w);
-    }
-    mix(acc ^ (words.len() as u64))
+pub fn fold_words(seed: u64, words: &[u64]) -> u64 {
+    fold_word_iter(seed, words.iter().copied())
 }
 
-/// The content hash of a `Hash` value under [`FxHasher`] (the checker's
-/// counterpart of `evlin_sim::zobrist::hash_of`; note the two crates'
-/// hashers differ on multi-byte `write` calls, so cross-crate agreement is
-/// only for word-shaped keys).
+/// [`fold_words`] over words produced on the fly, for a caller whose words
+/// sit inside larger records (the sequence numbers of a frame's items) and
+/// would otherwise be copied out just to be folded.
+#[inline]
+pub fn fold_word_iter(seed: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut acc = mix(seed ^ TAG_FOLD);
+    let mut len = 0u64;
+    for w in words {
+        acc = mix(acc ^ w);
+        len += 1;
+    }
+    mix(acc ^ len)
+}
+
+/// The content hash of a `Hash` value under [`FxHasher`] (the simulator
+/// keeps its own hasher, whose hashes are persisted in checkpoints; the two
+/// differ on multi-byte `write` calls, so they agree only on word-shaped
+/// keys).
 #[inline]
 pub(crate) fn hash_of<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
     let mut hasher = FxHasher::default();
@@ -157,11 +174,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fold_words_matches_order_and_length_separation() {
+    fn mix_avalanches_single_bits() {
+        // Flipping one input bit must flip roughly half the output bits.
+        for bit in 0..64 {
+            let a = mix(0);
+            let b = mix(1u64 << bit);
+            let flipped = (a ^ b).count_ones();
+            assert!(
+                (8..=56).contains(&flipped),
+                "bit {bit}: only {flipped} output bits flipped"
+            );
+        }
+    }
+
+    #[test]
+    fn fold_words_is_order_and_length_sensitive() {
         assert_eq!(fold_words(0, &[1, 2, 3]), fold_words(0, &[1, 2, 3]));
         assert_ne!(fold_words(0, &[1, 2, 3]), fold_words(0, &[3, 2, 1]));
         assert_ne!(fold_words(0, &[1, 2]), fold_words(0, &[1, 2, 0]));
+        assert_ne!(fold_words(0, &[]), fold_words(0, &[0]));
         assert_ne!(fold_words(0, &[1]), fold_words(1, &[1]));
+    }
+
+    #[test]
+    fn fold_words_chains_across_chunks() {
+        // Folding a stream in chunks, threading the accumulator as the next
+        // seed, must be sensitive to the chunk boundary only through the
+        // explicit length folds — i.e. re-chunking changes the value (each
+        // chunk folds its own length), while identical chunking is stable.
+        let a = fold_words(fold_words(7, &[1, 2]), &[3, 4]);
+        let b = fold_words(fold_words(7, &[1, 2]), &[3, 4]);
+        assert_eq!(a, b);
+        assert_ne!(a, fold_words(fold_words(7, &[1, 2, 3]), &[4]));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   of consecutive items, read through a cursor over the arrived buffer
 //!   (nothing is reversed or shifted);
 //! * every frame carries a fingerprint of its sequence run
-//!   (`evlin_sim::zobrist::fold_words`, folded straight from the items on
+//!   ([`evlin_checker::fold_words`], folded straight from the items on
 //!   both sides), verified on arrival, so transport
 //!   bugs surface as counted mismatches instead of silent misorderings —
 //!   the same discipline as the stabilizing data-link constructions for
@@ -46,7 +46,7 @@
 
 use crate::channel::{self, Receiver, SendError, Sender, TrySendError};
 use crate::fault::{ChannelFaultStats, FaultPlan, FaultySender};
-use evlin_sim::zobrist;
+use evlin_checker::fold_word_iter;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -80,7 +80,7 @@ impl<T: Clone> Clone for Frame<T> {
 /// The fingerprint a frame should carry: `fold_words(producer, sequence
 /// numbers of items)`, folded straight from the items.
 fn sequence_fingerprint<T>(producer: usize, items: &[(u64, T)]) -> u64 {
-    zobrist::fold_word_iter(producer as u64, items.iter().map(|(seq, _)| *seq))
+    fold_word_iter(producer as u64, items.iter().map(|(seq, _)| *seq))
 }
 
 /// A shared pool of spent frame buffers, so the steady-state path reuses
@@ -524,7 +524,7 @@ mod tests {
             for cut in 0..=items.len() {
                 assert_eq!(
                     sequence_fingerprint(producer, &items[..cut]),
-                    zobrist::fold_words(producer as u64, &seqs[..cut])
+                    evlin_checker::fold_words(producer as u64, &seqs[..cut])
                 );
             }
         }

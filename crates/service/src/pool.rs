@@ -17,6 +17,7 @@
 use crate::replica::{ServiceConfig, ShardReport};
 use crate::transport::FrameTx;
 use crate::wire::{encode_frame, VerdictSummary, WireFrame};
+use evlin_checker::fold_words;
 use evlin_checker::monitor::{
     recompose_verdicts, stages, MonitorCheck, MonitorVerdict, ShardRouter,
 };
@@ -24,7 +25,6 @@ use evlin_history::{Event, ObjectUniverse};
 use evlin_runtime::channel::sharded::{self, FrameSender};
 use evlin_runtime::channel::{self, Receiver};
 use evlin_runtime::pump::{pump, PumpOut, StageMsg};
-use evlin_sim::zobrist::fold_words;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;

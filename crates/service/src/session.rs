@@ -412,12 +412,8 @@ impl Backoff {
         // Scramble the seed (splitmix64 finalizer) before seeding xorshift:
         // a bare `seed | 1` would collapse adjacent even/odd seeds into the
         // same schedule.  xorshift needs a nonzero state, hence the `| 1`.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
         Backoff {
-            state: z | 1,
+            state: evlin_checker::mix(seed) | 1,
             base,
             cap,
             max_attempts,

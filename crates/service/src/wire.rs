@@ -3,7 +3,7 @@
 //! Every frame is length-prefixed and self-describing: a little-endian
 //! `u32` body length, a one-byte frame tag, then the tag's body.  Event
 //! frames are sequence-stamped per event and carry a
-//! [`evlin_sim::zobrist::fold_words`] fingerprint over the interleaved
+//! [`evlin_checker::fold_words`] fingerprint over the interleaved
 //! `(seq, event_word)` words, mirroring the in-process frame transport's
 //! integrity check (`evlin_runtime::Frame`), so a replica detects payload
 //! corruption — not just truncation — before any event reaches a monitor.
@@ -30,9 +30,9 @@
 //! assert_eq!(decode_frame(&bytes).unwrap(), frame);
 //! ```
 
+use evlin_checker::fold_words;
 use evlin_checker::monitor::{event_word, MonitorVerdict, MonitorViolation};
 use evlin_history::{Event, ObjectId, ProcessId};
-use evlin_sim::zobrist::fold_words;
 use evlin_spec::{Invocation, Value, VOCABULARY};
 use std::fmt;
 

@@ -1,4 +1,4 @@
-//! Resumable and partitionable exploration on top of the visited-store seam.
+//! Resumable and partitionable exploration on top of the visited store.
 //!
 //! Two capabilities live here, both exploiting the fact that the engine's
 //! dedup key ([`crate::engine`]'s `dedup_key`) is a single avalanched word:
@@ -6,7 +6,7 @@
 //! * **Checkpointing** ([`explore_checkpointed`] /
 //!   [`explore_checkpointed_par`]): every `interval_visits` visits, the
 //!   driver atomically writes `checkpoint.bin` — the engine stats so far, a
-//!   [`StoreManifest`] snapshot of the visited store and the serialized
+//!   manifest (`StoreManifest`) of the visited store and the serialized
 //!   frontier (each pending node as its *path of [`ChildStep`]s from the
 //!   root* plus its sleep mask) — into the checkpoint directory.  Invoking
 //!   the same function on a directory that already holds a checkpoint
@@ -20,7 +20,7 @@
 //!
 //! * **Partitioning** ([`explore_partitioned`]): the dedup-key space is
 //!   split into `2^parts_log2` contiguous ranges by top bits — the *same*
-//!   routing as the prefix-sharded stores (`crate::zobrist::prefix_shard`)
+//!   routing as the visited store's shards (`crate::zobrist::prefix_shard`)
 //!   — and each partition owns the visited set for its range.  A
 //!   partition explores its own frontier and *exports* any generated
 //!   child whose key belongs elsewhere as a
@@ -39,7 +39,7 @@ use crate::engine::{
 use crate::fault::{FaultStep, FaultTarget};
 use crate::program::Implementation;
 use crate::store::{
-    self, annotate, RecordKind, RunMeta, ShardManifest, StoreConfig, StoreManifest, VisitedStore,
+    self, annotate, RunMeta, ShardManifest, StoreConfig, StoreManifest, VisitedStore, RUN_KIND_KEYS,
 };
 use crate::workload::Workload;
 use crate::zobrist;
@@ -170,7 +170,7 @@ where
 /// draw their visits from what is left of the interval, so a checkpoint
 /// falls due exactly as often as under the sequential driver.
 /// Visited/terminal/pruned counts are worker-count independent exactly as in
-/// [`crate::engine::explore_shared`]; for the spill backend, run
+/// [`crate::engine::explore_shared`]; for a spilling store, run
 /// *boundaries* (and hence the spilled/filter byte split) depend on insert
 /// order and may differ across worker counts, while entry counts and
 /// verdicts never do.
@@ -261,7 +261,7 @@ impl<'a> Session<'a> {
             (store, saved.stats, saved.seq, frames)
         } else {
             let store = options.store.build_in(mem_shards, &store_dir)?;
-            let frames = engine::first_frames(root, Some(store.as_ref()));
+            let frames = engine::first_frames(root, Some(&store));
             (store, ExploreStats::default(), 0, frames)
         };
         let session = Session {
@@ -361,23 +361,14 @@ fn replay_frame(root: &Config, reducer: &Reducer, saved: &SavedFrame) -> io::Res
 
 /// The word that pins a checkpoint to its exploration parameters: resuming
 /// under a different implementation, workload, reduction, bound or store
-/// backend is rejected with `InvalidData` instead of silently diverging.
+/// configuration is rejected with `InvalidData` instead of silently
+/// diverging.
 fn config_hash(
     implementation: &dyn Implementation,
     workload: &Workload,
     options: &EngineOptions,
 ) -> u64 {
-    let (store_tag, shards_log2, shard_budget) = match options.store {
-        StoreConfig::Mem => (0u64, 0u64, 0u64),
-        StoreConfig::Prefix {
-            shards_log2,
-            shard_budget,
-        } => (1, shards_log2 as u64, shard_budget as u64),
-        StoreConfig::Spill {
-            shards_log2,
-            shard_budget,
-        } => (2, shards_log2 as u64, shard_budget as u64),
-    };
+    let (store_tag, shards_log2, shard_budget) = store_config_words(options.store);
     zobrist::fold_words(
         u64::from_le_bytes(*b"EVCKconf"),
         &[
@@ -387,8 +378,8 @@ fn config_hash(
             options.limits.max_depth as u64,
             options.limits.max_configs as u64,
             options.fault_budget as u64,
-            store_tag,
-            shards_log2,
+            store_tag as u64,
+            shards_log2 as u64,
             shard_budget,
         ],
     )
@@ -483,30 +474,25 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn encode_store_config(enc: &mut Enc, config: StoreConfig) {
+/// A store configuration as its `(tag, shards_log2, shard_budget)` words, in
+/// the checkpoint file and in [`config_hash`].  Tag 1 was the resident
+/// prefix-sharded backend, which [`StoreConfig::Mem`] now is; it is retired,
+/// not reused.
+fn store_config_words(config: StoreConfig) -> (u8, u32, u64) {
     match config {
-        StoreConfig::Mem => {
-            enc.u8(0);
-            enc.u32(0);
-            enc.u64(0);
-        }
-        StoreConfig::Prefix {
-            shards_log2,
-            shard_budget,
-        } => {
-            enc.u8(1);
-            enc.u32(shards_log2);
-            enc.u64(shard_budget as u64);
-        }
+        StoreConfig::Mem => (0, 0, 0),
         StoreConfig::Spill {
             shards_log2,
             shard_budget,
-        } => {
-            enc.u8(2);
-            enc.u32(shards_log2);
-            enc.u64(shard_budget as u64);
-        }
+        } => (2, shards_log2, shard_budget as u64),
     }
+}
+
+fn encode_store_config(enc: &mut Enc, config: StoreConfig) {
+    let (tag, shards_log2, shard_budget) = store_config_words(config);
+    enc.u8(tag);
+    enc.u32(shards_log2);
+    enc.u64(shard_budget);
 }
 
 fn decode_store_config(dec: &mut Dec<'_>) -> io::Result<StoreConfig> {
@@ -515,10 +501,6 @@ fn decode_store_config(dec: &mut Dec<'_>) -> io::Result<StoreConfig> {
     let shard_budget = dec.u64()? as usize;
     match tag {
         0 => Ok(StoreConfig::Mem),
-        1 => Ok(StoreConfig::Prefix {
-            shards_log2,
-            shard_budget,
-        }),
         2 => Ok(StoreConfig::Spill {
             shards_log2,
             shard_budget,
@@ -529,7 +511,7 @@ fn decode_store_config(dec: &mut Dec<'_>) -> io::Result<StoreConfig> {
 
 fn encode_run_meta(enc: &mut Enc, meta: &RunMeta) {
     enc.str(&meta.file);
-    enc.u16(meta.kind.code());
+    enc.u16(RUN_KIND_KEYS);
     enc.u64(meta.count);
     enc.u64(meta.min);
     enc.u64(meta.max);
@@ -539,14 +521,12 @@ fn encode_run_meta(enc: &mut Enc, meta: &RunMeta) {
 
 fn decode_run_meta(dec: &mut Dec<'_>) -> io::Result<RunMeta> {
     let file = dec.str()?;
-    let kind = match dec.u16()? {
-        0 => RecordKind::Keys,
-        1 => RecordKind::Pairs,
-        other => return Err(invalid(format!("unknown record kind {other}"))),
-    };
+    let kind = dec.u16()?;
+    if kind != RUN_KIND_KEYS {
+        return Err(invalid(format!("unknown run record kind {kind}")));
+    }
     Ok(RunMeta {
         file,
-        kind,
         count: dec.u64()?,
         min: dec.u64()?,
         max: dec.u64()?,
@@ -597,7 +577,7 @@ fn decode_step(dec: &mut Dec<'_>) -> io::Result<ChildStep> {
 /// new manifest no longer references (previous checkpoints' sidecars).
 fn write_checkpoint(
     session: &Session<'_>,
-    store: &dyn VisitedStore,
+    store: &VisitedStore,
     frames: &[Frame],
 ) -> io::Result<()> {
     let Session {
@@ -766,7 +746,7 @@ pub struct PartitionRun {
     /// The exact recomposition: field-wise sum of the partitions.  For a
     /// non-truncated run, `visited`/`terminals`/`pruned` equal a single
     /// dedup-on exploration with the same options; with the default
-    /// in-memory backend the byte totals match too.
+    /// resident store the byte totals match too.
     pub total: ExploreStats,
     /// Export/import delivery rounds until all frontiers drained.
     pub rounds: usize,
@@ -787,8 +767,8 @@ struct Export {
 }
 
 /// Explores with the dedup-key space split across `2^parts_log2`
-/// partitions, each owning the visited store for its key range (backend
-/// per `options.store`), scheduled round-robin in this process.  A child
+/// partitions, each owning the visited store for its key range (configured
+/// by `options.store`), scheduled round-robin in this process.  A child
 /// generated in the wrong partition is exported to its key's owner, which
 /// probes its own store and replays the child's edge path from the root
 /// only when fresh — so every generated edge is probed exactly once and the
@@ -812,7 +792,7 @@ where
         options,
         true,
     );
-    let stores: Vec<Box<dyn VisitedStore>> = (0..parts)
+    let stores: Vec<VisitedStore> = (0..parts)
         .map(|_| options.store.build(1))
         .collect::<io::Result<_>>()?;
     // No store of its own: every child comes back through `emit`, which
@@ -823,7 +803,7 @@ where
     let mut outboxes: Vec<Vec<Export>> = (0..parts).map(|_| Vec::new()).collect();
     let root_config = root.config.clone();
     let root_owner = zobrist::prefix_shard(engine::dedup_key(&root.config, root.mask), parts_log2);
-    stacks[root_owner] = engine::first_frames(root, Some(stores[root_owner].as_ref()));
+    stacks[root_owner] = engine::first_frames(root, Some(&stores[root_owner]));
     let mut rounds = 0usize;
     let mut exported = 0usize;
     let mut scratch = WalkScratch::default();
@@ -836,7 +816,7 @@ where
                 };
                 let stack = &mut stacks[part];
                 let outboxes = &mut outboxes;
-                let store = stores[part].as_ref();
+                let store = &stores[part];
                 walk.visit_one(
                     frame,
                     &mut visitor,

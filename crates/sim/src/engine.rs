@@ -105,16 +105,16 @@ pub struct ExploreStats {
     pub pruned: usize,
     /// Total bytes held by the engine's visited store at the end of the run
     /// (resident + spilled + filter — see [`ExploreStats::store_bytes`]; 0
-    /// when deduplication is off).  For the default in-memory backend this
-    /// is entries × entry size, a function of the visited key *set*, so it
-    /// is identical across worker counts — the engine's peak-memory
-    /// accounting for the E12 tables.
+    /// when deduplication is off).  For the default resident store this is
+    /// entries × 8 bytes, a function of the visited key *set*, so it is
+    /// identical across worker counts — the engine's peak-memory accounting
+    /// for the E12 tables.
     pub bytes_allocated: usize,
     /// Byte breakdown of the visited store by residence (all zero when
     /// deduplication is off).  `bytes_allocated == store_bytes.total()`.
     pub store_bytes: StoreBytes,
-    /// Sorted runs written by a spilling visited store (0 for the resident
-    /// backends).
+    /// Sorted runs written by a spilling visited store (0 for a resident
+    /// one).
     pub store_runs: usize,
     /// Whether the exploration was truncated by `max_configs`.
     pub truncated: bool,
@@ -475,10 +475,9 @@ pub struct EngineOptions {
     /// engine.  When exploring from an explicit root that already carries a
     /// positive budget, 0 here leaves that budget untouched.
     pub fault_budget: usize,
-    /// Which visited-store backend holds the dedup set (see
-    /// [`crate::store`]).  The default in-memory backend is bit-identical
-    /// to the pre-seam engine; the spill backend bounds resident memory.
-    /// Ignored while deduplication is off.
+    /// Whether the visited store holding the dedup set stays resident (the
+    /// default) or spills to disk under a budget, which bounds resident
+    /// memory (see [`crate::store`]).  Ignored while deduplication is off.
     pub store: StoreConfig,
 }
 
@@ -581,7 +580,7 @@ pub(crate) fn set_up_root<P: Path>(
 /// The first probe: `root` is where the walk starts unless `store` has seen
 /// it.  Children are probed in one batched call per node instead (see
 /// [`Walk::visit_one`]).
-pub(crate) fn first_frames<P>(root: Frame<P>, store: Option<&dyn VisitedStore>) -> Vec<Frame<P>> {
+pub(crate) fn first_frames<P>(root: Frame<P>, store: Option<&VisitedStore>) -> Vec<Frame<P>> {
     match store {
         Some(store) if !store.insert(dedup_key(&root.config, root.mask), 0) => Vec::new(),
         _ => vec![root],
@@ -609,7 +608,7 @@ pub(crate) struct Walk {
     /// Whether the budget ran out anywhere.
     truncated: AtomicBool,
     /// The visited store; `None` when deduplication is off.
-    store: Option<Box<dyn VisitedStore>>,
+    store: Option<VisitedStore>,
 }
 
 impl Walk {
@@ -620,7 +619,7 @@ impl Walk {
         reducer: Reducer,
         limits: ExploreOptions,
         done: &ExploreStats,
-        store: Option<Box<dyn VisitedStore>>,
+        store: Option<VisitedStore>,
     ) -> Self {
         Walk {
             reducer,
@@ -652,8 +651,8 @@ impl Walk {
         (walk, frames)
     }
 
-    pub(crate) fn store(&self) -> Option<&dyn VisitedStore> {
-        self.store.as_deref()
+    pub(crate) fn store(&self) -> Option<&VisitedStore> {
+        self.store.as_ref()
     }
 
     /// Whether the exploration is over for every walker: the visitor said
@@ -686,8 +685,8 @@ impl Walk {
     /// saved per interior node, on top of the reused `scratch` buffers.
     ///
     /// All of a node's children are probed against the visited store in
-    /// *one* [`VisitedStore::insert_batch`] call, amortizing backend locking
-    /// (and, for the spill backend, run probes) across the branching factor.
+    /// *one* `VisitedStore::insert_batch` call, which a one-shard store
+    /// answers under one lock.
     /// Insert order within the batch equals the sequential per-child order,
     /// and stepping a child never reads the store, so batching is
     /// observationally identical to per-child probing — the

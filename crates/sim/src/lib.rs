@@ -43,13 +43,12 @@
 //! * [`fault`] — transient-fault injection: budgeted corruption steps
 //!   ([`fault::FaultStep`]) enumerated alongside process steps by the engine,
 //!   for self-stabilization analyses (experiment E15);
-//! * [`store`] — the visited-store seam: the engine's deduplication set
-//!   behind a [`store::VisitedStore`] trait, with an in-memory backend
-//!   (bit-identical to the pre-seam engine), a fingerprint-prefix-sharded
-//!   backend and a spill-to-disk backend that bounds resident memory by
-//!   flushing full shards as compressed sorted runs;
+//! * [`store`] — the engine's deduplication set: one
+//!   [`store::VisitedStore`] of 8-byte records sharded by fingerprint prefix,
+//!   fully resident by default or, given a per-shard budget, bounding
+//!   resident memory by flushing full shards as compressed sorted runs;
 //! * [`checkpoint`] — resumable and partitionable exploration on top of the
-//!   store seam: periodic atomic checkpoints that survive SIGKILL
+//!   store: periodic atomic checkpoints that survive SIGKILL
 //!   ([`checkpoint::explore_checkpointed`]) and a fingerprint-range
 //!   partitioner whose per-partition stats recompose the single-run totals
 //!   exactly ([`checkpoint::explore_partitioned`]).

@@ -1,45 +1,42 @@
-//! Pluggable visited-set storage for the exploration engine.
+//! The visited set of the exploration engine.
 //!
 //! The engine's deduplication set is the state ceiling of every exhaustive
-//! run: PR 4/5 cut the *number* of visited states by orders of magnitude and
-//! made the dedup key a single incrementally-maintained Zobrist field read,
-//! but the key *set* itself still had to fit in RAM.  This module puts that
-//! set behind the [`VisitedStore`] trait and ships three backends:
+//! run: the reductions cut the *number* of visited states by orders of
+//! magnitude and the dedup key is a single incrementally-maintained Zobrist
+//! field read, but the key *set* itself has to live somewhere.  It lives in
+//! one type, [`VisitedStore`]: each `(key, depth)` pair is folded to a single
+//! 64-bit *record* and routed to one of `2^shards_log2` lock shards by its
+//! top bits (`crate::zobrist::prefix_shard`, the same routing the
+//! partitioner uses), and each shard is a hash set of records that *may
+//! spill*.  [`StoreConfig`] says whether it does:
 //!
-//! * [`StoreConfig::Mem`] — the historical in-memory sharded
-//!   `HashSet<(key, depth)>`.  Bit-identical stats and memory accounting to
-//!   the engine before the seam existed; the default.
-//! * [`StoreConfig::Prefix`] — a fingerprint-prefix-sharded in-memory store:
-//!   each `(key, depth)` pair is folded to a single 64-bit *record* and
-//!   routed to one of `2^shards_log2` shards by its top fingerprint bits
-//!   (`crate::zobrist::prefix_shard`), the same routing the partitioner
-//!   uses, so per-shard occupancy is balanced and observable per prefix
-//!   range.  Nothing spills; the budget only pre-sizes shard capacity.
-//! * [`StoreConfig::Spill`] — the prefix-sharded store with a per-shard
-//!   resident budget: when a shard's active set reaches its budget it is
-//!   flushed to disk as a compressed sorted *run* (delta-varint encoding
-//!   with restart points, see `docs/CHECKPOINT.md`), and membership checks
-//!   consult an in-memory Bloom filter + fence index per run before touching
-//!   the file, so the hot path stays a couple of word mixes for fresh keys.
+//! * [`StoreConfig::Mem`] — no budget: every record stays resident, 8 bytes
+//!   each.  The shard count only spreads lock contention (one shard for a
+//!   sequential walk).  The default.
+//! * [`StoreConfig::Spill`] — a per-shard resident budget: when a shard's
+//!   active set reaches it, the set is flushed to disk as a compressed sorted
+//!   *run* (delta-varint encoding with restart points, see
+//!   `docs/CHECKPOINT.md`), and membership checks consult an in-memory Bloom
+//!   filter + fence index per run before touching the file, so the hot path
+//!   stays a couple of word mixes for fresh keys.
 //!
-//! All three backends expose the same [`StoreReport`] (entry count, runs
-//! written, and a resident / spilled / filter byte breakdown) and can
-//! [`VisitedStore::snapshot`] themselves into a directory as part of a
-//! checkpoint ([`crate::checkpoint`]), from which `restore_store` rebuilds
-//! an equivalent store after a process restart — including a hard kill.
+//! Either way the store reports itself as a [`StoreReport`] (entry count,
+//! runs written, and a resident / spilled / filter byte breakdown) and can
+//! `snapshot` itself into a directory as part of a checkpoint
+//! ([`crate::checkpoint`]), from which `restore_store` rebuilds an equivalent
+//! store after a process restart — including a hard kill.
 //!
 //! ## Exactness
 //!
-//! `MemStore` stores `(key, depth)` pairs verbatim, so it is exactly the
-//! pre-seam dedup set.  The sharded backends store
-//! `mix2(key, depth)` — one avalanched 64-bit word per pair — so two
-//! distinct pairs collide with probability `2^-64`, the same collision
+//! A record is `mix2(key, depth)` — one avalanched 64-bit word per pair — so
+//! two distinct pairs collide with probability `2^-64`, the same collision
 //! class already accepted for the Zobrist fingerprints that feed `key`.
 //! Bloom filters only ever produce false *positives*, which the subsequent
 //! run probe resolves exactly against the stored records; a record absent
-//! from every filter is definitively fresh.  `crates/sim/tests/`
-//! `store_differential.rs` checks all three backends against each other on
-//! seeded random configurations.
+//! from every filter is definitively fresh.  The unit tests here compare
+//! every insert verdict of both configurations with a plain
+//! `HashSet<(u64, usize)>`, and `crates/sim/tests/store_differential.rs`
+//! checks the two against each other on seeded random configurations.
 
 use crate::zobrist;
 use std::collections::HashSet;
@@ -47,7 +44,7 @@ use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Byte accounting of a visited store, split by residence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -72,71 +69,24 @@ impl StoreBytes {
 pub struct StoreReport {
     /// Distinct records stored (active + spilled).
     pub entries: usize,
-    /// Sorted runs flushed to disk so far (0 for in-memory backends).
+    /// Sorted runs flushed to disk so far (0 for a resident store).
     pub runs_written: usize,
     /// Byte breakdown (see [`StoreBytes`]).
     pub bytes: StoreBytes,
 }
 
-/// The visited-set seam of the exploration engine.
-///
-/// A store is shared by every worker of one exploration, so insertions must
-/// be linearizable per key: for each distinct `(key, depth)` pair exactly
-/// one caller across all threads observes `true`.  Stats determinism across
-/// worker counts follows — the *set* of first-visits is a function of the
-/// reachable keys, not of interleaving.
-///
-/// Disk-backed implementations that hit an I/O error during [`insert`]
-/// (which cannot return one) panic with the failing path: a half-written
-/// visited set would silently unprune states, so dying loudly is the only
-/// sound response mid-exploration.
-///
-/// [`insert`]: VisitedStore::insert
-pub trait VisitedStore: Send + Sync {
-    /// Records `(key, depth)`; returns whether it was absent before (the
-    /// caller should expand the child iff `true`).
-    fn insert(&self, key: u64, depth: usize) -> bool;
-
-    /// Batched [`insert`](VisitedStore::insert): pushes one freshness flag
-    /// per pair onto `fresh`, in order.  The engine probes all children of a
-    /// node in one call, letting backends amortize locking; the default is
-    /// the obvious loop, and every override must be observationally
-    /// identical to it.
-    fn insert_batch(&self, pairs: &[(u64, usize)], fresh: &mut Vec<bool>) {
-        fresh.extend(pairs.iter().map(|&(k, d)| self.insert(k, d)));
-    }
-
-    /// Current entry count and byte breakdown.
-    fn report(&self) -> StoreReport;
-
-    /// Writes the store's in-memory state into `dir` as sorted-run sidecar
-    /// files (named with checkpoint sequence `seq`) and returns the manifest
-    /// describing every file needed to rebuild the store.  Must *not*
-    /// mutate the store: the active sets are dumped, not flushed, so a
-    /// resumed exploration's future run boundaries — and with them the
-    /// final [`StoreReport`] — match the uninterrupted run's exactly.
-    fn snapshot(&self, dir: &Path, seq: u64) -> io::Result<StoreManifest>;
-}
-
-/// Selects and sizes a visited-store backend.  `Copy` so it can ride inside
-/// [`crate::engine::EngineOptions`]; directory choices are made at build
-/// time ([`StoreConfig::build`] / `StoreConfig::build_in`), not carried
-/// here.
+/// Sizes the visited store and says whether it spills.  `Copy` so it can
+/// ride inside [`crate::engine::EngineOptions`]; directory choices are made
+/// at build time ([`StoreConfig::build`] / `StoreConfig::build_in`), not
+/// carried here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreConfig {
-    /// The historical in-memory sharded `(key, depth)` set (default).
+    /// Fully resident (default): no budget, and as many lock shards as the
+    /// walk asks for.
     #[default]
     Mem,
-    /// Fingerprint-prefix-sharded, fully resident.  `shard_budget` (bytes)
-    /// only pre-sizes each shard's capacity.
-    Prefix {
-        /// log2 of the shard count (`0` = one shard).
-        shards_log2: u32,
-        /// Advisory per-shard capacity in bytes (8 per record).
-        shard_budget: usize,
-    },
-    /// Fingerprint-prefix-sharded with spill-to-disk: a shard whose active
-    /// set reaches `shard_budget` bytes is flushed as a sorted run.
+    /// Spill-to-disk: a shard whose active set reaches `shard_budget` bytes
+    /// is flushed as a sorted run.
     Spill {
         /// log2 of the shard count (`0` = one shard).
         shards_log2: u32,
@@ -151,167 +101,49 @@ pub enum StoreConfig {
 static SPILL_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl StoreConfig {
-    /// The backend's display name for tables, bench ids and logs.
+    /// The configuration's display name for tables, bench ids and logs.
     pub fn label(&self) -> &'static str {
         match self {
             StoreConfig::Mem => "mem",
-            StoreConfig::Prefix { .. } => "prefix",
             StoreConfig::Spill { .. } => "spill",
         }
     }
 
-    /// Builds the store.  `mem_shards` sizes the [`Mem`](StoreConfig::Mem)
-    /// backend's lock sharding (the engine passes 1 sequentially and a
-    /// multiple of the worker count in parallel; the key *set* is the same
-    /// either way).  A [`Spill`](StoreConfig::Spill) store gets a fresh
-    /// private directory under the system temp dir, removed when the store
-    /// is dropped; `build_in` keeps runs in a caller-owned directory
-    /// (checkpointing does).
-    pub fn build(&self, mem_shards: usize) -> io::Result<Box<dyn VisitedStore>> {
-        match *self {
-            StoreConfig::Mem => Ok(Box::new(MemStore::new(mem_shards))),
-            StoreConfig::Prefix { .. } => Ok(Box::new(ShardedStore::new(*self, None, false)?)),
-            StoreConfig::Spill { .. } => {
-                let dir = std::env::temp_dir().join(format!(
-                    "evlin-spill-{}-{}",
-                    std::process::id(),
-                    SPILL_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-                ));
-                Ok(Box::new(ShardedStore::new(*self, Some(dir), true)?))
-            }
-        }
+    /// Builds the store.  `mem_shards` sizes [`Mem`](StoreConfig::Mem)'s
+    /// lock sharding, rounded up to a power of two (the engine passes 1
+    /// sequentially and a multiple of the worker count in parallel; the
+    /// record *set* is the same either way).  A [`Spill`](StoreConfig::Spill)
+    /// store gets a fresh private directory under the system temp dir,
+    /// removed when the store is dropped; `build_in` keeps runs in a
+    /// caller-owned directory (checkpointing does).
+    pub fn build(&self, mem_shards: usize) -> io::Result<VisitedStore> {
+        let dir = matches!(self, StoreConfig::Spill { .. }).then(|| {
+            std::env::temp_dir().join(format!(
+                "evlin-spill-{}-{}",
+                std::process::id(),
+                SPILL_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
+            ))
+        });
+        VisitedStore::new(*self, mem_shards, dir, true)
     }
 
     /// Like [`build`](StoreConfig::build), but a spill store writes its runs
     /// into `dir` (created if missing) and leaves them on disk when dropped —
     /// the checkpointing mode, where the run files outlive the process.
-    pub(crate) fn build_in(
-        &self,
-        mem_shards: usize,
-        dir: &Path,
-    ) -> io::Result<Box<dyn VisitedStore>> {
-        match *self {
-            StoreConfig::Spill { .. } => Ok(Box::new(ShardedStore::new(
-                *self,
-                Some(dir.to_path_buf()),
-                false,
-            )?)),
-            _ => self.build(mem_shards),
-        }
+    pub(crate) fn build_in(&self, mem_shards: usize, dir: &Path) -> io::Result<VisitedStore> {
+        let dir = matches!(self, StoreConfig::Spill { .. }).then(|| dir.to_path_buf());
+        VisitedStore::new(*self, mem_shards, dir, false)
     }
 }
 
-// ---------------------------------------------------------------------------
-// In-memory backend (the historical dedup set, verbatim)
-// ---------------------------------------------------------------------------
-
-/// A hash set of dedup keys or records.  Both come out of
-/// [`zobrist::mix2`] already avalanched, so the table hashes them with the
-/// crate's word mixer instead of SipHash.
-type KeySet<T> = HashSet<T, zobrist::FxBuildHasher>;
-
-/// The historical in-memory sharded dedup set: `(key, depth)` pairs hashed
-/// into `shards` lock-sharded hash sets by `key % shards`.  Every count and
-/// byte reported is identical to the engine's pre-seam accounting.
-pub(crate) struct MemStore {
-    shards: Vec<Mutex<KeySet<(u64, usize)>>>,
-}
-
-impl MemStore {
-    /// An empty store with `shards.max(1)` lock shards.
-    pub(crate) fn new(shards: usize) -> Self {
-        MemStore {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(KeySet::default()))
-                .collect(),
-        }
-    }
-
-    fn shard_of(&self, key: u64) -> usize {
-        (key % self.shards.len() as u64) as usize
-    }
-}
-
-impl VisitedStore for MemStore {
-    fn insert(&self, key: u64, depth: usize) -> bool {
-        self.shards[self.shard_of(key)]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .insert((key, depth))
-    }
-
-    fn insert_batch(&self, pairs: &[(u64, usize)], fresh: &mut Vec<bool>) {
-        if self.shards.len() == 1 {
-            // The sequential engine path: one lock per node instead of one
-            // per child.  Insert order within the batch is preserved, so
-            // duplicate pairs inside one batch resolve exactly as the loop
-            // would.
-            let mut set = self.shards[0]
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            fresh.extend(pairs.iter().map(|&(k, d)| set.insert((k, d))));
-        } else {
-            fresh.extend(pairs.iter().map(|&(k, d)| self.insert(k, d)));
-        }
-    }
-
-    fn report(&self) -> StoreReport {
-        let entries: usize = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .len()
-            })
-            .sum();
-        StoreReport {
-            entries,
-            runs_written: 0,
-            bytes: StoreBytes {
-                resident: entries * std::mem::size_of::<(u64, usize)>(),
-                spilled: 0,
-                filter: 0,
-            },
-        }
-    }
-
-    fn snapshot(&self, dir: &Path, seq: u64) -> io::Result<StoreManifest> {
-        std::fs::create_dir_all(dir)?;
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            let guard = shard
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            let mut pairs: Vec<(u64, usize)> = guard.iter().copied().collect();
-            drop(guard);
-            pairs.sort_unstable();
-            let active = if pairs.is_empty() {
-                None
-            } else {
-                let name = sidecar_name(i, seq);
-                Some(write_pairs_run(&dir.join(&name), name, &pairs)?)
-            };
-            shards.push(ShardManifest {
-                runs: Vec::new(),
-                active,
-            });
-        }
-        Ok(StoreManifest {
-            config: StoreConfig::Mem,
-            next_seq: 0,
-            shards,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Prefix-sharded backend (resident or spilling)
-// ---------------------------------------------------------------------------
+/// A hash set of records.  They come out of [`zobrist::mix2`] already
+/// avalanched, so the table hashes them with the crate's word mixer instead
+/// of SipHash.
+type KeySet = HashSet<u64, zobrist::FxBuildHasher>;
 
 /// Folds a `(key, depth)` dedup pair into the single 64-bit *record* the
-/// sharded backends store and route on.  Avalanched, so its top bits are a
-/// uniform shard/partition prefix.
+/// store keeps and routes on.  Avalanched, so its top bits are a uniform
+/// shard/partition prefix.
 #[inline]
 pub(crate) fn record_of(key: u64, depth: usize) -> u64 {
     zobrist::mix2(key, depth as u64)
@@ -322,16 +154,29 @@ pub(crate) fn record_of(key: u64, depth: usize) -> u64 {
 /// work of a single membership probe and the fence index size.
 pub(crate) const RUN_RESTART_INTERVAL: usize = 256;
 
-/// The fingerprint-prefix-sharded store: records routed by their top
-/// `shards_log2` bits, one active `HashSet<u64>` per shard, optionally
-/// spilling full shards to disk as sorted runs ([`StoreConfig::Spill`]).
-pub(crate) struct ShardedStore {
+/// The visited set of one exploration: records routed by their top
+/// `shards_log2` bits, one active `HashSet<u64>` per shard, spilling full
+/// shards to disk as sorted runs when it has a budget
+/// ([`StoreConfig::Spill`]).
+///
+/// It is shared by every worker of the exploration, and insertions are
+/// linearizable per record: for each distinct `(key, depth)` pair exactly
+/// one caller across all threads observes `true`.  Stats determinism across
+/// worker counts follows — the *set* of first-visits is a function of the
+/// reachable keys, not of interleaving.
+///
+/// A spilling store that hits an I/O error during [`insert`] (which cannot
+/// return one) panics with the failing path: a half-written visited set
+/// would silently unprune states, so dying loudly is the only sound response
+/// mid-exploration.
+///
+/// [`insert`]: VisitedStore::insert
+pub struct VisitedStore {
     config: StoreConfig,
     shards_log2: u32,
-    /// Per-shard resident budget in bytes; spilling flushes at this line.
-    shard_budget: usize,
-    /// Whether full shards flush to disk (false = Prefix backend).
-    spill: bool,
+    /// Per-shard resident budget in bytes: a shard whose active set reaches
+    /// it is flushed.  `None` for a resident store, which never flushes.
+    shard_budget: Option<usize>,
     dir: Option<PathBuf>,
     delete_on_drop: bool,
     next_seq: AtomicU64,
@@ -339,7 +184,7 @@ pub(crate) struct ShardedStore {
 }
 
 struct Shard {
-    active: KeySet<u64>,
+    active: KeySet,
     runs: Vec<Run>,
     /// Reused encode/flush buffer.
     scratch: Vec<u8>,
@@ -347,6 +192,12 @@ struct Shard {
     block: Vec<u8>,
     /// Reused sort buffer for flushes.
     sorted: Vec<u64>,
+}
+
+/// A poisoned shard is still a consistent set (a panicking inserter dies
+/// between, not inside, its updates), so the lock is taken regardless.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One immutable sorted run on disk plus its in-memory probe accelerators.
@@ -413,34 +264,30 @@ impl Bloom {
     }
 }
 
-impl ShardedStore {
-    fn new(config: StoreConfig, dir: Option<PathBuf>, delete_on_drop: bool) -> io::Result<Self> {
-        let (shards_log2, shard_budget, spill) = match config {
-            StoreConfig::Prefix {
-                shards_log2,
-                shard_budget,
-            } => (shards_log2, shard_budget, false),
+impl VisitedStore {
+    fn new(
+        config: StoreConfig,
+        mem_shards: usize,
+        dir: Option<PathBuf>,
+        delete_on_drop: bool,
+    ) -> io::Result<Self> {
+        let (shards_log2, shard_budget) = match config {
+            StoreConfig::Mem => (mem_shards.max(1).next_power_of_two().trailing_zeros(), None),
             StoreConfig::Spill {
                 shards_log2,
                 shard_budget,
-            } => (shards_log2, shard_budget, true),
-            StoreConfig::Mem => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "Mem config does not build a ShardedStore",
-                ))
-            }
+            } => (shards_log2, Some(shard_budget.max(8))),
         };
         assert!(shards_log2 < 24, "2^{shards_log2} shards is unreasonable");
         if let Some(dir) = &dir {
             std::fs::create_dir_all(dir)?;
         }
-        let capacity = (shard_budget / 8).min(1 << 20);
-        Ok(ShardedStore {
+        // A budgeted shard never holds more than its budget: size it once.
+        let capacity = shard_budget.map_or(0, |budget| (budget / 8).min(1 << 20));
+        Ok(VisitedStore {
             config,
             shards_log2,
-            shard_budget: shard_budget.max(8),
-            spill,
+            shard_budget,
             dir,
             delete_on_drop,
             next_seq: AtomicU64::new(0),
@@ -458,28 +305,59 @@ impl ShardedStore {
         })
     }
 
-    /// Inserts a pre-folded record; shared by `insert` and `insert_batch`.
-    fn insert_record(&self, record: u64) -> bool {
+    /// Records `(key, depth)`; returns whether it was absent before (the
+    /// caller should expand the child iff `true`).
+    pub fn insert(&self, key: u64, depth: usize) -> bool {
+        let record = record_of(key, depth);
         let shard_index = zobrist::prefix_shard(record, self.shards_log2);
-        let mut shard = self.shards[shard_index]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if shard.active.contains(&record) {
-            return false;
+        self.insert_record(shard_index, &mut lock(&self.shards[shard_index]), record)
+    }
+
+    /// Batched [`insert`](VisitedStore::insert): pushes one freshness flag
+    /// per pair onto `fresh`, in order, exactly as the obvious loop would —
+    /// duplicate pairs inside one batch included.  The engine probes all
+    /// children of a node in one call, and a one-shard store (the sequential
+    /// walk's) takes its lock once per node instead of once per child.
+    pub(crate) fn insert_batch(&self, pairs: &[(u64, usize)], fresh: &mut Vec<bool>) {
+        if let [shard] = &self.shards[..] {
+            let mut shard = lock(shard);
+            fresh.extend(
+                pairs
+                    .iter()
+                    .map(|&(k, d)| self.insert_record(0, &mut shard, record_of(k, d))),
+            );
+        } else {
+            fresh.extend(pairs.iter().map(|&(k, d)| self.insert(k, d)));
         }
-        // Newest runs first: recently spilled records are the likeliest
-        // repeats in a depth-first walk.
-        for ri in (0..shard.runs.len()).rev() {
-            let shard = &mut *shard;
-            if run_contains(&mut shard.runs[ri], record, &mut shard.block)
-                .unwrap_or_else(|e| panic!("visited-store run probe failed: {e}"))
-            {
+    }
+
+    /// Inserts `record` into its (locked) shard.
+    fn insert_record(&self, shard_index: usize, shard: &mut Shard, record: u64) -> bool {
+        if shard.runs.is_empty() {
+            // Nothing spilled (a resident store always): one hash probe.
+            if !shard.active.insert(record) {
                 return false;
             }
+        } else {
+            if shard.active.contains(&record) {
+                return false;
+            }
+            // Newest runs first: recently spilled records are the likeliest
+            // repeats in a depth-first walk.
+            for ri in (0..shard.runs.len()).rev() {
+                if run_contains(&mut shard.runs[ri], record, &mut shard.block)
+                    .unwrap_or_else(|e| panic!("visited-store run probe failed: {e}"))
+                {
+                    return false;
+                }
+            }
+            shard.active.insert(record);
         }
-        shard.active.insert(record);
-        if self.spill && shard.active.len() * 8 >= self.shard_budget {
-            self.flush_shard(shard_index, &mut shard)
+        if self
+            .shard_budget
+            .is_some_and(|budget| shard.active.len() * 8 >= budget)
+        {
+            self.flush_shard(shard_index, shard)
                 .unwrap_or_else(|e| panic!("visited-store spill failed: {e}"));
         }
         true
@@ -496,41 +374,23 @@ impl ShardedStore {
         shard.sorted.extend(shard.active.iter().copied());
         shard.sorted.sort_unstable();
         let name = format!("run-{shard_index}-{seq}.evr");
-        let shard = &mut *shard;
-        let (meta, file, bloom, fences) =
-            write_keys_run(&dir.join(&name), name, &shard.sorted, &mut shard.scratch)?;
+        let path = dir.join(&name);
+        let (meta, fences) = write_keys_run(&path, name, &shard.sorted, &mut shard.scratch)?;
         shard.runs.push(Run {
             meta,
-            file,
-            bloom,
+            file: File::open(&path).map_err(|e| annotate(e, &path))?,
+            bloom: Bloom::build(&shard.sorted),
             fences,
         });
         shard.active.clear();
         Ok(())
     }
-}
 
-impl Drop for ShardedStore {
-    fn drop(&mut self) {
-        if self.delete_on_drop {
-            if let Some(dir) = &self.dir {
-                let _ = std::fs::remove_dir_all(dir);
-            }
-        }
-    }
-}
-
-impl VisitedStore for ShardedStore {
-    fn insert(&self, key: u64, depth: usize) -> bool {
-        self.insert_record(record_of(key, depth))
-    }
-
-    fn report(&self) -> StoreReport {
+    /// Current entry count and byte breakdown.
+    pub fn report(&self) -> StoreReport {
         let mut report = StoreReport::default();
         for shard in &self.shards {
-            let shard = shard
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let shard = lock(shard);
             report.entries += shard.active.len();
             report.bytes.resident += shard.active.len() * 8;
             for run in &shard.runs {
@@ -543,33 +403,31 @@ impl VisitedStore for ShardedStore {
         report
     }
 
-    fn snapshot(&self, dir: &Path, seq: u64) -> io::Result<StoreManifest> {
+    /// Writes the store's in-memory state into `dir` as sorted-run sidecar
+    /// files (named with checkpoint sequence `seq`) and returns the manifest
+    /// describing every file needed to rebuild the store.  Does *not* mutate
+    /// the store: the active sets are dumped, not flushed, so a resumed
+    /// exploration's future run boundaries — and with them the final
+    /// [`StoreReport`] — match the uninterrupted run's exactly.
+    pub(crate) fn snapshot(&self, dir: &Path, seq: u64) -> io::Result<StoreManifest> {
         std::fs::create_dir_all(dir)?;
-        if self.spill {
-            // The manifest references run files by name inside `dir`; a
-            // spill store built elsewhere cannot be snapshotted into a
-            // different directory without copying runs, which checkpointing
-            // never needs (it builds the store with `build_in`).
-            let own = self
-                .dir
-                .as_ref()
-                .expect("spill stores always have a directory");
-            if own != dir {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "spill store writes runs under {} but was asked to snapshot into {}",
-                        own.display(),
-                        dir.display()
-                    ),
-                ));
-            }
+        // The manifest references run files by name inside `dir`; a spill
+        // store built elsewhere cannot be snapshotted into a different
+        // directory without copying runs, which checkpointing never needs
+        // (it builds the store with `build_in`).
+        if let Some(own) = self.dir.as_ref().filter(|own| *own != dir) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "spill store writes runs under {} but was asked to snapshot into {}",
+                    own.display(),
+                    dir.display()
+                ),
+            ));
         }
         let mut shards = Vec::with_capacity(self.shards.len());
         for (i, shard) in self.shards.iter().enumerate() {
-            let mut guard = shard
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let mut guard = lock(shard);
             let shard = &mut *guard;
             shard.sorted.clear();
             shard.sorted.extend(shard.active.iter().copied());
@@ -577,10 +435,8 @@ impl VisitedStore for ShardedStore {
             let active = if shard.sorted.is_empty() {
                 None
             } else {
-                let name = sidecar_name(i, seq);
-                let (meta, _, _, _) =
-                    write_keys_run(&dir.join(&name), name, &shard.sorted, &mut shard.scratch)?;
-                Some(meta)
+                let name = format!("active-{i}-{seq}.evr");
+                Some(write_keys_run(&dir.join(&name), name, &shard.sorted, &mut shard.scratch)?.0)
             };
             shards.push(ShardManifest {
                 runs: shard.runs.iter().map(|r| r.meta.clone()).collect(),
@@ -595,77 +451,58 @@ impl VisitedStore for ShardedStore {
     }
 }
 
+impl Drop for VisitedStore {
+    fn drop(&mut self) {
+        if self.delete_on_drop {
+            if let Some(dir) = &self.dir {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Manifests and restore
 // ---------------------------------------------------------------------------
 
-/// What a sorted-run file stores per record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordKind {
-    /// Pre-folded 64-bit records (sharded backends).
-    Keys,
-    /// Verbatim `(key, depth)` dedup pairs (`MemStore` sidecars).
-    Pairs,
-}
-
-impl RecordKind {
-    /// The on-disk `kind` field value.
-    pub fn code(self) -> u16 {
-        match self {
-            RecordKind::Keys => 0,
-            RecordKind::Pairs => 1,
-        }
-    }
-
-    fn from_code(code: u16) -> io::Result<Self> {
-        match code {
-            0 => Ok(RecordKind::Keys),
-            1 => Ok(RecordKind::Pairs),
-            other => Err(invalid(format!("unknown run record kind {other}"))),
-        }
-    }
-}
-
 /// Metadata of one sorted-run file, as referenced by a [`StoreManifest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunMeta {
+pub(crate) struct RunMeta {
     /// File name (relative to the checkpoint/store directory).
-    pub file: String,
-    /// Record layout.
-    pub kind: RecordKind,
+    pub(crate) file: String,
     /// Number of records.
-    pub count: u64,
-    /// Smallest record (key for [`RecordKind::Pairs`]).
-    pub min: u64,
-    /// Largest record (key for [`RecordKind::Pairs`]).
-    pub max: u64,
-    /// `fold_words` checksum over the decoded record words.
-    pub checksum: u64,
+    pub(crate) count: u64,
+    /// Smallest record.
+    pub(crate) min: u64,
+    /// Largest record.
+    pub(crate) max: u64,
+    /// `fold_words` checksum over the decoded records.
+    pub(crate) checksum: u64,
     /// Total file size in bytes (header + payload).
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 /// Per-shard slice of a [`StoreManifest`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardManifest {
+pub(crate) struct ShardManifest {
     /// Spilled runs, oldest first (probe order is newest first).
-    pub runs: Vec<RunMeta>,
+    pub(crate) runs: Vec<RunMeta>,
     /// Sidecar dump of the active set at snapshot time, if non-empty.
-    pub active: Option<RunMeta>,
+    pub(crate) active: Option<RunMeta>,
 }
 
 /// Everything needed to rebuild a [`VisitedStore`] from a directory of run
-/// files: the backend configuration, the run-naming sequence counter and
-/// one [`ShardManifest`] per shard.  Serialized into the checkpoint file by
+/// files: its configuration, the run-naming sequence counter and one
+/// [`ShardManifest`] per shard.  Serialized into the checkpoint file by
 /// [`crate::checkpoint`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreManifest {
-    /// The backend this manifest describes.
-    pub config: StoreConfig,
+pub(crate) struct StoreManifest {
+    /// The configuration of the store this manifest describes.
+    pub(crate) config: StoreConfig,
     /// Next run sequence number (so a resumed store never reuses a name).
-    pub next_seq: u64,
+    pub(crate) next_seq: u64,
     /// Per-shard run lists and active-set sidecars.
-    pub shards: Vec<ShardManifest>,
+    pub(crate) shards: Vec<ShardManifest>,
 }
 
 impl StoreManifest {
@@ -682,58 +519,43 @@ impl StoreManifest {
 }
 
 /// Rebuilds the store a [`StoreManifest`] describes from the run files in
-/// `dir`, verifying every checksum.  `mem_shards` re-sizes the
-/// [`Mem`](StoreConfig::Mem) backend's lock sharding (shard assignment is
-/// recomputed per key, so the count may differ from snapshot time).
+/// `dir`, verifying every checksum.  Spilled runs are reopened in their
+/// shard; sidecar records are re-inserted by prefix, so a resident store may
+/// come back with another lock-shard count (`mem_shards`) than it was
+/// snapshotted with.
 pub(crate) fn restore_store(
     manifest: &StoreManifest,
     dir: &Path,
     mem_shards: usize,
-) -> io::Result<Box<dyn VisitedStore>> {
-    match manifest.config {
-        StoreConfig::Mem => {
-            let store = MemStore::new(mem_shards);
-            for shard in &manifest.shards {
-                if let Some(meta) = &shard.active {
-                    for (key, depth) in read_pairs_run(&dir.join(&meta.file), meta)? {
-                        store.insert(key, depth);
-                    }
-                }
+) -> io::Result<VisitedStore> {
+    let store = manifest.config.build_in(mem_shards, dir)?;
+    let spills = store.shard_budget.is_some();
+    if spills && manifest.shards.len() != store.shards.len() {
+        return Err(invalid(format!(
+            "manifest has {} shards but the config declares {}",
+            manifest.shards.len(),
+            store.shards.len()
+        )));
+    }
+    store.next_seq.store(manifest.next_seq, Ordering::Relaxed);
+    for (i, shard_manifest) in manifest.shards.iter().enumerate() {
+        for meta in &shard_manifest.runs {
+            if !spills {
+                return Err(invalid(
+                    "resident store manifest references spilled runs".to_string(),
+                ));
             }
-            Ok(Box::new(store))
+            let run = open_keys_run(&dir.join(&meta.file), meta)?;
+            lock(&store.shards[i]).runs.push(run);
         }
-        StoreConfig::Prefix { shards_log2, .. } | StoreConfig::Spill { shards_log2, .. } => {
-            let spill = matches!(manifest.config, StoreConfig::Spill { .. });
-            let store =
-                ShardedStore::new(manifest.config, spill.then(|| dir.to_path_buf()), false)?;
-            if manifest.shards.len() != 1usize << shards_log2 {
-                return Err(invalid(format!(
-                    "manifest has {} shards but the config declares {}",
-                    manifest.shards.len(),
-                    1usize << shards_log2
-                )));
+        if let Some(meta) = &shard_manifest.active {
+            for record in read_keys_run(&dir.join(&meta.file), meta)?.0 {
+                let owner = zobrist::prefix_shard(record, store.shards_log2);
+                lock(&store.shards[owner]).active.insert(record);
             }
-            store.next_seq.store(manifest.next_seq, Ordering::Relaxed);
-            for (i, shard_manifest) in manifest.shards.iter().enumerate() {
-                let mut guard = store.shards[i]
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                for meta in &shard_manifest.runs {
-                    if !spill {
-                        return Err(invalid(
-                            "prefix store manifest references spilled runs".to_string(),
-                        ));
-                    }
-                    guard.runs.push(open_keys_run(&dir.join(&meta.file), meta)?);
-                }
-                if let Some(meta) = &shard_manifest.active {
-                    let (records, _) = read_keys_run(&dir.join(&meta.file), meta)?;
-                    guard.active.extend(records);
-                }
-            }
-            Ok(Box::new(store))
         }
     }
+    Ok(store)
 }
 
 // ---------------------------------------------------------------------------
@@ -746,10 +568,10 @@ pub(crate) const RUN_MAGIC: [u8; 4] = *b"EVRN";
 pub(crate) const RUN_VERSION: u16 = 1;
 /// Run header size in bytes.
 pub(crate) const RUN_HEADER_BYTES: usize = 40;
-
-fn sidecar_name(shard: usize, seq: u64) -> String {
-    format!("active-{shard}-{seq}.evr")
-}
+/// The one record layout a run holds: pre-folded 64-bit records.  It is the
+/// header's `kind` field and the seed of the run checksum; kind 1 (verbatim
+/// `(key, depth)` pairs) is retired and refused.
+pub(crate) const RUN_KIND_KEYS: u16 = 0;
 
 fn invalid(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
@@ -768,36 +590,47 @@ fn push_varint(buf: &mut Vec<u8>, mut value: u64) {
     }
 }
 
-/// LEB128 read, advancing `pos`.
+/// LEB128 read, advancing `pos`.  Ten bytes carry 70 payload bits: the tenth
+/// has room for bit 63 and nothing else, so more payload there — or a
+/// continuation into an eleventh byte — overflows.  (A loop over the ten
+/// byte positions, not one that runs until the data says stop: a probe
+/// decodes up to 256 of these, and the fixed trip count is what lets the
+/// compiler unroll it.)
 fn read_varint(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
     let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
+    for index in 0..10u32 {
         let byte = *buf
             .get(*pos)
             .ok_or_else(|| invalid("truncated varint in run payload".to_string()))?;
         *pos += 1;
-        if shift >= 64 {
-            return Err(invalid("varint overflows 64 bits".to_string()));
+        if index == 9 && byte > 1 {
+            break;
         }
-        value |= u64::from(byte & 0x7f) << shift;
+        value |= u64::from(byte & 0x7f) << (7 * index);
         if byte & 0x80 == 0 {
             return Ok(value);
         }
-        shift += 7;
     }
+    Err(invalid("varint overflows 64 bits".to_string()))
 }
 
-fn header_bytes(kind: RecordKind, count: u64, min: u64, max: u64, checksum: u64) -> [u8; 40] {
-    let mut header = [0u8; RUN_HEADER_BYTES];
-    header[0..4].copy_from_slice(&RUN_MAGIC);
-    header[4..6].copy_from_slice(&RUN_VERSION.to_le_bytes());
-    header[6..8].copy_from_slice(&kind.code().to_le_bytes());
-    header[8..16].copy_from_slice(&count.to_le_bytes());
-    header[16..24].copy_from_slice(&min.to_le_bytes());
-    header[24..32].copy_from_slice(&max.to_le_bytes());
-    header[32..40].copy_from_slice(&checksum.to_le_bytes());
-    header
+struct RunHeader {
+    count: u64,
+    min: u64,
+    max: u64,
+    checksum: u64,
+}
+
+fn header_bytes(header: &RunHeader) -> [u8; RUN_HEADER_BYTES] {
+    let mut bytes = [0u8; RUN_HEADER_BYTES];
+    bytes[0..4].copy_from_slice(&RUN_MAGIC);
+    bytes[4..6].copy_from_slice(&RUN_VERSION.to_le_bytes());
+    bytes[6..8].copy_from_slice(&RUN_KIND_KEYS.to_le_bytes());
+    bytes[8..16].copy_from_slice(&header.count.to_le_bytes());
+    bytes[16..24].copy_from_slice(&header.min.to_le_bytes());
+    bytes[24..32].copy_from_slice(&header.max.to_le_bytes());
+    bytes[32..40].copy_from_slice(&header.checksum.to_le_bytes());
+    bytes
 }
 
 fn parse_header(header: &[u8; RUN_HEADER_BYTES], path: &Path) -> io::Result<RunHeader> {
@@ -811,21 +644,20 @@ fn parse_header(header: &[u8; RUN_HEADER_BYTES], path: &Path) -> io::Result<RunH
             path.display()
         )));
     }
+    let kind = u16::from_le_bytes([header[6], header[7]]);
+    if kind != RUN_KIND_KEYS {
+        return Err(invalid(format!(
+            "{}: unknown run record kind {kind}",
+            path.display()
+        )));
+    }
+    let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
     Ok(RunHeader {
-        kind: RecordKind::from_code(u16::from_le_bytes([header[6], header[7]]))?,
-        count: u64::from_le_bytes(header[8..16].try_into().expect("8 bytes")),
-        min: u64::from_le_bytes(header[16..24].try_into().expect("8 bytes")),
-        max: u64::from_le_bytes(header[24..32].try_into().expect("8 bytes")),
-        checksum: u64::from_le_bytes(header[32..40].try_into().expect("8 bytes")),
+        count: word(8),
+        min: word(16),
+        max: word(24),
+        checksum: word(32),
     })
-}
-
-struct RunHeader {
-    kind: RecordKind,
-    count: u64,
-    min: u64,
-    max: u64,
-    checksum: u64,
 }
 
 /// Encodes sorted `records` into `buf` (cleared) with a restart point every
@@ -855,91 +687,48 @@ pub(crate) fn annotate(err: io::Error, path: &Path) -> io::Error {
     io::Error::new(err.kind(), format!("{}: {err}", path.display()))
 }
 
-/// Writes sorted `records` as a [`RecordKind::Keys`] run at `path` and
-/// returns its metadata plus the reopened file and probe accelerators.
+/// Writes sorted `records` as a run at `path` and returns its metadata and
+/// fence index.
 fn write_keys_run(
     path: &Path,
     name: String,
     records: &[u64],
     scratch: &mut Vec<u8>,
-) -> io::Result<(RunMeta, File, Bloom, Vec<Fence>)> {
+) -> io::Result<(RunMeta, Vec<Fence>)> {
     debug_assert!(
         records.windows(2).all(|w| w[0] < w[1]),
         "records sorted+unique"
     );
     let fences = encode_keys(records, scratch);
-    let checksum = zobrist::fold_words(RecordKind::Keys.code() as u64, records);
-    let (min, max) = match (records.first(), records.last()) {
-        (Some(&min), Some(&max)) => (min, max),
-        _ => (0, 0),
+    let header = RunHeader {
+        count: records.len() as u64,
+        min: records.first().copied().unwrap_or(0),
+        max: records.last().copied().unwrap_or(0),
+        checksum: zobrist::fold_words(RUN_KIND_KEYS as u64, records),
     };
-    let header = header_bytes(RecordKind::Keys, records.len() as u64, min, max, checksum);
     let mut writer = File::create(path).map_err(|e| annotate(e, path))?;
-    writer.write_all(&header)?;
+    writer.write_all(&header_bytes(&header))?;
     writer.write_all(scratch)?;
     writer.sync_all()?;
-    drop(writer);
-    // Reopen read-only: the returned handle serves `run_contains` block
-    // reads (a `File::create` handle is write-only).
-    let file = File::open(path).map_err(|e| annotate(e, path))?;
     let meta = RunMeta {
         file: name,
-        kind: RecordKind::Keys,
-        count: records.len() as u64,
-        min,
-        max,
-        checksum,
+        count: header.count,
+        min: header.min,
+        max: header.max,
+        checksum: header.checksum,
         bytes: (RUN_HEADER_BYTES + scratch.len()) as u64,
     };
-    Ok((meta, file, Bloom::build(records), fences))
+    Ok((meta, fences))
 }
 
-/// Writes sorted `(key, depth)` pairs as a [`RecordKind::Pairs`] run: key
-/// delta-encoded with restarts like [`RecordKind::Keys`] (equal keys yield
-/// delta 0), depth appended verbatim as a varint after each key.
-fn write_pairs_run(path: &Path, name: String, pairs: &[(u64, usize)]) -> io::Result<RunMeta> {
-    debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "pairs sorted+unique");
-    let mut buf = Vec::new();
-    let mut previous = 0u64;
-    for (i, &(key, depth)) in pairs.iter().enumerate() {
-        if i % RUN_RESTART_INTERVAL == 0 {
-            push_varint(&mut buf, key);
-        } else {
-            push_varint(&mut buf, key - previous);
-        }
-        push_varint(&mut buf, depth as u64);
-        previous = key;
-    }
-    let words: Vec<u64> = pairs.iter().flat_map(|&(k, d)| [k, d as u64]).collect();
-    let checksum = zobrist::fold_words(RecordKind::Pairs.code() as u64, &words);
-    let (min, max) = match (pairs.first(), pairs.last()) {
-        (Some(&(min, _)), Some(&(max, _))) => (min, max),
-        _ => (0, 0),
-    };
-    let header = header_bytes(RecordKind::Pairs, pairs.len() as u64, min, max, checksum);
-    let mut file = File::create(path).map_err(|e| annotate(e, path))?;
-    file.write_all(&header)?;
-    file.write_all(&buf)?;
-    file.sync_all()?;
-    Ok(RunMeta {
-        file: name,
-        kind: RecordKind::Pairs,
-        count: pairs.len() as u64,
-        min,
-        max,
-        checksum,
-        bytes: (RUN_HEADER_BYTES + buf.len()) as u64,
-    })
-}
-
-/// Reads a whole run file, verifying header fields against `meta`.
-fn read_run_payload(path: &Path, meta: &RunMeta) -> io::Result<(RunHeader, Vec<u8>)> {
+/// Fully decodes a run, verifying its header against `meta` and its
+/// checksum, and returns the records plus payload size.
+fn read_keys_run(path: &Path, meta: &RunMeta) -> io::Result<(Vec<u64>, usize)> {
     let mut file = File::open(path).map_err(|e| annotate(e, path))?;
     let mut header = [0u8; RUN_HEADER_BYTES];
     file.read_exact(&mut header)?;
     let header = parse_header(&header, path)?;
-    if header.kind != meta.kind
-        || header.count != meta.count
+    if header.count != meta.count
         || header.min != meta.min
         || header.max != meta.max
         || header.checksum != meta.checksum
@@ -958,16 +747,6 @@ fn read_run_payload(path: &Path, meta: &RunMeta) -> io::Result<(RunHeader, Vec<u
             RUN_HEADER_BYTES + payload.len(),
             meta.bytes
         )));
-    }
-    Ok((header, payload))
-}
-
-/// Fully decodes a [`RecordKind::Keys`] run, verifying its checksum, and
-/// returns the records plus payload size.
-fn read_keys_run(path: &Path, meta: &RunMeta) -> io::Result<(Vec<u64>, usize)> {
-    let (header, payload) = read_run_payload(path, meta)?;
-    if header.kind != RecordKind::Keys {
-        return Err(invalid(format!("{}: expected a Keys run", path.display())));
     }
     let mut records = Vec::with_capacity(header.count as usize);
     let mut pos = 0usize;
@@ -990,7 +769,7 @@ fn read_keys_run(path: &Path, meta: &RunMeta) -> io::Result<(Vec<u64>, usize)> {
             path.display()
         )));
     }
-    if zobrist::fold_words(RecordKind::Keys.code() as u64, &records) != header.checksum {
+    if zobrist::fold_words(RUN_KIND_KEYS as u64, &records) != header.checksum {
         return Err(invalid(format!(
             "{}: run checksum mismatch",
             path.display()
@@ -999,54 +778,15 @@ fn read_keys_run(path: &Path, meta: &RunMeta) -> io::Result<(Vec<u64>, usize)> {
     Ok((records, payload.len()))
 }
 
-/// Fully decodes a [`RecordKind::Pairs`] run, verifying its checksum.
-fn read_pairs_run(path: &Path, meta: &RunMeta) -> io::Result<Vec<(u64, usize)>> {
-    let (header, payload) = read_run_payload(path, meta)?;
-    if header.kind != RecordKind::Pairs {
-        return Err(invalid(format!("{}: expected a Pairs run", path.display())));
-    }
-    let mut pairs = Vec::with_capacity(header.count as usize);
-    let mut pos = 0usize;
-    let mut previous = 0u64;
-    for i in 0..header.count as usize {
-        let value = read_varint(&payload, &mut pos)?;
-        let key = if i % RUN_RESTART_INTERVAL == 0 {
-            value
-        } else {
-            previous
-                .checked_add(value)
-                .ok_or_else(|| invalid(format!("{}: key delta overflow", path.display())))?
-        };
-        let depth = read_varint(&payload, &mut pos)? as usize;
-        pairs.push((key, depth));
-        previous = key;
-    }
-    if pos != payload.len() {
-        return Err(invalid(format!(
-            "{}: trailing payload bytes",
-            path.display()
-        )));
-    }
-    let words: Vec<u64> = pairs.iter().flat_map(|&(k, d)| [k, d as u64]).collect();
-    if zobrist::fold_words(RecordKind::Pairs.code() as u64, &words) != header.checksum {
-        return Err(invalid(format!(
-            "{}: run checksum mismatch",
-            path.display()
-        )));
-    }
-    Ok(pairs)
-}
-
-/// Reopens a [`RecordKind::Keys`] run for probing: full decode once (which
-/// verifies the checksum) to rebuild the Bloom filter and fence index, then
-/// the records are dropped — membership probes go through the file.
+/// Reopens a run for probing: full decode once (which verifies the
+/// checksum) to rebuild the Bloom filter and fence index, then the records
+/// are dropped — membership probes go through the file.
 fn open_keys_run(path: &Path, meta: &RunMeta) -> io::Result<Run> {
     let (records, payload_len) = read_keys_run(path, meta)?;
-    let mut fences = Vec::with_capacity(records.len() / RUN_RESTART_INTERVAL + 1);
     // Rebuild fence offsets by re-encoding lengths, not by storing them:
     // the payload is a pure function of the records, so offsets are too.
     let mut scratch = Vec::with_capacity(payload_len);
-    fences.extend(encode_keys(&records, &mut scratch));
+    let fences = encode_keys(&records, &mut scratch);
     debug_assert_eq!(scratch.len(), payload_len);
     Ok(Run {
         meta: meta.clone(),
@@ -1104,6 +844,13 @@ mod tests {
         dir
     }
 
+    /// A spill configuration small enough that a few hundred records write
+    /// several runs per shard.
+    const SPILL: StoreConfig = StoreConfig::Spill {
+        shards_log2: 2,
+        shard_budget: 128,
+    };
+
     #[test]
     fn varint_roundtrips_edge_values() {
         let values = [
@@ -1125,6 +872,19 @@ mod tests {
             assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
         }
         assert_eq!(pos, buf.len());
+        // Ten bytes carry 70 payload bits: the tenth may only hold bit 63.
+        // Anything above it used to be shifted out silently.
+        let mut tenth_too_big = vec![0xff; 9];
+        tenth_too_big.push(0x02);
+        let mut eleven_bytes = vec![0x80; 10];
+        eleven_bytes.push(0x00);
+        for bad in [tenth_too_big, eleven_bytes] {
+            let err = read_varint(&bad, &mut 0).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:x?}");
+        }
+        let mut max = vec![0xff; 9];
+        max.push(0x01);
+        assert_eq!(read_varint(&max, &mut 0).unwrap(), u64::MAX);
     }
 
     /// Deterministic pseudo-random records for codec tests.
@@ -1141,7 +901,7 @@ mod tests {
         let records = sample_records(1000, 7);
         assert!(records.len() > RUN_RESTART_INTERVAL * 3);
         let mut scratch = Vec::new();
-        let (meta, _, _, fences) =
+        let (meta, fences) =
             write_keys_run(&dir.join("r.evr"), "r.evr".into(), &records, &mut scratch).unwrap();
         assert_eq!(meta.count as usize, records.len());
         assert_eq!(fences.len(), records.len().div_ceil(RUN_RESTART_INTERVAL));
@@ -1155,7 +915,7 @@ mod tests {
         let dir = temp_dir("probe");
         let records = sample_records(700, 11);
         let mut scratch = Vec::new();
-        let (meta, _, _, _) =
+        let (meta, _) =
             write_keys_run(&dir.join("r.evr"), "r.evr".into(), &records, &mut scratch).unwrap();
         let mut run = open_keys_run(&dir.join("r.evr"), &meta).unwrap();
         let mut block = Vec::new();
@@ -1184,24 +944,74 @@ mod tests {
         }
     }
 
+    /// A seeded stream of `(key, depth)` pairs in which about half the
+    /// inserts repeat an earlier pair, some of them back to back.  Keys are
+    /// salted away from `mix(small)`: with `key == mix(depth)` the folded
+    /// record degenerates to `mix(0)` for every depth (the 2⁻⁶⁴ collision
+    /// class hit on purpose), which is not what these tests are about.
+    fn key_stream(len: usize, seed: u64) -> Vec<(u64, usize)> {
+        let mut state = zobrist::mix(seed);
+        let mut next = move || {
+            state = zobrist::mix(state);
+            state
+        };
+        let mut stream: Vec<(u64, usize)> = Vec::with_capacity(len);
+        while stream.len() < len {
+            let pair = match next() % 4 {
+                0 if !stream.is_empty() => stream[next() as usize % stream.len()],
+                1 if !stream.is_empty() => stream[stream.len() - 1],
+                // Same key, another depth: a different pair.
+                2 if !stream.is_empty() => (stream[stream.len() - 1].0, (next() % 7) as usize),
+                _ => (zobrist::mix(0x5eed ^ next()), (next() % 7) as usize),
+            };
+            stream.push(pair);
+        }
+        stream
+    }
+
+    /// The store is a set of `(key, depth)` pairs: whatever its sharding and
+    /// whether or not it spills, every verdict — one at a time and batched —
+    /// is the exact model's.
     #[test]
-    fn mem_store_has_set_semantics_and_exact_byte_accounting() {
-        let store = MemStore::new(4);
-        assert!(store.insert(10, 1));
-        assert!(!store.insert(10, 1));
-        assert!(store.insert(10, 2), "same key at another depth is fresh");
-        assert!(store.insert(11, 1));
-        let mut fresh = Vec::new();
-        store.insert_batch(&[(10, 1), (12, 0), (12, 0)], &mut fresh);
-        assert_eq!(fresh, [false, true, false]);
-        let report = store.report();
-        assert_eq!(report.entries, 4);
-        assert_eq!(report.runs_written, 0);
-        assert_eq!(
-            report.bytes.resident,
-            4 * std::mem::size_of::<(u64, usize)>()
-        );
-        assert_eq!(report.bytes.spilled + report.bytes.filter, 0);
+    fn store_has_set_semantics_and_exact_byte_accounting() {
+        for (config, mem_shards) in [(StoreConfig::Mem, 1), (StoreConfig::Mem, 5), (SPILL, 1)] {
+            let store = config.build(mem_shards).unwrap();
+            let mut model: HashSet<(u64, usize)> = HashSet::new();
+            let stream = key_stream(3000, 0xabcd ^ mem_shards as u64);
+            let (singles, batches) = stream.split_at(1500);
+            for (i, &(k, d)) in singles.iter().enumerate() {
+                assert_eq!(
+                    store.insert(k, d),
+                    model.insert((k, d)),
+                    "{}/{mem_shards}: insert {i} disagrees with the model",
+                    config.label()
+                );
+            }
+            let mut fresh = Vec::new();
+            for (i, batch) in batches.chunks(4).enumerate() {
+                fresh.clear();
+                store.insert_batch(batch, &mut fresh);
+                let expected: Vec<bool> = batch.iter().map(|&pair| model.insert(pair)).collect();
+                assert_eq!(
+                    fresh,
+                    expected,
+                    "{}/{mem_shards}: batch {i} disagrees with the model",
+                    config.label()
+                );
+            }
+            assert!(model.len() > 1000 && model.len() < 2500, "repeats and news");
+            let report = store.report();
+            assert_eq!(report.entries, model.len());
+            if config == StoreConfig::Mem {
+                assert_eq!(store.shards.len(), mem_shards.next_power_of_two());
+                assert_eq!(report.runs_written, 0);
+                assert_eq!(report.bytes.resident, 8 * model.len());
+                assert_eq!(report.bytes.spilled + report.bytes.filter, 0);
+            } else {
+                assert!(report.runs_written > 8, "budget 128 must force spills");
+                assert!(report.bytes.spilled > 0 && report.bytes.filter > 0);
+            }
+        }
     }
 
     #[test]
@@ -1239,12 +1049,8 @@ mod tests {
     }
 
     #[test]
-    fn prefix_store_routes_by_top_bits_and_never_spills() {
-        let config = StoreConfig::Prefix {
-            shards_log2: 3,
-            shard_budget: 64,
-        };
-        let store = ShardedStore::new(config, None, false).unwrap();
+    fn resident_store_routes_by_top_bits_and_never_spills() {
+        let store = StoreConfig::Mem.build(8).unwrap();
         for i in 0..500u64 {
             assert!(store.insert(zobrist::mix(i), 0));
         }
@@ -1263,26 +1069,18 @@ mod tests {
 
     #[test]
     fn snapshot_restore_roundtrips_membership_and_bytes() {
-        for config in [
-            StoreConfig::Mem,
-            StoreConfig::Prefix {
-                shards_log2: 2,
-                shard_budget: 1024,
-            },
-            StoreConfig::Spill {
-                shards_log2: 2,
-                shard_budget: 128,
-            },
+        // A resident store comes back under any lock-shard count (the
+        // sequential driver writes with 1, the parallel one resumes with 16).
+        for (config, shards_before, shards_after) in [
+            (StoreConfig::Mem, 1, 16),
+            (StoreConfig::Mem, 16, 1),
+            (SPILL, 2, 2),
         ] {
             let dir = temp_dir(config.label());
-            let store = config.build_in(2, &dir).unwrap();
-            // Salt the keys away from `mix(small)`: with `key == mix(depth)`
-            // the folded record degenerates to `mix(0)` for every depth (the
-            // 2⁻⁶⁴ collision class hit on purpose), which is not what this
-            // test is about.
-            let pairs: Vec<(u64, usize)> = (0..600u64)
-                .map(|i| (zobrist::mix(0x5eed ^ i), (i % 5) as usize))
-                .collect();
+            let store = config.build_in(shards_before, &dir).unwrap();
+            let mut pairs = key_stream(600, 42);
+            pairs.sort_unstable();
+            pairs.dedup();
             for (i, &(k, d)) in pairs.iter().enumerate() {
                 assert!(
                     store.insert(k, d),
@@ -1299,7 +1097,8 @@ mod tests {
             assert!(!store.insert(pairs[0].0, pairs[0].1));
             drop(store);
 
-            let restored = restore_store(&manifest, &dir, 2).unwrap();
+            let restored = restore_store(&manifest, &dir, shards_after).unwrap();
+            assert_eq!(restored.report(), before, "{}", config.label());
             for &(k, d) in &pairs {
                 assert!(!restored.insert(k, d), "{}: lost a record", config.label());
             }
@@ -1310,9 +1109,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn restore_rejects_corrupted_runs() {
-        let dir = temp_dir("corrupt");
+    /// A spill store of one shard with 200 records in it, snapshotted.
+    fn snapshotted_spill_store(tag: &str) -> (PathBuf, StoreManifest) {
+        let dir = temp_dir(tag);
         let config = StoreConfig::Spill {
             shards_log2: 0,
             shard_budget: 64,
@@ -1322,17 +1121,52 @@ mod tests {
             store.insert(zobrist::mix(i), 0);
         }
         let manifest = store.snapshot(&dir, 0).unwrap();
-        drop(store);
+        (dir, manifest)
+    }
+
+    fn restore_error(manifest: &StoreManifest, dir: &Path) -> io::Error {
+        match restore_store(manifest, dir, 1) {
+            Ok(_) => panic!("restore accepted a damaged store"),
+            Err(err) => err,
+        }
+    }
+
+    #[test]
+    fn restore_rejects_corrupted_runs() {
+        let (dir, manifest) = snapshotted_spill_store("corrupt");
         // Flip one payload byte of the first referenced file.
         let victim = dir.join(manifest.referenced_files().next().unwrap());
         let mut bytes = std::fs::read(&victim).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x55;
         std::fs::write(&victim, &bytes).unwrap();
-        let err = match restore_store(&manifest, &dir, 1) {
-            Ok(_) => panic!("restore accepted a corrupted run"),
-            Err(err) => err,
-        };
+        let err = restore_error(&manifest, &dir);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Record kind 1 was the verbatim `(key, depth)` pair layout of the
+    /// retired in-memory backend's sidecars: a run that claims it is refused,
+    /// not decoded as records.
+    #[test]
+    fn restore_rejects_a_run_of_the_retired_pair_kind() {
+        let (dir, manifest) = snapshotted_spill_store("kind");
+        let victim = dir.join(manifest.referenced_files().next().unwrap());
+        let mut bytes = std::fs::read(&victim).unwrap();
+        assert_eq!(bytes[6..8], [0, 0], "runs are written with kind 0");
+        bytes[6] = 1;
+        std::fs::write(&victim, &bytes).unwrap();
+        let err = restore_error(&manifest, &dir);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("record kind 1"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn restore_rejects_a_resident_manifest_with_spilled_runs() {
+        let (dir, mut manifest) = snapshotted_spill_store("resident-runs");
+        manifest.config = StoreConfig::Mem;
+        let err = restore_error(&manifest, &dir);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1347,16 +1181,13 @@ mod tests {
         for i in 0..100u64 {
             store.insert(zobrist::mix(i), 0);
         }
-        // Reach inside to learn the directory, then drop.
-        let report = store.report();
-        assert!(report.runs_written > 0);
+        assert!(store.report().runs_written > 0);
+        let dir = store.dir.clone().expect("a spill store has a directory");
+        assert!(dir.is_dir());
         drop(store);
-        // The directory name is private; instead assert the *next* build
-        // gets a distinct directory and also cleans up.
-        let again = config.build(1).unwrap();
         assert!(
-            again.insert(zobrist::mix(0), 0),
-            "fresh store must be empty"
+            !dir.exists(),
+            "the private spill directory outlived its store"
         );
     }
 }

@@ -94,7 +94,7 @@ pub(crate) fn valency_of(config: &Config, depth: usize, max_configs: usize) -> V
 /// depend on the [`Reduction`](crate::engine::Reduction) — decision values
 /// persist in the recorded history, terminal configurations are preserved by
 /// sleep sets, and symmetry canonicalization renames processes without
-/// touching response values — nor on the visited-store backend.
+/// touching response values — nor on the visited store's configuration.
 pub(crate) fn valency_under(config: &Config, options: &EngineOptions) -> ValencyClass {
     let (decisions, partial) = reachable_decisions(config, options);
     if decisions.len() >= 2 {
@@ -248,7 +248,7 @@ pub fn check_consensus(
 /// both properties are process-symmetric, so every
 /// [`Reduction`](crate::engine::Reduction) returns the same verdicts (the
 /// `terminals` count shrinks with the reduction), as does every
-/// visited-store backend.
+/// visited-store configuration.
 ///
 /// A positive [`EngineOptions::fault_budget`] additionally enumerates that
 /// many transient-fault corruption steps ([`crate::fault`]) along every

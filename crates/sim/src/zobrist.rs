@@ -18,16 +18,9 @@
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// The splitmix64 finalizer: a cheap bijective avalanche function.  Every
-/// output bit depends on every input bit, which is what makes the derived
-/// component keys behave like independent random table entries.
-#[inline]
-pub fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+/// The splitmix64 finalizer [`mix`] and the word fold over it, from the one
+/// copy every layer shares (the checker is the lowest crate that hashes).
+pub use evlin_checker::{fold_word_iter, fold_words, mix, TAG_FOLD};
 
 /// Mixes two words into one (order-sensitive).
 #[inline]
@@ -50,64 +43,25 @@ pub(crate) fn component(tag: u64, slot: u64, content: u64) -> u64 {
     mix(tag ^ mix2(slot, content))
 }
 
-/// Folds a slice of words into one fingerprint, one `mix` round per word.
-///
-/// This is the batch counterpart of `component`: where the incremental
-/// fingerprint XORs independently keyed parts so single-part updates are
-/// O(1), `fold_words` hashes a whole *run* of words whose identity is their
-/// order — an event frame, a segment's packed event stream — in a single
-/// word-at-a-time sweep.  The fold is order-sensitive (each word is mixed
-/// with the running state before the next) and length-separated (`seed`
-/// plus a final length fold), so a frame split at a different boundary
-/// produces a different fingerprint while the concatenated stream hash is a
-/// pure function of the word sequence.
-#[inline]
-pub fn fold_words(seed: u64, words: &[u64]) -> u64 {
-    fold_word_iter(seed, words.iter().copied())
-}
-
-/// [`fold_words`] over words produced on the fly, for a caller whose words
-/// sit inside larger records (the sequence numbers of a frame's items) and
-/// would otherwise be copied out just to be folded.
-#[inline]
-pub fn fold_word_iter(seed: u64, words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut acc = mix(seed ^ TAG_FOLD);
-    let mut len = 0u64;
-    for w in words {
-        acc = mix(acc ^ w);
-        len += 1;
-    }
-    mix(acc ^ len)
-}
-
-/// Domain-separation tag for [`fold_words`] batch fingerprints.
-pub const TAG_FOLD: u64 = 0x666f_6c64_0000_0004;
-
-/// The top `bits` bits of a fingerprint, right-aligned: the *prefix* used to
-/// route a key to a shard or partition.  Because every fingerprint in this
+/// The shard index of `key` among `1 << shards_log2` prefix shards: its top
+/// `shards_log2` bits, right-aligned.  Because every fingerprint in this
 /// workspace goes through [`mix`] (an avalanching bijection), the high bits
 /// are uniformly distributed, so prefix routing balances shards without a
-/// second hash.  `bits == 0` yields `0` (the one-shard / one-partition
-/// degenerate case — shifting by 64 would be undefined).
-#[inline]
-pub fn prefix(key: u64, bits: u32) -> u64 {
-    if bits == 0 {
-        0
-    } else {
-        key >> (64 - bits)
-    }
-}
-
-/// The shard index of `key` among `1 << shards_log2` prefix shards: the
-/// [`prefix`] of `shards_log2` bits, as a `usize`.  This is the single
-/// routing function shared by the prefix-sharded visited stores
+/// second hash.  `shards_log2 == 0` yields `0` (the one-shard /
+/// one-partition degenerate case — shifting by 64 would be undefined).
+///
+/// This is the single routing function shared by the visited store's shards
 /// ([`crate::store`]) and the fingerprint-range partitioner
 /// ([`crate::checkpoint::explore_partitioned`]), which is what makes a
 /// partitioned exploration's per-partition stores line up with the key
 /// ranges exactly.
 #[inline]
 pub(crate) fn prefix_shard(key: u64, shards_log2: u32) -> usize {
-    prefix(key, shards_log2) as usize
+    if shards_log2 == 0 {
+        0
+    } else {
+        (key >> (64 - shards_log2)) as usize
+    }
 }
 
 /// The Fx hash function (as used by rustc): a fast non-cryptographic word
@@ -202,7 +156,7 @@ pub(crate) fn hash_debug(value: &dyn std::fmt::Debug) -> u64 {
 }
 
 /// The content hash of a `Hash` value.
-pub fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+pub(crate) fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
     let mut hasher = FxHasher::default();
     value.hash(&mut hasher);
     hasher.finish()
@@ -211,20 +165,6 @@ pub fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mix_avalanches_single_bits() {
-        // Flipping one input bit must flip roughly half the output bits.
-        for bit in 0..64 {
-            let a = mix(0);
-            let b = mix(1u64 << bit);
-            let flipped = (a ^ b).count_ones();
-            assert!(
-                (8..=56).contains(&flipped),
-                "bit {bit}: only {flipped} output bits flipped"
-            );
-        }
-    }
 
     #[test]
     fn components_separate_domains_and_slots() {
@@ -247,26 +187,5 @@ mod tests {
     #[test]
     fn mix2_is_order_sensitive() {
         assert_ne!(mix2(1, 2), mix2(2, 1));
-    }
-
-    #[test]
-    fn fold_words_is_order_and_length_sensitive() {
-        assert_eq!(fold_words(0, &[1, 2, 3]), fold_words(0, &[1, 2, 3]));
-        assert_ne!(fold_words(0, &[1, 2, 3]), fold_words(0, &[3, 2, 1]));
-        assert_ne!(fold_words(0, &[1, 2]), fold_words(0, &[1, 2, 0]));
-        assert_ne!(fold_words(0, &[]), fold_words(0, &[0]));
-        assert_ne!(fold_words(0, &[1]), fold_words(1, &[1]));
-    }
-
-    #[test]
-    fn fold_words_chains_across_chunks() {
-        // Folding a stream in chunks, threading the accumulator as the next
-        // seed, must be sensitive to the chunk boundary only through the
-        // explicit length folds — i.e. re-chunking changes the value (each
-        // chunk folds its own length), while identical chunking is stable.
-        let a = fold_words(fold_words(7, &[1, 2]), &[3, 4]);
-        let b = fold_words(fold_words(7, &[1, 2]), &[3, 4]);
-        assert_eq!(a, b);
-        assert_ne!(a, fold_words(fold_words(7, &[1, 2, 3]), &[4]));
     }
 }

@@ -1,9 +1,9 @@
-//! Differential tests for the visited-store seam: on seeded random small
-//! configurations, the three [`StoreConfig`] backends must be
+//! Differential tests for the visited store: on seeded random small
+//! configurations, the two [`StoreConfig`]s — resident and spilling — must be
 //! *observationally identical* — same distinct terminal-history sets, same
 //! checker verdicts, same visited/terminal/pruned counts — under every
 //! reduction, because the dedup verdict for a `(key, depth)` pair is a set
-//! property, not a layout property.  On top of the backends, the resumable
+//! property, not a layout property.  On top of the store, the resumable
 //! drivers are checked end-to-end:
 //!
 //! * an uninterrupted [`explore_checkpointed`] run equals the plain engine
@@ -13,8 +13,9 @@
 //!   and resumed until completion reproduces the uninterrupted final stats
 //!   exactly;
 //! * [`explore_partitioned`] totals recompose the single-run stats exactly;
-//! * a checkpoint written under different exploration parameters is
-//!   rejected instead of silently diverging.
+//! * a checkpoint written under different exploration parameters, or one
+//!   that names a retired store tag or run kind, is rejected instead of
+//!   silently diverging.
 //!
 //! The quick tests run fixed seed ranges on every `cargo test`; the
 //! `#[ignore]`d extended variants honour `EVLIN_DIFF_CASES` and run in the
@@ -44,22 +45,20 @@ const STRATEGIES: [Reduction; 4] = [
     Reduction::SleepSetSymmetry,
 ];
 
-/// The non-default backends, sized so the spill store really spills on
-/// these trees (budget 256 bytes = 32 records per shard).
-const ALT_BACKENDS: [StoreConfig; 2] = [
-    StoreConfig::Prefix {
-        shards_log2: 2,
-        shard_budget: 4096,
-    },
-    StoreConfig::Spill {
-        shards_log2: 2,
-        shard_budget: 256,
-    },
-];
+/// The non-default configuration, sized so the store really spills on these
+/// trees (budget 256 bytes = 32 records per shard).
+const ALT_BACKENDS: [StoreConfig; 1] = [StoreConfig::Spill {
+    shards_log2: 2,
+    shard_budget: 256,
+}];
 
 /// Folds of the pinned `checkpoint.bin` (see
-/// `sequential_checkpoint_bytes_are_pinned`).
-const GOLDEN_MEM: u64 = 0x254b_7417_6400_411e;
+/// `sequential_checkpoint_bytes_are_pinned`).  `GOLDEN_MEM` was re-recorded
+/// (from 0x254b_7417_6400_411e) when the resident store became the spilling
+/// one without a budget: its sidecar is now a run of 8-byte records, kind 0,
+/// where it was a run of `(key, depth)` pairs, kind 1, so the manifest entry
+/// — kind, key range, checksum, byte count — moved and nothing else did.
+const GOLDEN_MEM: u64 = 0xd0a2_9425_82cd_c3c9;
 const GOLDEN_SPILL: u64 = 0x351e_0fcd_df07_7e51;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -274,9 +273,9 @@ fn check_backends_seed(seed: u64) {
                 case.name,
                 backend.label()
             );
-            // The seam's byte accounting responds to the backend (resident
-            // only for in-memory stores, spilled + filter when runs exist)
-            // but always totals into `bytes_allocated`.
+            // The byte accounting responds to the configuration (resident
+            // only without a budget, spilled + filter when runs exist) but
+            // always totals into `bytes_allocated`.
             assert_eq!(stats.bytes_allocated, stats.store_bytes.total());
             if let StoreConfig::Spill { .. } = backend {
                 assert!(
@@ -520,16 +519,19 @@ fn deep_cas_case(max_depth: usize) -> Case {
     }
 }
 
-/// `checkpoint.bin` as one word: its little-endian words (zero-padded tail)
-/// folded from its byte length.
-fn fold_checkpoint_file(dir: &std::path::Path) -> u64 {
-    let bytes = std::fs::read(dir.join("checkpoint.bin")).expect("read checkpoint.bin");
-    let words = bytes.chunks(8).map(|chunk| {
+/// `bytes` as little-endian words, the tail zero-padded.
+fn le_words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes.chunks(8).map(|chunk| {
         let mut word = [0u8; 8];
         word[..chunk.len()].copy_from_slice(chunk);
         u64::from_le_bytes(word)
-    });
-    zobrist::fold_word_iter(bytes.len() as u64, words)
+    })
+}
+
+/// `checkpoint.bin` as one word: its words folded from its byte length.
+fn fold_checkpoint_file(dir: &std::path::Path) -> u64 {
+    let bytes = std::fs::read(dir.join("checkpoint.bin")).expect("read checkpoint.bin");
+    zobrist::fold_word_iter(bytes.len() as u64, le_words(&bytes))
 }
 
 /// The sequential driver's checkpoint after 1234 visits (the 24th, written
@@ -543,7 +545,7 @@ fn sequential_checkpoint_bytes_are_pinned() {
     let case = deep_cas_case(20);
     for (backend, golden) in [
         (StoreConfig::Mem, GOLDEN_MEM),
-        (ALT_BACKENDS[1], GOLDEN_SPILL),
+        (ALT_BACKENDS[0], GOLDEN_SPILL),
     ] {
         let dir = temp_dir("golden");
         let killed = checkpoint::explore_checkpointed(
@@ -706,6 +708,70 @@ fn checkpoint_rejects_mismatched_parameters() {
     )
     .expect_err("mismatched parameters must not resume");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Store tag 1 (the resident prefix-sharded backend) and run kind 1 (the
+/// `(key, depth)` pair sidecars of the old in-memory backend) are retired: a
+/// checkpoint that carries either — resealed, so its trailer checksum is
+/// good — is refused by name, never read as something else.
+#[test]
+fn checkpoint_rejects_retired_store_tag_and_run_kind() {
+    /// Offset of the store-config tag: magic, version, flags, config hash,
+    /// sequence, three counts and the truncation flag come first
+    /// (docs/CHECKPOINT.md).
+    const STORE_TAG_AT: usize = 4 + 2 + 2 + 8 + 8 + 3 * 8 + 1;
+    let case = deep_cas_case(14);
+    let engine_options = options(&case, Reduction::SleepSetSymmetry, ALT_BACKENDS[0]);
+    let run = |ck: &CheckpointOptions| {
+        checkpoint::explore_checkpointed(
+            case.implementation.as_ref(),
+            &case.workload,
+            &engine_options,
+            ck,
+            |_, _| Visit::Continue,
+        )
+    };
+    let dir = temp_dir("retired");
+    let killed = run(&CheckpointOptions {
+        dir: dir.clone(),
+        interval_visits: 50,
+        abort_after_visits: Some(1234),
+    })
+    .expect("killed run");
+    assert!(!killed.completed && killed.stats.store_runs > 0);
+    let path = dir.join("checkpoint.bin");
+    let pristine = std::fs::read(&path).expect("read checkpoint.bin");
+    let body_len = pristine.len() - 8;
+    assert_eq!(pristine[STORE_TAG_AT], 2, "a spill store is tag 2");
+    // The first run-meta entry: its file name, then its 16-bit kind.
+    let kind_at = pristine
+        .windows(4)
+        .position(|w| w == b".evr")
+        .expect("the manifest names a run file")
+        + 4;
+    assert_eq!(pristine[kind_at..kind_at + 2], [0, 0], "runs are kind 0");
+    for (at, needle) in [
+        (STORE_TAG_AT, "store config tag 1"),
+        (kind_at, "record kind 1"),
+    ] {
+        let mut bytes = pristine.clone();
+        bytes[at] = 1;
+        let words = le_words(&bytes[..body_len]).chain([body_len as u64]);
+        let checksum = zobrist::fold_word_iter(u64::from_le_bytes(*b"EVCKsumm"), words);
+        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write the doctored checkpoint");
+        let err = run(&CheckpointOptions::new(&dir)).expect_err("a retired code must not resume");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(needle), "{err}");
+    }
+    // The same file, undoctored, resumes.
+    std::fs::write(&path, &pristine).expect("restore the checkpoint");
+    assert!(
+        run(&CheckpointOptions::new(&dir))
+            .expect("resume")
+            .completed
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
