@@ -1,6 +1,6 @@
 //! E11/E16 bench: sustained throughput of the online consistency monitor.
 //!
-//! Five complementary measurements:
+//! Six complementary measurements:
 //!
 //! * `ingest` — the monitor alone, fed a pre-generated well-formed
 //!   fetch&increment stream (no worker threads, no channel): the pure cost
@@ -16,6 +16,12 @@
 //!   and two counters (no fetch&increment, so no fast path), one quiescent
 //!   segment per round — the fixed cost per (object, segment) of taking a
 //!   link from the segment's events to its outgoing frontier;
+//! * `tlin`, `weak`, `stab` — the monitor alone on the `ingest` stream under
+//!   the paper's own conditions (`t`-linearizability with `t = 8`, weak
+//!   consistency, "stabilizes eventually"), whose every check is a kernel
+//!   search over lent views; sized to run in tens of milliseconds, which for
+//!   the two summarized conditions means short streams (their searches are
+//!   quadratic in the operations of one invocation class);
 //! * `pipelined/p{N}` — the sharded, frame-batched, pipelined dataflow of
 //!   E11 and E16 (real threads → N recorder shards → k-way merge +
 //!   quiescent-cut ingest → check stage), in checked-ops/s, with the
@@ -23,11 +29,12 @@
 //! * `pipelined/merge` — the transport + merge alone (shards → `recv_sorted`
 //!   drain, no monitor), in events/s: the ceiling the transport imposes.
 //!
-//! The CI `bench-gate` job compares the `ingest`, `wide`, `dense` and
-//! `pipelined` means against the baselines committed in BENCH_checker.json.
+//! The CI `bench-gate` job compares the `ingest`, `wide`, `dense`, `tlin`,
+//! `weak`, `stab` and `pipelined` means against the baselines committed in
+//! BENCH_checker.json.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use evlin_checker::monitor::{Monitor, MonitorConfig};
+use evlin_checker::monitor::{Monitor, MonitorCondition, MonitorConfig};
 use evlin_history::{Event, ObjectId, ObjectUniverse, ProcessId};
 use evlin_runtime::counter::FetchAddCounter;
 use evlin_runtime::harness::{run_counter_workload_pipelined, HarnessOptions, PipelineOptions};
@@ -200,6 +207,53 @@ fn bench_dense(c: &mut Criterion) {
     group.finish();
 }
 
+/// The three conditions whose every check is a kernel search, on the
+/// `ingest` stream (one counter, four overlapping processes): `tlin` threads
+/// `(states, floaters)` frontiers through 128-operation segments, `weak`
+/// solves one Definition-1 problem per response over the counters of
+/// everything invoked so far, `stab` one problem over the whole stream's
+/// multiset at the end.  A search over `n` operations of one invocation
+/// class costs `n²` today, so `weak` is cubic and `stab` quadratic in the
+/// stream: 2000 and 100 000 operations took 2.4 s and 10 s.
+fn bench_conditions(c: &mut Criterion) {
+    let rows = [
+        (
+            "monitor/tlin",
+            MonitorCondition::TLinearizability { t: 8 },
+            8_000,
+        ),
+        ("monitor/weak", MonitorCondition::WeakConsistency, 400),
+        (
+            "monitor/stab",
+            MonitorCondition::StabilizesEventually,
+            5_000,
+        ),
+    ];
+    for (name, condition, ops) in rows {
+        let mut group = c.benchmark_group(name);
+        let events = overlapping_stream(ops, 4, 1);
+        let config = MonitorConfig {
+            condition,
+            ..monitor_config()
+        };
+        group.throughput(Throughput::Elements(events.len() as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(ops), &events, |b, events| {
+            b.iter(|| {
+                let mut monitor = Monitor::new(fi_universe(), config);
+                monitor
+                    .ingest_all(events.iter().cloned())
+                    .expect("well-formed stream");
+                let report = monitor.finish();
+                assert!(report.verdict.is_ok());
+                assert_eq!(report.stats.checked_ops, ops);
+                assert!(report.stats.search.nodes >= ops);
+                report
+            });
+        });
+        group.finish();
+    }
+}
+
 fn bench_pipelined(c: &mut Criterion) {
     let mut group = c.benchmark_group("monitor/pipelined");
     let total = 200_000usize;
@@ -276,6 +330,7 @@ criterion_group!(
     bench_ingest,
     bench_wide,
     bench_dense,
+    bench_conditions,
     bench_pipelined
 );
 criterion_main!(monitor_throughput);

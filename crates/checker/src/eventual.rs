@@ -12,13 +12,13 @@
 //!
 //! Both halves run through the shared Wing–Gong kernel: the safety half is
 //! the [`crate::weak_consistency::WeakOperation`] condition per completed
-//! operation, the liveness half is [`StabilizesEventually`] (equivalently,
-//! the `t`-sweep of [`crate::t_linearizability::TLinearizability`] that
-//! computes the minimal stabilization index).  This module contains no
-//! search logic of its own.
+//! operation, the liveness half is [`StabilizesEventually`] — Definition 2
+//! with `t = |H|`, stated through the same [`EventProblem`] as every other
+//! `t` (the `t`-sweep of [`TLinearizability`] computes the minimal
+//! stabilization index).  This module contains no search logic of its own.
 
-use crate::kernel::{ConsistencyCondition, ConstrainedOp};
-use crate::t_linearizability::TLinearizability;
+use crate::kernel::ConsistencyCondition;
+use crate::t_linearizability::{EventProblem, TLinearizability};
 use crate::{t_linearizability, weak_consistency};
 use evlin_history::{History, ObjectUniverse};
 
@@ -36,16 +36,14 @@ use evlin_history::{History, ObjectUniverse};
 pub struct StabilizesEventually;
 
 impl ConsistencyCondition for StabilizesEventually {
-    fn name(&self) -> &'static str {
-        "eventual linearizability (liveness half)"
-    }
+    type Views<'h> = EventProblem<'h>;
 
-    fn candidates(&self, history: &History) -> Vec<ConstrainedOp> {
-        TLinearizability::new(history.len()).candidates(history)
-    }
-
-    fn precedence(&self, history: &History, candidates: &[ConstrainedOp]) -> Vec<(usize, usize)> {
-        TLinearizability::new(history.len()).precedence(history, candidates)
+    fn views<'h>(
+        &self,
+        history: &'h History,
+        ops: &'h [(usize, Option<usize>)],
+    ) -> EventProblem<'h> {
+        TLinearizability::new(history.len()).views(history, ops)
     }
 }
 

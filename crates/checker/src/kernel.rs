@@ -8,14 +8,19 @@
 //!
 //! This module is the single decision procedure behind all of them:
 //!
-//! * [`ConsistencyCondition`] — how a condition turns a history into that
-//!   question: candidate-operation enumeration ([`candidates`]), per-operation
-//!   constraints ([`ConstrainedOp`]), precedence edges ([`precedence`]) and an
-//!   acceptance predicate ([`accepted`]).  `linearizability`,
-//!   `t_linearizability`, `weak_consistency` and `eventual` are all thin
-//!   implementations of this trait;
-//! * [`solve`] — one iterative (non-recursive) Wing–Gong searcher over
-//!   partial linearizations.  Object states and responses are interned to
+//! * [`Problem`] — the one shape the question is stated in: operation views
+//!   ([`OpView`]: object, invocation, whether the operation is required,
+//!   the response it must get if one is imposed) produced on demand, plus
+//!   the precedence edges.  Whoever holds the operations lends them; nothing
+//!   is copied into a problem object first;
+//! * [`ConsistencyCondition`] — how a condition states its question about a
+//!   [`History`] as such views ([`ConsistencyCondition::views`]), and
+//!   whether it decomposes per object.  `linearizability`,
+//!   `t_linearizability` and `eventual` lend Definition 2's views of the
+//!   history's events, `weak_consistency` Definition 1's;
+//! * the searcher — one iterative (non-recursive) Wing–Gong search over
+//!   partial linearizations, accepting once every required operation is
+//!   linearized.  Object states and responses are interned to
 //!   dense `u32` identifiers, transition lookups are memoized per
 //!   `(invocation, state)` pair into a pooled span arena, interchangeable
 //!   operations are merged into classes, and the visited
@@ -40,37 +45,32 @@
 //!   first search.
 //!
 //! A problem reaches the searcher through exactly one interning routine,
-//! which reads it as *views* ([`Problem`]: [`OpView`]s produced on demand,
-//! plus the precedence edges).  A [`SearchProblem`] lends views of its
-//! [`ConstrainedOp`]s; the online monitor lends views of a stream segment's
-//! events and builds no `SearchProblem` at all.  The states the objects
-//! start in are an argument too ([`solve_rooted`], [`visit_frontiers`]; by
-//! default the universe's initial states), so checking a segment from the
-//! state a verified prefix left behind never clones or mutates an
-//! [`ObjectUniverse`].  [`visit_frontiers`] is the exhaustive mode of the
-//! same search loop: the distinct accepting frontiers are flat `u32` rows in
-//! the scratch, handed to the caller in place ([`FrontierRow`]) or rendered
-//! as a [`FrontierSet`] by [`solve_frontiers`].  The scratch's *retention
-//! rule* (see [`KernelScratch`]) keeps one unusually large search from
-//! slowing every later one.
-//!
-//! [`candidates`]: ConsistencyCondition::candidates
-//! [`precedence`]: ConsistencyCondition::precedence
-//! [`accepted`]: ConsistencyCondition::accepted
+//! which reads the views once.  The states the objects start in are an
+//! argument ([`solve_rooted`], [`visit_frontiers`]; an object the caller
+//! does not list starts in the universe's initial state), so checking a
+//! segment from the state a verified prefix left behind never clones or
+//! mutates an [`ObjectUniverse`].  [`visit_frontiers`] is the exhaustive mode
+//! of the same search loop: the distinct accepting frontiers are flat `u32`
+//! rows in the scratch, handed to the caller in place ([`FrontierRow`]).
+//! The scratch's *retention rule* (see [`KernelScratch`]) keeps one
+//! unusually large search from slowing every later one.
 
 use crate::util::{self, BitSet, FxHashMap, FxHashSet};
-use evlin_history::{History, ObjectId, ObjectUniverse, OperationRecord};
+use evlin_history::{History, ObjectId, ObjectUniverse, OperationMatcher};
 use evlin_spec::{Invocation, Value};
 
 // ---------------------------------------------------------------------------
 // Problem statement types
 // ---------------------------------------------------------------------------
 
-/// One operation of a search problem, together with its constraints.
-#[derive(Debug, Clone)]
-pub struct ConstrainedOp {
-    /// The underlying operation (object, invocation, original indices).
-    pub record: OperationRecord,
+/// One operation of a problem, lent by the problem's owner for the length of
+/// the interning pass.
+#[derive(Debug, Clone, Copy)]
+pub struct OpView<'a> {
+    /// The object the operation is applied to.
+    pub object: ObjectId,
+    /// The invocation (method + arguments).
+    pub invocation: &'a Invocation,
     /// Whether the operation must appear in the sequential witness.
     /// Operations that completed in the history are required; pending
     /// operations are optional.
@@ -78,79 +78,34 @@ pub struct ConstrainedOp {
     /// The response the witness must assign, or `None` if any legal response
     /// is acceptable (pending operations, and operations whose response fell
     /// in the unconstrained prefix for `t`-linearizability).
-    pub fixed_response: Option<Value>,
+    pub fixed_response: Option<&'a Value>,
 }
 
-/// A constrained-linearization problem.
-#[derive(Debug, Clone)]
-pub struct SearchProblem {
-    /// The operations, with their constraints.
-    pub ops: Vec<ConstrainedOp>,
+/// A constrained-linearization problem: operation views produced on demand,
+/// plus the precedence edges.  The only way a problem is stated — the offline
+/// conditions lend views of a [`History`]'s events
+/// ([`ConsistencyCondition::views`]), the online monitor of a stream
+/// segment's events and of its invocation counters — and all of them are
+/// interned by the same routine.
+pub trait Problem {
+    /// Number of operations.
+    fn op_count(&self) -> usize;
+    /// The `i`-th operation, `i < op_count()`.
+    fn op(&self, i: usize) -> OpView<'_>;
     /// Precedence edges `(i, j)`: if both operations appear in the witness,
     /// operation `i` must be placed before operation `j`.
     ///
     /// All reductions in this crate only create edges whose source is a
     /// *required* operation, which lets the search treat an edge as "source
     /// must already be linearized before the target can be taken".
-    pub precedence: Vec<(usize, usize)>,
-}
-
-/// One operation of a problem, lent by the problem's owner for the length of
-/// the interning pass: what [`ConstrainedOp`] says, minus the record.
-#[derive(Debug, Clone, Copy)]
-pub struct OpView<'a> {
-    /// The object the operation is applied to.
-    pub object: ObjectId,
-    /// The invocation (method + arguments).
-    pub invocation: &'a Invocation,
-    /// See [`ConstrainedOp::required`].
-    pub required: bool,
-    /// See [`ConstrainedOp::fixed_response`].
-    pub fixed_response: Option<&'a Value>,
-}
-
-/// A constrained-linearization problem the searcher can read: operation
-/// views produced on demand, plus the precedence edges.
-///
-/// [`SearchProblem`] lends views of its [`ConstrainedOp`]s; a caller that
-/// holds the operations in another shape (the online monitor reads them out
-/// of a stream segment through
-/// [`crate::t_linearizability::EventProblem`]) implements this instead of
-/// building a `SearchProblem`, and both are interned by the same routine.
-pub trait Problem {
-    /// Number of operations.
-    fn op_count(&self) -> usize;
-    /// The `i`-th operation, `i < op_count()`.
-    fn op(&self, i: usize) -> OpView<'_>;
-    /// The precedence edges, as in [`SearchProblem::precedence`].
     fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_;
-}
-
-impl Problem for SearchProblem {
-    fn op_count(&self) -> usize {
-        self.ops.len()
-    }
-
-    fn op(&self, i: usize) -> OpView<'_> {
-        let cop = &self.ops[i];
-        OpView {
-            object: cop.record.object,
-            invocation: &cop.record.invocation,
-            required: cop.required,
-            fixed_response: cop.fixed_response.as_ref(),
-        }
-    }
-
-    fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.precedence.iter().copied()
-    }
 }
 
 /// A successful search outcome: a witness linearization.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Witness {
-    /// Indices (into [`SearchProblem::ops`]) of the operations included in
-    /// the witness, in linearization order.
+    /// Indices (into the [`Problem`]'s operations) of the operations included
+    /// in the witness, in linearization order.
     pub order: Vec<usize>,
     /// The response assigned to each included operation, in the same order.
     pub responses: Vec<Value>,
@@ -226,17 +181,6 @@ impl SearchStats {
     }
 }
 
-/// Progress snapshot handed to [`ConsistencyCondition::accepted`].
-#[derive(Debug, Clone, Copy)]
-pub struct SearchProgress {
-    /// Required operations linearized so far.
-    pub required_taken: usize,
-    /// Total number of required operations in the problem.
-    pub required_total: usize,
-    /// Operations (required or optional) linearized so far.
-    pub taken_total: usize,
-}
-
 // ---------------------------------------------------------------------------
 // The condition trait
 // ---------------------------------------------------------------------------
@@ -245,11 +189,11 @@ pub struct SearchProgress {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Locality {
     /// The condition holds of a history iff it holds of every per-object
-    /// projection, *and* the condition's [`ConsistencyCondition::candidates`]
-    /// returns exactly one candidate per operation of the history, in
-    /// [`History::operations`] order (needed to map per-object witnesses back
-    /// to global operation indices).  Linearizability is the canonical
-    /// example (the Herlihy–Wing locality theorem).
+    /// projection, *and* [`ConsistencyCondition::views`] states exactly one
+    /// operation per operation of the history, in invocation order (needed
+    /// to map per-object witnesses back to global operation indices).
+    /// Linearizability is the canonical example (the Herlihy–Wing locality
+    /// theorem).
     Exact,
     /// No sound per-object decomposition; the history must be checked whole.
     /// `t`-linearizability for a fixed `t > 0` is the canonical example:
@@ -258,40 +202,24 @@ pub enum Locality {
     Global,
 }
 
-/// A consistency condition, expressed as the ingredients of a
-/// constrained-linearization search: which operations may appear in the
-/// sequential witness and under which constraints, which precedence edges
-/// the witness must respect, and when a partial linearization is accepted.
+/// A consistency condition: which constrained-linearization question it asks
+/// about a history, and whether that question decomposes per object.  A
+/// history satisfies the condition iff the question has a witness — an
+/// arrangement in which every required operation is linearized.
 pub trait ConsistencyCondition: Sync {
-    /// Human-readable name (used in diagnostics).
-    fn name(&self) -> &'static str;
+    /// The condition's question about a history, as views of its events.
+    type Views<'h>: Problem;
 
-    /// Enumerates the candidate operations of the search, with their
-    /// constraints.
-    fn candidates(&self, history: &History) -> Vec<ConstrainedOp>;
-
-    /// Precedence edges `(i, j)` over `candidates`: if both appear in the
-    /// witness, `i` must precede `j`.  Sources must be required candidates.
-    fn precedence(&self, history: &History, candidates: &[ConstrainedOp]) -> Vec<(usize, usize)>;
-
-    /// Acceptance predicate: when is a partial linearization a witness?
-    /// The default — every required candidate has been linearized — is what
-    /// all the paper's conditions use.
-    fn accepted(&self, progress: &SearchProgress) -> bool {
-        progress.required_taken == progress.required_total
-    }
+    /// States the question about `history`, whose operations — as
+    /// `(invoke, respond)` event indices in invocation order, matched by
+    /// [`OperationMatcher`] — are `ops`.
+    fn views<'h>(&self, history: &'h History, ops: &'h [(usize, Option<usize>)])
+        -> Self::Views<'h>;
 
     /// Whether the condition admits the exact per-object decomposition used
     /// by [`check_local`].
     fn locality(&self) -> Locality {
         Locality::Global
-    }
-
-    /// Builds the full search problem for a history.
-    fn problem(&self, history: &History) -> SearchProblem {
-        let ops = self.candidates(history);
-        let precedence = self.precedence(history, &ops);
-        SearchProblem { ops, precedence }
     }
 }
 
@@ -397,9 +325,8 @@ impl KernelScratch {
 const THREAD_SCRATCH_RETAIN_BYTES: usize = 1 << 20;
 
 /// Runs `f` with a thread-local [`KernelScratch`], so entry points without a
-/// caller-provided scratch ([`solve`], [`check`], the `is_linearizable`
-/// facades) still reuse one warm buffer pool per thread instead of
-/// reallocating per call.  Falls back to a fresh scratch on re-entrant use.
+/// caller-provided scratch ([`check`], the `is_linearizable` facades) still
+/// reuse one warm buffer pool per thread instead of reallocating per call.  Falls back to a fresh scratch on re-entrant use.
 fn with_thread_scratch<R>(
     f: impl FnOnce(&mut KernelScratch) -> (R, SearchStats),
 ) -> (R, SearchStats) {
@@ -898,12 +825,10 @@ impl<'a> Searcher<'a> {
         key
     }
 
-    fn progress(&self) -> SearchProgress {
-        SearchProgress {
-            required_taken: self.required_taken,
-            required_total: self.required_count,
-            taken_total: self.b.order.len(),
-        }
+    /// Whether the current partial linearization is a witness: every
+    /// required operation is linearized.
+    fn accepting(&self) -> bool {
+        self.required_taken == self.required_count
     }
 
     fn apply(&mut self, i: usize, resp: u32, next_state: u32, taken: &mut BitSet) -> Undo {
@@ -976,14 +901,9 @@ impl<'a> Searcher<'a> {
     /// discovery order (see [`Searcher::record_frontier`]) and the answer is
     /// `No` once the (memoized) space is covered.  `Unknown` means the node
     /// budget ran out: rows may be missing, but every row is reachable.
-    fn run(
-        &mut self,
-        scratch: &mut KernelScratch,
-        accept: &dyn Fn(&SearchProgress) -> bool,
-        tracked: Option<&[usize]>,
-    ) -> SearchResult {
+    fn run(&mut self, scratch: &mut KernelScratch, tracked: Option<&[usize]>) -> SearchResult {
         scratch.prepare(self.n);
-        if tracked.is_none() && accept(&self.progress()) {
+        if tracked.is_none() && self.accepting() {
             return SearchResult::Yes(self.witness());
         }
         self.nodes += 1;
@@ -1002,7 +922,7 @@ impl<'a> Searcher<'a> {
         // Split `taken` out of the scratch so `self` methods can borrow
         // freely; it is put back (empty) before returning.
         let mut taken = std::mem::take(&mut scratch.taken);
-        if let Some(tracked) = tracked.filter(|_| accept(&self.progress())) {
+        if let Some(tracked) = tracked.filter(|_| self.accepting()) {
             self.record_frontier(scratch, &taken, tracked);
         }
 
@@ -1044,7 +964,7 @@ impl<'a> Searcher<'a> {
                         continue;
                     }
                     let undo = self.apply(i, resp, next_state, &mut taken);
-                    if tracked.is_none() && accept(&self.progress()) {
+                    if tracked.is_none() && self.accepting() {
                         let witness = self.witness();
                         // Leave the taken-set empty for the next reuse of
                         // the scratch.
@@ -1064,7 +984,7 @@ impl<'a> Searcher<'a> {
                         self.retract(undo, &mut taken);
                         continue;
                     }
-                    if let Some(tracked) = tracked.filter(|_| accept(&self.progress())) {
+                    if let Some(tracked) = tracked.filter(|_| self.accepting()) {
                         self.record_frontier(scratch, &taken, tracked);
                     }
                     frames.push(f);
@@ -1129,11 +1049,6 @@ impl<'a> Searcher<'a> {
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// The default acceptance predicate: every required operation linearized.
-fn all_required(progress: &SearchProgress) -> bool {
-    progress.required_taken == progress.required_total
-}
-
 /// Interns `problem` into the scratch's pooled tables, hands the searcher to
 /// `search` and returns its result beside the search counters; the one way
 /// in for every entry point below, and where the scratch's retention rule
@@ -1155,31 +1070,12 @@ fn with_searcher<P: Problem + ?Sized, R>(
     (result, stats)
 }
 
-/// Solves a prebuilt constrained-linearization problem with the default
-/// acceptance predicate (all required operations linearized).
-pub fn solve(
-    problem: &SearchProblem,
-    universe: &ObjectUniverse,
-    limits: SearchLimits,
-) -> (SearchResult, SearchStats) {
-    with_thread_scratch(|scratch| solve_with_scratch(problem, universe, limits, scratch))
-}
-
-/// Like [`solve`], reusing a caller-provided [`KernelScratch`] so repeated
-/// solves over same-sized problems share their allocations.
-pub fn solve_with_scratch<P: Problem + ?Sized>(
-    problem: &P,
-    universe: &ObjectUniverse,
-    limits: SearchLimits,
-    scratch: &mut KernelScratch,
-) -> (SearchResult, SearchStats) {
-    solve_rooted(problem, &[], universe, limits, scratch)
-}
-
-/// Like [`solve_with_scratch`], with the objects listed in `roots` starting
-/// from the given state instead of the universe's initial one: checking a
-/// stream segment from the state an already-verified prefix left behind is
-/// exactly checking the whole stream from the initial state.
+/// Searches for a witness of `problem` — an arrangement that linearizes every
+/// required operation — through a caller-provided [`KernelScratch`], so
+/// repeated solves share their allocations.  The objects listed in `roots`
+/// start from the given state instead of the universe's initial one:
+/// checking a stream segment from the state an already-verified prefix left
+/// behind is exactly checking the whole stream from the initial state.
 pub fn solve_rooted<P: Problem + ?Sized>(
     problem: &P,
     roots: &[(ObjectId, &Value)],
@@ -1193,48 +1089,20 @@ pub fn solve_rooted<P: Problem + ?Sized>(
         universe,
         limits,
         scratch,
-        |searcher, scratch| searcher.run(scratch, &all_required, None),
+        |searcher, scratch| searcher.run(scratch, None),
     )
 }
 
-/// One distinct *accepting frontier* of a search problem: the final state of
-/// every active object under some accepting linearization, together with
-/// which of the caller's tracked operations that linearization included.
+/// One distinct *accepting frontier* of a search problem, read in place from
+/// the scratch's row store: the final state of every active object under
+/// some accepting linearization, together with which of the caller's tracked
+/// operations that linearization included.
 ///
 /// The online monitor ([`crate::monitor`]) threads these through a stream of
 /// quiescent-cut segments: the frontiers of segment `k` become the candidate
 /// initial states of segment `k + 1`, and the tracked operations are the
 /// "floaters" of `t`-linearizability — forgiven-prefix operations that may be
 /// linearized in any later segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frontier {
-    /// Final state of each object that appears in the problem.
-    pub states: Vec<(ObjectId, Value)>,
-    /// For each tracked operation (in the caller's order), whether it was
-    /// linearized by the accepting linearization reaching this frontier.
-    pub placed: Vec<bool>,
-}
-
-/// The collection of accepting frontiers of a problem.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrontierSet {
-    /// The distinct frontiers, in discovery order.
-    pub entries: Vec<Frontier>,
-    /// `false` when the node budget was exhausted before the search space was
-    /// covered: the entries are all reachable, but some may be missing.
-    pub complete: bool,
-}
-
-impl FrontierSet {
-    /// Whether at least one accepting linearization exists (and the
-    /// collection can be trusted to witness it).
-    pub fn is_satisfiable(&self) -> bool {
-        !self.entries.is_empty()
-    }
-}
-
-/// One accepting frontier read in place from the scratch's row store (what
-/// [`Frontier`] holds, without the copies).
 #[derive(Debug, Clone, Copy)]
 pub struct FrontierRow<'s> {
     slots: &'s [ObjectId],
@@ -1249,8 +1117,9 @@ impl<'s> FrontierRow<'s> {
         states.map(|(&object, &id)| (object, &self.values[id as usize]))
     }
 
-    /// See [`Frontier::placed`].
-    pub(crate) fn placed(&self) -> impl Iterator<Item = bool> + '_ {
+    /// For each tracked operation (in the caller's order), whether it was
+    /// linearized by the accepting linearization reaching this frontier.
+    pub fn placed(&self) -> impl Iterator<Item = bool> + '_ {
         self.row[self.slots.len()..].iter().map(|&flag| flag != 0)
     }
 }
@@ -1263,9 +1132,9 @@ impl<'s> FrontierRow<'s> {
 /// be missing.
 ///
 /// `tracked` lists problem operation indices whose inclusion the caller wants
-/// reported per frontier (see [`Frontier::placed`]); pass `&[]` when only the
-/// final states matter.  Unlike [`solve`], acceptance does not stop the
-/// search: nodes below an accepting node are still explored, because
+/// reported per frontier (see [`FrontierRow::placed`]); pass `&[]` when only
+/// the final states matter.  Unlike [`solve_rooted`], acceptance does not
+/// stop the search: nodes below an accepting node are still explored, because
 /// linearizing further optional operations reaches different frontiers.  An
 /// empty problem has exactly one (empty) frontier.
 pub fn visit_frontiers<P: Problem + ?Sized>(
@@ -1284,7 +1153,7 @@ pub fn visit_frontiers<P: Problem + ?Sized>(
         limits,
         scratch,
         |searcher, scratch| {
-            let result = searcher.run(scratch, &all_required, Some(tracked));
+            let result = searcher.run(scratch, Some(tracked));
             let complete = !matches!(result, SearchResult::Unknown);
             let width = searcher.b.slots.len() + tracked.len();
             for r in 0..scratch.frontier_count {
@@ -1299,31 +1168,9 @@ pub fn visit_frontiers<P: Problem + ?Sized>(
     )
 }
 
-/// [`visit_frontiers`] rendered as a [`FrontierSet`], for callers that keep
-/// the frontiers.
-pub fn solve_frontiers<P: Problem + ?Sized>(
-    problem: &P,
-    roots: &[(ObjectId, &Value)],
-    universe: &ObjectUniverse,
-    limits: SearchLimits,
-    tracked: &[usize],
-    scratch: &mut KernelScratch,
-) -> (FrontierSet, SearchStats) {
-    let mut entries = Vec::new();
-    let each = |row: FrontierRow<'_>| {
-        entries.push(Frontier {
-            states: row.states().map(|(o, v)| (o, v.clone())).collect(),
-            placed: row.placed().collect(),
-        })
-    };
-    let (complete, stats) =
-        visit_frontiers(problem, roots, universe, limits, tracked, scratch, each);
-    (FrontierSet { entries, complete }, stats)
-}
-
 /// Checks `condition` on the whole history (no locality decomposition).
-pub fn check(
-    condition: &dyn ConsistencyCondition,
+pub fn check<C: ConsistencyCondition>(
+    condition: &C,
     history: &History,
     universe: &ObjectUniverse,
     limits: SearchLimits,
@@ -1332,35 +1179,27 @@ pub fn check(
 }
 
 /// Like [`check`], additionally returning the search counters.
-pub fn check_with_stats(
-    condition: &dyn ConsistencyCondition,
+pub fn check_with_stats<C: ConsistencyCondition>(
+    condition: &C,
     history: &History,
     universe: &ObjectUniverse,
     limits: SearchLimits,
 ) -> (SearchResult, SearchStats) {
-    with_thread_scratch(|scratch| check_with_scratch(condition, history, universe, limits, scratch))
+    let mut matcher = OperationMatcher::default();
+    let ops = matcher.match_events(history.events());
+    check_matched(condition, history, ops, universe, limits)
 }
 
-/// Like [`check_with_stats`], reusing a caller-provided [`KernelScratch`]
-/// (the per-operation loop of the weak-consistency checker runs one search
-/// per completed operation over the same history and shares one scratch
-/// across them).
-pub(crate) fn check_with_scratch(
-    condition: &dyn ConsistencyCondition,
+/// [`check_with_stats`] of a history whose operations are already matched.
+fn check_matched<C: ConsistencyCondition>(
+    condition: &C,
     history: &History,
+    ops: &[(usize, Option<usize>)],
     universe: &ObjectUniverse,
     limits: SearchLimits,
-    scratch: &mut KernelScratch,
 ) -> (SearchResult, SearchStats) {
-    let problem = condition.problem(history);
-    with_searcher(
-        &problem,
-        &[],
-        universe,
-        limits,
-        scratch,
-        |searcher, scratch| searcher.run(scratch, &|p| condition.accepted(p), None),
-    )
+    let problem = condition.views(history, ops);
+    with_thread_scratch(|scratch| solve_rooted(&problem, &[], universe, limits, scratch))
 }
 
 /// Checks `condition` with the locality pre-pass: a multi-object history is
@@ -1372,8 +1211,8 @@ pub(crate) fn check_with_scratch(
 /// For conditions whose [`ConsistencyCondition::locality`] is
 /// [`Locality::Global`], and for histories touching at most one object, this
 /// is exactly [`check`].
-pub fn check_local(
-    condition: &dyn ConsistencyCondition,
+pub fn check_local<C: ConsistencyCondition>(
+    condition: &C,
     history: &History,
     universe: &ObjectUniverse,
     limits: SearchLimits,
@@ -1383,8 +1222,8 @@ pub fn check_local(
 
 /// Like [`check_local`], additionally returning the search counters (summed
 /// over the per-object subproblems when the history was decomposed).
-pub fn check_local_with_stats(
-    condition: &dyn ConsistencyCondition,
+pub fn check_local_with_stats<C: ConsistencyCondition>(
+    condition: &C,
     history: &History,
     universe: &ObjectUniverse,
     limits: SearchLimits,
@@ -1393,6 +1232,8 @@ pub fn check_local_with_stats(
     if condition.locality() != Locality::Exact || objects.len() <= 1 {
         return check_with_stats(condition, history, universe, limits);
     }
+    let mut matcher = OperationMatcher::default();
+    let ops = matcher.match_events(history.events());
     // Greedy probe: most histories produced by generators and recorders are
     // satisfiable and the depth-first searcher resolves them in roughly one
     // descent, where projecting and recomposing would only add overhead.
@@ -1400,17 +1241,16 @@ pub fn check_local_with_stats(
     // any definitive answer within it is final, and only a blown budget —
     // the signature of a combinatorial (product-space) search — pays for the
     // per-object decomposition.
-    let probe_budget = (4 * history.operations().len() + 16).min(limits.max_nodes);
     let probe_limits = SearchLimits {
-        max_nodes: probe_budget,
+        max_nodes: (4 * ops.len() + 16).min(limits.max_nodes),
     };
-    let (probe_result, mut stats) = check_with_stats(condition, history, universe, probe_limits);
+    let (probe_result, mut stats) = check_matched(condition, history, ops, universe, probe_limits);
     if !matches!(probe_result, SearchResult::Unknown) {
         return (probe_result, stats);
     }
     // Per-object subproblems, in object order.  The first refuted projection
     // refutes the history, so the objects after it are never searched.
-    let mut sub: Vec<(ObjectId, SearchResult)> = Vec::with_capacity(objects.len());
+    let mut sub: Vec<(ObjectId, Witness)> = Vec::with_capacity(objects.len());
     let mut unknown = false;
     for &object in &objects {
         let projection = history.project_object(object);
@@ -1419,20 +1259,19 @@ pub fn check_local_with_stats(
         match result {
             SearchResult::No => return (SearchResult::No, stats),
             SearchResult::Unknown => unknown = true,
-            SearchResult::Yes(_) => {}
+            SearchResult::Yes(witness) => sub.push((object, witness)),
         }
-        sub.push((object, result));
     }
     if unknown {
         return (SearchResult::Unknown, stats);
     }
-    match compose_witnesses(condition, history, &sub) {
+    match compose_witnesses(history, ops, &sub) {
         Some(witness) => (SearchResult::Yes(witness), stats),
         None => {
             // Composition found a cycle, which the locality theorem rules
             // out for Locality::Exact conditions; fall back to the global
             // search rather than give a wrong answer.
-            let (result, global_stats) = check_with_stats(condition, history, universe, limits);
+            let (result, global_stats) = check_matched(condition, history, ops, universe, limits);
             stats.absorb(global_stats);
             (result, stats)
         }
@@ -1443,24 +1282,23 @@ pub fn check_local_with_stats(
 /// per-object linearization orders and the real-time precedence between the
 /// included operations is acyclic (Herlihy–Wing locality), so a topological
 /// sort interleaves them.  Ties are broken by smallest operation index, which
-/// makes the composed witness deterministic.
+/// makes the composed witness deterministic.  `ops` are the matched
+/// operations of `history`, which a [`Locality::Exact`] condition's views
+/// follow one for one.
 fn compose_witnesses(
-    condition: &dyn ConsistencyCondition,
     history: &History,
-    sub: &[(ObjectId, SearchResult)],
+    ops: &[(usize, Option<usize>)],
+    sub: &[(ObjectId, Witness)],
 ) -> Option<Witness> {
-    let candidates = condition.candidates(history);
-    // Global candidate indices of each object's operations, in order — the
-    // j-th operation of the projection is the j-th candidate on that object
-    // (Locality::Exact guarantees the 1:1, order-preserving alignment).
+    let object_of = |i: usize| history.events()[ops[i].0].object;
+    let precedes = |a: usize, b: usize| ops[a].1.is_some_and(|respond| respond < ops[b].0);
+    // Global operation indices of each object's operations, in order — the
+    // j-th operation of the projection is the j-th operation on that object.
     let mut included: Vec<(usize, Value)> = Vec::new();
     let mut chains: Vec<Vec<usize>> = Vec::new();
-    for (object, result) in sub {
-        let SearchResult::Yes(w) = result else {
-            return None;
-        };
-        let on_object: Vec<usize> = (0..candidates.len())
-            .filter(|&i| candidates[i].record.object == *object)
+    for (object, w) in sub {
+        let on_object: Vec<usize> = (0..ops.len())
+            .filter(|&i| object_of(i) == *object)
             .collect();
         let mut chain = Vec::with_capacity(w.order.len());
         for (j, &local) in w.order.iter().enumerate() {
@@ -1488,12 +1326,9 @@ fn compose_witnesses(
             add_edge(position[&w[0]], position[&w[1]], &mut succs, &mut indegree);
         }
     }
-    for (pa, (a, _)) in included.iter().enumerate() {
-        for (pb, (b, _)) in included.iter().enumerate() {
-            if a != b
-                && candidates[*a].record.object != candidates[*b].record.object
-                && candidates[*a].record.precedes(&candidates[*b].record)
-            {
+    for (pa, &(a, _)) in included.iter().enumerate() {
+        for (pb, &(b, _)) in included.iter().enumerate() {
+            if a != b && object_of(a) != object_of(b) && precedes(a, b) {
                 add_edge(pa, pb, &mut succs, &mut indegree);
             }
         }
@@ -1520,8 +1355,57 @@ fn compose_witnesses(
 mod tests {
     use super::*;
     use crate::linearizability::Linearizability;
+    use crate::t_linearizability::TLinearizability;
     use evlin_history::{HistoryBuilder, ProcessId};
     use evlin_spec::{FetchIncrement, Register, Value};
+
+    /// Searches for a witness of `condition`'s question about `h`.
+    fn solve<C: ConsistencyCondition>(
+        condition: &C,
+        h: &History,
+        u: &ObjectUniverse,
+        limits: SearchLimits,
+        scratch: &mut KernelScratch,
+    ) -> (SearchResult, SearchStats) {
+        let mut matcher = OperationMatcher::default();
+        let problem = condition.views(h, matcher.match_events(h.events()));
+        solve_rooted(&problem, &[], u, limits, scratch)
+    }
+
+    /// Linearizability of `h`, decided in a fresh scratch.
+    fn solve_lin(h: &History, u: &ObjectUniverse) -> (SearchResult, SearchStats) {
+        let limits = SearchLimits::default();
+        solve(&Linearizability, h, u, limits, &mut KernelScratch::new())
+    }
+
+    /// An accepting frontier, copied out of the scratch.
+    #[derive(Debug, PartialEq)]
+    struct Frontier {
+        states: Vec<(ObjectId, Value)>,
+        placed: Vec<bool>,
+    }
+
+    /// The accepting frontiers of linearizability of `h` in discovery order,
+    /// whether the search covered its space, and its counters.
+    fn frontiers(
+        h: &History,
+        u: &ObjectUniverse,
+        tracked: &[usize],
+        scratch: &mut KernelScratch,
+    ) -> (Vec<Frontier>, bool, SearchStats) {
+        let mut matcher = OperationMatcher::default();
+        let problem = Linearizability.views(h, matcher.match_events(h.events()));
+        let mut entries = Vec::new();
+        let each = |row: FrontierRow<'_>| {
+            entries.push(Frontier {
+                states: row.states().map(|(o, v)| (o, v.clone())).collect(),
+                placed: row.placed().collect(),
+            })
+        };
+        let limits = SearchLimits::default();
+        let (complete, stats) = visit_frontiers(&problem, &[], u, limits, tracked, scratch, each);
+        (entries, complete, stats)
+    }
 
     fn two_object_history() -> (ObjectUniverse, History) {
         let mut u = ObjectUniverse::new();
@@ -1570,11 +1454,11 @@ mod tests {
         assert_eq!(w.order.len(), 4);
         // Real-time precedence between the included operations must hold in
         // the composed order.
-        let candidates = Linearizability.candidates(&h);
+        let ops = h.operations();
         let pos = |i: usize| w.order.iter().position(|&x| x == i).unwrap();
-        for a in 0..candidates.len() {
-            for b in 0..candidates.len() {
-                if a != b && candidates[a].record.precedes(&candidates[b].record) {
+        for a in 0..ops.len() {
+            for b in 0..ops.len() {
+                if a != b && ops[a].precedes(&ops[b]) {
                     assert!(pos(a) < pos(b), "edge ({a},{b}) violated in {:?}", w.order);
                 }
             }
@@ -1638,13 +1522,10 @@ mod tests {
         let mut scratch = KernelScratch::new();
         let limits = SearchLimits::default();
         for _ in 0..3 {
-            let p = Linearizability.problem(&good);
-            assert!(solve_with_scratch(&p, &u, limits, &mut scratch).0.is_yes());
-            let p = Linearizability.problem(&bad);
-            assert_eq!(
-                solve_with_scratch(&p, &u, limits, &mut scratch).0,
-                SearchResult::No
-            );
+            let (result, _) = solve(&Linearizability, &good, &u, limits, &mut scratch);
+            assert!(result.is_yes());
+            let (result, _) = solve(&Linearizability, &bad, &u, limits, &mut scratch);
+            assert_eq!(result, SearchResult::No);
         }
     }
 
@@ -1666,8 +1547,7 @@ mod tests {
             b = b.respond(ProcessId(p), r, Value::from(0i64));
         }
         let h = b.respond(ProcessId(n), r, Value::from(7i64)).build();
-        let p = Linearizability.problem(&h);
-        let (result, stats) = solve(&p, &u, SearchLimits::default());
+        let (result, stats) = solve_lin(&h, &u);
         assert_eq!(result, SearchResult::No);
         assert!(
             stats.nodes <= 2 * (n + 1),
@@ -1685,8 +1565,7 @@ mod tests {
             .invoke(ProcessId(0), r, Register::write(Value::from(5i64)))
             .complete(ProcessId(1), r, Register::read(), Value::from(5i64))
             .build();
-        let p = Linearizability.problem(&h);
-        let w = solve(&p, &u, SearchLimits::default())
+        let w = solve_lin(&h, &u)
             .0
             .witness()
             .expect("linearizable with pending write");
@@ -1707,17 +1586,12 @@ mod tests {
             .complete(ProcessId(1), r, Register::read(), Value::from(99i64))
             .build();
         // With fixed responses the read of 99 is illegal...
-        let fixed = Linearizability.problem(&h);
-        assert_eq!(
-            solve(&fixed, &u, SearchLimits::default()).0,
-            SearchResult::No
-        );
-        // ...but if responses are left free the operations can be arranged.
-        let mut free = fixed;
-        for op in &mut free.ops {
-            op.fixed_response = None;
-        }
-        assert!(solve(&free, &u, SearchLimits::default()).0.is_yes());
+        assert_eq!(solve_lin(&h, &u).0, SearchResult::No);
+        // ...but if responses are left free (every one of them lies in the
+        // forgiven prefix) the operations can be arranged.
+        let free = TLinearizability::new(h.len());
+        let (limits, mut scratch) = (SearchLimits::default(), KernelScratch::new());
+        assert!(solve(&free, &h, &u, limits, &mut scratch).0.is_yes());
     }
 
     #[test]
@@ -1737,8 +1611,8 @@ mod tests {
                 Value::from(((i + 1) % 6) as i64),
             );
         }
-        let p = Linearizability.problem(&b.build());
-        let (result, _) = solve(&p, &u, SearchLimits { max_nodes: 3 });
+        let (limits, mut scratch) = (SearchLimits { max_nodes: 3 }, KernelScratch::new());
+        let (result, _) = solve(&Linearizability, &b.build(), &u, limits, &mut scratch);
         assert_eq!(result, SearchResult::Unknown);
     }
 
@@ -1767,8 +1641,7 @@ mod tests {
         let h = b
             .complete(ProcessId(3), bad, Register::read(), Value::from(7i64))
             .build();
-        let p = Linearizability.problem(&h);
-        let (result, stats) = solve(&p, &u, SearchLimits::default());
+        let (result, stats) = solve_lin(&h, &u);
         assert_eq!(result, SearchResult::No);
         assert!(stats.nodes > 0);
         // 2^3 subsets of the writes, reachable along 3! orders: the cache
@@ -1781,28 +1654,17 @@ mod tests {
 
     #[test]
     fn empty_problem_is_trivially_satisfiable() {
-        let p = SearchProblem {
-            ops: Vec::new(),
-            precedence: Vec::new(),
-        };
-        let (result, _) = solve(&p, &ObjectUniverse::new(), SearchLimits::default());
-        assert!(result.is_yes());
+        let (h, u) = (History::new(), ObjectUniverse::new());
+        assert!(solve_lin(&h, &u).0.is_yes());
         // ...and has exactly one accepting frontier, the empty one (a row
         // zero words wide).
-        let (set, stats) = solve_frontiers(
-            &p,
-            &[],
-            &ObjectUniverse::new(),
-            SearchLimits::default(),
-            &[],
-            &mut KernelScratch::new(),
-        );
+        let (entries, complete, stats) = frontiers(&h, &u, &[], &mut KernelScratch::new());
         let empty = Frontier {
             states: Vec::new(),
             placed: Vec::new(),
         };
-        assert!(set.is_satisfiable() && set.complete);
-        assert_eq!(set.entries, vec![empty]);
+        assert!(complete);
+        assert_eq!(entries, vec![empty]);
         assert_eq!(stats.nodes, 1);
     }
 
@@ -1832,26 +1694,25 @@ mod tests {
         // Count, order and content are those of the boxed-key collection
         // this row store replaced (fingerprint taken at the parent commit).
         let (u, h) = concurrent_writes(6, 0, 3);
-        let p = Linearizability.problem(&h);
-        let tracked: Vec<usize> = (0..p.ops.len()).filter(|&i| !p.ops[i].required).collect();
+        let pending = h.operations().into_iter().filter(|op| !op.is_complete());
+        let tracked: Vec<usize> = pending.map(|op| op.id.0).collect();
         assert_eq!(tracked, vec![6, 7, 8]);
-        let limits = SearchLimits::default();
         let mut scratch = KernelScratch::new();
-        let (set, stats) = solve_frontiers(&p, &[], &u, limits, &tracked, &mut scratch);
-        assert!(set.complete);
-        assert!(set.entries.len() > LINEAR_INTERN_MAX);
-        for (i, a) in set.entries.iter().enumerate() {
-            assert!(!set.entries[..i].contains(a), "entry {i} is a duplicate");
+        let (entries, complete, stats) = frontiers(&h, &u, &tracked, &mut scratch);
+        assert!(complete);
+        assert!(entries.len() > LINEAR_INTERN_MAX);
+        for (i, a) in entries.iter().enumerate() {
+            assert!(!entries[..i].contains(a), "entry {i} is a duplicate");
         }
-        let rendered = format!("{:?}", set.entries);
+        let rendered = format!("{entries:?}");
         assert_eq!(
-            (set.entries.len(), util::hash_of(&rendered)),
+            (entries.len(), util::hash_of(&rendered)),
             (60, 9_921_872_250_642_940_469)
         );
         assert_eq!((stats.nodes, stats.memo_hits), (18_452, 13_842));
         // The same search through the warm scratch finds the same rows.
-        let (again, _) = solve_frontiers(&p, &[], &u, limits, &tracked, &mut scratch);
-        assert_eq!(again, set);
+        let (again, _, _) = frontiers(&h, &u, &tracked, &mut scratch);
+        assert_eq!(again, entries);
     }
 
     /// Entries the per-search hash tables of `scratch` could hold without
@@ -1865,25 +1726,22 @@ mod tests {
         // A refutation over ten concurrent writes visits thousands of
         // states.  Back to back, such searches keep their tables...
         let (u, large) = concurrent_writes(10, 99, 0);
-        let large = Linearizability.problem(&large);
         let (_, small) = concurrent_writes(2, 1, 0);
-        let small = Linearizability.problem(&small);
         let limits = SearchLimits::default();
         let mut scratch = KernelScratch::new();
-        let (result, stats) = solve_with_scratch(&large, &u, limits, &mut scratch);
+        let (result, stats) = solve(&Linearizability, &large, &u, limits, &mut scratch);
         assert_eq!(result, SearchResult::No);
         assert!(stats.nodes > 2 * RETAIN_CAPACITY_FLOOR, "{stats:?}");
         let grown = retained_table_capacity(&scratch);
         assert!(grown > RETAIN_CAPACITY_FLOOR);
-        solve_with_scratch(&large, &u, limits, &mut scratch);
+        solve(&Linearizability, &large, &u, limits, &mut scratch);
         assert_eq!(retained_table_capacity(&scratch), grown);
         // ...and the first small search sheds them, so the ones after it do
         // not pay for clearing a table a thousand times their size.
-        let (result, small_stats) = solve_with_scratch(&small, &u, limits, &mut scratch);
+        let (result, small_stats) = solve(&Linearizability, &small, &u, limits, &mut scratch);
         assert!(result.is_yes());
         assert!(retained_table_capacity(&scratch) <= 2 * RETAIN_CAPACITY_FLOOR);
         // Shedding is invisible to the search: a fresh scratch counts the same.
-        let fresh = solve_with_scratch(&small, &u, limits, &mut KernelScratch::new()).1;
-        assert_eq!(small_stats, fresh);
+        assert_eq!(small_stats, solve_lin(&small, &u).1);
     }
 }

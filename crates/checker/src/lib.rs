@@ -12,17 +12,17 @@
 //! responses, and respects a precedence relation?  The [`kernel`] module
 //! owns the one searcher that answers it; each condition is a thin
 //! [`kernel::ConsistencyCondition`] implementation that only says *which*
-//! question to ask:
+//! question to ask, as [`kernel::Problem`] views of the history's events:
 //!
 //! ```text
-//!            ConsistencyCondition (candidates + precedence + acceptance)
+//!            ConsistencyCondition (views of a history + locality)
 //!    ┌───────────────┬────────────────────┬─────────────────────────┐
 //!    │ Linearizability│ TLinearizability  │ WeakOperation           │
 //!    │ (t = 0, local) │ (Definition 2)    │ (Definition 1, per op)  │
 //!    └───────┬───────┴─────────┬──────────┴──────────┬──────────────┘
 //!            │   StabilizesEventually (liveness half, Definition 3/4)
 //!            ▼                 ▼                     ▼
-//!    kernel::check_local ──► locality pre-pass ──► kernel::solve
+//!    kernel::check_local ──► locality pre-pass ──► kernel::solve_rooted
 //!    (per-object split,      (Herlihy–Wing /       (iterative Wing–Gong,
 //!     in turn, witness        Lemma 8, exact        interned states,
 //!     composition)            conditions only)      compact visited cache)

@@ -10,8 +10,8 @@
 //! per-object subproblems — the single biggest algorithmic speedup available
 //! to the checker — and composes the per-object witnesses back together.
 
-use crate::kernel::{ConsistencyCondition, ConstrainedOp, Locality, Witness};
-use crate::t_linearizability::{self, TLinearizability};
+use crate::kernel::{ConsistencyCondition, Locality, Witness};
+use crate::t_linearizability::{self, EventProblem, TLinearizability};
 use evlin_history::{History, ObjectUniverse};
 
 /// Linearizability as a kernel condition: `t`-linearizability with `t = 0`.
@@ -19,16 +19,14 @@ use evlin_history::{History, ObjectUniverse};
 pub struct Linearizability;
 
 impl ConsistencyCondition for Linearizability {
-    fn name(&self) -> &'static str {
-        "linearizability"
-    }
+    type Views<'h> = EventProblem<'h>;
 
-    fn candidates(&self, history: &History) -> Vec<ConstrainedOp> {
-        TLinearizability::new(0).candidates(history)
-    }
-
-    fn precedence(&self, history: &History, candidates: &[ConstrainedOp]) -> Vec<(usize, usize)> {
-        TLinearizability::new(0).precedence(history, candidates)
+    fn views<'h>(
+        &self,
+        history: &'h History,
+        ops: &'h [(usize, Option<usize>)],
+    ) -> EventProblem<'h> {
+        TLinearizability::new(0).views(history, ops)
     }
 
     fn locality(&self) -> Locality {

@@ -24,7 +24,7 @@
 //! Different witnesses of a segment can leave different final states (two
 //! concurrent writes can be ordered either way), so the monitor threads a
 //! *frontier set* — every final state vector reachable by some accepting
-//! linearization, computed exhaustively by [`kernel::solve_frontiers`] — and
+//! linearization, computed exhaustively by [`kernel::visit_frontiers`] — and
 //! a segment is consistent iff it is satisfiable from at least one incoming
 //! frontier state.  This is an exact decision procedure, not an
 //! approximation: the verdict equals the offline kernel's verdict on the
@@ -88,16 +88,14 @@
 //! responses are matched into pooled index pairs
 //! ([`evlin_history::OperationMatcher`], the rule behind
 //! [`History::operations`]) and lent to the kernel as operation views
-//! ([`EventProblem`]: Definition 2's constraints and real-time edges from the
-//! same predicates the offline [`TLinearizability`] uses), once per incoming
-//! frontier state with that state as the search's root argument; the
-//! accepting frontiers come back as rows of the pooled [`KernelScratch`], the
-//! object's states are appended to a pooled buffer, sorted and deduplicated,
-//! and swapped with the incoming frontier, which is the object's entry of the
-//! frontier map updated in place.  The stream tail takes the same views
-//! through the witness search.  No `History`, `SearchProblem`, `FrontierSet`
-//! or `ObjectUniverse` is built or cloned per link, per chain or per batch:
-//! what a warmed-up batch still allocates is the spec layer's
+//! ([`EventProblem`], the one stating of Definition 2 the offline
+//! [`TLinearizability`] uses too), once per incoming frontier state with that
+//! state as the search's root argument; the accepting frontiers come back as
+//! rows of the pooled [`KernelScratch`], the object's states are appended to
+//! a pooled buffer, sorted and deduplicated, and swapped with the incoming
+//! frontier, which is the object's entry of the frontier map updated in
+//! place.  The stream tail takes the same views through the witness search.
+//! What a warmed-up batch still allocates is the spec layer's
 //! `transitions()` result per distinct `(invocation, state)` pair a search
 //! expands (`tests/alloc_smoke.rs` pins it).
 //!
@@ -118,7 +116,7 @@
 //!   back in the history; but it only sees past operations through their
 //!   *invocation multiset* (identities never matter to the kernel), so the
 //!   monitor summarizes the past as bounded per-object and per-process
-//!   invocation counters and rebuilds each operation's search problem from
+//!   invocation counters and states each operation's search problem over
 //!   the counters — exact, with O(distinct invocations) resident memory.
 //! * [`MonitorCondition::StabilizesEventually`] — the liveness half of
 //!   eventual linearizability (`t`-linearizable for *some* `t`, i.e. all
@@ -172,14 +170,13 @@
 
 use crate::fi::{self, FiScratch};
 use crate::kernel::{
-    self, ConsistencyCondition, ConstrainedOp, KernelScratch, SearchLimits, SearchProblem,
-    SearchResult, SearchStats,
+    self, ConsistencyCondition, KernelScratch, OpView, Problem, SearchLimits, SearchResult,
+    SearchStats,
 };
 use crate::t_linearizability::{EventProblem, TLinearizability};
 use crate::util::{fold_words, hash_of, mix};
 use evlin_history::{
-    Event, EventKind, History, ObjectId, ObjectUniverse, OpId, OperationMatcher, OperationRecord,
-    ProcessId,
+    Event, EventKind, History, ObjectId, ObjectUniverse, OpId, OperationMatcher, ProcessId,
 };
 use evlin_spec::{Invocation, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -532,21 +529,6 @@ enum ModeState {
         /// Per object: invocation multiset of completed operations.
         completed: BTreeMap<ObjectId, BTreeMap<Invocation, u64>>,
     },
-}
-
-/// A fabricated operation record for summarized (count-based) candidates.
-/// The kernel only reads the object and the invocation; the indices are
-/// chosen so no condition ever derives a precedence edge from them.
-fn synth_record(object: ObjectId, invocation: Invocation, id: usize) -> OperationRecord {
-    OperationRecord {
-        id: OpId(id),
-        process: ProcessId(usize::MAX),
-        object,
-        invocation,
-        response: None,
-        invoke_index: 0,
-        respond_index: None,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1090,8 +1072,9 @@ impl MonitorCheck {
             // lent to the kernel as views; one search per frontier state.
             outgoing.clear();
             let problem = EventProblem {
-                condition: TLinearizability::new(0),
-                event,
+                t: 0,
+                events,
+                picked,
                 ops: self.matcher.match_events((0..len).map(event)),
             };
             let mut any_yes = false;
@@ -1177,19 +1160,11 @@ impl MonitorCheck {
                     if fr.unplaced.is_empty() {
                         return true;
                     }
-                    let ops: Vec<ConstrainedOp> = fr
-                        .unplaced
-                        .iter()
-                        .enumerate()
-                        .map(|(i, (object, invocation))| ConstrainedOp {
-                            record: synth_record(*object, invocation.clone(), i),
-                            required: true,
-                            fixed_response: None,
-                        })
-                        .collect();
-                    let problem = SearchProblem {
-                        ops,
-                        precedence: Vec::new(),
+                    let problem = Floating {
+                        stated: TLinearizability::new(0).views(&segment.history, &[]),
+                        demoted: &[],
+                        carried: &fr.unplaced,
+                        carried_required: true,
                     };
                     let (result, stats) = kernel::solve_rooted(
                         &problem,
@@ -1218,80 +1193,64 @@ impl MonitorCheck {
                 continue;
             }
             let local_t = t.saturating_sub(segment.start);
-            let condition = TLinearizability::new(local_t);
-            let mut base = condition.candidates(&segment.history);
+            let ops = self.matcher.match_events(segment.history.events());
+            let stated = TLinearizability::new(local_t).views(&segment.history, ops);
             // Forgiven-prefix operations ("floaters") may be linearized in
             // any later segment; demote them to optional-but-tracked unless
             // this is the last segment (nothing to defer to).
-            let mut tracked_base: Vec<usize> = Vec::new();
+            let mut tracked: Vec<usize> = Vec::new();
             if local_t > 0 && !final_segment {
-                for (i, cop) in base.iter_mut().enumerate() {
-                    if cop.required
-                        && cop
-                            .record
-                            .respond_index
-                            .map(|r| r < local_t)
-                            .unwrap_or(false)
-                    {
-                        cop.required = false;
-                        tracked_base.push(i);
-                    }
-                }
+                let forgiven = |i: &usize| ops[*i].1.is_some_and(|r| r < local_t);
+                tracked.extend((0..ops.len()).filter(forgiven));
             }
-            let precedence = condition.precedence(&segment.history, &base);
-            let base_len = base.len();
+            let demoted = tracked.len();
             let mut outgoing: BTreeSet<TlFrontier> = BTreeSet::new();
             let mut any_yes = false;
             for fr in &current {
-                let mut ops = base.clone();
-                let mut tracked = tracked_base.clone();
-                for (j, (object, invocation)) in fr.unplaced.iter().enumerate() {
-                    tracked.push(ops.len());
-                    ops.push(ConstrainedOp {
-                        record: synth_record(*object, invocation.clone(), base_len + j),
-                        // Carried floaters must finally be placed in the last
-                        // segment; before that they may keep floating.
-                        required: final_segment,
-                        fixed_response: None,
-                    });
-                }
-                let problem = SearchProblem {
-                    ops,
-                    precedence: precedence.clone(),
+                // The frontier's carried floaters follow the segment's
+                // operations, tracked too.
+                tracked.truncate(demoted);
+                tracked.extend(ops.len()..ops.len() + fr.unplaced.len());
+                let problem = Floating {
+                    stated,
+                    demoted: &tracked[..demoted],
+                    carried: &fr.unplaced,
+                    // Carried floaters must finally be placed in the last
+                    // segment; before that they may keep floating.
+                    carried_required: final_segment,
                 };
-                let (set, stats) = kernel::solve_frontiers(
+                let each = |row: kernel::FrontierRow<'_>| {
+                    any_yes = true;
+                    if final_segment {
+                        return; // nothing consumes the outgoing frontier
+                    }
+                    let mut states: BTreeMap<ObjectId, Value> = fr.states.iter().cloned().collect();
+                    states.extend(row.states().map(|(object, state)| (object, state.clone())));
+                    let unplaced = tracked
+                        .iter()
+                        .zip(row.placed())
+                        .filter(|(_, placed)| !placed);
+                    let floater = |op: OpView<'_>| (op.object, op.invocation.clone());
+                    let mut unplaced: Vec<(ObjectId, Invocation)> =
+                        unplaced.map(|(&i, _)| floater(problem.op(i))).collect();
+                    unplaced.sort();
+                    outgoing.insert(TlFrontier {
+                        states: states.into_iter().collect(),
+                        unplaced,
+                    });
+                };
+                let (complete, stats) = kernel::visit_frontiers(
                     &problem,
                     &fr.roots(),
                     &self.universe,
                     self.limits,
                     &tracked,
                     &mut scratch,
+                    each,
                 );
                 self.stats.search.absorb(stats);
-                if !set.complete {
+                if !complete {
                     self.incomplete = true;
-                }
-                for entry in set.entries {
-                    any_yes = true;
-                    if final_segment {
-                        continue; // nothing consumes the outgoing frontier
-                    }
-                    let mut states: BTreeMap<ObjectId, Value> = fr.states.iter().cloned().collect();
-                    for (object, state) in entry.states {
-                        states.insert(object, state);
-                    }
-                    let mut unplaced: Vec<(ObjectId, Invocation)> = Vec::new();
-                    for (k, &op_index) in tracked.iter().enumerate() {
-                        if !entry.placed[k] {
-                            let record = &problem.ops[op_index].record;
-                            unplaced.push((record.object, record.invocation.clone()));
-                        }
-                    }
-                    unplaced.sort();
-                    outgoing.insert(TlFrontier {
-                        states: states.into_iter().collect(),
-                        unplaced,
-                    });
                 }
             }
             if !any_yes {
@@ -1369,8 +1328,9 @@ impl MonitorCheck {
                             &invocation,
                             value,
                         );
-                        let (result, stats) = kernel::solve_with_scratch(
+                        let (result, stats) = kernel::solve_rooted(
                             &problem,
+                            &[],
                             &self.universe,
                             self.limits,
                             &mut self.scratch,
@@ -1446,41 +1406,23 @@ impl MonitorCheck {
         let ModeState::Stab { completed } = &self.mode else {
             unreachable!("finish_stab requires Stab mode");
         };
-        // Pending operations may optionally be completed by the witness.
-        let mut pending_by_object: BTreeMap<ObjectId, BTreeMap<Invocation, u64>> = BTreeMap::new();
-        for (object, invocation) in pending {
-            *pending_by_object
-                .entry(*object)
-                .or_default()
-                .entry(invocation.clone())
-                .or_insert(0) += 1;
-        }
+        // Pending operations may optionally be completed by the witness;
+        // sorted, an object's come together, equal invocations side by side.
+        let mut pending: Vec<&(ObjectId, Invocation)> = pending.iter().collect();
+        pending.sort();
         let mut objects: BTreeSet<ObjectId> = completed.keys().copied().collect();
-        objects.extend(pending_by_object.keys().copied());
-        let empty = BTreeMap::new();
+        objects.extend(pending.iter().map(|(object, _)| *object));
         for object in objects {
-            let mut ops: Vec<ConstrainedOp> = Vec::new();
-            let groups = [
-                (completed.get(&object).unwrap_or(&empty), true),
-                (pending_by_object.get(&object).unwrap_or(&empty), false),
-            ];
-            for (counts, required) in groups {
-                for (invocation, &count) in counts {
-                    for _ in 0..count {
-                        ops.push(ConstrainedOp {
-                            record: synth_record(object, invocation.clone(), ops.len()),
-                            required,
-                            fixed_response: None,
-                        });
-                    }
-                }
+            let mut problem = Counted::default();
+            for (invocation, &count) in completed.get(&object).into_iter().flatten() {
+                problem.push(object, invocation, count, true);
             }
-            let problem = SearchProblem {
-                ops,
-                precedence: Vec::new(),
-            };
-            let (result, stats) = kernel::solve_with_scratch(
+            for (_, invocation) in pending.iter().filter(|(o, _)| *o == object) {
+                problem.push(object, invocation, 1, false);
+            }
+            let (result, stats) = kernel::solve_rooted(
                 &problem,
+                &[],
                 &self.universe,
                 self.limits,
                 &mut self.scratch,
@@ -1781,56 +1723,149 @@ fn fi_step<'a, I: ExactSizeIterator<Item = &'a Event>>(
     true
 }
 
-/// Builds the Definition-1 problem for one completed operation from the
-/// summarized invocation counters.
-fn weak_problem(
-    invoked: Option<&BTreeMap<Invocation, u64>>,
-    preds: Option<&BTreeMap<Invocation, u64>>,
+/// `end - (the end of the group before it)` operations with one invocation
+/// on one object, all required or all optional.
+struct Group<'a> {
     object: ObjectId,
-    invocation: &Invocation,
-    response: &Value,
-) -> SearchProblem {
-    let empty = BTreeMap::new();
-    let invoked = invoked.unwrap_or(&empty);
-    let preds = preds.unwrap_or(&empty);
-    let mut ops: Vec<ConstrainedOp> = Vec::new();
-    // Required same-process predecessors, with free responses.
-    for (inv, &count) in preds {
-        for _ in 0..count {
-            ops.push(ConstrainedOp {
-                record: synth_record(object, inv.clone(), ops.len()),
+    invocation: &'a Invocation,
+    /// One past the problem index of the group's last operation.
+    end: usize,
+    required: bool,
+}
+
+/// A problem over summarized operations: the groups' operations in order,
+/// every response free — only their invocation multiset is known, and the
+/// kernel reads nothing else — then, for Definition 1, the operation being
+/// justified.
+#[derive(Default)]
+struct Counted<'a> {
+    groups: Vec<Group<'a>>,
+    /// `(object, invocation, response)` of a last, required operation whose
+    /// response is fixed and which every required operation of the groups
+    /// precedes.
+    last: Option<(ObjectId, &'a Invocation, &'a Value)>,
+}
+
+impl<'a> Counted<'a> {
+    /// Number of operations in the groups.
+    fn grouped(&self) -> usize {
+        self.groups.last().map_or(0, |group| group.end)
+    }
+
+    /// The group of operation `i < grouped()`.
+    fn group_of(&self, i: usize) -> &Group<'a> {
+        &self.groups[self.groups.partition_point(|group| group.end <= i)]
+    }
+
+    /// Appends a group of `count` operations.
+    fn push(&mut self, object: ObjectId, invocation: &'a Invocation, count: u64, required: bool) {
+        self.groups.push(Group {
+            object,
+            invocation,
+            end: self.grouped() + count as usize,
+            required,
+        });
+    }
+}
+
+impl Problem for Counted<'_> {
+    fn op_count(&self) -> usize {
+        self.grouped() + usize::from(self.last.is_some())
+    }
+
+    fn op(&self, i: usize) -> OpView<'_> {
+        if let Some((object, invocation, response)) = self.last.filter(|_| i == self.grouped()) {
+            return OpView {
+                object,
+                invocation,
                 required: true,
-                fixed_response: None,
-            });
+                fixed_response: Some(response),
+            };
+        }
+        let group = self.group_of(i);
+        OpView {
+            object: group.object,
+            invocation: group.invocation,
+            required: group.required,
+            fixed_response: None,
         }
     }
-    let required_len = ops.len();
+
+    fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let last = self.grouped();
+        let sources = (0..last).filter(|&i| self.last.is_some() && self.group_of(i).required);
+        sources.map(move |i| (i, last))
+    }
+}
+
+/// The Definition-1 problem for one completed operation, from the summarized
+/// invocation counters.
+fn weak_problem<'a>(
+    invoked: Option<&'a BTreeMap<Invocation, u64>>,
+    preds: Option<&'a BTreeMap<Invocation, u64>>,
+    object: ObjectId,
+    invocation: &'a Invocation,
+    response: &'a Value,
+) -> Counted<'a> {
+    let mut problem = Counted::default();
+    // Required same-process predecessors, with free responses.
+    for (inv, &count) in preds.into_iter().flatten() {
+        problem.push(object, inv, count, true);
+    }
     // Optional pool: every other operation on the object invoked before this
     // one's response (the counters are snapshots at exactly that moment),
     // minus the required predecessors and the operation itself.
-    for (inv, &count) in invoked {
-        let mut optional = count - preds.get(inv).copied().unwrap_or(0);
+    for (inv, &count) in invoked.into_iter().flatten() {
+        let mut optional = count - preds.and_then(|preds| preds.get(inv)).copied().unwrap_or(0);
         if inv == invocation {
             optional = optional.saturating_sub(1);
         }
-        for _ in 0..optional {
-            ops.push(ConstrainedOp {
-                record: synth_record(object, inv.clone(), ops.len()),
-                required: false,
-                fixed_response: None,
-            });
-        }
+        problem.push(object, inv, optional, false);
     }
     // The operation itself, last, with its response fixed; the witness must
     // end with it, so every required predecessor precedes it.
-    let last = ops.len();
-    ops.push(ConstrainedOp {
-        record: synth_record(object, invocation.clone(), last),
-        required: true,
-        fixed_response: Some(response.clone()),
-    });
-    let precedence = (0..required_len).map(|i| (i, last)).collect();
-    SearchProblem { ops, precedence }
+    problem.last = Some((object, invocation, response));
+    problem
+}
+
+/// A segment's Definition-2 problem with its floaters: the segment's
+/// operations, some of them demoted to optional, then the floaters an
+/// incoming frontier carries — no response to reproduce, no real-time order.
+struct Floating<'a> {
+    stated: EventProblem<'a>,
+    /// The segment's operations that may be linearized in a later segment
+    /// instead (ascending).
+    demoted: &'a [usize],
+    carried: &'a [(ObjectId, Invocation)],
+    carried_required: bool,
+}
+
+impl Problem for Floating<'_> {
+    fn op_count(&self) -> usize {
+        self.stated.op_count() + self.carried.len()
+    }
+
+    fn op(&self, i: usize) -> OpView<'_> {
+        match i.checked_sub(self.stated.op_count()) {
+            None => {
+                let view = self.stated.op(i);
+                OpView {
+                    required: view.required && self.demoted.binary_search(&i).is_err(),
+                    ..view
+                }
+            }
+            Some(j) => OpView {
+                object: self.carried[j].0,
+                invocation: &self.carried[j].1,
+                required: self.carried_required,
+                fixed_response: None,
+            },
+        }
+    }
+
+    fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.stated.edges()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2464,5 +2499,152 @@ mod tests {
         assert_eq!(stats.fast_path_segments, 450);
         assert_eq!(stats.stream_fingerprint, 0x91e5_216e_98e6_d6fb);
         assert_eq!((stats.search.nodes, stats.search.memo_hits), (1350, 0));
+    }
+
+    /// `rounds` rounds of three mutually concurrent operations over a
+    /// register (values `0..3`) and, with `counter`, a counter: every
+    /// process invokes, then every process responds, so each round is one
+    /// quiescent segment.  Every effect takes place at its response; a read
+    /// answered at a position in `garbled` answers 7, which nothing writes.
+    fn seeded_rounds(
+        seed: &mut u64,
+        rounds: usize,
+        counter: bool,
+        garbled: std::ops::Range<usize>,
+    ) -> Vec<Event> {
+        let mut next = |bound: u64| {
+            *seed ^= *seed << 13;
+            *seed ^= *seed >> 7;
+            *seed ^= *seed << 17;
+            (*seed % bound) as usize
+        };
+        let mut state = [0i64; 2];
+        let mut events = Vec::with_capacity(rounds * 6);
+        for _ in 0..rounds {
+            let calls: [(usize, bool, i64); 3] = std::array::from_fn(|_| {
+                let object = if counter { next(2) } else { 0 };
+                (object, next(2) == 0, next(3) as i64)
+            });
+            for (p, &(object, read, value)) in calls.iter().enumerate() {
+                let invocation = match (object, read) {
+                    (0, true) => Register::read(),
+                    (0, false) => Register::write(Value::from(value)),
+                    (_, true) => evlin_spec::Counter::read(),
+                    (_, false) => evlin_spec::Counter::inc(),
+                };
+                events.push(Event::invoke(ProcessId(p), ObjectId(object), invocation));
+            }
+            let first = next(3);
+            for p in (0..3).map(|i| (first + i) % 3) {
+                let (object, read, value) = calls[p];
+                let response = if read && garbled.contains(&events.len()) {
+                    Value::from(7i64)
+                } else if read {
+                    Value::from(state[object])
+                } else {
+                    state[object] = if object == 0 {
+                        value
+                    } else {
+                        state[object] + 1
+                    };
+                    Value::Unit
+                };
+                events.push(Event::respond(ProcessId(p), ObjectId(object), response));
+            }
+        }
+        events
+    }
+
+    fn register_and_counter() -> ObjectUniverse {
+        let mut u = ObjectUniverse::new();
+        u.add_object(Register::new(Value::from(0i64)));
+        u.add_object(evlin_spec::Counter::new());
+        u
+    }
+
+    /// The counters a change to how problems are stated must not move.
+    fn golden(stats: &MonitorStats) -> [usize; 5] {
+        [
+            stats.segments,
+            stats.checked_ops,
+            stats.fast_path_segments,
+            stats.search.nodes,
+            stats.search.memo_hits,
+        ]
+    }
+
+    // The expected values of the three tests below are what the monitor
+    // produced while `TLinearizability`, `WeakConsistency` and
+    // `StabilizesEventually` still reached the kernel through a materialized
+    // problem per search (PR 23): lending views must be node for node the
+    // same search.
+
+    #[test]
+    fn t_linearizability_stream_counters_are_pinned() {
+        // Garbage reads inside the forgiven prefix (two segments of it), then
+        // ten well-behaved rounds: the forgiven operations float across every
+        // later cut, in batches of four segments.
+        let t = 12;
+        let config = MonitorConfig {
+            segment_batch: 4,
+            ..MonitorConfig::for_condition(MonitorCondition::TLinearizability { t })
+        };
+        let mut m = Monitor::new(register_and_counter(), config);
+        let events = seeded_rounds(&mut 0x9e37_79b9_7f4a_7c15, 12, true, 0..t);
+        let garbage = events[..t]
+            .iter()
+            .filter(|e| matches!(&e.kind, EventKind::Respond(v) if *v == Value::from(7i64)));
+        assert!(garbage.count() >= 2);
+        let mut carried_over = 0;
+        for round in events.chunks(6) {
+            m.ingest_all(round.iter().cloned()).unwrap();
+            let ModeState::TLin { frontiers, .. } = &m.check.mode else {
+                unreachable!();
+            };
+            if frontiers.iter().any(|fr| !fr.unplaced.is_empty()) {
+                carried_over += 1;
+            }
+        }
+        assert!(carried_over >= 4, "floaters cross batches: {carried_over}");
+        let report = m.finish();
+        assert!(report.verdict.is_ok(), "{report:?}");
+        assert_eq!(golden(&report.stats), [11, 36, 0, 71_035, 44_755]);
+    }
+
+    #[test]
+    fn weak_consistency_stream_counters_are_pinned() {
+        // 240 operations on one register, every read answering the latest
+        // write to have responded.
+        let config = MonitorConfig {
+            segment_batch: 16,
+            ..MonitorConfig::for_condition(MonitorCondition::WeakConsistency)
+        };
+        let mut m = Monitor::new(register_and_counter(), config);
+        let events = seeded_rounds(&mut 0x2545_f491_4f6c_dd1d, 80, false, 0..0);
+        m.ingest_all(events).unwrap();
+        let report = m.finish();
+        assert!(report.verdict.is_ok(), "{report:?}");
+        assert_eq!(golden(&report.stats), [80, 240, 0, 63_810, 16_796]);
+    }
+
+    #[test]
+    fn stabilizes_eventually_stream_counters_are_pinned() {
+        // 60 completed operations over both objects, every read garbled, and
+        // two operations still pending when the stream ends.
+        let config = MonitorConfig::for_condition(MonitorCondition::StabilizesEventually);
+        let mut m = Monitor::new(register_and_counter(), config);
+        let events = seeded_rounds(&mut 0x1234_5678_9abc_def1, 20, true, 0..120);
+        m.ingest_all(events).unwrap();
+        m.invoke(
+            ProcessId(0),
+            ObjectId(0),
+            Register::write(Value::from(2i64)),
+        )
+        .unwrap();
+        m.invoke(ProcessId(1), ObjectId(1), evlin_spec::Counter::inc())
+            .unwrap();
+        let report = m.finish();
+        assert!(report.verdict.is_ok(), "{report:?}");
+        assert_eq!(golden(&report.stats), [21, 60, 0, 60, 0]);
     }
 }

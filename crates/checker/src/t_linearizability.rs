@@ -16,17 +16,18 @@
 //! finite prefix.
 //!
 //! The decision procedure is the shared Wing–Gong kernel:
-//! [`TLinearizability`] is a [`ConsistencyCondition`] translating the four
-//! clauses above into candidate-operation constraints and precedence edges.
+//! [`TLinearizability`] is a [`ConsistencyCondition`] whose question about a
+//! history is an [`EventProblem`] — the four clauses above as per-operation
+//! constraints and precedence edges, read off the events in place.
 //! For `t = 0` the condition is exactly linearizability and admits the
 //! per-object locality decomposition; for `t > 0` it must be checked on the
 //! whole history (Lemma 7 only decomposes "`t`-linearizable for *some* `t`").
 
 use crate::kernel::{
-    self, ConsistencyCondition, ConstrainedOp, KernelScratch, Locality, OpView, Problem,
-    SearchLimits, SearchProblem, SearchResult, SearchStats, Witness,
+    self, ConsistencyCondition, KernelScratch, Locality, OpView, Problem, SearchLimits,
+    SearchResult, SearchStats, Witness,
 };
-use evlin_history::{Event, EventKind, History, ObjectUniverse};
+use evlin_history::{Event, EventKind, History, ObjectUniverse, OperationMatcher};
 
 /// The `t`-linearizability condition (Definition 2) as a kernel condition.
 #[derive(Debug, Clone, Copy)]
@@ -40,69 +41,55 @@ impl TLinearizability {
     pub fn new(t: usize) -> Self {
         TLinearizability { t }
     }
-
-    /// Clause 4: whether a response at `respond_index` lies in `H'`, so the
-    /// witness must reproduce it.
-    fn constrains_response(&self, respond_index: usize) -> bool {
-        respond_index >= self.t
-    }
-
-    /// Clause 3 over `n` operations given by their `(invoke, respond)`
-    /// indices: the edge `(i, j)` for every `i` whose response precedes
-    /// `j`'s invocation with both events in `H'`, sources ascending.
-    fn edges<'a>(
-        self,
-        n: usize,
-        indices: impl Fn(usize) -> (usize, Option<usize>) + Copy + 'a,
-    ) -> impl Iterator<Item = (usize, usize)> + 'a {
-        let t = self.t;
-        let sources = (0..n).filter_map(move |i| Some((i, indices(i).1.filter(|&r| r >= t)?)));
-        sources.flat_map(move |(i, respond)| {
-            let ordered = move |&j: &usize| {
-                let invoke = indices(j).0;
-                j != i && invoke >= t && respond < invoke
-            };
-            (0..n).filter(ordered).map(move |j| (i, j))
-        })
-    }
 }
 
-/// Definition 2 over a borrowed event sequence: the problem
-/// [`TLinearizability::problem`] builds from a [`History`], read in place.
+/// Definition 2 over a borrowed event sequence — the one place the
+/// definition is spelled, whoever asks.
 ///
-/// `ops` are the sequence's operations as matched by
-/// [`evlin_history::OperationMatcher`] and `event` maps a position of the
-/// sequence to its event, so a caller that holds a projection `H|o` as
-/// positions into a larger history (the online monitor does) lends it to the
-/// kernel without materializing a `History` or a [`SearchProblem`].  `t` is
-/// counted in positions of the sequence.
+/// The sequence is `events`, or the subsequence of it at the ascending
+/// positions `picked`; `ops` are its operations as matched by
+/// [`evlin_history::OperationMatcher`].  So a caller that holds a projection
+/// `H|o` as positions into a larger history (the online monitor does) lends
+/// it to the kernel without materializing a `History`.  `t` is counted in
+/// positions of the sequence.
 #[derive(Debug, Clone, Copy)]
-pub struct EventProblem<'a, F> {
-    /// The condition.
-    pub condition: TLinearizability,
-    /// Position in the sequence → event.
-    pub event: F,
-    /// `(invoke, respond)` positions per operation, in invocation order.
+pub struct EventProblem<'a> {
+    /// The number of initial positions forgiven.
+    pub t: usize,
+    /// The events the sequence is drawn from.
+    pub events: &'a [Event],
+    /// The sequence's positions in `events`; `None` when it is all of them.
+    pub picked: Option<&'a [u32]>,
+    /// `(invoke, respond)` positions in the sequence per operation, in
+    /// invocation order.
     pub ops: &'a [(usize, Option<usize>)],
 }
 
-impl<'a, F: Fn(usize) -> &'a Event> Problem for EventProblem<'a, F> {
+impl<'a> EventProblem<'a> {
+    /// The event at position `k` of the sequence.
+    fn event(&self, k: usize) -> &'a Event {
+        &self.events[self.picked.map_or(k, |picked| picked[k] as usize)]
+    }
+}
+
+impl Problem for EventProblem<'_> {
     fn op_count(&self) -> usize {
         self.ops.len()
     }
 
     fn op(&self, i: usize) -> OpView<'_> {
         let (invoke, respond) = self.ops[i];
-        let invocation = (self.event)(invoke);
+        let invocation = self.event(invoke);
         let EventKind::Invoke(call) = &invocation.kind else {
             unreachable!("matched as an invocation");
         };
-        let constrained = respond.filter(|&r| self.condition.constrains_response(r));
+        // Clause 4: a response that lies in `H'` must be reproduced.
+        let constrained = respond.filter(|&r| r >= self.t);
         OpView {
             object: invocation.object,
             invocation: call,
             required: respond.is_some(),
-            fixed_response: constrained.map(|r| match &(self.event)(r).kind {
+            fixed_response: constrained.map(|r| match &self.event(r).kind {
                 EventKind::Respond(value) => value,
                 EventKind::Invoke(_) => unreachable!("matched as a response"),
             }),
@@ -110,38 +97,31 @@ impl<'a, F: Fn(usize) -> &'a Event> Problem for EventProblem<'a, F> {
     }
 
     fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let (condition, ops) = (self.condition, self.ops);
-        condition.edges(ops.len(), move |i| ops[i])
+        // Clause 3: the edge `(i, j)` for every `i` whose response precedes
+        // `j`'s invocation with both events in `H'`, sources ascending.
+        let (t, ops) = (self.t, self.ops);
+        let sources = (0..ops.len()).filter_map(move |i| Some((i, ops[i].1.filter(|&r| r >= t)?)));
+        sources.flat_map(move |(i, respond)| {
+            let ordered = move |&j: &usize| j != i && ops[j].0 >= t && respond < ops[j].0;
+            (0..ops.len()).filter(ordered).map(move |j| (i, j))
+        })
     }
 }
 
 impl ConsistencyCondition for TLinearizability {
-    fn name(&self) -> &'static str {
-        "t-linearizability"
-    }
+    type Views<'h> = EventProblem<'h>;
 
-    fn candidates(&self, history: &History) -> Vec<ConstrainedOp> {
-        let ops = history.operations();
-        let mut cops = Vec::with_capacity(ops.len());
-        for op in ops {
-            cops.push(ConstrainedOp {
-                required: op.is_complete(),
-                fixed_response: match op.respond_index {
-                    Some(r) if self.constrains_response(r) => op.response.clone(),
-                    _ => None,
-                },
-                record: op,
-            });
+    fn views<'h>(
+        &self,
+        history: &'h History,
+        ops: &'h [(usize, Option<usize>)],
+    ) -> EventProblem<'h> {
+        EventProblem {
+            t: self.t,
+            events: history.events(),
+            picked: None,
+            ops,
         }
-        cops
-    }
-
-    fn precedence(&self, _history: &History, candidates: &[ConstrainedOp]) -> Vec<(usize, usize)> {
-        let indices = |i: usize| {
-            let record = &candidates[i].record;
-            (record.invoke_index, record.respond_index)
-        };
-        self.edges(candidates.len(), indices).collect()
     }
 
     fn locality(&self) -> Locality {
@@ -153,12 +133,6 @@ impl ConsistencyCondition for TLinearizability {
             Locality::Global
         }
     }
-}
-
-/// Builds the constrained-linearization problem corresponding to
-/// `t`-linearizability of `history`.
-pub fn problem_for(history: &History, t: usize) -> SearchProblem {
-    TLinearizability::new(t).problem(history)
 }
 
 /// Decides whether `history` is `t`-linearizable.
@@ -218,18 +192,29 @@ pub fn min_stabilization(
     universe: &ObjectUniverse,
     limit: Option<usize>,
 ) -> Option<usize> {
+    min_stabilization_with_stats(history, universe, limit).0
+}
+
+/// [`min_stabilization`], with the probes' search counters.
+fn min_stabilization_with_stats(
+    history: &History,
+    universe: &ObjectUniverse,
+    limit: Option<usize>,
+) -> (Option<usize>, SearchStats) {
     let hi_bound = limit.unwrap_or(history.len());
     let mut scratch = KernelScratch::new();
     let limits = SearchLimits::default();
+    let mut stats = SearchStats::default();
+    let mut matcher = OperationMatcher::default();
+    let ops = matcher.match_events(history.events());
     let mut probe = |t: usize| -> bool {
-        let problem = problem_for(history, t);
-        matches!(
-            kernel::solve_with_scratch(&problem, universe, limits, &mut scratch).0,
-            SearchResult::Yes(_)
-        )
+        let problem = TLinearizability::new(t).views(history, ops);
+        let (result, s) = kernel::solve_rooted(&problem, &[], universe, limits, &mut scratch);
+        stats.absorb(s);
+        matches!(result, SearchResult::Yes(_))
     };
     if !probe(hi_bound) {
-        return None;
+        return (None, stats);
     }
     let mut lo = 0usize; // candidate answer space: [lo, hi], hi known-good
     let mut hi = hi_bound;
@@ -241,7 +226,7 @@ pub fn min_stabilization(
             lo = mid + 1;
         }
     }
-    Some(lo)
+    (Some(lo), stats)
 }
 
 #[cfg(test)]
@@ -418,6 +403,49 @@ mod tests {
         let h = History::new();
         assert!(is_t_linearizable(&h, &u, 0));
         assert_eq!(min_stabilization(&h, &u, None), Some(0));
+    }
+
+    #[test]
+    fn offline_search_counters_are_pinned() {
+        // Three concurrent writes and a read of garbage, two later reads
+        // that disagree on which write came last, then well-behaved
+        // fetch&increment traffic.  The expected counters are
+        // what the binary search's probes and the per-operation Definition-1
+        // searches cost while each was stated as a materialized problem
+        // (PR 23).
+        let mut u = ObjectUniverse::new();
+        let r = u.add_object(Register::new(Value::from(0i64)));
+        let x = u.add_object(FetchIncrement::new());
+        let (p0, p1, p2, p3) = (ProcessId(0), ProcessId(1), ProcessId(2), ProcessId(3));
+        let h = HistoryBuilder::new()
+            .invoke(p0, r, Register::write(Value::from(1i64)))
+            .invoke(p1, r, Register::write(Value::from(2i64)))
+            .invoke(p3, r, Register::write(Value::from(5i64)))
+            .invoke(p2, r, Register::read())
+            .respond(p2, r, Value::from(9i64))
+            .respond(p0, r, Value::Unit)
+            .respond(p1, r, Value::Unit)
+            .respond(p3, r, Value::Unit)
+            .invoke(p0, r, Register::read())
+            .invoke(p1, r, Register::write(Value::from(3i64)))
+            .invoke(p3, r, Register::read())
+            .respond(p0, r, Value::from(2i64))
+            .respond(p1, r, Value::Unit)
+            .respond(p3, r, Value::from(5i64))
+            .complete(p2, r, Register::read(), Value::from(3i64))
+            .invoke(p0, x, FetchIncrement::fetch_inc())
+            .invoke(p1, x, FetchIncrement::fetch_inc())
+            .respond(p0, x, Value::from(1i64))
+            .respond(p1, x, Value::from(0i64))
+            .complete(p2, x, FetchIncrement::fetch_inc(), Value::from(2i64))
+            .invoke(p0, r, Register::write(Value::from(4i64)))
+            .build();
+        let (min, stats) = min_stabilization_with_stats(&h, &u, None);
+        assert_eq!(min, Some(7));
+        assert_eq!((stats.nodes, stats.memo_hits), (260, 87));
+        let (violations, stats) = crate::weak_consistency::violations_with_stats(&h, &u);
+        assert_eq!(violations, vec![evlin_history::OpId(3)]);
+        assert_eq!((stats.nodes, stats.memo_hits), (134, 32));
     }
 
     #[test]

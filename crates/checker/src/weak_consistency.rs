@@ -9,30 +9,32 @@
 //! * ends with the same response to `op` as in `H`.
 //!
 //! Only the *response of `op` itself* is constrained — the other operations
-//! of `S` merely have to be arrangeable legally.  [`WeakOperation`] encodes
-//! exactly that as a [`ConsistencyCondition`] for the shared Wing–Gong
-//! kernel: the same-process predecessors are *required* candidates with free
-//! responses, same-object operations invoked before `op` terminates are
-//! *optional* candidates (restricting the optional pool to `op`'s object is
-//! sound by Lemma 8 and keeps the search small), and `op` itself is required
-//! with its response fixed and a precedence edge from every predecessor so
-//! that the witness ends with it.  The kernel's interchangeability classes
-//! subsume the old multiset grouping of identical optional invocations.
+//! of `S` merely have to be arrangeable legally.  [`WeakOperation`] states
+//! exactly that to the shared Wing–Gong kernel, as views of the history's
+//! events ([`Justification`]): the same-process predecessors are *required*
+//! with free responses, same-object operations invoked before `op`
+//! terminates are *optional* (restricting the optional pool to `op`'s object
+//! is sound by Lemma 8 and keeps the search small), and `op` itself is
+//! required with its response fixed and a precedence edge from every
+//! predecessor so that the witness ends with it.  The kernel's
+//! interchangeability classes subsume the old multiset grouping of identical
+//! optional invocations.
 //!
 //! Whole-history checks additionally exploit Lemma 8 (weak consistency is
 //! local): [`is_weakly_consistent`] splits a multi-object history into
 //! per-object projections and checks them independently, stopping at the
 //! first projection that is not weakly consistent.
 
-use crate::kernel::{self, ConsistencyCondition, ConstrainedOp, KernelScratch, SearchLimits};
-use evlin_history::{History, ObjectUniverse, OpId};
+use crate::kernel::{
+    self, ConsistencyCondition, KernelScratch, OpView, Problem, SearchLimits, SearchStats,
+};
+use crate::t_linearizability::{EventProblem, TLinearizability};
+use evlin_history::{History, ObjectUniverse, OpId, OperationMatcher};
 
-/// The default node budget of one per-operation search: Definition 1
-/// problems are much smaller than whole-history linearizations, so the
-/// budget is a tenth of [`SearchLimits::default`].
-pub(crate) fn default_limits() -> SearchLimits {
-    SearchLimits { max_nodes: 200_000 }
-}
+/// The node budget of one per-operation search: Definition 1 problems are
+/// much smaller than whole-history linearizations, so the budget is a tenth
+/// of [`SearchLimits::default`].
+const LIMITS: SearchLimits = SearchLimits { max_nodes: 200_000 };
 
 /// Definition 1 for a single completed operation, as a kernel condition.
 #[derive(Debug, Clone, Copy)]
@@ -41,74 +43,82 @@ pub struct WeakOperation {
     pub op: OpId,
 }
 
-impl ConsistencyCondition for WeakOperation {
-    fn name(&self) -> &'static str {
-        "weak consistency (Definition 1, one operation)"
+/// Definition 1's question about one operation of a history, over the
+/// history's matched operations.
+#[derive(Debug)]
+pub struct Justification<'h> {
+    /// The history's operations, each with the response it got.
+    history: EventProblem<'h>,
+    /// The operations of the search, as indices into the history's: the
+    /// required predecessors, then the optional pool, then the operation
+    /// itself.  Empty when the operation has no response — Definition 1 only
+    /// constrains operations that have one, and an empty problem is
+    /// trivially satisfiable.
+    chosen: Vec<usize>,
+    /// How many predecessors lead `chosen`.
+    predecessors: usize,
+}
+
+impl Problem for Justification<'_> {
+    fn op_count(&self) -> usize {
+        self.chosen.len()
     }
 
-    fn candidates(&self, history: &History) -> Vec<ConstrainedOp> {
-        let ops = history.operations();
-        let Some(op) = ops.iter().find(|o| o.id == self.op) else {
-            return Vec::new();
-        };
-        let Some(respond_index) = op.respond_index else {
-            // Definition 1 only constrains operations that have a response;
-            // an empty problem is trivially satisfiable.
-            return Vec::new();
-        };
-        let mut cops = Vec::new();
-        // Operations by the same process that precede `op` in H (program
-        // order): required, with unconstrained responses.
-        for o in ops
-            .iter()
-            .filter(|o| o.process == op.process && o.invoke_index < op.invoke_index)
-        {
-            cops.push(ConstrainedOp {
-                record: o.clone(),
-                required: true,
-                fixed_response: None,
-            });
+    fn op(&self, i: usize) -> OpView<'_> {
+        // Only the response of the operation itself is constrained.
+        let itself = i + 1 == self.chosen.len();
+        let view = self.history.op(self.chosen[i]);
+        OpView {
+            required: itself || i < self.predecessors,
+            fixed_response: view.fixed_response.filter(|_| itself),
+            ..view
         }
-        let must_len = cops.len();
-        // Optional operations: invoked before `op` terminates.  Only
-        // operations on the same object can influence the legality of `op`'s
-        // response (Lemma 8), so restricting the optional pool to them is
-        // sound and keeps the search small.
-        for o in ops.iter().filter(|o| {
-            o.id != op.id
-                && !(o.process == op.process && o.invoke_index < op.invoke_index)
-                && o.object == op.object
-                && o.invoke_index < respond_index
-        }) {
-            cops.push(ConstrainedOp {
-                record: o.clone(),
-                required: false,
-                fixed_response: None,
-            });
-        }
-        debug_assert!(cops.len() >= must_len);
-        // `op` itself, last: required, with its response fixed.
-        cops.push(ConstrainedOp {
-            record: op.clone(),
-            required: true,
-            fixed_response: op.response.clone(),
-        });
-        cops
     }
 
-    fn precedence(&self, history: &History, candidates: &[ConstrainedOp]) -> Vec<(usize, usize)> {
+    fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         // S must *end* with `op`: every required predecessor is ordered
-        // before it.  (Optional candidates need no edge — the search accepts
+        // before it.  (Optional operations need no edge — the search accepts
         // as soon as all required operations are linearized, so nothing is
         // ever placed after `op`.)
-        let _ = history;
-        let Some(last) = candidates.len().checked_sub(1) else {
-            return Vec::new();
-        };
-        (0..last)
-            .filter(|&i| candidates[i].required)
-            .map(|i| (i, last))
-            .collect()
+        let last = self.chosen.len().saturating_sub(1);
+        (0..self.predecessors).map(move |i| (i, last))
+    }
+}
+
+impl ConsistencyCondition for WeakOperation {
+    type Views<'h> = Justification<'h>;
+
+    fn views<'h>(
+        &self,
+        history: &'h History,
+        ops: &'h [(usize, Option<usize>)],
+    ) -> Justification<'h> {
+        let events = history.events();
+        let mut chosen = Vec::new();
+        let mut predecessors = 0;
+        if let Some(&(invoke, Some(respond))) = ops.get(self.op.0) {
+            let (process, object) = (events[invoke].process, events[invoke].object);
+            // Operations by the same process that precede `op` in H (program
+            // order): required, with unconstrained responses.
+            let precedes = |k: &usize| events[ops[*k].0].process == process && ops[*k].0 < invoke;
+            chosen.extend((0..ops.len()).filter(precedes));
+            predecessors = chosen.len();
+            // Optional operations: invoked before `op` terminates.  Only
+            // operations on the same object can influence the legality of
+            // `op`'s response (Lemma 8), so restricting the optional pool to
+            // them is sound and keeps the search small.
+            chosen.extend((0..ops.len()).filter(|k| {
+                let (at, _) = ops[*k];
+                *k != self.op.0 && !precedes(k) && events[at].object == object && at < respond
+            }));
+            // `op` itself, last: required, with its response fixed.
+            chosen.push(self.op.0);
+        }
+        Justification {
+            history: TLinearizability::new(0).views(history, ops),
+            chosen,
+            predecessors,
+        }
     }
 }
 
@@ -122,46 +132,40 @@ pub fn is_weakly_consistent(history: &History, universe: &ObjectUniverse) -> boo
         // Locality pre-pass: H is weakly consistent iff every H|o is.
         objects.iter().all(|&o| {
             let projection = history.project_object(o);
-            violations_with_limits(&projection, universe, default_limits()).is_empty()
+            violations(&projection, universe).is_empty()
         })
     } else {
-        violations_with_limits(history, universe, default_limits()).is_empty()
+        violations(history, universe).is_empty()
     }
 }
 
 /// Returns the identifiers of all completed operations that violate
 /// Definition 1 (empty when the history is weakly consistent).
 pub fn violations(history: &History, universe: &ObjectUniverse) -> Vec<OpId> {
-    violations_with_limits(history, universe, default_limits())
+    violations_with_stats(history, universe).0
 }
 
-/// [`violations`] with explicit search limits.  An operation whose search
+/// [`violations`], with the searches' counters.  An operation whose search
 /// exhausts the node budget is conservatively reported as a violation.
-pub(crate) fn violations_with_limits(
+pub(crate) fn violations_with_stats(
     history: &History,
     universe: &ObjectUniverse,
-    limits: SearchLimits,
-) -> Vec<OpId> {
-    // One search per completed operation, all sharing one scratch so the
-    // visited cache and taken-set are allocated once per history.
+) -> (Vec<OpId>, SearchStats) {
+    // One search per completed operation, all sharing one matching of the
+    // history and one scratch, so the visited cache and taken-set are
+    // allocated once per history.
     let mut scratch = KernelScratch::new();
-    history
-        .operations()
-        .iter()
-        .filter(|op| op.is_complete())
-        .filter(|op| {
-            !kernel::check_with_scratch(
-                &WeakOperation { op: op.id },
-                history,
-                universe,
-                limits,
-                &mut scratch,
-            )
-            .0
-            .is_yes()
-        })
-        .map(|op| op.id)
-        .collect()
+    let mut stats = SearchStats::default();
+    let mut matcher = OperationMatcher::default();
+    let ops = matcher.match_events(history.events());
+    let completed = (0..ops.len()).map(OpId).filter(|op| ops[op.0].1.is_some());
+    let violating = completed.filter(|&op| {
+        let problem = WeakOperation { op }.views(history, ops);
+        let (result, s) = kernel::solve_rooted(&problem, &[], universe, LIMITS, &mut scratch);
+        stats.absorb(s);
+        !result.is_yes()
+    });
+    (violating.collect(), stats)
 }
 
 #[cfg(test)]

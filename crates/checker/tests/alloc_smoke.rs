@@ -7,16 +7,16 @@
 //! boxed visited key, instead of waiting for the bench gate to notice the
 //! slowdown.
 //!
-//! The budget below is deliberately not zero: constructing the
-//! `SearchProblem` itself (the caller's side) clones candidate records, and
-//! a hash-set re-insert may probe-rehash.  What the budget rules out is
-//! anything proportional to the number of search nodes.
+//! The budget below is deliberately not zero: the spec layer enumerates
+//! transitions into a fresh vector, and a hash-set re-insert may
+//! probe-rehash.  What the budget rules out is anything proportional to the
+//! number of search nodes.
 
 use evlin_checker::kernel::{self, KernelScratch, SearchLimits};
 use evlin_checker::monitor::{stages, Monitor, MonitorConfig};
 use evlin_checker::Linearizability;
 use evlin_checker::{fi, kernel::ConsistencyCondition};
-use evlin_history::{Event, HistoryBuilder, ObjectId, ObjectUniverse, ProcessId};
+use evlin_history::{Event, HistoryBuilder, ObjectId, ObjectUniverse, OperationMatcher, ProcessId};
 use evlin_spec::{Counter, FetchIncrement, Register, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -81,16 +81,17 @@ fn warmed_up_kernel_solves_are_allocation_free() {
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     let (u, h) = refutation_history();
-    let problem = Linearizability.problem(&h);
+    let mut matcher = OperationMatcher::default();
+    let problem = Linearizability.views(&h, matcher.match_events(h.events()));
     let mut scratch = KernelScratch::new();
     let limits = SearchLimits::default();
     // Warm-up: sizes every pooled buffer.
-    let (result, warm_stats) = kernel::solve_with_scratch(&problem, &u, limits, &mut scratch);
+    let (result, warm_stats) = kernel::solve_rooted(&problem, &[], &u, limits, &mut scratch);
     assert!(!result.is_yes());
     assert!(warm_stats.nodes > 20, "refutation must do real work");
     // Steady state: the same search through the warm scratch.
     let (allocs, (result, stats)) =
-        allocations(|| kernel::solve_with_scratch(&problem, &u, limits, &mut scratch));
+        allocations(|| kernel::solve_rooted(&problem, &[], &u, limits, &mut scratch));
     assert!(!result.is_yes());
     assert_eq!(stats.nodes, warm_stats.nodes);
     // What remains is the spec layer's `transitions()` enumeration — one

@@ -9,9 +9,11 @@
 //! the precedence pairs, and replay the sequence against the (deterministic)
 //! sequential specifications — with none of the kernel's machinery: no
 //! memoization, no interning, no interchangeability classes, no locality
-//! decomposition.  Seeded and deterministic.
+//! decomposition.  It reads a problem the way the kernel does, as
+//! [`Problem`] views, and shares nothing else with it.  Seeded and
+//! deterministic.
 
-use evlin_checker::kernel::{self, ConsistencyCondition, SearchLimits, SearchProblem};
+use evlin_checker::kernel::{self, ConsistencyCondition, Problem, SearchLimits};
 use evlin_checker::t_linearizability::{EventProblem, TLinearizability};
 use evlin_checker::weak_consistency::{self, WeakOperation};
 use evlin_checker::{eventual, linearizability, t_linearizability};
@@ -21,14 +23,22 @@ use evlin_history::{
 use evlin_spec::{Counter, FetchIncrement, Invocation, Queue, Register, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
-/// Brute-force decision of a [`SearchProblem`] over deterministic object
-/// types: try every subset of optional operations and every permutation of
-/// the chosen operations.
-fn brute_force(problem: &SearchProblem, universe: &ObjectUniverse) -> bool {
-    let n = problem.ops.len();
-    let optional: Vec<usize> = (0..n).filter(|&i| !problem.ops[i].required).collect();
-    let required: Vec<usize> = (0..n).filter(|&i| problem.ops[i].required).collect();
+/// Brute-force decision of `condition`'s question about `h`.
+fn brute_force<C: ConsistencyCondition>(condition: &C, h: &History, u: &ObjectUniverse) -> bool {
+    let mut matcher = OperationMatcher::default();
+    let problem = condition.views(h, matcher.match_events(h.events()));
+    some_arrangement_is_legal(&problem, u)
+}
+
+/// Brute-force decision of a [`Problem`] over deterministic object types:
+/// try every subset of optional operations and every permutation of the
+/// chosen operations.
+fn some_arrangement_is_legal<P: Problem>(problem: &P, universe: &ObjectUniverse) -> bool {
+    let n = problem.op_count();
+    let optional: Vec<usize> = (0..n).filter(|&i| !problem.op(i).required).collect();
+    let required: Vec<usize> = (0..n).filter(|&i| problem.op(i).required).collect();
     for mask in 0..(1usize << optional.len()) {
         let mut chosen = required.clone();
         for (bit, &op) in optional.iter().enumerate() {
@@ -45,10 +55,10 @@ fn brute_force(problem: &SearchProblem, universe: &ObjectUniverse) -> bool {
 
 /// Recursively enumerates every permutation of `chosen[at..]` (plain
 /// swap-based enumeration) and checks each complete arrangement.
-fn some_permutation_is_legal(
+fn some_permutation_is_legal<P: Problem>(
     chosen: &mut Vec<usize>,
     at: usize,
-    problem: &SearchProblem,
+    problem: &P,
     universe: &ObjectUniverse,
 ) -> bool {
     if at == chosen.len() {
@@ -68,43 +78,156 @@ fn some_permutation_is_legal(
 /// Checks one arrangement: every precedence pair with both ends present must
 /// be ordered accordingly, and replaying the operations against the
 /// deterministic specifications must produce every fixed response.
-fn arrangement_is_legal(
+fn arrangement_is_legal<P: Problem>(
     arrangement: &[usize],
-    problem: &SearchProblem,
+    problem: &P,
     universe: &ObjectUniverse,
 ) -> bool {
     let pos = |op: usize| arrangement.iter().position(|&x| x == op);
-    for &(i, j) in &problem.precedence {
+    for (i, j) in problem.edges() {
         if let (Some(pi), Some(pj)) = (pos(i), pos(j)) {
             if pi >= pj {
                 return false;
             }
         }
     }
-    let mut states: Vec<Value> = universe
-        .object_ids()
+    let mut states = initial_states(universe);
+    arrangement
         .iter()
+        .all(|&op| step(problem, op, universe, &mut states))
+}
+
+/// The initial state of every object of the universe, by object index.
+fn initial_states(universe: &ObjectUniverse) -> Vec<Value> {
+    let ids = universe.object_ids();
+    ids.iter()
         .map(|id| universe.initial_state(*id).clone())
+        .collect()
+}
+
+/// Replays operation `op` of `problem` against `states` (one per object of
+/// the universe); `false` if its fixed response is not the one it gets.
+fn step<P: Problem>(
+    problem: &P,
+    op: usize,
+    universe: &ObjectUniverse,
+    states: &mut [Value],
+) -> bool {
+    let view = problem.op(op);
+    // The brute-force replay assumes deterministic types: a second outcome
+    // is an error here.
+    let (response, next) = universe
+        .object_type(view.object)
+        .apply_deterministic(&states[view.object.index()], view.invocation)
+        .expect("valid invocation on a deterministic type");
+    states[view.object.index()] = next;
+    view.fixed_response.is_none_or(|fixed| *fixed == response)
+}
+
+/// An accepting frontier: the final state of every object the problem names
+/// (in order of first appearance), and the invocations of the tracked
+/// operations that were placed, sorted — the kernel places interchangeable
+/// operations in index order, so which of two identical pending operations a
+/// frontier holds is not something it tells apart.
+type Frontier = (States, Vec<Invocation>);
+
+/// The state of every object a problem names.
+type States = Vec<(ObjectId, Value)>;
+
+/// The frontier with `states` in which `placed` says, per operation of
+/// `tracked`, whether it was placed.
+fn frontier_of<P: Problem>(
+    problem: &P,
+    states: impl Iterator<Item = (ObjectId, Value)>,
+    tracked: &[usize],
+    placed: impl Iterator<Item = bool>,
+) -> Frontier {
+    let held = tracked.iter().zip(placed).filter(|(_, placed)| *placed);
+    let mut held: Vec<Invocation> = held
+        .map(|(&op, _)| problem.op(op).invocation.clone())
         .collect();
-    for &op in arrangement {
-        let cop = &problem.ops[op];
-        let object = cop.record.object;
-        let ty = universe.object_type(object);
-        assert!(
-            ty.is_deterministic(),
-            "the brute-force replay assumes deterministic types"
-        );
-        let (response, next) = ty
-            .apply_deterministic(&states[object.index()], &cop.record.invocation)
-            .expect("valid invocation on a deterministic type");
-        if let Some(fixed) = &cop.fixed_response {
-            if &response != fixed {
-                return false;
-            }
-        }
-        states[object.index()] = next;
+    held.sort();
+    (states.collect(), held)
+}
+
+/// Every accepting frontier of `problem` from `roots`, by brute force: grow
+/// every arrangement one operation at a time — any operation not yet placed,
+/// unless one it must precede already is — replaying as it grows, and note
+/// where each arrangement that holds every required operation leaves the
+/// objects.
+fn brute_frontiers<P: Problem>(
+    problem: &P,
+    roots: &[(ObjectId, &Value)],
+    universe: &ObjectUniverse,
+    tracked: &[usize],
+) -> BTreeSet<Frontier> {
+    let mut states = initial_states(universe);
+    for (object, state) in roots {
+        states[object.index()] = (*state).clone();
     }
-    true
+    let mut named: Vec<ObjectId> = Vec::new();
+    for object in (0..problem.op_count()).map(|i| problem.op(i).object) {
+        if !named.contains(&object) {
+            named.push(object);
+        }
+    }
+    let mut enumeration = Enumeration {
+        problem,
+        universe,
+        tracked,
+        named,
+        required: (0..problem.op_count())
+            .filter(|&i| problem.op(i).required)
+            .fold(0, |set, i| set | 1 << i),
+        edges: problem.edges().collect(),
+        placed: 0,
+        found: BTreeSet::new(),
+    };
+    enumeration.extend(&mut states);
+    enumeration.found
+}
+
+struct Enumeration<'a, P> {
+    problem: &'a P,
+    universe: &'a ObjectUniverse,
+    tracked: &'a [usize],
+    /// The objects the problem names, in order of first appearance.
+    named: Vec<ObjectId>,
+    /// The required operations, as a bit set.
+    required: u32,
+    edges: Vec<(usize, usize)>,
+    /// The operations of the arrangement so far, as a bit set.
+    placed: u32,
+    found: BTreeSet<Frontier>,
+}
+
+impl<P: Problem> Enumeration<'_, P> {
+    /// Notes the frontier of the arrangement so far, which leaves the objects
+    /// in `states`, if it is accepting, and tries every way to extend it.
+    fn extend(&mut self, states: &mut [Value]) {
+        if self.required & !self.placed == 0 {
+            self.found.insert(frontier_of(
+                self.problem,
+                self.named.iter().map(|o| (*o, states[o.index()].clone())),
+                self.tracked,
+                self.tracked.iter().map(|op| self.placed & 1 << op != 0),
+            ));
+        }
+        for op in 0..self.problem.op_count() {
+            let too_late = |&(i, j): &(usize, usize)| i == op && self.placed & 1 << j != 0;
+            if self.placed & 1 << op != 0 || self.edges.iter().any(too_late) {
+                continue;
+            }
+            let object = self.problem.op(op).object.index();
+            let before = states[object].clone();
+            if step(self.problem, op, self.universe, states) {
+                self.placed |= 1 << op;
+                self.extend(states);
+                self.placed &= !(1 << op);
+            }
+            states[object] = before;
+        }
+    }
 }
 
 /// Generates a random well-formed history over a register and a
@@ -176,8 +299,7 @@ fn extended_cases() -> u64 {
 
 fn assert_linearizability_agrees(u: &ObjectUniverse, seed: u64) {
     let h = random_history(seed, MAX_OPS);
-    let problem = linearizability::Linearizability.problem(&h);
-    let brute = brute_force(&problem, u);
+    let brute = brute_force(&linearizability::Linearizability, &h, u);
     let fast = linearizability::is_linearizable(&h, u);
     assert_eq!(fast, brute, "linearizability mismatch (seed {seed})\n{h}");
     // The locality pre-pass and the undecomposed kernel must agree too.
@@ -197,8 +319,7 @@ fn assert_linearizability_agrees(u: &ObjectUniverse, seed: u64) {
 fn assert_t_linearizability_agrees(u: &ObjectUniverse, seed: u64) {
     let h = random_history(seed, MAX_OPS);
     for t in 0..=h.len() {
-        let problem = t_linearizability::problem_for(&h, t);
-        let brute = brute_force(&problem, u);
+        let brute = brute_force(&TLinearizability::new(t), &h, u);
         let fast = t_linearizability::is_t_linearizable(&h, u, t);
         assert_eq!(
             fast, brute,
@@ -209,7 +330,7 @@ fn assert_t_linearizability_agrees(u: &ObjectUniverse, seed: u64) {
 
 fn assert_min_stabilization_agrees(u: &ObjectUniverse, seed: u64) {
     let h = random_history(seed, MAX_OPS);
-    let brute_min = (0..=h.len()).find(|&t| brute_force(&t_linearizability::problem_for(&h, t), u));
+    let brute_min = (0..=h.len()).find(|&t| brute_force(&TLinearizability::new(t), &h, u));
     let fast_min = t_linearizability::min_stabilization(&h, u, None);
     assert_eq!(
         fast_min, brute_min,
@@ -221,8 +342,7 @@ fn assert_weak_consistency_agrees(u: &ObjectUniverse, seed: u64) {
     let h = random_history(seed, MAX_OPS);
     let mut brute_violations = Vec::new();
     for op in h.operations().iter().filter(|op| op.is_complete()) {
-        let problem = WeakOperation { op: op.id }.problem(&h);
-        if !brute_force(&problem, u) {
+        if !brute_force(&WeakOperation { op: op.id }, &h, u) {
             brute_violations.push(op.id);
         }
     }
@@ -244,8 +364,8 @@ fn assert_eventual_agrees(u: &ObjectUniverse, seed: u64) {
         .operations()
         .iter()
         .filter(|op| op.is_complete())
-        .all(|op| brute_force(&WeakOperation { op: op.id }.problem(&h), u));
-    let brute_liveness = brute_force(&eventual::StabilizesEventually.problem(&h), u);
+        .all(|op| brute_force(&WeakOperation { op: op.id }, &h, u));
+    let brute_liveness = brute_force(&eventual::StabilizesEventually, &h, u);
     let report = eventual::analyze(&h, u);
     assert_eq!(
         report.is_eventually_linearizable(),
@@ -267,12 +387,14 @@ fn assert_scratch_reuse_agrees(u: &ObjectUniverse, seeds: impl Iterator<Item = u
     let limits = SearchLimits::default();
     for seed in seeds {
         let h = random_history(seed, MAX_OPS);
+        let mut matcher = OperationMatcher::default();
+        let ops = matcher.match_events(h.events());
         for t in [0, h.len() / 2] {
-            let problem = t_linearizability::problem_for(&h, t);
-            let (fresh_result, fresh_stats) =
-                kernel::solve_with_scratch(&problem, u, limits, &mut kernel::KernelScratch::new());
+            let problem = TLinearizability::new(t).views(&h, ops);
+            let fresh = &mut kernel::KernelScratch::new();
+            let (fresh_result, fresh_stats) = kernel::solve_rooted(&problem, &[], u, limits, fresh);
             let (reused_result, reused_stats) =
-                kernel::solve_with_scratch(&problem, u, limits, &mut reused);
+                kernel::solve_rooted(&problem, &[], u, limits, &mut reused);
             assert_eq!(
                 fresh_result.is_yes(),
                 reused_result.is_yes(),
@@ -375,14 +497,16 @@ fn random_typed_history(rng: &mut StdRng, kinds: &[Kind]) -> History {
     b.build()
 }
 
-/// The in-place kernel entry — `H|o` read through its positions in `H`,
-/// operations matched into index pairs, the root state an argument — must be
-/// indistinguishable from the materialized route it replaced in the monitor:
-/// project, build the `SearchProblem`, search a universe whose object starts
-/// in the root state.  Same frontier states in the same order, same
-/// counters, and the witness search (the stream tail's) agrees on
-/// satisfiability.
-fn assert_in_place_entry_agrees(seed: u64) {
+/// Longest projection the rooted property enumerates by brute force.
+const MAX_ROOTED_OPS: usize = 7;
+
+/// The kernel's rooted entries — `H|o` read through its positions in `H`,
+/// operations matched into index pairs, the root state an argument — against
+/// the brute force: [`kernel::visit_frontiers`] hands out exactly the
+/// accepting frontiers there are (final states and which pending operations
+/// were placed), no row twice, and the witness search (the stream tail's)
+/// agrees on whether there is any.
+fn assert_rooted_entries_agree(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let all = [
         Kind::Register,
@@ -395,7 +519,6 @@ fn assert_in_place_entry_agrees(seed: u64) {
         .collect();
     let h = random_typed_history(&mut rng, &kinds);
     let limits = SearchLimits::default();
-    let condition = TLinearizability::new(0);
     let mut universe = ObjectUniverse::new();
     for kind in &kinds {
         kind.add_to(&mut universe, kind.initial());
@@ -404,74 +527,69 @@ fn assert_in_place_entry_agrees(seed: u64) {
     let mut scratch = kernel::KernelScratch::new();
     for object in h.objects() {
         let kind = kinds[object.0];
-        let (projection, positions) = h.project_object_indexed(object);
-        let reference_problem = condition.problem(&projection);
-        let event = |k: usize| &h.events()[positions[k]];
+        let (_, positions) = h.project_object_indexed(object);
+        let picked: Vec<u32> = positions.iter().map(|&p| p as u32).collect();
+        let ops = matcher.match_events(positions.iter().map(|&p| &h.events()[p]));
+        if ops.len() > MAX_ROOTED_OPS {
+            continue;
+        }
         let problem = EventProblem {
-            condition,
-            event,
-            ops: matcher.match_events((0..positions.len()).map(event)),
+            t: 0,
+            events: h.events(),
+            picked: Some(&picked),
+            ops,
         };
+        let tracked: Vec<usize> = (0..ops.len()).filter(|&i| ops[i].1.is_none()).collect();
         let mut frontier = vec![kind.initial()];
         frontier.extend((0..rng.gen_range(0..3usize)).map(|_| kind.some_state(&mut rng)));
         for root in &frontier {
-            let mut rerooted = ObjectUniverse::new();
-            for (i, kind) in kinds.iter().enumerate() {
-                let state = if i == object.0 {
-                    root.clone()
-                } else {
-                    kind.initial()
-                };
-                kind.add_to(&mut rerooted, state);
-            }
-            let (reference, reference_stats) = kernel::solve_frontiers(
-                &reference_problem,
-                &[],
-                &rerooted,
-                limits,
-                &[],
-                &mut kernel::KernelScratch::new(),
-            );
-            let mut states: Vec<Vec<(ObjectId, Value)>> = Vec::new();
             let roots = [(object, root)];
-            let (complete, stats) = kernel::visit_frontiers(
+            let expected = brute_frontiers(&problem, &roots, &universe, &tracked);
+            let mut rows: Vec<(States, Vec<bool>)> = Vec::new();
+            let (complete, _) = kernel::visit_frontiers(
                 &problem,
                 &roots,
                 &universe,
                 limits,
-                &[],
+                &tracked,
                 &mut scratch,
-                |row| states.push(row.states().map(|(o, v)| (o, v.clone())).collect()),
+                |row| {
+                    let states = row.states().map(|(o, v)| (o, v.clone()));
+                    rows.push((states.collect(), row.placed().collect()))
+                },
             );
             let context = format!("seed {seed}, {object} from {root}\n{h}");
-            let expected: Vec<_> = reference.entries.iter().map(|e| e.states.clone()).collect();
-            assert_eq!(states, expected, "frontier states ({context})");
-            assert_eq!(complete, reference.complete, "{context}");
-            assert_eq!(
-                (stats.nodes, stats.memo_hits),
-                (reference_stats.nodes, reference_stats.memo_hits),
-                "search counters ({context})"
-            );
+            assert!(complete, "{context}");
+            for (i, row) in rows.iter().enumerate() {
+                assert!(!rows[..i].contains(row), "row {i} came twice ({context})");
+            }
+            let found: BTreeSet<Frontier> = rows
+                .into_iter()
+                .map(|(states, placed)| {
+                    frontier_of(&problem, states.into_iter(), &tracked, placed.into_iter())
+                })
+                .collect();
+            assert_eq!(found, expected, "frontiers ({context})");
             let (witness, _) =
                 kernel::solve_rooted(&problem, &roots, &universe, limits, &mut scratch);
-            assert_eq!(witness.is_yes(), reference.is_satisfiable(), "{context}");
+            assert_eq!(witness.is_yes(), !expected.is_empty(), "{context}");
         }
     }
 }
 
 #[test]
-fn in_place_entry_matches_the_materialized_route() {
+fn rooted_entries_match_the_brute_force() {
     for seed in 0..10 * SEEDS {
-        assert_in_place_entry_agrees(seed);
+        assert_rooted_entries_agree(seed);
     }
 }
 
-/// Nightly-fuzz version of the in-place property.
+/// Nightly-fuzz version of the rooted property.
 #[test]
 #[ignore = "extended fuzz: run via the nightly CI job or with --ignored"]
-fn extended_in_place_entry_cross_check() {
+fn extended_rooted_entries_cross_check() {
     for i in 0..10 * extended_cases() {
-        assert_in_place_entry_agrees(11_000 + i.wrapping_mul(0x9e37_79b9));
+        assert_rooted_entries_agree(11_000 + i.wrapping_mul(0x9e37_79b9));
     }
 }
 

@@ -668,8 +668,11 @@ fn a_thousand_hang_ups_leave_the_slot_serviceable() {
     }
     let closed = client.finish().expect("clean session");
     let report = service.finish();
-    let _ = closed.collect_verdicts();
-    assert_eq!(report.sessions[0].connections, cycles + 1);
+    // Under load the client may take an ack for late and reconnect, which
+    // is a connection the acceptor rightly counts: every hello counted,
+    // none twice.
+    let reconnects = closed.collect_verdicts().stats.reconnects;
+    assert_eq!(report.sessions[0].connections, cycles + 1 + reconnects);
     assert_eq!(report.events(), 200);
     assert!(report.verdict.is_ok(), "{:?}", report.verdict);
     let _ = std::fs::remove_dir_all(&dir);
