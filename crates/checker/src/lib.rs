@@ -59,7 +59,12 @@
 //!   problems ([`parallel::check_histories_par`] and friends, the explorer's
 //!   subtrees) is spread over cores by [`parallel::map_ordered`]; the pieces
 //!   of one problem — the kernel's per-object pre-pass, the monitor's
-//!   per-object chains — run as loops on the calling thread.
+//!   per-object chains — run as loops on the calling thread;
+//! * [`codec`] — not a checker: the one byte codec (bounded [`codec::Reader`],
+//!   [`codec::Encode::put`], header check, `fold_bytes`, `sync_dir`) under the
+//!   service's wire frames and journals and the explorer's runs and
+//!   checkpoints, kept here beside [`fold_words`] because this is the crate
+//!   `evlin-sim` and `evlin-service` both already depend on.
 //!
 //! ## Example
 //!
@@ -85,6 +90,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod codec;
 pub mod eventual;
 pub mod fi;
 pub mod kernel;

@@ -17,37 +17,25 @@
 //!   through a fresh staged pipeline to bit-identical monitor state
 //!   (`service::supervisor`).
 //!
-//! ## Format (see `docs/PROTOCOL.md` for the normative tables)
+//! ## Format and torn-tail recovery
 //!
-//! An 18-byte header — magic `b"EVJL"`, format version `u16`, client `u32`,
-//! session `u64` — then records, each starting with a kind byte:
-//!
-//! * `1` (events): `frame_seq u64 | payload_len u32 | payload | chain_after
-//!   u64`, where `payload` is the frame's full wire encoding (length prefix
-//!   included) and `chain_after` the chained stream fingerprint *after*
-//!   folding this frame in.  The payload carries its own batch fingerprint,
-//!   so corruption inside a record is detected by the wire codec; the chain
-//!   links records to each other, so a record that decodes but belongs to a
-//!   different history is detected too.
-//! * `2` (shutdown): `events u64 | chain u64`, the client's end-of-stream
-//!   totals, recorded so a restart after a completed stream still knows the
-//!   stream completed.
-//!
-//! ## Torn-tail recovery
-//!
-//! A crash mid-append leaves a partial record at the tail.  [`Journal::recover`]
-//! scans from the header, validates each record (structure, codec, chain
-//! linkage) and truncates the file at the first bad byte — exactly the
-//! checkpoint discipline of `sim::checkpoint`, but record-granular: every
-//! fully-synced record survives, the torn tail vanishes, and the recovered
-//! cursor equals what was last acked (acks happen only after fsync).
+//! An 18-byte header (magic `EVJL`, version, client, session), then records:
+//! kind 1 is an accepted frame's full wire encoding between its `frame_seq`
+//! and the chain fingerprint after it, kind 2 the client's shutdown totals
+//! (`docs/PROTOCOL.md` § Session journals).  Bytes go through
+//! [`evlin_checker::codec`]; one record walker serves recovery and replay.
+//! [`Journal::recover`] validates each record — structure, the payload's own
+//! batch fingerprint, the chain linking it to the records before — and cuts
+//! the file at the first that fails: a crash mid-append leaves a torn tail,
+//! every synced record survives, and the recovered cursor is the last acked
+//! one (acks follow the fsync).
 
 use crate::wire::{chain_fingerprint, decode_frame_with, ResumeCursor, WireFrame};
-use evlin_spec::Invocation;
+use evlin_checker::codec::{sync_dir, CodecError, Encode, Fault, Reader};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Journal-file magic: `b"EVJL"`.
 pub(crate) const JOURNAL_MAGIC: [u8; 4] = *b"EVJL";
@@ -92,6 +80,17 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
+/// Reader errors reach the caller from the header only: past it, a record
+/// that does not read is a torn tail.
+impl From<CodecError> for JournalError {
+    fn from(err: CodecError) -> Self {
+        match err.fault {
+            Fault::UnsupportedVersion(version) => JournalError::UnsupportedVersion(version),
+            _ => JournalError::BadHeader(format!("{err:?}")),
+        }
+    }
+}
+
 /// What a journal held when it was recovered.
 #[derive(Debug)]
 pub struct Recovered {
@@ -114,10 +113,23 @@ struct Position {
     len: u64,
 }
 
+impl Position {
+    /// Just past the header.  The chain is seeded with the client id (as on
+    /// the wire), so journals for different clients never chain-collide.
+    fn start(client: u32) -> Position {
+        Position {
+            cursor: ResumeCursor {
+                chain: client as u64,
+                ..ResumeCursor::default()
+            },
+            len: JOURNAL_HEADER_BYTES as u64,
+        }
+    }
+}
+
 /// An open, append-positioned session journal.
 pub struct Journal {
     file: File,
-    path: PathBuf,
     client: u32,
     session: u64,
     /// The durable position: every record at or below it is fsynced.
@@ -148,32 +160,24 @@ impl Journal {
             .read(true)
             .create_new(true)
             .open(path)?;
-        let mut header = [0u8; JOURNAL_HEADER_BYTES];
-        header[0..4].copy_from_slice(&JOURNAL_MAGIC);
-        header[4..6].copy_from_slice(&JOURNAL_VERSION.to_le_bytes());
-        header[6..10].copy_from_slice(&client.to_le_bytes());
-        header[10..18].copy_from_slice(&session.to_le_bytes());
+        let mut header = JOURNAL_MAGIC.to_vec();
+        JOURNAL_VERSION.put(&mut header);
+        client.put(&mut header);
+        session.put(&mut header);
         file.write_all(&header)?;
         file.sync_data()?;
-        // The chain is seeded with the client id (as on the wire), so
-        // journals for different clients never chain-collide.
-        let cursor = ResumeCursor {
-            frames: 0,
-            events: 0,
-            chain: client as u64,
-        };
-        let at = Position {
-            cursor,
-            len: JOURNAL_HEADER_BYTES as u64,
-        };
-        Ok(Journal::positioned(file, path, client, session, at, None))
+        // The file's name is a directory entry: without this a journal can
+        // vanish after its first ack.
+        let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        sync_dir(dir.unwrap_or(Path::new(".")))?;
+        let at = Position::start(client);
+        Ok(Journal::positioned(file, client, session, at, None))
     }
 
     /// A journal whose handle sits at `at`, the end of its last intact (and
     /// synced) record.
     fn positioned(
         file: File,
-        path: &Path,
         client: u32,
         session: u64,
         at: Position,
@@ -181,7 +185,6 @@ impl Journal {
     ) -> Journal {
         Journal {
             file,
-            path: path.to_path_buf(),
             client,
             session,
             durable: at,
@@ -199,67 +202,63 @@ impl Journal {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        if bytes.len() < JOURNAL_HEADER_BYTES {
-            return Err(JournalError::BadHeader(format!(
-                "{} bytes is smaller than the header",
-                bytes.len()
-            )));
-        }
-        if bytes[0..4] != JOURNAL_MAGIC {
-            return Err(JournalError::BadHeader("wrong magic".into()));
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != JOURNAL_VERSION {
-            return Err(JournalError::UnsupportedVersion(version));
-        }
-        let client = u32::from_le_bytes(bytes[6..10].try_into().unwrap());
-        let session = u64::from_le_bytes(bytes[10..18].try_into().unwrap());
-
-        let mut cursor = ResumeCursor {
-            frames: 0,
-            events: 0,
-            chain: client as u64,
-        };
+        let mut records = Reader::new(&bytes);
+        records.header(&JOURNAL_MAGIC, JOURNAL_VERSION)?;
+        let (client, session) = (records.get()?, records.get()?);
         let mut frames = Vec::new();
         let mut cursors = Vec::new();
         let mut shutdown = None;
-        let mut interner: Vec<Invocation> = Vec::new();
-        let mut at = JOURNAL_HEADER_BYTES;
-        // `good` tracks the end of the last record that validated whole;
-        // everything past it is torn tail.
-        let mut good = at;
-        while let Some(record) = read_record(&bytes, &mut at, &mut interner, &cursor) {
+        let mut interner = Vec::new();
+        // `at` is the end of the last record that validated whole; everything
+        // past it is torn tail.
+        let mut at = Position::start(client);
+        while let Some(record) = next_record(&mut records) {
             match record {
                 Record::Events {
+                    frame_seq,
                     payload,
-                    events,
                     chain_after,
                 } => {
+                    // A record is only as good as its payload: it must decode
+                    // through the wire codec (structure + batch fingerprint),
+                    // agree with the journal's own bookkeeping (records are
+                    // appended in acceptance order, so seqs are dense) and
+                    // link to the running chain.
+                    let Ok(WireFrame::Events {
+                        events,
+                        fingerprint,
+                        ..
+                    }) = decode_frame_with(payload, &mut interner)
+                    else {
+                        break;
+                    };
+                    let cursor = &mut at.cursor;
+                    if frame_seq != cursor.frames
+                        || chain_fingerprint(cursor.chain, fingerprint) != chain_after
+                    {
+                        break;
+                    }
                     cursor.frames += 1;
-                    cursor.events += events;
+                    cursor.events += events.len() as u64;
                     cursor.chain = chain_after;
-                    cursors.push(cursor);
-                    frames.push(payload);
+                    cursors.push(*cursor);
+                    frames.push(payload.to_vec());
                 }
                 Record::Shutdown { events, chain } => {
                     shutdown = Some((events, chain));
                 }
             }
-            good = at;
+            at.len = records.at() as u64;
         }
-        let torn_bytes = (bytes.len() - good) as u64;
+        let torn_bytes = bytes.len() as u64 - at.len;
         if torn_bytes > 0 {
-            file.set_len(good as u64)?;
+            file.set_len(at.len)?;
             file.sync_data()?;
         }
         file.seek(SeekFrom::End(0))?;
-        let at = Position {
-            cursor,
-            len: good as u64,
-        };
-        let journal = Journal::positioned(file, path, client, session, at, shutdown);
+        let journal = Journal::positioned(file, client, session, at, shutdown);
         let recovered = Recovered {
-            cursor,
+            cursor: at.cursor,
             cursors,
             frames,
             torn_bytes,
@@ -295,13 +294,11 @@ impl Journal {
     ) -> Result<ResumeCursor, JournalError> {
         let chain_after = chain_fingerprint(self.written.cursor.chain, batch_fingerprint);
         self.scratch.clear();
-        self.scratch.push(RECORD_EVENTS);
-        self.scratch
-            .extend_from_slice(&self.written.cursor.frames.to_le_bytes());
-        self.scratch
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        RECORD_EVENTS.put(&mut self.scratch);
+        self.written.cursor.frames.put(&mut self.scratch);
+        (payload.len() as u32).put(&mut self.scratch);
         self.scratch.extend_from_slice(payload);
-        self.scratch.extend_from_slice(&chain_after.to_le_bytes());
+        chain_after.put(&mut self.scratch);
         self.write_scratch()?;
         let written = &mut self.written.cursor;
         written.frames += 1;
@@ -326,9 +323,9 @@ impl Journal {
     /// Records the client's shutdown totals and fsyncs.
     pub fn append_shutdown(&mut self, events: u64, chain: u64) -> Result<(), JournalError> {
         self.scratch.clear();
-        self.scratch.push(RECORD_SHUTDOWN);
-        self.scratch.extend_from_slice(&events.to_le_bytes());
-        self.scratch.extend_from_slice(&chain.to_le_bytes());
+        RECORD_SHUTDOWN.put(&mut self.scratch);
+        events.put(&mut self.scratch);
+        chain.put(&mut self.scratch);
         self.write_scratch()?;
         self.sync()?;
         self.shutdown = Some((events, chain));
@@ -379,28 +376,17 @@ impl Journal {
         let mut bytes = Vec::new();
         self.file.read_to_end(&mut bytes)?;
         self.file.seek(SeekFrom::End(0))?;
+        let mut records = Reader::new(&bytes);
+        records.take(JOURNAL_HEADER_BYTES)?;
         let mut frames = Vec::with_capacity(self.durable.cursor.frames as usize);
-        let mut at = JOURNAL_HEADER_BYTES;
         while (frames.len() as u64) < self.durable.cursor.frames {
-            match *bytes
-                .get(at)
-                .ok_or_else(|| JournalError::BadHeader("journal shrank below its cursor".into()))?
-            {
-                RECORD_EVENTS => {
-                    let payload_len = read_u32(&bytes, at + 9)
-                        .ok_or_else(|| JournalError::BadHeader("truncated record".into()))?
-                        as usize;
-                    let payload = bytes
-                        .get(at + 13..at + 13 + payload_len)
-                        .ok_or_else(|| JournalError::BadHeader("truncated payload".into()))?;
-                    frames.push(payload.to_vec());
-                    at += 13 + payload_len + 8;
-                }
-                RECORD_SHUTDOWN => at += 17,
-                k => {
-                    return Err(JournalError::BadHeader(format!(
-                        "unknown record kind {k} below the cursor"
-                    )))
+            match next_record(&mut records) {
+                Some(Record::Events { payload, .. }) => frames.push(payload.to_vec()),
+                Some(Record::Shutdown { .. }) => {}
+                None => {
+                    let at = records.at();
+                    let why = format!("no whole record at byte {at}, below the cursor");
+                    return Err(JournalError::BadHeader(why));
                 }
             }
         }
@@ -426,17 +412,14 @@ impl Journal {
     pub fn shutdown(&self) -> Option<(u64, u64)> {
         self.shutdown
     }
-
-    /// The journal's path on disk.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
-enum Record {
+/// One record as laid out on disk, before anything but its structure is
+/// checked.
+enum Record<'a> {
     Events {
-        payload: Vec<u8>,
-        events: u64,
+        frame_seq: u64,
+        payload: &'a [u8],
         chain_after: u64,
     },
     Shutdown {
@@ -445,66 +428,27 @@ enum Record {
     },
 }
 
-/// Reads and validates one record at `*at`, advancing it past the record.
-/// `None` means the bytes from `*at` on are torn tail (truncated, corrupt,
-/// mis-chained or unknown) — recovery stops here.
-fn read_record(
-    bytes: &[u8],
-    at: &mut usize,
-    interner: &mut Vec<Invocation>,
-    cursor: &ResumeCursor,
-) -> Option<Record> {
-    let kind = *bytes.get(*at)?;
-    match kind {
+/// The one record walker under [`Journal::recover`] and [`Journal::read_back`]:
+/// the record at the reader's position, which it then moves past.  `None`
+/// means the bytes from there on are not a whole record of a known kind —
+/// a torn tail to recovery.
+fn next_record<'a>(reader: &mut Reader<'a>) -> Option<Record<'a>> {
+    match reader.get::<u8>().ok()? {
         RECORD_EVENTS => {
-            let frame_seq = read_u64(bytes, *at + 1)?;
-            let payload_len = read_u32(bytes, *at + 9)? as usize;
-            let payload_start = *at + 13;
-            let payload = bytes.get(payload_start..payload_start + payload_len)?;
-            let chain_after = read_u64(bytes, payload_start + payload_len)?;
-            // A record is only as good as its payload: decode through the
-            // wire codec (structure + batch fingerprint)…
-            let frame = decode_frame_with(payload, interner).ok()?;
-            let WireFrame::Events {
-                events,
-                fingerprint,
-                ..
-            } = frame
-            else {
-                return None;
-            };
-            // …require the journal's own bookkeeping to agree (records are
-            // appended in acceptance order, so seqs are dense)…
-            if frame_seq != cursor.frames {
-                return None;
-            }
-            // …and require the stored chain to link to the running one.
-            if chain_fingerprint(cursor.chain, fingerprint) != chain_after {
-                return None;
-            }
-            *at = payload_start + payload_len + 8;
+            let frame_seq = reader.get().ok()?;
+            let len = reader.get::<u32>().ok()?;
             Some(Record::Events {
-                payload: payload.to_vec(),
-                events: events.len() as u64,
-                chain_after,
+                frame_seq,
+                payload: reader.take(len as usize).ok()?,
+                chain_after: reader.get().ok()?,
             })
         }
-        RECORD_SHUTDOWN => {
-            let events = read_u64(bytes, *at + 1)?;
-            let chain = read_u64(bytes, *at + 9)?;
-            *at += 17;
-            Some(Record::Shutdown { events, chain })
-        }
+        RECORD_SHUTDOWN => Some(Record::Shutdown {
+            events: reader.get().ok()?,
+            chain: reader.get().ok()?,
+        }),
         _ => None,
     }
-}
-
-fn read_u32(bytes: &[u8], at: usize) -> Option<u32> {
-    Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?))
-}
-
-fn read_u64(bytes: &[u8], at: usize) -> Option<u64> {
-    Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?))
 }
 
 #[cfg(test)]
@@ -513,6 +457,7 @@ mod tests {
     use crate::wire::{encode_frame, event_batch_fingerprint};
     use evlin_history::{Event, ObjectId, ProcessId};
     use evlin_spec::FetchIncrement;
+    use std::path::PathBuf;
 
     fn events_frame(client: u32, frame_seq: u64, n: usize) -> (Vec<u8>, u64, u64) {
         let events: Vec<(u64, Event)> = (0..n as u64)

@@ -8,11 +8,12 @@
 //! integrity check (`evlin_runtime::Frame`), so a replica detects payload
 //! corruption — not just truncation — before any event reaches a monitor.
 //!
-//! The codec is pure: [`encode_frame`] and [`decode_frame`] translate
-//! between [`WireFrame`] values and byte vectors with no I/O, which is what
-//! makes the round-trip property (`decode ∘ encode = id`) directly
-//! proptestable.  See `docs/PROTOCOL.md` for the byte-level layout tables;
-//! the constants and field orders here are the normative implementation.
+//! [`encode_frame`] and [`decode_frame`] are pure (`decode ∘ encode = id` is
+//! proptested) and read and write through the workspace's one byte codec,
+//! [`evlin_checker::codec`]: this module orders fields, bounds what a peer can
+//! make a decoder do (`MAX_FRAME_BYTES`, `MAX_VALUE_DEPTH`) and maps reader
+//! errors onto [`WireError`].  `docs/PROTOCOL.md` has the layout tables; the
+//! constants and field orders here are the normative implementation.
 //!
 //! ```
 //! use evlin_history::{Event, ObjectId, ProcessId};
@@ -30,6 +31,7 @@
 //! assert_eq!(decode_frame(&bytes).unwrap(), frame);
 //! ```
 
+use evlin_checker::codec::{CodecError, Encode, Fault, Reader};
 use evlin_checker::fold_words;
 use evlin_checker::monitor::{event_word, MonitorVerdict, MonitorViolation};
 use evlin_history::{Event, ObjectId, ProcessId};
@@ -48,6 +50,11 @@ pub const VERSION: u16 = 2;
 /// Upper bound on a frame body, guarding length-prefix corruption: a flipped
 /// length bit must produce a decode error, not a multi-gigabyte allocation.
 pub(crate) const MAX_FRAME_BYTES: usize = 1 << 26;
+
+/// Deepest nesting of `Pair` / `List` values a decoder accepts, bounding its
+/// recursion as [`MAX_FRAME_BYTES`] bounds its allocation.  No spec value
+/// comes near it (`encode_invocation` nests two deep).
+pub(crate) const MAX_VALUE_DEPTH: usize = 64;
 
 /// Most distinct out-of-vocabulary method names a decoder's interner keeps
 /// (see [`decode_frame_with`]); later ones decode un-interned.
@@ -225,6 +232,12 @@ pub enum WireError {
     BadMagic(u32),
     /// An unknown [`Value`] tag inside an event payload.
     BadValueTag(u8),
+    /// A `Pair` or `List` at byte `at` nests deeper than the decoder
+    /// accepts (64 levels; see `docs/PROTOCOL.md` § Value encoding).
+    TooDeep {
+        /// Offset of the value's tag byte.
+        at: usize,
+    },
     /// An unknown event-kind or verdict-status byte.
     BadKind(u8),
     /// A method name or detail string that is not UTF-8.
@@ -270,6 +283,9 @@ impl fmt::Display for WireError {
             WireError::BadTag(t) => write!(f, "unknown frame tag {t:#04x}"),
             WireError::BadMagic(m) => write!(f, "bad protocol magic {m:#010x}"),
             WireError::BadValueTag(t) => write!(f, "unknown value tag {t:#04x}"),
+            WireError::TooDeep { at } => {
+                write!(f, "value at byte {at} nests deeper than {MAX_VALUE_DEPTH}")
+            }
             WireError::BadKind(k) => write!(f, "unknown kind/status byte {k:#04x}"),
             WireError::BadUtf8 => write!(f, "non-UTF-8 string field"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after frame body"),
@@ -326,49 +342,30 @@ pub(crate) fn chain_fingerprint(chain: u64, frame_fingerprint: u64) -> u64 {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    put_u16(out, len as u16);
-    out.extend_from_slice(&bytes[..len]);
-}
-
 fn put_value(out: &mut Vec<u8>, value: &Value) {
     match value {
-        Value::Unit => out.push(0),
-        Value::Bottom => out.push(1),
+        Value::Unit => 0u8.put(out),
+        Value::Bottom => 1u8.put(out),
         Value::Bool(b) => {
-            out.push(2);
-            out.push(*b as u8);
+            2u8.put(out);
+            (*b as u8).put(out);
         }
         Value::Int(i) => {
-            out.push(3);
-            out.extend_from_slice(&i.to_le_bytes());
+            3u8.put(out);
+            i.put(out);
         }
         Value::Sym(s) => {
-            out.push(4);
-            put_str(out, s);
+            4u8.put(out);
+            s.as_str().put(out);
         }
         Value::Pair(a, b) => {
-            out.push(5);
+            5u8.put(out);
             put_value(out, a);
             put_value(out, b);
         }
         Value::List(items) => {
-            out.push(6);
-            put_u32(out, items.len() as u32);
+            6u8.put(out);
+            (items.len() as u32).put(out);
             for item in items {
                 put_value(out, item);
             }
@@ -377,19 +374,19 @@ fn put_value(out: &mut Vec<u8>, value: &Value) {
 }
 
 fn put_event(out: &mut Vec<u8>, event: &Event) {
-    put_u32(out, event.process.0 as u32);
-    put_u32(out, event.object.0 as u32);
+    (event.process.0 as u32).put(out);
+    (event.object.0 as u32).put(out);
     match &event.kind {
         evlin_history::EventKind::Invoke(inv) => {
-            out.push(0);
-            put_str(out, inv.method());
-            out.push(inv.args().len().min(u8::MAX as usize) as u8);
+            0u8.put(out);
+            inv.method().put(out);
+            (inv.args().len().min(u8::MAX as usize) as u8).put(out);
             for arg in inv.args() {
                 put_value(out, arg);
             }
         }
         evlin_history::EventKind::Respond(value) => {
-            out.push(1);
+            1u8.put(out);
             put_value(out, value);
         }
     }
@@ -397,35 +394,36 @@ fn put_event(out: &mut Vec<u8>, event: &Event) {
 
 fn put_verdict(out: &mut Vec<u8>, verdict: &MonitorVerdict) {
     match verdict {
-        MonitorVerdict::Ok => out.push(0),
-        MonitorVerdict::Unknown => out.push(2),
+        MonitorVerdict::Ok => 0u8.put(out),
+        MonitorVerdict::Unknown => 2u8.put(out),
         MonitorVerdict::Violation(v) => {
-            out.push(1);
-            put_u64(out, v.segment_start as u64);
-            put_u64(out, v.segment_len as u64);
-            match v.object {
-                Some(object) => {
-                    out.push(1);
-                    put_u32(out, object.0 as u32);
-                }
-                None => out.push(0),
+            1u8.put(out);
+            (v.segment_start as u64).put(out);
+            (v.segment_len as u64).put(out);
+            (v.object.is_some() as u8).put(out);
+            if let Some(object) = v.object {
+                (object.0 as u32).put(out);
             }
-            match v.op {
-                Some(op) => {
-                    out.push(1);
-                    put_u64(out, op.0 as u64);
-                }
-                None => out.push(0),
+            (v.op.is_some() as u8).put(out);
+            if let Some(op) = v.op {
+                (op.0 as u64).put(out);
             }
-            put_str(out, &v.detail);
+            v.detail.as_str().put(out);
         }
     }
 }
 
+fn put_cursor(out: &mut Vec<u8>, cursor: &ResumeCursor) {
+    cursor.frames.put(out);
+    cursor.events.put(out);
+    cursor.chain.put(out);
+}
+
 /// Encodes a frame into its full wire bytes (length prefix included).
 pub fn encode_frame(frame: &WireFrame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&[0; 4]); // length prefix, patched below
+    let mut bytes = Vec::with_capacity(64);
+    let out = &mut bytes;
+    0u32.put(out); // length prefix, patched below
     match frame {
         WireFrame::Hello {
             client,
@@ -433,19 +431,14 @@ pub fn encode_frame(frame: &WireFrame) -> Vec<u8> {
             session,
             resume,
         } => {
-            out.push(tag::HELLO);
-            put_u32(&mut out, MAGIC);
-            put_u16(&mut out, *version);
-            put_u32(&mut out, *client);
-            put_u64(&mut out, *session);
-            match resume {
-                Some(cursor) => {
-                    out.push(1);
-                    put_u64(&mut out, cursor.frames);
-                    put_u64(&mut out, cursor.events);
-                    put_u64(&mut out, cursor.chain);
-                }
-                None => out.push(0),
+            tag::HELLO.put(out);
+            MAGIC.put(out);
+            version.put(out);
+            client.put(out);
+            session.put(out);
+            (resume.is_some() as u8).put(out);
+            if let Some(cursor) = resume {
+                put_cursor(out, cursor);
             }
         }
         WireFrame::Events {
@@ -454,183 +447,169 @@ pub fn encode_frame(frame: &WireFrame) -> Vec<u8> {
             events,
             fingerprint,
         } => {
-            out.push(tag::EVENTS);
-            put_u32(&mut out, *client);
-            put_u64(&mut out, *frame_seq);
-            put_u32(&mut out, events.len() as u32);
+            tag::EVENTS.put(out);
+            client.put(out);
+            frame_seq.put(out);
+            (events.len() as u32).put(out);
             for (seq, event) in events {
-                put_u64(&mut out, *seq);
-                put_event(&mut out, event);
+                seq.put(out);
+                put_event(out, event);
             }
-            put_u64(&mut out, *fingerprint);
+            fingerprint.put(out);
         }
         WireFrame::Verdict(summary) => {
-            out.push(tag::VERDICT);
-            put_u32(&mut out, summary.shard);
-            put_u64(&mut out, summary.round);
-            put_u64(&mut out, summary.events);
-            put_u64(&mut out, summary.checked_ops);
-            put_u64(&mut out, summary.fingerprint);
-            out.push(summary.last as u8);
-            put_verdict(&mut out, &summary.verdict);
+            tag::VERDICT.put(out);
+            summary.shard.put(out);
+            summary.round.put(out);
+            summary.events.put(out);
+            summary.checked_ops.put(out);
+            summary.fingerprint.put(out);
+            (summary.last as u8).put(out);
+            put_verdict(out, &summary.verdict);
         }
         WireFrame::Shutdown {
             client,
             events_sent,
             stream_fingerprint,
         } => {
-            out.push(tag::SHUTDOWN);
-            put_u32(&mut out, *client);
-            put_u64(&mut out, *events_sent);
-            put_u64(&mut out, *stream_fingerprint);
+            tag::SHUTDOWN.put(out);
+            client.put(out);
+            events_sent.put(out);
+            stream_fingerprint.put(out);
         }
         WireFrame::Ack {
             client,
             session,
             cursor,
         } => {
-            out.push(tag::ACK);
-            put_u32(&mut out, *client);
-            put_u64(&mut out, *session);
-            put_u64(&mut out, cursor.frames);
-            put_u64(&mut out, cursor.events);
-            put_u64(&mut out, cursor.chain);
+            tag::ACK.put(out);
+            client.put(out);
+            session.put(out);
+            put_cursor(out, cursor);
         }
         WireFrame::Ping { token } => {
-            out.push(tag::PING);
-            put_u64(&mut out, *token);
+            tag::PING.put(out);
+            token.put(out);
         }
         WireFrame::Pong { token } => {
-            out.push(tag::PONG);
-            put_u64(&mut out, *token);
+            tag::PONG.put(out);
+            token.put(out);
         }
         WireFrame::Overloaded {
             client,
             retry_after_ms,
         } => {
-            out.push(tag::OVERLOADED);
-            put_u32(&mut out, *client);
-            put_u32(&mut out, *retry_after_ms);
+            tag::OVERLOADED.put(out);
+            client.put(out);
+            retry_after_ms.put(out);
         }
     }
     let body_len = (out.len() - 4) as u32;
     out[..4].copy_from_slice(&body_len.to_le_bytes());
-    out
+    bytes
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
+/// The wire reads no varint and no file header, so a truncation and a
+/// non-UTF-8 string are the only reader errors it can meet.
+impl From<CodecError> for WireError {
+    fn from(err: CodecError) -> WireError {
+        match err.fault {
+            Fault::Truncated { needed, have } => WireError::Truncated { needed, have },
+            _ => WireError::BadUtf8,
+        }
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.at + n > self.bytes.len() {
-            return Err(WireError::Truncated {
-                needed: self.at + n,
-                have: self.bytes.len(),
-            });
+/// The least bytes one `(seq, event)` pair takes: seq, ids, kind, a value.
+const MIN_EVENT_BYTES: usize = 8 + 4 + 4 + 1 + 1;
+
+fn get_value(r: &mut Reader<'_>, depth: usize) -> Result<Value, WireError> {
+    match r.get::<u8>()? {
+        0 => Ok(Value::Unit),
+        1 => Ok(Value::Bottom),
+        2 => Ok(Value::Bool(r.get::<u8>()? != 0)),
+        3 => Ok(Value::Int(r.get()?)),
+        4 => Ok(Value::Sym(r.get::<&str>()?.to_string())),
+        5 | 6 if depth == MAX_VALUE_DEPTH => Err(WireError::TooDeep { at: r.at() - 1 }),
+        5 => {
+            let a = get_value(r, depth + 1)?;
+            let b = get_value(r, depth + 1)?;
+            Ok(Value::Pair(Box::new(a), Box::new(b)))
         }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<&'a str, WireError> {
-        let len = self.u16()? as usize;
-        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::BadUtf8)
-    }
-
-    fn value(&mut self) -> Result<Value, WireError> {
-        match self.u8()? {
-            0 => Ok(Value::Unit),
-            1 => Ok(Value::Bottom),
-            2 => Ok(Value::Bool(self.u8()? != 0)),
-            3 => Ok(Value::Int(self.i64()?)),
-            4 => Ok(Value::Sym(self.str()?.to_string())),
-            5 => {
-                let a = self.value()?;
-                let b = self.value()?;
-                Ok(Value::Pair(Box::new(a), Box::new(b)))
+        6 => {
+            let n = r.get::<u32>()?;
+            let mut items = Vec::with_capacity(r.capacity(n.into(), 1));
+            for _ in 0..n {
+                items.push(get_value(r, depth + 1)?);
             }
-            6 => {
-                let n = self.u32()? as usize;
-                // Cap by remaining bytes: each element takes ≥ 1 byte, so a
-                // corrupt count can never force an oversized allocation.
-                let mut items = Vec::with_capacity(n.min(self.bytes.len() - self.at));
-                for _ in 0..n {
-                    items.push(self.value()?);
-                }
-                Ok(Value::List(items))
-            }
-            t => Err(WireError::BadValueTag(t)),
+            Ok(Value::List(items))
         }
+        t => Err(WireError::BadValueTag(t)),
     }
+}
 
-    fn event(&mut self, interner: &mut Vec<Invocation>) -> Result<Event, WireError> {
-        let process = ProcessId(self.u32()? as usize);
-        let object = ObjectId(self.u32()? as usize);
-        match self.u8()? {
-            0 => {
-                let method = self.str()?;
-                let argc = self.u8()? as usize;
-                if argc == 0 {
-                    // Zero-argument invocations dominate real streams
-                    // (`fetch_inc`, `read`).  A vocabulary name costs
-                    // nothing to build; any other one is interned, so decode
-                    // is a refcount bump instead of an allocation — for the
-                    // first `INTERNER_CAP` distinct names a peer sends, so
-                    // that it cannot grow the table (or the scan) at will.
-                    if VOCABULARY.contains(&method) {
-                        return Ok(Event::invoke(process, object, Invocation::nullary(method)));
-                    }
-                    if let Some(known) = interner.iter().find(|i| i.method() == method) {
-                        return Ok(Event::invoke(process, object, known.clone()));
-                    }
-                    let inv = Invocation::nullary(method);
-                    if interner.len() < INTERNER_CAP {
-                        interner.push(inv.clone());
-                    }
-                    return Ok(Event::invoke(process, object, inv));
+fn get_event(r: &mut Reader<'_>, interner: &mut Vec<Invocation>) -> Result<Event, WireError> {
+    let process = ProcessId(r.get::<u32>()? as usize);
+    let object = ObjectId(r.get::<u32>()? as usize);
+    match r.get::<u8>()? {
+        0 => {
+            let method = r.get::<&str>()?;
+            let argc = r.get::<u8>()?;
+            if argc == 0 {
+                // Zero-argument invocations dominate real streams
+                // (`fetch_inc`, `read`).  A vocabulary name costs nothing to
+                // build; any other one is interned, so decode is a refcount
+                // bump instead of an allocation — for the first
+                // `INTERNER_CAP` distinct names a peer sends, so that it
+                // cannot grow the table (or the scan) at will.
+                if VOCABULARY.contains(&method) {
+                    return Ok(Event::invoke(process, object, Invocation::nullary(method)));
                 }
-                let mut args = Vec::with_capacity(argc);
-                for _ in 0..argc {
-                    args.push(self.value()?);
+                if let Some(known) = interner.iter().find(|i| i.method() == method) {
+                    return Ok(Event::invoke(process, object, known.clone()));
                 }
-                Ok(Event::invoke(
-                    process,
-                    object,
-                    Invocation::new(method, args),
-                ))
+                let inv = Invocation::nullary(method);
+                if interner.len() < INTERNER_CAP {
+                    interner.push(inv.clone());
+                }
+                return Ok(Event::invoke(process, object, inv));
             }
-            1 => Ok(Event::respond(process, object, self.value()?)),
-            k => Err(WireError::BadKind(k)),
+            let mut args = Vec::with_capacity(r.capacity(argc.into(), 1));
+            for _ in 0..argc {
+                args.push(get_value(r, 0)?);
+            }
+            Ok(Event::invoke(
+                process,
+                object,
+                Invocation::new(method, args),
+            ))
         }
+        1 => Ok(Event::respond(process, object, get_value(r, 0)?)),
+        k => Err(WireError::BadKind(k)),
     }
+}
+
+fn get_cursor(r: &mut Reader<'_>) -> Result<ResumeCursor, WireError> {
+    Ok(ResumeCursor {
+        frames: r.get()?,
+        events: r.get()?,
+        chain: r.get()?,
+    })
+}
+
+/// The body length a frame's prefix announces, refused above
+/// `MAX_FRAME_BYTES` — the one corruption a streaming reader must reject
+/// *before* buffering the body.  `bytes` holds at least the prefix.
+fn announced_body(bytes: &[u8]) -> Result<usize, WireError> {
+    let body = Reader::new(bytes).get::<u32>()? as usize;
+    if body > MAX_FRAME_BYTES {
+        return Err(WireError::FrameTooLarge(body));
+    }
+    Ok(body)
 }
 
 /// A whole frame's bytes and the remainder of the stream, from
@@ -640,16 +619,12 @@ pub(crate) type SplitFrame<'a> = Option<(&'a [u8], &'a [u8])>;
 /// Splits `bytes` (the read position of a byte stream) into the first whole
 /// frame and the rest, or returns `None` while the frame is still partial.
 ///
-/// Errors only on a length prefix that exceeds `MAX_FRAME_BYTES` — the one
-/// corruption a streaming reader must reject *before* buffering the body.
+/// Errors only on a length prefix that exceeds `MAX_FRAME_BYTES`.
 pub fn split_frame(bytes: &[u8]) -> Result<SplitFrame<'_>, WireError> {
     if bytes.len() < 4 {
         return Ok(None);
     }
-    let body = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-    if body > MAX_FRAME_BYTES {
-        return Err(WireError::FrameTooLarge(body));
-    }
+    let body = announced_body(bytes)?;
     if bytes.len() < 4 + body {
         return Ok(None);
     }
@@ -678,55 +653,45 @@ pub fn decode_frame_with(
             have: bytes.len(),
         });
     }
-    let announced = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-    if announced > MAX_FRAME_BYTES {
-        return Err(WireError::FrameTooLarge(announced));
-    }
+    let announced = announced_body(bytes)?;
     if announced != bytes.len() - 4 {
         return Err(WireError::LengthMismatch {
             announced,
             have: bytes.len() - 4,
         });
     }
-    let mut c = Cursor { bytes, at: 4 };
-    let frame = match c.u8()? {
+    let mut r = Reader::new(bytes);
+    r.take(4)?;
+    let frame = match r.get::<u8>()? {
         tag::HELLO => {
-            let magic = c.u32()?;
+            let magic = r.get::<u32>()?;
             if magic != MAGIC {
                 return Err(WireError::BadMagic(magic));
             }
-            let version = c.u16()?;
+            let version = r.get::<u16>()?;
             if version != VERSION {
                 return Err(WireError::UnsupportedVersion(version));
             }
-            let client = c.u32()?;
-            let session = c.u64()?;
-            let resume = match c.u8()? {
-                0 => None,
-                _ => Some(ResumeCursor {
-                    frames: c.u64()?,
-                    events: c.u64()?,
-                    chain: c.u64()?,
-                }),
-            };
             WireFrame::Hello {
-                client,
+                client: r.get()?,
                 version,
-                session,
-                resume,
+                session: r.get()?,
+                resume: match r.get::<u8>()? {
+                    0 => None,
+                    _ => Some(get_cursor(&mut r)?),
+                },
             }
         }
         tag::EVENTS => {
-            let client = c.u32()?;
-            let frame_seq = c.u64()?;
-            let count = c.u32()? as usize;
-            let mut events = Vec::with_capacity(count.min(bytes.len()));
+            let client = r.get()?;
+            let frame_seq = r.get()?;
+            let count = r.get::<u32>()?;
+            let mut events = Vec::with_capacity(r.capacity(count.into(), MIN_EVENT_BYTES));
             for _ in 0..count {
-                let seq = c.u64()?;
-                let event = c.event(interner)?;
-                events.push((seq, event));
+                let seq = r.get()?;
+                events.push((seq, get_event(&mut r, interner)?));
             }
-            let fingerprint = c.u64()?;
+            let fingerprint = r.get()?;
             let computed = event_batch_fingerprint(client, &events);
             if computed != fingerprint {
                 return Err(WireError::FingerprintMismatch {
@@ -741,86 +706,52 @@ pub fn decode_frame_with(
                 fingerprint,
             }
         }
-        tag::VERDICT => {
-            let shard = c.u32()?;
-            let round = c.u64()?;
-            let events = c.u64()?;
-            let checked_ops = c.u64()?;
-            let fingerprint = c.u64()?;
-            let last = c.u8()? != 0;
-            let verdict = match c.u8()? {
+        tag::VERDICT => WireFrame::Verdict(VerdictSummary {
+            shard: r.get()?,
+            round: r.get()?,
+            events: r.get()?,
+            checked_ops: r.get()?,
+            fingerprint: r.get()?,
+            last: r.get::<u8>()? != 0,
+            verdict: match r.get::<u8>()? {
                 0 => MonitorVerdict::Ok,
                 2 => MonitorVerdict::Unknown,
-                1 => {
-                    let segment_start = c.u64()? as usize;
-                    let segment_len = c.u64()? as usize;
-                    let object = match c.u8()? {
+                1 => MonitorVerdict::Violation(MonitorViolation {
+                    segment_start: r.get::<u64>()? as usize,
+                    segment_len: r.get::<u64>()? as usize,
+                    object: match r.get::<u8>()? {
                         0 => None,
-                        _ => Some(ObjectId(c.u32()? as usize)),
-                    };
-                    let op = match c.u8()? {
+                        _ => Some(ObjectId(r.get::<u32>()? as usize)),
+                    },
+                    op: match r.get::<u8>()? {
                         0 => None,
-                        _ => Some(evlin_history::OpId(c.u64()? as usize)),
-                    };
-                    let detail = c.str()?.to_string();
-                    MonitorVerdict::Violation(MonitorViolation {
-                        segment_start,
-                        segment_len,
-                        object,
-                        op,
-                        detail,
-                    })
-                }
+                        _ => Some(evlin_history::OpId(r.get::<u64>()? as usize)),
+                    },
+                    detail: r.get::<&str>()?.to_string(),
+                }),
                 k => return Err(WireError::BadKind(k)),
-            };
-            WireFrame::Verdict(VerdictSummary {
-                shard,
-                round,
-                events,
-                checked_ops,
-                fingerprint,
-                last,
-                verdict,
-            })
-        }
-        tag::SHUTDOWN => {
-            let client = c.u32()?;
-            let events_sent = c.u64()?;
-            let stream_fingerprint = c.u64()?;
-            WireFrame::Shutdown {
-                client,
-                events_sent,
-                stream_fingerprint,
-            }
-        }
-        tag::ACK => {
-            let client = c.u32()?;
-            let session = c.u64()?;
-            let cursor = ResumeCursor {
-                frames: c.u64()?,
-                events: c.u64()?,
-                chain: c.u64()?,
-            };
-            WireFrame::Ack {
-                client,
-                session,
-                cursor,
-            }
-        }
-        tag::PING => WireFrame::Ping { token: c.u64()? },
-        tag::PONG => WireFrame::Pong { token: c.u64()? },
-        tag::OVERLOADED => {
-            let client = c.u32()?;
-            let retry_after_ms = c.u32()?;
-            WireFrame::Overloaded {
-                client,
-                retry_after_ms,
-            }
-        }
+            },
+        }),
+        tag::SHUTDOWN => WireFrame::Shutdown {
+            client: r.get()?,
+            events_sent: r.get()?,
+            stream_fingerprint: r.get()?,
+        },
+        tag::ACK => WireFrame::Ack {
+            client: r.get()?,
+            session: r.get()?,
+            cursor: get_cursor(&mut r)?,
+        },
+        tag::PING => WireFrame::Ping { token: r.get()? },
+        tag::PONG => WireFrame::Pong { token: r.get()? },
+        tag::OVERLOADED => WireFrame::Overloaded {
+            client: r.get()?,
+            retry_after_ms: r.get()?,
+        },
         t => return Err(WireError::BadTag(t)),
     };
-    if c.at != bytes.len() {
-        return Err(WireError::TrailingBytes(bytes.len() - c.at));
+    if r.remaining() != 0 {
+        return Err(WireError::TrailingBytes(r.remaining()));
     }
     Ok(frame)
 }

@@ -1,139 +1,31 @@
 //! Property tests for the wire codec: `decode ∘ encode = id` over every
-//! frame kind, truncation and corruption rejected with the documented
-//! errors, and the streaming splitter reassembling frame boundaries.
+//! frame kind, payload corruption caught by the fingerprint, hello versions
+//! refused by number, the streaming splitter reassembling frame boundaries,
+//! the interner's bounds, and the wire and `EVJL` bytes pinned.  What any
+//! decoder owes arbitrary bytes — truncations, flips, resealed mutations —
+//! is the facade's `tests/arbitrary_bytes.rs`.
 //!
 //! Inputs are seed-driven (the workspace proptest shim has no combinators):
-//! each case derives a `StdRng` and builds arbitrary frames — nested values,
-//! multi-argument invocations, violation verdicts — from it, so a failure
-//! reproduces from the printed seed alone.
+//! each case derives a `StdRng` and builds arbitrary frames from it with the
+//! generators in `support/frames.rs`, which `tests/arbitrary_bytes.rs` shares,
+//! so a failure reproduces from the printed seed alone.
 
+#[path = "support/frames.rs"]
+mod frames;
+
+use evlin_checker::codec::fold_bytes;
 use evlin_checker::monitor::{MonitorVerdict, MonitorViolation};
 use evlin_history::{Event, ObjectId, OpId, ProcessId};
+use evlin_service::journal::{journal_file_name, Journal};
 use evlin_service::wire::{
     decode_frame, decode_frame_with, encode_frame, event_batch_fingerprint, split_frame,
     ResumeCursor, VerdictSummary, WireError, WireFrame, VERSION,
 };
 use evlin_spec::{Invocation, Value};
+use frames::{random_cursor, random_event, random_frame};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn random_string(rng: &mut StdRng, max: usize) -> String {
-    let len = rng.gen_range(0..=max);
-    (0..len)
-        .map(|_| char::from(b'a' + rng.gen_range(0..26u8)))
-        .collect()
-}
-
-fn random_value(rng: &mut StdRng, depth: usize) -> Value {
-    let top = if depth == 0 { 5 } else { 7 };
-    match rng.gen_range(0..top) {
-        0 => Value::Unit,
-        1 => Value::Bottom,
-        2 => Value::Bool(rng.gen()),
-        3 => Value::Int(rng.gen::<u64>() as i64),
-        4 => Value::Sym(random_string(rng, 8)),
-        5 => Value::Pair(
-            Box::new(random_value(rng, depth - 1)),
-            Box::new(random_value(rng, depth - 1)),
-        ),
-        _ => {
-            let n = rng.gen_range(0..3usize);
-            Value::List((0..n).map(|_| random_value(rng, depth - 1)).collect())
-        }
-    }
-}
-
-fn random_event(rng: &mut StdRng) -> Event {
-    let process = ProcessId(rng.gen_range(0..50usize));
-    let object = ObjectId(rng.gen_range(0..50usize));
-    if rng.gen_bool(0.5) {
-        let method = format!("m{}", random_string(rng, 6));
-        let argc = rng.gen_range(0..3usize);
-        let args = (0..argc).map(|_| random_value(rng, 2)).collect();
-        Event::invoke(process, object, Invocation::new(method, args))
-    } else {
-        Event::respond(process, object, random_value(rng, 2))
-    }
-}
-
-fn random_events_frame(rng: &mut StdRng) -> WireFrame {
-    let client = rng.gen_range(0..8u32);
-    let n = rng.gen_range(0..6usize);
-    let events: Vec<(u64, Event)> = (0..n)
-        .map(|_| (rng.gen::<u64>(), random_event(rng)))
-        .collect();
-    WireFrame::Events {
-        client,
-        frame_seq: rng.gen(),
-        fingerprint: event_batch_fingerprint(client, &events),
-        events,
-    }
-}
-
-fn random_verdict(rng: &mut StdRng) -> MonitorVerdict {
-    match rng.gen_range(0..3u32) {
-        0 => MonitorVerdict::Ok,
-        1 => MonitorVerdict::Unknown,
-        _ => MonitorVerdict::Violation(MonitorViolation {
-            segment_start: rng.gen_range(0..1_000_000usize),
-            segment_len: rng.gen_range(0..10_000usize),
-            object: rng
-                .gen_bool(0.5)
-                .then(|| ObjectId(rng.gen_range(0..100usize))),
-            op: rng.gen_bool(0.5).then(|| OpId(rng.gen_range(0..100usize))),
-            detail: random_string(rng, 40),
-        }),
-    }
-}
-
-fn random_cursor(rng: &mut StdRng) -> ResumeCursor {
-    ResumeCursor {
-        frames: rng.gen(),
-        events: rng.gen(),
-        chain: rng.gen(),
-    }
-}
-
-fn random_frame(rng: &mut StdRng) -> WireFrame {
-    match rng.gen_range(0..10u32) {
-        // Only the spoken version round-trips; every other is rejected at
-        // decode (covered by `unspoken_hello_versions_are_rejected_by_number`).
-        0 => WireFrame::Hello {
-            client: rng.gen(),
-            version: VERSION,
-            session: rng.gen(),
-            resume: rng.gen_bool(0.5).then(|| random_cursor(rng)),
-        },
-        1 => WireFrame::Ack {
-            client: rng.gen(),
-            session: rng.gen(),
-            cursor: random_cursor(rng),
-        },
-        2 => WireFrame::Ping { token: rng.gen() },
-        3 => WireFrame::Pong { token: rng.gen() },
-        4 => WireFrame::Overloaded {
-            client: rng.gen(),
-            retry_after_ms: rng.gen(),
-        },
-        5 => WireFrame::Verdict(VerdictSummary {
-            shard: rng.gen(),
-            round: rng.gen(),
-            events: rng.gen(),
-            checked_ops: rng.gen(),
-            fingerprint: rng.gen(),
-            last: rng.gen(),
-            verdict: random_verdict(rng),
-        }),
-        6 => WireFrame::Shutdown {
-            client: rng.gen(),
-            events_sent: rng.gen(),
-            stream_fingerprint: rng.gen(),
-        },
-        // Event frames carry the interesting payloads; weight them.
-        _ => random_events_frame(rng),
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -149,53 +41,6 @@ proptest! {
             let bytes = encode_frame(&frame);
             prop_assert_eq!(decode_frame(&bytes).as_ref(), Ok(&frame));
             prop_assert_eq!(decode_frame_with(&bytes, &mut interner), Ok(frame));
-        }
-    }
-
-    /// Every strict prefix of a frame is rejected: fewer than 5 bytes is a
-    /// truncation, anything longer contradicts its own length prefix.
-    #[test]
-    fn truncation_is_rejected_with_the_right_error(seed in 0u64..u64::MAX / 2) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let frame = random_frame(&mut rng);
-        let bytes = encode_frame(&frame);
-        let announced = bytes.len() - 4;
-        for cut in 0..bytes.len() {
-            match decode_frame(&bytes[..cut]) {
-                Err(WireError::Truncated { needed: 5, have }) => {
-                    prop_assert!(cut < 5 && have == cut);
-                }
-                Err(WireError::LengthMismatch { announced: a, have }) => {
-                    prop_assert!(cut >= 5 && a == announced && have == cut - 4);
-                }
-                other => panic!("cut {cut} of {} gave {other:?}", bytes.len()),
-            }
-        }
-    }
-
-    /// Single-byte corruption of an event frame can never deliver altered
-    /// event content as a valid event frame: either the decoder rejects the
-    /// bytes (structure or fingerprint), or the decoded events are identical
-    /// (the flip hit a non-semantic byte such as a boolean's nonzero byte).
-    #[test]
-    fn corruption_never_alters_decoded_event_content(seed in 0u64..u64::MAX / 2) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let frame = random_events_frame(&mut rng);
-        let WireFrame::Events { events: ref original, .. } = frame else { unreachable!() };
-        let bytes = encode_frame(&frame);
-        for _ in 0..16 {
-            let mut corrupted = bytes.clone();
-            let idx = rng.gen_range(4..corrupted.len());
-            corrupted[idx] ^= rng.gen_range(1..=255u8);
-            match decode_frame(&corrupted) {
-                Err(_) => {}
-                Ok(WireFrame::Events { events, .. }) => {
-                    prop_assert_eq!(&events, original, "corrupt byte {} slipped through", idx);
-                }
-                // Tag corruption may legally re-parse as another frame kind;
-                // the replica's direction/state checks reject those.
-                Ok(_) => {}
-            }
         }
     }
 
@@ -362,4 +207,161 @@ fn interner_is_bounded_under_many_distinct_method_names() {
     let decoded = decode_frame_with(&bytes, &mut interner).unwrap();
     assert_eq!(decoded_events(decoded), [nullary_invoke(0, &held)]);
     assert!(interner.len() <= 32);
+}
+
+/// `fold_bytes(0, …)` of [`pinned_frames`]' encodings and of the fixed journal
+/// of `journal_bytes_are_pinned`, recorded at the commit before the codec
+/// (with a test-local copy of `fold_bytes`, which did not exist yet).
+const GOLDEN_WIRE: u64 = 0x0dab_2990_8e3c_64d8;
+const GOLDEN_JOURNAL: u64 = 0xa8b7_c9b6_fdb6_6b69;
+
+/// One frame of every kind, every `Value` tag, both option states and all
+/// three verdicts: the fixed input of `wire_bytes_are_pinned`.
+fn pinned_frames() -> Vec<WireFrame> {
+    let nested = Value::Pair(
+        Box::new(Value::List(vec![
+            Value::Unit,
+            Value::Bottom,
+            Value::Bool(true),
+            Value::Int(-7),
+        ])),
+        Box::new(Value::Sym("leaf".into())),
+    );
+    let events = vec![
+        nullary_invoke(1, "fetch_inc"),
+        nullary_invoke(2, "knock"),
+        (
+            3,
+            Event::invoke(
+                ProcessId(4),
+                ObjectId(9),
+                Invocation::new("cas", vec![Value::Int(1), nested.clone()]),
+            ),
+        ),
+        (4, Event::respond(ProcessId(4), ObjectId(9), nested)),
+        (
+            5,
+            Event::respond(ProcessId(0), ObjectId(0), Value::Int(i64::MIN)),
+        ),
+    ];
+    let cursor = ResumeCursor {
+        frames: 12,
+        events: 384,
+        chain: 0xabcd_ef01_2345_6789,
+    };
+    let verdict = |verdict| {
+        WireFrame::Verdict(VerdictSummary {
+            shard: 3,
+            round: 7,
+            events: 4_000,
+            checked_ops: 2_000,
+            fingerprint: 0xdead_beef,
+            last: true,
+            verdict,
+        })
+    };
+    vec![
+        WireFrame::Hello {
+            client: 9,
+            version: VERSION,
+            session: 0xfeed_f00d,
+            resume: None,
+        },
+        WireFrame::Hello {
+            client: 9,
+            version: VERSION,
+            session: 0xfeed_f00d,
+            resume: Some(cursor),
+        },
+        WireFrame::Events {
+            client: 1,
+            frame_seq: 0,
+            fingerprint: event_batch_fingerprint(1, &events),
+            events,
+        },
+        verdict(MonitorVerdict::Ok),
+        verdict(MonitorVerdict::Unknown),
+        verdict(MonitorVerdict::Violation(MonitorViolation {
+            segment_start: 100,
+            segment_len: 12,
+            object: Some(ObjectId(2)),
+            op: None,
+            detail: "no linearization".into(),
+        })),
+        verdict(MonitorVerdict::Violation(MonitorViolation {
+            segment_start: 0,
+            segment_len: 1,
+            object: None,
+            op: Some(OpId(5)),
+            detail: String::new(),
+        })),
+        WireFrame::Shutdown {
+            client: 9,
+            events_sent: 123,
+            stream_fingerprint: 0x1234,
+        },
+        WireFrame::Ack {
+            client: 9,
+            session: 0xfeed_f00d,
+            cursor,
+        },
+        WireFrame::Ping { token: 0x0102_0304 },
+        WireFrame::Pong { token: 0x0102_0304 },
+        WireFrame::Overloaded {
+            client: 9,
+            retry_after_ms: 250,
+        },
+    ]
+}
+
+/// The wire bytes of every frame kind, pinned as one fold recorded before
+/// the wire codec moved onto `evlin_checker::codec`: "no byte changed" is a
+/// test, not a claim.
+#[test]
+fn wire_bytes_are_pinned() {
+    let mut stream = Vec::new();
+    for frame in pinned_frames() {
+        let bytes = encode_frame(&frame);
+        assert_eq!(decode_frame(&bytes), Ok(frame));
+        stream.extend_from_slice(&bytes);
+    }
+    assert_eq!(
+        (stream.len(), fold_bytes(0, &stream)),
+        (627, GOLDEN_WIRE),
+        "the wire encoding moved"
+    );
+}
+
+/// A fixed journal — created, three `EVENTS` records, a shutdown record —
+/// pinned byte for byte, recorded before `journal.rs` moved onto the codec.
+#[test]
+fn journal_bytes_are_pinned() {
+    let dir = std::env::temp_dir().join(format!("evjl-pinned-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(journal_file_name(3, 0xAA));
+    let _ = std::fs::remove_file(&path);
+    let mut journal = Journal::create(&path, 3, 0xAA).unwrap();
+    for frame_seq in 0..3u64 {
+        let events: Vec<(u64, Event)> = (0..=frame_seq)
+            .map(|i| nullary_invoke(frame_seq * 10 + i, "fetch_inc"))
+            .collect();
+        let fingerprint = event_batch_fingerprint(3, &events);
+        let count = events.len() as u64;
+        let payload = encode_frame(&WireFrame::Events {
+            client: 3,
+            frame_seq,
+            events,
+            fingerprint,
+        });
+        journal.append_events(&payload, count, fingerprint).unwrap();
+    }
+    journal.append_shutdown(6, journal.cursor().chain).unwrap();
+    drop(journal);
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(
+        (bytes.len(), fold_bytes(0, &bytes)),
+        (359, GOLDEN_JOURNAL),
+        "the EVJL encoding moved"
+    );
 }

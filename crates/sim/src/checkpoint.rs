@@ -16,7 +16,8 @@
 //!   final [`ExploreStats`] equal the uninterrupted run's — even after a
 //!   hard kill (SIGKILL), because snapshots never mutate the live store and
 //!   orphaned post-checkpoint run files are garbage-collected on resume.
-//!   The byte-level file format is specified in `docs/CHECKPOINT.md`.
+//!   The file format is specified in `docs/CHECKPOINT.md` and read and
+//!   written through the workspace's one byte codec, `evlin_checker::codec`.
 //!
 //! * **Partitioning** ([`explore_partitioned`]): the dedup-key space is
 //!   split into `2^parts_log2` contiguous ranges by top bits — the *same*
@@ -39,10 +40,12 @@ use crate::engine::{
 use crate::fault::{FaultStep, FaultTarget};
 use crate::program::Implementation;
 use crate::store::{
-    self, annotate, RunMeta, ShardManifest, StoreConfig, StoreManifest, VisitedStore, RUN_KIND_KEYS,
+    self, annotate, invalid, RunMeta, ShardManifest, StoreConfig, StoreManifest, VisitedStore,
+    RUN_KIND_KEYS,
 };
 use crate::workload::Workload;
 use crate::zobrist;
+use evlin_checker::codec::{fold_bytes, sync_dir, Encode, Reader};
 use evlin_history::ProcessId;
 use std::collections::{HashSet, VecDeque};
 use std::fs::{self, File};
@@ -247,7 +250,7 @@ impl<'a> Session<'a> {
         let checkpoint_path = ck.dir.join(CHECKPOINT_FILE);
         let resumed = checkpoint_path.exists();
         let (store, stats, seq, frames) = if resumed {
-            let saved = read_checkpoint(&checkpoint_path, hash)?;
+            let saved = read_checkpoint(&checkpoint_path, hash, options.store)?;
             let store = store::restore_store(&saved.manifest, &store_dir, mem_shards)?;
             // Run files written after the checkpoint (the kill window) are
             // unreferenced; remove them before the resumed store reuses
@@ -328,25 +331,24 @@ impl<'a> Session<'a> {
 fn replay_frame(root: &Config, reducer: &Reducer, saved: &SavedFrame) -> io::Result<Frame> {
     let mut config = root.clone();
     for step in &saved.path {
-        match *step {
+        // A step the configuration does not offer — an absent or idle
+        // process, a fault that is not enabled — means the checkpoint belongs
+        // to another implementation or workload, or was doctored.
+        let applied = match *step {
             ChildStep::Exec(p) => {
-                if matches!(config.step(p), StepOutcome::Idle) {
-                    return Err(invalid(
-                        "frontier path steps an idle process — checkpoint does not match \
-                         this implementation/workload"
-                            .to_string(),
-                    ));
-                }
+                p.index() < config.processes() && !matches!(config.step(p), StepOutcome::Idle)
             }
             ChildStep::Fault(f) => {
-                if !config.apply_fault(&f) {
-                    return Err(invalid(
-                        "frontier path applies an inapplicable fault — checkpoint does \
-                         not match this implementation/workload"
-                            .to_string(),
-                    ));
-                }
+                let mut offered = false;
+                config.for_each_fault(|g| offered |= g == f);
+                offered && config.apply_fault(&f)
             }
+        };
+        if !applied {
+            return Err(invalid(format!(
+                "frontier path step {step:?} does not apply — checkpoint does not match \
+                 this implementation/workload"
+            )));
         }
         let mut scratch_mask: SleepMask = 0;
         reducer.normalize(&mut config, &mut scratch_mask);
@@ -386,93 +388,19 @@ fn config_hash(
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint file codec (byte-level spec in docs/CHECKPOINT.md)
+// Checkpoint file, through `evlin_checker::codec` (spec: docs/CHECKPOINT.md)
 // ---------------------------------------------------------------------------
 
-fn invalid(message: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message)
-}
+/// The seed of the trailer checksum, `fold_bytes("EVCKsumm", body)`.
+const CHECKSUM_SEED: u64 = u64::from_le_bytes(*b"EVCKsumm");
 
-/// Folds a byte buffer into the checkpoint trailer checksum: little-endian
-/// words (zero-padded tail) plus the byte length, through
-/// [`zobrist::fold_words`].
-fn checksum_bytes(bytes: &[u8]) -> u64 {
-    let mut words: Vec<u64> = bytes
-        .chunks(8)
-        .map(|chunk| {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            u64::from_le_bytes(word)
-        })
-        .collect();
-    words.push(bytes.len() as u64);
-    zobrist::fold_words(u64::from_le_bytes(*b"EVCKsumm"), &words)
-}
-
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        let bytes = s.as_bytes();
-        self.u16(u16::try_from(bytes.len()).expect("run file names are short"));
-        self.buf.extend_from_slice(bytes);
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| invalid("truncated checkpoint".to_string()))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-    fn str(&mut self) -> io::Result<String> {
-        let len = self.u16()? as usize;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| invalid("run file name is not UTF-8".to_string()))
-    }
-}
+/// The least bytes a shard manifest (run count, sidecar option), a run meta
+/// (empty name, kind, five words), a frontier frame (mask, path length) and
+/// a step take: what [`Reader::capacity`] divides the rest of the file by.
+const MIN_SHARD_BYTES: usize = 4 + 1;
+const MIN_RUN_META_BYTES: usize = 2 + 2 + 5 * 8;
+const MIN_FRAME_BYTES: usize = 8 + 4;
+const STEP_BYTES: usize = 1 + 4 + 4;
 
 /// A store configuration as its `(tag, shards_log2, shard_budget)` words, in
 /// the checkpoint file and in [`config_hash`].  Tag 1 was the resident
@@ -488,93 +416,60 @@ fn store_config_words(config: StoreConfig) -> (u8, u32, u64) {
     }
 }
 
-fn encode_store_config(enc: &mut Enc, config: StoreConfig) {
-    let (tag, shards_log2, shard_budget) = store_config_words(config);
-    enc.u8(tag);
-    enc.u32(shards_log2);
-    enc.u64(shard_budget);
-}
-
-fn decode_store_config(dec: &mut Dec<'_>) -> io::Result<StoreConfig> {
-    let tag = dec.u8()?;
-    let shards_log2 = dec.u32()?;
-    let shard_budget = dec.u64()? as usize;
-    match tag {
-        0 => Ok(StoreConfig::Mem),
-        2 => Ok(StoreConfig::Spill {
-            shards_log2,
-            shard_budget,
-        }),
-        other => Err(invalid(format!("unknown store config tag {other}"))),
+fn put_run_meta(out: &mut Vec<u8>, meta: &RunMeta) {
+    meta.file.as_str().put(out);
+    RUN_KIND_KEYS.put(out);
+    for word in [meta.count, meta.min, meta.max, meta.checksum, meta.bytes] {
+        word.put(out);
     }
 }
 
-fn encode_run_meta(enc: &mut Enc, meta: &RunMeta) {
-    enc.str(&meta.file);
-    enc.u16(RUN_KIND_KEYS);
-    enc.u64(meta.count);
-    enc.u64(meta.min);
-    enc.u64(meta.max);
-    enc.u64(meta.checksum);
-    enc.u64(meta.bytes);
-}
-
-fn decode_run_meta(dec: &mut Dec<'_>) -> io::Result<RunMeta> {
-    let file = dec.str()?;
-    let kind = dec.u16()?;
+fn get_run_meta(r: &mut Reader<'_>) -> io::Result<RunMeta> {
+    let file = r.get::<&str>()?.to_string();
+    let kind = r.get::<u16>()?;
     if kind != RUN_KIND_KEYS {
         return Err(invalid(format!("unknown run record kind {kind}")));
     }
     Ok(RunMeta {
         file,
-        count: dec.u64()?,
-        min: dec.u64()?,
-        max: dec.u64()?,
-        checksum: dec.u64()?,
-        bytes: dec.u64()?,
+        count: r.get()?,
+        min: r.get()?,
+        max: r.get()?,
+        checksum: r.get()?,
+        bytes: r.get()?,
     })
 }
 
-fn encode_step(enc: &mut Enc, step: ChildStep) {
-    match step {
-        ChildStep::Exec(p) => {
-            enc.u8(0);
-            enc.u32(p.index() as u32);
-            enc.u32(0);
-        }
-        ChildStep::Fault(FaultStep { target, variant }) => {
-            let (tag, index) = match target {
-                FaultTarget::Object(i) => (1u8, i),
-                FaultTarget::Process(i) => (2u8, i),
-            };
-            enc.u8(tag);
-            enc.u32(index as u32);
-            enc.u32(variant as u32);
-        }
-    }
+fn put_step(out: &mut Vec<u8>, step: ChildStep) {
+    let (tag, index, variant) = match step {
+        ChildStep::Exec(p) => (0u8, p.index(), 0),
+        ChildStep::Fault(FaultStep { target, variant }) => match target {
+            FaultTarget::Object(i) => (1, i, variant),
+            FaultTarget::Process(i) => (2, i, variant),
+        },
+    };
+    tag.put(out);
+    (index as u32).put(out);
+    (variant as u32).put(out);
 }
 
-fn decode_step(dec: &mut Dec<'_>) -> io::Result<ChildStep> {
-    let tag = dec.u8()?;
-    let index = dec.u32()? as usize;
-    let variant = dec.u32()? as usize;
-    match tag {
-        0 => Ok(ChildStep::Exec(ProcessId(index))),
-        1 => Ok(ChildStep::Fault(FaultStep {
-            target: FaultTarget::Object(index),
-            variant,
-        })),
-        2 => Ok(ChildStep::Fault(FaultStep {
-            target: FaultTarget::Process(index),
-            variant,
-        })),
-        other => Err(invalid(format!("unknown frontier step tag {other}"))),
-    }
+fn get_step(r: &mut Reader<'_>) -> io::Result<ChildStep> {
+    let tag = r.get::<u8>()?;
+    let index = r.get::<u32>()? as usize;
+    let variant = r.get::<u32>()? as usize;
+    let target = match tag {
+        0 => return Ok(ChildStep::Exec(ProcessId(index))),
+        1 => FaultTarget::Object(index),
+        2 => FaultTarget::Process(index),
+        other => return Err(invalid(format!("unknown frontier step tag {other}"))),
+    };
+    Ok(ChildStep::Fault(FaultStep { target, variant }))
 }
 
 /// Snapshots the store and atomically replaces `checkpoint.bin`
-/// (write-to-temp, fsync, rename), then garbage-collects `.evr` files the
-/// new manifest no longer references (previous checkpoints' sidecars).
+/// (write-to-temp, fsync, fsync `store/`, rename, fsync the directory), then
+/// garbage-collects `.evr` files the new manifest no longer references
+/// (previous checkpoints' sidecars).
 fn write_checkpoint(
     session: &Session<'_>,
     store: &VisitedStore,
@@ -589,127 +484,123 @@ fn write_checkpoint(
         ..
     } = session;
     let manifest = store.snapshot(store_dir, *seq)?;
-    let mut enc = Enc { buf: Vec::new() };
-    enc.buf.extend_from_slice(&CHECKPOINT_MAGIC);
-    enc.u16(CHECKPOINT_VERSION);
-    enc.u16(0); // flags
-    enc.u64(0); // config hash patched below
-    enc.u64(*seq);
-    enc.u64(stats.visited as u64);
-    enc.u64(stats.terminals as u64);
-    enc.u64(stats.pruned as u64);
-    enc.u8(stats.truncated as u8);
-    encode_store_config(&mut enc, manifest.config);
-    enc.u64(manifest.next_seq);
-    enc.u32(u32::try_from(manifest.shards.len()).expect("shard count fits u32"));
+    let mut body = CHECKPOINT_MAGIC.to_vec();
+    let out = &mut body;
+    CHECKPOINT_VERSION.put(out);
+    0u16.put(out); // flags
+    let counts = [stats.visited, stats.terminals, stats.pruned].map(|n| n as u64);
+    for word in [*hash, *seq].into_iter().chain(counts) {
+        word.put(out);
+    }
+    (stats.truncated as u8).put(out);
+    let (tag, shards_log2, shard_budget) = store_config_words(manifest.config);
+    tag.put(out);
+    shards_log2.put(out);
+    shard_budget.put(out);
+    manifest.next_seq.put(out);
+    let len = |n: usize| u32::try_from(n).expect("shard, run and path counts fit u32");
+    len(manifest.shards.len()).put(out);
     for shard in &manifest.shards {
-        enc.u32(u32::try_from(shard.runs.len()).expect("run count fits u32"));
+        len(shard.runs.len()).put(out);
         for run in &shard.runs {
-            encode_run_meta(&mut enc, run);
+            put_run_meta(out, run);
         }
-        match &shard.active {
-            None => enc.u8(0),
-            Some(meta) => {
-                enc.u8(1);
-                encode_run_meta(&mut enc, meta);
-            }
+        (shard.active.is_some() as u8).put(out);
+        if let Some(meta) = &shard.active {
+            put_run_meta(out, meta);
         }
     }
-    enc.u64(frames.len() as u64);
+    (frames.len() as u64).put(out);
     for frame in frames {
-        enc.u64(frame.mask);
-        enc.u32(u32::try_from(frame.path.len()).expect("path length fits u32"));
+        frame.mask.put(out);
+        len(frame.path.len()).put(out);
         for &step in &frame.path {
-            encode_step(&mut enc, step);
+            put_step(out, step);
         }
     }
-    let mut body = enc.buf;
-    body[8..16].copy_from_slice(&hash.to_le_bytes());
-    let checksum = checksum_bytes(&body);
-    body.extend_from_slice(&checksum.to_le_bytes());
+    fold_bytes(CHECKSUM_SEED, out).put(out);
     let tmp = ck.dir.join("checkpoint.tmp");
     let mut file = File::create(&tmp).map_err(|e| annotate(e, &tmp))?;
     file.write_all(&body)?;
     file.sync_all()?;
     drop(file);
+    // The sidecars the new manifest names must outlive a power loss as
+    // names, not only as contents; and so must the rename, before GC
+    // deletes what the old checkpoint named.
+    sync_dir(store_dir).map_err(|e| annotate(e, store_dir))?;
     fs::rename(&tmp, ck.dir.join(CHECKPOINT_FILE)).map_err(|e| annotate(e, &tmp))?;
+    sync_dir(&ck.dir).map_err(|e| annotate(e, &ck.dir))?;
     gc_unreferenced(store_dir, &manifest)?;
     Ok(())
 }
 
-fn read_checkpoint(path: &Path, expected_hash: u64) -> io::Result<SavedCheckpoint> {
+/// Reads a checkpoint written under the parameters `hash` binds, among them
+/// `store`, which the manifest must then describe.
+fn read_checkpoint(path: &Path, hash: u64, store: StoreConfig) -> io::Result<SavedCheckpoint> {
     let bytes = fs::read(path).map_err(|e| annotate(e, path))?;
-    if bytes.len() < 8 {
-        return Err(invalid("checkpoint shorter than its checksum".to_string()));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let checksum = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    if checksum_bytes(body) != checksum {
+    let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(8));
+    if Reader::new(trailer).get::<u64>()? != fold_bytes(CHECKSUM_SEED, body) {
         return Err(invalid("checkpoint checksum mismatch".to_string()));
     }
-    let mut dec = Dec { buf: body, pos: 0 };
-    if dec.take(4)? != CHECKPOINT_MAGIC {
-        return Err(invalid("bad checkpoint magic".to_string()));
-    }
-    let version = dec.u16()?;
-    if version != CHECKPOINT_VERSION {
-        return Err(invalid(format!(
-            "checkpoint version {version} (supported: {CHECKPOINT_VERSION})"
-        )));
-    }
-    let _flags = dec.u16()?;
-    let hash = dec.u64()?;
-    if hash != expected_hash {
+    let mut r = Reader::new(body);
+    r.header(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
+    let _flags = r.get::<u16>()?;
+    if r.get::<u64>()? != hash {
         return Err(invalid(
             "checkpoint was written for different exploration parameters".to_string(),
         ));
     }
-    let seq = dec.u64()?;
+    let seq = r.get()?;
     let stats = ExploreStats {
-        visited: dec.u64()? as usize,
-        terminals: dec.u64()? as usize,
-        pruned: dec.u64()? as usize,
-        truncated: dec.u8()? != 0,
+        visited: r.get::<u64>()? as usize,
+        terminals: r.get::<u64>()? as usize,
+        pruned: r.get::<u64>()? as usize,
+        truncated: r.get::<u8>()? != 0,
         ..ExploreStats::default()
     };
-    let config = decode_store_config(&mut dec)?;
-    let next_seq = dec.u64()?;
-    let shard_count = dec.u32()? as usize;
-    let mut shards = Vec::with_capacity(shard_count);
+    let config_words = (r.get::<u8>()?, r.get()?, r.get()?);
+    if config_words != store_config_words(store) {
+        let tag = config_words.0;
+        return Err(invalid(format!(
+            "store config tag {tag} is not this run's store"
+        )));
+    }
+    let next_seq = r.get()?;
+    let shard_count = r.get::<u32>()?;
+    let mut shards = Vec::with_capacity(r.capacity(shard_count.into(), MIN_SHARD_BYTES));
     for _ in 0..shard_count {
-        let run_count = dec.u32()? as usize;
-        let mut runs = Vec::with_capacity(run_count);
+        let run_count = r.get::<u32>()?;
+        let mut runs = Vec::with_capacity(r.capacity(run_count.into(), MIN_RUN_META_BYTES));
         for _ in 0..run_count {
-            runs.push(decode_run_meta(&mut dec)?);
+            runs.push(get_run_meta(&mut r)?);
         }
-        let active = match dec.u8()? {
+        let active = match r.get::<u8>()? {
             0 => None,
-            1 => Some(decode_run_meta(&mut dec)?),
+            1 => Some(get_run_meta(&mut r)?),
             other => return Err(invalid(format!("bad active-sidecar marker {other}"))),
         };
         shards.push(ShardManifest { runs, active });
     }
-    let frame_count = dec.u64()? as usize;
-    let mut frames = Vec::with_capacity(frame_count);
+    let frame_count = r.get::<u64>()?;
+    let mut frames = Vec::with_capacity(r.capacity(frame_count, MIN_FRAME_BYTES));
     for _ in 0..frame_count {
-        let mask = dec.u64()?;
-        let path_len = dec.u32()? as usize;
-        let mut path = Vec::with_capacity(path_len);
+        let mask = r.get()?;
+        let path_len = r.get::<u32>()?;
+        let mut path = Vec::with_capacity(r.capacity(path_len.into(), STEP_BYTES));
         for _ in 0..path_len {
-            path.push(decode_step(&mut dec)?);
+            path.push(get_step(&mut r)?);
         }
         frames.push(SavedFrame { mask, path });
     }
-    if dec.pos != body.len() {
-        return Err(invalid(
-            "trailing bytes after checkpoint frontier".to_string(),
-        ));
+    if r.remaining() != 0 {
+        let at = r.at();
+        return Err(invalid(format!("trailing checkpoint bytes at byte {at}")));
     }
     Ok(SavedCheckpoint {
         stats,
         seq,
         manifest: StoreManifest {
-            config,
+            config: store,
             next_seq,
             shards,
         },

@@ -15,10 +15,10 @@
 //!   sequential walk).  The default.
 //! * [`StoreConfig::Spill`] — a per-shard resident budget: when a shard's
 //!   active set reaches it, the set is flushed to disk as a compressed sorted
-//!   *run* (delta-varint encoding with restart points, see
-//!   `docs/CHECKPOINT.md`), and membership checks consult an in-memory Bloom
-//!   filter + fence index per run before touching the file, so the hot path
-//!   stays a couple of word mixes for fresh keys.
+//!   *run* (delta-varint encoding with restart points through
+//!   `evlin_checker::codec`, see `docs/CHECKPOINT.md`), and membership checks
+//!   consult an in-memory Bloom filter + fence index per run before touching
+//!   the file, so the hot path stays a couple of word mixes for fresh keys.
 //!
 //! Either way the store reports itself as a [`StoreReport`] (entry count,
 //! runs written, and a resident / spilled / filter byte breakdown) and can
@@ -39,6 +39,7 @@
 //! checks the two against each other on seeded random configurations.
 
 use crate::zobrist;
+use evlin_checker::codec::{Encode, Reader, Varint};
 use std::collections::HashSet;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -559,7 +560,7 @@ pub(crate) fn restore_store(
 }
 
 // ---------------------------------------------------------------------------
-// Sorted-run codec (see docs/CHECKPOINT.md for the byte-level spec)
+// Sorted runs, through `evlin_checker::codec` (byte-level spec: docs/CHECKPOINT.md)
 // ---------------------------------------------------------------------------
 
 /// Run-file magic: `b"EVRN"`.
@@ -573,91 +574,8 @@ pub(crate) const RUN_HEADER_BYTES: usize = 40;
 /// `(key, depth)` pairs) is retired and refused.
 pub(crate) const RUN_KIND_KEYS: u16 = 0;
 
-fn invalid(message: String) -> io::Error {
+pub(crate) fn invalid(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
-}
-
-/// LEB128 append.
-fn push_varint(buf: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// LEB128 read, advancing `pos`.  Ten bytes carry 70 payload bits: the tenth
-/// has room for bit 63 and nothing else, so more payload there — or a
-/// continuation into an eleventh byte — overflows.  (A loop over the ten
-/// byte positions, not one that runs until the data says stop: a probe
-/// decodes up to 256 of these, and the fixed trip count is what lets the
-/// compiler unroll it.)
-fn read_varint(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
-    let mut value = 0u64;
-    for index in 0..10u32 {
-        let byte = *buf
-            .get(*pos)
-            .ok_or_else(|| invalid("truncated varint in run payload".to_string()))?;
-        *pos += 1;
-        if index == 9 && byte > 1 {
-            break;
-        }
-        value |= u64::from(byte & 0x7f) << (7 * index);
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-    }
-    Err(invalid("varint overflows 64 bits".to_string()))
-}
-
-struct RunHeader {
-    count: u64,
-    min: u64,
-    max: u64,
-    checksum: u64,
-}
-
-fn header_bytes(header: &RunHeader) -> [u8; RUN_HEADER_BYTES] {
-    let mut bytes = [0u8; RUN_HEADER_BYTES];
-    bytes[0..4].copy_from_slice(&RUN_MAGIC);
-    bytes[4..6].copy_from_slice(&RUN_VERSION.to_le_bytes());
-    bytes[6..8].copy_from_slice(&RUN_KIND_KEYS.to_le_bytes());
-    bytes[8..16].copy_from_slice(&header.count.to_le_bytes());
-    bytes[16..24].copy_from_slice(&header.min.to_le_bytes());
-    bytes[24..32].copy_from_slice(&header.max.to_le_bytes());
-    bytes[32..40].copy_from_slice(&header.checksum.to_le_bytes());
-    bytes
-}
-
-fn parse_header(header: &[u8; RUN_HEADER_BYTES], path: &Path) -> io::Result<RunHeader> {
-    if header[0..4] != RUN_MAGIC {
-        return Err(invalid(format!("{}: bad run magic", path.display())));
-    }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != RUN_VERSION {
-        return Err(invalid(format!(
-            "{}: run version {version} (supported: {RUN_VERSION})",
-            path.display()
-        )));
-    }
-    let kind = u16::from_le_bytes([header[6], header[7]]);
-    if kind != RUN_KIND_KEYS {
-        return Err(invalid(format!(
-            "{}: unknown run record kind {kind}",
-            path.display()
-        )));
-    }
-    let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
-    Ok(RunHeader {
-        count: word(8),
-        min: word(16),
-        max: word(24),
-        checksum: word(32),
-    })
 }
 
 /// Encodes sorted `records` into `buf` (cleared) with a restart point every
@@ -672,9 +590,9 @@ fn encode_keys(records: &[u64], buf: &mut Vec<u8>) -> Vec<Fence> {
                 first_key: record,
                 offset: buf.len() as u64,
             });
-            push_varint(buf, record);
+            Varint(record).put(buf);
         } else {
-            push_varint(buf, record - previous);
+            Varint(record - previous).put(buf);
         }
         previous = record;
     }
@@ -700,94 +618,85 @@ fn write_keys_run(
         "records sorted+unique"
     );
     let fences = encode_keys(records, scratch);
-    let header = RunHeader {
+    let meta = RunMeta {
+        file: name,
         count: records.len() as u64,
         min: records.first().copied().unwrap_or(0),
         max: records.last().copied().unwrap_or(0),
         checksum: zobrist::fold_words(RUN_KIND_KEYS as u64, records),
-    };
-    let mut writer = File::create(path).map_err(|e| annotate(e, path))?;
-    writer.write_all(&header_bytes(&header))?;
-    writer.write_all(scratch)?;
-    writer.sync_all()?;
-    let meta = RunMeta {
-        file: name,
-        count: header.count,
-        min: header.min,
-        max: header.max,
-        checksum: header.checksum,
         bytes: (RUN_HEADER_BYTES + scratch.len()) as u64,
     };
+    let mut header = RUN_MAGIC.to_vec();
+    RUN_VERSION.put(&mut header);
+    RUN_KIND_KEYS.put(&mut header);
+    for word in [meta.count, meta.min, meta.max, meta.checksum] {
+        word.put(&mut header);
+    }
+    let mut writer = File::create(path).map_err(|e| annotate(e, path))?;
+    writer.write_all(&header)?;
+    writer.write_all(scratch)?;
+    writer.sync_all()?;
     Ok((meta, fences))
 }
 
 /// Fully decodes a run, verifying its header against `meta` and its
-/// checksum, and returns the records plus payload size.
-fn read_keys_run(path: &Path, meta: &RunMeta) -> io::Result<(Vec<u64>, usize)> {
-    let mut file = File::open(path).map_err(|e| annotate(e, path))?;
-    let mut header = [0u8; RUN_HEADER_BYTES];
-    file.read_exact(&mut header)?;
-    let header = parse_header(&header, path)?;
-    if header.count != meta.count
-        || header.min != meta.min
-        || header.max != meta.max
-        || header.checksum != meta.checksum
+/// checksum, and returns the records and the fence index — the offsets
+/// where the restart points actually are, so even a varint written longer
+/// than it needs misplaces no fence.
+fn read_keys_run(path: &Path, meta: &RunMeta) -> io::Result<(Vec<u64>, Vec<Fence>)> {
+    let bytes = std::fs::read(path).map_err(|e| annotate(e, path))?;
+    decode_keys_run(&bytes, meta).map_err(|e| annotate(e, path))
+}
+
+fn decode_keys_run(bytes: &[u8], meta: &RunMeta) -> io::Result<(Vec<u64>, Vec<Fence>)> {
+    let mut reader = Reader::new(bytes);
+    reader.header(&RUN_MAGIC, RUN_VERSION)?;
+    let kind = reader.get::<u16>()?;
+    if kind != RUN_KIND_KEYS {
+        return Err(invalid(format!("unknown run record kind {kind}")));
+    }
+    let count = reader.get::<u64>()?;
+    if [count, reader.get()?, reader.get()?, reader.get()?]
+        != [meta.count, meta.min, meta.max, meta.checksum]
+        || bytes.len() as u64 != meta.bytes
     {
-        return Err(invalid(format!(
-            "{}: run header disagrees with its manifest entry",
-            path.display()
-        )));
+        return Err(invalid("run header disagrees with the manifest".into()));
     }
-    let mut payload = Vec::new();
-    file.read_to_end(&mut payload)?;
-    if (RUN_HEADER_BYTES + payload.len()) as u64 != meta.bytes {
-        return Err(invalid(format!(
-            "{}: run is {} bytes, manifest says {}",
-            path.display(),
-            RUN_HEADER_BYTES + payload.len(),
-            meta.bytes
-        )));
-    }
-    let mut records = Vec::with_capacity(header.count as usize);
-    let mut pos = 0usize;
+    // Every record takes at least one payload byte.
+    let mut records = Vec::with_capacity(reader.capacity(count, 1));
+    let mut fences = Vec::with_capacity(records.capacity() / RUN_RESTART_INTERVAL + 1);
     let mut previous = 0u64;
-    for i in 0..header.count as usize {
-        let value = read_varint(&payload, &mut pos)?;
-        let record = if i % RUN_RESTART_INTERVAL == 0 {
+    for i in 0..count {
+        let at = reader.at();
+        let Varint(value) = reader.get()?;
+        let record = if i % RUN_RESTART_INTERVAL as u64 == 0 {
+            fences.push(Fence {
+                first_key: value,
+                offset: (at - RUN_HEADER_BYTES) as u64,
+            });
             value
         } else {
             previous
                 .checked_add(value)
-                .ok_or_else(|| invalid(format!("{}: key delta overflow", path.display())))?
+                .ok_or_else(|| invalid(format!("key delta overflow at byte {at}")))?
         };
         records.push(record);
         previous = record;
     }
-    if pos != payload.len() {
-        return Err(invalid(format!(
-            "{}: trailing payload bytes",
-            path.display()
-        )));
+    if reader.remaining() != 0 {
+        return Err(invalid(format!("trailing bytes at byte {}", reader.at())));
     }
-    if zobrist::fold_words(RUN_KIND_KEYS as u64, &records) != header.checksum {
-        return Err(invalid(format!(
-            "{}: run checksum mismatch",
-            path.display()
-        )));
+    if zobrist::fold_words(RUN_KIND_KEYS as u64, &records) != meta.checksum {
+        return Err(invalid("run checksum mismatch".to_string()));
     }
-    Ok((records, payload.len()))
+    Ok((records, fences))
 }
 
 /// Reopens a run for probing: full decode once (which verifies the
 /// checksum) to rebuild the Bloom filter and fence index, then the records
 /// are dropped — membership probes go through the file.
 fn open_keys_run(path: &Path, meta: &RunMeta) -> io::Result<Run> {
-    let (records, payload_len) = read_keys_run(path, meta)?;
-    // Rebuild fence offsets by re-encoding lengths, not by storing them:
-    // the payload is a pure function of the records, so offsets are too.
-    let mut scratch = Vec::with_capacity(payload_len);
-    let fences = encode_keys(&records, &mut scratch);
-    debug_assert_eq!(scratch.len(), payload_len);
+    let (records, fences) = read_keys_run(path, meta)?;
     Ok(Run {
         meta: meta.clone(),
         file: File::open(path).map_err(|e| annotate(e, path))?,
@@ -820,11 +729,12 @@ fn run_contains(run: &mut Run, record: u64, block: &mut Vec<u8>) -> io::Result<b
     run.file
         .seek(SeekFrom::Start(RUN_HEADER_BYTES as u64 + start))?;
     run.file.read_exact(block)?;
-    let mut pos = 0usize;
-    let mut key = read_varint(block, &mut pos)?;
-    while key < record && pos < block.len() {
+    let mut reader = Reader::new(block);
+    let Varint(mut key) = reader.get()?;
+    while key < record && reader.remaining() > 0 {
+        let Varint(delta) = reader.get()?;
         key = key
-            .checked_add(read_varint(block, &mut pos)?)
+            .checked_add(delta)
             .ok_or_else(|| invalid("key delta overflow in run block".to_string()))?;
     }
     Ok(key == record)
@@ -851,42 +761,6 @@ mod tests {
         shard_budget: 128,
     };
 
-    #[test]
-    fn varint_roundtrips_edge_values() {
-        let values = [
-            0u64,
-            1,
-            127,
-            128,
-            300,
-            u32::MAX as u64,
-            u64::MAX - 1,
-            u64::MAX,
-        ];
-        let mut buf = Vec::new();
-        for &v in &values {
-            push_varint(&mut buf, v);
-        }
-        let mut pos = 0;
-        for &v in &values {
-            assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
-        }
-        assert_eq!(pos, buf.len());
-        // Ten bytes carry 70 payload bits: the tenth may only hold bit 63.
-        // Anything above it used to be shifted out silently.
-        let mut tenth_too_big = vec![0xff; 9];
-        tenth_too_big.push(0x02);
-        let mut eleven_bytes = vec![0x80; 10];
-        eleven_bytes.push(0x00);
-        for bad in [tenth_too_big, eleven_bytes] {
-            let err = read_varint(&bad, &mut 0).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:x?}");
-        }
-        let mut max = vec![0xff; 9];
-        max.push(0x01);
-        assert_eq!(read_varint(&max, &mut 0).unwrap(), u64::MAX);
-    }
-
     /// Deterministic pseudo-random records for codec tests.
     fn sample_records(count: usize, seed: u64) -> Vec<u64> {
         let mut records: Vec<u64> = (0..count as u64).map(|i| zobrist::mix2(seed, i)).collect();
@@ -905,8 +779,44 @@ mod tests {
             write_keys_run(&dir.join("r.evr"), "r.evr".into(), &records, &mut scratch).unwrap();
         assert_eq!(meta.count as usize, records.len());
         assert_eq!(fences.len(), records.len().div_ceil(RUN_RESTART_INTERVAL));
-        let (decoded, _) = read_keys_run(&dir.join("r.evr"), &meta).unwrap();
+        let (decoded, fences) = read_keys_run(&dir.join("r.evr"), &meta).unwrap();
+        assert_eq!(fences.len(), records.len().div_ceil(RUN_RESTART_INTERVAL));
         assert_eq!(decoded, records);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A varint spelled longer than it needs (`… 80 00`) decodes to the same
+    /// record; the fences are where the restart points are, so every later
+    /// probe still lands on its block.
+    #[test]
+    fn an_overlong_varint_misplaces_no_fence() {
+        let dir = temp_dir("overlong");
+        let records = sample_records(600, 5);
+        let mut scratch = Vec::new();
+        let path = dir.join("r.evr");
+        let (mut meta, _) = write_keys_run(&path, "r.evr".into(), &records, &mut scratch).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The second record is a delta: re-spell its last byte overlong.
+        let mut at = RUN_HEADER_BYTES;
+        while bytes[at] & 0x80 != 0 {
+            at += 1;
+        }
+        at += 1;
+        while bytes[at] & 0x80 != 0 {
+            at += 1;
+        }
+        bytes[at] |= 0x80;
+        bytes.insert(at + 1, 0);
+        std::fs::write(&path, &bytes).unwrap();
+        meta.bytes += 1;
+        let mut run = open_keys_run(&path, &meta).unwrap();
+        let mut block = Vec::new();
+        for &r in &records {
+            assert!(
+                run_contains(&mut run, r, &mut block).unwrap(),
+                "lost {r:#x}"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -15,13 +15,19 @@
 //! * [`explore_partitioned`] totals recompose the single-run stats exactly;
 //! * a checkpoint written under different exploration parameters, or one
 //!   that names a retired store tag or run kind, is rejected instead of
-//!   silently diverging.
+//!   silently diverging, and one resealed with absurd counts is rejected
+//!   without allocating for them.
 //!
 //! The quick tests run fixed seed ranges on every `cargo test`; the
 //! `#[ignore]`d extended variants honour `EVLIN_DIFF_CASES` and run in the
 //! nightly CI fuzz job.
 
+#[path = "support/evck.rs"]
+mod evck;
+
+use evck::reseal;
 use evlin_algorithms::{CasFetchInc, GossipFetchInc, NoisyPrefixFetchInc};
+use evlin_checker::codec::Reader;
 use evlin_checker::{linearizability, weak_consistency};
 use evlin_history::{History, ObjectUniverse};
 use evlin_sim::checkpoint::{self, CheckpointOptions};
@@ -519,19 +525,18 @@ fn deep_cas_case(max_depth: usize) -> Case {
     }
 }
 
-/// `bytes` as little-endian words, the tail zero-padded.
-fn le_words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    bytes.chunks(8).map(|chunk| {
+/// `checkpoint.bin` as one word: its little-endian words (the tail
+/// zero-padded) folded from its byte length.  This spelling predates
+/// `codec::fold_bytes` and stays, because the two goldens were recorded with
+/// it.
+fn fold_checkpoint_file(dir: &std::path::Path) -> u64 {
+    let bytes = std::fs::read(dir.join("checkpoint.bin")).expect("read checkpoint.bin");
+    let words = bytes.chunks(8).map(|chunk| {
         let mut word = [0u8; 8];
         word[..chunk.len()].copy_from_slice(chunk);
         u64::from_le_bytes(word)
-    })
-}
-
-/// `checkpoint.bin` as one word: its words folded from its byte length.
-fn fold_checkpoint_file(dir: &std::path::Path) -> u64 {
-    let bytes = std::fs::read(dir.join("checkpoint.bin")).expect("read checkpoint.bin");
-    zobrist::fold_word_iter(bytes.len() as u64, le_words(&bytes))
+    });
+    zobrist::fold_word_iter(bytes.len() as u64, words)
 }
 
 /// The sequential driver's checkpoint after 1234 visits (the 24th, written
@@ -711,19 +716,23 @@ fn checkpoint_rejects_mismatched_parameters() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Store tag 1 (the resident prefix-sharded backend) and run kind 1 (the
-/// `(key, depth)` pair sidecars of the old in-memory backend) are retired: a
-/// checkpoint that carries either — resealed, so its trailer checksum is
-/// good — is refused by name, never read as something else.
-#[test]
-fn checkpoint_rejects_retired_store_tag_and_run_kind() {
-    /// Offset of the store-config tag: magic, version, flags, config hash,
-    /// sequence, three counts and the truncation flag come first
-    /// (docs/CHECKPOINT.md).
-    const STORE_TAG_AT: usize = 4 + 2 + 2 + 8 + 8 + 3 * 8 + 1;
+/// Offset of the store-config tag in `checkpoint.bin`: magic, version, flags,
+/// config hash, sequence, three counts and the truncation flag come first
+/// (docs/CHECKPOINT.md).
+const STORE_TAG_AT: usize = 4 + 2 + 2 + 8 + 8 + 3 * 8 + 1;
+
+/// A spill checkpoint of [`deep_cas_case`] killed at visit 1234, so its
+/// manifest names runs and its frontier is not empty; returns the directory
+/// and a resume of it.
+fn killed_spill_checkpoint(
+    tag: &str,
+) -> (
+    PathBuf,
+    impl Fn(&CheckpointOptions) -> std::io::Result<checkpoint::CheckpointRun>,
+) {
     let case = deep_cas_case(14);
     let engine_options = options(&case, Reduction::SleepSetSymmetry, ALT_BACKENDS[0]);
-    let run = |ck: &CheckpointOptions| {
+    let run = move |ck: &CheckpointOptions| {
         checkpoint::explore_checkpointed(
             case.implementation.as_ref(),
             &case.workload,
@@ -732,7 +741,7 @@ fn checkpoint_rejects_retired_store_tag_and_run_kind() {
             |_, _| Visit::Continue,
         )
     };
-    let dir = temp_dir("retired");
+    let dir = temp_dir(tag);
     let killed = run(&CheckpointOptions {
         dir: dir.clone(),
         interval_visits: 50,
@@ -740,9 +749,18 @@ fn checkpoint_rejects_retired_store_tag_and_run_kind() {
     })
     .expect("killed run");
     assert!(!killed.completed && killed.stats.store_runs > 0);
+    (dir, run)
+}
+
+/// Store tag 1 (the resident prefix-sharded backend) and run kind 1 (the
+/// `(key, depth)` pair sidecars of the old in-memory backend) are retired: a
+/// checkpoint that carries either — resealed, so its trailer checksum is
+/// good — is refused by name, never read as something else.
+#[test]
+fn checkpoint_rejects_retired_store_tag_and_run_kind() {
+    let (dir, run) = killed_spill_checkpoint("retired");
     let path = dir.join("checkpoint.bin");
     let pristine = std::fs::read(&path).expect("read checkpoint.bin");
-    let body_len = pristine.len() - 8;
     assert_eq!(pristine[STORE_TAG_AT], 2, "a spill store is tag 2");
     // The first run-meta entry: its file name, then its 16-bit kind.
     let kind_at = pristine
@@ -757,9 +775,7 @@ fn checkpoint_rejects_retired_store_tag_and_run_kind() {
     ] {
         let mut bytes = pristine.clone();
         bytes[at] = 1;
-        let words = le_words(&bytes[..body_len]).chain([body_len as u64]);
-        let checksum = zobrist::fold_word_iter(u64::from_le_bytes(*b"EVCKsumm"), words);
-        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        reseal(&mut bytes);
         std::fs::write(&path, &bytes).expect("write the doctored checkpoint");
         let err = run(&CheckpointOptions::new(&dir)).expect_err("a retired code must not resume");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -772,6 +788,46 @@ fn checkpoint_rejects_retired_store_tag_and_run_kind() {
             .expect("resume")
             .completed
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A count read out of a checkpoint sizes nothing before the bytes behind it
+/// are there: resealed with shard count `u32::MAX`, frame count `u64::MAX` or
+/// a first path length of `u32::MAX`, the checkpoint resumes to
+/// `InvalidData` — where each used to abort on its preallocation.
+#[test]
+fn checkpoint_counts_cannot_size_allocations() {
+    let (dir, run) = killed_spill_checkpoint("counts");
+    let path = dir.join("checkpoint.bin");
+    let pristine = std::fs::read(&path).expect("read checkpoint.bin");
+    // Walk the manifest to the frontier (docs/CHECKPOINT.md § EVCK).
+    let mut r = Reader::new(&pristine[..pristine.len() - 8]);
+    let skip_run_meta = |r: &mut Reader<'_>| {
+        r.get::<&str>().expect("run file name");
+        r.take(2 + 5 * 8).expect("run meta");
+    };
+    r.take(STORE_TAG_AT + 13 + 8).expect("fixed fields");
+    let shard_count_at = r.at();
+    for _ in 0..r.get::<u32>().expect("shard count") {
+        for _ in 0..r.get::<u32>().expect("run count") {
+            skip_run_meta(&mut r);
+        }
+        if r.get::<u8>().expect("sidecar option") == 1 {
+            skip_run_meta(&mut r);
+        }
+    }
+    let frame_count_at = r.at();
+    assert!(r.get::<u64>().expect("frame count") > 0);
+    r.get::<u64>().expect("first frame's mask");
+    let path_len_at = r.at();
+    for (at, width) in [(shard_count_at, 4), (frame_count_at, 8), (path_len_at, 4)] {
+        let mut bytes = pristine.clone();
+        bytes[at..at + width].fill(0xff);
+        reseal(&mut bytes);
+        std::fs::write(&path, &bytes).expect("write the doctored checkpoint");
+        let err = run(&CheckpointOptions::new(&dir)).expect_err("a doctored count must not resume");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
