@@ -101,6 +101,11 @@
 //!
 //! ## The four conditions
 //!
+//! Each condition is its own state plus one drain over a batch, which borrows
+//! what they all share (universe, limits, scratches, counters, verdict).  A
+//! frontier past a fixed cap of 4096 entries makes the verdict
+//! [`MonitorVerdict::Unknown`].
+//!
 //! * [`MonitorCondition::Linearizability`] — per-object frontier threading as
 //!   above.
 //! * [`MonitorCondition::TLinearizability`] — Definition 2 with a fixed `t`.
@@ -122,7 +127,10 @@
 //!   eventual linearizability (`t`-linearizable for *some* `t`, i.e. all
 //!   responses and real-time order forgiven) likewise only depends on the
 //!   multiset of invocations; the monitor accumulates counters and decides at
-//!   [`Monitor::finish`].
+//!   [`Monitor::finish`].  Weak consistency and this mode replay a segment's
+//!   invoke/respond pairs through one loop, and the operations still pending
+//!   at the end of the stream are what that loop leaves open in the stream's
+//!   tail: each was invoked after the last quiescent cut.
 //!
 //! ## Example
 //!
@@ -150,15 +158,16 @@
 //!
 //! ```
 //! use evlin_checker::monitor::{stages, MonitorConfig};
-//! use evlin_history::{ObjectUniverse, ProcessId};
+//! use evlin_history::{Event, ObjectUniverse, ProcessId};
 //! use evlin_spec::{FetchIncrement, Value};
 //!
 //! let mut universe = ObjectUniverse::new();
 //! let x = universe.add_object(FetchIncrement::new());
 //! let (mut ingest, mut check) = stages(universe, MonitorConfig::default());
 //! for k in 0..10i64 {
-//!     ingest.invoke(ProcessId(0), x, FetchIncrement::fetch_inc()).unwrap();
-//!     ingest.respond(ProcessId(0), x, Value::from(k)).unwrap();
+//!     let p = ProcessId(0);
+//!     ingest.ingest(Event::invoke(p, x, FetchIncrement::fetch_inc())).unwrap();
+//!     ingest.ingest(Event::respond(p, x, Value::from(k))).unwrap();
 //!     if let Some(batch) = ingest.take_ready_batch() {
 //!         check.check_batch(batch); // in a pipeline: on another thread
 //!     }
@@ -204,7 +213,9 @@ pub enum MonitorCondition {
     StabilizesEventually,
 }
 
-/// Tuning knobs for a [`Monitor`].
+/// Tuning knobs for a [`Monitor`].  The frontier cap is not one of them: a
+/// frontier of more than 4096 entries makes the verdict
+/// [`MonitorVerdict::Unknown`] instead of exhausting memory.
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorConfig {
     /// The condition to enforce.
@@ -217,9 +228,6 @@ pub struct MonitorConfig {
     pub min_segment_events: usize,
     /// Check-and-GC automatically once this many closed segments queue up.
     pub segment_batch: usize,
-    /// Upper bound on tracked frontier entries; exceeding it makes the
-    /// verdict [`MonitorVerdict::Unknown`] instead of exhausting memory.
-    pub max_frontiers: usize,
 }
 
 impl Default for MonitorConfig {
@@ -229,10 +237,12 @@ impl Default for MonitorConfig {
             limits: SearchLimits::default(),
             min_segment_events: 1,
             segment_batch: 64,
-            max_frontiers: 4096,
         }
     }
 }
+
+/// Upper bound on tracked frontier entries (see [`MonitorConfig`]).
+const MAX_FRONTIERS: usize = 4096;
 
 impl MonitorConfig {
     /// A default configuration for the given condition.
@@ -421,6 +431,10 @@ struct Segment {
     completed: usize,
     /// Stream fingerprint folded up to and including this segment.
     key: u64,
+    /// Whether this is the stream's tail, the last segment of the batch
+    /// [`MonitorIngest::finish`] returns (possibly non-quiescent, possibly
+    /// empty).
+    is_tail: bool,
 }
 
 /// An opaque batch of closed segments in flight from [`MonitorIngest`] to
@@ -428,9 +442,6 @@ struct Segment {
 /// a channel to a dedicated checker thread, in FIFO order.
 pub struct SegmentBatch {
     segments: Vec<Segment>,
-    /// Whether the last segment is the stream tail (possibly non-quiescent,
-    /// possibly empty) produced by [`MonitorIngest::finish`].
-    is_final: bool,
 }
 
 impl SegmentBatch {
@@ -460,17 +471,12 @@ impl SegmentBatch {
 
 /// End-of-stream accounting handed from [`MonitorIngest::finish`] to
 /// [`MonitorCheck::finish`], so the final report carries the ingest-side
-/// counters and the stabilizes-eventually decision sees the operations still
-/// pending when the stream ended.
+/// counters.  (The operations still pending when the stream ended are in the
+/// final batch's tail segment, where every condition that reads them looks.)
 pub struct IngestSummary {
     events: usize,
     peak_window_events: usize,
     stream_fingerprint: u64,
-    /// Pending `(object, invocation)` pairs at end of stream (ascending
-    /// process order).  Populated only for
-    /// [`MonitorCondition::StabilizesEventually`], the one mode whose
-    /// decision needs them.
-    pending: Vec<(ObjectId, Invocation)>,
 }
 
 impl IngestSummary {
@@ -488,7 +494,7 @@ impl IngestSummary {
 /// A `t`-linearizability frontier: object-state overrides left behind by an
 /// accepting chain of segment witnesses, plus the floaters that chain has not
 /// yet linearized.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct TlFrontier {
     /// Final states of the objects touched so far (sorted by object).
     states: Vec<(ObjectId, Value)>,
@@ -514,21 +520,33 @@ enum ModeState {
         t: usize,
         frontiers: Vec<TlFrontier>,
     },
-    Weak {
-        /// Per object: how many operations with each invocation have been
-        /// *invoked* so far (the optional pool of Definition 1).
-        invoked: BTreeMap<ObjectId, BTreeMap<Invocation, u64>>,
-        /// Per (process, object): how many operations with each invocation
-        /// have *completed* (the required same-process predecessors).
-        preds: BTreeMap<(ProcessId, ObjectId), BTreeMap<Invocation, u64>>,
-        /// Global operation counter (invocation order), so reported [`OpId`]s
-        /// match [`History::operations`] numbering.
-        next_op: usize,
-    },
+    Weak(WeakCounters),
     Stab {
         /// Per object: invocation multiset of completed operations.
-        completed: BTreeMap<ObjectId, BTreeMap<Invocation, u64>>,
+        completed: BTreeMap<ObjectId, Tally>,
     },
+}
+
+/// Weak consistency's summary of the past.
+#[derive(Default)]
+struct WeakCounters {
+    /// Per object: how many operations with each invocation have been
+    /// *invoked* so far (the optional pool of Definition 1).
+    invoked: BTreeMap<ObjectId, Tally>,
+    /// Per (process, object): how many operations with each invocation have
+    /// *completed* (the required same-process predecessors).
+    preds: BTreeMap<(ProcessId, ObjectId), Tally>,
+    /// Global operation counter (invocation order), so reported [`OpId`]s
+    /// match [`History::operations`] numbering.
+    next_op: usize,
+}
+
+/// An invocation multiset: how many operations carry each invocation.
+type Tally = BTreeMap<Invocation, u64>;
+
+/// Counts one more operation with `invocation`.
+fn bump(tally: &mut Tally, invocation: &Invocation) {
+    *tally.entry(invocation.clone()).or_insert(0) += 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -550,10 +568,6 @@ pub struct MonitorIngest {
     /// `t`-linearizability defers the first cut until the stream has passed
     /// this global index (0 in every other mode).
     cut_floor: usize,
-    /// Whether pending invocation values must be retained for the final
-    /// summary (stabilizes-eventually needs them; the other modes skip the
-    /// clone on the hot path).
-    track_invocations: bool,
     /// The open window: events since the last cut.
     window: Vec<Event>,
     /// Global index of the first window event.
@@ -564,8 +578,6 @@ pub struct MonitorIngest {
     window_completed: usize,
     /// Pending operation's object per process, indexed by `ProcessId.0`.
     pending_objects: Vec<Option<ObjectId>>,
-    /// Pending invocations (only maintained when `track_invocations`).
-    pending_invocations: Vec<Option<Invocation>>,
     pending_count: usize,
     /// Closed segments awaiting [`MonitorIngest::take_batch`].
     closed: Vec<Segment>,
@@ -601,13 +613,11 @@ impl MonitorIngest {
                 MonitorCondition::TLinearizability { t } => t,
                 _ => 0,
             },
-            track_invocations: matches!(config.condition, MonitorCondition::StabilizesEventually),
             window: Vec::new(),
             window_start: 0,
             word_buf: Vec::new(),
             window_completed: 0,
             pending_objects: Vec::new(),
-            pending_invocations: Vec::new(),
             pending_count: 0,
             closed: Vec::new(),
             queued_events: 0,
@@ -615,34 +625,6 @@ impl MonitorIngest {
             peak_window_events: 0,
             stream_fp: 0,
         }
-    }
-
-    /// Ingests an invocation event (see [`MonitorIngest::ingest`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MonitorError`] if the event makes the stream ill-formed.
-    pub fn invoke(
-        &mut self,
-        process: ProcessId,
-        object: ObjectId,
-        invocation: Invocation,
-    ) -> Result<(), MonitorError> {
-        self.ingest(Event::invoke(process, object, invocation))
-    }
-
-    /// Ingests a response event (see [`MonitorIngest::ingest`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MonitorError`] if the event makes the stream ill-formed.
-    pub fn respond(
-        &mut self,
-        process: ProcessId,
-        object: ObjectId,
-        value: Value,
-    ) -> Result<(), MonitorError> {
-        self.ingest(Event::respond(process, object, value))
     }
 
     /// Ingests one event, closing the window at quiescent cut points.
@@ -655,12 +637,9 @@ impl MonitorIngest {
         let global_index = self.window_start + self.window.len();
         let p = event.process.0;
         match &event.kind {
-            EventKind::Invoke(invocation) => {
+            EventKind::Invoke(_) => {
                 if self.pending_objects.len() <= p {
                     self.pending_objects.resize(p + 1, None);
-                    if self.track_invocations {
-                        self.pending_invocations.resize(p + 1, None);
-                    }
                 }
                 if self.pending_objects[p].is_some() {
                     return Err(MonitorError::InvokeWhilePending {
@@ -669,17 +648,11 @@ impl MonitorIngest {
                     });
                 }
                 self.pending_objects[p] = Some(event.object);
-                if self.track_invocations {
-                    self.pending_invocations[p] = Some(invocation.clone());
-                }
                 self.pending_count += 1;
             }
             EventKind::Respond(_) => match self.pending_objects.get(p).copied().flatten() {
                 Some(object) if object == event.object => {
                     self.pending_objects[p] = None;
-                    if self.track_invocations {
-                        self.pending_invocations[p] = None;
-                    }
                     self.pending_count -= 1;
                     self.window_completed += 1;
                 }
@@ -707,11 +680,6 @@ impl MonitorIngest {
         Ok(())
     }
 
-    /// Number of events ingested so far.
-    pub fn events(&self) -> usize {
-        self.events
-    }
-
     /// Takes the queued segments as a batch once at least
     /// [`MonitorConfig::segment_batch`] of them have closed; `None` below
     /// the threshold.  This is the pipelined analogue of the inline
@@ -733,10 +701,8 @@ impl MonitorIngest {
         self.queued_events = 0;
         // As in `close_window`: the next batch gets this one's room up front.
         let room = Vec::with_capacity(self.closed.len());
-        Some(SegmentBatch {
-            segments: std::mem::replace(&mut self.closed, room),
-            is_final: false,
-        })
+        let segments = std::mem::replace(&mut self.closed, room);
+        Some(SegmentBatch { segments })
     }
 
     /// Closes the stream: the remaining window becomes the final (possibly
@@ -744,39 +710,16 @@ impl MonitorIngest {
     /// and the summary carries the ingest-side counters for
     /// [`MonitorCheck::finish`].
     pub fn finish(mut self) -> (SegmentBatch, IngestSummary) {
-        let key = fold_words(self.stream_fp, &self.word_buf);
-        self.stream_fp = key;
-        self.word_buf.clear();
-        let tail = Segment {
-            start: self.window_start,
-            history: History::from_events(std::mem::take(&mut self.window)),
-            completed: self.window_completed,
-            key,
-        };
+        let window = std::mem::take(&mut self.window);
+        let tail = self.seal(window, true);
         let mut segments = std::mem::take(&mut self.closed);
         segments.push(tail);
-        let pending = self
-            .pending_objects
-            .iter()
-            .zip(
-                self.pending_invocations
-                    .iter()
-                    .chain(std::iter::repeat(&None)),
-            )
-            .filter_map(|(object, invocation)| Some(((*object)?, invocation.clone()?)))
-            .collect();
-        (
-            SegmentBatch {
-                segments,
-                is_final: true,
-            },
-            IngestSummary {
-                events: self.events,
-                peak_window_events: self.peak_window_events,
-                stream_fingerprint: self.stream_fp,
-                pending,
-            },
-        )
+        let summary = IngestSummary {
+            events: self.events,
+            peak_window_events: self.peak_window_events,
+            stream_fingerprint: self.stream_fp,
+        };
+        (SegmentBatch { segments }, summary)
     }
 
     fn close_window(&mut self) {
@@ -787,18 +730,25 @@ impl MonitorIngest {
         // taken in one piece per 4096-event segment measured slower.
         let room = Vec::with_capacity(self.window.len().min(WINDOW_PRESIZE_MAX));
         let events = std::mem::replace(&mut self.window, room);
+        self.queued_events += events.len();
+        let segment = self.seal(events, false);
+        self.closed.push(segment);
+    }
+
+    /// Seals `events`, the window just taken, into a segment, folding its
+    /// words into the stream fingerprint.
+    fn seal(&mut self, events: Vec<Event>, is_tail: bool) -> Segment {
         let start = self.window_start;
         self.window_start = start + events.len();
-        self.queued_events += events.len();
-        let key = fold_words(self.stream_fp, &self.word_buf);
-        self.stream_fp = key;
+        self.stream_fp = fold_words(self.stream_fp, &self.word_buf);
         self.word_buf.clear();
-        self.closed.push(Segment {
+        Segment {
             start,
             history: History::from_events(events),
-            completed: std::mem::replace(&mut self.window_completed, 0),
-            key,
-        });
+            completed: std::mem::take(&mut self.window_completed),
+            key: self.stream_fp,
+            is_tail,
+        }
     }
 }
 
@@ -810,10 +760,16 @@ impl MonitorIngest {
 /// order, threads frontiers across segments and renders verdicts.  See
 /// [`stages`].
 pub struct MonitorCheck {
+    /// What every condition shares.
+    cx: CheckContext,
+    /// The condition's own state, lent to its drain beside `cx`.
+    mode: ModeState,
+}
+
+/// The check stage's machinery that every condition shares.
+struct CheckContext {
     universe: ObjectUniverse,
     limits: SearchLimits,
-    max_frontiers: usize,
-    mode: ModeState,
     violation: Option<MonitorViolation>,
     /// Some search was cut off; a subsequent "no" cannot be trusted.
     incomplete: bool,
@@ -824,7 +780,7 @@ pub struct MonitorCheck {
     /// The pooled fast-path buffers: the `fi` check of a projection allocates
     /// nothing once the widest one has been seen.
     fi_scratch: FiScratch,
-    /// The pooled per-batch tables of [`MonitorCheck::drain_lin`] (see
+    /// The pooled per-batch tables of [`CheckContext::drain_lin`] (see
     /// [`Grouping`]) and the kernel path's per-link ones: no batch, chain or
     /// link allocates once the widest has been seen.
     grouping: Grouping,
@@ -844,8 +800,8 @@ pub struct MonitorCheck {
 impl fmt::Debug for MonitorCheck {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MonitorCheck")
-            .field("stats", &self.stats)
-            .field("violation", &self.violation)
+            .field("stats", &self.cx.stats)
+            .field("violation", &self.cx.violation)
             .finish()
     }
 }
@@ -863,16 +819,12 @@ impl MonitorCheck {
                     unplaced: Vec::new(),
                 }],
             },
-            MonitorCondition::WeakConsistency => ModeState::Weak {
-                invoked: BTreeMap::new(),
-                preds: BTreeMap::new(),
-                next_op: 0,
-            },
+            MonitorCondition::WeakConsistency => ModeState::Weak(WeakCounters::default()),
             MonitorCondition::StabilizesEventually => ModeState::Stab {
                 completed: BTreeMap::new(),
             },
         };
-        MonitorCheck {
+        let cx = CheckContext {
             grouping: Grouping {
                 slots: vec![NO_SLOT; universe.len()],
                 ..Grouping::default()
@@ -881,26 +833,20 @@ impl MonitorCheck {
             outgoing: Vec::new(),
             universe,
             limits: config.limits,
-            max_frontiers: config.max_frontiers.max(1),
-            mode,
             violation: None,
             incomplete: false,
             stats: MonitorStats::default(),
             fi_scratch: FiScratch::default(),
             scratch: KernelScratch::new(),
-        }
-    }
-
-    /// The universe the monitor checks against.
-    pub fn universe(&self) -> &ObjectUniverse {
-        &self.universe
+        };
+        MonitorCheck { cx, mode }
     }
 
     /// The verdict over everything checked so far.
     pub fn verdict_so_far(&self) -> MonitorVerdict {
-        match &self.violation {
+        match &self.cx.violation {
             Some(v) => MonitorVerdict::Violation(v.clone()),
-            None if self.incomplete => MonitorVerdict::Unknown,
+            None if self.cx.incomplete => MonitorVerdict::Unknown,
             None => MonitorVerdict::Ok,
         }
     }
@@ -909,8 +855,11 @@ impl MonitorCheck {
     /// memory.  Batches must arrive in the order the ingest stage produced
     /// them; after a violation, further batches are discarded unchecked.
     pub fn check_batch(&mut self, batch: SegmentBatch) {
-        debug_assert!(!batch.is_final, "final batches go through finish()");
-        self.drain_batch(&batch.segments, false);
+        debug_assert!(
+            batch.segments.iter().all(|s| !s.is_tail),
+            "final batches go through finish()"
+        );
+        self.drain_batch(&batch.segments);
     }
 
     /// Consumes the final batch from [`MonitorIngest::finish`] and renders
@@ -918,17 +867,11 @@ impl MonitorCheck {
     /// verdict on the concatenation of every ingested event.
     pub fn finish(mut self, tail: SegmentBatch, summary: IngestSummary) -> MonitorReport {
         debug_assert!(
-            tail.is_final,
+            tail.segments.last().is_some_and(|s| s.is_tail),
             "finish() requires the ingest stage's final batch"
         );
-        self.drain_batch(&tail.segments, true);
-        // Mode-specific wrap-up for the summarized conditions.
-        if self.violation.is_none() {
-            if let ModeState::Stab { .. } = &self.mode {
-                self.finish_stab(&summary.pending);
-            }
-        }
-        let mut stats = self.stats;
+        self.drain_batch(&tail.segments);
+        let mut stats = self.cx.stats;
         stats.events = summary.events;
         stats.peak_window_events = summary.peak_window_events;
         stats.stream_fingerprint = summary.stream_fingerprint;
@@ -938,31 +881,34 @@ impl MonitorCheck {
         }
     }
 
-    /// Dispatches one batch to the mode-specific drain.  `is_final` marks
-    /// the last segment as the stream tail.
-    fn drain_batch(&mut self, segments: &[Segment], is_final: bool) {
-        if self.violation.is_some() {
+    /// Hands one batch to the condition's drain, lending it the condition's
+    /// state.
+    fn drain_batch(&mut self, segments: &[Segment]) {
+        let cx = &mut self.cx;
+        if cx.violation.is_some() {
             return;
         }
         let nonempty = segments.iter().filter(|s| !s.history.is_empty()).count();
-        if nonempty == 0 && !is_final {
+        if nonempty == 0 && !segments.last().is_some_and(|s| s.is_tail) {
             return;
         }
-        self.stats.segments += nonempty;
-        match &self.mode {
-            ModeState::Lin { .. } => self.drain_lin(segments, is_final),
-            ModeState::TLin { .. } => self.drain_tlin(segments, is_final),
-            ModeState::Weak { .. } => self.drain_weak(segments),
-            ModeState::Stab { .. } => self.drain_stab(segments),
+        cx.stats.segments += nonempty;
+        match &mut self.mode {
+            ModeState::Lin { frontiers } => cx.drain_lin(frontiers, segments),
+            ModeState::TLin { t, frontiers } => cx.drain_tlin(*t, frontiers, segments),
+            ModeState::Weak(counters) => cx.drain_weak(counters, segments),
+            ModeState::Stab { completed } => cx.drain_stab(completed, segments),
         }
     }
+}
 
+impl CheckContext {
     // -- linearizability ---------------------------------------------------
 
     /// Checks a batch of segments under linearizability: per-object frontier
     /// threading, one object's chain after the other, with the
     /// fetch&increment fast path per projection.
-    fn drain_lin(&mut self, segments: &[Segment], is_final: bool) {
+    fn drain_lin(&mut self, frontiers: &mut BTreeMap<ObjectId, Vec<Value>>, segments: &[Segment]) {
         // One grouping pass per segment, then the links sorted by object
         // and segment: each run of the sorted list is one object's chain,
         // and the runs come in ascending object order.
@@ -981,8 +927,11 @@ impl MonitorCheck {
         let mut best: Option<(usize, ObjectId, String)> = None;
         for chain in grouping.links.chunk_by(|a, b| a.object == b.object) {
             let object = chain[0].object;
+            let frontier = frontiers
+                .entry(object)
+                .or_insert_with(|| vec![self.universe.initial_state(object).clone()]);
             let violation =
-                self.chase_object_chain(object, segments, chain, &grouping.positions, is_final);
+                self.chase_object_chain(object, frontier, segments, chain, &grouping.positions);
             if let Some((segment_index, detail)) = violation {
                 if best.as_ref().is_none_or(|(s, _, _)| segment_index < *s) {
                     best = Some((segment_index, object, detail));
@@ -1022,28 +971,23 @@ impl MonitorCheck {
     fn chase_object_chain(
         &mut self,
         object: ObjectId,
+        frontier: &mut Vec<Value>,
         segments: &[Segment],
         links: &[Link],
         positions: &[u32],
-        is_final: bool,
     ) -> Option<(usize, String)> {
-        let ModeState::Lin { frontiers } = &mut self.mode else {
-            unreachable!("drain_lin requires Lin mode");
-        };
-        let frontier = frontiers
-            .entry(object)
-            .or_insert_with(|| vec![self.universe.initial_state(object).clone()]);
         let (universe, limits) = (&self.universe, self.limits);
         let fast_eligible = universe.object_type(object).name() == "fetch&increment";
         let outgoing = &mut self.outgoing;
         for link in links {
-            let events = segments[link.segment].history.events();
+            let segment = &segments[link.segment];
+            let events = segment.history.events();
             // The link's events, read in place: the `k`-th is the segment's
             // `picked[k]`-th, or its `k`-th when the link is the segment.
             let picked = link.positions.map(|(start, end)| &positions[start..end]);
             let len = picked.map_or(events.len(), <[u32]>::len);
             let event = |k: usize| &events[picked.map_or(k, |picked| picked[k] as usize)];
-            let final_segment = is_final && link.segment + 1 == segments.len();
+            let final_segment = segment.is_tail;
             // Fast path: a pure fetch&increment projection from an integer
             // state has a unique outgoing state (initial + operation count),
             // so the near-linear specialized checker replaces the kernel
@@ -1127,7 +1071,7 @@ impl MonitorCheck {
             // (and so the counters) run in.
             outgoing.sort_unstable();
             outgoing.dedup();
-            if outgoing.len() > self.max_frontiers {
+            if outgoing.len() > MAX_FRONTIERS {
                 self.incomplete = true;
                 return None;
             }
@@ -1139,16 +1083,15 @@ impl MonitorCheck {
     // -- t-linearizability -------------------------------------------------
 
     /// Checks a batch of segments under `t`-linearizability, threading
-    /// `(states, unplaced floaters)` frontiers sequentially.
-    fn drain_tlin(&mut self, segments: &[Segment], is_final: bool) {
-        let ModeState::TLin { t, frontiers } = &self.mode else {
-            unreachable!("drain_tlin requires TLin mode");
-        };
-        let t = *t;
-        let mut current: Vec<TlFrontier> = frontiers.clone();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for (index, segment) in segments.iter().enumerate() {
-            let final_segment = is_final && index + 1 == segments.len();
+    /// `(states, unplaced floaters)` frontiers sequentially.  `frontiers`
+    /// moves only once the whole batch has: a violation or the frontier cap
+    /// leaves it where the batch found it.
+    fn drain_tlin(&mut self, t: usize, frontiers: &mut Vec<TlFrontier>, segments: &[Segment]) {
+        // What the last segment checked left behind, once one has been.
+        let mut carried: Option<Vec<TlFrontier>> = None;
+        for segment in segments {
+            let current = carried.as_deref().unwrap_or(frontiers);
+            let final_segment = segment.is_tail;
             if segment.history.is_empty() && !final_segment {
                 continue;
             }
@@ -1171,7 +1114,7 @@ impl MonitorCheck {
                         &fr.roots(),
                         &self.universe,
                         self.limits,
-                        &mut scratch,
+                        &mut self.scratch,
                     );
                     self.stats.search.absorb(stats);
                     if matches!(result, SearchResult::Unknown) {
@@ -1204,9 +1147,9 @@ impl MonitorCheck {
                 tracked.extend((0..ops.len()).filter(forgiven));
             }
             let demoted = tracked.len();
-            let mut outgoing: BTreeSet<TlFrontier> = BTreeSet::new();
+            let mut outgoing: Vec<TlFrontier> = Vec::new();
             let mut any_yes = false;
-            for fr in &current {
+            for fr in current {
                 // The frontier's carried floaters follow the segment's
                 // operations, tracked too.
                 tracked.truncate(demoted);
@@ -1234,7 +1177,7 @@ impl MonitorCheck {
                     let mut unplaced: Vec<(ObjectId, Invocation)> =
                         unplaced.map(|(&i, _)| floater(problem.op(i))).collect();
                     unplaced.sort();
-                    outgoing.insert(TlFrontier {
+                    outgoing.push(TlFrontier {
                         states: states.into_iter().collect(),
                         unplaced,
                     });
@@ -1245,7 +1188,7 @@ impl MonitorCheck {
                     &self.universe,
                     self.limits,
                     &tracked,
-                    &mut scratch,
+                    &mut self.scratch,
                     each,
                 );
                 self.stats.search.absorb(stats);
@@ -1266,25 +1209,25 @@ impl MonitorCheck {
                         ),
                     });
                 }
-                self.scratch = scratch;
                 return;
             }
             self.stats.checked_ops += segment.completed;
             if final_segment {
                 break;
             }
-            if outgoing.len() > self.max_frontiers {
+            // Ascending and distinct: the order the next segment's searches
+            // (and so the counters) run in.
+            outgoing.sort_unstable();
+            outgoing.dedup();
+            if outgoing.len() > MAX_FRONTIERS {
                 self.incomplete = true;
-                self.scratch = scratch;
                 return;
             }
-            current = outgoing.into_iter().collect();
+            carried = Some(outgoing);
         }
-        self.scratch = scratch;
-        let ModeState::TLin { frontiers, .. } = &mut self.mode else {
-            unreachable!();
-        };
-        *frontiers = current;
+        if let Some(carried) = carried {
+            *frontiers = carried;
+        }
     }
 
     // -- weak consistency --------------------------------------------------
@@ -1292,68 +1235,49 @@ impl MonitorCheck {
     /// Checks a batch of segments under weak consistency: replay the events
     /// against the invocation counters and solve one search problem per
     /// completed operation, as its response is replayed.
-    fn drain_weak(&mut self, segments: &[Segment]) {
-        let ModeState::Weak {
+    fn drain_weak(&mut self, counters: &mut WeakCounters, segments: &[Segment]) {
+        let WeakCounters {
             invoked,
             preds,
             next_op,
-        } = &mut self.mode
-        else {
-            unreachable!("drain_weak requires Weak mode");
-        };
+        } = counters;
         // The least violating operation and the index of its segment.
         let mut first: Option<(OpId, usize)> = None;
         for (segment_index, segment) in segments.iter().enumerate() {
-            let mut live: BTreeMap<ProcessId, (ObjectId, Invocation, usize)> = BTreeMap::new();
-            for event in segment.history.events() {
-                match &event.kind {
-                    EventKind::Invoke(invocation) => {
-                        let id = *next_op;
-                        *next_op += 1;
-                        live.insert(event.process, (event.object, invocation.clone(), id));
-                        *invoked
-                            .entry(event.object)
-                            .or_default()
-                            .entry(invocation.clone())
-                            .or_insert(0) += 1;
+            let base = *next_op;
+            replay_operations(segment, |event, invocation, response| {
+                let (object, process) = (event.object, event.process);
+                let Some((value, ordinal)) = response else {
+                    *next_op += 1;
+                    return bump(invoked.entry(object).or_default(), invocation);
+                };
+                let problem = weak_problem(
+                    invoked.get(&object),
+                    preds.get(&(process, object)),
+                    object,
+                    invocation,
+                    value,
+                );
+                let (result, stats) = kernel::solve_rooted(
+                    &problem,
+                    &[],
+                    &self.universe,
+                    self.limits,
+                    &mut self.scratch,
+                );
+                self.stats.checked_ops += 1;
+                self.stats.search.absorb(stats);
+                let id = OpId(base + ordinal);
+                match result {
+                    SearchResult::Yes(_) => {}
+                    SearchResult::Unknown => self.incomplete = true,
+                    SearchResult::No if first.is_none_or(|(op, _)| id < op) => {
+                        first = Some((id, segment_index));
                     }
-                    EventKind::Respond(value) => {
-                        let Some((object, invocation, id)) = live.remove(&event.process) else {
-                            continue; // well-formedness was enforced at ingest
-                        };
-                        let problem = weak_problem(
-                            invoked.get(&object),
-                            preds.get(&(event.process, object)),
-                            object,
-                            &invocation,
-                            value,
-                        );
-                        let (result, stats) = kernel::solve_rooted(
-                            &problem,
-                            &[],
-                            &self.universe,
-                            self.limits,
-                            &mut self.scratch,
-                        );
-                        self.stats.checked_ops += 1;
-                        self.stats.search.absorb(stats);
-                        match result {
-                            SearchResult::Yes(_) => {}
-                            SearchResult::Unknown => self.incomplete = true,
-                            SearchResult::No => {
-                                if first.is_none_or(|(op, _)| OpId(id) < op) {
-                                    first = Some((OpId(id), segment_index));
-                                }
-                            }
-                        }
-                        *preds
-                            .entry((event.process, object))
-                            .or_default()
-                            .entry(invocation)
-                            .or_insert(0) += 1;
-                    }
+                    SearchResult::No => {}
                 }
-            }
+                bump(preds.entry((process, object)).or_default(), invocation);
+            });
         }
         if let Some((op, segment_index)) = first {
             let segment = &segments[segment_index];
@@ -1369,55 +1293,39 @@ impl MonitorCheck {
 
     // -- eventual stabilization (liveness half) ----------------------------
 
-    /// Accumulates the invocation multisets; the decision happens in
-    /// [`MonitorCheck::finish_stab`].
-    fn drain_stab(&mut self, segments: &[Segment]) {
-        let ModeState::Stab { completed } = &mut self.mode else {
-            unreachable!("drain_stab requires Stab mode");
-        };
+    /// Accumulates the invocation multisets of completed operations and, at
+    /// the stream's tail, decides "stabilizes eventually": with every
+    /// response and the whole real-time order forgiven, is there a legal
+    /// arrangement of all completed operations (plus any subset of the
+    /// pending ones)?  There are no cross-object constraints, so the objects
+    /// are decided independently, in ascending order.
+    fn drain_stab(&mut self, completed: &mut BTreeMap<ObjectId, Tally>, segments: &[Segment]) {
+        let mut open = BTreeMap::new();
         for segment in segments {
-            let mut live: BTreeMap<ProcessId, (ObjectId, Invocation)> = BTreeMap::new();
-            for event in segment.history.events() {
-                match &event.kind {
-                    EventKind::Invoke(invocation) => {
-                        live.insert(event.process, (event.object, invocation.clone()));
-                    }
-                    EventKind::Respond(_) => {
-                        if let Some((object, invocation)) = live.remove(&event.process) {
-                            *completed
-                                .entry(object)
-                                .or_default()
-                                .entry(invocation)
-                                .or_insert(0) += 1;
-                            self.stats.checked_ops += 1;
-                        }
-                    }
+            open = replay_operations(segment, |event, invocation, response| {
+                if response.is_some() {
+                    bump(completed.entry(event.object).or_default(), invocation);
+                    self.stats.checked_ops += 1;
                 }
-            }
+            });
         }
-    }
-
-    /// Decides "stabilizes eventually": with every response and the whole
-    /// real-time order forgiven, is there a legal arrangement of all
-    /// completed operations (plus any subset of the pending ones)?  There
-    /// are no cross-object constraints, so the objects are decided
-    /// independently, in ascending order.
-    fn finish_stab(&mut self, pending: &[(ObjectId, Invocation)]) {
-        let ModeState::Stab { completed } = &self.mode else {
-            unreachable!("finish_stab requires Stab mode");
+        let Some(tail) = segments.last().filter(|s| s.is_tail) else {
+            return;
         };
-        // Pending operations may optionally be completed by the witness;
-        // sorted, an object's come together, equal invocations side by side.
-        let mut pending: Vec<&(ObjectId, Invocation)> = pending.iter().collect();
+        // Every operation pending at the end of the stream was invoked after
+        // the last cut, so the tail left all of them open; the witness may
+        // complete any.  Sorted, an object's come together, equal
+        // invocations side by side.
+        let mut pending: Vec<_> = open.into_values().collect();
         pending.sort();
         let mut objects: BTreeSet<ObjectId> = completed.keys().copied().collect();
-        objects.extend(pending.iter().map(|(object, _)| *object));
+        objects.extend(pending.iter().map(|(object, _, _)| *object));
         for object in objects {
             let mut problem = Counted::default();
             for (invocation, &count) in completed.get(&object).into_iter().flatten() {
                 problem.push(object, invocation, count, true);
             }
-            for (_, invocation) in pending.iter().filter(|(o, _)| *o == object) {
+            for (_, invocation, _) in pending.iter().filter(|(o, _, _)| *o == object) {
                 problem.push(object, invocation, 1, false);
             }
             let (result, stats) = kernel::solve_rooted(
@@ -1435,7 +1343,8 @@ impl MonitorCheck {
                     if self.violation.is_none() {
                         self.violation = Some(MonitorViolation {
                             segment_start: 0,
-                            segment_len: self.stats.events,
+                            // The tail ends where the stream does.
+                            segment_len: tail.start + tail.history.len(),
                             object: Some(object),
                             op: None,
                             detail: format!(
@@ -1448,6 +1357,34 @@ impl MonitorCheck {
             }
         }
     }
+}
+
+/// Replays a segment's invoke/respond pairs, the one loop of the summarized
+/// conditions: `each(event, invocation, None)` per invocation and
+/// `each(event, invocation, Some((response, ordinal)))` per response, where
+/// `ordinal` numbers the operation among the segment's invocations.  Returns
+/// the operations left open, `(object, invocation, ordinal)` by process.
+fn replay_operations<'s>(
+    segment: &'s Segment,
+    mut each: impl FnMut(&'s Event, &Invocation, Option<(&'s Value, usize)>),
+) -> BTreeMap<ProcessId, (ObjectId, Invocation, usize)> {
+    let (mut open, mut next) = (BTreeMap::new(), 0);
+    for event in segment.history.events() {
+        match &event.kind {
+            EventKind::Invoke(invocation) => {
+                open.insert(event.process, (event.object, invocation.clone(), next));
+                next += 1;
+                each(event, invocation, None);
+            }
+            EventKind::Respond(value) => {
+                // Well-formedness was enforced at ingest.
+                if let Some((_, invocation, ordinal)) = open.remove(&event.process) {
+                    each(event, &invocation, Some((value, ordinal)));
+                }
+            }
+        }
+    }
+    open
 }
 
 /// Builds the two pipeline stages of a monitor over `universe`: the
@@ -1492,14 +1429,9 @@ impl Monitor {
         Monitor { ingest, check }
     }
 
-    /// The universe the monitor checks against.
-    pub fn universe(&self) -> &ObjectUniverse {
-        self.check.universe()
-    }
-
     /// Counters so far (ingest- and check-side merged).
     pub fn stats(&self) -> MonitorStats {
-        let mut stats = self.check.stats;
+        let mut stats = self.check.cx.stats;
         stats.events = self.ingest.events;
         stats.peak_window_events = self.ingest.peak_window_events;
         stats.stream_fingerprint = self.ingest.stream_fp;
@@ -1607,7 +1539,7 @@ struct Link {
 }
 
 /// A batch's event positions grouped by (segment, object): the tables of
-/// [`MonitorCheck::drain_lin`], pooled across batches.
+/// [`CheckContext::drain_lin`], pooled across batches.
 #[derive(Default)]
 struct Grouping {
     /// One slot per object of the universe, all [`NO_SLOT`] between segments.
@@ -1801,8 +1733,8 @@ impl Problem for Counted<'_> {
 /// The Definition-1 problem for one completed operation, from the summarized
 /// invocation counters.
 fn weak_problem<'a>(
-    invoked: Option<&'a BTreeMap<Invocation, u64>>,
-    preds: Option<&'a BTreeMap<Invocation, u64>>,
+    invoked: Option<&'a Tally>,
+    preds: Option<&'a Tally>,
     object: ObjectId,
     invocation: &'a Invocation,
     response: &'a Value,
@@ -2646,5 +2578,104 @@ mod tests {
         let report = m.finish();
         assert!(report.verdict.is_ok(), "{report:?}");
         assert_eq!(golden(&report.stats), [21, 60, 0, 60, 0]);
+    }
+
+    #[test]
+    fn a_stabilizes_eventually_violation_spans_the_whole_stream() {
+        // Three fetch&incs and a `read()`, which fetch&increment does not
+        // offer: no arrangement is legal, whatever the responses, and the
+        // window reported is the stream's 8 events, inline and staged.
+        let (u, x) = fi_universe();
+        let mut b = HistoryBuilder::new();
+        for k in 0..3i64 {
+            b = b.complete(ProcessId(0), x, FetchIncrement::fetch_inc(), Value::from(k));
+        }
+        let read = Invocation::nullary("read");
+        let h = b.complete(ProcessId(1), x, read, Value::from(3i64)).build();
+        assert_eq!(h.len(), 8);
+        let condition = MonitorCondition::StabilizesEventually;
+        for pull_every in [0, 1] {
+            for report in [
+                run_monitor(&u, &h, condition),
+                run_staged(&u, &h, condition, pull_every),
+            ] {
+                let MonitorVerdict::Violation(v) = &report.verdict else {
+                    panic!("expected a violation: {report:?}");
+                };
+                assert_eq!((v.segment_start, v.segment_len), (0, 8));
+                let shown = v.to_string();
+                assert!(
+                    shown.starts_with("violation in events [0, 8): no legal"),
+                    "{shown}"
+                );
+            }
+        }
+    }
+
+    /// A gate that must be opened before anyone passes: `pass()` is enabled
+    /// only once `open()` has taken effect, so the type is partial.
+    #[derive(Debug)]
+    struct Turnstile;
+
+    impl evlin_spec::ObjectType for Turnstile {
+        fn name(&self) -> &str {
+            "turnstile"
+        }
+
+        fn initial_states(&self) -> Vec<Value> {
+            vec![Value::Bool(false)]
+        }
+
+        fn transitions(
+            &self,
+            state: &Value,
+            invocation: &Invocation,
+        ) -> Vec<evlin_spec::Transition> {
+            let open = evlin_spec::Transition::new(Value::Unit, Value::Bool(true));
+            match (invocation.method(), state) {
+                ("open", _) | ("pass", Value::Bool(true)) => vec![open],
+                _ => Vec::new(),
+            }
+        }
+
+        fn sample_invocations(&self) -> Vec<Invocation> {
+            vec![Invocation::nullary("open"), Invocation::nullary("pass")]
+        }
+    }
+
+    #[test]
+    fn stabilizes_eventually_completes_the_operations_pending_in_the_tail() {
+        // A completed `pass()` is legal only after an `open()`.  With one
+        // still pending at the end of the stream the witness may complete
+        // it first; without, nothing makes the pass legal.
+        let mut u = ObjectUniverse::new();
+        let g = u.add_object(Turnstile);
+        let passed = HistoryBuilder::new().complete(
+            ProcessId(1),
+            g,
+            Invocation::nullary("pass"),
+            Value::Unit,
+        );
+        let with_open = passed
+            .clone()
+            .invoke(ProcessId(0), g, Invocation::nullary("open"))
+            .build();
+        let without = passed.build();
+        assert_eq!(eventual::analyze(&with_open, &u).min_stabilization, Some(2));
+        assert_eq!(eventual::analyze(&without, &u).min_stabilization, None);
+        let condition = MonitorCondition::StabilizesEventually;
+        for (history, ok) in [(&with_open, true), (&without, false)] {
+            // Inline, the pass's segment and the tail reach the check stage
+            // in one batch; pulled every event, the tail is a batch alone.
+            for report in [
+                run_monitor(&u, history, condition),
+                run_staged(&u, history, condition, 1),
+            ] {
+                match (&report.verdict, ok) {
+                    (MonitorVerdict::Ok, true) | (MonitorVerdict::Violation(_), false) => {}
+                    _ => panic!("expected ok = {ok}: {report:?}"),
+                }
+            }
+        }
     }
 }

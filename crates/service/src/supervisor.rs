@@ -14,15 +14,15 @@
 //!   cross-checking the chained stream fingerprint.
 //! * **The frame path waits for the disk only.**  The client streams into
 //!   its window and polls the ack plane with a receive that cannot wait
-//!   ([`FrameRx::try_recv`]); it blocks (for `ack_timeout` at most) only
-//!   once the window is full.  The replica handler commits in groups: the
+//!   ([`FrameRx::try_recv`]); it blocks (for the 200 ms ack timeout at
+//!   most) only once the window is full.  The replica handler commits in groups: the
 //!   frame its receive returned plus every whole `EVENTS` frame already in
 //!   the reassembly buffer are admitted under one slot lock — one overload
 //!   probe, one append each, **one fsync**, the ring hand-off, one `ACK` —
 //!   so the batch is whatever arrived while the previous fsync ran, and a
 //!   lone frame is a batch of one through the same code.  No timeout below
 //!   `heartbeat` sits on the replica's frame path and none below
-//!   `ack_timeout` on the client's.
+//!   the ack timeout on the client's.
 //! * **Replica restarts.**  A supervisor watchdog detects dead shard
 //!   threads (and [`RecoverableService::kill_and_restart`] simulates the
 //!   crash deliberately): the dying pool's verdict broadcasts are
@@ -84,7 +84,8 @@ use std::time::{Duration, Instant};
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Tuning knobs for a crash-recoverable service run.
+/// Tuning knobs for a crash-recoverable service run.  The retransmission
+/// delay `OVERLOADED` rejections suggest is fixed at 5 ms.
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
     /// The underlying pool configuration (shards, monitor, ring sizes).
@@ -102,8 +103,6 @@ pub struct RecoveryConfig {
     /// this long is closed (the *session* survives); it also bounds how long
     /// shutdown can wait on a handler.
     pub heartbeat: Duration,
-    /// `retry_after_ms` carried by `OVERLOADED` rejections.
-    pub retry_after_ms: u32,
     /// Events a slot may hold in not-yet-shipped ring buffers before its
     /// handler sheds incoming frames, and the most events one commit batch
     /// gathers (a lone frame may be larger).  Bounds per-connection memory:
@@ -120,11 +119,13 @@ impl RecoveryConfig {
             journal_dir,
             slots,
             heartbeat: Duration::from_secs(1),
-            retry_after_ms: 5,
             overload_backlog: 4096,
         }
     }
 }
+
+/// The retransmission delay `OVERLOADED` rejections suggest, in ms.
+const RETRY_AFTER_MS: u32 = 5;
 
 // ---------------------------------------------------------------------------
 // Per-session statistics and the final report
@@ -724,7 +725,7 @@ fn run_session_handler(shared: Arc<Shared>, mut rx: TcpRx, tx: TcpTx) {
                         index,
                         &WireFrame::Overloaded {
                             client,
-                            retry_after_ms: shared.config.retry_after_ms,
+                            retry_after_ms: RETRY_AFTER_MS,
                         },
                     );
                 }
@@ -1048,7 +1049,17 @@ impl ReconnectChaos {
     }
 }
 
-/// Client-side knobs for session recovery.
+/// How long a client waits on the ack plane (for the attach ack, or for ack
+/// progress before it probes liveness with a ping and, on continued silence,
+/// reconnects).
+const ACK_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// Unacked frames a client's window may hold before it blocks on (and if
+/// necessary forces) ack progress.
+const WINDOW_LIMIT: usize = 32;
+
+/// Client-side knobs for session recovery.  The ack timeout (200 ms) and the
+/// unacked-frame window (32 frames) are fixed.
 #[derive(Debug, Clone)]
 pub struct ClientRecoveryConfig {
     /// Events per wire frame.
@@ -1057,12 +1068,6 @@ pub struct ClientRecoveryConfig {
     /// typed [`RetriesExhausted`].  The budget re-arms on every ack, so only
     /// *consecutive* fruitless attempts count.
     pub backoff: Backoff,
-    /// How long to wait on the ack plane before probing liveness with a
-    /// ping (and, on continued silence, reconnecting).
-    pub ack_timeout: Duration,
-    /// Unacked frames the window may hold before the client blocks on (and
-    /// if necessary forces) ack progress.
-    pub window_limit: usize,
     /// Deterministic connection-level fault injection, if any.
     pub chaos: Option<ReconnectChaos>,
 }
@@ -1073,8 +1078,6 @@ impl ClientRecoveryConfig {
         ClientRecoveryConfig {
             frame_capacity: 64,
             backoff: Backoff::standard(seed),
-            ack_timeout: Duration::from_millis(200),
-            window_limit: 32,
             chaos: None,
         }
     }
@@ -1121,8 +1124,6 @@ enum Incoming {
 struct SessionSink {
     addr: SocketAddr,
     sealer: FrameSealer,
-    ack_timeout: Duration,
-    window_limit: usize,
     chaos: Option<ReconnectChaos>,
     backoff: Backoff,
     window: SessionTx,
@@ -1177,7 +1178,7 @@ impl SessionSink {
     /// always carries the resume cursor: against a fresh session it claims
     /// zero frames, which trivially validates.  `false` (and no connection)
     /// if the endpoint is dead, the replica refused the hello (end of
-    /// stream), or no ack came within `ack_timeout`.
+    /// stream), or no ack came within `ACK_TIMEOUT`.
     fn attach(&mut self) -> bool {
         let attempt = self.attempts_total;
         self.attempts_total += 1;
@@ -1199,7 +1200,7 @@ impl SessionSink {
         self.conn = Some((tx, rx));
         // A verdict round may overtake the ack (the connection becomes the
         // slot's verdict link first), so read until the ack itself.
-        let deadline = Instant::now() + self.ack_timeout;
+        let deadline = Instant::now() + ACK_TIMEOUT;
         loop {
             let Some((_, rx)) = &mut self.conn else {
                 return false;
@@ -1315,7 +1316,7 @@ impl SessionSink {
             let Some((_, rx)) = &mut self.conn else {
                 return;
             };
-            rx.recv_timeout(self.ack_timeout)
+            rx.recv_timeout(ACK_TIMEOUT)
         };
         match result {
             // A wait that a verdict round ended is not counted below: with
@@ -1335,7 +1336,7 @@ impl SessionSink {
                     let Some((tx, rx)) = &mut self.conn else {
                         return;
                     };
-                    tx.send(ping).is_ok() && rx.recv_timeout(self.ack_timeout).is_ok()
+                    tx.send(ping).is_ok() && rx.recv_timeout(ACK_TIMEOUT).is_ok()
                 };
                 if !pong {
                     // Dead or wedged peer: reconnect and replay.
@@ -1394,8 +1395,7 @@ impl SessionSink {
         self.stats.frames += 1;
         self.stats.events += events;
         self.window.stage(bytes);
-        let target = self.window_limit;
-        self.pump(target);
+        self.pump(WINDOW_LIMIT);
     }
 }
 
@@ -1444,8 +1444,6 @@ impl RecoverableClient {
         let mut sink = SessionSink {
             addr,
             sealer: FrameSealer::new(client, config.frame_capacity),
-            ack_timeout: config.ack_timeout,
-            window_limit: config.window_limit.max(1),
             chaos: config.chaos,
             backoff: config.backoff,
             window: SessionTx::new(client, session.max(1)),
