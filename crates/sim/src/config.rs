@@ -182,13 +182,149 @@ fn event_body(event: &Event) -> u64 {
     hasher.finish()
 }
 
-/// The index of the first least key (0 when there are none).  A plain loop:
-/// `enumerate().min_by_key(..)` ran the 720-candidate scan a quarter slower.
+/// The index of the first least key (0 when there are none): the strict `<`
+/// keeps the first index on ties, as [`split_walk`] does for the keys it
+/// forms with one XOR each.
 fn first_min(keys: impl Iterator<Item = u64>) -> usize {
     let mut best = (u64::MAX, 0);
     for (i, key) in keys.enumerate() {
         if key < best.0 {
             best = (key, i);
+        }
+    }
+    best.1
+}
+
+/// The largest group [`Config::canonical_permutation`] walks through tables.
+const MAX_GROUP: usize = SymmetryReduction::MAX_PROCESSES;
+
+/// `SUFFIX_ORDERS[s]`: the `s!` orders of a suffix of `s ≤ 3` targets, in
+/// lexicographic order, as positions in the suffix's sorted target set.
+const SUFFIX_ORDERS: [&[[usize; 3]]; 4] = [
+    &[],
+    &[[0, 0, 0]],
+    &[[0, 1, 0], [1, 0, 0]],
+    &[
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ],
+];
+
+/// `SUBSET_RANK[set]`: the rank of a target set (a bit mask) among the sets
+/// of as many targets, in increasing mask order — the row of
+/// [`split_walk`]'s suffix table that the set owns.
+const SUBSET_RANK: [u8; 1 << MAX_GROUP] = {
+    let mut rank = [0; 1 << MAX_GROUP];
+    let mut next = [0; MAX_GROUP + 1];
+    let mut set = 0;
+    while set < rank.len() {
+        let size = (set as u32).count_ones() as usize;
+        rank[set] = next[size];
+        next[size] += 1;
+        set += 1;
+    }
+    rank
+};
+
+/// `SUFFIX_SETS[s][rank]`: the targets, in increasing order, of the set of
+/// `s ≤ 3` targets with that [`SUBSET_RANK`] (at most `C(6, 3) = 20` of
+/// them).  The sets of `s` targets below `n` are the first `C(n, s)`.
+const SUFFIX_SETS: [[[u8; 3]; 20]; 4] = {
+    let mut sets = [[[0; 3]; 20]; 4];
+    let mut set = 0;
+    while set < SUBSET_RANK.len() {
+        let size = (set as u32).count_ones() as usize;
+        if size <= 3 {
+            let (mut bits, mut k) = (set, 0);
+            while bits != 0 {
+                sets[size][SUBSET_RANK[set] as usize][k] = bits.trailing_zeros() as u8;
+                bits &= bits - 1;
+                k += 1;
+            }
+        }
+        set += 1;
+    }
+    sets
+};
+
+/// [`Config::canonical_permutation`] for a group of `2 ≤ n ≤ MAX_GROUP`
+/// processes: the first index of the lexicographic group minimizing
+/// `obj(index) ^ XOR_i cost[i][perm[i]]`.
+fn split_first_min(
+    n: usize,
+    cost: &[[u64; MAX_GROUP]; MAX_GROUP],
+    obj: impl Fn(usize) -> u64,
+) -> usize {
+    // `<N, C(N, s), s!>` with `s = min(3, N − 1)`: the suffix table's shape,
+    // so a small group pays no set-up sized for a large one.
+    match n {
+        2 => split_walk::<2, 2, 1>(cost, obj),
+        3 => split_walk::<3, 3, 2>(cost, obj),
+        4 => split_walk::<4, 4, 6>(cost, obj),
+        5 => split_walk::<5, 10, 6>(cost, obj),
+        _ => split_walk::<6, 20, 6>(cost, obj),
+    }
+}
+
+/// [`split_first_min`] for `N` processes.
+///
+/// In lexicographic order a renaming's index is `prefix_rank · s! +
+/// suffix_rank`: the prefix is its first `N − s` targets, the suffix its
+/// last `s = min(3, N − 1)`, ranked among the targets the prefix left.  So
+/// the suffixes' cost words are XORed once per call into `ROWS` rows (one
+/// per `s`-set of targets, in [`SUBSET_RANK`] order) of `ORDERS = s!`
+/// words, the prefixes are walked in lexicographic order keeping each one's
+/// XOR, and each candidate is one XOR of its prefix's word with a row word
+/// (and of `obj(index)`, which is 0 unless a base object is pid-dependent).
+fn split_walk<const N: usize, const ROWS: usize, const ORDERS: usize>(
+    cost: &[[u64; MAX_GROUP]; MAX_GROUP],
+    obj: impl Fn(usize) -> u64,
+) -> usize {
+    let s = 3.min(N - 1);
+    let m = N - s;
+    let full: usize = (1 << N) - 1;
+    let sets_below = (0..=full).filter(|set| set.count_ones() as usize == s);
+    debug_assert_eq!((sets_below.count(), SUFFIX_ORDERS[s].len()), (ROWS, ORDERS));
+    let mut rows = [[0u64; ORDERS]; ROWS];
+    for (row, set) in rows.iter_mut().zip(&SUFFIX_SETS[s]) {
+        for (word, order) in row.iter_mut().zip(SUFFIX_ORDERS[s]) {
+            *word = (0..s).fold(0, |w, k| w ^ cost[m + k][usize::from(set[order[k]])]);
+        }
+    }
+    let mut best = (u64::MAX, 0);
+    let mut index = 0;
+    let mut leaf = |prefix: u64, used: usize| {
+        for (j, word) in rows[usize::from(SUBSET_RANK[full ^ used])]
+            .iter()
+            .enumerate()
+        {
+            let key = obj(index + j) ^ prefix ^ word;
+            if key < best.0 {
+                best = (key, index + j);
+            }
+        }
+        index += ORDERS;
+    };
+    let free = |used: usize| (0..N).filter(move |t| used >> t & 1 == 0);
+    for a in 0..N {
+        let (key, used) = (cost[0][a], 1 << a);
+        if m == 1 {
+            leaf(key, used);
+            continue;
+        }
+        for b in free(used) {
+            let (key, used) = (key ^ cost[1][b], used | 1 << b);
+            if m == 2 {
+                leaf(key, used);
+                continue;
+            }
+            for c in free(used) {
+                leaf(key ^ cost[2][c], used | 1 << c);
+            }
         }
     }
     best.1
@@ -608,27 +744,52 @@ impl Config {
     /// [`Config::fingerprint_permuted`] of that renaming).
     ///
     /// Only `n²` distinct (process, rename target) pairs exist, so their
-    /// costs are mixed once per call into an `n × n` table on the stack and
-    /// each of the `n!` candidates is `n` table lookups XORed together: no
-    /// key is mixed twice and the history is never rehashed.  Pid-dependent
-    /// base objects are looked for once per call and, only if one exists,
-    /// rehashed per candidate.
+    /// costs are mixed once per call into an `n × n` table on the stack: no
+    /// key is mixed twice and the history is never rehashed.  The
+    /// candidates are then walked as prefix × suffix: a renaming's
+    /// lexicographic index is `prefix_rank · s! + suffix_rank` for a suffix
+    /// of its last `s = min(3, n − 1)` targets, so the suffixes' words are
+    /// XORed into a table of `C(n, s) · s!` words once per call, and each of
+    /// the `n!` candidates is **one XOR** of its prefix's word with a table
+    /// word, and one compare.  Pid-dependent base objects are looked for
+    /// once per call and, only if one exists, rehashed per candidate.
     ///
     /// Ties go to the **first** index attaining the minimum, and ties are
     /// routine (processes that have recorded no event yet have equal rows).
     /// That order is load-bearing: the identity wins whenever it is minimal
     /// (canonicalization is idempotent), and the chosen renaming's history
     /// is what visitors, checkpointed frontiers and spilled runs see.
+    ///
+    /// # Panics
+    ///
+    /// For `n ≤ 6` processes (the symmetry reduction's bound) `perms` must
+    /// be [`crate::engine::permutations`]`(n)`, the whole group in
+    /// lexicographic order: the walk never reads it (except to rename
+    /// pid-dependent objects), and the answer indexes that order.  A list
+    /// of the wrong length panics; a wrong list of the right length is
+    /// caught in debug builds.  Past that bound there is no table, and
+    /// `perms` may be any list of renamings.
     pub fn canonical_permutation(&self, perms: &[Vec<usize>]) -> usize {
-        const MAX: usize = SymmetryReduction::MAX_PROCESSES;
         let n = self.processes.len();
-        if n > MAX {
+        if n > MAX_GROUP {
             // Wider than any group the reduction builds: no table (and past
             // the tracked bound, a physical rename per candidate).
             return first_min(perms.iter().map(|perm| self.fingerprint_permuted(perm)));
         }
+        assert_eq!(
+            perms.len(),
+            [1, 1, 2, 6, 24, 120, 720][n],
+            "perms must be the whole group of {n} processes"
+        );
+        debug_assert!(
+            perms == crate::engine::permutations(n),
+            "perms must be in lexicographic order"
+        );
+        if n < 2 {
+            return 0;
+        }
         let fp = self.rename_rows();
-        let mut cost = [[0u64; MAX]; MAX];
+        let mut cost = [[0u64; MAX_GROUP]; MAX_GROUP];
         for (i, row) in cost.iter_mut().enumerate().take(n) {
             for (t, word) in row.iter_mut().enumerate().take(n) {
                 *word = fp.rename_cost(n, i, t);
@@ -638,16 +799,18 @@ impl Config {
             .base
             .iter()
             .any(|b| b.pid_dependence() == PidDependence::Permutable);
-        first_min(perms.iter().map(|perm| {
-            let obj = if permutable {
-                self.permutable_components(&fp, perm)
-            } else {
-                fp.obj_fold
-            };
-            cost.iter()
-                .zip(perm)
-                .fold(obj, |key, (row, &t)| key ^ row[t])
-        }))
+        if permutable {
+            split_first_min(n, &cost, |index| {
+                self.permutable_components(&fp, &perms[index])
+            })
+        } else {
+            // Every renaming takes exactly one word of row 0, so the object
+            // fold rides there and a candidate stays one XOR.
+            for word in &mut cost[0][..n] {
+                *word ^= fp.obj_fold;
+            }
+            split_first_min(n, &cost, |_| 0)
+        }
     }
 
     /// Physically renames the processes: process `i` becomes `perm[i]`,
@@ -1196,6 +1359,16 @@ mod tests {
         let imp = fi_local(2);
         let w = Workload::uniform(2, FetchIncrement::fetch_inc(), 1);
         Config::initial(&imp, &w).apply_permutation(&[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "perms must be the whole group")]
+    fn canonical_permutation_rejects_a_truncated_group() {
+        let imp = fi_local(4);
+        let w = Workload::uniform(4, FetchIncrement::fetch_inc(), 1);
+        let mut perms = crate::engine::permutations(4);
+        perms.pop();
+        Config::initial(&imp, &w).canonical_permutation(&perms);
     }
 
     #[test]

@@ -339,7 +339,8 @@ fn independent(a: StepShape, b: StepShape) -> bool {
 /// [`Implementation::process_symmetric_hint`]) and every base object declares
 /// its process-id dependence ([`crate::base::PidDependence`]).  Each
 /// configuration is then rewritten into the least fingerprint of its orbit
-/// under the `n!` process renamings, so deduplication merges all symmetric
+/// under the `n!` process renamings (one XOR each, see
+/// [`Config::canonical_permutation`]), so deduplication merges all symmetric
 /// copies; when inapplicable the reduction degrades to plain deduplication.
 ///
 /// The visitor sees canonical renamings of real executions — correct for any
@@ -347,18 +348,21 @@ fn independent(a: StepShape, b: StepShape) -> bool {
 /// *canonicalized* history sets for the symmetry reductions.
 #[derive(Debug)]
 pub struct SymmetryReduction {
-    /// All permutations of the process ids (identity first); empty when the
-    /// reduction is inapplicable.
+    /// All permutations of the process ids in lexicographic order (identity
+    /// first), the order [`Config::canonical_permutation`] indexes; empty
+    /// when the reduction is inapplicable.
     perms: Vec<Vec<usize>>,
 }
 
 impl SymmetryReduction {
     /// Largest process count for which canonicalization is attempted.  Each
-    /// visited configuration mixes `n²` rename costs into a table once and
-    /// then XORs `n` table words for each of the `n!` renamings
-    /// ([`Config::canonical_permutation`]): the factorial term is lookups,
-    /// not hashing, but it still grows as `n!` — 720 candidates at 6, 5040
-    /// at 7.  The bound also sizes that table.
+    /// visited configuration mixes `n²` rename costs into a table once,
+    /// folds the last positions' costs into a table of suffix words, walks
+    /// the prefixes, and pays **one XOR** and one compare for each of the
+    /// `n!` renamings
+    /// ([`Config::canonical_permutation`]): the factorial term is one word
+    /// operation, not hashing, but it still grows as `n!` — 720 candidates
+    /// at 6, 5040 at 7.  The bound also sizes those tables.
     pub(crate) const MAX_PROCESSES: usize = 6;
 
     /// Decides applicability against `root` (see the type docs) and builds
