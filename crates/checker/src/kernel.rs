@@ -20,10 +20,11 @@
 //!   history's events, `weak_consistency` Definition 1's;
 //! * the searcher — one iterative (non-recursive) Wing–Gong search over
 //!   partial linearizations, accepting once every required operation is
-//!   linearized.  Object states and responses are interned to
-//!   dense `u32` identifiers, transition lookups are memoized per
-//!   `(invocation, state)` pair into a pooled span arena, interchangeable
-//!   operations are merged into classes, and the visited
+//!   linearized.  Objects, object states and responses, invocations and
+//!   interchangeability classes are interned to dense `u32` ids, and
+//!   transition lists are memoized per `(invocation, state)` pair into a
+//!   span arena — all through one small-table type (`Table`: a linear scan
+//!   up to 32 keys, a hash index past that).  The visited
 //!   `(linearized-multiset, object-states)` cache keys on an *incrementally
 //!   maintained* Zobrist fold — one linearization step updates the key with
 //!   four word mixes instead of serializing the pair.  The fold identifies
@@ -38,11 +39,10 @@
 //!   history is split into independent per-object subproblems, checked one
 //!   after the other on the calling thread, and the per-object witnesses are
 //!   composed back into a global one;
-//! * [`KernelScratch`] — reusable search state (visited cache, taken-set,
-//!   and the pooled searcher tables and arenas) so that e.g. the binary
-//!   search of `min_stabilization`, the weak-consistency per-operation loop
-//!   and the monitor's per-segment chains run allocation-free after their
-//!   first search.
+//! * [`KernelScratch`] — every table of the searcher, which borrows it for
+//!   one search, so that e.g. the binary search of `min_stabilization`, the
+//!   weak-consistency per-operation loop and the monitor's per-segment
+//!   chains run allocation-free after their first search.
 //!
 //! A problem reaches the searcher through exactly one interning routine,
 //! which reads the views once.  The states the objects start in are an
@@ -52,12 +52,13 @@
 //! mutates an [`ObjectUniverse`].  [`visit_frontiers`] is the exhaustive mode
 //! of the same search loop: the distinct accepting frontiers are flat `u32`
 //! rows in the scratch, handed to the caller in place ([`FrontierRow`]).
-//! The scratch's *retention rule* (see [`KernelScratch`]) keeps one
-//! unusually large search from slowing every later one.
+//! One *retention rule* (see [`KernelScratch`]) empties every hash table a
+//! search filled, so one unusually large search slows no later one.
 
-use crate::util::{self, BitSet, FxHashMap, FxHashSet};
+use crate::util::{self, BitSet, FxHashMap};
 use evlin_history::{History, ObjectId, ObjectUniverse, OperationMatcher};
 use evlin_spec::{Invocation, Value};
+use std::hash::Hash;
 
 // ---------------------------------------------------------------------------
 // Problem statement types
@@ -224,58 +225,198 @@ pub trait ConsistencyCondition: Sync {
 }
 
 // ---------------------------------------------------------------------------
+// The small table
+// ---------------------------------------------------------------------------
+
+/// Linear-scan bound: a [`Table`] holding at most this many keys (the
+/// overwhelmingly common case — unit-test histories, bench histories up to
+/// ~20 operations, per-object monitor segments) never hashes.
+const LINEAR_INTERN_MAX: usize = 32;
+
+/// Hash tables up to this capacity are always kept: clearing one costs less
+/// than growing it again.
+const RETAIN_CAPACITY_FLOOR: usize = 2048;
+
+/// The kernel's one small-table policy: keys in a dense `Vec`, ids in
+/// insertion order.  A lookup scans the keys while there are at most
+/// [`LINEAR_INTERN_MAX`] of them and past that probes an index from a key's
+/// hash to the newest id with that hash, each id linking to the next older
+/// one with the same hash — so no key is stored twice or cloned to be looked
+/// up.  [`Table::clear`] empties the index under the retention rule
+/// ([`shed`]).
+struct Table<K> {
+    keys: Vec<K>,
+    index: FxHashMap<u64, u32>,
+    /// Per indexed id, the next older id with the same hash, or `INVALID`.
+    older: Vec<u32>,
+}
+
+impl<K> Default for Table<K> {
+    fn default() -> Self {
+        let (keys, index, older) = Default::default();
+        Table { keys, index, older }
+    }
+}
+
+impl<K: Hash> Table<K> {
+    /// The id of the key `matches` accepts (given its id and the key), if
+    /// any; `probe` must hash like that key.
+    fn find<Q: Hash + ?Sized>(
+        &self,
+        probe: &Q,
+        matches: impl Fn(usize, &K) -> bool,
+    ) -> Option<u32> {
+        if self.keys.len() <= LINEAR_INTERN_MAX {
+            let found = self
+                .keys
+                .iter()
+                .enumerate()
+                .position(|(id, k)| matches(id, k));
+            return found.map(|id| id as u32);
+        }
+        let mut id = self.index.get(&util::hash_of(probe)).copied();
+        while let Some(at) = id.filter(|&at| !matches(at as usize, &self.keys[at as usize])) {
+            id = Some(self.older[at as usize]).filter(|&older| older != INVALID);
+        }
+        id
+    }
+
+    /// Appends `key`, which no key of the table equals, and returns its id.
+    fn push(&mut self, key: K) -> u32 {
+        let id = self.keys.len() as u32;
+        self.keys.push(key);
+        if self.keys.len() > LINEAR_INTERN_MAX {
+            // Index every key not indexed yet: all of them the first time.
+            for at in self.older.len()..self.keys.len() {
+                let newer = self.index.insert(util::hash_of(&self.keys[at]), at as u32);
+                self.older.push(newer.unwrap_or(INVALID));
+            }
+        }
+        id
+    }
+
+    /// The id of `key`, interning a copy of it if it is new.
+    fn id(&mut self, key: &K) -> u32
+    where
+        K: Eq + Clone,
+    {
+        let found = self.find(key, |_, k| k == key);
+        found.unwrap_or_else(|| self.push(key.clone()))
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Empties the table for the next search.
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.older.clear();
+        shed(&mut self.index);
+    }
+
+    /// Live bytes, by length, so the figure is a function of the search.
+    fn bytes(&self) -> usize {
+        self.keys.len() * size_of::<K>()
+            + self.older.len() * size_of::<u32>()
+            + self.index.len() * size_of::<(u64, u32)>()
+    }
+}
+
+/// The retention rule of [`KernelScratch`]: empties `map`, dropping it instead
+/// when its capacity is past the floor *and* sixteen times what the search
+/// that just ended put in it.
+fn shed<K, V>(map: &mut FxHashMap<K, V>) {
+    if map.capacity() > RETAIN_CAPACITY_FLOOR && map.capacity() > 16 * map.len() {
+        *map = FxHashMap::default();
+    } else {
+        map.clear();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Reusable scratch state
 // ---------------------------------------------------------------------------
 
-/// Reusable search state: the visited cache, the taken-set, the pooled
-/// searcher buffers (interners, per-operation tables, the transition arena,
-/// the DFS frame stack) and the accepting-frontier row store.
+/// Reusable search state: every table of the searcher — the interners, the
+/// per-operation tables, the transition memo, the DFS frame stack, the
+/// visited cache, the taken-set and the accepting-frontier row store.
 ///
 /// Every allocation of a search survives into the next one, so repeated
 /// probes — the binary search of `min_stabilization`, the per-operation loop
 /// of the weak-consistency checker, the monitor's per-segment chains — run
 /// allocation-free after warm-up (the allocation-count smoke test in
-/// `tests/alloc_smoke.rs` enforces this).  `BitSet::clear` and
-/// `BitSet::count` keep the taken-set sound across reuses: bits left set by
-/// a successful search are cleared one by one, and the emptiness invariant is
-/// asserted before the next run.
+/// `tests/alloc_smoke.rs` enforces this).  For the same reason
+/// variable-length per-item lists (precedence predecessors, class members,
+/// memoized transition lists) are spans into shared arenas, not nested
+/// `Vec`s.  `BitSet::clear` and `BitSet::count` keep the taken-set sound
+/// across reuses: bits left set by a successful search are cleared one by
+/// one, and the emptiness invariant is asserted before the next run.
 ///
-/// **Retention rule.**  The two hash tables every search fills (the visited
-/// cache and the transition index) are emptied when the search ends, and
+/// **Retention rule.**  Every table is emptied when a search ends, and
 /// emptying a hash table costs time proportional to its *capacity*: one
 /// unusually large search would tax every later small one through the same
 /// scratch for as long as the scratch lives (measured: 6.5× on a 3-operation
-/// solve after a 745 k-node refutation).  So a table left with a capacity
-/// beyond a floor of a couple of thousand entries *and* beyond sixteen times
-/// what the search that just finished put in it is dropped, not cleared:
-/// repeated large probes keep their table, and a large-then-small sequence
-/// sheds it at the first small search.  The rule runs at the end of every
-/// search, whoever owns the scratch.
+/// solve after a 745 k-node refutation).  So a hash table — the visited cache
+/// or the index of any `Table` — left with a capacity beyond a floor of a
+/// couple of thousand entries *and* beyond sixteen times what the search that
+/// just finished put in it is dropped, not cleared (`shed`): repeated large
+/// probes keep their tables, and a large-then-small sequence sheds them at
+/// the first small search.  The rule runs at the end of every search,
+/// whoever owns the scratch.
 #[derive(Default)]
 pub struct KernelScratch {
-    visited: FxHashSet<u64>,
+    /// Active objects, in first-appearance order: the slots.
+    slots: Table<ObjectId>,
+    /// Interned object states and responses.
+    values: Table<Value>,
+    /// Interned `(slot, invocation)` pairs.
+    invs: Table<(u32, Invocation)>,
+    /// Interchangeability classes, keyed `(inv, required, fixed)`.
+    classes: Table<(u32, bool, u32)>,
+    // --- per-operation tables ---
+    op_inv: Vec<u32>,
+    op_slot: Vec<u32>,
+    op_required: Vec<bool>,
+    /// Fixed-response value id, or `INVALID` for a free response.
+    op_fixed: Vec<u32>,
+    incident: Vec<bool>,
+    /// The precedence edges, copied out of the problem once.
+    edges: Vec<(u32, u32)>,
+    /// CSR of required predecessors: `pred_data[pred_offsets[j]..pred_offsets[j+1]]`.
+    pred_offsets: Vec<u32>,
+    pred_data: Vec<u32>,
+    class_of: Vec<u32>,
+    /// CSR of class members in ascending operation order.
+    class_offsets: Vec<u32>,
+    class_data: Vec<u32>,
+    /// Reused counting-sort cursor.
+    cursor: Vec<u32>,
+    // --- mutable search state ---
+    class_counts: Vec<u16>,
+    states: Vec<u32>,
+    order: Vec<u32>,
+    responses: Vec<u32>,
+    frames: Vec<Frame>,
     taken: BitSet,
     capacity: usize,
-    bufs: SearcherBufs,
+    /// Keys of the visited `(linearized-multiset, object-states)` pairs: a
+    /// set, which needs no ids, so not a [`Table`].
+    visited: FxHashMap<u64, ()>,
+    // --- memoized transitions ---
+    /// `(inv << 32 | state)` keys; an id indexes `trans_spans`.
+    trans: Table<u64>,
+    /// `(start, len)` spans into `trans_data`.
+    trans_spans: Vec<(u32, u32)>,
+    trans_data: Vec<(u32, u32)>,
+    // --- accepting frontiers ---
     /// Distinct accepting frontiers of the last frontier search, as flat
     /// rows: per row the interned state of every slot, then one `0`/`1` flag
     /// per tracked operation.
     frontier_rows: Vec<u32>,
-    /// Number of rows (kept beside the data: a row may be zero words wide).
-    frontier_count: usize,
-    /// Row lookup, engaged only past [`LINEAR_INTERN_MAX`] rows.
-    frontier_seen: FxHashSet<Box<[u32]>>,
+    /// Each row's hash; ids are row numbers (a row may be zero words wide).
+    frontiers: Table<u64>,
 }
-
-/// The retention rule of [`KernelScratch`]: whether a table of `capacity`
-/// that a search left `len` entries in is dropped rather than cleared.
-fn oversized(capacity: usize, len: usize) -> bool {
-    capacity > RETAIN_CAPACITY_FLOOR && capacity > 16 * len
-}
-
-/// Tables up to this capacity are always kept: clearing one costs less than
-/// growing it again.
-const RETAIN_CAPACITY_FLOOR: usize = 2048;
 
 impl KernelScratch {
     /// Creates an empty scratch.
@@ -283,39 +424,71 @@ impl KernelScratch {
         KernelScratch::default()
     }
 
-    /// Prepares the scratch for a problem with `n` operations: ensures the
-    /// taken-set has capacity for `n` bits and is empty, and forgets the
-    /// previous search's frontier rows.
-    fn prepare(&mut self, n: usize) {
-        if self.capacity < n || self.capacity == 0 {
-            self.taken = BitSet::with_capacity(n.max(1));
-            self.capacity = n.max(1);
+    /// Empties every table once a search is over, under the retention rule.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.values.clear();
+        self.invs.clear();
+        self.classes.clear();
+        self.trans.clear();
+        self.frontiers.clear();
+        shed(&mut self.visited);
+        for words in [
+            &mut self.op_inv,
+            &mut self.op_slot,
+            &mut self.op_fixed,
+            &mut self.pred_offsets,
+            &mut self.pred_data,
+            &mut self.class_of,
+            &mut self.class_offsets,
+            &mut self.class_data,
+            &mut self.cursor,
+            &mut self.states,
+            &mut self.order,
+            &mut self.responses,
+            &mut self.frontier_rows,
+        ] {
+            words.clear();
         }
-        debug_assert_eq!(
-            self.taken.count(),
-            0,
-            "taken-set must be empty between searches"
-        );
-        debug_assert!(self.visited.is_empty() && self.bufs.trans_index.is_empty());
-        self.frontier_rows.clear();
-        self.frontier_count = 0;
-        self.frontier_seen.clear();
+        self.op_required.clear();
+        self.incident.clear();
+        self.edges.clear();
+        self.class_counts.clear();
+        self.frames.clear();
+        self.trans_spans.clear();
+        self.trans_data.clear();
     }
 
-    /// Empties the per-search hash tables once a search is over, under the
-    /// retention rule.
-    fn release_tables(&mut self) {
-        if oversized(self.visited.capacity(), self.visited.len()) {
-            self.visited = FxHashSet::default();
-        } else {
-            self.visited.clear();
-        }
-        let trans_index = &mut self.bufs.trans_index;
-        if oversized(trans_index.capacity(), trans_index.len()) {
-            *trans_index = FxHashMap::default();
-        } else {
-            trans_index.clear();
-        }
+    /// Bytes of live bookkeeping (by current lengths, not capacities, so the
+    /// figure is a deterministic function of the search itself).  The
+    /// frontier rows count too: without them a frontier-dominated monitor
+    /// segment would under-report its peak.
+    fn live_bytes(&self) -> usize {
+        let words = [
+            &self.op_inv,
+            &self.op_slot,
+            &self.op_fixed,
+            &self.pred_offsets,
+            &self.pred_data,
+            &self.class_of,
+            &self.class_offsets,
+            &self.class_data,
+            &self.states,
+            &self.order,
+            &self.responses,
+            &self.frontier_rows,
+        ];
+        self.slots.bytes()
+            + self.values.bytes()
+            + self.invs.bytes()
+            + self.classes.bytes()
+            + self.trans.bytes()
+            + self.frontiers.bytes()
+            + words.iter().map(|w| w.len()).sum::<usize>() * size_of::<u32>()
+            + self.op_required.len()
+            + self.class_counts.len() * size_of::<u16>()
+            + (self.trans_spans.len() + self.trans_data.len()) * size_of::<(u32, u32)>()
+            + self.visited.len() * size_of::<u64>()
     }
 }
 
@@ -326,7 +499,8 @@ const THREAD_SCRATCH_RETAIN_BYTES: usize = 1 << 20;
 
 /// Runs `f` with a thread-local [`KernelScratch`], so entry points without a
 /// caller-provided scratch ([`check`], the `is_linearizable` facades) still
-/// reuse one warm buffer pool per thread instead of reallocating per call.  Falls back to a fresh scratch on re-entrant use.
+/// reuse one warm buffer pool per thread instead of reallocating per call.
+/// Falls back to a fresh scratch on re-entrant use.
 fn with_thread_scratch<R>(
     f: impl FnOnce(&mut KernelScratch) -> (R, SearchStats),
 ) -> (R, SearchStats) {
@@ -345,122 +519,6 @@ fn with_thread_scratch<R>(
         Err(_) => f(&mut KernelScratch::new()),
     })
 }
-
-/// The pooled per-search arrays of the searcher, owned by [`KernelScratch`]
-/// between runs.  Everything is flat: variable-length per-item lists
-/// (precedence predecessors, interchangeability-class members, memoized
-/// transition lists) are spans into shared arena vectors instead of nested
-/// `Vec<Vec<_>>`, so a search allocates nothing once the pool is warm.
-#[derive(Default)]
-struct SearcherBufs {
-    /// Active objects, in first-appearance order.
-    slots: Vec<ObjectId>,
-    /// Interned `Value` table (object states and responses).
-    values: Vec<Value>,
-    /// Value-id lookup, engaged only past [`LINEAR_INTERN_MAX`] entries (the
-    /// small-problem fast path scans `values` linearly instead of paying
-    /// hash-map setup).
-    value_map: FxHashMap<Value, u32>,
-    /// Interned `(slot, invocation)` table (the object repeated for
-    /// transition lookups).
-    inv_table: Vec<(u32, ObjectId, Invocation)>,
-    /// Invocation-id lookup, engaged only past [`LINEAR_INTERN_MAX`] rows.
-    inv_map: FxHashMap<(u32, Invocation), u32>,
-    // --- per-operation tables ---
-    op_inv: Vec<u32>,
-    op_slot: Vec<u32>,
-    op_required: Vec<bool>,
-    /// Fixed-response value id, or `INVALID` for a free response.
-    op_fixed: Vec<u32>,
-    incident: Vec<bool>,
-    /// The precedence edges, copied out of the problem once.
-    edges: Vec<(u32, u32)>,
-    /// CSR of required predecessors: `pred_data[pred_offsets[j]..pred_offsets[j+1]]`.
-    pred_offsets: Vec<u32>,
-    pred_data: Vec<u32>,
-    class_of: Vec<u32>,
-    /// One `(inv, required, fixed, class)` row per mergeable class.
-    class_reps: Vec<(u32, bool, u32, u32)>,
-    /// Class lookup, engaged only past [`LINEAR_INTERN_MAX`] classes.
-    class_map: FxHashMap<(u32, bool, u32), u32>,
-    /// CSR of class members in ascending operation order.
-    class_offsets: Vec<u32>,
-    class_data: Vec<u32>,
-    /// Reused counting-sort cursor.
-    cursor: Vec<u32>,
-    // --- mutable search state ---
-    class_counts: Vec<u16>,
-    states: Vec<u32>,
-    order: Vec<u32>,
-    responses: Vec<u32>,
-    // --- memoized transitions ---
-    /// `((inv as u64) << 32 | state)` → index into `trans_spans`.
-    trans_index: FxHashMap<u64, u32>,
-    /// `(start, len)` spans into `trans_data`.
-    trans_spans: Vec<(u32, u32)>,
-    trans_data: Vec<(u32, u32)>,
-    /// Pooled DFS frame stack.
-    frames: Vec<Frame>,
-}
-
-impl SearcherBufs {
-    /// Clears every table (keeping capacity) for the next search;
-    /// `trans_index` was emptied when the previous one ended.
-    fn reset(&mut self) {
-        self.slots.clear();
-        self.values.clear();
-        self.value_map.clear();
-        self.inv_table.clear();
-        self.inv_map.clear();
-        self.op_inv.clear();
-        self.op_slot.clear();
-        self.op_required.clear();
-        self.op_fixed.clear();
-        self.incident.clear();
-        self.edges.clear();
-        self.pred_offsets.clear();
-        self.pred_data.clear();
-        self.class_of.clear();
-        self.class_reps.clear();
-        self.class_map.clear();
-        self.class_offsets.clear();
-        self.class_data.clear();
-        self.cursor.clear();
-        self.class_counts.clear();
-        self.states.clear();
-        self.order.clear();
-        self.responses.clear();
-        self.trans_spans.clear();
-        self.trans_data.clear();
-        self.frames.clear();
-    }
-
-    /// Bytes of live bookkeeping (by current lengths, not capacities, so the
-    /// figure is a deterministic function of the search itself).
-    fn live_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.slots.len() * size_of::<ObjectId>()
-            + self.values.len() * size_of::<Value>()
-            + self.inv_table.len() * size_of::<(u32, ObjectId, Invocation)>()
-            + (self.op_inv.len() + self.op_slot.len() + self.op_fixed.len()) * size_of::<u32>()
-            + self.op_required.len()
-            + (self.pred_offsets.len() + self.pred_data.len()) * size_of::<u32>()
-            + self.class_of.len() * size_of::<u32>()
-            + self.class_reps.len() * size_of::<(u32, bool, u32, u32)>()
-            + (self.class_offsets.len() + self.class_data.len()) * size_of::<u32>()
-            + self.class_counts.len() * size_of::<u16>()
-            + (self.states.len() + self.order.len() + self.responses.len()) * size_of::<u32>()
-            + self.trans_index.len() * size_of::<(u64, u32)>()
-            + self.trans_spans.len() * size_of::<(u32, u32)>()
-            + self.trans_data.len() * size_of::<(u32, u32)>()
-    }
-}
-
-/// Linear-scan interning bound: problems whose value table stays at or below
-/// this size (the overwhelmingly common case — unit-test histories, bench
-/// histories up to ~20 operations, per-object monitor segments) never touch
-/// a hash map during setup.
-const LINEAR_INTERN_MAX: usize = 32;
 
 /// Domain tag of class-count components of the incremental visited key.
 const TAG_CLASS: u64 = 0x636c_6173_7300_0001;
@@ -499,21 +557,20 @@ struct Undo {
 
 /// The iterative Wing–Gong searcher over one interned problem.
 ///
-/// All of its arrays live in [`SearcherBufs`], borrowed from the caller's
-/// [`KernelScratch`] for the duration of the search and returned afterwards,
-/// so a warm scratch makes both construction and the search itself
-/// allocation-free.  The visited cache keys on an *incrementally maintained*
-/// Zobrist fold of the `(per-class taken counts, object states)` pair
-/// ([`Searcher::vkey`]): one linearization step XORs out and in at most four
-/// [`crate::util::zkey`] components instead of serializing a fresh boxed key
-/// per node.
+/// Its tables live in the caller's [`KernelScratch`], which it borrows for
+/// the search, so a warm scratch makes both construction and the search
+/// itself allocation-free.  The visited cache keys on an *incrementally
+/// maintained* Zobrist fold of the `(per-class taken counts, object states)`
+/// pair ([`Searcher::vkey`]): one linearization step XORs out and in at most
+/// four [`crate::util::zkey`] components instead of serializing a fresh
+/// boxed key per node.
 struct Searcher<'a> {
     universe: &'a ObjectUniverse,
     limits: SearchLimits,
     n: usize,
     required_count: usize,
-    /// The pooled tables (see [`SearcherBufs`]).
-    b: SearcherBufs,
+    /// The borrowed scratch holding every table of the search.
+    s: &'a mut KernelScratch,
     /// The incremental visited-cache key of the current search state.
     vkey: u64,
     // --- mutable search state ---
@@ -523,128 +580,72 @@ struct Searcher<'a> {
     exhausted: bool,
 }
 
-/// Interns `v` into the pooled value table: linear scan while the table is
-/// small (the small-problem fast path — no hash-map setup for the common
-/// tiny searches), hash lookup once it grows past [`LINEAR_INTERN_MAX`].
-fn intern_value(b: &mut SearcherBufs, v: &Value) -> u32 {
-    if b.value_map.is_empty() {
-        if let Some(i) = b.values.iter().position(|x| x == v) {
-            return i as u32;
-        }
-        let id = b.values.len() as u32;
-        b.values.push(v.clone());
-        if b.values.len() > LINEAR_INTERN_MAX {
-            // Grown past the linear bound: engage the map from here on.
-            for (i, x) in b.values.iter().enumerate() {
-                b.value_map.insert(x.clone(), i as u32);
-            }
-        }
-        return id;
-    }
-    if let Some(&i) = b.value_map.get(v) {
-        return i;
-    }
-    let id = b.values.len() as u32;
-    b.values.push(v.clone());
-    b.value_map.insert(v.clone(), id);
-    id
-}
-
 impl<'a> Searcher<'a> {
-    /// Interns `problem` inside `bufs` (taken from a [`KernelScratch`];
-    /// returned via [`Searcher::into_bufs`]) — the one place a problem is
-    /// read.  `roots` overrides the state an object starts the search in;
-    /// an object it does not list starts in the universe's initial state.
+    /// Interns `problem` into the (empty) tables of `s` — the one place a
+    /// problem is read.  `roots` overrides the state an object starts the
+    /// search in; an object it does not list starts in the universe's
+    /// initial state.
     fn new<P: Problem + ?Sized>(
         problem: &P,
         roots: &[(ObjectId, &Value)],
         universe: &'a ObjectUniverse,
         limits: SearchLimits,
-        mut b: SearcherBufs,
+        s: &'a mut KernelScratch,
     ) -> Self {
-        b.reset();
         let n = problem.op_count();
+        if s.capacity < n.max(1) {
+            s.taken = BitSet::with_capacity(n.max(1));
+            s.capacity = n.max(1);
+        }
+        debug_assert_eq!(
+            s.taken.count(),
+            0,
+            "taken-set must be empty between searches"
+        );
+        debug_assert!(s.visited.is_empty() && s.values.len() == 0 && s.frontiers.len() == 0);
 
-        // Active objects -> slots, and per-op interned invocations.  All
-        // lookups are linear scans over the (small) tables — see
-        // `LINEAR_INTERN_MAX` for the value interner's fallback.
+        // Active objects -> slots, and per-op interned invocations and fixed
+        // responses.
         for i in 0..n {
             let op = problem.op(i);
-            let slot = match b.slots.iter().position(|&o| o == op.object) {
-                Some(s) => s,
-                None => {
-                    b.slots.push(op.object);
-                    b.slots.len() - 1
-                }
-            };
-            b.op_slot.push(slot as u32);
-            // Linear scan while the table is small; hash lookup once it
-            // grows past the small-problem bound (mirrors `intern_value`, so
-            // setup stays O(n) on large histories too).
-            let found = if b.inv_map.is_empty() {
-                b.inv_table
-                    .iter()
-                    .position(|(s, _, inv)| *s == slot as u32 && inv == op.invocation)
-                    .map(|idx| idx as u32)
-            } else {
-                b.inv_map
-                    .get(&(slot as u32, op.invocation.clone()))
-                    .copied()
-            };
-            let inv = match found {
-                Some(idx) => idx,
-                None => {
-                    let id = b.inv_table.len() as u32;
-                    b.inv_table
-                        .push((slot as u32, op.object, op.invocation.clone()));
-                    if b.inv_table.len() > LINEAR_INTERN_MAX {
-                        if b.inv_map.is_empty() {
-                            for (idx, (s, _, inv)) in b.inv_table.iter().enumerate() {
-                                b.inv_map.insert((*s, inv.clone()), idx as u32);
-                            }
-                        } else {
-                            b.inv_map.insert((slot as u32, op.invocation.clone()), id);
-                        }
-                    }
-                    id
-                }
-            };
-            b.op_inv.push(inv);
-            b.op_required.push(op.required);
-            let fixed = match op.fixed_response {
-                Some(v) => intern_value(&mut b, v),
-                None => INVALID,
-            };
-            b.op_fixed.push(fixed);
+            let slot = s.slots.id(&op.object);
+            let matches = |_, (at, inv): &(u32, Invocation)| *at == slot && inv == op.invocation;
+            let found = s.invs.find(&(slot, op.invocation), matches);
+            let inv = found.unwrap_or_else(|| s.invs.push((slot, op.invocation.clone())));
+            s.op_slot.push(slot);
+            s.op_inv.push(inv);
+            s.op_required.push(op.required);
+            s.op_fixed
+                .push(op.fixed_response.map_or(INVALID, |v| s.values.id(v)));
         }
 
         // Required predecessors as a CSR (edges with optional sources impose
         // nothing, matching the reductions in this crate, which only create
         // edges with required sources).
-        b.edges
+        s.edges
             .extend(problem.edges().map(|(i, j)| (i as u32, j as u32)));
-        b.incident.resize(n, false);
-        b.cursor.resize(n, 0);
-        for &(i, j) in &b.edges {
-            b.incident[i as usize] = true;
-            b.incident[j as usize] = true;
-            if b.op_required[i as usize] {
-                b.cursor[j as usize] += 1;
+        s.incident.resize(n, false);
+        s.cursor.resize(n, 0);
+        for &(i, j) in &s.edges {
+            s.incident[i as usize] = true;
+            s.incident[j as usize] = true;
+            if s.op_required[i as usize] {
+                s.cursor[j as usize] += 1;
             }
         }
-        b.pred_offsets.reserve(n + 1);
+        s.pred_offsets.reserve(n + 1);
         let mut acc = 0u32;
         for j in 0..n {
-            b.pred_offsets.push(acc);
-            acc += b.cursor[j];
+            s.pred_offsets.push(acc);
+            acc += s.cursor[j];
         }
-        b.pred_offsets.push(acc);
-        b.pred_data.resize(acc as usize, 0);
-        b.cursor.copy_from_slice(&b.pred_offsets[..n]);
-        for &(i, j) in &b.edges {
-            if b.op_required[i as usize] {
-                b.pred_data[b.cursor[j as usize] as usize] = i;
-                b.cursor[j as usize] += 1;
+        s.pred_offsets.push(acc);
+        s.pred_data.resize(acc as usize, 0);
+        s.cursor.copy_from_slice(&s.pred_offsets[..n]);
+        for &(i, j) in &s.edges {
+            if s.op_required[i as usize] {
+                s.pred_data[s.cursor[j as usize] as usize] = i;
+                s.cursor[j as usize] += 1;
             }
         }
 
@@ -652,88 +653,58 @@ impl<'a> Searcher<'a> {
         // invocation, the same constraints and no incident precedence edge
         // are indistinguishable, so the search only ever takes the first
         // untaken member of a class and the visited cache keys on per-class
-        // counts instead of exact subsets.  Class lookup is a linear scan
-        // over the representative table (no hash map on this setup path).
-        let mut class_count = 0u32;
+        // counts instead of exact subsets.  An operation with an incident
+        // edge is a class of its own, under a key no invocation id makes.
         for i in 0..n {
-            let class = if b.incident[i] {
-                let c = class_count;
-                class_count += 1;
-                c
+            let class = if s.incident[i] {
+                s.classes.push((INVALID, false, i as u32))
             } else {
-                let key = (b.op_inv[i], b.op_required[i], b.op_fixed[i]);
-                let found = if b.class_map.is_empty() {
-                    b.class_reps
-                        .iter()
-                        .find(|(inv, req, fixed, _)| (*inv, *req, *fixed) == key)
-                        .map(|&(_, _, _, c)| c)
-                } else {
-                    b.class_map.get(&key).copied()
-                };
-                match found {
-                    Some(c) => c,
-                    None => {
-                        let c = class_count;
-                        class_count += 1;
-                        b.class_reps.push((key.0, key.1, key.2, c));
-                        if b.class_reps.len() > LINEAR_INTERN_MAX {
-                            if b.class_map.is_empty() {
-                                for &(inv, req, fixed, c) in b.class_reps.iter() {
-                                    b.class_map.insert((inv, req, fixed), c);
-                                }
-                            } else {
-                                b.class_map.insert(key, c);
-                            }
-                        }
-                        c
-                    }
-                }
+                s.classes
+                    .id(&(s.op_inv[i], s.op_required[i], s.op_fixed[i]))
             };
-            b.class_of.push(class);
+            s.class_of.push(class);
         }
         // Class members (ascending operation order) as a CSR.
-        let class_count = class_count as usize;
-        b.cursor.clear();
-        b.cursor.resize(class_count, 0);
+        let class_count = s.classes.len();
+        s.cursor.clear();
+        s.cursor.resize(class_count, 0);
         for i in 0..n {
-            b.cursor[b.class_of[i] as usize] += 1;
+            s.cursor[s.class_of[i] as usize] += 1;
         }
-        b.class_offsets.reserve(class_count + 1);
+        s.class_offsets.reserve(class_count + 1);
         let mut acc = 0u32;
         for c in 0..class_count {
-            b.class_offsets.push(acc);
-            acc += b.cursor[c];
+            s.class_offsets.push(acc);
+            acc += s.cursor[c];
         }
-        b.class_offsets.push(acc);
-        b.class_data.resize(n, 0);
-        b.cursor.copy_from_slice(&b.class_offsets[..class_count]);
+        s.class_offsets.push(acc);
+        s.class_data.resize(n, 0);
+        s.cursor.copy_from_slice(&s.class_offsets[..class_count]);
         for i in 0..n {
-            let c = b.class_of[i] as usize;
-            b.class_data[b.cursor[c] as usize] = i as u32;
-            b.cursor[c] += 1;
+            let c = s.class_of[i] as usize;
+            s.class_data[s.cursor[c] as usize] = i as u32;
+            s.cursor[c] += 1;
         }
-        b.class_counts.resize(class_count, 0);
+        s.class_counts.resize(class_count, 0);
 
         // Root object states and the initial visited key.
-        for slot in 0..b.slots.len() {
-            let object = b.slots[slot];
+        for &object in &s.slots.keys {
             let root = roots.iter().find(|(o, _)| *o == object);
             let state = root.map_or_else(|| universe.initial_state(object), |(_, v)| *v);
-            let id = intern_value(&mut b, state);
-            b.states.push(id);
+            s.states.push(s.values.id(state));
         }
         let mut vkey = 0u64;
-        for (slot, &state) in b.states.iter().enumerate() {
+        for (slot, &state) in s.states.iter().enumerate() {
             vkey ^= util::zkey(TAG_STATE, slot as u64, state as u64);
         }
 
-        let required_count = b.op_required.iter().filter(|&&r| r).count();
+        let required_count = s.op_required.iter().filter(|&&r| r).count();
         Searcher {
             universe,
             limits,
             n,
             required_count,
-            b,
+            s,
             vkey,
             required_taken: 0,
             nodes: 0,
@@ -742,69 +713,52 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Releases the pooled buffers back to the scratch.
-    fn into_bufs(self) -> SearcherBufs {
-        self.b
-    }
-
-    fn stats(&self, scratch: &KernelScratch) -> SearchStats {
-        use std::mem::size_of;
-        // The frontier rows of a frontier search (and their lookup keys,
-        // once engaged) are part of its working set too — without them a
-        // frontier-dominated monitor segment would under-report its peak.
-        let frontier_bytes = scratch.frontier_rows.len() * size_of::<u32>()
-            + scratch
-                .frontier_seen
-                .iter()
-                .map(|k| size_of::<Box<[u32]>>() + k.len() * size_of::<u32>())
-                .sum::<usize>();
+    fn stats(&self) -> SearchStats {
         SearchStats {
             nodes: self.nodes,
             memo_hits: self.memo_hits,
-            arena_bytes: self.b.live_bytes()
-                + scratch.visited.len() * size_of::<u64>()
-                + frontier_bytes,
+            arena_bytes: self.s.live_bytes(),
         }
     }
 
     /// The transitions of invocation `inv` in state `state`, memoized as a
     /// span into the pooled transition arena.
     fn transitions(&mut self, inv: u32, state: u32) -> u32 {
+        let s = &mut *self.s;
         let key = ((inv as u64) << 32) | state as u64;
-        if let Some(&idx) = self.b.trans_index.get(&key) {
+        if let Some(idx) = s.trans.find(&key, |_, &k| k == key) {
             return idx;
         }
-        let (_, object, invocation) = &self.b.inv_table[inv as usize];
+        let (slot, invocation) = &s.invs.keys[inv as usize];
+        let object = s.slots.keys[*slot as usize];
         let raw = self
             .universe
-            .object_type(*object)
-            .transitions(&self.b.values[state as usize], invocation);
-        let start = self.b.trans_data.len() as u32;
+            .object_type(object)
+            .transitions(&s.values.keys[state as usize], invocation);
+        let start = s.trans_data.len() as u32;
         for t in raw {
-            let r = intern_value(&mut self.b, &t.response);
-            let s = intern_value(&mut self.b, &t.next_state);
-            self.b.trans_data.push((r, s));
+            let r = s.values.id(&t.response);
+            let next = s.values.id(&t.next_state);
+            s.trans_data.push((r, next));
         }
-        let len = self.b.trans_data.len() as u32 - start;
-        let idx = self.b.trans_spans.len() as u32;
-        self.b.trans_spans.push((start, len));
-        self.b.trans_index.insert(key, idx);
-        idx
+        s.trans_spans
+            .push((start, s.trans_data.len() as u32 - start));
+        s.trans.push(key)
     }
 
     /// Whether `i` is the first untaken member of its class (the canonical
     /// representative tried by the search).
-    fn canonical(&self, i: usize, taken: &BitSet) -> bool {
-        let c = self.b.class_of[i] as usize;
-        let members = &self.b.class_data
-            [self.b.class_offsets[c] as usize..self.b.class_offsets[c + 1] as usize];
-        members.iter().find(|&&m| !taken.contains(m as usize)) == Some(&(i as u32))
+    fn canonical(&self, i: usize) -> bool {
+        let s = &*self.s;
+        let c = s.class_of[i] as usize;
+        let members = &s.class_data[s.class_offsets[c] as usize..s.class_offsets[c + 1] as usize];
+        members.iter().find(|&&m| !s.taken.contains(m as usize)) == Some(&(i as u32))
     }
 
-    fn preds_taken(&self, i: usize, taken: &BitSet) -> bool {
-        let preds =
-            &self.b.pred_data[self.b.pred_offsets[i] as usize..self.b.pred_offsets[i + 1] as usize];
-        preds.iter().all(|&p| taken.contains(p as usize))
+    fn preds_taken(&self, i: usize) -> bool {
+        let s = &*self.s;
+        let preds = &s.pred_data[s.pred_offsets[i] as usize..s.pred_offsets[i + 1] as usize];
+        preds.iter().all(|&p| s.taken.contains(p as usize))
     }
 
     /// Recomputes the visited key from scratch — the debug cross-check for
@@ -814,12 +768,12 @@ impl<'a> Searcher<'a> {
     /// builds).
     fn recomputed_vkey(&self) -> u64 {
         let mut key = 0u64;
-        for (c, &count) in self.b.class_counts.iter().enumerate() {
+        for (c, &count) in self.s.class_counts.iter().enumerate() {
             if count > 0 {
                 key ^= util::zkey(TAG_CLASS, c as u64, count as u64);
             }
         }
-        for (slot, &state) in self.b.states.iter().enumerate() {
+        for (slot, &state) in self.s.states.iter().enumerate() {
             key ^= util::zkey(TAG_STATE, slot as u64, state as u64);
         }
         key
@@ -831,28 +785,29 @@ impl<'a> Searcher<'a> {
         self.required_taken == self.required_count
     }
 
-    fn apply(&mut self, i: usize, resp: u32, next_state: u32, taken: &mut BitSet) -> Undo {
-        let slot = self.b.op_slot[i] as usize;
-        let class = self.b.class_of[i] as usize;
+    fn apply(&mut self, i: usize, resp: u32, next_state: u32) -> Undo {
+        let s = &mut *self.s;
+        let slot = s.op_slot[i] as usize;
+        let class = s.class_of[i] as usize;
         let undo = Undo {
             op: i,
             class,
             slot,
-            prev_state: self.b.states[slot],
-            required: self.b.op_required[i],
+            prev_state: s.states[slot],
+            required: s.op_required[i],
         };
-        taken.set(i);
-        let count = self.b.class_counts[class];
+        s.taken.set(i);
+        let count = s.class_counts[class];
         if count > 0 {
             self.vkey ^= util::zkey(TAG_CLASS, class as u64, count as u64);
         }
         self.vkey ^= util::zkey(TAG_CLASS, class as u64, (count + 1) as u64);
-        self.b.class_counts[class] = count + 1;
+        s.class_counts[class] = count + 1;
         self.vkey ^= util::zkey(TAG_STATE, slot as u64, undo.prev_state as u64)
             ^ util::zkey(TAG_STATE, slot as u64, next_state as u64);
-        self.b.states[slot] = next_state;
-        self.b.order.push(i as u32);
-        self.b.responses.push(resp);
+        s.states[slot] = next_state;
+        s.order.push(i as u32);
+        s.responses.push(resp);
         if undo.required {
             self.required_taken += 1;
         }
@@ -860,19 +815,20 @@ impl<'a> Searcher<'a> {
         undo
     }
 
-    fn retract(&mut self, undo: Undo, taken: &mut BitSet) {
-        taken.clear(undo.op);
-        let count = self.b.class_counts[undo.class];
+    fn retract(&mut self, undo: Undo) {
+        let s = &mut *self.s;
+        s.taken.clear(undo.op);
+        let count = s.class_counts[undo.class];
         self.vkey ^= util::zkey(TAG_CLASS, undo.class as u64, count as u64);
         if count > 1 {
             self.vkey ^= util::zkey(TAG_CLASS, undo.class as u64, (count - 1) as u64);
         }
-        self.b.class_counts[undo.class] = count - 1;
-        self.vkey ^= util::zkey(TAG_STATE, undo.slot as u64, self.b.states[undo.slot] as u64)
+        s.class_counts[undo.class] = count - 1;
+        self.vkey ^= util::zkey(TAG_STATE, undo.slot as u64, s.states[undo.slot] as u64)
             ^ util::zkey(TAG_STATE, undo.slot as u64, undo.prev_state as u64);
-        self.b.states[undo.slot] = undo.prev_state;
-        self.b.order.pop();
-        self.b.responses.pop();
+        s.states[undo.slot] = undo.prev_state;
+        s.order.pop();
+        s.responses.pop();
         if undo.required {
             self.required_taken -= 1;
         }
@@ -880,13 +836,13 @@ impl<'a> Searcher<'a> {
     }
 
     fn witness(&self) -> Witness {
+        let s = &*self.s;
         Witness {
-            order: self.b.order.iter().map(|&i| i as usize).collect(),
-            responses: self
-                .b
+            order: s.order.iter().map(|&i| i as usize).collect(),
+            responses: s
                 .responses
                 .iter()
-                .map(|&r| self.b.values[r as usize].clone())
+                .map(|&r| s.values.keys[r as usize].clone())
                 .collect(),
         }
     }
@@ -901,8 +857,7 @@ impl<'a> Searcher<'a> {
     /// discovery order (see [`Searcher::record_frontier`]) and the answer is
     /// `No` once the (memoized) space is covered.  `Unknown` means the node
     /// budget ran out: rows may be missing, but every row is reachable.
-    fn run(&mut self, scratch: &mut KernelScratch, tracked: Option<&[usize]>) -> SearchResult {
-        scratch.prepare(self.n);
+    fn run(&mut self, tracked: Option<&[usize]>) -> SearchResult {
         if tracked.is_none() && self.accepting() {
             return SearchResult::Yes(self.witness());
         }
@@ -910,24 +865,19 @@ impl<'a> Searcher<'a> {
         if tracked.is_none() && self.nodes > self.limits.max_nodes {
             return SearchResult::Unknown;
         }
-        scratch.visited.insert(self.vkey);
-
-        let mut frames = std::mem::take(&mut self.b.frames);
-        frames.push(Frame {
+        self.s.visited.insert(self.vkey, ());
+        self.s.frames.push(Frame {
             i: 0,
             k: 0,
             trans: INVALID,
             undo: None,
         });
-        // Split `taken` out of the scratch so `self` methods can borrow
-        // freely; it is put back (empty) before returning.
-        let mut taken = std::mem::take(&mut scratch.taken);
         if let Some(tracked) = tracked.filter(|_| self.accepting()) {
-            self.record_frontier(scratch, &taken, tracked);
+            self.record_frontier(tracked);
         }
 
         let result = 'outer: loop {
-            let Some(mut f) = frames.pop() else {
+            let Some(mut f) = self.s.frames.pop() else {
                 break if self.exhausted {
                     SearchResult::Unknown
                 } else {
@@ -939,56 +889,57 @@ impl<'a> Searcher<'a> {
                     // This level is exhausted: retract the step that
                     // produced it and resume the parent.
                     if let Some(undo) = f.undo.take() {
-                        self.retract(undo, &mut taken);
+                        self.retract(undo);
                     }
                     continue 'outer;
                 }
                 let i = f.i;
-                if taken.contains(i) || !self.canonical(i, &taken) || !self.preds_taken(i, &taken) {
+                if self.s.taken.contains(i) || !self.canonical(i) || !self.preds_taken(i) {
                     f.i += 1;
                     f.k = 0;
                     f.trans = INVALID;
                     continue;
                 }
                 if f.trans == INVALID {
-                    f.trans = self
-                        .transitions(self.b.op_inv[i], self.b.states[self.b.op_slot[i] as usize]);
+                    let state = self.s.states[self.s.op_slot[i] as usize];
+                    f.trans = self.transitions(self.s.op_inv[i], state);
                     f.k = 0;
                 }
-                let (start, len) = self.b.trans_spans[f.trans as usize];
+                let (start, len) = self.s.trans_spans[f.trans as usize];
                 while f.k < len {
-                    let (resp, next_state) = self.b.trans_data[(start + f.k) as usize];
+                    let (resp, next_state) = self.s.trans_data[(start + f.k) as usize];
                     f.k += 1;
-                    let fixed = self.b.op_fixed[i];
+                    let fixed = self.s.op_fixed[i];
                     if fixed != INVALID && resp != fixed {
                         continue;
                     }
-                    let undo = self.apply(i, resp, next_state, &mut taken);
+                    let undo = self.apply(i, resp, next_state);
                     if tracked.is_none() && self.accepting() {
                         let witness = self.witness();
                         // Leave the taken-set empty for the next reuse of
                         // the scratch.
-                        for &op in &self.b.order {
-                            taken.clear(op as usize);
+                        let s = &mut *self.s;
+                        for &op in &s.order {
+                            s.taken.clear(op as usize);
                         }
                         break 'outer SearchResult::Yes(witness);
                     }
                     self.nodes += 1;
                     if self.nodes > self.limits.max_nodes {
                         self.exhausted = true;
-                        self.retract(undo, &mut taken);
+                        self.retract(undo);
                         continue;
                     }
-                    if !scratch.visited.insert(self.vkey) {
+                    if self.s.visited.insert(self.vkey, ()).is_some() {
                         self.memo_hits += 1;
-                        self.retract(undo, &mut taken);
+                        self.retract(undo);
                         continue;
                     }
                     if let Some(tracked) = tracked.filter(|_| self.accepting()) {
-                        self.record_frontier(scratch, &taken, tracked);
+                        self.record_frontier(tracked);
                     }
-                    frames.push(f);
-                    frames.push(Frame {
+                    self.s.frames.push(f);
+                    self.s.frames.push(Frame {
                         i: 0,
                         k: 0,
                         trans: INVALID,
@@ -1002,12 +953,8 @@ impl<'a> Searcher<'a> {
             }
         };
         // Either every step was retracted on the way out (No/Unknown) or the
-        // witness path cleared its bits explicitly; put the empty taken-set
-        // back for the next reuse of the scratch.
-        debug_assert_eq!(taken.count(), 0, "taken-set must be released empty");
-        scratch.taken = taken;
-        frames.clear();
-        self.b.frames = frames;
+        // witness path cleared its bits explicitly.
+        debug_assert_eq!(self.s.taken.count(), 0, "taken-set must be released empty");
         result
     }
 
@@ -1016,31 +963,20 @@ impl<'a> Searcher<'a> {
     /// row of the scratch's store, unless an equal row is already there.  (A
     /// node reached twice is pruned by the visited cache before this runs
     /// again, so the lookup only guards against distinct accepting nodes
-    /// that share a frontier.)  Mirrors [`intern_value`]: linear scan while
-    /// the rows are few, boxed keys in a hash set past [`LINEAR_INTERN_MAX`].
-    fn record_frontier(&self, scratch: &mut KernelScratch, taken: &BitSet, tracked: &[usize]) {
-        let rows = &mut scratch.frontier_rows;
-        let start = rows.len();
-        rows.extend_from_slice(&self.b.states);
-        rows.extend(tracked.iter().map(|&op| taken.contains(op) as u32));
-        let (old, row) = rows.split_at(start);
-        let width = row.len();
-        let seen = &mut scratch.frontier_seen;
-        let known = if seen.is_empty() {
-            (0..scratch.frontier_count).any(|r| old[r * width..][..width] == *row)
+    /// that share a frontier.)
+    fn record_frontier(&mut self, tracked: &[usize]) {
+        let s = &mut *self.s;
+        let start = s.frontier_rows.len();
+        s.frontier_rows.extend_from_slice(&s.states);
+        s.frontier_rows
+            .extend(tracked.iter().map(|&op| s.taken.contains(op) as u32));
+        let (old, row) = s.frontier_rows.split_at(start);
+        let (hash, width) = (util::hash_of(row), row.len());
+        let matches = |r: usize, &h: &u64| h == hash && old[r * width..][..width] == *row;
+        if s.frontiers.find(&hash, matches).is_some() {
+            s.frontier_rows.truncate(start);
         } else {
-            seen.contains(row)
-        };
-        if known {
-            rows.truncate(start);
-            return;
-        }
-        scratch.frontier_count += 1;
-        if !seen.is_empty() {
-            seen.insert(row.into());
-        } else if scratch.frontier_count > LINEAR_INTERN_MAX {
-            // Distinct rows this many are at least one word wide.
-            seen.extend(rows.chunks_exact(width).map(Box::from));
+            s.frontiers.push(hash);
         }
     }
 }
@@ -1049,7 +985,7 @@ impl<'a> Searcher<'a> {
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Interns `problem` into the scratch's pooled tables, hands the searcher to
+/// Interns `problem` into the scratch's tables, hands the searcher to
 /// `search` and returns its result beside the search counters; the one way
 /// in for every entry point below, and where the scratch's retention rule
 /// runs.
@@ -1059,14 +995,12 @@ fn with_searcher<P: Problem + ?Sized, R>(
     universe: &ObjectUniverse,
     limits: SearchLimits,
     scratch: &mut KernelScratch,
-    search: impl FnOnce(&mut Searcher<'_>, &mut KernelScratch) -> R,
+    search: impl FnOnce(&mut Searcher<'_>) -> R,
 ) -> (R, SearchStats) {
-    let bufs = std::mem::take(&mut scratch.bufs);
-    let mut searcher = Searcher::new(problem, roots, universe, limits, bufs);
-    let result = search(&mut searcher, scratch);
-    let stats = searcher.stats(scratch);
-    scratch.bufs = searcher.into_bufs();
-    scratch.release_tables();
+    let mut searcher = Searcher::new(problem, roots, universe, limits, scratch);
+    let result = search(&mut searcher);
+    let stats = searcher.stats();
+    scratch.clear();
     (result, stats)
 }
 
@@ -1083,14 +1017,9 @@ pub fn solve_rooted<P: Problem + ?Sized>(
     limits: SearchLimits,
     scratch: &mut KernelScratch,
 ) -> (SearchResult, SearchStats) {
-    with_searcher(
-        problem,
-        roots,
-        universe,
-        limits,
-        scratch,
-        |searcher, scratch| searcher.run(scratch, None),
-    )
+    with_searcher(problem, roots, universe, limits, scratch, |searcher| {
+        searcher.run(None)
+    })
 }
 
 /// One distinct *accepting frontier* of a search problem, read in place from
@@ -1146,26 +1075,19 @@ pub fn visit_frontiers<P: Problem + ?Sized>(
     scratch: &mut KernelScratch,
     mut each: impl FnMut(FrontierRow<'_>),
 ) -> (bool, SearchStats) {
-    with_searcher(
-        problem,
-        roots,
-        universe,
-        limits,
-        scratch,
-        |searcher, scratch| {
-            let result = searcher.run(scratch, Some(tracked));
-            let complete = !matches!(result, SearchResult::Unknown);
-            let width = searcher.b.slots.len() + tracked.len();
-            for r in 0..scratch.frontier_count {
-                each(FrontierRow {
-                    slots: &searcher.b.slots,
-                    values: &searcher.b.values,
-                    row: &scratch.frontier_rows[r * width..][..width],
-                });
-            }
-            complete
-        },
-    )
+    with_searcher(problem, roots, universe, limits, scratch, |searcher| {
+        let complete = !matches!(searcher.run(Some(tracked)), SearchResult::Unknown);
+        let s = &*searcher.s;
+        let width = s.slots.len() + tracked.len();
+        for r in 0..s.frontiers.len() {
+            each(FrontierRow {
+                slots: &s.slots.keys,
+                values: &s.values.keys,
+                row: &s.frontier_rows[r * width..][..width],
+            });
+        }
+        complete
+    })
 }
 
 /// Checks `condition` on the whole history (no locality decomposition).
@@ -1715,10 +1637,17 @@ mod tests {
         assert_eq!(again, entries);
     }
 
-    /// Entries the per-search hash tables of `scratch` could hold without
-    /// growing: what the retention rule bounds.
+    /// The index capacity of each table of `scratch`, in field order.
+    fn index_capacities(s: &KernelScratch) -> [usize; 6] {
+        let (slots, values, invs) = (&s.slots.index, &s.values.index, &s.invs.index);
+        let (classes, trans, frontiers) = (&s.classes.index, &s.trans.index, &s.frontiers.index);
+        [slots, values, invs, classes, trans, frontiers].map(|index| index.capacity())
+    }
+
+    /// Entries the hash tables of `scratch` could hold without growing: what
+    /// the retention rule bounds.
     fn retained_table_capacity(scratch: &KernelScratch) -> usize {
-        scratch.visited.capacity() + scratch.bufs.trans_index.capacity()
+        scratch.visited.capacity() + index_capacities(scratch).iter().sum::<usize>()
     }
 
     #[test]
@@ -1743,5 +1672,85 @@ mod tests {
         assert!(retained_table_capacity(&scratch) <= 2 * RETAIN_CAPACITY_FLOOR);
         // Shedding is invisible to the search: a fresh scratch counts the same.
         assert_eq!(small_stats, solve_lin(&small, &u).1);
+        // A sequential history writing more distinct values than the floor
+        // fills the interners too, and the next small search sheds them.
+        let (mut wide_u, mut b) = (ObjectUniverse::new(), HistoryBuilder::new());
+        let w = wide_u.add_object(Register::new(Value::from(0i64)));
+        for v in 1..=RETAIN_CAPACITY_FLOOR as i64 + 64 {
+            b = b.complete(
+                ProcessId(0),
+                w,
+                Register::write(Value::from(v)),
+                Value::Unit,
+            );
+        }
+        let wide = b.build();
+        let free = TLinearizability::new(wide.len());
+        assert!(solve(&free, &wide, &wide_u, limits, &mut scratch)
+            .0
+            .is_yes());
+        assert!(index_capacities(&scratch)[1] > RETAIN_CAPACITY_FLOOR);
+        assert!(solve(&Linearizability, &small, &u, limits, &mut scratch)
+            .0
+            .is_yes());
+        assert!(retained_table_capacity(&scratch) <= 2 * RETAIN_CAPACITY_FLOOR);
+    }
+
+    #[test]
+    fn a_problem_past_the_linear_bound_in_every_table_searches_as_before() {
+        // 33 mutually concurrent fetch&increments on one counter, forced
+        // into one order by their responses (33 classes); inside their window
+        // one process writes 33 further registers in turn (35 objects, 38
+        // invocations, 68 values); and four pending writes to one register,
+        // concurrent with everything, give 4 * 2^3 + 1 = 33 frontiers.
+        let mut u = ObjectUniverse::new();
+        let counter = u.add_object(FetchIncrement::new());
+        let r = u.add_object(Register::new(Value::from(0i64)));
+        let mut b = HistoryBuilder::new();
+        for p in 0..33 {
+            b = b.invoke(ProcessId(p), counter, FetchIncrement::fetch_inc());
+        }
+        for p in 0..4 {
+            b = b.invoke(
+                ProcessId(40 + p),
+                r,
+                Register::write(Value::from(-1 - p as i64)),
+            );
+        }
+        for v in 100..133 {
+            let reg = u.add_object(Register::new(Value::from(0i64)));
+            b = b.complete(
+                ProcessId(50),
+                reg,
+                Register::write(Value::from(v)),
+                Value::Unit,
+            );
+        }
+        for p in 0..33 {
+            b = b.respond(ProcessId(p), counter, Value::from(p as i64));
+        }
+        let h = b.build();
+        // Pinned verdict, counters and rows: the hashed lookups must search
+        // node for node as the linear scans do.
+        let mut scratch = KernelScratch::new();
+        let limits = SearchLimits::default();
+        let (result, stats) = solve(&Linearizability, &h, &u, limits, &mut scratch);
+        let rendered = format!("{result:?}");
+        assert!(result.is_yes());
+        let solved = (stats.nodes, stats.memo_hits, util::hash_of(&rendered));
+        assert_eq!(solved, (70, 0, 12_255_800_355_483_845_582));
+        let (entries, complete, stats) = frontiers(&h, &u, &[33, 34, 35, 36], &mut scratch);
+        assert!(complete);
+        let rendered = format!("{entries:?}");
+        let visited = (
+            entries.len(),
+            stats.nodes,
+            stats.memo_hits,
+            util::hash_of(&rendered),
+        );
+        assert_eq!(visited, (33, 134_165, 96_017, 13_715_318_929_318_352_956));
+        // Every table went past the linear bound and engaged its index.
+        let capacities = index_capacities(&scratch);
+        assert!(capacities.iter().all(|&c| c > 0), "{capacities:?}");
     }
 }

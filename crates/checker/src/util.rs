@@ -1,12 +1,12 @@
 //! Small utilities shared by the checkers.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The Fx hash function (as used by rustc): a fast, non-cryptographic hasher
 /// for the kernel's hot-path tables, where SipHash's per-hash setup cost
-/// dominates on the small keys (interned ids, boxed `u32` slices) the
-/// searcher produces at every node.
+/// dominates on the small keys (interned ids, transition keys, frontier-row
+/// hashes) the searcher produces at every node.
 #[derive(Default)]
 pub(crate) struct FxHasher {
     hash: u64,
@@ -57,8 +57,6 @@ impl Hasher for FxHasher {
 
 /// A hash map using [`FxHasher`].
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-/// A hash set using [`FxHasher`].
-pub(crate) type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 /// The splitmix64 finalizer: a cheap bijective avalanche function.  Every
 /// output bit depends on every input bit, which is what makes keys derived

@@ -140,6 +140,44 @@ fn warmed_up_fi_checks_stay_linear_in_allocations() {
     );
 }
 
+#[test]
+fn warmed_up_frontier_search_allocates_only_for_transitions() {
+    let _serial = MEASURE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    // Six concurrent writes, a read of the initial value and three tracked
+    // pending writes: 60 accepting frontiers, past the rows the linear scan
+    // serves, so the row store's hashed lookup is on the measured path.
+    let mut u = ObjectUniverse::new();
+    let r = u.add_object(Register::new(Value::from(0i64)));
+    let mut b = HistoryBuilder::new();
+    for p in 0..9usize {
+        b = b.invoke(ProcessId(p), r, Register::write(Value::from(p as i64 + 1)));
+    }
+    b = b.invoke(ProcessId(9), r, Register::read());
+    for p in 0..6usize {
+        b = b.respond(ProcessId(p), r, Value::Unit);
+    }
+    let h = b.respond(ProcessId(9), r, Value::from(0i64)).build();
+    let mut matcher = OperationMatcher::default();
+    let problem = Linearizability.views(&h, matcher.match_events(h.events()));
+    let (mut scratch, limits, tracked) = (KernelScratch::new(), SearchLimits::default(), [6, 7, 8]);
+    let search = |scratch: &mut KernelScratch| {
+        let mut rows = 0;
+        let (complete, _) =
+            kernel::visit_frontiers(&problem, &[], &u, limits, &tracked, scratch, |_| rows += 1);
+        assert!(complete);
+        rows
+    };
+    assert_eq!(search(&mut scratch), 60);
+    let (allocs, rows) = allocations(|| search(&mut scratch));
+    assert_eq!(rows, 60);
+    // One spec-layer transition list per distinct (invocation, state) pair
+    // — 10 invocations by 10 register states at most — and nothing per row
+    // (a boxed lookup key per row made this 151).
+    assert!(allocs <= 10 * 10, "{allocs} allocations for {rows} rows");
+}
+
 /// Two registers over `0..4` and two counters: the universe of the dense
 /// rounds below.
 fn dense_universe() -> ObjectUniverse {
