@@ -357,6 +357,13 @@ pub enum MonitorError {
         /// Global index of the offending event.
         global_index: usize,
     },
+    /// An event named an object outside the monitor's universe.
+    UnknownObject {
+        /// The object named.
+        object: ObjectId,
+        /// Global index of the offending event.
+        global_index: usize,
+    },
 }
 
 impl fmt::Display for MonitorError {
@@ -376,6 +383,10 @@ impl fmt::Display for MonitorError {
                 f,
                 "event {global_index}: response by {process} matches no pending invocation"
             ),
+            MonitorError::UnknownObject {
+                object,
+                global_index,
+            } => write!(f, "event {global_index}: {object} is not in the universe"),
         }
     }
 }
@@ -559,10 +570,16 @@ fn bump(tally: &mut Tally, invocation: &Invocation) {
 ///
 /// The hot path is allocation-free in the steady state and does the same
 /// work per event whatever the number of objects: pending operations live in
-/// flat per-process slots (no ordered map) and the per-segment
-/// completed-operation count is tallied as events arrive.  Which objects a
-/// segment names is the check stage's business (only linearizability asks).
+/// one list of `(process, object)` pairs, as long as the stream's concurrency
+/// and sized by no id the stream names, and the per-segment
+/// completed-operation count is tallied as events arrive.  Which objects a segment names is the check
+/// stage's business (only linearizability asks); that each lies inside the
+/// universe is checked here, so no event reaches the check stage that it
+/// could not look up.
 pub struct MonitorIngest {
+    /// Objects in the universe: an event naming `ObjectId(objects)` or above
+    /// is rejected.
+    objects: usize,
     min_segment_events: usize,
     segment_batch: usize,
     /// `t`-linearizability defers the first cut until the stream has passed
@@ -576,9 +593,9 @@ pub struct MonitorIngest {
     word_buf: Vec<u64>,
     /// Response events in the open window.
     window_completed: usize,
-    /// Pending operation's object per process, indexed by `ProcessId.0`.
-    pending_objects: Vec<Option<ObjectId>>,
-    pending_count: usize,
+    /// Pending `(process, object)` pairs, one per open operation: a
+    /// handful, so a linear scan beats hashing the process id.
+    pending: Vec<(ProcessId, ObjectId)>,
     /// Closed segments awaiting [`MonitorIngest::take_batch`].
     closed: Vec<Segment>,
     /// Total events in `closed`.
@@ -594,7 +611,7 @@ impl fmt::Debug for MonitorIngest {
         f.debug_struct("MonitorIngest")
             .field("window", &self.window.len())
             .field("window_start", &self.window_start)
-            .field("pending", &self.pending_count)
+            .field("pending", &self.pending.len())
             .field("queued_segments", &self.closed.len())
             .field("events", &self.events)
             .finish()
@@ -605,8 +622,9 @@ impl fmt::Debug for MonitorIngest {
 const WINDOW_PRESIZE_MAX: usize = 256;
 
 impl MonitorIngest {
-    fn new(config: &MonitorConfig) -> Self {
+    fn new(objects: usize, config: &MonitorConfig) -> Self {
         MonitorIngest {
+            objects,
             min_segment_events: config.min_segment_events.max(1),
             segment_batch: config.segment_batch.max(1),
             cut_floor: match config.condition {
@@ -617,8 +635,7 @@ impl MonitorIngest {
             window_start: 0,
             word_buf: Vec::new(),
             window_completed: 0,
-            pending_objects: Vec::new(),
-            pending_count: 0,
+            pending: Vec::new(),
             closed: Vec::new(),
             queued_events: 0,
             events: 0,
@@ -635,34 +652,31 @@ impl MonitorIngest {
     /// (the event is not ingested; the stage remains usable).
     pub fn ingest(&mut self, event: Event) -> Result<(), MonitorError> {
         let global_index = self.window_start + self.window.len();
-        let p = event.process.0;
-        match &event.kind {
-            EventKind::Invoke(_) => {
-                if self.pending_objects.len() <= p {
-                    self.pending_objects.resize(p + 1, None);
-                }
-                if self.pending_objects[p].is_some() {
-                    return Err(MonitorError::InvokeWhilePending {
-                        process: event.process,
-                        global_index,
-                    });
-                }
-                self.pending_objects[p] = Some(event.object);
-                self.pending_count += 1;
+        if event.object.0 >= self.objects {
+            return Err(MonitorError::UnknownObject {
+                object: event.object,
+                global_index,
+            });
+        }
+        let open = self.pending.iter().position(|(p, _)| *p == event.process);
+        match (&event.kind, open) {
+            (EventKind::Invoke(_), None) => self.pending.push((event.process, event.object)),
+            (EventKind::Invoke(_), Some(_)) => {
+                return Err(MonitorError::InvokeWhilePending {
+                    process: event.process,
+                    global_index,
+                });
             }
-            EventKind::Respond(_) => match self.pending_objects.get(p).copied().flatten() {
-                Some(object) if object == event.object => {
-                    self.pending_objects[p] = None;
-                    self.pending_count -= 1;
-                    self.window_completed += 1;
-                }
-                _ => {
-                    return Err(MonitorError::OrphanResponse {
-                        process: event.process,
-                        global_index,
-                    });
-                }
-            },
+            (EventKind::Respond(_), Some(i)) if self.pending[i].1 == event.object => {
+                self.pending.swap_remove(i);
+                self.window_completed += 1;
+            }
+            (EventKind::Respond(_), _) => {
+                return Err(MonitorError::OrphanResponse {
+                    process: event.process,
+                    global_index,
+                });
+            }
         }
         self.word_buf.push(event_word(&event));
         self.window.push(event);
@@ -671,7 +685,7 @@ impl MonitorIngest {
         if resident > self.peak_window_events {
             self.peak_window_events = resident;
         }
-        if self.pending_count == 0
+        if self.pending.is_empty()
             && self.window.len() >= self.min_segment_events
             && self.window_start + self.window.len() >= self.cut_floor
         {
@@ -1395,7 +1409,7 @@ fn replay_operations<'s>(
 /// threads.
 pub fn stages(universe: ObjectUniverse, config: MonitorConfig) -> (MonitorIngest, MonitorCheck) {
     (
-        MonitorIngest::new(&config),
+        MonitorIngest::new(universe.len(), &config),
         MonitorCheck::new(universe, &config),
     )
 }
@@ -2133,6 +2147,40 @@ mod tests {
         // The rejected events were not ingested; the stream stays usable.
         m.respond(ProcessId(0), x, Value::from(0i64)).unwrap();
         assert!(m.finish().verdict.is_ok());
+    }
+
+    /// An object outside the universe is refused at ingest, like an orphan
+    /// response, so no check stage is handed an object it cannot look up
+    /// (each used to panic on the first one).
+    #[test]
+    fn events_on_objects_outside_the_universe_are_rejected() {
+        let (u, x) = fi_universe();
+        let stranger = ObjectId(u.len());
+        for condition in [
+            MonitorCondition::Linearizability,
+            MonitorCondition::TLinearizability { t: 1 },
+            MonitorCondition::WeakConsistency,
+            MonitorCondition::StabilizesEventually,
+        ] {
+            let mut m = Monitor::new(u.clone(), MonitorConfig::for_condition(condition));
+            m.invoke(ProcessId(0), x, FetchIncrement::fetch_inc())
+                .unwrap();
+            assert_eq!(
+                m.invoke(ProcessId(1), stranger, FetchIncrement::fetch_inc()),
+                Err(MonitorError::UnknownObject {
+                    object: stranger,
+                    global_index: 1,
+                })
+            );
+            assert!(matches!(
+                m.respond(ProcessId(1), stranger, Value::from(0i64)),
+                Err(MonitorError::UnknownObject { .. })
+            ));
+            m.respond(ProcessId(0), x, Value::from(0i64)).unwrap();
+            let report = m.finish();
+            assert!(report.verdict.is_ok(), "{condition:?}: {report:?}");
+            assert_eq!(report.stats.events, 2, "{condition:?}");
+        }
     }
 
     #[test]

@@ -17,12 +17,14 @@
 //! while recording, and on [`ServiceClient::finish`] a final flush plus a
 //! shutdown frame carrying its event total and chained stream fingerprint.
 //! The returned [`ClosedClient`] then drains the replica's verdict plane
-//! ([`ClosedClient::collect_verdicts`]) until the service hangs up.
+//! ([`ClosedClient::collect_verdicts`]) until the service hangs up.  Both
+//! directions are in-process duplex links; a client that crosses a network
+//! is a [`crate::supervisor::RecoverableClient`].
 
-use crate::transport::{FrameRx, FrameTx};
+use crate::transport::{DuplexRx, DuplexTx, FrameRx, FrameTx};
 use crate::wire::{
     chain_fingerprint, decode_frame, encode_frame, event_batch_fingerprint, VerdictSummary,
-    WireError, WireFrame, VERSION,
+    WireFrame, VERSION,
 };
 use evlin_history::{Event, ObjectId, ProcessId};
 use evlin_runtime::{EventSink, RecorderShard};
@@ -138,7 +140,7 @@ pub(crate) fn final_summaries(summaries: &[VerdictSummary]) -> Vec<&VerdictSumma
 /// wire frames and sends each at once — the adapter that plugs the runtime
 /// recorder into a transport.
 struct WireSink {
-    tx: Box<dyn FrameTx>,
+    tx: DuplexTx,
     sealer: FrameSealer,
     stats: ClientStats,
 }
@@ -173,60 +175,46 @@ impl EventSink for WireSink {
 
 /// A producer client of the monitoring service.
 ///
-/// Obtained from [`crate::replica::MonitorService::in_process`] or via
-/// [`ServiceClient::connect`] over any transport (TCP included).  One client
+/// Obtained from [`crate::replica::MonitorService::in_process`].  One client
 /// serves one or more recording *processes*, but — like a recorder shard —
 /// all events of a given process must go through the same client.
 pub struct ServiceClient {
     shard: RecorderShard<WireSink>,
-    rx: Box<dyn FrameRx>,
+    rx: DuplexRx,
 }
 
 impl ServiceClient {
-    /// Builds a client over an already-connected transport, sending the
-    /// protocol hello immediately.
+    /// Builds client `client` over its connection's duplex links, sending
+    /// the protocol hello immediately.
     ///
     /// `seq` is the shared global sequence source; every client of one
     /// service run must hold a clone of the same counter so that the
     /// replicas can merge streams back into the recorded real-time order.
-    pub fn connect(
-        mut tx: Box<dyn FrameTx>,
-        rx: Box<dyn FrameRx>,
+    pub(crate) fn connect(
+        tx: DuplexTx,
+        rx: DuplexRx,
         client: u32,
         seq: Arc<AtomicU64>,
         frame_capacity: usize,
-    ) -> Result<Self, WireError> {
-        tx.send(encode_frame(&WireFrame::Hello {
-            client,
-            version: VERSION,
-            session: 0,
-            resume: None,
-        }))?;
-        let sink = WireSink {
+    ) -> Self {
+        let mut sink = WireSink {
             tx,
             sealer: FrameSealer::new(client, frame_capacity),
             stats: ClientStats::default(),
         };
-        Ok(ServiceClient {
+        let hello = encode_frame(&WireFrame::Hello {
+            client,
+            version: VERSION,
+            session: 0,
+            resume: None,
+        });
+        if sink.tx.send(hello).is_err() {
+            sink.stats.send_failures += 1;
+        }
+        ServiceClient {
             shard: RecorderShard::over(seq, sink),
             rx,
-        })
-    }
-
-    /// Connects to a service endpoint over loopback (or any reachable) TCP
-    /// and performs the hello handshake.
-    ///
-    /// The counterpart of [`crate::replica::MonitorService::loopback_tcp`];
-    /// the rules of [`ServiceClient::connect`] about the shared `seq`
-    /// counter apply unchanged.
-    pub fn connect_tcp(
-        addr: std::net::SocketAddr,
-        client: u32,
-        seq: Arc<AtomicU64>,
-        frame_capacity: usize,
-    ) -> Result<Self, WireError> {
-        let (tx, rx) = crate::transport::tcp_connect(addr)?;
-        ServiceClient::connect(Box::new(tx), Box::new(rx), client, seq, frame_capacity)
+        }
     }
 
     /// Records an invocation event by `process` on `object`.
@@ -245,8 +233,8 @@ impl ServiceClient {
     }
 
     /// Ends the client's stream: flushes the tail frame, sends the shutdown
-    /// frame (event total plus chained stream fingerprint) and half-closes
-    /// the sending direction.  The verdict plane stays open on the returned
+    /// frame (event total plus chained stream fingerprint) and hangs up the
+    /// sending direction.  The verdict plane stays open on the returned
     /// [`ClosedClient`].
     pub fn finish(self) -> ClosedClient {
         let (mut sink, dropped_malformed) = self.shard.into_sink();
@@ -254,18 +242,17 @@ impl ServiceClient {
         if sink.tx.send(sink.sealer.shutdown()).is_err() {
             sink.stats.send_failures += 1;
         }
-        // End the sending direction: `close` half-closes a TCP socket, and
-        // dropping the tx hangs up a duplex channel.
-        let WireSink { mut tx, stats, .. } = sink;
-        tx.close();
-        drop(tx);
-        ClosedClient { rx: self.rx, stats }
+        // Dropping the sink's sender is the hang-up the handler waits for.
+        ClosedClient {
+            rx: self.rx,
+            stats: sink.stats,
+        }
     }
 }
 
 /// A finished client still listening on the verdict plane.
 pub struct ClosedClient {
-    rx: Box<dyn FrameRx>,
+    rx: DuplexRx,
     stats: ClientStats,
 }
 
@@ -278,7 +265,7 @@ impl ClosedClient {
     /// delivered reliably, after every client's stream has ended.
     pub fn collect_verdicts(mut self) -> ClientReport {
         let mut summaries = Vec::new();
-        let protocol_errors = drain_verdicts(self.rx.as_mut(), &mut summaries);
+        let protocol_errors = drain_verdicts(&mut self.rx, &mut summaries);
         ClientReport {
             summaries,
             stats: self.stats,

@@ -25,7 +25,9 @@
 //! protocol version: [`replica`]'s is a loss *detector* (sequence gaps
 //! counted, events still delivered, shutdown totals audited), [`supervisor`]'s
 //! an exactly-once *admitter* (journal, one fsync per batch of frames, dedup by
-//! sequence, ack).
+//! sequence, ack).  Each door has one transport: [`MonitorService`] in-process
+//! duplex links, whose fault injector is what the loss detector is for, and
+//! [`RecoverableService`] TCP, where a dead connection is repaired, not counted.
 //!
 //! ## Module map
 //!
@@ -35,7 +37,7 @@
 //! | [`transport`] | how frames move: in-process duplex (optionally faulted), loopback TCP, bounded and non-waiting receives, `transport::ChaosPlan` |
 //! | [`client`] | producer side: the shared frame sealer and verdict drain; [`ServiceClient`], a recorder shard over a wire-frame sink |
 //! | `pool` | the shared replica core: shard pool lifecycle, frame router, verdict fanout |
-//! | [`replica`] | loss-detecting front door: connection handlers, slot claims, [`MonitorService`] |
+//! | [`replica`] | loss-detecting front door, in-process only: connection handlers that own their slot's rings, [`MonitorService`] |
 //! | [`journal`] | `EVJL` per-session fsynced frame journal: append, sync per batch, roll back a failed one, torn-tail recovery |
 //! | [`session`] | exactly-once resumption: server-side admit/commit dedup state, client-side unacked window, seeded backoff |
 //! | [`supervisor`] | exactly-once front door: group-committing session handler, heartbeats, journal-replay restart, overload shedding, [`RecoverableClient`] with its attach handshake |
@@ -88,9 +90,8 @@
 //! }
 //! ```
 //!
-//! The loopback-TCP variant is the same dance with
-//! [`MonitorService::loopback_tcp`] and [`ServiceClient::connect_tcp`]; see
-//! `examples/loopback_demo.rs`.
+//! Over TCP the front door is [`RecoverableService`], with one
+//! [`RecoverableClient`] per connection; see `examples/recovery_demo.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

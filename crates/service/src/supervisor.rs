@@ -1433,7 +1433,8 @@ impl RecoverableClient {
     /// be nonzero and never reused for a different stream).
     ///
     /// `seq` is the shared global sequence source; every client of one run
-    /// must clone the same counter (see [`crate::ServiceClient::connect`]).
+    /// must clone the same counter, so that the replicas can merge streams
+    /// back into the recorded real-time order.
     pub fn connect_tcp(
         addr: SocketAddr,
         client: u32,

@@ -677,3 +677,96 @@ fn a_thousand_hang_ups_leave_the_slot_serviceable() {
     assert!(report.verdict.is_ok(), "{:?}", report.verdict);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A frame naming an object outside the universe is journaled and acked
+/// like any other, so every replay delivers it again.  The monitor rejects
+/// its events instead of dying on them: an explicit restart replays it once,
+/// no watchdog restart follows, and a well-behaved peer's verdict is Ok.
+#[test]
+fn a_frame_naming_an_unknown_object_is_rejected_on_every_replay() {
+    let dir = temp_dir("unknown-object");
+    let u = universe();
+    let (addr, service) = RecoverableService::bind(&u, test_config(dir.clone(), 2, 1)).unwrap();
+    let (mut tx, mut rx) = tcp_connect(addr).unwrap();
+    let mut bytes = hello(1, 0x0B1E);
+    bytes.extend(one_op_frames(1, evlin_history::ObjectId(u.len()), 1).concat());
+    tx.send(bytes).unwrap();
+    // Journaled once the ack that covers the frame arrives.
+    loop {
+        let frame = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the replica acks")
+            .expect("the connection stays up");
+        if matches!(decode_frame(&frame), Ok(WireFrame::Ack { cursor, .. }) if cursor.frames == 1) {
+            break;
+        }
+    }
+    drop((tx, rx));
+    // The raw peer's events took sequence numbers 0 and 1.
+    let mut client = RecoverableClient::connect_tcp(
+        addr,
+        0,
+        0x600D,
+        Arc::new(AtomicU64::new(2)),
+        ClientRecoveryConfig {
+            frame_capacity: 2,
+            ..ClientRecoveryConfig::standard(5)
+        },
+    )
+    .expect("initial connect");
+    let object = u.object_ids()[1];
+    let ops = 8i64;
+    for i in 0..ops {
+        if i == ops / 2 {
+            service.kill_and_restart().expect("restart");
+        }
+        client.invoke(ProcessId(1), object, FetchIncrement::fetch_inc());
+        client.respond(ProcessId(1), object, Value::from(i));
+    }
+    let closed = client.finish().expect("clean session");
+    let report = service.finish();
+    assert_eq!(report.restarts, 1, "only the explicit restart");
+    assert_eq!(report.shards[0].rejected_events, 2);
+    assert!(report.replayed_frames >= 1 && report.replayed_events >= 2);
+    assert_eq!(report.replay_chain_mismatches, 0);
+    assert_eq!(report.events(), 2 * ops as u64);
+    assert!(report.verdict.is_ok(), "{:?}", report.verdict);
+    let client = closed.collect_verdicts();
+    let finals = client.final_summaries();
+    assert_eq!(finals.len(), 1);
+    assert!(finals[0].verdict.is_ok(), "{:?}", finals[0].verdict);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The recoverable service is the one door a foreign peer can reach.  A
+/// hello in a protocol version it does not speak orphans the connection
+/// before any session exists: no journal is created, no slot counts the
+/// connection, and the events frame behind the hello reaches no monitor.
+#[test]
+fn a_hello_in_a_foreign_version_orphans_the_connection() {
+    let dir = temp_dir("foreign-version");
+    let u = universe();
+    let (addr, service) = RecoverableService::bind(&u, test_config(dir.clone(), 1, 1)).unwrap();
+    let (mut tx, mut rx) = tcp_connect(addr).unwrap();
+    let mut bytes = hello(0, 0xF0E1);
+    // The version field sits after the length prefix, tag and magic.
+    bytes[9..11].copy_from_slice(&99u16.to_le_bytes());
+    bytes.extend(one_op_frames(0, u.object_ids()[1], 1).concat());
+    tx.send(bytes).unwrap();
+    // The replica hangs up without a word: a clean close, or a reset when
+    // the events frame was still unread.
+    assert!(!matches!(rx.recv(), Ok(Some(_))), "the replica replied");
+    let report = service.finish();
+    assert_eq!(report.orphan_connections, 1);
+    assert_eq!(report.sessions[0].connections, 0);
+    assert_eq!(report.events(), 0);
+    let journals = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|entry| {
+            let path = entry.as_ref().unwrap().path();
+            path.extension().is_some_and(|ext| ext == "evjl")
+        })
+        .count();
+    assert_eq!(journals, 0, "a refused hello opened a journal");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -310,96 +310,3 @@ fn extended_faulty_service_vs_offline() {
         }
     }
 }
-
-/// The loopback-TCP transport end to end: same history, same verdict as the
-/// offline kernel, clients connecting over real sockets.
-#[test]
-fn loopback_tcp_service_matches_offline() {
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
-
-    let h = random_history(42, 10);
-    let u = universe();
-    let config = ServiceConfig {
-        shards: 2,
-        capture_streams: true,
-        ..ServiceConfig::default()
-    };
-    let clients = 2;
-    let (addr, service) = MonitorService::loopback_tcp(&u, clients, config).unwrap();
-    let seq = Arc::new(AtomicU64::new(0));
-    let mut handles: Vec<_> = (0..clients)
-        .map(|c| {
-            evlin_service::ServiceClient::connect_tcp(addr, c as u32, Arc::clone(&seq), 4).unwrap()
-        })
-        .collect();
-    for event in h.events() {
-        let client = &mut handles[event.process.0 % clients];
-        match &event.kind {
-            EventKind::Invoke(inv) => client.invoke(event.process, event.object, inv.clone()),
-            EventKind::Respond(v) => client.respond(event.process, event.object, v.clone()),
-        }
-    }
-    let closed: Vec<_> = handles.into_iter().map(|c| c.finish()).collect();
-    let report = service.finish();
-    assert_eq!(report.events(), h.len() as u64);
-    assert_eq!(
-        report.verdict.is_ok(),
-        offline_ok(&h, MonitorCondition::Linearizability)
-    );
-    assert_shards_match_offline(&report, MonitorCondition::Linearizability, 42);
-    for closed in closed {
-        let finals_seen = closed.collect_verdicts().final_summaries().len();
-        assert_eq!(finals_seen, report.shards.len());
-    }
-}
-
-/// A hello announcing a protocol version the replica does not speak is
-/// counted as a bad hello and ends the connection's usefulness: the event
-/// frames that follow are refused, not routed.
-#[test]
-fn unsupported_hello_version_stops_routing() {
-    use evlin_service::transport::tcp_connect;
-    use evlin_service::wire::{encode_frame, event_batch_fingerprint, WireFrame, VERSION};
-    use evlin_service::FrameTx;
-
-    let u = universe();
-    let (addr, service) =
-        MonitorService::loopback_tcp(&u, 1, ServiceConfig::default()).expect("bind loopback");
-    let (mut tx, _rx) = tcp_connect(addr).expect("connect");
-    let mut hello = encode_frame(&WireFrame::Hello {
-        client: 0,
-        version: VERSION,
-        session: 0,
-        resume: None,
-    });
-    // The version field sits after the length prefix, tag and magic.
-    hello[9..11].copy_from_slice(&99u16.to_le_bytes());
-    tx.send(hello).expect("send the hello");
-    let object = u.object_ids()[1];
-    let events = vec![
-        (
-            0u64,
-            evlin_history::Event::invoke(ProcessId(0), object, FetchIncrement::fetch_inc()),
-        ),
-        (
-            1u64,
-            evlin_history::Event::respond(ProcessId(0), object, Value::from(0i64)),
-        ),
-    ];
-    tx.send(encode_frame(&WireFrame::Events {
-        client: 0,
-        frame_seq: 0,
-        fingerprint: event_batch_fingerprint(0, &events),
-        events,
-    }))
-    .expect("send the events frame");
-    tx.close();
-    let report = service.finish();
-    let conn = report.connections[0];
-    assert_eq!(conn.bad_hellos, 1, "{conn:?}");
-    assert_eq!(conn.events, 0, "{conn:?}");
-    assert!(conn.protocol_errors > 0, "{conn:?}");
-    assert_eq!(conn.corrupt_frames, 0, "{conn:?}");
-    assert_eq!(report.events(), 0, "nothing may reach a monitor");
-}

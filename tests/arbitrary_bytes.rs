@@ -18,6 +18,10 @@
 //!   in);
 //! * a journal recovers to a prefix of what was written, never to more.
 //!
+//! The bound also holds one stage further on: a decoded frame's events go
+//! through the monitor's ingest stage, whose tables no id from the wire may
+//! size.
+//!
 //! Frames come from `wire_roundtrip`'s generators and resealed checkpoints
 //! from `store_differential`'s `reseal`, both included from their crates'
 //! `tests/support/`, so this suite keeps no copy of either.  The quick tests
@@ -33,7 +37,8 @@ mod frames;
 use evck::reseal;
 use evlin::algorithms::CasFetchInc;
 use evlin::checker::codec::Encode;
-use evlin::history::{Event, ObjectId, ProcessId};
+use evlin::checker::monitor::{stages, MonitorConfig};
+use evlin::history::{Event, ObjectId, ObjectUniverse, ProcessId};
 use evlin::service::journal::{Journal, JournalError};
 use evlin::service::wire::{
     decode_frame, decode_frame_with, encode_frame, event_batch_fingerprint, ResumeCursor,
@@ -306,6 +311,39 @@ fn ten_thousand_nested_pairs_are_an_error_not_a_stack_overflow() {
         events,
     };
     assert_eq!(decode_frame(&encode_frame(&frame)), Ok(frame));
+}
+
+/// A process id is four bytes on the wire whatever its value: an invocation
+/// by process 2^24 goes through decode and the monitor's ingest stage within
+/// the wire's bound.  (Ingest used to index its pending operations by
+/// process, which asked for 256 MiB here and 64 GiB for `u32::MAX`.)
+#[test]
+fn a_huge_process_id_is_ingested_within_the_bound() {
+    let mut universe = ObjectUniverse::new();
+    let object = universe.add_object(FetchIncrement::new());
+    let events = vec![(
+        0,
+        Event::invoke(ProcessId(1 << 24), object, FetchIncrement::fetch_inc()),
+    )];
+    let bytes = encode_frame(&WireFrame::Events {
+        client: 0,
+        frame_seq: 0,
+        fingerprint: event_batch_fingerprint(0, &events),
+        events,
+    });
+    let (mut ingest, _check) = stages(universe, MonitorConfig::default());
+    let mut interner = Vec::new();
+    let (ingested, peak) = peak_allocation(|| {
+        let Ok(WireFrame::Events { events, .. }) = decode_frame_with(&bytes, &mut interner) else {
+            panic!("the frame decodes");
+        };
+        events
+            .into_iter()
+            .map(|(_, event)| ingest.ingest(event))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(ingested, [Ok(())]);
+    assert_allocation_bounded("decode + ingest", bytes.len(), 0, peak);
 }
 
 // ---------------------------------------------------------------------------
