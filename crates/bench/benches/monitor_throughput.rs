@@ -15,7 +15,8 @@
 //!   kernel: rounds of four mutually concurrent operations over two registers
 //!   and two counters (no fetch&increment, so no fast path), one quiescent
 //!   segment per round — the fixed cost per (object, segment) of taking a
-//!   link from the segment's events to its outgoing frontier;
+//!   link from the segment's events to its outgoing frontier, by a kernel
+//!   search or, for a link of one operation, one step of the spec;
 //! * `tlin`, `weak`, `stab` — the monitor alone on the `ingest` stream under
 //!   the paper's own conditions (`t`-linearizability with `t = 8`, weak
 //!   consistency, "stabilizes eventually"), whose every check is a kernel
@@ -146,8 +147,10 @@ fn bench_wide(c: &mut Criterion) {
 /// `ops` operations in rounds of four mutually concurrent ones over two
 /// registers (values `0..4`) and two counters: every process invokes, then
 /// every process responds, and the effects take place in a seeded order, so
-/// the stream is linearizable by construction while each (object, round)
-/// still needs a search.
+/// the stream is linearizable by construction.  An (object, round) link of two
+/// or more operations needs a kernel search; about 62 % of the links hold one
+/// operation (four uniform picks of four objects), and those take one step
+/// of the spec per frontier state instead.
 fn dense_stream(ops: usize) -> (ObjectUniverse, Vec<Event>) {
     let mut universe = ObjectUniverse::new();
     for _ in 0..2 {

@@ -39,14 +39,16 @@
 //!
 //! * [`MonitorIngest`] — the per-event half: well-formedness filtering,
 //!   window maintenance and quiescent-cut detection.  It is deliberately
-//!   allocation-light (flat per-process pending slots, one counter and one
-//!   fingerprint word per event) so the hot path costs a few dozen
-//!   nanoseconds per event, however many objects the stream names.  Closed
-//!   segments accumulate into opaque [`SegmentBatch`]es.
+//!   allocation-light (a short list of the open operations' `(process,
+//!   object)` pairs, scanned linearly, and one fingerprint word per event)
+//!   so the hot path costs a few dozen nanoseconds per event, however many
+//!   objects the stream names.  Closed segments accumulate into opaque
+//!   [`SegmentBatch`]es.
 //! * [`MonitorCheck`] — the per-segment half: frontier threading, kernel
-//!   searches and the fetch&increment fast path.  Batches are `Send`, so a
-//!   pipelined caller ships them to a dedicated checker thread and keeps
-//!   ingesting while earlier segments are verified.
+//!   searches, the one-operation step and the fetch&increment fast path.
+//!   Batches are `Send`, so a pipelined caller ships them to a dedicated
+//!   checker thread and keeps ingesting while earlier segments are
+//!   verified.
 //!
 //! [`Monitor`] glues the two stages back together behind the original
 //! single-threaded API; [`stages`] hands them out separately.  Exactness is
@@ -77,13 +79,15 @@
 //! (`group_by_object`) and hands each object a chain of `(segment,
 //! positions)` links, so a batch costs `O(events)` whatever the number of
 //! objects, and an object never visits a segment it is absent from.
-//! Projections of pure fetch&increment traffic take the near-linear
-//! [`crate::fi`] fast path instead of the kernel — which is what lets the
-//! monitor keep up with millions of real-thread counter operations
-//! (experiment E11, the `monitor_throughput` bench).  A segment whose events
-//! all name one object is its own projection and is read whole.
+//! The projections of an object whose type *is* [`FetchIncrement`] (asked
+//! of the type, not of its [`ObjectType::name`], which any type may claim)
+//! take the near-linear [`crate::fi`] fast path instead of the kernel —
+//! which is what lets the monitor keep up with millions of real-thread
+//! counter operations (experiment E11, the `monitor_throughput` bench).  A
+//! segment whose events all name one object is its own projection and is
+//! read whole.
 //!
-//! Neither path materializes a projection.  A link's events are read in
+//! No path materializes a projection.  A link's events are read in
 //! place through its positions; on the kernel path its invocations and
 //! responses are matched into pooled index pairs
 //! ([`evlin_history::OperationMatcher`], the rule behind
@@ -95,9 +99,21 @@
 //! a pooled buffer, sorted and deduplicated, and swapped with the incoming
 //! frontier, which is the object's entry of the frontier map updated in
 //! place.  The stream tail takes the same views through the witness search.
+//!
+//! A mid-stream link of exactly one operation — an invocation and its
+//! response — skips the search: one operation has no real-time order to
+//! choose, so its outgoing states are the `next_state` of every transition
+//! of the object's spec, from every frontier state, whose response is the
+//! recorded one.  The step counts what the kernel's search on that problem
+//! counts (a root node per frontier state, a node per matching transition,
+//! the node budget, a memo hit per repeated next state; a unit test holds
+//! the two equal), adds nothing to `arena_bytes`, and feeds the same
+//! pooled buffer, sort, deduplication, cap and swap.
+//!
 //! What a warmed-up batch still allocates is the spec layer's
-//! `transitions()` result per distinct `(invocation, state)` pair a search
-//! expands (`tests/alloc_smoke.rs` pins it).
+//! `transitions()` result: per distinct `(invocation, state)` pair a search
+//! expands, and per frontier state a one-operation step leaves from
+//! (`tests/alloc_smoke.rs` pins both).
 //!
 //! ## The four conditions
 //!
@@ -187,7 +203,8 @@ use crate::util::{fold_words, hash_of, mix};
 use evlin_history::{
     Event, EventKind, History, ObjectId, ObjectUniverse, OpId, OperationMatcher, ProcessId,
 };
-use evlin_spec::{Invocation, Value};
+use evlin_spec::{FetchIncrement, Invocation, ObjectType, Value};
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -921,7 +938,7 @@ impl CheckContext {
 
     /// Checks a batch of segments under linearizability: per-object frontier
     /// threading, one object's chain after the other, with the
-    /// fetch&increment fast path per projection.
+    /// fetch&increment fast path and the one-operation step per projection.
     fn drain_lin(&mut self, frontiers: &mut BTreeMap<ObjectId, Vec<Value>>, segments: &[Segment]) {
         // One grouping pass per segment, then the links sorted by object
         // and segment: each run of the sorted list is one object's chain,
@@ -991,7 +1008,8 @@ impl CheckContext {
         positions: &[u32],
     ) -> Option<(usize, String)> {
         let (universe, limits) = (&self.universe, self.limits);
-        let fast_eligible = universe.object_type(object).name() == "fetch&increment";
+        let spec: &dyn ObjectType = &**universe.object_type(object);
+        let fast_eligible = (spec as &dyn Any).is::<FetchIncrement>();
         let outgoing = &mut self.outgoing;
         for link in links {
             let segment = &segments[link.segment];
@@ -1002,10 +1020,10 @@ impl CheckContext {
             let len = picked.map_or(events.len(), <[u32]>::len);
             let event = |k: usize| &events[picked.map_or(k, |picked| picked[k] as usize)];
             let final_segment = segment.is_tail;
-            // Fast path: a pure fetch&increment projection from an integer
-            // state has a unique outgoing state (initial + operation count),
-            // so the near-linear specialized checker replaces the kernel
-            // search.
+            // Fast path: a `FetchIncrement` object's projection from an
+            // integer state has a unique outgoing state (initial + operation
+            // count), so the near-linear specialized checker replaces the
+            // kernel search.
             let fast = fast_eligible
                 && fi_step(
                     || (0..len).map(event),
@@ -1026,50 +1044,85 @@ impl CheckContext {
                 std::mem::swap(frontier, outgoing);
                 continue;
             }
-            // Kernel path: Definition 2 (`t = 0`) over the link's operations,
-            // lent to the kernel as views; one search per frontier state.
             outgoing.clear();
-            let problem = EventProblem {
-                t: 0,
-                events,
-                picked,
-                ops: self.matcher.match_events((0..len).map(event)),
+            // One operation has no real-time order to choose: a mid-stream
+            // link of one invocation and its response is one step of the
+            // spec from each frontier state, counted as the kernel's search.
+            let one_operation = match (!final_segment && len == 2).then(|| (event(0), event(1))) {
+                Some((
+                    Event {
+                        process: caller,
+                        kind: EventKind::Invoke(invocation),
+                        ..
+                    },
+                    Event {
+                        process: responder,
+                        kind: EventKind::Respond(response),
+                        ..
+                    },
+                )) if caller == responder => Some((invocation, response)),
+                _ => None,
             };
             let mut any_yes = false;
-            for state in frontier.iter() {
-                let roots = [(object, state)];
-                if final_segment {
-                    // Nothing consumes the outgoing frontier: a plain witness
-                    // search decides the tail (pending operations included).
-                    let (result, stats) =
-                        kernel::solve_rooted(&problem, &roots, universe, limits, &mut self.scratch);
-                    self.stats.search.absorb(stats);
-                    match result {
-                        SearchResult::Yes(_) => {
-                            any_yes = true;
-                            break;
+            if let Some((invocation, response)) = one_operation {
+                let stats = &mut self.stats.search;
+                if !step_operation(
+                    spec, frontier, invocation, response, limits, stats, outgoing,
+                ) {
+                    self.incomplete = true;
+                }
+                any_yes = !outgoing.is_empty();
+            } else {
+                // Kernel path: Definition 2 (`t = 0`) over the link's
+                // operations, lent to the kernel as views; one search per
+                // frontier state.
+                let problem = EventProblem {
+                    t: 0,
+                    events,
+                    picked,
+                    ops: self.matcher.match_events((0..len).map(event)),
+                };
+                for state in frontier.iter() {
+                    let roots = [(object, state)];
+                    if final_segment {
+                        // Nothing consumes the outgoing frontier: a plain
+                        // witness search decides the tail (pending
+                        // operations included).
+                        let (result, stats) = kernel::solve_rooted(
+                            &problem,
+                            &roots,
+                            universe,
+                            limits,
+                            &mut self.scratch,
+                        );
+                        self.stats.search.absorb(stats);
+                        match result {
+                            SearchResult::Yes(_) => {
+                                any_yes = true;
+                                break;
+                            }
+                            SearchResult::Unknown => self.incomplete = true,
+                            SearchResult::No => {}
                         }
-                        SearchResult::Unknown => self.incomplete = true,
-                        SearchResult::No => {}
-                    }
-                } else {
-                    let each = |row: kernel::FrontierRow<'_>| {
-                        any_yes = true;
-                        let states = row.states().filter(|(o, _)| *o == object);
-                        outgoing.extend(states.map(|(_, v)| v.clone()));
-                    };
-                    let (complete, stats) = kernel::visit_frontiers(
-                        &problem,
-                        &roots,
-                        universe,
-                        limits,
-                        &[],
-                        &mut self.scratch,
-                        each,
-                    );
-                    self.stats.search.absorb(stats);
-                    if !complete {
-                        self.incomplete = true;
+                    } else {
+                        let each = |row: kernel::FrontierRow<'_>| {
+                            any_yes = true;
+                            let states = row.states().filter(|(o, _)| *o == object);
+                            outgoing.extend(states.map(|(_, v)| v.clone()));
+                        };
+                        let (complete, stats) = kernel::visit_frontiers(
+                            &problem,
+                            &roots,
+                            universe,
+                            limits,
+                            &[],
+                            &mut self.scratch,
+                            each,
+                        );
+                        self.stats.search.absorb(stats);
+                        if !complete {
+                            self.incomplete = true;
+                        }
                     }
                 }
             }
@@ -1628,6 +1681,51 @@ impl Grouping {
     }
 }
 
+/// Decides a one-operation link — `invocation` answered with `response` —
+/// from every frontier state by stepping `spec`, and appends each state's
+/// outgoing states to `outgoing`: the `next_state` of every transition whose
+/// response is the recorded one.  Returns `false` when the node budget cut
+/// the step short.
+///
+/// This is the kernel's exhaustive search on that one-operation problem,
+/// counted into `stats` the same way: per frontier state one root node, then
+/// one node per matching transition; a transition whose node passes
+/// `limits.max_nodes` is dropped, as the kernel drops it when it sets `exhausted`;
+/// a next state the same root already reached is a memo hit, as the visited
+/// cache would have it.  Nothing is interned, so `arena_bytes` is untouched.
+/// What it allocates is the spec's `transitions()` result per frontier state
+/// (and `outgoing`'s growth, which is pooled).
+fn step_operation(
+    spec: &dyn ObjectType,
+    frontier: &[Value],
+    invocation: &Invocation,
+    response: &Value,
+    limits: SearchLimits,
+    stats: &mut SearchStats,
+    outgoing: &mut Vec<Value>,
+) -> bool {
+    let mut complete = true;
+    for state in frontier {
+        let reached = outgoing.len();
+        let mut nodes = 1;
+        for transition in spec.transitions(state, invocation) {
+            if transition.response != *response {
+                continue;
+            }
+            nodes += 1;
+            if nodes > limits.max_nodes {
+                complete = false;
+            } else if outgoing[reached..].contains(&transition.next_state) {
+                stats.memo_hits += 1;
+            } else {
+                outgoing.push(transition.next_state);
+            }
+        }
+        stats.nodes += nodes;
+    }
+    complete
+}
+
 /// Fast-path step: decides a pure fetch&increment projection (`events()`
 /// yields it, once per frontier state) from every frontier state with
 /// [`crate::fi`] and leaves the outgoing frontier in `outgoing` — a singleton
@@ -1919,6 +2017,7 @@ mod tests {
     use crate::{eventual, linearizability, t_linearizability, weak_consistency};
     use evlin_history::HistoryBuilder;
     use evlin_spec::{FetchIncrement, Register};
+    use std::sync::Arc;
 
     fn fi_universe() -> (ObjectUniverse, ObjectId) {
         let mut u = ObjectUniverse::new();
@@ -2724,6 +2823,281 @@ mod tests {
                     _ => panic!("expected ok = {ok}: {report:?}"),
                 }
             }
+        }
+    }
+
+    /// A counter that calls itself fetch&increment but wraps after 2: its
+    /// name claims the fast path, its transitions say otherwise.
+    #[derive(Debug)]
+    struct WrappingCounter;
+
+    impl evlin_spec::ObjectType for WrappingCounter {
+        fn name(&self) -> &str {
+            "fetch&increment"
+        }
+
+        fn initial_states(&self) -> Vec<Value> {
+            vec![Value::from(0i64)]
+        }
+
+        fn transitions(
+            &self,
+            state: &Value,
+            invocation: &Invocation,
+        ) -> Vec<evlin_spec::Transition> {
+            match state.as_int() {
+                Some(v) if *invocation == FetchIncrement::fetch_inc() => {
+                    let next = Value::from((v + 1) % 3);
+                    vec![evlin_spec::Transition::new(Value::from(v), next)]
+                }
+                _ => Vec::new(),
+            }
+        }
+
+        fn sample_invocations(&self) -> Vec<Invocation> {
+            vec![FetchIncrement::fetch_inc()]
+        }
+    }
+
+    #[test]
+    fn the_fast_path_is_chosen_by_type_not_by_name() {
+        // Sequential fetch&incs answered `responses`, on an object added
+        // either way the universe offers: the verdict is the offline
+        // kernel's, and only a `FetchIncrement` takes the fast path.
+        let sequential = |responses: [i64; 4]| {
+            let mut b = HistoryBuilder::new();
+            for (k, response) in responses.into_iter().enumerate() {
+                let (p, inc) = (ProcessId(k % 2), FetchIncrement::fetch_inc());
+                b = b.complete(p, ObjectId(0), inc, Value::from(response));
+            }
+            b.build()
+        };
+        let types: [(Arc<dyn evlin_spec::ObjectType>, bool); 2] = [
+            (Arc::new(FetchIncrement::new()), true),
+            (Arc::new(WrappingCounter), false),
+        ];
+        for (ty, fast) in types {
+            let by_value = |u: &mut ObjectUniverse| match fast {
+                true => u.add_object(FetchIncrement::new()),
+                false => u.add_object(WrappingCounter),
+            };
+            let shared = |u: &mut ObjectUniverse| u.add_shared(ty.clone(), Value::from(0i64));
+            let adds: [&dyn Fn(&mut ObjectUniverse) -> ObjectId; 2] = [&by_value, &shared];
+            for add in adds {
+                let mut u = ObjectUniverse::new();
+                assert_eq!(add(&mut u), ObjectId(0));
+                for responses in [[0, 1, 2, 3], [0, 1, 2, 0]] {
+                    let h = sequential(responses);
+                    let offline = linearizability::is_linearizable(&h, &u);
+                    assert_eq!(offline, (responses[3] == 3) == fast);
+                    let condition = MonitorCondition::Linearizability;
+                    for report in [
+                        run_monitor(&u, &h, condition),
+                        run_staged(&u, &h, condition, 1),
+                    ] {
+                        let online = match &report.verdict {
+                            MonitorVerdict::Ok => true,
+                            MonitorVerdict::Violation(_) => false,
+                            MonitorVerdict::Unknown => panic!("{report:?}"),
+                        };
+                        assert_eq!(online, offline, "{responses:?}: {report:?}");
+                        let taken = report.stats.fast_path_segments;
+                        assert_eq!(taken > 0, fast, "{responses:?}: {report:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A die whose `roll()` shows 1 and lands on `a` or on `b`, lists the
+    /// `(1, a)` outcome twice, and shows 2 and lands on `c`, from any face:
+    /// two transitions share a response, and one is a duplicate.
+    #[derive(Debug)]
+    struct LoadedDie;
+
+    impl evlin_spec::ObjectType for LoadedDie {
+        fn name(&self) -> &str {
+            "loaded-die"
+        }
+
+        fn initial_states(&self) -> Vec<Value> {
+            vec![Value::sym("a")]
+        }
+
+        fn transitions(&self, _: &Value, invocation: &Invocation) -> Vec<evlin_spec::Transition> {
+            if invocation.method() != "roll" {
+                return Vec::new();
+            }
+            let roll = |shown: i64, face| {
+                evlin_spec::Transition::new(Value::from(shown), Value::sym(face))
+            };
+            vec![roll(1, "a"), roll(1, "b"), roll(1, "a"), roll(2, "c")]
+        }
+
+        fn sample_invocations(&self) -> Vec<Invocation> {
+            vec![Invocation::nullary("roll")]
+        }
+    }
+
+    /// What a one-operation link — `invocation` answered with `response` —
+    /// leaves from `frontier`, decided by the kernel's exhaustive search from
+    /// each state, or by [`step_operation`] with `step`: the outgoing states
+    /// (sorted, distinct), the nodes, the memo hits and whether the budget
+    /// let the search cover its space.
+    fn one_operation(
+        u: &ObjectUniverse,
+        object: ObjectId,
+        frontier: &[Value],
+        (invocation, response): (&Invocation, &Value),
+        limits: SearchLimits,
+        step: bool,
+    ) -> (Vec<Value>, usize, usize, bool) {
+        let (mut outgoing, mut stats, mut complete) = (Vec::new(), SearchStats::default(), true);
+        if step {
+            let spec = &**u.object_type(object);
+            complete = step_operation(
+                spec,
+                frontier,
+                invocation,
+                response,
+                limits,
+                &mut stats,
+                &mut outgoing,
+            );
+        } else {
+            let events = [
+                Event::invoke(ProcessId(0), object, invocation.clone()),
+                Event::respond(ProcessId(0), object, response.clone()),
+            ];
+            let problem = EventProblem {
+                t: 0,
+                events: &events,
+                picked: None,
+                ops: &[(0, Some(1))],
+            };
+            let mut scratch = KernelScratch::new();
+            for state in frontier {
+                let each = |row: kernel::FrontierRow<'_>| {
+                    outgoing.extend(row.states().map(|(_, v)| v.clone()));
+                };
+                let roots = [(object, state)];
+                let (covered, search) =
+                    kernel::visit_frontiers(&problem, &roots, u, limits, &[], &mut scratch, each);
+                stats.absorb(search);
+                complete &= covered;
+            }
+        }
+        outgoing.sort();
+        outgoing.dedup();
+        (outgoing, stats.nodes, stats.memo_hits, complete)
+    }
+
+    #[test]
+    fn a_one_operation_step_is_the_kernels_search() {
+        // Every built-in type's sampled invocations from frontiers of one to
+        // three reachable states, answered with each response the spec gives
+        // there and with one it never gives, under three node budgets: the
+        // step and the kernel's search on the same one-operation problem
+        // agree on the outgoing states, the counters and completeness.
+        let types: Vec<Arc<dyn evlin_spec::ObjectType>> = vec![
+            Arc::new(Register::new(Value::from(0i64))),
+            Arc::new(evlin_spec::CompareAndSwap::new(Value::from(0i64))),
+            Arc::new(evlin_spec::MaxRegister::new()),
+            Arc::new(FetchIncrement::new()),
+            Arc::new(evlin_spec::Queue::new()),
+            Arc::new(evlin_spec::TestAndSet::new()),
+            Arc::new(evlin_spec::Consensus::new()),
+            Arc::new(evlin_spec::Counter::new()),
+            Arc::new(evlin_spec::trivial::StickyGate::new()),
+            Arc::new(evlin_spec::trivial::BlindRegister::new()),
+            Arc::new(Turnstile),
+            Arc::new(LoadedDie),
+        ];
+        let budgets = [1, 2, SearchLimits::default().max_nodes];
+        let (mut memo_hits, mut cut_short, mut refuted) = (0, 0, 0);
+        for ty in types {
+            let initial = ty.initial_states()[0].clone();
+            let mut u = ObjectUniverse::new();
+            let object = u.add_shared(ty.clone(), initial.clone());
+            let states = ty.reachable_states(&initial, 3);
+            for invocation in ty.sample_invocations() {
+                let transitions = states.iter().flat_map(|q| ty.transitions(q, &invocation));
+                let mut responses: Vec<Value> = transitions.map(|t| t.response).collect();
+                responses.sort();
+                responses.dedup();
+                responses.push(Value::sym("never"));
+                for (response, width, max_nodes) in responses.iter().flat_map(|response| {
+                    (1..=states.len()).flat_map(move |w| budgets.map(|b| (response, w, b)))
+                }) {
+                    let (frontier, limits) = (&states[..width], SearchLimits { max_nodes });
+                    let link = (&invocation, response);
+                    let searched = one_operation(&u, object, frontier, link, limits, false);
+                    let stepped = one_operation(&u, object, frontier, link, limits, true);
+                    let name = ty.name();
+                    let case = format!("{name} {invocation} -> {response} from {frontier:?}");
+                    assert_eq!(stepped, searched, "{case}, {limits:?}");
+                    memo_hits += stepped.2;
+                    cut_short += usize::from(!stepped.3);
+                    refuted += usize::from(stepped.0.is_empty());
+                }
+            }
+        }
+        assert!(memo_hits > 0 && cut_short > 0 && refuted > 0);
+    }
+
+    #[test]
+    fn one_operation_links_are_pinned() {
+        // A sequential stream over a register (values `0..3`) and a queue:
+        // each round is one register operation, then one queue operation,
+        // both by process `round % 3`.  Cut at every quiescent point, a link is
+        // a whole segment; cut every four events, it is one of the segment's
+        // two objects.  Either way every link holds one operation.  The
+        // expected values are what the monitor produced while every link
+        // still went through a kernel search.
+        let mut u = ObjectUniverse::new();
+        let r = u.add_object(Register::new(Value::from(0i64)));
+        let q = u.add_object(evlin_spec::Queue::new());
+        let (mut register, mut queue) = (0i64, std::collections::VecDeque::new());
+        let mut b = HistoryBuilder::new();
+        let mut seed = 0x853c_49e6_748f_ea9bu64;
+        for round in 0..300usize {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let p = ProcessId(round % 3);
+            b = if seed.is_multiple_of(2) {
+                register = (seed % 3) as i64;
+                b.complete(p, r, Register::write(Value::from(register)), Value::Unit)
+            } else {
+                b.complete(p, r, Register::read(), Value::from(register))
+            };
+            b = if seed % 5 < 3 {
+                queue.push_back(round as i64);
+                let enqueue = evlin_spec::Queue::enqueue(Value::from(round as i64));
+                b.complete(p, q, enqueue, Value::Unit)
+            } else {
+                let head = queue.pop_front().map_or(Value::Bottom, Value::from);
+                b.complete(p, q, evlin_spec::Queue::dequeue(), head)
+            };
+        }
+        let h = b.build();
+        assert!(linearizability::is_linearizable(&h, &u));
+        let condition = MonitorCondition::Linearizability;
+        let staged = run_staged(&u, &h, condition, 0);
+        assert!(staged.verdict.is_ok(), "{staged:?}");
+        assert_eq!(golden(&staged.stats), [600, 600, 0, 1200, 0]);
+        for (min_segment_events, expected) in
+            [(1, [600, 600, 0, 1200, 0]), (4, [300, 600, 0, 1200, 0])]
+        {
+            let config = MonitorConfig {
+                min_segment_events,
+                ..MonitorConfig::default()
+            };
+            let mut m = Monitor::new(u.clone(), config);
+            m.ingest_all(h.iter().cloned()).expect("well-formed");
+            let report = m.finish();
+            assert!(report.verdict.is_ok(), "{report:?}");
+            assert_eq!(golden(&report.stats), expected);
         }
     }
 }

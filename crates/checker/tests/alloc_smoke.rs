@@ -239,12 +239,14 @@ fn warmed_up_monitor_check_allocates_only_for_transitions() {
     let _serial = MEASURE
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    // The kernel path of the check stage takes a link from the segment's
-    // events to its outgoing frontier inside pooled buffers: what is left to
-    // allocate is the spec layer's `transitions()` result per distinct
-    // (invocation, state) pair a search expands.  A materialized projection,
-    // problem or frontier set per link would show up as a multiple of the
-    // link count (12.8 per link before the in-place path).
+    // The check stage takes a link from the segment's events to its
+    // outgoing frontier inside pooled buffers, whether a one-operation link
+    // steps the spec or a wider one goes through a kernel search: what is
+    // left to allocate is the spec layer's `transitions()` result, per
+    // distinct (invocation, state) pair a search expands and per frontier
+    // state a step leaves.  A materialized projection, problem or frontier
+    // set per link would show up as a multiple of the link count (12.8 per
+    // link before the in-place path).
     let config = MonitorConfig {
         segment_batch: usize::MAX, // checked by `pump` alone
         ..MonitorConfig::default()
@@ -263,10 +265,80 @@ fn warmed_up_monitor_check_allocates_only_for_transitions() {
     assert_eq!(after.segments - before.segments, 64);
     assert_eq!(after.fast_path_segments, 0);
     let nodes = after.search.nodes - before.search.nodes;
-    assert!(nodes > 2 * links, "every link searches: {nodes} nodes");
+    assert!(
+        nodes > 2 * links,
+        "every link is stepped or searched: {nodes} nodes"
+    );
     assert!(
         allocs <= nodes && allocs <= 3 * links,
-        "{allocs} allocations for {links} kernel-path links, {nodes} nodes"
+        "{allocs} allocations for {links} stepped or searched links, {nodes} nodes"
+    );
+}
+
+/// `ops` operations over [`dense_universe`], each answered before the next
+/// is invoked, so every quiescent segment, and so every link, is one
+/// operation; its effect is applied to `state`.
+fn sequential_ops(state: &mut [i64; 4], seed: &mut u64, ops: usize) -> Vec<Event> {
+    let mut next = |bound: u64| {
+        *seed ^= *seed << 13;
+        *seed ^= *seed >> 7;
+        *seed ^= *seed << 17;
+        (*seed % bound) as usize
+    };
+    let mut events = Vec::with_capacity(ops * 2);
+    for _ in 0..ops {
+        let (p, object, read, value) = (ProcessId(next(4)), next(4), next(2) == 0, next(4));
+        let (invocation, response) = match (object < 2, read) {
+            (true, true) => (Register::read(), Value::from(state[object])),
+            (true, false) => {
+                state[object] = value as i64;
+                (Register::write(Value::from(value as i64)), Value::Unit)
+            }
+            (false, true) => (Counter::read(), Value::from(state[object])),
+            (false, false) => {
+                state[object] += 1;
+                (Counter::inc(), Value::Unit)
+            }
+        };
+        events.push(Event::invoke(p, ObjectId(object), invocation));
+        events.push(Event::respond(p, ObjectId(object), response));
+    }
+    events
+}
+
+#[test]
+fn warmed_up_one_operation_links_allocate_only_their_transitions() {
+    let _serial = MEASURE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    // A one-operation link is one step of the spec from each frontier
+    // state, taken without a search: it allocates the spec layer's
+    // `transitions()` result per (link, frontier state) and nothing else.
+    // The types are deterministic and start in one state, so every
+    // frontier here is one state and the bound is one per link.
+    let (mut ingest, mut check) = stages(dense_universe(), MonitorConfig::default());
+    let (mut state, mut seed) = ([0i64; 4], 0x6a09_e667_f3bc_c909u64);
+    let links = 256;
+    let mut batch_of = |events: Vec<Event>| {
+        for event in events {
+            ingest.ingest(event).expect("well-formed");
+        }
+        ingest.take_batch().expect("closed segments")
+    };
+    check.check_batch(batch_of(sequential_ops(&mut state, &mut seed, links)));
+    let batch = batch_of(sequential_ops(&mut state, &mut seed, links));
+    assert_eq!(batch.len(), links);
+    let (allocs, ()) = allocations(|| check.check_batch(batch));
+    let (tail, summary) = ingest.finish();
+    let report = check.finish(tail, summary);
+    assert!(report.verdict.is_ok(), "{report:?}");
+    assert_eq!(report.stats.segments, 2 * links);
+    assert_eq!(report.stats.fast_path_segments, 0);
+    // A root and the one matching transition per link, as a search counts.
+    assert_eq!(report.stats.search.nodes, 2 * 2 * links);
+    assert!(
+        allocs <= links,
+        "{allocs} allocations for {links} one-operation links of one frontier state each"
     );
 }
 

@@ -1,6 +1,7 @@
 //! The [`ObjectType`] trait: sequential specifications as transition relations.
 
 use crate::{Invocation, Value};
+use std::any::Any;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
@@ -80,8 +81,11 @@ impl std::error::Error for SpecError {}
 /// non-determinism (an assumption several results of the paper require).
 ///
 /// Implementations must be `Send + Sync` so specifications can be shared by
-/// the multi-threaded runtime harness.
-pub trait ObjectType: fmt::Debug + Send + Sync {
+/// the multi-threaded runtime harness.  They are also `Any`, so a checker
+/// that specializes on one type (the monitor's fetch&increment fast path)
+/// asks a `dyn ObjectType` what it *is* — `(ty as &dyn Any).is::<T>()` —
+/// rather than trusting [`ObjectType::name`], which any type may claim.
+pub trait ObjectType: Any + fmt::Debug + Send + Sync {
     /// A short human-readable name for the type, e.g. `"fetch&increment"`.
     fn name(&self) -> &str;
 
