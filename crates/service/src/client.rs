@@ -53,7 +53,7 @@ pub struct ClientStats {
 /// fingerprint, chained stream fingerprint, dense per-client frame sequence —
 /// keeping the running totals the closing `SHUTDOWN` frame audits.
 pub(crate) struct FrameSealer {
-    pub(crate) client: u32,
+    client: u32,
     capacity: usize,
     buf: Vec<(u64, Event)>,
     frame_seq: u64,

@@ -25,7 +25,7 @@
 //! protocol version: [`replica`]'s is a loss *detector* (sequence gaps
 //! counted, events still delivered, shutdown totals audited), [`supervisor`]'s
 //! an exactly-once *admitter* (journal, one fsync per batch of frames, dedup by
-//! sequence, ack).  Each door has one transport: [`MonitorService`] in-process
+//! sequence, ack), whose rules live in [`session`]'s two I/O-free machines.  Each door has one transport: [`MonitorService`] in-process
 //! duplex links, whose fault injector is what the loss detector is for, and
 //! [`RecoverableService`] TCP, where a dead connection is repaired, not counted.
 //!
@@ -39,8 +39,8 @@
 //! | `pool` | the shared replica core: shard pool lifecycle, frame router, verdict fanout |
 //! | [`replica`] | loss-detecting front door, in-process only: connection handlers that own their slot's rings, [`MonitorService`] |
 //! | [`journal`] | `EVJL` per-session fsynced frame journal: append, sync per batch, roll back a failed one, torn-tail recovery |
-//! | [`session`] | exactly-once resumption: server-side admit/commit dedup state, client-side unacked window, seeded backoff |
-//! | [`supervisor`] | exactly-once front door: group-committing session handler, heartbeats, journal-replay restart, overload shedding, [`RecoverableClient`] with its attach handshake |
+//! | [`session`] | the exactly-once protocol as two machines that do no I/O: the replica's admit/group-commit/ack/shed state and the client's window, attach, ping and reconnect; seeded backoff; a model test over every schedule at small scope |
+//! | [`supervisor`] | exactly-once front door: one driver loop per side (sockets, clock, slot locks, journal files), journal-replay restart, watchdog, [`RecoverableClient`] |
 //!
 //! ## Example
 //!

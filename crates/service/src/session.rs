@@ -1,66 +1,117 @@
-//! Session resumption: exactly-once frame ingestion across reconnects.
+//! Session resumption: exactly-once frame ingestion across reconnects, as
+//! two machines that do no I/O and read no clock.
 //!
 //! A *session* is a client's logical stream, decoupled from any one
 //! connection.  The client names it in its hello (a nonzero session id) and
-//! keeps an **unacked window** (`SessionTx`) of every `EVENTS` frame not
-//! yet covered by a durability ack; the replica keeps the session's
-//! **journal-backed acceptance state** (`SessionRx`), admitting frames in
-//! exact sequence order:
+//! keeps an **unacked window** (`ClientSession`) of every `EVENTS` frame
+//! not yet covered by a durability ack; the replica keeps the session's
+//! **acceptance state** (`ReplicaSession`): the cursor after every
+//! journaled frame, admitting frames in exact sequence order — a frame at
+//! the append position is journaled, one below it is a duplicate (dropped,
+//! re-acked), one above it a gap (dropped; the ack says where to rewind).
 //!
-//! * `frame_seq == next` — fresh: journal it; once the batch it arrived in
-//!   is fsynced, deliver and ack the new cursor.
-//! * `frame_seq < next` — duplicate (a replay of something already
-//!   journaled): drop, re-ack the cursor so the client prunes its window.
-//! * `frame_seq > next` — gap (frames died with a connection): reject and
-//!   ack the *current* cursor, which tells the client exactly where to
-//!   rewind its window.
+//! Each machine is one `on(input, out)`: a driver feeds it what happened
+//! (a frame arrived, the receive buffer drained, the timer fired, a
+//! connection opened or died, the journal's sync returned or failed) and
+//! carries out what it asks (send a frame — a window frame by index, not a
+//! copy — arm the timer, append, sync, deliver to the router, close).  The
+//! drivers in [`crate::supervisor`] own the sockets, the clock, the slot
+//! lock, the journal file and the rings; the model test at the bottom of
+//! this file owns an in-memory network and journal instead, and searches
+//! every schedule of one session at small scope.  Sessions share no protocol
+//! state — a replica slot serves one client's session, a client one — so
+//! one session is the whole protocol.
 //!
-//! Admission is two steps, `SessionRx::admit` per frame and one
-//! `SessionRx::commit` per batch of frames: the commit is the fsync, and
-//! the cursor it returns is the only one a caller may ack.  A connection
-//! that delivered sixteen frames while the previous fsync ran pays for one
-//! more, not sixteen; a batch of one frame is the same two calls.
-//!
-//! Together the two sides absorb duplication and reordering and turn loss
-//! into retransmission — the journal admits each frame exactly once, in
-//! order, no matter how many times the connection dies.  On reconnect the
-//! client's resume hello carries the cursor it last saw acked; the replica
-//! cross-checks the cursor's *chained fingerprint* against what its journal
-//! folds to at that frame count, so a client resuming against the wrong
-//! journal (or a corrupted one) is refused with a typed error instead of
-//! silently forking the stream.
+//! The replica commits in groups: `EVENTS` frames are admitted as they come
+//! off the inbox and one `Sync` covers the batch, which ends at the buffer's
+//! drain, at the first frame of another kind, or before `limit` events.
+//! Nothing is delivered and nothing acked before that sync has answered.
+//! On reconnect the client's resume hello carries the cursor it last saw
+//! acked; the replica cross-checks the cursor's *chained fingerprint*
+//! against its cursor at that frame count, so a client resuming against the
+//! wrong journal (or a corrupted one) is refused instead of silently forking
+//! the stream.
 //!
 //! [`Backoff`] is the client's reconnect pacing: seeded, jittered,
 //! exponential, bounded — the same seed always yields the same retry
 //! schedule (chaos tests replay it), and exhaustion is a typed
 //! [`RetriesExhausted`], never a hang.
 
-use crate::journal::{Journal, JournalError, Recovered};
-use crate::wire::ResumeCursor;
+use crate::journal::JournalError;
+use crate::supervisor::{RecoverableClientStats, SessionStats};
+use crate::wire::{
+    chain_fingerprint, decode_frame, decode_frame_with, ResumeCursor, VerdictSummary, WireError,
+    WireFrame, VERSION,
+};
+use evlin_history::Event;
 use evlin_runtime::fault::xorshift64;
+use evlin_spec::Invocation;
 use std::collections::VecDeque;
 use std::fmt;
-use std::path::Path;
 use std::time::Duration;
 
-// ---------------------------------------------------------------------------
-// Server side: journal-backed acceptance
-// ---------------------------------------------------------------------------
+/// How long a client waits on the ack plane: for the attach ack, and for ack
+/// progress before it probes the replica with a ping.
+const ACK_TIMEOUT: Duration = Duration::from_millis(200);
 
-/// What [`SessionRx::admit`] decided about one incoming `EVENTS` frame.
-/// Whatever it decided, the cursor to ack is the one the batch's
-/// [`SessionRx::commit`] returns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Admit {
-    /// Fresh and now journaled, not yet durable: deliver the events once
-    /// the commit has returned, not before.
-    Accept,
-    /// Already journaled (a window replay): drop it; the re-ack lets the
-    /// client prune its window.
-    Duplicate,
-    /// Sequence gap — frames before this one never arrived.  Drop it; the
-    /// acked cursor tells the client where to rewind its window.
-    Gap,
+/// Ack timeouts in a row without progress after which a live replica that
+/// does not ack is given up on (e.g. a lost `OVERLOADED`): the resume path
+/// retransmits from the acked cursor.
+const STALL_LIMIT: u32 = 4;
+
+/// The retransmission delay `OVERLOADED` rejections suggest, in ms.
+const RETRY_AFTER_MS: u32 = 5;
+
+/// What a driver feeds a session machine.
+pub(crate) enum Input {
+    /// Client: a connection is open and nothing has been sent on it.
+    Opened,
+    /// Client: a sealed `EVENTS` frame (its wire encoding) for the window,
+    /// staged in sealing order.
+    Stage(Vec<u8>),
+    /// A whole frame arrived (its wire encoding).
+    Frame(Vec<u8>),
+    /// Replica: no further whole frame is buffered.  Carries the events the
+    /// slot's rings hold unshipped, `None` while a restart replay owns them,
+    /// probed now: it is fed again after every `Synced`, so each batch is
+    /// admitted against the backlog its deliveries left.
+    Drained(Option<usize>),
+    /// The armed timer fired (the replica's is its read deadline).
+    Timer,
+    /// The connection died, on a frame boundary if `clean`.
+    Lost { clean: bool },
+    /// The `Sync` returned.  The replica settles the batch and waits for
+    /// the next `Drained` to go on.
+    Synced,
+    /// An `Append` or the `Sync` failed; the journal is back at its durable
+    /// position.
+    SyncFailed,
+}
+
+/// What a session machine asks its driver to do, in order.
+#[derive(Debug)]
+pub(crate) enum Output {
+    /// Send this frame on the connection.
+    Send(WireFrame),
+    /// Send the client's window frame at this index (0 is the oldest).
+    SendWindow(usize),
+    /// (Re)arm the one timer to fire after this long.
+    Arm(Duration),
+    /// Journal this `EVENTS` frame, unsynced.
+    Append {
+        bytes: Vec<u8>,
+        events: u64,
+        fingerprint: u64,
+    },
+    /// Journal the client's shutdown totals.
+    AppendShutdown { events: u64, chain: u64 },
+    /// Make every append durable — creating the journal if the session has
+    /// none yet — and answer with `Synced` or `SyncFailed`.
+    Sync,
+    /// Hand these (now durable) events to the router.
+    Deliver(Vec<(u64, Event)>),
+    /// Close the connection.
+    Close,
 }
 
 /// Resumption failures, distinct from journal I/O failures because they mean
@@ -115,165 +166,375 @@ impl From<JournalError> for SessionError {
     }
 }
 
-/// The replica side of one session: the journal plus the durable cursor
-/// after every accepted frame (what makes resume cursors checkable at *any*
-/// position, not just the tip).
-pub(crate) struct SessionRx {
-    journal: Journal,
-    /// `cursors[i]` = the durable cursor after `i + 1` accepted frames.
-    cursors: Vec<ResumeCursor>,
+/// The cursor before any frame.  The chain is seeded with the client id, so
+/// a zero-frame claim cross-checks too.
+fn start(client: u32) -> ResumeCursor {
+    ResumeCursor {
+        frames: 0,
+        events: 0,
+        chain: client as u64,
+    }
 }
 
-impl SessionRx {
-    /// Opens a fresh session: a new journal at `path`.
-    pub(crate) fn create(
-        path: &Path,
+// ---------------------------------------------------------------------------
+// Replica side: journal-backed acceptance
+// ---------------------------------------------------------------------------
+
+/// The frames a commit batch decided on and what it owes once synced.
+#[derive(Clone, Default)]
+struct Batch {
+    frames: usize,
+    events: usize,
+    /// The durable cursor is owed (a frame was admitted, or a hello).
+    ack: bool,
+    /// An `OVERLOADED` is owed.
+    shed: bool,
+    /// The shutdown record is in the sync.
+    shutdown: bool,
+    /// Accepted frames' events, delivered once the sync has returned.
+    accepted: Vec<Vec<(u64, Event)>>,
+}
+
+/// The replica side of one slot's session: what its journal holds, plus the
+/// connection traffic not yet decided on.
+#[derive(Clone, Default)]
+pub(crate) struct ReplicaSession {
+    client: u32,
+    /// 0 until a hello opens the session.
+    session: u64,
+    /// The journal exists: a sync has answered since the session opened.
+    opened: bool,
+    /// `cursors[i]` is the cursor after `i + 1` journaled frames; the first
+    /// `durable` of them are synced.
+    cursors: Vec<ResumeCursor>,
+    durable: usize,
+    /// The shutdown record is durable: no further frame can be admitted.
+    finished: bool,
+    /// Events one batch may gather, and the ring backlog past which a fresh
+    /// frame is shed.
+    limit: usize,
+    inbox: VecDeque<(Vec<u8>, Result<WireFrame, WireError>)>,
+    batch: Batch,
+    /// A `Sync` is out: the inbox waits for its answer.
+    syncing: bool,
+    /// Unshipped ring events, as last probed.
+    backlog: Option<usize>,
+    interner: Vec<Invocation>,
+    pub(crate) stats: SessionStats,
+}
+
+impl ReplicaSession {
+    /// A slot whose client has not opened a session yet.
+    pub(crate) fn new(client: u32, limit: usize) -> ReplicaSession {
+        ReplicaSession {
+            client,
+            limit,
+            ..ReplicaSession::default()
+        }
+    }
+
+    /// A session reopened from its journal: the cursor after each frame, and
+    /// whether the shutdown record is there.
+    pub(crate) fn reopened(
         client: u32,
+        limit: usize,
         session: u64,
-    ) -> Result<SessionRx, SessionError> {
-        let journal = Journal::create(path, client, session)?;
-        Ok(SessionRx {
-            journal,
-            cursors: Vec::new(),
-        })
+        cursors: Vec<ResumeCursor>,
+        finished: bool,
+    ) -> ReplicaSession {
+        ReplicaSession {
+            session,
+            opened: true,
+            durable: cursors.len(),
+            cursors,
+            finished,
+            ..ReplicaSession::new(client, limit)
+        }
     }
 
-    /// Reopens a session from its journal on disk — the supervisor's startup
-    /// path, before any client has claimed anything.  Returns the session
-    /// plus the recovered journal contents (the frames a rebuilt monitor is
-    /// fed).
-    pub(crate) fn reopen(path: &Path) -> Result<(SessionRx, Recovered), SessionError> {
-        let (journal, recovered) = Journal::recover(path)?;
-        let cursors = recovered.cursors.clone();
-        Ok((SessionRx { journal, cursors }, recovered))
+    pub(crate) fn client(&self) -> u32 {
+        self.client
     }
 
-    /// Validates a resume hello against this (already open) session.
-    ///
-    /// The claim is valid iff `claimed.frames ≤ durable.frames` (acks may
-    /// have been lost, so the client may lag, never lead) **and** the
-    /// journal's chain and event total at `claimed.frames` equal the
-    /// claim's — the two sides accepted the same frame prefix.
-    pub(crate) fn check_resume(
-        &self,
-        hello_client: u32,
-        claimed: Option<ResumeCursor>,
-    ) -> Result<(), SessionError> {
-        if self.journal.client() != hello_client {
+    pub(crate) fn session(&self) -> u64 {
+        self.session
+    }
+
+    pub(crate) fn finished(&self) -> bool {
+        self.finished
+    }
+
+    fn cursor_at(&self, frames: usize) -> ResumeCursor {
+        frames
+            .checked_sub(1)
+            .map_or(start(self.client), |last| self.cursors[last])
+    }
+
+    /// The durable cursor: what an ack may carry.
+    pub(crate) fn cursor(&self) -> ResumeCursor {
+        self.cursor_at(self.durable)
+    }
+
+    /// A resume claim is valid iff `claimed.frames ≤ durable.frames` (acks
+    /// may have been lost, so the client may lag, never lead) **and** the
+    /// cursor at `claimed.frames` equals the claim — the two sides accepted
+    /// the same frame prefix.
+    fn check_resume(&self, client: u32, claimed: Option<ResumeCursor>) -> Result<(), SessionError> {
+        if client != self.client {
+            let journal = self.client;
             return Err(SessionError::ClientMismatch {
-                hello: hello_client,
-                journal: self.journal.client(),
+                hello: client,
+                journal,
             });
         }
         let Some(claimed) = claimed else {
             return Ok(());
         };
-        let durable = self.journal.cursor();
-        let cursor_at = |frames: u64| match frames {
-            0 => ResumeCursor {
-                frames: 0,
-                events: 0,
-                chain: self.journal.client() as u64,
-            },
-            n => self.cursors[(n - 1) as usize],
-        };
-        if claimed.frames > durable.frames || claimed != cursor_at(claimed.frames) {
-            return Err(SessionError::CursorMismatch {
-                claimed,
-                durable: ResumeCursor {
-                    frames: durable.frames,
-                    ..cursor_at(claimed.frames.min(durable.frames))
-                },
-            });
+        let durable = self.cursor();
+        let at = claimed.frames.min(durable.frames) as usize;
+        if claimed.frames > durable.frames || claimed != self.cursor_at(at) {
+            let durable = ResumeCursor {
+                frames: durable.frames,
+                ..self.cursor_at(at)
+            };
+            return Err(SessionError::CursorMismatch { claimed, durable });
         }
         Ok(())
     }
 
-    /// The `frame_seq` a fresh frame must carry now: the durable frame count
-    /// plus the frames admitted since the last [`SessionRx::commit`].
-    pub(crate) fn next_frame_seq(&self) -> u64 {
-        self.cursors.len() as u64
+    pub(crate) fn on(&mut self, input: Input, out: &mut Vec<Output>) {
+        match input {
+            Input::Frame(bytes) => {
+                let frame = decode_frame_with(&bytes, &mut self.interner);
+                self.inbox.push_back((bytes, frame));
+            }
+            Input::Drained(backlog) => {
+                self.backlog = backlog;
+                self.run(out);
+            }
+            Input::Synced => {
+                self.syncing = false;
+                self.opened = true;
+                self.settle(out);
+            }
+            Input::SyncFailed => {
+                // The batch is forgotten, on disk and here: ack nothing,
+                // deliver nothing, drop the connection.
+                self.stats.journal_failures += 1;
+                self.cursors.truncate(self.durable);
+                if !self.opened {
+                    self.session = 0;
+                }
+                self.syncing = false;
+                self.batch = Batch::default();
+                self.close(out);
+            }
+            Input::Timer => {
+                // Silent peer: close the connection, keep the session.
+                self.stats.idle_timeouts += 1;
+                self.close(out);
+            }
+            Input::Lost { clean } => {
+                self.stats.corrupt_frames += u64::from(!clean);
+                self.inbox.clear();
+            }
+            Input::Opened | Input::Stage(_) => {}
+        }
     }
 
-    /// Admits one decoded `EVENTS` frame (`bytes` is its full wire
-    /// encoding).  Only [`Admit::Accept`] journals — without syncing: the
-    /// frame is neither durable nor deliverable until [`SessionRx::commit`]
-    /// has returned.  An error means the journal write failed and every
-    /// frame admitted since the last commit is forgotten, on disk and here.
-    pub(crate) fn admit(
+    fn close(&mut self, out: &mut Vec<Output>) {
+        self.inbox.clear();
+        out.push(Output::Close);
+    }
+
+    /// Decides on the inbox in order until it is empty or a sync is out.
+    fn run(&mut self, out: &mut Vec<Output>) {
+        while !self.syncing {
+            let Some((bytes, frame)) = self.inbox.pop_front() else {
+                return self.commit(out);
+            };
+            let open = self.batch.frames > 0;
+            match frame {
+                Ok(WireFrame::Events {
+                    client,
+                    frame_seq,
+                    events,
+                    fingerprint,
+                }) if client == self.client
+                    && (!open || self.batch.events + events.len() <= self.limit) =>
+                {
+                    self.admit(bytes, frame_seq, events, fingerprint, out)
+                }
+                // Anything else ends the open batch first: it waits for the
+                // batch's sync.
+                frame if open => {
+                    self.inbox.push_front((bytes, frame));
+                    self.commit(out);
+                }
+                frame => self.handle(frame, out),
+            }
+        }
+    }
+
+    /// Admits one `EVENTS` frame of the batch.
+    fn admit(
         &mut self,
-        bytes: &[u8],
+        bytes: Vec<u8>,
         frame_seq: u64,
-        events: u64,
-        batch_fingerprint: u64,
-    ) -> Result<Admit, SessionError> {
-        let next = self.next_frame_seq();
+        events: Vec<(u64, Event)>,
+        fingerprint: u64,
+        out: &mut Vec<Output>,
+    ) {
+        let (batch, events_in) = (&mut self.batch, events.len());
+        batch.frames += 1;
+        batch.events += events_in;
+        let next = self.cursors.len() as u64;
+        if self.finished {
+            // The stream already ended: re-ack where it ended.
+            self.stats.protocol_errors += 1;
+            batch.ack = true;
+            return;
+        }
+        let shed = match self.backlog {
+            // A restart replay owns the rings: shed the whole batch.
+            None => true,
+            Some(backlog) => backlog > self.limit && frame_seq == next,
+        };
+        if shed {
+            // Never journaled, never acked: the client's window still holds
+            // it, and replays it after `retry_after`.
+            self.stats.overloaded_rejections += 1;
+            batch.shed = true;
+            return;
+        }
+        batch.ack = true;
         if frame_seq < next {
-            return Ok(Admit::Duplicate);
+            self.stats.duplicate_frames += 1;
+            return;
         }
         if frame_seq > next {
-            return Ok(Admit::Gap);
+            self.stats.gap_frames += 1;
+            return;
         }
-        match self
-            .journal
-            .append_unsynced(bytes, events, batch_fingerprint)
-        {
-            Ok(written) => {
-                self.cursors.push(written);
-                Ok(Admit::Accept)
+        batch.accepted.push(events);
+        let (last, events) = (self.cursor_at(next as usize), events_in as u64);
+        self.cursors.push(ResumeCursor {
+            frames: next + 1,
+            events: last.events + events,
+            chain: chain_fingerprint(last.chain, fingerprint),
+        });
+        out.push(Output::Append {
+            bytes,
+            events,
+            fingerprint,
+        });
+    }
+
+    /// Ends the batch: one sync if it journaled anything, else its answer.
+    fn commit(&mut self, out: &mut Vec<Output>) {
+        if self.batch.accepted.is_empty() {
+            self.settle(out);
+        } else {
+            out.push(Output::Sync);
+            self.syncing = true;
+        }
+    }
+
+    /// What a batch owes once durable: deliveries, then one ack.
+    fn settle(&mut self, out: &mut Vec<Output>) {
+        let batch = std::mem::take(&mut self.batch);
+        self.durable = self.cursors.len();
+        self.finished |= batch.shutdown;
+        self.stats.commits += u64::from(!batch.accepted.is_empty());
+        for events in batch.accepted {
+            self.stats.accepted_frames += 1;
+            self.stats.accepted_events += events.len() as u64;
+            out.push(Output::Deliver(events));
+        }
+        // Ack first, so that a shed client rewinds to the freshest cursor.
+        if batch.ack {
+            out.push(Output::Send(WireFrame::Ack {
+                client: self.client,
+                session: self.session,
+                cursor: self.cursor(),
+            }));
+        }
+        if batch.shed {
+            out.push(Output::Send(WireFrame::Overloaded {
+                client: self.client,
+                retry_after_ms: RETRY_AFTER_MS,
+            }));
+        }
+    }
+
+    /// A frame outside any batch.
+    fn handle(&mut self, frame: Result<WireFrame, WireError>, out: &mut Vec<Output>) {
+        match frame {
+            Ok(WireFrame::Hello {
+                client,
+                session,
+                resume,
+                ..
+            }) => self.attach(client, session, resume, out),
+            Ok(WireFrame::Shutdown {
+                events_sent,
+                stream_fingerprint,
+                ..
+            }) => {
+                let cursor = self.cursor();
+                if (cursor.events, cursor.chain) != (events_sent, stream_fingerprint) {
+                    self.stats.shutdown_mismatches += 1;
+                    return;
+                }
+                self.stats.shutdowns += 1;
+                if !self.finished {
+                    out.push(Output::AppendShutdown {
+                        events: events_sent,
+                        chain: stream_fingerprint,
+                    });
+                    out.push(Output::Sync);
+                    self.batch.shutdown = true;
+                    self.syncing = true;
+                }
             }
-            Err(e) => Err(self.forget_unsynced(e)),
+            Ok(WireFrame::Ping { token }) => out.push(Output::Send(WireFrame::Pong { token })),
+            Ok(WireFrame::Pong { .. }) => {}
+            Ok(_) => self.stats.protocol_errors += 1,
+            Err(_) => self.stats.corrupt_frames += 1,
         }
     }
 
-    /// Makes every frame admitted since the last commit durable with one
-    /// fsync (none when nothing was accepted) and returns the durable
-    /// cursor: what to ack for the whole batch, whatever its frames were.
-    /// An error means the sync failed and the batch is forgotten, on disk
-    /// and here: ack nothing, deliver nothing, drop the connection.
-    pub(crate) fn commit(&mut self) -> Result<ResumeCursor, SessionError> {
-        if self.next_frame_seq() > self.journal.cursor().frames {
-            if let Err(e) = self.journal.sync() {
-                return Err(self.forget_unsynced(e));
-            }
+    /// A hello: attach to the slot's session (opening it if there is none)
+    /// and answer with the durable cursor, or refuse by closing.
+    fn attach(
+        &mut self,
+        client: u32,
+        session: u64,
+        resume: Option<ResumeCursor>,
+        out: &mut Vec<Output>,
+    ) {
+        self.stats.connections += 1;
+        if self.session != 0 && self.session != session {
+            self.stats.protocol_errors += 1;
+            return self.close(out);
         }
-        Ok(self.journal.cursor())
-    }
-
-    /// A failed append or sync has rolled the journal back to its durable
-    /// cursor; the positions of the forgotten frames go with it.
-    fn forget_unsynced(&mut self, e: JournalError) -> SessionError {
-        self.cursors.truncate(self.journal.cursor().frames as usize);
-        e.into()
-    }
-
-    /// Whether the shutdown audit is journaled: the stream is complete and
-    /// no further frame of it can be admitted.
-    pub(crate) fn finished(&self) -> bool {
-        self.journal.shutdown().is_some()
-    }
-
-    /// Records the client's shutdown totals.
-    pub(crate) fn record_shutdown(&mut self, events: u64, chain: u64) -> Result<(), SessionError> {
-        self.journal.append_shutdown(events, chain)?;
-        Ok(())
-    }
-
-    /// The durable cursor (everything at or below it is fsynced).
-    pub(crate) fn cursor(&self) -> ResumeCursor {
-        self.journal.cursor()
-    }
-
-    /// The underlying journal (for audits).
-    pub(crate) fn journal(&self) -> &Journal {
-        &self.journal
-    }
-
-    /// Mutable journal access — the supervisor uses this to snapshot the
-    /// frames for restart replay ([`Journal::read_back`]) while holding the
-    /// session's slot lock.
-    pub(crate) fn journal_mut(&mut self) -> &mut Journal {
-        &mut self.journal
+        if self.check_resume(client, resume).is_err() {
+            // A fresh session refuses any claim of durable history, before
+            // a journal exists: the refusal burns nothing.
+            self.stats.resume_rejections += 1;
+            return self.close(out);
+        }
+        if resume.is_some_and(|c| c.frames > 0) {
+            self.stats.resumes += 1;
+        }
+        self.batch.ack = true;
+        if self.session == 0 {
+            self.session = session;
+            out.push(Output::Sync);
+            self.syncing = true;
+        } else {
+            self.settle(out);
+        }
     }
 }
 
@@ -281,87 +542,236 @@ impl SessionRx {
 // Client side: the unacked window
 // ---------------------------------------------------------------------------
 
-/// The client side of one session: the encoded `EVENTS` frames sent but not
-/// yet covered by a durability ack, retained for replay.
-///
-/// The window is also what makes [`crate::WireFrame::Overloaded`] free to honor: a
-/// shed frame was never acked, so it is still in the window, and the next
-/// replay retransmits it — rejection and loss are the same recovery path.
-pub(crate) struct SessionTx {
-    session: u64,
-    /// `(frame_seq, full wire encoding)`, oldest first, seqs dense.
-    window: VecDeque<(u64, Vec<u8>)>,
-    /// The highest cursor the replica has acked.
-    acked: ResumeCursor,
-    /// Next fresh `frame_seq` to assign.
-    next_seq: u64,
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+enum Phase {
+    /// No connection: the driver opens one now.
+    Idle,
+    /// A connection attempt failed: the timer says when to try again.
+    BackingOff,
+    /// The hello is out; nothing else is sent before the attach ack.
+    Attaching,
+    /// Attached: the window streams.
+    Streaming,
 }
 
-impl SessionTx {
-    /// A fresh session window.  `client` seeds the ack cursor's chain, so a
-    /// zero-frame ack cross-checks too.
-    pub(crate) fn new(client: u32, session: u64) -> SessionTx {
-        SessionTx {
+/// The client side of one session: the encoded `EVENTS` frames sent but not
+/// yet covered by a durability ack, retained for replay, and the connection
+/// lifecycle around them.
+///
+/// The window is also what makes [`WireFrame::Overloaded`] free to honor: a
+/// shed frame was never acked, so it is still in the window, and the next
+/// replay retransmits it — rejection and loss are the same recovery path.
+#[derive(Clone)]
+pub(crate) struct ClientSession {
+    client: u32,
+    session: u64,
+    /// Unacked frames past which the driver waits for acks.
+    limit: usize,
+    /// Oldest first: `window[i]` is frame `acked.frames + i`.
+    window: VecDeque<Vec<u8>>,
+    /// The highest cursor the replica has acked.
+    acked: ResumeCursor,
+    /// Frames below this went out on the current connection.
+    sent: u64,
+    /// Frames below this went out on some connection: what tells a
+    /// retransmission from a first send.
+    high_water: u64,
+    phase: Phase,
+    /// Ack timeouts in a row without window progress.
+    stalls: u32,
+    /// A ping is out and nothing has arrived since.
+    probing: bool,
+    /// An `OVERLOADED` holds sending until the timer fires.
+    held: bool,
+    connected_once: bool,
+    backoff: Backoff,
+    pub(crate) dead: Option<RetriesExhausted>,
+    pub(crate) stats: RecoverableClientStats,
+    pub(crate) summaries: Vec<VerdictSummary>,
+}
+
+impl ClientSession {
+    /// A fresh session window holding at most `limit` frames between
+    /// waits, reconnecting under `backoff`.
+    pub(crate) fn new(client: u32, session: u64, limit: usize, backoff: Backoff) -> ClientSession {
+        ClientSession {
+            client,
             session,
+            limit,
             window: VecDeque::new(),
-            acked: ResumeCursor {
-                frames: 0,
-                events: 0,
-                chain: client as u64,
-            },
-            next_seq: 0,
+            acked: start(client),
+            sent: 0,
+            high_water: 0,
+            phase: Phase::Idle,
+            stalls: 0,
+            probing: false,
+            held: false,
+            connected_once: false,
+            backoff,
+            dead: None,
+            stats: RecoverableClientStats::default(),
+            summaries: Vec::new(),
         }
     }
 
-    /// The session id carried in hellos.
-    pub(crate) fn session(&self) -> u64 {
-        self.session
+    /// The driver should open a connection now.
+    pub(crate) fn idle(&self) -> bool {
+        self.dead.is_none() && self.phase == Phase::Idle
     }
 
-    /// The cursor to put in a resume hello: the last acked position.
-    pub(crate) fn resume_cursor(&self) -> ResumeCursor {
-        self.acked
+    /// Nothing to wait for: the client is dead, or attached with at most
+    /// `limit` frames unacked (none, when `flush`).
+    pub(crate) fn settled(&self, flush: bool) -> bool {
+        let room = if flush { 0 } else { self.limit };
+        self.dead.is_some() || (self.phase == Phase::Streaming && self.window.len() <= room)
     }
 
-    /// Retains `bytes` (a frame's full wire encoding) in the window under
-    /// the next `frame_seq` — frames must be staged in the order they were
-    /// sealed, which numbers them identically.  Call before sending.
-    pub(crate) fn stage(&mut self, bytes: Vec<u8>) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.window.push_back((seq, bytes));
-        seq
+    /// The window frame a [`Output::SendWindow`] names.
+    pub(crate) fn frame(&self, index: usize) -> &[u8] {
+        &self.window[index]
     }
 
-    /// Applies a durability ack: prunes the window through `cursor.frames`.
-    /// Returns how many frames were pruned.  An ack below a previous ack is
-    /// stale (reordered verdict plane) and ignored.
-    pub(crate) fn on_ack(&mut self, cursor: ResumeCursor) -> usize {
-        if cursor.frames < self.acked.frames {
-            return 0;
-        }
-        self.acked = cursor;
-        let before = self.window.len();
-        while let Some((seq, _)) = self.window.front() {
-            if *seq < cursor.frames {
-                self.window.pop_front();
-            } else {
-                break;
+    pub(crate) fn on(&mut self, input: Input, out: &mut Vec<Output>) {
+        match input {
+            Input::Opened => {
+                // The hello always carries the resume cursor: against a
+                // fresh session it claims zero frames, which validates.
+                out.push(Output::Send(WireFrame::Hello {
+                    client: self.client,
+                    version: VERSION,
+                    session: self.session,
+                    resume: Some(self.acked),
+                }));
+                out.push(Output::Arm(ACK_TIMEOUT));
+                self.phase = Phase::Attaching;
             }
+            Input::Stage(bytes) => {
+                self.window.push_back(bytes);
+                self.send_unsent(out);
+            }
+            Input::Frame(bytes) => self.receive(&bytes, out),
+            Input::Timer => self.timer(out),
+            Input::Lost { .. } => self.lost(out),
+            Input::Drained(_) | Input::Synced | Input::SyncFailed => {}
         }
-        before - self.window.len()
     }
 
-    /// The unacked frames, oldest first — what a reconnect replays after
-    /// its resume hello.  Duplicates are harmless (the replica re-acks
-    /// them), so replaying conservatively is always sound.
-    pub(crate) fn unacked(&self) -> impl Iterator<Item = &[u8]> {
-        self.window.iter().map(|(_, bytes)| bytes.as_slice())
+    fn timer(&mut self, out: &mut Vec<Output>) {
+        match self.phase {
+            Phase::BackingOff => self.phase = Phase::Idle,
+            // No attach ack in time: give the connection up and back off.
+            Phase::Attaching => {
+                out.push(Output::Close);
+                self.lost(out);
+            }
+            Phase::Streaming if self.held => {
+                self.held = false;
+                self.send_unsent(out);
+            }
+            Phase::Streaming if !self.window.is_empty() => {
+                self.stalls += 1;
+                if self.probing || self.stalls >= STALL_LIMIT {
+                    // A dead or wedged peer, or one alive but not acking:
+                    // reconnect and replay.
+                    out.push(Output::Close);
+                    return self.lost(out);
+                }
+                // The token is opaque: any frame ends the probe.
+                let token = u64::from(self.stalls);
+                self.probing = true;
+                out.push(Output::Send(WireFrame::Ping { token }));
+                out.push(Output::Arm(ACK_TIMEOUT));
+            }
+            Phase::Streaming | Phase::Idle => {}
+        }
     }
 
-    /// Frames currently in the window.
-    pub(crate) fn window_len(&self) -> usize {
-        self.window.len()
+    /// The connection is gone.  One that attached is resumed at once; an
+    /// attempt that never did spends retry budget.
+    fn lost(&mut self, out: &mut Vec<Output>) {
+        (self.stalls, self.probing, self.held) = (0, false, false);
+        if self.phase == Phase::Streaming {
+            self.phase = Phase::Idle;
+            return;
+        }
+        match self.backoff.next_delay() {
+            Ok(delay) => {
+                self.phase = Phase::BackingOff;
+                out.push(Output::Arm(delay));
+            }
+            Err(e) => self.dead = Some(e),
+        }
+    }
+
+    /// One frame from the replica, whatever the client was waiting for.
+    fn receive(&mut self, bytes: &[u8], out: &mut Vec<Output>) {
+        self.probing = false;
+        match decode_frame(bytes) {
+            Ok(WireFrame::Ack { cursor, .. }) if self.covers(cursor) => {
+                self.stats.acks += 1;
+                // An ack proves a live, cooperating replica: re-arm the
+                // retry budget.
+                self.backoff.reset();
+                let before = self.window.len();
+                if cursor.frames >= self.acked.frames {
+                    self.window
+                        .drain(..(cursor.frames - self.acked.frames) as usize);
+                    self.acked = cursor;
+                }
+                if self.phase == Phase::Attaching {
+                    // The replay starts at the replica's durable cursor, not
+                    // at whatever ack the last connection delivered.
+                    self.stats.reconnects += u64::from(self.connected_once);
+                    self.connected_once = true;
+                    self.phase = Phase::Streaming;
+                    self.sent = self.acked.frames;
+                    self.send_unsent(out);
+                } else if self.window.len() < before {
+                    self.stalls = 0;
+                    if !self.window.is_empty() && !self.held {
+                        out.push(Output::Arm(ACK_TIMEOUT));
+                    }
+                }
+            }
+            Ok(WireFrame::Overloaded { retry_after_ms, .. }) => {
+                self.stats.overloads += 1;
+                if self.phase == Phase::Streaming {
+                    // The shed frame (and everything after it) goes again
+                    // after the advertised delay; the replica dedups overlap.
+                    self.sent = self.acked.frames;
+                    self.held = true;
+                    let delay = u64::from(retry_after_ms.min(1000));
+                    out.push(Output::Arm(Duration::from_millis(delay)));
+                }
+            }
+            Ok(WireFrame::Verdict(summary)) => self.summaries.push(summary),
+            Ok(WireFrame::Pong { .. }) => {}
+            Ok(_) | Err(_) => self.stats.protocol_errors += 1,
+        }
+    }
+
+    /// An ack names at most the frames this client staged.  One below an
+    /// earlier ack is stale (reordered) and prunes nothing.
+    fn covers(&self, cursor: ResumeCursor) -> bool {
+        cursor.frames <= self.acked.frames + self.window.len() as u64
+    }
+
+    /// Sends every window frame the current connection has not carried.
+    fn send_unsent(&mut self, out: &mut Vec<Output>) {
+        if self.phase != Phase::Streaming || self.held {
+            return;
+        }
+        let base = self.acked.frames;
+        let (first, end) = (self.sent.max(base), base + self.window.len() as u64);
+        for seq in first..end {
+            out.push(Output::SendWindow((seq - base) as usize));
+            self.stats.retransmitted_frames += u64::from(seq < self.high_water);
+        }
+        if first < end {
+            self.high_water = self.high_water.max(end);
+            self.sent = end;
+            out.push(Output::Arm(ACK_TIMEOUT));
+        }
     }
 }
 
@@ -457,187 +867,215 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{encode_frame, event_batch_fingerprint, WireFrame};
-    use evlin_history::{Event, ObjectId, ProcessId};
+    use crate::client::FrameSealer;
+    use crate::wire::encode_frame;
+    use evlin_history::{ObjectId, ProcessId};
     use evlin_spec::FetchIncrement;
-    use std::path::PathBuf;
 
-    fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("evlin-session-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!(
-            "{name}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ))
-    }
-
-    fn events_frame(client: u32, frame_seq: u64, n: usize) -> (Vec<u8>, u64, u64) {
-        let events: Vec<(u64, Event)> = (0..n as u64)
+    /// `n` sealed one-event frames of `client`'s stream, with the cursor
+    /// after each.
+    fn sealed(client: u32, n: usize) -> (Vec<Vec<u8>>, Vec<ResumeCursor>) {
+        let mut sealer = FrameSealer::new(client, 1);
+        let mut cursor = start(client);
+        (0..n)
             .map(|i| {
-                (
-                    frame_seq * 100 + i,
-                    Event::invoke(ProcessId(0), ObjectId(0), FetchIncrement::fetch_inc()),
-                )
+                let event = Event::invoke(ProcessId(0), ObjectId(0), FetchIncrement::fetch_inc());
+                sealer.push(i as u64, event);
+                let (bytes, events) = sealer.seal().expect("one event sealed");
+                let Ok(WireFrame::Events { fingerprint, .. }) = decode_frame(&bytes) else {
+                    unreachable!("a sealed frame decodes");
+                };
+                cursor = ResumeCursor {
+                    frames: cursor.frames + 1,
+                    events: cursor.events + events,
+                    chain: chain_fingerprint(cursor.chain, fingerprint),
+                };
+                (bytes, cursor)
             })
-            .collect();
-        let fingerprint = event_batch_fingerprint(client, &events);
-        let frame = WireFrame::Events {
+            .unzip()
+    }
+
+    fn hello(client: u32, session: u64, resume: Option<ResumeCursor>) -> Vec<u8> {
+        encode_frame(&WireFrame::Hello {
             client,
-            frame_seq,
-            events,
-            fingerprint,
-        };
-        (encode_frame(&frame), n as u64, fingerprint)
+            version: VERSION,
+            session,
+            resume,
+        })
     }
 
-    #[test]
-    fn admit_accepts_in_order_dedups_replays_and_rejects_gaps() {
-        let path = temp_path("admit.evjl");
-        let _ = std::fs::remove_file(&path);
-        let mut rx = SessionRx::create(&path, 4, 1).unwrap();
-        let (p0, n0, f0) = events_frame(4, 0, 2);
-        let (p1, n1, f1) = events_frame(4, 1, 3);
-        let (p3, n3, f3) = events_frame(4, 3, 1);
-
-        assert_eq!(rx.admit(&p0, 0, n0, f0).unwrap(), Admit::Accept);
-        let c0 = rx.commit().unwrap();
-        assert_eq!((c0.frames, c0.events), (1, 2));
-        // Replay of frame 0: duplicate, cursor unchanged.
-        assert_eq!(rx.admit(&p0, 0, n0, f0).unwrap(), Admit::Duplicate);
-        assert_eq!(rx.commit().unwrap(), c0);
-        // Frame 3 before frames 1–2: a gap; cursor says where to rewind.
-        assert_eq!(rx.admit(&p3, 3, n3, f3).unwrap(), Admit::Gap);
-        assert_eq!(rx.commit().unwrap(), c0);
-        // In-order frame 1 is accepted and the chain advances.
-        assert_eq!(rx.admit(&p1, 1, n1, f1).unwrap(), Admit::Accept);
-        let c1 = rx.commit().unwrap();
-        assert_eq!(c1.frames, 2);
-        assert_eq!(c1.events, 5);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn a_batch_is_durable_and_ackable_only_once_committed() {
-        let path = temp_path("batch.evjl");
-        let _ = std::fs::remove_file(&path);
-        let mut rx = SessionRx::create(&path, 4, 1).unwrap();
-        let start = rx.cursor();
-        let frames: Vec<_> = (0..4u64).map(|seq| events_frame(4, seq, 2)).collect();
-        // [fresh, fresh, duplicate, gap, fresh]: three records, one sync.
-        let batch = [0usize, 1, 0, 3, 2];
-        let outcomes: Vec<Admit> = batch
-            .iter()
-            .map(|&seq| {
-                let (bytes, n, fp) = &frames[seq];
-                rx.admit(bytes, seq as u64, *n, *fp).unwrap()
-            })
-            .collect();
-        assert_eq!(
-            outcomes,
-            [
-                Admit::Accept,
-                Admit::Accept,
-                Admit::Duplicate,
-                Admit::Gap,
-                Admit::Accept
-            ]
-        );
-        // Nothing of it is durable, and so nothing ackable, before the sync.
-        assert_eq!(rx.cursor(), start);
-        assert_eq!(rx.next_frame_seq(), 3);
-        let committed = rx.commit().unwrap();
-        assert_eq!((committed.frames, committed.events), (3, 6));
-        assert_eq!(rx.cursor(), committed);
-        // A resume claim checks at every position inside the batch, and the
-        // file recovers to the same three cursors.
-        let live = rx.cursors.clone();
-        for claim in &live {
-            rx.check_resume(4, Some(*claim)).unwrap();
+    /// Feeds `frames` and a drain, answering every sync at once.
+    fn deliver(rx: &mut ReplicaSession, frames: &[&[u8]], backlog: Option<usize>) -> Vec<Output> {
+        let mut out = Vec::new();
+        for bytes in frames {
+            rx.on(Input::Frame(bytes.to_vec()), &mut out);
         }
-        drop(rx);
-        let (rx, recovered) = SessionRx::reopen(&path).unwrap();
-        assert_eq!(recovered.cursors, live);
-        assert_eq!(recovered.frames.len(), 3);
-        assert_eq!(rx.cursor(), committed);
-        std::fs::remove_file(&path).unwrap();
+        rx.on(Input::Drained(backlog), &mut out);
+        while matches!(out.last(), Some(Output::Sync)) {
+            rx.on(Input::Synced, &mut out);
+            rx.on(Input::Drained(backlog), &mut out);
+        }
+        out
+    }
+
+    fn acks(out: &[Output]) -> Vec<u64> {
+        out.iter()
+            .filter_map(|o| match o {
+                Output::Send(WireFrame::Ack { cursor, .. }) => Some(cursor.frames),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_admits_in_order_dedups_replays_rejects_gaps_and_acks_after_its_sync() {
+        let (frames, cursors) = sealed(4, 4);
+        let mut rx = ReplicaSession::new(4, 64);
+        let out = deliver(&mut rx, &[&hello(4, 1, None)], Some(0));
+        assert_eq!(acks(&out), [0]);
+        // [fresh, fresh, duplicate, gap, fresh]: three appends, one sync.
+        let batch = [0usize, 1, 0, 3, 2].map(|i| frames[i].as_slice());
+        let mut out = Vec::new();
+        for bytes in batch {
+            rx.on(Input::Frame(bytes.to_vec()), &mut out);
+        }
+        rx.on(Input::Drained(Some(0)), &mut out);
+        let appended = out
+            .iter()
+            .filter(|o| matches!(o, Output::Append { .. }))
+            .count();
+        assert_eq!(appended, 3);
+        assert!(matches!(out.last(), Some(Output::Sync)));
+        // Nothing is durable, delivered or acked before the sync answers.
+        assert_eq!(rx.cursor().frames, 0);
+        assert!(acks(&out).is_empty());
+        out.clear();
+        rx.on(Input::Synced, &mut out);
+        let delivered = out
+            .iter()
+            .filter(|o| matches!(o, Output::Deliver(_)))
+            .count();
+        assert_eq!((delivered, acks(&out)), (3, vec![3]));
+        assert_eq!(rx.cursor(), cursors[2]);
+        let s = rx.stats;
+        assert_eq!((s.accepted_frames, s.commits), (3, 1));
+        assert_eq!((s.duplicate_frames, s.gap_frames), (1, 1));
+    }
+
+    /// One receive that carries more than `limit` events is committed as
+    /// several batches, each admitted against the backlog probed after the
+    /// one before it delivered, never against a running sum.
+    #[test]
+    fn each_batch_of_a_receive_is_admitted_against_a_fresh_probe() {
+        let (frames, _) = sealed(1, 6);
+        let mut rx = ReplicaSession::new(1, 2);
+        deliver(&mut rx, &[&hello(1, 3, None)], Some(0));
+        let mut out = Vec::new();
+        for bytes in &frames {
+            rx.on(Input::Frame(bytes.clone()), &mut out);
+        }
+        rx.on(Input::Drained(Some(0)), &mut out);
+        rx.on(Input::Synced, &mut out);
+        // The first batch is settled and nothing more admitted: the rest
+        // waits for the backlog its deliveries left.
+        assert!(matches!(
+            out.last(),
+            Some(Output::Send(WireFrame::Ack { .. }))
+        ));
+        let out = deliver(&mut rx, &[], Some(0));
+        assert_eq!(acks(&out), [4, 6]);
+        let s = rx.stats;
+        assert_eq!((s.commits, s.accepted_frames), (3, 6));
+        assert_eq!((s.overloaded_rejections, s.gap_frames), (0, 0));
+    }
+
+    #[test]
+    fn a_failed_sync_forgets_the_batch_and_closes() {
+        let (frames, _) = sealed(2, 2);
+        let mut rx = ReplicaSession::new(2, 64);
+        deliver(&mut rx, &[&hello(2, 5, None)], Some(0));
+        let mut out = Vec::new();
+        rx.on(Input::Frame(frames[0].clone()), &mut out);
+        rx.on(Input::Drained(Some(0)), &mut out);
+        out.clear();
+        rx.on(Input::SyncFailed, &mut out);
+        assert!(matches!(out[..], [Output::Close]));
+        assert_eq!(rx.stats.journal_failures, 1);
+        // The retransmission lands where the failed attempt was.
+        let out = deliver(&mut rx, &[&frames[0]], Some(0));
+        assert_eq!(acks(&out), [1]);
     }
 
     #[test]
     fn resume_cross_checks_the_claimed_cursor() {
-        let path = temp_path("resume.evjl");
-        let _ = std::fs::remove_file(&path);
-        let mut rx = SessionRx::create(&path, 2, 5).unwrap();
-        let (p0, n0, f0) = events_frame(2, 0, 2);
-        let (p1, n1, f1) = events_frame(2, 1, 2);
-        assert_eq!(rx.admit(&p0, 0, n0, f0).unwrap(), Admit::Accept);
-        let c0 = rx.commit().unwrap();
-        assert_eq!(rx.admit(&p1, 1, n1, f1).unwrap(), Admit::Accept);
-        let c1 = rx.commit().unwrap();
-        drop(rx);
-
+        let (_, cursors) = sealed(2, 2);
+        let reopened = || ReplicaSession::reopened(2, 64, 5, cursors.clone(), false);
         // Claiming the tip, an earlier ack, or nothing at all: all valid.
-        let (rx, recovered) = SessionRx::reopen(&path).unwrap();
-        assert_eq!(rx.cursor(), c1);
-        assert_eq!(recovered.frames.len(), 2);
-        for claim in [Some(c1), Some(c0), None] {
-            rx.check_resume(2, claim).unwrap();
+        for claim in [Some(cursors[1]), Some(cursors[0]), None] {
+            let out = deliver(&mut reopened(), &[&hello(2, 5, claim)], Some(0));
+            assert_eq!(acks(&out), [2], "{claim:?}");
         }
-        // Claiming more frames than durable: refused.
         let ahead = ResumeCursor {
             frames: 3,
-            events: 99,
-            chain: 0,
+            ..cursors[1]
         };
-        assert!(matches!(
-            rx.check_resume(2, Some(ahead)),
-            Err(SessionError::CursorMismatch { .. })
-        ));
-        // Claiming the right count with the wrong chain: refused.
         let forged = ResumeCursor {
-            chain: c1.chain ^ 1,
-            ..c1
+            chain: cursors[1].chain ^ 1,
+            ..cursors[1]
         };
-        assert!(matches!(
-            rx.check_resume(2, Some(forged)),
-            Err(SessionError::CursorMismatch { .. })
-        ));
-        // A different client id: refused.
-        assert!(matches!(
-            rx.check_resume(9, Some(c1)),
-            Err(SessionError::ClientMismatch { .. })
-        ));
-        std::fs::remove_file(&path).unwrap();
+        for (client, session, claim) in [(2, 5, ahead), (2, 5, forged), (9, 5, cursors[1])] {
+            let mut rx = reopened();
+            assert!(rx.check_resume(client, Some(claim)).is_err());
+            let out = deliver(&mut rx, &[&hello(client, session, Some(claim))], Some(0));
+            assert!(matches!(out[..], [Output::Close]), "{out:?}");
+            assert_eq!(rx.stats.resume_rejections, 1);
+        }
+        // A hello naming another session of the slot is refused too.
+        let out = deliver(&mut reopened(), &[&hello(2, 6, None)], Some(0));
+        assert!(matches!(out[..], [Output::Close]));
     }
 
     #[test]
-    fn window_prunes_on_ack_and_replays_the_rest() {
-        let mut tx = SessionTx::new(7, 1);
-        let frames: Vec<Vec<u8>> = (0..4u64).map(|seq| events_frame(7, seq, 1).0).collect();
+    fn the_window_prunes_on_ack_and_replays_the_rest_from_the_attach_cursor() {
+        let (frames, cursors) = sealed(7, 4);
+        let ack = |cursor| {
+            encode_frame(&WireFrame::Ack {
+                client: 7,
+                session: 1,
+                cursor,
+            })
+        };
+        let mut tx = ClientSession::new(7, 1, 32, Backoff::standard(1));
+        let mut out = Vec::new();
+        tx.on(Input::Opened, &mut out);
+        tx.on(Input::Frame(ack(start(7))), &mut out);
         for bytes in &frames {
-            tx.stage(bytes.clone());
+            tx.on(Input::Stage(bytes.clone()), &mut out);
         }
-        assert_eq!(tx.window_len(), 4);
-        // Ack through frame 1 (two frames durable).
-        let pruned = tx.on_ack(ResumeCursor {
-            frames: 2,
-            events: 2,
-            chain: 0xBEEF,
-        });
-        assert_eq!(pruned, 2);
-        let replay: Vec<&[u8]> = tx.unacked().collect();
-        assert_eq!(replay, vec![frames[2].as_slice(), frames[3].as_slice()]);
-        // A stale (lower) ack is ignored.
-        assert_eq!(
-            tx.on_ack(ResumeCursor {
-                frames: 1,
-                events: 1,
-                chain: 0
-            }),
-            0
-        );
-        assert_eq!(tx.window_len(), 2);
-        assert_eq!(tx.resume_cursor().frames, 2);
+        let sent = |out: &[Output]| -> Vec<usize> {
+            out.iter()
+                .filter_map(|o| match o {
+                    Output::SendWindow(i) => Some(*i),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(sent(&out), [0, 1, 2, 3], "each sent as it is staged");
+        // Ack through frame 1; a stale ack after it prunes nothing.
+        tx.on(Input::Frame(ack(cursors[1])), &mut out);
+        tx.on(Input::Frame(ack(cursors[0])), &mut out);
+        assert_eq!(tx.window.len(), 2);
+        assert_eq!(tx.frame(0), frames[2].as_slice());
+        // The connection dies; the next attach ack says frame 2 is durable
+        // too, so the replay is frame 3 alone, a retransmission.
+        out.clear();
+        tx.on(Input::Lost { clean: true }, &mut out);
+        assert!(tx.idle());
+        tx.on(Input::Opened, &mut out);
+        tx.on(Input::Frame(ack(cursors[2])), &mut out);
+        assert_eq!(sent(&out), [0]);
+        assert_eq!(tx.frame(0), frames[3].as_slice());
+        assert_eq!((tx.stats.reconnects, tx.stats.retransmitted_frames), (1, 1));
     }
 
     #[test]
@@ -669,5 +1107,509 @@ mod tests {
         // Reset re-arms the budget.
         b.reset();
         assert!(b.next_delay().is_ok());
+    }
+}
+
+/// Both machines over an in-memory network and journal, every schedule at
+/// small scope: one session of [`FRAMES`] frames, a window of [`WINDOW`],
+/// at most [`FAULTS`] network faults (drop, duplicate, reorder, disconnect)
+/// and one replica crash, which loses the journal's unsynced suffix.  A
+/// breadth-first search with fingerprint dedup checks every state it
+/// reaches:
+///
+/// * safety — the journal is a prefix of the client's frames, each once and
+///   in order; no ack exceeds the synced prefix; nothing is delivered before
+///   its sync, and what is delivered is the synced prefix, in order;
+/// * refusal — a resume whose chain does not match is refused;
+/// * liveness — with no further fault, the timely schedule ends with every
+///   frame journaled, delivered and acked, and the window empty.
+///
+/// Timers fire only while nothing is in flight: a timeout means silence.
+#[cfg(test)]
+mod model {
+    use super::*;
+    use crate::client::FrameSealer;
+    use crate::wire::encode_frame;
+    use evlin_history::{ObjectId, ProcessId};
+    use evlin_spec::FetchIncrement;
+    use std::collections::hash_map::DefaultHasher;
+    use std::collections::{HashMap, HashSet};
+    use std::hash::{Hash, Hasher};
+
+    const FRAMES: usize = 3;
+    const WINDOW: usize = 2;
+    const FAULTS: u8 = 2;
+    const CLIENT: u32 = 3;
+    const SESSION: u64 = 0x5E55;
+
+    /// The client's stream: each frame's wire encoding, events and the
+    /// cursor after it.
+    struct Stream {
+        frames: Vec<Vec<u8>>,
+        events: Vec<Vec<(u64, Event)>>,
+        cursors: Vec<ResumeCursor>,
+    }
+
+    fn stream() -> Stream {
+        let mut sealer = FrameSealer::new(CLIENT, 1);
+        let mut stream = Stream {
+            frames: Vec::new(),
+            events: Vec::new(),
+            cursors: Vec::new(),
+        };
+        let mut cursor = start(CLIENT);
+        for seq in 0..FRAMES as u64 {
+            let event = Event::invoke(ProcessId(0), ObjectId(0), FetchIncrement::fetch_inc());
+            sealer.push(seq, event);
+            let (bytes, _) = sealer.seal().expect("one event sealed");
+            let Ok(WireFrame::Events {
+                events,
+                fingerprint,
+                ..
+            }) = decode_frame(&bytes)
+            else {
+                unreachable!("a sealed frame decodes");
+            };
+            cursor = ResumeCursor {
+                frames: seq + 1,
+                events: cursor.events + events.len() as u64,
+                chain: chain_fingerprint(cursor.chain, fingerprint),
+            };
+            stream.frames.push(bytes);
+            stream.events.push(events);
+            stream.cursors.push(cursor);
+        }
+        stream
+    }
+
+    #[derive(Clone)]
+    struct World {
+        client: ClientSession,
+        replica: ReplicaSession,
+        staged: usize,
+        /// The open connection's two directions, oldest first.
+        up: VecDeque<Vec<u8>>,
+        down: VecDeque<Vec<u8>>,
+        connected: bool,
+        /// The replica has taken this connection's first frame.
+        greeted: bool,
+        armed: bool,
+        /// Every record appended; the first `synced` are durable.
+        journal: Vec<Vec<u8>>,
+        synced: usize,
+        delivered: usize,
+        faults: u8,
+        crashed: bool,
+    }
+
+    type Step = Result<(), String>;
+
+    impl World {
+        fn new() -> World {
+            World {
+                client: ClientSession::new(CLIENT, SESSION, WINDOW, Backoff::standard(1)),
+                replica: ReplicaSession::new(CLIENT, 64),
+                staged: 0,
+                up: VecDeque::new(),
+                down: VecDeque::new(),
+                connected: false,
+                greeted: false,
+                armed: false,
+                journal: Vec::new(),
+                synced: 0,
+                delivered: 0,
+                faults: 0,
+                crashed: false,
+            }
+        }
+
+        fn done(&self) -> bool {
+            self.staged == FRAMES
+                && self.synced == FRAMES
+                && self.delivered == FRAMES
+                && self.client.dead.is_none()
+                && self.client.settled(true)
+                && self.client.acked.frames == FRAMES as u64
+        }
+
+        fn fingerprint(&self) -> u64 {
+            let mut h = DefaultHasher::new();
+            let c = &self.client;
+            (c.window.len(), c.acked.frames, c.sent, c.phase, c.stalls).hash(&mut h);
+            (c.probing, c.held, c.dead.is_some(), c.backoff.attempt).hash(&mut h);
+            let r = &self.replica;
+            (r.session, r.opened, r.cursors.len(), r.durable, r.finished).hash(&mut h);
+            for queue in [&self.up, &self.down] {
+                queue.len().hash(&mut h);
+                for bytes in queue {
+                    // Ping tokens count up; the protocol never reads them.
+                    match decode_frame(bytes) {
+                        Ok(WireFrame::Ping { .. }) => 1u8.hash(&mut h),
+                        Ok(WireFrame::Pong { .. }) => 2u8.hash(&mut h),
+                        _ => bytes.hash(&mut h),
+                    }
+                }
+            }
+            (self.staged, self.connected, self.greeted, self.armed).hash(&mut h);
+            (self.journal.len(), self.synced, self.delivered).hash(&mut h);
+            (self.faults, self.crashed).hash(&mut h);
+            h.finish()
+        }
+
+        fn feed_client(&mut self, input: Input) {
+            let mut out = Vec::new();
+            self.client.on(input, &mut out);
+            for output in out {
+                match output {
+                    Output::Send(frame) if self.connected => {
+                        self.up.push_back(encode_frame(&frame))
+                    }
+                    Output::SendWindow(i) if self.connected => {
+                        self.up.push_back(self.client.frame(i).to_vec())
+                    }
+                    Output::Arm(_) => self.armed = true,
+                    Output::Close => self.hang_up(false),
+                    _ => {}
+                }
+            }
+        }
+
+        fn feed_replica(&mut self, s: &Stream, input: Input) -> Step {
+            let mut next = Some(input);
+            while let Some(input) = next.take() {
+                // The buffer is still drained after a sync: go on.
+                let resume = matches!(input, Input::Synced).then_some(Input::Drained(Some(0)));
+                let mut out = Vec::new();
+                self.replica.on(input, &mut out);
+                for output in out {
+                    match output {
+                        Output::Append { bytes, .. } => {
+                            let at = self.journal.len();
+                            if s.frames.get(at) != Some(&bytes) {
+                                return Err(format!("journal record {at} is not frame {at}"));
+                            }
+                            self.journal.push(bytes);
+                        }
+                        Output::Sync => {
+                            self.synced = self.journal.len();
+                            next = Some(Input::Synced);
+                        }
+                        Output::Deliver(events) => {
+                            let at = self.delivered;
+                            if at >= self.synced {
+                                return Err(format!("frame {at} delivered before its sync"));
+                            }
+                            if events != s.events[at] {
+                                return Err(format!("delivery {at} is not frame {at}"));
+                            }
+                            self.delivered += 1;
+                        }
+                        Output::Send(frame) => {
+                            if let WireFrame::Ack { cursor, .. } = &frame {
+                                if cursor.frames > self.synced as u64 {
+                                    let synced = self.synced;
+                                    return Err(format!("ack of {cursor:?} past {synced} synced"));
+                                }
+                            }
+                            if self.connected {
+                                self.down.push_back(encode_frame(&frame));
+                            }
+                        }
+                        Output::Close => self.hang_up(true),
+                        _ => {}
+                    }
+                }
+                next = next.or(resume);
+            }
+            Ok(())
+        }
+
+        /// The connection ends; the client hears of it unless it hung up.
+        fn hang_up(&mut self, tell_client: bool) {
+            if !self.connected {
+                return;
+            }
+            (self.connected, self.greeted) = (false, false);
+            self.up.clear();
+            self.down.clear();
+            let mut out = Vec::new();
+            self.replica.on(Input::Lost { clean: true }, &mut out);
+            if tell_client {
+                self.feed_client(Input::Lost { clean: true });
+            }
+        }
+
+        /// The replica's handler takes the first `k` frames off the wire,
+        /// then finds its buffer drained.
+        fn take(&mut self, s: &Stream, k: usize) -> Step {
+            for _ in 0..k {
+                let Some(bytes) = self.up.pop_front() else {
+                    break;
+                };
+                if !self.greeted {
+                    // The first frame must be a hello: anything else orphans
+                    // the connection.
+                    if !matches!(decode_frame(&bytes), Ok(WireFrame::Hello { .. })) {
+                        self.hang_up(true);
+                        return Ok(());
+                    }
+                    self.greeted = true;
+                }
+                self.feed_replica(s, Input::Frame(bytes))?;
+            }
+            self.feed_replica(s, Input::Drained(Some(0)))
+        }
+
+        fn timer_due(&self) -> bool {
+            self.armed
+                && self.up.is_empty()
+                && self.down.is_empty()
+                && !self.client.settled(self.staged == FRAMES)
+        }
+
+        /// Every step of the timely, fault-free schedule, most urgent first.
+        fn timely(&mut self, s: &Stream) -> Option<Step> {
+            if !self.up.is_empty() {
+                let k = self.up.len();
+                return Some(self.take(s, k));
+            }
+            if let Some(bytes) = self.down.pop_front() {
+                self.feed_client(Input::Frame(bytes));
+            } else if self.client.idle() {
+                self.connect();
+            } else if self.staged < FRAMES && self.client.settled(false) {
+                self.stage(s);
+            } else if self.timer_due() {
+                self.armed = false;
+                self.feed_client(Input::Timer);
+            } else {
+                return None;
+            }
+            Some(Ok(()))
+        }
+
+        fn queue(&mut self, up: bool) -> &mut VecDeque<Vec<u8>> {
+            if up {
+                &mut self.up
+            } else {
+                &mut self.down
+            }
+        }
+
+        fn connect(&mut self) {
+            (self.connected, self.greeted) = (true, false);
+            self.feed_client(Input::Opened);
+        }
+
+        fn stage(&mut self, s: &Stream) {
+            self.staged += 1;
+            self.feed_client(Input::Stage(s.frames[self.staged - 1].clone()));
+        }
+
+        /// The replica process dies: the unsynced suffix and every
+        /// connection with it; a fresh one reopens the journal and replays
+        /// it to the rebuilt monitor.
+        fn crash(&mut self, s: &Stream) {
+            self.hang_up(true);
+            self.journal.truncate(self.synced);
+            self.delivered = self.synced;
+            self.replica = match self.replica.opened {
+                false => ReplicaSession::new(CLIENT, 64),
+                true => {
+                    let cursors = s.cursors[..self.synced].to_vec();
+                    ReplicaSession::reopened(CLIENT, 64, SESSION, cursors, false)
+                }
+            };
+            self.crashed = true;
+        }
+
+        /// Every successor, labelled.
+        fn successors(&self, s: &Stream) -> Vec<(String, Result<World, String>)> {
+            let mut next: Vec<(String, Result<World, String>)> = Vec::new();
+            let mut step = |label: String, f: &dyn Fn(&mut World) -> Step| {
+                let mut w = self.clone();
+                next.push((label, f(&mut w).map(|()| w)));
+            };
+            for k in 1..=self.up.len() {
+                step(format!("replica takes {k}"), &|w| w.take(s, k));
+            }
+            if !self.down.is_empty() {
+                step("client takes 1".into(), &|w| {
+                    let bytes = w.down.pop_front().expect("nonempty");
+                    w.feed_client(Input::Frame(bytes));
+                    Ok(())
+                });
+            }
+            if self.client.idle() {
+                step("client connects".into(), &|w| {
+                    w.connect();
+                    Ok(())
+                });
+            }
+            if self.staged < FRAMES && self.client.settled(false) {
+                step("client stages".into(), &|w| {
+                    w.stage(s);
+                    Ok(())
+                });
+            }
+            if self.timer_due() {
+                step("client timer".into(), &|w| {
+                    w.armed = false;
+                    w.feed_client(Input::Timer);
+                    Ok(())
+                });
+            }
+            if !self.crashed {
+                step("replica crashes".into(), &|w| {
+                    w.crash(s);
+                    Ok(())
+                });
+            }
+            if self.faults == FAULTS {
+                return next;
+            }
+            let mut fault = |label: String, f: &dyn Fn(&mut World)| {
+                step(label, &|w| {
+                    w.faults += 1;
+                    f(w);
+                    Ok(())
+                });
+            };
+            if self.connected {
+                fault("disconnect".into(), &|w| w.hang_up(true));
+            }
+            for (up, len) in [(true, self.up.len()), (false, self.down.len())] {
+                let name = if up { "up" } else { "down" };
+                for i in 0..len {
+                    fault(format!("drop {name}[{i}]"), &|w| {
+                        w.queue(up).remove(i);
+                    });
+                    fault(format!("duplicate {name}[{i}]"), &|w| {
+                        let copy = w.queue(up)[i].clone();
+                        w.queue(up).insert(i, copy);
+                    });
+                    if i + 1 < len {
+                        fault(format!("swap {name}[{i}]"), &|w| w.queue(up).swap(i, i + 1));
+                    }
+                }
+            }
+            next
+        }
+
+        /// The invariants every state must hold, the transition checks
+        /// aside.
+        fn check(&self) -> Step {
+            if self.delivered > self.synced || self.synced > self.journal.len() {
+                return Err("delivered past synced past journaled".into());
+            }
+            // A resume at the durable frame count with a wrong chain, and
+            // one claiming a frame more than is durable, are refused.
+            let durable = self.replica.cursor();
+            let claims = [
+                ResumeCursor {
+                    chain: durable.chain ^ 1,
+                    ..durable
+                },
+                ResumeCursor {
+                    frames: durable.frames + 1,
+                    ..durable
+                },
+            ];
+            for claim in claims {
+                let mut replica = self.replica.clone();
+                let mut out = Vec::new();
+                let hello = WireFrame::Hello {
+                    client: CLIENT,
+                    version: VERSION,
+                    session: SESSION,
+                    resume: Some(claim),
+                };
+                replica.on(Input::Frame(encode_frame(&hello)), &mut out);
+                replica.on(Input::Drained(Some(0)), &mut out);
+                if !matches!(out[..], [Output::Close]) {
+                    return Err(format!(
+                        "the resume claim {claim:?} was not refused: {out:?}"
+                    ));
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// The path from the initial state to state `at`.
+    fn trace(parents: &[(usize, String)], mut at: usize) -> String {
+        let mut steps = Vec::new();
+        while at != 0 {
+            steps.push(parents[at].1.clone());
+            at = parents[at].0;
+        }
+        steps.reverse();
+        steps.join(" → ")
+    }
+
+    #[test]
+    fn every_schedule_of_one_session_is_exactly_once_and_live() {
+        let s = stream();
+        let root = World::new();
+        let mut seen: HashSet<u64> = HashSet::from([root.fingerprint()]);
+        let mut states = vec![root];
+        let mut parents: Vec<(usize, String)> = vec![(0, String::new())];
+        let mut depth = vec![0usize];
+        let mut at = 0;
+        while at < states.len() {
+            if let Err(why) = states[at].check() {
+                let seen = (depth[at], states.len());
+                panic!(
+                    "{why} (depth, states: {seen:?})\nafter: {}",
+                    trace(&parents, at)
+                );
+            }
+            for (label, next) in states[at].successors(&s) {
+                let world = match next {
+                    Ok(world) => world,
+                    Err(why) => {
+                        let seen = (depth[at] + 1, states.len());
+                        let path = trace(&parents, at);
+                        panic!("{why} on `{label}` (depth, states: {seen:?})\nafter: {path}")
+                    }
+                };
+                if seen.insert(world.fingerprint()) {
+                    parents.push((at, label));
+                    depth.push(depth[at] + 1);
+                    states.push(world);
+                }
+            }
+            at += 1;
+        }
+        // Liveness: the timely schedule from every state finishes.  It is
+        // deterministic, so a state it passes through inherits the verdict.
+        let mut good: HashMap<u64, bool> = HashMap::new();
+        for (index, state) in states.iter().enumerate() {
+            let mut world = state.clone();
+            let mut path = Vec::new();
+            let finished = loop {
+                let fingerprint = world.fingerprint();
+                if let Some(&known) = good.get(&fingerprint) {
+                    break known;
+                }
+                path.push(fingerprint);
+                if world.done() {
+                    break true;
+                }
+                match world.timely(&s) {
+                    Some(Ok(())) if path.len() < 1_000 => {}
+                    Some(Err(why)) => panic!("{why}\nafter: {}", trace(&parents, index)),
+                    _ => break false,
+                }
+            };
+            assert!(
+                finished,
+                "stuck: the timely schedule does not finish after: {}",
+                trace(&parents, index)
+            );
+            good.extend(path.into_iter().map(|f| (f, true)));
+        }
+        let deepest = depth.iter().max().copied().unwrap_or(0);
+        eprintln!("model: {} states, depth {deepest}", states.len());
     }
 }

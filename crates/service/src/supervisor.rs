@@ -1,28 +1,22 @@
-//! Crash-recoverable monitoring service: session resumption, journaled
-//! replica replay, heartbeats and backoff.
+//! Crash-recoverable monitoring service: the drivers of the session
+//! machines, journaled replica replay, heartbeats and backoff.
 //!
 //! [`crate::replica::MonitorService`] assumes every connection lives for the
 //! whole run and every replica thread survives it.  This module drops both
-//! assumptions:
+//! assumptions.  The protocol that does it — attach, group commit, ack,
+//! shed, ping, reconnect, shutdown — is two machines in [`crate::session`]
+//! that do no I/O; this module is what touches the world, one driver loop
+//! per side:
 //!
-//! * **Sessions, not connections.**  A client names a session in its hello
-//!   and the replica journals every accepted `EVENTS` frame (fsync before
-//!   ack) under `crate::session::SessionRx`.  A dropped connection loses
-//!   nothing: the client reconnects with its resume cursor, **waits for the
-//!   attach ack**, replays its unacked window from the durable cursor that
-//!   ack carries, and the replica dedups by frame sequence while
-//!   cross-checking the chained stream fingerprint.
-//! * **The frame path waits for the disk only.**  The client streams into
-//!   its window and polls the ack plane with a receive that cannot wait
-//!   ([`FrameRx::try_recv`]); it blocks (for the 200 ms ack timeout at
-//!   most) only once the window is full.  The replica handler commits in groups: the
-//!   frame its receive returned plus every whole `EVENTS` frame already in
-//!   the reassembly buffer are admitted under one slot lock — one overload
-//!   probe, one append each, **one fsync**, the ring hand-off, one `ACK` —
-//!   so the batch is whatever arrived while the previous fsync ran, and a
-//!   lone frame is a batch of one through the same code.  No timeout below
-//!   `heartbeat` sits on the replica's frame path and none below
-//!   the ack timeout on the client's.
+//! * **The replica handler** receives a frame (waiting `heartbeat` at
+//!   most), takes every whole frame already buffered behind it, and under
+//!   the slot lock feeds them to the slot's `session::ReplicaSession` with a
+//!   drain that carries the rings' probed backlog; it does what the machine
+//!   asks of the journal and the rings, then sends the acks.
+//! * **The client sink** connects when its `session::ClientSession` is
+//!   idle, polls the ack plane with a receive that cannot wait
+//!   ([`FrameRx::try_recv`]), and blocks, until the machine's timer, only
+//!   while the window is full.
 //! * **Replica restarts.**  A supervisor watchdog detects dead shard
 //!   threads (and [`RecoverableService::kill_and_restart`] simulates the
 //!   crash deliberately): the dying pool's verdict broadcasts are
@@ -31,16 +25,11 @@
 //!   rebuilt monitor state is bit-identical to what an uninterrupted run
 //!   would hold — audited by re-folding each journal's chained fingerprint
 //!   during replay.
-//! * **Heartbeats and backoff.**  Both ends run read deadlines: a silent
-//!   peer costs a bounded timeout, never a parked thread.  The client
-//!   reconnects under a seeded, jittered exponential [`Backoff`]; exhaustion
-//!   is a typed [`RetriesExhausted`], never a hang.
-//! * **Graceful degradation.**  Per-connection ingest is bounded: a handler
-//!   probes its rings with a non-blocking flush and sheds load with a typed
-//!   `OVERLOADED` rejection (carrying `retry_after_ms`) instead of buffering
-//!   without bound — a shed frame was never acked, so the client's window
-//!   replays it.  Mid-run verdict rounds are shed on saturated links as
-//!   before; finals stay reliable via reserved seats.
+//! * **Graceful degradation.**  A handler probes its rings with a
+//!   non-blocking flush before each batch; past `overload_backlog` the
+//!   machine sheds with a typed `OVERLOADED` (a shed frame was never acked,
+//!   so the client's window replays it).  Mid-run verdict rounds are shed on
+//!   saturated links as before; finals stay reliable via reserved seats.
 //!
 //! # Liveness
 //!
@@ -54,18 +43,19 @@
 //! never deadlock ingestion, restarts or shutdown.  Client-side, a
 //! connection that carries its hello and one whole frame advances the
 //! journal by at least one frame whatever the link's timing, because the
-//! replay starts at the cursor the replica just reported, not at an ack the
-//! previous connection may or may not have delivered.
+//! replay starts at the cursor the replica just reported.
 
 use crate::client::{drain_verdicts, final_summaries, FrameSealer};
-use crate::journal::{journal_file_name, JournalError};
+use crate::journal::{journal_file_name, Journal, JournalError};
 use crate::pool::{route_buffered, route_frame, Fanout, ReplicaPool};
 use crate::replica::{ServiceConfig, ShardReport};
-use crate::session::{Admit, Backoff, RetriesExhausted, SessionError, SessionRx, SessionTx};
+use crate::session::{
+    Backoff, ClientSession, Input, Output, ReplicaSession, RetriesExhausted, SessionError,
+};
 use crate::transport::{tcp_connect, tcp_pair, ChaosPlan, FrameRx, FrameTx, TcpRx, TcpTx};
 use crate::wire::{
-    chain_fingerprint, decode_frame, decode_frame_with, encode_frame, ResumeCursor, VerdictSummary,
-    WireError, WireFrame, VERSION,
+    chain_fingerprint, decode_frame, decode_frame_with, encode_frame, VerdictSummary, WireError,
+    WireFrame,
 };
 use evlin_checker::monitor::{MonitorVerdict, ShardRouter};
 use evlin_history::{Event, ObjectId, ObjectUniverse, ProcessId};
@@ -123,9 +113,6 @@ impl RecoveryConfig {
         }
     }
 }
-
-/// The retransmission delay `OVERLOADED` rejections suggest, in ms.
-const RETRY_AFTER_MS: u32 = 5;
 
 // ---------------------------------------------------------------------------
 // Per-session statistics and the final report
@@ -220,8 +207,10 @@ impl RecoveryReport {
 // ---------------------------------------------------------------------------
 
 struct SlotState {
-    /// The slot's session, once a client created (or bind recovered) it.
-    session: Option<SessionRx>,
+    /// The slot's session machine: what the journal holds, as cursors.
+    session: ReplicaSession,
+    /// The slot's journal, once a client created (or bind recovered) it.
+    journal: Option<Journal>,
     /// The slot's per-shard senders into the *current* pool.  `None` while a
     /// restart replay owns them — handlers shed with `OVERLOADED` meanwhile
     /// — and for good once the session has finished: dropping a sender
@@ -231,19 +220,13 @@ struct SlotState {
     /// Bumped by every restart; a finishing replay installs its senders only
     /// if its epoch still matches.
     epoch: u64,
-    stats: SessionStats,
 }
 
 impl SlotState {
-    /// Whether the slot's session has finished ([`SessionRx::finished`]).
-    fn finished(&self) -> bool {
-        self.session.as_ref().is_some_and(SessionRx::finished)
-    }
-
     /// Hands the slot its senders into the current pool — unless the session
     /// has finished, in which case they drop here and their rings close.
     fn install(&mut self, senders: Vec<FrameSender<Event>>) {
-        if !self.finished() {
+        if !self.session.finished() {
             self.senders = Some(senders);
         }
     }
@@ -259,6 +242,81 @@ impl SlotState {
             }
         }
         self.senders.is_some()
+    }
+
+    /// Ships what the rings will take right now, never blocking; returns the
+    /// events still buffered behind full rings (`None`: a restart replay
+    /// owns them).
+    fn backlog(&mut self) -> Option<usize> {
+        self.senders.as_mut().map(|senders| try_flush_all(senders))
+    }
+
+    /// Runs `input` through the session machine and does what it asks of the
+    /// journal and the rings, answering each sync; frames to send queue in
+    /// `sends`.  Returns whether the machine closed the connection.  A
+    /// failed append or sync drops what the machine asked after it.
+    fn feed(&mut self, shared: &Shared, input: Input, sends: &mut Vec<WireFrame>) -> bool {
+        let (mut next, mut close, mut out) = (Some(input), false, Vec::new());
+        while let Some(input) = next.take() {
+            // After a sync the buffer is still drained: the machine goes on
+            // with the backlog that batch's deliveries left.
+            let resume = matches!(input, Input::Synced);
+            self.session.on(input, &mut out);
+            for output in out.drain(..) {
+                let journal = &mut self.journal;
+                let ok = match output {
+                    Output::Append {
+                        bytes,
+                        events,
+                        fingerprint,
+                    } => journal
+                        .as_mut()
+                        .is_some_and(|j| j.append_unsynced(&bytes, events, fingerprint).is_ok()),
+                    Output::AppendShutdown { events, chain } => journal
+                        .as_mut()
+                        .is_some_and(|j| j.append_shutdown(events, chain).is_ok()),
+                    Output::Sync => {
+                        next = Some(Input::Synced);
+                        match journal {
+                            Some(journal) => journal.sync().is_ok(),
+                            None => {
+                                let (client, session) =
+                                    (self.session.client(), self.session.session());
+                                let name = journal_file_name(client, session);
+                                let path = shared.config.journal_dir.join(name);
+                                Journal::create(&path, client, session)
+                                    .map(|created| *journal = Some(created))
+                                    .is_ok()
+                            }
+                        }
+                    }
+                    Output::Deliver(events) => {
+                        if let Some(senders) = &mut self.senders {
+                            route_buffered(shared.router, senders, events);
+                            try_flush_all(senders);
+                        }
+                        true
+                    }
+                    Output::Send(frame) => {
+                        sends.push(frame);
+                        true
+                    }
+                    Output::Close => {
+                        close = true;
+                        true
+                    }
+                    Output::SendWindow(_) | Output::Arm(_) => true,
+                };
+                if !ok {
+                    next = Some(Input::SyncFailed);
+                    break;
+                }
+            }
+            if resume && next.is_none() {
+                next = Some(Input::Drained(self.backlog()));
+            }
+        }
+        close
     }
 }
 
@@ -345,7 +403,7 @@ fn spawn_replay(
             // Nothing is admitted while a replay owns the senders, so the
             // journal's durable chain is still the one the frames fold to.
             let mut slot = shared.slots[index].lock().expect("slot lock");
-            let durable = slot.session.as_ref().map(|state| state.cursor().chain);
+            let durable = slot.journal.as_ref().map(|journal| journal.cursor().chain);
             if !chain_ok || durable != Some(chain) {
                 shared.chain_mismatches.fetch_add(1, Ordering::Relaxed);
             }
@@ -401,8 +459,8 @@ fn restart_pool(shared: &Arc<Shared>, ctl: &mut Ctl) -> Result<(), SessionError>
                 sender.discard_buffered();
             }
         }
-        let frames = match &mut slot.session {
-            Some(session) => session.journal_mut().read_back()?,
+        let frames = match &mut slot.journal {
+            Some(journal) => journal.read_back()?,
             None => Vec::new(),
         };
         snapshots.push(ReplaySnapshot {
@@ -432,357 +490,73 @@ fn restart_pool(shared: &Arc<Shared>, ctl: &mut Ctl) -> Result<(), SessionError>
 // Connection handler
 // ---------------------------------------------------------------------------
 
-/// One `EVENTS` frame of a commit batch, decoded and waiting for the slot
-/// lock.
-struct BatchFrame {
-    /// The frame's full wire encoding: what the journal stores.
-    bytes: Vec<u8>,
-    frame_seq: u64,
-    events: Vec<(u64, Event)>,
-    fingerprint: u64,
-    /// Set by the admit pass: journaled, to be routed once the batch's
-    /// fsync has returned.
-    accepted: bool,
-}
-
-impl BatchFrame {
-    fn new(
-        bytes: Vec<u8>,
-        frame_seq: u64,
-        events: Vec<(u64, Event)>,
-        fingerprint: u64,
-    ) -> BatchFrame {
-        BatchFrame {
-            bytes,
-            frame_seq,
-            events,
-            fingerprint,
-            accepted: false,
-        }
-    }
-}
-
-/// What a commit batch is answered with.
-struct BatchReply {
-    /// The durable cursor, unless every frame of the batch was shed.
-    ack: Option<ResumeCursor>,
-    /// Whether the overload probe (or a restart replay owning the senders)
-    /// shed a frame.
-    shed: bool,
-}
-
-/// Admits one batch of a connection's `EVENTS` frames under the slot lock:
-/// one overload probe, one journal append per fresh frame, **one fsync**,
-/// then the ring hand-off — so a restart snapshot sees all of a batch or
-/// none of it, and nothing reaches a ring (or is acked) before the sync that
-/// makes it durable has returned.  Non-blocking by construction: overload is
-/// probed with `try_flush` *before* admitting, against the rings' real
-/// backlog, and the batch adds at most its own events to what was probed.
-/// An error is a journal failure: the batch is forgotten, on disk too.
-fn commit_batch(
-    shared: &Shared,
-    slot: &mut SlotState,
-    batch: &mut Vec<BatchFrame>,
-) -> Result<BatchReply, SessionError> {
-    match (&mut slot.session, &mut slot.senders) {
-        (Some(state), _) if state.finished() => {
-            // The stream already ended: nothing more of it can be admitted.
-            // Re-ack where it ended.
-            slot.stats.protocol_errors += batch.len() as u64;
-            batch.clear();
-            Ok(BatchReply {
-                ack: Some(state.cursor()),
-                shed: false,
-            })
-        }
-        (Some(state), Some(senders)) => {
-            let overloaded = try_flush_all(senders) > shared.config.overload_backlog;
-            let (mut admitted, mut shed) = (false, false);
-            for frame in batch.iter_mut() {
-                if overloaded && frame.frame_seq == state.next_frame_seq() {
-                    // Shed: never journaled, never acked, so the client's
-                    // window still holds it (and what it sent behind it,
-                    // which now reads as a gap).
-                    slot.stats.overloaded_rejections += 1;
-                    shed = true;
-                    continue;
-                }
-                admitted = true;
-                let events = frame.events.len() as u64;
-                match state.admit(&frame.bytes, frame.frame_seq, events, frame.fingerprint)? {
-                    Admit::Accept => frame.accepted = true,
-                    Admit::Duplicate => slot.stats.duplicate_frames += 1,
-                    Admit::Gap => slot.stats.gap_frames += 1,
-                }
-            }
-            let durable = state.commit()?;
-            slot.stats.commits += u64::from(batch.iter().any(|frame| frame.accepted));
-            for frame in batch.drain(..).filter(|frame| frame.accepted) {
-                slot.stats.accepted_frames += 1;
-                slot.stats.accepted_events += frame.events.len() as u64;
-                route_buffered(shared.router, senders, frame.events);
-                try_flush_all(senders);
-            }
-            Ok(BatchReply {
-                ack: admitted.then_some(durable),
-                shed,
-            })
-        }
-        // A restart replay owns the senders: shed, the window will
-        // retransmit after retry_after.
-        _ => {
-            slot.stats.overloaded_rejections += batch.len() as u64;
-            batch.clear();
-            Ok(BatchReply {
-                ack: None,
-                shed: true,
-            })
-        }
-    }
-}
-
+/// One connection's driver: receive, take what is buffered behind it, and
+/// feed it all with one drain to the slot's machine under the slot lock.
 fn run_session_handler(shared: Arc<Shared>, mut rx: TcpRx, tx: TcpTx) {
-    let heartbeat = shared.config.heartbeat;
-    let mut interner: Vec<Invocation> = Vec::new();
-    // First frame must be a hello in the spoken version (the decoder refuses
-    // every other with a typed `UnsupportedVersion`) naming a valid slot and
-    // a nonzero session; anything else orphans the connection.
-    let orphan = || {
-        shared.orphan_errors.fetch_add(1, Ordering::Relaxed);
-    };
-    let Ok(Some(bytes)) = rx.recv_timeout(heartbeat) else {
-        orphan();
-        return;
-    };
-    let Ok(WireFrame::Hello {
-        client,
-        session,
-        resume,
-        ..
-    }) = decode_frame_with(&bytes, &mut interner)
-    else {
-        orphan();
-        return;
-    };
-    if session == 0 || client as usize >= shared.slots.len() {
-        orphan();
-        return;
-    }
-    let index = client as usize;
-    let lock_slot = || shared.slots[index].lock().expect("slot lock");
-    // Attach to (or create) the slot's session and validate the resume
-    // claim against the journal.
-    let attach = {
-        let mut guard = lock_slot();
-        let slot = &mut *guard;
-        slot.stats.connections += 1;
-        if let Some(state) = &slot.session {
-            if state.journal().session() != session {
-                slot.stats.protocol_errors += 1;
-                None
-            } else if state.check_resume(client, resume).is_err() {
-                slot.stats.resume_rejections += 1;
-                None
-            } else {
-                if resume.is_some_and(|c| c.frames > 0) {
-                    slot.stats.resumes += 1;
-                }
-                Some(state.cursor())
-            }
-        } else {
-            let path = shared
-                .config
-                .journal_dir
-                .join(journal_file_name(client, session));
-            match SessionRx::create(&path, client, session) {
-                Ok(state) => match state.check_resume(client, resume) {
-                    Ok(()) => {
-                        let cursor = state.cursor();
-                        slot.session = Some(state);
-                        Some(cursor)
-                    }
-                    Err(_) => {
-                        // The claim names durable history this replica does
-                        // not hold; refuse, and leave no empty journal
-                        // behind to poison the next attempt.
-                        slot.stats.resume_rejections += 1;
-                        drop(state);
-                        let _ = std::fs::remove_file(&path);
-                        None
-                    }
-                },
-                Err(_) => {
-                    slot.stats.journal_failures += 1;
-                    None
-                }
-            }
-        }
-    };
-    let Some(cursor) = attach else {
-        return; // tx drops; the client sees end-of-stream and backs off
-    };
-    // From here the connection is the slot's verdict link; the ack tells the
-    // client where durable history ends (its window replay starts there).
-    let ack = |cursor| WireFrame::Ack {
-        client,
-        session,
-        cursor,
-    };
-    shared.fanout.register(index, Box::new(tx));
-    shared.fanout.unicast(index, &ack(cursor));
-    let mut batch: Vec<BatchFrame> = Vec::new();
-    // A frame taken out of the reassembly buffer that did not join the batch
-    // being gathered: it is the next iteration's frame.
-    let mut carried: Option<(Vec<u8>, Result<WireFrame, WireError>)> = None;
+    // The slot's verdict link once the machine sends its attach ack.
+    let mut link = Some(tx);
+    let mut index = None;
+    let mut sends = Vec::new();
     loop {
-        let (bytes, decoded) = match carried.take() {
-            Some(carried) => carried,
-            None => {
-                let bytes = match rx.recv_timeout(heartbeat) {
-                    Ok(Some(bytes)) => bytes,
-                    Ok(None) => return, // clean end-of-stream
-                    Err(WireError::PeerTimeout) => {
-                        // Silent peer: close the connection, keep the session.
-                        lock_slot().stats.idle_timeouts += 1;
-                        return;
-                    }
-                    Err(_) => {
-                        lock_slot().stats.corrupt_frames += 1;
-                        return;
-                    }
-                };
-                let decoded = decode_frame_with(&bytes, &mut interner);
-                (bytes, decoded)
-            }
+        let input = received(rx.recv_timeout(shared.config.heartbeat));
+        let arrived = matches!(input, Input::Frame(_));
+        // The first frame must be a hello in the spoken version (the decoder
+        // refuses every other) naming a valid slot and a nonzero session;
+        // anything else orphans the connection.
+        let slot_index = match (index, &input) {
+            (Some(slot_index), _) => slot_index,
+            (None, Input::Frame(bytes)) => match decode_frame(bytes) {
+                Ok(WireFrame::Hello {
+                    client, session, ..
+                }) if session != 0 && (client as usize) < shared.slots.len() => client as usize,
+                _ => return orphan(&shared),
+            },
+            (None, _) => return orphan(&shared),
         };
-        let frame = match decoded {
-            Ok(frame) => frame,
-            Err(_) => {
-                lock_slot().stats.corrupt_frames += 1;
-                continue;
-            }
-        };
-        match frame {
-            WireFrame::Events {
-                client: c,
-                frame_seq,
-                events,
-                fingerprint,
-            } => {
-                if c != client {
-                    lock_slot().stats.protocol_errors += 1;
-                    continue;
-                }
-                // Group commit.  Every further whole `EVENTS` frame the
-                // receive above already pulled into the reassembly buffer
-                // joins this one, in order — no syscall, no timer: the batch
-                // is whatever arrived while the previous batch's fsync ran,
-                // and a lone frame is a batch of one.  It ends at the first
-                // frame that is not this client's `EVENTS` (handled next, by
-                // the arms it always was) and before `overload_backlog`
-                // events, which bounds what one batch can add to the rings
-                // behind a single probe.
-                let mut batch_events = events.len();
-                batch.push(BatchFrame::new(bytes, frame_seq, events, fingerprint));
+        index = Some(slot_index);
+        let (close, finished) = {
+            let mut slot = shared.slots[slot_index].lock().expect("slot lock");
+            let mut close = slot.feed(&shared, input, &mut sends);
+            if arrived {
                 while let Ok(Some(bytes)) = rx.take_buffered() {
-                    match decode_frame_with(&bytes, &mut interner) {
-                        Ok(WireFrame::Events {
-                            client: c,
-                            frame_seq,
-                            events,
-                            fingerprint,
-                        }) if c == client
-                            && batch_events + events.len() <= shared.config.overload_backlog =>
-                        {
-                            batch_events += events.len();
-                            batch.push(BatchFrame::new(bytes, frame_seq, events, fingerprint));
-                        }
-                        other => {
-                            carried = Some((bytes, other));
-                            break;
-                        }
-                    }
+                    slot.feed(&shared, Input::Frame(bytes), &mut sends);
                 }
-                let reply = {
-                    let mut slot = lock_slot();
-                    let reply = commit_batch(&shared, &mut slot, &mut batch);
-                    if reply.is_err() {
-                        slot.stats.journal_failures += 1;
-                    }
-                    reply
-                };
-                // One ack per batch, and only now: the cursor it carries is
-                // fsynced.  Ack first, so that a shed client rewinds to the
-                // freshest cursor.
-                let Ok(reply) = reply else {
-                    return;
-                };
-                if let Some(cursor) = reply.ack {
-                    shared.fanout.unicast(index, &ack(cursor));
-                }
-                if reply.shed {
-                    shared.fanout.unicast(
-                        index,
-                        &WireFrame::Overloaded {
-                            client,
-                            retry_after_ms: RETRY_AFTER_MS,
-                        },
-                    );
-                }
+                let backlog = slot.backlog();
+                close |= slot.feed(&shared, Input::Drained(backlog), &mut sends);
             }
-            WireFrame::Shutdown {
-                events_sent,
-                stream_fingerprint,
-                ..
-            } => {
-                {
-                    let mut guard = lock_slot();
-                    let slot = &mut *guard;
-                    if let Some(state) = &mut slot.session {
-                        let cursor = state.cursor();
-                        if cursor.events == events_sent && cursor.chain == stream_fingerprint {
-                            slot.stats.shutdowns += 1;
-                            if !state.finished()
-                                && state
-                                    .record_shutdown(events_sent, stream_fingerprint)
-                                    .is_err()
-                            {
-                                slot.stats.journal_failures += 1;
-                            }
-                        } else {
-                            slot.stats.shutdown_mismatches += 1;
-                        }
-                    }
-                }
-                // A finished session's rings must close now, not at service
-                // shutdown: a merge waits on every open ring, so a slot that
-                // will never produce again would stall its still-streaming
-                // peers behind full rings for ever.  A tail stuck behind a
-                // full ring is retried until it ships, a restart takes the
-                // senders, or `finish` takes over the draining.
-                loop {
-                    let stuck = {
-                        let mut slot = lock_slot();
-                        slot.finished() && slot.release()
-                    };
-                    if !stuck || shared.shutting_down.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+            (close, slot.session.finished())
+        };
+        for frame in sends.drain(..) {
+            if let Some(tx) = link.take() {
+                shared.fanout.register(slot_index, Box::new(tx));
             }
-            WireFrame::Ping { token } => {
-                shared.fanout.unicast(index, &WireFrame::Pong { token });
+            shared.fanout.unicast(slot_index, &frame);
+        }
+        if close || !arrived {
+            return; // the session survives; the client reconnects
+        }
+        // A finished session's rings must close now, not at service
+        // shutdown: a merge waits on every open ring, so a slot that will
+        // never produce again would stall its still-streaming peers behind
+        // full rings for ever.  A tail stuck behind a full ring is retried
+        // until it ships, a restart takes the senders, or `finish` takes over
+        // the draining.
+        while finished
+            && shared.slots[slot_index]
+                .lock()
+                .expect("slot lock")
+                .release()
+        {
+            if shared.shutting_down.load(Ordering::SeqCst) {
+                break;
             }
-            WireFrame::Pong { .. } => {}
-            WireFrame::Hello { .. }
-            | WireFrame::Verdict(_)
-            | WireFrame::Ack { .. }
-            | WireFrame::Overloaded { .. } => {
-                lock_slot().stats.protocol_errors += 1;
-            }
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
+}
+
+fn orphan(shared: &Shared) {
+    shared.orphan_errors.fetch_add(1, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -820,12 +594,13 @@ impl RecoverableService {
         let slots = config.slots.max(1);
         // Scan the journal directory: every intact journal becomes a live
         // session whose frames feed the initial pool.
+        let limit = config.overload_backlog;
         let mut slot_states: Vec<SlotState> = (0..slots)
-            .map(|_| SlotState {
-                session: None,
+            .map(|index| SlotState {
+                session: ReplicaSession::new(index as u32, limit),
+                journal: None,
                 senders: None,
                 epoch: 0,
-                stats: SessionStats::default(),
             })
             .collect();
         let mut snapshots: Vec<ReplaySnapshot> =
@@ -836,10 +611,10 @@ impl RecoverableService {
             if path.extension().and_then(|e| e.to_str()) != Some("evjl") {
                 continue;
             }
-            let (state, contents) = SessionRx::reopen(&path)?;
-            let client = state.journal().client();
+            let (journal, contents) = Journal::recover(&path)?;
+            let client = journal.client();
             let index = client as usize;
-            if index >= slots || slot_states[index].session.is_some() {
+            if index >= slots || slot_states[index].journal.is_some() {
                 return Err(SessionError::Journal(JournalError::BadHeader(format!(
                     "journal {} names client {} (have {} slots, duplicate or out of range)",
                     path.display(),
@@ -849,7 +624,12 @@ impl RecoverableService {
             }
             recovered_count += 1;
             snapshots[index].frames = contents.frames;
-            slot_states[index].session = Some(state);
+            let finished = journal.shutdown().is_some();
+            let session = journal.session();
+            let slot = &mut slot_states[index];
+            slot.session =
+                ReplicaSession::reopened(client, limit, session, contents.cursors, finished);
+            slot.journal = Some(journal);
         }
         let shared = Arc::new(Shared {
             universe: universe.clone(),
@@ -1002,7 +782,7 @@ impl RecoverableService {
                 .shared
                 .slots
                 .iter()
-                .map(|slot| slot.lock().expect("slot lock").stats)
+                .map(|slot| slot.lock().expect("slot lock").session.stats)
                 .collect(),
             restarts: ctl.restarts,
             recovered_at_startup: ctl.recovered_at_startup,
@@ -1048,11 +828,6 @@ impl ReconnectChaos {
             .kill_at(self.kill_after_min + (x >> 7) % span)
     }
 }
-
-/// How long a client waits on the ack plane (for the attach ack, or for ack
-/// progress before it probes liveness with a ping and, on continued silence,
-/// reconnects).
-const ACK_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// Unacked frames a client's window may hold before it blocks on (and if
 /// necessary forces) ack progress.
@@ -1109,280 +884,88 @@ pub struct RecoverableClientStats {
     pub protocol_errors: u64,
 }
 
-/// The plane a frame from the replica arrived on, as far as a client waiting
-/// for ack progress cares.
-#[derive(PartialEq)]
-enum Incoming {
-    Ack,
-    Verdict,
-    Other,
-}
-
 /// The [`EventSink`] behind a [`RecoverableClient`]: batches events into
-/// `EVENTS` frames, stages them in the session window, and pumps the
-/// connection — reconnecting, replaying and honoring rejections as needed.
+/// `EVENTS` frames and drives the session machine over TCP — connecting when
+/// it is idle, polling and waiting on the ack plane, sending what it asks.
 struct SessionSink {
     addr: SocketAddr,
     sealer: FrameSealer,
     chaos: Option<ReconnectChaos>,
-    backoff: Backoff,
-    window: SessionTx,
+    session: ClientSession,
     conn: Option<(TcpTx, TcpRx)>,
-    connected_once: bool,
-    attempts_total: u64,
-    /// Frames below this seq were handed to the *current* connection.
-    sent_up_to: u64,
-    /// High-water mark of frames ever handed to any connection — what
-    /// distinguishes a retransmission from a first send.
-    high_water: u64,
-    /// Consecutive ack waits without window progress; a few in a row force
-    /// a reconnect (the universal recovery: the resume replay resends
-    /// whatever the server is missing).
-    stalls: u32,
-    summaries: Vec<VerdictSummary>,
-    stats: RecoverableClientStats,
-    dead: Option<RetriesExhausted>,
-    ping_token: u64,
+    /// When the machine's timer fires.
+    deadline: Instant,
+    attempts: u64,
+    out: Vec<Output>,
 }
 
 impl SessionSink {
-    fn disconnect(&mut self) {
-        self.conn = None;
-    }
-
-    /// Connects (with backoff) until a replica has attached the session, or
-    /// the retry budget dies.
-    fn ensure_connected(&mut self) -> bool {
-        while self.conn.is_none() {
-            if self.dead.is_some() {
-                return false;
-            }
-            if self.attach() {
-                return true;
-            }
-            match self.backoff.next_delay() {
-                Ok(delay) => std::thread::sleep(delay),
-                Err(e) => {
-                    self.dead = Some(e);
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// One connection attempt, as a handshake: connect, send the hello,
-    /// **wait for the attach `ACK`** and rewind the window to the cursor it
-    /// carries — the replica's durable position, not whatever ack this side
-    /// happened to have read before the last connection died.  The hello
-    /// always carries the resume cursor: against a fresh session it claims
-    /// zero frames, which trivially validates.  `false` (and no connection)
-    /// if the endpoint is dead, the replica refused the hello (end of
-    /// stream), or no ack came within `ACK_TIMEOUT`.
-    fn attach(&mut self) -> bool {
-        let attempt = self.attempts_total;
-        self.attempts_total += 1;
-        let Ok((mut tx, rx)) = tcp_connect(self.addr) else {
-            return false;
-        };
-        if let Some(chaos) = &self.chaos {
-            tx.set_chaos(chaos.plan_for(attempt));
-        }
-        let hello = WireFrame::Hello {
-            client: self.sealer.client,
-            version: VERSION,
-            session: self.window.session(),
-            resume: Some(self.window.resume_cursor()),
-        };
-        if tx.send(encode_frame(&hello)).is_err() {
-            return false;
-        }
-        self.conn = Some((tx, rx));
-        // A verdict round may overtake the ack (the connection becomes the
-        // slot's verdict link first), so read until the ack itself.
-        let deadline = Instant::now() + ACK_TIMEOUT;
-        loop {
-            let Some((_, rx)) = &mut self.conn else {
-                return false;
-            };
-            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                Ok(Some(bytes)) if self.handle_frame(&bytes) == Incoming::Ack => break,
-                Ok(Some(_)) => {}
-                Ok(None) | Err(_) => {
-                    self.disconnect();
-                    return false;
-                }
-            }
-        }
-        if self.connected_once {
-            self.stats.reconnects += 1;
-        }
-        self.connected_once = true;
-        // Replay starts at the replica's durable cursor.
-        self.sent_up_to = self.window.resume_cursor().frames;
-        self.stalls = 0;
-        true
-    }
-
-    /// Sends every window frame at or above `sent_up_to`.  Returns `false`
-    /// (after disconnecting) if the connection died mid-send.
-    fn send_unsent(&mut self) -> bool {
-        let mut ok = true;
-        {
-            let Some((tx, _)) = &mut self.conn else {
-                return false;
-            };
-            let base = self.window.resume_cursor().frames;
-            for (i, bytes) in self.window.unacked().enumerate() {
-                let seq = base + i as u64;
-                if seq < self.sent_up_to {
-                    continue;
-                }
-                if tx.send(bytes.to_vec()).is_err() {
-                    self.stats.send_failures += 1;
-                    ok = false;
+    /// Feeds the machine one input and does what it asks.  A send that
+    /// fails costs the connection, which the machine then hears of.
+    fn feed(&mut self, input: Input) {
+        let mut next = Some(input);
+        while let Some(input) = next.take() {
+            self.session.on(input, &mut self.out);
+            for output in self.out.drain(..) {
+                let sent = match (output, &mut self.conn) {
+                    (Output::Send(frame), Some((tx, _))) => tx.send_slice(&encode_frame(&frame)),
+                    (Output::SendWindow(i), Some((tx, _))) => tx.send_slice(self.session.frame(i)),
+                    (Output::Arm(wait), _) => {
+                        self.deadline = Instant::now() + wait;
+                        Ok(())
+                    }
+                    (Output::Close, conn) => {
+                        *conn = None;
+                        Ok(())
+                    }
+                    _ => Ok(()),
+                };
+                if sent.is_err() {
+                    self.session.stats.send_failures += 1;
+                    self.conn = None;
+                    next = Some(Input::Lost { clean: false });
                     break;
                 }
-                if seq < self.high_water {
-                    self.stats.retransmitted_frames += 1;
-                } else {
-                    self.high_water = seq + 1;
-                }
-                self.sent_up_to = seq + 1;
             }
         }
-        if !ok {
-            self.disconnect();
-        }
-        ok
     }
 
-    /// Applies one frame from the replica and says which plane it was on.
-    fn handle_frame(&mut self, bytes: &[u8]) -> Incoming {
-        match decode_frame(bytes) {
-            Ok(WireFrame::Ack { cursor, .. }) => {
-                self.stats.acks += 1;
-                // An ack proves a live, cooperating replica: re-arm the
-                // retry budget.
-                self.backoff.reset();
-                self.window.on_ack(cursor);
-                return Incoming::Ack;
-            }
-            Ok(WireFrame::Overloaded { retry_after_ms, .. }) => {
-                self.stats.overloads += 1;
-                // The shed frame (and everything after it) must go again;
-                // rewinding to the acked cursor re-sends a superset, and
-                // duplicates are dedup'd server-side.
-                self.sent_up_to = self.window.resume_cursor().frames;
-                std::thread::sleep(Duration::from_millis(u64::from(retry_after_ms.min(1000))));
-            }
-            Ok(WireFrame::Verdict(summary)) => {
-                self.summaries.push(summary);
-                return Incoming::Verdict;
-            }
-            Ok(WireFrame::Pong { .. }) => {}
-            Ok(_) | Err(_) => self.stats.protocol_errors += 1,
-        }
-        Incoming::Other
-    }
-
-    /// Drains whatever the replica already sent, without waiting for more.
-    fn drain_incoming(&mut self) {
+    /// Drives the session until the machine is settled — its window at most
+    /// the limit, or empty when `flush` — or the client dies.
+    fn pump(&mut self, flush: bool) {
         loop {
-            let result = {
-                let Some((_, rx)) = &mut self.conn else {
-                    return;
+            if self.session.idle() {
+                let attempt = self.attempts;
+                self.attempts += 1;
+                let input = match tcp_connect(self.addr) {
+                    Ok((mut tx, rx)) => {
+                        if let Some(chaos) = &self.chaos {
+                            tx.set_chaos(chaos.plan_for(attempt));
+                        }
+                        self.conn = Some((tx, rx));
+                        Input::Opened
+                    }
+                    Err(_) => Input::Lost { clean: false },
                 };
-                rx.try_recv()
-            };
-            match result {
-                Ok(Some(bytes)) => {
-                    self.handle_frame(&bytes);
-                }
-                Err(WireError::PeerTimeout) => return,
-                Ok(None) | Err(_) => {
-                    self.disconnect();
-                    return;
-                }
-            }
-        }
-    }
-
-    /// One bounded wait for ack progress; silence is answered with a ping,
-    /// continued silence (or repeated progress-free waits) with a reconnect.
-    fn await_progress(&mut self) {
-        let before = self.window.window_len();
-        let result = {
-            let Some((_, rx)) = &mut self.conn else {
-                return;
-            };
-            rx.recv_timeout(ACK_TIMEOUT)
-        };
-        match result {
-            // A wait that a verdict round ended is not counted below: with
-            // frames pipelined behind a batched ack, verdicts arrive between
-            // acks on a healthy link and say nothing about ack progress.
-            Ok(Some(bytes)) => {
-                if self.handle_frame(&bytes) == Incoming::Verdict {
-                    return;
-                }
-            }
-            Err(WireError::PeerTimeout) => {
-                self.ping_token += 1;
-                let ping = encode_frame(&WireFrame::Ping {
-                    token: self.ping_token,
-                });
-                let pong = {
-                    let Some((tx, rx)) = &mut self.conn else {
-                        return;
-                    };
-                    tx.send(ping).is_ok() && rx.recv_timeout(ACK_TIMEOUT).is_ok()
-                };
-                if !pong {
-                    // Dead or wedged peer: reconnect and replay.
-                    self.disconnect();
-                    return;
-                }
-            }
-            Ok(None) | Err(_) => {
-                self.disconnect();
-                return;
-            }
-        }
-        if self.window.window_len() < before {
-            self.stalls = 0;
-        } else {
-            self.stalls += 1;
-            if self.stalls >= 4 {
-                // Alive but not acking (e.g. a lost OVERLOADED): force the
-                // resume path, which retransmits from the acked cursor.
-                self.stalls = 0;
-                self.disconnect();
-            }
-        }
-    }
-
-    /// Drives the connection until the window holds at most `target`
-    /// frames, or the client dies.
-    fn pump(&mut self, target: usize) {
-        loop {
-            if self.dead.is_some() {
-                return;
-            }
-            if !self.ensure_connected() {
-                return;
-            }
-            if !self.send_unsent() {
+                self.feed(input);
                 continue;
             }
-            self.drain_incoming();
-            if self.conn.is_none() {
-                continue;
-            }
-            if self.window.window_len() <= target {
-                return;
-            }
-            self.await_progress();
+            let wait = self.deadline.saturating_duration_since(Instant::now());
+            let input = match &mut self.conn {
+                // The ack poll never waits; on silence the pump returns if
+                // it may, and otherwise waits for the machine's timer.
+                Some((_, rx)) => match rx.try_recv() {
+                    Err(WireError::PeerTimeout) if self.session.settled(flush) => return,
+                    Err(WireError::PeerTimeout) => received(rx.recv_timeout(wait)),
+                    got => received(got),
+                },
+                None if self.session.settled(flush) => return,
+                None => {
+                    std::thread::sleep(wait); // backing off
+                    Input::Timer
+                }
+            };
+            self.feed(input);
         }
     }
 
@@ -1392,10 +975,20 @@ impl SessionSink {
         let Some((bytes, events)) = self.sealer.seal() else {
             return;
         };
-        self.stats.frames += 1;
-        self.stats.events += events;
-        self.window.stage(bytes);
-        self.pump(WINDOW_LIMIT);
+        self.session.stats.frames += 1;
+        self.session.stats.events += events;
+        self.feed(Input::Stage(bytes));
+        self.pump(false);
+    }
+}
+
+/// What a receive means to a session machine.
+fn received(got: Result<Option<Vec<u8>>, WireError>) -> Input {
+    match got {
+        Ok(Some(bytes)) => Input::Frame(bytes),
+        Ok(None) => Input::Lost { clean: true },
+        Err(WireError::PeerTimeout) => Input::Timer,
+        Err(_) => Input::Lost { clean: false },
     }
 }
 
@@ -1404,8 +997,8 @@ impl EventSink for SessionSink {
         // Death strikes inside `ship` (the pump spends the retry budget),
         // right after a seal emptied the batch: nothing is ever stranded in
         // the sealer, and everything recorded later is dropped here.
-        if self.dead.is_some() {
-            self.stats.dropped_after_death += 1;
+        if self.session.dead.is_some() {
+            self.session.stats.dropped_after_death += 1;
         } else if self.sealer.push(seq, event) {
             self.ship();
         }
@@ -1446,25 +1039,19 @@ impl RecoverableClient {
             addr,
             sealer: FrameSealer::new(client, config.frame_capacity),
             chaos: config.chaos,
-            backoff: config.backoff,
-            window: SessionTx::new(client, session.max(1)),
+            session: ClientSession::new(client, session.max(1), WINDOW_LIMIT, config.backoff),
             conn: None,
-            connected_once: false,
-            attempts_total: 0,
-            sent_up_to: 0,
-            high_water: 0,
-            stalls: 0,
-            summaries: Vec::new(),
-            stats: RecoverableClientStats::default(),
-            dead: None,
-            ping_token: 0,
+            deadline: Instant::now(),
+            attempts: 0,
+            out: Vec::new(),
         };
-        if !sink.ensure_connected() {
-            return Err(sink.dead.expect("death reason recorded"));
+        sink.pump(true);
+        match sink.session.dead {
+            Some(e) => Err(e),
+            None => Ok(RecoverableClient {
+                shard: RecorderShard::over(seq, sink),
+            }),
         }
-        Ok(RecoverableClient {
-            shard: RecorderShard::over(seq, sink),
-        })
     }
 
     /// Records an invocation event by `process` on `object`.
@@ -1488,43 +1075,36 @@ impl RecoverableClient {
     /// the retry budget died with frames still unacked.
     pub fn finish(self) -> Result<ClosedRecoverableClient, RetriesExhausted> {
         let (mut sink, dropped_malformed) = self.shard.into_sink();
-        sink.stats.dropped_malformed = dropped_malformed as u64;
+        sink.session.stats.dropped_malformed = dropped_malformed as u64;
         // Close over a clean connection: a chaos-armed link could die
         // *after* the shutdown handshake, severing the verdict plane the
         // finals arrive on.  Connection chaos stresses the streaming path
         // (journals, resume, dedup); the closing connection is the
         // measurement channel and reconnects un-armed.
-        if sink.chaos.take().is_some() {
-            sink.disconnect();
-        }
-        sink.pump(0);
-        if let Some(e) = sink.dead {
-            return Err(e);
+        if sink.chaos.take().is_some() && sink.conn.take().is_some() {
+            sink.feed(Input::Lost { clean: true });
         }
         let shutdown = sink.sealer.shutdown();
         loop {
-            if !sink.ensure_connected() {
-                return Err(sink.dead.expect("death reason recorded"));
+            sink.pump(true);
+            if let Some(e) = sink.session.dead {
+                return Err(e);
             }
-            let sent = {
-                let Some((tx, _)) = &mut sink.conn else {
-                    continue;
-                };
-                tx.send(shutdown.clone()).is_ok()
-            };
-            if sent {
+            let (tx, _) = sink.conn.as_mut().expect("a settled session is attached");
+            if tx.send_slice(&shutdown).is_ok() {
                 break;
             }
-            sink.stats.send_failures += 1;
-            sink.disconnect();
+            sink.session.stats.send_failures += 1;
+            sink.conn = None;
+            sink.feed(Input::Lost { clean: false });
         }
-        let (mut tx, rx) = sink.conn.take().expect("connected above");
+        let (mut tx, rx) = sink.conn.take().expect("attached above");
         tx.close();
         drop(tx);
         Ok(ClosedRecoverableClient {
             rx,
-            stats: sink.stats,
-            summaries: sink.summaries,
+            stats: sink.session.stats,
+            summaries: sink.session.summaries,
         })
     }
 }

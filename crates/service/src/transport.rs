@@ -347,10 +347,10 @@ impl TcpTx {
     pub(crate) fn set_chaos(&mut self, plan: ChaosPlan) {
         self.chaos = Some(plan);
     }
-}
 
-impl FrameTx for TcpTx {
-    fn send(&mut self, frame: Vec<u8>) -> Result<(), WireError> {
+    /// [`FrameTx::send`] from a borrowed frame: a client's window keeps
+    /// its frames for replay and sends them without a copy.
+    pub(crate) fn send_slice(&mut self, frame: &[u8]) -> Result<(), WireError> {
         let verdict = match &mut self.chaos {
             Some(plan) => plan.judge(frame.len()),
             None => ChaosVerdict::Pass,
@@ -360,7 +360,7 @@ impl FrameTx for TcpTx {
             .lock()
             .map_err(|_| WireError::Transport("socket lock poisoned".into()))?;
         match verdict {
-            ChaosVerdict::Pass => stream.write_all(&frame).map_err(io_err),
+            ChaosVerdict::Pass => stream.write_all(frame).map_err(io_err),
             ChaosVerdict::Split(cut) => {
                 // Two syscalls with a flush between: the bytes all arrive,
                 // but never as one read on the peer — reassembly territory.
@@ -380,6 +380,12 @@ impl FrameTx for TcpTx {
                 ))
             }
         }
+    }
+}
+
+impl FrameTx for TcpTx {
+    fn send(&mut self, frame: Vec<u8>) -> Result<(), WireError> {
+        self.send_slice(&frame)
     }
 
     fn close(&mut self) {

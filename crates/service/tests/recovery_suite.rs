@@ -10,11 +10,11 @@
 
 use evlin_checker::monitor::{MonitorCondition, MonitorConfig};
 use evlin_history::{EventKind, History, HistoryBuilder, ObjectUniverse, ProcessId};
-use evlin_service::transport::tcp_connect;
+use evlin_service::transport::{loopback_listener, tcp_connect, tcp_pair};
 use evlin_service::wire::{decode_frame, encode_frame, event_batch_fingerprint};
 use evlin_service::{
     ClientRecoveryConfig, FrameRx, FrameTx, ReconnectChaos, RecoverableClient, RecoverableService,
-    RecoveryConfig, RecoveryReport, WireFrame, VERSION,
+    RecoveryConfig, RecoveryReport, ResumeCursor, WireFrame, VERSION,
 };
 use evlin_spec::{FetchIncrement, Register, Value};
 use rand::rngs::StdRng;
@@ -769,4 +769,69 @@ fn a_hello_in_a_foreign_version_orphans_the_connection() {
         .count();
     assert_eq!(journals, 0, "a refused hello opened a journal");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The frame that answers a ping is dispatched like any other.  A scripted
+/// replica attaches the client, stays silent past the client's ack timeout,
+/// and answers its ping with the ack that covers the window (later pings get
+/// a pong).  That ack prunes the window, so the client closes its stream on
+/// the one connection, having counted every ack the replica sent.
+#[test]
+fn the_ack_that_answers_a_ping_prunes_the_window() {
+    let listener = loopback_listener().unwrap();
+    let addr = listener.local_addr().unwrap();
+    let replica = std::thread::spawn(move || {
+        let mut acks_sent = 0u64;
+        let mut held = ResumeCursor::default();
+        for stream in listener.incoming() {
+            let (mut tx, mut rx) = tcp_pair(stream.unwrap()).unwrap();
+            let mut ack = |tx: &mut dyn FrameTx, cursor| {
+                acks_sent += 1;
+                let frame = WireFrame::Ack {
+                    client: 0,
+                    session: 0x9196,
+                    cursor,
+                };
+                tx.send(encode_frame(&frame)).unwrap();
+            };
+            let mut pinged = false;
+            // Until the client hangs up; then serve its next connection.
+            while let Some(bytes) = rx.recv_timeout(Duration::from_secs(20)).unwrap() {
+                match decode_frame(&bytes).unwrap() {
+                    WireFrame::Hello { .. } => ack(&mut tx, held),
+                    WireFrame::Events { events, .. } => {
+                        held.frames += 1;
+                        held.events += events.len() as u64;
+                    }
+                    WireFrame::Ping { .. } if !pinged => {
+                        pinged = true;
+                        ack(&mut tx, held);
+                    }
+                    WireFrame::Ping { token } => {
+                        tx.send(encode_frame(&WireFrame::Pong { token })).unwrap();
+                    }
+                    WireFrame::Shutdown { .. } => return acks_sent,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        unreachable!("the listener never closes")
+    });
+    let mut client = RecoverableClient::connect_tcp(
+        addr,
+        0,
+        0x9196,
+        Arc::new(AtomicU64::new(0)),
+        ClientRecoveryConfig::standard(11),
+    )
+    .expect("the scripted replica attaches");
+    let object = universe().object_ids()[1];
+    client.invoke(ProcessId(0), object, FetchIncrement::fetch_inc());
+    client.respond(ProcessId(0), object, Value::from(0i64));
+    let closed = client.finish().expect("the window empties");
+    let acks_sent = replica.join().unwrap();
+    let stats = closed.collect_verdicts().stats;
+    assert_eq!((stats.frames, stats.events), (1, 2));
+    assert_eq!(stats.acks, acks_sent, "an ack went unread");
+    assert_eq!(stats.reconnects, 0, "the client reconnected for nothing");
 }
