@@ -24,15 +24,18 @@
 //!   interchangeability classes are interned to dense `u32` ids, and
 //!   transition lists are memoized per `(invocation, state)` pair into a
 //!   span arena — all through one small-table type (`Table`: a linear scan
-//!   up to 32 keys, a hash index past that).  The visited
-//!   `(linearized-multiset, object-states)` cache keys on an *incrementally
-//!   maintained* Zobrist fold — one linearization step updates the key with
-//!   four word mixes instead of serializing the pair.  The fold identifies
-//!   states up to a 64-bit hash: a key collision (probability ~nodes²/2⁶⁵
-//!   per search) could prune a genuinely new subtree, the same vanishing
-//!   risk the simulator's fingerprint deduplication documents and accepts —
-//!   the debug cross-check guards against maintenance drift, and the
-//!   brute-force differential suite fuzzes the end-to-end verdicts;
+//!   up to 32 keys, a hash index past that).  Classes are counted, not
+//!   enumerated: the search takes a class's members in ascending order, so
+//!   its count of taken members is the only record of what is linearized.
+//!   The visited `(linearized-multiset, object-states)` cache keys on an
+//!   *incrementally maintained* Zobrist fold — one linearization step
+//!   updates the key with four word mixes instead of serializing the pair.
+//!   The fold identifies states up to a 64-bit hash: a key collision
+//!   (probability ~nodes²/2⁶⁵ per search) could prune a genuinely new
+//!   subtree, the same vanishing risk the simulator's fingerprint
+//!   deduplication documents and accepts — the debug cross-check guards
+//!   against maintenance drift, and the brute-force differential suite
+//!   fuzzes the end-to-end verdicts;
 //! * [`check_local`] — the locality pre-pass: for conditions whose
 //!   decomposition is [`Locality::Exact`] (the Herlihy–Wing locality theorem
 //!   for linearizability, Lemma 8 for weak consistency), a multi-object
@@ -55,7 +58,7 @@
 //! One *retention rule* (see [`KernelScratch`]) empties every hash table a
 //! search filled, so one unusually large search slows no later one.
 
-use crate::util::{self, BitSet, FxHashMap};
+use crate::util::{self, FxHashMap};
 use evlin_history::{History, ObjectId, ObjectUniverse, OperationMatcher};
 use evlin_spec::{Invocation, Value};
 use std::hash::Hash;
@@ -340,18 +343,16 @@ fn shed<K, V>(map: &mut FxHashMap<K, V>) {
 
 /// Reusable search state: every table of the searcher — the interners, the
 /// per-operation tables, the transition memo, the DFS frame stack, the
-/// visited cache, the taken-set and the accepting-frontier row store.
+/// visited cache, the per-class taken counts and the accepting-frontier row
+/// store.
 ///
 /// Every allocation of a search survives into the next one, so repeated
 /// probes — the binary search of `min_stabilization`, the per-operation loop
 /// of the weak-consistency checker, the monitor's per-segment chains — run
 /// allocation-free after warm-up (the allocation-count smoke test in
 /// `tests/alloc_smoke.rs` enforces this).  For the same reason
-/// variable-length per-item lists (precedence predecessors, class members,
-/// memoized transition lists) are spans into shared arenas, not nested
-/// `Vec`s.  `BitSet::clear` and `BitSet::count` keep the taken-set sound
-/// across reuses: bits left set by a successful search are cleared one by
-/// one, and the emptiness invariant is asserted before the next run.
+/// variable-length per-item lists (precedence predecessors, memoized
+/// transition lists) are spans into shared arenas, not nested `Vec`s.
 ///
 /// **Retention rule.**  Every table is emptied when a search ends, and
 /// emptying a hash table costs time proportional to its *capacity*: one
@@ -383,23 +384,25 @@ pub struct KernelScratch {
     incident: Vec<bool>,
     /// The precedence edges, copied out of the problem once.
     edges: Vec<(u32, u32)>,
-    /// CSR of required predecessors: `pred_data[pred_offsets[j]..pred_offsets[j+1]]`.
+    /// CSR of the classes of required predecessors:
+    /// `pred_data[pred_offsets[j]..pred_offsets[j+1]]`.
     pred_offsets: Vec<u32>,
     pred_data: Vec<u32>,
     class_of: Vec<u32>,
-    /// CSR of class members in ascending operation order.
-    class_offsets: Vec<u32>,
-    class_data: Vec<u32>,
-    /// Reused counting-sort cursor.
+    /// Each operation's position among its class's members, in ascending
+    /// operation order.
+    rank: Vec<u32>,
+    /// Reused counting cursor: the per-class tally behind `rank`, then the
+    /// predecessor CSR's counting sort.
     cursor: Vec<u32>,
     // --- mutable search state ---
-    class_counts: Vec<u16>,
+    /// Taken members per class: operation `i` is linearized iff
+    /// `rank[i] < class_counts[class_of[i]]`.
+    class_counts: Vec<u32>,
     states: Vec<u32>,
     order: Vec<u32>,
     responses: Vec<u32>,
     frames: Vec<Frame>,
-    taken: BitSet,
-    capacity: usize,
     /// Keys of the visited `(linearized-multiset, object-states)` pairs: a
     /// set, which needs no ids, so not a [`Table`].
     visited: FxHashMap<u64, ()>,
@@ -440,9 +443,9 @@ impl KernelScratch {
             &mut self.pred_offsets,
             &mut self.pred_data,
             &mut self.class_of,
-            &mut self.class_offsets,
-            &mut self.class_data,
+            &mut self.rank,
             &mut self.cursor,
+            &mut self.class_counts,
             &mut self.states,
             &mut self.order,
             &mut self.responses,
@@ -453,7 +456,6 @@ impl KernelScratch {
         self.op_required.clear();
         self.incident.clear();
         self.edges.clear();
-        self.class_counts.clear();
         self.frames.clear();
         self.trans_spans.clear();
         self.trans_data.clear();
@@ -471,8 +473,8 @@ impl KernelScratch {
             &self.pred_offsets,
             &self.pred_data,
             &self.class_of,
-            &self.class_offsets,
-            &self.class_data,
+            &self.rank,
+            &self.class_counts,
             &self.states,
             &self.order,
             &self.responses,
@@ -486,7 +488,6 @@ impl KernelScratch {
             + self.frontiers.bytes()
             + words.iter().map(|w| w.len()).sum::<usize>() * size_of::<u32>()
             + self.op_required.len()
-            + self.class_counts.len() * size_of::<u16>()
             + (self.trans_spans.len() + self.trans_data.len()) * size_of::<(u32, u32)>()
             + self.visited.len() * size_of::<u64>()
     }
@@ -548,7 +549,6 @@ struct Frame {
 
 /// Everything needed to retract one linearization step.
 struct Undo {
-    op: usize,
     class: usize,
     slot: usize,
     prev_state: u32,
@@ -593,15 +593,6 @@ impl<'a> Searcher<'a> {
         s: &'a mut KernelScratch,
     ) -> Self {
         let n = problem.op_count();
-        if s.capacity < n.max(1) {
-            s.taken = BitSet::with_capacity(n.max(1));
-            s.capacity = n.max(1);
-        }
-        debug_assert_eq!(
-            s.taken.count(),
-            0,
-            "taken-set must be empty between searches"
-        );
         debug_assert!(s.visited.is_empty() && s.values.len() == 0 && s.frontiers.len() == 0);
 
         // Active objects -> slots, and per-op interned invocations and fixed
@@ -619,16 +610,43 @@ impl<'a> Searcher<'a> {
                 .push(op.fixed_response.map_or(INVALID, |v| s.values.id(v)));
         }
 
-        // Required predecessors as a CSR (edges with optional sources impose
-        // nothing, matching the reductions in this crate, which only create
-        // edges with required sources).
+        // The precedence edges, and the operations they touch.
         s.edges
             .extend(problem.edges().map(|(i, j)| (i as u32, j as u32)));
         s.incident.resize(n, false);
-        s.cursor.resize(n, 0);
         for &(i, j) in &s.edges {
             s.incident[i as usize] = true;
             s.incident[j as usize] = true;
+        }
+
+        // Interchangeability classes: operations with the same interned
+        // invocation, the same constraints and no incident precedence edge
+        // are indistinguishable, so the search only ever takes the first
+        // untaken member of a class and the visited cache keys on per-class
+        // counts instead of exact subsets.  The taken members are therefore
+        // the class's lowest ranks, and its count says which.  An operation
+        // with an incident edge is a class of its own, under a key no
+        // invocation id makes.
+        s.cursor.resize(n, 0);
+        for i in 0..n {
+            let class = if s.incident[i] {
+                s.classes.push((INVALID, false, i as u32))
+            } else {
+                s.classes
+                    .id(&(s.op_inv[i], s.op_required[i], s.op_fixed[i]))
+            };
+            s.class_of.push(class);
+            s.rank.push(s.cursor[class as usize]);
+            s.cursor[class as usize] += 1;
+        }
+        s.class_counts.resize(s.classes.len(), 0);
+
+        // The classes of required predecessors as a CSR (edges with optional
+        // sources impose nothing, matching the reductions in this crate, which
+        // only create edges with required sources).  A predecessor is a class
+        // of its own, so it is taken once that class's count is non-zero.
+        s.cursor.fill(0);
+        for &(i, j) in &s.edges {
             if s.op_required[i as usize] {
                 s.cursor[j as usize] += 1;
             }
@@ -644,48 +662,10 @@ impl<'a> Searcher<'a> {
         s.cursor.copy_from_slice(&s.pred_offsets[..n]);
         for &(i, j) in &s.edges {
             if s.op_required[i as usize] {
-                s.pred_data[s.cursor[j as usize] as usize] = i;
+                s.pred_data[s.cursor[j as usize] as usize] = s.class_of[i as usize];
                 s.cursor[j as usize] += 1;
             }
         }
-
-        // Interchangeability classes: operations with the same interned
-        // invocation, the same constraints and no incident precedence edge
-        // are indistinguishable, so the search only ever takes the first
-        // untaken member of a class and the visited cache keys on per-class
-        // counts instead of exact subsets.  An operation with an incident
-        // edge is a class of its own, under a key no invocation id makes.
-        for i in 0..n {
-            let class = if s.incident[i] {
-                s.classes.push((INVALID, false, i as u32))
-            } else {
-                s.classes
-                    .id(&(s.op_inv[i], s.op_required[i], s.op_fixed[i]))
-            };
-            s.class_of.push(class);
-        }
-        // Class members (ascending operation order) as a CSR.
-        let class_count = s.classes.len();
-        s.cursor.clear();
-        s.cursor.resize(class_count, 0);
-        for i in 0..n {
-            s.cursor[s.class_of[i] as usize] += 1;
-        }
-        s.class_offsets.reserve(class_count + 1);
-        let mut acc = 0u32;
-        for c in 0..class_count {
-            s.class_offsets.push(acc);
-            acc += s.cursor[c];
-        }
-        s.class_offsets.push(acc);
-        s.class_data.resize(n, 0);
-        s.cursor.copy_from_slice(&s.class_offsets[..class_count]);
-        for i in 0..n {
-            let c = s.class_of[i] as usize;
-            s.class_data[s.cursor[c] as usize] = i as u32;
-            s.cursor[c] += 1;
-        }
-        s.class_counts.resize(class_count, 0);
 
         // Root object states and the initial visited key.
         for &object in &s.slots.keys {
@@ -750,15 +730,13 @@ impl<'a> Searcher<'a> {
     /// representative tried by the search).
     fn canonical(&self, i: usize) -> bool {
         let s = &*self.s;
-        let c = s.class_of[i] as usize;
-        let members = &s.class_data[s.class_offsets[c] as usize..s.class_offsets[c + 1] as usize];
-        members.iter().find(|&&m| !s.taken.contains(m as usize)) == Some(&(i as u32))
+        s.rank[i] == s.class_counts[s.class_of[i] as usize]
     }
 
     fn preds_taken(&self, i: usize) -> bool {
         let s = &*self.s;
         let preds = &s.pred_data[s.pred_offsets[i] as usize..s.pred_offsets[i + 1] as usize];
-        preds.iter().all(|&p| s.taken.contains(p as usize))
+        preds.iter().all(|&p| s.class_counts[p as usize] != 0)
     }
 
     /// Recomputes the visited key from scratch — the debug cross-check for
@@ -790,13 +768,11 @@ impl<'a> Searcher<'a> {
         let slot = s.op_slot[i] as usize;
         let class = s.class_of[i] as usize;
         let undo = Undo {
-            op: i,
             class,
             slot,
             prev_state: s.states[slot],
             required: s.op_required[i],
         };
-        s.taken.set(i);
         let count = s.class_counts[class];
         if count > 0 {
             self.vkey ^= util::zkey(TAG_CLASS, class as u64, count as u64);
@@ -817,7 +793,6 @@ impl<'a> Searcher<'a> {
 
     fn retract(&mut self, undo: Undo) {
         let s = &mut *self.s;
-        s.taken.clear(undo.op);
         let count = s.class_counts[undo.class];
         self.vkey ^= util::zkey(TAG_CLASS, undo.class as u64, count as u64);
         if count > 1 {
@@ -876,7 +851,7 @@ impl<'a> Searcher<'a> {
             self.record_frontier(tracked);
         }
 
-        let result = 'outer: loop {
+        'outer: loop {
             let Some(mut f) = self.s.frames.pop() else {
                 break if self.exhausted {
                     SearchResult::Unknown
@@ -894,7 +869,7 @@ impl<'a> Searcher<'a> {
                     continue 'outer;
                 }
                 let i = f.i;
-                if self.s.taken.contains(i) || !self.canonical(i) || !self.preds_taken(i) {
+                if !self.canonical(i) || !self.preds_taken(i) {
                     f.i += 1;
                     f.k = 0;
                     f.trans = INVALID;
@@ -915,14 +890,7 @@ impl<'a> Searcher<'a> {
                     }
                     let undo = self.apply(i, resp, next_state);
                     if tracked.is_none() && self.accepting() {
-                        let witness = self.witness();
-                        // Leave the taken-set empty for the next reuse of
-                        // the scratch.
-                        let s = &mut *self.s;
-                        for &op in &s.order {
-                            s.taken.clear(op as usize);
-                        }
-                        break 'outer SearchResult::Yes(witness);
+                        break 'outer SearchResult::Yes(self.witness());
                     }
                     self.nodes += 1;
                     if self.nodes > self.limits.max_nodes {
@@ -951,11 +919,7 @@ impl<'a> Searcher<'a> {
                 f.k = 0;
                 f.trans = INVALID;
             }
-        };
-        // Either every step was retracted on the way out (No/Unknown) or the
-        // witness path cleared its bits explicitly.
-        debug_assert_eq!(self.s.taken.count(), 0, "taken-set must be released empty");
-        result
+        }
     }
 
     /// Records the current (accepting) node's frontier — the interned object
@@ -968,8 +932,9 @@ impl<'a> Searcher<'a> {
         let s = &mut *self.s;
         let start = s.frontier_rows.len();
         s.frontier_rows.extend_from_slice(&s.states);
+        let taken = |op: usize| s.rank[op] < s.class_counts[s.class_of[op] as usize];
         s.frontier_rows
-            .extend(tracked.iter().map(|&op| s.taken.contains(op) as u32));
+            .extend(tracked.iter().map(|&op| taken(op) as u32));
         let (old, row) = s.frontier_rows.split_at(start);
         let (hash, width) = (util::hash_of(row), row.len());
         let matches = |r: usize, &h: &u64| h == hash && old[r * width..][..width] == *row;

@@ -29,11 +29,12 @@
 //! ```
 //!
 //! The kernel interns object states and responses to dense integers, merges
-//! interchangeable operations into classes, memoizes transition lookups, and
-//! keys its visited cache on compact `(linearized-multiset, object-states)`
-//! slices; [`kernel::KernelScratch`] lets repeated probes (the binary search
-//! for the minimal stabilization index, the per-operation weak-consistency
-//! loop) reuse the cache and taken-set allocations.
+//! interchangeable operations into classes whose taken members it counts,
+//! memoizes transition lookups, and keys its visited cache on compact
+//! `(linearized-multiset, object-states)` slices; [`kernel::KernelScratch`]
+//! lets repeated probes (the binary search for the minimal stabilization
+//! index, the per-operation weak-consistency loop) reuse the cache and the
+//! per-class count allocations.
 //!
 //! ## Modules
 //!

@@ -183,8 +183,8 @@ pub fn t_linearization_with_stats(
 ///
 /// By Lemma 5 of the paper, `t`-linearizability is monotone in `t`, so a
 /// binary search is sound.  Every probe runs through the shared kernel with
-/// a reused [`KernelScratch`], so the visited cache and taken-set are
-/// allocated once per history, not once per probe.  Returns `None` if the
+/// a reused [`KernelScratch`], so the visited cache and the per-class counts
+/// are allocated once per history, not once per probe.  Returns `None` if the
 /// history is not even `limit`-linearizable (which cannot happen for total
 /// types when `limit` is the history length).
 pub fn min_stabilization(

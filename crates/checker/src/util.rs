@@ -128,45 +128,6 @@ pub(crate) fn hash_of<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
     hasher.finish()
 }
 
-/// A dynamically sized bit set used by the kernel to track which operations
-/// have already been linearized in a search state.  The kernel's
-/// backtracking and scratch-reuse paths rely on [`BitSet::clear`] (retract
-/// one step, release a witness's bits) and [`BitSet::count`] (the emptiness
-/// invariant between reused searches).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub(crate) struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    /// Creates a bit set able to hold `n` bits, all clear.
-    pub fn with_capacity(n: usize) -> Self {
-        BitSet {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    /// Sets bit `i`.
-    pub fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1u64 << (i % 64);
-    }
-
-    /// Clears bit `i`.
-    pub fn clear(&mut self, i: usize) {
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
-    /// Whether bit `i` is set.
-    pub fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    /// Number of set bits.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,87 +165,5 @@ mod tests {
         let b = fold_words(fold_words(7, &[1, 2]), &[3, 4]);
         assert_eq!(a, b);
         assert_ne!(a, fold_words(fold_words(7, &[1, 2, 3]), &[4]));
-    }
-
-    #[test]
-    fn set_clear_contains_count() {
-        let mut b = BitSet::with_capacity(130);
-        assert!(!b.contains(0));
-        b.set(0);
-        b.set(65);
-        b.set(129);
-        assert!(b.contains(0) && b.contains(65) && b.contains(129));
-        assert!(!b.contains(64));
-        assert_eq!(b.count(), 3);
-        b.clear(65);
-        assert!(!b.contains(65));
-        assert_eq!(b.count(), 2);
-    }
-
-    #[test]
-    fn equality_and_hash_reflect_contents() {
-        use std::collections::HashSet;
-        let mut a = BitSet::with_capacity(10);
-        let mut b = BitSet::with_capacity(10);
-        a.set(3);
-        b.set(3);
-        assert_eq!(a, b);
-        let mut set = HashSet::new();
-        set.insert(a.clone());
-        assert!(set.contains(&b));
-    }
-
-    #[test]
-    fn word_boundaries_are_exact() {
-        // Bits 63 and 64 straddle the first word boundary; each must land in
-        // its own word without touching the neighbour.
-        let mut b = BitSet::with_capacity(128);
-        b.set(63);
-        assert!(b.contains(63));
-        assert!(!b.contains(64));
-        b.set(64);
-        assert!(b.contains(64));
-        b.clear(63);
-        assert!(!b.contains(63) && b.contains(64));
-        assert_eq!(b.count(), 1);
-    }
-
-    #[test]
-    fn capacity_rounds_up_to_whole_words() {
-        // 1 bit still allocates one word; 65 bits allocate two.
-        let a = BitSet::with_capacity(1);
-        assert!(!a.contains(0));
-        let mut b = BitSet::with_capacity(65);
-        b.set(64);
-        assert!(b.contains(64));
-        assert_eq!(b.count(), 1);
-    }
-
-    #[test]
-    fn set_is_idempotent_and_clear_of_unset_is_noop() {
-        let mut b = BitSet::with_capacity(16);
-        b.set(5);
-        b.set(5);
-        assert_eq!(b.count(), 1);
-        b.clear(6);
-        assert_eq!(b.count(), 1);
-        assert!(b.contains(5));
-    }
-
-    #[test]
-    fn default_is_empty() {
-        let b = BitSet::default();
-        assert_eq!(b.count(), 0);
-        assert_eq!(b, BitSet::with_capacity(0));
-    }
-
-    #[test]
-    fn differing_contents_are_unequal() {
-        let mut a = BitSet::with_capacity(70);
-        let mut b = BitSet::with_capacity(70);
-        a.set(0);
-        b.set(69);
-        assert_ne!(a, b);
-        assert_eq!(a.count(), b.count());
     }
 }

@@ -152,8 +152,8 @@ pub(crate) fn violations_with_stats(
     universe: &ObjectUniverse,
 ) -> (Vec<OpId>, SearchStats) {
     // One search per completed operation, all sharing one matching of the
-    // history and one scratch, so the visited cache and taken-set are
-    // allocated once per history.
+    // history and one scratch, so the visited cache and the per-class counts
+    // are allocated once per history.
     let mut scratch = KernelScratch::new();
     let mut stats = SearchStats::default();
     let mut matcher = OperationMatcher::default();

@@ -30,7 +30,7 @@ use evlin_checker::{eventual, linearizability, t_linearizability, weak_consisten
 use evlin_history::{
     Event, EventKind, History, HistoryBuilder, ObjectId, ObjectUniverse, ProcessId,
 };
-use evlin_spec::{FetchIncrement, Register, Value};
+use evlin_spec::{Counter, FetchIncrement, Register, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -529,4 +529,36 @@ fn extended_wide_monitor_vs_offline_linearizability() {
     for seed in 0..extended_cases() / 8 {
         check_wide(seed.wrapping_mul(0x9e37_79b9));
     }
+}
+
+#[test]
+#[ignore = "a 70 000-member class: run via the nightly CI job or with --ignored, in release"]
+fn a_class_past_u16_members_stabilizes_like_the_offline_kernel() {
+    // 70 000 completed increments on one counter reach the kernel as one
+    // interchangeability class, whose taken count passes `u16::MAX`.  The
+    // offline reference is `StabilizesEventually` itself: the rest of
+    // `eventual::analyze` runs one weak-consistency search per operation.
+    let mut u = ObjectUniverse::new();
+    let c = u.add_object(Counter::new());
+    let mut b = HistoryBuilder::new();
+    for k in 0..70_000 {
+        b = b.complete(ProcessId(k % 3), c, Counter::inc(), Value::Unit);
+    }
+    let history = b.build();
+    let (offline, offline_stats) = kernel::check_with_stats(
+        &eventual::StabilizesEventually,
+        &history,
+        &u,
+        SearchLimits::default(),
+    );
+    assert!(offline.is_yes(), "{offline:?}");
+    assert_eq!(offline_stats.nodes, 70_000);
+    let config = MonitorConfig::for_condition(MonitorCondition::StabilizesEventually);
+    let mut monitor = Monitor::new(u, config);
+    monitor
+        .ingest_all(history.events().iter().cloned())
+        .expect("a sequential stream is well-formed");
+    let report = monitor.finish();
+    assert!(report.verdict.is_ok(), "{report:?}");
+    assert_eq!(report.stats.search.nodes, 70_000);
 }

@@ -107,10 +107,12 @@ pub trait FrameRx: Send {
 /// prefix of a frame written — what a crashed client or an RST mid-`write`
 /// leaves on the wire).
 ///
-/// On the in-process duplex shim — which carries whole frames — a kill
-/// degrades to delivering a truncated frame and closing, which the codec
-/// rejects frame-granularly; splits are a no-op there.  Determinism: the
-/// same seed and call sequence produce the same cut points.
+/// A plan is armed only on a [`TcpTx`], through `TcpTx::set_chaos`, which
+/// the recoverable client calls once per connection attempt with the plan
+/// its `ReconnectChaos` derives; the in-process duplex link has no byte
+/// stream and takes no plan (its faults are [`FaultPlan`]'s whole-frame
+/// ones).  Determinism: the same seed and call sequence produce the same
+/// cut points.
 #[derive(Debug, Clone)]
 pub(crate) struct ChaosPlan {
     state: u64,
