@@ -993,10 +993,11 @@ pub fn solve_rooted<P: Problem + ?Sized>(
 /// operations that linearization included.
 ///
 /// The online monitor ([`crate::monitor`]) threads these through a stream of
-/// quiescent-cut segments: the frontiers of segment `k` become the candidate
-/// initial states of segment `k + 1`, and the tracked operations are the
-/// "floaters" of `t`-linearizability — forgiven-prefix operations that may be
-/// linearized in any later segment.
+/// quiescent-cut segments, one chain per object: the frontiers of an
+/// object's link in segment `k` become the candidate initial states of its
+/// next link, and the tracked operations are the "floaters" of
+/// `t`-linearizability — forgiven-prefix operations that may be linearized
+/// in a later link of their object.
 #[derive(Debug, Clone, Copy)]
 pub struct FrontierRow<'s> {
     slots: &'s [ObjectId],

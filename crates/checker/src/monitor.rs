@@ -67,8 +67,9 @@
 //!
 //! Within a segment the monitor exploits the same Herlihy–Wing locality the
 //! offline [`kernel::check_local`] pre-pass uses, but one step earlier: for
-//! linearizability the per-object *frontiers* are independent (witness
-//! composition never couples the states of distinct objects), so the monitor
+//! linearizability, and for `t`-linearizability with a fixed `t`, the
+//! per-object *frontiers* are independent (witness composition never couples
+//! the states of distinct objects), so the monitor
 //! keeps one frontier set per object and checks the per-object projections of
 //! each segment independently — one object after the other, on the thread
 //! that runs the check stage (a caller with cores to spare splits the stream
@@ -93,8 +94,9 @@
 //! ([`evlin_history::OperationMatcher`], the rule behind
 //! [`History::operations`]) and lent to the kernel as operation views
 //! ([`EventProblem`], the one stating of Definition 2 the offline
-//! [`TLinearizability`] uses too), once per incoming frontier state with that
-//! state as the search's root argument; the accepting frontiers come back as
+//! [`crate::t_linearizability::TLinearizability`] uses too), once per incoming
+//! frontier state with that state as the search's root argument; the
+//! accepting frontiers come back as
 //! rows of the pooled [`KernelScratch`], the object's states are appended to
 //! a pooled buffer, sorted and deduplicated, and swapped with the incoming
 //! frontier, which is the object's entry of the frontier map updated in
@@ -115,23 +117,26 @@
 //! expands, and per frontier state a one-operation step leaves from
 //! (`tests/alloc_smoke.rs` pins both).
 //!
-//! ## The four conditions
+//! ## The four conditions, three drains
 //!
-//! Each condition is its own state plus one drain over a batch, which borrows
-//! what they all share (universe, limits, scratches, counters, verdict).  A
-//! frontier past a fixed cap of 4096 entries makes the verdict
-//! [`MonitorVerdict::Unknown`].
+//! Each drain has its own state and borrows what they all share (universe,
+//! limits, scratches, counters, verdict).  A frontier past a fixed cap of
+//! 4096 entries makes the verdict [`MonitorVerdict::Unknown`].
 //!
-//! * [`MonitorCondition::Linearizability`] — per-object frontier threading as
-//!   above.
-//! * [`MonitorCondition::TLinearizability`] — Definition 2 with a fixed `t`.
-//!   Operations whose response falls inside the forgiven prefix (the first
-//!   `t` events) have no precedence constraints at all, so they may be
-//!   linearized in *any* later segment; the monitor carries them across cuts
-//!   as "floaters" (optional in every segment, mandatory by the end) and the
-//!   frontier entries additionally record which floaters are still unplaced.
-//!   The first cut is deferred until the stream has passed event `t`, so all
-//!   floaters are discovered inside the first segment.
+//! * [`MonitorCondition::Linearizability`] and
+//!   [`MonitorCondition::TLinearizability`] — Definition 2 with a fixed `t`,
+//!   linearizability being `t = 0`: one drain, per-object frontier threading
+//!   as above.  Operations whose response falls inside the forgiven prefix
+//!   (the first `t` events) have no precedence constraints at all, so they
+//!   may be linearized in *any* later link of their object; the monitor
+//!   carries these "floaters" across cuts in their own object's frontier
+//!   (optional in every link, mandatory by the end, in an empty tail link if
+//!   the object has no events there), whose entries then pair a state with
+//!   the floaters it leaves unplaced.  Each link takes its share of the
+//!   prefix, its events before global index `t`; the ingest stage defers the
+//!   first cut until the stream has passed event `t`, so only a first
+//!   segment has any and all floaters are discovered there.  A link with no
+//!   floaters to place or carry takes the paths linearizability takes.
 //! * [`MonitorCondition::WeakConsistency`] — Definition 1 is checked per
 //!   completed operation, and its justification may reach arbitrarily far
 //!   back in the history; but it only sees past operations through their
@@ -195,10 +200,9 @@
 
 use crate::fi::{self, FiScratch};
 use crate::kernel::{
-    self, ConsistencyCondition, KernelScratch, OpView, Problem, SearchLimits, SearchResult,
-    SearchStats,
+    self, KernelScratch, OpView, Problem, SearchLimits, SearchResult, SearchStats,
 };
-use crate::t_linearizability::{EventProblem, TLinearizability};
+use crate::t_linearizability::EventProblem;
 use crate::util::{fold_words, hash_of, mix};
 use evlin_history::{
     Event, EventKind, History, ObjectId, ObjectUniverse, OpId, OperationMatcher, ProcessId,
@@ -218,7 +222,9 @@ pub enum MonitorCondition {
     /// Classical linearizability (`t = 0`), with per-object frontier
     /// threading and the fetch&increment fast path.
     Linearizability,
-    /// `t`-linearizability (Definition 2) for a fixed `t`.
+    /// `t`-linearizability (Definition 2) for a fixed `t`, checked through
+    /// the same per-object chains as linearizability, each object carrying
+    /// its own forgiven operations.
     TLinearizability {
         /// The number of initial events forgiven.
         t: usize,
@@ -519,34 +525,24 @@ impl IngestSummary {
     }
 }
 
-/// A `t`-linearizability frontier: object-state overrides left behind by an
-/// accepting chain of segment witnesses, plus the floaters that chain has not
-/// yet linearized.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct TlFrontier {
-    /// Final states of the objects touched so far (sorted by object).
-    states: Vec<(ObjectId, Value)>,
-    /// Forgiven-prefix operations not yet placed (sorted multiset).
-    unplaced: Vec<(ObjectId, Invocation)>,
-}
-
-impl TlFrontier {
-    /// The states as the kernel's root argument.
-    fn roots(&self) -> Vec<(ObjectId, &Value)> {
-        self.states.iter().map(|(o, v)| (*o, v)).collect()
-    }
+/// One object's frontier: every state an accepting chain of its links'
+/// witnesses leaves it in, with the floaters that chain has not placed yet.
+struct Frontier {
+    /// Ascending; distinct unless `unplaced` tells equal states apart.
+    states: Vec<Value>,
+    /// Per entry of `states`, the invocations of the floaters it leaves
+    /// unplaced (a sorted multiset); empty when no entry leaves one.
+    unplaced: Vec<Vec<Invocation>>,
 }
 
 /// Per-condition incremental state.
 enum ModeState {
     Lin {
-        /// Per-object frontier state sets (absent object ⇒ still at its
-        /// initial state).
-        frontiers: BTreeMap<ObjectId, Vec<Value>>,
-    },
-    TLin {
+        /// The forgiven prefix: 0 under linearizability.
         t: usize,
-        frontiers: Vec<TlFrontier>,
+        /// Per-object frontiers (absent object ⇒ still at its initial
+        /// state).
+        frontiers: BTreeMap<ObjectId, Frontier>,
     },
     Weak(WeakCounters),
     Stab {
@@ -819,6 +815,12 @@ struct CheckContext {
     matcher: OperationMatcher,
     /// The states the link being checked leaves behind.
     outgoing: Vec<Value>,
+    /// The `(state, unplaced floaters)` entries a link with floaters leaves
+    /// behind.
+    rows: Vec<(Value, Vec<Invocation>)>,
+    /// The floaters of the link being checked, as problem indices: its
+    /// demoted operations, then the carried ones.
+    tracked: Vec<usize>,
     /// The pooled kernel scratch every search of this stage runs in.  A
     /// scratch is reset per search and [`SearchStats`] are a function of the
     /// search alone, so one serves every object and every condition; its
@@ -839,17 +841,13 @@ impl fmt::Debug for MonitorCheck {
 
 impl MonitorCheck {
     fn new(universe: ObjectUniverse, config: &MonitorConfig) -> Self {
+        let lin = |t| ModeState::Lin {
+            t,
+            frontiers: BTreeMap::new(),
+        };
         let mode = match config.condition {
-            MonitorCondition::Linearizability => ModeState::Lin {
-                frontiers: BTreeMap::new(),
-            },
-            MonitorCondition::TLinearizability { t } => ModeState::TLin {
-                t,
-                frontiers: vec![TlFrontier {
-                    states: Vec::new(),
-                    unplaced: Vec::new(),
-                }],
-            },
+            MonitorCondition::Linearizability => lin(0),
+            MonitorCondition::TLinearizability { t } => lin(t),
             MonitorCondition::WeakConsistency => ModeState::Weak(WeakCounters::default()),
             MonitorCondition::StabilizesEventually => ModeState::Stab {
                 completed: BTreeMap::new(),
@@ -862,6 +860,8 @@ impl MonitorCheck {
             },
             matcher: OperationMatcher::default(),
             outgoing: Vec::new(),
+            rows: Vec::new(),
+            tracked: Vec::new(),
             universe,
             limits: config.limits,
             violation: None,
@@ -925,8 +925,7 @@ impl MonitorCheck {
         }
         cx.stats.segments += nonempty;
         match &mut self.mode {
-            ModeState::Lin { frontiers } => cx.drain_lin(frontiers, segments),
-            ModeState::TLin { t, frontiers } => cx.drain_tlin(*t, frontiers, segments),
+            ModeState::Lin { t, frontiers } => cx.drain_lin(*t, frontiers, segments),
             ModeState::Weak(counters) => cx.drain_weak(counters, segments),
             ModeState::Stab { completed } => cx.drain_stab(completed, segments),
         }
@@ -934,12 +933,18 @@ impl MonitorCheck {
 }
 
 impl CheckContext {
-    // -- linearizability ---------------------------------------------------
+    // -- linearizability and t-linearizability -----------------------------
 
-    /// Checks a batch of segments under linearizability: per-object frontier
-    /// threading, one object's chain after the other, with the
-    /// fetch&increment fast path and the one-operation step per projection.
-    fn drain_lin(&mut self, frontiers: &mut BTreeMap<ObjectId, Vec<Value>>, segments: &[Segment]) {
+    /// Checks a batch of segments under Definition 2 with a fixed `t` (0 for
+    /// linearizability): per-object frontier threading, one object's chain
+    /// after the other, with the fetch&increment fast path and the
+    /// one-operation step per projection.
+    fn drain_lin(
+        &mut self,
+        t: usize,
+        frontiers: &mut BTreeMap<ObjectId, Frontier>,
+        segments: &[Segment],
+    ) {
         // One grouping pass per segment, then the links sorted by object
         // and segment: each run of the sorted list is one object's chain,
         // and the runs come in ascending object order.
@@ -948,6 +953,27 @@ impl CheckContext {
         grouping.links.clear();
         for (index, segment) in segments.iter().enumerate() {
             grouping.add_segment(index, segment.history.events());
+        }
+        // An object whose chain may owe floaters at the end of the stream
+        // (it owes some already, or has events in the forgiven prefix)
+        // places them there: in its tail link, or in an empty one.
+        let last = segments.len().checked_sub(1);
+        if let Some(tail) = last.filter(|&last| segments[last].is_tail) {
+            let links = &grouping.links;
+            let forgiving = links.iter().filter(|l| segments[l.segment].start < t);
+            let carrying = frontiers.iter().filter(|(_, f)| !f.unplaced.is_empty());
+            let carrying = carrying.map(|(&object, _)| object);
+            let mut owing: Vec<_> = forgiving.map(|l| l.object).chain(carrying).collect();
+            owing.sort_unstable();
+            owing.dedup();
+            let in_tail = links.iter().rev().take_while(|l| l.segment == tail);
+            owing.retain(|&object| !in_tail.clone().any(|l| l.object == object));
+            let end = Some((grouping.positions.len(), grouping.positions.len()));
+            grouping.links.extend(owing.into_iter().map(|object| Link {
+                object,
+                segment: tail,
+                positions: end,
+            }));
         }
         grouping
             .links
@@ -958,11 +984,12 @@ impl CheckContext {
         let mut best: Option<(usize, ObjectId, String)> = None;
         for chain in grouping.links.chunk_by(|a, b| a.object == b.object) {
             let object = chain[0].object;
-            let frontier = frontiers
-                .entry(object)
-                .or_insert_with(|| vec![self.universe.initial_state(object).clone()]);
+            let frontier = frontiers.entry(object).or_insert_with(|| Frontier {
+                states: vec![self.universe.initial_state(object).clone()],
+                unplaced: Vec::new(),
+            });
             let violation =
-                self.chase_object_chain(object, frontier, segments, chain, &grouping.positions);
+                self.chase_object_chain(t, object, frontier, segments, chain, &grouping.positions);
             if let Some((segment_index, detail)) = violation {
                 if best.as_ref().is_none_or(|(s, _, _)| segment_index < *s) {
                     best = Some((segment_index, object, detail));
@@ -994,15 +1021,16 @@ impl CheckContext {
         }
     }
 
-    /// Threads one object's frontier set — its entry of the mode's map,
-    /// updated in place — through its links of a segment batch, folding the
+    /// Threads one object's frontier — its entry of the mode's map, updated
+    /// in place — through its links of a segment batch, folding the
     /// searches' counters into the stage's.  If a link has no linearization
-    /// from any frontier state, the frontier stays where that link found it
+    /// from any frontier entry, the frontier stays where that link found it
     /// and `(index into the segment batch, detail)` is returned.
     fn chase_object_chain(
         &mut self,
+        t: usize,
         object: ObjectId,
-        frontier: &mut Vec<Value>,
+        frontier: &mut Frontier,
         segments: &[Segment],
         links: &[Link],
         positions: &[u32],
@@ -1010,7 +1038,7 @@ impl CheckContext {
         let (universe, limits) = (&self.universe, self.limits);
         let spec: &dyn ObjectType = &**universe.object_type(object);
         let fast_eligible = (spec as &dyn Any).is::<FetchIncrement>();
-        let outgoing = &mut self.outgoing;
+        let (outgoing, rows, tracked) = (&mut self.outgoing, &mut self.rows, &mut self.tracked);
         for link in links {
             let segment = &segments[link.segment];
             let events = segment.history.events();
@@ -1020,14 +1048,30 @@ impl CheckContext {
             let len = picked.map_or(events.len(), <[u32]>::len);
             let event = |k: usize| &events[picked.map_or(k, |picked| picked[k] as usize)];
             let final_segment = segment.is_tail;
+            // The link's share of the forgiven prefix: its events before
+            // global index `t`.  Only a first segment has any, as the ingest
+            // stage cuts no earlier than `t`.
+            let link_t = match picked {
+                Some(picked) => picked.partition_point(|&k| segment.start + (k as usize) < t),
+                None => t.saturating_sub(segment.start).min(len),
+            };
+            // Forgiven operations ("floaters") may be linearized in any later
+            // link of the object; a link that has or carries any takes the
+            // kernel path.
+            let floats = link_t > 0 || !frontier.unplaced.is_empty();
+            if len == 0 && !floats {
+                break; // an empty tail link, and nothing left to place
+            }
+            let states = &frontier.states;
             // Fast path: a `FetchIncrement` object's projection from an
             // integer state has a unique outgoing state (initial + operation
             // count), so the near-linear specialized checker replaces the
             // kernel search.
-            let fast = fast_eligible
+            let fast = !floats
+                && fast_eligible
                 && fi_step(
                     || (0..len).map(event),
-                    frontier,
+                    states,
                     final_segment,
                     &mut self.fi_scratch,
                     outgoing,
@@ -1041,14 +1085,15 @@ impl CheckContext {
                     );
                     return Some((link.segment, detail));
                 }
-                std::mem::swap(frontier, outgoing);
+                std::mem::swap(&mut frontier.states, outgoing);
                 continue;
             }
             outgoing.clear();
             // One operation has no real-time order to choose: a mid-stream
             // link of one invocation and its response is one step of the
             // spec from each frontier state, counted as the kernel's search.
-            let one_operation = match (!final_segment && len == 2).then(|| (event(0), event(1))) {
+            let single = !floats && !final_segment && len == 2;
+            let one_operation = match single.then(|| (event(0), event(1))) {
                 Some((
                     Event {
                         process: caller,
@@ -1066,23 +1111,44 @@ impl CheckContext {
             let mut any_yes = false;
             if let Some((invocation, response)) = one_operation {
                 let stats = &mut self.stats.search;
-                if !step_operation(
-                    spec, frontier, invocation, response, limits, stats, outgoing,
-                ) {
+                if !step_operation(spec, states, invocation, response, limits, stats, outgoing) {
                     self.incomplete = true;
                 }
                 any_yes = !outgoing.is_empty();
             } else {
-                // Kernel path: Definition 2 (`t = 0`) over the link's
-                // operations, lent to the kernel as views; one search per
-                // frontier state.
-                let problem = EventProblem {
-                    t: 0,
+                // Kernel path: Definition 2 with the link's share of the
+                // forgiven prefix over the link's operations, lent to the
+                // kernel as views; one search per frontier entry, rooted at
+                // its state and carrying its floaters.
+                let ops = self.matcher.match_events((0..len).map(event));
+                let stated = EventProblem {
+                    t: link_t,
                     events,
                     picked,
-                    ops: self.matcher.match_events((0..len).map(event)),
+                    ops,
                 };
-                for state in frontier.iter() {
+                // The link's own floaters are optional but tracked, unless
+                // this is the tail (nothing to defer to).
+                tracked.clear();
+                if !final_segment {
+                    let forgiven = |&i: &usize| ops[i].1.is_some_and(|r| r < link_t);
+                    tracked.extend((0..ops.len()).filter(forgiven));
+                }
+                let demoted = tracked.len();
+                rows.clear();
+                for (entry, state) in states.iter().enumerate() {
+                    let carried = frontier.unplaced.get(entry).map_or(&[][..], Vec::as_slice);
+                    tracked.truncate(demoted);
+                    tracked.extend(ops.len()..ops.len() + carried.len());
+                    let problem = Floating {
+                        stated,
+                        demoted: &tracked[..demoted],
+                        object,
+                        carried,
+                        // Carried floaters must be placed by the tail; before
+                        // it they may keep floating.
+                        carried_required: final_segment,
+                    };
                     let roots = [(object, state)];
                     if final_segment {
                         // Nothing consumes the outgoing frontier: a plain
@@ -1107,15 +1173,25 @@ impl CheckContext {
                     } else {
                         let each = |row: kernel::FrontierRow<'_>| {
                             any_yes = true;
-                            let states = row.states().filter(|(o, _)| *o == object);
-                            outgoing.extend(states.map(|(_, v)| v.clone()));
+                            let reached = row.states().find(|(o, _)| *o == object);
+                            let next = reached.map_or(state, |(_, v)| v).clone();
+                            if !floats {
+                                return outgoing.push(next);
+                            }
+                            let placed = tracked.iter().zip(row.placed());
+                            let unplaced = placed.filter(|(_, placed)| !placed);
+                            let mut unplaced: Vec<Invocation> = unplaced
+                                .map(|(&i, _)| problem.op(i).invocation.clone())
+                                .collect();
+                            unplaced.sort_unstable();
+                            rows.push((next, unplaced));
                         };
                         let (complete, stats) = kernel::visit_frontiers(
                             &problem,
                             &roots,
                             universe,
                             limits,
-                            &[],
+                            tracked,
                             &mut self.scratch,
                             each,
                         );
@@ -1136,165 +1212,33 @@ impl CheckContext {
             }
             // Ascending and distinct: the order the next link's searches
             // (and so the counters) run in.
-            outgoing.sort_unstable();
-            outgoing.dedup();
-            if outgoing.len() > MAX_FRONTIERS {
+            let entries = if floats {
+                rows.sort_unstable();
+                rows.dedup();
+                rows.len()
+            } else {
+                outgoing.sort_unstable();
+                outgoing.dedup();
+                outgoing.len()
+            };
+            if entries > MAX_FRONTIERS {
                 self.incomplete = true;
                 return None;
             }
-            std::mem::swap(frontier, outgoing);
+            if floats {
+                // Floaters stay listed while some entry still owes one.
+                let owed = rows.iter().any(|(_, unplaced)| !unplaced.is_empty());
+                frontier.unplaced.clear();
+                for (state, unplaced) in rows.drain(..) {
+                    outgoing.push(state);
+                    if owed {
+                        frontier.unplaced.push(unplaced);
+                    }
+                }
+            }
+            std::mem::swap(&mut frontier.states, outgoing);
         }
         None
-    }
-
-    // -- t-linearizability -------------------------------------------------
-
-    /// Checks a batch of segments under `t`-linearizability, threading
-    /// `(states, unplaced floaters)` frontiers sequentially.  `frontiers`
-    /// moves only once the whole batch has: a violation or the frontier cap
-    /// leaves it where the batch found it.
-    fn drain_tlin(&mut self, t: usize, frontiers: &mut Vec<TlFrontier>, segments: &[Segment]) {
-        // What the last segment checked left behind, once one has been.
-        let mut carried: Option<Vec<TlFrontier>> = None;
-        for segment in segments {
-            let current = carried.as_deref().unwrap_or(frontiers);
-            let final_segment = segment.is_tail;
-            if segment.history.is_empty() && !final_segment {
-                continue;
-            }
-            if segment.history.is_empty() {
-                // Empty tail: any frontier with no unplaced floaters is a
-                // complete witness chain; otherwise the floaters must still
-                // be placeable from some frontier's states.
-                let placeable = current.iter().any(|fr| {
-                    if fr.unplaced.is_empty() {
-                        return true;
-                    }
-                    let problem = Floating {
-                        stated: TLinearizability::new(0).views(&segment.history, &[]),
-                        demoted: &[],
-                        carried: &fr.unplaced,
-                        carried_required: true,
-                    };
-                    let (result, stats) = kernel::solve_rooted(
-                        &problem,
-                        &fr.roots(),
-                        &self.universe,
-                        self.limits,
-                        &mut self.scratch,
-                    );
-                    self.stats.search.absorb(stats);
-                    if matches!(result, SearchResult::Unknown) {
-                        self.incomplete = true;
-                    }
-                    result.is_yes()
-                });
-                if !placeable && !self.incomplete {
-                    self.violation = Some(MonitorViolation {
-                        segment_start: segment.start,
-                        segment_len: 0,
-                        object: None,
-                        op: None,
-                        detail: "forgiven-prefix operations cannot be completed \
-                                 by the end of the stream"
-                            .to_string(),
-                    });
-                }
-                continue;
-            }
-            let local_t = t.saturating_sub(segment.start);
-            let ops = self.matcher.match_events(segment.history.events());
-            let stated = TLinearizability::new(local_t).views(&segment.history, ops);
-            // Forgiven-prefix operations ("floaters") may be linearized in
-            // any later segment; demote them to optional-but-tracked unless
-            // this is the last segment (nothing to defer to).
-            let mut tracked: Vec<usize> = Vec::new();
-            if local_t > 0 && !final_segment {
-                let forgiven = |i: &usize| ops[*i].1.is_some_and(|r| r < local_t);
-                tracked.extend((0..ops.len()).filter(forgiven));
-            }
-            let demoted = tracked.len();
-            let mut outgoing: Vec<TlFrontier> = Vec::new();
-            let mut any_yes = false;
-            for fr in current {
-                // The frontier's carried floaters follow the segment's
-                // operations, tracked too.
-                tracked.truncate(demoted);
-                tracked.extend(ops.len()..ops.len() + fr.unplaced.len());
-                let problem = Floating {
-                    stated,
-                    demoted: &tracked[..demoted],
-                    carried: &fr.unplaced,
-                    // Carried floaters must finally be placed in the last
-                    // segment; before that they may keep floating.
-                    carried_required: final_segment,
-                };
-                let each = |row: kernel::FrontierRow<'_>| {
-                    any_yes = true;
-                    if final_segment {
-                        return; // nothing consumes the outgoing frontier
-                    }
-                    let mut states: BTreeMap<ObjectId, Value> = fr.states.iter().cloned().collect();
-                    states.extend(row.states().map(|(object, state)| (object, state.clone())));
-                    let unplaced = tracked
-                        .iter()
-                        .zip(row.placed())
-                        .filter(|(_, placed)| !placed);
-                    let floater = |op: OpView<'_>| (op.object, op.invocation.clone());
-                    let mut unplaced: Vec<(ObjectId, Invocation)> =
-                        unplaced.map(|(&i, _)| floater(problem.op(i))).collect();
-                    unplaced.sort();
-                    outgoing.push(TlFrontier {
-                        states: states.into_iter().collect(),
-                        unplaced,
-                    });
-                };
-                let (complete, stats) = kernel::visit_frontiers(
-                    &problem,
-                    &fr.roots(),
-                    &self.universe,
-                    self.limits,
-                    &tracked,
-                    &mut self.scratch,
-                    each,
-                );
-                self.stats.search.absorb(stats);
-                if !complete {
-                    self.incomplete = true;
-                }
-            }
-            if !any_yes {
-                if !self.incomplete {
-                    self.violation = Some(MonitorViolation {
-                        segment_start: segment.start,
-                        segment_len: segment.history.len(),
-                        object: None,
-                        op: None,
-                        detail: format!(
-                            "no {local_t}-linearization of the segment extends any \
-                             verified frontier"
-                        ),
-                    });
-                }
-                return;
-            }
-            self.stats.checked_ops += segment.completed;
-            if final_segment {
-                break;
-            }
-            // Ascending and distinct: the order the next segment's searches
-            // (and so the counters) run in.
-            outgoing.sort_unstable();
-            outgoing.dedup();
-            if outgoing.len() > MAX_FRONTIERS {
-                self.incomplete = true;
-                return;
-            }
-            carried = Some(outgoing);
-        }
-        if let Some(carried) = carried {
-            *frontiers = carried;
-        }
     }
 
     // -- weak consistency --------------------------------------------------
@@ -1872,15 +1816,17 @@ fn weak_problem<'a>(
     problem
 }
 
-/// A segment's Definition-2 problem with its floaters: the segment's
-/// operations, some of them demoted to optional, then the floaters an
-/// incoming frontier carries — no response to reproduce, no real-time order.
+/// A link's Definition-2 problem with its floaters: the link's operations,
+/// some of them demoted to optional, then the floaters a frontier entry
+/// carries on the link's object — no response to reproduce, no real-time
+/// order.
 struct Floating<'a> {
     stated: EventProblem<'a>,
-    /// The segment's operations that may be linearized in a later segment
-    /// instead (ascending).
+    /// The link's operations that may be linearized in a later link of the
+    /// object instead (ascending).
     demoted: &'a [usize],
-    carried: &'a [(ObjectId, Invocation)],
+    object: ObjectId,
+    carried: &'a [Invocation],
     carried_required: bool,
 }
 
@@ -1899,8 +1845,8 @@ impl Problem for Floating<'_> {
                 }
             }
             Some(j) => OpView {
-                object: self.carried[j].0,
-                invocation: &self.carried[j].1,
+                object: self.object,
+                invocation: &self.carried[j],
                 required: self.carried_required,
                 fixed_response: None,
             },
@@ -1923,11 +1869,12 @@ impl MonitorCondition {
     /// offline conditions: classical linearizability is local (the
     /// Herlihy–Wing locality theorem, the basis of the kernel's
     /// [`crate::kernel::check_local`] pre-pass), and `t = 0`
-    /// `t`-linearizability *is* linearizability.  Every other condition
-    /// carries global state — `t`-linearizability's forgiven prefix is
-    /// counted over the whole stream, and the multiset summaries of weak
-    /// consistency and stabilization are not declared local — so a router
-    /// must not split their streams.
+    /// `t`-linearizability *is* linearizability.  For `t > 0` the monitor
+    /// does decompose the check per object, but each object's share of the
+    /// forgiven prefix is its events among the stream's first `t`: a shard
+    /// sees only its own substream and counts positions there, so a router
+    /// must not split the stream.  Nor may it split weak consistency's or
+    /// stabilization's, whose multiset summaries are not declared local.
     pub fn is_object_local(&self) -> bool {
         match self {
             MonitorCondition::Linearizability => true,
@@ -2512,15 +2459,11 @@ mod tests {
         assert_eq!(v.object, Some(ObjectId(2)));
     }
 
-    #[test]
-    fn wide_stream_counters_are_pinned() {
-        // 64 objects (even ids registers, odd ids counters), 300 rounds of
-        // four mutually concurrent operations on objects strided through the
-        // universe, every effect taking place at its response: objects skip
-        // segments, batches hold several segments, and both the fast and the
-        // kernel path run.  The expected values are what the monitor
-        // produced on this stream while it still rescanned each segment once
-        // per object (PR 14): grouping must not move a count.
+    /// 64 objects (even ids registers, odd ids counters), 300 rounds of four
+    /// mutually concurrent operations on objects strided through the
+    /// universe, every effect taking place at its response, cut every 48
+    /// events or later and checked four segments at a time.
+    fn wide_stream() -> (ObjectUniverse, Vec<Event>, MonitorConfig) {
         let mut u = ObjectUniverse::new();
         for i in 0..64 {
             if i % 2 == 0 {
@@ -2529,14 +2472,12 @@ mod tests {
                 u.add_object(FetchIncrement::new());
             }
         }
-        let mut m = Monitor::new(
-            u,
-            MonitorConfig {
-                min_segment_events: 48,
-                segment_batch: 4,
-                ..MonitorConfig::default()
-            },
-        );
+        let config = MonitorConfig {
+            min_segment_events: 48,
+            segment_batch: 4,
+            ..MonitorConfig::default()
+        };
+        let mut events = Vec::with_capacity(2400);
         let mut state = [0i64; 64];
         for round in 0..300usize {
             let object = |p: usize| match (p, round % 2) {
@@ -2552,8 +2493,7 @@ mod tests {
                 } else {
                     Register::read()
                 };
-                m.invoke(ProcessId(p), ObjectId(object(p)), invocation)
-                    .unwrap();
+                events.push(Event::invoke(ProcessId(p), ObjectId(object(p)), invocation));
             }
             for p in 0..4 {
                 let o = object(p);
@@ -2566,9 +2506,21 @@ mod tests {
                 } else {
                     Value::from(state[o])
                 };
-                m.respond(ProcessId(p), ObjectId(o), response).unwrap();
+                events.push(Event::respond(ProcessId(p), ObjectId(o), response));
             }
         }
+        (u, events, config)
+    }
+
+    #[test]
+    fn wide_stream_counters_are_pinned() {
+        // Objects skip segments, batches hold several segments, and both the
+        // fast and the kernel path run.  The expected values are what the
+        // monitor produced on this stream while it still rescanned each
+        // segment once per object: grouping must not move a count.
+        let (u, events, config) = wide_stream();
+        let mut m = Monitor::new(u, config);
+        m.ingest_all(events).unwrap();
         let report = m.finish();
         assert!(report.verdict.is_ok(), "{report:?}");
         let stats = report.stats;
@@ -2655,8 +2607,9 @@ mod tests {
     // The expected values of the three tests below are what the monitor
     // produced while `TLinearizability`, `WeakConsistency` and
     // `StabilizesEventually` still reached the kernel through a materialized
-    // problem per search (PR 23): lending views must be node for node the
-    // same search.
+    // problem per search: lending views must be node for node the same
+    // search.  `TLinearizability`'s were restated when its floaters moved
+    // into their own object's chain (see that test).
 
     #[test]
     fn t_linearizability_stream_counters_are_pinned() {
@@ -2677,17 +2630,21 @@ mod tests {
         let mut carried_over = 0;
         for round in events.chunks(6) {
             m.ingest_all(round.iter().cloned()).unwrap();
-            let ModeState::TLin { frontiers, .. } = &m.check.mode else {
+            let ModeState::Lin { frontiers, .. } = &m.check.mode else {
                 unreachable!();
             };
-            if frontiers.iter().any(|fr| !fr.unplaced.is_empty()) {
+            if frontiers.values().any(|fr| !fr.unplaced.is_empty()) {
                 carried_over += 1;
             }
         }
         assert!(carried_over >= 4, "floaters cross batches: {carried_over}");
         let report = m.finish();
         assert!(report.verdict.is_ok(), "{report:?}");
-        assert_eq!(golden(&report.stats), [11, 36, 0, 71_035, 44_755]);
+        // Each object threads its own `(state, floaters)` entries: a search
+        // covers one object's link from one entry, where a frontier over
+        // both objects' states and floaters at once searched whole segments
+        // from each of its entries (71 035 nodes, 44 755 memo hits).
+        assert_eq!(golden(&report.stats), [11, 36, 0, 1_637, 524]);
     }
 
     #[test]
@@ -2820,6 +2777,46 @@ mod tests {
             ] {
                 match (&report.verdict, ok) {
                     (MonitorVerdict::Ok, true) | (MonitorVerdict::Violation(_), false) => {}
+                    _ => panic!("expected ok = {ok}: {report:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn floaters_are_placed_by_the_end_even_where_their_object_is_silent() {
+        // A `pass()` answered inside the forgiven prefix floats, but the
+        // witness must still place it where the gate is open.  The stream
+        // then moves to a counter, so the gate has no event in the tail:
+        // its floater is placed in an empty tail link, which refutes it
+        // unless an `open()` came in between.
+        let mut u = ObjectUniverse::new();
+        let g = u.add_object(Turnstile);
+        let x = u.add_object(FetchIncrement::new());
+        let inc = FetchIncrement::fetch_inc();
+        let passed = HistoryBuilder::new().complete(
+            ProcessId(0),
+            g,
+            Invocation::nullary("pass"),
+            Value::Unit,
+        );
+        let opened =
+            passed
+                .clone()
+                .complete(ProcessId(1), g, Invocation::nullary("open"), Value::Unit);
+        for (history, ok) in [(passed, false), (opened, true)] {
+            let h = history
+                .complete(ProcessId(1), x, inc.clone(), Value::from(0i64))
+                .build();
+            assert_eq!(t_linearizability::is_t_linearizable(&h, &u, 2), ok);
+            let condition = MonitorCondition::TLinearizability { t: 2 };
+            for report in [
+                run_monitor(&u, &h, condition),
+                run_staged(&u, &h, condition, 1),
+            ] {
+                match (&report.verdict, ok) {
+                    (MonitorVerdict::Ok, true) => {}
+                    (MonitorVerdict::Violation(v), false) => assert_eq!(v.object, Some(g)),
                     _ => panic!("expected ok = {ok}: {report:?}"),
                 }
             }
@@ -3045,15 +3042,10 @@ mod tests {
         assert!(memo_hits > 0 && cut_short > 0 && refuted > 0);
     }
 
-    #[test]
-    fn one_operation_links_are_pinned() {
-        // A sequential stream over a register (values `0..3`) and a queue:
-        // each round is one register operation, then one queue operation,
-        // both by process `round % 3`.  Cut at every quiescent point, a link is
-        // a whole segment; cut every four events, it is one of the segment's
-        // two objects.  Either way every link holds one operation.  The
-        // expected values are what the monitor produced while every link
-        // still went through a kernel search.
+    /// A sequential stream over a register (values `0..3`) and a queue: each
+    /// round is one register operation, then one queue operation, both by
+    /// process `round % 3`.
+    fn one_operation_stream() -> (ObjectUniverse, History) {
         let mut u = ObjectUniverse::new();
         let r = u.add_object(Register::new(Value::from(0i64)));
         let q = u.add_object(evlin_spec::Queue::new());
@@ -3080,7 +3072,17 @@ mod tests {
                 b.complete(p, q, evlin_spec::Queue::dequeue(), head)
             };
         }
-        let h = b.build();
+        (u, b.build())
+    }
+
+    #[test]
+    fn one_operation_links_are_pinned() {
+        // Cut at every quiescent point, a link is a whole segment; cut every
+        // four events, it is one of the segment's two objects.  Either way
+        // every link holds one operation.  The expected values are what the
+        // monitor produced while every link still went through a kernel
+        // search.
+        let (u, h) = one_operation_stream();
         assert!(linearizability::is_linearizable(&h, &u));
         let condition = MonitorCondition::Linearizability;
         let staged = run_staged(&u, &h, condition, 0);
@@ -3099,5 +3101,95 @@ mod tests {
             assert!(report.verdict.is_ok(), "{report:?}");
             assert_eq!(golden(&report.stats), expected);
         }
+    }
+
+    /// Two concurrent writes on each of eight registers, all sixteen
+    /// invoked before any responds: one quiescent 32-event segment.
+    fn eight_registers_written_twice() -> (ObjectUniverse, History) {
+        let mut u = ObjectUniverse::new();
+        let registers: Vec<ObjectId> = (0..8)
+            .map(|_| u.add_object(Register::new(Value::from(0i64))))
+            .collect();
+        let mut b = HistoryBuilder::new();
+        for p in 0..16 {
+            let write = Register::write(Value::from(p as i64 % 2 + 1));
+            b = b.invoke(ProcessId(p), registers[p / 2], write);
+        }
+        for p in 0..16 {
+            b = b.respond(ProcessId(p), registers[p / 2], Value::Unit);
+        }
+        (u, b.build())
+    }
+
+    #[test]
+    fn a_wide_segment_is_decided_object_by_object() {
+        // Each register's chain decides its own two writes; a frontier over
+        // every register's states at once would range over their product
+        // and exhaust the node budget.
+        let (u, h) = eight_registers_written_twice();
+        let lin = run_monitor(&u, &h, MonitorCondition::Linearizability);
+        assert!(lin.verdict.is_ok(), "{lin:?}");
+        for t in [0, 1] {
+            let report = run_monitor(&u, &h, MonitorCondition::TLinearizability { t });
+            assert!(t_linearizability::is_t_linearizable(&h, &u, t));
+            assert!(report.verdict.is_ok(), "t = {t}: {report:?}");
+            assert!(report.stats.search.nodes < 100, "t = {t}: {report:?}");
+            if t == 0 {
+                assert_eq!(report, lin);
+            }
+        }
+    }
+
+    #[test]
+    fn t_zero_is_linearizability_on_the_golden_streams() {
+        // Definition 2 with nothing forgiven is linearizability, and the
+        // monitor runs it through the same chains: the same verdict and the
+        // same counters, node for node, on every stream pinned above (the
+        // garbled ones included, whose violation must match too).
+        let (wide, wide_events, wide_config) = wide_stream();
+        let (one_operation, sequential) = one_operation_stream();
+        let batches = |segment_batch| MonitorConfig {
+            segment_batch,
+            ..MonitorConfig::default()
+        };
+        let rounds = |mut seed, rounds, counter, garbled| {
+            let events = seeded_rounds(&mut seed, rounds, counter, garbled);
+            (register_and_counter(), events)
+        };
+        let streams = [
+            ((wide, wide_events), wide_config),
+            (
+                (one_operation.clone(), sequential.events().to_vec()),
+                batches(64),
+            ),
+            (
+                (one_operation, sequential.events().to_vec()),
+                MonitorConfig {
+                    min_segment_events: 4,
+                    ..MonitorConfig::default()
+                },
+            ),
+            (rounds(0x9e37_79b9_7f4a_7c15, 12, true, 0..12), batches(4)),
+            (rounds(0x2545_f491_4f6c_dd1d, 80, false, 0..0), batches(16)),
+            (rounds(0x1234_5678_9abc_def1, 20, true, 0..120), batches(64)),
+        ];
+        let mut violations = 0;
+        for ((universe, events), config) in streams {
+            let report = |condition| {
+                let mut m = Monitor::new(
+                    universe.clone(),
+                    MonitorConfig {
+                        condition,
+                        ..config
+                    },
+                );
+                m.ingest_all(events.iter().cloned()).expect("well-formed");
+                m.finish()
+            };
+            let lin = report(MonitorCondition::Linearizability);
+            assert_eq!(report(MonitorCondition::TLinearizability { t: 0 }), lin);
+            violations += usize::from(matches!(lin.verdict, MonitorVerdict::Violation(_)));
+        }
+        assert!(violations >= 2, "{violations}");
     }
 }

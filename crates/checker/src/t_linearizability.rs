@@ -130,6 +130,11 @@ impl ConsistencyCondition for TLinearizability {
             // (Herlihy & Wing's locality theorem).
             Locality::Exact
         } else {
+            // A fixed `t` is local too (see `locality::composed_stabilization`),
+            // but each object `o` then needs its own `t_o`, the events of
+            // `H|o` among the first `t` of `H`; `check_local` renumbers
+            // positions when it projects a history and would apply `t` to
+            // every projection as it stands.
             Locality::Global
         }
     }

@@ -4,7 +4,8 @@
 //! chopped.
 //!
 //! Each property draws a seeded random history over a register and a
-//! fetch&increment object (noisy responses, overlap, pending tails), then
+//! fetch&increment object (noisy responses, overlap, pending tails; the
+//! extended `t`-linearizability fuzz adds a second register), then
 //! feeds it to a [`Monitor`] in chunks whose boundaries are *not* aligned
 //! with quiescent cuts — chunk sizes, forced [`Monitor::pump`] calls,
 //! `min_segment_events` and `segment_batch` all vary with the seed — and
@@ -35,52 +36,64 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn universe() -> ObjectUniverse {
+/// `objects - 1` registers, then a fetch&increment object.
+fn universe(objects: usize) -> ObjectUniverse {
     let mut u = ObjectUniverse::new();
-    u.add_object(Register::new(Value::from(0i64)));
+    for _ in 1..objects {
+        u.add_object(Register::new(Value::from(0i64)));
+    }
     u.add_object(FetchIncrement::new());
     u
 }
 
-/// Random well-formed history: same shape as the kernel-vs-brute-force
-/// suite's generator (random interleaving, noisy responses, pendings).
-fn random_history(seed: u64, max_ops: usize) -> History {
+/// Random well-formed history over [`universe`]`(objects)`: same shape as
+/// the kernel-vs-brute-force suite's generator (random interleaving, noisy
+/// responses, pendings).
+fn random_history(seed: u64, max_ops: usize, objects: usize) -> History {
     let mut rng = StdRng::seed_from_u64(seed);
-    let r = evlin_history::ObjectId(0);
-    let x = evlin_history::ObjectId(1);
+    let x = ObjectId(objects - 1);
     let processes = rng.gen_range(2..4usize);
     let total_ops = rng.gen_range(2..=max_ops);
-    let mut plans: Vec<Vec<evlin_spec::Invocation>> = vec![Vec::new(); processes];
+    let mut plans: Vec<Vec<(ObjectId, evlin_spec::Invocation)>> = vec![Vec::new(); processes];
     for _ in 0..total_ops {
         let p = rng.gen_range(0..processes);
-        let inv = match rng.gen_range(0..3u32) {
-            0 => Register::write(Value::from(rng.gen_range(1..4i64))),
-            1 => Register::read(),
-            _ => FetchIncrement::fetch_inc(),
-        };
-        plans[p].push(inv);
+        let kind = rng.gen_range(0..3u32);
+        if kind == 2 {
+            plans[p].push((x, FetchIncrement::fetch_inc()));
+            continue;
+        }
+        // One register draws nothing: two objects give the histories these
+        // seeds always gave.
+        let r = ObjectId(if objects > 2 {
+            rng.gen_range(0..objects - 1)
+        } else {
+            0
+        });
+        plans[p].push(match kind {
+            0 => (r, Register::write(Value::from(rng.gen_range(1..4i64)))),
+            _ => (r, Register::read()),
+        });
     }
     let mut b = HistoryBuilder::new();
     let mut next_op: Vec<usize> = vec![0; processes];
-    let mut pending: Vec<Option<evlin_spec::Invocation>> = vec![None; processes];
-    let object_of = |inv: &evlin_spec::Invocation| if inv.method() == "fetch_inc" { x } else { r };
+    let mut pending: Vec<Option<(ObjectId, evlin_spec::Invocation)>> = vec![None; processes];
     for _ in 0..total_ops * 8 {
         let p = rng.gen_range(0..processes);
-        if let Some(inv) = pending[p].clone() {
+        if let Some((object, inv)) = pending[p].clone() {
             if rng.gen_bool(0.7) {
                 let response = if inv.method() == "write" {
                     Value::Unit
                 } else {
                     Value::from(rng.gen_range(0..4i64))
                 };
-                b = b.respond(ProcessId(p), object_of(&inv), response);
+                b = b.respond(ProcessId(p), object, response);
                 pending[p] = None;
             }
         } else if next_op[p] < plans[p].len() {
-            let inv = plans[p][next_op[p]].clone();
+            let (object, inv) = plans[p][next_op[p]].clone();
             next_op[p] += 1;
-            b = b.invoke(ProcessId(p), object_of(&inv), inv.clone());
-            pending[p] = Some(inv);
+            b = b.invoke(ProcessId(p), object, inv.clone());
+            pending[p] = Some((object, inv));
         }
     }
     b.build()
@@ -89,7 +102,12 @@ fn random_history(seed: u64, max_ops: usize) -> History {
 /// Feeds `history` to a fresh monitor in seed-dependent adversarial chunks
 /// (pumping at every chunk boundary, i.e. at non-quiescent points too) and
 /// returns the final verdict.
-fn monitor_verdict(history: &History, condition: MonitorCondition, seed: u64) -> MonitorVerdict {
+fn monitor_verdict(
+    universe: &ObjectUniverse,
+    history: &History,
+    condition: MonitorCondition,
+    seed: u64,
+) -> MonitorVerdict {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_cafe);
     let config = MonitorConfig {
         condition,
@@ -97,7 +115,7 @@ fn monitor_verdict(history: &History, condition: MonitorCondition, seed: u64) ->
         segment_batch: rng.gen_range(1..4usize),
         ..MonitorConfig::default()
     };
-    let mut monitor = Monitor::new(universe(), config);
+    let mut monitor = Monitor::new(universe.clone(), config);
     let mut fed = 0usize;
     while fed < history.len() {
         let chunk = rng.gen_range(1..=4usize).min(history.len() - fed);
@@ -122,7 +140,12 @@ fn monitor_verdict(history: &History, condition: MonitorCondition, seed: u64) ->
 /// ([`stages`]) with seed-dependent batch-pull timing — the two-thread
 /// runtime driver collapsed onto one thread, batch boundaries and all — and
 /// returns the final verdict.
-fn staged_verdict(history: &History, condition: MonitorCondition, seed: u64) -> MonitorVerdict {
+fn staged_verdict(
+    universe: &ObjectUniverse,
+    history: &History,
+    condition: MonitorCondition,
+    seed: u64,
+) -> MonitorVerdict {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x57a6_ed00);
     let config = MonitorConfig {
         condition,
@@ -130,7 +153,7 @@ fn staged_verdict(history: &History, condition: MonitorCondition, seed: u64) -> 
         segment_batch: rng.gen_range(1..4usize),
         ..MonitorConfig::default()
     };
-    let (mut ingest, mut check) = stages(universe(), config);
+    let (mut ingest, mut check) = stages(universe.clone(), config);
     for event in history.events().iter().cloned() {
         ingest
             .ingest(event)
@@ -158,16 +181,16 @@ fn staged_verdict(history: &History, condition: MonitorCondition, seed: u64) -> 
 
 /// The staged pipeline against the offline kernel, all four conditions.
 fn check_staged_all_conditions(seed: u64, max_ops: usize) {
-    let h = random_history(seed, max_ops);
-    let u = universe();
-    let lin = staged_verdict(&h, MonitorCondition::Linearizability, seed);
+    let h = random_history(seed, max_ops, 2);
+    let u = universe(2);
+    let lin = staged_verdict(&u, &h, MonitorCondition::Linearizability, seed);
     assert_eq!(
         lin.is_ok(),
         linearizability::is_linearizable(&h, &u),
         "staged linearizability mismatch (seed {seed})\n{h}"
     );
     for t in [0, 1, h.len() / 2, h.len()] {
-        let tlin = staged_verdict(&h, MonitorCondition::TLinearizability { t }, seed);
+        let tlin = staged_verdict(&u, &h, MonitorCondition::TLinearizability { t }, seed);
         assert_eq!(
             tlin.is_ok(),
             t_linearizability::is_t_linearizable(&h, &u, t),
@@ -175,7 +198,7 @@ fn check_staged_all_conditions(seed: u64, max_ops: usize) {
         );
     }
     let offline_weak = weak_consistency::violations(&h, &u);
-    match staged_verdict(&h, MonitorCondition::WeakConsistency, seed) {
+    match staged_verdict(&u, &h, MonitorCondition::WeakConsistency, seed) {
         MonitorVerdict::Ok => assert!(
             offline_weak.is_empty(),
             "staged monitor missed violations {offline_weak:?} (seed {seed})\n{h}"
@@ -187,7 +210,7 @@ fn check_staged_all_conditions(seed: u64, max_ops: usize) {
         ),
         MonitorVerdict::Unknown => unreachable!(),
     }
-    let stab = staged_verdict(&h, MonitorCondition::StabilizesEventually, seed);
+    let stab = staged_verdict(&u, &h, MonitorCondition::StabilizesEventually, seed);
     let offline_stab = kernel::check(
         &eventual::StabilizesEventually,
         &h,
@@ -203,9 +226,9 @@ fn check_staged_all_conditions(seed: u64, max_ops: usize) {
 }
 
 fn check_linearizability(seed: u64, max_ops: usize) {
-    let h = random_history(seed, max_ops);
-    let offline = linearizability::is_linearizable(&h, &universe());
-    let online = monitor_verdict(&h, MonitorCondition::Linearizability, seed);
+    let (h, u) = (random_history(seed, max_ops, 2), universe(2));
+    let offline = linearizability::is_linearizable(&h, &u);
+    let online = monitor_verdict(&u, &h, MonitorCondition::Linearizability, seed);
     assert_eq!(
         online.is_ok(),
         offline,
@@ -213,25 +236,23 @@ fn check_linearizability(seed: u64, max_ops: usize) {
     );
 }
 
-fn check_t_linearizability(seed: u64, max_ops: usize) {
-    let h = random_history(seed, max_ops);
-    let u = universe();
+fn check_t_linearizability(seed: u64, max_ops: usize, objects: usize) {
+    let (h, u) = (random_history(seed, max_ops, objects), universe(objects));
     for t in 0..=h.len() {
         let offline = t_linearizability::is_t_linearizable(&h, &u, t);
-        let online = monitor_verdict(&h, MonitorCondition::TLinearizability { t }, seed);
+        let online = monitor_verdict(&u, &h, MonitorCondition::TLinearizability { t }, seed);
         assert_eq!(
             online.is_ok(),
             offline,
-            "t-linearizability mismatch (seed {seed}, t {t})\n{h}"
+            "t-linearizability mismatch (seed {seed}, t {t}, {objects} objects)\n{h}"
         );
     }
 }
 
 fn check_weak_consistency(seed: u64, max_ops: usize) {
-    let h = random_history(seed, max_ops);
-    let u = universe();
+    let (h, u) = (random_history(seed, max_ops, 2), universe(2));
     let offline = weak_consistency::violations(&h, &u);
-    let online = monitor_verdict(&h, MonitorCondition::WeakConsistency, seed);
+    let online = monitor_verdict(&u, &h, MonitorCondition::WeakConsistency, seed);
     match online {
         MonitorVerdict::Ok => {
             assert!(
@@ -251,8 +272,7 @@ fn check_weak_consistency(seed: u64, max_ops: usize) {
 }
 
 fn check_stabilizes_eventually(seed: u64, max_ops: usize) {
-    let h = random_history(seed, max_ops);
-    let u = universe();
+    let (h, u) = (random_history(seed, max_ops, 2), universe(2));
     let offline = kernel::check(
         &eventual::StabilizesEventually,
         &h,
@@ -260,7 +280,7 @@ fn check_stabilizes_eventually(seed: u64, max_ops: usize) {
         SearchLimits::default(),
     )
     .is_yes();
-    let online = monitor_verdict(&h, MonitorCondition::StabilizesEventually, seed);
+    let online = monitor_verdict(&u, &h, MonitorCondition::StabilizesEventually, seed);
     assert_eq!(
         online.is_ok(),
         offline,
@@ -446,7 +466,7 @@ proptest! {
 
     #[test]
     fn monitor_matches_offline_t_linearizability(seed in 0u64..u64::MAX / 2) {
-        check_t_linearizability(seed, 6);
+        check_t_linearizability(seed, 6, 2);
     }
 
     #[test]
@@ -495,7 +515,17 @@ fn extended_monitor_vs_offline_linearizability() {
 #[ignore = "extended fuzz: run via the nightly CI job or with --ignored"]
 fn extended_monitor_vs_offline_t_linearizability() {
     for seed in 0..extended_cases() / 4 {
-        check_t_linearizability(seed.wrapping_mul(0x9e37_79b9), 6);
+        check_t_linearizability(seed.wrapping_mul(0x9e37_79b9), 6, 2);
+    }
+}
+
+#[test]
+#[ignore = "extended fuzz: run via the nightly CI job or with --ignored"]
+fn extended_monitor_vs_offline_t_linearizability_over_three_objects() {
+    // Two registers and a fetch&increment: each object's chain carries its
+    // own floaters, and the offline reference decides the whole history.
+    for seed in 0..extended_cases() / 4 {
+        check_t_linearizability(seed.wrapping_mul(0x9e37_79b9), 10, 3);
     }
 }
 
