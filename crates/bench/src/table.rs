@@ -24,8 +24,9 @@ impl Table {
         }
     }
 
-    /// Appends a data row.
-    pub fn push_row<I, S>(&mut self, row: I)
+    /// Appends a data row (the experiments fill their tables; callers
+    /// outside the crate render them).
+    pub(crate) fn push_row<I, S>(&mut self, row: I)
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,

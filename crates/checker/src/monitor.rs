@@ -207,10 +207,11 @@ use crate::util::{fold_words, hash_of, mix};
 use evlin_history::{
     Event, EventKind, History, ObjectId, ObjectUniverse, OpId, OperationMatcher, ProcessId,
 };
-use evlin_spec::{FetchIncrement, Invocation, ObjectType, Value};
+use evlin_spec::{FetchIncrement, Invocation, ObjectType, Value, VOCABULARY};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::LazyLock;
 
 // ---------------------------------------------------------------------------
 // Configuration and reporting types
@@ -425,19 +426,31 @@ const TAG_WORD_INVOKE: u64 = 0x6576_7431_0000_0011;
 /// Domain-separation word for response events in [`event_word`].
 const TAG_WORD_RESPOND: u64 = 0x6576_7432_0000_0012;
 
+/// The Fx content hashes of the nullary [`VOCABULARY`] invocations, by
+/// index: what [`event_word`] takes for the invocations almost every stream
+/// is made of, computed once instead of a byte at a time per event.
+static NULLARY_HASHES: LazyLock<[u64; VOCABULARY.len()]> =
+    LazyLock::new(|| VOCABULARY.map(|name| hash_of(&Invocation::nullary(name))));
+
 /// Packs one event into a single fingerprint word.
 ///
 /// The word is a pure function of `(kind, process, object, payload)`, so the
 /// fold of a stream's words identifies the stream (up to hash collisions).
 /// Integer responses — the overwhelming majority on the counter workloads —
-/// use the value directly as the payload; everything else goes through the
-/// checker's Fx content hash.  The runtime's frame transport uses this to
-/// double-check that the k-way merge reassembled exactly the recorded
-/// sequence (segment keys on the monitor side, frame fingerprints on the
-/// sender side share the same fold).
+/// use the value directly as the payload; a nullary [`VOCABULARY`]
+/// invocation takes its content hash from a table; everything else goes
+/// through the checker's Fx content hash.  The monitor's segment keys fold
+/// these words, and so do the service's wire batch fingerprints, which is
+/// what lets a corrupted payload byte show at the replica.
 pub fn event_word(event: &Event) -> u64 {
     let (tag, payload) = match &event.kind {
-        EventKind::Invoke(invocation) => (TAG_WORD_INVOKE, hash_of(invocation)),
+        EventKind::Invoke(invocation) => (
+            TAG_WORD_INVOKE,
+            match invocation.vocabulary_index() {
+                Some(index) if invocation.args().is_empty() => NULLARY_HASHES[index],
+                _ => hash_of(invocation),
+            },
+        ),
         EventKind::Respond(value) => (
             TAG_WORD_RESPOND,
             match value.as_int() {
@@ -2343,6 +2356,35 @@ mod tests {
         let e = &h.events()[0];
         assert_ne!(event_word(e), event_word(&h.events()[1]));
         assert_eq!(event_word(e), event_word(&e.clone()));
+    }
+
+    #[test]
+    fn event_word_table_path_equals_the_content_hash() {
+        // What every invocation's word is, by definition.
+        let by_content = |event: &Event, invocation: &Invocation| {
+            let slot = ((event.process.0 as u64) << 32) ^ (event.object.0 as u64);
+            mix(TAG_WORD_INVOKE ^ mix(slot ^ mix(hash_of(invocation))))
+        };
+        let mut invocations: Vec<Invocation> = VOCABULARY.iter().map(Invocation::nullary).collect();
+        for (index, invocation) in invocations.iter().enumerate() {
+            assert_eq!(invocation.vocabulary_index(), Some(index));
+            assert_eq!(NULLARY_HASHES[index], hash_of(invocation));
+        }
+        // Off the table: names outside the vocabulary, and vocabulary names
+        // with arguments.
+        invocations.extend(["knock", "fetch_inc_", "Read", ""].map(Invocation::nullary));
+        for name in VOCABULARY {
+            invocations.push(Invocation::unary(name, Value::from(7i64)));
+            invocations.push(Invocation::binary(name, Value::Unit, Value::sym(name)));
+        }
+        for (i, invocation) in invocations.into_iter().enumerate() {
+            let event = Event::invoke(ProcessId(i % 3), ObjectId(i), invocation.clone());
+            assert_eq!(
+                event_word(&event),
+                by_content(&event, &invocation),
+                "{invocation}"
+            );
+        }
     }
 
     #[test]

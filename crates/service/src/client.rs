@@ -1,13 +1,15 @@
 //! The producer side: recording clients that stream events over the wire.
 //!
-//! What both client types share lives here too: the one frame sealer under
+//! What both client types share lives here too: the one recording core (the
+//! runtime recorder behind the wire's limits), the one frame sealer under
 //! this client's sink and the recoverable client's session sink, and the one
 //! verdict-plane drain behind both closed-client types.
 //!
 //! A [`ServiceClient`] is the service-facing twin of the in-process
-//! [`evlin_runtime::RecorderShard`] — in fact it *is* a `RecorderShard`,
-//! instantiated over a sink that encodes frame batches with the
-//! [`crate::wire`] codec instead of pushing into an in-process ring.  The
+//! [`evlin_runtime::RecorderShard`] — in fact it records through a
+//! `RecorderShard`, instantiated over a sink that encodes frame batches with
+//! the [`crate::wire`] codec instead of pushing into an in-process ring, and
+//! fronted by a refusal of what the wire cannot carry.  The
 //! shared well-formedness filter and the shared global sequence counter are
 //! therefore byte-identical to the pipeline's, which is what lets the
 //! differential tests compare service verdicts against the offline kernel
@@ -23,8 +25,8 @@
 
 use crate::transport::{DuplexRx, DuplexTx, FrameRx, FrameTx};
 use crate::wire::{
-    chain_fingerprint, decode_frame, encode_frame, event_batch_fingerprint, VerdictSummary,
-    WireFrame, VERSION,
+    carries_invocation, carries_response, chain_fingerprint, decode_frame, encode_frame,
+    seal_events, VerdictSummary, WireFrame, VERSION,
 };
 use evlin_history::{Event, ObjectId, ProcessId};
 use evlin_runtime::{EventSink, RecorderShard};
@@ -41,11 +43,59 @@ pub struct ClientStats {
     pub events: u64,
     /// Frames shipped below capacity (explicit flushes and the stream tail).
     pub partial_frames: u64,
-    /// Events recorded but dropped by the well-formedness filter before
-    /// they reached the wire.
+    /// Events recorded but dropped before they reached the wire: by the
+    /// well-formedness filter, or refused because the wire cannot carry them
+    /// (`docs/PROTOCOL.md` § `EVENTS`).
     pub dropped_malformed: u64,
     /// Frames the transport refused because the replica side hung up.
     pub send_failures: u64,
+}
+
+/// The one recording core behind both clients: the runtime's recorder, which
+/// filters and sequence-stamps, behind the wire's limits.  An event the wire
+/// cannot carry unchanged is refused before it is stamped, and counted with
+/// the filter's drops.  A refused response leaves its operation pending, as
+/// a crash would.
+pub(crate) struct WireRecorder<S: EventSink> {
+    shard: RecorderShard<S>,
+    refused: u64,
+}
+
+impl<S: EventSink> WireRecorder<S> {
+    pub(crate) fn over(seq: Arc<AtomicU64>, sink: S) -> Self {
+        WireRecorder {
+            shard: RecorderShard::over(seq, sink),
+            refused: 0,
+        }
+    }
+
+    pub(crate) fn invoke(&mut self, process: ProcessId, object: ObjectId, invocation: Invocation) {
+        if carries_invocation(process, object, &invocation) {
+            self.shard.invoke(process, object, invocation);
+        } else {
+            self.refused += 1;
+        }
+    }
+
+    pub(crate) fn respond(&mut self, process: ProcessId, object: ObjectId, value: Value) {
+        if carries_response(process, object, &value) {
+            self.shard.respond(process, object, value);
+        } else {
+            self.refused += 1;
+        }
+    }
+
+    pub(crate) fn flush(&mut self) {
+        self.shard.flush();
+    }
+
+    /// Closes the recorder, flushing buffered events, and hands the sink back
+    /// with every event dropped before the wire: the filter's and the
+    /// refused.
+    pub(crate) fn into_sink(self) -> (S, u64) {
+        let (sink, malformed) = self.shard.into_sink();
+        (sink, malformed as u64 + self.refused)
+    }
 }
 
 /// The one frame sealer behind both clients: buffers sequence-stamped events
@@ -83,24 +133,19 @@ impl FrameSealer {
     }
 
     /// Seals the buffered batch into its frame's wire encoding, also
-    /// returning its event count; `None` when nothing is buffered.
+    /// returning its event count; `None` when nothing is buffered.  The
+    /// batch buffer is emptied in place, for the next batch.
     pub(crate) fn seal(&mut self) -> Option<(Vec<u8>, u64)> {
         if self.buf.is_empty() {
             return None;
         }
-        let events = std::mem::replace(&mut self.buf, Vec::with_capacity(self.capacity));
-        let count = events.len() as u64;
-        let fingerprint = event_batch_fingerprint(self.client, &events);
+        let (bytes, fingerprint) = seal_events(self.client, self.frame_seq, &self.buf);
+        let count = self.buf.len() as u64;
+        self.buf.clear();
         self.chain = chain_fingerprint(self.chain, fingerprint);
         self.events += count;
-        let frame = WireFrame::Events {
-            client: self.client,
-            frame_seq: self.frame_seq,
-            events,
-            fingerprint,
-        };
         self.frame_seq += 1;
-        Some((encode_frame(&frame), count))
+        Some((bytes, count))
     }
 
     /// The `SHUTDOWN` frame closing the stream sealed so far.
@@ -179,7 +224,7 @@ impl EventSink for WireSink {
 /// serves one or more recording *processes*, but — like a recorder shard —
 /// all events of a given process must go through the same client.
 pub struct ServiceClient {
-    shard: RecorderShard<WireSink>,
+    shard: WireRecorder<WireSink>,
     rx: DuplexRx,
 }
 
@@ -212,7 +257,7 @@ impl ServiceClient {
             sink.stats.send_failures += 1;
         }
         ServiceClient {
-            shard: RecorderShard::over(seq, sink),
+            shard: WireRecorder::over(seq, sink),
             rx,
         }
     }
@@ -238,7 +283,7 @@ impl ServiceClient {
     /// [`ClosedClient`].
     pub fn finish(self) -> ClosedClient {
         let (mut sink, dropped_malformed) = self.shard.into_sink();
-        sink.stats.dropped_malformed = dropped_malformed as u64;
+        sink.stats.dropped_malformed = dropped_malformed;
         if sink.tx.send(sink.sealer.shutdown()).is_err() {
             sink.stats.send_failures += 1;
         }
@@ -290,5 +335,59 @@ impl ClientReport {
     /// The final summaries (one per shard that reported), in shard order.
     pub fn final_summaries(&self) -> Vec<&VerdictSummary> {
         final_summaries(&self.summaries)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::replica::{MonitorService, ServiceConfig};
+    use evlin_checker::monitor::MonitorVerdict;
+    use evlin_history::ObjectUniverse;
+    use evlin_spec::FetchIncrement;
+
+    #[test]
+    fn refusals_add_to_the_recorders_drops_before_stamping() {
+        let seq = Arc::new(AtomicU64::new(0));
+        let mut recorder = WireRecorder::over(Arc::clone(&seq), Vec::new());
+        let (p, x) = (ProcessId(0), ObjectId(0));
+        recorder.invoke(p, x, FetchIncrement::fetch_inc());
+        // A response the wire cannot carry: refused, the operation stays
+        // pending.
+        recorder.respond(p, x, Value::sym("x".repeat(65_536)));
+        // A process id the wire cannot carry: refused, and so is its reply.
+        let far = ProcessId(u32::MAX as usize + 1);
+        recorder.invoke(far, x, FetchIncrement::fetch_inc());
+        recorder.respond(far, x, Value::from(0i64));
+        // The recorder's own drop: a second invocation while one is pending.
+        recorder.invoke(p, x, FetchIncrement::fetch_inc());
+        recorder.invoke(ProcessId(1), x, FetchIncrement::fetch_inc());
+        let (recorded, dropped) = recorder.into_sink();
+        assert_eq!(dropped, 3 + 1);
+        // Refused events took no sequence number: the stream stays dense.
+        let seqs: Vec<u64> = recorded.iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(seqs, [0, 1]);
+    }
+
+    #[test]
+    fn a_service_client_counts_refused_events_as_malformed() {
+        let mut universe = ObjectUniverse::new();
+        let x = universe.add_object(FetchIncrement::new());
+        let (mut clients, service) =
+            MonitorService::in_process(&universe, 1, ServiceConfig::default());
+        let mut client = clients.pop().expect("one client");
+        let (p, far) = (ProcessId(0), ProcessId(u32::MAX as usize + 1));
+        client.invoke(p, x, FetchIncrement::fetch_inc());
+        client.invoke(far, x, FetchIncrement::fetch_inc());
+        client.respond(p, x, Value::from(0i64));
+        client.respond(p, x, Value::from(1i64));
+        let closed = client.finish();
+        let report = service.finish();
+        let client = closed.collect_verdicts();
+        assert_eq!(client.stats.dropped_malformed, 2);
+        assert_eq!(client.stats.events, 2);
+        assert_eq!(report.events(), 2);
+        assert_eq!(report.connections[0].corrupt_frames, 0);
+        assert_eq!(report.verdict, MonitorVerdict::Ok);
     }
 }

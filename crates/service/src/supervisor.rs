@@ -45,7 +45,7 @@
 //! journal by at least one frame whatever the link's timing, because the
 //! replay starts at the cursor the replica just reported.
 
-use crate::client::{drain_verdicts, final_summaries, FrameSealer};
+use crate::client::{drain_verdicts, final_summaries, FrameSealer, WireRecorder};
 use crate::journal::{journal_file_name, Journal, JournalError};
 use crate::pool::{route_buffered, route_frame, Fanout, ReplicaPool};
 use crate::replica::{ServiceConfig, ShardReport};
@@ -61,7 +61,7 @@ use evlin_checker::monitor::{MonitorVerdict, ShardRouter};
 use evlin_history::{Event, ObjectId, ObjectUniverse, ProcessId};
 use evlin_runtime::channel::sharded::FrameSender;
 use evlin_runtime::fault::xorshift64;
-use evlin_runtime::{EventSink, RecorderShard};
+use evlin_runtime::EventSink;
 use evlin_spec::{Invocation, Value};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -865,7 +865,8 @@ pub struct RecoverableClientStats {
     pub frames: u64,
     /// Events inside those frames.
     pub events: u64,
-    /// Events dropped by the well-formedness filter before the wire.
+    /// Events dropped before the wire: by the well-formedness filter, or
+    /// refused because the wire cannot carry them.
     pub dropped_malformed: u64,
     /// Durability acks received.
     pub acks: u64,
@@ -1011,14 +1012,15 @@ impl EventSink for SessionSink {
 
 /// A producer client that survives connection loss and replica restarts.
 ///
-/// The recoverable twin of [`crate::ServiceClient`]: the same
-/// [`RecorderShard`] recording core, but over a session-windowed sink that
+/// The recoverable twin of [`crate::ServiceClient`]: the same recording
+/// core ([`evlin_runtime::RecorderShard`] behind the wire's limits), but over
+/// a session-windowed sink that
 /// journals durability with the replica.  Every recorded event is delivered
 /// to the monitor **exactly once** as long as the retry budget holds;
 /// if it dies, [`RecoverableClient::finish`] returns the typed
 /// [`RetriesExhausted`] instead of a report.
 pub struct RecoverableClient {
-    shard: RecorderShard<SessionSink>,
+    shard: WireRecorder<SessionSink>,
 }
 
 impl RecoverableClient {
@@ -1049,7 +1051,7 @@ impl RecoverableClient {
         match sink.session.dead {
             Some(e) => Err(e),
             None => Ok(RecoverableClient {
-                shard: RecorderShard::over(seq, sink),
+                shard: WireRecorder::over(seq, sink),
             }),
         }
     }
@@ -1075,7 +1077,7 @@ impl RecoverableClient {
     /// the retry budget died with frames still unacked.
     pub fn finish(self) -> Result<ClosedRecoverableClient, RetriesExhausted> {
         let (mut sink, dropped_malformed) = self.shard.into_sink();
-        sink.session.stats.dropped_malformed = dropped_malformed as u64;
+        sink.session.stats.dropped_malformed = dropped_malformed;
         // Close over a clean connection: a chaos-armed link could die
         // *after* the shutdown handshake, severing the verdict plane the
         // finals arrive on.  Connection chaos stresses the streaming path

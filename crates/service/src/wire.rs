@@ -4,9 +4,12 @@
 //! `u32` body length, a one-byte frame tag, then the tag's body.  Event
 //! frames are sequence-stamped per event and carry a
 //! [`evlin_checker::fold_words`] fingerprint over the interleaved
-//! `(seq, event_word)` words, mirroring the in-process frame transport's
-//! integrity check (`evlin_runtime::Frame`), so a replica detects payload
-//! corruption — not just truncation — before any event reaches a monitor.
+//! `(seq, event_word)` words, so a replica detects payload corruption — not
+//! just truncation — before any event reaches a monitor.  That is stronger
+//! than the in-process frame transport's check (`evlin_runtime::Frame`),
+//! which folds sequence numbers only: its frames never leave the process.
+//! The clients fold the fingerprint in the pass that encodes a frame, and
+//! the decoder in the pass that parses one.
 //!
 //! [`encode_frame`] and [`decode_frame`] are pure (`decode ∘ encode = id` is
 //! proptested) and read and write through the workspace's one byte codec,
@@ -32,11 +35,12 @@
 //! ```
 
 use evlin_checker::codec::{CodecError, Encode, Fault, Reader};
-use evlin_checker::fold_words;
 use evlin_checker::monitor::{event_word, MonitorVerdict, MonitorViolation};
+use evlin_checker::{fold_word_iter, fold_words};
 use evlin_history::{Event, ObjectId, ProcessId};
 use evlin_spec::{Invocation, Value, VOCABULARY};
 use std::fmt;
+use std::sync::LazyLock;
 
 /// Protocol magic, the ASCII bytes `EVLN` read as a little-endian `u32`.
 pub(crate) const MAGIC: u32 = u32::from_le_bytes(*b"EVLN");
@@ -59,6 +63,12 @@ pub(crate) const MAX_VALUE_DEPTH: usize = 64;
 /// Most distinct out-of-vocabulary method names a decoder's interner keeps
 /// (see [`decode_frame_with`]); later ones decode un-interned.
 const INTERNER_CAP: usize = 32;
+
+/// The nullary invocation of each [`VOCABULARY`] name, by index: the decoder
+/// matches a name's bytes against the vocabulary and clones the entry, so
+/// it resolves the name once.
+static NULLARY: LazyLock<[Invocation; VOCABULARY.len()]> =
+    LazyLock::new(|| VOCABULARY.map(Invocation::nullary));
 
 /// Frame tag bytes (the byte after the length prefix).
 pub(crate) mod tag {
@@ -248,7 +258,7 @@ pub enum WireError {
     FingerprintMismatch {
         /// Fingerprint carried by the frame.
         announced: u64,
-        /// Fingerprint recomputed from the decoded events.
+        /// Fingerprint folded while decoding the events.
         computed: u64,
     },
     /// A hello announcing a protocol version other than [`VERSION`], carrying
@@ -312,16 +322,20 @@ impl std::error::Error for WireError {}
 /// client id over the interleaved `(seq, event_word)` words of the batch.
 ///
 /// Covering the packed [`event_word`] alongside each sequence number means a
-/// corrupted payload byte (not just a missing event) flips the fingerprint,
-/// and seeding by client id keeps identical batches from different clients
-/// distinguishable — the same discipline as the in-process frame transport.
+/// corrupted payload byte (not just a missing or reordered event) flips the
+/// fingerprint — the in-process frame transport, whose frames never leave
+/// the process, folds sequence numbers only — and seeding by client id
+/// keeps identical batches from different clients distinguishable.  The
+/// clients and the decoder fold the same words in the pass that writes or
+/// reads the frame; this is the reference they are tested against.
 pub fn event_batch_fingerprint(client: u32, events: &[(u64, Event)]) -> u64 {
-    let mut words = Vec::with_capacity(events.len() * 2);
-    for (seq, event) in events {
-        words.push(*seq);
-        words.push(event_word(event));
-    }
-    fold_words(client as u64, &words)
+    fold_word_iter(client.into(), events.iter().flat_map(event_words))
+}
+
+/// The two words one `(seq, event)` pair adds to its batch fingerprint.
+#[inline]
+fn event_words((seq, event): &(u64, Event)) -> [u64; 2] {
+    [*seq, event_word(event)]
 }
 
 /// One link of a client's *chained* stream fingerprint: the previous chain
@@ -373,7 +387,11 @@ fn put_value(out: &mut Vec<u8>, value: &Value) {
     }
 }
 
-fn put_event(out: &mut Vec<u8>, event: &Event) {
+/// Writes one `(seq, event)` pair.  The clients refuse an event whose
+/// fields exceed the wire's limits ([`carries_invocation`],
+/// [`carries_response`]) before it is sequence-stamped.
+fn put_event(out: &mut Vec<u8>, seq: u64, event: &Event) {
+    seq.put(out);
     (event.process.0 as u32).put(out);
     (event.object.0 as u32).put(out);
     match &event.kind {
@@ -447,13 +465,9 @@ pub fn encode_frame(frame: &WireFrame) -> Vec<u8> {
             events,
             fingerprint,
         } => {
-            tag::EVENTS.put(out);
-            client.put(out);
-            frame_seq.put(out);
-            (events.len() as u32).put(out);
+            put_events_head(out, *client, *frame_seq, events.len());
             for (seq, event) in events {
-                seq.put(out);
-                put_event(out, event);
+                put_event(out, *seq, event);
             }
             fingerprint.put(out);
         }
@@ -504,9 +518,85 @@ pub fn encode_frame(frame: &WireFrame) -> Vec<u8> {
             retry_after_ms.put(out);
         }
     }
+    patch_length(out);
+    bytes
+}
+
+/// Writes an `EVENTS` frame's fields from its tag through its event count.
+fn put_events_head(out: &mut Vec<u8>, client: u32, frame_seq: u64, count: usize) {
+    tag::EVENTS.put(out);
+    client.put(out);
+    frame_seq.put(out);
+    (count as u32).put(out);
+}
+
+/// Fills in the length prefix of the frame `out` holds.
+fn patch_length(out: &mut [u8]) {
     let body_len = (out.len() - 4) as u32;
     out[..4].copy_from_slice(&body_len.to_le_bytes());
-    bytes
+}
+
+/// The bytes a sealed `EVENTS` frame is allocated with per event: a
+/// `fetch_inc()` invocation takes 29, an integer response 26.
+const SEALED_EVENT_BYTES: usize = 32;
+
+/// The clients' `EVENTS` encoder: the frame of `events` and its batch
+/// fingerprint, folded in the one pass that writes the bytes.
+///
+/// Byte for byte what [`encode_frame`] writes for the frame carrying
+/// [`event_batch_fingerprint`]`(client, events)`, which is that value.
+pub(crate) fn seal_events(client: u32, frame_seq: u64, events: &[(u64, Event)]) -> (Vec<u8>, u64) {
+    let mut bytes = Vec::with_capacity(4 + 17 + events.len() * SEALED_EVENT_BYTES + 8);
+    let out = &mut bytes;
+    0u32.put(out); // length prefix, patched below
+    put_events_head(out, client, frame_seq, events.len());
+    let fingerprint = fold_word_iter(
+        client.into(),
+        events.iter().flat_map(|pair| {
+            put_event(out, pair.0, &pair.1);
+            event_words(pair)
+        }),
+    );
+    fingerprint.put(out);
+    patch_length(out);
+    (bytes, fingerprint)
+}
+
+/// Whether the wire can carry `value` at nesting `depth` unchanged: a `Sym`
+/// of at most 65 535 bytes, a `List` of at most `u32::MAX` items, and no
+/// `Pair` or `List` deeper than the decoder accepts.
+fn value_fits(value: &Value, depth: usize) -> bool {
+    match value {
+        Value::Sym(s) => s.len() <= u16::MAX as usize,
+        Value::Pair(..) | Value::List(_) if depth == MAX_VALUE_DEPTH => false,
+        Value::Pair(a, b) => value_fits(a, depth + 1) && value_fits(b, depth + 1),
+        Value::List(items) => {
+            u32::try_from(items.len()).is_ok() && items.iter().all(|v| value_fits(v, depth + 1))
+        }
+        Value::Unit | Value::Bottom | Value::Bool(_) | Value::Int(_) => true,
+    }
+}
+
+/// Whether the wire's `u32` id fields carry `process` and `object`.
+fn ids_fit(process: ProcessId, object: ObjectId) -> bool {
+    u32::try_from(process.0).is_ok() && u32::try_from(object.0).is_ok()
+}
+
+/// Whether the wire carries an invocation event unchanged: ids that fit
+/// `u32`, a method name of at most 65 535 bytes, at most 255 arguments, and
+/// arguments that fit.  The encoder would clip any of these, so a client
+/// refuses such an event instead of shipping a frame its own decoder
+/// rejects (or, for an id, reads as another process's).
+pub(crate) fn carries_invocation(process: ProcessId, object: ObjectId, inv: &Invocation) -> bool {
+    ids_fit(process, object)
+        && inv.method().len() <= u16::MAX as usize
+        && inv.args().len() <= u8::MAX as usize
+        && inv.args().iter().all(|arg| value_fits(arg, 0))
+}
+
+/// [`carries_invocation`] for a response event.
+pub(crate) fn carries_response(process: ProcessId, object: ObjectId, value: &Value) -> bool {
+    ids_fit(process, object) && value_fits(value, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -552,23 +642,31 @@ fn get_value(r: &mut Reader<'_>, depth: usize) -> Result<Value, WireError> {
     }
 }
 
+/// A method name's bytes, validated.
+fn utf8(bytes: &[u8]) -> Result<&str, WireError> {
+    std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
+}
+
 fn get_event(r: &mut Reader<'_>, interner: &mut Vec<Invocation>) -> Result<Event, WireError> {
     let process = ProcessId(r.get::<u32>()? as usize);
     let object = ObjectId(r.get::<u32>()? as usize);
     match r.get::<u8>()? {
         0 => {
-            let method = r.get::<&str>()?;
+            let len = r.get::<u16>()?;
+            let name = r.take(len.into())?;
             let argc = r.get::<u8>()?;
             if argc == 0 {
                 // Zero-argument invocations dominate real streams
-                // (`fetch_inc`, `read`).  A vocabulary name costs nothing to
-                // build; any other one is interned, so decode is a refcount
-                // bump instead of an allocation — for the first
-                // `INTERNER_CAP` distinct names a peer sends, so that it
-                // cannot grow the table (or the scan) at will.
-                if VOCABULARY.contains(&method) {
-                    return Ok(Event::invoke(process, object, Invocation::nullary(method)));
+                // (`fetch_inc`, `read`).  A vocabulary name is matched on its
+                // bytes (they are UTF-8 if they match) and its invocation
+                // copied from the table; any other one is interned, so
+                // decode is a refcount bump instead of an allocation — for
+                // the first `INTERNER_CAP` distinct names a peer sends, so
+                // that it cannot grow the table (or the scan) at will.
+                if let Some(index) = VOCABULARY.iter().position(|k| k.as_bytes() == name) {
+                    return Ok(Event::invoke(process, object, NULLARY[index].clone()));
                 }
+                let method = utf8(name)?;
                 if let Some(known) = interner.iter().find(|i| i.method() == method) {
                     return Ok(Event::invoke(process, object, known.clone()));
                 }
@@ -578,6 +676,7 @@ fn get_event(r: &mut Reader<'_>, interner: &mut Vec<Invocation>) -> Result<Event
                 }
                 return Ok(Event::invoke(process, object, inv));
             }
+            let method = utf8(name)?;
             let mut args = Vec::with_capacity(r.capacity(argc.into(), 1));
             for _ in 0..argc {
                 args.push(get_value(r, 0)?);
@@ -591,6 +690,12 @@ fn get_event(r: &mut Reader<'_>, interner: &mut Vec<Invocation>) -> Result<Event
         1 => Ok(Event::respond(process, object, get_value(r, 0)?)),
         k => Err(WireError::BadKind(k)),
     }
+}
+
+/// One `(seq, event)` pair of an `EVENTS` frame.
+fn get_pair(r: &mut Reader<'_>, interner: &mut Vec<Invocation>) -> Result<(u64, Event), WireError> {
+    let seq = r.get()?;
+    Ok((seq, get_event(r, interner)?))
 }
 
 fn get_cursor(r: &mut Reader<'_>) -> Result<ResumeCursor, WireError> {
@@ -683,16 +788,34 @@ pub fn decode_frame_with(
             }
         }
         tag::EVENTS => {
-            let client = r.get()?;
+            let client: u32 = r.get()?;
             let frame_seq = r.get()?;
             let count = r.get::<u32>()?;
             let mut events = Vec::with_capacity(r.capacity(count.into(), MIN_EVENT_BYTES));
-            for _ in 0..count {
-                let seq = r.get()?;
-                events.push((seq, get_event(&mut r, interner)?));
+            // The batch fingerprint is folded in the pass that parses: each
+            // event's words as it is read.  A read that fails ends the fold,
+            // and the error is returned instead of its value.
+            let mut fault = None;
+            let computed = fold_word_iter(
+                client.into(),
+                (0..count)
+                    .map_while(|_| match get_pair(&mut r, interner) {
+                        Ok(pair) => {
+                            let words = event_words(&pair);
+                            events.push(pair);
+                            Some(words)
+                        }
+                        Err(e) => {
+                            fault = Some(e);
+                            None
+                        }
+                    })
+                    .flatten(),
+            );
+            if let Some(e) = fault {
+                return Err(e);
             }
             let fingerprint = r.get()?;
-            let computed = event_batch_fingerprint(client, &events);
             if computed != fingerprint {
                 return Err(WireError::FingerprintMismatch {
                     announced: fingerprint,
@@ -759,7 +882,10 @@ pub fn decode_frame_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::FrameSealer;
     use evlin_spec::FetchIncrement;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_events() -> Vec<(u64, Event)> {
         vec![
@@ -772,6 +898,182 @@ mod tests {
                 Event::respond(ProcessId(1), ObjectId(0), Value::from(4i64)),
             ),
         ]
+    }
+
+    /// A value of any tag, nesting at most `depth` more levels.
+    fn random_value(rng: &mut StdRng, depth: usize) -> Value {
+        match rng.gen_range(0..if depth == 0 { 5 } else { 7u8 }) {
+            0 => Value::Unit,
+            1 => Value::Bottom,
+            2 => Value::Bool(rng.gen_bool(0.5)),
+            3 => Value::Int(rng.gen_range(-1_000..1_000i64)),
+            4 => Value::sym(format!("s{}", rng.gen_range(0..100u32))),
+            5 => Value::Pair(
+                Box::new(random_value(rng, depth - 1)),
+                Box::new(random_value(rng, depth - 1)),
+            ),
+            _ => Value::List(
+                (0..rng.gen_range(0..4))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// An event of any shape: vocabulary and other names, nullary or not,
+    /// responses of any value.
+    fn random_event(rng: &mut StdRng, names: &[String]) -> Event {
+        let process = ProcessId(rng.gen_range(0..5));
+        let object = ObjectId(rng.gen_range(0..1_000));
+        if rng.gen_bool(0.5) {
+            return Event::respond(process, object, random_value(rng, 3));
+        }
+        let method = if rng.gen_bool(0.5) {
+            VOCABULARY[rng.gen_range(0..VOCABULARY.len())]
+        } else {
+            &names[rng.gen_range(0..names.len())]
+        };
+        let args = (0..rng.gen_range(0..3))
+            .map(|_| random_value(rng, 3))
+            .collect();
+        Event::invoke(process, object, Invocation::new(method, args))
+    }
+
+    #[test]
+    fn sealed_frames_are_encode_frame_under_the_batch_fingerprint() {
+        let mut rng = StdRng::seed_from_u64(0x5ea1);
+        // More distinct out-of-vocabulary names than a decoder interns.
+        let names: Vec<String> = (0..2 * INTERNER_CAP).map(|i| format!("op{i}")).collect();
+        let mut interner = Vec::new();
+        for client in [0, 1, u32::MAX] {
+            let mut sealer = FrameSealer::new(client, 16);
+            let (mut chain, mut sent) = (client as u64, 0);
+            assert_eq!(sealer.seal(), None);
+            for frame_seq in 0..60 {
+                let n = rng.gen_range(1..=16);
+                let events: Vec<(u64, Event)> = (0..n)
+                    .map(|_| (rng.gen(), random_event(&mut rng, &names)))
+                    .collect();
+                for (seq, event) in events.iter().cloned() {
+                    sealer.push(seq, event);
+                }
+                let (bytes, count) = sealer.seal().expect("a batch is buffered");
+                let fingerprint = event_batch_fingerprint(client, &events);
+                let frame = WireFrame::Events {
+                    client,
+                    frame_seq,
+                    events,
+                    fingerprint,
+                };
+                assert_eq!(bytes, encode_frame(&frame), "frame {frame_seq}");
+                assert_eq!(count, n);
+                assert_eq!(decode_frame_with(&bytes, &mut interner), Ok(frame));
+                chain = chain_fingerprint(chain, fingerprint);
+                sent += n;
+            }
+            let shutdown = WireFrame::Shutdown {
+                client,
+                events_sent: sent,
+                stream_fingerprint: chain,
+            };
+            assert_eq!(sealer.shutdown(), encode_frame(&shutdown));
+        }
+        assert_eq!(interner.len(), INTERNER_CAP);
+    }
+
+    /// One event at each side of every limit of [`carries_invocation`] and
+    /// [`carries_response`]: what they pass, the codec carries unchanged.
+    #[test]
+    fn wire_limits_hold_at_the_boundary_and_refuse_one_past() {
+        let long = |n: usize| "x".repeat(n);
+        let nest = |levels: usize| {
+            (0..levels).fold(Value::Unit, |inner, _| {
+                Value::Pair(Box::new(inner), Box::new(Value::Unit))
+            })
+        };
+        let (p, o) = (ProcessId(0), ObjectId(0));
+        let max_id = u32::MAX as usize;
+        let invocations = [
+            (p, o, Invocation::new("op", vec![Value::Unit; 255]), true),
+            (p, o, Invocation::new("op", vec![Value::Unit; 256]), false),
+            (p, o, Invocation::nullary(long(65_535)), true),
+            (p, o, Invocation::nullary(long(65_536)), false),
+            (p, o, Invocation::new(long(65_535), vec![Value::Unit]), true),
+            (
+                p,
+                o,
+                Invocation::new(long(65_536), vec![Value::Unit]),
+                false,
+            ),
+            (
+                p,
+                o,
+                Invocation::unary("op", Value::sym(long(65_535))),
+                true,
+            ),
+            (
+                p,
+                o,
+                Invocation::unary("op", Value::sym(long(65_536))),
+                false,
+            ),
+            (p, o, Invocation::unary("op", nest(MAX_VALUE_DEPTH)), true),
+            (
+                p,
+                o,
+                Invocation::unary("op", nest(MAX_VALUE_DEPTH + 1)),
+                false,
+            ),
+            (ProcessId(max_id), o, FetchIncrement::fetch_inc(), true),
+            (ProcessId(max_id + 1), o, FetchIncrement::fetch_inc(), false),
+            (p, ObjectId(max_id), FetchIncrement::fetch_inc(), true),
+            (p, ObjectId(max_id + 1), FetchIncrement::fetch_inc(), false),
+        ];
+        let nested_list = Value::List(vec![nest(MAX_VALUE_DEPTH - 1)]);
+        let responses = [
+            (p, o, Value::sym(long(65_535)), true),
+            (p, o, Value::sym(long(65_536)), false),
+            (p, o, Value::List(vec![Value::sym(long(65_536))]), false),
+            (p, o, nested_list.clone(), true),
+            (
+                p,
+                o,
+                Value::Pair(Box::new(nested_list), Box::new(Value::Unit)),
+                false,
+            ),
+            (ProcessId(max_id), o, Value::Unit, true),
+            (ProcessId(max_id + 1), o, Value::Unit, false),
+            (p, ObjectId(max_id), Value::Unit, true),
+            (p, ObjectId(max_id + 1), Value::Unit, false),
+        ];
+        let mut carried = Vec::new();
+        for (process, object, invocation, fits) in invocations {
+            assert_eq!(
+                carries_invocation(process, object, &invocation),
+                fits,
+                "{invocation}"
+            );
+            if fits {
+                carried.push(Event::invoke(process, object, invocation));
+            }
+        }
+        for (process, object, value, fits) in responses {
+            assert_eq!(carries_response(process, object, &value), fits, "{value:?}");
+            if fits {
+                carried.push(Event::respond(process, object, value));
+            }
+        }
+        for (seq, event) in carried.into_iter().enumerate() {
+            let events = vec![(seq as u64, event)];
+            let (bytes, fingerprint) = seal_events(7, 0, &events);
+            let frame = WireFrame::Events {
+                client: 7,
+                frame_seq: 0,
+                events,
+                fingerprint,
+            };
+            assert_eq!(decode_frame(&bytes), Ok(frame));
+        }
     }
 
     #[test]
@@ -838,23 +1140,58 @@ mod tests {
 
     #[test]
     fn fingerprint_rejects_payload_corruption() {
-        let events = sample_events();
+        // Every field kind an event has, and no `Bool` (any nonzero byte
+        // reads as `true`, so flipping one need not change the event).
+        let mut events = sample_events();
+        events.extend([
+            (
+                8,
+                Event::invoke(ProcessId(2), ObjectId(9), Invocation::nullary("knock")),
+            ),
+            (
+                9,
+                Event::invoke(
+                    ProcessId(3),
+                    ObjectId(1),
+                    Invocation::binary("cas", Value::Int(-1), Value::sym("a")),
+                ),
+            ),
+            (
+                13,
+                Event::respond(
+                    ProcessId(3),
+                    ObjectId(1),
+                    Value::List(vec![Value::Unit, Value::Bottom]),
+                ),
+            ),
+            (
+                21,
+                Event::respond(
+                    ProcessId(2),
+                    ObjectId(9),
+                    Value::Pair(Box::new(Value::sym("ok")), Box::new(Value::Int(1))),
+                ),
+            ),
+        ]);
         let frame = WireFrame::Events {
             client: 1,
             frame_seq: 0,
             fingerprint: event_batch_fingerprint(1, &events),
             events,
         };
-        let mut bytes = encode_frame(&frame);
-        // Flip a bit in the response value's i64 payload (the last event's
-        // tail, well before the trailing fingerprint).
-        let at = bytes.len() - 12;
-        bytes[at] ^= 0x40;
-        match decode_frame(&bytes) {
-            Err(WireError::FingerprintMismatch { .. })
-            | Err(WireError::BadKind(_))
-            | Err(WireError::BadValueTag(_)) => {}
-            other => panic!("corruption must be rejected, got {other:?}"),
+        let bytes = encode_frame(&frame);
+        // The payload: after the length prefix, tag, client, frame sequence
+        // and event count, before the trailing fingerprint.
+        let payload = 4 + 1 + 4 + 8 + 4..bytes.len() - 8;
+        for at in payload {
+            for bit in 0..8 {
+                let mut corrupt = bytes.clone();
+                corrupt[at] ^= 1 << bit;
+                assert!(
+                    decode_frame(&corrupt).is_err(),
+                    "a flip of bit {bit} at byte {at} was accepted"
+                );
+            }
         }
     }
 

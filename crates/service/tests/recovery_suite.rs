@@ -176,6 +176,35 @@ fn assert_exact(report: &RecoveryReport, history: &History, seed: u64) {
     }
 }
 
+/// An event the wire cannot carry is refused before it is sequence-stamped
+/// and counted with the recorder's own drops; the rest arrives exactly once.
+#[test]
+fn events_the_wire_cannot_carry_are_refused_not_truncated() {
+    let dir = temp_dir("refused");
+    let u = universe();
+    let (addr, service) = RecoverableService::bind(&u, test_config(dir.clone(), 1, 1)).unwrap();
+    let seq = Arc::new(AtomicU64::new(0));
+    let config = ClientRecoveryConfig::standard(37);
+    let mut client = RecoverableClient::connect_tcp(addr, 0, 1, seq, config).unwrap();
+    let (p, x) = (ProcessId(0), evlin_history::ObjectId(1));
+    client.invoke(p, x, FetchIncrement::fetch_inc());
+    // At the parent's encoder this process id became process 0 on the wire.
+    let far = ProcessId(u32::MAX as usize + 1);
+    client.invoke(far, x, FetchIncrement::fetch_inc());
+    client.respond(far, x, Value::from(0i64));
+    client.respond(p, x, Value::from(0i64));
+    // The recorder's own drop: a response with nothing pending.
+    client.respond(p, x, Value::from(1i64));
+    let closed = client.finish().unwrap();
+    let report = service.finish();
+    let client = closed.collect_verdicts();
+    assert_eq!(client.stats.dropped_malformed, 3);
+    assert_eq!(client.stats.events, 2);
+    assert_eq!(report.events(), 2);
+    assert!(report.verdict.is_ok(), "{:?}", report.verdict);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn clean_run_is_exactly_once_with_durable_acks() {
     for seed in [3u64, 17, 40] {

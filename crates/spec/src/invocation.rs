@@ -29,10 +29,10 @@ pub(crate) mod name {
 /// [`crate::CompareAndSwap`], [`crate::Counter`], [`crate::Queue`] and
 /// [`crate::MaxRegister`].
 ///
-/// An [`Invocation`] of one of these names carries the name as a
-/// `&'static str`, whichever constructor and whichever spelling (`&str`,
-/// `String`, bytes off a wire) it was built from; any other name is carried
-/// as an `Arc<str>`.  The difference is cost only — equality, ordering and
+/// An [`Invocation`] of one of these names carries the name as its index
+/// here ([`Invocation::vocabulary_index`]), whichever constructor and
+/// whichever spelling (`&str`, `String`, bytes off a wire) it was built from;
+/// any other name is carried as an `Arc<str>`.  The difference is cost only — equality, ordering and
 /// hashing are by content.
 pub static VOCABULARY: [&str; 12] = [
     name::FETCH_INC,
@@ -49,18 +49,18 @@ pub static VOCABULARY: [&str; 12] = [
     name::TEST_AND_SET,
 ];
 
-/// A method name: the static spelling of a [`VOCABULARY`] entry, or a shared
-/// copy of any other name.
+/// A method name: the index of a [`VOCABULARY`] entry, or a shared copy of
+/// any other name.
 #[derive(Clone)]
 enum Method {
-    Vocabulary(&'static str),
+    Vocabulary(u8),
     Other(Arc<str>),
 }
 
 impl Method {
     fn resolve(name: &str) -> Self {
-        match VOCABULARY.iter().find(|known| **known == name) {
-            Some(known) => Method::Vocabulary(known),
+        match VOCABULARY.iter().position(|known| *known == name) {
+            Some(index) => Method::Vocabulary(index as u8),
             None => Method::Other(Arc::from(name)),
         }
     }
@@ -136,8 +136,18 @@ impl Invocation {
     /// The method name, without arguments.
     pub fn method(&self) -> &str {
         match &self.method {
-            Method::Vocabulary(name) => name,
+            Method::Vocabulary(index) => VOCABULARY[usize::from(*index)],
             Method::Other(name) => name,
+        }
+    }
+
+    /// The method's position in [`VOCABULARY`], or `None` for any other
+    /// name: read off the representation, since the name was resolved once
+    /// when the invocation was built.
+    pub fn vocabulary_index(&self) -> Option<usize> {
+        match self.method {
+            Method::Vocabulary(index) => Some(usize::from(index)),
+            Method::Other(_) => None,
         }
     }
 
@@ -266,13 +276,19 @@ mod tests {
                 Invocation::unary(String::from(known), Value::Unit),
             ] {
                 match built.method {
-                    Method::Vocabulary(name) => assert_eq!(name, known),
+                    Method::Vocabulary(index) => {
+                        assert_eq!(VOCABULARY[usize::from(index)], known)
+                    }
                     Method::Other(_) => panic!("{known} was not resolved"),
                 }
             }
         }
+        for (index, known) in VOCABULARY.iter().enumerate() {
+            assert_eq!(Invocation::nullary(known).vocabulary_index(), Some(index));
+        }
         let other = Invocation::nullary("knock");
         assert!(matches!(other.method, Method::Other(_)));
+        assert_eq!(other.vocabulary_index(), None);
         assert_eq!(other.method(), "knock");
         assert!(Invocation::new("read", Vec::new()).args.is_none());
     }
