@@ -20,6 +20,16 @@
 //!    which `op` returns `r_shared`, return `r_shared`; otherwise return
 //!    `r_private`.
 //!
+//! Step 5 (line 13 of the figure) is Definition 1's question about one
+//! response, so it is asked as [`weak_consistency::justify`], the counted
+//! statement the streaming monitor uses too: the scan's announcements are the
+//! invoked operations, `p_i`'s earlier announcements the required
+//! predecessors.  A search the node budget cuts off answers `r_private`,
+//! which `p_i`'s own operations always justify.  Step 2 (line 4) still
+//! `expect`s an answer from [`ObjectType::apply_deterministic`], so the
+//! wrapped type must be deterministic, whatever finite non-determinism
+//! Proposition 11 allows.
+//!
 //! The unbounded per-process register array `R_i[0, 1, 2, …]` is modelled by
 //! one append-only single-writer announce log per process
 //! ([`evlin_sim::base::AnnounceLog`]), which preserves the structure of the
@@ -27,12 +37,15 @@
 //! answering); see DESIGN.md for the substitution note.
 
 use crate::encode::{decode_invocation, encode_invocation};
-use evlin_history::ProcessId;
+use evlin_checker::weak_consistency::{self, Tally};
+use evlin_history::{ObjectId, ObjectUniverse, ProcessId};
 use evlin_sim::base::{AnnounceLog, BaseObject};
 use evlin_sim::program::{Implementation, ProcessLogic, TaskStep};
 use evlin_spec::{Invocation, ObjectType, Value};
-use std::collections::HashSet;
 use std::sync::Arc;
+
+/// The implemented object, the only one of the wrapper's universe.
+const OBJECT: ObjectId = ObjectId(0);
 
 /// The Figure 1 wrapper around an inner implementation.
 ///
@@ -42,7 +55,9 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct Fig1Wrapper<I> {
     inner: I,
-    ty: Arc<dyn ObjectType>,
+    /// The implemented type at its first initial state, as line 13's search
+    /// reads it.
+    universe: Arc<ObjectUniverse>,
     processes: usize,
 }
 
@@ -50,9 +65,16 @@ impl<I: Implementation> Fig1Wrapper<I> {
     /// Wraps `inner`, an implementation of the object type `ty`, for
     /// `processes` processes.
     pub fn new(inner: I, ty: Arc<dyn ObjectType>, processes: usize) -> Self {
+        let initial = ty
+            .initial_states()
+            .into_iter()
+            .next()
+            .expect("object types must have at least one initial state");
+        let mut universe = ObjectUniverse::new();
+        universe.add_shared(ty, initial);
         Fig1Wrapper {
             inner,
-            ty,
+            universe: Arc::new(universe),
             processes,
         }
     }
@@ -81,25 +103,19 @@ impl<I: Implementation> Implementation for Fig1Wrapper<I> {
     }
 
     fn new_process(&self, process: ProcessId) -> Box<dyn ProcessLogic> {
-        let private_state = self
-            .ty
-            .initial_states()
-            .into_iter()
-            .next()
-            .expect("object types must have at least one initial state");
         Box::new(Fig1Logic {
             me: process,
             n: self.processes,
             inner_objects: self.inner.initial_base_objects().len(),
             inner: self.inner.new_process(process),
-            ty: self.ty.clone(),
-            private_state,
-            own_announced: Vec::new(),
+            private_state: self.universe.initial_state(OBJECT).clone(),
+            universe: self.universe.clone(),
+            preds: Tally::new(),
             phase: Phase::Idle,
             current: None,
             r_private: Value::Unit,
             r_shared: Value::Unit,
-            announced: Vec::new(),
+            announced: Tally::new(),
         })
     }
 
@@ -126,42 +142,23 @@ enum Phase {
 }
 
 /// Programme state for the Figure 1 wrapper.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Fig1Logic {
     me: ProcessId,
     n: usize,
     inner_objects: usize,
     inner: Box<dyn ProcessLogic>,
-    ty: Arc<dyn ObjectType>,
+    universe: Arc<ObjectUniverse>,
     /// `q_i`: the state reached by this process's own operations alone.
     private_state: Value,
-    /// All operations this process has announced (its own prior operations).
-    own_announced: Vec<Invocation>,
+    /// This process's earlier operations: line 13's required predecessors.
+    preds: Tally,
     phase: Phase,
     current: Option<Invocation>,
     r_private: Value,
     r_shared: Value,
     /// Announced operations of all processes gathered during the scan.
-    announced: Vec<Invocation>,
-}
-
-impl Clone for Fig1Logic {
-    fn clone(&self) -> Self {
-        Fig1Logic {
-            me: self.me,
-            n: self.n,
-            inner_objects: self.inner_objects,
-            inner: self.inner.clone(),
-            ty: self.ty.clone(),
-            private_state: self.private_state.clone(),
-            own_announced: self.own_announced.clone(),
-            phase: self.phase.clone(),
-            current: self.current.clone(),
-            r_private: self.r_private.clone(),
-            r_shared: self.r_shared.clone(),
-            announced: self.announced.clone(),
-        }
-    }
+    announced: Tally,
 }
 
 impl ProcessLogic for Fig1Logic {
@@ -186,12 +183,12 @@ impl ProcessLogic for Fig1Logic {
                 // Line 4: compute ⟨q_i, r_private⟩ from the private state.
                 let op = self.current.clone().expect("begin was called");
                 let (r_private, next_private) = self
-                    .ty
+                    .universe
+                    .object_type(OBJECT)
                     .apply_deterministic(&self.private_state, &op)
                     .expect("the implemented type must be total and deterministic");
                 self.r_private = r_private;
                 self.private_state = next_private;
-                self.own_announced.push(op.clone());
                 // Line 5: run op in the inner implementation.
                 self.inner.begin(op);
                 self.phase = Phase::Inner;
@@ -202,7 +199,7 @@ impl ProcessLogic for Fig1Logic {
                 let announced = previous_response.expect("read_all response");
                 for entry in announced.as_list().unwrap_or(&[]) {
                     if let Some(inv) = decode_invocation(entry) {
-                        self.announced.push(inv);
+                        *self.announced.entry(inv).or_insert(0) += 1;
                     }
                 }
                 self.continue_scan(k + 1)
@@ -230,136 +227,30 @@ impl Fig1Logic {
     fn continue_scan(&mut self, next: usize) -> TaskStep {
         if next < self.n {
             self.phase = Phase::Scan(next);
-            TaskStep::Access {
+            return TaskStep::Access {
                 object: self.inner_objects + next,
                 invocation: AnnounceLog::read_all(),
-            }
+            };
+        }
+        // Line 13: Definition 1's question about r_shared, over the scanned
+        // announcements with this process's earlier operations required.  A
+        // search cut off by the node budget is no justification.
+        self.phase = Phase::Idle;
+        let op = self.current.take().expect("begin was called");
+        let (verdict, _) = weak_consistency::justify(
+            &self.universe,
+            OBJECT,
+            &self.announced,
+            &self.preds,
+            &op,
+            &self.r_shared,
+        );
+        *self.preds.entry(op).or_insert(0) += 1;
+        if verdict.is_yes() {
+            TaskStep::Complete(self.r_shared.clone())
         } else {
-            // Line 13: the verification test.
-            self.phase = Phase::Idle;
-            let op = self.current.take().expect("begin was called");
-            if self.shared_response_is_justified(&op) {
-                TaskStep::Complete(self.r_shared.clone())
-            } else {
-                TaskStep::Complete(self.r_private.clone())
-            }
+            TaskStep::Complete(self.r_private.clone())
         }
-    }
-
-    /// Line 13: does a permutation of a subset of the announced operations —
-    /// containing all of this process's own announcements — yield a legal
-    /// sequential execution in which `op` returns `r_shared`?
-    fn shared_response_is_justified(&self, op: &Invocation) -> bool {
-        // Must-include: our own prior announcements (the current op is
-        // handled as the final, response-constrained application).
-        let must: Vec<&Invocation> = self
-            .own_announced
-            .iter()
-            .filter({
-                // `own_announced` already contains the current op (announced
-                // on line 2); skip exactly one occurrence of it.
-                let mut skipped = false;
-                move |inv| {
-                    if !skipped && *inv == op {
-                        skipped = true;
-                        false
-                    } else {
-                        true
-                    }
-                }
-            })
-            .collect();
-        // Optional pool: announcements of other processes (ours are all
-        // mandatory).  Count multiplicities.
-        let mut optional: Vec<(Invocation, usize)> = Vec::new();
-        {
-            let mut own_left: Vec<&Invocation> = self.own_announced.iter().collect();
-            for inv in &self.announced {
-                if let Some(pos) = own_left.iter().position(|o| *o == inv) {
-                    own_left.remove(pos);
-                    continue; // one of our own announcements
-                }
-                match optional.iter_mut().find(|(i, _)| i == inv) {
-                    Some((_, count)) => *count += 1,
-                    None => optional.push((inv.clone(), 1)),
-                }
-            }
-        }
-        // Depth-first search over application orders, memoizing on
-        // (state, must-mask, optional counts) — identical in spirit to the
-        // weak-consistency checker.
-        let q0 = self
-            .ty
-            .initial_states()
-            .into_iter()
-            .next()
-            .expect("non-empty initial states");
-        let mut visited: HashSet<(Value, u64, Vec<usize>)> = HashSet::new();
-        self.dfs_justify(
-            op,
-            &must,
-            &optional,
-            q0,
-            0,
-            vec![0; optional.len()],
-            &mut visited,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dfs_justify(
-        &self,
-        op: &Invocation,
-        must: &[&Invocation],
-        optional: &[(Invocation, usize)],
-        state: Value,
-        must_mask: u64,
-        used: Vec<usize>,
-        visited: &mut HashSet<(Value, u64, Vec<usize>)>,
-    ) -> bool {
-        if !visited.insert((state.clone(), must_mask, used.clone())) {
-            return false;
-        }
-        // Can we finish here?  All our own operations applied, and applying
-        // `op` yields r_shared.
-        if must_mask.count_ones() as usize == must.len() {
-            if let Ok((resp, _)) = self.ty.apply_deterministic(&state, op) {
-                if resp == self.r_shared {
-                    return true;
-                }
-            }
-        }
-        for (i, m) in must.iter().enumerate() {
-            if must_mask & (1 << i) != 0 {
-                continue;
-            }
-            if let Ok((_, next)) = self.ty.apply_deterministic(&state, m) {
-                if self.dfs_justify(
-                    op,
-                    must,
-                    optional,
-                    next,
-                    must_mask | (1 << i),
-                    used.clone(),
-                    visited,
-                ) {
-                    return true;
-                }
-            }
-        }
-        for (gi, (inv, avail)) in optional.iter().enumerate() {
-            if used[gi] >= *avail {
-                continue;
-            }
-            if let Ok((_, next)) = self.ty.apply_deterministic(&state, inv) {
-                let mut next_used = used.clone();
-                next_used[gi] += 1;
-                if self.dfs_justify(op, must, optional, next, must_mask, next_used, visited) {
-                    return true;
-                }
-            }
-        }
-        false
     }
 }
 
@@ -367,10 +258,11 @@ impl Fig1Logic {
 mod tests {
     use super::*;
     use crate::fetch_inc::CasFetchInc;
-    use evlin_checker::{eventual, weak_consistency};
-    use evlin_history::ObjectUniverse;
+    use evlin_checker::kernel::SearchResult;
+    use evlin_checker::{eventual, fi};
     use evlin_sim::prelude::*;
     use evlin_spec::{FetchIncrement, Register};
+    use std::collections::BTreeSet;
 
     /// An inner implementation that satisfies the liveness half of eventual
     /// linearizability (its histories are t-linearizable for some t) but not
@@ -561,5 +453,68 @@ mod tests {
             let report = eventual::analyze(&out.history, &u);
             assert!(report.is_linearizable(), "seed {seed}:\n{}", out.history);
         }
+    }
+
+    #[test]
+    fn wrapper_runs_past_64_earlier_operations() {
+        // Line 13 once kept a process's earlier operations in a 64-bit mask.
+        let imp = Fig1Wrapper::new(CasFetchInc::new(2), Arc::new(FetchIncrement::new()), 2);
+        let w = Workload::uniform(2, FetchIncrement::fetch_inc(), 100);
+        let out = run(&imp, &w, &mut RoundRobinScheduler::new(), 1_000_000);
+        assert!(out.completed_all);
+        let responses: BTreeSet<Value> = out
+            .history
+            .operations()
+            .into_iter()
+            .filter_map(|op| op.response)
+            .collect();
+        assert_eq!(responses.len(), 200);
+        assert_eq!(fi::is_linearizable(&out.history, 0), Ok(true));
+    }
+
+    #[test]
+    fn a_search_cut_off_by_the_budget_answers_r_private() {
+        // Every inner response is 999, which no arrangement justifies: line
+        // 13 searches every subset of the process's earlier operations, so
+        // its last operations exhaust the node budget.
+        let per_process = 16;
+        let inner = GarbagePrefixFetchInc {
+            inner: CasFetchInc::new(2),
+            garbage: 2 * per_process as i64,
+        };
+        let imp = Fig1Wrapper::new(inner, Arc::new(FetchIncrement::new()), 2);
+        let w = Workload::uniform(2, FetchIncrement::fetch_inc(), per_process);
+        let out = run(&imp, &w, &mut RoundRobinScheduler::new(), 1_000_000);
+        assert!(out.completed_all);
+        let ops = out.history.operations();
+        for p in 0..2 {
+            let own = ops.iter().filter(|op| op.process == ProcessId(p));
+            for (k, op) in own.enumerate() {
+                // r_private: the count of the process's own earlier operations.
+                assert_eq!(op.response, Some(Value::from(k as i64)), "{}", out.history);
+            }
+        }
+        assert!(weak_consistency::is_weakly_consistent(
+            &out.history,
+            &imp.universe
+        ));
+        // Process 0's last operation, over everything invoked before its
+        // response: the search gives up rather than answering no.
+        let last = ops.iter().rfind(|op| op.process == ProcessId(0)).unwrap();
+        let respond = last.respond_index.unwrap();
+        let before = ops.iter().filter(|op| op.invoke_index < respond).count();
+        let fetch_inc = FetchIncrement::fetch_inc();
+        let invoked = Tally::from([(fetch_inc.clone(), before as u64)]);
+        let preds = Tally::from([(fetch_inc.clone(), per_process as u64 - 1)]);
+        let (verdict, stats) = weak_consistency::justify(
+            &imp.universe,
+            OBJECT,
+            &invoked,
+            &preds,
+            &fetch_inc,
+            &Value::from(999i64),
+        );
+        assert_eq!(verdict, SearchResult::Unknown);
+        assert!(stats.nodes > 200_000, "{stats:?}");
     }
 }

@@ -502,7 +502,7 @@ const THREAD_SCRATCH_RETAIN_BYTES: usize = 1 << 20;
 /// caller-provided scratch ([`check`], the `is_linearizable` facades) still
 /// reuse one warm buffer pool per thread instead of reallocating per call.
 /// Falls back to a fresh scratch on re-entrant use.
-fn with_thread_scratch<R>(
+pub(crate) fn with_thread_scratch<R>(
     f: impl FnOnce(&mut KernelScratch) -> (R, SearchStats),
 ) -> (R, SearchStats) {
     use std::cell::RefCell;

@@ -97,15 +97,6 @@ pub fn composed_stabilization(history: &History, universe: &ObjectUniverse) -> O
     compose_stabilization(&per_object_reports(history, universe))
 }
 
-/// Whether every per-object projection is weakly consistent (equivalent to
-/// global weak consistency by Lemma 8).
-pub fn all_projections_weakly_consistent(history: &History, universe: &ObjectUniverse) -> bool {
-    universe
-        .object_ids()
-        .into_iter()
-        .all(|o| weak_consistency::is_weakly_consistent(&history.project_object(o), universe))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,15 +193,6 @@ mod tests {
             stabilizing += usize::from(direct.is_some_and(|t| t > 0));
         }
         assert!(stabilizing >= 100, "{stabilizing}");
-    }
-
-    #[test]
-    fn weak_consistency_locality_lemma_8() {
-        let (u, h) = mixed_history();
-        assert_eq!(
-            all_projections_weakly_consistent(&h, &u),
-            weak_consistency::is_weakly_consistent(&h, &u)
-        );
     }
 
     #[test]

@@ -144,14 +144,18 @@
 //!   monitor summarizes the past as bounded per-object and per-process
 //!   invocation counters and states each operation's search problem over
 //!   the counters — exact, with O(distinct invocations) resident memory.
+//!   That counted problem (`weak_problem`, a `Counted` problem) lives
+//!   beside the history-view statement of Definition 1, in
+//!   [`crate::weak_consistency`]; Figure 1's line 13 asks it too.
 //! * [`MonitorCondition::StabilizesEventually`] — the liveness half of
 //!   eventual linearizability (`t`-linearizable for *some* `t`, i.e. all
 //!   responses and real-time order forgiven) likewise only depends on the
 //!   multiset of invocations; the monitor accumulates counters and decides at
-//!   [`Monitor::finish`].  Weak consistency and this mode replay a segment's
-//!   invoke/respond pairs through one loop, and the operations still pending
-//!   at the end of the stream are what that loop leaves open in the stream's
-//!   tail: each was invoked after the last quiescent cut.
+//!   [`Monitor::finish`], one `Counted` problem per object.  Weak
+//!   consistency and this mode replay a segment's invoke/respond pairs
+//!   through one loop, and the operations still pending at the end of the
+//!   stream are what that loop leaves open in the stream's tail: each was
+//!   invoked after the last quiescent cut.
 //!
 //! ## Example
 //!
@@ -204,6 +208,7 @@ use crate::kernel::{
 };
 use crate::t_linearizability::EventProblem;
 use crate::util::{fold_words, hash_of, mix};
+use crate::weak_consistency::{weak_problem, Counted, Tally};
 use evlin_history::{
     Event, EventKind, History, ObjectId, ObjectUniverse, OpId, OperationMatcher, ProcessId,
 };
@@ -577,9 +582,6 @@ struct WeakCounters {
     /// match [`History::operations`] numbering.
     next_op: usize,
 }
-
-/// An invocation multiset: how many operations carry each invocation.
-type Tally = BTreeMap<Invocation, u64>;
 
 /// Counts one more operation with `invocation`.
 fn bump(tally: &mut Tally, invocation: &Invocation) {
@@ -1722,111 +1724,6 @@ fn fi_step<'a, I: ExactSizeIterator<Item = &'a Event>>(
         }
     }
     true
-}
-
-/// `end - (the end of the group before it)` operations with one invocation
-/// on one object, all required or all optional.
-struct Group<'a> {
-    object: ObjectId,
-    invocation: &'a Invocation,
-    /// One past the problem index of the group's last operation.
-    end: usize,
-    required: bool,
-}
-
-/// A problem over summarized operations: the groups' operations in order,
-/// every response free — only their invocation multiset is known, and the
-/// kernel reads nothing else — then, for Definition 1, the operation being
-/// justified.
-#[derive(Default)]
-struct Counted<'a> {
-    groups: Vec<Group<'a>>,
-    /// `(object, invocation, response)` of a last, required operation whose
-    /// response is fixed and which every required operation of the groups
-    /// precedes.
-    last: Option<(ObjectId, &'a Invocation, &'a Value)>,
-}
-
-impl<'a> Counted<'a> {
-    /// Number of operations in the groups.
-    fn grouped(&self) -> usize {
-        self.groups.last().map_or(0, |group| group.end)
-    }
-
-    /// The group of operation `i < grouped()`.
-    fn group_of(&self, i: usize) -> &Group<'a> {
-        &self.groups[self.groups.partition_point(|group| group.end <= i)]
-    }
-
-    /// Appends a group of `count` operations.
-    fn push(&mut self, object: ObjectId, invocation: &'a Invocation, count: u64, required: bool) {
-        self.groups.push(Group {
-            object,
-            invocation,
-            end: self.grouped() + count as usize,
-            required,
-        });
-    }
-}
-
-impl Problem for Counted<'_> {
-    fn op_count(&self) -> usize {
-        self.grouped() + usize::from(self.last.is_some())
-    }
-
-    fn op(&self, i: usize) -> OpView<'_> {
-        if let Some((object, invocation, response)) = self.last.filter(|_| i == self.grouped()) {
-            return OpView {
-                object,
-                invocation,
-                required: true,
-                fixed_response: Some(response),
-            };
-        }
-        let group = self.group_of(i);
-        OpView {
-            object: group.object,
-            invocation: group.invocation,
-            required: group.required,
-            fixed_response: None,
-        }
-    }
-
-    fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let last = self.grouped();
-        let sources = (0..last).filter(|&i| self.last.is_some() && self.group_of(i).required);
-        sources.map(move |i| (i, last))
-    }
-}
-
-/// The Definition-1 problem for one completed operation, from the summarized
-/// invocation counters.
-fn weak_problem<'a>(
-    invoked: Option<&'a Tally>,
-    preds: Option<&'a Tally>,
-    object: ObjectId,
-    invocation: &'a Invocation,
-    response: &'a Value,
-) -> Counted<'a> {
-    let mut problem = Counted::default();
-    // Required same-process predecessors, with free responses.
-    for (inv, &count) in preds.into_iter().flatten() {
-        problem.push(object, inv, count, true);
-    }
-    // Optional pool: every other operation on the object invoked before this
-    // one's response (the counters are snapshots at exactly that moment),
-    // minus the required predecessors and the operation itself.
-    for (inv, &count) in invoked.into_iter().flatten() {
-        let mut optional = count - preds.and_then(|preds| preds.get(inv)).copied().unwrap_or(0);
-        if inv == invocation {
-            optional = optional.saturating_sub(1);
-        }
-        problem.push(object, inv, optional, false);
-    }
-    // The operation itself, last, with its response fixed; the witness must
-    // end with it, so every required predecessor precedes it.
-    problem.last = Some((object, invocation, response));
-    problem
 }
 
 /// A link's Definition-2 problem with its floaters: the link's operations,

@@ -9,16 +9,24 @@
 //! * ends with the same response to `op` as in `H`.
 //!
 //! Only the *response of `op` itself* is constrained — the other operations
-//! of `S` merely have to be arrangeable legally.  [`WeakOperation`] states
-//! exactly that to the shared Wing–Gong kernel, as views of the history's
-//! events ([`Justification`]): the same-process predecessors are *required*
-//! with free responses, same-object operations invoked before `op`
-//! terminates are *optional* (restricting the optional pool to `op`'s object
-//! is sound by Lemma 8 and keeps the search small), and `op` itself is
-//! required with its response fixed and a precedence edge from every
-//! predecessor so that the witness ends with it.  The kernel's
-//! interchangeability classes subsume the old multiset grouping of identical
-//! optional invocations.
+//! of `S` merely have to be arrangeable legally.  The module states that
+//! question to the shared Wing–Gong kernel twice, in the same shape: the
+//! same-process predecessors are *required* with free responses, same-object
+//! operations invoked before `op` terminates are *optional* (restricting the
+//! optional pool to `op`'s object is sound by Lemma 8 and keeps the search
+//! small), and `op` itself is required with its response fixed and a
+//! precedence edge from every predecessor so that the witness ends with it.
+//!
+//! * [`WeakOperation`] states it over a history's events ([`Justification`]
+//!   views).  This is the offline reference: [`violations`] and
+//!   [`is_weakly_consistent`] ask it.
+//! * `weak_problem` states it over invocation counts (a `Counted` problem):
+//!   a [`Tally`] of the operations invoked on the object and one of the
+//!   process's predecessors, since the kernel reads nothing of them but their
+//!   invocations.  The streaming monitor's weak-consistency drain asks it per
+//!   response (and its stabilizes-eventually drain builds a `Counted` problem
+//!   of its own), and Figure 1's line 13 asks it through [`justify`].  A
+//!   differential test holds the two statements to the same verdicts.
 //!
 //! Whole-history checks additionally exploit Lemma 8 (weak consistency is
 //! local): [`is_weakly_consistent`] splits a multi-object history into
@@ -26,10 +34,13 @@
 //! first projection that is not weakly consistent.
 
 use crate::kernel::{
-    self, ConsistencyCondition, KernelScratch, OpView, Problem, SearchLimits, SearchStats,
+    self, ConsistencyCondition, KernelScratch, OpView, Problem, SearchLimits, SearchResult,
+    SearchStats,
 };
 use crate::t_linearizability::{EventProblem, TLinearizability};
-use evlin_history::{History, ObjectUniverse, OpId, OperationMatcher};
+use evlin_history::{History, ObjectId, ObjectUniverse, OpId, OperationMatcher};
+use evlin_spec::{Invocation, Value};
+use std::collections::BTreeMap;
 
 /// The node budget of one per-operation search: Definition 1 problems are
 /// much smaller than whole-history linearizations, so the budget is a tenth
@@ -120,6 +131,140 @@ impl ConsistencyCondition for WeakOperation {
             predecessors,
         }
     }
+}
+
+/// An invocation multiset: how many operations carry each invocation.
+pub type Tally = BTreeMap<Invocation, u64>;
+
+/// `end - (the end of the group before it)` operations with one invocation
+/// on one object, all required or all optional.
+struct Group<'a> {
+    object: ObjectId,
+    invocation: &'a Invocation,
+    /// One past the problem index of the group's last operation.
+    end: usize,
+    required: bool,
+}
+
+/// A problem over summarized operations: the groups' operations in order,
+/// every response free — only their invocation multiset is known, and the
+/// kernel reads nothing else — then, for Definition 1, the operation being
+/// justified.
+#[derive(Default)]
+pub(crate) struct Counted<'a> {
+    groups: Vec<Group<'a>>,
+    /// `(object, invocation, response)` of a last, required operation whose
+    /// response is fixed and which every required operation of the groups
+    /// precedes.
+    last: Option<(ObjectId, &'a Invocation, &'a Value)>,
+}
+
+impl<'a> Counted<'a> {
+    /// Number of operations in the groups.
+    fn grouped(&self) -> usize {
+        self.groups.last().map_or(0, |group| group.end)
+    }
+
+    /// The group of operation `i < grouped()`.
+    fn group_of(&self, i: usize) -> &Group<'a> {
+        &self.groups[self.groups.partition_point(|group| group.end <= i)]
+    }
+
+    /// Appends a group of `count` operations.
+    pub(crate) fn push(
+        &mut self,
+        object: ObjectId,
+        invocation: &'a Invocation,
+        count: u64,
+        required: bool,
+    ) {
+        self.groups.push(Group {
+            object,
+            invocation,
+            end: self.grouped() + count as usize,
+            required,
+        });
+    }
+}
+
+impl Problem for Counted<'_> {
+    fn op_count(&self) -> usize {
+        self.grouped() + usize::from(self.last.is_some())
+    }
+
+    fn op(&self, i: usize) -> OpView<'_> {
+        if let Some((object, invocation, response)) = self.last.filter(|_| i == self.grouped()) {
+            return OpView {
+                object,
+                invocation,
+                required: true,
+                fixed_response: Some(response),
+            };
+        }
+        let group = self.group_of(i);
+        OpView {
+            object: group.object,
+            invocation: group.invocation,
+            required: group.required,
+            fixed_response: None,
+        }
+    }
+
+    fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let last = self.grouped();
+        let sources = (0..last).filter(|&i| self.last.is_some() && self.group_of(i).required);
+        sources.map(move |i| (i, last))
+    }
+}
+
+/// The Definition-1 problem for one completed operation, from invocation
+/// counts: `invoked` counts every operation on `object` invoked before the
+/// operation's response (itself and `preds` included), `preds` the same
+/// process's operations on `object` that precede it.
+pub(crate) fn weak_problem<'a>(
+    invoked: Option<&'a Tally>,
+    preds: Option<&'a Tally>,
+    object: ObjectId,
+    invocation: &'a Invocation,
+    response: &'a Value,
+) -> Counted<'a> {
+    let mut problem = Counted::default();
+    // Required same-process predecessors, with free responses.
+    for (inv, &count) in preds.into_iter().flatten() {
+        problem.push(object, inv, count, true);
+    }
+    // Optional pool: every other operation on the object invoked before this
+    // one's response, minus the required predecessors and the operation
+    // itself.
+    for (inv, &count) in invoked.into_iter().flatten() {
+        let mut optional = count - preds.and_then(|preds| preds.get(inv)).copied().unwrap_or(0);
+        if inv == invocation {
+            optional = optional.saturating_sub(1);
+        }
+        problem.push(object, inv, optional, false);
+    }
+    // The operation itself, last, with its response fixed; the witness must
+    // end with it, so every required predecessor precedes it.
+    problem.last = Some((object, invocation, response));
+    problem
+}
+
+/// Definition 1's question over counts (`weak_problem`) on the calling
+/// thread's kernel scratch, with the per-operation node budget: can some of
+/// the operations `invoked` on `object`, all of `preds` among them, be
+/// arranged legally so that `invocation`, last, returns `response`?
+pub fn justify(
+    universe: &ObjectUniverse,
+    object: ObjectId,
+    invoked: &Tally,
+    preds: &Tally,
+    invocation: &Invocation,
+    response: &Value,
+) -> (SearchResult, SearchStats) {
+    let problem = weak_problem(Some(invoked), Some(preds), object, invocation, response);
+    kernel::with_thread_scratch(|scratch| {
+        kernel::solve_rooted(&problem, &[], universe, LIMITS, scratch)
+    })
 }
 
 /// Decides whether the whole history is weakly consistent.

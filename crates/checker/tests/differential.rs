@@ -15,15 +15,15 @@
 
 use evlin_checker::kernel::{self, ConsistencyCondition, Problem, SearchLimits};
 use evlin_checker::t_linearizability::{EventProblem, TLinearizability};
-use evlin_checker::weak_consistency::{self, WeakOperation};
+use evlin_checker::weak_consistency::{self, Tally, WeakOperation};
 use evlin_checker::{eventual, linearizability, t_linearizability};
 use evlin_history::{
-    History, HistoryBuilder, ObjectId, ObjectUniverse, OperationMatcher, ProcessId,
+    EventKind, History, HistoryBuilder, ObjectId, ObjectUniverse, OpId, OperationMatcher, ProcessId,
 };
 use evlin_spec::{Counter, FetchIncrement, Invocation, Queue, Register, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Brute-force decision of `condition`'s question about `h`.
 fn brute_force<C: ConsistencyCondition>(condition: &C, h: &History, u: &ObjectUniverse) -> bool {
@@ -574,6 +574,76 @@ fn assert_rooted_entries_agree(seed: u64) {
                 kernel::solve_rooted(&problem, &roots, &universe, limits, &mut scratch);
             assert_eq!(witness.is_yes(), !expected.is_empty(), "{context}");
         }
+    }
+}
+
+/// Definition 1's two statements agree: for every completed operation of a
+/// seeded single-object history (a register, counter, queue or
+/// fetch&increment), the counted problem built from the invocation tallies
+/// at its response ([`weak_consistency::justify`], what the monitor and
+/// Figure 1 ask) gets the kernel verdict the history's views
+/// ([`WeakOperation`], the offline reference) get, and the brute force's
+/// verdict on those views where they are few enough to enumerate.
+fn assert_counted_statement_agrees(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let kinds = [
+        Kind::Register,
+        Kind::Counter,
+        Kind::Queue,
+        Kind::FetchIncrement,
+    ];
+    let kind = kinds[rng.gen_range(0..kinds.len())];
+    let h = random_typed_history(&mut rng, &[kind]);
+    let mut u = ObjectUniverse::new();
+    let object = kind.add_to(&mut u, kind.initial());
+    let mut invoked = Tally::new();
+    let mut preds: BTreeMap<ProcessId, Tally> = BTreeMap::new();
+    let mut open: BTreeMap<ProcessId, (OpId, &Invocation)> = BTreeMap::new();
+    let mut matcher = OperationMatcher::default();
+    let ops = matcher.match_events(h.events());
+    for event in h.events() {
+        let response = match &event.kind {
+            EventKind::Invoke(invocation) => {
+                *invoked.entry(invocation.clone()).or_insert(0) += 1;
+                let op = OpId(invoked.values().sum::<u64>() as usize - 1);
+                open.insert(event.process, (op, invocation));
+                continue;
+            }
+            EventKind::Respond(response) => response,
+        };
+        let (op, invocation) = open.remove(&event.process).expect("well-formed");
+        let own = preds.entry(event.process).or_default();
+        let (counted, _) =
+            weak_consistency::justify(&u, object, &invoked, own, invocation, response);
+        let stated = kernel::check(&WeakOperation { op }, &h, &u, SearchLimits::default());
+        let context = format!("seed {seed}, {op}\n{h}");
+        assert_eq!(
+            counted.is_yes(),
+            stated.is_yes(),
+            "kernel verdicts ({context})"
+        );
+        let views = WeakOperation { op }.views(&h, ops);
+        if views.op_count() <= MAX_ROOTED_OPS {
+            let brute = some_arrangement_is_legal(&views, &u);
+            assert_eq!(counted.is_yes(), brute, "brute force ({context})");
+        }
+        *own.entry(invocation.clone()).or_insert(0) += 1;
+    }
+}
+
+#[test]
+fn counted_and_history_statements_of_definition_1_agree() {
+    for seed in 0..10 * SEEDS {
+        assert_counted_statement_agrees(seed);
+    }
+}
+
+/// Nightly-fuzz version of the two statements' agreement.
+#[test]
+#[ignore = "extended fuzz: run via the nightly CI job or with --ignored"]
+fn extended_counted_statement_cross_check() {
+    for i in 0..10 * extended_cases() {
+        assert_counted_statement_agrees(13_000 + i.wrapping_mul(0x9e37_79b9));
     }
 }
 

@@ -103,7 +103,9 @@ fn lemmas_7_to_9_locality() {
     // Weak consistency is local (Lemma 8 / Proposition 9).
     assert_eq!(
         weak_consistency::is_weakly_consistent(&h, &u),
-        evlin::checker::locality::all_projections_weakly_consistent(&h, &u)
+        evlin::checker::locality::per_object_reports(&h, &u)
+            .iter()
+            .all(|r| r.weakly_consistent)
     );
     // The composed per-object stabilization bound really stabilizes the
     // global history (Lemma 7).
