@@ -19,16 +19,29 @@ use evlin_checker::{fi, kernel::ConsistencyCondition};
 use evlin_history::{Event, HistoryBuilder, ObjectId, ObjectUniverse, OperationMatcher, ProcessId};
 use evlin_spec::{Counter, FetchIncrement, Register, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation made through the global allocator.
+/// Counts every allocation made through the global allocator, per thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// The calling thread's allocations.  Per thread, because the test
+    /// harness's own threads (reporting a result, spawning the next test)
+    /// allocate whenever they like: a process-global count put 102
+    /// allocations of theirs and the frontier search's into a budget of 100.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the arguments it was given;
+// the counting only touches a const-initialized thread-local, which neither
+// allocates nor registers a destructor.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -37,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,16 +58,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Serializes the measuring tests: the allocation counter is process-global,
-/// so a concurrently running test's allocations would land inside another
-/// test's measured window and spuriously blow its budget under the default
-/// parallel test harness.
-static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
+/// The allocations `f` makes on the calling thread.  Every measured path
+/// runs on the thread that calls it, so nothing it allocates is missed, and
+/// nothing another thread allocates meanwhile lands in its window.
 fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let count = || ALLOCATIONS.with(Cell::get);
+    let before = count();
     let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
+    (count() - before, result)
 }
 
 /// An unsatisfiable multi-write register history: refutation forces the
@@ -77,9 +88,6 @@ fn refutation_history() -> (ObjectUniverse, evlin_history::History) {
 
 #[test]
 fn warmed_up_kernel_solves_are_allocation_free() {
-    let _serial = MEASURE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let (u, h) = refutation_history();
     let mut matcher = OperationMatcher::default();
     let problem = Linearizability.views(&h, matcher.match_events(h.events()));
@@ -113,9 +121,6 @@ fn warmed_up_kernel_solves_are_allocation_free() {
 
 #[test]
 fn warmed_up_fi_checks_stay_linear_in_allocations() {
-    let _serial = MEASURE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     // The specialized fetch&increment checker is the monitor's throughput
     // path: its per-check allocation count must stay a small constant (its
     // own working vectors), not grow per operation.
@@ -142,9 +147,6 @@ fn warmed_up_fi_checks_stay_linear_in_allocations() {
 
 #[test]
 fn warmed_up_frontier_search_allocates_only_for_transitions() {
-    let _serial = MEASURE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     // Six concurrent writes, a read of the initial value and three tracked
     // pending writes: 60 accepting frontiers, past the rows the linear scan
     // serves, so the row store's hashed lookup is on the measured path.
@@ -236,9 +238,6 @@ fn dense_rounds(state: &mut [i64; 4], seed: &mut u64, rounds: usize) -> (Vec<Eve
 
 #[test]
 fn warmed_up_monitor_check_allocates_only_for_transitions() {
-    let _serial = MEASURE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     // The check stage takes a link from the segment's events to its
     // outgoing frontier inside pooled buffers, whether a one-operation link
     // steps the spec or a wider one goes through a kernel search: what is
@@ -308,9 +307,6 @@ fn sequential_ops(state: &mut [i64; 4], seed: &mut u64, ops: usize) -> Vec<Event
 
 #[test]
 fn warmed_up_one_operation_links_allocate_only_their_transitions() {
-    let _serial = MEASURE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     // A one-operation link is one step of the spec from each frontier
     // state, taken without a search: it allocates the spec layer's
     // `transitions()` result per (link, frontier state) and nothing else.
@@ -344,9 +340,6 @@ fn warmed_up_one_operation_links_allocate_only_their_transitions() {
 
 #[test]
 fn warmed_up_ingest_allocates_once_per_segment() {
-    let _serial = MEASURE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let (mut ingest, _check) = stages(dense_universe(), MonitorConfig::default());
     let (mut state, mut seed) = ([0i64; 4], 0x2545_f491_4f6c_dd1du64);
     for event in dense_rounds(&mut state, &mut seed, 64).0 {

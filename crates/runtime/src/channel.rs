@@ -238,6 +238,14 @@ impl<T> Sender<T> {
     pub fn capacity(&self) -> usize {
         self.shared.queue.lock().expect("channel mutex").capacity
     }
+
+    /// Whether a [`Sender::try_send`] now would hand its item back as
+    /// [`TrySendError::Full`] (a racy snapshot: only receives can change
+    /// it to `false`).
+    pub(crate) fn is_full(&self) -> bool {
+        let inner = self.shared.queue.lock().expect("channel mutex");
+        inner.receivers > 0 && inner.items.len() >= inner.capacity
+    }
 }
 
 impl<T> Clone for Sender<T> {

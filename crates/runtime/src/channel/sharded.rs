@@ -211,6 +211,11 @@ impl<T: Clone> FrameSender<T> {
         if self.buf.is_empty() {
             return true;
         }
+        // A frame the ring cannot take now is not sealed: its fingerprint
+        // would be folded, and a fresh buffer drawn, for nothing.
+        if !wait && matches!(&self.sink, FrameSink::Clean(sender) if sender.is_full()) {
+            return false;
+        }
         let items = std::mem::replace(&mut self.buf, self.pool.get(self.frame_capacity));
         let events = items.len();
         let frame = Frame {
@@ -674,6 +679,9 @@ mod tests {
         assert!(!tx.try_flush(), "ring is full");
         assert!(!tx.try_flush(), "still full");
         assert_eq!(tx.buffered_len(), 1, "items retained, not dropped");
+        // Checked once the ring is drained: a failed assertion unwinds
+        // through the sender's drop, whose flush waits on a full ring.
+        let drew_a_buffer = !tx.pool.lock().is_empty();
         assert_eq!(
             tx.stats().partial_frames,
             0,
@@ -688,6 +696,10 @@ mod tests {
         drop(tx);
         assert_eq!(merge.recv_sorted(&mut out, 16), 1);
         assert_eq!(out.iter().map(|(s, _)| *s).collect::<Vec<_>>(), [0, 1, 2]);
+        assert!(
+            !drew_a_buffer,
+            "a refused attempt seals no frame, so it draws no buffer"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   client's resume hello (`service::session`).
 //! * **Replica restart** — the supervisor replays the journaled frames
 //!   through a fresh staged pipeline to bit-identical monitor state
-//!   (`service::supervisor`).
+//!   (`service::supervisor`), routing the events the walk below decoded.
 //!
 //! ## Format and torn-tail recovery
 //!
@@ -24,14 +24,16 @@
 //! and the chain fingerprint after it, kind 2 the client's shutdown totals
 //! (`docs/PROTOCOL.md` § Session journals).  Bytes go through
 //! [`evlin_checker::codec`]; one record walker serves recovery and replay.
-//! [`Journal::recover`] validates each record — structure, the payload's own
-//! batch fingerprint, the chain linking it to the records before — and cuts
-//! the file at the first that fails: a crash mid-append leaves a torn tail,
-//! every synced record survives, and the recovered cursor is the last acked
-//! one (acks follow the fsync).
+//! It validates each record — structure, the payload's own batch
+//! fingerprint, the chain linking it to the records before — hands each
+//! intact frame's decoded events to a sink, and stops at the first record
+//! that fails; recovery cuts the file there: a crash mid-append leaves a
+//! torn tail, every synced record survives, and the recovered cursor is the
+//! last acked one (acks follow the fsync).
 
 use crate::wire::{chain_fingerprint, decode_frame_with, ResumeCursor, WireFrame};
 use evlin_checker::codec::{sync_dir, CodecError, Encode, Fault, Reader};
+use evlin_history::Event;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -99,8 +101,6 @@ pub struct Recovered {
     /// The durable cursor after each intact `EVENTS` frame, in order — what
     /// makes a resume claim checkable at *any* position, not just the tip.
     pub cursors: Vec<ResumeCursor>,
-    /// The full wire encoding of every intact `EVENTS` frame, in order.
-    pub frames: Vec<Vec<u8>>,
     /// Bytes of torn tail that were truncated away (0 for a clean file).
     pub torn_bytes: u64,
 }
@@ -196,74 +196,28 @@ impl Journal {
     }
 
     /// Opens an existing journal, validates every record, truncates any torn
-    /// tail, and returns the journal (append-positioned) with everything it
-    /// held.
+    /// tail, and returns the journal (append-positioned) with its cursors.
     pub fn recover(path: &Path) -> Result<(Journal, Recovered), JournalError> {
+        Journal::open(path)?.recover(|_| {})
+    }
+
+    /// Opens an existing journal and reads its header alone: what a caller
+    /// needs to know whose journal it is before it walks the records
+    /// ([`Opened::recover`]).
+    pub(crate) fn open(path: &Path) -> Result<Opened, JournalError> {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let mut records = Reader::new(&bytes);
-        records.header(&JOURNAL_MAGIC, JOURNAL_VERSION)?;
-        let (client, session) = (records.get()?, records.get()?);
-        let mut frames = Vec::new();
-        let mut cursors = Vec::new();
-        let mut shutdown = None;
-        let mut interner = Vec::new();
-        // `at` is the end of the last record that validated whole; everything
-        // past it is torn tail.
-        let mut at = Position::start(client);
-        while let Some(record) = next_record(&mut records) {
-            match record {
-                Record::Events {
-                    frame_seq,
-                    payload,
-                    chain_after,
-                } => {
-                    // A record is only as good as its payload: it must decode
-                    // through the wire codec (structure + batch fingerprint),
-                    // agree with the journal's own bookkeeping (records are
-                    // appended in acceptance order, so seqs are dense) and
-                    // link to the running chain.
-                    let Ok(WireFrame::Events {
-                        events,
-                        fingerprint,
-                        ..
-                    }) = decode_frame_with(payload, &mut interner)
-                    else {
-                        break;
-                    };
-                    let cursor = &mut at.cursor;
-                    if frame_seq != cursor.frames
-                        || chain_fingerprint(cursor.chain, fingerprint) != chain_after
-                    {
-                        break;
-                    }
-                    cursor.frames += 1;
-                    cursor.events += events.len() as u64;
-                    cursor.chain = chain_after;
-                    cursors.push(*cursor);
-                    frames.push(payload.to_vec());
-                }
-                Record::Shutdown { events, chain } => {
-                    shutdown = Some((events, chain));
-                }
-            }
-            at.len = records.at() as u64;
-        }
-        let torn_bytes = bytes.len() as u64 - at.len;
-        if torn_bytes > 0 {
-            file.set_len(at.len)?;
-            file.sync_data()?;
-        }
-        file.seek(SeekFrom::End(0))?;
-        let journal = Journal::positioned(file, client, session, at, shutdown);
-        let recovered = Recovered {
-            cursor: at.cursor,
-            cursors,
-            frames,
-            torn_bytes,
-        };
-        Ok((journal, recovered))
+        let mut header = Vec::with_capacity(JOURNAL_HEADER_BYTES);
+        (&mut file)
+            .take(JOURNAL_HEADER_BYTES as u64)
+            .read_to_end(&mut header)?;
+        let mut fields = Reader::new(&header);
+        fields.header(&JOURNAL_MAGIC, JOURNAL_VERSION)?;
+        let (client, session) = (fields.get()?, fields.get()?);
+        Ok(Opened {
+            file,
+            client,
+            session,
+        })
     }
 
     /// Appends one accepted `EVENTS` frame (its full wire encoding) and
@@ -363,34 +317,22 @@ impl Journal {
         JournalError::Io(cause)
     }
 
-    /// Re-reads every journaled `EVENTS` payload through this journal's own
-    /// handle, leaving the handle append-positioned again.
+    /// Re-reads the durable records (the header left out) through this
+    /// journal's own handle, leaving the handle append-positioned again.
     ///
-    /// This is the supervisor's replay source: restart snapshots the frames
+    /// This is the supervisor's replay source: restart reads the records
     /// *while holding the session's slot lock*, so the read never races an
-    /// append (a second handle on the same path could).  The records below
-    /// the cursor were validated at recovery/append time; this pass only
-    /// re-parses structure and stops at the cursor's frame count.
-    pub(crate) fn read_back(&mut self) -> Result<Vec<Vec<u8>>, JournalError> {
-        self.file.seek(SeekFrom::Start(0))?;
-        let mut bytes = Vec::new();
-        self.file.read_to_end(&mut bytes)?;
+    /// append (a second handle on the same path could), and hands the one
+    /// buffer to [`replay_records`].
+    pub(crate) fn read_back(&mut self) -> Result<Vec<u8>, JournalError> {
+        let header = JOURNAL_HEADER_BYTES as u64;
+        self.file.seek(SeekFrom::Start(header))?;
+        let mut records = Vec::with_capacity((self.durable.len - header) as usize);
+        (&mut self.file)
+            .take(self.durable.len - header)
+            .read_to_end(&mut records)?;
         self.file.seek(SeekFrom::End(0))?;
-        let mut records = Reader::new(&bytes);
-        records.take(JOURNAL_HEADER_BYTES)?;
-        let mut frames = Vec::with_capacity(self.durable.cursor.frames as usize);
-        while (frames.len() as u64) < self.durable.cursor.frames {
-            match next_record(&mut records) {
-                Some(Record::Events { payload, .. }) => frames.push(payload.to_vec()),
-                Some(Record::Shutdown { .. }) => {}
-                None => {
-                    let at = records.at();
-                    let why = format!("no whole record at byte {at}, below the cursor");
-                    return Err(JournalError::BadHeader(why));
-                }
-            }
-        }
-        Ok(frames)
+        Ok(records)
     }
 
     /// The durable cursor: everything at or below it is fsynced.
@@ -414,6 +356,122 @@ impl Journal {
     }
 }
 
+/// A journal whose header has been read and checked, its records not yet.
+pub(crate) struct Opened {
+    file: File,
+    client: u32,
+    session: u64,
+}
+
+impl Opened {
+    /// The client this journal belongs to.
+    pub(crate) fn client(&self) -> u32 {
+        self.client
+    }
+
+    /// Walks every record ([`walk`]), handing each intact frame's events to
+    /// `sink`, truncates any torn tail, and returns the journal
+    /// (append-positioned) with its cursors.
+    pub(crate) fn recover(
+        mut self,
+        sink: impl FnMut(Vec<(u64, Event)>),
+    ) -> Result<(Journal, Recovered), JournalError> {
+        let mut records = Vec::new();
+        self.file.read_to_end(&mut records)?;
+        let walked = walk(&records, self.client, sink);
+        let at = walked.at;
+        let torn_bytes = (JOURNAL_HEADER_BYTES + records.len()) as u64 - at.len;
+        drop(records);
+        if torn_bytes > 0 {
+            self.file.set_len(at.len)?;
+            self.file.sync_data()?;
+        }
+        self.file.seek(SeekFrom::End(0))?;
+        let (client, session, shutdown) = (self.client, self.session, walked.shutdown);
+        let journal = Journal::positioned(self.file, client, session, at, shutdown);
+        let recovered = Recovered {
+            cursor: at.cursor,
+            cursors: walked.cursors,
+            torn_bytes,
+        };
+        Ok((journal, recovered))
+    }
+}
+
+/// Walks the records [`Journal::read_back`] returned, handing each intact
+/// frame's events to `sink`, and returns the cursor they fold to: the
+/// journal's durable cursor unless a record below it fails validation.
+pub(crate) fn replay_records(
+    records: &[u8],
+    client: u32,
+    sink: impl FnMut(Vec<(u64, Event)>),
+) -> ResumeCursor {
+    walk(records, client, sink).at.cursor
+}
+
+/// What a [`walk`] found.
+struct Walked {
+    /// The end of the last record that validated whole.
+    at: Position,
+    /// The cursor after each intact `EVENTS` record, in order.
+    cursors: Vec<ResumeCursor>,
+    /// The last shutdown record's totals, if any.
+    shutdown: Option<(u64, u64)>,
+}
+
+/// The one record walker under recovery and replay: validates each record
+/// of `records` (the bytes after the header) in order and hands each intact
+/// frame's decoded events to `sink`, stopping at the first record that fails
+/// — the start of a torn tail.
+fn walk(records: &[u8], client: u32, mut sink: impl FnMut(Vec<(u64, Event)>)) -> Walked {
+    let mut reader = Reader::new(records);
+    let mut walked = Walked {
+        at: Position::start(client),
+        cursors: Vec::new(),
+        shutdown: None,
+    };
+    let mut interner = Vec::new();
+    while let Some(record) = next_record(&mut reader) {
+        match record {
+            Record::Events {
+                frame_seq,
+                payload,
+                chain_after,
+            } => {
+                // A record is only as good as its payload: it must decode
+                // through the wire codec (structure + batch fingerprint),
+                // agree with the journal's own bookkeeping (records are
+                // appended in acceptance order, so seqs are dense) and link
+                // to the running chain.
+                let Ok(WireFrame::Events {
+                    events,
+                    fingerprint,
+                    ..
+                }) = decode_frame_with(payload, &mut interner)
+                else {
+                    break;
+                };
+                let cursor = &mut walked.at.cursor;
+                if frame_seq != cursor.frames
+                    || chain_fingerprint(cursor.chain, fingerprint) != chain_after
+                {
+                    break;
+                }
+                cursor.frames += 1;
+                cursor.events += events.len() as u64;
+                cursor.chain = chain_after;
+                walked.cursors.push(*cursor);
+                sink(events);
+            }
+            Record::Shutdown { events, chain } => {
+                walked.shutdown = Some((events, chain));
+            }
+        }
+        walked.at.len = (JOURNAL_HEADER_BYTES + reader.at()) as u64;
+    }
+    walked
+}
+
 /// One record as laid out on disk, before anything but its structure is
 /// checked.
 enum Record<'a> {
@@ -428,10 +486,9 @@ enum Record<'a> {
     },
 }
 
-/// The one record walker under [`Journal::recover`] and [`Journal::read_back`]:
-/// the record at the reader's position, which it then moves past.  `None`
-/// means the bytes from there on are not a whole record of a known kind —
-/// a torn tail to recovery.
+/// The record at the reader's position, which it then moves past, with
+/// nothing but its structure checked.  `None` means the bytes from there on
+/// are not a whole record of a known kind — a torn tail to recovery.
 fn next_record<'a>(reader: &mut Reader<'a>) -> Option<Record<'a>> {
     match reader.get::<u8>().ok()? {
         RECORD_EVENTS => {
@@ -455,19 +512,24 @@ fn next_record<'a>(reader: &mut Reader<'a>) -> Option<Record<'a>> {
 mod tests {
     use super::*;
     use crate::wire::{encode_frame, event_batch_fingerprint};
-    use evlin_history::{Event, ObjectId, ProcessId};
+    use evlin_history::{ObjectId, ProcessId};
     use evlin_spec::FetchIncrement;
     use std::path::PathBuf;
 
-    fn events_frame(client: u32, frame_seq: u64, n: usize) -> (Vec<u8>, u64, u64) {
-        let events: Vec<(u64, Event)> = (0..n as u64)
+    /// The `n` events of frame `frame_seq`.
+    fn batch(frame_seq: u64, n: usize) -> Vec<(u64, Event)> {
+        (0..n as u64)
             .map(|i| {
                 (
                     frame_seq * 100 + i,
                     Event::invoke(ProcessId(0), ObjectId(0), FetchIncrement::fetch_inc()),
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    fn events_frame(client: u32, frame_seq: u64, n: usize) -> (Vec<u8>, u64, u64) {
+        let events = batch(frame_seq, n);
         let fingerprint = event_batch_fingerprint(client, &events);
         let frame = WireFrame::Events {
             client,
@@ -476,6 +538,22 @@ mod tests {
             fingerprint,
         };
         (encode_frame(&frame), n as u64, fingerprint)
+    }
+
+    /// Recovers `path`, keeping the events each intact frame handed the sink.
+    fn recover_events(path: &Path) -> (Journal, Recovered, Vec<Vec<(u64, Event)>>) {
+        let mut frames = Vec::new();
+        let opened = Journal::open(path).unwrap();
+        let (journal, recovered) = opened.recover(|events| frames.push(events)).unwrap();
+        (journal, recovered, frames)
+    }
+
+    /// Replays what `read_back` returns, keeping each frame's events.
+    fn read_back_events(journal: &mut Journal) -> (ResumeCursor, Vec<Vec<(u64, Event)>>) {
+        let mut frames = Vec::new();
+        let records = journal.read_back().unwrap();
+        let cursor = replay_records(&records, journal.client(), |events| frames.push(events));
+        (cursor, frames)
     }
 
     fn temp_path(name: &str) -> PathBuf {
@@ -503,17 +581,17 @@ mod tests {
             assert_eq!(cursor.frames, seq + 1);
             assert_eq!(cursor.events, (seq + 1) * 4);
             assert_eq!(cursor.chain, chain);
-            expected_frames.push(payload);
+            expected_frames.push(batch(seq, 4));
         }
         journal.append_shutdown(20, chain).unwrap();
         let saved_cursor = journal.cursor();
         drop(journal);
 
-        let (journal, recovered) = Journal::recover(&path).unwrap();
+        let (journal, recovered, frames) = recover_events(&path);
         assert_eq!(journal.client(), 3);
         assert_eq!(journal.session(), 0xAA);
         assert_eq!(recovered.cursor, saved_cursor);
-        assert_eq!(recovered.frames, expected_frames);
+        assert_eq!(frames, expected_frames);
         assert_eq!(journal.shutdown(), Some((20, chain)));
         assert_eq!(recovered.torn_bytes, 0);
         assert_eq!(journal.cursor(), saved_cursor);
@@ -536,10 +614,10 @@ mod tests {
         let second_record_len = clean.len() - (JOURNAL_HEADER_BYTES + 13 + p0.len() + 8);
         for cut in 1..second_record_len {
             std::fs::write(&path, &clean[..clean.len() - cut]).unwrap();
-            let (journal, recovered) = Journal::recover(&path).unwrap();
+            let (journal, recovered, frames) = recover_events(&path);
             assert_eq!(recovered.cursor.frames, 1, "cut {cut}");
             assert_eq!(recovered.cursor.events, 3);
-            assert_eq!(recovered.frames, vec![p0.clone()]);
+            assert_eq!(frames, vec![batch(0, 3)]);
             assert!(journal.shutdown().is_none());
             drop(journal);
             // Recovery truncated: a second recovery sees a clean file.
@@ -567,9 +645,9 @@ mod tests {
         let cursor = journal.append_events(&p1, n1, f1).unwrap();
         assert_eq!(cursor.frames, 2);
         drop(journal);
-        let (_, recovered) = Journal::recover(&path).unwrap();
+        let (_, recovered, frames) = recover_events(&path);
         assert_eq!(recovered.cursor, cursor);
-        assert_eq!(recovered.frames.len(), 2);
+        assert_eq!(frames, vec![batch(0, 2), batch(1, 2)]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -587,7 +665,10 @@ mod tests {
         }
         assert_eq!(journal.sync().unwrap(), written[2]);
         assert_eq!(journal.cursor(), written[2]);
-        assert_eq!(journal.read_back().unwrap().len(), 3);
+        assert_eq!(
+            read_back_events(&mut journal),
+            (written[2], vec![batch(0, 2), batch(1, 2), batch(2, 2)])
+        );
         drop(journal);
         // The records are the ones three synced appends would have written.
         let (_, recovered) = Journal::recover(&path).unwrap();
@@ -624,16 +705,16 @@ mod tests {
         journal.append_unsynced(&p2, n2, f2).unwrap();
         journal.rollback().unwrap();
         drop(journal);
-        let (mut journal, recovered) = Journal::recover(&path).unwrap();
+        let (mut journal, recovered, frames) = recover_events(&path);
         assert_eq!(recovered.cursors, vec![durable, again]);
-        assert_eq!(recovered.frames, vec![p0, p1]);
+        assert_eq!(frames, vec![batch(0, 2), batch(1, 4)]);
         assert_eq!(recovered.torn_bytes, 0);
         assert_eq!(journal.append_events(&p2, n2, f2).unwrap().frames, 3);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn read_back_returns_every_payload_and_stays_appendable() {
+    fn read_back_replays_every_frame_and_stays_appendable() {
         let path = temp_path("readback.evjl");
         let _ = std::fs::remove_file(&path);
         let mut journal = Journal::create(&path, 6, 2).unwrap();
@@ -643,12 +724,16 @@ mod tests {
         journal.append_shutdown(2, journal.cursor().chain).unwrap();
         // A shutdown record in the middle is skipped by the replay read.
         journal.append_events(&p1, n1, f1).unwrap();
-        assert_eq!(journal.read_back().unwrap(), vec![p0.clone(), p1.clone()]);
+        let durable = journal.cursor();
+        assert_eq!(
+            read_back_events(&mut journal),
+            (durable, vec![batch(0, 2), batch(1, 4)])
+        );
         // The handle is back at the end: appending still works.
         let (p2, n2, f2) = events_frame(6, 2, 1);
         let cursor = journal.append_events(&p2, n2, f2).unwrap();
         assert_eq!(cursor.frames, 3);
-        assert_eq!(journal.read_back().unwrap().len(), 3);
+        assert_eq!(read_back_events(&mut journal).1.len(), 3);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -667,9 +752,9 @@ mod tests {
         let idx = JOURNAL_HEADER_BYTES + 13 + p0.len() + 8 + 13 + p1.len() / 2;
         bytes[idx] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let (_, recovered) = Journal::recover(&path).unwrap();
+        let (_, recovered, frames) = recover_events(&path);
         assert_eq!(recovered.cursor.frames, 1);
-        assert_eq!(recovered.frames, vec![p0]);
+        assert_eq!(frames, vec![batch(0, 3)]);
         assert!(recovered.torn_bytes > 0);
         std::fs::remove_file(&path).unwrap();
     }

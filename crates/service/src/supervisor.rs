@@ -23,8 +23,14 @@
 //!   suppressed, every journal is replayed through a *fresh* staged
 //!   pipeline, and because the k-way merge re-sorts by global sequence, the
 //!   rebuilt monitor state is bit-identical to what an uninterrupted run
-//!   would hold — audited by re-folding each journal's chained fingerprint
-//!   during replay.
+//!   would hold.  One walk per journal validates each record (its batch
+//!   fingerprint and chain link), decodes it and routes its events; a
+//!   replay that does not fold to the session's durable cursor is counted
+//!   as a chain mismatch.
+//! * **Process restarts.**  [`RecoverableService::bind`] reads the journal
+//!   headers, spawns the pool, and walks each journal into it on its own
+//!   replay thread; it starts accepting connections once every journal is
+//!   validated, its torn tail cut and its session reopened.
 //! * **Graceful degradation.**  A handler probes its rings with a
 //!   non-blocking flush before each batch; past `overload_backlog` the
 //!   machine sheds with a typed `OVERLOADED` (a shed frame was never acked,
@@ -40,23 +46,24 @@
 //! handler does under a slot lock is non-blocking by construction
 //! (`push_buffered` + `try_flush`; the journal's append and fsync wait for
 //! the disk, not for a peer), so a stalled merge can delay verdicts but can
-//! never deadlock ingestion, restarts or shutdown.  Client-side, a
+//! never deadlock ingestion, restarts or shutdown.  A replay walks its
+//! journal into the rings the same way, so `bind` never waits on a merge
+//! (one may wait on a slot whose client has not attached yet); a journaled
+//! slot's frames are shed `OVERLOADED` until its replay has routed
+//! everything.  Client-side, a
 //! connection that carries its hello and one whole frame advances the
 //! journal by at least one frame whatever the link's timing, because the
 //! replay starts at the cursor the replica just reported.
 
 use crate::client::{drain_verdicts, final_summaries, FrameSealer, WireRecorder};
-use crate::journal::{journal_file_name, Journal, JournalError};
-use crate::pool::{route_buffered, route_frame, Fanout, ReplicaPool};
+use crate::journal::{journal_file_name, replay_records, Journal, JournalError, Opened};
+use crate::pool::{route_buffered, Fanout, ReplicaPool};
 use crate::replica::{ServiceConfig, ShardReport};
 use crate::session::{
     Backoff, ClientSession, Input, Output, ReplicaSession, RetriesExhausted, SessionError,
 };
 use crate::transport::{tcp_connect, tcp_pair, ChaosPlan, FrameRx, FrameTx, TcpRx, TcpTx};
-use crate::wire::{
-    chain_fingerprint, decode_frame, decode_frame_with, encode_frame, VerdictSummary, WireError,
-    WireFrame,
-};
+use crate::wire::{decode_frame, encode_frame, VerdictSummary, WireError, WireFrame};
 use evlin_checker::monitor::{MonitorVerdict, ShardRouter};
 use evlin_history::{Event, ObjectId, ObjectUniverse, ProcessId};
 use evlin_runtime::channel::sharded::FrameSender;
@@ -66,6 +73,7 @@ use evlin_spec::{Invocation, Value};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -84,7 +92,8 @@ pub struct RecoveryConfig {
     pub service: ServiceConfig,
     /// Where session journals live.  Created if absent; scanned on
     /// [`RecoverableService::bind`], which is the process-crash recovery
-    /// path: every journal found is replayed before new traffic is taken.
+    /// path: every journal found is validated and its session reopened
+    /// before new traffic is taken, and replayed into the pool.
     pub journal_dir: PathBuf,
     /// Producer slots (= the maximum client id + 1).  Fixed up front because
     /// the sequence-ordered merge cannot grow its producer set mid-run.
@@ -178,8 +187,9 @@ pub struct RecoveryReport {
     pub replayed_frames: u64,
     /// Events inside those frames.
     pub replayed_events: u64,
-    /// Replays whose re-folded chained fingerprint disagreed with the
-    /// session's durable cursor — 0 means every rebuild was bit-faithful.
+    /// Restart replays that did not fold to the session's durable cursor (a
+    /// record below it failed validation) — 0 means every rebuild was
+    /// bit-faithful.
     pub replay_chain_mismatches: u64,
     /// Mid-run verdict rounds dropped on saturated client links.
     pub verdicts_dropped: u64,
@@ -242,6 +252,14 @@ impl SlotState {
             }
         }
         self.senders.is_some()
+    }
+
+    /// Drops the slot's senders without touching a possibly stalled ring:
+    /// what they buffered is journaled, so discarding it loses nothing.
+    fn discard(&mut self) {
+        if let Some(mut senders) = self.senders.take() {
+            senders.iter_mut().for_each(FrameSender::discard_buffered);
+        }
     }
 
     /// Ships what the rings will take right now, never blocking; returns the
@@ -349,76 +367,106 @@ struct Shared {
     ctl: Mutex<Ctl>,
     orphan_errors: AtomicU64,
     /// Journal frames (and the events inside them) replayed through fresh
-    /// pools, and replays that did not re-fold to their journal's chain.
+    /// pools, and replays that did not fold to their journal's cursor.
     replayed_frames: AtomicU64,
     replayed_events: AtomicU64,
     chain_mismatches: AtomicU64,
 }
 
-/// What a replay rebuilds one slot's monitor state from: the slot's epoch
-/// when the snapshot was taken and its journaled `EVENTS` frames, in order
-/// (none for a slot without a session).
-#[derive(Default)]
-struct ReplaySnapshot {
-    epoch: u64,
-    frames: Vec<Vec<u8>>,
+/// Where a replay reads one slot's journal from.
+enum Source {
+    /// Startup: a journal whose header alone has been read.  The replay
+    /// recovers it, reopens the slot's session from its cursors, and reports
+    /// to `bind` on the sender.
+    Startup(Opened, Sender<Result<(), JournalError>>),
+    /// A restart: the durable records `read_back` returned under the slot
+    /// lock.
+    Restart(Vec<u8>),
 }
 
-/// Feeds one journal's frames through a fresh pool, re-folding the chained
-/// fingerprint as the bit-identity audit, then hands the senders to the slot
-/// — unless another restart (or shutdown) got there first, or the session
-/// has finished, in which case they drop and close the slot's rings.
+/// What a replay rebuilds one slot's monitor state from: the slot's epoch
+/// when the replay was set up, and its journal.
+struct Replay {
+    epoch: u64,
+    source: Source,
+}
+
+/// Walks one journal straight into a fresh pool — the walk that validates
+/// each record decodes the frame this routes — then hands the senders to the
+/// slot, unless another restart (or shutdown) got there first, or the
+/// session has finished, in which case they drop and close the slot's rings.
+///
+/// The walk never waits on the pool (`route_buffered` + `try_flush`): `bind`
+/// waits for every startup walk, and a merge may be waiting on a slot whose
+/// client has not attached yet.  Only after its report does a replay block
+/// on its rings.
 fn spawn_replay(
     shared: Arc<Shared>,
     index: usize,
-    snapshot: ReplaySnapshot,
+    replay: Replay,
     mut senders: Vec<FrameSender<Event>>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("evlin-rsvc-replay-{index}"))
         .spawn(move || {
-            let mut interner: Vec<Invocation> = Vec::new();
-            // Slot index = client id, which seeds the chain.
-            let mut chain = index as u64;
-            let mut chain_ok = true;
-            for payload in &snapshot.frames {
-                let Ok(WireFrame::Events {
-                    events,
-                    fingerprint,
-                    ..
-                }) = decode_frame_with(payload, &mut interner)
-                else {
-                    // A journaled frame always re-decodes; anything else is
-                    // an audit failure, not a crash.
-                    chain_ok = false;
-                    continue;
-                };
-                chain = chain_fingerprint(chain, fingerprint);
+            let router = shared.router;
+            let route = |events: Vec<(u64, Event)>| {
                 shared.replayed_frames.fetch_add(1, Ordering::Relaxed);
                 shared
                     .replayed_events
                     .fetch_add(events.len() as u64, Ordering::Relaxed);
-                route_frame(shared.router, &mut senders, events);
+                route_buffered(router, &mut senders, events);
+                try_flush_all(&mut senders);
+            };
+            match replay.source {
+                Source::Startup(journal, report) => {
+                    let reopened = journal.recover(route).map(|(journal, recovered)| {
+                        let finished = journal.shutdown().is_some();
+                        let mut slot = shared.slots[index].lock().expect("slot lock");
+                        slot.session = ReplicaSession::reopened(
+                            journal.client(),
+                            shared.config.overload_backlog,
+                            journal.session(),
+                            recovered.cursors,
+                            finished,
+                        );
+                        slot.journal = Some(journal);
+                    });
+                    let failed = reopened.is_err();
+                    let _ = report.send(reopened);
+                    if failed {
+                        // `bind` tears the pool down: dropping these must not
+                        // wait on a ring.
+                        senders.iter_mut().for_each(FrameSender::discard_buffered);
+                        return;
+                    }
+                }
+                Source::Restart(records) => {
+                    let cursor = replay_records(&records, index as u32, route);
+                    // Nothing is admitted while a replay owns the senders, so
+                    // the journal's durable cursor is still the one its records
+                    // fold to, unless one below it fails validation.
+                    let slot = shared.slots[index].lock().expect("slot lock");
+                    if slot.journal.as_ref().map(Journal::cursor) != Some(cursor) {
+                        shared.chain_mismatches.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
             }
-            // Nothing is admitted while a replay owns the senders, so the
-            // journal's durable chain is still the one the frames fold to.
+            for sender in &mut senders {
+                sender.flush();
+            }
             let mut slot = shared.slots[index].lock().expect("slot lock");
-            let durable = slot.journal.as_ref().map(|journal| journal.cursor().chain);
-            if !chain_ok || durable != Some(chain) {
-                shared.chain_mismatches.fetch_add(1, Ordering::Relaxed);
-            }
-            if !shared.shutting_down.load(Ordering::SeqCst) && slot.epoch == snapshot.epoch {
+            if !shared.shutting_down.load(Ordering::SeqCst) && slot.epoch == replay.epoch {
                 slot.install(senders);
             }
         })
         .expect("spawn replay thread")
 }
 
-/// Spawns a fresh pool and refills it from the journals: a slot whose
-/// journal holds frames gets its senders only after its replay has rebuilt
-/// the monitor state; every other slot gets them at once.  Caller holds the
-/// `ctl` lock.
-fn spawn_pool(shared: &Arc<Shared>, ctl: &mut Ctl, snapshots: Vec<ReplaySnapshot>) {
+/// Spawns a fresh pool and refills it from the journals: a slot with a
+/// replay gets its senders only after the replay has rebuilt the monitor
+/// state; every other slot gets them at once.  Caller holds the `ctl` lock.
+fn spawn_pool(shared: &Arc<Shared>, ctl: &mut Ctl, replays: Vec<Option<Replay>>) {
     let (per_slot, pool) = ReplicaPool::spawn(
         &shared.universe,
         shared.router,
@@ -427,14 +475,30 @@ fn spawn_pool(shared: &Arc<Shared>, ctl: &mut Ctl, snapshots: Vec<ReplaySnapshot
         &shared.fanout,
     );
     ctl.pool = Some(pool);
-    for (index, (senders, snapshot)) in per_slot.into_iter().zip(snapshots).enumerate() {
-        if snapshot.frames.is_empty() {
-            let mut slot = shared.slots[index].lock().expect("slot lock");
-            slot.install(senders);
-        } else {
-            let replay = spawn_replay(Arc::clone(shared), index, snapshot, senders);
-            ctl.replays.push(replay);
+    for (index, (senders, replay)) in per_slot.into_iter().zip(replays).enumerate() {
+        match replay {
+            Some(replay) => {
+                let replay = spawn_replay(Arc::clone(shared), index, replay, senders);
+                ctl.replays.push(replay);
+            }
+            None => shared.slots[index]
+                .lock()
+                .expect("slot lock")
+                .install(senders),
         }
+    }
+}
+
+/// Lets the outstanding replays drain (the pool still consumes their rings;
+/// every slot's own senders must be gone by now), then tears the pool down:
+/// it drains to end-of-stream and its threads return, its outputs dying
+/// with it.  Caller holds the `ctl` lock.
+fn abandon_pool(ctl: &mut Ctl) {
+    for join in std::mem::take(&mut ctl.replays) {
+        let _ = join.join();
+    }
+    if let Some(pool) = ctl.pool.take() {
+        pool.abandon();
     }
 }
 
@@ -448,40 +512,29 @@ fn restart_pool(shared: &Arc<Shared>, ctl: &mut Ctl) -> Result<(), SessionError>
     }
     // 2. Invalidate every slot: bump the epoch, discard buffered (journaled,
     //    so safe) items and drop the senders — which closes the dying pool's
-    //    rings without ever touching a possibly-stalled ring — and snapshot
-    //    the journal for replay.
-    let mut snapshots: Vec<ReplaySnapshot> = Vec::with_capacity(shared.slots.len());
+    //    rings without ever touching a possibly-stalled ring — and read
+    //    the journal's durable records back for replay.
+    let mut replays = Vec::with_capacity(shared.slots.len());
     for slot in &shared.slots {
         let mut slot = slot.lock().expect("slot lock");
         slot.epoch += 1;
-        if let Some(mut senders) = slot.senders.take() {
-            for sender in senders.iter_mut() {
-                sender.discard_buffered();
-            }
-        }
-        let frames = match &mut slot.journal {
-            Some(journal) => journal.read_back()?,
-            None => Vec::new(),
-        };
-        snapshots.push(ReplaySnapshot {
-            epoch: slot.epoch,
-            frames,
+        slot.discard();
+        let epoch = slot.epoch;
+        replays.push(match &mut slot.journal {
+            Some(journal) if journal.cursor().frames > 0 => Some(Replay {
+                epoch,
+                source: Source::Restart(journal.read_back()?),
+            }),
+            _ => None,
         });
     }
-    // 3. Outstanding replays of the previous epoch drain (the old pool still
-    //    consumes their rings; every other ring is now closed), see their
-    //    epoch mismatch, and drop their senders.
-    for join in std::mem::take(&mut ctl.replays) {
-        let _ = join.join();
-    }
-    // 4. Every ring of the old pool is closed: it drains to end-of-stream
-    //    and its threads return (broadcasts suppressed).  Its outputs die
+    // 3. Outstanding replays of the previous epoch drain, see their epoch
+    //    mismatch, and drop their senders; then every ring of the old pool
+    //    is closed and it drains (broadcasts suppressed).  Its outputs die
     //    here — that is the crash being simulated.
-    if let Some(pool) = ctl.pool.take() {
-        pool.abandon();
-    }
-    // 5. Fresh pool, refilled from the snapshots.
-    spawn_pool(shared, ctl, snapshots);
+    abandon_pool(ctl);
+    // 4. Fresh pool, refilled from the journals.
+    spawn_pool(shared, ctl, replays);
     ctl.restarts += 1;
     Ok(())
 }
@@ -567,7 +620,7 @@ fn orphan(shared: &Shared) {
 ///
 /// Built with [`RecoverableService::bind`], which also *recovers*: any
 /// session journals already in [`RecoveryConfig::journal_dir`] are reopened
-/// and replayed through the fresh pool before new traffic lands — the
+/// before new traffic lands and replayed through the fresh pool — the
 /// process-crash path.  While running, a watchdog restarts the pool if a
 /// shard thread dies; [`RecoverableService::kill_and_restart`] forces the
 /// same path deliberately (the chaos tests' crash lever).  Call
@@ -582,6 +635,8 @@ pub struct RecoverableService {
 impl RecoverableService {
     /// Binds an ephemeral loopback endpoint, recovers every journal found
     /// in the configured directory, and starts accepting connections.
+    /// Returns once every journal is validated and its torn tail cut; its
+    /// frames may still be on their way into the pool.
     pub fn bind(
         universe: &ObjectUniverse,
         config: RecoveryConfig,
@@ -592,29 +647,19 @@ impl RecoverableService {
         let router = ShardRouter::new(config.service.monitor.condition, config.service.shards);
         let shards = router.effective_shards();
         let slots = config.slots.max(1);
-        // Scan the journal directory: every intact journal becomes a live
-        // session whose frames feed the initial pool.
-        let limit = config.overload_backlog;
-        let mut slot_states: Vec<SlotState> = (0..slots)
-            .map(|index| SlotState {
-                session: ReplicaSession::new(index as u32, limit),
-                journal: None,
-                senders: None,
-                epoch: 0,
-            })
-            .collect();
-        let mut snapshots: Vec<ReplaySnapshot> =
-            (0..slots).map(|_| ReplaySnapshot::default()).collect();
-        let mut recovered_count = 0usize;
+        // Read every journal's header: a bad one, or a journal naming a
+        // client out of range or one that already has a journal, fails the
+        // bind before anything runs.
+        let mut journals: Vec<Option<Opened>> = (0..slots).map(|_| None).collect();
         for entry in std::fs::read_dir(&config.journal_dir).map_err(JournalError::Io)? {
             let path = entry.map_err(JournalError::Io)?.path();
             if path.extension().and_then(|e| e.to_str()) != Some("evjl") {
                 continue;
             }
-            let (journal, contents) = Journal::recover(&path)?;
+            let journal = Journal::open(&path)?;
             let client = journal.client();
             let index = client as usize;
-            if index >= slots || slot_states[index].journal.is_some() {
+            if index >= slots || journals[index].is_some() {
                 return Err(SessionError::Journal(JournalError::BadHeader(format!(
                     "journal {} names client {} (have {} slots, duplicate or out of range)",
                     path.display(),
@@ -622,20 +667,24 @@ impl RecoverableService {
                     slots
                 ))));
             }
-            recovered_count += 1;
-            snapshots[index].frames = contents.frames;
-            let finished = journal.shutdown().is_some();
-            let session = journal.session();
-            let slot = &mut slot_states[index];
-            slot.session =
-                ReplicaSession::reopened(client, limit, session, contents.cursors, finished);
-            slot.journal = Some(journal);
+            journals[index] = Some(journal);
         }
+        let recovered_count = journals.iter().flatten().count();
+        let limit = config.overload_backlog;
         let shared = Arc::new(Shared {
             universe: universe.clone(),
             router,
             fanout: Arc::new(Fanout::new(slots, shards)),
-            slots: slot_states.into_iter().map(Mutex::new).collect(),
+            slots: (0..slots)
+                .map(|index| {
+                    Mutex::new(SlotState {
+                        session: ReplicaSession::new(index as u32, limit),
+                        journal: None,
+                        senders: None,
+                        epoch: 0,
+                    })
+                })
+                .collect(),
             shutting_down: AtomicBool::new(false),
             ctl: Mutex::new(Ctl {
                 pool: None,
@@ -649,12 +698,37 @@ impl RecoverableService {
             chain_mismatches: AtomicU64::new(0),
             config,
         });
-        // Initial pool + startup replay of the recovered journals.
-        spawn_pool(
-            &shared,
-            &mut shared.ctl.lock().expect("ctl lock"),
-            snapshots,
-        );
+        // Initial pool + startup replay: each journal's own thread walks it
+        // into the pool, reopens its session and reports back.  Connections
+        // are accepted once every report is in; routing goes on behind them.
+        let (report, reports) = mpsc::channel();
+        let replays = journals
+            .into_iter()
+            .map(|journal| {
+                let source = Source::Startup(journal?, report.clone());
+                Some(Replay { epoch: 0, source })
+            })
+            .collect();
+        drop(report);
+        spawn_pool(&shared, &mut shared.ctl.lock().expect("ctl lock"), replays);
+        let failure = (0..recovered_count).find_map(|_| match reports.recv() {
+            Ok(reopened) => reopened.err(),
+            Err(_) => Some(JournalError::Io(std::io::Error::other(
+                "a startup replay died",
+            ))),
+        });
+        if let Some(error) = failure {
+            shared.shutting_down.store(true, Ordering::SeqCst);
+            let mut ctl = shared.ctl.lock().expect("ctl lock");
+            if let Some(pool) = &ctl.pool {
+                pool.silence();
+            }
+            for slot in &shared.slots {
+                slot.lock().expect("slot lock").discard();
+            }
+            abandon_pool(&mut ctl);
+            return Err(error.into());
+        }
         let acceptor_shared = Arc::clone(&shared);
         let acceptor = std::thread::Builder::new()
             .name("evlin-rsvc-accept".into())

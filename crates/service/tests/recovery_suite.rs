@@ -9,7 +9,8 @@
 //! history, once, with a verdict equal to the offline kernel's.
 
 use evlin_checker::monitor::{MonitorCondition, MonitorConfig};
-use evlin_history::{EventKind, History, HistoryBuilder, ObjectUniverse, ProcessId};
+use evlin_history::{Event, EventKind, History, HistoryBuilder, ObjectUniverse, ProcessId};
+use evlin_service::journal::{journal_file_name, Journal};
 use evlin_service::transport::{loopback_listener, tcp_connect, tcp_pair};
 use evlin_service::wire::{decode_frame, encode_frame, event_batch_fingerprint};
 use evlin_service::{
@@ -19,9 +20,9 @@ use evlin_service::{
 use evlin_spec::{FetchIncrement, Register, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn universe() -> ObjectUniverse {
@@ -863,4 +864,166 @@ fn the_ack_that_answers_a_ping_prunes_the_window() {
     assert_eq!((stats.frames, stats.events), (1, 2));
     assert_eq!(stats.acks, acks_sent, "an ack went unread");
     assert_eq!(stats.reconnects, 0, "the client reconnected for nothing");
+}
+
+/// Writes `frames` as the journal of a finished session of `client` (its
+/// shutdown record last), straight through `Journal`; returns its path.
+fn journal_of(dir: &Path, client: u32, session: u64, frames: &[Vec<u8>]) -> PathBuf {
+    std::fs::create_dir_all(dir).unwrap();
+    let path = dir.join(journal_file_name(client, session));
+    let mut journal = Journal::create(&path, client, session).unwrap();
+    for bytes in frames {
+        let Ok(WireFrame::Events {
+            events,
+            fingerprint,
+            ..
+        }) = decode_frame(bytes)
+        else {
+            panic!("journaled frames are event frames");
+        };
+        journal
+            .append_events(bytes, events.len() as u64, fingerprint)
+            .unwrap();
+    }
+    let cursor = journal.cursor();
+    journal
+        .append_shutdown(cursor.events, cursor.chain)
+        .unwrap();
+    path
+}
+
+/// `bind` returns once every journal is validated, whatever the rings hold.
+/// Here a third slot has no journal, so its rings stay open and silent and
+/// every merge waits on it, and each journal is longer than its rings take:
+/// a `bind` that waited for the journals to be routed would never return.
+/// This one does, the silent slot's client attaches and streams, and every
+/// journaled frame is checked exactly once.
+#[test]
+fn bind_never_waits_on_routing() {
+    let dir = temp_dir("silent-slot");
+    let u = universe();
+    let journaled = 2u64;
+    let mut config = test_config(dir.clone(), journaled as usize + 1, 1);
+    config.service.ring_frames = 2;
+    config.service.frame_capacity = 4;
+    // One fetch&increment per frame, eight times what a slot's rings take;
+    // each client on its own object, the sequence numbers interleaved.
+    let ops = 8 * (config.service.ring_frames * config.service.frame_capacity) as u64;
+    for client in 0..journaled {
+        let object = u.object_ids()[1 + 2 * client as usize];
+        let process = ProcessId(client as usize);
+        let frames: Vec<Vec<u8>> = (0..ops)
+            .map(|i| {
+                let seq = 2 * (i * journaled + client);
+                let events = vec![
+                    (
+                        seq,
+                        Event::invoke(process, object, FetchIncrement::fetch_inc()),
+                    ),
+                    (
+                        seq + 1,
+                        Event::respond(process, object, Value::from(i as i64)),
+                    ),
+                ];
+                let fingerprint = event_batch_fingerprint(client as u32, &events);
+                encode_frame(&WireFrame::Events {
+                    client: client as u32,
+                    frame_seq: i,
+                    events,
+                    fingerprint,
+                })
+            })
+            .collect();
+        journal_of(&dir, client as u32, 0x5110_0000 + client, &frames);
+    }
+    // On threads of their own, so that a wait fails the test instead of
+    // hanging it.
+    let (bound, bind_done) = mpsc::channel();
+    let binding = universe();
+    let binder = std::thread::spawn(move || {
+        let _ = bound.send(RecoverableService::bind(&binding, config));
+    });
+    let (addr, service) = bind_done
+        .recv_timeout(Duration::from_secs(20))
+        .expect("bind waited on routing")
+        .expect("bind");
+    binder.join().expect("the binding thread");
+    let silent = journaled as u32;
+    let writes = 8i64;
+    let (streamed, stream_done) = mpsc::channel();
+    let register = u.object_ids()[0];
+    let streamer = std::thread::spawn(move || {
+        // Its sequence numbers follow the journals'.
+        let seq = Arc::new(AtomicU64::new(2 * ops * journaled));
+        let config = ClientRecoveryConfig {
+            frame_capacity: 2,
+            ..ClientRecoveryConfig::standard(3)
+        };
+        let mut client = RecoverableClient::connect_tcp(addr, silent, 0x5113_4700, seq, config)
+            .expect("the silent slot's client attaches");
+        let process = ProcessId(silent as usize);
+        for i in 0..writes {
+            client.invoke(process, register, Register::write(Value::from(i)));
+            client.respond(process, register, Value::Unit);
+        }
+        let _ = streamed.send(client.finish());
+    });
+    let closed = stream_done
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the silent slot's client could not stream")
+        .expect("the client's retry budget held");
+    streamer.join().expect("the streaming thread");
+    let report = service.finish();
+    let client = closed.collect_verdicts();
+    assert_eq!(report.recovered_at_startup, journaled as usize);
+    assert_eq!(report.replayed_frames, journaled * ops);
+    assert_eq!(report.replayed_events, 2 * journaled * ops);
+    assert_eq!(report.replay_chain_mismatches, 0);
+    assert_eq!(client.stats.events, 2 * writes as u64);
+    assert_eq!(
+        report.sessions[silent as usize].accepted_frames,
+        client.stats.frames
+    );
+    assert_eq!(report.events(), 2 * journaled * ops + 2 * writes as u64);
+    assert!(report.verdict.is_ok(), "{:?}", report.verdict);
+    let finals = client.final_summaries();
+    assert_eq!(finals.len(), report.shards.len(), "a final went missing");
+    assert!(finals.iter().all(|summary| summary.verdict.is_ok()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A record in the middle of a journal that fails validation (one flipped
+/// payload byte) ends the journal: startup replays exactly the records
+/// before it into the pool, and the file is cut there.
+#[test]
+fn a_corrupt_middle_record_ends_the_journal_at_startup() {
+    let dir = temp_dir("corrupt-middle");
+    let u = universe();
+    let frames = one_op_frames(0, u.object_ids()[1], 6);
+    let path = journal_of(&dir, 0, 0xC0_7724, &frames);
+    // A record is 13 bytes of kind, `frame_seq` and length, the frame, and
+    // the 8-byte chain after it; the header is 18 bytes.
+    let intact = 3;
+    let cut: usize = 18
+        + frames[..intact]
+            .iter()
+            .map(|f| 13 + f.len() + 8)
+            .sum::<usize>();
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[cut + 13 + frames[intact].len() / 2] ^= 0x10;
+    std::fs::write(&path, &bytes).unwrap();
+    let (_, service) = RecoverableService::bind(&u, test_config(dir.clone(), 1, 1)).unwrap();
+    let report = service.finish();
+    assert_eq!(report.recovered_at_startup, 1);
+    assert_eq!(report.replayed_frames, intact as u64);
+    assert_eq!(report.replayed_events, 2 * intact as u64);
+    assert_eq!(report.replay_chain_mismatches, 0);
+    assert_eq!(report.events(), 2 * intact as u64);
+    assert!(report.verdict.is_ok(), "{:?}", report.verdict);
+    assert_eq!(
+        std::fs::metadata(&path).unwrap().len(),
+        cut as u64,
+        "the journal is cut at the corrupt record"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
