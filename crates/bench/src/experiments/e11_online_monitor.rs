@@ -8,7 +8,7 @@
 //! frame-batched recorder shard, a k-way merge restores the global sequence
 //! order, and the staged monitor (`evlin_checker::monitor::stages`)
 //! partitions the stream at quiescent cuts, checks each closed segment
-//! (fetch&increment segments take the near-linear `fi` fast path) and
+//! (fetch&increment segments take the linear-time `fi` fast path) and
 //! garbage-collects verified prefixes — so a million-operation run is
 //! checked with a resident event window bounded by the spacing of its
 //! quiescent cuts, at a sustained checked-ops/sec rate reported in the table

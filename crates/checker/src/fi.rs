@@ -5,18 +5,25 @@
 //! in unit tests and bounded exploration but not for the hundreds of
 //! thousands of operations produced by the runtime experiments (E7/E8).  For
 //! a history consisting solely of `fetch_inc()` operations on a single object
-//! there is a near-linear-time decision procedure, closely mirroring the
+//! there is a decision procedure linear in time and memory, the
 //! slot-assignment argument in the proof of Lemma 17:
 //!
-//! * each completed operation whose response lies after the first `t` events
-//!   must occupy slot `response` of the linearization (the `k`-th linearized
-//!   operation returns `initial + k`);
-//! * the precedence constraints of Definition 2 translate into "an operation
-//!   must return a value larger than every operation that completed (after
-//!   event `t`) before it was invoked (after event `t`)";
-//! * the remaining slots ("gaps") must be filled by operations that completed
-//!   within the first `t` events or by pending operations, subject to the
-//!   same precedence thresholds — a greedy matching decides feasibility.
+//! * the `k`-th linearized operation returns `initial + k`, so a history of
+//!   `n` operations has `n` slots, and each completed operation whose
+//!   response lies after the first `t` events is fixed to slot
+//!   `response − initial`; a response outside `[initial, initial + n)`
+//!   refuses the history at once, whatever its magnitude;
+//! * the precedence constraints of Definition 2 give every operation a
+//!   *floor*: it must take a slot above every fixed slot whose operation
+//!   completed (after event `t`) before it was invoked (after event `t`);
+//! * the free slots below the highest fixed slot must be taken by distinct
+//!   operations that completed within the first `t` events or are pending,
+//!   each at or above its floor — counted per floor and filled in ascending
+//!   slot order.
+//!
+//! One pass over the events extracts the operations; each check is one more
+//! pass over them (setting floors; a response before event `t` fixes
+//! nothing) and one over at most `n` slots.
 
 use evlin_history::{Event, EventKind, History, ObjectId, ProcessId};
 use std::fmt;
@@ -54,129 +61,164 @@ impl fmt::Display for FiError {
 impl std::error::Error for FiError {}
 
 /// One fetch&increment operation extracted from a history.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct FiOp {
-    invoke_index: usize,
-    respond_index: Option<usize>,
-    response: Option<i64>,
-}
-
-/// A point of the precedence sweep in [`check`].
 #[derive(Debug, Clone, Copy)]
-enum Ev {
-    LateResponse(i64),
-    Invoke(usize), // index into `ops`
+struct FiOp {
+    /// The position of the response event, or `None` while the operation
+    /// is pending.
+    responded: Option<usize>,
+    /// The lowest slot the operation may take, set by each check.
+    floor: usize,
 }
 
-/// The working buffers of one check, reusable across checks: a caller that
-/// decides many small projections (the online monitor, sixteen events at a
-/// time) keeps one of these and allocates nothing per projection.
+/// The operations of one history and the working buffers of its checks,
+/// reusable across histories: a caller that decides many small projections
+/// (the online monitor, sixteen events at a time) keeps one of these and
+/// allocates nothing per projection.
 #[derive(Debug, Default)]
 pub(crate) struct FiScratch {
-    /// The operations of the events last extracted.
+    /// The operations of the events last loaded.
     ops: Vec<FiOp>,
     /// Pending operation per process: `(process, index into ops)`.  A linear
     /// scan is faster than a map for the handful of processes real histories
     /// have.
     pending: Vec<(ProcessId, usize)>,
-    late: Vec<usize>,
-    fillers: Vec<usize>,
-    responses: Vec<i64>,
-    timeline: Vec<(usize, Ev)>,
-    thresholds: Vec<i64>,
-    gaps: Vec<i64>,
-    filler_thresholds: Vec<i64>,
+    /// Per event, in order: its operation (index into `ops`) and, for a
+    /// response, the value returned.
+    order: Vec<(usize, Option<i64>)>,
+    /// Per slot, during a check: its balance (see [`FiScratch::check`]).
+    slots: Vec<isize>,
 }
 
-/// Collects the operations of `events` into `scratch.ops`.
-fn extract<'a>(
-    events: impl IntoIterator<Item = &'a Event>,
-    scratch: &mut FiScratch,
-) -> Result<(), FiError> {
-    // One fused sweep over the events checks well-formedness, the
-    // single-object and fetch_inc-only constraints, and collects the
-    // operations — the histories this fast path exists for have hundreds of
-    // thousands of events, so the separate `is_well_formed` / `objects()` /
-    // `operations()` passes (and their per-operation record clones) matter.
-    // Indices are positions in `events`, whatever larger history the caller
-    // picked them from.
-    let FiScratch { ops, pending, .. } = scratch;
-    ops.clear();
-    pending.clear();
-    let mut object: Option<ObjectId> = None;
-    for (i, e) in events.into_iter().enumerate() {
-        match object {
-            Some(o) if o != e.object => return Err(FiError::MultipleObjects),
-            Some(_) => {}
-            None => object = Some(e.object),
-        }
-        match &e.kind {
-            EventKind::Invoke(invocation) => {
-                if pending.iter().any(|&(p, _)| p == e.process) {
-                    return Err(FiError::IllFormed);
-                }
-                if invocation.method() != "fetch_inc" {
-                    return Err(FiError::NotFetchInc {
-                        method: invocation.method().to_owned(),
+impl FiScratch {
+    /// Loads the operations of `events`, whose positions count from 0
+    /// whatever larger history the caller picked them from.  A caller that
+    /// holds a projection `H|o` as positions into a larger history (the
+    /// online monitor does) checks it in place, without materializing a
+    /// [`History`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`FiError`] if the events are not a well-formed
+    /// single-object fetch&increment history.
+    pub(crate) fn load<'a>(
+        &mut self,
+        events: impl IntoIterator<Item = &'a Event>,
+    ) -> Result<(), FiError> {
+        // One fused sweep checks well-formedness, the single-object and
+        // fetch_inc-only constraints, and collects the operations — the
+        // histories this fast path exists for have hundreds of thousands of
+        // events, so separate passes (and per-operation record clones)
+        // matter.
+        let FiScratch {
+            ops,
+            pending,
+            order,
+            ..
+        } = self;
+        ops.clear();
+        pending.clear();
+        order.clear();
+        let mut object: Option<ObjectId> = None;
+        for (i, e) in events.into_iter().enumerate() {
+            match object {
+                Some(o) if o != e.object => return Err(FiError::MultipleObjects),
+                Some(_) => {}
+                None => object = Some(e.object),
+            }
+            match &e.kind {
+                EventKind::Invoke(invocation) => {
+                    if pending.iter().any(|&(p, _)| p == e.process) {
+                        return Err(FiError::IllFormed);
+                    }
+                    if invocation.method() != "fetch_inc" {
+                        return Err(FiError::NotFetchInc {
+                            method: invocation.method().to_owned(),
+                        });
+                    }
+                    pending.push((e.process, ops.len()));
+                    order.push((ops.len(), None));
+                    ops.push(FiOp {
+                        responded: None,
+                        floor: 0,
                     });
                 }
-                pending.push((e.process, ops.len()));
-                ops.push(FiOp {
-                    invoke_index: i,
-                    respond_index: None,
-                    response: None,
-                });
-            }
-            EventKind::Respond(value) => {
-                let Some(at) = pending.iter().position(|&(p, _)| p == e.process) else {
-                    return Err(FiError::IllFormed);
-                };
-                let (_, op) = pending.swap_remove(at);
-                ops[op].respond_index = Some(i);
-                ops[op].response = Some(value.as_int().ok_or(FiError::NonIntegerResponse)?);
+                EventKind::Respond(value) => {
+                    let Some(at) = pending.iter().position(|&(p, _)| p == e.process) else {
+                        return Err(FiError::IllFormed);
+                    };
+                    let (_, op) = pending.swap_remove(at);
+                    let value = value.as_int().ok_or(FiError::NonIntegerResponse)?;
+                    ops[op].responded = Some(i);
+                    order.push((op, Some(value)));
+                }
             }
         }
+        Ok(())
     }
-    Ok(())
+
+    /// Decides `t`-linearizability of the loaded operations from `initial`.
+    pub(crate) fn check(&mut self, initial: i64, t: usize) -> bool {
+        let FiScratch {
+            ops, order, slots, ..
+        } = self;
+        let n = ops.len();
+        // A slot's balance: the free operations whose floor it is, less one
+        // while no fixed response has taken it.  Every slot starts free.
+        slots.clear();
+        slots.resize(n, -1);
+        // One past the highest fixed slot seen so far: the floor of an
+        // operation invoked now.  Operations invoked before event `t` have
+        // no precedence constraints, and no fixed response comes before `t`.
+        let mut top = 0;
+        for (i, &(op, response)) in order.iter().enumerate() {
+            let op = &mut ops[op];
+            let Some(response) = response else {
+                op.floor = top;
+                continue;
+            };
+            if i < t {
+                continue;
+            }
+            let slot = match response.checked_sub(initial).map(usize::try_from) {
+                Some(Ok(slot)) if slot < n => slot,
+                _ => return false,
+            };
+            if slot < op.floor || slots[slot] == 0 {
+                return false;
+            }
+            slots[slot] = 0;
+            top = top.max(slot + 1);
+        }
+        // Count each free operation (pending, or answered before `t`) under
+        // its floor; one whose floor is `top` fits no free slot.
+        for op in ops.iter() {
+            let fixed = op.responded.is_some_and(|at| at >= t);
+            if !fixed && op.floor < top {
+                slots[op.floor] += 1;
+            }
+        }
+        // Greedy in ascending slot order: a free operation usable for a slot
+        // is usable for every later one, so the slots below `top` can all be
+        // filled iff no running balance goes negative.
+        let mut spare = 0;
+        slots[..top].iter().all(|&balance| {
+            spare += balance;
+            spare >= 0
+        })
+    }
 }
 
-/// Decides `t`-linearizability of a pure fetch&increment history in
-/// `O(n log n)` time.
+/// Decides `t`-linearizability of a pure fetch&increment history in `O(n)`
+/// time and memory.
 ///
 /// # Errors
 ///
 /// Returns an [`FiError`] if the history is not a well-formed single-object
 /// fetch&increment history.
 pub fn is_t_linearizable(history: &History, initial: i64, t: usize) -> Result<bool, FiError> {
-    is_t_linearizable_events(history.events(), initial, t)
-}
-
-/// [`is_t_linearizable`] over a borrowed event sequence, with `t` counted in
-/// positions of that sequence.  A caller that holds a projection `H|o` as
-/// positions into a larger history (the online monitor does) checks it in
-/// place, without materializing a [`History`].
-///
-/// # Errors
-///
-/// Returns an [`FiError`] if the events are not a well-formed single-object
-/// fetch&increment history.
-pub(crate) fn is_t_linearizable_events<'a>(
-    events: impl IntoIterator<Item = &'a Event>,
-    initial: i64,
-    t: usize,
-) -> Result<bool, FiError> {
-    is_t_linearizable_events_in(events, initial, t, &mut FiScratch::default())
-}
-
-/// [`is_t_linearizable_events`] working in the caller's `scratch`.
-pub(crate) fn is_t_linearizable_events_in<'a>(
-    events: impl IntoIterator<Item = &'a Event>,
-    initial: i64,
-    t: usize,
-    scratch: &mut FiScratch,
-) -> Result<bool, FiError> {
-    extract(events, scratch)?;
-    Ok(check(scratch, initial, t))
+    let mut scratch = FiScratch::default();
+    scratch.load(history.events())?;
+    Ok(scratch.check(initial, t))
 }
 
 /// Decides linearizability (`t = 0`) of a pure fetch&increment history.
@@ -198,133 +240,20 @@ pub fn is_linearizable(history: &History, initial: i64) -> Result<bool, FiError>
 /// fetch&increment history.
 pub fn min_stabilization(history: &History, initial: i64) -> Result<usize, FiError> {
     let mut scratch = FiScratch::default();
-    extract(history.events(), &mut scratch)?;
+    scratch.load(history.events())?;
     let len = history.len();
     let mut lo = 0usize;
     let mut hi = len;
-    debug_assert!(
-        check(&mut scratch, initial, len),
-        "t = |H| must always work"
-    );
+    debug_assert!(scratch.check(initial, len), "t = |H| must always work");
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if check(&mut scratch, initial, mid) {
+        if scratch.check(initial, mid) {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
     Ok(lo)
-}
-
-/// Core feasibility check of `scratch.ops` for a given `t`.
-fn check(scratch: &mut FiScratch, initial: i64, t: usize) -> bool {
-    let FiScratch {
-        ops,
-        late,
-        fillers,
-        responses,
-        timeline,
-        thresholds,
-        gaps,
-        filler_thresholds,
-        ..
-    } = scratch;
-    // Partition the operations (by index into `ops`): completed with the
-    // response at index >= t (fixed slot), or early-completed or pending
-    // (free slot).
-    late.clear();
-    fillers.clear();
-    for (i, op) in ops.iter().enumerate() {
-        match op.respond_index {
-            Some(r) if r >= t => late.push(i),
-            _ => fillers.push(i),
-        }
-    }
-
-    // Condition 1: late responses are distinct and >= initial.
-    responses.clear();
-    responses.extend(
-        late.iter()
-            .map(|&i| ops[i].response.expect("late is completed")),
-    );
-    responses.sort_unstable();
-    if responses.iter().any(|&v| v < initial) {
-        return false;
-    }
-    if responses.windows(2).any(|w| w[0] == w[1]) {
-        return false;
-    }
-
-    // Precedence thresholds.  For an operation x invoked at index >= t, the
-    // threshold is the largest response among late operations that responded
-    // (at index >= t) before x was invoked; x must be assigned a slot greater
-    // than its threshold.  Operations invoked before event t have no
-    // precedence constraints.
-    //
-    // Sweep over "timestamps": process response events of late ops and
-    // invocation events in global order.
-    timeline.clear();
-    for &i in late.iter() {
-        let r = ops[i].respond_index.expect("late");
-        timeline.push((r, Ev::LateResponse(ops[i].response.expect("late"))));
-    }
-    for (i, op) in ops.iter().enumerate() {
-        if op.invoke_index >= t {
-            timeline.push((op.invoke_index, Ev::Invoke(i)));
-        }
-    }
-    timeline.sort_by_key(|(idx, _)| *idx);
-    thresholds.clear();
-    thresholds.resize(ops.len(), i64::MIN);
-    let mut max_late_resp_so_far = i64::MIN;
-    for &(_, ev) in timeline.iter() {
-        match ev {
-            Ev::LateResponse(v) => max_late_resp_so_far = max_late_resp_so_far.max(v),
-            Ev::Invoke(i) => thresholds[i] = max_late_resp_so_far,
-        }
-    }
-
-    // Condition 2: every late operation's response exceeds its threshold.
-    for &i in late.iter() {
-        if ops[i].response.expect("late") <= thresholds[i] && thresholds[i] != i64::MIN {
-            return false;
-        }
-    }
-
-    // Condition 3: every gap slot below the maximum late response can be
-    // filled by a distinct filler whose threshold is below the slot.  (No
-    // late operations: nothing is constrained.)
-    gaps.clear();
-    let mut next = initial;
-    for &r in responses.iter() {
-        while next < r {
-            gaps.push(next);
-            next += 1;
-        }
-        next = r + 1;
-    }
-    if gaps.is_empty() {
-        return true;
-    }
-    filler_thresholds.clear();
-    filler_thresholds.extend(fillers.iter().map(|&i| thresholds[i]));
-    filler_thresholds.sort_unstable();
-    // Greedy: gaps ascending, fillers by threshold ascending; a filler with
-    // threshold < slot is usable for that slot and for every later slot.
-    let mut available = 0usize;
-    let mut fi = 0usize;
-    for &slot in gaps.iter() {
-        while fi < filler_thresholds.len() && filler_thresholds[fi] < slot {
-            available += 1;
-            fi += 1;
-        }
-        if available == 0 {
-            return false;
-        }
-        available -= 1;
-    }
-    true
 }
 
 #[cfg(test)]
@@ -340,6 +269,17 @@ mod tests {
         let mut u = ObjectUniverse::new();
         let x = u.add_object(FetchIncrement::new());
         (u, x)
+    }
+
+    /// The monitor's in-place path: load a borrowed event sequence, check it.
+    fn is_t_linearizable_events<'a>(
+        events: impl IntoIterator<Item = &'a Event>,
+        initial: i64,
+        t: usize,
+    ) -> Result<bool, FiError> {
+        let mut scratch = FiScratch::default();
+        scratch.load(events)?;
+        Ok(scratch.check(initial, t))
     }
 
     #[test]
@@ -477,6 +417,47 @@ mod tests {
     }
 
     #[test]
+    fn an_answer_far_past_the_operation_count_is_refused_at_once() {
+        // One operation has one slot: an answer of `initial + 2^40` or an
+        // `i64` extreme is refused when it is read, without a slot (or a
+        // gap) per value below it.  Forgiving its response event (t = 2)
+        // leaves nothing fixed.
+        let (_, x) = fi_universe();
+        for initial in [0i64, 3, -1] {
+            for answer in [initial + (1 << 40), i64::MAX, i64::MIN] {
+                let h = HistoryBuilder::new()
+                    .complete(
+                        ProcessId(0),
+                        x,
+                        FetchIncrement::fetch_inc(),
+                        Value::from(answer),
+                    )
+                    .build();
+                assert_eq!(is_linearizable(&h, initial), Ok(false), "{answer}");
+                assert_eq!(is_t_linearizable(&h, initial, 1), Ok(false), "{answer}");
+                assert_eq!(min_stabilization(&h, initial), Ok(2), "{answer}");
+                // Behind a correct operation, it is the fourth event.
+                let h = HistoryBuilder::new()
+                    .complete(
+                        ProcessId(1),
+                        x,
+                        FetchIncrement::fetch_inc(),
+                        Value::from(initial),
+                    )
+                    .complete(
+                        ProcessId(0),
+                        x,
+                        FetchIncrement::fetch_inc(),
+                        Value::from(answer),
+                    )
+                    .build();
+                assert_eq!(is_linearizable(&h, initial), Ok(false), "{answer}");
+                assert_eq!(min_stabilization(&h, initial), Ok(4), "{answer}");
+            }
+        }
+    }
+
+    #[test]
     fn error_cases() {
         let mut u = ObjectUniverse::new();
         let x = u.add_object(FetchIncrement::new());
@@ -545,49 +526,117 @@ mod tests {
 
     /// Differential test against the generic checker on random small
     /// histories: the specialized checker must agree with the general search
-    /// both for linearizability and for the minimal stabilization index.
+    /// for linearizability, for `t`-linearizability at every `t`, and for the
+    /// minimal stabilization index.  After sixty histories of one operation
+    /// per process from 0, histories start from initial states other than
+    /// 0, give processes several operations, leave some pending, and answer
+    /// below the initial state, twice, past the operation count and at the
+    /// `i64` extremes.
     #[test]
     fn agrees_with_generic_checker_on_random_histories() {
         let (u, x) = fi_universe();
-        for seed in 0..60u64 {
+        let universes: Vec<(i64, ObjectUniverse)> = (-2..=2)
+            .map(|initial| {
+                let mut u = ObjectUniverse::new();
+                assert_eq!(u.add_object(FetchIncrement::starting_at(initial)), x);
+                (initial, u)
+            })
+            .collect();
+        for seed in 0..2_060u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let n_ops = rng.gen_range(2..7usize);
-            let mut b = HistoryBuilder::new();
-            // Random (possibly ill-behaved) responses and overlap pattern,
-            // one op per process to allow arbitrary overlap.
-            let mut pending: Vec<(usize, i64)> = Vec::new();
-            let mut next_val = 0i64;
-            for p in 0..n_ops {
-                b = b.invoke(ProcessId(p), x, FetchIncrement::fetch_inc());
-                pending.push((p, next_val));
-                // Bias responses toward plausible values with occasional noise.
-                if rng.gen_bool(0.8) {
-                    next_val += 1;
-                }
-                // Randomly complete some pending operations.
-                while !pending.is_empty() && rng.gen_bool(0.6) {
-                    let k = rng.gen_range(0..pending.len());
-                    let (proc, val) = pending.remove(k);
-                    let noise = if rng.gen_bool(0.2) {
-                        rng.gen_range(0..3)
-                    } else {
-                        0
-                    };
-                    b = b.respond(ProcessId(proc), x, Value::from(val + noise));
-                }
-            }
-            for (proc, val) in pending {
-                if rng.gen_bool(0.5) {
-                    b = b.respond(ProcessId(proc), x, Value::from(val));
-                }
-            }
-            let h = b.build();
-            let fast = is_linearizable(&h, 0).unwrap();
-            let slow = linearizability::is_linearizable(&h, &u);
+            let (initial, u, h) = if seed < 60 {
+                (0, &u, one_operation_per_process(&mut rng, x))
+            } else {
+                let (initial, u) = &universes[rng.gen_range(0..universes.len())];
+                (*initial, u, random_history(&mut rng, x, *initial))
+            };
+            let fast = is_linearizable(&h, initial).unwrap();
+            let slow = linearizability::is_linearizable(&h, u);
             assert_eq!(fast, slow, "linearizability mismatch (seed {seed})\n{h}");
-            let fast_t = min_stabilization(&h, 0).unwrap();
-            let slow_t = t_linearizability::min_stabilization(&h, &u, None).unwrap();
+            for t in 0..=h.len() {
+                assert_eq!(
+                    is_t_linearizable(&h, initial, t).unwrap(),
+                    t_linearizability::is_t_linearizable(&h, u, t),
+                    "{t}-linearizability mismatch (seed {seed})\n{h}"
+                );
+            }
+            let fast_t = min_stabilization(&h, initial).unwrap();
+            let slow_t = t_linearizability::min_stabilization(&h, u, None).unwrap();
             assert_eq!(fast_t, slow_t, "stabilization mismatch (seed {seed})\n{h}");
         }
+    }
+
+    /// Two to six `fetch_inc()` operations from 0, one per process to allow
+    /// arbitrary overlap, with random (possibly ill-behaved) responses.
+    fn one_operation_per_process(rng: &mut StdRng, x: evlin_history::ObjectId) -> History {
+        let n_ops = rng.gen_range(2..7usize);
+        let mut b = HistoryBuilder::new();
+        let mut pending: Vec<(usize, i64)> = Vec::new();
+        let mut next_val = 0i64;
+        for p in 0..n_ops {
+            b = b.invoke(ProcessId(p), x, FetchIncrement::fetch_inc());
+            pending.push((p, next_val));
+            // Bias responses toward plausible values with occasional noise.
+            if rng.gen_bool(0.8) {
+                next_val += 1;
+            }
+            // Randomly complete some pending operations.
+            while !pending.is_empty() && rng.gen_bool(0.6) {
+                let k = rng.gen_range(0..pending.len());
+                let (proc, val) = pending.remove(k);
+                let noise = if rng.gen_bool(0.2) {
+                    rng.gen_range(0..3)
+                } else {
+                    0
+                };
+                b = b.respond(ProcessId(proc), x, Value::from(val + noise));
+            }
+        }
+        for (proc, val) in pending {
+            if rng.gen_bool(0.5) {
+                b = b.respond(ProcessId(proc), x, Value::from(val));
+            }
+        }
+        b.build()
+    }
+
+    /// Up to six `fetch_inc()` operations over up to four processes, each
+    /// process invoking again once answered; operations still open at the
+    /// end stay pending.  Most answers are the next plausible value.
+    fn random_history(rng: &mut StdRng, x: evlin_history::ObjectId, initial: i64) -> History {
+        let n_ops = rng.gen_range(1..7usize);
+        let n_procs = rng.gen_range(1..5usize);
+        let mut b = HistoryBuilder::new();
+        let mut open: Vec<usize> = Vec::new();
+        let (mut invoked, mut next, mut answers) = (0, initial, Vec::new());
+        while invoked < n_ops || (!open.is_empty() && rng.gen_bool(0.7)) {
+            let idle = (0..n_procs).find(|p| !open.contains(p));
+            match idle {
+                Some(p) if invoked < n_ops && (open.is_empty() || rng.gen_bool(0.5)) => {
+                    b = b.invoke(ProcessId(p), x, FetchIncrement::fetch_inc());
+                    open.push(p);
+                    invoked += 1;
+                }
+                _ if open.is_empty() => break,
+                _ => {
+                    let p = open.swap_remove(rng.gen_range(0..open.len()));
+                    let answer = match rng.gen_range(0..16) {
+                        0 => initial - rng.gen_range(1..3i64),
+                        1 if !answers.is_empty() => answers[rng.gen_range(0..answers.len())],
+                        2 => initial + n_ops as i64 + rng.gen_range(0..3i64),
+                        3 => i64::MAX,
+                        4 => i64::MIN,
+                        5 => initial + rng.gen_range(0..n_ops as i64),
+                        _ => {
+                            next += 1;
+                            next - 1
+                        }
+                    };
+                    answers.push(answer);
+                    b = b.respond(ProcessId(p), x, Value::from(answer));
+                }
+            }
+        }
+        b.build()
     }
 }

@@ -53,7 +53,7 @@
 //!   the paper's observations about which conditions are safety properties;
 //! * [`locality`] — the per-object diagnostic decompositions of Lemmas 7–9
 //!   and Proposition 9;
-//! * [`fi`] — specialized, near-linear-time checkers for fetch&increment
+//! * [`fi`] — specialized, linear-time checkers for fetch&increment
 //!   histories, used by the large-scale experiments (the generic search is
 //!   exponential in the worst case);
 //! * [`parallel`] — the one place threads are created: a batch of whole

@@ -82,11 +82,13 @@
 //! objects, and an object never visits a segment it is absent from.
 //! The projections of an object whose type *is* [`FetchIncrement`] (asked
 //! of the type, not of its [`ObjectType::name`], which any type may claim)
-//! take the near-linear [`crate::fi`] fast path instead of the kernel —
-//! which is what lets the monitor keep up with millions of real-thread
-//! counter operations (experiment E11, the `monitor_throughput` bench).  A
-//! segment whose events all name one object is its own projection and is
-//! read whole.
+//! take the [`crate::fi`] fast path instead of the kernel — loaded once per
+//! link and checked once per frontier state, each check linear in the
+//! link's events, and a response outside `[state, state + operations)`
+//! refused at once — which is what lets the monitor keep up with millions
+//! of real-thread counter operations (experiment E11, the
+//! `monitor_throughput` bench).  A segment whose events all name one object
+//! is its own projection and is read whole.
 //!
 //! No path materializes a projection.  A link's events are read in
 //! place through its positions; on the kernel path its invocations and
@@ -202,7 +204,7 @@
 //! assert!(report.verdict.is_ok());
 //! ```
 
-use crate::fi::{self, FiScratch};
+use crate::fi::FiScratch;
 use crate::kernel::{
     self, KernelScratch, OpView, Problem, SearchLimits, SearchResult, SearchStats,
 };
@@ -345,7 +347,7 @@ pub struct MonitorStats {
     /// closed segments) — the monitor's memory high-water mark, which stays
     /// bounded by the concurrency window rather than the history length.
     pub peak_window_events: usize,
-    /// Segments decided by the near-linear fetch&increment fast path.
+    /// Segments decided by the linear-time fetch&increment fast path.
     pub fast_path_segments: usize,
     /// Running fingerprint of the ingested stream: every event is packed
     /// into one word ([`event_word`]) and segments are folded in order with
@@ -1080,12 +1082,12 @@ impl CheckContext {
             let states = &frontier.states;
             // Fast path: a `FetchIncrement` object's projection from an
             // integer state has a unique outgoing state (initial + operation
-            // count), so the near-linear specialized checker replaces the
+            // count), so the linear-time specialized checker replaces the
             // kernel search.
             let fast = !floats
                 && fast_eligible
                 && fi_step(
-                    || (0..len).map(event),
+                    (0..len).map(event),
                     states,
                     final_segment,
                     &mut self.fi_scratch,
@@ -1685,43 +1687,45 @@ fn step_operation(
     complete
 }
 
-/// Fast-path step: decides a pure fetch&increment projection (`events()`
-/// yields it, once per frontier state) from every frontier state with
-/// [`crate::fi`] and leaves the outgoing frontier in `outgoing` — a singleton
+/// Fast-path step: decides a pure fetch&increment projection (`events`)
+/// from every frontier state with [`crate::fi`] — loaded once, checked once
+/// per state — and leaves the outgoing frontier in `outgoing`: a singleton
 /// dummy for the final segment, whose outgoing frontier nobody reads.
 ///
 /// `false` means "not eligible — use the kernel" (and `outgoing` holds
 /// nothing of use): a non-integer frontier state, or events [`crate::fi`]
 /// rejects (another method, a non-integer response).
-fn fi_step<'a, I: ExactSizeIterator<Item = &'a Event>>(
-    events: impl Fn() -> I,
+fn fi_step<'a>(
+    events: impl ExactSizeIterator<Item = &'a Event>,
     frontier: &[Value],
     is_final: bool,
     scratch: &mut FiScratch,
     outgoing: &mut Vec<Value>,
 ) -> bool {
-    let len = events().len();
+    let len = events.len();
     debug_assert!(
         is_final || len.is_multiple_of(2),
         "mid-stream cuts are quiescent"
     );
     outgoing.clear();
+    if scratch.load(events).is_err() {
+        return false;
+    }
     for state in frontier {
         let Some(initial) = state.as_int() else {
             return false;
         };
-        match fi::is_t_linearizable_events_in(events(), initial, 0, scratch) {
-            Err(_) => return false,
-            Ok(false) => {}
-            Ok(true) if is_final => {
-                outgoing.push(Value::from(initial));
-                break;
-            }
-            // Mid-stream segments are quiescent, so the projection is
-            // `len / 2` complete operations and every witness linearizes
-            // them all: the outgoing state is unique per incoming state.
-            Ok(true) => outgoing.push(Value::from(initial + (len / 2) as i64)),
+        if !scratch.check(initial, 0) {
+            continue;
         }
+        if is_final {
+            outgoing.push(Value::from(initial));
+            break;
+        }
+        // Mid-stream segments are quiescent, so the projection is `len / 2`
+        // complete operations and every witness linearizes them all: the
+        // outgoing state is unique per incoming state.
+        outgoing.push(Value::from(initial + (len / 2) as i64));
     }
     true
 }
@@ -1963,6 +1967,36 @@ mod tests {
         assert!(report.verdict.is_ok(), "{report:?}");
         let report = run_monitor(&u, &h, MonitorCondition::WeakConsistency);
         assert!(report.verdict.is_ok(), "{report:?}");
+    }
+
+    #[test]
+    fn an_answer_far_past_the_operation_count_is_one_violation() {
+        // The fast path refuses an answer outside `[state, state + ops)` as
+        // soon as it reads it: no work or memory in proportion to its size.
+        let (u, x) = fi_universe();
+        for answer in [1i64 << 40, i64::MAX, i64::MIN] {
+            let h = HistoryBuilder::new()
+                .complete(
+                    ProcessId(0),
+                    x,
+                    FetchIncrement::fetch_inc(),
+                    Value::from(0i64),
+                )
+                .complete(
+                    ProcessId(1),
+                    x,
+                    FetchIncrement::fetch_inc(),
+                    Value::from(answer),
+                )
+                .build();
+            let report = run_monitor(&u, &h, MonitorCondition::Linearizability);
+            let MonitorVerdict::Violation(v) = &report.verdict else {
+                panic!("answer {answer}: {report:?}");
+            };
+            assert_eq!(v.object, Some(x), "answer {answer}");
+            assert_eq!(v.segment_start, 2, "answer {answer}");
+            assert!(report.stats.fast_path_segments > 0, "answer {answer}");
+        }
     }
 
     #[test]

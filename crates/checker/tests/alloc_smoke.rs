@@ -143,6 +143,22 @@ fn warmed_up_fi_checks_stay_linear_in_allocations() {
         "fi::is_linearizable allocated {allocs} times for 1000 ops — \
          its working set must not grow per operation"
     );
+    // Nor per value answered: one operation answering 2^40 has one slot,
+    // and is refused without a buffer the size of the answer.
+    let h = HistoryBuilder::new()
+        .complete(
+            ProcessId(0),
+            x,
+            FetchIncrement::fetch_inc(),
+            Value::from(1i64 << 40),
+        )
+        .build();
+    let (allocs, ok) = allocations(|| fi::is_linearizable(&h, 0));
+    assert_eq!(ok, Ok(false));
+    assert!(
+        allocs <= 40,
+        "fi::is_linearizable allocated {allocs} times for one answer of 2^40"
+    );
 }
 
 #[test]
