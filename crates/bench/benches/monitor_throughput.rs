@@ -11,12 +11,14 @@
 //!   about the same at both widths, one that re-reads the segment per object
 //!   does not — the 1024-object baseline is held within 1.5× of the
 //!   16-object one;
-//! * `dense/4x4` — the monitor alone on the one shape that reaches the
-//!   kernel: rounds of four mutually concurrent operations over two registers
-//!   and two counters (no fetch&increment, so no fast path), one quiescent
-//!   segment per round — the fixed cost per (object, segment) of taking a
-//!   link from the segment's events to its outgoing frontier, by a kernel
-//!   search or, for a link of one operation, one step of the spec;
+//! * `dense/4x4` and `dense/wide` — the monitor alone on streams with no
+//!   fetch&increment, so no fast path, one quiescent segment per round: the
+//!   fixed cost per (object, segment) of taking a link from the segment's
+//!   events to its outgoing frontier.  `4x4` runs rounds of four mutually
+//!   concurrent operations over two registers and two counters, so every
+//!   link holds at most four operations and is walked over the spec;
+//!   `wide` runs rounds of six on one register, so every link is too wide
+//!   to walk and is a kernel search (its node count is pinned);
 //! * `tlin`, `weak`, `stab` — the monitor alone on the `ingest` stream under
 //!   the paper's own conditions (`t`-linearizability with `t = 8`, weak
 //!   consistency, "stabilizes eventually"): `tlin` searches the segment that
@@ -149,10 +151,10 @@ fn bench_wide(c: &mut Criterion) {
 /// `ops` operations in rounds of four mutually concurrent ones over two
 /// registers (values `0..4`) and two counters: every process invokes, then
 /// every process responds, and the effects take place in a seeded order, so
-/// the stream is linearizable by construction.  An (object, round) link of two
-/// or more operations needs a kernel search; about 62 % of the links hold one
-/// operation (four uniform picks of four objects), and those take one step
-/// of the spec per frontier state instead.
+/// the stream is linearizable by construction.  An (object, round) link holds
+/// one to four operations (about 62 % hold one: four uniform picks of four
+/// objects), so every link but the stream tail's is walked over the spec
+/// from each frontier state instead of searched.
 fn dense_stream(ops: usize) -> (ObjectUniverse, Vec<Event>) {
     let mut universe = ObjectUniverse::new();
     for _ in 0..2 {
@@ -191,24 +193,71 @@ fn dense_stream(ops: usize) -> (ObjectUniverse, Vec<Event>) {
     (universe, events)
 }
 
+/// `ops` operations in rounds of six mutually concurrent reads and writes
+/// (values `0..4`) of one register, the effects taking place in a seeded
+/// order: one quiescent segment per round, and every link too wide to walk,
+/// so each is a kernel search.
+fn wide_register_stream(ops: usize) -> (ObjectUniverse, Vec<Event>) {
+    const ROUND: usize = 6;
+    let mut universe = ObjectUniverse::new();
+    let register = universe.add_object(Register::new(Value::from(0i64)));
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut state = 0i64;
+    let mut events = Vec::with_capacity(2 * ops);
+    for _ in 0..ops / ROUND {
+        let calls: [(bool, i64); ROUND] =
+            std::array::from_fn(|_| (rng.gen_bool(0.5), rng.gen_range(0..4)));
+        for (p, &(read, value)) in calls.iter().enumerate() {
+            let invocation = if read {
+                Register::read()
+            } else {
+                Register::write(Value::from(value))
+            };
+            events.push(Event::invoke(ProcessId(p), register, invocation));
+        }
+        let first = rng.gen_range(0..ROUND);
+        for p in (0..ROUND).map(|i| (first + i) % ROUND) {
+            let (read, value) = calls[p];
+            let response = if read {
+                Value::from(state)
+            } else {
+                state = value;
+                Value::Unit
+            };
+            events.push(Event::respond(ProcessId(p), register, response));
+        }
+    }
+    (universe, events)
+}
+
 fn bench_dense(c: &mut Criterion) {
     let mut group = c.benchmark_group("monitor/dense");
-    let ops = 100_000usize;
-    let (universe, events) = dense_stream(ops);
-    group.throughput(Throughput::Elements(events.len() as u64));
-    group.bench_with_input(BenchmarkId::new("4x4", ops), &events, |b, events| {
-        b.iter(|| {
-            let mut monitor = Monitor::new(universe.clone(), MonitorConfig::default());
-            monitor
-                .ingest_all(events.iter().cloned())
-                .expect("well-formed stream");
-            let report = monitor.finish();
-            assert!(report.verdict.is_ok());
-            assert_eq!(report.stats.checked_ops, ops);
-            assert_eq!(report.stats.fast_path_segments, 0);
-            report
+    // `(name, stream, kernel nodes)`, the nodes pinned where every link is
+    // a kernel search.
+    let rows = [
+        ("4x4", dense_stream(100_000), None),
+        ("wide", wide_register_stream(12_000), Some(240_172)),
+    ];
+    for (name, (universe, events), pinned) in rows {
+        let ops = events.len() / 2;
+        group.throughput(Throughput::Elements(events.len() as u64));
+        group.bench_with_input(BenchmarkId::new(name, ops), &events, |b, events| {
+            b.iter(|| {
+                let mut monitor = Monitor::new(universe.clone(), MonitorConfig::default());
+                monitor
+                    .ingest_all(events.iter().cloned())
+                    .expect("well-formed stream");
+                let report = monitor.finish();
+                assert!(report.verdict.is_ok());
+                assert_eq!(report.stats.checked_ops, ops);
+                assert_eq!(report.stats.fast_path_segments, 0);
+                if let Some(nodes) = pinned {
+                    assert_eq!(report.stats.search.nodes, nodes);
+                }
+                report
+            });
         });
-    });
+    }
     group.finish();
 }
 

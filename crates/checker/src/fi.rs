@@ -90,6 +90,16 @@ pub(crate) struct FiScratch {
 }
 
 impl FiScratch {
+    /// A fresh scratch sized for `history`'s events: its operation and
+    /// event lists are reserved once, not grown by doubling.
+    fn sized_for(history: &History) -> Self {
+        let events = history.len();
+        let mut scratch = FiScratch::default();
+        scratch.ops.reserve(events.div_ceil(2));
+        scratch.order.reserve(events);
+        scratch
+    }
+
     /// Loads the operations of `events`, whose positions count from 0
     /// whatever larger history the caller picked them from.  A caller that
     /// holds a projection `H|o` as positions into a larger history (the
@@ -216,7 +226,7 @@ impl FiScratch {
 /// Returns an [`FiError`] if the history is not a well-formed single-object
 /// fetch&increment history.
 pub fn is_t_linearizable(history: &History, initial: i64, t: usize) -> Result<bool, FiError> {
-    let mut scratch = FiScratch::default();
+    let mut scratch = FiScratch::sized_for(history);
     scratch.load(history.events())?;
     Ok(scratch.check(initial, t))
 }
@@ -239,7 +249,7 @@ pub fn is_linearizable(history: &History, initial: i64) -> Result<bool, FiError>
 /// Returns an [`FiError`] if the history is not a well-formed single-object
 /// fetch&increment history.
 pub fn min_stabilization(history: &History, initial: i64) -> Result<usize, FiError> {
-    let mut scratch = FiScratch::default();
+    let mut scratch = FiScratch::sized_for(history);
     scratch.load(history.events())?;
     let len = history.len();
     let mut lo = 0usize;

@@ -45,7 +45,7 @@
 //!   objects the stream names.  Closed segments accumulate into opaque
 //!   [`SegmentBatch`]es.
 //! * [`MonitorCheck`] — the per-segment half: frontier threading, kernel
-//!   searches, the one-operation step and the fetch&increment fast path.
+//!   searches, the small-link walk and the fetch&increment fast path.
 //!   Batches are `Send`, so a pipelined caller ships them to a dedicated
 //!   checker thread and keeps ingesting while earlier segments are
 //!   verified.
@@ -104,19 +104,16 @@
 //! frontier, which is the object's entry of the frontier map updated in
 //! place.  The stream tail takes the same views through the witness search.
 //!
-//! A mid-stream link of exactly one operation — an invocation and its
-//! response — skips the search: one operation has no real-time order to
-//! choose, so its outgoing states are the `next_state` of every transition
-//! of the object's spec, from every frontier state, whose response is the
-//! recorded one.  The step counts what the kernel's search on that problem
-//! counts (a root node per frontier state, a node per matching transition,
-//! the node budget, a memo hit per repeated next state; a unit test holds
-//! the two equal), adds nothing to `arena_bytes`, and feeds the same
+//! A mid-stream link of at most four complete operations (most links of a
+//! stream of short rounds) has only their real-time order to choose: a walk
+//! over the object's spec (`Walk`) repeats the kernel's exhaustive search
+//! from each frontier state without its set-up, node for node (a unit test
+//! holds the two equal), adds nothing to `arena_bytes`, and feeds the same
 //! pooled buffer, sort, deduplication, cap and swap.
 //!
 //! What a warmed-up batch still allocates is the spec layer's
 //! `transitions()` result: per distinct `(invocation, state)` pair a search
-//! expands, and per frontier state a one-operation step leaves from
+//! expands from a frontier state, or a walk expands in a link
 //! (`tests/alloc_smoke.rs` pins both).
 //!
 //! ## The four conditions, three drains
@@ -830,6 +827,8 @@ struct CheckContext {
     grouping: Grouping,
     /// The operations of the link being checked (positions in the link).
     matcher: OperationMatcher,
+    /// The pooled tables of the small-link walk.
+    walk: WalkScratch,
     /// The states the link being checked leaves behind.
     outgoing: Vec<Value>,
     /// The `(state, unplaced floaters)` entries a link with floaters leaves
@@ -876,6 +875,7 @@ impl MonitorCheck {
                 ..Grouping::default()
             },
             matcher: OperationMatcher::default(),
+            walk: WalkScratch::default(),
             outgoing: Vec::new(),
             rows: Vec::new(),
             tracked: Vec::new(),
@@ -955,7 +955,7 @@ impl CheckContext {
     /// Checks a batch of segments under Definition 2 with a fixed `t` (0 for
     /// linearizability): per-object frontier threading, one object's chain
     /// after the other, with the fetch&increment fast path and the
-    /// one-operation step per projection.
+    /// small-link walk per projection.
     fn drain_lin(
         &mut self,
         t: usize,
@@ -1106,31 +1106,17 @@ impl CheckContext {
                 continue;
             }
             outgoing.clear();
-            // One operation has no real-time order to choose: a mid-stream
-            // link of one invocation and its response is one step of the
-            // spec from each frontier state, counted as the kernel's search.
-            let single = !floats && !final_segment && len == 2;
-            let one_operation = match single.then(|| (event(0), event(1))) {
-                Some((
-                    Event {
-                        process: caller,
-                        kind: EventKind::Invoke(invocation),
-                        ..
-                    },
-                    Event {
-                        process: responder,
-                        kind: EventKind::Respond(response),
-                        ..
-                    },
-                )) if caller == responder => Some((invocation, response)),
-                _ => None,
-            };
+            // A mid-stream link of a few complete operations has only their
+            // real-time order to choose: it is walked over the spec from
+            // each frontier state, counted as the kernel's search.
+            let walk = (!floats && !final_segment)
+                .then(|| Walk::new(spec, limits, len, event, &mut self.matcher, &mut self.walk))
+                .flatten();
             let mut any_yes = false;
-            if let Some((invocation, response)) = one_operation {
-                let stats = &mut self.stats.search;
-                if !step_operation(spec, states, invocation, response, limits, stats, outgoing) {
-                    self.incomplete = true;
-                }
+            if let Some(mut walk) = walk {
+                states.iter().for_each(|state| walk.from(state, outgoing));
+                self.stats.search.absorb(walk.stats);
+                self.incomplete |= !walk.complete;
                 any_yes = !outgoing.is_empty();
             } else {
                 // Kernel path: Definition 2 with the link's share of the
@@ -1642,49 +1628,212 @@ impl Grouping {
     }
 }
 
-/// Decides a one-operation link — `invocation` answered with `response` —
-/// from every frontier state by stepping `spec`, and appends each state's
-/// outgoing states to `outgoing`: the `next_state` of every transition whose
-/// response is the recorded one.  Returns `false` when the node budget cut
-/// the step short.
-///
-/// This is the kernel's exhaustive search on that one-operation problem,
-/// counted into `stats` the same way: per frontier state one root node, then
-/// one node per matching transition; a transition whose node passes
-/// `limits.max_nodes` is dropped, as the kernel drops it when it sets `exhausted`;
-/// a next state the same root already reached is a memo hit, as the visited
-/// cache would have it.  Nothing is interned, so `arena_bytes` is untouched.
-/// What it allocates is the spec's `transitions()` result per frontier state
-/// (and `outgoing`'s growth, which is pooled).
-fn step_operation(
-    spec: &dyn ObjectType,
-    frontier: &[Value],
-    invocation: &Invocation,
-    response: &Value,
-    limits: SearchLimits,
-    stats: &mut SearchStats,
-    outgoing: &mut Vec<Value>,
-) -> bool {
-    let mut complete = true;
-    for state in frontier {
-        let reached = outgoing.len();
-        let mut nodes = 1;
-        for transition in spec.transitions(state, invocation) {
-            if transition.response != *response {
-                continue;
+/// The most operations a mid-stream link may hold to be walked ([`Walk`])
+/// rather than searched (ROADMAP, *Settled by measurement*).
+const SMALL_LINK_OPS: usize = 4;
+
+/// The pooled tables of [`Walk`]: per link, its distinct states (a state's
+/// id is its index), its memo of `transitions()` as `(invocation id, state
+/// id, span)` and the spans' `(operations answered, next state id)`; per
+/// frontier state, the visited `(taken mask, state id)` pairs as words.
+#[derive(Default)]
+struct WalkScratch {
+    states: Vec<Value>,
+    expanded: Vec<(u8, u32, (u32, u32))>,
+    transitions: Vec<(u8, u32)>,
+    visited: Vec<u64>,
+}
+
+/// The kernel's exhaustive frontier search ([`kernel::visit_frontiers`]) of
+/// a mid-stream link of at most [`SMALL_LINK_OPS`] complete operations,
+/// without its set-up.  Depth first, it takes operations by ascending index,
+/// transitions in the spec's order, and only the first untaken member of an
+/// interchangeability class (equal invocation and response; alone if a
+/// real-time edge touches it) whose predecessors are taken: the taken mask
+/// stands for the kernel's class counts, and nodes, memo hits and budget
+/// count as the kernel's.
+struct Walk<'a> {
+    spec: &'a dyn ObjectType,
+    /// The budget per frontier state, and the node count past it.
+    max_nodes: usize,
+    budget: usize,
+    n: usize,
+    /// Per operation: its invocation and its recorded response.
+    invocations: [&'a Invocation; SMALL_LINK_OPS],
+    responses: [&'a Value; SMALL_LINK_OPS],
+    /// Per operation: its invocation's id (the least operation making it),
+    /// its real-time predecessors and the lesser members of its class.
+    inv: [u8; SMALL_LINK_OPS],
+    preds: [u8; SMALL_LINK_OPS],
+    peers: [u8; SMALL_LINK_OPS],
+    stats: SearchStats,
+    complete: bool,
+    s: &'a mut WalkScratch,
+}
+
+impl<'a> Walk<'a> {
+    /// Reads the operations of the link's `len` events, the `k`-th being
+    /// `event(k)`; `None` unless they are one to [`SMALL_LINK_OPS`] complete
+    /// operations (no more fit in `2 * SMALL_LINK_OPS` events).
+    fn new(
+        spec: &'a dyn ObjectType,
+        limits: SearchLimits,
+        len: usize,
+        event: impl Fn(usize) -> &'a Event,
+        matcher: &mut OperationMatcher,
+        s: &'a mut WalkScratch,
+    ) -> Option<Self> {
+        if len > 2 * SMALL_LINK_OPS {
+            return None;
+        }
+        // A lone invocation and its response need no matcher.
+        let ops = match len {
+            2 => &[(0, Some(1))][..],
+            _ => matcher.match_events((0..len).map(&event)),
+        };
+        let n = ops.len();
+        let operation = |&(invoke, respond): &(usize, Option<usize>)| match (
+            &event(invoke).kind,
+            &event(respond?).kind,
+        ) {
+            (EventKind::Invoke(call), EventKind::Respond(value)) => Some((call, value)),
+            _ => None,
+        };
+        let (call, value) = operation(ops.first()?)?;
+        let mut walk = Walk {
+            spec,
+            max_nodes: limits.max_nodes,
+            n,
+            invocations: [call; SMALL_LINK_OPS],
+            responses: [value; SMALL_LINK_OPS],
+            inv: [0; SMALL_LINK_OPS],
+            preds: [0; SMALL_LINK_OPS],
+            peers: [0; SMALL_LINK_OPS],
+            budget: 0,
+            stats: SearchStats::default(),
+            complete: true,
+            s,
+        };
+        // One operation is its own class, with no edge and no peer, and
+        // needs no tables.
+        if n > 1 {
+            let edge = |j: usize, i: usize| ops[j].1 < Some(ops[i].0);
+            for (i, op) in ops.iter().enumerate() {
+                (walk.invocations[i], walk.responses[i]) = operation(op)?;
+                walk.preds[i] = (0..i).filter(|&j| edge(j, i)).fold(0, |m, j| m | 1 << j);
             }
-            nodes += 1;
-            if nodes > limits.max_nodes {
-                complete = false;
-            } else if outgoing[reached..].contains(&transition.next_state) {
-                stats.memo_hits += 1;
-            } else {
-                outgoing.push(transition.next_state);
+            let alone = |i: usize| (0..n).any(|j| edge(j, i) || edge(i, j));
+            for i in 0..n {
+                let same_call = |j: &usize| walk.invocations[*j] == walk.invocations[i];
+                walk.inv[i] = (0..i).find(same_call).unwrap_or(i) as u8;
+                let same = |j: &usize| {
+                    walk.inv[*j] == walk.inv[i] && walk.responses[*j] == walk.responses[i]
+                };
+                let peers = (0..i).filter(|&j| !alone(i) && !alone(j) && same(&j));
+                walk.peers[i] = peers.fold(0, |m, j| m | 1 << j);
+            }
+            walk.s.states.clear();
+            walk.s.expanded.clear();
+            walk.s.transitions.clear();
+        }
+        Some(walk)
+    }
+
+    /// Walks the link from `root`, appending the states it accepts in to
+    /// `outgoing`.
+    fn from(&mut self, root: &Value, outgoing: &mut Vec<Value>) {
+        self.budget = self.stats.nodes.saturating_add(self.max_nodes);
+        self.stats.nodes += 1;
+        if self.n > 1 {
+            self.s.visited.clear();
+            let root = self.intern(root.clone());
+            self.visit(0, root, outgoing);
+        } else {
+            // Every node below the root accepts: the visited pairs are the
+            // states reached from this root, and no memo or ids are needed.
+            let (reached, answer) = (outgoing.len(), self.responses[0]);
+            let transitions = self.spec_transitions(root, 0).into_iter();
+            for transition in transitions.filter(|t| t.response == *answer) {
+                self.stats.nodes += 1;
+                if self.stats.nodes > self.budget {
+                    self.complete = false;
+                } else if outgoing[reached..].contains(&transition.next_state) {
+                    self.stats.memo_hits += 1;
+                } else {
+                    outgoing.push(transition.next_state);
+                }
             }
         }
-        stats.nodes += nodes;
     }
-    complete
+
+    /// Expands the node that has taken `taken` and reached state `state`.
+    fn visit(&mut self, taken: u8, state: u32, outgoing: &mut Vec<Value>) {
+        let all = (1u8 << self.n) - 1;
+        for i in 0..self.n {
+            let (bit, preds, peers) = (1u8 << i, self.preds[i], self.peers[i]);
+            if taken & bit != 0 || taken & preds != preds || taken & peers != peers {
+                continue;
+            }
+            let (start, end) = self.expand(self.inv[i], state);
+            for k in start..end {
+                let (answers, next) = self.s.transitions[k as usize];
+                if answers & bit == 0 {
+                    continue;
+                }
+                self.stats.nodes += 1;
+                if self.stats.nodes > self.budget {
+                    self.complete = false;
+                    continue;
+                }
+                let (child, key) = (taken | bit, u64::from(next) << 8 | u64::from(taken | bit));
+                if self.s.visited.contains(&key) {
+                    self.stats.memo_hits += 1;
+                    continue;
+                }
+                self.s.visited.push(key);
+                if child == all {
+                    outgoing.push(self.s.states[next as usize].clone());
+                } else {
+                    self.visit(child, next, outgoing);
+                }
+            }
+        }
+    }
+
+    /// The span of invocation `inv`'s transitions from state `state`, asked
+    /// of the spec once per link.
+    fn expand(&mut self, inv: u8, state: u32) -> (u32, u32) {
+        let memo = self.s.expanded.iter().find(|e| (e.0, e.1) == (inv, state));
+        if let Some(&(_, _, span)) = memo {
+            return span;
+        }
+        let start = self.s.transitions.len() as u32;
+        for transition in self.spec_transitions(&self.s.states[state as usize], inv) {
+            let mut answers = 0;
+            for j in (0..self.n).filter(|&j| self.inv[j] == inv) {
+                answers |= u8::from(*self.responses[j] == transition.response) << j;
+            }
+            let next = self.intern(transition.next_state);
+            self.s.transitions.push((answers, next));
+        }
+        let span = (start, self.s.transitions.len() as u32);
+        self.s.expanded.push((inv, state, span));
+        span
+    }
+
+    /// The one place the monitor asks a spec for transitions.
+    fn spec_transitions(&self, state: &Value, inv: u8) -> Vec<evlin_spec::Transition> {
+        self.spec.transitions(state, self.invocations[inv as usize])
+    }
+
+    /// The id of `state`, added to the link's states if new.
+    fn intern(&mut self, state: Value) -> u32 {
+        let states = &mut self.s.states;
+        states.iter().position(|q| *q == state).unwrap_or_else(|| {
+            states.push(state);
+            states.len() - 1
+        }) as u32
+    }
 }
 
 /// Fast-path step: decides a pure fetch&increment projection (`events`)
@@ -2334,13 +2483,19 @@ mod tests {
                 ..MonitorConfig::default()
             },
         );
+        // Rounds of one write and `SMALL_LINK_OPS` reads, all concurrent:
+        // too wide a link to walk.
         let feed_batch = |m: &mut Monitor| {
             for _ in 0..8 {
                 m.invoke(ProcessId(0), r, Register::write(Value::from(1i64)))
                     .unwrap();
-                m.invoke(ProcessId(1), r, Register::read()).unwrap();
+                for p in 1..=SMALL_LINK_OPS {
+                    m.invoke(ProcessId(p), r, Register::read()).unwrap();
+                }
                 m.respond(ProcessId(0), r, Value::Unit).unwrap();
-                m.respond(ProcessId(1), r, Value::from(1i64)).unwrap();
+                for p in 1..=SMALL_LINK_OPS {
+                    m.respond(ProcessId(p), r, Value::from(1i64)).unwrap();
+                }
             }
             m.pump();
         };
@@ -2909,41 +3064,45 @@ mod tests {
         }
     }
 
-    /// What a one-operation link — `invocation` answered with `response` —
-    /// leaves from `frontier`, decided by the kernel's exhaustive search from
-    /// each state, or by [`step_operation`] with `step`: the outgoing states
-    /// (sorted, distinct), the nodes, the memo hits and whether the budget
-    /// let the search cover its space.
-    fn one_operation(
+    /// What a small link leaves from `frontier`, decided by the kernel's
+    /// exhaustive search from each state, or by [`Walk`] with `walk`: the
+    /// outgoing states (sorted, distinct), the nodes, the memo hits, whether
+    /// the budget let the search cover its space, and whether some class of
+    /// the walk has more than one member.
+    fn small_link(
         u: &ObjectUniverse,
-        object: ObjectId,
+        events: &[Event],
         frontier: &[Value],
-        (invocation, response): (&Invocation, &Value),
         limits: SearchLimits,
-        step: bool,
-    ) -> (Vec<Value>, usize, usize, bool) {
+        walk: bool,
+    ) -> (Vec<Value>, usize, usize, bool, bool) {
+        let object = events[0].object;
+        let mut matcher = OperationMatcher::default();
         let (mut outgoing, mut stats, mut complete) = (Vec::new(), SearchStats::default(), true);
-        if step {
+        let mut merged = false;
+        if walk {
+            let (mut scratch, len) = (WalkScratch::default(), events.len());
             let spec = &**u.object_type(object);
-            complete = step_operation(
+            let walk = Walk::new(
                 spec,
-                frontier,
-                invocation,
-                response,
                 limits,
-                &mut stats,
-                &mut outgoing,
+                len,
+                |k| &events[k],
+                &mut matcher,
+                &mut scratch,
             );
+            let mut walk = walk.expect("one to four complete operations");
+            merged = walk.peers.iter().any(|&peers| peers != 0);
+            for state in frontier {
+                walk.from(state, &mut outgoing);
+            }
+            (stats, complete) = (walk.stats, walk.complete);
         } else {
-            let events = [
-                Event::invoke(ProcessId(0), object, invocation.clone()),
-                Event::respond(ProcessId(0), object, response.clone()),
-            ];
             let problem = EventProblem {
                 t: 0,
-                events: &events,
+                events,
                 picked: None,
-                ops: &[(0, Some(1))],
+                ops: matcher.match_events(events),
             };
             let mut scratch = KernelScratch::new();
             for state in frontier {
@@ -2959,16 +3118,26 @@ mod tests {
         }
         outgoing.sort();
         outgoing.dedup();
-        (outgoing, stats.nodes, stats.memo_hits, complete)
+        (outgoing, stats.nodes, stats.memo_hits, complete, merged)
     }
 
     #[test]
-    fn a_one_operation_step_is_the_kernels_search() {
-        // Every built-in type's sampled invocations from frontiers of one to
-        // three reachable states, answered with each response the spec gives
-        // there and with one it never gives, under three node budgets: the
-        // step and the kernel's search on the same one-operation problem
-        // agree on the outgoing states, the counters and completeness.
+    fn a_small_link_walk_is_the_kernels_search() {
+        // Every built-in type's sampled invocations, answered with responses
+        // the spec gives from some reachable state and with one it never
+        // gives, as links of one to `SMALL_LINK_OPS` operations in every
+        // real-time shape (an uppercase letter invokes an operation, its
+        // lowercase responds), from frontiers of one to three reachable
+        // states, under four node budgets: the walk and the kernel's search
+        // on the same link agree on the outgoing states, the counters and
+        // completeness.  Links of two or more operations are drawn from a
+        // seeded generator that repeats the previous operation's pair half
+        // the time, so classes merge.
+        let shapes = [
+            "Aa", "ABab", "AaBb", "ABCabc", "AaBbCc", "ABabCc", "ABaCbc", "ABCDabcd", "AaBbCcDd",
+            "ABabCcDd", "ABCabcDd", "ABabCDcd", "ABaCbDcd",
+        ];
+        assert!(shapes.iter().all(|shape| shape.len() <= 2 * SMALL_LINK_OPS));
         let types: Vec<Arc<dyn evlin_spec::ObjectType>> = vec![
             Arc::new(Register::new(Value::from(0i64))),
             Arc::new(evlin_spec::CompareAndSwap::new(Value::from(0i64))),
@@ -2983,36 +3152,77 @@ mod tests {
             Arc::new(Turnstile),
             Arc::new(LoadedDie),
         ];
-        let budgets = [1, 2, SearchLimits::default().max_nodes];
-        let (mut memo_hits, mut cut_short, mut refuted) = (0, 0, 0);
+        // A budget of `usize::MAX` must not overflow a walk's node count.
+        let budgets = [1, 2, SearchLimits::default().max_nodes, usize::MAX];
+        let mut seed = 0x2f6b_3c1e_9d4a_8857u64;
+        let mut next = |bound: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % bound as u64) as usize
+        };
+        let (mut memo_hits, mut cut_short, mut refuted, mut merged) = (0, 0, 0, 0);
         for ty in types {
             let initial = ty.initial_states()[0].clone();
             let mut u = ObjectUniverse::new();
             let object = u.add_shared(ty.clone(), initial.clone());
             let states = ty.reachable_states(&initial, 3);
+            // The `(invocation, response)` pairs a link's operations draw.
+            let mut pairs = Vec::new();
             for invocation in ty.sample_invocations() {
                 let transitions = states.iter().flat_map(|q| ty.transitions(q, &invocation));
                 let mut responses: Vec<Value> = transitions.map(|t| t.response).collect();
                 responses.sort();
                 responses.dedup();
                 responses.push(Value::sym("never"));
-                for (response, width, max_nodes) in responses.iter().flat_map(|response| {
-                    (1..=states.len()).flat_map(move |w| budgets.map(|b| (response, w, b)))
-                }) {
-                    let (frontier, limits) = (&states[..width], SearchLimits { max_nodes });
-                    let link = (&invocation, response);
-                    let searched = one_operation(&u, object, frontier, link, limits, false);
-                    let stepped = one_operation(&u, object, frontier, link, limits, true);
-                    let name = ty.name();
-                    let case = format!("{name} {invocation} -> {response} from {frontier:?}");
-                    assert_eq!(stepped, searched, "{case}, {limits:?}");
-                    memo_hits += stepped.2;
-                    cut_short += usize::from(!stepped.3);
-                    refuted += usize::from(stepped.0.is_empty());
+                pairs.extend(responses.into_iter().map(|r| (invocation.clone(), r)));
+            }
+            for shape in shapes {
+                let n = shape.len() / 2;
+                // Every pair alone; six draws per wider shape.
+                let draws = if n == 1 { pairs.len() } else { 6 };
+                for draw in 0..draws {
+                    let mut ops = vec![if n == 1 { draw } else { next(pairs.len()) }];
+                    while ops.len() < n {
+                        let repeat = next(2) == 0;
+                        let op = if repeat {
+                            ops[ops.len() - 1]
+                        } else {
+                            next(pairs.len())
+                        };
+                        ops.push(op);
+                    }
+                    let events: Vec<Event> = shape
+                        .chars()
+                        .map(|c| {
+                            let k = (c.to_ascii_lowercase() as u8 - b'a') as usize;
+                            let (invocation, response) = &pairs[ops[k]];
+                            if c.is_ascii_uppercase() {
+                                Event::invoke(ProcessId(k), object, invocation.clone())
+                            } else {
+                                Event::respond(ProcessId(k), object, response.clone())
+                            }
+                        })
+                        .collect();
+                    for (width, max_nodes) in
+                        (1..=states.len()).flat_map(|w| budgets.map(|b| (w, b)))
+                    {
+                        let (frontier, limits) = (&states[..width], SearchLimits { max_nodes });
+                        let searched = small_link(&u, &events, frontier, limits, false);
+                        let walked = small_link(&u, &events, frontier, limits, true);
+                        let case = format!("{} {shape} {events:?} from {frontier:?}", ty.name());
+                        let counted =
+                            |(states, nodes, hits, complete, _)| (states, nodes, hits, complete);
+                        assert_eq!(counted(walked.clone()), counted(searched), "{case}");
+                        memo_hits += walked.2;
+                        cut_short += usize::from(!walked.3);
+                        refuted += usize::from(walked.0.is_empty());
+                        merged += usize::from(walked.4);
+                    }
                 }
             }
         }
-        assert!(memo_hits > 0 && cut_short > 0 && refuted > 0);
+        assert!(memo_hits > 0 && cut_short > 0 && refuted > 0 && merged > 0);
     }
 
     /// A sequential stream over a register (values `0..3`) and a queue: each

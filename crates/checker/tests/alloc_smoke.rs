@@ -162,6 +162,32 @@ fn warmed_up_fi_checks_stay_linear_in_allocations() {
 }
 
 #[test]
+fn a_fresh_fi_check_allocates_as_often_at_any_length() {
+    // A public `fi` entry point sizes its scratch for the history it is
+    // given, reserving the operation and event lists once, so a 100-fold
+    // longer history costs no more allocations.
+    let x = evlin_history::ObjectId(0);
+    let history = |ops: i64| {
+        let mut b = HistoryBuilder::new();
+        for k in 0..ops {
+            let p = ProcessId((k % 4) as usize);
+            b = b.complete(p, x, FetchIncrement::fetch_inc(), Value::from(k));
+        }
+        b.build()
+    };
+    let (short, long) = (history(1_000), history(100_000));
+    let (short_allocs, ok) = allocations(|| fi::is_linearizable(&short, 0));
+    assert_eq!(ok, Ok(true));
+    let (long_allocs, ok) = allocations(|| fi::is_linearizable(&long, 0));
+    assert_eq!(ok, Ok(true));
+    assert_eq!(
+        long_allocs, short_allocs,
+        "fi::is_linearizable allocated {short_allocs} times for 1000 operations \
+         and {long_allocs} for 100 000"
+    );
+}
+
+#[test]
 fn warmed_up_frontier_search_allocates_only_for_transitions() {
     // Six concurrent writes, a read of the initial value and three tracked
     // pending writes: 60 accepting frontiers, past the rows the linear scan
@@ -212,9 +238,9 @@ fn dense_universe() -> ObjectUniverse {
 /// `rounds` rounds of four mutually concurrent operations over
 /// [`dense_universe`] — every process invokes, then every process responds,
 /// so each round is one quiescent segment — with the effects taking place in
-/// a seeded order: linearizable by construction, a real search per (object,
-/// segment), no fast path.  Returns the events and the number of (object,
-/// segment) links.
+/// a seeded order: linearizable by construction, a walk over the spec per
+/// (object, segment), no fast path.  Returns the events and the number of
+/// (object, segment) links.
 fn dense_rounds(state: &mut [i64; 4], seed: &mut u64, rounds: usize) -> (Vec<Event>, usize) {
     let mut next = |bound: u64| {
         *seed ^= *seed << 13;
@@ -255,13 +281,13 @@ fn dense_rounds(state: &mut [i64; 4], seed: &mut u64, rounds: usize) -> (Vec<Eve
 #[test]
 fn warmed_up_monitor_check_allocates_only_for_transitions() {
     // The check stage takes a link from the segment's events to its
-    // outgoing frontier inside pooled buffers, whether a one-operation link
-    // steps the spec or a wider one goes through a kernel search: what is
-    // left to allocate is the spec layer's `transitions()` result, per
-    // distinct (invocation, state) pair a search expands and per frontier
-    // state a step leaves.  A materialized projection, problem or frontier
-    // set per link would show up as a multiple of the link count (12.8 per
-    // link before the in-place path).
+    // outgoing frontier inside pooled buffers, whether a link of up to four
+    // operations is walked over the spec or a wider one goes through a
+    // kernel search: what is left to allocate is the spec layer's
+    // `transitions()` result, per distinct (invocation, state) pair a walk
+    // expands in a link or a search from a frontier state.  A materialized
+    // projection, problem or frontier set per link would show up as a
+    // multiple of the link count (12.8 per link before the in-place path).
     let config = MonitorConfig {
         segment_batch: usize::MAX, // checked by `pump` alone
         ..MonitorConfig::default()
@@ -323,8 +349,8 @@ fn sequential_ops(state: &mut [i64; 4], seed: &mut u64, ops: usize) -> Vec<Event
 
 #[test]
 fn warmed_up_one_operation_links_allocate_only_their_transitions() {
-    // A one-operation link is one step of the spec from each frontier
-    // state, taken without a search: it allocates the spec layer's
+    // A one-operation link is walked over the spec from each frontier
+    // state without a search's set-up: it allocates the spec layer's
     // `transitions()` result per (link, frontier state) and nothing else.
     // The types are deterministic and start in one state, so every
     // frontier here is one state and the bound is one per link.
