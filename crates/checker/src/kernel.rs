@@ -412,6 +412,9 @@ pub struct KernelScratch {
     /// `(start, len)` spans into `trans_data`.
     trans_spans: Vec<(u32, u32)>,
     trans_data: Vec<(u32, u32)>,
+    /// The `(response, next state)` pairs of the memo miss being read,
+    /// before they are interned (empty between misses).
+    fresh: Vec<(Value, Value)>,
     // --- accepting frontiers ---
     /// Distinct accepting frontiers of the last frontier search, as flat
     /// rows: per row the interned state of every slot, then one `0`/`1` flag
@@ -711,14 +714,16 @@ impl<'a> Searcher<'a> {
         }
         let (slot, invocation) = &s.invs.keys[inv as usize];
         let object = s.slots.keys[*slot as usize];
-        let raw = self
-            .universe
-            .object_type(object)
-            .transitions(&s.values.keys[state as usize], invocation);
+        let fresh = &mut s.fresh;
+        self.universe.object_type(object).for_each_transition(
+            &s.values.keys[state as usize],
+            invocation,
+            &mut |response, next| fresh.push((response, next)),
+        );
         let start = s.trans_data.len() as u32;
-        for t in raw {
-            let r = s.values.id(&t.response);
-            let next = s.values.id(&t.next_state);
+        for (response, next) in s.fresh.drain(..) {
+            let r = s.values.id(&response);
+            let next = s.values.id(&next);
             s.trans_data.push((r, next));
         }
         s.trans_spans

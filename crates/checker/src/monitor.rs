@@ -77,9 +77,11 @@
 //! Locality says each `H|o` may be decided on its own, not that the segment
 //! should be re-read once per object to find it: the check stage groups
 //! every segment's event positions by object in one counting pass
-//! (`group_by_object`) and hands each object a chain of `(segment,
-//! positions)` links, so a batch costs `O(events)` whatever the number of
-//! objects, and an object never visits a segment it is absent from.
+//! (`Grouping::add_segment`), buckets the batch's links by object in another
+//! (`Grouping::order_chains`, which sorts only the distinct objects) and
+//! hands each object a chain of `(segment, positions)` links, so a batch
+//! costs `O(events)` plus a sort of its objects, whatever their number, and
+//! an object never visits a segment it is absent from.
 //! The projections of an object whose type *is* [`FetchIncrement`] (asked
 //! of the type, not of its [`ObjectType::name`], which any type may claim)
 //! take the [`crate::fi`] fast path instead of the kernel — loaded once per
@@ -111,10 +113,14 @@
 //! holds the two equal), adds nothing to `arena_bytes`, and feeds the same
 //! pooled buffer, sort, deduplication, cap and swap.
 //!
-//! What a warmed-up batch still allocates is the spec layer's
-//! `transitions()` result: per distinct `(invocation, state)` pair a search
-//! expands from a frontier state, or a walk expands in a link
-//! (`tests/alloc_smoke.rs` pins both).
+//! A link of one operation is decided before any walk is built, through
+//! the walk's one spec call per frontier state.  The walk, the one-operation
+//! step and the kernel read a spec's transitions through
+//! [`ObjectType::for_each_transition`], interning what it hands over into
+//! pooled tables, so a warmed-up batch allocates only what the spec builds
+//! for the values it hands over (nothing for integer or boolean states) and
+//! the pooled buffers' growth to a new widest link or frontier
+//! (`tests/alloc_smoke.rs` pins zero for register and counter streams).
 //!
 //! ## The four conditions, three drains
 //!
@@ -962,9 +968,9 @@ impl CheckContext {
         frontiers: &mut BTreeMap<ObjectId, Frontier>,
         segments: &[Segment],
     ) {
-        // One grouping pass per segment, then the links sorted by object
-        // and segment: each run of the sorted list is one object's chain,
-        // and the runs come in ascending object order.
+        // One grouping pass per segment, then the links ordered by object
+        // and segment: each object's chain is a run of the ordered list, and
+        // the runs come in ascending object order.
         let mut grouping = std::mem::take(&mut self.grouping);
         grouping.positions.clear();
         grouping.links.clear();
@@ -992,15 +998,15 @@ impl CheckContext {
                 positions: end,
             }));
         }
-        grouping
-            .links
-            .sort_unstable_by_key(|link| (link.object, link.segment));
+        grouping.order_chains();
         // Every chain runs to its end, whatever the others found (the
         // counters absorb them all); the earliest violating segment wins,
         // then the least object.
         let mut best: Option<(usize, ObjectId, String)> = None;
-        for chain in grouping.links.chunk_by(|a, b| a.object == b.object) {
-            let object = chain[0].object;
+        let mut start = 0;
+        for &(object, end) in &grouping.runs {
+            let chain = &grouping.ordered[start..end];
+            start = end;
             let frontier = frontiers.entry(object).or_insert_with(|| Frontier {
                 states: vec![self.universe.initial_state(object).clone()],
                 unplaced: Vec::new(),
@@ -1102,21 +1108,34 @@ impl CheckContext {
                     );
                     return Some((link.segment, detail));
                 }
-                std::mem::swap(&mut frontier.states, outgoing);
+                // Copied, not swapped, here and below: each frontier keeps
+                // a buffer of its own width and `outgoing` one of the
+                // widest link's, so a warm link allocates nothing.
+                frontier.states.clone_from(outgoing);
                 continue;
             }
             outgoing.clear();
             // A mid-stream link of a few complete operations has only their
             // real-time order to choose: it is walked over the spec from
-            // each frontier state, counted as the kernel's search.
-            let walk = (!floats && !final_segment)
-                .then(|| Walk::new(spec, limits, len, event, &mut self.matcher, &mut self.walk))
-                .flatten();
+            // each frontier state, counted as the kernel's search; a lone
+            // invocation and its response need none of the walk's tables.
+            let kinds = (len == 2).then(|| (&event(0).kind, &event(1).kind));
+            let walked = match kinds {
+                _ if floats || final_segment => None,
+                Some((EventKind::Invoke(call), EventKind::Respond(answer))) => {
+                    Some(walk_one(spec, limits, (call, answer), states, outgoing))
+                }
+                _ => Walk::new(spec, limits, len, event, &mut self.matcher, &mut self.walk).map(
+                    |mut walk| {
+                        states.iter().for_each(|state| walk.from(state, outgoing));
+                        (walk.stats, walk.complete)
+                    },
+                ),
+            };
             let mut any_yes = false;
-            if let Some(mut walk) = walk {
-                states.iter().for_each(|state| walk.from(state, outgoing));
-                self.stats.search.absorb(walk.stats);
-                self.incomplete |= !walk.complete;
+            if let Some((stats, complete)) = walked {
+                self.stats.search.absorb(stats);
+                self.incomplete |= !complete;
                 any_yes = !outgoing.is_empty();
             } else {
                 // Kernel path: Definition 2 with the link's share of the
@@ -1239,7 +1258,7 @@ impl CheckContext {
                     }
                 }
             }
-            std::mem::swap(&mut frontier.states, outgoing);
+            frontier.states.clone_from(outgoing);
         }
         None
     }
@@ -1542,6 +1561,7 @@ impl Monitor {
 // ---------------------------------------------------------------------------
 
 /// One object's share of one segment of a batch.
+#[derive(Clone, Copy)]
 struct Link {
     object: ObjectId,
     /// Index of the segment in the batch.
@@ -1559,13 +1579,17 @@ struct Grouping {
     /// One slot per object of the universe, all [`NO_SLOT`] between segments.
     slots: Vec<u32>,
     /// `(object, end of its run in positions)` per distinct object of the
-    /// segment being added, in order of first appearance.
+    /// segment being added, in order of first appearance; once the batch is
+    /// grouped, `(object, end of its chain in ordered)` per distinct object
+    /// of the batch, ascending.
     runs: Vec<(ObjectId, usize)>,
     /// The positions of every multi-object segment's events, reordered so
     /// that each object's are contiguous and ascending.
     positions: Vec<u32>,
-    /// One link per object of every segment.
+    /// One link per object of every segment, by ascending segment.
     links: Vec<Link>,
+    /// The links by object, then segment: the objects' chains.
+    ordered: Vec<Link>,
 }
 
 /// [`Grouping::slots`] entry of an object not seen in the segment being
@@ -1626,6 +1650,37 @@ impl Grouping {
             start = end;
         }
     }
+
+    /// Orders the links into the objects' chains with one stable counting
+    /// pass: links are added by ascending segment, so each object's bucket
+    /// keeps its segment order, and only the batch's distinct objects are
+    /// sorted.  Leaves each chain's end in [`Grouping::runs`].
+    fn order_chains(&mut self) {
+        self.runs.clear();
+        for link in &self.links {
+            let slot = &mut self.slots[link.object.0];
+            if *slot == NO_SLOT {
+                *slot = self.runs.len() as u32;
+                self.runs.push((link.object, 0));
+            }
+            self.runs[*slot as usize].1 += 1;
+        }
+        self.runs.sort_unstable_by_key(|&(object, _)| object);
+        let mut next = 0;
+        for (slot, (object, count)) in self.runs.iter_mut().enumerate() {
+            self.slots[object.0] = slot as u32;
+            next += std::mem::replace(count, next);
+        }
+        self.ordered.clone_from(&self.links);
+        for link in &self.links {
+            let cursor = &mut self.runs[self.slots[link.object.0] as usize].1;
+            self.ordered[*cursor] = *link;
+            *cursor += 1;
+        }
+        for &(object, _) in &self.runs {
+            self.slots[object.0] = NO_SLOT;
+        }
+    }
 }
 
 /// The most operations a mid-stream link may hold to be walked ([`Walk`])
@@ -1633,15 +1688,18 @@ impl Grouping {
 const SMALL_LINK_OPS: usize = 4;
 
 /// The pooled tables of [`Walk`]: per link, its distinct states (a state's
-/// id is its index), its memo of `transitions()` as `(invocation id, state
-/// id, span)` and the spans' `(operations answered, next state id)`; per
-/// frontier state, the visited `(taken mask, state id)` pairs as words.
+/// id is its index), its memo of the spec's transitions as `(invocation id,
+/// state id, span)` and the spans' `(operations answered, next state id)`;
+/// per frontier state, the visited `(taken mask, state id)` pairs as words;
+/// per memo miss, the `(operations answered, next state)` pairs the spec
+/// handed over, before they are interned.
 #[derive(Default)]
 struct WalkScratch {
     states: Vec<Value>,
     expanded: Vec<(u8, u32, (u32, u32))>,
     transitions: Vec<(u8, u32)>,
     visited: Vec<u64>,
+    fresh: Vec<(u8, Value)>,
 }
 
 /// The kernel's exhaustive frontier search ([`kernel::visit_frontiers`]) of
@@ -1651,7 +1709,8 @@ struct WalkScratch {
 /// interchangeability class (equal invocation and response; alone if a
 /// real-time edge touches it) whose predecessors are taken: the taken mask
 /// stands for the kernel's class counts, and nodes, memo hits and budget
-/// count as the kernel's.
+/// count as the kernel's.  A link of one operation is walked by
+/// [`walk_one`] instead, without these tables.
 struct Walk<'a> {
     spec: &'a dyn ObjectType,
     /// The budget per frontier state, and the node count past it.
@@ -1686,11 +1745,7 @@ impl<'a> Walk<'a> {
         if len > 2 * SMALL_LINK_OPS {
             return None;
         }
-        // A lone invocation and its response need no matcher.
-        let ops = match len {
-            2 => &[(0, Some(1))][..],
-            _ => matcher.match_events((0..len).map(&event)),
-        };
+        let ops = matcher.match_events((0..len).map(&event));
         let n = ops.len();
         let operation = |&(invoke, respond): &(usize, Option<usize>)| match (
             &event(invoke).kind,
@@ -1714,28 +1769,23 @@ impl<'a> Walk<'a> {
             complete: true,
             s,
         };
-        // One operation is its own class, with no edge and no peer, and
-        // needs no tables.
-        if n > 1 {
-            let edge = |j: usize, i: usize| ops[j].1 < Some(ops[i].0);
-            for (i, op) in ops.iter().enumerate() {
-                (walk.invocations[i], walk.responses[i]) = operation(op)?;
-                walk.preds[i] = (0..i).filter(|&j| edge(j, i)).fold(0, |m, j| m | 1 << j);
-            }
-            let alone = |i: usize| (0..n).any(|j| edge(j, i) || edge(i, j));
-            for i in 0..n {
-                let same_call = |j: &usize| walk.invocations[*j] == walk.invocations[i];
-                walk.inv[i] = (0..i).find(same_call).unwrap_or(i) as u8;
-                let same = |j: &usize| {
-                    walk.inv[*j] == walk.inv[i] && walk.responses[*j] == walk.responses[i]
-                };
-                let peers = (0..i).filter(|&j| !alone(i) && !alone(j) && same(&j));
-                walk.peers[i] = peers.fold(0, |m, j| m | 1 << j);
-            }
-            walk.s.states.clear();
-            walk.s.expanded.clear();
-            walk.s.transitions.clear();
+        let edge = |j: usize, i: usize| ops[j].1 < Some(ops[i].0);
+        for (i, op) in ops.iter().enumerate() {
+            (walk.invocations[i], walk.responses[i]) = operation(op)?;
+            walk.preds[i] = (0..i).filter(|&j| edge(j, i)).fold(0, |m, j| m | 1 << j);
         }
+        let alone = |i: usize| (0..n).any(|j| edge(j, i) || edge(i, j));
+        for i in 0..n {
+            let same_call = |j: &usize| walk.invocations[*j] == walk.invocations[i];
+            walk.inv[i] = (0..i).find(same_call).unwrap_or(i) as u8;
+            let same =
+                |j: &usize| walk.inv[*j] == walk.inv[i] && walk.responses[*j] == walk.responses[i];
+            let peers = (0..i).filter(|&j| !alone(i) && !alone(j) && same(&j));
+            walk.peers[i] = peers.fold(0, |m, j| m | 1 << j);
+        }
+        walk.s.states.clear();
+        walk.s.expanded.clear();
+        walk.s.transitions.clear();
         Some(walk)
     }
 
@@ -1744,26 +1794,9 @@ impl<'a> Walk<'a> {
     fn from(&mut self, root: &Value, outgoing: &mut Vec<Value>) {
         self.budget = self.stats.nodes.saturating_add(self.max_nodes);
         self.stats.nodes += 1;
-        if self.n > 1 {
-            self.s.visited.clear();
-            let root = self.intern(root.clone());
-            self.visit(0, root, outgoing);
-        } else {
-            // Every node below the root accepts: the visited pairs are the
-            // states reached from this root, and no memo or ids are needed.
-            let (reached, answer) = (outgoing.len(), self.responses[0]);
-            let transitions = self.spec_transitions(root, 0).into_iter();
-            for transition in transitions.filter(|t| t.response == *answer) {
-                self.stats.nodes += 1;
-                if self.stats.nodes > self.budget {
-                    self.complete = false;
-                } else if outgoing[reached..].contains(&transition.next_state) {
-                    self.stats.memo_hits += 1;
-                } else {
-                    outgoing.push(transition.next_state);
-                }
-            }
-        }
+        self.s.visited.clear();
+        let root = intern(&mut self.s.states, root.clone());
+        self.visit(0, root, outgoing);
     }
 
     /// Expands the node that has taken `taken` and reached state `state`.
@@ -1807,33 +1840,82 @@ impl<'a> Walk<'a> {
         if let Some(&(_, _, span)) = memo {
             return span;
         }
-        let start = self.s.transitions.len() as u32;
-        for transition in self.spec_transitions(&self.s.states[state as usize], inv) {
-            let mut answers = 0;
-            for j in (0..self.n).filter(|&j| self.inv[j] == inv) {
-                answers |= u8::from(*self.responses[j] == transition.response) << j;
-            }
-            let next = self.intern(transition.next_state);
-            self.s.transitions.push((answers, next));
+        let (n, ids, responses) = (self.n, &self.inv, &self.responses);
+        let s = &mut *self.s;
+        let fresh = &mut s.fresh;
+        let source = &s.states[state as usize];
+        spec_transitions(
+            self.spec,
+            source,
+            self.invocations[inv as usize],
+            &mut |response, next| {
+                let mut answers = 0;
+                for j in (0..n).filter(|&j| ids[j] == inv) {
+                    answers |= u8::from(*responses[j] == response) << j;
+                }
+                fresh.push((answers, next));
+            },
+        );
+        let start = s.transitions.len() as u32;
+        for (answers, next) in s.fresh.drain(..) {
+            s.transitions.push((answers, intern(&mut s.states, next)));
         }
-        let span = (start, self.s.transitions.len() as u32);
-        self.s.expanded.push((inv, state, span));
+        let span = (start, s.transitions.len() as u32);
+        s.expanded.push((inv, state, span));
         span
     }
+}
 
-    /// The one place the monitor asks a spec for transitions.
-    fn spec_transitions(&self, state: &Value, inv: u8) -> Vec<evlin_spec::Transition> {
-        self.spec.transitions(state, self.invocations[inv as usize])
+/// Walks a link of one operation, `invocation` answered `response`, from
+/// each of `roots`, appending the states it accepts to `outgoing`: the
+/// walk's search without its tables, since every node below a root
+/// accepts, and so the visited pairs are the states reached from that root.
+/// Returns the counters and whether every root's budget sufficed.
+fn walk_one(
+    spec: &dyn ObjectType,
+    limits: SearchLimits,
+    (invocation, response): (&Invocation, &Value),
+    roots: &[Value],
+    outgoing: &mut Vec<Value>,
+) -> (SearchStats, bool) {
+    let (mut stats, mut complete) = (SearchStats::default(), true);
+    for root in roots {
+        let budget = stats.nodes.saturating_add(limits.max_nodes);
+        stats.nodes += 1;
+        let reached = outgoing.len();
+        spec_transitions(spec, root, invocation, &mut |answer, next| {
+            if answer != *response {
+                return;
+            }
+            stats.nodes += 1;
+            if stats.nodes > budget {
+                complete = false;
+            } else if outgoing[reached..].contains(&next) {
+                stats.memo_hits += 1;
+            } else {
+                outgoing.push(next);
+            }
+        });
     }
+    (stats, complete)
+}
 
-    /// The id of `state`, added to the link's states if new.
-    fn intern(&mut self, state: Value) -> u32 {
-        let states = &mut self.s.states;
-        states.iter().position(|q| *q == state).unwrap_or_else(|| {
-            states.push(state);
-            states.len() - 1
-        }) as u32
-    }
+/// The one place the monitor asks a spec for transitions.
+fn spec_transitions(
+    spec: &dyn ObjectType,
+    state: &Value,
+    invocation: &Invocation,
+    visit: &mut dyn FnMut(Value, Value),
+) {
+    spec.for_each_transition(state, invocation, visit);
+}
+
+/// The id of `state` among a link's `states`, added if new.
+fn intern(states: &mut Vec<Value>, state: Value) -> u32 {
+    states.iter().position(|q| *q == state).unwrap_or_else(|| {
+        states.push(state);
+        states.len() - 1
+    }) as u32
 }
 
 /// Fast-path step: decides a pure fetch&increment projection (`events`)
@@ -2858,15 +2940,14 @@ mod tests {
             vec![Value::Bool(false)]
         }
 
-        fn transitions(
+        fn for_each_transition(
             &self,
             state: &Value,
             invocation: &Invocation,
-        ) -> Vec<evlin_spec::Transition> {
-            let open = evlin_spec::Transition::new(Value::Unit, Value::Bool(true));
-            match (invocation.method(), state) {
-                ("open", _) | ("pass", Value::Bool(true)) => vec![open],
-                _ => Vec::new(),
+            visit: &mut dyn FnMut(Value, Value),
+        ) {
+            if let ("open", _) | ("pass", Value::Bool(true)) = (invocation.method(), state) {
+                visit(Value::Unit, Value::Bool(true));
             }
         }
 
@@ -2965,17 +3046,17 @@ mod tests {
             vec![Value::from(0i64)]
         }
 
-        fn transitions(
+        fn for_each_transition(
             &self,
             state: &Value,
             invocation: &Invocation,
-        ) -> Vec<evlin_spec::Transition> {
+            visit: &mut dyn FnMut(Value, Value),
+        ) {
             match state.as_int() {
                 Some(v) if *invocation == FetchIncrement::fetch_inc() => {
-                    let next = Value::from((v + 1) % 3);
-                    vec![evlin_spec::Transition::new(Value::from(v), next)]
+                    visit(Value::from(v), Value::from((v + 1) % 3));
                 }
-                _ => Vec::new(),
+                _ => {}
             }
         }
 
@@ -3049,14 +3130,17 @@ mod tests {
             vec![Value::sym("a")]
         }
 
-        fn transitions(&self, _: &Value, invocation: &Invocation) -> Vec<evlin_spec::Transition> {
-            if invocation.method() != "roll" {
-                return Vec::new();
+        fn for_each_transition(
+            &self,
+            _: &Value,
+            invocation: &Invocation,
+            visit: &mut dyn FnMut(Value, Value),
+        ) {
+            if invocation.method() == "roll" {
+                for (shown, face) in [(1i64, "a"), (1, "b"), (1, "a"), (2, "c")] {
+                    visit(Value::from(shown), Value::sym(face));
+                }
             }
-            let roll = |shown: i64, face| {
-                evlin_spec::Transition::new(Value::from(shown), Value::sym(face))
-            };
-            vec![roll(1, "a"), roll(1, "b"), roll(1, "a"), roll(2, "c")]
         }
 
         fn sample_invocations(&self) -> Vec<Invocation> {
@@ -3080,9 +3164,17 @@ mod tests {
         let mut matcher = OperationMatcher::default();
         let (mut outgoing, mut stats, mut complete) = (Vec::new(), SearchStats::default(), true);
         let mut merged = false;
-        if walk {
+        let spec = &**u.object_type(object);
+        if let (true, [invoke, respond]) = (walk, events) {
+            // One operation is walked without a `Walk`, as the monitor does.
+            let (EventKind::Invoke(call), EventKind::Respond(answer)) =
+                (&invoke.kind, &respond.kind)
+            else {
+                panic!("a complete operation");
+            };
+            (stats, complete) = walk_one(spec, limits, (call, answer), frontier, &mut outgoing);
+        } else if walk {
             let (mut scratch, len) = (WalkScratch::default(), events.len());
-            let spec = &**u.object_type(object);
             let walk = Walk::new(
                 spec,
                 limits,

@@ -2,18 +2,19 @@
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! solve has sized the pooled [`KernelScratch`] buffers, repeating the same
-//! search must perform (almost) no heap allocations — the test fails CI the
+//! search must perform no heap allocation at all — the test fails CI the
 //! moment someone reintroduces a per-node `Vec`, a per-search hash map, or a
 //! boxed visited key, instead of waiting for the bench gate to notice the
 //! slowdown.
 //!
-//! The budget below is deliberately not zero: the spec layer enumerates
-//! transitions into a fresh vector, and a hash-set re-insert may
-//! probe-rehash.  What the budget rules out is anything proportional to the
-//! number of search nodes.
+//! The kernel, the small-link walk and the monitor's check stage read a
+//! spec's transitions through `ObjectType::for_each_transition`, which
+//! builds nothing but the values it hands over (no allocation for the
+//! register and counter states used here), so their budgets are zero.  The
+//! fetch&increment and ingest budgets below count their own working vectors.
 
 use evlin_checker::kernel::{self, KernelScratch, SearchLimits};
-use evlin_checker::monitor::{stages, Monitor, MonitorConfig};
+use evlin_checker::monitor::{stages, MonitorConfig};
 use evlin_checker::Linearizability;
 use evlin_checker::{fi, kernel::ConsistencyCondition};
 use evlin_history::{Event, HistoryBuilder, ObjectId, ObjectUniverse, OperationMatcher, ProcessId};
@@ -102,19 +103,11 @@ fn warmed_up_kernel_solves_are_allocation_free() {
         allocations(|| kernel::solve_rooted(&problem, &[], &u, limits, &mut scratch));
     assert!(!result.is_yes());
     assert_eq!(stats.nodes, warm_stats.nodes);
-    // What remains is the spec layer's `transitions()` enumeration — one
-    // short-lived `Vec<Transition>` per *distinct* `(invocation, state)`
-    // pair, bounded by the memoized transition table, never by the node
-    // count.  The two assertions keep both halves honest.
-    assert!(
-        allocs <= 32,
-        "a warmed-up kernel solve must only allocate for the spec-layer \
-         transition enumeration: {allocs} allocations for {} nodes",
-        stats.nodes
-    );
-    assert!(
-        allocs < stats.nodes,
-        "allocations ({allocs}) must stay strictly below the node count ({})",
+    // The spec's transitions are visited, not collected: a memo miss
+    // interns them through a pooled buffer.
+    assert_eq!(
+        allocs, 0,
+        "a warmed-up kernel solve allocated {allocs} times for {} nodes",
         stats.nodes
     );
 }
@@ -188,7 +181,7 @@ fn a_fresh_fi_check_allocates_as_often_at_any_length() {
 }
 
 #[test]
-fn warmed_up_frontier_search_allocates_only_for_transitions() {
+fn warmed_up_frontier_search_allocates_nothing() {
     // Six concurrent writes, a read of the initial value and three tracked
     // pending writes: 60 accepting frontiers, past the rows the linear scan
     // serves, so the row store's hashed lookup is on the measured path.
@@ -216,10 +209,9 @@ fn warmed_up_frontier_search_allocates_only_for_transitions() {
     assert_eq!(search(&mut scratch), 60);
     let (allocs, rows) = allocations(|| search(&mut scratch));
     assert_eq!(rows, 60);
-    // One spec-layer transition list per distinct (invocation, state) pair
-    // — 10 invocations by 10 register states at most — and nothing per row
-    // (a boxed lookup key per row made this 151).
-    assert!(allocs <= 10 * 10, "{allocs} allocations for {rows} rows");
+    // Nothing per row (a boxed lookup key per row made this 151) and
+    // nothing per distinct (invocation, state) pair the search expands.
+    assert_eq!(allocs, 0, "{allocs} allocations for {rows} rows");
 }
 
 /// Two registers over `0..4` and two counters: the universe of the dense
@@ -279,41 +271,39 @@ fn dense_rounds(state: &mut [i64; 4], seed: &mut u64, rounds: usize) -> (Vec<Eve
 }
 
 #[test]
-fn warmed_up_monitor_check_allocates_only_for_transitions() {
+fn warmed_up_monitor_check_allocates_nothing() {
     // The check stage takes a link from the segment's events to its
     // outgoing frontier inside pooled buffers, whether a link of up to four
     // operations is walked over the spec or a wider one goes through a
-    // kernel search: what is left to allocate is the spec layer's
-    // `transitions()` result, per distinct (invocation, state) pair a walk
-    // expands in a link or a search from a frontier state.  A materialized
-    // projection, problem or frontier set per link would show up as a
-    // multiple of the link count (12.8 per link before the in-place path).
-    let config = MonitorConfig {
-        segment_batch: usize::MAX, // checked by `pump` alone
-        ..MonitorConfig::default()
-    };
-    let mut monitor = Monitor::new(dense_universe(), config);
+    // kernel search, and orders a batch's links into chains in pooled
+    // tables: once warm it allocates nothing.  A materialized projection,
+    // problem or frontier set per link would show up as a multiple of the
+    // link count (12.8 per link before the in-place path, and one
+    // `transitions()` vector per expanded (invocation, state) pair before
+    // the spec was visited).
+    let (mut ingest, mut check) = stages(dense_universe(), MonitorConfig::default());
     let (mut state, mut seed) = ([0i64; 4], 0x9e37_79b9_7f4a_7c15u64);
-    let (warm_up, _) = dense_rounds(&mut state, &mut seed, 64);
-    monitor.ingest_all(warm_up).expect("well-formed");
-    assert!(monitor.pump().is_ok());
-    let (events, links) = dense_rounds(&mut state, &mut seed, 64);
-    monitor.ingest_all(events).expect("well-formed");
-    let before = monitor.stats();
-    let (allocs, verdict) = allocations(|| monitor.pump());
-    assert!(verdict.is_ok());
-    let after = monitor.stats();
-    assert_eq!(after.segments - before.segments, 64);
-    assert_eq!(after.fast_path_segments, 0);
-    let nodes = after.search.nodes - before.search.nodes;
+    let mut batch_of = |(events, links): (Vec<Event>, usize)| {
+        for event in events {
+            ingest.ingest(event).expect("well-formed");
+        }
+        (ingest.take_batch().expect("closed segments"), links)
+    };
+    let (warm_up, warm_links) = batch_of(dense_rounds(&mut state, &mut seed, 64));
+    check.check_batch(warm_up);
+    let (batch, links) = batch_of(dense_rounds(&mut state, &mut seed, 64));
+    assert_eq!(batch.len(), 64);
+    let (allocs, ()) = allocations(|| check.check_batch(batch));
+    let (tail, summary) = ingest.finish();
+    let report = check.finish(tail, summary);
+    assert!(report.verdict.is_ok(), "{report:?}");
+    assert_eq!(report.stats.fast_path_segments, 0);
+    let nodes = report.stats.search.nodes;
     assert!(
-        nodes > 2 * links,
-        "every link is stepped or searched: {nodes} nodes"
+        nodes > 2 * (warm_links + links),
+        "every link is walked: {nodes} nodes"
     );
-    assert!(
-        allocs <= nodes && allocs <= 3 * links,
-        "{allocs} allocations for {links} stepped or searched links, {nodes} nodes"
-    );
+    assert_eq!(allocs, 0, "{allocs} allocations for {links} walked links");
 }
 
 /// `ops` operations over [`dense_universe`], each answered before the next
@@ -348,12 +338,11 @@ fn sequential_ops(state: &mut [i64; 4], seed: &mut u64, ops: usize) -> Vec<Event
 }
 
 #[test]
-fn warmed_up_one_operation_links_allocate_only_their_transitions() {
+fn warmed_up_one_operation_links_allocate_nothing() {
     // A one-operation link is walked over the spec from each frontier
-    // state without a search's set-up: it allocates the spec layer's
-    // `transitions()` result per (link, frontier state) and nothing else.
-    // The types are deterministic and start in one state, so every
-    // frontier here is one state and the bound is one per link.
+    // state without a search's set-up or a walk's tables, visiting the
+    // spec's transitions in place: it allocates nothing (one
+    // `transitions()` vector per link and frontier state before).
     let (mut ingest, mut check) = stages(dense_universe(), MonitorConfig::default());
     let (mut state, mut seed) = ([0i64; 4], 0x6a09_e667_f3bc_c909u64);
     let links = 256;
@@ -374,9 +363,9 @@ fn warmed_up_one_operation_links_allocate_only_their_transitions() {
     assert_eq!(report.stats.fast_path_segments, 0);
     // A root and the one matching transition per link, as a search counts.
     assert_eq!(report.stats.search.nodes, 2 * 2 * links);
-    assert!(
-        allocs <= links,
-        "{allocs} allocations for {links} one-operation links of one frontier state each"
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations for {links} one-operation links"
     );
 }
 

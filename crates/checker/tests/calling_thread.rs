@@ -3,21 +3,21 @@
 //! Locality lets a history be decided object by object, but that
 //! decomposition is a loop, not a fan-out: threads are created only for a
 //! batch of whole problems (`evlin_checker::parallel`).  The subject here is
-//! a register whose `transitions` records who called it and how often, so the
-//! tests can tell which thread searched an object, and whether it was
-//! searched at all.
+//! a register whose `for_each_transition` records who called it and how
+//! often, so the tests can tell which thread searched an object, and whether
+//! it was searched at all.
 
 use evlin_checker::kernel::{self, SearchLimits, SearchResult};
 use evlin_checker::monitor::{stages, Monitor, MonitorCondition, MonitorConfig};
 use evlin_checker::{locality, weak_consistency, Linearizability};
 use evlin_history::{Event, History, HistoryBuilder, ObjectId, ObjectUniverse, ProcessId};
-use evlin_spec::{Invocation, ObjectType, Register, Transition, Value};
+use evlin_spec::{Invocation, ObjectType, Register, Value};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
-/// Who called one object's `transitions`, and how many times.
+/// Who called one object's `for_each_transition`, and how many times.
 #[derive(Debug, Default)]
 struct CallLog {
     threads: Mutex<HashSet<ThreadId>>,
@@ -35,7 +35,7 @@ impl CallLog {
     }
 }
 
-/// A [`Register`] that logs every `transitions` call.
+/// A [`Register`] that logs every `for_each_transition` call.
 #[derive(Debug)]
 struct ProbedRegister {
     inner: Register,
@@ -51,11 +51,16 @@ impl ObjectType for ProbedRegister {
         self.inner.initial_states()
     }
 
-    fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
+    fn for_each_transition(
+        &self,
+        state: &Value,
+        invocation: &Invocation,
+        visit: &mut dyn FnMut(Value, Value),
+    ) {
         let mut threads = self.log.threads.lock().unwrap();
         threads.insert(std::thread::current().id());
         self.log.calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.transitions(state, invocation)
+        self.inner.for_each_transition(state, invocation, visit)
     }
 
     fn sample_invocations(&self) -> Vec<Invocation> {

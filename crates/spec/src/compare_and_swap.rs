@@ -1,7 +1,7 @@
 //! Compare&swap registers — the hardware primitive the introduction talks about.
 
 use crate::invocation::name;
-use crate::{Invocation, ObjectType, Transition, Value};
+use crate::{Invocation, ObjectType, Value};
 
 /// A compare&swap register.
 ///
@@ -82,26 +82,23 @@ impl ObjectType for CompareAndSwap {
         vec![self.initial.clone()]
     }
 
-    fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
-        match invocation.method() {
-            name::READ if invocation.args().is_empty() => {
-                vec![Transition::new(state.clone(), state.clone())]
-            }
-            name::WRITE => match invocation.arg(0) {
-                Some(v) => vec![Transition::new(Value::Unit, v.clone())],
-                None => Vec::new(),
-            },
-            name::CAS => match (invocation.arg(0), invocation.arg(1)) {
-                (Some(expected), Some(new)) => {
-                    if state == expected {
-                        vec![Transition::new(Value::Bool(true), new.clone())]
-                    } else {
-                        vec![Transition::new(Value::Bool(false), state.clone())]
-                    }
+    fn for_each_transition(
+        &self,
+        state: &Value,
+        invocation: &Invocation,
+        visit: &mut dyn FnMut(Value, Value),
+    ) {
+        match (invocation.method(), invocation.args()) {
+            (name::READ, []) => visit(state.clone(), state.clone()),
+            (name::WRITE, [v, ..]) => visit(Value::Unit, v.clone()),
+            (name::CAS, [expected, new, ..]) => {
+                if state == expected {
+                    visit(Value::Bool(true), new.clone());
+                } else {
+                    visit(Value::Bool(false), state.clone());
                 }
-                _ => Vec::new(),
-            },
-            _ => Vec::new(),
+            }
+            _ => {}
         }
     }
 
@@ -120,6 +117,7 @@ impl ObjectType for CompareAndSwap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Transition;
 
     #[test]
     fn successful_cas_swaps() {

@@ -1,7 +1,7 @@
 //! Consensus objects.
 
 use crate::invocation::name;
-use crate::{Invocation, ObjectType, Transition, Value};
+use crate::{Invocation, ObjectType, Value};
 
 /// A (long-lived) consensus object.
 ///
@@ -64,20 +64,21 @@ impl ObjectType for Consensus {
         vec![Value::Bottom]
     }
 
-    fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
-        if invocation.method() != name::PROPOSE {
-            return Vec::new();
-        }
-        let proposal = match invocation.arg(0) {
-            Some(v) => v.clone(),
-            None => return Vec::new(),
+    fn for_each_transition(
+        &self,
+        state: &Value,
+        invocation: &Invocation,
+        visit: &mut dyn FnMut(Value, Value),
+    ) {
+        let (name::PROPOSE, Some(proposal)) = (invocation.method(), invocation.arg(0)) else {
+            return;
         };
         if state.is_bottom() {
             // First proposal to be linearized wins and becomes the state.
-            vec![Transition::new(proposal.clone(), proposal)]
+            visit(proposal.clone(), proposal.clone());
         } else {
             // Decision already made: every later proposal returns it.
-            vec![Transition::new(state.clone(), state.clone())]
+            visit(state.clone(), state.clone());
         }
     }
 
@@ -92,6 +93,7 @@ impl ObjectType for Consensus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Transition;
 
     #[test]
     fn first_proposal_decides() {

@@ -1,7 +1,7 @@
 //! Plain counters (increment + read), weaker than fetch&increment.
 
 use crate::invocation::name;
-use crate::{Invocation, ObjectType, Transition, Value};
+use crate::{Invocation, ObjectType, Value};
 
 /// A counter with separate `inc()` and `read()` operations.
 ///
@@ -67,23 +67,24 @@ impl ObjectType for Counter {
         vec![Value::from(self.initial)]
     }
 
-    fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
-        let v = match state.as_int() {
-            Some(v) => v,
-            None => return Vec::new(),
+    fn for_each_transition(
+        &self,
+        state: &Value,
+        invocation: &Invocation,
+        visit: &mut dyn FnMut(Value, Value),
+    ) {
+        let Some(v) = state.as_int() else {
+            return;
         };
-        match invocation.method() {
-            name::INC if invocation.args().is_empty() => {
-                vec![Transition::new(Value::Unit, Value::from(v + 1))]
+        match (invocation.method(), invocation.args()) {
+            (name::INC, []) => visit(Value::Unit, Value::from(v + 1)),
+            (name::ADD, [k, ..]) => {
+                if let Some(k) = k.as_int() {
+                    visit(Value::Unit, Value::from(v + k));
+                }
             }
-            name::ADD => match invocation.arg(0).and_then(Value::as_int) {
-                Some(k) => vec![Transition::new(Value::Unit, Value::from(v + k))],
-                None => Vec::new(),
-            },
-            name::READ if invocation.args().is_empty() => {
-                vec![Transition::new(Value::from(v), Value::from(v))]
-            }
-            _ => Vec::new(),
+            (name::READ, []) => visit(Value::from(v), Value::from(v)),
+            _ => {}
         }
     }
 

@@ -1,7 +1,7 @@
 //! The fetch&increment counter — the central object of the paper's Section 5.
 
 use crate::invocation::name;
-use crate::{Invocation, ObjectType, Transition, Value};
+use crate::{Invocation, ObjectType, Value};
 
 /// A fetch&increment object.
 ///
@@ -62,16 +62,16 @@ impl ObjectType for FetchIncrement {
         vec![Value::from(self.initial)]
     }
 
-    fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
-        let v = match state.as_int() {
-            Some(v) => v,
-            None => return Vec::new(),
-        };
-        match invocation.method() {
-            name::FETCH_INC if invocation.args().is_empty() => {
-                vec![Transition::new(Value::from(v), Value::from(v + 1))]
-            }
-            _ => Vec::new(),
+    fn for_each_transition(
+        &self,
+        state: &Value,
+        invocation: &Invocation,
+        visit: &mut dyn FnMut(Value, Value),
+    ) {
+        if let (Some(v), name::FETCH_INC, []) =
+            (state.as_int(), invocation.method(), invocation.args())
+        {
+            visit(Value::from(v), Value::from(v + 1));
         }
     }
 
@@ -83,6 +83,7 @@ impl ObjectType for FetchIncrement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Transition;
 
     #[test]
     fn fetch_inc_returns_old_value() {

@@ -1,7 +1,7 @@
 //! Max-registers: a simple monotone type used in triviality experiments.
 
 use crate::invocation::name;
-use crate::{Invocation, ObjectType, Transition, Value};
+use crate::{Invocation, ObjectType, Value};
 
 /// A max-register.
 ///
@@ -60,20 +60,23 @@ impl ObjectType for MaxRegister {
         vec![Value::from(self.initial)]
     }
 
-    fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
-        let cur = match state.as_int() {
-            Some(v) => v,
-            None => return Vec::new(),
+    fn for_each_transition(
+        &self,
+        state: &Value,
+        invocation: &Invocation,
+        visit: &mut dyn FnMut(Value, Value),
+    ) {
+        let Some(cur) = state.as_int() else {
+            return;
         };
-        match invocation.method() {
-            name::WRITE_MAX => match invocation.arg(0).and_then(Value::as_int) {
-                Some(v) => vec![Transition::new(Value::Unit, Value::from(cur.max(v)))],
-                None => Vec::new(),
-            },
-            name::READ_MAX if invocation.args().is_empty() => {
-                vec![Transition::new(Value::from(cur), Value::from(cur))]
+        match (invocation.method(), invocation.args()) {
+            (name::WRITE_MAX, [v, ..]) => {
+                if let Some(v) = v.as_int() {
+                    visit(Value::Unit, Value::from(cur.max(v)));
+                }
             }
-            _ => Vec::new(),
+            (name::READ_MAX, []) => visit(Value::from(cur), Value::from(cur)),
+            _ => {}
         }
     }
 
@@ -89,6 +92,7 @@ impl ObjectType for MaxRegister {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Transition;
 
     #[test]
     fn keeps_the_maximum() {

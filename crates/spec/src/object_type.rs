@@ -72,13 +72,17 @@ impl std::error::Error for SpecError {}
 /// A sequential specification `(Q, Q0, INV, RES, δ)` of an object type
 /// (paper, Section 3).
 ///
-/// States are [`Value`]s; the transition relation is exposed through
-/// [`ObjectType::transitions`], which returns every `(response, next_state)`
-/// pair reachable by applying an invocation in a state.  A type is
-/// *deterministic* when that set always has exactly one element, and has
-/// *finite non-determinism* when it is always finite — which is guaranteed by
-/// the `Vec` return type, so every `ObjectType` in this workspace has finite
-/// non-determinism (an assumption several results of the paper require).
+/// States are [`Value`]s; the transition relation is stated once, by
+/// [`ObjectType::for_each_transition`], which hands every `(response,
+/// next_state)` pair reachable by applying an invocation in a state to a
+/// visitor.  Its contract is what the rest of the workspace relies on: for a
+/// given state and invocation it makes finitely many calls, always the same
+/// ones in the same order, so every type here has *finite non-determinism*
+/// (an assumption several results of the paper require) and a search over it
+/// visits transitions in a reproducible order.  [`ObjectType::transitions`]
+/// collects that sequence into a vector and is not meant to be overridden; a
+/// property test holds the two equal, order included, for every type.  A
+/// type is *deterministic* when the visitor is always called exactly once.
 ///
 /// Implementations must be `Send + Sync` so specifications can be shared by
 /// the multi-threaded runtime harness.  They are also `Any`, so a checker
@@ -92,12 +96,30 @@ pub trait ObjectType: Any + fmt::Debug + Send + Sync {
     /// The set `Q0` of initial states.  Must be non-empty.
     fn initial_states(&self) -> Vec<Value>;
 
-    /// The transition relation restricted to `state` and `invocation`:
-    /// all `(response, next_state)` pairs in `δ`.
+    /// The transition relation restricted to `state` and `invocation`: calls
+    /// `visit(response, next_state)` once per pair in `δ`, finitely often and
+    /// in an order that depends on `state` and `invocation` alone.
     ///
-    /// Returning an empty vector means the invocation is not enabled in that
-    /// state (for total types this never happens).
-    fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition>;
+    /// No call means the invocation is not enabled in that state (for total
+    /// types this never happens).  Checkers call this on their hot path, so
+    /// an implementation builds the pairs it hands over and nothing else.
+    fn for_each_transition(
+        &self,
+        state: &Value,
+        invocation: &Invocation,
+        visit: &mut dyn FnMut(Value, Value),
+    );
+
+    /// The pairs [`ObjectType::for_each_transition`] visits, in its order.
+    ///
+    /// An empty vector means the invocation is not enabled in that state.
+    fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
+        let mut transitions = Vec::new();
+        self.for_each_transition(state, invocation, &mut |response, next_state| {
+            transitions.push(Transition::new(response, next_state));
+        });
+        transitions
+    }
 
     /// A finite, representative sample of invocations used by state-space
     /// explorers, the triviality checker and random workload generators.
@@ -149,16 +171,17 @@ pub trait ObjectType: Any + fmt::Debug + Send + Sync {
         state: &Value,
         invocation: &Invocation,
     ) -> Result<(Value, Value), SpecError> {
-        let outs = self.transitions(state, invocation);
-        match outs.len() {
+        let (mut outcomes, mut first) = (0, None);
+        self.for_each_transition(state, invocation, &mut |response, next_state| {
+            outcomes += 1;
+            first.get_or_insert((response, next_state));
+        });
+        match outcomes {
             0 => Err(SpecError::InvalidInvocation {
                 type_name: self.name().to_owned(),
                 invocation: invocation.clone(),
             }),
-            1 => {
-                let t = outs.into_iter().next().expect("len checked");
-                Ok((t.response, t.next_state))
-            }
+            1 => Ok(first.expect("one outcome visited")),
             n => Err(SpecError::NotDeterministic {
                 type_name: self.name().to_owned(),
                 outcomes: n,
@@ -175,11 +198,13 @@ pub trait ObjectType: Any + fmt::Debug + Send + Sync {
         invocation: &Invocation,
         response: &Value,
     ) -> Vec<Value> {
-        self.transitions(state, invocation)
-            .into_iter()
-            .filter(|t| &t.response == response)
-            .map(|t| t.next_state)
-            .collect()
+        let mut next_states = Vec::new();
+        self.for_each_transition(state, invocation, &mut |answer, next_state| {
+            if answer == *response {
+                next_states.push(next_state);
+            }
+        });
+        next_states
     }
 
     /// Enumerates the states reachable from `from` by applying sampled
@@ -230,14 +255,14 @@ mod tests {
         fn initial_states(&self) -> Vec<Value> {
             vec![Value::from(0i64)]
         }
-        fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
-            let v = match state.as_int() {
-                Some(v) => v,
-                None => return Vec::new(),
-            };
-            match invocation.method() {
-                "inc" => vec![Transition::new(Value::from(v), Value::from((v + 1) % 3))],
-                _ => Vec::new(),
+        fn for_each_transition(
+            &self,
+            state: &Value,
+            invocation: &Invocation,
+            visit: &mut dyn FnMut(Value, Value),
+        ) {
+            if let (Some(v), "inc") = (state.as_int(), invocation.method()) {
+                visit(Value::from(v), Value::from((v + 1) % 3));
             }
         }
         fn sample_invocations(&self) -> Vec<Invocation> {
@@ -256,13 +281,15 @@ mod tests {
         fn initial_states(&self) -> Vec<Value> {
             vec![Value::Unit]
         }
-        fn transitions(&self, _state: &Value, invocation: &Invocation) -> Vec<Transition> {
-            match invocation.method() {
-                "flip" => vec![
-                    Transition::new(Value::Bool(false), Value::Unit),
-                    Transition::new(Value::Bool(true), Value::Unit),
-                ],
-                _ => Vec::new(),
+        fn for_each_transition(
+            &self,
+            _state: &Value,
+            invocation: &Invocation,
+            visit: &mut dyn FnMut(Value, Value),
+        ) {
+            if invocation.method() == "flip" {
+                visit(Value::Bool(false), Value::Unit);
+                visit(Value::Bool(true), Value::Unit);
             }
         }
         fn sample_invocations(&self) -> Vec<Invocation> {

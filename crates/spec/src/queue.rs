@@ -1,7 +1,7 @@
 //! FIFO queues — a classic non-trivial type used in tests of the checkers.
 
 use crate::invocation::name;
-use crate::{Invocation, ObjectType, Transition, Value};
+use crate::{Invocation, ObjectType, Value};
 
 /// A FIFO queue.
 ///
@@ -66,30 +66,27 @@ impl ObjectType for Queue {
         vec![Value::list([])]
     }
 
-    fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
-        let items = match state.as_list() {
-            Some(items) => items.to_vec(),
-            None => return Vec::new(),
+    fn for_each_transition(
+        &self,
+        state: &Value,
+        invocation: &Invocation,
+        visit: &mut dyn FnMut(Value, Value),
+    ) {
+        let Some(items) = state.as_list() else {
+            return;
         };
-        match invocation.method() {
-            name::ENQUEUE => match invocation.arg(0) {
-                Some(v) => {
-                    let mut next = items;
-                    next.push(v.clone());
-                    vec![Transition::new(Value::Unit, Value::List(next))]
-                }
-                None => Vec::new(),
-            },
-            name::DEQUEUE if invocation.args().is_empty() => {
-                if items.is_empty() {
-                    vec![Transition::new(Value::Bottom, Value::list([]))]
-                } else {
-                    let mut next = items;
-                    let head = next.remove(0);
-                    vec![Transition::new(head, Value::List(next))]
-                }
+        match (invocation.method(), invocation.args()) {
+            (name::ENQUEUE, [v, ..]) => {
+                let mut next = Vec::with_capacity(items.len() + 1);
+                next.extend_from_slice(items);
+                next.push(v.clone());
+                visit(Value::Unit, Value::List(next));
             }
-            _ => Vec::new(),
+            (name::DEQUEUE, []) => match items.split_first() {
+                None => visit(Value::Bottom, Value::list([])),
+                Some((head, rest)) => visit(head.clone(), Value::List(rest.to_vec())),
+            },
+            _ => {}
         }
     }
 
@@ -113,6 +110,7 @@ impl ObjectType for Queue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Transition;
 
     #[test]
     fn fifo_order() {

@@ -1,7 +1,7 @@
 //! Read/write registers.
 
 use crate::invocation::name;
-use crate::{Invocation, ObjectType, Transition, Value};
+use crate::{Invocation, ObjectType, Value};
 
 /// A multi-reader multi-writer read/write register.
 ///
@@ -76,16 +76,16 @@ impl ObjectType for Register {
         vec![self.initial.clone()]
     }
 
-    fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
-        match invocation.method() {
-            name::READ if invocation.args().is_empty() => {
-                vec![Transition::new(state.clone(), state.clone())]
-            }
-            name::WRITE => match invocation.arg(0) {
-                Some(v) => vec![Transition::new(Value::Unit, v.clone())],
-                None => Vec::new(),
-            },
-            _ => Vec::new(),
+    fn for_each_transition(
+        &self,
+        state: &Value,
+        invocation: &Invocation,
+        visit: &mut dyn FnMut(Value, Value),
+    ) {
+        match (invocation.method(), invocation.args()) {
+            (name::READ, []) => visit(state.clone(), state.clone()),
+            (name::WRITE, [v, ..]) => visit(Value::Unit, v.clone()),
+            _ => {}
         }
     }
 
@@ -114,6 +114,7 @@ impl Register {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Transition;
 
     #[test]
     fn read_returns_state_and_preserves_it() {

@@ -1,7 +1,7 @@
 //! Test&set objects.
 
 use crate::invocation::name;
-use crate::{Invocation, ObjectType, Transition, Value};
+use crate::{Invocation, ObjectType, Value};
 
 /// A test&set object.
 ///
@@ -49,14 +49,19 @@ impl ObjectType for TestAndSet {
         vec![Value::Bool(false)]
     }
 
-    fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<Transition> {
+    fn for_each_transition(
+        &self,
+        state: &Value,
+        invocation: &Invocation,
+        visit: &mut dyn FnMut(Value, Value),
+    ) {
         if invocation.method() != name::TEST_AND_SET || !invocation.args().is_empty() {
-            return Vec::new();
+            return;
         }
         match state.as_bool() {
-            Some(false) => vec![Transition::new(Value::from(0i64), Value::Bool(true))],
-            Some(true) => vec![Transition::new(Value::from(1i64), Value::Bool(true))],
-            None => Vec::new(),
+            Some(false) => visit(Value::from(0i64), Value::Bool(true)),
+            Some(true) => visit(Value::from(1i64), Value::Bool(true)),
+            None => {}
         }
     }
 

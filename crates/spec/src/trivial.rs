@@ -135,11 +135,14 @@ impl ObjectType for StickyGate {
         vec![Value::Unit]
     }
 
-    fn transitions(&self, state: &Value, invocation: &Invocation) -> Vec<crate::Transition> {
+    fn for_each_transition(
+        &self,
+        state: &Value,
+        invocation: &Invocation,
+        visit: &mut dyn FnMut(Value, Value),
+    ) {
         if invocation.method() == "knock" && state.is_unit() {
-            vec![crate::Transition::new(Value::sym("ok"), Value::Unit)]
-        } else {
-            Vec::new()
+            visit(Value::sym("ok"), Value::Unit);
         }
     }
 
@@ -176,13 +179,14 @@ impl ObjectType for BlindRegister {
         vec![Value::from(0i64)]
     }
 
-    fn transitions(&self, _state: &Value, invocation: &Invocation) -> Vec<crate::Transition> {
-        match invocation.method() {
-            "write" => match invocation.arg(0) {
-                Some(v) => vec![crate::Transition::new(Value::Unit, v.clone())],
-                None => Vec::new(),
-            },
-            _ => Vec::new(),
+    fn for_each_transition(
+        &self,
+        _state: &Value,
+        invocation: &Invocation,
+        visit: &mut dyn FnMut(Value, Value),
+    ) {
+        if let ("write", [v, ..]) = (invocation.method(), invocation.args()) {
+            visit(Value::Unit, v.clone());
         }
     }
 

@@ -8,10 +8,15 @@
 //! and `Hash` see exactly what deriving them on `(Arc<str>, Arc<[Value]>)`
 //! sees — kernel interning, Zobrist folds and checkpoint bytes are keyed on
 //! them.
+//!
+//! And for every type: `for_each_transition` visits exactly what
+//! `transitions()` lists, in its order, and the same again when asked again
+//! — the kernel's and the monitor's node counts follow that order.
 
+use evlin_spec::trivial::{BlindRegister, StickyGate};
 use evlin_spec::{
-    CompareAndSwap, FetchIncrement, Invocation, MaxRegister, ObjectType, Queue, Register,
-    TestAndSet, Value, VOCABULARY,
+    CompareAndSwap, Consensus, Counter, FetchIncrement, Invocation, MaxRegister, ObjectType, Queue,
+    Register, TestAndSet, Value, VOCABULARY,
 };
 use proptest::prelude::*;
 use std::hash::{Hash, Hasher};
@@ -241,6 +246,59 @@ proptest! {
         prop_assert!(Queue::new().is_deterministic());
         prop_assert!(MaxRegister::new().is_deterministic());
     }
+}
+
+/// The `(response, next state)` pairs `ty` visits for `invocation` in
+/// `state`, in the order visited.
+fn visited(ty: &dyn ObjectType, state: &Value, invocation: &Invocation) -> Vec<(Value, Value)> {
+    let mut pairs = Vec::new();
+    ty.for_each_transition(state, invocation, &mut |response, next| {
+        pairs.push((response, next));
+    });
+    pairs
+}
+
+/// Every type of the crate, over its sampled invocations, from up to 64
+/// states reachable from each initial state and from two values that are no
+/// state of most types: the visitor's calls are the `transitions()` list,
+/// order included, and repeat exactly.
+#[test]
+fn the_visitor_visits_the_transitions_in_their_order() {
+    let types: [Box<dyn ObjectType>; 10] = [
+        Box::new(Register::new(Value::from(0i64))),
+        Box::new(FetchIncrement::new()),
+        Box::new(CompareAndSwap::new(Value::from(0i64))),
+        Box::new(TestAndSet::new()),
+        Box::new(Queue::new()),
+        Box::new(MaxRegister::new()),
+        Box::new(Counter::new()),
+        Box::new(Consensus::new()),
+        Box::new(StickyGate::new()),
+        Box::new(BlindRegister::new()),
+    ];
+    let (mut pairs, mut empty) = (0, 0);
+    for ty in &types {
+        let mut states = vec![Value::Unit, Value::sym("stranger")];
+        for initial in ty.initial_states() {
+            states.extend(ty.reachable_states(&initial, 64));
+        }
+        for state in &states {
+            for invocation in ty.sample_invocations() {
+                let listed = ty.transitions(state, &invocation);
+                let listed: Vec<_> = listed
+                    .into_iter()
+                    .map(|t| (t.response, t.next_state))
+                    .collect();
+                let once = visited(&**ty, state, &invocation);
+                assert_eq!(once, listed, "{} {invocation:?} in {state:?}", ty.name());
+                assert_eq!(visited(&**ty, state, &invocation), once);
+                pairs += once.len();
+                empty += usize::from(once.is_empty());
+            }
+        }
+    }
+    // Enabled and disabled invocations were both asked.
+    assert!(pairs > 100 && empty > 0, "{pairs} pairs, {empty} disabled");
 }
 
 /// Every vocabulary name, with and without arguments: the statically named
