@@ -5,14 +5,16 @@
 //! * batched sequential vs parallel checking;
 //! * the kernel's locality pre-pass vs the whole-history search on
 //!   multi-object histories (the algorithmic payoff of the Herlihy–Wing
-//!   locality theorem — per-object subproblems are exponentially smaller).
+//!   locality theorem — per-object subproblems are exponentially smaller);
+//! * one frontier search of a small problem, which the kernel walks without
+//!   its searcher's set-up: the price the online monitor pays per link.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use evlin_bench::histories;
-use evlin_checker::kernel::{self, SearchLimits};
+use evlin_checker::kernel::{self, ConsistencyCondition, KernelScratch, SearchLimits};
 use evlin_checker::{fi, linearizability, parallel, Linearizability};
 use evlin_history::generator::{concurrentize, random_sequential_legal, WorkloadSpec};
-use evlin_history::{History, HistoryBuilder, ObjectUniverse, ProcessId};
+use evlin_history::{History, HistoryBuilder, ObjectUniverse, OperationMatcher, ProcessId};
 use evlin_spec::{FetchIncrement, Register, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -153,12 +155,53 @@ fn bench_locality(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `kernel::visit_frontiers` call through a warmed-up scratch, from a
+/// one-state frontier, on the problems the monitor's links pose most: a
+/// lone register write, and a write concurrent with a read that sees it.
+/// The kernel walks both without its searcher's set-up; their node counts
+/// are asserted.
+fn bench_frontier_small(c: &mut Criterion) {
+    let mut group = c.benchmark_group("checker/frontier_small");
+    let mut universe = ObjectUniverse::new();
+    let r = universe.add_object(Register::new(Value::from(0i64)));
+    let write = Register::write(Value::from(1i64));
+    let lone = HistoryBuilder::new().complete(ProcessId(0), r, write.clone(), Value::Unit);
+    let concurrent = HistoryBuilder::new()
+        .invoke(ProcessId(0), r, write)
+        .invoke(ProcessId(1), r, Register::read())
+        .respond(ProcessId(0), r, Value::Unit)
+        .respond(ProcessId(1), r, Value::from(1i64));
+    let (limits, root) = (SearchLimits::default(), Value::from(0i64));
+    for (ops, h, nodes) in [(1, lone.build(), 2), (2, concurrent.build(), 3)] {
+        let mut matcher = OperationMatcher::default();
+        let problem = Linearizability.views(&h, matcher.match_events(h.events()));
+        let mut scratch = KernelScratch::new();
+        group.bench_with_input(BenchmarkId::from_parameter(ops), &problem, |b, problem| {
+            b.iter(|| {
+                let (complete, stats) = kernel::visit_frontiers(
+                    problem,
+                    &[(r, &root)],
+                    &universe,
+                    limits,
+                    &[],
+                    &mut scratch,
+                    |_| {},
+                );
+                assert!(complete);
+                assert_eq!(stats.nodes, nodes);
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     checker_scaling,
     bench_generic,
     bench_queue,
     bench_specialized,
     bench_batch,
-    bench_locality
+    bench_locality,
+    bench_frontier_small
 );
 criterion_main!(checker_scaling);

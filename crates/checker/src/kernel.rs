@@ -36,6 +36,15 @@
 //!   deduplication documents and accepts — the debug cross-check guards
 //!   against maintenance drift, and the brute-force differential suite
 //!   fuzzes the end-to-end verdicts;
+//! * the walk — the same search over a small problem, picked by
+//!   [`visit_frontiers`] before it touches a `Table`, the row store or the
+//!   searcher: nothing tracked, one object, one to four operations, each
+//!   required with a fixed response.  `u8` taken masks stand for the class
+//!   counts and `(state, mask)` words for the visited cache; nodes, memo hits
+//!   and budget count as the searcher's (a unit test holds the two equal),
+//!   and `arena_bytes` gets nothing.  Four covers the monitor's links of short
+//!   rounds and fits the masks in a `u8`; the walk's linear visited list
+//!   stays ahead of a hashed one up to about eight (ROADMAP);
 //! * [`check_local`] — the locality pre-pass: for conditions whose
 //!   decomposition is [`Locality::Exact`] (the Herlihy–Wing locality theorem
 //!   for linearizability, Lemma 8 for weak consistency), a multi-object
@@ -60,7 +69,7 @@
 
 use crate::util::{self, FxHashMap};
 use evlin_history::{History, ObjectId, ObjectUniverse, OperationMatcher};
-use evlin_spec::{Invocation, Value};
+use evlin_spec::{Invocation, ObjectType, Value};
 use std::hash::Hash;
 
 // ---------------------------------------------------------------------------
@@ -422,6 +431,8 @@ pub struct KernelScratch {
     frontier_rows: Vec<u32>,
     /// Each row's hash; ids are row numbers (a row may be zero words wide).
     frontiers: Table<u64>,
+    /// The tables of the small-problem walk, which touches no other.
+    walk: WalkScratch,
 }
 
 impl KernelScratch {
@@ -952,6 +963,248 @@ impl<'a> Searcher<'a> {
 }
 
 // ---------------------------------------------------------------------------
+// The small-problem walk
+// ---------------------------------------------------------------------------
+
+/// The most operations a frontier problem may hold to be walked ([`Walk`])
+/// rather than searched (see the module doc).
+pub(crate) const SMALL_OPS: usize = 4;
+
+// A walk's `u8` masks hold a bit per operation and the mask of all of them.
+const _: () = assert!(SMALL_OPS < u8::BITS as usize);
+
+/// The pooled tables of [`Walk`]: its distinct states (an id is an index),
+/// its memo of `(invocation id, state id, span)` over `(operations answered,
+/// next state id)` transitions, its visited `(state id, taken mask)` words,
+/// and a memo miss's transitions before their states are interned.
+#[derive(Default)]
+struct WalkScratch {
+    states: Vec<Value>,
+    expanded: Vec<(u8, u32, (u32, u32))>,
+    transitions: Vec<(u8, u32)>,
+    visited: Vec<u64>,
+    fresh: Vec<(u8, Value)>,
+}
+
+/// The exhaustive search of [`visit_frontiers`] over a small problem, without
+/// the searcher's set-up.  Depth first, it takes operations by ascending
+/// index, transitions in the spec's order, and only the first untaken member
+/// of an interchangeability class (equal invocation and response; alone if a
+/// precedence edge touches it) whose predecessors are taken: the taken mask
+/// stands for the searcher's class counts, and nodes, memo hits and budget
+/// count as the searcher's.
+struct Walk<'a> {
+    spec: &'a dyn ObjectType,
+    object: ObjectId,
+    root: &'a Value,
+    max_nodes: usize,
+    n: usize,
+    /// Per operation: its invocation and its fixed response.
+    invocations: [&'a Invocation; SMALL_OPS],
+    responses: [&'a Value; SMALL_OPS],
+    /// Per operation: its invocation's id (the least operation making it),
+    /// its predecessors and the lesser members of its class.
+    inv: [u8; SMALL_OPS],
+    preds: [u8; SMALL_OPS],
+    peers: [u8; SMALL_OPS],
+    stats: SearchStats,
+    complete: bool,
+    s: &'a mut WalkScratch,
+}
+
+impl<'a> Walk<'a> {
+    /// Reads `problem` through its views; `None` unless it has one object
+    /// and one to [`SMALL_OPS`] operations, each required with a fixed
+    /// response.
+    fn new<P: Problem + ?Sized>(
+        problem: &'a P,
+        roots: &[(ObjectId, &'a Value)],
+        universe: &'a ObjectUniverse,
+        limits: SearchLimits,
+        s: &'a mut WalkScratch,
+    ) -> Option<Self> {
+        let n = problem.op_count();
+        if n == 0 || n > SMALL_OPS {
+            return None;
+        }
+        let first = problem.op(0);
+        let object = first.object;
+        let value = first.fixed_response.filter(|_| first.required)?;
+        let (mut invocations, mut responses) = ([first.invocation; SMALL_OPS], [value; SMALL_OPS]);
+        let (mut inv, mut preds, mut peers, mut alone) =
+            ([0; SMALL_OPS], [0; SMALL_OPS], [0; SMALL_OPS], 0u8);
+        for (i, j) in problem.edges() {
+            preds[j] |= 1 << i;
+            alone |= 1 << i | 1 << j;
+        }
+        for i in 1..n {
+            let op = problem.op(i);
+            if op.object != object || !op.required {
+                return None;
+            }
+            (invocations[i], responses[i]) = (op.invocation, op.fixed_response?);
+            let same_call = |j: &usize| invocations[*j] == invocations[i];
+            inv[i] = (0..i).find(same_call).unwrap_or(i) as u8;
+            let same = |j: usize| inv[j] == inv[i] && responses[j] == responses[i];
+            let lesser = (0..i).filter(|&j| (alone >> i | alone >> j) & 1 == 0 && same(j));
+            peers[i] = lesser.fold(0, |m, j| m | 1 << j);
+        }
+        let root = roots.iter().find(|(o, _)| *o == object);
+        Some(Walk {
+            spec: &**universe.object_type(object),
+            object,
+            root: root.map_or_else(|| universe.initial_state(object), |(_, v)| *v),
+            max_nodes: limits.max_nodes,
+            n,
+            invocations,
+            responses,
+            inv,
+            preds,
+            peers,
+            stats: SearchStats::default(),
+            complete: true,
+            s,
+        })
+    }
+
+    /// Walks the problem from its root and hands every distinct accepting
+    /// frontier to `each` in discovery order, as [`visit_frontiers`] does.
+    fn visit(mut self, mut each: impl FnMut(FrontierRow<'_>)) -> (bool, SearchStats) {
+        self.s.visited.clear();
+        self.s.expanded.clear();
+        self.s.transitions.clear();
+        self.s.states.clear();
+        self.s.states.push(self.root.clone());
+        self.stats.nodes = 1; // the root
+        self.walk(0, 0);
+        // The accepting states are the visited pairs that took every
+        // operation, in discovery order.
+        let all = u64::from((1u8 << self.n) - 1);
+        let s = &*self.s;
+        for &key in s.visited.iter().filter(|&&key| key & 0xff == all) {
+            each(FrontierRow {
+                slots: std::slice::from_ref(&self.object),
+                values: &s.states,
+                row: std::slice::from_ref(&((key >> 8) as u32)),
+            });
+        }
+        (self.complete, self.stats)
+    }
+
+    /// Expands the node that has taken `taken` and reached state `state`.
+    fn walk(&mut self, taken: u8, state: u32) {
+        let all = (1u8 << self.n) - 1;
+        for i in 0..self.n {
+            let (bit, preds, peers) = (1u8 << i, self.preds[i], self.peers[i]);
+            if taken & bit != 0 || taken & preds != preds || taken & peers != peers {
+                continue;
+            }
+            let (start, end) = self.expand(self.inv[i], state);
+            for k in start..end {
+                let (answers, next) = self.s.transitions[k as usize];
+                if answers & bit == 0 {
+                    continue;
+                }
+                self.stats.nodes += 1;
+                if self.stats.nodes > self.max_nodes {
+                    self.complete = false;
+                    continue;
+                }
+                let (child, key) = (taken | bit, u64::from(next) << 8 | u64::from(taken | bit));
+                if self.s.visited.contains(&key) {
+                    self.stats.memo_hits += 1;
+                    continue;
+                }
+                self.s.visited.push(key);
+                if child != all {
+                    self.walk(child, next);
+                }
+            }
+        }
+    }
+
+    /// The span of invocation `inv`'s transitions from state `state`, asked
+    /// of the spec once per problem.
+    fn expand(&mut self, inv: u8, state: u32) -> (u32, u32) {
+        let memo = self.s.expanded.iter().find(|e| (e.0, e.1) == (inv, state));
+        if let Some(&(_, _, span)) = memo {
+            return span;
+        }
+        let (n, ids, responses, spec) = (self.n, &self.inv, &self.responses, self.spec);
+        let (s, call) = (&mut *self.s, self.invocations[inv as usize]);
+        let fresh = &mut s.fresh;
+        spec.for_each_transition(&s.states[state as usize], call, &mut |answer, next| {
+            let asked = (0..n).filter(|&j| ids[j] == inv);
+            let answers = asked.fold(0, |m, j| m | u8::from(*responses[j] == answer) << j);
+            fresh.push((answers, next));
+        });
+        let start = s.transitions.len() as u32;
+        for (answers, next) in s.fresh.drain(..) {
+            let id = s.states.iter().position(|q| *q == next).unwrap_or_else(|| {
+                s.states.push(next);
+                s.states.len() - 1
+            });
+            s.transitions.push((answers, id as u32));
+        }
+        let span = (start, s.transitions.len() as u32);
+        s.expanded.push((inv, state, span));
+        span
+    }
+}
+
+/// [`visit_frontiers`] of a problem with nothing tracked, by the walk, or
+/// `each` back if the problem is not the walk's shape.  A lone operation
+/// needs no tables: every node below the root accepts, so the visited set is
+/// the states reached, which one spec call lists.
+fn walk_frontiers<P: Problem + ?Sized, F: FnMut(FrontierRow<'_>)>(
+    problem: &P,
+    roots: &[(ObjectId, &Value)],
+    universe: &ObjectUniverse,
+    limits: SearchLimits,
+    s: &mut WalkScratch,
+    mut each: F,
+) -> Result<(bool, SearchStats), F> {
+    if problem.op_count() != 1 || problem.edges().next().is_some() {
+        return match Walk::new(problem, roots, universe, limits, s) {
+            Some(walk) => Ok(walk.visit(each)),
+            None => Err(each),
+        };
+    }
+    let op = problem.op(0);
+    let Some(response) = op.fixed_response.filter(|_| op.required) else {
+        return Err(each);
+    };
+    let root = roots.iter().find(|(o, _)| *o == op.object);
+    let root = root.map_or_else(|| universe.initial_state(op.object), |(_, v)| *v);
+    let (mut complete, mut stats, states) = (true, SearchStats::default(), &mut s.states);
+    stats.nodes = 1; // the root
+    states.clear();
+    let visit = &mut |answer: Value, next| {
+        if answer != *response {
+            return;
+        }
+        stats.nodes += 1;
+        if stats.nodes > limits.max_nodes {
+            complete = false;
+        } else if states.contains(&next) {
+            stats.memo_hits += 1;
+        } else {
+            states.push(next);
+        }
+    };
+    let spec = universe.object_type(op.object);
+    spec.for_each_transition(root, op.invocation, visit);
+    for id in 0..states.len() as u32 {
+        each(FrontierRow {
+            slots: std::slice::from_ref(&op.object),
+            values: states,
+            row: std::slice::from_ref(&id),
+        });
+    }
+    Ok((complete, stats))
+}
+
+// ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
 
@@ -993,9 +1246,9 @@ pub fn solve_rooted<P: Problem + ?Sized>(
 }
 
 /// One distinct *accepting frontier* of a search problem, read in place from
-/// the scratch's row store: the final state of every active object under
-/// some accepting linearization, together with which of the caller's tracked
-/// operations that linearization included.
+/// the scratch (the searcher's row store or the walk's states): the final
+/// state of every active object under some accepting linearization, together
+/// with which of the caller's tracked operations that linearization included.
 ///
 /// The online monitor ([`crate::monitor`]) threads these through a stream of
 /// quiescent-cut segments, one chain per object: the frontiers of an
@@ -1038,6 +1291,26 @@ impl<'s> FrontierRow<'s> {
 /// linearizing further optional operations reaches different frontiers.  An
 /// empty problem has exactly one (empty) frontier.
 pub fn visit_frontiers<P: Problem + ?Sized>(
+    problem: &P,
+    roots: &[(ObjectId, &Value)],
+    universe: &ObjectUniverse,
+    limits: SearchLimits,
+    tracked: &[usize],
+    scratch: &mut KernelScratch,
+    each: impl FnMut(FrontierRow<'_>),
+) -> (bool, SearchStats) {
+    let each = match tracked {
+        [] => match walk_frontiers(problem, roots, universe, limits, &mut scratch.walk, each) {
+            Ok(walked) => return walked,
+            Err(each) => each,
+        },
+        _ => each,
+    };
+    search_frontiers(problem, roots, universe, limits, tracked, scratch, each)
+}
+
+/// [`visit_frontiers`] through the searcher, whatever the problem's size.
+fn search_frontiers<P: Problem + ?Sized>(
     problem: &P,
     roots: &[(ObjectId, &Value)],
     universe: &ObjectUniverse,
@@ -1245,12 +1518,13 @@ fn compose_witnesses(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::linearizability::Linearizability;
-    use crate::t_linearizability::TLinearizability;
-    use evlin_history::{HistoryBuilder, ProcessId};
+    use crate::t_linearizability::{EventProblem, TLinearizability};
+    use evlin_history::{Event, HistoryBuilder, ProcessId};
     use evlin_spec::{FetchIncrement, Register, Value};
+    use std::sync::Arc;
 
     /// Searches for a witness of `condition`'s question about `h`.
     fn solve<C: ConsistencyCondition>(
@@ -1723,5 +1997,293 @@ mod tests {
         // Every table went past the linear bound and engaged its index.
         let capacities = index_capacities(&scratch);
         assert!(capacities.iter().all(|&c| c > 0), "{capacities:?}");
+    }
+
+    /// A gate that must be opened before anyone passes: `pass()` is enabled
+    /// only once `open()` has taken effect, so the type is partial.
+    #[derive(Debug)]
+    pub(crate) struct Turnstile;
+
+    impl evlin_spec::ObjectType for Turnstile {
+        fn name(&self) -> &str {
+            "turnstile"
+        }
+
+        fn initial_states(&self) -> Vec<Value> {
+            vec![Value::Bool(false)]
+        }
+
+        fn for_each_transition(
+            &self,
+            state: &Value,
+            invocation: &Invocation,
+            visit: &mut dyn FnMut(Value, Value),
+        ) {
+            if let ("open", _) | ("pass", Value::Bool(true)) = (invocation.method(), state) {
+                visit(Value::Unit, Value::Bool(true));
+            }
+        }
+
+        fn sample_invocations(&self) -> Vec<Invocation> {
+            vec![Invocation::nullary("open"), Invocation::nullary("pass")]
+        }
+    }
+
+    /// A die whose `roll()` shows 1 and lands on `a` or on `b`, lists the
+    /// `(1, a)` outcome twice, and shows 2 and lands on `c`, from any face:
+    /// two transitions share a response, and one is a duplicate.
+    #[derive(Debug)]
+    struct LoadedDie;
+
+    impl evlin_spec::ObjectType for LoadedDie {
+        fn name(&self) -> &str {
+            "loaded-die"
+        }
+
+        fn initial_states(&self) -> Vec<Value> {
+            vec![Value::sym("a")]
+        }
+
+        fn for_each_transition(
+            &self,
+            _: &Value,
+            invocation: &Invocation,
+            visit: &mut dyn FnMut(Value, Value),
+        ) {
+            if invocation.method() == "roll" {
+                for (shown, face) in [(1i64, "a"), (1, "b"), (1, "a"), (2, "c")] {
+                    visit(Value::from(shown), Value::sym(face));
+                }
+            }
+        }
+
+        fn sample_invocations(&self) -> Vec<Invocation> {
+            vec![Invocation::nullary("roll")]
+        }
+    }
+
+    /// What a small problem — the Definition-2 question about `events` —
+    /// leaves from `frontier`, decided from each state by the walk (`walk`)
+    /// or by the searcher: the outgoing states (sorted, distinct), the nodes,
+    /// the memo hits, whether the budget let the search cover its space, and
+    /// whether some class of the walk has more than one member.
+    fn small_link(
+        u: &ObjectUniverse,
+        events: &[Event],
+        frontier: &[Value],
+        limits: SearchLimits,
+        walk: bool,
+    ) -> (Vec<Value>, usize, usize, bool, bool) {
+        let object = events[0].object;
+        let mut matcher = OperationMatcher::default();
+        let problem = EventProblem {
+            t: 0,
+            events,
+            picked: None,
+            ops: matcher.match_events(events),
+        };
+        let mut scratch = KernelScratch::new();
+        let peers = Walk::new(&problem, &[], u, limits, &mut scratch.walk).map(|w| w.peers);
+        let merged = peers.is_some_and(|peers| peers.iter().any(|&m| m != 0));
+        let (mut outgoing, mut stats, mut complete) = (Vec::new(), SearchStats::default(), true);
+        for state in frontier {
+            let roots = [(object, state)];
+            let each = |row: FrontierRow<'_>| outgoing.extend(row.states().map(|(_, v)| v.clone()));
+            let (covered, search) = if walk {
+                let walked = walk_frontiers(&problem, &roots, u, limits, &mut scratch.walk, each);
+                walked.unwrap_or_else(|_| panic!("one to four complete operations"))
+            } else {
+                search_frontiers(&problem, &roots, u, limits, &[], &mut scratch, each)
+            };
+            assert_eq!(search.arena_bytes == 0, walk, "the walk adds nothing");
+            stats.absorb(search);
+            complete &= covered;
+        }
+        outgoing.sort();
+        outgoing.dedup();
+        (outgoing, stats.nodes, stats.memo_hits, complete, merged)
+    }
+
+    #[test]
+    fn a_small_problem_walk_is_the_searchers_search() {
+        // Every built-in type's sampled invocations, answered with responses
+        // the spec gives from some reachable state and with one it never
+        // gives, as problems of one to `SMALL_OPS` operations in every
+        // real-time shape (an uppercase letter invokes an operation, its
+        // lowercase responds), from frontiers of one to three reachable
+        // states, under four node budgets: the walk and the searcher on the
+        // same problem agree on the outgoing states, the counters and
+        // completeness.  Problems of two or more operations are drawn from a
+        // seeded generator that repeats the previous operation's pair half
+        // the time, so classes merge.
+        let shapes = [
+            "Aa", "ABab", "AaBb", "ABCabc", "AaBbCc", "ABabCc", "ABaCbc", "ABCDabcd", "AaBbCcDd",
+            "ABabCcDd", "ABCabcDd", "ABabCDcd", "ABaCbDcd",
+        ];
+        assert!(shapes.iter().all(|shape| shape.len() <= 2 * SMALL_OPS));
+        let types: Vec<Arc<dyn evlin_spec::ObjectType>> = vec![
+            Arc::new(Register::new(Value::from(0i64))),
+            Arc::new(evlin_spec::CompareAndSwap::new(Value::from(0i64))),
+            Arc::new(evlin_spec::MaxRegister::new()),
+            Arc::new(FetchIncrement::new()),
+            Arc::new(evlin_spec::Queue::new()),
+            Arc::new(evlin_spec::TestAndSet::new()),
+            Arc::new(evlin_spec::Consensus::new()),
+            Arc::new(evlin_spec::Counter::new()),
+            Arc::new(evlin_spec::trivial::StickyGate::new()),
+            Arc::new(evlin_spec::trivial::BlindRegister::new()),
+            Arc::new(Turnstile),
+            Arc::new(LoadedDie),
+        ];
+        // A budget of `usize::MAX` must not overflow a walk's node count.
+        let budgets = [1, 2, SearchLimits::default().max_nodes, usize::MAX];
+        let mut seed = 0x2f6b_3c1e_9d4a_8857u64;
+        let mut next = |bound: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % bound as u64) as usize
+        };
+        let (mut memo_hits, mut cut_short, mut refuted, mut merged) = (0, 0, 0, 0);
+        for ty in types {
+            let initial = ty.initial_states()[0].clone();
+            let mut u = ObjectUniverse::new();
+            let object = u.add_shared(ty.clone(), initial.clone());
+            let states = ty.reachable_states(&initial, 3);
+            // The `(invocation, response)` pairs a link's operations draw.
+            let mut pairs = Vec::new();
+            for invocation in ty.sample_invocations() {
+                let transitions = states.iter().flat_map(|q| ty.transitions(q, &invocation));
+                let mut responses: Vec<Value> = transitions.map(|t| t.response).collect();
+                responses.sort();
+                responses.dedup();
+                responses.push(Value::sym("never"));
+                pairs.extend(responses.into_iter().map(|r| (invocation.clone(), r)));
+            }
+            for shape in shapes {
+                let n = shape.len() / 2;
+                // Every pair alone; six draws per wider shape.
+                let draws = if n == 1 { pairs.len() } else { 6 };
+                for draw in 0..draws {
+                    let mut ops = vec![if n == 1 { draw } else { next(pairs.len()) }];
+                    while ops.len() < n {
+                        let repeat = next(2) == 0;
+                        let op = if repeat {
+                            ops[ops.len() - 1]
+                        } else {
+                            next(pairs.len())
+                        };
+                        ops.push(op);
+                    }
+                    let events: Vec<Event> = shape
+                        .chars()
+                        .map(|c| {
+                            let k = (c.to_ascii_lowercase() as u8 - b'a') as usize;
+                            let (invocation, response) = &pairs[ops[k]];
+                            if c.is_ascii_uppercase() {
+                                Event::invoke(ProcessId(k), object, invocation.clone())
+                            } else {
+                                Event::respond(ProcessId(k), object, response.clone())
+                            }
+                        })
+                        .collect();
+                    for (width, max_nodes) in
+                        (1..=states.len()).flat_map(|w| budgets.map(|b| (w, b)))
+                    {
+                        let (frontier, limits) = (&states[..width], SearchLimits { max_nodes });
+                        let searched = small_link(&u, &events, frontier, limits, false);
+                        let walked = small_link(&u, &events, frontier, limits, true);
+                        let case = format!("{} {shape} {events:?} from {frontier:?}", ty.name());
+                        let counted =
+                            |(states, nodes, hits, complete, _)| (states, nodes, hits, complete);
+                        assert_eq!(counted(walked.clone()), counted(searched), "{case}");
+                        memo_hits += walked.2;
+                        cut_short += usize::from(!walked.3);
+                        refuted += usize::from(walked.0.is_empty());
+                        merged += usize::from(walked.4);
+                    }
+                }
+            }
+        }
+        assert!(memo_hits > 0 && cut_short > 0 && refuted > 0 && merged > 0);
+    }
+
+    #[test]
+    fn only_the_walks_shape_is_walked() {
+        // The walk reports no arena bytes and the searcher always some, so
+        // the counters say which path `visit_frontiers` took.
+        let mut u = ObjectUniverse::new();
+        let r = u.add_object(Register::new(Value::from(0i64)));
+        let x = u.add_object(FetchIncrement::new());
+        let write = |v: i64| Register::write(Value::from(v));
+        let unit = Value::Unit;
+        fn walked<P: Problem>(u: &ObjectUniverse, problem: &P, tracked: &[usize]) -> bool {
+            let (limits, mut scratch) = (SearchLimits::default(), KernelScratch::new());
+            let (complete, stats) =
+                visit_frontiers(problem, &[], u, limits, tracked, &mut scratch, |_| {});
+            assert!(complete && stats.nodes > 1);
+            stats.arena_bytes == 0
+        }
+        let stated = |h: &History, t: usize, tracked: &[usize]| {
+            let mut matcher = OperationMatcher::default();
+            let problem = TLinearizability { t }.views(h, matcher.match_events(h.events()));
+            walked(&u, &problem, tracked)
+        };
+        let one = HistoryBuilder::new().complete(ProcessId(0), r, write(1), unit.clone());
+        let two = one
+            .clone()
+            .complete(ProcessId(1), r, Register::read(), Value::from(1i64));
+        let four = (0..4).fold(HistoryBuilder::new(), |b, k| {
+            b.complete(ProcessId(k), r, write(k as i64), unit.clone())
+        });
+        // Walked: one to four required operations with fixed responses on
+        // one object, nothing tracked.
+        assert!(stated(&one.clone().build(), 0, &[]));
+        assert!(stated(&two.clone().build(), 0, &[]));
+        assert!(stated(&four.clone().build(), 0, &[]));
+        // Refused: an optional (pending) operation, a free response (the
+        // first operation's, inside the forgiven prefix), two objects, five
+        // operations, and a tracked operation.
+        let pending = one.clone().invoke(ProcessId(1), r, write(2)).build();
+        assert!(!stated(&pending, 0, &[]));
+        assert!(!stated(&two.clone().build(), 2, &[]));
+        let inc = FetchIncrement::fetch_inc();
+        let objects = one
+            .clone()
+            .complete(ProcessId(1), x, inc, Value::from(0i64));
+        assert!(!stated(&objects.build(), 0, &[]));
+        let five = four.complete(ProcessId(4), r, Register::read(), Value::from(3i64));
+        assert!(!stated(&five.build(), 0, &[]));
+        assert!(!stated(&two.clone().build(), 0, &[0]));
+        // Refused too: an optional operation whose response is fixed, a
+        // shape no condition here states but the kernel accepts, first or
+        // not, alone or not.
+        for (h, optional) in [(one.build(), 0), (two.clone().build(), 0), (two.build(), 1)] {
+            let mut matcher = OperationMatcher::default();
+            let problem = Linearizability.views(&h, matcher.match_events(h.events()));
+            assert!(!walked(&u, &Optional(problem, optional), &[]), "{h}");
+        }
+    }
+
+    /// `problem` with operation `.1` no longer required, its response still
+    /// fixed.
+    struct Optional<P>(P, usize);
+
+    impl<P: Problem> Problem for Optional<P> {
+        fn op_count(&self) -> usize {
+            self.0.op_count()
+        }
+
+        fn op(&self, i: usize) -> OpView<'_> {
+            let view = self.0.op(i);
+            OpView {
+                required: i != self.1,
+                ..view
+            }
+        }
+
+        fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+            self.0.edges()
+        }
     }
 }

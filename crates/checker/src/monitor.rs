@@ -45,10 +45,9 @@
 //!   objects the stream names.  Closed segments accumulate into opaque
 //!   [`SegmentBatch`]es.
 //! * [`MonitorCheck`] — the per-segment half: frontier threading, kernel
-//!   searches, the small-link walk and the fetch&increment fast path.
-//!   Batches are `Send`, so a pipelined caller ships them to a dedicated
-//!   checker thread and keeps ingesting while earlier segments are
-//!   verified.
+//!   searches and the fetch&increment fast path.  Batches are `Send`, so a
+//!   pipelined caller ships them to a dedicated checker thread and keeps
+//!   ingesting while earlier segments are verified.
 //!
 //! [`Monitor`] glues the two stages back together behind the original
 //! single-threaded API; [`stages`] hands them out separately.  Exactness is
@@ -92,35 +91,25 @@
 //! `monitor_throughput` bench).  A segment whose events all name one object
 //! is its own projection and is read whole.
 //!
-//! No path materializes a projection.  A link's events are read in
-//! place through its positions; on the kernel path its invocations and
-//! responses are matched into pooled index pairs
+//! No path materializes a projection.  A link's events are read in place
+//! through its positions, matched into pooled index pairs
 //! ([`evlin_history::OperationMatcher`], the rule behind
 //! [`History::operations`]) and lent to the kernel as operation views
 //! ([`EventProblem`], the one stating of Definition 2 the offline
-//! [`crate::t_linearizability::TLinearizability`] uses too), once per incoming
-//! frontier state with that state as the search's root argument; the
-//! accepting frontiers come back as
-//! rows of the pooled [`KernelScratch`], the object's states are appended to
-//! a pooled buffer, sorted and deduplicated, and swapped with the incoming
-//! frontier, which is the object's entry of the frontier map updated in
-//! place.  The stream tail takes the same views through the witness search.
-//!
-//! A mid-stream link of at most four complete operations (most links of a
-//! stream of short rounds) has only their real-time order to choose: a walk
-//! over the object's spec (`Walk`) repeats the kernel's exhaustive search
-//! from each frontier state without its set-up, node for node (a unit test
-//! holds the two equal), adds nothing to `arena_bytes`, and feeds the same
-//! pooled buffer, sort, deduplication, cap and swap.
-//!
-//! A link of one operation is decided before any walk is built, through
-//! the walk's one spec call per frontier state.  The walk, the one-operation
-//! step and the kernel read a spec's transitions through
-//! [`ObjectType::for_each_transition`], interning what it hands over into
-//! pooled tables, so a warmed-up batch allocates only what the spec builds
-//! for the values it hands over (nothing for integer or boolean states) and
-//! the pooled buffers' growth to a new widest link or frontier
-//! (`tests/alloc_smoke.rs` pins zero for register and counter streams).
+//! [`crate::t_linearizability::TLinearizability`] uses too), once per
+//! incoming frontier state with that state as the search's root argument;
+//! the accepting frontiers come back as rows of the pooled [`KernelScratch`]
+//! and are appended to a pooled buffer, sorted, deduplicated and copied into
+//! the object's frontier.  The stream tail takes the same views through the
+//! witness search.  The kernel walks a mid-stream link of one to four
+//! complete operations and no floaters (most links of a stream of short
+//! rounds) without a search's set-up, counting as the searcher counts.
+//! Every search reads a spec's transitions through
+//! [`ObjectType::for_each_transition`], so a warmed-up batch allocates only
+//! what the spec builds for the values it hands over (nothing for integer or
+//! boolean states) and the pooled buffers' growth to a new widest link or
+//! frontier (`tests/alloc_smoke.rs` pins zero for register and counter
+//! streams).
 //!
 //! ## The four conditions, three drains
 //!
@@ -833,8 +822,6 @@ struct CheckContext {
     grouping: Grouping,
     /// The operations of the link being checked (positions in the link).
     matcher: OperationMatcher,
-    /// The pooled tables of the small-link walk.
-    walk: WalkScratch,
     /// The states the link being checked leaves behind.
     outgoing: Vec<Value>,
     /// The `(state, unplaced floaters)` entries a link with floaters leaves
@@ -881,7 +868,6 @@ impl MonitorCheck {
                 ..Grouping::default()
             },
             matcher: OperationMatcher::default(),
-            walk: WalkScratch::default(),
             outgoing: Vec::new(),
             rows: Vec::new(),
             tracked: Vec::new(),
@@ -960,8 +946,7 @@ impl CheckContext {
 
     /// Checks a batch of segments under Definition 2 with a fixed `t` (0 for
     /// linearizability): per-object frontier threading, one object's chain
-    /// after the other, with the fetch&increment fast path and the
-    /// small-link walk per projection.
+    /// after the other, with the fetch&increment fast path per projection.
     fn drain_lin(
         &mut self,
         t: usize,
@@ -1062,6 +1047,7 @@ impl CheckContext {
         let spec: &dyn ObjectType = &**universe.object_type(object);
         let fast_eligible = (spec as &dyn Any).is::<FetchIncrement>();
         let (outgoing, rows, tracked) = (&mut self.outgoing, &mut self.rows, &mut self.tracked);
+        let scratch = &mut self.scratch;
         for link in links {
             let segment = &segments[link.segment];
             let events = segment.history.events();
@@ -1079,8 +1065,8 @@ impl CheckContext {
                 None => t.saturating_sub(segment.start).min(len),
             };
             // Forgiven operations ("floaters") may be linearized in any later
-            // link of the object; a link that has or carries any takes the
-            // kernel path.
+            // link of the object; a link that has or carries any reports
+            // them per frontier entry.
             let floats = link_t > 0 || !frontier.unplaced.is_empty();
             if len == 0 && !floats {
                 break; // an empty tail link, and nothing left to place
@@ -1115,113 +1101,81 @@ impl CheckContext {
                 continue;
             }
             outgoing.clear();
-            // A mid-stream link of a few complete operations has only their
-            // real-time order to choose: it is walked over the spec from
-            // each frontier state, counted as the kernel's search; a lone
-            // invocation and its response need none of the walk's tables.
-            let kinds = (len == 2).then(|| (&event(0).kind, &event(1).kind));
-            let walked = match kinds {
-                _ if floats || final_segment => None,
-                Some((EventKind::Invoke(call), EventKind::Respond(answer))) => {
-                    Some(walk_one(spec, limits, (call, answer), states, outgoing))
-                }
-                _ => Walk::new(spec, limits, len, event, &mut self.matcher, &mut self.walk).map(
-                    |mut walk| {
-                        states.iter().for_each(|state| walk.from(state, outgoing));
-                        (walk.stats, walk.complete)
-                    },
-                ),
-            };
             let mut any_yes = false;
-            if let Some((stats, complete)) = walked {
+            // Definition 2 with the link's share of the forgiven prefix over
+            // the link's operations, lent to the kernel as views; one search
+            // per frontier entry, rooted at its state and carrying its
+            // floaters.  Mid-stream cuts are quiescent, so two events there
+            // are one complete operation and need no matching.
+            let ops = match len {
+                2 if !final_segment => &[(0, Some(1))],
+                _ => self.matcher.match_events((0..len).map(event)),
+            };
+            let stated = EventProblem {
+                t: link_t,
+                events,
+                picked,
+                ops,
+            };
+            // The link's own floaters are optional but tracked, unless
+            // this is the tail (nothing to defer to).
+            tracked.clear();
+            if !final_segment {
+                let forgiven = |&i: &usize| ops[i].1.is_some_and(|r| r < link_t);
+                tracked.extend((0..ops.len()).filter(forgiven));
+            }
+            let demoted = tracked.len();
+            rows.clear();
+            for (entry, state) in states.iter().enumerate() {
+                let carried = frontier.unplaced.get(entry).map_or(&[][..], Vec::as_slice);
+                tracked.truncate(demoted);
+                tracked.extend(ops.len()..ops.len() + carried.len());
+                let problem = Floating {
+                    stated,
+                    demoted: &tracked[..demoted],
+                    object,
+                    carried,
+                    // Carried floaters must be placed by the tail; before
+                    // it they may keep floating.
+                    carried_required: final_segment,
+                };
+                let roots = [(object, state)];
+                // Nothing consumes the tail's outgoing frontier: a plain
+                // witness search decides it (pending operations included).
+                // Elsewhere each accepting frontier is an outgoing state,
+                // paired with its unplaced floaters if the link floats.
+                let (complete, stats) = if final_segment {
+                    let (result, stats) =
+                        kernel::solve_rooted(&problem, &roots, universe, limits, scratch);
+                    any_yes = result.is_yes();
+                    (!matches!(result, SearchResult::Unknown), stats)
+                } else if floats {
+                    let each = |row: kernel::FrontierRow<'_>| {
+                        any_yes = true;
+                        let reached = row.states().find(|(o, _)| *o == object);
+                        let placed = tracked.iter().zip(row.placed());
+                        let unplaced = placed.filter(|(_, placed)| !placed);
+                        let mut unplaced: Vec<Invocation> = unplaced
+                            .map(|(&i, _)| problem.op(i).invocation.clone())
+                            .collect();
+                        unplaced.sort_unstable();
+                        rows.push((reached.map_or(state, |(_, v)| v).clone(), unplaced));
+                    };
+                    kernel::visit_frontiers(
+                        &problem, &roots, universe, limits, tracked, scratch, each,
+                    )
+                } else {
+                    let each = |row: kernel::FrontierRow<'_>| {
+                        any_yes = true;
+                        let reached = row.states().find(|(o, _)| *o == object);
+                        outgoing.push(reached.map_or(state, |(_, v)| v).clone());
+                    };
+                    kernel::visit_frontiers(&problem, &roots, universe, limits, &[], scratch, each)
+                };
                 self.stats.search.absorb(stats);
                 self.incomplete |= !complete;
-                any_yes = !outgoing.is_empty();
-            } else {
-                // Kernel path: Definition 2 with the link's share of the
-                // forgiven prefix over the link's operations, lent to the
-                // kernel as views; one search per frontier entry, rooted at
-                // its state and carrying its floaters.
-                let ops = self.matcher.match_events((0..len).map(event));
-                let stated = EventProblem {
-                    t: link_t,
-                    events,
-                    picked,
-                    ops,
-                };
-                // The link's own floaters are optional but tracked, unless
-                // this is the tail (nothing to defer to).
-                tracked.clear();
-                if !final_segment {
-                    let forgiven = |&i: &usize| ops[i].1.is_some_and(|r| r < link_t);
-                    tracked.extend((0..ops.len()).filter(forgiven));
-                }
-                let demoted = tracked.len();
-                rows.clear();
-                for (entry, state) in states.iter().enumerate() {
-                    let carried = frontier.unplaced.get(entry).map_or(&[][..], Vec::as_slice);
-                    tracked.truncate(demoted);
-                    tracked.extend(ops.len()..ops.len() + carried.len());
-                    let problem = Floating {
-                        stated,
-                        demoted: &tracked[..demoted],
-                        object,
-                        carried,
-                        // Carried floaters must be placed by the tail; before
-                        // it they may keep floating.
-                        carried_required: final_segment,
-                    };
-                    let roots = [(object, state)];
-                    if final_segment {
-                        // Nothing consumes the outgoing frontier: a plain
-                        // witness search decides the tail (pending
-                        // operations included).
-                        let (result, stats) = kernel::solve_rooted(
-                            &problem,
-                            &roots,
-                            universe,
-                            limits,
-                            &mut self.scratch,
-                        );
-                        self.stats.search.absorb(stats);
-                        match result {
-                            SearchResult::Yes(_) => {
-                                any_yes = true;
-                                break;
-                            }
-                            SearchResult::Unknown => self.incomplete = true,
-                            SearchResult::No => {}
-                        }
-                    } else {
-                        let each = |row: kernel::FrontierRow<'_>| {
-                            any_yes = true;
-                            let reached = row.states().find(|(o, _)| *o == object);
-                            let next = reached.map_or(state, |(_, v)| v).clone();
-                            if !floats {
-                                return outgoing.push(next);
-                            }
-                            let placed = tracked.iter().zip(row.placed());
-                            let unplaced = placed.filter(|(_, placed)| !placed);
-                            let mut unplaced: Vec<Invocation> = unplaced
-                                .map(|(&i, _)| problem.op(i).invocation.clone())
-                                .collect();
-                            unplaced.sort_unstable();
-                            rows.push((next, unplaced));
-                        };
-                        let (complete, stats) = kernel::visit_frontiers(
-                            &problem,
-                            &roots,
-                            universe,
-                            limits,
-                            tracked,
-                            &mut self.scratch,
-                            each,
-                        );
-                        self.stats.search.absorb(stats);
-                        if !complete {
-                            self.incomplete = true;
-                        }
-                    }
+                if final_segment && any_yes {
+                    break;
                 }
             }
             if !any_yes {
@@ -1683,241 +1637,6 @@ impl Grouping {
     }
 }
 
-/// The most operations a mid-stream link may hold to be walked ([`Walk`])
-/// rather than searched (ROADMAP, *Settled by measurement*).
-const SMALL_LINK_OPS: usize = 4;
-
-/// The pooled tables of [`Walk`]: per link, its distinct states (a state's
-/// id is its index), its memo of the spec's transitions as `(invocation id,
-/// state id, span)` and the spans' `(operations answered, next state id)`;
-/// per frontier state, the visited `(taken mask, state id)` pairs as words;
-/// per memo miss, the `(operations answered, next state)` pairs the spec
-/// handed over, before they are interned.
-#[derive(Default)]
-struct WalkScratch {
-    states: Vec<Value>,
-    expanded: Vec<(u8, u32, (u32, u32))>,
-    transitions: Vec<(u8, u32)>,
-    visited: Vec<u64>,
-    fresh: Vec<(u8, Value)>,
-}
-
-/// The kernel's exhaustive frontier search ([`kernel::visit_frontiers`]) of
-/// a mid-stream link of at most [`SMALL_LINK_OPS`] complete operations,
-/// without its set-up.  Depth first, it takes operations by ascending index,
-/// transitions in the spec's order, and only the first untaken member of an
-/// interchangeability class (equal invocation and response; alone if a
-/// real-time edge touches it) whose predecessors are taken: the taken mask
-/// stands for the kernel's class counts, and nodes, memo hits and budget
-/// count as the kernel's.  A link of one operation is walked by
-/// [`walk_one`] instead, without these tables.
-struct Walk<'a> {
-    spec: &'a dyn ObjectType,
-    /// The budget per frontier state, and the node count past it.
-    max_nodes: usize,
-    budget: usize,
-    n: usize,
-    /// Per operation: its invocation and its recorded response.
-    invocations: [&'a Invocation; SMALL_LINK_OPS],
-    responses: [&'a Value; SMALL_LINK_OPS],
-    /// Per operation: its invocation's id (the least operation making it),
-    /// its real-time predecessors and the lesser members of its class.
-    inv: [u8; SMALL_LINK_OPS],
-    preds: [u8; SMALL_LINK_OPS],
-    peers: [u8; SMALL_LINK_OPS],
-    stats: SearchStats,
-    complete: bool,
-    s: &'a mut WalkScratch,
-}
-
-impl<'a> Walk<'a> {
-    /// Reads the operations of the link's `len` events, the `k`-th being
-    /// `event(k)`; `None` unless they are one to [`SMALL_LINK_OPS`] complete
-    /// operations (no more fit in `2 * SMALL_LINK_OPS` events).
-    fn new(
-        spec: &'a dyn ObjectType,
-        limits: SearchLimits,
-        len: usize,
-        event: impl Fn(usize) -> &'a Event,
-        matcher: &mut OperationMatcher,
-        s: &'a mut WalkScratch,
-    ) -> Option<Self> {
-        if len > 2 * SMALL_LINK_OPS {
-            return None;
-        }
-        let ops = matcher.match_events((0..len).map(&event));
-        let n = ops.len();
-        let operation = |&(invoke, respond): &(usize, Option<usize>)| match (
-            &event(invoke).kind,
-            &event(respond?).kind,
-        ) {
-            (EventKind::Invoke(call), EventKind::Respond(value)) => Some((call, value)),
-            _ => None,
-        };
-        let (call, value) = operation(ops.first()?)?;
-        let mut walk = Walk {
-            spec,
-            max_nodes: limits.max_nodes,
-            n,
-            invocations: [call; SMALL_LINK_OPS],
-            responses: [value; SMALL_LINK_OPS],
-            inv: [0; SMALL_LINK_OPS],
-            preds: [0; SMALL_LINK_OPS],
-            peers: [0; SMALL_LINK_OPS],
-            budget: 0,
-            stats: SearchStats::default(),
-            complete: true,
-            s,
-        };
-        let edge = |j: usize, i: usize| ops[j].1 < Some(ops[i].0);
-        for (i, op) in ops.iter().enumerate() {
-            (walk.invocations[i], walk.responses[i]) = operation(op)?;
-            walk.preds[i] = (0..i).filter(|&j| edge(j, i)).fold(0, |m, j| m | 1 << j);
-        }
-        let alone = |i: usize| (0..n).any(|j| edge(j, i) || edge(i, j));
-        for i in 0..n {
-            let same_call = |j: &usize| walk.invocations[*j] == walk.invocations[i];
-            walk.inv[i] = (0..i).find(same_call).unwrap_or(i) as u8;
-            let same =
-                |j: &usize| walk.inv[*j] == walk.inv[i] && walk.responses[*j] == walk.responses[i];
-            let peers = (0..i).filter(|&j| !alone(i) && !alone(j) && same(&j));
-            walk.peers[i] = peers.fold(0, |m, j| m | 1 << j);
-        }
-        walk.s.states.clear();
-        walk.s.expanded.clear();
-        walk.s.transitions.clear();
-        Some(walk)
-    }
-
-    /// Walks the link from `root`, appending the states it accepts in to
-    /// `outgoing`.
-    fn from(&mut self, root: &Value, outgoing: &mut Vec<Value>) {
-        self.budget = self.stats.nodes.saturating_add(self.max_nodes);
-        self.stats.nodes += 1;
-        self.s.visited.clear();
-        let root = intern(&mut self.s.states, root.clone());
-        self.visit(0, root, outgoing);
-    }
-
-    /// Expands the node that has taken `taken` and reached state `state`.
-    fn visit(&mut self, taken: u8, state: u32, outgoing: &mut Vec<Value>) {
-        let all = (1u8 << self.n) - 1;
-        for i in 0..self.n {
-            let (bit, preds, peers) = (1u8 << i, self.preds[i], self.peers[i]);
-            if taken & bit != 0 || taken & preds != preds || taken & peers != peers {
-                continue;
-            }
-            let (start, end) = self.expand(self.inv[i], state);
-            for k in start..end {
-                let (answers, next) = self.s.transitions[k as usize];
-                if answers & bit == 0 {
-                    continue;
-                }
-                self.stats.nodes += 1;
-                if self.stats.nodes > self.budget {
-                    self.complete = false;
-                    continue;
-                }
-                let (child, key) = (taken | bit, u64::from(next) << 8 | u64::from(taken | bit));
-                if self.s.visited.contains(&key) {
-                    self.stats.memo_hits += 1;
-                    continue;
-                }
-                self.s.visited.push(key);
-                if child == all {
-                    outgoing.push(self.s.states[next as usize].clone());
-                } else {
-                    self.visit(child, next, outgoing);
-                }
-            }
-        }
-    }
-
-    /// The span of invocation `inv`'s transitions from state `state`, asked
-    /// of the spec once per link.
-    fn expand(&mut self, inv: u8, state: u32) -> (u32, u32) {
-        let memo = self.s.expanded.iter().find(|e| (e.0, e.1) == (inv, state));
-        if let Some(&(_, _, span)) = memo {
-            return span;
-        }
-        let (n, ids, responses) = (self.n, &self.inv, &self.responses);
-        let s = &mut *self.s;
-        let fresh = &mut s.fresh;
-        let source = &s.states[state as usize];
-        spec_transitions(
-            self.spec,
-            source,
-            self.invocations[inv as usize],
-            &mut |response, next| {
-                let mut answers = 0;
-                for j in (0..n).filter(|&j| ids[j] == inv) {
-                    answers |= u8::from(*responses[j] == response) << j;
-                }
-                fresh.push((answers, next));
-            },
-        );
-        let start = s.transitions.len() as u32;
-        for (answers, next) in s.fresh.drain(..) {
-            s.transitions.push((answers, intern(&mut s.states, next)));
-        }
-        let span = (start, s.transitions.len() as u32);
-        s.expanded.push((inv, state, span));
-        span
-    }
-}
-
-/// Walks a link of one operation, `invocation` answered `response`, from
-/// each of `roots`, appending the states it accepts to `outgoing`: the
-/// walk's search without its tables, since every node below a root
-/// accepts, and so the visited pairs are the states reached from that root.
-/// Returns the counters and whether every root's budget sufficed.
-fn walk_one(
-    spec: &dyn ObjectType,
-    limits: SearchLimits,
-    (invocation, response): (&Invocation, &Value),
-    roots: &[Value],
-    outgoing: &mut Vec<Value>,
-) -> (SearchStats, bool) {
-    let (mut stats, mut complete) = (SearchStats::default(), true);
-    for root in roots {
-        let budget = stats.nodes.saturating_add(limits.max_nodes);
-        stats.nodes += 1;
-        let reached = outgoing.len();
-        spec_transitions(spec, root, invocation, &mut |answer, next| {
-            if answer != *response {
-                return;
-            }
-            stats.nodes += 1;
-            if stats.nodes > budget {
-                complete = false;
-            } else if outgoing[reached..].contains(&next) {
-                stats.memo_hits += 1;
-            } else {
-                outgoing.push(next);
-            }
-        });
-    }
-    (stats, complete)
-}
-
-/// The one place the monitor asks a spec for transitions.
-fn spec_transitions(
-    spec: &dyn ObjectType,
-    state: &Value,
-    invocation: &Invocation,
-    visit: &mut dyn FnMut(Value, Value),
-) {
-    spec.for_each_transition(state, invocation, visit);
-}
-
-/// The id of `state` among a link's `states`, added if new.
-fn intern(states: &mut Vec<Value>, state: Value) -> u32 {
-    states.iter().position(|q| *q == state).unwrap_or_else(|| {
-        states.push(state);
-        states.len() - 1
-    }) as u32
-}
-
 /// Fast-path step: decides a pure fetch&increment projection (`events`)
 /// from every frontier state with [`crate::fi`] — loaded once, checked once
 /// per state — and leaves the outgoing frontier in `outgoing`: a singleton
@@ -2106,6 +1825,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::tests::Turnstile;
     use crate::{eventual, linearizability, t_linearizability, weak_consistency};
     use evlin_history::HistoryBuilder;
     use evlin_spec::{FetchIncrement, Register};
@@ -2565,17 +2285,17 @@ mod tests {
                 ..MonitorConfig::default()
             },
         );
-        // Rounds of one write and `SMALL_LINK_OPS` reads, all concurrent:
-        // too wide a link to walk.
+        // Rounds of one write and `kernel::SMALL_OPS` reads, all
+        // concurrent: too wide a link for the kernel to walk.
         let feed_batch = |m: &mut Monitor| {
             for _ in 0..8 {
                 m.invoke(ProcessId(0), r, Register::write(Value::from(1i64)))
                     .unwrap();
-                for p in 1..=SMALL_LINK_OPS {
+                for p in 1..=kernel::SMALL_OPS {
                     m.invoke(ProcessId(p), r, Register::read()).unwrap();
                 }
                 m.respond(ProcessId(0), r, Value::Unit).unwrap();
-                for p in 1..=SMALL_LINK_OPS {
+                for p in 1..=kernel::SMALL_OPS {
                     m.respond(ProcessId(p), r, Value::from(1i64)).unwrap();
                 }
             }
@@ -2926,36 +2646,6 @@ mod tests {
         }
     }
 
-    /// A gate that must be opened before anyone passes: `pass()` is enabled
-    /// only once `open()` has taken effect, so the type is partial.
-    #[derive(Debug)]
-    struct Turnstile;
-
-    impl evlin_spec::ObjectType for Turnstile {
-        fn name(&self) -> &str {
-            "turnstile"
-        }
-
-        fn initial_states(&self) -> Vec<Value> {
-            vec![Value::Bool(false)]
-        }
-
-        fn for_each_transition(
-            &self,
-            state: &Value,
-            invocation: &Invocation,
-            visit: &mut dyn FnMut(Value, Value),
-        ) {
-            if let ("open", _) | ("pass", Value::Bool(true)) = (invocation.method(), state) {
-                visit(Value::Unit, Value::Bool(true));
-            }
-        }
-
-        fn sample_invocations(&self) -> Vec<Invocation> {
-            vec![Invocation::nullary("open"), Invocation::nullary("pass")]
-        }
-    }
-
     #[test]
     fn stabilizes_eventually_completes_the_operations_pending_in_the_tail() {
         // A completed `pass()` is legal only after an `open()`.  With one
@@ -3113,208 +2803,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// A die whose `roll()` shows 1 and lands on `a` or on `b`, lists the
-    /// `(1, a)` outcome twice, and shows 2 and lands on `c`, from any face:
-    /// two transitions share a response, and one is a duplicate.
-    #[derive(Debug)]
-    struct LoadedDie;
-
-    impl evlin_spec::ObjectType for LoadedDie {
-        fn name(&self) -> &str {
-            "loaded-die"
-        }
-
-        fn initial_states(&self) -> Vec<Value> {
-            vec![Value::sym("a")]
-        }
-
-        fn for_each_transition(
-            &self,
-            _: &Value,
-            invocation: &Invocation,
-            visit: &mut dyn FnMut(Value, Value),
-        ) {
-            if invocation.method() == "roll" {
-                for (shown, face) in [(1i64, "a"), (1, "b"), (1, "a"), (2, "c")] {
-                    visit(Value::from(shown), Value::sym(face));
-                }
-            }
-        }
-
-        fn sample_invocations(&self) -> Vec<Invocation> {
-            vec![Invocation::nullary("roll")]
-        }
-    }
-
-    /// What a small link leaves from `frontier`, decided by the kernel's
-    /// exhaustive search from each state, or by [`Walk`] with `walk`: the
-    /// outgoing states (sorted, distinct), the nodes, the memo hits, whether
-    /// the budget let the search cover its space, and whether some class of
-    /// the walk has more than one member.
-    fn small_link(
-        u: &ObjectUniverse,
-        events: &[Event],
-        frontier: &[Value],
-        limits: SearchLimits,
-        walk: bool,
-    ) -> (Vec<Value>, usize, usize, bool, bool) {
-        let object = events[0].object;
-        let mut matcher = OperationMatcher::default();
-        let (mut outgoing, mut stats, mut complete) = (Vec::new(), SearchStats::default(), true);
-        let mut merged = false;
-        let spec = &**u.object_type(object);
-        if let (true, [invoke, respond]) = (walk, events) {
-            // One operation is walked without a `Walk`, as the monitor does.
-            let (EventKind::Invoke(call), EventKind::Respond(answer)) =
-                (&invoke.kind, &respond.kind)
-            else {
-                panic!("a complete operation");
-            };
-            (stats, complete) = walk_one(spec, limits, (call, answer), frontier, &mut outgoing);
-        } else if walk {
-            let (mut scratch, len) = (WalkScratch::default(), events.len());
-            let walk = Walk::new(
-                spec,
-                limits,
-                len,
-                |k| &events[k],
-                &mut matcher,
-                &mut scratch,
-            );
-            let mut walk = walk.expect("one to four complete operations");
-            merged = walk.peers.iter().any(|&peers| peers != 0);
-            for state in frontier {
-                walk.from(state, &mut outgoing);
-            }
-            (stats, complete) = (walk.stats, walk.complete);
-        } else {
-            let problem = EventProblem {
-                t: 0,
-                events,
-                picked: None,
-                ops: matcher.match_events(events),
-            };
-            let mut scratch = KernelScratch::new();
-            for state in frontier {
-                let each = |row: kernel::FrontierRow<'_>| {
-                    outgoing.extend(row.states().map(|(_, v)| v.clone()));
-                };
-                let roots = [(object, state)];
-                let (covered, search) =
-                    kernel::visit_frontiers(&problem, &roots, u, limits, &[], &mut scratch, each);
-                stats.absorb(search);
-                complete &= covered;
-            }
-        }
-        outgoing.sort();
-        outgoing.dedup();
-        (outgoing, stats.nodes, stats.memo_hits, complete, merged)
-    }
-
-    #[test]
-    fn a_small_link_walk_is_the_kernels_search() {
-        // Every built-in type's sampled invocations, answered with responses
-        // the spec gives from some reachable state and with one it never
-        // gives, as links of one to `SMALL_LINK_OPS` operations in every
-        // real-time shape (an uppercase letter invokes an operation, its
-        // lowercase responds), from frontiers of one to three reachable
-        // states, under four node budgets: the walk and the kernel's search
-        // on the same link agree on the outgoing states, the counters and
-        // completeness.  Links of two or more operations are drawn from a
-        // seeded generator that repeats the previous operation's pair half
-        // the time, so classes merge.
-        let shapes = [
-            "Aa", "ABab", "AaBb", "ABCabc", "AaBbCc", "ABabCc", "ABaCbc", "ABCDabcd", "AaBbCcDd",
-            "ABabCcDd", "ABCabcDd", "ABabCDcd", "ABaCbDcd",
-        ];
-        assert!(shapes.iter().all(|shape| shape.len() <= 2 * SMALL_LINK_OPS));
-        let types: Vec<Arc<dyn evlin_spec::ObjectType>> = vec![
-            Arc::new(Register::new(Value::from(0i64))),
-            Arc::new(evlin_spec::CompareAndSwap::new(Value::from(0i64))),
-            Arc::new(evlin_spec::MaxRegister::new()),
-            Arc::new(FetchIncrement::new()),
-            Arc::new(evlin_spec::Queue::new()),
-            Arc::new(evlin_spec::TestAndSet::new()),
-            Arc::new(evlin_spec::Consensus::new()),
-            Arc::new(evlin_spec::Counter::new()),
-            Arc::new(evlin_spec::trivial::StickyGate::new()),
-            Arc::new(evlin_spec::trivial::BlindRegister::new()),
-            Arc::new(Turnstile),
-            Arc::new(LoadedDie),
-        ];
-        // A budget of `usize::MAX` must not overflow a walk's node count.
-        let budgets = [1, 2, SearchLimits::default().max_nodes, usize::MAX];
-        let mut seed = 0x2f6b_3c1e_9d4a_8857u64;
-        let mut next = |bound: usize| {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed % bound as u64) as usize
-        };
-        let (mut memo_hits, mut cut_short, mut refuted, mut merged) = (0, 0, 0, 0);
-        for ty in types {
-            let initial = ty.initial_states()[0].clone();
-            let mut u = ObjectUniverse::new();
-            let object = u.add_shared(ty.clone(), initial.clone());
-            let states = ty.reachable_states(&initial, 3);
-            // The `(invocation, response)` pairs a link's operations draw.
-            let mut pairs = Vec::new();
-            for invocation in ty.sample_invocations() {
-                let transitions = states.iter().flat_map(|q| ty.transitions(q, &invocation));
-                let mut responses: Vec<Value> = transitions.map(|t| t.response).collect();
-                responses.sort();
-                responses.dedup();
-                responses.push(Value::sym("never"));
-                pairs.extend(responses.into_iter().map(|r| (invocation.clone(), r)));
-            }
-            for shape in shapes {
-                let n = shape.len() / 2;
-                // Every pair alone; six draws per wider shape.
-                let draws = if n == 1 { pairs.len() } else { 6 };
-                for draw in 0..draws {
-                    let mut ops = vec![if n == 1 { draw } else { next(pairs.len()) }];
-                    while ops.len() < n {
-                        let repeat = next(2) == 0;
-                        let op = if repeat {
-                            ops[ops.len() - 1]
-                        } else {
-                            next(pairs.len())
-                        };
-                        ops.push(op);
-                    }
-                    let events: Vec<Event> = shape
-                        .chars()
-                        .map(|c| {
-                            let k = (c.to_ascii_lowercase() as u8 - b'a') as usize;
-                            let (invocation, response) = &pairs[ops[k]];
-                            if c.is_ascii_uppercase() {
-                                Event::invoke(ProcessId(k), object, invocation.clone())
-                            } else {
-                                Event::respond(ProcessId(k), object, response.clone())
-                            }
-                        })
-                        .collect();
-                    for (width, max_nodes) in
-                        (1..=states.len()).flat_map(|w| budgets.map(|b| (w, b)))
-                    {
-                        let (frontier, limits) = (&states[..width], SearchLimits { max_nodes });
-                        let searched = small_link(&u, &events, frontier, limits, false);
-                        let walked = small_link(&u, &events, frontier, limits, true);
-                        let case = format!("{} {shape} {events:?} from {frontier:?}", ty.name());
-                        let counted =
-                            |(states, nodes, hits, complete, _)| (states, nodes, hits, complete);
-                        assert_eq!(counted(walked.clone()), counted(searched), "{case}");
-                        memo_hits += walked.2;
-                        cut_short += usize::from(!walked.3);
-                        refuted += usize::from(walked.0.is_empty());
-                        merged += usize::from(walked.4);
-                    }
-                }
-            }
-        }
-        assert!(memo_hits > 0 && cut_short > 0 && refuted > 0 && merged > 0);
     }
 
     /// A sequential stream over a register (values `0..3`) and a queue: each

@@ -7,10 +7,11 @@
 //! boxed visited key, instead of waiting for the bench gate to notice the
 //! slowdown.
 //!
-//! The kernel, the small-link walk and the monitor's check stage read a
+//! The kernel — its searcher and its walk of small problems alike — reads a
 //! spec's transitions through `ObjectType::for_each_transition`, which
 //! builds nothing but the values it hands over (no allocation for the
-//! register and counter states used here), so their budgets are zero.  The
+//! register and counter states used here), so the kernel's budgets and the
+//! monitor's check stage's, which searches only through it, are zero.  The
 //! fetch&increment and ingest budgets below count their own working vectors.
 
 use evlin_checker::kernel::{self, KernelScratch, SearchLimits};
@@ -212,6 +213,33 @@ fn warmed_up_frontier_search_allocates_nothing() {
     // Nothing per row (a boxed lookup key per row made this 151) and
     // nothing per distinct (invocation, state) pair the search expands.
     assert_eq!(allocs, 0, "{allocs} allocations for {rows} rows");
+
+    // A small problem through the same scratch, walked without the
+    // searcher's tables: three concurrent writes and a read that sees one.
+    let mut b = HistoryBuilder::new();
+    for p in 0..3usize {
+        b = b.invoke(ProcessId(p), r, Register::write(Value::from(p as i64 + 1)));
+    }
+    b = b.invoke(ProcessId(3), r, Register::read());
+    for p in 0..3usize {
+        b = b.respond(ProcessId(p), r, Value::Unit);
+    }
+    let h = b.respond(ProcessId(3), r, Value::from(2i64)).build();
+    let problem = Linearizability.views(&h, matcher.match_events(h.events()));
+    let walk = |scratch: &mut KernelScratch| {
+        let mut rows = 0;
+        let (complete, stats) =
+            kernel::visit_frontiers(&problem, &[], &u, limits, &[], scratch, |_| rows += 1);
+        assert!(
+            complete && stats.nodes > 8 && stats.arena_bytes == 0,
+            "{stats:?}"
+        );
+        rows
+    };
+    assert_eq!(walk(&mut scratch), 3);
+    let (allocs, rows) = allocations(|| walk(&mut scratch));
+    assert_eq!(rows, 3);
+    assert_eq!(allocs, 0, "{allocs} allocations for a small problem");
 }
 
 /// Two registers over `0..4` and two counters: the universe of the dense
@@ -230,8 +258,8 @@ fn dense_universe() -> ObjectUniverse {
 /// `rounds` rounds of four mutually concurrent operations over
 /// [`dense_universe`] — every process invokes, then every process responds,
 /// so each round is one quiescent segment — with the effects taking place in
-/// a seeded order: linearizable by construction, a walk over the spec per
-/// (object, segment), no fast path.  Returns the events and the number of
+/// a seeded order: linearizable by construction, one small kernel problem
+/// per (object, segment), no fast path.  Returns the events and the number of
 /// (object, segment) links.
 fn dense_rounds(state: &mut [i64; 4], seed: &mut u64, rounds: usize) -> (Vec<Event>, usize) {
     let mut next = |bound: u64| {
@@ -273,10 +301,10 @@ fn dense_rounds(state: &mut [i64; 4], seed: &mut u64, rounds: usize) -> (Vec<Eve
 #[test]
 fn warmed_up_monitor_check_allocates_nothing() {
     // The check stage takes a link from the segment's events to its
-    // outgoing frontier inside pooled buffers, whether a link of up to four
-    // operations is walked over the spec or a wider one goes through a
-    // kernel search, and orders a batch's links into chains in pooled
-    // tables: once warm it allocates nothing.  A materialized projection,
+    // outgoing frontier inside pooled buffers, whether the kernel walks a
+    // link of up to four operations or searches a wider one, and orders a
+    // batch's links into chains in pooled tables: once warm it allocates
+    // nothing.  A materialized projection,
     // problem or frontier set per link would show up as a multiple of the
     // link count (12.8 per link before the in-place path, and one
     // `transitions()` vector per expanded (invocation, state) pair before
@@ -339,9 +367,9 @@ fn sequential_ops(state: &mut [i64; 4], seed: &mut u64, ops: usize) -> Vec<Event
 
 #[test]
 fn warmed_up_one_operation_links_allocate_nothing() {
-    // A one-operation link is walked over the spec from each frontier
-    // state without a search's set-up or a walk's tables, visiting the
-    // spec's transitions in place: it allocates nothing (one
+    // The kernel decides a one-operation link from each frontier state
+    // with one spec call, without a search's set-up or a walk's tables,
+    // visiting the spec's transitions in place: it allocates nothing (one
     // `transitions()` vector per link and frontier state before).
     let (mut ingest, mut check) = stages(dense_universe(), MonitorConfig::default());
     let (mut state, mut seed) = ([0i64; 4], 0x6a09_e667_f3bc_c909u64);
